@@ -235,6 +235,18 @@ class ModelDSEResult:
     def cache_misses(self) -> int:
         return sum(result.cache_misses for result in self.node_results.values())
 
+    @property
+    def shared_nodes(self) -> int:
+        """Nodes structurally identical to one explored earlier in the sweep."""
+        return sum(1 for result in self.node_results.values()
+                   if result.shared_with is not None)
+
+    @property
+    def shared_points(self) -> int:
+        """Evaluations those nodes took over from their representatives
+        (counted inside ``cache_hits``, which is every lookup served)."""
+        return sum(result.shared_hits for result in self.node_results.values())
+
     def best_point(self) -> Optional[ModelFrontierPoint]:
         """Fastest frontier point fitting the platform (smallest otherwise)."""
         if not self.frontier:

@@ -67,7 +67,7 @@ def frontier_hypervolume(frontier: list[ParetoPoint]) -> float:
 
 
 def _kernel_fingerprint(space: KernelDesignSpace, func_op,
-                        platform: Optional[Platform] = None) -> str:
+                        platform: Platform) -> str:
     """Cache/checkpoint identity of (kernel, design space, pipeline, platform).
 
     ``space.fingerprint()`` covers the kernel IR only when the space was
@@ -78,9 +78,10 @@ def _kernel_fingerprint(space: KernelDesignSpace, func_op,
 
     The canonical pipeline signature of the evaluation flow is always mixed
     in: cached estimates produced under a different transform pipeline must
-    never be reused.  The same goes for the hardware model: the platform's
-    ``config_hash()`` is mixed in (for multi-platform spaces, the space
-    fingerprint already hashes every platform of the sweep), so estimates
+    never be reused.  The same goes for the hardware model: the
+    ``config_hash()`` of ``platform`` (the sweep's single target) is mixed
+    in unless the space carries its own platform dimension, whose
+    fingerprint already hashes every platform of the sweep — so estimates
     cached under one platform are never served to a sweep over another.
     """
     import hashlib
@@ -88,7 +89,7 @@ def _kernel_fingerprint(space: KernelDesignSpace, func_op,
     from repro.dse.apply import kernel_pipeline_signature
 
     parts = [space.fingerprint(), kernel_pipeline_signature()]
-    if platform is not None:
+    if not space.platforms:
         parts.append(platform.config_hash())
     if not space.ir_digest:
         from repro.dse.space import ir_digest
@@ -124,6 +125,12 @@ class ParallelDSEResult:
     #: (across resumes).  Reporting-only: deliberately absent from any
     #: exported JSON so artifacts stay byte-identical run to run.
     iterations_done: int = 0
+    #: Key of the structurally identical kernel explored before this one in
+    #: the same sweep (None for a representative or a lone kernel), and how
+    #: many of ``cache_hits`` were estimates that kernel class stored during
+    #: this run rather than ones a persistent cache already held.
+    shared_with: Optional[str] = None
+    shared_hits: int = 0
 
     @property
     def best_point(self):
@@ -240,19 +247,28 @@ class ParallelExplorer:
                 space: Optional[KernelDesignSpace] = None,
                 func_name: Optional[str] = None,
                 resume: bool = False,
-                backend=None, context_key: str = "kernel") -> ParallelDSEResult:
+                backend=None, context_key: str = "kernel",
+                fingerprint: Optional[str] = None,
+                shared_with: Optional[str] = None,
+                known_before: frozenset = frozenset()) -> ParallelDSEResult:
         """Explore ``module``'s kernel; optionally resume from a checkpoint.
 
         ``backend``/``context_key`` let a scheduler inject a shared worker
         pool; when omitted the explorer creates (and owns) its own backend.
+        A scheduler also passes the ``fingerprint`` it grouped the kernel
+        by and, for a kernel structurally identical to one it explored
+        earlier in the sweep, that representative's key as ``shared_with``
+        plus the cache keys that pre-dated the sweep (``known_before``):
+        a hit outside them is an estimate the representative stored, and is
+        reported as shared rather than as a persistent-cache hit.
         """
         started = time.perf_counter()
         func_op = module.lookup(func_name) if func_name else module.functions()[0]
         if space is None:
             space = KernelDesignSpace.from_function(
                 func_op, platforms=self.platforms or None)
-        fingerprint = _kernel_fingerprint(
-            space, func_op, platform=None if space.platforms else self.platform)
+        if fingerprint is None:
+            fingerprint = _kernel_fingerprint(space, func_op, self.platform)
 
         # The parameters that define the exploration trajectory: a checkpoint
         # taken under different ones must not be resumed (it would continue
@@ -311,12 +327,13 @@ class ParallelExplorer:
         since_checkpoint = 0
         run_hits = 0
         run_misses = 0
+        shared_hits = 0
 
         obs_on = obs.active() is not None
 
         def evaluate_batch(batch: list[tuple[int, ...]]) -> None:
             nonlocal evaluated_this_run, processed_this_run, since_checkpoint
-            nonlocal run_hits, run_misses
+            nonlocal run_hits, run_misses, shared_hits
             batch_span = obs.NULL_SPAN if not obs_on else obs.span(
                 "dse.batch", kernel=context_key, points=len(batch))
             with batch_span:
@@ -326,6 +343,9 @@ class ParallelExplorer:
                               if self.cache is not None else None)
                     if record is not None:
                         state.records[encoded] = record
+                        if shared_with is not None \
+                                and (fingerprint, encoded) not in known_before:
+                            shared_hits += 1
                     else:
                         missing.append(encoded)
                 batch_span.set(cached=len(batch) - len(missing))
@@ -397,6 +417,10 @@ class ParallelExplorer:
         explore_span = obs.NULL_SPAN if not obs_on else obs.span(
             "dse.explore", kernel=context_key, jobs=self.jobs,
             batch_size=self.batch_size, seed=self.seed)
+        if shared_with is not None:
+            # Args only: the span itself exists for every kernel, so the
+            # trace skeleton does not depend on which kernels repeat.
+            explore_span.set(shared_with=shared_with)
         try:
             with obs.track(f"dse:{context_key}"), explore_span:
                 rng = state.make_rng()
@@ -444,6 +468,9 @@ class ParallelExplorer:
                               self.max_iterations)
                     obs.gauge(f"dse.node.{context_key}.samples_budget",
                               self.num_samples)
+                    if shared_with is not None:
+                        obs.counter("dse.shared.nodes")
+                        obs.counter("dse.shared.points", shared_hits)
         except KeyboardInterrupt:
             # Graceful interruption: persist the last completed batch
             # boundary so --resume continues the exact trajectory, then let
@@ -470,4 +497,6 @@ class ParallelExplorer:
             func_name=func_name,
             platform=self.platform,
             iterations_done=state.iterations_done,
+            shared_with=shared_with,
+            shared_hits=shared_hits,
         )

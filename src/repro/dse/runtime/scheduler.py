@@ -4,9 +4,16 @@ A DNN compiled through the graph flow (:func:`repro.pipeline.compile_dnn`)
 contains one lowered function per dataflow stage; sweeping a whole model
 means running DSE for each of them.  :class:`MultiKernelScheduler` does so
 under a *shared resource budget*: one worker pool of ``jobs`` processes
-serves all kernels, per-kernel coordinator threads interleave their batches
-onto it, and a shared :class:`EstimateCache` deduplicates work across
-kernels and runs.
+serves all kernels, coordinator threads interleave their batches onto it,
+and a shared :class:`EstimateCache` deduplicates work across kernels and
+runs.
+
+Kernels are grouped by fingerprint (:func:`repro.dse.space.ir_digest` hashes
+structure, not names), and each class is explored *representative-first*:
+its first task is swept as any kernel is, every later one after it, finding
+in the cache the estimates of the trajectory they share.  The repeated
+layers of a DNN are thus evaluated once — with or without a persistent
+cache — and which of them pays never depends on thread scheduling.
 
 The unit of scheduling is a :class:`KernelTask` — a (module, function,
 design space) triple with an optional per-task exploration budget.  The
@@ -35,7 +42,11 @@ from repro.dse.runtime.faults import (
     FaultPlan,
     SupervisionPolicy,
 )
-from repro.dse.runtime.parallel import ParallelDSEResult, ParallelExplorer
+from repro.dse.runtime.parallel import (
+    ParallelDSEResult,
+    ParallelExplorer,
+    _kernel_fingerprint,
+)
 from repro.dse.runtime.worker import KernelContext, create_backend
 from repro.dse.space import KernelDesignSpace
 from repro.estimation.platform import Platform, XC7Z020
@@ -63,6 +74,12 @@ class KernelTask:
     #: sweeps; unlike the budgets above it is not part of the trajectory, so
     #: a capped run checkpoints a resumable prefix of the uncapped one).
     max_evaluations: Optional[int] = None
+    #: Filled in by the scheduler, once per sweep, on its own copy of the
+    #: task: the kernel's cache/checkpoint identity, and the key of the
+    #: earlier task with the same identity (its class's *representative*),
+    #: or None when this task is the first of its class.
+    fingerprint: str = ""
+    shared_with: Optional[str] = None
 
 
 class MultiKernelScheduler:
@@ -141,6 +158,31 @@ class MultiKernelScheduler:
                                     faults=self.faults)
             for task in tasks
         }
+        # Structurally identical kernels share a fingerprint, hence their
+        # estimate-cache keys.  The first task of each class (its
+        # representative) pays for the evaluations; every later member runs
+        # after it and resolves the trajectory they share from the cache —
+        # through the same explorer path, so checkpoints, resume and
+        # quarantine need no second code path, and who hits and who misses
+        # never depends on a thread race.
+        classes: dict[str, list[KernelTask]] = {}
+        for index, task in enumerate(tasks):
+            fingerprint = self._fingerprint(task)
+            members = classes.setdefault(fingerprint, [])
+            tasks[index] = task = dataclasses.replace(
+                task, fingerprint=fingerprint,
+                shared_with=members[0].key if members else None)
+            members.append(task)
+        cache, known_before = self.cache, frozenset()
+        if len(classes) < len(tasks):
+            if cache is None:
+                # Sharing must not hinge on --cache: the sweep owns a
+                # run-local cache, but only when a class repeats (a sweep of
+                # distinct kernels runs exactly as it always did).
+                cache = EstimateCache()
+            else:
+                known_before = cache.known_keys()
+
         stop_event = threading.Event()
         backend = create_backend(contexts, self.jobs, mp_context=self.mp_context,
                                  supervision=self.supervision,
@@ -152,8 +194,10 @@ class MultiKernelScheduler:
             with schedule_span:
                 if (self.jobs <= 1 and self.transport is None) \
                         or len(tasks) == 1:
-                    return {task.key: self._explore_one(task, backend, resume,
-                                                        stop_event)
+                    # Task order already puts every representative first.
+                    return {task.key: self._explore_one(
+                                task, cache, known_before, backend, resume,
+                                stop_event)
                             for task in tasks}
                 # Spawn the pool's workers from the main thread, before any
                 # coordinator threads exist: forking from a multi-threaded
@@ -162,20 +206,22 @@ class MultiKernelScheduler:
                 # and the trace skeleton must be identical across --jobs.
                 if hasattr(backend, "warm_up"):
                     backend.warm_up()
-                # One coordinator thread per kernel; they are I/O-bound
-                # (waiting on pool futures), so threads are enough to keep
-                # the pool busy.
+                # One coordinator thread per kernel class; they are
+                # I/O-bound (waiting on pool futures), so threads are enough
+                # to keep the pool busy.
                 with concurrent.futures.ThreadPoolExecutor(
-                        max_workers=len(tasks)) as coordinators:
-                    futures = {
-                        task.key: coordinators.submit(self._explore_one, task,
-                                                      backend, resume,
-                                                      stop_event)
-                        for task in tasks
-                    }
+                        max_workers=len(classes)) as coordinators:
+                    futures = [
+                        coordinators.submit(self._explore_class, members,
+                                            cache, known_before, backend,
+                                            resume, stop_event)
+                        for members in classes.values()
+                    ]
                     try:
-                        return {key: self._task_result(key, future)
-                                for key, future in futures.items()}
+                        results = {}
+                        for future in futures:
+                            results.update(future.result())
+                        return {task.key: results[task.key] for task in tasks}
                     except KeyboardInterrupt:
                         # Ctrl-C: stop submissions, fail in-flight futures
                         # so every coordinator unblocks, writes its boundary
@@ -184,7 +230,7 @@ class MultiKernelScheduler:
                         # the unblocked coordinators on the way out).
                         if hasattr(backend, "request_stop"):
                             backend.request_stop()
-                        for future in futures.values():
+                        for future in futures:
                             future.cancel()
                         raise
         finally:
@@ -211,19 +257,38 @@ class MultiKernelScheduler:
                                     space=space))
         return tasks
 
-    @staticmethod
-    def _task_result(key: str, future) -> ParallelDSEResult:
-        """Unwrap one coordinator future with an attributable error."""
-        try:
-            return future.result()
-        except (EvaluationFailure, concurrent.futures.CancelledError):
-            raise
-        except Exception as error:
-            raise EvaluationFailure(
-                f"DSE for kernel {key!r} failed: "
-                f"{type(error).__name__}: {error}") from error
+    def _fingerprint(self, task: KernelTask) -> str:
+        """The task's cache/checkpoint identity, computed once per sweep."""
+        module = task.module
+        func_op = module.lookup(task.func_name) if task.func_name \
+            else module.functions()[0]
+        return _kernel_fingerprint(task.space, func_op, self.platform)
 
-    def _explore_one(self, task: KernelTask, backend, resume: bool,
+    def _explore_class(self, members: Sequence[KernelTask],
+                       cache: Optional[EstimateCache],
+                       known_before: frozenset, backend, resume: bool,
+                       stop_event: threading.Event
+                       ) -> dict[str, ParallelDSEResult]:
+        """Explore one fingerprint class, representative first.
+
+        Errors are attributed to the kernel that raised them.
+        """
+        results = {}
+        for task in members:
+            try:
+                results[task.key] = self._explore_one(
+                    task, cache, known_before, backend, resume, stop_event)
+            except EvaluationFailure:
+                raise
+            except Exception as error:
+                raise EvaluationFailure(
+                    f"DSE for kernel {task.key!r} failed: "
+                    f"{type(error).__name__}: {error}") from error
+        return results
+
+    def _explore_one(self, task: KernelTask,
+                     cache: Optional[EstimateCache],
+                     known_before: frozenset, backend, resume: bool,
                      stop_event: Optional[threading.Event] = None
                      ) -> ParallelDSEResult:
         checkpoint_path = None
@@ -238,12 +303,14 @@ class MultiKernelScheduler:
             max_iterations=task.max_iterations if task.max_iterations is not None
             else self.max_iterations,
             seed=self.seed, jobs=self.jobs, batch_size=self.batch_size,
-            cache=self.cache, checkpoint_path=checkpoint_path,
+            cache=cache, checkpoint_path=checkpoint_path,
             checkpoint_every=self.checkpoint_every,
             max_evaluations=task.max_evaluations,
             incremental=self.incremental,
             supervision=self.supervision, faults=self.faults,
             stop_event=stop_event)
-        return explorer.explore(task.module, space=task.space,
-                                func_name=task.func_name, resume=resume,
-                                backend=backend, context_key=task.key)
+        return explorer.explore(
+            task.module, space=task.space, func_name=task.func_name,
+            resume=resume, backend=backend, context_key=task.key,
+            fingerprint=task.fingerprint, shared_with=task.shared_with,
+            known_before=known_before)

@@ -34,18 +34,41 @@ from repro.dialects.affine_ops import AffineForOp, loop_band_from, outermost_loo
 from repro.ir.operation import Operation
 
 
+#: Attributes that only *label* an operation and are left out of a kernel's
+#: identity wherever they occur.  ``dataflow_stage`` is read by the
+#: graph-level passes alone (``legalize-dataflow``, ``split-function``),
+#: which run before a node becomes a kernel; ``buffer_name`` names an
+#: allocation for the C++ emitter and for caller-pinned partition factors,
+#: neither of which a design-point evaluation uses.  No transform of the
+#: evaluation pipeline and no part of the estimator reads either, so two
+#: kernels that differ only in them evaluate to equal records at every
+#: design point.  Adding a label means extending this set *and* the
+#: perturbation test in ``tests/test_kernel_identity.py`` that proves it.
+LABEL_ATTRS = frozenset({"dataflow_stage", "buffer_name"})
+
+#: Labels elided on the digested function itself only: its own symbol name.
+#: A callee name inside the body (``func.call``'s ``callee``) selects which
+#: code runs and stays hashed.
+ROOT_LABEL_ATTRS = frozenset({"sym_name"})
+
+
 def ir_digest(func_op: Operation) -> str:
-    """Stable content digest of a function's IR.
+    """Stable *structural* digest of a function's IR.
 
     The single definition of the digest recipe: both
     :meth:`KernelDesignSpace.from_function` and the DSE runtime's
     cache/checkpoint fingerprinting rely on it producing identical values
-    for structurally identical IR across processes and sessions.
+    for structurally identical IR across processes and sessions.  The
+    printed function is hashed with the declared label attributes
+    (:data:`LABEL_ATTRS`, :data:`ROOT_LABEL_ATTRS`) elided, so the repeated
+    layers of a DNN — identical but for their names — share one identity
+    and with it their cached estimates.
     """
     from repro.ir.printer import print_op
 
-    return hashlib.sha256(
-        print_op(func_op, stable_ids=True).encode("utf-8")).hexdigest()
+    text = print_op(func_op, stable_ids=True, elide_attrs=LABEL_ATTRS,
+                    elide_root_attrs=ROOT_LABEL_ATTRS)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclasses.dataclass(frozen=True)

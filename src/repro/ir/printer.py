@@ -7,7 +7,7 @@ ways in).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Collection
 
 from repro.ir.value import BlockArgument, Value
 
@@ -24,11 +24,21 @@ class Printer:
     order of their blocks instead of by object identity, so two structurally
     identical IR trees print to byte-identical text (used by the DSE runtime
     to fingerprint kernels across processes and sessions).
+
+    ``elide_attrs`` names attributes left out of every printed operation and
+    ``elide_root_attrs`` attributes left out of the printed root only: the
+    printer offers the mechanism, and the one caller that decides which
+    attributes are mere labels is :func:`repro.dse.space.ir_digest`.
     """
 
-    def __init__(self, indent_width: int = 2, stable_ids: bool = False):
+    def __init__(self, indent_width: int = 2, stable_ids: bool = False,
+                 elide_attrs: Collection[str] = (),
+                 elide_root_attrs: Collection[str] = ()):
         self.indent_width = indent_width
         self.stable_ids = stable_ids
+        self.elide_attrs = frozenset(elide_attrs)
+        self.elide_root_attrs = frozenset(elide_root_attrs)
+        self._root = None
         self._names: dict[Value, str] = {}
         self._block_ids: dict[object, int] = {}
         self._next_id = 0
@@ -41,6 +51,7 @@ class Printer:
         self._block_ids = {}
         self._next_id = 0
         self._lines = []
+        self._root = op
         self._print_op(op, 0)
         return "\n".join(self._lines)
 
@@ -97,11 +108,16 @@ class Printer:
     def _format_attributes(self, op: "Operation") -> str:
         if not op.attributes:
             return ""
+        elided = self.elide_attrs
+        if op is self._root:
+            elided = elided | self.elide_root_attrs
         parts = []
         for key in sorted(op.attributes):
+            if key in elided:
+                continue
             value = op.attributes[key]
             parts.append(f"{key} = {self._format_attr_value(value)}")
-        return "{" + ", ".join(parts) + "}"
+        return "{" + ", ".join(parts) + "}" if parts else ""
 
     def _format_attr_value(self, value) -> str:
         if isinstance(value, bool):
@@ -116,6 +132,9 @@ class Printer:
         return str(value)
 
 
-def print_op(op: "Operation", stable_ids: bool = False) -> str:
+def print_op(op: "Operation", stable_ids: bool = False,
+             elide_attrs: Collection[str] = (),
+             elide_root_attrs: Collection[str] = ()) -> str:
     """Convenience wrapper: print a single operation tree."""
-    return Printer(stable_ids=stable_ids).print(op)
+    return Printer(stable_ids=stable_ids, elide_attrs=elide_attrs,
+                   elide_root_attrs=elide_root_attrs).print(op)

@@ -18,6 +18,8 @@ name                      kind       meaning
 ``cache.hits`` etc.       counter    estimate-cache hits/misses/stores/evictions
 ``dse.evaluations``       counter    design points actually evaluated
 ``dse.points``            counter    design points processed (incl. cache hits)
+``dse.shared.nodes``      counter    nodes identical to one explored earlier in the run
+``dse.shared.points``     counter    estimates those nodes took over from it
 ``dse.worker.busy_seconds``  counter    summed per-evaluation worker wall-clock
 ``dse.batch.points``      histogram  batch-size distribution
 ``dse.frontier.size.<k>`` series     (iteration, frontier size) per kernel

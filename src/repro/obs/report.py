@@ -148,6 +148,18 @@ def cache_summary_lines(counters: Mapping[str, float]) -> list[str]:
     return lines
 
 
+def shared_summary_line(points: int, nodes: int) -> str:
+    """In-run sharing between structurally identical nodes, in one line.
+
+    ``nodes`` counts the nodes identical to one explored earlier in the
+    sweep, ``points`` the evaluations they took over from it instead of
+    repeating them (on a warm persistent cache that is 0: every node was
+    served from the file, none from a neighbour).
+    """
+    return (f"  shared {points} evaluation{'' if points == 1 else 's'} across "
+            f"{nodes} structurally identical node{'' if nodes == 1 else 's'}")
+
+
 def dse_summary_lines(counters: Mapping[str, float],
                       gauges: Mapping[str, float],
                       series: Mapping[str, list]) -> list[str]:
@@ -185,6 +197,10 @@ def dse_summary_lines(counters: Mapping[str, float],
                      f"disconnects={transport['disconnects']} "
                      f"requeues={transport['requeues']} "
                      f"heartbeat misses={transport['heartbeat_misses']}")
+    shared_nodes = int(counters.get("dse.shared.nodes", 0))
+    if shared_nodes:
+        lines.append(shared_summary_line(
+            int(counters.get("dse.shared.points", 0)), shared_nodes))
     prefix_hits = int(counters.get("dse.prefix.hits", 0))
     prefix_misses = int(counters.get("dse.prefix.misses", 0))
     prefix_checkouts = prefix_hits + prefix_misses

@@ -66,6 +66,7 @@ from repro.obs.report import (
     pass_timings_of,
     pattern_stats_of,
     render_run_summary,
+    shared_summary_line,
 )
 from repro.pipeline import compile_c, compile_dnn, compile_kernel, dnn_baseline
 
@@ -624,8 +625,12 @@ def _dse_frontier_json(result) -> str:
 def _print_dse_result(prefix: str, result, baseline, baselines=None) -> None:
     cache_note = ""
     if result.cache_hits or result.cache_misses:
-        cache_note = (f" (cache: {result.cache_hits} hits, "
-                      f"{result.cache_misses} misses)")
+        cache_note = (f" (cache: {result.cache_hits - result.shared_hits} hits, "
+                      f"{result.cache_misses} misses")
+        if result.shared_with is not None:
+            cache_note += (f", {result.shared_hits} shared with "
+                           f"{result.shared_with}")
+        cache_note += ")"
     platform_names = result.platform_names()
     frontier_note = ("per-platform Pareto frontiers" if platform_names
                      else "Pareto frontier")
@@ -722,18 +727,26 @@ def run_dnn_dse(args) -> int:
         platforms=platforms if len(platforms) > 1 else None,
         transport=_transport_config(args))
 
+    # The cache note speaks of the persistent cache only: estimates a node
+    # took over from its representative within this run are reported on
+    # their own line, and without --cache the sweep's run-local cache is an
+    # implementation detail.
     cache_parts = []
-    if result.cache_hits:
-        cache_parts.append(f"{result.cache_hits} sweep hits")
-    if result.cache_misses:
-        cache_parts.append(f"{result.cache_misses} misses")
-    if result.frontier_cache_hits:
-        cache_parts.append(f"{result.frontier_cache_hits} frontier "
-                           f"revalidation hits")
+    if args.cache:
+        persistent_hits = result.cache_hits - result.shared_points
+        if persistent_hits:
+            cache_parts.append(f"{persistent_hits} sweep hits")
+        if result.cache_misses:
+            cache_parts.append(f"{result.cache_misses} misses")
+        if result.frontier_cache_hits:
+            cache_parts.append(f"{result.frontier_cache_hits} frontier "
+                               f"revalidation hits")
     cache_note = f" (cache: {', '.join(cache_parts)})" if cache_parts else ""
     print(f"{result.model}: explored {len(result.node_order)} dataflow nodes, "
           f"{result.num_evaluations} evaluations in "
           f"{result.wall_seconds:.2f}s{cache_note}")
+    if result.shared_nodes:
+        print(shared_summary_line(result.shared_points, result.shared_nodes))
     if result.skipped:
         print(f"  skipped nodes: {', '.join(result.skipped)}")
     quarantined = sum(node.num_quarantined

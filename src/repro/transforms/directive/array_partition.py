@@ -49,16 +49,17 @@ def partition_arrays(func_op: Operation,
     """Partition every array accessed by ``func_op``.
 
     ``part_factors`` optionally pins the factors of specific buffers (keyed by
-    argument index as ``arg<i>`` or by the ``buffer_name`` attribute of the
-    allocating op).  Returns the plan applied to each partitioned buffer.
+    argument index as ``arg<i>``, by the ``buffer_name`` attribute of the
+    allocating op, or — for an unnamed allocation — by ``buffer<k>``, its
+    index among the function's allocations in program order).  Returns the
+    plan applied to each partitioned buffer.
     """
     part_factors = part_factors or {}
     plans: list[PartitionPlan] = []
     # One function-level pipelining scan shared across all buffers: the walk
     # over a fully unrolled body is large, and the answer is per-function.
     has_pipelined = _function_has_pipelined_loop(func_op)
-    for memref_value in _collect_memrefs(func_op):
-        name = _memref_name(memref_value, func_op)
+    for name, memref_value in _collect_memrefs(func_op):
         if name in part_factors:
             factors = part_factors[name]
             partition = tuple(
@@ -95,22 +96,24 @@ class ArrayPartitionPass(FunctionPass):
 # -- analysis -------------------------------------------------------------------------------
 
 
-def _collect_memrefs(func_op: Operation) -> list[Value]:
-    memrefs: list[Value] = []
+def _collect_memrefs(func_op: Operation) -> list[tuple[str, Value]]:
+    """Every buffer of the function with the name ``part_factors`` knows it by.
+
+    ``buffer_name`` is a label a front end may or may not attach; the
+    fallback is the allocation's program-order index, which — unlike an
+    object identity — is the same in every process and never collides.
+    """
+    memrefs: list[tuple[str, Value]] = []
     for argument in func_op.region(0).front.arguments:
         if isinstance(argument.type, MemRefType):
-            memrefs.append(argument)
+            memrefs.append((f"arg{argument.index}", argument))
+    allocations = 0
     for op in func_op.walk():
         if op.name == "memref.alloc":
-            memrefs.append(op.result())
+            name = op.get_attr("buffer_name", "") or f"buffer{allocations}"
+            memrefs.append((name, op.result()))
+            allocations += 1
     return memrefs
-
-
-def _memref_name(memref_value: Value, func_op: Operation) -> str:
-    if isinstance(memref_value, BlockArgument):
-        return f"arg{memref_value.index}"
-    owner = memref_value.owner
-    return owner.get_attr("buffer_name", "") or f"buffer{id(owner) % 10000}"
 
 
 def _enclosing_loops(op: Operation) -> list[AffineForOp]:

@@ -6,11 +6,14 @@ import pytest
 from repro import ir
 from repro.dialects.affine_ops import AffineForOp, outermost_loops, perfect_loop_band
 from repro.dialects.hlscpp import get_func_directive, get_loop_directive
+from repro.frontend.pytorch_like import GraphBuilder
 from repro.ir.interpreter import interpret_kernel
 from repro.ir.pass_manager import PassError
 from repro.ir.types import MemRefType, PartitionKind
+from repro.pipeline import prepare_dnn_stages
 from repro.transforms import (
     canonicalize,
+    lower_graph_to_loops,
     partition_arrays,
     perfectize_band,
     pipeline_function,
@@ -132,6 +135,31 @@ class TestArrayPartition:
         plans = partition_arrays(f, part_factors={"arg2": [2, 8]})
         by_arg = {self._arg_index(f, plan.memref): plan for plan in plans}
         assert by_arg[2].factors == (2, 8)
+
+    def test_unnamed_allocations_are_pinned_by_program_order(self):
+        # ``buffer_name`` is a label; without it an allocation is known by
+        # its index among the function's allocations — the same in every
+        # process, and never two buffers under one name.
+        builder = GraphBuilder("net", (1, 3, 8, 8))
+        module = builder.finish(
+            builder.conv_bn_relu(builder.input, 8, 3, stride=1, padding=1))
+        prepare_dnn_stages(module, 0)
+        lower_graph_to_loops(module)
+        f = module.functions()[0]
+        allocs = [op for op in f.walk() if op.name == "memref.alloc"]
+        assert len(allocs) >= 3
+        kept = allocs[1].get_attr("buffer_name")
+        for op in (allocs[0], allocs[2]):
+            op.remove_attr("buffer_name")
+        pins = {"buffer0": [1] * allocs[0].result().type.rank,
+                "buffer2": [1] * allocs[2].result().type.rank,
+                kept: [1] * allocs[1].result().type.rank}
+        pins["buffer0"][-1], pins["buffer2"][-1], pins[kept][-1] = 2, 4, 8
+        by_memref = {plan.memref: plan.factors
+                     for plan in partition_arrays(f, part_factors=pins)}
+        for op, name in ((allocs[0], "buffer0"), (allocs[2], "buffer2"),
+                         (allocs[1], kept)):
+            assert by_memref[op.result()] == tuple(pins[name])
 
     def test_cyclic_fashion_for_dense_unrolled_accesses(self):
         module, f = self.optimized_gemm([1, 1, 4])

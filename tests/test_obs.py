@@ -256,11 +256,13 @@ class TestEndToEndDeterminism:
     trace skeleton and byte-identical frontiers (tracing on or off)."""
 
     BASE = ["dnn", "mobilenet", "--dse", "--smoke"]
+    #: The three heaviest vgg16 nodes at this graph level include two that
+    #: are structurally identical, so the second shares the first's sweep.
+    WITH_DUPLICATES = ["dnn", "vgg16", "--graph-level", "7", "--dse", "--smoke"]
 
-    def _run(self, tmp_path, tag, jobs, traced):
+    def _run(self, base, tmp_path, tag, jobs, traced):
         frontier = tmp_path / f"frontier-{tag}.json"
-        argv = self.BASE + ["--jobs", str(jobs),
-                            "--frontier-out", str(frontier)]
+        argv = base + ["--jobs", str(jobs), "--frontier-out", str(frontier)]
         if traced:
             argv += ["--trace-out", str(tmp_path / f"trace-{tag}.json"),
                      "--metrics-out", str(tmp_path / f"metrics-{tag}.json")]
@@ -268,9 +270,26 @@ class TestEndToEndDeterminism:
         return frontier
 
     def test_frontier_and_trace_deterministic(self, tmp_path, capsys):
-        frontier_j1 = self._run(tmp_path, "j1", jobs=1, traced=True)
-        frontier_j2 = self._run(tmp_path, "j2", jobs=2, traced=True)
-        frontier_off = self._run(tmp_path, "off", jobs=2, traced=False)
+        self._check_deterministic(self.BASE, tmp_path, capsys)
+
+    def test_deterministic_when_nodes_share_a_sweep(self, tmp_path, capsys):
+        self._check_deterministic(self.WITH_DUPLICATES, tmp_path, capsys)
+        counters = json.loads(
+            (tmp_path / "metrics-j2.json").read_text())["counters"]
+        assert counters["dse.shared.nodes"] == 1
+        assert counters["dse.shared.points"] > 0
+        # Sharing shows in span args only, never in the skeleton.
+        trace = json.loads((tmp_path / "trace-j2.json").read_text())
+        shared = [event["args"] for event in trace["traceEvents"]
+                  if event.get("name") == "dse.explore"
+                  and "shared_with" in event.get("args", {})]
+        assert [(args["kernel"], args["shared_with"]) for args in shared] \
+            == [("forward_dataflow20", "forward_dataflow17")]
+
+    def _check_deterministic(self, base, tmp_path, capsys):
+        frontier_j1 = self._run(base, tmp_path, "j1", jobs=1, traced=True)
+        frontier_j2 = self._run(base, tmp_path, "j2", jobs=2, traced=True)
+        frontier_off = self._run(base, tmp_path, "off", jobs=2, traced=False)
         capsys.readouterr()
 
         # Frontier JSON: byte-identical across --jobs and tracing on/off.
