@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.dialects.affine_ops import outermost_loops
 from repro.dse.space import KernelDesignPoint
@@ -42,6 +42,10 @@ class AppliedDesign:
     qor: QoRResult
     achieved_ii: Optional[int] = None
     partition_factors: dict = dataclasses.field(default_factory=dict)
+    #: ``(qor, achieved_ii)`` of the point's II-siblings — the designs that
+    #: differ from ``point`` in the target II only and therefore share
+    #: ``module`` but for that one directive value — keyed by target II.
+    siblings: dict = dataclasses.field(default_factory=dict)
 
 
 #: The redundancy-elimination tail of the reference kernel evaluation.
@@ -258,11 +262,21 @@ def optimize_kernel_module(module: ModuleOp, point: KernelDesignPoint,
     optionally passes a precomputed :func:`~repro.dse.space.ir_digest` of
     the kernel to the snapshot cache.
     """
+    cloned, func_op, _ = _transform(module, point, func_name, snapshots, digest)
+    return cloned, func_op
+
+
+def _transform(module: ModuleOp, point: KernelDesignPoint,
+               func_name: Optional[str], snapshots, digest: Optional[str]
+               ) -> tuple[ModuleOp, Operation, Optional[Operation]]:
+    """:func:`optimize_kernel_module`, also returning the loop the design
+    point pipelined (None when there was nothing to pipeline, or the loop
+    could not be legalized): the one place the target II went."""
     if snapshots is not None:
         cloned, func_op = snapshots.checkout(module, point,
                                              func_name=func_name, digest=digest)
         if _outer_loop(func_op) is None:
-            return cloned, func_op
+            return cloned, func_op, None
     else:
         cloned = module.clone()
         func_op = cloned.lookup(func_name) if func_name else cloned.functions()[0]
@@ -273,7 +287,7 @@ def optimize_kernel_module(module: ModuleOp, point: KernelDesignPoint,
         if _outer_loop(func_op) is None:
             # Nothing to transform or partition: mirror the bare
             # canonicalization the estimator sees for loop-less functions.
-            return cloned, func_op
+            return cloned, func_op, None
         PassManager([design_point_prefix_pass(point)]).run(func_op)
 
     # Same sequence as _kernel_tail_spec(point), but the point-specific pass
@@ -281,32 +295,51 @@ def optimize_kernel_module(module: ModuleOp, point: KernelDesignPoint,
     # would thrash the pipeline cache on large sweeps.  The cleanup tail is
     # the point's chosen named pipeline — only a handful exist, so the
     # cached builder still parses each exactly once.
-    PassManager([design_point_suffix_pass(point)]).run(func_op)
+    suffix = design_point_suffix_pass(point)
+    PassManager([suffix]).run(func_op)
     cleanup = cleanup_pipeline_spec(point.pipeline)
     build_pipeline_cached(f"{cleanup},array-partition").run(func_op)
-    return cloned, func_op
+    return cloned, func_op, suffix.pipelined
 
 
 def apply_design_point(module: ModuleOp, point: KernelDesignPoint,
                        platform: Platform = XC7Z020,
                        func_name: Optional[str] = None,
                        snapshots: "Optional[PrefixSnapshotCache]" = None,
-                       digest: Optional[str] = None) -> AppliedDesign:
+                       digest: Optional[str] = None,
+                       sibling_iis: Sequence[int] = ()) -> AppliedDesign:
     """Apply ``point`` to a clone of ``module`` and estimate the result.
 
     ``snapshots``/``digest`` enable incremental evaluation — see
     :func:`optimize_kernel_module`.
+
+    The target II is the one knob of a design point no transform reads:
+    ``pipeline_loop`` stores it in the loop directive and only the estimator
+    looks at it again.  Points that differ in it alone form a *transform
+    class* with one transformed IR, so the estimator closes its analysis of
+    that IR over ``point.target_ii`` and every II of ``sibling_iis`` in one
+    call; the result's ``siblings`` hold, per sibling II, exactly the QoR
+    and achieved II that applying the sibling point from scratch yields.
     """
-    optimized, func_op = optimize_kernel_module(module, point, func_name,
-                                                snapshots=snapshots,
-                                                digest=digest)
-    estimator = QoREstimator(platform)
-    qor = estimator.estimate_function(func_op, module=optimized)
-    achieved_ii = (qor.achieved_ii if qor.achieved_ii is not None
-                   else _achieved_ii(func_op))
-    partition_factors = _collect_partitions(func_op)
-    return AppliedDesign(module=optimized, func_op=func_op, point=point, qor=qor,
-                         achieved_ii=achieved_ii, partition_factors=partition_factors)
+    optimized, func_op, pipelined = _transform(module, point, func_name,
+                                               snapshots, digest)
+    iis = [point.target_ii]
+    if pipelined is not None:
+        # No pipelined loop, no directive: every sibling shares the one QoR.
+        iis += [ii for ii in dict.fromkeys(sibling_iis) if ii != point.target_ii]
+    estimates = QoREstimator(platform).estimate_function(
+        func_op, module=optimized, retarget=pipelined, target_iis=iis)
+    outcomes = {
+        ii: (qor, qor.achieved_ii if qor.achieved_ii is not None
+             else _achieved_ii(func_op, pipelined, ii))
+        for ii, qor in zip(iis, estimates)}
+    qor, achieved_ii = outcomes[point.target_ii]
+    return AppliedDesign(
+        module=optimized, func_op=func_op, point=point, qor=qor,
+        achieved_ii=achieved_ii,
+        partition_factors=_collect_partitions(func_op),
+        siblings={ii: outcomes.get(ii, (qor, achieved_ii))
+                  for ii in sibling_iis})
 
 
 def estimate_baseline(module: ModuleOp, platform: Platform = XC7Z020,
@@ -327,13 +360,17 @@ def _outer_loop(func_op: Operation):
     return loops[0] if loops else None
 
 
-def _achieved_ii(func_op: Operation) -> Optional[int]:
+def _achieved_ii(func_op: Operation, pipelined: Optional[Operation],
+                 target_ii: int) -> Optional[int]:
+    """Directive fallback for a function whose pipelined loop the estimator
+    never reached; ``pipelined`` is read as carrying ``target_ii``."""
     from repro.dialects.hlscpp import get_loop_directive
 
     for op in func_op.walk():
         directive = get_loop_directive(op)
         if directive is not None and directive.pipeline:
-            return directive.achieved_ii or directive.target_ii
+            return directive.achieved_ii or (
+                target_ii if op is pipelined else directive.target_ii)
     return None
 
 

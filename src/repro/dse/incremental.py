@@ -133,7 +133,7 @@ class PrefixSnapshotCache:
                 pass_timing_scope(f"prefix.{prefix}"):
             build_pipeline_cached("canonicalize").run(func_op)
             PassManager([design_point_prefix_pass(point)]).run(func_op)
-        for name, seconds in collector.timings.items():
+        for name, seconds in collector.by_pass.items():
             obs.add_pass_seconds(name, seconds)
         return snapshot
 

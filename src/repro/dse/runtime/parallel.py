@@ -99,6 +99,54 @@ def _kernel_fingerprint(space: KernelDesignSpace, func_op,
     return hashlib.sha256(combined.encode("utf-8")).hexdigest()[:20]
 
 
+class _ClassResults:
+    """What the evaluations dispatched so far answered, by decoded point.
+
+    An evaluation transforms a whole *transform class* (see
+    :meth:`~repro.dse.space.KernelDesignPoint.transform_class`) and its
+    record carries the records of the class's other target IIs.
+    ``answered`` holds the designs the trajectory asked for, ``spare`` the
+    II-siblings that rode along unasked.  Keying by decoded point also
+    catches *aliases*: encodings whose tile product ``decode`` clamps to a
+    design already answered.  Run-local and never checkpointed: a resumed
+    run evaluates a lost sibling again, to the same record.
+    """
+
+    def __init__(self):
+        self.answered: dict = {}
+        self.spare: dict = {}
+        #: Points resolved from ``spare`` / from ``answered`` so far.
+        self.siblings = 0
+        self.aliases = 0
+
+    def __contains__(self, point) -> bool:
+        return point in self.answered or point in self.spare
+
+    def add(self, record: EvaluationRecord) -> EvaluationRecord:
+        """Take in a backend's record; returns it as the explorer stores it
+        (nothing riding on it).  A quarantined record answers for nobody."""
+        siblings = record.siblings
+        if siblings:
+            record = dataclasses.replace(record, siblings=())
+        if record.ok:
+            self.answered[record.point] = record
+            for sibling in siblings:
+                self.spare.setdefault(sibling.point, sibling)
+        return record
+
+    def resolve(self, point, encoded: tuple[int, ...]) -> EvaluationRecord:
+        """The record of ``point``, which must be contained, as ``encoded``."""
+        record = self.answered.get(point)
+        if record is not None:
+            self.aliases += 1
+        else:
+            record = self.answered[point] = self.spare.pop(point)
+            self.siblings += 1
+        if record.encoded != encoded:
+            record = dataclasses.replace(record, encoded=encoded)
+        return record
+
+
 @dataclasses.dataclass
 class ParallelDSEResult:
     """Outcome of one parallel exploration run.
@@ -131,6 +179,12 @@ class ParallelDSEResult:
     #: this run rather than ones a persistent cache already held.
     shared_with: Optional[str] = None
     shared_hits: int = 0
+    #: How many of ``evaluated_this_run`` no evaluation of their own
+    #: answered: resolved from the transformed IR of a classmate (an
+    #: *II-sibling*: same transforms, another target II) or of the very same
+    #: design under another encoding (a tile-clamp *alias*).
+    resolved_siblings: int = 0
+    resolved_aliases: int = 0
 
     @property
     def best_point(self):
@@ -331,9 +385,18 @@ class ParallelExplorer:
 
         obs_on = obs.active() is not None
 
+        classes = _ClassResults()
+
+        def dispatch(encodings: list[tuple[int, ...]],
+                     fresh: dict[tuple[int, ...], EvaluationRecord]) -> None:
+            if encodings:
+                for record in get_backend().evaluate(context_key, encodings):
+                    fresh[record.encoded] = classes.add(record)
+
         def evaluate_batch(batch: list[tuple[int, ...]]) -> None:
             nonlocal evaluated_this_run, processed_this_run, since_checkpoint
             nonlocal run_hits, run_misses, shared_hits
+            resolved_before = (classes.siblings, classes.aliases)
             batch_span = obs.NULL_SPAN if not obs_on else obs.span(
                 "dse.batch", kernel=context_key, points=len(batch))
             with batch_span:
@@ -349,11 +412,44 @@ class ParallelExplorer:
                     else:
                         missing.append(encoded)
                 batch_span.set(cached=len(batch) - len(missing))
-                if missing:
-                    for record in get_backend().evaluate(context_key, missing):
-                        state.records[record.encoded] = record
-                        if self.cache is not None:
-                            self.cache.put(fingerprint, record)
+
+                # One task per transform class: the first point of the batch
+                # no earlier task answered represents its class, classmates
+                # wait for the siblings its record carries.  A point an
+                # active fault plan selects is always dispatched itself, so
+                # the plan fires exactly where it does without classes.
+                points = {encoded: space.decode(encoded) for encoded in missing}
+                representatives: dict = {}
+                waiting: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+                tasks: list[tuple[int, ...]] = []
+                for encoded in missing:
+                    point = points[encoded]
+                    if self.faults is not None \
+                            and self.faults.matches(context_key, encoded):
+                        tasks.append(encoded)
+                    elif point not in classes:
+                        representative = representatives.setdefault(
+                            point.transform_class(), encoded)
+                        if representative == encoded:
+                            waiting[encoded] = []
+                            tasks.append(encoded)
+                        else:
+                            waiting[representative].append(encoded)
+                fresh: dict[tuple[int, ...], EvaluationRecord] = {}
+                dispatch(tasks, fresh)
+                # A quarantined representative answered for nobody.
+                dispatch([encoded for representative, mates in waiting.items()
+                          if not fresh[representative].ok
+                          for encoded in mates], fresh)
+                batch_span.set(classes=len(fresh))
+
+                for encoded in missing:
+                    record = fresh.get(encoded)
+                    if record is None:
+                        record = classes.resolve(points[encoded], encoded)
+                    state.records[encoded] = record
+                    if self.cache is not None:
+                        self.cache.put(fingerprint, record)
             if self.cache is not None:
                 run_hits += len(batch) - len(missing)
                 run_misses += len(missing)
@@ -362,7 +458,11 @@ class ParallelExplorer:
             since_checkpoint += len(batch)
             if obs_on:
                 obs.counter("dse.points", len(batch))
-                obs.counter("dse.evaluations", len(missing))
+                obs.counter("dse.evaluations", len(fresh))
+                obs.counter("dse.resolved.siblings",
+                            classes.siblings - resolved_before[0])
+                obs.counter("dse.resolved.aliases",
+                            classes.aliases - resolved_before[1])
                 obs.observe("dse.batch.points", len(batch))
 
         def record_frontier(frontier: list[ParetoPoint]) -> None:
@@ -499,4 +599,6 @@ class ParallelExplorer:
             iterations_done=state.iterations_done,
             shared_with=shared_with,
             shared_hits=shared_hits,
+            resolved_siblings=classes.siblings,
+            resolved_aliases=classes.aliases,
         )

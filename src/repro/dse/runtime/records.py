@@ -53,6 +53,12 @@ class EvaluationRecord:
     #: or "" in single-platform sweeps (where the runtime fingerprint
     #: already pins the platform globally).
     platform_hash: str = ""
+    #: Records of the point's II-siblings (see
+    #: :meth:`~repro.dse.space.KernelDesignSpace.ii_siblings`), answered by
+    #: the evaluation that transformed the class.  They ride from a backend
+    #: to the coordinator only: never compared, persisted, or kept on a
+    #: record the explorer stores.
+    siblings: tuple = dataclasses.field(default=(), compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -60,9 +66,11 @@ class EvaluationRecord:
 
     @classmethod
     def from_design(cls, encoded: tuple[int, ...], design: AppliedDesign,
-                    platform_hash: str = "") -> "EvaluationRecord":
+                    platform_hash: str = "",
+                    siblings: tuple = ()) -> "EvaluationRecord":
         return cls(encoded=tuple(encoded), point=design.point, qor=design.qor,
-                   achieved_ii=design.achieved_ii, platform_hash=platform_hash)
+                   achieved_ii=design.achieved_ii, platform_hash=platform_hash,
+                   siblings=siblings)
 
     @classmethod
     def quarantined(cls, encoded: tuple[int, ...], point: KernelDesignPoint,

@@ -110,6 +110,12 @@ def evaluate_encoded(context: KernelContext, encoded: tuple[int, ...],
     ``fault_key`` is the kernel key the backends thread through for
     fault-injection victim selection (irrelevant when ``context.faults``
     is None).
+
+    The evaluation transforms the point's whole *transform class* (see
+    :meth:`~repro.dse.space.KernelDesignPoint.transform_class`): the
+    returned record carries, as ``siblings``, the record of every other
+    target II of the space, each equal to what evaluating that encoding
+    itself returns.
     """
     if context.pipeline:
         from repro.dse.apply import kernel_pipeline_signature
@@ -133,9 +139,18 @@ def evaluate_encoded(context: KernelContext, encoded: tuple[int, ...],
     design = apply_design_point(context.module, point, platform,
                                 func_name=context.func_name,
                                 snapshots=snapshots,
-                                digest=context.space.ir_digest or None)
+                                digest=context.space.ir_digest or None,
+                                sibling_iis=context.space.ii_options)
+    siblings = tuple(
+        EvaluationRecord(encoded=other,
+                         point=dataclasses.replace(point, target_ii=ii),
+                         qor=design.siblings[ii][0],
+                         achieved_ii=design.siblings[ii][1],
+                         platform_hash=platform_hash)
+        for other, ii in context.space.ii_siblings(encoded))
     return EvaluationRecord.from_design(encoded, design,
-                                        platform_hash=platform_hash)
+                                        platform_hash=platform_hash,
+                                        siblings=siblings)
 
 
 def _snapshots_for(context: KernelContext, key: str,

@@ -98,6 +98,19 @@ class KernelDesignPoint:
         return (f"lp{int(self.loop_perfectization)}"
                 f"-rvb{int(self.remove_variable_bound)}")
 
+    def transform_class(self) -> "KernelDesignPoint":
+        """The point with its estimator-only knob, the target II, fixed.
+
+        Every other knob shapes the transformed IR.  The target II does
+        not: ``pipeline_loop`` stores it in the loop directive, which no
+        later pass reads — only the estimator does.  All points of one
+        class therefore share one transformed IR, and one evaluation
+        answers them all (:func:`repro.dse.apply.apply_design_point`).
+        ``tests/test_transform_classes.py`` holds the proof a knob owes
+        before it may be fixed here.
+        """
+        return dataclasses.replace(self, target_ii=1)
+
     def describe(self) -> str:
         text = (f"LP={'yes' if self.loop_perfectization else 'no'} "
                 f"RVB={'yes' if self.remove_variable_bound else 'no'} "
@@ -134,6 +147,8 @@ class KernelDesignSpace:
         self.tile_options = [self._tile_sizes(trip, max_tile)
                              for trip in self.band_trip_counts]
         self.ii_options = [1, 2, 4, max_target_ii]
+        #: Position of the target-II index in an encoded point.
+        self.ii_dimension = 3 + num_loops
         from repro.dse.apply import cleanup_pipeline_names, cleanup_pipeline_spec
 
         if pipeline_names is None:
@@ -242,12 +257,11 @@ class KernelDesignSpace:
         if len(encoded) != self.num_dimensions:
             raise ValueError("encoded point has the wrong number of dimensions")
         values = [options[index] for options, index in zip(self.dimensions, encoded)]
-        num_loops = len(self.band_trip_counts)
         lp, rvb, perm = values[0], values[1], values[2]
-        tiles = list(values[3:3 + num_loops])
-        target_ii = values[3 + num_loops]
-        pipeline = values[3 + num_loops + 1]
-        platform = values[3 + num_loops + 2] if self.platform_options else ""
+        tiles = list(values[3:self.ii_dimension])
+        target_ii = values[self.ii_dimension]
+        pipeline = values[self.ii_dimension + 1]
+        platform = values[self.ii_dimension + 2] if self.platform_options else ""
         tiles = self._clamp_tile_product(tiles)
         return KernelDesignPoint(
             loop_perfectization=lp,
@@ -258,6 +272,17 @@ class KernelDesignSpace:
             pipeline=pipeline,
             platform=platform,
         )
+
+    def ii_siblings(self, encoded: Sequence[int]
+                    ) -> list[tuple[tuple[int, ...], int]]:
+        """``(encoding, target II)`` of every point that differs from
+        ``encoded`` in the target-II index only: the rest of its transform
+        class (see :meth:`KernelDesignPoint.transform_class`)."""
+        position = self.ii_dimension
+        head, tail = tuple(encoded[:position]), tuple(encoded[position + 1:])
+        return [(head + (index,) + tail, ii)
+                for index, ii in enumerate(self.ii_options)
+                if index != encoded[position]]
 
     def platform_named(self, name: str):
         """The :class:`Platform` of the sweep with the given name."""

@@ -101,6 +101,16 @@ class _PipelineInfo:
 
 
 @dataclasses.dataclass
+class _PipelineAnalysis:
+    """What a pipelined body costs whatever its target II: schedule depth,
+    the II its memory ports and recurrences force, and its op histogram."""
+
+    depth: int
+    min_ii: int
+    op_counts: dict[str, int]
+
+
+@dataclasses.dataclass
 class _AccessRecord:
     """One memory access of a pipelined body, with precomputed index analysis."""
 
@@ -116,10 +126,11 @@ class QoREstimator:
     """Estimates latency, interval and resources of functions and modules.
 
     The estimator is a pure function of its inputs: the public entry points
-    set up per-call state (the module used for callee resolution and a
-    per-call function cache) and tear it down before returning, so instances
-    carry no state between calls, can be shared across kernels, and remain
-    picklable for shipment to DSE worker processes.
+    set up per-call state (the module used for callee resolution, a per-call
+    function cache and the per-call analyses of pipelined bodies and scalar
+    blocks) and tear it down before returning, so instances carry no state
+    between calls, can be shared across kernels, and remain picklable for
+    shipment to DSE worker processes.
     """
 
     def __init__(self, platform: Platform = XC7Z020):
@@ -127,6 +138,14 @@ class QoREstimator:
         self._module: Optional[ModuleOp] = None
         self._function_cache: dict[str, QoRResult] = {}
         self._achieved_ii: Optional[int] = None
+        #: Target-II-independent analyses of the call in flight, keyed by
+        #: (kind, id of the analysed block or loop): the IR outlives the
+        #: call, so ids are stable for as long as the entries exist.
+        self._analyses: dict[tuple[str, int], object] = {}
+        #: The directive owner whose target II the closing in flight
+        #: overrides, and the II it is given.
+        self._retarget: Optional[Operation] = None
+        self._retarget_ii = 1
 
     # -- public API --------------------------------------------------------------------------
 
@@ -139,27 +158,58 @@ class QoREstimator:
             raise ValueError("could not determine the top function of the module")
         return self._run(top, module)
 
-    def estimate_function(self, func_op: Operation, module: Optional[ModuleOp] = None) -> QoRResult:
-        """Estimate a single function (recursively resolving its callees)."""
-        return self._run(func_op, module)
+    def estimate_function(self, func_op: Operation, module: Optional[ModuleOp] = None,
+                          retarget: Optional[Operation] = None,
+                          target_iis: Optional[Sequence[int]] = None):
+        """Estimate a single function (recursively resolving its callees).
 
-    def _run(self, func_op: Operation, module: Optional[ModuleOp]) -> QoRResult:
+        With ``target_iis`` the call closes one analysis over several target
+        IIs and returns a list, one :class:`QoRResult` per II: each equals
+        what a separate call returns once the directive of ``retarget`` — a
+        pipelined loop of ``func_op``, or ``func_op`` itself when the
+        function is pipelined — carries that target II.  The target II
+        enters the model only through ``max(target, resource, recurrence)``,
+        so everything else is computed once.
+        """
+        return self._run(func_op, module, retarget, target_iis)
+
+    def _run(self, func_op: Operation, module: Optional[ModuleOp],
+             retarget: Optional[Operation] = None,
+             target_iis: Optional[Sequence[int]] = None):
         estimate_span = obs.NULL_SPAN if obs.active() is None else obs.span(
             "estimate", func=func_op.get_attr("sym_name", ""))
         self._module = module
-        self._function_cache = {}
-        self._achieved_ii = None
+        self._analyses = {}
         try:
             with estimate_span:
                 obs.counter("estimate.calls")
-                result = self._estimate_function(func_op)
-                result.achieved_ii = self._achieved_ii
-                self._apply_bandwidth_bound(func_op, result)
-                return result
+                if target_iis is None:
+                    return self._close(func_op)
+                results = []
+                self._retarget = retarget
+                for target_ii in target_iis:
+                    self._retarget_ii = target_ii
+                    results.append(self._close(func_op))
+                return results
         finally:
             self._module = None
             self._function_cache = {}
             self._achieved_ii = None
+            self._analyses = {}
+            self._retarget = None
+            self._retarget_ii = 1
+
+    def _close(self, func_op: Operation) -> QoRResult:
+        """One pass over the function under the target IIs now in force."""
+        self._function_cache = {}
+        self._achieved_ii = None
+        result = self._estimate_function(func_op)
+        result.achieved_ii = self._achieved_ii
+        self._apply_bandwidth_bound(func_op, result)
+        return result
+
+    def _target_ii(self, owner: Operation, directive) -> int:
+        return self._retarget_ii if owner is self._retarget else directive.target_ii
 
     def _apply_bandwidth_bound(self, func_op: Operation, result: QoRResult) -> None:
         """Bound the top function's throughput by the off-chip link.
@@ -198,8 +248,8 @@ class QoREstimator:
         if directive is not None and directive.dataflow:
             result = self._estimate_dataflow_function(func_op)
         elif directive is not None and directive.pipeline:
-            latency, resources, info = self._estimate_pipelined_ops(
-                self._gather_straightline_ops(body), directive.target_ii, trip=1,
+            latency, resources, info = self._estimate_pipelined_body(
+                body, self._target_ii(func_op, directive), trip=1,
                 enclosing_loops=[])
             if self._achieved_ii is None:
                 self._achieved_ii = info.ii
@@ -311,11 +361,16 @@ class QoREstimator:
                 scalar_ops.append(op)
 
         if scalar_ops:
-            scalar_records = self._access_records(scalar_ops, self._enclosing_loops(scalar_ops[0]))
-            schedule = ALAPScheduler(
-                self._memory_edges(scalar_records, 0)).schedule(scalar_ops)
-            latency += schedule.depth
-            resources = resources + self._shared_scalar_resources(scalar_ops)
+            scalar = self._analyses.get(("scalar", id(block)))
+            if scalar is None:
+                scalar_records = self._access_records(
+                    scalar_ops, self._enclosing_loops(scalar_ops[0]))
+                schedule = ALAPScheduler(
+                    self._memory_edges(scalar_records, 0)).schedule(scalar_ops)
+                scalar = self._analyses[("scalar", id(block))] = (
+                    schedule.depth, self._shared_scalar_resources(scalar_ops))
+            latency += scalar[0]
+            resources = resources + scalar[1]
         return latency, resources
 
     @staticmethod
@@ -361,9 +416,9 @@ class QoREstimator:
         trip = self._loop_trip(loop)
 
         if directive is not None and directive.pipeline:
-            ops = self._gather_straightline_ops(loop.body)
-            latency, resources, info = self._estimate_pipelined_ops(
-                ops, directive.target_ii, trip, self._enclosing_loops(loop) + [loop])
+            latency, resources, info = self._estimate_pipelined_body(
+                loop.body, self._target_ii(loop, directive), trip,
+                self._enclosing_loops(loop) + [loop])
             if self._achieved_ii is None:
                 self._achieved_ii = info.ii
             return latency, resources, info
@@ -390,7 +445,10 @@ class QoREstimator:
             return max(trip, 0)
         # Variable bounds: use the average extent over the outer iteration domain
         # (triangular loops like SYRK's j-loop average to roughly half the range).
-        bounds = self._variable_bound_extent(loop)
+        bounds = self._analyses.get(("trip", id(loop)))
+        if bounds is None:
+            bounds = self._analyses[("trip", id(loop))] = \
+                self._variable_bound_extent(loop)
         return max(1, bounds)
 
     def _variable_bound_extent(self, loop: AffineForOp) -> int:
@@ -443,21 +501,33 @@ class QoREstimator:
             ops.append(op)
         return ops
 
-    def _estimate_pipelined_ops(self, ops: list[Operation], target_ii: int, trip: int,
-                                enclosing_loops: list[AffineForOp]
-                                ) -> tuple[int, ResourceUsage, _PipelineInfo]:
+    def _estimate_pipelined_body(self, body, target_ii: int, trip: int,
+                                 enclosing_loops: list[AffineForOp]
+                                 ) -> tuple[int, ResourceUsage, _PipelineInfo]:
+        analysis = self._analyses.get(("pipeline", id(body)))
+        if analysis is None:
+            analysis = self._analyses[("pipeline", id(body))] = \
+                self._analyse_pipelined_body(body, enclosing_loops)
+        ii = max(1, int(target_ii), analysis.min_ii)
+        latency = ii * max(0, trip - 1) + analysis.depth + 1
+        resources = self._pipelined_resources(analysis.op_counts, ii)
+        return latency, resources, _PipelineInfo(ii=ii, depth=analysis.depth,
+                                                 total_trip=trip)
+
+    def _analyse_pipelined_body(self, body, enclosing_loops: list[AffineForOp]
+                                ) -> _PipelineAnalysis:
+        ops = self._gather_straightline_ops(body)
         records = self._access_records(ops, enclosing_loops)
         edges = self._memory_edges(records, len(enclosing_loops))
         schedule = ALAPScheduler(edges).schedule(ops)
-        depth = max(1, schedule.depth)
-
-        resource_ii = self._resource_ii(records)
-        recurrence_ii = self._recurrence_ii(records, schedule, enclosing_loops)
-        ii = max(1, int(target_ii), resource_ii, recurrence_ii)
-
-        latency = ii * max(0, trip - 1) + depth + 1
-        resources = self._pipelined_resources(ops, ii)
-        return latency, resources, _PipelineInfo(ii=ii, depth=depth, total_trip=trip)
+        op_counts: dict[str, int] = {}
+        for op in ops:
+            op_counts[op.name] = op_counts.get(op.name, 0) + 1
+        return _PipelineAnalysis(
+            depth=max(1, schedule.depth),
+            min_ii=max(self._resource_ii(records),
+                       self._recurrence_ii(records, schedule, enclosing_loops)),
+            op_counts=op_counts)
 
     @staticmethod
     def _enclosing_loops(op: Operation) -> list[AffineForOp]:
@@ -707,12 +777,9 @@ class QoREstimator:
     # -- resources of pipelined bodies ------------------------------------------------------------------
 
     @staticmethod
-    def _pipelined_resources(ops: Sequence[Operation], ii: int) -> ResourceUsage:
-        counts: dict[str, int] = {}
-        for op in ops:
-            counts[op.name] = counts.get(op.name, 0) + 1
+    def _pipelined_resources(op_counts: dict[str, int], ii: int) -> ResourceUsage:
         resources = ResourceUsage(lut=32)  # loop control overhead
-        for name, count in counts.items():
+        for name, count in op_counts.items():
             characteristics = op_characteristics(name)
             if name in SHAREABLE_OPS:
                 units = -(-count // max(1, ii))

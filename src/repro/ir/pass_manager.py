@@ -10,7 +10,10 @@ The :class:`PassManager` runs a pipeline — a sequence of passes and nested
 each pass (dumping the offending IR on failure) and collecting per-pass
 timing statistics keyed by ``name{options}`` (the paper reports ScaleHLS
 runtimes via MLIR's ``-pass-timing``; :attr:`PassManager.timings` and
-:func:`collect_pass_timings` play that role here).
+:func:`collect_pass_timings` play that role here).  The metrics registry
+receives the same seconds keyed by registered pass *name*: option strings
+are unbounded in a sweep (one ``design-point-suffix{...}`` per design
+point), names are not.
 """
 
 from __future__ import annotations
@@ -226,10 +229,15 @@ class PassTimingCollector:
     """Accumulates pass timings across every PassManager run in its scope."""
 
     def __init__(self):
+        #: ``[<scope>/]name{options}`` -> accumulated seconds.
         self.timings: dict[str, float] = {}
+        #: The same seconds by ``[<scope>/]name``, as the metrics registry
+        #: keys them.
+        self.by_pass: dict[str, float] = {}
 
-    def add(self, display_name: str, seconds: float) -> None:
+    def add(self, display_name: str, pass_key: str, seconds: float) -> None:
         self.timings[display_name] = self.timings.get(display_name, 0.0) + seconds
+        self.by_pass[pass_key] = self.by_pass.get(pass_key, 0.0) + seconds
 
     def total_time(self) -> float:
         return sum(self.timings.values())
@@ -436,7 +444,7 @@ class PassManager:
             else:
                 pass_.run_on_module(op)
         elapsed = time.perf_counter() - started
-        self._record(pass_.display_name, elapsed)
+        self._record(pass_, elapsed)
         if _ACTIVE_DUMPERS:
             root = self._run_root if self._run_root is not None else op
             for dumper in _ACTIVE_DUMPERS:
@@ -445,13 +453,16 @@ class PassManager:
             self._verify_after(pass_, self._run_root if self._run_root is not None
                                else op)
 
-    def _record(self, display_name: str, seconds: float) -> None:
+    def _record(self, pass_: Pass, seconds: float) -> None:
+        display_name = pass_.display_name
+        pass_key = pass_.name or type(pass_).__name__
         if _SCOPE_STACK:
             display_name = f"{_SCOPE_STACK[-1]}/{display_name}"
+            pass_key = f"{_SCOPE_STACK[-1]}/{pass_key}"
         self.timings[display_name] = self.timings.get(display_name, 0.0) + seconds
         for collector in _ACTIVE_COLLECTORS:
-            collector.add(display_name, seconds)
-        obs.add_pass_seconds(display_name, seconds)
+            collector.add(display_name, pass_key, seconds)
+        obs.add_pass_seconds(pass_key, seconds)
 
     def _verify_after(self, pass_: Pass, op: "Operation") -> None:
         try:

@@ -193,11 +193,15 @@ def merge_counters(counters: dict) -> None:
         current.metrics.merge_counters(counters)
 
 
-def add_pass_seconds(display_name: str, seconds: float) -> None:
-    """Pass-timing hook of :class:`~repro.ir.pass_manager.PassManager`."""
+def add_pass_seconds(pass_key: str, seconds: float) -> None:
+    """Pass-timing hook of :class:`~repro.ir.pass_manager.PassManager`.
+
+    ``pass_key`` is ``[<timing scope>/]<registered pass name>`` — never the
+    option string, which would mint one counter per design point.
+    """
     current = _SESSION
     if current is not None:
-        current.metrics.counter_add(f"pass.seconds.{display_name}", seconds)
+        current.metrics.counter_add(f"pass.seconds.{pass_key}", seconds)
 
 
 def add_pattern_stats(stats: dict, bucket_stats: dict) -> None:

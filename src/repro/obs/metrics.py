@@ -11,13 +11,17 @@ one JSON document and renderable as one report:
 ========================  =========  ==============================================
 name                      kind       meaning
 ========================  =========  ==============================================
-``pass.seconds.<pass>``   counter    accumulated wall-clock of one pass bucket
+``pass.seconds.<pass>``   counter    accumulated wall-clock of one registered pass
+                                     (``[<timing scope>/]<name>``, never its options)
 ``pattern.<name>.hits``   counter    successful pattern applications
 ``pattern.<name>.misses`` counter    match attempts that applied nothing
 ``bucket.<op>.hits``      counter    dispatch-bucket applications per op name
 ``cache.hits`` etc.       counter    estimate-cache hits/misses/stores/evictions
-``dse.evaluations``       counter    design points actually evaluated
+``dse.evaluations``       counter    evaluations dispatched (one per transform class)
 ``dse.points``            counter    design points processed (incl. cache hits)
+``dse.resolved.siblings`` counter    points answered by a classmate's evaluation
+                                     (same transforms, another target II)
+``dse.resolved.aliases``  counter    points that decode to a design already answered
 ``dse.shared.nodes``      counter    nodes identical to one explored earlier in the run
 ``dse.shared.points``     counter    estimates those nodes took over from it
 ``dse.worker.busy_seconds``  counter    summed per-evaluation worker wall-clock

@@ -160,6 +160,25 @@ def shared_summary_line(points: int, nodes: int) -> str:
             f"{nodes} structurally identical node{'' if nodes == 1 else 's'}")
 
 
+def resolved_summary_line(resolved: int, points: int, classes: int,
+                          aliases: int) -> str:
+    """What evaluating by transform class saved, in one line.
+
+    ``points`` are the design points no cache served, ``classes`` the
+    evaluations dispatched for them (one transformed IR each) and
+    ``resolved`` the points answered from a classmate's IR instead of their
+    own: II-siblings, plus ``aliases`` that decode to a design already
+    answered.  Like every line that counts this run's evaluations it says
+    "evaluated", the marker by which output comparisons across ``--resume``
+    and cache warmth skip such lines.
+    """
+    siblings = resolved - aliases
+    return (f"  resolved {resolved} of {points} points from {classes} "
+            f"transformed classes ({siblings} II-sibling"
+            f"{'' if siblings == 1 else 's'}, {aliases} alias"
+            f"{'' if aliases == 1 else 'es'}; each class evaluated once)")
+
+
 def dse_summary_lines(counters: Mapping[str, float],
                       gauges: Mapping[str, float],
                       series: Mapping[str, list]) -> list[str]:
@@ -169,7 +188,13 @@ def dse_summary_lines(counters: Mapping[str, float],
     if not points:
         return []
     lines = [f"  design points processed={points} evaluated={evaluations} "
-             f"(rest cache-served)"]
+             f"(rest cache-served or resolved from a classmate)"]
+    resolved = int(counters.get("dse.resolved.siblings", 0)) \
+        + int(counters.get("dse.resolved.aliases", 0))
+    if evaluations:
+        lines.append(resolved_summary_line(
+            resolved, evaluations + resolved, evaluations,
+            int(counters.get("dse.resolved.aliases", 0))))
     wall = gauges.get("dse.wall_seconds")
     if wall:
         lines.append(f"  evaluations/sec={evaluations / wall:.2f} "

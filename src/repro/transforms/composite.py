@@ -45,17 +45,19 @@ def run_design_point_prefix(func_op: Operation, perfectize: bool,
 
 
 def run_design_point_suffix(func_op: Operation, perm: Sequence[int],
-                            tiles: Sequence[int], ii: int) -> None:
+                            tiles: Sequence[int], ii: int
+                            ) -> Optional[AffineForOp]:
     """The *point-specific suffix*: permute, tile and pipeline the band.
 
     Transform steps that are not applicable (e.g. permutation of a
     non-perfect band) are skipped rather than failing — the estimator will
     simply see the weaker design, which is how unprofitable points lose in
-    the exploration.
+    the exploration.  Returns the loop that now carries the pipeline
+    directive — the only place ``ii`` went — or None when there is none.
     """
     outer = _outer_loop(func_op)
     if outer is None:
-        return
+        return None
     band = perfect_loop_band(outer)
     if len(perm) == len(band):
         try:
@@ -75,7 +77,8 @@ def run_design_point_suffix(func_op: Operation, perm: Sequence[int],
     try:
         pipeline_loop(tile_loops[-1], ii)
     except PassError:
-        pass
+        return None
+    return tile_loops[-1]
 
 
 @register_pass("apply-design-point")
@@ -158,9 +161,13 @@ class DesignPointSuffixPass(FunctionPass):
         self.perm = tuple(perm)
         self.tiles = tuple(tiles)
         self.ii = ii
+        #: The loop the last :meth:`run` pipelined (see
+        #: :func:`run_design_point_suffix`).
+        self.pipelined: Optional[AffineForOp] = None
 
     def run(self, func_op: Operation) -> None:
-        run_design_point_suffix(func_op, self.perm, self.tiles, self.ii)
+        self.pipelined = run_design_point_suffix(func_op, self.perm,
+                                                 self.tiles, self.ii)
 
 
 @register_pass("dnn-loop-opt")

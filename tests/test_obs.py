@@ -330,6 +330,69 @@ class TestEndToEndDeterminism:
             == deterministic_part(tmp_path / "metrics-j2.json")
 
 
+class TestPassSecondsCardinality:
+    """``pass.seconds.*`` is keyed by registered pass name (and timing
+    scope), never by option string: a sweep mints no counter per point."""
+
+    @staticmethod
+    def _sweep_counters(points: int):
+        from repro.dse.runtime import ParallelExplorer
+        from repro.estimation import XC7Z020
+        from repro.kernels import kernel_source
+        from repro.pipeline import compile_c
+
+        module = compile_c(kernel_source("gemm", 4), "gemm")
+        with obs.session() as session:
+            result = ParallelExplorer(
+                XC7Z020, num_samples=points // 2, max_iterations=points // 2,
+                seed=5, batch_size=5).explore(module)
+        assert result.num_evaluations == points
+        return {name for name in session.metrics.counters
+                if name.startswith("pass.seconds.")}
+
+    def test_counter_names_do_not_grow_with_the_sweep(self):
+        small = self._sweep_counters(10)
+        large = self._sweep_counters(30)
+        assert not any("{" in name for name in large)
+        assert "pass.seconds.design-point-suffix" in large
+        # Everything a longer sweep can add is another of the four prefix
+        # scopes (perfectize x rvb), not another design point.
+        assert large - small <= {
+            f"pass.seconds.prefix.lp{lp}-rvb{rvb}/{name}"
+            for lp in (0, 1) for rvb in (0, 1)
+            for name in ("canonicalize", "design-point-prefix")}
+        assert len(large) <= 16
+
+    def test_option_strings_stay_in_pass_manager_timings_and_span_args(self):
+        from repro.ir.pass_manager import PassManager, collect_pass_timings
+        from repro.transforms import AffineLoopUnrollPass
+        from conftest import GEMM_SOURCE, compile_source
+
+        module = compile_source(GEMM_SOURCE, "gemm")
+        manager = PassManager([AffineLoopUnrollPass(unroll_factor=2)])
+        with obs.session() as session, collect_pass_timings() as collector:
+            manager.run(module)
+        assert set(manager.timings) == set(collector.timings) \
+            == {"affine-loop-unroll{factor=2}"}
+        assert set(collector.by_pass) == {"affine-loop-unroll"}
+        assert "pass.seconds.affine-loop-unroll" in session.metrics.counters
+        (span,) = [span for spans in session.tracer.tracks().values()
+                   for span in spans if span.name == "pass.affine-loop-unroll"]
+        assert span.args["pipeline"] == "affine-loop-unroll{factor=2}"
+
+    def test_print_pass_timing_keeps_option_strings(self, capsys):
+        assert main(["dse", "--kernel", "gemm", "--size", "4", "--samples", "3",
+                     "--iterations", "2", "--print-pass-timing"]) == 0
+        output = capsys.readouterr().out
+        assert "design-point-suffix{" in output
+        assert "(worker processes)" not in output
+        assert main(["dse", "--kernel", "gemm", "--size", "4", "--samples", "3",
+                     "--iterations", "2", "--jobs", "2",
+                     "--print-pass-timing"]) == 0
+        assert "design-point-suffix (worker processes)" \
+            in capsys.readouterr().out
+
+
 class TestDriverIntegration:
     def test_print_pass_timing_uses_registry(self, capsys):
         assert main(["compile", "--kernel", "gemm", "--size", "8",
