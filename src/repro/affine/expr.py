@@ -293,11 +293,14 @@ def _wrap(value) -> AffineExpr:
 
 
 def _lookup(replacements, position):
-    if isinstance(replacements, Mapping):
-        return replacements.get(position)
-    if 0 <= position < len(replacements):
-        return replacements[position]
-    return None
+    # The sequence case first: callers substitute from a list or tuple nearly
+    # always, and ``isinstance(x, Mapping)`` is an ABC instance check per dim.
+    if isinstance(replacements, (list, tuple)) \
+            or not isinstance(replacements, Mapping):
+        if 0 <= position < len(replacements):
+            return replacements[position]
+        return None
+    return replacements.get(position)
 
 
 def _collect(expr: AffineExpr, node_type, out: set[int]) -> None:

@@ -23,7 +23,7 @@ import functools
 from typing import Optional, Sequence
 
 from repro.dialects.affine_ops import outermost_loops
-from repro.dse.space import KernelDesignPoint
+from repro.dse.space import KernelDesignPoint, ir_digest
 from repro.estimation.estimator import QoREstimator, QoRResult
 from repro.estimation.platform import Platform, XC7Z020
 from repro.ir.module import ModuleOp
@@ -266,29 +266,36 @@ def optimize_kernel_module(module: ModuleOp, point: KernelDesignPoint,
     return cloned, func_op
 
 
+def _after_prefix(module: ModuleOp, point: KernelDesignPoint,
+                  func_name: Optional[str], snapshots, digest: Optional[str]
+                  ) -> tuple[ModuleOp, Operation]:
+    """A private copy of the kernel after canonicalize + the structural
+    prefix of ``point`` — checked out of ``snapshots`` or built from scratch
+    — and the module that holds it."""
+    if snapshots is not None:
+        return snapshots.checkout(module, point, func_name=func_name,
+                                  digest=digest)
+    cloned = module.clone()
+    func_op = cloned.lookup(func_name) if func_name else cloned.functions()[0]
+    if func_op is None:
+        raise ValueError(f"function {func_name!r} not found in the module")
+    build_pipeline_cached("canonicalize").run(func_op)
+    if _outer_loop(func_op) is not None:
+        PassManager([design_point_prefix_pass(point)]).run(func_op)
+    return cloned, func_op
+
+
 def _transform(module: ModuleOp, point: KernelDesignPoint,
                func_name: Optional[str], snapshots, digest: Optional[str]
                ) -> tuple[ModuleOp, Operation, Optional[Operation]]:
     """:func:`optimize_kernel_module`, also returning the loop the design
     point pipelined (None when there was nothing to pipeline, or the loop
     could not be legalized): the one place the target II went."""
-    if snapshots is not None:
-        cloned, func_op = snapshots.checkout(module, point,
-                                             func_name=func_name, digest=digest)
-        if _outer_loop(func_op) is None:
-            return cloned, func_op, None
-    else:
-        cloned = module.clone()
-        func_op = cloned.lookup(func_name) if func_name else cloned.functions()[0]
-        if func_op is None:
-            raise ValueError(f"function {func_name!r} not found in the module")
-
-        build_pipeline_cached("canonicalize").run(func_op)
-        if _outer_loop(func_op) is None:
-            # Nothing to transform or partition: mirror the bare
-            # canonicalization the estimator sees for loop-less functions.
-            return cloned, func_op, None
-        PassManager([design_point_prefix_pass(point)]).run(func_op)
+    cloned, func_op = _after_prefix(module, point, func_name, snapshots, digest)
+    if _outer_loop(func_op) is None:
+        # Nothing to transform or partition: mirror the bare
+        # canonicalization the estimator sees for loop-less functions.
+        return cloned, func_op, None
 
     # Same sequence as _kernel_tail_spec(point), but the point-specific pass
     # is constructed directly: parsing a distinct spec per design point
@@ -300,6 +307,35 @@ def _transform(module: ModuleOp, point: KernelDesignPoint,
     cleanup = cleanup_pipeline_spec(point.pipeline)
     build_pipeline_cached(f"{cleanup},array-partition").run(func_op)
     return cloned, func_op, suffix.pipelined
+
+
+def staged_program(module: ModuleOp, point: KernelDesignPoint,
+                   func_name: Optional[str] = None,
+                   snapshots: "Optional[PrefixSnapshotCache]" = None,
+                   digest: Optional[str] = None) -> tuple[str, int]:
+    """The *program* ``point`` evaluates, as far as its transform knobs go.
+
+    Runs what :func:`_transform` runs up to the pipelining — the prefix,
+    then the suffix pass's own
+    :meth:`~repro.transforms.composite.DesignPointSuffixPass.stage` — and
+    returns the structural digest of the IR left behind with the position
+    (in walk order, -1 for none) of the loop ``pipeline_loop`` is called on
+    next.  Pipelining, the cleanup
+    tail, array partitioning and the estimator see ``loop_perfectization``,
+    ``remove_variable_bound``, ``perm_map`` and ``tile_sizes`` through that
+    IR alone, so points that agree here, in their cleanup pipeline and in
+    their platform differ in nothing an evaluation reads but the target II:
+    the transform class the DSE runtime evaluates once.  Taken *before*
+    ``pipeline_loop`` unrolls the point loops, where the function is a few
+    dozen operations.  The staged IR is dropped on return.
+    """
+    _, func_op = _after_prefix(module, point, func_name, snapshots, digest)
+    target = design_point_suffix_pass(point).stage(func_op)
+    position = -1
+    if target is not None:
+        position = next(index for index, op in enumerate(func_op.walk())
+                        if op is target)
+    return ir_digest(func_op), position
 
 
 def apply_design_point(module: ModuleOp, point: KernelDesignPoint,

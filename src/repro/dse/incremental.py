@@ -18,8 +18,10 @@ Correctness:
 * The snapshot is built by exactly the passes the non-incremental path runs
   (the same registry pass objects, in the same order), and every checkout
   clones it, so downstream transforms can never leak state between
-  evaluations.  ``--no-incremental`` disables checkouts for A/B comparison;
-  frontier artifacts are byte-identical either way, at any ``--jobs``.
+  evaluations.  It holds the kernel function and the functions it
+  transitively calls — all an evaluation reads — not the whole module.
+  ``--no-incremental`` disables checkouts for A/B comparison; frontier
+  artifacts are byte-identical either way, at any ``--jobs``.
 * The cache key embeds :func:`repro.dse.space.ir_digest` of the source
   kernel: structurally different IR can never share a snapshot, even within
   one process.
@@ -83,9 +85,10 @@ class PrefixSnapshotCache:
         the kernel context); without a hint the digest is recomputed per
         checkout, so in-place mutation of ``module`` safely invalidates.
 
-        Returns ``(cloned module, kernel function inside the clone)`` —
-        exactly what running canonicalize + the design-point prefix on a
-        clone of ``module`` would produce.
+        Returns ``(cloned module, kernel function inside the clone)``; the
+        function is exactly what running canonicalize + the design-point
+        prefix on a clone of ``module`` would produce, the module holds it
+        and the functions it transitively calls, unchanged.
         """
         if not digest:
             digest = ir_digest(_lookup(module, func_name))
@@ -127,7 +130,7 @@ class PrefixSnapshotCache:
         """
         from repro.dse.apply import design_point_prefix_pass
 
-        snapshot = module.clone()
+        snapshot = _kernel_module(module, func_name)
         func_op = _lookup(snapshot, func_name)
         with obs.suspended(), collect_pass_timings() as collector, \
                 pass_timing_scope(f"prefix.{prefix}"):
@@ -136,6 +139,33 @@ class PrefixSnapshotCache:
         for name, seconds in collector.by_pass.items():
             obs.add_pass_seconds(name, seconds)
         return snapshot
+
+
+def _kernel_module(module: ModuleOp, func_name: Optional[str]) -> ModuleOp:
+    """A copy of ``module`` cut down to what an evaluation of the kernel
+    reads: the kernel function and the functions it transitively calls (the
+    estimator resolves ``func.call`` callees through the module), in module
+    order.  Every checkout clones the snapshot, so the kernel's neighbours
+    in a multi-kernel module would be copied at each evaluation otherwise.
+    """
+    kernel = _lookup(module, func_name)
+    needed = {id(kernel)}
+    pending = [kernel]
+    while pending:
+        for op in pending.pop().walk():
+            if op.name != "func.call":
+                continue
+            callee = module.lookup(op.get_attr("callee"))
+            if callee is not None and id(callee) not in needed:
+                needed.add(id(callee))
+                pending.append(callee)
+    snapshot = ModuleOp()
+    for name, value in module.attributes.items():
+        snapshot.set_attr(name, value)
+    for op in module.body.operations:
+        if id(op) in needed:
+            snapshot.append(op.clone())
+    return snapshot
 
 
 def _lookup(module: ModuleOp, func_name: Optional[str]) -> Operation:

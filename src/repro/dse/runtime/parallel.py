@@ -27,18 +27,29 @@ exploration trajectory, while ``jobs`` is purely an execution detail.
 from __future__ import annotations
 
 import dataclasses
+import threading
 import time
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro import obs
-from repro.dse.apply import AppliedDesign, apply_design_point
+from repro.dse.apply import (
+    AppliedDesign,
+    apply_design_point,
+    cleanup_pipeline_spec,
+    staged_program,
+)
 from repro.dse.engine import ExplorationPolicy
+from repro.dse.incremental import PrefixSnapshotCache
 from repro.dse.pareto import ParetoPoint
 from repro.dse.runtime.cache import EstimateCache
 from repro.dse.runtime.checkpoint import CheckpointStore, ExplorerState
 from repro.dse.runtime.faults import FaultPlan, SupervisionPolicy
 from repro.dse.runtime.records import EvaluationRecord
-from repro.dse.runtime.worker import KernelContext, create_backend
+from repro.dse.runtime.worker import (
+    KernelContext,
+    SerialBackend,
+    create_backend,
+)
 from repro.dse.space import KernelDesignSpace
 from repro.estimation.platform import Platform, XC7Z020
 from repro.ir.module import ModuleOp
@@ -100,16 +111,18 @@ def _kernel_fingerprint(space: KernelDesignSpace, func_op,
 
 
 class _ClassResults:
-    """What the evaluations dispatched so far answered, by decoded point.
+    """What the evaluations dispatched so far answered, by program.
 
-    An evaluation transforms a whole *transform class* (see
-    :meth:`~repro.dse.space.KernelDesignPoint.transform_class`) and its
-    record carries the records of the class's other target IIs.
-    ``answered`` holds the designs the trajectory asked for, ``spare`` the
-    II-siblings that rode along unasked.  Keying by decoded point also
-    catches *aliases*: encodings whose tile product ``decode`` clamps to a
-    design already answered.  Run-local and never checkpointed: a resumed
-    run evaluates a lost sibling again, to the same record.
+    An evaluation transforms a whole *transform class* — every design point
+    that stages to one program (:func:`repro.dse.apply.staged_program`) and
+    shares its cleanup pipeline and platform — and its record carries the
+    records of the class's other target IIs.  Entries are keyed by that
+    identity plus the target II.  ``answered`` holds the designs the
+    trajectory asked for, ``spare`` the II-siblings that rode along unasked.
+    The key is a function of the decoded point, so it also catches encodings
+    whose tile product ``decode`` clamps to a design already answered.
+    Run-local and never checkpointed: a resumed run evaluates a lost
+    classmate again, to the same record.
     """
 
     def __init__(self):
@@ -119,32 +132,83 @@ class _ClassResults:
         self.siblings = 0
         self.aliases = 0
 
-    def __contains__(self, point) -> bool:
-        return point in self.answered or point in self.spare
+    def __contains__(self, key) -> bool:
+        return key in self.answered or key in self.spare
 
-    def add(self, record: EvaluationRecord) -> EvaluationRecord:
-        """Take in a backend's record; returns it as the explorer stores it
-        (nothing riding on it).  A quarantined record answers for nobody."""
+    def add(self, record: EvaluationRecord, identity: tuple) -> EvaluationRecord:
+        """Take in a backend's record of a point with ``identity``; returns
+        it as the explorer stores it (nothing riding on it).  A quarantined
+        record answers for nobody."""
         siblings = record.siblings
         if siblings:
             record = dataclasses.replace(record, siblings=())
         if record.ok:
-            self.answered[record.point] = record
+            self.answered[identity, record.point.target_ii] = record
             for sibling in siblings:
-                self.spare.setdefault(sibling.point, sibling)
+                self.spare.setdefault((identity, sibling.point.target_ii),
+                                      sibling)
         return record
 
-    def resolve(self, point, encoded: tuple[int, ...]) -> EvaluationRecord:
-        """The record of ``point``, which must be contained, as ``encoded``."""
-        record = self.answered.get(point)
+    def resolve(self, identity: tuple, point,
+                encoded: tuple[int, ...]) -> EvaluationRecord:
+        """The record of ``point``, whose key must be contained, under its
+        own ``encoded`` and ``point``: QoR and achieved II are the class's,
+        the knob values are the asker's."""
+        key = (identity, point.target_ii)
+        record = self.answered.get(key)
         if record is not None:
             self.aliases += 1
         else:
-            record = self.answered[point] = self.spare.pop(point)
+            record = self.answered[key] = self.spare.pop(key)
             self.siblings += 1
-        if record.encoded != encoded:
-            record = dataclasses.replace(record, encoded=encoded)
+        if record.encoded != encoded or record.point != point:
+            record = dataclasses.replace(record, encoded=encoded, point=point)
         return record
+
+
+#: Staging is the one place coordinator threads run transforms, and the pass
+#: infrastructure (timing scopes and collectors, a cached pipeline's run
+#: root) is process-wide state: one coordinator stages at a time.
+_STAGING_LOCK = threading.Lock()
+
+
+class _ProgramIdentities:
+    """Everything but the target II that an evaluation is a function of, per
+    design point of one kernel: the staged program
+    (:func:`repro.dse.apply.staged_program`), the cleanup pipeline's spec and
+    the platform's name.
+
+    Staged by the coordinator, so which tasks a batch dispatches never
+    depends on the backend, and once per distinct ``(lp, rvb, perm, clamped
+    tiles)``.  ``snapshots`` returns the prefix snapshots to stage against
+    (None for none); it is asked at each staging because the backend that
+    may own them is created lazily.
+    """
+
+    def __init__(self, module: ModuleOp, func_name: Optional[str],
+                 digest: Optional[str],
+                 snapshots: Callable[[], Optional[PrefixSnapshotCache]]):
+        self._module = module
+        self._func_name = func_name
+        self._digest = digest
+        self._snapshots = snapshots
+        self._staged: dict[tuple, tuple[str, int]] = {}
+
+    def __len__(self) -> int:
+        """How many programs were staged so far."""
+        return len(self._staged)
+
+    def of(self, point) -> tuple:
+        knobs = (point.loop_perfectization, point.remove_variable_bound,
+                 point.perm_map, point.tile_sizes)
+        program = self._staged.get(knobs)
+        if program is None:
+            with _STAGING_LOCK:
+                program = self._staged[knobs] = staged_program(
+                    self._module, point, self._func_name, self._snapshots(),
+                    self._digest)
+        return program + (cleanup_pipeline_spec(point.pipeline),
+                          point.platform)
 
 
 @dataclasses.dataclass
@@ -182,7 +246,8 @@ class ParallelDSEResult:
     #: How many of ``evaluated_this_run`` no evaluation of their own
     #: answered: resolved from the transformed IR of a classmate (an
     #: *II-sibling*: same transforms, another target II) or of the very same
-    #: design under another encoding (a tile-clamp *alias*).
+    #: program under other knob values (an *alias*: a clamped tile product,
+    #: a permutation or tile size the staging never applied).
     resolved_siblings: int = 0
     resolved_aliases: int = 0
 
@@ -386,12 +451,28 @@ class ParallelExplorer:
         obs_on = obs.active() is not None
 
         classes = _ClassResults()
+        own_snapshots = PrefixSnapshotCache()
 
-        def dispatch(encodings: list[tuple[int, ...]],
+        def staging_snapshots() -> Optional[PrefixSnapshotCache]:
+            """A serial backend evaluates in this process: share its prefix
+            snapshots instead of building every prefix twice."""
+            if not self.incremental:
+                return None
+            backend = get_backend()
+            if isinstance(backend, SerialBackend):
+                return backend.snapshots_for(context_key)
+            return own_snapshots
+
+        programs = _ProgramIdentities(module, func_name,
+                                      space.ir_digest or None,
+                                      staging_snapshots)
+
+        def dispatch(encodings: list[tuple[int, ...]], identities: dict,
                      fresh: dict[tuple[int, ...], EvaluationRecord]) -> None:
             if encodings:
                 for record in get_backend().evaluate(context_key, encodings):
-                    fresh[record.encoded] = classes.add(record)
+                    fresh[record.encoded] = classes.add(
+                        record, identities[record.encoded])
 
         def evaluate_batch(batch: list[tuple[int, ...]]) -> None:
             nonlocal evaluated_this_run, processed_this_run, since_checkpoint
@@ -413,40 +494,55 @@ class ParallelExplorer:
                         missing.append(encoded)
                 batch_span.set(cached=len(batch) - len(missing))
 
+                points = {encoded: space.decode(encoded) for encoded in missing}
+                # One span per batch whatever it stages, so the trace
+                # skeleton stays the trajectory's.
+                staged_before = len(programs)
+                identity_span = obs.NULL_SPAN if not obs_on else obs.span(
+                    "dse.identity", kernel=context_key)
+                staging_started = time.perf_counter()
+                with identity_span:
+                    identities = {encoded: programs.of(point)
+                                  for encoded, point in points.items()}
+                    identity_span.set(staged=len(programs) - staged_before)
+                if obs_on:
+                    obs.counter("dse.identity.seconds",
+                                time.perf_counter() - staging_started)
+
                 # One task per transform class: the first point of the batch
                 # no earlier task answered represents its class, classmates
-                # wait for the siblings its record carries.  A point an
-                # active fault plan selects is always dispatched itself, so
-                # the plan fires exactly where it does without classes.
-                points = {encoded: space.decode(encoded) for encoded in missing}
+                # wait for its record and the siblings it carries.  A point
+                # an active fault plan selects is always dispatched itself,
+                # so the plan fires exactly where it does without classes.
                 representatives: dict = {}
                 waiting: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
                 tasks: list[tuple[int, ...]] = []
                 for encoded in missing:
-                    point = points[encoded]
+                    identity = identities[encoded]
                     if self.faults is not None \
                             and self.faults.matches(context_key, encoded):
                         tasks.append(encoded)
-                    elif point not in classes:
+                    elif (identity, points[encoded].target_ii) not in classes:
                         representative = representatives.setdefault(
-                            point.transform_class(), encoded)
+                            identity, encoded)
                         if representative == encoded:
                             waiting[encoded] = []
                             tasks.append(encoded)
                         else:
                             waiting[representative].append(encoded)
                 fresh: dict[tuple[int, ...], EvaluationRecord] = {}
-                dispatch(tasks, fresh)
+                dispatch(tasks, identities, fresh)
                 # A quarantined representative answered for nobody.
                 dispatch([encoded for representative, mates in waiting.items()
                           if not fresh[representative].ok
-                          for encoded in mates], fresh)
+                          for encoded in mates], identities, fresh)
                 batch_span.set(classes=len(fresh))
 
                 for encoded in missing:
                     record = fresh.get(encoded)
                     if record is None:
-                        record = classes.resolve(points[encoded], encoded)
+                        record = classes.resolve(identities[encoded],
+                                                 points[encoded], encoded)
                     state.records[encoded] = record
                     if self.cache is not None:
                         self.cache.put(fingerprint, record)

@@ -111,11 +111,10 @@ def evaluate_encoded(context: KernelContext, encoded: tuple[int, ...],
     fault-injection victim selection (irrelevant when ``context.faults``
     is None).
 
-    The evaluation transforms the point's whole *transform class* (see
-    :meth:`~repro.dse.space.KernelDesignPoint.transform_class`): the
-    returned record carries, as ``siblings``, the record of every other
-    target II of the space, each equal to what evaluating that encoding
-    itself returns.
+    One transform run answers every target II (see
+    :meth:`~repro.dse.space.KernelDesignSpace.ii_siblings`): the returned
+    record carries, as ``siblings``, the record of every other target II of
+    the space, each equal to what evaluating that encoding itself returns.
     """
     if context.pipeline:
         from repro.dse.apply import kernel_pipeline_signature
@@ -304,10 +303,16 @@ class SerialBackend:
         self._supervision = supervision or SupervisionPolicy()
         self._stop_event = stop_event
 
+    def snapshots_for(self, key: str) -> Optional[PrefixSnapshotCache]:
+        """The prefix snapshots kernel ``key`` is evaluated with (None when
+        disabled).  Coordinator and evaluation share a process here, so the
+        coordinator stages program identities against the same cache."""
+        return _snapshots_for(self._contexts[key], key, self._snapshots)
+
     def evaluate(self, key: str,
                  batch: Sequence[tuple[int, ...]]) -> list[EvaluationRecord]:
         context = self._contexts[key]
-        snapshots = _snapshots_for(context, key, self._snapshots)
+        snapshots = self.snapshots_for(key)
         traced = obs.active() is not None
         return [self._evaluate_one(key, context, tuple(encoded), snapshots,
                                    traced)

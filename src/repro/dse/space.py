@@ -98,19 +98,6 @@ class KernelDesignPoint:
         return (f"lp{int(self.loop_perfectization)}"
                 f"-rvb{int(self.remove_variable_bound)}")
 
-    def transform_class(self) -> "KernelDesignPoint":
-        """The point with its estimator-only knob, the target II, fixed.
-
-        Every other knob shapes the transformed IR.  The target II does
-        not: ``pipeline_loop`` stores it in the loop directive, which no
-        later pass reads — only the estimator does.  All points of one
-        class therefore share one transformed IR, and one evaluation
-        answers them all (:func:`repro.dse.apply.apply_design_point`).
-        ``tests/test_transform_classes.py`` holds the proof a knob owes
-        before it may be fixed here.
-        """
-        return dataclasses.replace(self, target_ii=1)
-
     def describe(self) -> str:
         text = (f"LP={'yes' if self.loop_perfectization else 'no'} "
                 f"RVB={'yes' if self.remove_variable_bound else 'no'} "
@@ -276,8 +263,11 @@ class KernelDesignSpace:
     def ii_siblings(self, encoded: Sequence[int]
                     ) -> list[tuple[tuple[int, ...], int]]:
         """``(encoding, target II)`` of every point that differs from
-        ``encoded`` in the target-II index only: the rest of its transform
-        class (see :meth:`KernelDesignPoint.transform_class`)."""
+        ``encoded`` in the target-II index only.  The target II is the one
+        knob no transform reads — ``pipeline_loop`` stores it in the loop
+        directive, which only the estimator reads back — so they share the
+        transformed IR of ``encoded`` and its evaluation answers them all
+        (:func:`repro.dse.apply.apply_design_point`)."""
         position = self.ii_dimension
         head, tail = tuple(encoded[:position]), tuple(encoded[position + 1:])
         return [(head + (index,) + tail, ii)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import threading
 import time
 from typing import Callable, Optional, Union
 
@@ -91,9 +92,21 @@ class ObsSession:
 _SESSION: Optional[ObsSession] = None
 
 
+class _ThreadState(threading.local):
+    #: Whether the calling thread is inside :func:`suspended`.
+    suspended = False
+
+
+_THREAD = _ThreadState()
+
+
 def active() -> Optional[ObsSession]:
-    """The installed session, or None when observability is off."""
-    return _SESSION
+    """The session the calling thread reports into, or None when
+    observability is off or the thread has suspended it."""
+    current = _SESSION
+    if current is not None and _THREAD.suspended:
+        return None
+    return current
 
 
 def start() -> ObsSession:
@@ -124,20 +137,21 @@ def session():
 
 @contextlib.contextmanager
 def suspended():
-    """Temporarily uninstall the active session (restored on exit).
+    """Hide the active session from the calling thread (restored on exit).
 
     For work whose *occurrence* is execution-detail rather than trajectory —
     e.g. a prefix-snapshot build that happens only on a cache miss.  Spans
     and counters emitted inside would make the trace skeleton depend on
     cache warmth and worker count; callers account for the suspended work
-    explicitly afterwards (e.g. re-injecting measured pass seconds).
+    explicitly afterwards (e.g. re-injecting measured pass seconds).  Per
+    thread: coordinator threads sharing the session keep reporting while one
+    of them builds.
     """
-    global _SESSION
-    previous, _SESSION = _SESSION, None
+    previous, _THREAD.suspended = _THREAD.suspended, True
     try:
         yield
     finally:
-        _SESSION = previous
+        _THREAD.suspended = previous
 
 
 # -- fast-path hooks ----------------------------------------------------------------------
@@ -148,7 +162,7 @@ def suspended():
 
 def span(name: str, **args):
     """Open a span on the active tracer (an inert no-op when disabled)."""
-    current = _SESSION
+    current = active()
     if current is None:
         return NULL_SPAN
     return current.tracer.span(name, **args)
@@ -156,39 +170,39 @@ def span(name: str, **args):
 
 def track(name: str):
     """Route the calling thread's spans to logical track ``name``."""
-    current = _SESSION
+    current = active()
     if current is None:
         return contextlib.nullcontext()
     return current.tracer.use_track(name)
 
 
 def counter(name: str, value: Union[int, float] = 1) -> None:
-    current = _SESSION
+    current = active()
     if current is not None:
         current.metrics.counter_add(name, value)
 
 
 def gauge(name: str, value: Union[int, float]) -> None:
-    current = _SESSION
+    current = active()
     if current is not None:
         current.metrics.gauge_set(name, value)
 
 
 def observe(name: str, value: Union[int, float]) -> None:
-    current = _SESSION
+    current = active()
     if current is not None:
         current.metrics.observe(name, value)
 
 
 def series(name: str, step: Union[int, float],
            value: Union[int, float]) -> None:
-    current = _SESSION
+    current = active()
     if current is not None:
         current.metrics.series_append(name, step, value)
 
 
 def merge_counters(counters: dict) -> None:
-    current = _SESSION
+    current = active()
     if current is not None:
         current.metrics.merge_counters(counters)
 
@@ -199,14 +213,14 @@ def add_pass_seconds(pass_key: str, seconds: float) -> None:
     ``pass_key`` is ``[<timing scope>/]<registered pass name>`` — never the
     option string, which would mint one counter per design point.
     """
-    current = _SESSION
+    current = active()
     if current is not None:
         current.metrics.counter_add(f"pass.seconds.{pass_key}", seconds)
 
 
 def add_pattern_stats(stats: dict, bucket_stats: dict) -> None:
     """Rewrite-driver hook: fold one ``rewrite()`` run's hit/miss deltas."""
-    current = _SESSION
+    current = active()
     if current is not None:
         current.metrics.merge_counters(
             pattern_counter_deltas(stats, bucket_stats))
@@ -244,7 +258,7 @@ def capture_task(fn: Callable, *args, span_name: str = "dse.evaluate",
 
 def absorb_task(track_name: str, telemetry: Optional[TaskTelemetry]) -> None:
     """Coordinator side: merge one captured task into the active session."""
-    current = _SESSION
+    current = active()
     if current is None or telemetry is None:
         return
     current.tracer.absorb(track_name, telemetry)

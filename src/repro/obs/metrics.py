@@ -21,7 +21,10 @@ name                      kind       meaning
 ``dse.points``            counter    design points processed (incl. cache hits)
 ``dse.resolved.siblings`` counter    points answered by a classmate's evaluation
                                      (same transforms, another target II)
-``dse.resolved.aliases``  counter    points that decode to a design already answered
+``dse.resolved.aliases``  counter    points whose knob values stage to a program
+                                     already answered
+``dse.identity.seconds``  counter    coordinator time staging points to tell
+                                     programs apart
 ``dse.shared.nodes``      counter    nodes identical to one explored earlier in the run
 ``dse.shared.points``     counter    estimates those nodes took over from it
 ``dse.worker.busy_seconds``  counter    summed per-evaluation worker wall-clock

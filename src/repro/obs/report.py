@@ -161,22 +161,24 @@ def shared_summary_line(points: int, nodes: int) -> str:
 
 
 def resolved_summary_line(resolved: int, points: int, classes: int,
-                          aliases: int) -> str:
-    """What evaluating by transform class saved, in one line.
+                          aliases: int, identity_seconds: float) -> str:
+    """What evaluating by transform class saved and cost, in one line.
 
     ``points`` are the design points no cache served, ``classes`` the
     evaluations dispatched for them (one transformed IR each) and
     ``resolved`` the points answered from a classmate's IR instead of their
-    own: II-siblings, plus ``aliases`` that decode to a design already
-    answered.  Like every line that counts this run's evaluations it says
-    "evaluated", the marker by which output comparisons across ``--resume``
-    and cache warmth skip such lines.
+    own: II-siblings, plus ``aliases`` whose knob values stage to a program
+    already answered.  ``identity_seconds`` is what the coordinator spent
+    staging points to tell the programs apart.  Like every line that counts
+    this run's evaluations it says "evaluated", the marker by which output
+    comparisons across ``--resume`` and cache warmth skip such lines.
     """
     siblings = resolved - aliases
     return (f"  resolved {resolved} of {points} points from {classes} "
             f"transformed classes ({siblings} II-sibling"
             f"{'' if siblings == 1 else 's'}, {aliases} alias"
-            f"{'' if aliases == 1 else 'es'}; each class evaluated once)")
+            f"{'' if aliases == 1 else 'es'}; each class evaluated once, "
+            f"identities staged in {identity_seconds:.2f}s)")
 
 
 def dse_summary_lines(counters: Mapping[str, float],
@@ -194,7 +196,8 @@ def dse_summary_lines(counters: Mapping[str, float],
     if evaluations:
         lines.append(resolved_summary_line(
             resolved, evaluations + resolved, evaluations,
-            int(counters.get("dse.resolved.aliases", 0))))
+            int(counters.get("dse.resolved.aliases", 0)),
+            counters.get("dse.identity.seconds", 0.0)))
     wall = gauges.get("dse.wall_seconds")
     if wall:
         lines.append(f"  evaluations/sec={evaluations / wall:.2f} "

@@ -44,16 +44,19 @@ def run_design_point_prefix(func_op: Operation, perfectize: bool,
         remove_variable_bounds(func_op)
 
 
-def run_design_point_suffix(func_op: Operation, perm: Sequence[int],
-                            tiles: Sequence[int], ii: int
-                            ) -> Optional[AffineForOp]:
-    """The *point-specific suffix*: permute, tile and pipeline the band.
+def stage_design_point(func_op: Operation, perm: Sequence[int],
+                       tiles: Sequence[int]) -> Optional[AffineForOp]:
+    """Permute and tile the band: everything of the suffix but the pipelining.
 
     Transform steps that are not applicable (e.g. permutation of a
     non-perfect band) are skipped rather than failing — the estimator will
     simply see the weaker design, which is how unprofitable points lose in
-    the exploration.  Returns the loop that now carries the pipeline
-    directive — the only place ``ii`` went — or None when there is none.
+    the exploration.  Returns the loop the design point pipelines next, or
+    None when the function has no loop nest.
+
+    What is left of an evaluation reads the knobs staged here through the IR
+    alone, so two points whose staged IR, returned loop included, coincide
+    are one program (:func:`repro.dse.apply.staged_program`).
     """
     outer = _outer_loop(func_op)
     if outer is None:
@@ -73,12 +76,27 @@ def run_design_point_suffix(func_op: Operation, perm: Sequence[int],
             tile_loops, _ = tile_loop_band(band, sizes)
         except PassError:
             tile_loops = band
+    return tile_loops[-1]
 
+
+def run_design_point_suffix(func_op: Operation, perm: Sequence[int],
+                            tiles: Sequence[int], ii: int
+                            ) -> Optional[AffineForOp]:
+    """The *point-specific suffix*: :func:`stage_design_point`, then pipeline
+    the loop it returns.
+
+    Returns the loop that now carries the pipeline directive — the only
+    place ``ii`` went — or None when there is none (no loop nest, or the
+    loop could not be legalized).
+    """
+    target = stage_design_point(func_op, perm, tiles)
+    if target is None:
+        return None
     try:
-        pipeline_loop(tile_loops[-1], ii)
+        pipeline_loop(target, ii)
     except PassError:
         return None
-    return tile_loops[-1]
+    return target
 
 
 @register_pass("apply-design-point")
@@ -168,6 +186,11 @@ class DesignPointSuffixPass(FunctionPass):
     def run(self, func_op: Operation) -> None:
         self.pipelined = run_design_point_suffix(func_op, self.perm,
                                                  self.tiles, self.ii)
+
+    def stage(self, func_op: Operation) -> Optional[AffineForOp]:
+        """:meth:`run` short of the pipelining: returns the loop it would
+        pipeline (see :func:`stage_design_point`)."""
+        return stage_design_point(func_op, self.perm, self.tiles)
 
 
 @register_pass("dnn-loop-opt")

@@ -103,6 +103,9 @@ def _fully_unroll(loop: AffineForOp) -> list[Operation]:
     upper = loop.constant_upper_bound
     step = loop.step
     new_ops: list[Operation] = []
+    # Enclosing loops keep their bounds while this one unrolls, so what
+    # _single_iteration_iv_value says of an operand holds for every copy.
+    single_ivs: dict = {}
     for iteration_value in range(lower, upper, step):
         constant = arith.ConstantOp(iteration_value, index)
         new_ops.append(constant)
@@ -118,7 +121,7 @@ def _fully_unroll(loop: AffineForOp) -> list[Operation]:
                 # emitting the constant directly produces byte-identical
                 # post-canonicalize IR while skipping the clone, the fold
                 # rewrite and the dead-apply erasure for every iteration.
-                folded = _fold_cloned_apply(body_op, value_map)
+                folded = _fold_cloned_apply(body_op, value_map, single_ivs)
                 if folded is not None:
                     new_ops.append(folded)
                     continue
@@ -128,20 +131,23 @@ def _fully_unroll(loop: AffineForOp) -> list[Operation]:
     return new_ops
 
 
-def _fold_cloned_apply(apply_op: Operation,
-                       value_map: dict) -> Optional[Operation]:
+def _fold_cloned_apply(apply_op: Operation, value_map: dict,
+                       single_ivs: dict) -> Optional[Operation]:
     """The constant an unrolled ``affine.apply`` clone folds to (or None).
 
     Returns a fresh ``arith.constant`` — and maps the apply's result to it —
     when every operand is constant under ``value_map``; chains across folds,
-    so applies feeding applies collapse in one unrolling.
+    so applies feeding applies collapse in one unrolling.  ``single_ivs``
+    memoizes :func:`_single_iteration_iv_value` for the unrolling under way.
     """
     values = []
     for use in apply_op._operands:
         operand = value_map.get(use.value, use.value)
         value = arith.constant_value(operand)
         if value is None:
-            value = _single_iteration_iv_value(operand)
+            if operand not in single_ivs:
+                single_ivs[operand] = _single_iteration_iv_value(operand)
+            value = single_ivs[operand]
             if value is None:
                 return None
         values.append(int(value))

@@ -229,6 +229,49 @@ class TestCheckpoint:
         assert loaded.samples_done and loaded.iterations_done == 3
         assert loaded.make_rng().random() == state.make_rng().random()
 
+    def test_file_bytes_equal_the_streaming_writer(self, tmp_path):
+        # save() encodes with json.dumps (the C encoder); json.dump, which it
+        # replaced, must have written the very same file.
+        import io
+        import json
+
+        from repro.dse.runtime.checkpoint import _rng_state_to_json
+        from repro.estimation.platform import PLATFORMS
+
+        module = compile_source(GEMM_SOURCE, "gemm")
+        platforms = [XC7Z020, PLATFORMS["zcu102"]]
+        space = KernelDesignSpace.from_function(module.functions()[0],
+                                                platforms=platforms)
+        state = ExplorerState.fresh("fp", seed=5, config={
+            "seed": 5, "platforms": [[platform.name, platform.config_hash()]
+                                     for platform in platforms]})
+        for index, name in enumerate(space.platform_options):
+            encoded = (0,) * (space.num_dimensions - 1) + (index,)
+            platform = space.platform_named(name)
+            design = apply_design_point(module, space.decode(encoded), platform)
+            state.records[encoded] = EvaluationRecord.from_design(
+                encoded, design, platform_hash=platform.config_hash())
+        poisoned = (0,) * (space.num_dimensions - 2) + (1, 0)
+        state.records[poisoned] = EvaluationRecord.quarantined(
+            poisoned, space.decode(poisoned), "InjectedFault: poison")
+        assert [record.ok for record in state.records.values()] \
+            == [True, True, False]
+        store = CheckpointStore(str(tmp_path / "state.json"))
+        store.save(state)
+
+        streamed = io.StringIO()
+        json.dump({
+            "version": 1, "fingerprint": state.fingerprint, "seed": state.seed,
+            "config": state.config, "samples_done": state.samples_done,
+            "iterations_done": state.iterations_done,
+            "rng_state": _rng_state_to_json(state.rng_state),
+            "records": [record.to_json_dict()
+                        for record in state.records.values()],
+        }, streamed)
+        assert (tmp_path / "state.json").read_text(encoding="utf-8") \
+            == streamed.getvalue()
+        assert store.load(expected_fingerprint="fp").records == state.records
+
     def test_fingerprint_mismatch_rejected(self, tmp_path):
         store = CheckpointStore(str(tmp_path / "state.json"))
         store.save(ExplorerState.fresh("fp", seed=5))

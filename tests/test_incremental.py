@@ -125,6 +125,88 @@ class TestPrefixSnapshotCache:
         assert cache.misses == 3
 
 
+THREE_FUNCTIONS = """
+void helper(float X[4]) {
+  for (int i = 0; i < 4; i++) {
+    X[i] = X[i] * 2.0;
+  }
+}
+void caller(float X[4], float Y[4][4]) {
+  for (int i = 0; i < 4; i++) {
+    for (int j = 0; j < 4; j++) {
+      Y[i][j] = Y[i][j] + X[j];
+    }
+  }
+}
+void bystander(float Z[4][4]) {
+  for (int i = 0; i < 4; i++) {
+    for (int j = 0; j < 4; j++) {
+      Z[i][j] = Z[j][i];
+    }
+  }
+}
+"""
+
+
+class TestSnapshotHoldsTheKernelAndItsCallees:
+    """A snapshot of one kernel of a multi-kernel module holds that kernel
+    and what it calls — the estimator resolves callees through the module —
+    and nothing of its neighbours."""
+
+    @pytest.fixture
+    def module(self):
+        from repro.dialects.func import CallOp
+
+        module = compile_source(THREE_FUNCTIONS, "three")
+        caller = module.lookup("caller")
+        body = caller.region(0).front
+        body.insert_before(body.operations[0],
+                           CallOp("helper", [body.arguments[0]]))
+        return module
+
+    @staticmethod
+    def names(module):
+        return [func_op.get_attr("sym_name") for func_op in module.functions()]
+
+    def test_checkout_keeps_callees_and_drops_neighbours(self, module):
+        cache = PrefixSnapshotCache()
+        point = KernelDesignPoint(False, False, (1, 0), (2, 2), 1)
+        cloned, func_op = cache.checkout(module, point, func_name="caller")
+        assert self.names(cloned) == ["helper", "caller"]
+        assert cloned.get_attr("sym_name") == "three"
+        assert func_op is cloned.lookup("caller")
+        cloned, _ = cache.checkout(module, point, func_name="bystander")
+        assert self.names(cloned) == ["bystander"]
+        assert self.names(module) == ["helper", "caller", "bystander"]
+
+    def test_the_estimate_still_includes_the_callee(self, module):
+        point = KernelDesignPoint(False, False, (1, 0), (2, 2), 2)
+        plain = apply_design_point(module, point, XC7Z020, func_name="caller")
+        cached = apply_design_point(module, point, XC7Z020, func_name="caller",
+                                    snapshots=PrefixSnapshotCache())
+        assert cached.qor == plain.qor
+        assert print_op(cached.func_op, stable_ids=True) \
+            == print_op(plain.func_op, stable_ids=True)
+        module.lookup("helper").erase()
+        assert apply_design_point(module, point, XC7Z020,
+                                  func_name="caller").qor != plain.qor
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_bytes_identical_with_and_without_snapshots(self, module,
+                                                              jobs):
+        from repro.dse.runtime import MultiKernelScheduler
+
+        outcomes = []
+        for incremental in (True, False):
+            results = MultiKernelScheduler(
+                XC7Z020, jobs=jobs, num_samples=4, max_iterations=4, seed=3,
+                batch_size=4, incremental=incremental).explore_module(
+                    module, func_names=["caller", "bystander"])
+            outcomes.append([result_bytes(results[name])
+                             for name in ("caller", "bystander")])
+        assert outcomes[0] == outcomes[1]
+
+
 class TestRuntimePipelineRegistration:
     def teardown_method(self):
         # Registration mutates global state; restore the built-in registry.

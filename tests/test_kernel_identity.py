@@ -232,6 +232,18 @@ def serial_sweep():
     return sweep()
 
 
+def masked_document(result) -> dict:
+    """The sweep as the golden holds it: fingerprints blanked (they moved
+    with the digest) and every node's records listed."""
+    document = result.to_json_dict()
+    for name, node in document["nodes"].items():
+        node["fingerprint"] = ""
+        node["records"] = [
+            record.to_json_dict() for _, record in
+            sorted(result.node_results[name].records.items())]
+    return json.loads(json.dumps(document))
+
+
 def fast_policy(**overrides):
     return SupervisionPolicy(**{"max_retries": 2, "backoff": 0.001, **overrides})
 
@@ -271,14 +283,8 @@ class TestSharedSweep:
 
     def test_matches_the_parent_commit_once_fingerprints_are_masked(
             self, serial_sweep):
-        document = serial_sweep.to_json_dict()
-        for name, node in document["nodes"].items():
-            node["fingerprint"] = ""
-            node["records"] = [
-                record.to_json_dict() for _, record in
-                sorted(serial_sweep.node_results[name].records.items())]
         with open(GOLDEN, encoding="utf-8") as handle:
-            assert json.loads(json.dumps(document)) == json.load(handle)
+            assert masked_document(serial_sweep) == json.load(handle)
 
     def test_byte_identical_across_jobs_and_cache(self, serial_sweep, tmp_path):
         expected = serial_sweep.frontier_json()
@@ -352,7 +358,9 @@ class TestSharedSweep:
         import repro.dse.runtime.scheduler as scheduler
         import repro.dse.space as space
 
-        calls = {"digest": 0, "fingerprint": 0}
+        import repro.dse.apply as apply
+
+        calls = {"digest": 0, "fingerprint": 0, "program": 0}
 
         def counted(name, function):
             def wrapper(*args, **kwargs):
@@ -360,13 +368,20 @@ class TestSharedSweep:
                 return function(*args, **kwargs)
             return wrapper
 
+        # The kernel-fingerprint digest (the un-transformed function) and
+        # the program digests of staged design points, counted apart.
         monkeypatch.setattr(space, "ir_digest",
                             counted("digest", space.ir_digest))
+        monkeypatch.setattr(apply, "ir_digest",
+                            counted("program", apply.ir_digest))
         monkeypatch.setattr(scheduler, "_kernel_fingerprint", counted(
             "fingerprint", scheduler._kernel_fingerprint))
         monkeypatch.setattr(parallel, "_kernel_fingerprint", counted(
             "explorer", parallel._kernel_fingerprint))
         result = sweep()
+        # One program digest per knob setting a node stages: never more
+        # than the points it had to evaluate.
+        assert 0 < calls.pop("program") <= result.evaluated_this_run
         assert calls == {"digest": len(result.node_order),
                          "fingerprint": len(result.node_order)}
 

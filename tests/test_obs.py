@@ -124,6 +124,67 @@ class TestCaptureTask:
         assert "worker:k" in session.tracer.tracks()
 
 
+class TestSuspended:
+    def test_hides_the_session_from_the_calling_thread_only(self):
+        import threading
+
+        with obs.session() as session:
+            inside, reported = threading.Event(), threading.Event()
+
+            def neighbour():
+                inside.wait(timeout=10)
+                obs.counter("neighbour")
+                with obs.span("neighbour.span"):
+                    pass
+                reported.set()
+
+            thread = threading.Thread(target=neighbour)
+            thread.start()
+            with obs.suspended():
+                inside.set()
+                assert reported.wait(timeout=10)
+                obs.counter("hidden")
+                assert obs.active() is None
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            assert obs.active() is session
+            assert session.metrics.counter("neighbour") == 1
+            assert session.metrics.counter("hidden") == 0
+            assert session.tracer.num_spans() == 1
+
+    def test_coordinator_threads_suspending_at_once_lose_nothing(self):
+        # More threads than cores, a short switch interval: with one shared
+        # "suspended" flag an interleaved exit restored None for good and
+        # every later counter was dropped.
+        import sys
+        import threading
+
+        rounds, workers = 300, 8
+
+        def coordinator():
+            for _ in range(rounds):
+                with obs.suspended():
+                    obs.counter("hidden")
+                obs.counter("seen")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with obs.session() as session:
+                threads = [threading.Thread(target=coordinator)
+                           for _ in range(workers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert obs.active() is session
+                assert session.metrics.counter("seen") == rounds * workers
+                assert session.metrics.counter("hidden") == 0
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestMetricsRegistry:
     def test_counters_gauges_histograms_series(self):
         registry = MetricsRegistry()

@@ -1,0 +1,449 @@
+"""Program identity: design points that stage to one program are evaluated
+once.
+
+A transform class is keyed by what the rest of the evaluation is a function
+of — the digest of the IR after prefix + permute + tile, the loop about to
+be pipelined, the cleanup pipeline and the platform — not by knob values, so
+every knob setting the staging ignores (a permutation that does not fit the
+band, tile sizes beyond it, tilings that raise) lands in the class of the
+program it actually produces.  What licenses that is checked here over whole
+design spaces: a record resolved from a classmate equals, field for field,
+the from-scratch evaluation of the asking point.
+
+A knob may be left out of the identity (as the target II is) only together
+with a test like ``TestAliasesEqualDirectEvaluation`` proving that nothing
+after the staging reads it except through the IR.
+"""
+
+import collections
+import random
+
+import pytest
+
+from repro import obs
+from repro.dialects.affine_ops import outermost_loops
+from repro.dse.apply import cleanup_pipeline_spec, staged_program
+from repro.dse.incremental import PrefixSnapshotCache
+from repro.dse.runtime import FaultPlan, worker
+from repro.dse.runtime.parallel import _ClassResults, _ProgramIdentities
+from repro.dse.runtime.transport import TransportConfig
+from repro.dse.runtime.worker import evaluate_encoded
+from repro.dse.space import KernelDesignPoint, ir_digest
+from repro.estimation import VU9P_SLR, XC7Z020
+from repro.estimation.platform import PLATFORMS
+from repro.ir.pass_manager import PassError
+from repro.kernels import KERNEL_NAMES
+from repro.pipeline import compile_c
+from repro.transforms import composite, permute_loop_band, tile_loop_band
+
+import test_kernel_identity as dnn
+from test_kernel_identity import (
+    fast_policy,
+    masked_document,
+    single_function_module,
+    staged_nodes,
+)
+from test_transform_classes import (  # noqa: F401  (fixtures)
+    assert_files_match,
+    assert_same_record,
+    direct_record,
+    document,
+    explore,
+    function_context,
+    gemm8,
+    golden,
+    kernel_context,
+)
+
+
+# -- helpers --------------------------------------------------------------------------------
+
+
+def identities(context) -> _ProgramIdentities:
+    """The runtime's own identity code, staging against private snapshots."""
+    snapshots = PrefixSnapshotCache()
+    return _ProgramIdentities(context.module, context.func_name,
+                              context.space.ir_digest, lambda: snapshots)
+
+
+def knobs_of(point):
+    return (point.loop_perfectization, point.remove_variable_bound,
+            point.perm_map, point.tile_sizes)
+
+
+def identity_groups(context) -> dict:
+    """Every point of the space, grouped by identity: ``{identity: [encoded]}``."""
+    programs = identities(context)
+    groups = collections.defaultdict(list)
+    for encoded in context.space.all_points():
+        groups[programs.of(context.space.decode(encoded))].append(encoded)
+    return groups
+
+
+def check_groups(context, keep=lambda index, identity: True, seed=29) -> int:
+    """In every multi-member group, the record the runtime resolves for
+    sampled members from one evaluation of a classmate equals the member's
+    direct evaluation.  Returns the number of groups checked."""
+    space = context.space
+    rng = random.Random(seed)
+    checked = 0
+    groups = identity_groups(context)
+    assert sum(len(members) for members in groups.values()) == space.num_points
+    for index, (identity, members) in enumerate(groups.items()):
+        decoded = {encoded: space.decode(encoded) for encoded in members}
+        if len({knobs_of(point) for point in decoded.values()}) < 2 \
+                or not keep(index, identity):
+            continue
+        # The representative's target II rotates from group to group.
+        representative = members[index % len(space.ii_options)]
+        strangers = [encoded for encoded in members
+                     if knobs_of(decoded[encoded])
+                     != knobs_of(decoded[representative])]
+        sampled = [rng.choice(strangers), rng.choice(members)]
+        classes = _ClassResults()
+        classes.add(evaluate_encoded(context, representative), identity)
+        for encoded in sampled:
+            point = decoded[encoded]
+            assert (identity, point.target_ii) in classes
+            resolved = classes.resolve(identity, point, encoded)
+            assert (resolved.encoded, resolved.point) == (encoded, point)
+            assert_same_record(resolved, direct_record(context, encoded))
+        assert classes.siblings + classes.aliases == len(sampled)
+        checked += 1
+    return checked
+
+
+# -- a record resolved from a program alias equals the per-point evaluation ------------------
+
+
+class TestAliasesEqualDirectEvaluation:
+    #: Multi-member programs of each n=4 Table III space (bicg's band is
+    #: perfect with constant bounds: every knob shows in its staged IR).
+    PROGRAMS = {"bicg": 0, "gemm": 9, "gesummv": 3, "syr2k": 35, "syrk": 35,
+                "trmm": 18}
+
+    @pytest.mark.parametrize("name", KERNEL_NAMES)
+    def test_every_group_of_a_table3_kernel(self, name):
+        context = kernel_context(name, 4)
+        assert set(context.space.pipeline_options) \
+            == {"default", "light", "thorough"}
+        # One group per program and cleanup pipeline.
+        assert check_groups(context) == 3 * self.PROGRAMS[name]
+
+    def test_a_two_platform_space(self):
+        platforms = [XC7Z020, PLATFORMS["zcu102"]]
+        context = kernel_context("gemm", 4, platforms=platforms)
+        assert check_groups(context) == 2 * 3 * self.PROGRAMS["gemm"]
+
+    def test_one_node_of_each_vgg16_fingerprint_class(self):
+        _, nodes = staged_nodes("vgg16")
+        representatives = {}
+        for func_op in nodes:
+            representatives.setdefault(ir_digest(func_op), func_op)
+        assert len(representatives) == 28
+        checked = 0
+        for func_op in representatives.values():
+            context = function_context(single_function_module(func_op),
+                                       VU9P_SLR)
+            pipelines = [cleanup_pipeline_spec(name)
+                         for name in context.space.pipeline_options]
+            assert len(pipelines) == 3
+            # Every program, each under one cleanup pipeline, in rotation.
+            ranks: dict = {}
+            checked += check_groups(
+                context, keep=lambda index, identity: pipelines[
+                    ranks.setdefault(identity[:2], len(ranks)) % 3]
+                == identity[2])
+        assert checked > 100
+
+
+# -- what the identity covers ----------------------------------------------------------------
+
+
+STRIDED = """
+void strided(float A[8][8], float B[8][8]) {
+  for (int i = 0; i < 8; i += 2) {
+    for (int j = 0; j < 8; j++) {
+      B[i][j] = A[j][i] + B[i][j];
+    }
+  }
+}
+"""
+
+
+def point(perm, tiles, lp=False, rvb=False, ii=1, pipeline="default",
+          platform=""):
+    return KernelDesignPoint(lp, rvb, tuple(perm), tuple(tiles), ii,
+                             pipeline=pipeline, platform=platform)
+
+
+class TestWhatTheIdentityCovers:
+    def test_a_tile_size_inside_the_band(self):
+        context = kernel_context("gemm", 4)
+        programs = identities(context)
+        perm = (0, 1, 2)
+        tiled = programs.of(point(perm, (2, 1, 1), lp=True))
+        assert tiled != programs.of(point(perm, (4, 1, 1), lp=True))
+        assert tiled != programs.of(point(perm, (1, 2, 1), lp=True))
+        assert tiled != programs.of(point(perm, (1, 1, 1), lp=True))
+        assert tiled != programs.of(point((1, 0, 2), (2, 1, 1), lp=True))
+        # Without perfectization the perfect band is (i, j): a permutation of
+        # three loops does not fit it and the third tile size is never read.
+        assert programs.of(point(perm, (2, 1, 1))) \
+            == programs.of(point((2, 1, 0), (2, 1, 4)))
+        assert programs.of(point(perm, (2, 1, 1))) \
+            != programs.of(point(perm, (2, 2, 1)))
+
+    def test_the_target_ii_is_not_part_of_it(self):
+        programs = identities(kernel_context("gemm", 4))
+        assert programs.of(point((0, 1, 2), (2, 1, 1), ii=1)) \
+            == programs.of(point((0, 1, 2), (2, 1, 1), ii=8))
+        assert len(programs) == 1
+
+    def test_the_cleanup_pipeline_and_the_platform(self):
+        platforms = [XC7Z020, PLATFORMS["zcu102"]]
+        programs = identities(kernel_context("gemm", 4, platforms=platforms))
+        base = programs.of(point((0, 1, 2), (2, 1, 1), platform="xc7z020"))
+        assert base != programs.of(point((0, 1, 2), (2, 1, 1),
+                                         pipeline="light", platform="xc7z020"))
+        assert base != programs.of(point((0, 1, 2), (2, 1, 1),
+                                         platform="zcu102"))
+        assert len(programs) == 1  # one staged program behind all three
+
+    def test_the_loop_about_to_be_pipelined(self, monkeypatch):
+        context = kernel_context("gemm", 4)
+        staged = point((0, 1, 2), (1, 1, 2), lp=True)
+        digest, position = staged_program(context.module, staged,
+                                          context.func_name)
+        stage = composite.stage_design_point
+
+        def outermost(func_op, perm, tiles):
+            stage(func_op, perm, tiles)
+            return outermost_loops(func_op)[0]
+
+        monkeypatch.setattr(composite, "stage_design_point", outermost)
+        assert staged_program(context.module, staged, context.func_name) \
+            == (digest, 1) != (digest, position)
+
+    def test_identity_is_that_of_the_ir_left_behind_when_tiling_raises(self):
+        # The outer loop steps by 2: permutation succeeds, then
+        # tile_loop_band refuses the band (it wants unit steps) and the
+        # staging leaves the permuted, untiled loops behind.
+        module = compile_c(STRIDED, "strided")
+        context = function_context(module, XC7Z020)
+        programs = identities(context)
+        swapped = programs.of(point((1, 0), (1, 1)))
+        assert programs.of(point((1, 0), (2, 4))) == swapped
+        assert programs.of(point((0, 1), (2, 4))) \
+            == programs.of(point((0, 1), (1, 1))) != swapped
+
+        func_op = module.clone().functions()[0]
+        band = permute_loop_band(
+            [outermost_loops(func_op)[0],
+             outermost_loops(outermost_loops(func_op)[0])[0]], (1, 0))
+        with pytest.raises(PassError):
+            tile_loop_band(band, (2, 4))
+        assert swapped[:2] == (ir_digest(func_op), 2)
+        # ... and the runtime's answer for the refused tiling is the direct one.
+        space = context.space
+        refused = next(encoded for encoded in space.all_points()
+                       if space.decode(encoded).perm_map == (1, 0)
+                       and space.decode(encoded).tile_sizes == (2, 4))
+        untiled = next(encoded for encoded in space.all_points()
+                       if space.decode(encoded) == point(
+                           (1, 0), (1, 1), ii=space.decode(refused).target_ii))
+        classes = _ClassResults()
+        classes.add(evaluate_encoded(context, untiled), swapped)
+        assert_same_record(
+            classes.resolve(swapped, space.decode(refused), refused),
+            direct_record(context, refused))
+
+
+# -- the runtime: unchanged goldens, one task per program ------------------------------------
+
+#: Points of the gemm8 golden trajectory that stage to a program an earlier
+#: point of the trajectory was evaluated for, under other knob values; the
+#: first three are victims of ``select=3`` fault plans.
+PROGRAM_ALIASES = [(1, 0, 5, 2, 0, 3, 2, 0), (1, 0, 4, 2, 0, 2, 2, 0),
+                   (1, 0, 4, 1, 2, 2, 1, 0), (1, 0, 3, 2, 0, 2, 2, 0),
+                   (1, 0, 0, 3, 3, 3, 1, 0)]
+
+
+def record_dispatches(monkeypatch) -> list:
+    """Every ``(kernel key, encoded)`` the serial backend evaluates."""
+    dispatched = []
+    evaluate = worker.evaluate_encoded
+
+    def recording(context, encoded, snapshots=None, fault_key=""):
+        dispatched.append((fault_key, tuple(encoded)))
+        return evaluate(context, encoded, snapshots, fault_key)
+
+    monkeypatch.setattr(worker, "evaluate_encoded", recording)
+    return dispatched
+
+
+def observed(run, jobs, **overrides) -> tuple:
+    with obs.session() as session:
+        result = run(jobs=jobs, **overrides)
+    counters = dict(session.metrics.counters)
+    return result, {name: counters.get(name, 0) for name in (
+        "dse.points", "dse.evaluations", "dse.resolved.siblings",
+        "dse.resolved.aliases", "estimate.calls")}, session
+
+
+class TestGemmSweep:
+    def test_aliases_are_resolved_not_dispatched(self, gemm8, golden,
+                                                 monkeypatch):
+        dispatched = record_dispatches(monkeypatch)
+        result = explore(gemm8)
+        assert document(result) == golden["clean"]
+        assert not set(PROGRAM_ALIASES) & {encoded for _, encoded in dispatched}
+        assert set(PROGRAM_ALIASES) <= set(result.records)
+        assert len(dispatched) == 12 and result.resolved_aliases == 5
+        # An alias carries its own knob values, never its representative's.
+        for encoded in PROGRAM_ALIASES:
+            assert result.records[encoded].point == result.space.decode(encoded)
+
+    def test_the_dispatched_set_is_the_trajectorys(self, gemm8, golden,
+                                                   tmp_path, monkeypatch):
+        dispatched = record_dispatches(monkeypatch)
+        explore(gemm8)
+        plain = list(dispatched)
+        for overrides in (dict(incremental=False), dict(tmp_path=tmp_path)):
+            del dispatched[:]
+            assert document(explore(gemm8, **overrides)) == golden["clean"]
+            assert dispatched == plain
+        assert_files_match(tmp_path, golden)
+
+    def test_staging_is_counted_and_spanned_alike_at_any_jobs(self, gemm8):
+        _, serial, _ = observed(lambda jobs: explore(gemm8, jobs=jobs), 1)
+        _, pooled, session = observed(lambda jobs: explore(gemm8, jobs=jobs), 2)
+        assert serial == pooled
+        assert pooled["dse.evaluations"] < pooled["dse.points"]
+        assert session.metrics.counters["dse.identity.seconds"] > 0
+        spans = [span for spans in session.tracer.tracks().values()
+                 for span in spans if span.name in ("dse.batch", "dse.identity")]
+        # Close order: one staging span inside every batch, whatever it staged.
+        assert [span.name for span in spans] \
+            == ["dse.identity", "dse.batch"] * (len(spans) // 2)
+        assert sum(span.args.get("staged", 0) for span in spans) \
+            == serial["dse.evaluations"] + 4  # 16 knob settings, 12 programs
+
+    @pytest.mark.parametrize("mode,jobs", [("flaky", 1), ("flaky", 2),
+                                           ("crash", 1)])
+    def test_recoverable_faults_on_would_be_aliases(self, gemm8, golden,
+                                                    tmp_path, mode, jobs):
+        import os
+
+        plan = FaultPlan(mode=mode, select=3, times=1,
+                         state_dir=str(tmp_path / "ledger"))
+        result = explore(gemm8, tmp_path, jobs=jobs, faults=plan,
+                         supervision=fast_policy())
+        assert document(result) == golden["clean"]
+        assert_files_match(tmp_path, golden)
+        for encoded in PROGRAM_ALIASES[:3]:
+            assert plan.matches("kernel", encoded)
+            assert os.path.getsize(plan._ledger_path("kernel", encoded)) == 2
+        assert result.resolved_aliases <= 2
+
+    def test_a_poisoned_would_be_alias_is_quarantined(self, gemm8, tmp_path):
+        # No victim of the golden's ``poison:select=4`` plan stages to a
+        # program another knob setting was evaluated for; ``select=3`` has
+        # one.  The rule holds without a golden: every matched point of the
+        # trajectory is quarantined, whatever program it stages to, and the
+        # trajectory is the same at any ``jobs``.
+        def poisoned(jobs):
+            plan = FaultPlan(mode="poison", select=3,
+                             state_dir=str(tmp_path / f"ledger{jobs}"))
+            return plan, explore(gemm8, jobs=jobs, faults=plan,
+                                 supervision=fast_policy(max_retries=1))
+
+        plan, result = poisoned(1)
+        assert document(poisoned(2)[1]) == document(result)
+        quarantined = {record.encoded
+                       for record in result.quarantined_records()}
+        assert quarantined == {encoded for encoded in result.records
+                               if plan.matches("kernel", encoded)}
+        programs = identities(function_context(gemm8, XC7Z020))
+        healthy = collections.defaultdict(set)
+        would_be_aliases = 0
+        for record in result.records.values():
+            identity = programs.of(record.point)
+            if record.ok:
+                healthy[identity].add(knobs_of(record.point))
+            elif healthy[identity] - {knobs_of(record.point)}:
+                would_be_aliases += 1
+        assert would_be_aliases == 1
+
+
+class TestVgg16SliceSweep:
+    """The vgg16 slice golden at every execution setting."""
+
+    @pytest.fixture(scope="class")
+    def expected(self):
+        import json
+
+        with open(dnn.GOLDEN, encoding="utf-8") as handle:
+            return json.load(handle)
+
+    def test_no_permutation_reaches_a_dnn_node(self, expected, monkeypatch):
+        dispatched = record_dispatches(monkeypatch)
+        result = dnn.sweep()
+        assert masked_document(result) == expected
+        # 28 points no cache served, 16 programs among them.
+        assert result.evaluated_this_run == 28 and len(dispatched) == 16
+        for key, encoded in dispatched:
+            node = result.node_results[key]
+            mates = [other for other, record in node.records.items()
+                     if other != encoded and record.qor
+                     == node.records[encoded].qor
+                     and record.point.perm_map
+                     != node.records[encoded].point.perm_map]
+            assert not {(key, mate) for mate in mates} & set(dispatched)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(jobs=2), dict(incremental=False), dict(jobs=2, incremental=False),
+        dict(transport=TransportConfig(
+            spawn_workers=2, heartbeat_interval=0.2, heartbeat_timeout=5.0,
+            connect_timeout=60.0, reconnect_base=0.05),
+            supervision=fast_policy())],
+        ids=["jobs2", "no-incremental", "jobs2-no-incremental", "workers2"])
+    def test_every_execution_setting(self, expected, overrides):
+        assert masked_document(dnn.sweep(**overrides)) == expected
+
+    def test_counters_equal_at_any_jobs(self):
+        _, serial, _ = observed(dnn.sweep, 1)
+        _, pooled, _ = observed(dnn.sweep, 2)
+        assert serial == pooled
+        assert serial["dse.evaluations"] == serial["estimate.calls"] == 16
+        assert serial["dse.resolved.siblings"] \
+            + serial["dse.resolved.aliases"] == 12
+
+    def test_resume_from_a_mid_sweep_checkpoint(self, expected, tmp_path):
+        ckpt = str(tmp_path / "ckpt")
+        partial = dnn.sweep(checkpoint_dir=ckpt, checkpoint_every=1,
+                            max_evaluations_per_node=3)
+        assert partial.num_evaluations < 42
+        resumed = dnn.sweep(jobs=2, resume=True, checkpoint_dir=ckpt)
+        assert masked_document(resumed) == expected
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_flaky_would_be_aliases(self, expected, tmp_path, jobs,
+                                    monkeypatch):
+        import os
+
+        dispatched = record_dispatches(monkeypatch)
+        clean = dnn.sweep()
+        resolved = [(key, encoded)
+                    for key, node in clean.node_results.items()
+                    if node.shared_with is None for encoded in node.records
+                    if (key, encoded) not in set(dispatched)]
+        monkeypatch.undo()
+        plan = FaultPlan(mode="flaky", select=2, times=1,
+                         state_dir=str(tmp_path / "ledger"))
+        victims = [item for item in resolved if plan.matches(*item)]
+        assert victims
+        faulty = dnn.sweep(jobs=jobs, faults=plan, supervision=fast_policy())
+        assert masked_document(faulty) == expected
+        for key, encoded in victims:
+            assert os.path.getsize(plan._ledger_path(key, encoded)) == 2

@@ -7,9 +7,10 @@ its target IIs.  The tests here are what licenses that: a record derived as
 an II-sibling must equal, field by field, the record a from-scratch
 evaluation of that point produces — over whole design spaces, not samples.
 
-A new estimator-only knob joins ``KernelDesignPoint.transform_class`` only
-together with an extension of ``TestSiblingsEqualDirectEvaluation``:
-``direct_record`` must apply the sibling point itself, knob included.
+A new estimator-only knob is enumerated next to
+``KernelDesignSpace.ii_siblings`` only together with an extension of
+``TestSiblingsEqualDirectEvaluation``: ``direct_record`` must apply the
+sibling point itself, knob included.
 """
 
 import dataclasses
@@ -433,9 +434,9 @@ class TestSweepMatchesTheParentCommit:
         result = explore(gemm8)
         assert document(result) == golden["clean"]
         assert result.fingerprint == golden["fingerprint"]
-        assert (result.resolved_siblings, result.resolved_aliases) == (3, 1)
+        assert (result.resolved_siblings, result.resolved_aliases) == (3, 5)
         assert len(dispatched) == len(set(dispatched)) \
-            == result.num_evaluations - 4
+            == result.num_evaluations - 8
         assert not set(SIBLING_VICTIMS) & set(dispatched)
         assert set(SIBLING_VICTIMS) <= set(result.records)
         # What the explorer keeps is what was asked for, nothing riding on it.
@@ -464,7 +465,7 @@ class TestSweepMatchesTheParentCommit:
                          supervision=fast_policy())
         assert document(result) == golden["clean"]
         assert_files_match(tmp_path, golden)
-        assert (result.resolved_siblings, result.resolved_aliases) == (3, 1)
+        assert (result.resolved_siblings, result.resolved_aliases) == (3, 5)
 
     def test_without_incremental_snapshots(self, gemm8, golden):
         assert document(explore(gemm8, incremental=False)) == golden["clean"]
@@ -480,7 +481,7 @@ class TestSweepMatchesTheParentCommit:
         resumed = explore(gemm8, tmp_path, resume=True, jobs=jobs)
         assert document(resumed) == golden["clean"]
         assert_files_match(tmp_path, golden)
-        assert resumed.resolved_siblings + resumed.resolved_aliases < 4
+        assert resumed.resolved_siblings + resumed.resolved_aliases < 8
         again = explore(gemm8, tmp_path, resume=True)
         assert again.evaluated_this_run == 0
         assert document(again) == golden["clean"]
@@ -500,7 +501,7 @@ class TestSweepMatchesTheParentCommit:
         for encoded in SIBLING_VICTIMS:
             assert plan.matches("kernel", encoded)
             assert os.path.getsize(plan._ledger_path("kernel", encoded)) == 2
-        assert result.resolved_siblings + result.resolved_aliases < 4
+        assert result.resolved_siblings + result.resolved_aliases < 8
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_poison_quarantines_what_the_parent_quarantined(
@@ -516,12 +517,15 @@ class TestSweepMatchesTheParentCommit:
         # Two of them follow a healthy classmate in the trajectory: without
         # the victim rule that classmate's evaluation would have answered
         # them, as healthy siblings.
+        def without_ii(point):
+            return dataclasses.replace(point, target_ii=1)
+
         order = list(result.records)
         first_healthy = {}
         for index, record in enumerate(result.records.values()):
             if record.ok:
-                first_healthy.setdefault(record.point.transform_class(), index)
-        assert sum(first_healthy.get(record.point.transform_class(), len(order))
+                first_healthy.setdefault(without_ii(record.point), index)
+        assert sum(first_healthy.get(without_ii(record.point), len(order))
                    < order.index(record.encoded)
                    for record in quarantined) == 2
 
@@ -574,10 +578,10 @@ class TestSweepMatchesTheParentCommit:
         serial, _ = counters(1)
         pooled, session = counters(2)
         assert serial == pooled == {
-            "dse.points": 20, "dse.evaluations": 16, "estimate.calls": 16,
-            "dse.resolved.siblings": 3, "dse.resolved.aliases": 1}
+            "dse.points": 20, "dse.evaluations": 12, "estimate.calls": 12,
+            "dse.resolved.siblings": 3, "dse.resolved.aliases": 5}
         summary = render_run_summary(session.metrics.to_json_dict())
-        assert "resolved 4 of 20 points from 16 transformed classes" in summary
+        assert "resolved 8 of 20 points from 12 transformed classes" in summary
         batches = [span for spans in session.tracer.tracks().values()
                    for span in spans if span.name == "dse.batch"]
-        assert sum(span.args["classes"] for span in batches) == 16
+        assert sum(span.args["classes"] for span in batches) == 12
