@@ -33,7 +33,7 @@ import time
 import pytest
 
 from conftest import format_row, run_kernel_dse
-from repro.dse.runtime import EstimateCache, ParallelExplorer
+from repro.dse.runtime import EstimateCache, ParallelExplorer, SweepConfig
 from repro.estimation import XC7Z020
 from repro.kernels import KERNEL_NAMES
 from repro.pipeline import compile_kernel
@@ -48,7 +48,7 @@ def test_fig7_scalability(benchmark, kernel, print_header):
         for problem_size in PROBLEM_SIZES:
             _, baseline, result = run_kernel_dse(kernel, problem_size,
                                                  num_samples=8, max_iterations=10)
-            best = result.best
+            best = result.best_record
             series[problem_size] = (baseline.latency / best.qor.latency, best.qor.dsp)
         return series
 
@@ -84,10 +84,9 @@ def measure_runtime_scalability(kernel: str, problem_size: int, jobs: int,
     module = compile_kernel(kernel, problem_size)
 
     def run(jobs_now, cache):
-        explorer = ParallelExplorer(XC7Z020, num_samples=num_samples,
-                                    max_iterations=max_iterations, seed=seed,
-                                    jobs=jobs_now, batch_size=batch_size,
-                                    cache=cache)
+        explorer = ParallelExplorer(XC7Z020, SweepConfig(
+            num_samples=num_samples, max_iterations=max_iterations, seed=seed,
+            jobs=jobs_now, batch_size=batch_size, cache=cache))
         started = time.perf_counter()
         result = explorer.explore(module)
         return result, time.perf_counter() - started

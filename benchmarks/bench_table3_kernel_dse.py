@@ -23,7 +23,7 @@ def test_table3_kernel_dse(benchmark, kernel, print_header):
         return run_kernel_dse(kernel, PROBLEM_SIZE, num_samples=12, max_iterations=20)
 
     module, baseline, result = benchmark.pedantic(run, rounds=1, iterations=1)
-    best = result.best
+    best = result.best_design()
     speedup = baseline.latency / best.qor.latency
 
     print_header(f"Table III — {kernel.upper()} (problem size {PROBLEM_SIZE}, XC7Z020)")

@@ -47,7 +47,7 @@ def test_table4_gemm_case_study(benchmark, print_header):
         return baseline, dse_result, manual
 
     baseline, dse_result, manual = benchmark.pedantic(run, rounds=1, iterations=1)
-    dse_best = dse_result.best
+    dse_best = dse_result.best_record
     bound = theoretical_bound_cycles(PROBLEM_SIZE, XC7Z020.dsp)
 
     rows = {

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dse import DesignSpaceExplorer
 from repro.dse.apply import estimate_baseline
 from repro.estimation import XC7Z020
-from repro.pipeline import compile_kernel
+from repro.pipeline import compile_kernel, explore_kernel
 
 # Re-exported for test modules: ``from conftest import ...`` resolves to
 # whichever conftest.py pytest put on sys.path first, which is this file when
@@ -61,12 +60,13 @@ PAPER_FIG8_AVERAGE = {"directive": 1.8, "loop_l7": 130.9, "graph_g7": 10.3}
 
 def run_kernel_dse(name: str, problem_size: int, num_samples: int = 12,
                    max_iterations: int = 20, seed: int = 2022):
-    """Compile a kernel, estimate its baseline, and run the DSE engine."""
+    """Compile a kernel, estimate its baseline, and run the DSE engine (the
+    paper's one-neighbour-at-a-time traversal: ``batch_size=1``)."""
     module = compile_kernel(name, problem_size)
     baseline = estimate_baseline(module, XC7Z020)
-    explorer = DesignSpaceExplorer(XC7Z020, num_samples=num_samples,
-                                   max_iterations=max_iterations, seed=seed)
-    result = explorer.explore(module)
+    result = explore_kernel(module, XC7Z020, num_samples=num_samples,
+                            max_iterations=max_iterations, seed=seed,
+                            batch_size=1)
     return module, baseline, result
 
 

@@ -14,12 +14,11 @@ where ``kernel`` is one of bicg, gemm, gesummv, syr2k, syrk, trmm.
 
 import sys
 
-from repro.dse import DesignSpaceExplorer
 from repro.dse.apply import estimate_baseline
 from repro.emit import emit_hlscpp
 from repro.estimation import XC7Z020
 from repro.kernels import KERNEL_NAMES
-from repro.pipeline import compile_kernel
+from repro.pipeline import compile_kernel, explore_kernel
 
 
 def main() -> None:
@@ -33,17 +32,17 @@ def main() -> None:
     baseline = estimate_baseline(module, XC7Z020)
     print(f"Baseline latency: {baseline.latency:,} cycles, {baseline.dsp} DSPs")
 
-    explorer = DesignSpaceExplorer(XC7Z020, num_samples=16, max_iterations=24, seed=2022)
-    result = explorer.explore(module)
+    # batch_size=1: the paper's one-neighbour-at-a-time traversal.
+    result = explore_kernel(module, XC7Z020, num_samples=16, max_iterations=24,
+                            seed=2022, batch_size=1)
 
     print(f"\nEvaluated {result.num_evaluations} design points; Pareto frontier:")
     print(f"{'latency (cycles)':>18}  {'DSPs':>6}  {'II':>4}  parameters")
-    for pareto_point in result.frontier:
-        design = result.evaluations[pareto_point.encoded]
-        print(f"{design.qor.latency:>18,}  {design.qor.dsp:>6}  "
-              f"{design.achieved_ii or '-':>4}  {design.point.describe()}")
+    for record in result.frontier_records():
+        print(f"{record.qor.latency:>18,}  {record.qor.dsp:>6}  "
+              f"{record.achieved_ii or '-':>4}  {record.point.describe()}")
 
-    best = result.best
+    best = result.best_design()
     print(f"\nFinalized design (fits {XC7Z020.name}): "
           f"{best.qor.latency:,} cycles, {best.qor.dsp} DSPs "
           f"-> {baseline.latency / best.qor.latency:.1f}x speedup")

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Walkthrough of the parallel DSE runtime.
+"""Walkthrough of the DSE runtime.
 
 Demonstrates the three pillars of ``repro.dse.runtime`` on a PolyBench
 kernel:
@@ -19,11 +19,17 @@ Usage::
     python examples/parallel_dse.py [kernel] [problem_size] [jobs]
 """
 
+import dataclasses
 import os
 import sys
 import tempfile
 
-from repro.dse.runtime import EstimateCache, MultiKernelScheduler, ParallelExplorer
+from repro.dse.runtime import (
+    EstimateCache,
+    MultiKernelScheduler,
+    ParallelExplorer,
+    SweepConfig,
+)
 from repro.dse.apply import estimate_baseline
 from repro.estimation import XC7Z020
 from repro.kernels import KERNEL_NAMES
@@ -46,9 +52,11 @@ def main() -> None:
     baseline = estimate_baseline(module, XC7Z020)
 
     # 1. Determinism: 1 worker vs. `jobs` workers, same seed, same frontier.
-    config = dict(num_samples=8, max_iterations=16, seed=2022, batch_size=4)
-    serial = ParallelExplorer(XC7Z020, jobs=1, **config).explore(module)
-    parallel = ParallelExplorer(XC7Z020, jobs=jobs, **config).explore(module)
+    serial_config = SweepConfig(num_samples=8, max_iterations=16, seed=2022,
+                                batch_size=4)
+    config = dataclasses.replace(serial_config, jobs=jobs)
+    serial = ParallelExplorer(XC7Z020, serial_config).explore(module)
+    parallel = ParallelExplorer(XC7Z020, config).explore(module)
     print(f"\n[1] serial: {serial.num_evaluations} evaluations "
           f"in {serial.wall_seconds:.2f}s; "
           f"parallel ({jobs} workers): {parallel.wall_seconds:.2f}s")
@@ -58,7 +66,8 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
         # 2. Estimate cache: the repeat run never re-estimates.
         cache = EstimateCache(os.path.join(workdir, "qor_cache.jsonl"))
-        explorer = ParallelExplorer(XC7Z020, jobs=jobs, cache=cache, **config)
+        explorer = ParallelExplorer(
+            XC7Z020, dataclasses.replace(config, cache=cache))
         cold = explorer.explore(module)
         warm = explorer.explore(module)
         print(f"\n[2] cold run: {cold.cache_misses} misses; warm rerun: "
@@ -67,11 +76,12 @@ def main() -> None:
 
         # 3. Checkpoints: kill after 10 evaluations, resume, same frontier.
         checkpoint = os.path.join(workdir, "explore.ckpt.json")
-        ParallelExplorer(XC7Z020, jobs=jobs, checkpoint_path=checkpoint,
-                         checkpoint_every=4, max_evaluations=10,
-                         **config).explore(module)
-        resumed = ParallelExplorer(XC7Z020, jobs=jobs, checkpoint_path=checkpoint,
-                                   **config).explore(module, resume=True)
+        ParallelExplorer(XC7Z020,
+                         dataclasses.replace(config, checkpoint_every=4),
+                         checkpoint_path=checkpoint,
+                         max_evaluations=10).explore(module)
+        resumed = ParallelExplorer(XC7Z020, config, checkpoint_path=checkpoint
+                                   ).explore(module, resume=True)
         assert frontier_summary(resumed) == frontier_summary(serial)
         print(f"\n[3] interrupted at 10 evaluations, resumed to "
               f"{resumed.num_evaluations}; frontier matches uninterrupted run ✓")
@@ -85,8 +95,8 @@ def main() -> None:
     from repro.testing import GEMM_SOURCE, SYRK_SOURCE, compile_source
 
     pair = compile_source(GEMM_SOURCE + SYRK_SOURCE, "pair")
-    scheduler = MultiKernelScheduler(XC7Z020, jobs=jobs, num_samples=6,
-                                     max_iterations=8, batch_size=4)
+    scheduler = MultiKernelScheduler(XC7Z020, SweepConfig(
+        jobs=jobs, num_samples=6, max_iterations=8, batch_size=4))
     results = scheduler.explore_module(pair)
     print("\n[4] multi-kernel scheduler:")
     for name in sorted(results):

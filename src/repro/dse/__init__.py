@@ -3,13 +3,14 @@
 from repro.dse.space import KernelDesignPoint, KernelDesignSpace
 from repro.dse.pareto import ParetoPoint, pareto_frontier, dominates
 from repro.dse.apply import apply_design_point, optimize_kernel_module
-from repro.dse.engine import DesignSpaceExplorer, DSEResult, ExplorationPolicy
+from repro.dse.engine import ExplorationPolicy
 from repro.dse.runtime import (
     EstimateCache,
     EvaluationRecord,
     MultiKernelScheduler,
     ParallelDSEResult,
     ParallelExplorer,
+    SweepConfig,
 )
 
 __all__ = [
@@ -20,12 +21,11 @@ __all__ = [
     "dominates",
     "apply_design_point",
     "optimize_kernel_module",
-    "DesignSpaceExplorer",
-    "DSEResult",
     "ExplorationPolicy",
     "EstimateCache",
     "EvaluationRecord",
     "MultiKernelScheduler",
     "ParallelDSEResult",
     "ParallelExplorer",
+    "SweepConfig",
 ]

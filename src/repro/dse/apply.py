@@ -137,25 +137,6 @@ def cleanup_pipeline_signature(name: str) -> str:
     return pipeline_signature(cleanup_pipeline_spec(name))
 
 
-def design_point_pass(point: KernelDesignPoint) -> "ApplyDesignPointPass":
-    """The configured ``apply-design-point`` pass for ``point``.
-
-    This (plus the pass's own option declarations) is the single source of
-    truth for how a design point is spelled textually — all-ones tile
-    vectors normalize to "untiled" exactly as the pass treats them.
-    """
-    from repro.transforms import ApplyDesignPointPass
-
-    tiles = tuple(point.tile_sizes) \
-        if any(size > 1 for size in point.tile_sizes) else ()
-    return ApplyDesignPointPass(
-        perfectize=point.loop_perfectization,
-        rvb=point.remove_variable_bound,
-        perm=tuple(point.perm_map),
-        tiles=tiles,
-        ii=point.target_ii)
-
-
 def design_point_prefix_pass(point: KernelDesignPoint) -> "DesignPointPrefixPass":
     """The configured ``design-point-prefix`` pass (the snapshot-cached part)."""
     from repro.transforms import DesignPointPrefixPass
@@ -172,12 +153,6 @@ def design_point_suffix_pass(point: KernelDesignPoint) -> "DesignPointSuffixPass
         if any(size > 1 for size in point.tile_sizes) else ()
     return DesignPointSuffixPass(perm=tuple(point.perm_map), tiles=tiles,
                                  ii=point.target_ii)
-
-
-def design_point_options(point: KernelDesignPoint) -> str:
-    """The ``apply-design-point`` option string encoding ``point``."""
-    options = design_point_pass(point).option_string()
-    return f"{{{options}}}" if options else ""
 
 
 def _pass_spec(pass_) -> str:
@@ -233,9 +208,7 @@ def kernel_pipeline_signature() -> str:
     estimate and a new sweep) agree exactly when the template *and* every
     pipeline a point could select print identically.  The template spells
     the prefix/suffix split of the evaluation explicitly, so the signature
-    also covers how incremental evaluation partitions the pipeline.  It does
-    *not* depend on whether incremental evaluation is enabled — both modes
-    produce identical records, so they must share fingerprints.
+    also covers how incremental evaluation partitions the pipeline.
     """
     named = ";".join(f"{name}={cleanup_pipeline_signature(name)}"
                      for name in cleanup_pipeline_names())

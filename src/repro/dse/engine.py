@@ -15,28 +15,25 @@ The engine implements the paper's 5-step neighbor-traversing algorithm:
 
 The algorithm's *policy* (how points are sampled, proposed and merged into
 the frontier) lives in :class:`ExplorationPolicy` as pure functions of
-``(space, frontier, visited, rng)``.  :class:`DesignSpaceExplorer` drives the
-policy serially, one evaluation at a time (batch size 1); the parallel
-runtime in :mod:`repro.dse.runtime` drives the identical policy in
-deterministic batches across worker processes.  Because every proposal
-depends only on explorer state (never on evaluation *order*), a driver
-visits the same points and produces the same frontier for a given seed and
-batch size, regardless of worker count.  Note the batch size itself is part
-of the trajectory: the serial engine (batch size 1) and a parallel run with
-``batch_size=8`` legitimately explore different points.
+``(space, frontier, visited, rng)``.  The one driver,
+:class:`repro.dse.runtime.ParallelExplorer`, runs it in deterministic
+batches — inline or across worker processes.  Because every proposal depends
+only on explorer state (never on evaluation *order*), it visits the same
+points and produces the same frontier for a given seed and batch size,
+regardless of worker count.  Note the batch size itself is part of the
+trajectory: ``batch_size=1`` is the paper's one-neighbour-at-a-time
+traversal, and a run with ``batch_size=8`` legitimately explores different
+points.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import random
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
-from repro.dse.apply import AppliedDesign, apply_design_point
 from repro.dse.pareto import ParetoPoint, pareto_frontier
-from repro.dse.space import KernelDesignPoint, KernelDesignSpace
-from repro.estimation.platform import Platform, XC7Z020
-from repro.ir.module import ModuleOp
+from repro.dse.space import KernelDesignSpace
+from repro.estimation.platform import Platform
 
 
 class ExplorationPolicy:
@@ -126,82 +123,3 @@ class ExplorationPolicy:
         # Nothing satisfies the constraints: fall back to the smallest design.
         smallest = min(ordered, key=lambda p: (p.area, p.encoded))
         return evaluations[smallest.encoded]
-
-
-@dataclasses.dataclass
-class DSEResult:
-    """Outcome of one exploration run."""
-
-    best: Optional[AppliedDesign]
-    frontier: list[ParetoPoint]
-    evaluations: dict[tuple[int, ...], AppliedDesign]
-    num_evaluations: int
-    space: KernelDesignSpace
-
-    @property
-    def best_point(self) -> Optional[KernelDesignPoint]:
-        return self.best.point if self.best is not None else None
-
-    def frontier_designs(self) -> list[AppliedDesign]:
-        return [self.evaluations[point.encoded] for point in self.frontier]
-
-
-class DesignSpaceExplorer:
-    """Explores the latency-area space of a kernel with the 5-step algorithm."""
-
-    def __init__(self, platform: Platform = XC7Z020, num_samples: int = 24,
-                 max_iterations: int = 48, seed: int = 2022,
-                 evaluator: Optional[Callable[[ModuleOp, KernelDesignPoint], AppliedDesign]] = None):
-        self.platform = platform
-        self.num_samples = num_samples
-        self.max_iterations = max_iterations
-        self.seed = seed
-        self._evaluator = evaluator
-
-    # -- evaluation -------------------------------------------------------------------------
-
-    def _evaluate(self, module: ModuleOp, point: KernelDesignPoint,
-                  space: Optional[KernelDesignSpace] = None) -> AppliedDesign:
-        if self._evaluator is not None:
-            return self._evaluator(module, point)
-        platform = self.platform
-        if point.platform and space is not None:
-            platform = space.platform_named(point.platform)
-        return apply_design_point(module, point, platform)
-
-    # -- exploration ------------------------------------------------------------------------
-
-    def explore(self, module: ModuleOp,
-                space: Optional[KernelDesignSpace] = None,
-                func_name: Optional[str] = None) -> DSEResult:
-        """Run the 5-step exploration on the kernel contained in ``module``."""
-        func_op = module.lookup(func_name) if func_name else module.functions()[0]
-        if space is None:
-            space = KernelDesignSpace.from_function(func_op)
-        rng = random.Random(self.seed)
-
-        evaluations: dict[tuple[int, ...], AppliedDesign] = {}
-
-        # Step 1: initial sampling.
-        for encoded in ExplorationPolicy.initial_batch(space, rng, self.num_samples):
-            evaluations[encoded] = self._evaluate(module, space.decode(encoded),
-                                                  space=space)
-        frontier = ExplorationPolicy.frontier_of(evaluations)
-
-        # Steps 2-4: frontier evolution by neighbor traversal.
-        for _ in range(self.max_iterations):
-            if not frontier:
-                break
-            batch = ExplorationPolicy.propose_batch(frontier, space, evaluations, rng,
-                                                    batch_size=1)
-            if not batch:
-                break
-            for encoded in batch:
-                evaluations[encoded] = self._evaluate(module, space.decode(encoded),
-                                                      space=space)
-            frontier = ExplorationPolicy.frontier_of(evaluations)
-
-        # Step 5: design finalization under the resource constraints.
-        best = ExplorationPolicy.finalize(frontier, evaluations, self.platform)
-        return DSEResult(best=best, frontier=frontier, evaluations=evaluations,
-                         num_evaluations=len(evaluations), space=space)

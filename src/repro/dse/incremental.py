@@ -15,13 +15,14 @@ snapshots are plain IR objects and never cross process boundaries.
 
 Correctness:
 
-* The snapshot is built by exactly the passes the non-incremental path runs
+* The snapshot is built by exactly the passes the from-scratch path runs
   (the same registry pass objects, in the same order), and every checkout
   clones it, so downstream transforms can never leak state between
   evaluations.  It holds the kernel function and the functions it
   transitively calls — all an evaluation reads — not the whole module.
-  ``--no-incremental`` disables checkouts for A/B comparison; frontier
-  artifacts are byte-identical either way, at any ``--jobs``.
+  The from-scratch path (``apply_design_point(..., snapshots=None)``)
+  stays for one-off callers such as ``materialize``; the tests require
+  both to produce equal records for every point a sweep visits.
 * The cache key embeds :func:`repro.dse.space.ir_digest` of the source
   kernel: structurally different IR can never share a snapshot, even within
   one process.

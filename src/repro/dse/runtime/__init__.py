@@ -1,7 +1,9 @@
 """The parallel DSE runtime: multi-worker exploration at scale.
 
-This package turns the single-threaded 5-step DSE engine into a scalable
-exploration service, in four pieces:
+This package drives the 5-step DSE algorithm as a scalable exploration
+service.  :class:`~repro.dse.runtime.config.SweepConfig` declares every
+setting of a sweep once; each piece below takes it and reads what it acts
+on:
 
 * :class:`~repro.dse.runtime.parallel.ParallelExplorer` — a batch-synchronous
   coordinator that drives the engine's pure
@@ -28,6 +30,7 @@ exploration service, in four pieces:
 
 from repro.dse.runtime.cache import CacheStats, EstimateCache
 from repro.dse.runtime.checkpoint import CheckpointStore, ExplorerState
+from repro.dse.runtime.config import SweepConfig
 from repro.dse.runtime.faults import (
     EvaluationFailure,
     FaultPlan,
@@ -66,6 +69,7 @@ __all__ = [
     "FaultPlan",
     "InjectedFault",
     "SupervisionPolicy",
+    "SweepConfig",
     "backoff_delay",
     "ModelDSEResult",
     "ModelFrontierPoint",

@@ -64,33 +64,23 @@ class CacheStats:
 class EstimateCache:
     """In-process QoR memo with optional JSONL persistence.
 
-    ``max_entries`` bounds the in-memory entry count with LRU eviction
-    (lookup hits refresh recency); None keeps the cache unbounded.  Evicted
-    entries count into ``stats.evictions``.  The bound also applies while
-    warming from a persisted file — the JSONL file itself is append-only and
-    is *not* rewritten on entry-count eviction, so a later, larger-bounded
-    process can still warm from everything ever stored.
-
-    ``max_bytes`` bounds the cache by *serialized size* instead (each entry
-    is charged its JSONL line length).  Unlike the entry-count bound it is a
-    real storage budget, so it does rewrite the file: loading compacts the
-    JSONL — dead lines (superseded duplicates, stale-model entries, corrupt
-    lines, byte-bound evictees) are dropped and the file is atomically
-    replaced by its live suffix, keeping it near the configured budget
-    instead of growing forever.  Compaction also runs without ``max_bytes``
-    whenever a load finds dead lines; dropped lines count into
-    ``stats.compacted``.
+    ``max_bytes`` bounds the cache by *serialized size* with LRU eviction
+    (each entry is charged its JSONL line length; lookup hits refresh
+    recency); None keeps the cache unbounded.  Evicted entries count into
+    ``stats.evictions``.  It is a storage budget, so it governs the file
+    too: loading compacts the JSONL — dead lines (superseded duplicates,
+    stale-model entries, corrupt lines, byte-bound evictees) are dropped and
+    the file is atomically replaced by its live suffix, keeping it near the
+    configured budget instead of growing forever.  Compaction also runs
+    without ``max_bytes`` whenever a load finds dead lines; dropped lines
+    count into ``stats.compacted``.
     """
 
     def __init__(self, path: Optional[str] = None,
-                 max_entries: Optional[int] = None,
                  max_bytes: Optional[int] = None):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be positive, got {max_entries}")
         if max_bytes is not None and max_bytes < 1:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
         self.path = path
-        self.max_entries = max_entries
         self.max_bytes = max_bytes
         self.stats = CacheStats()
         #: Insertion-ordered; least recently used first (hits re-insert).
@@ -132,7 +122,7 @@ class EstimateCache:
             else:
                 self.stats.hits += 1
                 obs.counter("cache.hits")
-                if self.max_entries is not None or self.max_bytes is not None:
+                if self.max_bytes is not None:
                     # Refresh recency: re-insert at the most-recent end.
                     del self._entries[key]
                     self._entries[key] = record
@@ -170,9 +160,6 @@ class EstimateCache:
         # byte bound always keeps the newest entry, even one that alone
         # exceeds the budget — a cache that rejects what it just stored
         # would silently re-evaluate that point forever.
-        if self.max_entries is not None:
-            while len(self._entries) > self.max_entries:
-                self._evict_entry(next(iter(self._entries)))
         if self.max_bytes is not None:
             while self._total_bytes > self.max_bytes and len(self._entries) > 1:
                 self._evict_entry(next(iter(self._entries)))
@@ -182,7 +169,7 @@ class EstimateCache:
     def _load(self, path: str) -> None:
         # ``live`` holds the latest valid line per key, in first-seen order;
         # re-inserting on supersede would change which entries the LRU
-        # bounds keep, so only the *content* is refreshed.
+        # bound keeps, so only the *content* is refreshed.
         live: dict[CacheKey, tuple[EvaluationRecord, str]] = {}
         dead = 0
         with open(path, "r", encoding="utf-8") as handle:
@@ -235,10 +222,7 @@ class EstimateCache:
                 self._charge(key, len(line) + 1)
             self.stats.loaded += 1
             obs.counter("cache.loaded")
-            self._evict_over_bound()
 
-        # Compact only when dead lines exist: an entry-count eviction alone
-        # never rewrites the file (append-only warming stays intact).
         if dead:
             self._compact(path, [line for _, line in live.values()], dead)
 

@@ -42,7 +42,7 @@ from typing import Optional, Union
 
 from repro import obs
 from repro.dse.pareto import ParetoPoint, pareto_frontier
-from repro.dse.runtime.cache import EstimateCache
+from repro.dse.runtime.config import SweepConfig
 from repro.dse.runtime.parallel import ParallelDSEResult
 from repro.dse.runtime.scheduler import KernelTask, MultiKernelScheduler
 from repro.dse.space import KernelDesignSpace
@@ -53,7 +53,7 @@ from repro.ir.module import ModuleOp
 
 @dataclasses.dataclass(frozen=True)
 class NodeBudgetPolicy:
-    """How much exploration each dataflow node is allotted.
+    """How much of the sweep's budget each dataflow node is allotted.
 
     ``mode="flops"`` scales the budgets by ``sqrt(node_flops / heaviest)``
     — light stages need proportionally less parallelism to keep up with the
@@ -62,22 +62,22 @@ class NodeBudgetPolicy:
     ``mode="uniform"`` gives every node the full budget.
     """
 
-    num_samples: int = 8
-    max_iterations: int = 12
     mode: str = "flops"
     min_samples: int = 2
     min_iterations: int = 2
 
-    def budget_for(self, node_flops: int, heaviest_flops: int) -> tuple[int, int]:
-        """(num_samples, max_iterations) for a node of ``node_flops`` work."""
+    def budget_for(self, num_samples: int, max_iterations: int,
+                   node_flops: int, heaviest_flops: int) -> tuple[int, int]:
+        """The share of ``(num_samples, max_iterations)`` — the heaviest
+        node's budget — that a node of ``node_flops`` work gets."""
         if self.mode not in ("flops", "uniform"):
             raise ValueError(f"unknown budget mode {self.mode!r}; "
                              f"expected 'flops' or 'uniform'")
         if self.mode == "uniform" or heaviest_flops <= 0:
-            return self.num_samples, self.max_iterations
+            return num_samples, max_iterations
         share = math.sqrt(max(1, node_flops) / heaviest_flops)
-        return (max(self.min_samples, int(round(self.num_samples * share))),
-                max(self.min_iterations, int(round(self.max_iterations * share))))
+        return (max(self.min_samples, int(round(num_samples * share))),
+                max(self.min_iterations, int(round(max_iterations * share))))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -305,45 +305,23 @@ class ModelDSEResult:
 class ModelScheduler:
     """Drives the ``compile_dnn`` stages through the multi-kernel DSE."""
 
-    def __init__(self, platform: Platform = VU9P_SLR, jobs: int = 1,
-                 seed: int = 2022, batch_size: int = 4,
-                 budget: Optional[NodeBudgetPolicy] = None,
-                 cache: Optional[EstimateCache] = None,
+    def __init__(self, platform: Platform = VU9P_SLR,
+                 config: SweepConfig = SweepConfig(), *,
+                 budget: NodeBudgetPolicy = NodeBudgetPolicy(),
                  checkpoint_dir: Optional[str] = None,
-                 checkpoint_every: int = 16,
                  frontier_cap: int = 64,
-                 max_evaluations_per_node: Optional[int] = None,
-                 mp_context: Optional[str] = None,
-                 incremental: bool = True,
-                 supervision=None, faults=None,
-                 platforms=None, transport=None):
+                 max_evaluations_per_node: Optional[int] = None):
         self.platform = platform
-        #: Platforms of a multi-platform sweep (each node's space gains the
-        #: platform dimension and the composed result carries per-platform
-        #: frontiers); empty/None keeps the historical single-platform flow.
-        self.platforms = tuple(platforms or ())
-        self.jobs = max(1, int(jobs))
-        self.seed = seed
-        self.batch_size = batch_size
-        self.budget = budget or NodeBudgetPolicy()
-        self.cache = cache
+        #: The sweep's settings; ``num_samples`` and ``max_iterations`` are
+        #: the heaviest node's, of which ``budget`` gives the others a share.
+        self.config = config
+        self.budget = budget
         self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_every = checkpoint_every
         self.frontier_cap = frontier_cap
         #: Bounds every node's sweep to N evaluations this run (simulating
         #: an interruption or spreading a sweep over sessions); the capped
         #: prefix checkpoints exactly like an interrupted run.
         self.max_evaluations_per_node = max_evaluations_per_node
-        self.mp_context = mp_context
-        self.incremental = incremental
-        #: Fault handling (see :class:`~repro.dse.runtime.faults
-        #: .SupervisionPolicy`) and the injected-fault schedule, forwarded
-        #: to the multi-kernel scheduler.
-        self.supervision = supervision
-        self.faults = faults
-        #: Socket-transport configuration, forwarded to the multi-kernel
-        #: scheduler (evaluation on connected worker agents).
-        self.transport = transport
 
     # -- public API -------------------------------------------------------------------------
 
@@ -368,10 +346,11 @@ class ModelScheduler:
             model_name = model.get_attr("sym_name") or "model"
             module = model.clone()
 
+        config, cache = self.config, self.config.cache
         obs_on = obs.active() is not None
         model_span = obs.NULL_SPAN if not obs_on else obs.span(
             "dse.model", model=model_name, graph_level=graph_level,
-            jobs=self.jobs, seed=self.seed)
+            jobs=config.jobs, seed=config.seed)
         with model_span:
             with obs.span("dse.stage_graph", graph_level=graph_level):
                 prepare_dnn_stages(module, graph_level)
@@ -388,25 +367,17 @@ class ModelScheduler:
             tasks, node_order, skipped = self._node_tasks(stage_funcs, flops,
                                                           max_nodes)
             model_span.set(nodes=len(node_order))
-            known_before = self.cache.known_keys() if self.cache is not None \
+            known_before = cache.known_keys() if cache is not None \
                 else frozenset()
             scheduler = MultiKernelScheduler(
-                platform=self.platform, jobs=self.jobs, seed=self.seed,
-                batch_size=self.batch_size, cache=self.cache,
-                checkpoint_dir=self.checkpoint_dir,
-                checkpoint_every=self.checkpoint_every,
-                mp_context=self.mp_context,
-                incremental=self.incremental,
-                supervision=self.supervision, faults=self.faults,
-                platforms=self.platforms or None,
-                transport=self.transport)
+                self.platform, config, checkpoint_dir=self.checkpoint_dir)
             node_results = scheduler.explore_kernels(tasks, resume=resume)
 
             with obs.span("dse.compose", nodes=len(node_order)):
                 frontier, truncated = compose_model_frontier(
                     node_order, node_results, frontier_cap=self.frontier_cap)
                 platform_frontiers = {}
-                for target in self.platforms:
+                for target in config.platforms:
                     per_platform, per_truncated = compose_model_frontier(
                         node_order, node_results,
                         frontier_cap=self.frontier_cap, platform=target.name)
@@ -415,7 +386,7 @@ class ModelScheduler:
             result = ModelDSEResult(
                 model=model_name, platform=self.platform,
                 graph_level=graph_level,
-                seed=self.seed, node_order=node_order, skipped=skipped,
+                seed=config.seed, node_order=node_order, skipped=skipped,
                 node_results=node_results, frontier=frontier,
                 truncated=truncated,
                 frontier_cache_hits=self._revalidate_frontier(node_results,
@@ -423,7 +394,7 @@ class ModelScheduler:
                 wall_seconds=time.perf_counter() - started,
                 platform_frontiers=platform_frontiers)
         if obs_on:
-            obs.gauge("dse.jobs", self.jobs)
+            obs.gauge("dse.jobs", config.jobs)
             obs.gauge("dse.wall_seconds", result.wall_seconds)
         return result
 
@@ -440,7 +411,7 @@ class ModelScheduler:
         evaluation, while a cold run (which only just stored its records)
         reports 0.
         """
-        if self.cache is None or not known_before:
+        if not known_before:
             return 0
         hits = 0
         for result in node_results.values():
@@ -484,8 +455,10 @@ class ModelScheduler:
             node_module = ModuleOp(name)
             node_module.append(func_op.clone())
             space = KernelDesignSpace.from_function(
-                node_module.functions()[0], platforms=self.platforms or None)
+                node_module.functions()[0],
+                platforms=self.config.platforms or None)
             num_samples, max_iterations = self.budget.budget_for(
+                self.config.num_samples, self.config.max_iterations,
                 flops.get(name, 0), heaviest)
             tasks.append(KernelTask(
                 key=name, module=node_module, func_name=name, space=space,

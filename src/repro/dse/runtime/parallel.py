@@ -1,10 +1,11 @@
-"""The parallel design-space exploration coordinator.
+"""The design-space exploration coordinator.
 
-:class:`ParallelExplorer` drives the same :class:`ExplorationPolicy` as the
-serial engine, but in *batches*: every iteration proposes ``batch_size``
-distinct unexplored neighbors against the current frontier, evaluates the
-batch through an evaluation backend (inline or a process pool), then merges
-the results and recomputes the frontier.
+:class:`ParallelExplorer` drives the :class:`ExplorationPolicy` of the
+paper's 5-step algorithm in *batches*: every iteration proposes
+``batch_size`` distinct unexplored neighbors against the current frontier,
+evaluates the batch through an evaluation backend (inline, a process pool or
+worker agents), then merges the results and recomputes the frontier.
+``batch_size=1`` is the paper's one-neighbour-at-a-time traversal.
 
 Determinism contract
 --------------------
@@ -29,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro import obs
 from repro.dse.apply import (
@@ -41,9 +42,8 @@ from repro.dse.apply import (
 from repro.dse.engine import ExplorationPolicy
 from repro.dse.incremental import PrefixSnapshotCache
 from repro.dse.pareto import ParetoPoint
-from repro.dse.runtime.cache import EstimateCache
 from repro.dse.runtime.checkpoint import CheckpointStore, ExplorerState
-from repro.dse.runtime.faults import FaultPlan, SupervisionPolicy
+from repro.dse.runtime.config import SweepConfig
 from repro.dse.runtime.records import EvaluationRecord
 from repro.dse.runtime.worker import (
     KernelContext,
@@ -180,14 +180,14 @@ class _ProgramIdentities:
 
     Staged by the coordinator, so which tasks a batch dispatches never
     depends on the backend, and once per distinct ``(lp, rvb, perm, clamped
-    tiles)``.  ``snapshots`` returns the prefix snapshots to stage against
-    (None for none); it is asked at each staging because the backend that
-    may own them is created lazily.
+    tiles)``.  ``snapshots`` returns the prefix snapshots to stage against;
+    it is asked at each staging because the backend that may own them is
+    created lazily.
     """
 
     def __init__(self, module: ModuleOp, func_name: Optional[str],
                  digest: Optional[str],
-                 snapshots: Callable[[], Optional[PrefixSnapshotCache]]):
+                 snapshots: Callable[[], PrefixSnapshotCache]):
         self._module = module
         self._func_name = func_name
         self._digest = digest
@@ -213,11 +213,11 @@ class _ProgramIdentities:
 
 @dataclasses.dataclass
 class ParallelDSEResult:
-    """Outcome of one parallel exploration run.
+    """Outcome of one exploration run.
 
-    Unlike the serial :class:`~repro.dse.engine.DSEResult`, evaluations are
-    slim :class:`EvaluationRecord` objects; the optimized IR of interesting
-    designs is re-materialized on demand via :meth:`materialize`.
+    Evaluations are slim :class:`EvaluationRecord` objects; the optimized IR
+    of interesting designs is re-materialized on demand via
+    :meth:`materialize`.
     """
 
     frontier: list[ParetoPoint]
@@ -312,53 +312,21 @@ class ParallelDSEResult:
 class ParallelExplorer:
     """Batch-synchronous, cache-aware, checkpointable DSE coordinator."""
 
-    def __init__(self, platform: Platform = XC7Z020, num_samples: int = 24,
-                 max_iterations: int = 48, seed: int = 2022,
-                 jobs: int = 1, batch_size: int = 8,
-                 cache: Optional[EstimateCache] = None,
+    def __init__(self, platform: Platform = XC7Z020,
+                 config: SweepConfig = SweepConfig(), *,
                  checkpoint_path: Optional[str] = None,
-                 checkpoint_every: int = 32,
                  max_evaluations: Optional[int] = None,
-                 mp_context: Optional[str] = None,
-                 incremental: bool = True,
-                 supervision: Optional[SupervisionPolicy] = None,
-                 faults: Optional[FaultPlan] = None,
-                 stop_event=None,
-                 platforms: Optional[Sequence[Platform]] = None,
-                 transport=None):
+                 stop_event: Optional[threading.Event] = None):
         self.platform = platform
-        #: Platforms of a multi-platform sweep (adds the platform dimension
-        #: to spaces the explorer builds itself); empty/None sweeps a single
-        #: platform with the exact historical space shape and trajectory.
-        self.platforms = tuple(platforms or ())
-        self.num_samples = num_samples
-        self.max_iterations = max_iterations
-        self.seed = seed
-        self.jobs = max(1, int(jobs))
-        self.batch_size = max(1, int(batch_size))
-        self.cache = cache
+        self.config = config
         self.checkpoint_path = checkpoint_path
-        self.checkpoint_every = max(1, int(checkpoint_every))
+        #: Hard cap on points processed this run; not part of the
+        #: trajectory, so a capped run checkpoints a resumable prefix of the
+        #: uncapped one.
         self.max_evaluations = max_evaluations
-        self.mp_context = mp_context
-        #: Prefix-snapshot caching in the evaluation backends (execution
-        #: detail: results are identical either way, so the flag is absent
-        #: from checkpoint configs and cache fingerprints).
-        self.incremental = incremental
-        #: Fault handling (timeouts/retries/quarantine) and the injected
-        #: fault schedule.  Both are execution details: fault outcomes
-        #: attach to design points, so they never alter the trajectory and
-        #: stay out of fingerprints and checkpoint configs.
-        self.supervision = supervision or SupervisionPolicy()
-        self.faults = faults
         #: Cooperative-stop flag shared with an owning scheduler (checked by
         #: the backends at wave boundaries).
         self.stop_event = stop_event
-        #: Socket-transport configuration
-        #: (:class:`~repro.dse.runtime.transport.TransportConfig`); when set,
-        #: evaluation runs on connected worker agents instead of a local
-        #: backend.  Pure execution detail, like ``jobs``.
-        self.transport = transport
 
     # -- exploration ------------------------------------------------------------------------
 
@@ -382,10 +350,11 @@ class ParallelExplorer:
         reported as shared rather than as a persistent-cache hit.
         """
         started = time.perf_counter()
+        sweep, cache = self.config, self.config.cache
         func_op = module.lookup(func_name) if func_name else module.functions()[0]
         if space is None:
             space = KernelDesignSpace.from_function(
-                func_op, platforms=self.platforms or None)
+                func_op, platforms=sweep.platforms or None)
         if fingerprint is None:
             fingerprint = _kernel_fingerprint(space, func_op, self.platform)
 
@@ -396,9 +365,9 @@ class ParallelExplorer:
         # same way.
         from repro.dse.apply import kernel_pipeline_signature
 
-        config = {"seed": self.seed, "batch_size": self.batch_size,
-                  "num_samples": self.num_samples,
-                  "max_iterations": self.max_iterations,
+        config = {"seed": sweep.seed, "batch_size": sweep.batch_size,
+                  "num_samples": sweep.num_samples,
+                  "max_iterations": sweep.max_iterations,
                   "pipeline": kernel_pipeline_signature()}
         # The hardware model(s) the recorded QoRs are valid under: a
         # checkpoint taken against a different platform config (even one
@@ -416,7 +385,7 @@ class ParallelExplorer:
             state = store.load(expected_fingerprint=fingerprint,
                                expected_config=config)
         if state is None:
-            state = ExplorerState.fresh(fingerprint, self.seed, config=config)
+            state = ExplorerState.fresh(fingerprint, sweep.seed, config=config)
 
         # The backend is created lazily: a fully cache-warm run never needs
         # worker processes at all.
@@ -431,14 +400,9 @@ class ParallelExplorer:
                 contexts = {context_key: KernelContext(
                     module=module, func_name=func_name,
                     platform=self.platform, space=space,
-                    pipeline=config["pipeline"],
-                    incremental=self.incremental,
-                    faults=self.faults)}
-                created_backend = create_backend(contexts, self.jobs,
-                                                 mp_context=self.mp_context,
-                                                 supervision=self.supervision,
-                                                 stop_event=self.stop_event,
-                                                 transport=self.transport)
+                    pipeline=config["pipeline"])}
+                created_backend = create_backend(contexts, sweep,
+                                                 self.stop_event)
             return created_backend
 
         evaluated_this_run = 0
@@ -451,16 +415,17 @@ class ParallelExplorer:
         obs_on = obs.active() is not None
 
         classes = _ClassResults()
-        own_snapshots = PrefixSnapshotCache()
+        own_snapshots: Optional[PrefixSnapshotCache] = None
 
-        def staging_snapshots() -> Optional[PrefixSnapshotCache]:
+        def staging_snapshots() -> PrefixSnapshotCache:
             """A serial backend evaluates in this process: share its prefix
             snapshots instead of building every prefix twice."""
-            if not self.incremental:
-                return None
+            nonlocal own_snapshots
             backend = get_backend()
             if isinstance(backend, SerialBackend):
                 return backend.snapshots_for(context_key)
+            if own_snapshots is None:
+                own_snapshots = PrefixSnapshotCache()
             return own_snapshots
 
         programs = _ProgramIdentities(module, func_name,
@@ -483,8 +448,8 @@ class ParallelExplorer:
             with batch_span:
                 missing: list[tuple[int, ...]] = []
                 for encoded in batch:
-                    record = (self.cache.get(fingerprint, encoded)
-                              if self.cache is not None else None)
+                    record = (cache.get(fingerprint, encoded)
+                              if cache is not None else None)
                     if record is not None:
                         state.records[encoded] = record
                         if shared_with is not None \
@@ -519,8 +484,8 @@ class ParallelExplorer:
                 tasks: list[tuple[int, ...]] = []
                 for encoded in missing:
                     identity = identities[encoded]
-                    if self.faults is not None \
-                            and self.faults.matches(context_key, encoded):
+                    if sweep.faults is not None \
+                            and sweep.faults.matches(context_key, encoded):
                         tasks.append(encoded)
                     elif (identity, points[encoded].target_ii) not in classes:
                         representative = representatives.setdefault(
@@ -544,9 +509,9 @@ class ParallelExplorer:
                         record = classes.resolve(identities[encoded],
                                                  points[encoded], encoded)
                     state.records[encoded] = record
-                    if self.cache is not None:
-                        self.cache.put(fingerprint, record)
-            if self.cache is not None:
+                    if cache is not None:
+                        cache.put(fingerprint, record)
+            if cache is not None:
                 run_hits += len(batch) - len(missing)
                 run_misses += len(missing)
             evaluated_this_run += len(missing)
@@ -578,7 +543,7 @@ class ParallelExplorer:
             nonlocal since_checkpoint
             if store is None:
                 return
-            if not force and since_checkpoint < self.checkpoint_every:
+            if not force and since_checkpoint < sweep.checkpoint_every:
                 return
             state.capture_rng(rng)
             store.save(state)
@@ -611,8 +576,8 @@ class ParallelExplorer:
             store.save(state)
 
         explore_span = obs.NULL_SPAN if not obs_on else obs.span(
-            "dse.explore", kernel=context_key, jobs=self.jobs,
-            batch_size=self.batch_size, seed=self.seed)
+            "dse.explore", kernel=context_key, jobs=sweep.jobs,
+            batch_size=sweep.batch_size, seed=sweep.seed)
         if shared_with is not None:
             # Args only: the span itself exists for every kernel, so the
             # trace skeleton does not depend on which kernels repeat.
@@ -626,7 +591,7 @@ class ParallelExplorer:
                 # past it).
                 if not state.samples_done:
                     batch = ExplorationPolicy.initial_batch(
-                        space, rng, self.num_samples)
+                        space, rng, sweep.num_samples)
                     evaluate_batch([e for e in batch
                                     if e not in state.records])
                     state.samples_done = True
@@ -637,12 +602,12 @@ class ParallelExplorer:
                 record_frontier(frontier)
 
                 # Steps 2-4: batched frontier evolution.
-                while (state.iterations_done < self.max_iterations and frontier
+                while (state.iterations_done < sweep.max_iterations and frontier
                        and budget_left()):
-                    remaining = self.max_iterations - state.iterations_done
+                    remaining = sweep.max_iterations - state.iterations_done
                     batch = ExplorationPolicy.propose_batch(
                         frontier, space, state.records, rng,
-                        batch_size=min(self.batch_size, remaining))
+                        batch_size=min(sweep.batch_size, remaining))
                     if not batch:
                         break
                     evaluate_batch(batch)
@@ -661,9 +626,9 @@ class ParallelExplorer:
                     obs.gauge(f"dse.node.{context_key}.iterations_done",
                               state.iterations_done)
                     obs.gauge(f"dse.node.{context_key}.iterations_budget",
-                              self.max_iterations)
+                              sweep.max_iterations)
                     obs.gauge(f"dse.node.{context_key}.samples_budget",
-                              self.num_samples)
+                              sweep.num_samples)
                     if shared_with is not None:
                         obs.counter("dse.shared.nodes")
                         obs.counter("dse.shared.points", shared_hits)

@@ -37,11 +37,8 @@ from typing import Optional, Sequence
 
 from repro import obs
 from repro.dse.runtime.cache import EstimateCache
-from repro.dse.runtime.faults import (
-    EvaluationFailure,
-    FaultPlan,
-    SupervisionPolicy,
-)
+from repro.dse.runtime.config import SweepConfig
+from repro.dse.runtime.faults import EvaluationFailure
 from repro.dse.runtime.parallel import (
     ParallelDSEResult,
     ParallelExplorer,
@@ -59,7 +56,7 @@ class KernelTask:
 
     ``key`` names the task everywhere: the worker context, the checkpoint
     file (``<key>.ckpt.json``) and the result dictionary.  ``num_samples``
-    and ``max_iterations`` override the scheduler defaults when set — the
+    and ``max_iterations`` override the sweep's budgets when set — the
     per-node budget policy of the whole-model sweep uses them to give light
     dataflow stages proportionally smaller explorations.
     """
@@ -85,40 +82,12 @@ class KernelTask:
 class MultiKernelScheduler:
     """Runs DSE for many kernels concurrently on one shared worker pool."""
 
-    def __init__(self, platform: Platform = XC7Z020, jobs: int = 1,
-                 num_samples: int = 24, max_iterations: int = 48,
-                 seed: int = 2022, batch_size: int = 8,
-                 cache: Optional[EstimateCache] = None,
-                 checkpoint_dir: Optional[str] = None,
-                 checkpoint_every: int = 32,
-                 mp_context: Optional[str] = None,
-                 incremental: bool = True,
-                 supervision: Optional[SupervisionPolicy] = None,
-                 faults: Optional[FaultPlan] = None,
-                 platforms: Optional[Sequence[Platform]] = None,
-                 transport=None):
+    def __init__(self, platform: Platform = XC7Z020,
+                 config: SweepConfig = SweepConfig(), *,
+                 checkpoint_dir: Optional[str] = None):
         self.platform = platform
-        #: Platforms of a multi-platform sweep (adds the platform dimension
-        #: to every task space built by :meth:`_module_tasks`); empty/None
-        #: keeps the historical single-platform spaces.
-        self.platforms = tuple(platforms or ())
-        self.jobs = max(1, int(jobs))
-        self.num_samples = num_samples
-        self.max_iterations = max_iterations
-        self.seed = seed
-        self.batch_size = batch_size
-        self.cache = cache
+        self.config = config
         self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_every = checkpoint_every
-        self.mp_context = mp_context
-        self.incremental = incremental
-        self.supervision = supervision or SupervisionPolicy()
-        self.faults = faults
-        #: Socket-transport configuration; when set the shared backend is a
-        #: :class:`~repro.dse.runtime.transport.RemotePoolBackend` and the
-        #: per-kernel coordinators always run as threads (agent slots are
-        #: the parallelism, not ``jobs``).
-        self.transport = transport
 
     # -- public API -------------------------------------------------------------------------
 
@@ -153,9 +122,7 @@ class MultiKernelScheduler:
         contexts = {
             task.key: KernelContext(module=task.module, func_name=task.func_name,
                                     platform=self.platform, space=task.space,
-                                    pipeline=signature,
-                                    incremental=self.incremental,
-                                    faults=self.faults)
+                                    pipeline=signature)
             for task in tasks
         }
         # Structurally identical kernels share a fingerprint, hence their
@@ -173,30 +140,29 @@ class MultiKernelScheduler:
                 task, fingerprint=fingerprint,
                 shared_with=members[0].key if members else None)
             members.append(task)
-        cache, known_before = self.cache, frozenset()
+        config, known_before = self.config, frozenset()
         if len(classes) < len(tasks):
-            if cache is None:
+            if config.cache is None:
                 # Sharing must not hinge on --cache: the sweep owns a
                 # run-local cache, but only when a class repeats (a sweep of
                 # distinct kernels runs exactly as it always did).
-                cache = EstimateCache()
+                config = dataclasses.replace(config, cache=EstimateCache())
             else:
-                known_before = cache.known_keys()
+                known_before = config.cache.known_keys()
 
         stop_event = threading.Event()
-        backend = create_backend(contexts, self.jobs, mp_context=self.mp_context,
-                                 supervision=self.supervision,
-                                 stop_event=stop_event,
-                                 transport=self.transport)
+        backend = create_backend(contexts, config, stop_event)
         schedule_span = obs.NULL_SPAN if obs.active() is None else obs.span(
-            "dse.schedule", kernels=len(tasks), jobs=self.jobs)
+            "dse.schedule", kernels=len(tasks), jobs=config.jobs)
         try:
             with schedule_span:
-                if (self.jobs <= 1 and self.transport is None) \
+                # Agent slots are the parallelism of a transport sweep, not
+                # ``jobs``: its coordinators always run as threads.
+                if (config.jobs <= 1 and config.transport is None) \
                         or len(tasks) == 1:
                     # Task order already puts every representative first.
                     return {task.key: self._explore_one(
-                                task, cache, known_before, backend, resume,
+                                task, config, known_before, backend, resume,
                                 stop_event)
                             for task in tasks}
                 # Spawn the pool's workers from the main thread, before any
@@ -204,8 +170,7 @@ class MultiKernelScheduler:
                 # process risks inheriting locks held by other threads.
                 # Deliberately unspanned: the warm-up only exists for jobs>1,
                 # and the trace skeleton must be identical across --jobs.
-                if hasattr(backend, "warm_up"):
-                    backend.warm_up()
+                backend.warm_up()
                 # One coordinator thread per kernel class; they are
                 # I/O-bound (waiting on pool futures), so threads are enough
                 # to keep the pool busy.
@@ -213,7 +178,7 @@ class MultiKernelScheduler:
                         max_workers=len(classes)) as coordinators:
                     futures = [
                         coordinators.submit(self._explore_class, members,
-                                            cache, known_before, backend,
+                                            config, known_before, backend,
                                             resume, stop_event)
                         for members in classes.values()
                     ]
@@ -228,8 +193,7 @@ class MultiKernelScheduler:
                         # checkpoint and exits; then let the interrupt
                         # propagate (the ThreadPoolExecutor context joins
                         # the unblocked coordinators on the way out).
-                        if hasattr(backend, "request_stop"):
-                            backend.request_stop()
+                        backend.request_stop()
                         for future in futures:
                             future.cancel()
                         raise
@@ -250,7 +214,7 @@ class MultiKernelScheduler:
                 raise ValueError(f"function {name!r} not found in the module")
             try:
                 space = KernelDesignSpace.from_function(
-                    func_op, platforms=self.platforms or None)
+                    func_op, platforms=self.config.platforms or None)
             except ValueError:
                 continue  # no loop nest to explore
             tasks.append(KernelTask(key=name, module=module, func_name=name,
@@ -265,7 +229,7 @@ class MultiKernelScheduler:
         return _kernel_fingerprint(task.space, func_op, self.platform)
 
     def _explore_class(self, members: Sequence[KernelTask],
-                       cache: Optional[EstimateCache],
+                       config: SweepConfig,
                        known_before: frozenset, backend, resume: bool,
                        stop_event: threading.Event
                        ) -> dict[str, ParallelDSEResult]:
@@ -277,7 +241,7 @@ class MultiKernelScheduler:
         for task in members:
             try:
                 results[task.key] = self._explore_one(
-                    task, cache, known_before, backend, resume, stop_event)
+                    task, config, known_before, backend, resume, stop_event)
             except EvaluationFailure:
                 raise
             except Exception as error:
@@ -286,8 +250,7 @@ class MultiKernelScheduler:
                     f"{type(error).__name__}: {error}") from error
         return results
 
-    def _explore_one(self, task: KernelTask,
-                     cache: Optional[EstimateCache],
+    def _explore_one(self, task: KernelTask, config: SweepConfig,
                      known_before: frozenset, backend, resume: bool,
                      stop_event: Optional[threading.Event] = None
                      ) -> ParallelDSEResult:
@@ -295,20 +258,12 @@ class MultiKernelScheduler:
         if self.checkpoint_dir:
             checkpoint_path = os.path.join(self.checkpoint_dir,
                                            f"{task.key}.ckpt.json")
+        budget = {name: value for name in ("num_samples", "max_iterations")
+                  if (value := getattr(task, name)) is not None}
         explorer = ParallelExplorer(
-            platform=self.platform,
-            platforms=self.platforms or None,
-            num_samples=task.num_samples if task.num_samples is not None
-            else self.num_samples,
-            max_iterations=task.max_iterations if task.max_iterations is not None
-            else self.max_iterations,
-            seed=self.seed, jobs=self.jobs, batch_size=self.batch_size,
-            cache=cache, checkpoint_path=checkpoint_path,
-            checkpoint_every=self.checkpoint_every,
-            max_evaluations=task.max_evaluations,
-            incremental=self.incremental,
-            supervision=self.supervision, faults=self.faults,
-            stop_event=stop_event)
+            self.platform, dataclasses.replace(config, **budget),
+            checkpoint_path=checkpoint_path,
+            max_evaluations=task.max_evaluations, stop_event=stop_event)
         return explorer.explore(
             task.module, space=task.space, func_name=task.func_name,
             resume=resume, backend=backend, context_key=task.key,

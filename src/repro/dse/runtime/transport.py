@@ -57,12 +57,11 @@ Fault attribution (the PR 8 model, over sockets)
   never be double-counted: giving up *is* closing the connection, so the
   worker's late send fails and it re-joins through a fresh handshake.
 
-Because retries, quarantine and telemetry absorption run the same
-per-point logic as :class:`~repro.dse.runtime.worker.ProcessPoolBackend`
-(in submission order, never completion order), the frontier is
-byte-identical whether evaluation ran serial, in a local pool, or across N
-agents with mid-run disconnects — which is what the transport chaos tests
-byte-compare.
+Because retries, quarantine and telemetry absorption are the local
+backends' own :class:`~repro.dse.runtime.worker._Settlement` (in submission
+order, never completion order), the frontier is byte-identical whether
+evaluation ran serial, in a local pool, or across N agents with mid-run
+disconnects — which is what the transport chaos tests byte-compare.
 """
 
 from __future__ import annotations
@@ -84,11 +83,8 @@ from typing import Optional, Sequence
 
 from repro import obs
 from repro.dse.runtime import worker as worker_mod
-from repro.dse.runtime.faults import (
-    EvaluationFailure,
-    SupervisionPolicy,
-    backoff_delay,
-)
+from repro.dse.runtime.config import SweepConfig
+from repro.dse.runtime.faults import EvaluationFailure, backoff_delay
 from repro.dse.runtime.records import EvaluationRecord
 
 #: Bumped on every incompatible frame/handshake change; agents and
@@ -272,21 +268,16 @@ class RemotePoolBackend:
     shared queue, dispatches them, and watches heartbeats.
     """
 
-    def __init__(self, contexts: dict, transport: TransportConfig,
-                 supervision: Optional[SupervisionPolicy] = None,
+    def __init__(self, contexts: dict, config: SweepConfig,
                  stop_event: Optional[threading.Event] = None):
         from repro.dse.apply import CLEANUP_PIPELINES, kernel_pipeline_signature
 
-        self._config = transport
+        self._sweep = config
         self._contexts = contexts
-        self._supervision = supervision or SupervisionPolicy()
         self._stop_event = stop_event
         self._signature = kernel_pipeline_signature()
         self._payload = pickle.dumps((contexts, dict(CLEANUP_PIPELINES)))
         self._session = session_fingerprint(contexts, self._signature)
-        #: Parallel capacity hint for the schedulers (mirrors the local
-        #: backends' ``jobs`` attribute).
-        self.jobs = transport.expected_workers
         self._tasks: "queue.Queue[_RemoteTask]" = queue.Queue()
         self._task_ids = itertools.count(1)
         self._lock = threading.Lock()
@@ -301,6 +292,10 @@ class RemotePoolBackend:
         self._started = False
 
     # -- lifecycle --------------------------------------------------------------------------
+
+    @property
+    def _config(self) -> TransportConfig:
+        return self._sweep.transport
 
     @property
     def address(self) -> Optional[tuple[str, int]]:
@@ -520,7 +515,7 @@ class RemotePoolBackend:
         """Read frames until ``task`` resolves; raise ``_ConnectionLost``
         when this connection can no longer be trusted (task already
         completed or requeued — never both)."""
-        timeout = self._supervision.task_timeout
+        timeout = self._sweep.supervision.task_timeout
         now = time.monotonic()
         task_deadline = None if timeout is None else now + timeout
         heartbeat_deadline = now + self._config.heartbeat_timeout
@@ -594,16 +589,13 @@ class RemotePoolBackend:
                  batch: Sequence[tuple[int, ...]]) -> list[EvaluationRecord]:
         self.start()
         self._await_workers(1)
-        traced = obs.active() is not None
-        policy = self._supervision
-        total = len(batch)
-        results: list[Optional[EvaluationRecord]] = [None] * total
-        telemetry: list = [None] * total
-        attempts = [0] * total
+        settlement = worker_mod._Settlement(key, self._contexts[key],
+                                            len(batch),
+                                            self._sweep.supervision)
         done: "queue.Queue[_RemoteTask]" = queue.Queue()
         for index, encoded in enumerate(batch):
-            self._submit(key, tuple(encoded), index, traced, done)
-        outstanding = total
+            self._submit(key, tuple(encoded), index, settlement.traced, done)
+        outstanding = len(batch)
         starved_since: Optional[float] = None
         while outstanding:
             worker_mod._check_stop(self._stop_event)
@@ -625,32 +617,14 @@ class RemotePoolBackend:
                         f"agents' stderr")
                 continue
             starved_since = None
-            if task.kind == worker_mod._OK:
-                results[task.index] = task.payload
-                telemetry[task.index] = task.telemetry
+            # Only attributed outcomes land on ``done``: a lost connection
+            # requeued its task uncharged without telling this loop.
+            if settlement.settle(task.index, task.encoded, task.kind,
+                                 task.payload, task.telemetry):
+                self._resubmit(task)
+            else:
                 outstanding -= 1
-            elif task.kind == worker_mod._FATAL:
-                raise EvaluationFailure(
-                    f"kernel {key!r} point {task.encoded}: {task.payload}")
-            else:  # charged fault: error / timeout
-                attempts[task.index] += 1
-                if task.kind == "timeout":
-                    obs.counter("dse.faults.timeouts")
-                if attempts[task.index] > policy.max_retries:
-                    results[task.index] = worker_mod._quarantine_record(
-                        self._contexts[key], key, task.encoded, task.payload,
-                        policy)
-                    outstanding -= 1
-                else:
-                    worker_mod._retry_pause(key, attempts[task.index],
-                                            task.kind, policy)
-                    self._resubmit(task)
-        if traced:
-            # Submission order, after everything settled — identical merge
-            # rule as the local backends, so traces are topology-independent.
-            for index in range(total):
-                obs.absorb_task(f"worker:{key}", telemetry[index])
-        return results
+        return settlement.finish()
 
     def _submit(self, key: str, encoded: tuple, index: int, traced: bool,
                 done: "queue.Queue[_RemoteTask]") -> None:
@@ -759,9 +733,8 @@ def _serve_agent(sock: socket.socket, agent_id: str, session: str,
                 paused.set()
                 time.sleep(plan.hang_seconds)
                 paused.clear()
-            task = worker_mod._evaluate_task_traced if message["traced"] \
-                else worker_mod._evaluate_task
-            tag, payload, telemetry = task(key, encoded)
+            tag, payload, telemetry = worker_mod._evaluate_task(
+                key, encoded, message["traced"])
             send_frame(sock, "result", {"id": message["id"], "tag": tag,
                                         "payload": payload,
                                         "telemetry": telemetry}, lock)

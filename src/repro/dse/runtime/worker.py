@@ -9,15 +9,17 @@ The coordinator (``ParallelExplorer`` / ``MultiKernelScheduler``) decides
   the pickled kernel contexts once (in its initializer) and then exchanges
   only ``(kernel key, encoded point)`` tuples and slim
   :class:`~repro.dse.runtime.records.EvaluationRecord` results.
+* :class:`~repro.dse.runtime.transport.RemotePoolBackend` dispatches the
+  same tasks to socket-connected worker agents.
 
-Both backends compute identical records for identical inputs — evaluation
+All backends compute identical records for identical inputs — evaluation
 is a pure function of ``(module, design point, platform)`` — which is the
 bedrock of the runtime's determinism guarantee.
 
 Supervision
 -----------
 
-Both backends are *supervised* (see
+All backends are *supervised* (see
 :class:`~repro.dse.runtime.faults.SupervisionPolicy`): an evaluation that
 raises, crashes its worker process, or exceeds the per-task wall-clock
 timeout is charged one fault and retried with deterministic backoff; a
@@ -27,7 +29,10 @@ frontier.  Because fault *outcomes* attach to design points (never to
 workers, wall-clock or completion order), a faulty run converges to the
 same records as a fault-free one at any ``--jobs``.
 
-Two supervision details are deliberately coarse:
+That fault model is written once, in :class:`_Settlement`; a backend only
+*dispatches* attempts, which is where the three really differ.
+
+Two dispatch details of the process pool are deliberately coarse:
 
 * A worker crash under ``jobs > 1`` breaks the whole pool, so the culprit
   cannot be attributed from a multi-task wave.  The backend requeues every
@@ -46,7 +51,6 @@ from __future__ import annotations
 import collections
 import concurrent.futures
 import dataclasses
-import multiprocessing
 import pickle
 import threading
 import time
@@ -56,6 +60,7 @@ from typing import Optional, Sequence
 from repro import obs
 from repro.dse.apply import apply_design_point
 from repro.dse.incremental import PrefixSnapshotCache
+from repro.dse.runtime.config import SweepConfig
 from repro.dse.runtime.faults import (
     EvaluationFailure,
     FaultPlan,
@@ -81,14 +86,11 @@ class KernelContext:
     select, so the guard holds even though each point builds its own
     cleanup tail (see :data:`repro.dse.apply.CLEANUP_PIPELINES`).
 
-    ``incremental`` turns prefix-snapshot caching on (the default) or off
-    (``--no-incremental``); both settings produce identical records — the
-    flag is pure execution detail, deliberately absent from fingerprints.
-
     ``faults`` is an optional injected-fault schedule
     (:class:`~repro.dse.runtime.faults.FaultPlan`) for tests and CI chaos
     runs; None (the default, and the only production setting) evaluates
-    normally.
+    normally.  :func:`create_backend` fills it in from the sweep's
+    :class:`~repro.dse.runtime.config.SweepConfig`.
     """
 
     module: ModuleOp
@@ -96,7 +98,6 @@ class KernelContext:
     platform: Platform
     space: KernelDesignSpace
     pipeline: str = ""
-    incremental: bool = True
     faults: Optional[FaultPlan] = None
 
 
@@ -152,18 +153,6 @@ def evaluate_encoded(context: KernelContext, encoded: tuple[int, ...],
                                         siblings=siblings)
 
 
-def _snapshots_for(context: KernelContext, key: str,
-                   caches: dict[str, PrefixSnapshotCache]
-                   ) -> Optional[PrefixSnapshotCache]:
-    """The per-kernel snapshot cache of ``caches``, or None when disabled."""
-    if not context.incremental:
-        return None
-    cache = caches.get(key)
-    if cache is None:
-        cache = caches[key] = PrefixSnapshotCache()
-    return cache
-
-
 def _describe_error(error: BaseException) -> str:
     return f"{type(error).__name__}: {error}"
 
@@ -175,7 +164,8 @@ _WORKER_CONTEXTS: dict[str, KernelContext] = {}
 
 #: Per-process prefix-snapshot caches, one per kernel key (reset alongside
 #: the contexts: snapshots derive from the shipped modules).
-_WORKER_SNAPSHOTS: dict[str, PrefixSnapshotCache] = {}
+_WORKER_SNAPSHOTS: dict[str, PrefixSnapshotCache] = \
+    collections.defaultdict(PrefixSnapshotCache)
 
 #: Outcome tags of the guarded worker tasks.  ``fatal`` marks failures that
 #: no retry can fix (e.g. a coordinator/worker pipeline mismatch): the
@@ -193,7 +183,7 @@ def _init_worker(payload: bytes) -> None:
 
     install_cleanup_pipelines(pipelines)
     _WORKER_CONTEXTS = contexts
-    _WORKER_SNAPSHOTS = {}
+    _WORKER_SNAPSHOTS = collections.defaultdict(PrefixSnapshotCache)
 
 
 def _classify(error: BaseException) -> str:
@@ -202,44 +192,36 @@ def _classify(error: BaseException) -> str:
     return _FATAL if isinstance(error, PassError) else _ERROR
 
 
-def _evaluate_task(key: str, encoded: tuple[int, ...]):
-    """Guarded evaluation: returns ``(tag, payload, telemetry)``.
+def _guarded_evaluation(context: KernelContext, key: str,
+                        encoded: tuple[int, ...],
+                        snapshots: PrefixSnapshotCache, traced: bool):
+    """One evaluation attempt that never raises: ``(tag, payload, telemetry)``.
 
-    Worker tasks never raise — a Python-level failure comes back as a
-    tagged ``(_ERROR/_FATAL, message, None)`` tuple so the coordinator can
-    attribute it to exactly this (kernel, point) even though pool futures
-    lose that context.  Only process-level faults (crash, kill, hang)
-    surface as broken futures.
+    A Python-level failure comes back as a tagged ``(_ERROR/_FATAL, message,
+    None)`` tuple so the coordinator can attribute it to exactly this
+    (kernel, point) even though pool futures lose that context.  Only
+    process-level faults (crash, kill, hang) surface as broken futures.
+    ``traced`` (the coordinator's own obs session is active) evaluates under
+    a throwaway local session and ships its telemetry; that of a failed
+    attempt is dropped.
     """
-    context = _WORKER_CONTEXTS[key]
     try:
-        record = evaluate_encoded(
-            context, encoded,
-            snapshots=_snapshots_for(context, key, _WORKER_SNAPSHOTS),
-            fault_key=key)
-        return (_OK, record, None)
-    except Exception as error:
-        return (_classify(error), _describe_error(error), None)
-
-
-def _evaluate_task_traced(key: str, encoded: tuple[int, ...]):
-    """Traced variant: evaluate under a local obs session, ship telemetry.
-
-    The coordinator picks this task when its own observability session is
-    active; the choice is made coordinator-side so worker initialisation
-    needs no tracing flag.  Returns ``(tag, payload, telemetry)`` like
-    :func:`_evaluate_task` (telemetry of a failed attempt is dropped —
-    :func:`repro.obs.capture_task` restores the outer session on error).
-    """
-    context = _WORKER_CONTEXTS[key]
-    try:
+        if not traced:
+            return (_OK, evaluate_encoded(context, encoded, snapshots, key),
+                    None)
         record, telemetry = obs.capture_task(
-            evaluate_encoded, context, encoded,
-            _snapshots_for(context, key, _WORKER_SNAPSHOTS), key,
+            evaluate_encoded, context, encoded, snapshots, key,
             span_args={"kernel": key})
         return (_OK, record, telemetry)
     except Exception as error:
         return (_classify(error), _describe_error(error), None)
+
+
+def _evaluate_task(key: str, encoded: tuple[int, ...], traced: bool):
+    """The task a worker process or agent runs: a guarded evaluation against
+    the contexts and snapshots :func:`_init_worker` installed."""
+    return _guarded_evaluation(_WORKER_CONTEXTS[key], key, encoded,
+                               _WORKER_SNAPSHOTS[key], traced)
 
 
 def _warm_up_task(hold_seconds: float) -> None:
@@ -283,6 +265,63 @@ def _check_stop(stop_event: Optional[threading.Event]) -> None:
         raise KeyboardInterrupt
 
 
+class _Settlement:
+    """The fault model of one ``evaluate()`` call, written once.
+
+    A backend dispatches attempts however it can and feeds every outcome it
+    can *attribute* to a point to :meth:`settle`, which answers "resubmit?".
+    Unattributable outcomes (a pool break in a multi-task wave, a lost
+    connection) never get here: requeueing them uncharged is dispatch.
+    """
+
+    def __init__(self, key: str, context: KernelContext, total: int,
+                 policy: SupervisionPolicy):
+        self.key = key
+        #: Whether attempts should capture telemetry.
+        self.traced = obs.active() is not None
+        self._context = context
+        self._policy = policy
+        self._results: list[Optional[EvaluationRecord]] = [None] * total
+        self._telemetry: list = [None] * total
+        self._attempts = [0] * total
+
+    def settle(self, index: int, encoded: tuple[int, ...], kind: str,
+               payload, telemetry) -> bool:
+        """Take in one attempt's outcome; True means "resubmit the point".
+
+        ``ok`` stores the record; ``fatal`` aborts the run; anything else
+        (``error``, ``crash``, ``timeout``) is a *charged* fault that
+        consumes one retry, and a point with none left is quarantined.
+        """
+        if kind == _OK:
+            self._results[index] = payload
+            self._telemetry[index] = telemetry
+            return False
+        if kind == _FATAL:
+            raise EvaluationFailure(
+                f"kernel {self.key!r} point {encoded}: {payload}")
+        self._attempts[index] += 1
+        if kind == "crash":
+            obs.counter("dse.faults.crashes")
+        elif kind == "timeout":
+            obs.counter("dse.faults.timeouts")
+        if self._attempts[index] > self._policy.max_retries:
+            self._results[index] = _quarantine_record(
+                self._context, self.key, encoded, payload, self._policy)
+            return False
+        _retry_pause(self.key, self._attempts[index], kind, self._policy)
+        return True
+
+    def finish(self) -> list[EvaluationRecord]:
+        """Absorb telemetry in submission (batch) order, after everything
+        settled: the merged trace is deterministic regardless of which
+        worker ran what, in what order, or how many retries it took."""
+        if self.traced:
+            for telemetry in self._telemetry:
+                obs.absorb_task(f"worker:{self.key}", telemetry)
+        return self._results
+
+
 class SerialBackend:
     """Inline evaluation (``--jobs 1``): no processes, no pickling.
 
@@ -293,64 +332,36 @@ class SerialBackend:
     timeout or a crash/hang fault plan is configured.
     """
 
-    jobs = 1
-
     def __init__(self, contexts: dict[str, KernelContext],
-                 supervision: Optional[SupervisionPolicy] = None,
+                 config: SweepConfig,
                  stop_event: Optional[threading.Event] = None):
         self._contexts = contexts
-        self._snapshots: dict[str, PrefixSnapshotCache] = {}
-        self._supervision = supervision or SupervisionPolicy()
+        self._snapshots = collections.defaultdict(PrefixSnapshotCache)
+        self._config = config
         self._stop_event = stop_event
 
-    def snapshots_for(self, key: str) -> Optional[PrefixSnapshotCache]:
-        """The prefix snapshots kernel ``key`` is evaluated with (None when
-        disabled).  Coordinator and evaluation share a process here, so the
-        coordinator stages program identities against the same cache."""
-        return _snapshots_for(self._contexts[key], key, self._snapshots)
+    def snapshots_for(self, key: str) -> PrefixSnapshotCache:
+        """The prefix snapshots kernel ``key`` is evaluated with.
+        Coordinator and evaluation share a process here, so the coordinator
+        stages program identities against the same cache."""
+        return self._snapshots[key]
 
     def evaluate(self, key: str,
                  batch: Sequence[tuple[int, ...]]) -> list[EvaluationRecord]:
         context = self._contexts[key]
         snapshots = self.snapshots_for(key)
-        traced = obs.active() is not None
-        return [self._evaluate_one(key, context, tuple(encoded), snapshots,
-                                   traced)
-                for encoded in batch]
-
-    def _evaluate_one(self, key: str, context: KernelContext,
-                      encoded: tuple[int, ...], snapshots, traced: bool
-                      ) -> EvaluationRecord:
-        from repro.ir.pass_manager import PassError
-
-        policy = self._supervision
-        attempts = 0
-        while True:
-            _check_stop(self._stop_event)
-            try:
-                if not traced:
-                    return evaluate_encoded(context, encoded, snapshots, key)
-                # Traced path: capture the evaluation into a throwaway local
-                # session (exactly like a worker process would) and absorb it
-                # immediately — the serial timeline is already submission
-                # order.
-                record, telemetry = obs.capture_task(
-                    evaluate_encoded, context, encoded, snapshots, key,
-                    span_args={"kernel": key})
-                obs.absorb_task(f"worker:{key}", telemetry)
-                return record
-            except (KeyboardInterrupt, EvaluationFailure):
-                raise
-            except PassError as error:
-                raise EvaluationFailure(
-                    f"kernel {key!r} point {tuple(encoded)}: "
-                    f"{_describe_error(error)}") from error
-            except Exception as error:
-                attempts += 1
-                if attempts > policy.max_retries:
-                    return _quarantine_record(context, key, encoded,
-                                              _describe_error(error), policy)
-                _retry_pause(key, attempts, _ERROR, policy)
+        settlement = _Settlement(key, context, len(batch),
+                                 self._config.supervision)
+        for index, encoded in enumerate(batch):
+            encoded = tuple(encoded)
+            resubmit = True
+            while resubmit:
+                _check_stop(self._stop_event)
+                resubmit = settlement.settle(
+                    index, encoded,
+                    *_guarded_evaluation(context, key, encoded, snapshots,
+                                         settlement.traced))
+        return settlement.finish()
 
     def request_stop(self) -> None:
         if self._stop_event is not None:
@@ -376,40 +387,32 @@ class ProcessPoolBackend:
     points.  See the module docstring for the attribution rules.
     """
 
-    def __init__(self, contexts: dict[str, KernelContext], jobs: int,
-                 mp_context: Optional[str] = None,
-                 supervision: Optional[SupervisionPolicy] = None,
+    def __init__(self, contexts: dict[str, KernelContext],
+                 config: SweepConfig,
                  stop_event: Optional[threading.Event] = None):
         from repro.dse.apply import CLEANUP_PIPELINES
 
-        self.jobs = max(1, int(jobs))
         self._contexts = contexts
-        self._supervision = supervision or SupervisionPolicy()
+        self._config = config
         self._stop_event = stop_event
         # Ship the named-pipeline registry alongside the contexts so
         # runtime registrations (--register-pipeline) reach every worker.
         self._payload = pickle.dumps((contexts, dict(CLEANUP_PIPELINES)))
-        self._mp_context = multiprocessing.get_context(mp_context) \
-            if mp_context else multiprocessing.get_context()
         self._lock = threading.Lock()
         self._generation = 0
         self._executor = self._make_executor()
 
     def _make_executor(self) -> concurrent.futures.ProcessPoolExecutor:
         return concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.jobs, mp_context=self._mp_context,
+            max_workers=self._config.jobs,
             initializer=_init_worker, initargs=(self._payload,))
 
     # -- the supervised wave loop -----------------------------------------------------------
 
     def evaluate(self, key: str,
                  batch: Sequence[tuple[int, ...]]) -> list[EvaluationRecord]:
-        traced = obs.active() is not None
-        policy = self._supervision
-        total = len(batch)
-        results: list[Optional[EvaluationRecord]] = [None] * total
-        telemetry: list = [None] * total
-        attempts = [0] * total
+        settlement = _Settlement(key, self._contexts[key], len(batch),
+                                 self._config.supervision)
         pending = collections.deque(
             (index, tuple(encoded)) for index, encoded in enumerate(batch))
         # While > 0, dispatch one task per wave: after a pool break the
@@ -423,46 +426,24 @@ class ProcessPoolBackend:
                 probes -= 1
             else:
                 width = len(pending)
-                if policy.task_timeout is not None:
+                if self._config.supervision.task_timeout is not None:
                     # Cap the wave at the worker count so every task starts
                     # immediately: the shared wave deadline then *is* the
                     # per-task deadline.  Without timeouts the whole batch is
                     # submitted at once (better pipelining).
-                    width = min(width, self.jobs)
+                    width = min(width, self._config.jobs)
                 wave = [pending.popleft() for _ in range(width)]
-            for index, encoded, kind, payload, task_telemetry \
-                    in self._run_wave(key, wave, traced):
-                if kind == _OK:
-                    results[index] = payload
-                    telemetry[index] = task_telemetry
-                elif kind == _FATAL:
-                    raise EvaluationFailure(
-                        f"kernel {key!r} point {encoded}: {payload}")
-                elif kind == "requeue":
+            for index, encoded, kind, payload, telemetry \
+                    in self._run_wave(key, wave, settlement.traced):
+                if kind == "requeue":
                     # Innocent bystander of a pool break: retry uncharged,
                     # and probe serially to pin down the culprit.
                     pending.append((index, encoded))
                     probes += 1
-                else:  # charged fault: error / crash / timeout
-                    attempts[index] += 1
-                    if kind == "crash":
-                        obs.counter("dse.faults.crashes")
-                    elif kind == "timeout":
-                        obs.counter("dse.faults.timeouts")
-                    if attempts[index] > policy.max_retries:
-                        results[index] = _quarantine_record(
-                            self._contexts[key], key, encoded, payload,
-                            policy)
-                    else:
-                        _retry_pause(key, attempts[index], kind, policy)
-                        pending.append((index, encoded))
-        if traced:
-            # Absorb in submission (batch) order, after every wave settled:
-            # the merged trace is deterministic regardless of which worker
-            # ran what, in what order, or how many retries it took.
-            for index in range(total):
-                obs.absorb_task(f"worker:{key}", telemetry[index])
-        return results
+                elif settlement.settle(index, encoded, kind, payload,
+                                       telemetry):
+                    pending.append((index, encoded))
+        return settlement.finish()
 
     def _run_wave(self, key: str, wave: list, traced: bool) -> list:
         """Dispatch one wave; classify every task's outcome.
@@ -472,13 +453,13 @@ class ProcessPoolBackend:
         ``crash``/``timeout`` (charged process-level faults) or ``requeue``
         (unattributable pool break — uncharged).
         """
-        task = _evaluate_task_traced if traced else _evaluate_task
         while True:
             _check_stop(self._stop_event)
             generation = self._generation
             try:
                 futures = [(index, encoded,
-                            self._executor.submit(task, key, encoded))
+                            self._executor.submit(_evaluate_task, key,
+                                                  encoded, traced))
                            for index, encoded in wave]
                 break
             except RuntimeError:
@@ -487,10 +468,10 @@ class ProcessPoolBackend:
                 # a fresh pool and resubmit.
                 self._respawn(generation)
         hung: set = set()
-        if self._supervision.task_timeout is not None:
+        task_timeout = self._config.supervision.task_timeout
+        if task_timeout is not None:
             _, not_done = concurrent.futures.wait(
-                [future for _, _, future in futures],
-                timeout=self._supervision.task_timeout)
+                [future for _, _, future in futures], timeout=task_timeout)
             if not_done:
                 # Hung workers cannot be cancelled through the executor API;
                 # kill the pool (failing their futures) and respawn.
@@ -503,7 +484,7 @@ class ProcessPoolBackend:
                 outcomes.append((
                     index, encoded, "timeout",
                     f"evaluation exceeded the task timeout of "
-                    f"{self._supervision.task_timeout:g}s", None))
+                    f"{task_timeout:g}s", None))
                 continue
             try:
                 tag, payload, task_telemetry = future.result()
@@ -583,13 +564,14 @@ class ProcessPoolBackend:
         to stop an idle worker from swallowing the next task.
         """
         futures = [self._executor.submit(_warm_up_task, 0.05)
-                   for _ in range(self.jobs)]
+                   for _ in range(self._config.jobs)]
         for future in futures:
             try:
                 future.result()
             except (concurrent.futures.BrokenExecutor, RuntimeError) as error:
                 raise EvaluationFailure(
-                    f"worker pool failed to start ({self.jobs} workers): a "
+                    f"worker pool failed to start ({self._config.jobs} "
+                    f"workers): a "
                     f"worker died during warm-up before evaluating anything "
                     f"— check the worker environment/imports "
                     f"({_describe_error(error)})") from error
@@ -604,31 +586,26 @@ class ProcessPoolBackend:
         self.close()
 
 
-def create_backend(contexts: dict[str, KernelContext], jobs: int,
-                   mp_context: Optional[str] = None,
-                   supervision: Optional[SupervisionPolicy] = None,
-                   stop_event: Optional[threading.Event] = None,
-                   transport=None):
-    """Pick the cheapest backend able to provide ``jobs`` parallel workers.
+def create_backend(contexts: dict[str, KernelContext], config: SweepConfig,
+                   stop_event: Optional[threading.Event] = None):
+    """Pick the cheapest backend able to provide ``config.jobs`` workers.
 
-    A task timeout or a crash/hang fault plan forces a process pool even at
-    ``--jobs 1``: inline evaluation cannot be killed, and an injected crash
-    would take the coordinator down with it.  A ``transport``
-    (:class:`~repro.dse.runtime.transport.TransportConfig`) overrides both
-    local backends: evaluation then runs on socket-connected worker agents
+    The sweep's fault plan is stamped onto every context here.  A task timeout
+    or a crash/hang fault plan forces a process pool even at ``--jobs 1``:
+    inline evaluation cannot be killed, and an injected crash would take the
+    coordinator down with it.  A ``config.transport`` overrides both local
+    backends: evaluation then runs on socket-connected worker agents
     (spawned locally and/or connected remotely).
     """
-    supervision = supervision or SupervisionPolicy()
-    if transport is not None:
+    contexts = {key: dataclasses.replace(context, faults=config.faults)
+                for key, context in contexts.items()}
+    if config.transport is not None:
         from repro.dse.runtime.transport import RemotePoolBackend
 
-        return RemotePoolBackend(contexts, transport, supervision=supervision,
-                                 stop_event=stop_event)
-    needs_isolation = supervision.task_timeout is not None or any(
-        context.faults is not None and context.faults.requires_process_isolation
-        for context in contexts.values())
-    if jobs <= 1 and not needs_isolation:
-        return SerialBackend(contexts, supervision=supervision,
-                             stop_event=stop_event)
-    return ProcessPoolBackend(contexts, jobs, mp_context=mp_context,
-                              supervision=supervision, stop_event=stop_event)
+        return RemotePoolBackend(contexts, config, stop_event)
+    needs_isolation = config.supervision.task_timeout is not None or (
+        config.faults is not None
+        and config.faults.requires_process_isolation)
+    if config.jobs <= 1 and not needs_isolation:
+        return SerialBackend(contexts, config, stop_event)
+    return ProcessPoolBackend(contexts, config, stop_event)

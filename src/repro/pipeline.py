@@ -5,12 +5,12 @@ the emitter into the flows the paper evaluates:
 
 * :func:`compile_kernel` — HLS C in, affine-level kernel module out (the
   ``scalehls-clang`` + ``-raise-scf-to-affine`` part of Fig. 5).
-* :func:`optimize_kernel` / the DSE engine in :mod:`repro.dse` — the
+* :func:`optimize_kernel` — one explicit design point of the
   computation-kernel flow of Section VII-A.
-* :func:`explore_kernel` / :func:`explore_module_kernels` — the parallel DSE
-  runtime flows: multi-worker exploration with a persistent QoR estimate
-  cache and resumable checkpoints (single kernel or every function of a
-  module concurrently).
+* :func:`explore_kernel` / :func:`explore_module_kernels` — the DSE engine of
+  that flow: inline or multi-worker exploration with a persistent QoR
+  estimate cache and resumable checkpoints (single kernel or every function
+  of a module concurrently).
 * :func:`compile_dnn` — the DNN flow of Section VII-B: graph-level dataflow
   optimization, graph-to-loop lowering, loop/directive optimization and QoR
   estimation, parameterized by the graph and loop optimization levels of the
@@ -30,7 +30,6 @@ from typing import Optional
 from repro import obs
 from repro.dse.apply import AppliedDesign, apply_design_point, estimate_baseline
 from repro.dse.space import KernelDesignPoint
-from repro.emit.hlscpp_emitter import emit_hlscpp
 from repro.estimation.estimator import QoREstimator, QoRResult
 from repro.estimation.platform import Platform, VU9P_SLR, XC7Z020
 from repro.frontend.c_to_mlir import parse_c_to_module
@@ -79,112 +78,85 @@ def kernel_baseline(module: ModuleOp, platform: Platform = XC7Z020) -> QoRResult
     return estimate_baseline(module, platform)
 
 
-def emit_kernel_cpp(design: AppliedDesign) -> str:
-    """Emit the optimized kernel as synthesizable HLS C++."""
-    return emit_hlscpp(design.module)
+# -- DSE runtime flows ----------------------------------------------------------------
 
 
-# -- parallel DSE runtime flows ----------------------------------------------------------------
+def _sweep_config(*, cache: "Optional[EstimateCache]" = None,
+                  cache_path: Optional[str] = None,
+                  cache_max_bytes: Optional[int] = None,
+                  task_timeout: Optional[float] = None, max_retries: int = 2,
+                  on_fault: str = "quarantine",
+                  platforms: "Optional[list[Platform]]" = None,
+                  **fields) -> "SweepConfig":
+    """The sweep keywords of the three ``explore_*`` flows, declared once.
 
-
-def explore_kernel(module: ModuleOp, platform: Platform = XC7Z020, *,
-                   jobs: int = 1, num_samples: int = 16, max_iterations: int = 24,
-                   seed: int = 2022, batch_size: int = 8,
-                   cache: "Optional[EstimateCache]" = None,
-                   cache_path: Optional[str] = None,
-                   cache_max_entries: Optional[int] = None,
-                   cache_max_bytes: Optional[int] = None,
-                   checkpoint_path: Optional[str] = None,
-                   checkpoint_every: int = 32,
-                   resume: bool = False,
-                   incremental: bool = True,
-                   task_timeout: Optional[float] = None,
-                   max_retries: int = 2,
-                   on_fault: str = "quarantine",
-                   faults=None,
-                   func_name: Optional[str] = None,
-                   platforms: "Optional[list[Platform]]" = None,
-                   transport=None) -> "ParallelDSEResult":
-    """Run the parallel DSE runtime on one kernel.
-
-    ``cache_path`` creates (or warms from) a persistent JSONL estimate cache
-    (``cache_max_entries`` / ``cache_max_bytes`` bound it with LRU eviction);
-    ``checkpoint_path`` + ``resume`` continue an interrupted exploration.
-    ``incremental=False`` disables prefix-snapshot caching in the evaluation
-    backends (results are identical either way).  ``task_timeout`` /
-    ``max_retries`` / ``on_fault`` configure the supervision layer (see
-    :class:`repro.dse.runtime.SupervisionPolicy`); ``faults`` injects a
-    :class:`repro.dse.runtime.FaultPlan` for chaos testing.  ``transport``
+    ``fields`` are :class:`repro.dse.runtime.SweepConfig` fields by name
+    (``seed``, ``jobs``, ``num_samples``, ``max_iterations``, ``batch_size``,
+    ``checkpoint_every``, ``faults``, ``transport``).  The rest are flat
+    spellings of its object-valued fields: ``cache_path`` creates (or warms
+    from) a persistent JSONL estimate cache (``cache_max_bytes`` bounds it
+    with LRU eviction) unless a ``cache`` object is passed; ``task_timeout``
+    / ``max_retries`` / ``on_fault`` configure the supervision layer (see
+    :class:`repro.dse.runtime.SupervisionPolicy`).  ``faults`` injects a
+    :class:`repro.dse.runtime.FaultPlan` for chaos testing, ``transport``
     (a :class:`repro.dse.runtime.TransportConfig`) evaluates on
-    socket-connected worker agents instead of local processes.  ``platforms``
-    turns the run into one sweep over design points × hardware targets (the
-    platform becomes a design-space dimension; see
+    socket-connected worker agents instead of local processes, and
+    ``platforms`` turns the run into one sweep over design points × hardware
+    targets (the platform becomes a design-space dimension; see
     :class:`repro.dse.space.KernelDesignSpace`).
     """
-    from repro.dse.runtime import (
-        EstimateCache,
-        ParallelExplorer,
-        SupervisionPolicy,
-    )
+    from repro.dse.runtime import EstimateCache, SupervisionPolicy, SweepConfig
 
     if cache is None and cache_path:
-        cache = EstimateCache(cache_path, max_entries=cache_max_entries,
-                              max_bytes=cache_max_bytes)
-    explorer = ParallelExplorer(
-        platform, num_samples=num_samples, max_iterations=max_iterations,
-        seed=seed, jobs=jobs, batch_size=batch_size, cache=cache,
-        checkpoint_path=checkpoint_path, checkpoint_every=checkpoint_every,
-        incremental=incremental,
+        cache = EstimateCache(cache_path, max_bytes=cache_max_bytes)
+    return SweepConfig(
+        cache=cache, platforms=platforms or (),
         supervision=SupervisionPolicy(task_timeout=task_timeout,
                                       max_retries=max_retries,
                                       on_fault=on_fault),
-        faults=faults,
-        platforms=platforms,
-        transport=transport)
+        **fields)
+
+
+def explore_kernel(module: ModuleOp, platform: Platform = XC7Z020, *,
+                   num_samples: int = 16, max_iterations: int = 24,
+                   batch_size: int = 8, checkpoint_every: int = 32,
+                   checkpoint_path: Optional[str] = None,
+                   resume: bool = False, func_name: Optional[str] = None,
+                   **sweep) -> "ParallelDSEResult":
+    """Run the DSE runtime on one kernel.
+
+    ``sweep`` takes the other keywords of :func:`_sweep_config` (``jobs``,
+    ``seed``, ``cache_path``, ``task_timeout`` ...); ``checkpoint_path`` +
+    ``resume`` continue an interrupted exploration.  ``batch_size=1`` is the
+    paper's one-neighbour-at-a-time traversal.
+    """
+    from repro.dse.runtime import ParallelExplorer
+
+    config = _sweep_config(num_samples=num_samples,
+                           max_iterations=max_iterations,
+                           batch_size=batch_size,
+                           checkpoint_every=checkpoint_every, **sweep)
+    explorer = ParallelExplorer(platform, config,
+                                checkpoint_path=checkpoint_path)
     return explorer.explore(module, func_name=func_name, resume=resume)
 
 
 def explore_module_kernels(module: ModuleOp, platform: Platform = XC7Z020, *,
-                           jobs: int = 1, num_samples: int = 16,
-                           max_iterations: int = 24, seed: int = 2022,
-                           batch_size: int = 8,
-                           cache: "Optional[EstimateCache]" = None,
-                           cache_path: Optional[str] = None,
-                           cache_max_entries: Optional[int] = None,
-                           cache_max_bytes: Optional[int] = None,
+                           num_samples: int = 16, max_iterations: int = 24,
+                           batch_size: int = 8, checkpoint_every: int = 32,
                            checkpoint_dir: Optional[str] = None,
-                           checkpoint_every: int = 32,
                            resume: bool = False,
-                           incremental: bool = True,
-                           task_timeout: Optional[float] = None,
-                           max_retries: int = 2,
-                           on_fault: str = "quarantine",
-                           faults=None,
                            func_names: Optional[list[str]] = None,
-                           platforms: "Optional[list[Platform]]" = None,
-                           transport=None
-                           ) -> "dict[str, ParallelDSEResult]":
+                           **sweep) -> "dict[str, ParallelDSEResult]":
     """Run DSE for every explorable function of ``module`` concurrently."""
-    from repro.dse.runtime import (
-        EstimateCache,
-        MultiKernelScheduler,
-        SupervisionPolicy,
-    )
+    from repro.dse.runtime import MultiKernelScheduler
 
-    if cache is None and cache_path:
-        cache = EstimateCache(cache_path, max_entries=cache_max_entries,
-                              max_bytes=cache_max_bytes)
-    scheduler = MultiKernelScheduler(
-        platform, jobs=jobs, num_samples=num_samples,
-        max_iterations=max_iterations, seed=seed, batch_size=batch_size,
-        cache=cache, checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every, incremental=incremental,
-        supervision=SupervisionPolicy(task_timeout=task_timeout,
-                                      max_retries=max_retries,
-                                      on_fault=on_fault),
-        faults=faults,
-        platforms=platforms,
-        transport=transport)
+    config = _sweep_config(num_samples=num_samples,
+                           max_iterations=max_iterations,
+                           batch_size=batch_size,
+                           checkpoint_every=checkpoint_every, **sweep)
+    scheduler = MultiKernelScheduler(platform, config,
+                                     checkpoint_dir=checkpoint_dir)
     return scheduler.explore_module(module, func_names=func_names, resume=resume)
 
 
@@ -210,57 +182,30 @@ def prepare_dnn_stages(module: ModuleOp, graph_level: int) -> int:
 
 
 def explore_dnn(model_name: str, platform: Platform = VU9P_SLR, *,
-                graph_level: int = 4, jobs: int = 1,
+                graph_level: int = 4,
                 num_samples: int = 8, max_iterations: int = 12,
-                seed: int = 2022, batch_size: int = 4,
-                cache: "Optional[EstimateCache]" = None,
-                cache_path: Optional[str] = None,
-                cache_max_entries: Optional[int] = None,
-                cache_max_bytes: Optional[int] = None,
-                checkpoint_dir: Optional[str] = None,
-                checkpoint_every: int = 16,
-                resume: bool = False,
-                incremental: bool = True,
-                task_timeout: Optional[float] = None,
-                max_retries: int = 2,
-                on_fault: str = "quarantine",
-                faults=None,
-                budget_mode: str = "flops",
-                frontier_cap: int = 64,
+                batch_size: int = 4, checkpoint_every: int = 16,
+                checkpoint_dir: Optional[str] = None, resume: bool = False,
+                budget_mode: str = "flops", frontier_cap: int = 64,
                 max_nodes: Optional[int] = None,
-                platforms: "Optional[list[Platform]]" = None,
-                transport=None) -> "ModelDSEResult":
+                **sweep) -> "ModelDSEResult":
     """Run the whole-model DSE on a bundled DNN model.
 
     Mirrors :func:`explore_kernel` / :func:`explore_module_kernels` for the
     model flow: one shared worker pool sweeps every dataflow node of the
     staged model, and the per-node frontiers compose into the model-level
-    latency/resource frontier.
+    latency/resource frontier.  ``num_samples`` / ``max_iterations`` are the
+    budget of the heaviest node (``budget_mode`` scales the others).
     """
-    from repro.dse.runtime import (
-        EstimateCache,
-        ModelScheduler,
-        NodeBudgetPolicy,
-        SupervisionPolicy,
-    )
+    from repro.dse.runtime import ModelScheduler, NodeBudgetPolicy
 
-    if cache is None and cache_path:
-        cache = EstimateCache(cache_path, max_entries=cache_max_entries,
-                              max_bytes=cache_max_bytes)
+    config = _sweep_config(num_samples=num_samples,
+                           max_iterations=max_iterations,
+                           batch_size=batch_size,
+                           checkpoint_every=checkpoint_every, **sweep)
     scheduler = ModelScheduler(
-        platform, jobs=jobs, seed=seed, batch_size=batch_size,
-        budget=NodeBudgetPolicy(num_samples=num_samples,
-                                max_iterations=max_iterations,
-                                mode=budget_mode),
-        cache=cache, checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every, frontier_cap=frontier_cap,
-        incremental=incremental,
-        supervision=SupervisionPolicy(task_timeout=task_timeout,
-                                      max_retries=max_retries,
-                                      on_fault=on_fault),
-        faults=faults,
-        platforms=platforms,
-        transport=transport)
+        platform, config, budget=NodeBudgetPolicy(mode=budget_mode),
+        checkpoint_dir=checkpoint_dir, frontier_cap=frontier_cap)
     return scheduler.explore(model_name, graph_level=graph_level,
                              resume=resume, max_nodes=max_nodes)
 

@@ -50,7 +50,7 @@ import time
 from typing import Optional, Sequence
 
 from repro import obs
-from repro.dse import DesignSpaceExplorer
+from repro.dialects.affine_ops import loop_band_from, outermost_loops
 from repro.dse.apply import apply_design_point, estimate_baseline
 from repro.dse.space import KernelDesignPoint
 from repro.emit import emit_hlscpp
@@ -131,17 +131,40 @@ def _load_module(args) -> "ModuleOp":
     raise SystemExit("either --kernel or an input C file is required")
 
 
-def _design_point(args, num_loops: int = 3) -> Optional[KernelDesignPoint]:
-    if not (args.tiles or args.perm or args.ii != 1 or args.perfectize or args.rvb):
+def _design_point(args, module, default: bool = False
+                  ) -> Optional[KernelDesignPoint]:
+    """The design point the point flags spell for ``module``'s kernel: one
+    ``--perm`` / ``--tiles`` entry per loop of its band.  Without any point
+    flag the result is None or, with ``default``, the untiled point with
+    both structural knobs on."""
+    flagged = bool(args.tiles or args.perm or args.ii != 1 or args.perfectize
+                   or args.rvb)
+    if not flagged and not default:
         return None
-    tiles = tuple(int(v) for v in args.tiles.split(",")) if args.tiles else (1,) * num_loops
-    perm = tuple(int(v) for v in args.perm.split(",")) if args.perm \
-        else tuple(range(num_loops))
+    outer_loops = outermost_loops(module.functions()[0])
+    depth = len(loop_band_from(outer_loops[0])) if outer_loops else 0
+
+    def vector(flag, text, fallback, expected, valid):
+        if not text:
+            return fallback
+        try:
+            values = tuple(int(item) for item in text.split(","))
+        except ValueError:
+            values = ()
+        if len(values) != depth or not valid(values):
+            raise SystemExit(f"{flag} expects {expected}, one per loop of the "
+                             f"kernel's band ({depth} deep), got {text!r}")
+        return values
+
     return KernelDesignPoint(
-        loop_perfectization=args.perfectize,
-        remove_variable_bound=args.rvb,
-        perm_map=perm,
-        tile_sizes=tiles,
+        loop_perfectization=args.perfectize if flagged else True,
+        remove_variable_bound=args.rvb if flagged else True,
+        perm_map=vector("--perm", args.perm, tuple(range(depth)),
+                        f"a permutation of 0..{depth - 1}",
+                        lambda values: sorted(values) == list(range(depth))),
+        tile_sizes=vector("--tiles", args.tiles, (1,) * depth,
+                          f"{depth} positive tile sizes",
+                          lambda values: all(v >= 1 for v in values)),
         target_ii=args.ii,
     )
 
@@ -194,8 +217,46 @@ def _add_instrumentation_arguments(parser: argparse.ArgumentParser) -> None:
                              "later with the 'report' sub-command")
 
 
-def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
-    """Supervision knobs shared by the ``dse`` and ``dnn`` sweeps."""
+def _add_sweep_arguments(parser: argparse.ArgumentParser,
+                         defaults: dict) -> None:
+    """The flags every sweep (``dse``, ``dnn --dse``) takes, declared once;
+    ``defaults`` holds the four budgets whose defaults differ per command."""
+    parser.add_argument("--samples", type=int, default=defaults["samples"],
+                        help="initial samples (dnn: per node, scaled down "
+                             "for light stages unless --budget uniform)")
+    parser.add_argument("--iterations", type=int,
+                        default=defaults["iterations"],
+                        help="frontier-evolution budget (dnn: per node)")
+    parser.add_argument("--seed", type=int, default=2022)
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="number of parallel evaluation workers")
+    parser.add_argument("--batch-size", type=int,
+                        default=defaults["batch_size"],
+                        help="proposals evaluated per exploration round "
+                             "(part of the trajectory, independent of --jobs)")
+    parser.add_argument("--cache", metavar="PATH",
+                        help="persistent QoR estimate cache (a JSONL file, "
+                             "or a directory receiving estimates.jsonl)")
+    parser.add_argument("--cache-max-bytes", type=int, metavar="BYTES",
+                        help="bound the estimate cache (and its JSONL "
+                             "file, via load-time compaction) to roughly "
+                             "BYTES of serialized entries with LRU "
+                             "eviction (default: unbounded)")
+    parser.add_argument("--register-pipeline", metavar="NAME=SPEC",
+                        action="append", default=[],
+                        help="register a named cleanup pipeline before "
+                             "the sweep (repeatable); design points can "
+                             "then select NAME and the kernel pipeline "
+                             "signature covers SPEC")
+    parser.add_argument("--checkpoint", metavar="PATH",
+                        help="checkpoint file (dse of a single kernel) or "
+                             "directory (dse --all-functions, dnn: one "
+                             "snapshot file per kernel)")
+    parser.add_argument("--checkpoint-every", type=int,
+                        default=defaults["checkpoint_every"],
+                        help="snapshot state every N evaluations")
+    parser.add_argument("--resume", action="store_true",
+                        help="resume from the checkpoint if present")
     parser.add_argument("--task-timeout", type=float, metavar="SECONDS",
                         help="wall-clock budget per evaluation; a task over "
                              "budget has its worker killed and is retried "
@@ -213,11 +274,51 @@ def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
     # Chaos-testing hook for CI and tests; deliberately undocumented.
     parser.add_argument("--inject-faults", metavar="SPEC",
                         help=argparse.SUPPRESS)
+    parser.add_argument("--listen", metavar="HOST:PORT",
+                        help="accept remote worker agents on HOST:PORT and "
+                             "evaluate over the socket transport (start "
+                             "agents with 'repro-hls worker-agent --connect "
+                             "HOST:PORT'; combine with --workers to mix in "
+                             "local slots)")
+    parser.add_argument("--workers", type=int, default=0, metavar="N",
+                        help="spawn N local worker-agent subprocesses "
+                             "connected over loopback (implies the socket "
+                             "transport even without --listen)")
+
+
+def _sweep_settings(args) -> dict:
+    """The sweep keywords of the ``repro.pipeline.explore_*`` flows that the
+    flags of :func:`_add_sweep_arguments` spell.  Registers the
+    ``--register-pipeline`` specs on the way: that must precede any
+    pipeline-signature computation (worker contexts, cache fingerprints), so
+    the sweep commands call this before they load anything."""
+    if args.resume and not args.checkpoint:
+        raise SystemExit("--resume requires --checkpoint PATH (otherwise the "
+                         "sweep would silently restart from scratch)")
+    _validate_supervision(args)
+    _register_pipelines(args.register_pipeline)
+    return dict(
+        jobs=args.jobs, num_samples=args.samples,
+        max_iterations=args.iterations, seed=args.seed,
+        batch_size=args.batch_size,
+        cache_path=_estimate_cache_path(args.cache) if args.cache else None,
+        cache_max_bytes=args.cache_max_bytes,
+        checkpoint_every=args.checkpoint_every, resume=args.resume,
+        task_timeout=args.task_timeout, max_retries=args.max_retries,
+        on_fault=args.on_fault, faults=_fault_plan(args),
+        transport=_transport_config(args))
+
+
+def _estimate_cache_path(path: str) -> str:
+    """Resolve ``--cache`` to a JSONL file (directories get estimates.jsonl)."""
+    if os.path.isdir(path) or path.endswith(os.sep):
+        return os.path.join(path, "estimates.jsonl")
+    return path
 
 
 def _fault_plan(args):
     """The parsed ``--inject-faults`` plan, or None."""
-    if not getattr(args, "inject_faults", None):
+    if not args.inject_faults:
         return None
     from repro.dse.runtime import FaultPlan
 
@@ -233,29 +334,15 @@ def _validate_supervision(args) -> None:
     The policy object validates too, but from deep inside the runtime; the
     driver catches the obvious cases up front with flag-named messages.
     """
-    timeout = getattr(args, "task_timeout", None)
+    timeout = args.task_timeout
     if timeout is not None and timeout <= 0:
         raise SystemExit(f"--task-timeout must be a positive number of "
                          f"seconds, got {timeout:g} (drop the flag to "
                          f"disable per-task timeouts)")
-    retries = getattr(args, "max_retries", 0)
+    retries = args.max_retries
     if retries < 0:
         raise SystemExit(f"--max-retries must be >= 0, got {retries} "
                          f"(0 quarantines a point on its first fault)")
-
-
-def _add_transport_arguments(parser: argparse.ArgumentParser) -> None:
-    """Distributed-evaluation knobs shared by the ``dse``/``dnn`` sweeps."""
-    parser.add_argument("--listen", metavar="HOST:PORT",
-                        help="accept remote worker agents on HOST:PORT and "
-                             "evaluate over the socket transport (start "
-                             "agents with 'repro-hls worker-agent --connect "
-                             "HOST:PORT'; combine with --workers to mix in "
-                             "local slots)")
-    parser.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="spawn N local worker-agent subprocesses "
-                             "connected over loopback (implies the socket "
-                             "transport even without --listen)")
 
 
 def _parse_address(value: str, flag: str) -> "tuple[str, int]":
@@ -273,8 +360,7 @@ def _parse_address(value: str, flag: str) -> "tuple[str, int]":
 
 def _transport_config(args):
     """The :class:`TransportConfig` implied by --listen/--workers, or None."""
-    listen = getattr(args, "listen", None)
-    workers = getattr(args, "workers", 0) or 0
+    listen, workers = args.listen, args.workers
     if workers < 0:
         raise SystemExit(f"--workers must be >= 0, got {workers}")
     if not listen and not workers:
@@ -319,50 +405,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     dse_parser = commands.add_parser("dse", help="run the automated DSE engine")
     _add_kernel_arguments(dse_parser)
-    dse_parser.add_argument("--samples", type=int, default=16)
-    dse_parser.add_argument("--iterations", type=int, default=24)
-    dse_parser.add_argument("--seed", type=int, default=2022)
-    dse_parser.add_argument("--jobs", type=int, default=1,
-                            help="number of parallel evaluation workers")
-    dse_parser.add_argument("--batch-size", type=int, default=8,
-                            help="proposals evaluated per exploration round "
-                                 "(part of the trajectory, independent of --jobs)")
-    dse_parser.add_argument("--cache", metavar="PATH",
-                            help="persistent QoR estimate cache (JSONL)")
-    dse_parser.add_argument("--cache-max-entries", type=int, metavar="N",
-                            help="bound the in-memory estimate cache to N "
-                                 "entries with LRU eviction (default: "
-                                 "unbounded)")
-    dse_parser.add_argument("--cache-max-bytes", type=int, metavar="BYTES",
-                            help="bound the estimate cache (and its JSONL "
-                                 "file, via load-time compaction) to roughly "
-                                 "BYTES of serialized entries with LRU "
-                                 "eviction (default: unbounded)")
-    dse_parser.add_argument("--no-incremental", action="store_true",
-                            help="disable prefix-snapshot caching in the "
-                                 "evaluation workers (A/B switch: results "
-                                 "are byte-identical either way)")
-    dse_parser.add_argument("--register-pipeline", metavar="NAME=SPEC",
-                            action="append", default=[],
-                            help="register a named cleanup pipeline before "
-                                 "the sweep (repeatable); design points can "
-                                 "then select NAME and the kernel pipeline "
-                                 "signature covers SPEC")
-    dse_parser.add_argument("--checkpoint", metavar="PATH",
-                            help="checkpoint file (single kernel) or directory "
-                                 "(--all-functions)")
-    dse_parser.add_argument("--checkpoint-every", type=int, default=32,
-                            help="snapshot state every N evaluations")
-    dse_parser.add_argument("--resume", action="store_true",
-                            help="resume from the checkpoint if present")
+    _add_sweep_arguments(dse_parser, dict(samples=16, iterations=24,
+                                          batch_size=8, checkpoint_every=32))
     dse_parser.add_argument("--all-functions", action="store_true",
                             help="explore every function of the module concurrently")
     dse_parser.add_argument("--frontier-out", metavar="PATH",
                             help="write the frontier (per-platform frontiers "
                                  "for a multi-platform sweep) as byte-stable "
                                  "JSON — identical across --jobs and --resume")
-    _add_fault_arguments(dse_parser)
-    _add_transport_arguments(dse_parser)
 
     emit_parser = commands.add_parser("emit", help="emit synthesizable HLS C++")
     _add_kernel_arguments(emit_parser)
@@ -383,52 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
                             help="sweep every dataflow node's design space "
                                  "through the multi-kernel scheduler and "
                                  "compose the model-level Pareto frontier")
-    dnn_parser.add_argument("--samples", type=int, default=8,
-                            help="initial samples per node (scaled down for "
-                                 "light stages unless --budget uniform)")
-    dnn_parser.add_argument("--iterations", type=int, default=12,
-                            help="frontier-evolution budget per node")
-    dnn_parser.add_argument("--seed", type=int, default=2022)
-    dnn_parser.add_argument("--jobs", type=int, default=1,
-                            help="number of parallel evaluation workers")
-    dnn_parser.add_argument("--batch-size", type=int, default=4,
-                            help="proposals evaluated per exploration round "
-                                 "(part of the trajectory, independent of --jobs)")
+    _add_sweep_arguments(dnn_parser, dict(samples=8, iterations=12,
+                                          batch_size=4, checkpoint_every=16))
     dnn_parser.add_argument("--budget", choices=("flops", "uniform"),
                             default="flops",
                             help="per-node budget policy: scale budgets by "
                                  "node work share, or give every node the "
                                  "full budget")
-    dnn_parser.add_argument("--cache", metavar="PATH",
-                            help="persistent QoR estimate cache (a JSONL "
-                                 "file, or a directory receiving "
-                                 "estimates.jsonl)")
-    dnn_parser.add_argument("--cache-max-entries", type=int, metavar="N",
-                            help="bound the in-memory estimate cache to N "
-                                 "entries with LRU eviction (default: "
-                                 "unbounded)")
-    dnn_parser.add_argument("--cache-max-bytes", type=int, metavar="BYTES",
-                            help="bound the estimate cache (and its JSONL "
-                                 "file, via load-time compaction) to roughly "
-                                 "BYTES of serialized entries with LRU "
-                                 "eviction (default: unbounded)")
-    dnn_parser.add_argument("--no-incremental", action="store_true",
-                            help="disable prefix-snapshot caching in the "
-                                 "evaluation workers (A/B switch: results "
-                                 "are byte-identical either way)")
-    dnn_parser.add_argument("--register-pipeline", metavar="NAME=SPEC",
-                            action="append", default=[],
-                            help="register a named cleanup pipeline before "
-                                 "the sweep (repeatable); design points can "
-                                 "then select NAME and the kernel pipeline "
-                                 "signature covers SPEC")
-    dnn_parser.add_argument("--checkpoint", metavar="DIR",
-                            help="checkpoint directory (one snapshot file "
-                                 "per dataflow node)")
-    dnn_parser.add_argument("--checkpoint-every", type=int, default=16,
-                            help="snapshot a node's state every N evaluations")
-    dnn_parser.add_argument("--resume", action="store_true",
-                            help="resume every node from its checkpoint if present")
     dnn_parser.add_argument("--smoke", action="store_true",
                             help="tiny sweep for CI: 3 samples, 4 iterations, "
                                  "3 heaviest nodes")
@@ -436,8 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
                             default="dnn-dse-frontier.json",
                             help="where --dse writes the model frontier JSON "
                                  "(default: dnn-dse-frontier.json)")
-    _add_fault_arguments(dnn_parser)
-    _add_transport_arguments(dnn_parser)
     _add_instrumentation_arguments(dnn_parser)
 
     list_parser = commands.add_parser(
@@ -488,7 +497,7 @@ def run_estimate(args) -> int:
     baseline = estimate_baseline(module, platform)
     print(f"baseline: latency={baseline.latency:,} cycles dsp={baseline.dsp} "
           f"lut={baseline.lut}")
-    point = _design_point(args)
+    point = _design_point(args, module)
     if point is not None:
         design = apply_design_point(module, point, platform)
         print(f"design point {point.describe()}")
@@ -528,27 +537,13 @@ def _note_dse_wall(started: float, jobs: int) -> None:
 def run_dse(args) -> int:
     from repro.pipeline import explore_kernel, explore_module_kernels
 
-    if args.resume and not args.checkpoint:
-        raise SystemExit("--resume requires --checkpoint PATH (otherwise the "
-                         "exploration would silently restart from scratch)")
-    _validate_supervision(args)
-    _register_pipelines(args.register_pipeline)
+    settings = _sweep_settings(args)
     started = time.perf_counter()
     module = _load_module(args)
     platforms = _resolve_platforms(args, "xc7z020")
     platform = platforms[0]
-    common = dict(jobs=args.jobs, num_samples=args.samples,
-                  max_iterations=args.iterations, seed=args.seed,
-                  batch_size=args.batch_size, cache_path=args.cache,
-                  cache_max_entries=args.cache_max_entries,
-                  cache_max_bytes=args.cache_max_bytes,
-                  checkpoint_every=args.checkpoint_every, resume=args.resume,
-                  incremental=not args.no_incremental,
-                  task_timeout=args.task_timeout,
-                  max_retries=args.max_retries, on_fault=args.on_fault,
-                  faults=_fault_plan(args),
-                  platforms=platforms if len(platforms) > 1 else None,
-                  transport=_transport_config(args))
+    common = dict(settings,
+                  platforms=platforms if len(platforms) > 1 else None)
 
     if args.all_functions:
         if args.frontier_out:
@@ -676,12 +671,13 @@ def run_emit(args) -> int:
     module = _load_module(args)
     platform = _single_platform(args, "xc7z020")
     if args.dse:
-        result = DesignSpaceExplorer(platform).explore(module)
-        design = result.best
+        from repro.pipeline import explore_kernel
+
+        design = explore_kernel(module, platform, num_samples=24,
+                                max_iterations=48, batch_size=1).best_design()
     else:
-        point = _design_point(args) or KernelDesignPoint(
-            True, True, (0, 1, 2), (1, 1, 1), 1)
-        design = apply_design_point(module, point, platform)
+        design = apply_design_point(
+            module, _design_point(args, module, default=True), platform)
     code = emit_hlscpp(design.module)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -692,45 +688,25 @@ def run_emit(args) -> int:
     return 0
 
 
-def _estimate_cache_path(path: str) -> str:
-    """Resolve ``--cache`` to a JSONL file (directories get estimates.jsonl)."""
-    if os.path.isdir(path) or path.endswith(os.sep):
-        return os.path.join(path, "estimates.jsonl")
-    return path
-
-
 def run_dnn_dse(args) -> int:
     from repro.pipeline import explore_dnn
 
-    if args.resume and not args.checkpoint:
-        raise SystemExit("--resume requires --checkpoint DIR (otherwise the "
-                         "sweep would silently restart from scratch)")
     if args.checkpoint and os.path.exists(args.checkpoint) \
             and not os.path.isdir(args.checkpoint):
         raise SystemExit("--checkpoint must name a directory for a model "
                          f"sweep: {args.checkpoint!r} is a file")
-    _validate_supervision(args)
-    _register_pipelines(args.register_pipeline)
+    settings = _sweep_settings(args)
     platforms = _resolve_platforms(args, "vu9p-slr")
     platform = platforms[0]
-    samples, iterations, max_nodes = args.samples, args.iterations, None
+    max_nodes = None
     if args.smoke:
-        samples, iterations, max_nodes = 3, 4, 3
+        settings.update(num_samples=3, max_iterations=4)
+        max_nodes = 3
     result = explore_dnn(
-        args.model, platform, graph_level=args.graph_level, jobs=args.jobs,
-        num_samples=samples, max_iterations=iterations, seed=args.seed,
-        batch_size=args.batch_size,
-        cache_path=_estimate_cache_path(args.cache) if args.cache else None,
-        cache_max_entries=args.cache_max_entries,
-        cache_max_bytes=args.cache_max_bytes,
-        checkpoint_dir=args.checkpoint,
-        checkpoint_every=args.checkpoint_every, resume=args.resume,
-        incremental=not args.no_incremental,
-        task_timeout=args.task_timeout, max_retries=args.max_retries,
-        on_fault=args.on_fault, faults=_fault_plan(args),
-        budget_mode=args.budget, max_nodes=max_nodes,
-        platforms=platforms if len(platforms) > 1 else None,
-        transport=_transport_config(args))
+        args.model, platform, graph_level=args.graph_level,
+        checkpoint_dir=args.checkpoint, budget_mode=args.budget,
+        max_nodes=max_nodes,
+        platforms=platforms if len(platforms) > 1 else None, **settings)
 
     # The cache note speaks of the persistent cache only: estimates a node
     # took over from its representative within this run are reported on

@@ -2,7 +2,7 @@
 
 These passes bundle the data-dependent transform sequences that the DSE and
 the DNN flow apply per function, so that *every* flow — hand-written
-pipelines, the serial DSE, the parallel runtime workers and the CLI — can be
+pipelines, the DSE runtime's workers and the CLI — can be
 expressed as one textual pipeline built from the registry:
 
 * ``apply-design-point`` reproduces one :class:`KernelDesignPoint` of the

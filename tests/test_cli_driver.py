@@ -1,7 +1,13 @@
 """Tests for the command-line driver."""
 
+import dataclasses
+import inspect
+import re
+
 import pytest
 
+from repro import pipeline
+from repro.dse.runtime import SupervisionPolicy, SweepConfig
 from repro.tools.driver import build_parser, main
 
 
@@ -87,6 +93,20 @@ class TestCommands:
         warm = capsys.readouterr().out
         assert "finalized" in warm
 
+    @pytest.mark.parametrize("command", [
+        ["dse", "--kernel", "gemm", "--size", "8", "--samples", "2",
+         "--iterations", "1"],
+        ["dnn", "vgg16", "--graph-level", "7", "--dse", "--smoke"]],
+        ids=["dse", "dnn"])
+    def test_cache_directory_receives_estimates_jsonl(self, command, tmp_path,
+                                                      capsys):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        assert main(command + ["--cache", str(cache_dir), "--frontier-out",
+                               str(tmp_path / "frontier.json")]) == 0
+        assert (cache_dir / "estimates.jsonl").stat().st_size > 0
+        assert "misses" in capsys.readouterr().out
+
     def test_dse_resume_requires_checkpoint(self):
         with pytest.raises(SystemExit):
             main(["dse", "--kernel", "gemm", "--size", "8", "--resume"])
@@ -114,11 +134,122 @@ class TestCommands:
         assert "void gemm(" in code
         assert "#pragma HLS" in code
 
+    def test_emit_dse_picks_the_finalized_design(self, capsys):
+        assert main(["emit", "--kernel", "bicg", "--size", "8", "--dse"]) == 0
+        assert "#pragma HLS pipeline" in capsys.readouterr().out
+
     def test_dnn_command(self, capsys):
         assert main(["dnn", "mobilenet", "--graph-level", "2", "--loop-level", "1"]) == 0
         output = capsys.readouterr().out
         assert "speedup" in output
         assert "dsp" in output
+
+
+class TestPointFlags:
+    """``--perm`` / ``--tiles`` address the kernel's own loop band."""
+
+    @pytest.mark.parametrize("kernel,perm,tiles", [
+        ("bicg", "1,0", "2,4"), ("gemm", "1,2,0", "2,1,4")],
+        ids=["2-deep", "3-deep"])
+    def test_vectors_of_the_band_depth_are_applied(self, kernel, perm, tiles,
+                                                   capsys):
+        assert main(["estimate", "--kernel", kernel, "--size", "8",
+                     "--perm", perm, "--tiles", tiles]) == 0
+        output = capsys.readouterr().out
+        assert f"perm={[int(v) for v in perm.split(',')]}" in output
+        assert f"tiles={[int(v) for v in tiles.split(',')]}" in output
+
+    @pytest.mark.parametrize("kernel,depth", [("bicg", 2), ("gemm", 3)])
+    def test_defaults_take_the_band_depth(self, kernel, depth, capsys):
+        assert main(["estimate", "--kernel", kernel, "--size", "8",
+                     "--ii", "2"]) == 0
+        output = capsys.readouterr().out
+        assert f"perm={list(range(depth))} tiles={[1] * depth}" in output
+        assert main(["emit", "--kernel", kernel, "--size", "8"]) == 0
+        assert f"void {kernel}(" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["estimate", "emit"])
+    @pytest.mark.parametrize("kernel,depth,flag,value", [
+        ("bicg", 2, "--perm", "1,2,0"), ("bicg", 2, "--tiles", "4"),
+        ("gemm", 3, "--perm", "1,0"), ("gemm", 3, "--tiles", "4,4"),
+        ("gemm", 3, "--tiles", "4,x,4")])
+    def test_wrong_length_names_the_flag_and_the_depth(self, command, kernel,
+                                                       depth, flag, value):
+        with pytest.raises(SystemExit, match=f"{flag} .*{depth} deep"):
+            main([command, "--kernel", kernel, "--size", "8", flag, value])
+
+    @pytest.mark.parametrize("flag,value", [("--perm", "0,0,1"),
+                                            ("--perm", "1,2,3"),
+                                            ("--tiles", "2,0,2")])
+    def test_invalid_values_are_rejected(self, flag, value):
+        with pytest.raises(SystemExit, match=f"{flag} .*3"):
+            main(["estimate", "--kernel", "gemm", "--size", "8", flag, value])
+
+
+class TestSweepSettings:
+    """Every sweep setting is declared once: the ``explore_*`` flows and the
+    ``dse`` / ``dnn`` commands all spell the fields of ``SweepConfig``."""
+
+    FIELDS = {field.name for field in dataclasses.fields(SweepConfig)}
+    #: The budgets whose defaults differ per flow, hence declared by each.
+    BUDGETS = {"num_samples", "max_iterations", "batch_size",
+               "checkpoint_every"}
+    OWN = {"explore_kernel": {"checkpoint_path", "resume", "func_name"},
+           "explore_module_kernels": {"checkpoint_dir", "resume",
+                                      "func_names"},
+           "explore_dnn": {"checkpoint_dir", "resume", "graph_level",
+                           "budget_mode", "frontier_cap", "max_nodes"}}
+
+    @staticmethod
+    def keywords(function):
+        parameters = inspect.signature(function).parameters.values()
+        return ({parameter.name for parameter in parameters
+                 if parameter.kind is parameter.KEYWORD_ONLY},
+                [parameter.name for parameter in parameters
+                 if parameter.kind is parameter.VAR_KEYWORD])
+
+    @pytest.mark.parametrize("name", sorted(OWN))
+    def test_explore_keywords_are_sweep_fields_or_the_flows_own(self, name):
+        declared, forwarded = self.keywords(getattr(pipeline, name))
+        assert declared == self.BUDGETS | self.OWN[name]
+        assert self.BUDGETS <= self.FIELDS
+        assert forwarded == ["sweep"]  # everything else: _sweep_config
+
+    def test_the_shared_helper_spells_every_other_field(self):
+        declared, forwarded = self.keywords(pipeline._sweep_config)
+        # Flat spellings of the two object-valued fields, and the fields
+        # passed through by name.
+        supervision = {"task_timeout", "max_retries", "on_fault"}
+        assert supervision <= {
+            field.name for field in dataclasses.fields(SupervisionPolicy)}
+        assert declared == supervision | {"cache", "cache_path",
+                                          "cache_max_bytes", "platforms"}
+        assert forwarded == ["fields"]
+        with pytest.raises(TypeError, match="jobz"):
+            pipeline.explore_kernel(None, jobz=2)
+        config = pipeline._sweep_config(
+            **{name: getattr(SweepConfig(), name)
+               for name in self.FIELDS - {"supervision", "cache",
+                                          "platforms"}})
+        assert config == SweepConfig()
+
+    def test_dse_and_dnn_list_the_same_sweep_flags(self, capsys):
+        def flags(command):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            return set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+
+        shared = {"--samples", "--iterations", "--seed", "--jobs",
+                  "--batch-size", "--cache", "--cache-max-bytes",
+                  "--register-pipeline", "--checkpoint",
+                  "--checkpoint-every", "--resume", "--task-timeout",
+                  "--max-retries", "--on-fault", "--listen", "--workers",
+                  "--platform", "--platform-config", "--frontier-out"}
+        dse_flags, dnn_flags = flags("dse"), flags("dnn")
+        assert shared <= dse_flags and shared <= dnn_flags
+        own = {"--all-functions", "--kernel", "--size", "--dse", "--smoke",
+               "--budget", "--graph-level", "--loop-level"}
+        assert dse_flags - shared - own == dnn_flags - shared - own
 
 
 class TestPlatformFlags:

@@ -10,6 +10,7 @@ from repro.dse.runtime import (
     EstimateCache,
     ModelScheduler,
     NodeBudgetPolicy,
+    SweepConfig,
     compose_model_frontier,
 )
 from repro.dse.space import KernelDesignSpace
@@ -29,11 +30,14 @@ def tiny_model():
     return builder.finish(x)
 
 
-def scheduler(jobs=1, **overrides):
-    config = dict(platform=VU9P_SLR, jobs=jobs, seed=7, batch_size=2,
-                  budget=NodeBudgetPolicy(num_samples=3, max_iterations=4))
+def scheduler(jobs=1, checkpoint_dir=None, max_evaluations_per_node=None,
+              **overrides):
+    own = dict(checkpoint_dir=checkpoint_dir,
+               max_evaluations_per_node=max_evaluations_per_node)
+    config = dict(jobs=jobs, seed=7, batch_size=2, checkpoint_every=16,
+                  num_samples=3, max_iterations=4)
     config.update(overrides)
-    return ModelScheduler(**config)
+    return ModelScheduler(VU9P_SLR, SweepConfig(**config), **own)
 
 
 class TestModelSweep:
@@ -111,22 +115,21 @@ class TestModelDeterminism:
 
 class TestNodeBudgetPolicy:
     def test_flops_mode_scales_down_light_nodes(self):
-        policy = NodeBudgetPolicy(num_samples=16, max_iterations=32)
-        heavy = policy.budget_for(1000, 1000)
-        light = policy.budget_for(10, 1000)
+        policy = NodeBudgetPolicy()
+        heavy = policy.budget_for(16, 32, 1000, 1000)
+        light = policy.budget_for(16, 32, 10, 1000)
         assert heavy == (16, 32)
         assert light < heavy
         assert light[0] >= policy.min_samples
         assert light[1] >= policy.min_iterations
 
     def test_uniform_mode_ignores_flops(self):
-        policy = NodeBudgetPolicy(num_samples=16, max_iterations=32,
-                                  mode="uniform")
-        assert policy.budget_for(10, 1000) == (16, 32)
+        policy = NodeBudgetPolicy(mode="uniform")
+        assert policy.budget_for(16, 32, 10, 1000) == (16, 32)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown budget mode"):
-            NodeBudgetPolicy(mode="bogus").budget_for(1, 1)
+            NodeBudgetPolicy(mode="bogus").budget_for(8, 12, 1, 1)
 
 
 class TestFrontierComposition:
@@ -260,18 +263,21 @@ class TestPipelineDimensionCache:
             apply_mod.kernel_pipeline_signature.cache_clear()
 
         cache = EstimateCache()
-        explorer_config = dict(platform=XC7Z020, num_samples=4,
-                               max_iterations=4, seed=3, batch_size=2)
-        cold = ParallelExplorer(cache=cache, **explorer_config) \
-            .explore(self.kernel())
+        explorer_config = dict(num_samples=4, max_iterations=4, seed=3,
+                               batch_size=2)
+
+        def explorer(cache):
+            return ParallelExplorer(
+                XC7Z020, SweepConfig(cache=cache, **explorer_config))
+
+        cold = explorer(cache).explore(self.kernel())
         assert cold.cache_misses == cold.num_evaluations
 
         monkeypatch.setitem(apply_mod.CLEANUP_PIPELINES, "light",
                             "canonicalize")
         clear_signature_caches()
         try:
-            edited = ParallelExplorer(cache=cache, **explorer_config) \
-                .explore(self.kernel())
+            edited = explorer(cache).explore(self.kernel())
             # A registry whose pipelines mean something else gets no reuse.
             assert edited.cache_hits == 0
         finally:
@@ -283,10 +289,14 @@ class TestPipelineDimensionCache:
         from repro.estimation import XC7Z020
 
         path = str(tmp_path / "cache.jsonl")
-        explorer_config = dict(platform=XC7Z020, num_samples=4,
-                               max_iterations=4, seed=3, batch_size=2)
-        ParallelExplorer(cache=EstimateCache(path), **explorer_config) \
-            .explore(self.kernel())
+        explorer_config = dict(num_samples=4, max_iterations=4, seed=3,
+                               batch_size=2)
+
+        def explorer(cache):
+            return ParallelExplorer(
+                XC7Z020, SweepConfig(cache=cache, **explorer_config))
+
+        explorer(EstimateCache(path)).explore(self.kernel())
 
         # Rewrite every line as if estimated under a different fingerprint
         # (e.g. an edited pipeline registry).  The entries load, but no
@@ -302,8 +312,7 @@ class TestPipelineDimensionCache:
 
         revived = EstimateCache(path)
         assert revived.stats.loaded > 0
-        warm = ParallelExplorer(cache=revived, **explorer_config) \
-            .explore(self.kernel())
+        warm = explorer(revived).explore(self.kernel())
         assert warm.cache_hits == 0
         assert warm.evaluated_this_run == warm.num_evaluations
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro import ir
 from repro.dse import (
-    DesignSpaceExplorer,
     KernelDesignPoint,
     KernelDesignSpace,
     ParetoPoint,
@@ -22,6 +21,7 @@ from repro.pipeline import (
     compile_dnn,
     compile_kernel,
     dnn_baseline,
+    explore_kernel,
     kernel_baseline,
     optimize_kernel,
 )
@@ -142,22 +142,23 @@ class TestApplyAndExplore:
         np.testing.assert_allclose(C, expected, rtol=1e-4)
 
     def test_explorer_finds_design_within_budget(self, gemm_module):
-        explorer = DesignSpaceExplorer(XC7Z020, num_samples=6, max_iterations=6, seed=7)
-        result = explorer.explore(gemm_module)
-        assert result.best is not None
+        result = explore_kernel(gemm_module, XC7Z020, num_samples=6,
+                                max_iterations=6, seed=7, batch_size=1)
+        best = result.best_design()
+        assert best is not None
         assert result.num_evaluations >= 6
-        assert result.best.qor.dsp <= XC7Z020.dsp
+        assert best.qor.dsp <= XC7Z020.dsp
         assert result.frontier
 
     def test_explorer_beats_baseline(self, gemm_module):
         baseline = estimate_baseline(gemm_module, XC7Z020)
-        explorer = DesignSpaceExplorer(XC7Z020, num_samples=6, max_iterations=6, seed=3)
-        result = explorer.explore(gemm_module)
-        assert result.best.qor.latency < baseline.latency
+        result = explore_kernel(gemm_module, XC7Z020, num_samples=6,
+                                max_iterations=6, seed=3, batch_size=1)
+        assert result.best_design().qor.latency < baseline.latency
 
     def test_explorer_frontier_is_non_dominated(self, gemm_module):
-        explorer = DesignSpaceExplorer(XC7Z020, num_samples=6, max_iterations=4, seed=1)
-        result = explorer.explore(gemm_module)
+        result = explore_kernel(gemm_module, XC7Z020, num_samples=6,
+                                max_iterations=4, seed=1, batch_size=1)
         frontier = result.frontier
         for point in frontier:
             assert is_pareto_optimal(point, frontier)

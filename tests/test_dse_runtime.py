@@ -15,6 +15,7 @@ from repro.dse.runtime import (
     ExplorerState,
     MultiKernelScheduler,
     ParallelExplorer,
+    SweepConfig,
 )
 from repro.estimation import XC7Z020
 
@@ -26,11 +27,13 @@ def frontier_signature(result):
     return repr([(p.encoded, p.latency, p.area) for p in result.frontier])
 
 
-def small_explorer(**overrides):
-    config = dict(platform=XC7Z020, num_samples=6, max_iterations=8, seed=11,
-                  jobs=1, batch_size=4)
+def small_explorer(checkpoint_path=None, max_evaluations=None, **overrides):
+    config = dict(num_samples=6, max_iterations=8, seed=11, jobs=1,
+                  batch_size=4)
     config.update(overrides)
-    return ParallelExplorer(**config)
+    return ParallelExplorer(XC7Z020, SweepConfig(**config),
+                            checkpoint_path=checkpoint_path,
+                            max_evaluations=max_evaluations)
 
 
 @pytest.fixture
@@ -326,10 +329,9 @@ class TestMultiKernelScheduler:
         return compile_source(GEMM_SOURCE + SYRK_SOURCE, "pair")
 
     def scheduler(self, jobs, **overrides):
-        config = dict(platform=XC7Z020, num_samples=4, max_iterations=6,
-                      seed=3, batch_size=4)
+        config = dict(num_samples=4, max_iterations=6, seed=3, batch_size=4)
         config.update(overrides)
-        return MultiKernelScheduler(jobs=jobs, **config)
+        return MultiKernelScheduler(XC7Z020, SweepConfig(jobs=jobs, **config))
 
     def test_explores_every_function(self):
         results = self.scheduler(jobs=1).explore_module(self.two_kernel_module())

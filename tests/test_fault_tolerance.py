@@ -29,6 +29,7 @@ from repro.dse.runtime import (
     ProcessPoolBackend,
     SerialBackend,
     SupervisionPolicy,
+    SweepConfig,
     create_backend,
 )
 from repro.dse.runtime.faults import stable_point_hash
@@ -45,11 +46,13 @@ def frontier_signature(result):
     return repr([(p.encoded, p.latency, p.area) for p in result.frontier])
 
 
-def small_explorer(**overrides):
-    config = dict(platform=XC7Z020, num_samples=6, max_iterations=8, seed=11,
-                  jobs=1, batch_size=4)
+def small_explorer(checkpoint_path=None, max_evaluations=None, **overrides):
+    config = dict(num_samples=6, max_iterations=8, seed=11, jobs=1,
+                  batch_size=4)
     config.update(overrides)
-    return ParallelExplorer(**config)
+    return ParallelExplorer(XC7Z020, SweepConfig(**config),
+                            checkpoint_path=checkpoint_path,
+                            max_evaluations=max_evaluations)
 
 
 def fast_policy(**overrides):
@@ -164,19 +167,130 @@ class TestSupervisionPolicy:
 
     def test_backend_promotion(self, gemm_module, tmp_path):
         contexts = {"k": _context(gemm_module)}
-        assert isinstance(create_backend(contexts, jobs=1), SerialBackend)
+        assert isinstance(create_backend(contexts, SweepConfig()),
+                          SerialBackend)
         # A task timeout forces a process pool even at one job: inline
         # evaluation cannot be killed.
-        timed = create_backend(contexts, jobs=1,
-                               supervision=fast_policy(task_timeout=30.0))
+        timed = create_backend(contexts, SweepConfig(
+            supervision=fast_policy(task_timeout=30.0)))
         assert isinstance(timed, ProcessPoolBackend)
         timed.close()
         # So does a fault plan whose mode would take the coordinator down.
-        crashy = {"k": _context(gemm_module, faults=FaultPlan(
-            mode="crash", state_dir=str(tmp_path)))}
-        promoted = create_backend(crashy, jobs=1)
+        promoted = create_backend(contexts, SweepConfig(faults=FaultPlan(
+            mode="crash", state_dir=str(tmp_path))))
         assert isinstance(promoted, ProcessPoolBackend)
         promoted.close()
+
+
+# -- the settle contract --------------------------------------------------------------------
+
+
+class TestSettlement:
+    """The fault model every backend feeds: one table, one object."""
+
+    @staticmethod
+    def settlement(module, total=1, **policy):
+        from repro.dse.runtime.worker import _Settlement
+
+        context = _context(module)
+        batch = _sample_batch(context, total)
+        return _Settlement("k", context, total, fast_policy(**policy)), batch
+
+    @staticmethod
+    def counters(session):
+        return {name: value for name, value in session.metrics.counters.items()
+                if name.startswith("dse.faults.")}
+
+    def test_ok_settles_with_the_record(self, gemm_module):
+        settlement, (encoded,) = self.settlement(gemm_module)
+        record = evaluate_encoded(_context(gemm_module), encoded)
+        assert settlement.settle(0, encoded, "ok", record, None) is False
+        assert settlement.finish() == [record]
+
+    def test_fatal_aborts_naming_kernel_and_point(self, gemm_module):
+        settlement, (encoded,) = self.settlement(gemm_module)
+        with pytest.raises(EvaluationFailure) as error:
+            settlement.settle(0, encoded, "fatal", "PassError: skew", None)
+        assert f"kernel 'k' point {encoded}: PassError: skew" \
+            == str(error.value)
+
+    @pytest.mark.parametrize("kind,counter", [
+        ("error", None), ("crash", "dse.faults.crashes"),
+        ("timeout", "dse.faults.timeouts")])
+    @pytest.mark.parametrize("max_retries", [0, 2])
+    def test_charged_faults_retry_then_quarantine(self, gemm_module, kind,
+                                                  counter, max_retries):
+        from repro import obs
+
+        with obs.session() as session:
+            settlement, (encoded,) = self.settlement(
+                gemm_module, max_retries=max_retries)
+            # Under the budget: every charged fault asks for a resubmit ...
+            for _ in range(max_retries):
+                assert settlement.settle(0, encoded, kind, "boom", None) is True
+            # ... and the one over it settles the point as quarantined.
+            assert settlement.settle(0, encoded, kind, "boom", None) is False
+            (record,) = settlement.finish()
+        assert not record.ok and record.error == "boom"
+        assert record.encoded == encoded
+        expected = {"dse.faults.quarantined": 1}
+        if max_retries:
+            expected["dse.faults.retries"] = max_retries
+        if counter:
+            expected[counter] = max_retries + 1
+        assert self.counters(session) == expected
+
+    def test_a_retried_point_settles_with_its_healthy_record(self, gemm_module):
+        settlement, (encoded,) = self.settlement(gemm_module)
+        record = evaluate_encoded(_context(gemm_module), encoded)
+        assert settlement.settle(0, encoded, "error", "flaky", None) is True
+        assert settlement.settle(0, encoded, "ok", record, None) is False
+        assert settlement.finish() == [record]
+
+    def test_on_fault_fail_aborts_instead_of_quarantining(self, gemm_module):
+        settlement, (encoded,) = self.settlement(
+            gemm_module, max_retries=1, on_fault="fail")
+        assert settlement.settle(0, encoded, "error", "boom", None) is True
+        with pytest.raises(EvaluationFailure, match="failed after 1 retries: "
+                                                    "boom"):
+            settlement.settle(0, encoded, "error", "boom", None)
+
+    def test_attempts_are_counted_per_point(self, gemm_module):
+        settlement, batch = self.settlement(gemm_module, total=2,
+                                            max_retries=1)
+        assert settlement.settle(0, batch[0], "error", "boom", None) is True
+        assert settlement.settle(1, batch[1], "error", "boom", None) is True
+        assert settlement.settle(1, batch[1], "error", "boom", None) is False
+        assert settlement.settle(0, batch[0], "error", "boom", None) is False
+
+    def test_telemetry_is_absorbed_in_submission_order(self, gemm_module):
+        from repro import obs
+
+        context = _context(gemm_module)
+        with obs.session() as session:
+            settlement, batch = self.settlement(gemm_module, total=3)
+            assert settlement.traced
+            outcomes = {
+                index: obs.capture_task(evaluate_encoded, context, encoded,
+                                        span_args={"point": index})
+                for index, encoded in enumerate(batch)}
+            # Completion order 2, 0, 1 — and 1 only after a charged fault.
+            assert settlement.settle(1, batch[1], "error", "boom", None)
+            for index in (2, 0, 1):
+                record, telemetry = outcomes[index]
+                assert not settlement.settle(index, batch[index], "ok",
+                                             record, telemetry)
+            assert "worker:k" not in session.tracer.tracks()
+            records = settlement.finish()
+        assert records == [outcomes[index][0] for index in range(3)]
+        roots = [span.args["point"]
+                 for span in session.tracer.tracks()["worker:k"]
+                 if span.name == "dse.evaluate"]
+        assert roots == [0, 1, 2]
+
+    def test_untraced_without_a_session(self, gemm_module):
+        settlement, _ = self.settlement(gemm_module)
+        assert not settlement.traced
 
 
 # -- quarantined records --------------------------------------------------------------------
@@ -266,9 +380,9 @@ class TestCrashRecovery:
     def test_backend_respawns_and_retries(self, gemm_module, tmp_path):
         plan = FaultPlan(mode="crash", select=1, times=1,
                          state_dir=str(tmp_path / "ledger"))
-        context = _context(gemm_module, faults=plan)
-        backend = create_backend({"k": context}, jobs=1,
-                                 supervision=fast_policy())
+        context = _context(gemm_module)
+        backend = create_backend({"k": context}, SweepConfig(
+            supervision=fast_policy(), faults=plan))
         assert isinstance(backend, ProcessPoolBackend)
         batch = _sample_batch(context, 2)
         try:
@@ -295,9 +409,9 @@ class TestHangTimeout:
     def test_hung_worker_killed_and_retried(self, gemm_module, tmp_path):
         plan = FaultPlan(mode="hang", select=1, times=1, hang_seconds=60.0,
                          state_dir=str(tmp_path / "ledger"))
-        context = _context(gemm_module, faults=plan)
-        policy = fast_policy(task_timeout=1.0)
-        backend = create_backend({"k": context}, jobs=2, supervision=policy)
+        context = _context(gemm_module)
+        backend = create_backend({"k": context}, SweepConfig(
+            jobs=2, supervision=fast_policy(task_timeout=1.0), faults=plan))
         assert isinstance(backend, ProcessPoolBackend)
         batch = _sample_batch(context, 2)
         started = time.monotonic()
@@ -318,9 +432,10 @@ class TestHangTimeout:
         # points must quarantine with the timeout message.
         plan = FaultPlan(mode="hang", select=1, times=3, hang_seconds=60.0,
                          state_dir=str(tmp_path / "ledger"))
-        context = _context(gemm_module, faults=plan)
-        policy = fast_policy(task_timeout=0.75, max_retries=1)
-        backend = create_backend({"k": context}, jobs=2, supervision=policy)
+        context = _context(gemm_module)
+        backend = create_backend({"k": context}, SweepConfig(
+            jobs=2, supervision=fast_policy(task_timeout=0.75, max_retries=1),
+            faults=plan))
         batch = _sample_batch(context, 2)
         try:
             records = backend.evaluate("k", batch)
@@ -451,10 +566,8 @@ class TestCheckpointRecovery:
 class _InterruptingBackend:
     """Evaluates through a serial backend, then raises KeyboardInterrupt."""
 
-    jobs = 1
-
     def __init__(self, contexts, allowed_calls):
-        self._inner = SerialBackend(contexts)
+        self._inner = SerialBackend(contexts, SweepConfig())
         self._allowed = allowed_calls
         self.calls = 0
 

@@ -18,7 +18,12 @@ from repro.dse.space import KernelDesignPoint
 from repro.emit.hlscpp_emitter import emit_hlscpp
 from repro.ir.pass_registry import build_pipeline
 from repro.ir.printer import Printer
-from repro.pipeline import compile_dnn, compile_kernel, FRONTEND_PIPELINE
+from repro.pipeline import (
+    FRONTEND_PIPELINE,
+    compile_dnn,
+    compile_kernel,
+    explore_kernel,
+)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -31,6 +36,36 @@ KERNEL_POINTS = {
 def _golden():
     with open(os.path.join(GOLDEN_DIR, "qor.json"), "r", encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def _serial_engine_runs():
+    with open(os.path.join(GOLDEN_DIR, "serial_engine_n8.json"), "r",
+              encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+class TestSerialEngineGolden:
+    """``serial_engine_n8.json`` was generated by the standalone serial
+    explorer (one evaluation per iteration, one whole transformed module
+    retained per point) before it was deleted: the one explorer at
+    ``batch_size=1`` visits the same points in the same order, estimates the
+    same QoR and finalizes the same design."""
+
+    @pytest.mark.parametrize("run", sorted(_serial_engine_runs()["runs"]))
+    def test_batch_size_one_reproduces_the_serial_engine(self, run):
+        golden = _serial_engine_runs()
+        kernel, seed = run.split("-seed")
+        result = explore_kernel(
+            compile_kernel(kernel, golden["size"]),
+            num_samples=golden["num_samples"],
+            max_iterations=golden["max_iterations"], seed=int(seed),
+            batch_size=1)
+        assert [{"encoded": list(encoded), "latency": record.qor.latency,
+                 "dsp": record.qor.dsp}
+                for encoded, record in result.records.items()] \
+            == golden["runs"][run]["visited"]
+        assert list(result.best_record.encoded) == golden["runs"][run]["best"]
+        assert result.best_design().qor == result.best_record.qor
 
 
 class TestKernelFlowGolden:

@@ -1,9 +1,8 @@
 """Tests for incremental evaluation: prefix-snapshot caching correctness
-(byte-identical results with the cache on or off, at any worker count),
+(every visited point evaluates the same with and without snapshots),
 snapshot invalidation and clone isolation, runtime pipeline registration,
 and the estimate cache's byte bound + JSONL compaction."""
 
-import json
 import os
 
 import pytest
@@ -16,13 +15,15 @@ from repro.dse.apply import (
     register_cleanup_pipeline,
 )
 from repro.dse.incremental import PrefixSnapshotCache
-from repro.dse.runtime import EstimateCache, ParallelExplorer
+from repro.dse.runtime import EstimateCache, ParallelExplorer, SweepConfig
 from repro.dse.space import KernelDesignPoint, ir_digest
 from repro.estimation import XC7Z020
 from repro.ir import print_op
 from repro.ir.pass_manager import PassError
 
 from conftest import GEMM_SOURCE, compile_source
+
+from test_transform_classes import assert_snapshots_invisible
 
 
 @pytest.fixture
@@ -32,18 +33,6 @@ def gemm_module():
 
 POINT = KernelDesignPoint(loop_perfectization=True, remove_variable_bound=True,
                           perm_map=(1, 2, 0), tile_sizes=(4, 4, 4), target_ii=1)
-
-
-def result_bytes(result):
-    """Canonical byte rendering of a sweep outcome (frontier + records)."""
-    payload = {
-        "fingerprint": result.fingerprint,
-        "frontier": [record.to_json_dict()
-                     for record in result.frontier_records()],
-        "records": [result.records[encoded].to_json_dict()
-                    for encoded in sorted(result.records)],
-    }
-    return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 
 class TestIncrementalEquivalence:
@@ -59,16 +48,11 @@ class TestIncrementalEquivalence:
         assert snapshots.hits == 1 and snapshots.misses == 1
         assert snapshots.clones == 2
 
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
-    def test_frontier_bytes_identical_with_and_without_cache(self, gemm_module,
-                                                             jobs):
-        outcomes = []
-        for incremental in (True, False):
-            explorer = ParallelExplorer(platform=XC7Z020, num_samples=6,
-                                        max_iterations=8, seed=11, jobs=jobs,
-                                        batch_size=4, incremental=incremental)
-            outcomes.append(result_bytes(explorer.explore(gemm_module)))
-        assert outcomes[0] == outcomes[1]
+    def test_every_visited_point_is_the_same_without_snapshots(self,
+                                                               gemm_module):
+        explorer = ParallelExplorer(XC7Z020, SweepConfig(
+            num_samples=6, max_iterations=8, seed=11, batch_size=4))
+        assert_snapshots_invisible(explorer.explore(gemm_module))
 
 
 class TestPrefixSnapshotCache:
@@ -191,20 +175,14 @@ class TestSnapshotHoldsTheKernelAndItsCallees:
         assert apply_design_point(module, point, XC7Z020,
                                   func_name="caller").qor != plain.qor
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_sweep_bytes_identical_with_and_without_snapshots(self, module,
-                                                              jobs):
+    def test_every_visited_point_is_the_same_without_snapshots(self, module):
         from repro.dse.runtime import MultiKernelScheduler
 
-        outcomes = []
-        for incremental in (True, False):
-            results = MultiKernelScheduler(
-                XC7Z020, jobs=jobs, num_samples=4, max_iterations=4, seed=3,
-                batch_size=4, incremental=incremental).explore_module(
-                    module, func_names=["caller", "bystander"])
-            outcomes.append([result_bytes(results[name])
-                             for name in ("caller", "bystander")])
-        assert outcomes[0] == outcomes[1]
+        results = MultiKernelScheduler(XC7Z020, SweepConfig(
+            num_samples=4, max_iterations=4, seed=3, batch_size=4)
+        ).explore_module(module, func_names=["caller", "bystander"])
+        for name in ("caller", "bystander"):
+            assert_snapshots_invisible(results[name])
 
 
 class TestRuntimePipelineRegistration:
@@ -242,10 +220,9 @@ class TestRuntimePipelineRegistration:
 
 class TestEstimateCacheByteBound:
     def _fill(self, path, **bounds):
-        explorer = ParallelExplorer(platform=XC7Z020, num_samples=6,
-                                    max_iterations=8, seed=11, jobs=1,
-                                    batch_size=4,
-                                    cache=EstimateCache(path, **bounds))
+        explorer = ParallelExplorer(XC7Z020, SweepConfig(
+            num_samples=6, max_iterations=8, seed=11, jobs=1, batch_size=4,
+            cache=EstimateCache(path, **bounds)))
         return explorer.explore(compile_source(GEMM_SOURCE, "gemm"))
 
     def test_max_bytes_bounds_entries_and_file(self, tmp_path):
@@ -286,11 +263,3 @@ class TestEstimateCacheByteBound:
         revived = EstimateCache(path)
         assert revived.stats.compacted == 0
         assert os.stat(path).st_mtime_ns == stamp
-
-    def test_entry_count_eviction_alone_keeps_file_appendable(self, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
-        cold = self._fill(path)
-        small = EstimateCache(path, max_entries=2)
-        assert len(small) == 2 and small.stats.compacted == 0
-        # The file still holds everything: a larger-bounded process re-warms.
-        assert EstimateCache(path).stats.loaded == cold.num_evaluations

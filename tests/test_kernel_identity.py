@@ -22,8 +22,8 @@ from repro.dse.runtime import (
     KernelTask,
     ModelScheduler,
     MultiKernelScheduler,
-    NodeBudgetPolicy,
     SupervisionPolicy,
+    SweepConfig,
 )
 from repro.dse.runtime.transport import TransportConfig
 from repro.dse.runtime.worker import KernelContext, evaluate_encoded
@@ -214,11 +214,14 @@ PAIRS = {"forward_dataflow20": "forward_dataflow17",
          "forward_dataflow30": "forward_dataflow27"}
 
 
-def slice_scheduler(jobs=1, **overrides):
-    config = dict(platform=VU9P_SLR, jobs=jobs, seed=7, batch_size=2,
-                  budget=NodeBudgetPolicy(num_samples=3, max_iterations=4))
+def slice_scheduler(jobs=1, checkpoint_dir=None,
+                    max_evaluations_per_node=None, **overrides):
+    own = dict(checkpoint_dir=checkpoint_dir,
+               max_evaluations_per_node=max_evaluations_per_node)
+    config = dict(jobs=jobs, seed=7, batch_size=2, checkpoint_every=16,
+                  num_samples=3, max_iterations=4)
     config.update(overrides)
-    return ModelScheduler(**config)
+    return ModelScheduler(VU9P_SLR, SweepConfig(**config), **own)
 
 
 def sweep(jobs=1, resume=False, **overrides):
@@ -461,9 +464,9 @@ def _tasks(copies: int, budgets=None, lone: bool = True) -> list[KernelTask]:
 
 
 def _scheduler(jobs, **overrides):
-    return MultiKernelScheduler(platform=XC7Z020, jobs=jobs, num_samples=3,
-                                max_iterations=4, seed=5, batch_size=2,
-                                **overrides)
+    return MultiKernelScheduler(XC7Z020, SweepConfig(
+        jobs=jobs, num_samples=3, max_iterations=4, seed=5, batch_size=2,
+        **overrides))
 
 
 class TestRepresentativeFirst:

@@ -14,7 +14,7 @@ import pytest
 
 from repro import obs
 from repro.dse import KernelDesignSpace
-from repro.dse.runtime import ParallelExplorer
+from repro.dse.runtime import ParallelExplorer, SweepConfig
 from repro.estimation import (
     BUILTIN_PLATFORM_CONFIGS,
     PLATFORMS,
@@ -267,11 +267,12 @@ class TestEstimatorPlatformAwareness:
             not in session.metrics.counters
 
 
-def sweep_explorer(platforms, **overrides):
-    config = dict(platform=platforms[0], platforms=platforms, num_samples=6,
-                  max_iterations=8, seed=11, jobs=1, batch_size=4)
+def sweep_explorer(platforms, checkpoint_path=None, **overrides):
+    config = dict(platforms=platforms, num_samples=6, max_iterations=8,
+                  seed=11, jobs=1, batch_size=4)
     config.update(overrides)
-    return ParallelExplorer(**config)
+    return ParallelExplorer(platforms[0], SweepConfig(**config),
+                            checkpoint_path=checkpoint_path)
 
 
 class TestMultiPlatformSweeps:

@@ -46,6 +46,7 @@ from test_kernel_identity import (
 from test_transform_classes import (  # noqa: F401  (fixtures)
     assert_files_match,
     assert_same_record,
+    assert_snapshots_invisible,
     direct_record,
     document,
     explore,
@@ -309,10 +310,9 @@ class TestGemmSweep:
         dispatched = record_dispatches(monkeypatch)
         explore(gemm8)
         plain = list(dispatched)
-        for overrides in (dict(incremental=False), dict(tmp_path=tmp_path)):
-            del dispatched[:]
-            assert document(explore(gemm8, **overrides)) == golden["clean"]
-            assert dispatched == plain
+        del dispatched[:]
+        assert document(explore(gemm8, tmp_path=tmp_path)) == golden["clean"]
+        assert dispatched == plain
         assert_files_match(tmp_path, golden)
 
     def test_staging_is_counted_and_spanned_alike_at_any_jobs(self, gemm8):
@@ -402,14 +402,18 @@ class TestVgg16SliceSweep:
             assert not {(key, mate) for mate in mates} & set(dispatched)
 
     @pytest.mark.parametrize("overrides", [
-        dict(jobs=2), dict(incremental=False), dict(jobs=2, incremental=False),
+        dict(jobs=2),
         dict(transport=TransportConfig(
             spawn_workers=2, heartbeat_interval=0.2, heartbeat_timeout=5.0,
             connect_timeout=60.0, reconnect_base=0.05),
             supervision=fast_policy())],
-        ids=["jobs2", "no-incremental", "jobs2-no-incremental", "workers2"])
+        ids=["jobs2", "workers2"])
     def test_every_execution_setting(self, expected, overrides):
         assert masked_document(dnn.sweep(**overrides)) == expected
+
+    def test_every_visited_point_is_the_same_without_snapshots(self):
+        for node in dnn.sweep().node_results.values():
+            assert_snapshots_invisible(node)
 
     def test_counters_equal_at_any_jobs(self):
         _, serial, _ = observed(dnn.sweep, 1)

@@ -282,7 +282,9 @@ class TestEstimateCacheLRU:
     def test_eviction_is_lru_and_counted(self):
         from repro.dse.runtime import EstimateCache
 
-        cache = EstimateCache(max_entries=2)
+        # Room for two records: all three serialize to the same length.
+        line = EstimateCache._serialize("fp", self._record((1,)))
+        cache = EstimateCache(max_bytes=2 * (len(line) + 1))
         cache.put("fp", self._record((1,)))
         cache.put("fp", self._record((2,)))
         assert cache.get("fp", (1,)) is not None  # refreshes (1,)
@@ -302,38 +304,11 @@ class TestEstimateCacheLRU:
         assert len(cache) == 100
         assert cache.stats.evictions == 0
 
-    def test_bound_applies_when_warming_from_file(self, tmp_path):
-        from repro.dse.runtime import EstimateCache
-
-        path = str(tmp_path / "estimates.jsonl")
-        full = EstimateCache(path)
-        for i in range(10):
-            full.put("fp", self._record((i,)))
-        full.close()
-
-        bounded = EstimateCache(path, max_entries=3)
-        assert len(bounded) == 3
-        # The newest lines win; the file itself keeps every entry.
-        assert bounded.get("fp", (9,)) is not None
-        assert bounded.get("fp", (0,)) is None
-        assert bounded.stats.evictions == 7
-        revived = EstimateCache(path)
-        assert len(revived) == 10
-
     def test_invalid_bound_rejected(self):
         from repro.dse.runtime import EstimateCache
 
         with pytest.raises(ValueError):
-            EstimateCache(max_entries=0)
-
-    def test_cli_exposes_cache_max_entries(self):
-        from repro.tools.driver import build_parser
-
-        args = build_parser().parse_args(
-            ["dse", "--kernel", "gemm", "--cache-max-entries", "128"])
-        assert args.cache_max_entries == 128
-        args = build_parser().parse_args(["dnn", "--dse"])
-        assert args.cache_max_entries is None
+            EstimateCache(max_bytes=0)
 
 
 class TestBlockScanBuckets:

@@ -35,10 +35,12 @@ from repro.dse.apply import (
     optimize_kernel_module,
     register_cleanup_pipeline,
 )
+from repro.dse.incremental import PrefixSnapshotCache
 from repro.dse.runtime import (
     EstimateCache,
     FaultPlan,
     ParallelExplorer,
+    SweepConfig,
 )
 from repro.dse.runtime import worker
 from repro.dse.runtime.records import EvaluationRecord
@@ -399,20 +401,36 @@ def document(result) -> dict:
             "best": list(result.best_record.encoded)}
 
 
-def explore(module, tmp_path=None, resume=False, **overrides):
+def explore(module, tmp_path=None, resume=False, max_evaluations=None,
+            **overrides):
     """One sweep; with ``tmp_path`` it writes a cache file and a checkpoint."""
     config = dict(SWEEP, **overrides)
-    cache = None
+    cache = checkpoint_path = None
     if tmp_path is not None:
         cache = EstimateCache(str(tmp_path / "cache.jsonl"))
-        config.update(cache=cache, checkpoint_every=4,
-                      checkpoint_path=str(tmp_path / "dse.ckpt.json"))
+        config.update(cache=cache, checkpoint_every=4)
+        checkpoint_path = str(tmp_path / "dse.ckpt.json")
     try:
-        return ParallelExplorer(XC7Z020, **config).explore(module,
-                                                           resume=resume)
+        return ParallelExplorer(
+            XC7Z020, SweepConfig(**config), checkpoint_path=checkpoint_path,
+            max_evaluations=max_evaluations).explore(module, resume=resume)
     finally:
         if cache is not None:
             cache.close()
+
+
+def assert_snapshots_invisible(result) -> None:
+    """For every point the sweep behind ``result`` visited, evaluating from
+    scratch (``snapshots=None``, what one-off callers such as
+    ``materialize`` run) equals evaluating against prefix snapshots (what
+    every backend runs), field for field."""
+    context = KernelContext(module=result.module, func_name=result.func_name,
+                            platform=result.platform, space=result.space)
+    snapshots = PrefixSnapshotCache()
+    for encoded in result.records:
+        assert evaluate_encoded(context, encoded, snapshots=None) \
+            == evaluate_encoded(context, encoded, snapshots=snapshots)
+    assert snapshots.hits > 0
 
 
 def assert_files_match(tmp_path, golden):
@@ -468,7 +486,9 @@ class TestSweepMatchesTheParentCommit:
         assert (result.resolved_siblings, result.resolved_aliases) == (3, 5)
 
     def test_without_incremental_snapshots(self, gemm8, golden):
-        assert document(explore(gemm8, incremental=False)) == golden["clean"]
+        result = explore(gemm8)
+        assert document(result) == golden["clean"]
+        assert_snapshots_invisible(result)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_resume_from_a_mid_sweep_checkpoint(self, gemm8, golden, tmp_path,
@@ -555,9 +575,9 @@ class TestSweepMatchesTheParentCommit:
         monkeypatch.setattr(
             "repro.dse.engine.ExplorationPolicy.initial_batch",
             staticmethod(lambda space, rng, num_samples: list(batch)))
-        result = ParallelExplorer(
-            XC7Z020, num_samples=4, max_iterations=0, seed=1,
-            supervision=fast_policy(max_retries=0)).explore(
+        result = ParallelExplorer(XC7Z020, SweepConfig(
+            num_samples=4, max_iterations=0, seed=1,
+            supervision=fast_policy(max_retries=0))).explore(
                 context.module, space=space)
         assert [record.ok for record in result.records.values()] \
             == [False, True, True, True]

@@ -16,6 +16,7 @@ from repro.dse.runtime import (
     ParallelExplorer,
     RemotePoolBackend,
     SupervisionPolicy,
+    SweepConfig,
     TransportConfig,
     backoff_delay,
 )
@@ -41,10 +42,10 @@ def frontier_signature(result):
 
 
 def small_explorer(**overrides):
-    config = dict(platform=XC7Z020, num_samples=6, max_iterations=8, seed=11,
-                  jobs=1, batch_size=4)
+    config = dict(num_samples=6, max_iterations=8, seed=11, jobs=1,
+                  batch_size=4)
     config.update(overrides)
-    return ParallelExplorer(**config)
+    return ParallelExplorer(XC7Z020, SweepConfig(**config))
 
 
 def fast_policy(**overrides):
@@ -198,7 +199,7 @@ class TestHandshakeRejection:
     @pytest.fixture
     def backend(self, gemm_module):
         backend = RemotePoolBackend({"kernel": _context(gemm_module)},
-                                    TransportConfig())
+                                    SweepConfig(transport=TransportConfig()))
         backend.start()
         yield backend
         backend.close()
@@ -254,9 +255,10 @@ class TestHandshakeRejection:
 class TestRemoteParity:
     def test_two_agents_match_serial_byte_for_byte(self, gemm_module):
         clean = small_explorer().explore(gemm_module)
-        backend = RemotePoolBackend({"kernel": _context(gemm_module)},
-                                    fast_transport(),
-                                    supervision=fast_policy())
+        backend = RemotePoolBackend(
+            {"kernel": _context(gemm_module)},
+            SweepConfig(transport=fast_transport(),
+                        supervision=fast_policy()))
         try:
             with obs.session() as session:
                 backend.warm_up()  # both agents handshake before any task
@@ -356,7 +358,6 @@ class _KillAgentAfterFirstBatch:
 
     def __init__(self, inner):
         self._inner = inner
-        self.jobs = inner.jobs
         self.killed = False
 
     def evaluate(self, key, batch):
@@ -373,10 +374,11 @@ class _KillAgentAfterFirstBatch:
 class TestAgentKilledMidRun:
     def test_sigkill_agent_is_uncharged_and_identical(self, gemm_module):
         clean = small_explorer().explore(gemm_module)
-        remote = RemotePoolBackend({"kernel": _context(gemm_module)},
-                                   fast_transport(heartbeat_interval=0.1,
-                                                  heartbeat_timeout=1.0),
-                                   supervision=fast_policy())
+        remote = RemotePoolBackend(
+            {"kernel": _context(gemm_module)},
+            SweepConfig(transport=fast_transport(heartbeat_interval=0.1,
+                                                 heartbeat_timeout=1.0),
+                        supervision=fast_policy()))
         backend = _KillAgentAfterFirstBatch(remote)
         try:
             with obs.session() as session:
