@@ -1,7 +1,7 @@
 """Fault injection and supervision policy for the DSE runtime.
 
 The evaluation backends in :mod:`repro.dse.runtime.worker` are supervised:
-per-task wall-clock timeouts, worker-crash detection with pool respawn, and
+per-task wall-clock timeouts, worker-crash detection with respawn, and
 bounded retries with deterministic quarantine.  This module holds the two
 configuration objects of that layer plus the fault-injection harness the
 tests and CI chaos runs use to exercise it:
@@ -141,10 +141,13 @@ class FaultPlan:
     :func:`stable_point_hash` is ``0 mod select`` matches (so roughly one
     in ``select`` evaluations faults, deterministically).  ``times`` bounds
     how many attempts of a matching point fail before it recovers (poison
-    ignores it).  ``nth > 0`` adds a *chaos* selector on top: every Nth
-    evaluation of a worker process faults regardless of the point — not
-    deterministic across worker counts, but every fault is still retryable,
-    so the final frontier stays byte-identical.
+    ignores it).  The rule: a plan with ``times <= max_retries`` converges
+    to the clean records, and a charged mode with more quarantines the same
+    victims, at any topology — every fault is charged to the point that
+    fired it, never to a neighbour.  ``nth > 0`` adds a *chaos* selector on
+    top: every Nth evaluation of a worker process faults regardless of the
+    point — not deterministic across worker counts, but every fault is still
+    retryable, so the final frontier stays byte-identical.
 
     ``state_dir`` is the cross-process attempt ledger for the recoverable
     modes; :meth:`parse` creates a temporary one automatically.  The same

@@ -45,11 +45,7 @@ from repro.dse.pareto import ParetoPoint
 from repro.dse.runtime.checkpoint import CheckpointStore, ExplorerState
 from repro.dse.runtime.config import SweepConfig
 from repro.dse.runtime.records import EvaluationRecord
-from repro.dse.runtime.worker import (
-    KernelContext,
-    SerialBackend,
-    create_backend,
-)
+from repro.dse.runtime.worker import KernelContext, create_backend
 from repro.dse.space import KernelDesignSpace
 from repro.estimation.platform import Platform, XC7Z020
 from repro.ir.module import ModuleOp
@@ -325,7 +321,7 @@ class ParallelExplorer:
         #: uncapped one.
         self.max_evaluations = max_evaluations
         #: Cooperative-stop flag shared with an owning scheduler (checked by
-        #: the backends at wave boundaries).
+        #: the supervisor between outcomes).
         self.stop_event = stop_event
 
     # -- exploration ------------------------------------------------------------------------
@@ -418,12 +414,12 @@ class ParallelExplorer:
         own_snapshots: Optional[PrefixSnapshotCache] = None
 
         def staging_snapshots() -> PrefixSnapshotCache:
-            """A serial backend evaluates in this process: share its prefix
+            """A backend that evaluates in this process shares its prefix
             snapshots instead of building every prefix twice."""
             nonlocal own_snapshots
-            backend = get_backend()
-            if isinstance(backend, SerialBackend):
-                return backend.snapshots_for(context_key)
+            shared = get_backend().snapshots_for(context_key)
+            if shared is not None:
+                return shared
             if own_snapshots is None:
                 own_snapshots = PrefixSnapshotCache()
             return own_snapshots

@@ -172,7 +172,7 @@ class MultiKernelScheduler:
                 # and the trace skeleton must be identical across --jobs.
                 backend.warm_up()
                 # One coordinator thread per kernel class; they are
-                # I/O-bound (waiting on pool futures), so threads are enough
+                # I/O-bound (waiting on pool results), so threads are enough
                 # to keep the pool busy.
                 with concurrent.futures.ThreadPoolExecutor(
                         max_workers=len(classes)) as coordinators:
@@ -188,7 +188,7 @@ class MultiKernelScheduler:
                             results.update(future.result())
                         return {task.key: results[task.key] for task in tasks}
                     except KeyboardInterrupt:
-                        # Ctrl-C: stop submissions, fail in-flight futures
+                        # Ctrl-C: stop submissions, fail in-flight attempts
                         # so every coordinator unblocks, writes its boundary
                         # checkpoint and exits; then let the interrupt
                         # propagate (the ThreadPoolExecutor context joins

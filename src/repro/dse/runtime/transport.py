@@ -41,37 +41,33 @@ emits ``heartbeat`` frames from a background thread the whole time (also
 *during* long evaluations, so silence specifically means transport
 trouble).  ``shutdown`` ends an agent cleanly.
 
-Fault attribution (the PR 8 model, over sockets)
-------------------------------------------------
+Fault attribution
+-----------------
 
 * **Charged** — the agent *reported* an evaluation error, or the task
   exceeded ``--task-timeout`` while its connection stayed healthy: the
-  design point is at fault.  Charged faults consume ``--max-retries``
-  bounded retries with the shared deterministic backoff
-  (:func:`~repro.dse.runtime.faults.backoff_delay`) and then quarantine —
-  byte-identically to the local backends at any topology.
+  design point is at fault, exactly as on the local backends.
 * **Uncharged** — the connection broke, garbled, or went silent past the
-  heartbeat window before a result arrived: the point is innocent.  It is
-  requeued without touching its retry budget and lands on the next healthy
-  agent.  A stale result from a worker the coordinator gave up on can
-  never be double-counted: giving up *is* closing the connection, so the
-  worker's late send fails and it re-joins through a fresh handshake.
+  heartbeat window before a result arrived: the point is innocent.  The
+  link reports it ``lost`` and the supervisor requeues it, retry budget
+  untouched, for the next healthy agent.  A stale result can never be
+  double-counted: giving up on a task *is* closing its connection, so the
+  agent's late send fails and it re-joins through a fresh handshake.
 
-Because retries, quarantine and telemetry absorption are the local
-backends' own :class:`~repro.dse.runtime.worker._Settlement` (in submission
-order, never completion order), the frontier is byte-identical whether
-evaluation ran serial, in a local pool, or across N agents with mid-run
-disconnects — which is what the transport chaos tests byte-compare.
+Dispatch, retries, quarantine and telemetry absorption are
+:class:`~repro.dse.runtime.worker.Supervisor`'s, shared with the local
+backends, so the frontier is byte-identical whether evaluation ran serial,
+in a local pool, or across N agents with mid-run disconnects — which is
+what the transport chaos tests byte-compare.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
+import math
 import os
 import pickle
-import queue
 import socket
 import struct
 import subprocess
@@ -79,13 +75,12 @@ import sys
 import threading
 import time
 import zlib
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro import obs
 from repro.dse.runtime import worker as worker_mod
 from repro.dse.runtime.config import SweepConfig
 from repro.dse.runtime.faults import EvaluationFailure, backoff_delay
-from repro.dse.runtime.records import EvaluationRecord
 
 #: Bumped on every incompatible frame/handshake change; agents and
 #: coordinators refuse to pair across versions.
@@ -234,97 +229,119 @@ class TransportConfig:
         return max(1, self.spawn_workers)
 
 
-class _RemoteTask:
-    """One in-flight dispatch; completion lands on its ``done`` queue."""
+class _SocketLink:
+    """One handshaken agent connection.  A broken, garbled or silent one
+    reports an *uncharged* ``lost``; only a deadline blown while it stayed
+    healthy is a charged ``timeout``.  Either way the link is finished:
+    closing the socket is what keeps the agent's late result from ever
+    being counted, and the agent re-joins through a fresh handshake."""
 
-    __slots__ = ("id", "key", "encoded", "index", "traced", "done",
-                 "kind", "payload", "telemetry", "requeues")
+    def __init__(self, sock: socket.socket, heartbeat_timeout: float,
+                 task_timeout: Optional[float]):
+        self._sock = sock
+        self._heartbeat_timeout = heartbeat_timeout
+        self._task_timeout = task_timeout
+        self._sent = 0
+        self.alive = True
 
-    def __init__(self, task_id: int, key: str, encoded: tuple, index: int,
-                 traced: bool, done: "queue.Queue[_RemoteTask]"):
-        self.id = task_id
-        self.key = key
-        self.encoded = encoded
-        self.index = index
-        self.traced = traced
-        self.done = done
-        self.kind = ""
-        self.payload = None
-        self.telemetry = None
-        self.requeues = 0
+    def _drop(self, kind: str, cause: str):
+        self.alive = False
+        obs.counter("dse.transport.disconnects")
+        return kind, cause, None
+
+    def run(self, key: str, encoded: tuple, traced: bool):
+        self._sent += 1  # a result must echo the id of the task it answers
+        now = time.monotonic()
+        task_deadline = now + (self._task_timeout or math.inf)
+        heartbeat_deadline = now + self._heartbeat_timeout
+        try:
+            send_frame(self._sock, "task", {"id": self._sent, "key": key,
+                                            "encoded": encoded,
+                                            "traced": traced})
+            while True:
+                now = time.monotonic()
+                if now >= task_deadline:
+                    # The agent is presumed stuck inside the evaluation.
+                    return self._drop(
+                        worker_mod._TIMEOUT,
+                        f"evaluation exceeded the task timeout of "
+                        f"{self._task_timeout:g}s")
+                if now >= heartbeat_deadline:
+                    obs.counter("dse.transport.heartbeat_misses")
+                    return self._drop(worker_mod._LOST, "heartbeat missed")
+                wait = min(heartbeat_deadline, task_deadline) - now
+                self._sock.settimeout(max(wait, 0.01))
+                try:
+                    kind, data = recv_frame(self._sock)
+                except socket.timeout:
+                    continue
+                if kind == "heartbeat":
+                    heartbeat_deadline = time.monotonic() \
+                        + self._heartbeat_timeout
+                elif kind == "result" and data.get("id") == self._sent:
+                    return (data.get("tag"), data.get("payload"),
+                            data.get("telemetry"))
+        except FrameError:
+            obs.counter("dse.transport.garbage_frames")
+            return self._drop(worker_mod._LOST, "garbage frame")
+        except (ConnectionError, OSError):
+            return self._drop(worker_mod._LOST, "connection lost")
+
+    def abort(self) -> None:
+        self.alive = False
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)  # wakes a blocked recv
+        except OSError:
+            pass
+
+    def close(self) -> None:
+        if self.alive:
+            try:
+                send_frame(self._sock, "shutdown", {})  # the agent exits
+            except OSError:
+                pass
+        _close_quietly(self._sock)
 
 
-class _ConnectionLost(Exception):
-    """Internal: unwind one connection's serving loop (task already routed)."""
-
-
-class RemotePoolBackend:
-    """Socket-transport sibling of ``ProcessPoolBackend``.
-
-    Same ``evaluate(key, batch) -> [EvaluationRecord]`` interface and the
-    same supervision semantics; evaluation capacity comes from connected
-    worker agents instead of forked processes.  One listener thread accepts
-    and handshakes agents; one thread per connection pulls tasks from a
-    shared queue, dispatches them, and watches heartbeats.
-    """
+class RemotePoolBackend(worker_mod.Supervisor):
+    """Socket-transport sibling of ``ProcessPoolBackend``: one listener
+    thread accepts worker agents, and each connection's thread handshakes
+    and then serves its :class:`_SocketLink` as a supervisor slot."""
 
     def __init__(self, contexts: dict, config: SweepConfig,
                  stop_event: Optional[threading.Event] = None):
-        from repro.dse.apply import CLEANUP_PIPELINES, kernel_pipeline_signature
+        from repro.dse.apply import kernel_pipeline_signature
 
-        self._sweep = config
-        self._contexts = contexts
-        self._stop_event = stop_event
+        super().__init__(contexts, config, stop_event)
+        self._transport: TransportConfig = config.transport
+        self._max_requeues = self._transport.max_requeues
+        self._starve_seconds = self._transport.connect_timeout
         self._signature = kernel_pipeline_signature()
-        self._payload = pickle.dumps((contexts, dict(CLEANUP_PIPELINES)))
+        self._payload = worker_mod._worker_payload(contexts)
         self._session = session_fingerprint(contexts, self._signature)
-        self._tasks: "queue.Queue[_RemoteTask]" = queue.Queue()
-        self._task_ids = itertools.count(1)
-        self._lock = threading.Lock()
-        self._connections: dict[int, socket.socket] = {}
-        self._connection_ids = itertools.count(1)
-        self._threads: list[threading.Thread] = []
         self._agents: list[subprocess.Popen] = []
         self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._address: Optional[tuple[str, int]] = None
-        self._closing = False
-        self._started = False
+        #: The bound ``(host, port)`` once :meth:`start` ran.
+        self.address: Optional[tuple[str, int]] = None
 
     # -- lifecycle --------------------------------------------------------------------------
-
-    @property
-    def _config(self) -> TransportConfig:
-        return self._sweep.transport
-
-    @property
-    def address(self) -> Optional[tuple[str, int]]:
-        """The bound ``(host, port)`` once :meth:`start` ran."""
-        return self._address
-
-    @property
-    def num_connected(self) -> int:
-        with self._lock:
-            return len(self._connections)
 
     def start(self) -> None:
         """Bind the listener and launch any local agents (idempotent)."""
         with self._lock:
-            if self._started:
+            if self._listener is not None:
                 return
-            self._started = True
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener = self._listener
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._config.host, self._config.port))
+        listener.bind((self._transport.host, self._transport.port))
         listener.listen(16)
         listener.settimeout(0.2)
-        self._listener = listener
-        self._address = listener.getsockname()[:2]
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="transport-accept", daemon=True)
-        self._accept_thread.start()
-        if self._config.spawn_workers:
-            self._spawn_agents(self._config.spawn_workers)
+        self.address = listener.getsockname()[:2]
+        threading.Thread(target=self._accept_loop, name="transport-accept",
+                         daemon=True).start()
+        if self._transport.spawn_workers:
+            self._spawn_agents(self._transport.spawn_workers)
 
     def _spawn_agents(self, count: int) -> None:
         import repro
@@ -334,7 +351,7 @@ class RemotePoolBackend:
         env = dict(os.environ)
         env["PYTHONPATH"] = source_root + os.pathsep \
             + env.get("PYTHONPATH", "")
-        host, port = self._address
+        host, port = self.address
         if host in ("", "0.0.0.0", "::"):
             host = "127.0.0.1"
         for index in range(count):
@@ -346,7 +363,8 @@ class RemotePoolBackend:
                        "sys.exit(main(sys.argv[1:]))",
                        "worker-agent", "--connect", f"{host}:{port}",
                        "--agent-id", f"local-{index}",
-                       "--reconnect-base", str(self._config.reconnect_base)]
+                       "--reconnect-base",
+                       str(self._transport.reconnect_base)]
             # stdout stays quiet (a coordinator's stdout may be a frontier
             # JSON byte-compare); agent status lines go to inherited stderr.
             self._agents.append(subprocess.Popen(
@@ -355,50 +373,31 @@ class RemotePoolBackend:
     def warm_up(self) -> None:
         """Block until the expected number of agents handshook."""
         self.start()
-        self._await_workers(self._config.expected_workers)
+        self._await_workers(self._transport.expected_workers)
+
+    def _ready(self) -> None:
+        self.start()
+        self._await_workers(1)
 
     def _await_workers(self, count: int) -> None:
-        deadline = time.monotonic() + self._config.connect_timeout
-        while True:
-            with self._lock:
-                if len(self._connections) >= count:
-                    return
+        deadline = time.monotonic() + self._transport.connect_timeout
+        while len(self._links) < count:
             worker_mod._check_stop(self._stop_event)
             if time.monotonic() >= deadline:
-                host, port = self._address or (self._config.host,
-                                               self._config.port)
+                host, port = self.address
                 raise EvaluationFailure(
                     f"no worker agent connected within "
-                    f"{self._config.connect_timeout:g}s (need {count}, have "
-                    f"{self.num_connected}); start agents with 'repro-hls "
-                    f"worker-agent --connect {host}:{port}' or pass "
-                    f"--workers N to spawn local ones")
+                    f"{self._transport.connect_timeout:g}s (need {count}, "
+                    f"have {len(self._links)}); start agents with "
+                    f"'repro-hls worker-agent --connect {host}:{port}' or "
+                    f"pass --workers N to spawn local ones")
             time.sleep(0.05)
 
-    def request_stop(self) -> None:
-        """Interrupt path: unblock every evaluate() and connection thread."""
-        if self._stop_event is not None:
-            self._stop_event.set()
-        self._closing = True
-        with self._lock:
-            connections = list(self._connections.values())
-        for sock in connections:
-            _close_quietly(sock)
-
     def close(self) -> None:
-        self._closing = True
         if self._listener is not None:
             _close_quietly(self._listener)
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
-        # Connection threads notice _closing between tasks, send a clean
-        # shutdown frame and exit; give them a moment, then cut the cord.
-        for thread in list(self._threads):
-            thread.join(timeout=2.0)
-        with self._lock:
-            connections = list(self._connections.values())
-        for sock in connections:
-            _close_quietly(sock)
+        # Each slot sends its agent a clean shutdown frame on the way out.
+        super().close()
         for process in self._agents:
             if process.poll() is None:
                 try:
@@ -407,12 +406,6 @@ class RemotePoolBackend:
                     process.kill()
                     process.wait()
         self._agents.clear()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
     # -- accepting and serving connections --------------------------------------------------
 
@@ -425,15 +418,15 @@ class RemotePoolBackend:
             except OSError:
                 return  # listener closed
             thread = threading.Thread(
-                target=self._serve_connection, args=(sock, addr),
+                target=self._serve_connection, args=(sock,),
                 name=f"transport-conn-{addr[0]}:{addr[1]}", daemon=True)
             self._threads.append(thread)
             thread.start()
 
-    def _handshake(self, sock: socket.socket, addr) -> Optional[str]:
-        """Run the coordinator side of the handshake; return the agent name
-        (None means the connection was rejected or garbled and closed)."""
-        sock.settimeout(max(self._config.heartbeat_timeout, 5.0))
+    def _handshake(self, sock: socket.socket) -> bool:
+        """Run the coordinator side of the handshake; False means the agent
+        was told why it is rejected."""
+        sock.settimeout(max(self._transport.heartbeat_timeout, 5.0))
         kind, data = recv_frame(sock)
         if kind != "hello":
             raise FrameError(f"expected hello, got {kind!r}")
@@ -442,7 +435,7 @@ class RemotePoolBackend:
                 f"protocol version mismatch: coordinator speaks "
                 f"v{PROTOCOL_VERSION}, agent speaks "
                 f"v{data.get('protocol')} — upgrade the older side")})
-            return None
+            return False
         presented = data.get("session", "")
         if presented and presented != self._session:
             send_frame(sock, "reject", {"error": (
@@ -451,12 +444,12 @@ class RemotePoolBackend:
                 f"but the agent last handshook session {presented} — the "
                 f"agent belongs to a different run; restart it against "
                 f"this coordinator")})
-            return None
+            return False
         send_frame(sock, "welcome", {
             "session": self._session,
             "payload": self._payload,
             "pipeline": self._signature,
-            "heartbeat_interval": self._config.heartbeat_interval,
+            "heartbeat_interval": self._transport.heartbeat_interval,
         })
         kind, data = recv_frame(sock)
         if kind != "ready":
@@ -467,177 +460,20 @@ class RemotePoolBackend:
                 f"'{self._signature}' but the agent would run "
                 f"'{data.get('pipeline')}' — coordinator and agents must "
                 f"run the same code version")})
-            return None
-        return data.get("agent") or f"{addr[0]}:{addr[1]}"
+            return False
+        return True
 
-    def _serve_connection(self, sock: socket.socket, addr) -> None:
-        connection_id = next(self._connection_ids)
-        name = None
-        task: Optional[_RemoteTask] = None
+    def _serve_connection(self, sock: socket.socket) -> None:
         try:
-            name = self._handshake(sock, addr)
-            if name is None:
-                return
-            with self._lock:
-                self._connections[connection_id] = sock
-            obs.counter("dse.transport.connects")
-            while not self._closing:
-                worker_mod._check_stop(self._stop_event)
-                try:
-                    task = self._tasks.get(timeout=0.2)
-                except queue.Empty:
-                    continue
-                try:
-                    send_frame(sock, "task", {
-                        "id": task.id, "key": task.key,
-                        "encoded": task.encoded, "traced": task.traced})
-                    self._await_result(sock, task)
-                except _ConnectionLost:
-                    obs.counter("dse.transport.disconnects")
-                    return
-                task = None
-            # Clean coordinator-side teardown: tell the agent to exit.
-            try:
-                send_frame(sock, "shutdown", {})
-            except OSError:
-                pass
-        except (FrameError, ConnectionError, OSError, KeyboardInterrupt):
-            if name is not None:
-                obs.counter("dse.transport.disconnects")
-            if task is not None:
-                self._requeue(task, "connection lost")
-        finally:
-            with self._lock:
-                self._connections.pop(connection_id, None)
+            admitted = self._handshake(sock)
+        except (ConnectionError, OSError):  # FrameError is a ConnectionError
+            admitted = False
+        if not admitted:
             _close_quietly(sock)
-
-    def _await_result(self, sock: socket.socket, task: _RemoteTask) -> None:
-        """Read frames until ``task`` resolves; raise ``_ConnectionLost``
-        when this connection can no longer be trusted (task already
-        completed or requeued — never both)."""
-        timeout = self._sweep.supervision.task_timeout
-        now = time.monotonic()
-        task_deadline = None if timeout is None else now + timeout
-        heartbeat_deadline = now + self._config.heartbeat_timeout
-        while True:
-            if self._closing:
-                self._requeue(task, "coordinator shutting down")
-                raise _ConnectionLost
-            now = time.monotonic()
-            if task_deadline is not None and now >= task_deadline:
-                # Charged: the connection is healthy but the evaluation blew
-                # its wall-clock budget.  Cut the connection — the agent is
-                # presumed stuck, and closing guarantees its late result
-                # can never arrive.
-                self._complete(task, "timeout",
-                               f"evaluation exceeded the task timeout of "
-                               f"{timeout:g}s", None)
-                raise _ConnectionLost
-            if now >= heartbeat_deadline:
-                obs.counter("dse.transport.heartbeat_misses")
-                self._requeue(task, "heartbeat missed")
-                raise _ConnectionLost
-            wait = heartbeat_deadline - now
-            if task_deadline is not None:
-                wait = min(wait, task_deadline - now)
-            sock.settimeout(max(min(wait, 0.5), 0.01))
-            try:
-                kind, data = recv_frame(sock)
-            except FrameError:
-                obs.counter("dse.transport.garbage_frames")
-                self._requeue(task, "garbage frame")
-                raise _ConnectionLost
-            except socket.timeout:
-                continue
-            except (ConnectionError, OSError):
-                self._requeue(task, "connection lost")
-                raise _ConnectionLost
-            if kind == "heartbeat":
-                heartbeat_deadline = time.monotonic() \
-                    + self._config.heartbeat_timeout
-                continue
-            if kind == "result" and data.get("id") == task.id:
-                self._complete(task, data.get("tag"), data.get("payload"),
-                               data.get("telemetry"))
-                return
-            # Anything else (e.g. a result for a superseded task id from a
-            # pre-requeue dispatch on this very connection) is ignored.
-
-    def _requeue(self, task: _RemoteTask, cause: str) -> None:
-        """Uncharged: the point is innocent, put it back on the queue."""
-        obs.counter("dse.transport.requeues")
-        task.requeues += 1
-        if task.requeues > self._config.max_requeues:
-            self._complete(task, worker_mod._FATAL,
-                           f"task requeued {task.requeues} times over broken "
-                           f"connections (last: {cause}) — worker agents are "
-                           f"not staying up long enough to evaluate it; "
-                           f"check the agents' stderr", None)
             return
-        self._tasks.put(task)
-
-    @staticmethod
-    def _complete(task: _RemoteTask, kind: str, payload, telemetry) -> None:
-        task.kind = kind
-        task.payload = payload
-        task.telemetry = telemetry
-        task.done.put(task)
-
-    # -- the supervised evaluate loop -------------------------------------------------------
-
-    def evaluate(self, key: str,
-                 batch: Sequence[tuple[int, ...]]) -> list[EvaluationRecord]:
-        self.start()
-        self._await_workers(1)
-        settlement = worker_mod._Settlement(key, self._contexts[key],
-                                            len(batch),
-                                            self._sweep.supervision)
-        done: "queue.Queue[_RemoteTask]" = queue.Queue()
-        for index, encoded in enumerate(batch):
-            self._submit(key, tuple(encoded), index, settlement.traced, done)
-        outstanding = len(batch)
-        starved_since: Optional[float] = None
-        while outstanding:
-            worker_mod._check_stop(self._stop_event)
-            try:
-                task = done.get(timeout=0.2)
-            except queue.Empty:
-                # Fail-safe: with zero connected agents nothing can ever
-                # complete — surface that instead of waiting forever.
-                if self.num_connected:
-                    starved_since = None
-                elif starved_since is None:
-                    starved_since = time.monotonic()
-                elif time.monotonic() - starved_since \
-                        > self._config.connect_timeout:
-                    raise EvaluationFailure(
-                        f"kernel {key!r}: every worker agent disconnected "
-                        f"and none re-joined within "
-                        f"{self._config.connect_timeout:g}s — check the "
-                        f"agents' stderr")
-                continue
-            starved_since = None
-            # Only attributed outcomes land on ``done``: a lost connection
-            # requeued its task uncharged without telling this loop.
-            if settlement.settle(task.index, task.encoded, task.kind,
-                                 task.payload, task.telemetry):
-                self._resubmit(task)
-            else:
-                outstanding -= 1
-        return settlement.finish()
-
-    def _submit(self, key: str, encoded: tuple, index: int, traced: bool,
-                done: "queue.Queue[_RemoteTask]") -> None:
-        task = _RemoteTask(next(self._task_ids), key, encoded, index, traced,
-                           done)
-        self._tasks.put(task)
-
-    def _resubmit(self, task: _RemoteTask) -> None:
-        task.id = next(self._task_ids)  # retries never match stale results
-        task.kind = ""
-        task.payload = None
-        task.telemetry = None
-        self._tasks.put(task)
+        obs.counter("dse.transport.connects")
+        self._serve(_SocketLink(sock, self._transport.heartbeat_timeout,
+                                self._config.supervision.task_timeout))
 
 
 def _close_quietly(sock: socket.socket) -> None:

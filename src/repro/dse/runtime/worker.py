@@ -4,11 +4,8 @@ The coordinator (``ParallelExplorer`` / ``MultiKernelScheduler``) decides
 *which* points to evaluate; a backend decides *where*:
 
 * :class:`SerialBackend` evaluates inline in the coordinator process.
-* :class:`ProcessPoolBackend` fans evaluations out over a
-  ``concurrent.futures.ProcessPoolExecutor``.  Each worker process receives
-  the pickled kernel contexts once (in its initializer) and then exchanges
-  only ``(kernel key, encoded point)`` tuples and slim
-  :class:`~repro.dse.runtime.records.EvaluationRecord` results.
+* :class:`ProcessPoolBackend` fans evaluations out over worker processes,
+  one ``multiprocessing.Process`` and one pipe each.
 * :class:`~repro.dse.runtime.transport.RemotePoolBackend` dispatches the
   same tasks to socket-connected worker agents.
 
@@ -29,29 +26,25 @@ frontier.  Because fault *outcomes* attach to design points (never to
 workers, wall-clock or completion order), a faulty run converges to the
 same records as a fault-free one at any ``--jobs``.
 
-That fault model is written once, in :class:`_Settlement`; a backend only
-*dispatches* attempts, which is where the three really differ.
-
-Two dispatch details of the process pool are deliberately coarse:
-
-* A worker crash under ``jobs > 1`` breaks the whole pool, so the culprit
-  cannot be attributed from a multi-task wave.  The backend requeues every
-  broken task *uncharged* and switches to serial probe waves (one task at a
-  time), where a pool break is definitive.  A crash can therefore charge an
-  innocent task only never — misattribution is structurally impossible; it
-  merely costs requeue round-trips.
-* A timeout kills *all* worker processes (a hung worker cannot be
-  terminated individually through the executor API) and respawns the pool;
-  concurrently running tasks of other kernels are requeued uncharged via
-  the same broken-pool path.
+There is one dispatch loop, :class:`Supervisor`, and one fault model,
+:class:`_Settlement`.  The backends differ only in the *link*: how one task
+reaches one worker, and what losing that worker means.  Inline, there is no
+worker to lose.  A :class:`_ProcessLink` knows which task its worker holds,
+so a dead worker is a *charged* ``crash`` of exactly that task and a blown
+deadline kills exactly that worker; other workers, and other kernels
+sharing the pool, never notice.  A lost agent connection is transport
+trouble, never the point's fault: an *uncharged* requeue.  Whether a fault
+is charged is thus a function of the point alone, not of how many tasks
+were in flight or how many workers ran them.
 """
 
 from __future__ import annotations
 
 import collections
-import concurrent.futures
 import dataclasses
+import multiprocessing
 import pickle
+import queue
 import threading
 import time
 import warnings
@@ -172,6 +165,21 @@ _WORKER_SNAPSHOTS: dict[str, PrefixSnapshotCache] = \
 #: supervisor aborts the run instead of burning its retry budget.
 _OK, _ERROR, _FATAL = "ok", "error", "fatal"
 
+#: Outcomes only a link can report — it lost the worker that held the task.
+#: ``crash`` and ``timeout`` are charged to the point, ``lost`` is not.
+_CRASH, _TIMEOUT, _LOST = "crash", "timeout", "lost"
+
+#: Bound on waiting for a worker or slot that should already be finished.
+_REAP_SECONDS = 5.0
+
+
+def _worker_payload(contexts: dict[str, KernelContext]) -> bytes:
+    """What :func:`_init_worker` installs: the contexts plus the named
+    pipelines, so runtime registrations (--register-pipeline) ship too."""
+    from repro.dse.apply import CLEANUP_PIPELINES
+
+    return pickle.dumps((contexts, dict(CLEANUP_PIPELINES)))
+
 
 def _init_worker(payload: bytes) -> None:
     global _WORKER_CONTEXTS, _WORKER_SNAPSHOTS
@@ -198,9 +206,8 @@ def _guarded_evaluation(context: KernelContext, key: str,
     """One evaluation attempt that never raises: ``(tag, payload, telemetry)``.
 
     A Python-level failure comes back as a tagged ``(_ERROR/_FATAL, message,
-    None)`` tuple so the coordinator can attribute it to exactly this
-    (kernel, point) even though pool futures lose that context.  Only
-    process-level faults (crash, kill, hang) surface as broken futures.
+    None)`` tuple; process-level faults (crash, kill, hang) are the link's
+    to report.
     ``traced`` (the coordinator's own obs session is active) evaluates under
     a throwaway local session and ships its telemetry; that of a failed
     attempt is dropped.
@@ -224,13 +231,19 @@ def _evaluate_task(key: str, encoded: tuple[int, ...], traced: bool):
                                _WORKER_SNAPSHOTS[key], traced)
 
 
-def _warm_up_task(hold_seconds: float) -> None:
-    """Warm-up task: occupies one worker long enough that the executor must
-    spawn another for the next pending warm-up task."""
-    time.sleep(hold_seconds)
+def _worker_main(conn, payload: bytes) -> None:
+    """A pool worker process: install the contexts, say hello, then answer
+    one task at a time until told to stop (``None``) or orphaned."""
+    try:
+        _init_worker(payload)
+        conn.send(None)
+        while (task := conn.recv()) is not None:
+            conn.send(_evaluate_task(*task))
+    except (EOFError, BrokenPipeError, KeyboardInterrupt):
+        pass  # the coordinator is gone or interrupted: exit quietly
 
 
-# -- backends -------------------------------------------------------------------------------
+# -- the fault model ------------------------------------------------------------------------
 
 
 def _quarantine_record(context: KernelContext, key: str,
@@ -268,28 +281,33 @@ def _check_stop(stop_event: Optional[threading.Event]) -> None:
 class _Settlement:
     """The fault model of one ``evaluate()`` call, written once.
 
-    A backend dispatches attempts however it can and feeds every outcome it
-    can *attribute* to a point to :meth:`settle`, which answers "resubmit?".
-    Unattributable outcomes (a pool break in a multi-task wave, a lost
-    connection) never get here: requeueing them uncharged is dispatch.
+    The supervisor feeds every outcome a link reports to :meth:`settle`,
+    which answers "resubmit?".  A link knows which task its worker held, so
+    every outcome is attributed to exactly one point.
     """
 
     def __init__(self, key: str, context: KernelContext, total: int,
-                 policy: SupervisionPolicy):
+                 policy: SupervisionPolicy, max_requeues: int = 0):
         self.key = key
         #: Whether attempts should capture telemetry.
         self.traced = obs.active() is not None
         self._context = context
         self._policy = policy
+        self._max_requeues = max_requeues
+        #: Where slots report ``(index, encoded, kind, payload, telemetry)``.
+        self.done: queue.SimpleQueue = queue.SimpleQueue()
         self._results: list[Optional[EvaluationRecord]] = [None] * total
         self._telemetry: list = [None] * total
         self._attempts = [0] * total
+        self._requeues = [0] * total
 
     def settle(self, index: int, encoded: tuple[int, ...], kind: str,
                payload, telemetry) -> bool:
         """Take in one attempt's outcome; True means "resubmit the point".
 
-        ``ok`` stores the record; ``fatal`` aborts the run; anything else
+        ``ok`` stores the record; ``fatal`` aborts the run; ``lost`` (the
+        worker went away and that is not the point's fault) is an
+        *uncharged* resubmit, bounded by ``max_requeues``; anything else
         (``error``, ``crash``, ``timeout``) is a *charged* fault that
         consumes one retry, and a point with none left is quarantined.
         """
@@ -297,13 +315,23 @@ class _Settlement:
             self._results[index] = payload
             self._telemetry[index] = telemetry
             return False
+        if kind == _LOST:
+            obs.counter("dse.transport.requeues")
+            self._requeues[index] += 1
+            if self._requeues[index] <= self._max_requeues:
+                return True
+            kind, payload = _FATAL, (
+                f"task requeued {self._requeues[index]} times over broken "
+                f"connections (last: {payload}) — worker agents are not "
+                f"staying up long enough to evaluate it; check the agents' "
+                f"stderr")
         if kind == _FATAL:
             raise EvaluationFailure(
                 f"kernel {self.key!r} point {encoded}: {payload}")
         self._attempts[index] += 1
-        if kind == "crash":
+        if kind == _CRASH:
             obs.counter("dse.faults.crashes")
-        elif kind == "timeout":
+        elif kind == _TIMEOUT:
             obs.counter("dse.faults.timeouts")
         if self._attempts[index] > self._policy.max_retries:
             self._results[index] = _quarantine_record(
@@ -322,268 +350,299 @@ class _Settlement:
         return self._results
 
 
-class SerialBackend:
-    """Inline evaluation (``--jobs 1``): no processes, no pickling.
+# -- the supervisor -------------------------------------------------------------------------
 
-    Supervision covers Python-level faults only (exceptions raised by the
-    evaluation, e.g. injected flaky/poison faults): there is no worker
-    process to crash and no way to interrupt a hung inline call, which is
-    why :func:`create_backend` promotes to a process pool whenever a task
-    timeout or a crash/hang fault plan is configured.
+
+class Supervisor:
+    """The one dispatch loop of the runtime; the three backends extend it.
+
+    A *link* is how one task reaches one worker and what losing that worker
+    means: ``run(key, encoded, traced) -> (kind, payload, telemetry)`` is
+    one attempt (the worker's own ``ok`` / ``error`` / ``fatal``, or the
+    link's charged ``crash`` / ``timeout`` or uncharged ``lost``), ``alive``
+    turns False once the link can take no more tasks, ``abort()`` fails the
+    attempt in flight from any thread and ``close()`` is its slot's goodbye.
+    One *slot* thread per link pulls from a FIFO task queue every
+    ``evaluate()`` call shares; it blocks there and is woken at shutdown by
+    a sentinel of its own, never by a poll.  ``evaluate()`` alone calls
+    :meth:`_Settlement.settle`: it submits, resubmits, and settles results
+    in submission order.  A backend builds links and owns their lifecycle.
     """
+
+    #: A link run in the caller's thread, in place of slots.
+    _inline = None
+    #: Bound on *uncharged* resubmits of one point (a livelock fail-safe).
+    _max_requeues = 0
+    #: How long ``evaluate()`` tolerates having no live slot at all.
+    _starve_seconds = 10.0
 
     def __init__(self, contexts: dict[str, KernelContext],
                  config: SweepConfig,
                  stop_event: Optional[threading.Event] = None):
         self._contexts = contexts
-        self._snapshots = collections.defaultdict(PrefixSnapshotCache)
         self._config = config
         self._stop_event = stop_event
-
-    def snapshots_for(self, key: str) -> PrefixSnapshotCache:
-        """The prefix snapshots kernel ``key`` is evaluated with.
-        Coordinator and evaluation share a process here, so the coordinator
-        stages program identities against the same cache."""
-        return self._snapshots[key]
-
-    def evaluate(self, key: str,
-                 batch: Sequence[tuple[int, ...]]) -> list[EvaluationRecord]:
-        context = self._contexts[key]
-        snapshots = self.snapshots_for(key)
-        settlement = _Settlement(key, context, len(batch),
-                                 self._config.supervision)
-        for index, encoded in enumerate(batch):
-            encoded = tuple(encoded)
-            resubmit = True
-            while resubmit:
-                _check_stop(self._stop_event)
-                resubmit = settlement.settle(
-                    index, encoded,
-                    *_guarded_evaluation(context, key, encoded, snapshots,
-                                         settlement.traced))
-        return settlement.finish()
-
-    def request_stop(self) -> None:
-        if self._stop_event is not None:
-            self._stop_event.set()
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
-class ProcessPoolBackend:
-    """Supervised evaluation fanned out across a pool of worker processes.
-
-    The pool is disposable: a worker crash or a task timeout kills and
-    respawns it (``_generation`` counts respawns so concurrent coordinator
-    threads sharing the backend respawn it at most once per break), and the
-    wave loop in :meth:`evaluate` retries or quarantines the affected
-    points.  See the module docstring for the attribution rules.
-    """
-
-    def __init__(self, contexts: dict[str, KernelContext],
-                 config: SweepConfig,
-                 stop_event: Optional[threading.Event] = None):
-        from repro.dse.apply import CLEANUP_PIPELINES
-
-        self._contexts = contexts
-        self._config = config
-        self._stop_event = stop_event
-        # Ship the named-pipeline registry alongside the contexts so
-        # runtime registrations (--register-pipeline) reach every worker.
-        self._payload = pickle.dumps((contexts, dict(CLEANUP_PIPELINES)))
+        #: ``(settlement, index, encoded)`` tasks; None is a slot's sentinel.
+        self._tasks: queue.SimpleQueue = queue.SimpleQueue()
         self._lock = threading.Lock()
-        self._generation = 0
-        self._executor = self._make_executor()
+        self._links: list = []
+        self._threads: list[threading.Thread] = []
+        self._closing = False
 
-    def _make_executor(self) -> concurrent.futures.ProcessPoolExecutor:
-        return concurrent.futures.ProcessPoolExecutor(
-            max_workers=self._config.jobs,
-            initializer=_init_worker, initargs=(self._payload,))
-
-    # -- the supervised wave loop -----------------------------------------------------------
-
-    def evaluate(self, key: str,
-                 batch: Sequence[tuple[int, ...]]) -> list[EvaluationRecord]:
-        settlement = _Settlement(key, self._contexts[key], len(batch),
-                                 self._config.supervision)
-        pending = collections.deque(
-            (index, tuple(encoded)) for index, encoded in enumerate(batch))
-        # While > 0, dispatch one task per wave: after a pool break the
-        # culprit is unknown, but in a single-task wave a second break is
-        # definitively that task's fault.
-        probes = 0
-        while pending:
-            _check_stop(self._stop_event)
-            if probes > 0:
-                wave = [pending.popleft()]
-                probes -= 1
-            else:
-                width = len(pending)
-                if self._config.supervision.task_timeout is not None:
-                    # Cap the wave at the worker count so every task starts
-                    # immediately: the shared wave deadline then *is* the
-                    # per-task deadline.  Without timeouts the whole batch is
-                    # submitted at once (better pipelining).
-                    width = min(width, self._config.jobs)
-                wave = [pending.popleft() for _ in range(width)]
-            for index, encoded, kind, payload, telemetry \
-                    in self._run_wave(key, wave, settlement.traced):
-                if kind == "requeue":
-                    # Innocent bystander of a pool break: retry uncharged,
-                    # and probe serially to pin down the culprit.
-                    pending.append((index, encoded))
-                    probes += 1
-                elif settlement.settle(index, encoded, kind, payload,
-                                       telemetry):
-                    pending.append((index, encoded))
-        return settlement.finish()
-
-    def _run_wave(self, key: str, wave: list, traced: bool) -> list:
-        """Dispatch one wave; classify every task's outcome.
-
-        Returns ``(index, encoded, kind, payload, telemetry)`` tuples where
-        ``kind`` is ``ok``/``error``/``fatal`` (from the guarded task),
-        ``crash``/``timeout`` (charged process-level faults) or ``requeue``
-        (unattributable pool break — uncharged).
-        """
-        while True:
-            _check_stop(self._stop_event)
-            generation = self._generation
-            try:
-                futures = [(index, encoded,
-                            self._executor.submit(_evaluate_task, key,
-                                                  encoded, traced))
-                           for index, encoded in wave]
-                break
-            except RuntimeError:
-                # The executor broke or was shut down between waves (e.g.
-                # another kernel's coordinator hit a crash first): swap in
-                # a fresh pool and resubmit.
-                self._respawn(generation)
-        hung: set = set()
-        task_timeout = self._config.supervision.task_timeout
-        if task_timeout is not None:
-            _, not_done = concurrent.futures.wait(
-                [future for _, _, future in futures], timeout=task_timeout)
-            if not_done:
-                # Hung workers cannot be cancelled through the executor API;
-                # kill the pool (failing their futures) and respawn.
-                hung = set(not_done)
-                self._respawn(generation)
-        outcomes = []
-        broke = False
-        for index, encoded, future in futures:
-            if future in hung:
-                outcomes.append((
-                    index, encoded, "timeout",
-                    f"evaluation exceeded the task timeout of "
-                    f"{task_timeout:g}s", None))
-                continue
-            try:
-                tag, payload, task_telemetry = future.result()
-            except concurrent.futures.CancelledError:
-                outcomes.append((index, encoded, "requeue", "", None))
-                continue
-            except (concurrent.futures.BrokenExecutor, RuntimeError) as error:
-                broke = True
-                if len(wave) == 1:
-                    outcomes.append((
-                        index, encoded, "crash",
-                        f"worker process died evaluating this point "
-                        f"({_describe_error(error) or 'killed'})", None))
-                else:
-                    outcomes.append((index, encoded, "requeue", "", None))
-                continue
-            outcomes.append((index, encoded, tag, payload, task_telemetry))
-        if broke:
-            self._respawn(generation)
-        return outcomes
-
-    # -- pool lifecycle ---------------------------------------------------------------------
-
-    def _terminate(self, executor) -> None:
-        """Kill every worker and discard the executor's queued work."""
-        processes = getattr(executor, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.kill()
-            except (OSError, ValueError) as error:
-                # A worker that already exited (or a closed process handle)
-                # is fine — the pool is being torn down either way — but the
-                # failure must not vanish silently: surface it for the logs
-                # and count it so chaos runs can assert it never regresses.
-                obs.counter("dse.pool.kill_errors")
-                warnings.warn(
-                    f"failed to kill worker process "
-                    f"{getattr(process, 'pid', '?')}: "
-                    f"{_describe_error(error)}", RuntimeWarning)
-        executor.shutdown(wait=False, cancel_futures=True)
-
-    def _respawn(self, generation: int) -> None:
-        """Replace the pool, once: later callers with a stale generation no-op."""
-        with self._lock:
-            if generation != self._generation:
-                return
-            self._generation += 1
-            self._terminate(self._executor)
-            self._executor = self._make_executor()
-            obs.counter("dse.pool.respawns")
-
-    def request_stop(self) -> None:
-        """Interrupt path: fail in-flight work so coordinators unblock.
-
-        Sets the stop event (checked at every wave boundary) and kills the
-        pool — coordinators blocked on futures see a broken pool, requeue,
-        and hit the stop check instead of resubmitting.
-        """
-        if self._stop_event is not None:
-            self._stop_event.set()
-        with self._lock:
-            self._generation += 1
-            self._terminate(self._executor)
+    def snapshots_for(self, key: str) -> Optional[PrefixSnapshotCache]:
+        """The prefix snapshots kernel ``key`` is evaluated with when they
+        live in this process (the coordinator then stages program identities
+        against the same cache); None out of process."""
+        return None
 
     def warm_up(self) -> None:
-        """Spawn every worker process now.
+        """Bring every worker up now, from the calling thread."""
 
-        The executor otherwise forks lazily on ``submit()`` — and when those
-        submits come from coordinator *threads*, they fork a multi-threaded
-        process (a deadlock hazard: a child can inherit a lock held by
-        another thread).  Call this from the main thread before starting
-        coordinator threads.
+    def _ready(self) -> None:
+        """Block until a slot can take a task (``evaluate()`` calls it)."""
 
-        Python 3.11+ launches all workers on the first submit for fork
-        contexts; on older versions each submit spawns at most one worker,
-        so one task per worker is submitted, each holding its worker briefly
-        to stop an idle worker from swallowing the next task.
-        """
-        futures = [self._executor.submit(_warm_up_task, 0.05)
-                   for _ in range(self._config.jobs)]
-        for future in futures:
-            try:
-                future.result()
-            except (concurrent.futures.BrokenExecutor, RuntimeError) as error:
-                raise EvaluationFailure(
-                    f"worker pool failed to start ({self._config.jobs} "
-                    f"workers): a "
-                    f"worker died during warm-up before evaluating anything "
-                    f"— check the worker environment/imports "
-                    f"({_describe_error(error)})") from error
+    def evaluate(self, key: str,
+                 batch: Sequence[tuple[int, ...]]) -> list[EvaluationRecord]:
+        self._ready()
+        settlement = _Settlement(key, self._contexts[key], len(batch),
+                                 self._config.supervision, self._max_requeues)
+        inline = self._inline
+        pending: collections.deque = collections.deque()
+        submit = self._tasks.put if inline is None else pending.append
+        for index, encoded in enumerate(batch):
+            submit((settlement, index, tuple(encoded)))
+        outstanding = len(batch)
+        starved_since: Optional[float] = None
+        while outstanding:
+            _check_stop(self._stop_event)
+            if inline is not None:
+                _, index, encoded = pending.popleft()
+                outcome = inline.run(key, encoded, settlement.traced)
+            else:
+                try:
+                    index, encoded, *outcome = settlement.done.get(timeout=0.2)
+                except queue.Empty:
+                    # Fail-safe: with no live slot nothing can ever complete
+                    # — surface that instead of waiting forever.
+                    if self._links:
+                        starved_since = None
+                    elif starved_since is None:
+                        starved_since = time.monotonic()
+                    elif time.monotonic() - starved_since \
+                            > self._starve_seconds:
+                        raise EvaluationFailure(
+                            f"kernel {key!r}: every worker disconnected and "
+                            f"none re-joined within {self._starve_seconds:g}s "
+                            f"— check the workers' stderr")
+                    continue
+                starved_since = None
+            if settlement.settle(index, encoded, *outcome):
+                submit((settlement, index, encoded))
+            else:
+                outstanding -= 1
+        return settlement.finish()
+
+    def _start_slot(self, link) -> None:
+        thread = threading.Thread(target=self._serve, args=(link,),
+                                  daemon=True)
+        self._threads.append(thread)
+        thread.start()
+
+    def _serve(self, link) -> None:
+        """A slot: feed ``link`` one task at a time until it dies or the
+        supervisor shuts down, then say goodbye to it."""
+        with self._lock:
+            self._links.append(link)
+            if self._closing:
+                self._tasks.put(None)  # shutdown has counted its sentinels
+        try:
+            while link.alive:
+                task = self._tasks.get()
+                if task is None or self._closing:
+                    break
+                settlement, index, encoded = task
+                try:
+                    outcome = link.run(settlement.key, encoded,
+                                       settlement.traced)
+                except Exception as error:
+                    # A link that cannot even attempt (say, its worker would
+                    # not respawn): abort the run rather than lose the task.
+                    settlement.done.put((index, encoded, _FATAL,
+                                         _describe_error(error), None))
+                    break
+                settlement.done.put((index, encoded, *outcome))
+        finally:
+            with self._lock:
+                self._links.remove(link)
+            link.close()
+
+    def _shut_slots(self) -> list:
+        """Flag the shutdown and wake every slot with a sentinel of its own;
+        returns the links that were being served."""
+        with self._lock:
+            self._closing = True
+            links = list(self._links)
+        for _ in links:
+            self._tasks.put(None)
+        return links
+
+    def request_stop(self) -> None:
+        """Interrupt path: set the stop event every ``evaluate()`` checks and
+        fail in-flight attempts so no slot waits out an evaluation."""
+        if self._stop_event is not None:
+            self._stop_event.set()
+        for link in self._shut_slots():
+            link.abort()
 
     def close(self) -> None:
-        self._executor.shutdown(wait=True)
+        self._shut_slots()
+        for thread in list(self._threads):
+            # Bounded: a slot still mid-attempt after an aborted evaluate()
+            # finishes on its own (daemon thread, daemon worker).
+            thread.join(_REAP_SECONDS)
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc):
-        self.close()
+# -- links and backends ---------------------------------------------------------------------
+
+
+class SerialBackend(Supervisor):
+    """Inline evaluation (``--jobs 1``): no processes, no pickling; the
+    backend is its own link, run in the caller's thread.
+
+    Supervision covers Python-level faults only (e.g. injected flaky/poison
+    faults): there is no worker process to crash and no way to interrupt a
+    hung inline call, which is why :func:`create_backend` promotes to a
+    process pool whenever a task timeout or a crash/hang fault plan is
+    configured.
+    """
+
+    def __init__(self, contexts: dict[str, KernelContext],
+                 config: SweepConfig,
+                 stop_event: Optional[threading.Event] = None):
+        super().__init__(contexts, config, stop_event)
+        self._snapshots = collections.defaultdict(PrefixSnapshotCache)
+        self._inline = self
+
+    def snapshots_for(self, key: str) -> PrefixSnapshotCache:
+        return self._snapshots[key]
+
+    def run(self, key: str, encoded: tuple[int, ...], traced: bool):
+        return _guarded_evaluation(self._contexts[key], key, encoded,
+                                   self._snapshots[key], traced)
+
+
+def _kill_worker(process) -> None:
+    try:
+        process.kill()
+    except (OSError, ValueError) as error:
+        # A worker that already exited (or a closed process handle) is fine
+        # — it is being discarded either way — but the failure must not
+        # vanish silently: surface it for the logs and count it so chaos
+        # runs can assert it never regresses.
+        obs.counter("dse.pool.kill_errors")
+        warnings.warn(
+            f"failed to kill worker process {getattr(process, 'pid', '?')}: "
+            f"{_describe_error(error)}", RuntimeWarning)
+
+
+class _ProcessLink:
+    """One worker process on a pipe.  The link knows which task its worker
+    holds, so losing the worker is that task's fault and nobody else's: EOF
+    mid-task is a charged ``crash``, a blown deadline kills this worker
+    (only) and is a charged ``timeout``.  Either way the link forks its own
+    replacement (``dse.pool.respawns``)."""
+
+    def __init__(self, payload: bytes, task_timeout: Optional[float]):
+        self._payload = payload
+        self._task_timeout = task_timeout
+        self.alive = True
+        self._spawn()
+
+    def _spawn(self) -> None:
+        context = multiprocessing.get_context()
+        conn, child = context.Pipe()
+        process = context.Process(
+            target=_worker_main, args=(child, self._payload), daemon=True)
+        process.start()
+        child.close()  # our copy would hide the worker's death from recv()
+        self._conn, self._process = conn, process
+        try:
+            self._conn.recv()  # the worker's hello: contexts installed
+        except (EOFError, OSError) as error:
+            raise EvaluationFailure(
+                "worker pool failed to start: a worker died before "
+                "evaluating anything — check the worker "
+                "environment/imports") from error
+
+    def _recycle(self) -> None:
+        """Kill and reap the worker; fork its replacement unless the link
+        is finished."""
+        _kill_worker(self._process)
+        self._process.join(_REAP_SECONDS)
+        self._conn.close()
+        if self.alive:
+            self._spawn()
+            obs.counter("dse.pool.respawns")
+
+    def run(self, key: str, encoded: tuple[int, ...], traced: bool):
+        if self._conn.poll(0):
+            # A worker never speaks unasked: it died idle, holding nothing,
+            # so nothing is charged.
+            self._recycle()
+        try:
+            self._conn.send((key, encoded, traced))
+            if self._conn.poll(self._task_timeout):
+                return self._conn.recv()
+            outcome = (_TIMEOUT, f"evaluation exceeded the task timeout of "
+                                 f"{self._task_timeout:g}s", None)
+        except (EOFError, OSError):
+            # Reap first: the kill in _recycle must not change the status.
+            self._process.join(_REAP_SECONDS)
+            outcome = (_CRASH, f"worker process died evaluating this point "
+                               f"(exit code {self._process.exitcode})", None)
+        self._recycle()
+        return outcome
+
+    def abort(self) -> None:
+        self.alive = False
+        _kill_worker(self._process)
+
+    def close(self) -> None:
+        self.alive = False
+        try:
+            self._conn.send(None)  # ask the worker to exit
+            self._process.join(_REAP_SECONDS)
+        except OSError:
+            pass  # aborted: already dead
+        self._recycle()
+
+
+class ProcessPoolBackend(Supervisor):
+    """Supervised evaluation on ``jobs`` worker processes, a
+    :class:`_ProcessLink` each.  A worker receives the kernel contexts once,
+    when it starts, and then exchanges only tasks and guarded results."""
+
+    def __init__(self, contexts: dict[str, KernelContext],
+                 config: SweepConfig,
+                 stop_event: Optional[threading.Event] = None):
+        super().__init__(contexts, config, stop_event)
+        self._payload = _worker_payload(contexts)
+
+    def warm_up(self) -> None:
+        """Fork every worker, then start their slots (idempotent;
+        ``evaluate()`` otherwise does it on first use).  Call it from the
+        main thread before starting coordinator threads: forking a
+        multi-threaded process risks inheriting a lock another thread holds."""
+        with self._lock:
+            if self._threads:
+                return
+            links = [_ProcessLink(self._payload,
+                                  self._config.supervision.task_timeout)
+                     for _ in range(self._config.jobs)]
+            for link in links:
+                self._start_slot(link)
+
+    _ready = warm_up
 
 
 def create_backend(contexts: dict[str, KernelContext], config: SweepConfig,

@@ -8,12 +8,14 @@ import random
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 
 import pytest
 
 import repro
+from repro import obs
 from repro.dse import KernelDesignSpace
 from repro.dse.apply import apply_design_point
 from repro.dse.engine import ExplorationPolicy
@@ -220,8 +222,6 @@ class TestSettlement:
     @pytest.mark.parametrize("max_retries", [0, 2])
     def test_charged_faults_retry_then_quarantine(self, gemm_module, kind,
                                                   counter, max_retries):
-        from repro import obs
-
         with obs.session() as session:
             settlement, (encoded,) = self.settlement(
                 gemm_module, max_retries=max_retries)
@@ -264,8 +264,6 @@ class TestSettlement:
         assert settlement.settle(0, batch[0], "error", "boom", None) is False
 
     def test_telemetry_is_absorbed_in_submission_order(self, gemm_module):
-        from repro import obs
-
         context = _context(gemm_module)
         with obs.session() as session:
             settlement, batch = self.settlement(gemm_module, total=3)
@@ -291,6 +289,150 @@ class TestSettlement:
     def test_untraced_without_a_session(self, gemm_module):
         settlement, _ = self.settlement(gemm_module)
         assert not settlement.traced
+
+
+class _ScriptedLink:
+    """A fake link: every attempt at a point plays the next outcome of that
+    point's script.  ``crash`` is a charged loss of the worker, ``lost`` an
+    uncharged one."""
+
+    alive = True
+    closed = False
+
+    def __init__(self, scripts):
+        self.scripts = {encoded: list(kinds)
+                        for encoded, kinds in scripts.items()}
+        self.attempts = []
+
+    def run(self, key, encoded, traced):
+        kind = self.scripts[encoded].pop(0)
+        self.attempts.append((encoded, kind))
+        if kind == "raise":
+            raise OSError("cannot fork")
+        return kind, f"{kind} of {encoded}", None
+
+    def abort(self):
+        self.alive = False
+
+    def close(self):
+        self.closed = True
+
+
+class TestSupervisor:
+    """The one dispatch loop, over a fake link: this is what the link seam
+    is for.  ``slots=0`` runs the link inline, in the caller's thread."""
+
+    #: script -> how the point settles (max_retries=2, max_requeues=3).
+    TABLE = [
+        (["ok"], "ok"),
+        (["error", "ok"], "ok"),
+        (["timeout", "ok"], "ok"),
+        (["crash", "crash", "ok"], "ok"),
+        (["lost", "lost", "lost", "ok"], "ok"),  # never charged
+        (["error", "crash", "timeout"], "quarantined"),
+    ]
+
+    @staticmethod
+    def supervisor(module, link, slots):
+        from repro.dse.runtime.worker import Supervisor
+
+        supervisor = Supervisor({"k": _context(module)},
+                                SweepConfig(supervision=fast_policy()))
+        supervisor._max_requeues = 3
+        if slots:
+            for _ in range(slots):
+                supervisor._start_slot(link)
+        else:
+            supervisor._inline = link
+        return supervisor
+
+    @pytest.mark.parametrize("slots", [0, 1])
+    def test_every_outcome_settles_in_submission_order(self, gemm_module,
+                                                       slots):
+        batch = _sample_batch(_context(gemm_module), len(self.TABLE))
+        link = _ScriptedLink({encoded: script for encoded, (script, _)
+                              in zip(batch, self.TABLE)})
+        supervisor = self.supervisor(gemm_module, link, slots)
+        with obs.session() as session:
+            try:
+                records = supervisor.evaluate("k", batch)
+            finally:
+                supervisor.close()
+        for encoded, record, (script, settled) in zip(batch, records,
+                                                      self.TABLE):
+            if settled == "ok":
+                assert record == f"ok of {encoded}"
+            else:
+                assert not record.ok and record.encoded == encoded
+                assert record.error == f"{script[-1]} of {encoded}"
+        # FIFO: the first pass runs in batch order, resubmits queue behind
+        # it, and every script was played out exactly.
+        assert [encoded for encoded, _ in link.attempts[:len(batch)]] == batch
+        assert all(not script for script in link.scripts.values())
+        assert {name: value for name, value in session.metrics.counters.items()
+                if name.startswith(("dse.faults.", "dse.transport."))} == {
+            "dse.faults.retries": 6, "dse.faults.crashes": 3,
+            "dse.faults.timeouts": 2, "dse.faults.quarantined": 1,
+            "dse.transport.requeues": 3}
+        # Shutdown woke the slot with its sentinel and said goodbye.
+        assert not any(thread.is_alive() for thread in supervisor._threads)
+        assert link.closed == bool(slots)
+
+    @pytest.mark.parametrize("slots", [0, 1])
+    @pytest.mark.parametrize("script,message", [
+        (["fatal"], "fatal of"),
+        (["lost"] * 4, "requeued 4 times over broken connections "
+                       "(last: lost of"),
+    ])
+    def test_fatal_and_unbounded_loss_abort(self, gemm_module, script,
+                                            message, slots):
+        (encoded,) = _sample_batch(_context(gemm_module), 1)
+        supervisor = self.supervisor(gemm_module,
+                                     _ScriptedLink({encoded: script}), slots)
+        try:
+            with pytest.raises(EvaluationFailure) as error:
+                supervisor.evaluate("k", [encoded])
+        finally:
+            supervisor.close()
+        assert f"kernel 'k' point {encoded}: " in str(error.value)
+        assert message in str(error.value)
+
+    def test_a_link_that_cannot_attempt_aborts_the_run(self, gemm_module):
+        # A slot never swallows the task it took: the failure reaches the
+        # evaluate() that owns the point, and the slot retires its link.
+        (encoded,) = _sample_batch(_context(gemm_module), 1)
+        link = _ScriptedLink({encoded: ["raise"]})
+        supervisor = self.supervisor(gemm_module, link, 1)
+        try:
+            with pytest.raises(EvaluationFailure, match="OSError: cannot fork"):
+                supervisor.evaluate("k", [encoded])
+        finally:
+            supervisor.close()
+        assert link.closed
+
+    def test_request_stop_interrupts_a_waiting_evaluate(self, gemm_module):
+        stop = threading.Event()
+        release = threading.Event()
+
+        class Stuck(_ScriptedLink):
+            def run(self, key, encoded, traced):
+                release.wait(30.0)
+                return "ok", None, None
+
+            def abort(self):
+                release.set()
+
+        from repro.dse.runtime.worker import Supervisor
+
+        supervisor = Supervisor({"k": _context(gemm_module)}, SweepConfig(),
+                                stop)
+        supervisor._start_slot(Stuck({}))
+        batch = _sample_batch(_context(gemm_module), 2)
+        threading.Timer(0.1, supervisor.request_stop).start()
+        with pytest.raises(KeyboardInterrupt):
+            supervisor.evaluate("k", batch)
+        supervisor.close()
+        assert not any(thread.is_alive() for thread in supervisor._threads)
 
 
 # -- quarantined records --------------------------------------------------------------------
@@ -385,14 +527,19 @@ class TestCrashRecovery:
             supervision=fast_policy(), faults=plan))
         assert isinstance(backend, ProcessPoolBackend)
         batch = _sample_batch(context, 2)
-        try:
-            records = backend.evaluate("k", batch)
-        finally:
-            backend.close()
+        with obs.session() as session:
+            try:
+                records = backend.evaluate("k", batch)
+            finally:
+                backend.close()
         clean_context = _context(gemm_module)
         expected = [evaluate_encoded(clean_context, encoded)
                     for encoded in batch]
         assert records == expected
+        # Each point crashed its worker once; each crash replaced one worker.
+        counters = session.metrics.counters
+        assert counters["dse.faults.crashes"] == len(batch)
+        assert counters["dse.pool.respawns"] == len(batch)
 
     def test_crash_frontier_matches_clean(self, gemm_module, tmp_path):
         config = dict(num_samples=4, max_iterations=4, batch_size=2, seed=11)
@@ -405,6 +552,103 @@ class TestCrashRecovery:
         assert set(faulty.records) == set(clean.records)
 
 
+    def test_a_worker_that_cannot_start_aborts_the_sweep(self, gemm_module):
+        # Not a crash to charge to whichever point comes first: nothing
+        # could ever be evaluated.
+        backend = ProcessPoolBackend({"k": _context(gemm_module)},
+                                     SweepConfig())
+        backend._payload = b"not the pickled contexts"
+        try:
+            with pytest.raises(EvaluationFailure, match="failed to start"):
+                backend.warm_up()
+        finally:
+            backend.close()
+
+    def test_a_worker_that_died_idle_charges_nothing(self, gemm_module):
+        # max_retries=0: a single charged crash would quarantine the point.
+        context = _context(gemm_module)
+        backend = ProcessPoolBackend({"k": context}, SweepConfig(
+            supervision=fast_policy(max_retries=0)))
+        first, second = _sample_batch(context, 2)
+        with obs.session() as session:
+            try:
+                records = backend.evaluate("k", [first])
+                (link,) = backend._links
+                link._process.kill()  # e.g. the OOM killer, between tasks
+                link._process.join(30.0)
+                records += backend.evaluate("k", [second])
+            finally:
+                backend.close()
+        assert records == [evaluate_encoded(context, first),
+                           evaluate_encoded(context, second)]
+        counters = session.metrics.counters
+        assert "dse.faults.crashes" not in counters
+        assert counters["dse.pool.respawns"] == 1
+
+    def test_crash_never_reaches_a_bystander_kernel(self, gemm_module,
+                                                    tmp_path):
+        # Two kernels share one pool; only ``a`` crashes its workers.  The
+        # link that lost its worker knows it held a task of ``a``: nothing
+        # of ``b`` is charged, requeued or delayed behind a probe.
+        plan = FaultPlan(mode="crash", select=1, times=1,
+                         state_dir=str(tmp_path / "ledger"))
+        contexts = {"a": _context(gemm_module, faults=plan),
+                    "b": _context(gemm_module)}
+        batches = {"a": _sample_batch(contexts["a"], 3, seed=5),
+                   "b": _sample_batch(contexts["b"], 6, seed=6)}
+        backend = ProcessPoolBackend(contexts, SweepConfig(
+            jobs=2, supervision=fast_policy()))
+        records = {}
+        with obs.session() as session:
+            try:
+                backend.warm_up()
+                threads = [threading.Thread(
+                    target=lambda key=key: records.update(
+                        {key: backend.evaluate(key, batches[key])}))
+                    for key in batches]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(120.0)
+            finally:
+                backend.close()
+        clean = _context(gemm_module)
+        for key, batch in batches.items():
+            assert records[key] == [evaluate_encoded(clean, encoded)
+                                    for encoded in batch]
+        counters = session.metrics.counters
+        assert counters["dse.faults.crashes"] == len(batches["a"])
+        assert counters["dse.faults.retries"] == len(batches["a"])
+        assert counters["dse.pool.respawns"] == len(batches["a"])
+
+    @pytest.mark.parametrize("task_timeout", [None, 30.0])
+    @pytest.mark.parametrize("times", [2, 3])
+    def test_crash_charging_is_topology_independent(self, gemm_module,
+                                                    tmp_path, times,
+                                                    task_timeout):
+        # Whether a crash is charged is a function of the point: the worker
+        # that died held exactly one task, however many were in flight.
+        config = dict(num_samples=4, max_iterations=4, batch_size=2, seed=11)
+        policy = fast_policy(max_retries=2, task_timeout=task_timeout)
+        runs = {}
+        for jobs in (1, 2):
+            plan = FaultPlan(mode="crash", select=3, times=times,
+                             state_dir=str(tmp_path / f"ledger-j{jobs}"))
+            runs[jobs] = small_explorer(jobs=jobs, supervision=policy,
+                                        faults=plan,
+                                        **config).explore(gemm_module)
+        assert runs[1].num_quarantined == runs[2].num_quarantined
+        assert frontier_signature(runs[1]) == frontier_signature(runs[2])
+        if times <= policy.max_retries:
+            # The plan's budget fits the retry budget: every victim recovers.
+            clean = small_explorer(**config).explore(gemm_module)
+            assert runs[1].num_quarantined == 0
+            assert frontier_signature(runs[1]) == frontier_signature(clean)
+            assert set(runs[1].records) == set(clean.records)
+        else:
+            assert runs[1].num_quarantined > 0
+
+
 class TestHangTimeout:
     def test_hung_worker_killed_and_retried(self, gemm_module, tmp_path):
         plan = FaultPlan(mode="hang", select=1, times=1, hang_seconds=60.0,
@@ -415,10 +659,11 @@ class TestHangTimeout:
         assert isinstance(backend, ProcessPoolBackend)
         batch = _sample_batch(context, 2)
         started = time.monotonic()
-        try:
-            records = backend.evaluate("k", batch)
-        finally:
-            backend.close()
+        with obs.session() as session:
+            try:
+                records = backend.evaluate("k", batch)
+            finally:
+                backend.close()
         # Both points hang once (60s each uninterrupted); the timeout must
         # bound the whole recovery far below that.
         assert time.monotonic() - started < 30.0
@@ -426,6 +671,10 @@ class TestHangTimeout:
         expected = [evaluate_encoded(clean_context, encoded)
                     for encoded in batch]
         assert records == expected
+        # A timeout kills the one worker that hung, never its neighbour.
+        counters = session.metrics.counters
+        assert counters["dse.faults.timeouts"] == len(batch)
+        assert counters["dse.pool.respawns"] == len(batch)
 
     def test_timeout_exhaustion_quarantines(self, gemm_module, tmp_path):
         # times=3 > max_retries=1: the hang survives every retry, so both
@@ -576,6 +825,9 @@ class _InterruptingBackend:
         if self.calls > self._allowed:
             raise KeyboardInterrupt
         return self._inner.evaluate(key, batch)
+
+    def snapshots_for(self, key):
+        return self._inner.snapshots_for(key)
 
     def close(self):
         self._inner.close()

@@ -139,13 +139,56 @@ def pipelined_loops(func_op) -> list:
 # -- a record derived as a sibling equals the per-point evaluation ---------------------------
 
 
+#: Kernels whose whole space costs tier-1 tens of seconds: every point runs
+#: under ``-m exhaustive`` (CI), a stratified sample of classes in tier-1.
+EXHAUSTIVE_IN_CI = ("gemm", "syr2k", "syrk", "trmm")
+
+
+def stratum(point) -> tuple:
+    """The knobs that pick *which* transforms run; tiles vary within it."""
+    return (point.loop_perfectization, point.remove_variable_bound,
+            point.perm_map, point.pipeline, point.platform)
+
+
+def stratified_classes(space: KernelDesignSpace, per_stratum: int = 1,
+                       seed: int = 13) -> set:
+    """A seeded sample of transform classes, as decoded points:
+    ``per_stratum`` tile vectors of every :func:`stratum`."""
+    position = space.ii_dimension
+    strata: dict = {}
+    for encoded in space.all_points():
+        if encoded[position] == 0:
+            point = space.decode(encoded)
+            strata.setdefault(stratum(point), []).append(point)
+    rng = random.Random(seed)
+    return {point for points in strata.values()
+            for point in rng.sample(points, per_stratum)}
+
+
 class TestSiblingsEqualDirectEvaluation:
-    @pytest.mark.parametrize("name", KERNEL_NAMES)
+    @pytest.mark.parametrize("name", [
+        pytest.param(name, marks=pytest.mark.exhaustive)
+        if name in EXHAUSTIVE_IN_CI else name for name in KERNEL_NAMES])
     def test_every_point_of_a_table3_kernel(self, name):
         context = kernel_context(name, 4)
         assert set(context.space.pipeline_options) \
             == {"default", "light", "thorough"}
         assert check_classes(context) == context.space.num_points
+
+    @pytest.mark.parametrize("name", EXHAUSTIVE_IN_CI)
+    def test_a_stratified_sample_of_a_table3_kernel(self, name):
+        # Tier-1's share of the exhaustive test above: the same check on
+        # every stratum of the space, the II representative rotating as
+        # there.  (Tile-clamp aliases of a sampled class ride along.)
+        context = kernel_context(name, 4)
+        space = context.space
+        sample = stratified_classes(space)
+        assert {stratum(point) for point in sample} \
+            == {stratum(space.decode(encoded))
+                for encoded in space.all_points()}
+        compared = check_classes(context, keep=sample.__contains__)
+        assert len(sample) * len(space.ii_options) <= compared \
+            < space.num_points // 4
 
     def test_a_registered_pipeline(self):
         register_cleanup_pipeline(

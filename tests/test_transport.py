@@ -29,7 +29,7 @@ from repro.dse.runtime.transport import (
     send_frame,
     session_fingerprint,
 )
-from repro.dse.runtime.worker import KernelContext, ProcessPoolBackend
+from repro.dse.runtime.worker import KernelContext
 from repro.estimation import XC7Z020
 from repro.tools.driver import build_parser, main
 
@@ -367,6 +367,9 @@ class _KillAgentAfterFirstBatch:
             self.killed = True
         return records
 
+    def snapshots_for(self, key):
+        return self._inner.snapshots_for(key)
+
     def close(self):
         self._inner.close()
 
@@ -411,24 +414,15 @@ class _UnkillableProcess:
         raise OSError("process handle already closed")
 
 
-class _FakeExecutor:
-    def __init__(self):
-        self._processes = {1: _UnkillableProcess()}
-        self.shutdowns = []
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        self.shutdowns.append((wait, cancel_futures))
-
-
 class TestKillErrorsSurfaced:
-    def test_terminate_warns_and_counts(self):
-        executor = _FakeExecutor()
+    def test_kill_warns_and_counts(self):
+        from repro.dse.runtime.worker import _kill_worker
+
         with obs.session() as session:
             with pytest.warns(RuntimeWarning,
                               match="failed to kill worker process 4242"):
-                ProcessPoolBackend._terminate(None, executor)
+                _kill_worker(_UnkillableProcess())
         assert session.metrics.counters.get("dse.pool.kill_errors") == 1
-        assert executor.shutdowns == [(False, True)]
 
 
 # -- driver surface -------------------------------------------------------------------------
