@@ -50,11 +50,20 @@ extreme) and records the wall-clock under ``"gemm_dse_seconds"`` in the
 a fixed sweep of suffix-varying design points evaluated from scratch vs
 through a prefix-snapshot cache — and the smoke gate fails when the cache
 never hits or stops paying for itself (``--min-prefix-speedup``).
+``--work-counts`` (implied by ``--smoke``) runs one fully unrolled gemm
+evaluation through ``evaluate_encoded`` and counts, from outside, the work
+an evaluation must do once: ``Operation.clone`` calls of the suffix against
+the ops it leaves, first-``canonicalize`` visits against ops,
+``access_expressions`` calls against distinct accesses over partitioning
+plus estimation, and cyclic collections.  The counts do not depend on the
+machine; the smoke gate fails on them, not on a clock.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import json
 import random
 import sys
@@ -323,6 +332,123 @@ def measure_prefix_reuse(size: int = 8, repeats: int = 3) -> dict:
             "hits": hits, "misses": misses}
 
 
+#: Smoke-gate bounds on :func:`measure_work_counts` (``count / base``).
+WORK_COUNT_LIMITS = {
+    "suffix_clones_per_op": 1.0,
+    "first_canonicalize_visits_per_op": 0.15,
+    "access_derivations_per_access": 1.0,
+    "collections_per_evaluation": 1.0,
+}
+
+
+def measure_work_counts(size: int = 4) -> dict:
+    """Work counts of one fully unrolled gemm evaluation, taken from outside.
+
+    The evaluation is the one the DSE backends run (``evaluate_encoded`` of
+    the point that tiles every loop by its trip count); the counters are
+    wrappers this function installs around ``Operation.clone``, the suffix
+    pass, the rewrite driver and ``access_expressions`` and removes again.
+    Each ratio is work done over work needed, exactly 1.0 (or far below it,
+    for the seeded worklist) when nothing is done twice.
+    """
+    from repro.dialects import affine_ops
+    from repro.dse.runtime.worker import KernelContext, evaluate_encoded
+    from repro.dse.space import KernelDesignSpace
+    from repro.estimation import XC7Z020
+    from repro.estimation import estimator as estimator_module
+    from repro.ir.rewrite import GreedyRewriteDriver
+    from repro.pipeline import compile_kernel
+    from repro.transforms.composite import DesignPointSuffixPass
+
+    module = compile_kernel("gemm", size)
+    space = KernelDesignSpace.from_function(module.functions()[0])
+    encoded = [0] * space.num_dimensions
+    encoded[0] = space.lp_options.index(True)
+    encoded[2] = space.perm_options.index((0, 1, 2))
+    encoded[3:space.ii_dimension] = [len(options) - 1
+                                     for options in space.tile_options]
+    encoded[space.ii_dimension + 1] = space.pipeline_options.index("default")
+    context = KernelContext(module=module, func_name=None, platform=XC7Z020,
+                            space=space)
+    assert space.decode(encoded).tile_sizes == (size,) * 3
+
+    counts = {"suffix_clones": 0, "suffix_ops": 0, "canonicalize_visits": None,
+              "canonicalize_ops": 0, "collections": 0}
+    derivations: dict = {}
+    in_suffix = False
+
+    clone, suffix_run = Operation.clone, DesignPointSuffixPass.run
+    rewrite, derive = GreedyRewriteDriver.rewrite, affine_ops.access_expressions
+
+    def counted_clone(op, value_map=None):
+        counts["suffix_clones"] += in_suffix
+        return clone(op, value_map)
+
+    def counted_suffix(pass_, func_op):
+        nonlocal in_suffix
+        in_suffix = True
+        try:
+            suffix_run(pass_, func_op)
+        finally:
+            in_suffix = False
+        counts["suffix_ops"] = sum(1 for _ in func_op.walk()) - 1
+
+    def counted_rewrite(driver, root):
+        # The first op-pattern drive after the suffix is the canonicalize
+        # every cleanup pipeline starts with.
+        first = counts["suffix_ops"] and counts["canonicalize_visits"] is None \
+            and driver.op_patterns
+        if first:
+            counts["canonicalize_ops"] = sum(1 for _ in root.walk()) - 1
+        changed = rewrite(driver, root)
+        if first:
+            counts["canonicalize_visits"] = sum(driver.visit_counts.values())
+        return changed
+
+    def counted_derive(op, dim_map):
+        derivations[id(op)] = derivations.get(id(op), 0) + 1
+        return derive(op, dim_map)
+
+    def on_collection(phase, info):
+        counts["collections"] += phase == "start"
+
+    evaluate_encoded(context, tuple(encoded))  # warm lazy caches first
+    with contextlib.ExitStack() as stack:
+        def patch(owner, name, value):
+            stack.callback(setattr, owner, name, getattr(owner, name))
+            setattr(owner, name, value)
+
+        patch(Operation, "clone", counted_clone)
+        patch(DesignPointSuffixPass, "run", counted_suffix)
+        patch(GreedyRewriteDriver, "rewrite", counted_rewrite)
+        patch(affine_ops, "access_expressions", counted_derive)
+        patch(estimator_module, "access_expressions", counted_derive)
+        gc.callbacks.append(on_collection)
+        stack.callback(gc.callbacks.remove, on_collection)
+        record = evaluate_encoded(context, tuple(encoded))
+    assert record.ok
+
+    counts["access_derivations"] = sum(derivations.values())
+    counts["accesses"] = len(derivations)
+    ratios = {
+        "suffix_clones_per_op":
+            counts["suffix_clones"] / max(1, counts["suffix_ops"]),
+        "first_canonicalize_visits_per_op":
+            (counts["canonicalize_visits"] or 0) / max(1, counts["canonicalize_ops"]),
+        "access_derivations_per_access":
+            counts["access_derivations"] / max(1, counts["accesses"]),
+        "collections_per_evaluation": float(counts["collections"]),
+    }
+    print(f"work_counts: gemm {size}^3 fully unrolled: "
+          f"{counts['suffix_clones']} clones for {counts['suffix_ops']} ops "
+          f"after the suffix, first canonicalize visited "
+          f"{counts['canonicalize_visits']} of {counts['canonicalize_ops']} ops, "
+          f"{counts['access_derivations']} access derivations for "
+          f"{counts['accesses']} accesses, {counts['collections']} "
+          f"collection(s) inside the evaluation")
+    return {"size": size, **counts, **ratios}
+
+
 def measure_gemm_dse(sizes) -> dict:
     """Wall-clock of one fully-unrolled gemm DSE evaluation per size."""
     from repro.dse.apply import apply_design_point
@@ -421,6 +547,11 @@ def main(argv=None) -> int:
                              "caching vs from-scratch) over a fixed gemm "
                              "sweep; implied by --smoke, where it gates on "
                              "--min-prefix-speedup")
+    parser.add_argument("--work-counts", action="store_true",
+                        help="also count the work of one fully unrolled gemm "
+                             "evaluation (clones, canonicalize visits, access "
+                             "derivations, collections); implied by --smoke, "
+                             "where the counts are gated")
     parser.add_argument("--min-prefix-speedup", type=float, default=1.05,
                         help="smoke gate: minimum from-scratch/incremental "
                              "wall-clock ratio of the prefix_reuse sweep "
@@ -435,6 +566,8 @@ def main(argv=None) -> int:
     gemm_dse = measure_gemm_dse(args.gemm_dse) if args.gemm_dse else None
     prefix_reuse = measure_prefix_reuse() \
         if args.prefix_reuse or args.smoke else None
+    work_counts = measure_work_counts() \
+        if args.work_counts or args.smoke else None
 
     if args.json:
         payload = {
@@ -451,6 +584,8 @@ def main(argv=None) -> int:
                                            for size, seconds in gemm_dse.items()}
         if prefix_reuse is not None:
             payload["prefix_reuse"] = prefix_reuse
+        if work_counts is not None:
+            payload["work_counts"] = work_counts
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
         print(f"wrote {args.json}")
@@ -479,13 +614,23 @@ def main(argv=None) -> int:
                     f"prefix_reuse: incremental evaluation only "
                     f"{prefix_reuse['speedup']:.2f}x faster than from-scratch "
                     f"(gate {args.min_prefix_speedup:.2f}x)")
+        for name, limit_ratio in WORK_COUNT_LIMITS.items():
+            if work_counts[name] > limit_ratio:
+                failures.append(f"work_counts: {name} is "
+                                f"{work_counts[name]:.3f} (limit {limit_ratio:g}): "
+                                f"an evaluation does this work more than once")
+        if not work_counts["canonicalize_ops"] or not work_counts["accesses"]:
+            failures.append("work_counts: the counters saw no canonicalize "
+                            "drive or no access (the evaluation moved from "
+                            "under them)")
         if failures:
             print("hot-path scaling regression:", file=sys.stderr)
             for failure in failures:
                 print(f"  {failure}", file=sys.stderr)
             return 1
         print(f"smoke gate passed: all gated scenarios scale near-linearly "
-              f"(growth <= {limit:.1f}x) and incremental evaluation pays off")
+              f"(growth <= {limit:.1f}x), incremental evaluation pays off and "
+              f"an evaluation does each op's work once")
     return 0
 
 

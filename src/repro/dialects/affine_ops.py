@@ -370,6 +370,50 @@ def access_expressions(op: Operation, dim_map: dict[Value, int]) -> Optional[lis
     return operand_exprs
 
 
+class AccessTable:
+    """Index expressions of memory accesses, derived once per evaluation.
+
+    ``array-partition`` and the QoR estimator ask :func:`access_expressions`
+    the same question about the same accesses, with no IR change in between;
+    the pass fills a table and the estimator is handed it.  An entry
+    remembers the loop nest it was derived under and is used only by a
+    reader analysing under the same loops (same objects, same order), so a
+    table filled for another function, or an access that moved since, is
+    re-derived rather than trusted.  The table does not see index operands
+    being rewritten: whoever mutates the IR after filling it drops it.
+    """
+
+    __slots__ = ("_nests", "_entries")
+
+    def __init__(self):
+        #: Block -> (its ``affine.for`` ancestors, their dim map): one
+        #: ancestor walk per block, not per access.
+        self._nests: dict[Block, tuple[tuple[AffineForOp, ...], dict[Value, int]]] = {}
+        #: Access -> (loops derived under, index expressions or None).
+        self._entries: dict[Operation, tuple[tuple[AffineForOp, ...],
+                                             Optional[list[AffineExpr]]]] = {}
+
+    def nest(self, op: Operation) -> tuple[tuple[AffineForOp, ...], dict[Value, int]]:
+        """The ``affine.for`` ancestors of ``op``, outermost first, and the
+        dim position of each one's induction variable."""
+        nest = self._nests.get(op.parent)
+        if nest is None:
+            loops = tuple(reversed([ancestor for ancestor in op.ancestors()
+                                    if isinstance(ancestor, AffineForOp)]))
+            nest = self._nests[op.parent] = (loops, band_dim_map(loops))
+        return nest
+
+    def expressions(self, op: Operation, loops: tuple[AffineForOp, ...],
+                    dim_map: dict[Value, int]) -> Optional[list[AffineExpr]]:
+        """``access_expressions(op, dim_map)``, where ``dim_map`` numbers the
+        induction variables of ``loops``: kept from the first call made
+        under those loops."""
+        entry = self._entries.get(op)
+        if entry is None or entry[0] != loops:
+            entry = self._entries[op] = (loops, access_expressions(op, dim_map))
+        return entry[1]
+
+
 def perfect_loop_band(outer: AffineForOp) -> list[AffineForOp]:
     """The maximal perfectly nested band rooted at ``outer``.
 

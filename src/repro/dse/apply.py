@@ -22,7 +22,7 @@ import dataclasses
 import functools
 from typing import Optional, Sequence
 
-from repro.dialects.affine_ops import outermost_loops
+from repro.dialects.affine_ops import AccessTable, outermost_loops
 from repro.dse.space import KernelDesignPoint, ir_digest
 from repro.estimation.estimator import QoREstimator, QoRResult
 from repro.estimation.platform import Platform, XC7Z020
@@ -30,6 +30,7 @@ from repro.ir.module import ModuleOp
 from repro.ir.operation import Operation
 from repro.ir.pass_manager import PassManager
 from repro.ir.pass_registry import build_pipeline_cached, pipeline_signature
+from repro.transforms.directive.array_partition import ArrayPartitionPass
 
 
 @dataclasses.dataclass
@@ -235,7 +236,7 @@ def optimize_kernel_module(module: ModuleOp, point: KernelDesignPoint,
     optionally passes a precomputed :func:`~repro.dse.space.ir_digest` of
     the kernel to the snapshot cache.
     """
-    cloned, func_op, _ = _transform(module, point, func_name, snapshots, digest)
+    cloned, func_op, _, _ = _transform(module, point, func_name, snapshots, digest)
     return cloned, func_op
 
 
@@ -260,26 +261,30 @@ def _after_prefix(module: ModuleOp, point: KernelDesignPoint,
 
 def _transform(module: ModuleOp, point: KernelDesignPoint,
                func_name: Optional[str], snapshots, digest: Optional[str]
-               ) -> tuple[ModuleOp, Operation, Optional[Operation]]:
+               ) -> tuple[ModuleOp, Operation, Optional[Operation],
+                          Optional[AccessTable]]:
     """:func:`optimize_kernel_module`, also returning the loop the design
     point pipelined (None when there was nothing to pipeline, or the loop
-    could not be legalized): the one place the target II went."""
+    could not be legalized): the one place the target II went — and the
+    index expressions array partitioning, the last pass, derived."""
     cloned, func_op = _after_prefix(module, point, func_name, snapshots, digest)
     if _outer_loop(func_op) is None:
         # Nothing to transform or partition: mirror the bare
         # canonicalization the estimator sees for loop-less functions.
-        return cloned, func_op, None
+        return cloned, func_op, None, None
 
-    # Same sequence as _kernel_tail_spec(point), but the point-specific pass
-    # is constructed directly: parsing a distinct spec per design point
-    # would thrash the pipeline cache on large sweeps.  The cleanup tail is
-    # the point's chosen named pipeline — only a handful exist, so the
-    # cached builder still parses each exactly once.
+    # Same sequence as _kernel_tail_spec(point), but the passes that carry
+    # something out of their run are constructed directly (and parsing a
+    # distinct suffix spec per design point would thrash the pipeline cache
+    # on large sweeps).  The cleanup tail is the point's chosen named
+    # pipeline — only a handful exist, so the cached builder still parses
+    # each exactly once.
     suffix = design_point_suffix_pass(point)
     PassManager([suffix]).run(func_op)
-    cleanup = cleanup_pipeline_spec(point.pipeline)
-    build_pipeline_cached(f"{cleanup},array-partition").run(func_op)
-    return cloned, func_op, suffix.pipelined
+    build_pipeline_cached(cleanup_pipeline_spec(point.pipeline)).run(func_op)
+    partition = ArrayPartitionPass()
+    PassManager([partition]).run(func_op)
+    return cloned, func_op, suffix.pipelined, partition.accesses
 
 
 def staged_program(module: ModuleOp, point: KernelDesignPoint,
@@ -330,17 +335,23 @@ def apply_design_point(module: ModuleOp, point: KernelDesignPoint,
     call; the result's ``siblings`` hold, per sibling II, exactly the QoR
     and achieved II that applying the sibling point from scratch yields.
     """
-    optimized, func_op, pipelined = _transform(module, point, func_name,
-                                               snapshots, digest)
+    optimized, func_op, pipelined, accesses = _transform(
+        module, point, func_name, snapshots, digest)
     iis = [point.target_ii]
     if pipelined is not None:
         # No pipelined loop, no directive: every sibling shares the one QoR.
         iis += [ii for ii in dict.fromkeys(sibling_iis) if ii != point.target_ii]
     estimates = QoREstimator(platform).estimate_function(
-        func_op, module=optimized, retarget=pipelined, target_iis=iis)
+        func_op, module=optimized, retarget=pipelined, target_iis=iis,
+        accesses=accesses)
+    # Whether the estimator reached a pipelined loop does not depend on the
+    # target II: one directive lookup serves every estimate that needs it.
+    directive = None
+    if any(qor.achieved_ii is None for qor in estimates):
+        directive = _pipeline_directive(func_op)
     outcomes = {
         ii: (qor, qor.achieved_ii if qor.achieved_ii is not None
-             else _achieved_ii(func_op, pipelined, ii))
+             else _achieved_ii(directive, pipelined, ii))
         for ii, qor in zip(iis, estimates)}
     qor, achieved_ii = outcomes[point.target_ii]
     return AppliedDesign(
@@ -369,18 +380,28 @@ def _outer_loop(func_op: Operation):
     return loops[0] if loops else None
 
 
-def _achieved_ii(func_op: Operation, pipelined: Optional[Operation],
-                 target_ii: int) -> Optional[int]:
-    """Directive fallback for a function whose pipelined loop the estimator
-    never reached; ``pipelined`` is read as carrying ``target_ii``."""
+def _pipeline_directive(func_op: Operation):
+    """The first operation of ``func_op`` that carries a pipeline directive,
+    with the directive (None when nothing is pipelined)."""
     from repro.dialects.hlscpp import get_loop_directive
 
     for op in func_op.walk():
         directive = get_loop_directive(op)
         if directive is not None and directive.pipeline:
-            return directive.achieved_ii or (
-                target_ii if op is pipelined else directive.target_ii)
+            return op, directive
     return None
+
+
+def _achieved_ii(found, pipelined: Optional[Operation],
+                 target_ii: int) -> Optional[int]:
+    """Directive fallback for a function whose pipelined loop the estimator
+    never reached: ``found`` is what :func:`_pipeline_directive` returned,
+    and ``pipelined`` is read as carrying ``target_ii``."""
+    if found is None:
+        return None
+    op, directive = found
+    return directive.achieved_ii or (
+        target_ii if op is pipelined else directive.target_ii)
 
 
 def _collect_partitions(func_op: Operation) -> dict[str, tuple[int, ...]]:

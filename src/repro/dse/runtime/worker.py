@@ -11,7 +11,11 @@ The coordinator (``ParallelExplorer`` / ``MultiKernelScheduler``) decides
 
 All backends compute identical records for identical inputs — evaluation
 is a pure function of ``(module, design point, platform)`` — which is the
-bedrock of the runtime's determinism guarantee.
+bedrock of the runtime's determinism guarantee.  Every one of them reaches
+:func:`evaluate_encoded`, which is an arena: the transformed IR is built,
+estimated and dropped inside the call, so the call pauses CPython's cyclic
+collector and runs one young collection when it is over
+(:class:`_EvaluationArena`); only the record leaves.
 
 Supervision
 -----------
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import gc
 import multiprocessing
 import pickle
 import queue
@@ -94,6 +99,52 @@ class KernelContext:
     faults: Optional[FaultPlan] = None
 
 
+class _EvaluationArena:
+    """Pauses CPython's cyclic collector while evaluations are in flight.
+
+    An evaluation builds tens of thousands of IR objects and drops them all
+    when it returns its record.  Left on, the collector traverses them about
+    three times on their way through the generations, to find nothing: the
+    IR is live until the end, then dies together.  Entering turns the
+    collector off; leaving, with the transformed module gone, runs *one*
+    young collection, which frees the evaluation's cycles (an operation and
+    its results, a block and its operations) and promotes only what the
+    caller kept.  Reference counting is untouched, so nothing but cycles
+    waits, and only until the evaluation ends.
+
+    Re-entrant and shared by threads: a depth counter under a lock, the
+    outermost entry pauses and the last exit collects and resumes — cycles
+    of evaluations that overlap on threads wait for the last one.  A caller
+    that already runs with the collector off is left alone (no collection,
+    no ``gc.enable()``).  The collector's state is restored on any
+    exception; thresholds and ``gc.freeze`` are never touched.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        #: Whether the outermost entry found the collector on.
+        self._resume = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._resume = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._resume:
+                gc.collect(0)
+                gc.enable()
+
+
+#: The collector is the process's, so its pause is too.
+_ARENA = _EvaluationArena()
+
+
 def evaluate_encoded(context: KernelContext, encoded: tuple[int, ...],
                      snapshots: Optional[PrefixSnapshotCache] = None,
                      fault_key: str = "") -> EvaluationRecord:
@@ -109,7 +160,20 @@ def evaluate_encoded(context: KernelContext, encoded: tuple[int, ...],
     :meth:`~repro.dse.space.KernelDesignSpace.ii_siblings`): the returned
     record carries, as ``siblings``, the record of every other target II of
     the space, each equal to what evaluating that encoding itself returns.
+
+    The call is an arena (:class:`_EvaluationArena`): the transformed module
+    never leaves it, so the cyclic collector is paused for its length and
+    runs at most once, when it returns or raises.
     """
+    with _ARENA:
+        # A frame of its own: the module is unreachable by the time the
+        # arena collects.
+        return _evaluate(context, encoded, snapshots, fault_key)
+
+
+def _evaluate(context: KernelContext, encoded: tuple[int, ...],
+              snapshots: Optional[PrefixSnapshotCache],
+              fault_key: str) -> EvaluationRecord:
     if context.pipeline:
         from repro.dse.apply import kernel_pipeline_signature
         from repro.ir.pass_manager import PassError

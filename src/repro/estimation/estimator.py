@@ -26,11 +26,13 @@ from typing import Optional, Sequence
 from repro import obs
 from repro.affine.analysis import linearize
 from repro.dialects.affine_ops import (
+    AccessTable,
     AffineForOp,
     AffineIfOp,
     access_expressions,
     access_is_write,
     access_memref,
+    band_dim_map,
     is_affine_access,
 )
 from repro.dialects.hlscpp import get_func_directive, get_loop_directive
@@ -142,6 +144,8 @@ class QoREstimator:
         #: (kind, id of the analysed block or loop): the IR outlives the
         #: call, so ids are stable for as long as the entries exist.
         self._analyses: dict[tuple[str, int], object] = {}
+        #: Index expressions the caller of the call in flight already holds.
+        self._accesses: Optional[AccessTable] = None
         #: The directive owner whose target II the closing in flight
         #: overrides, and the II it is given.
         self._retarget: Optional[Operation] = None
@@ -160,7 +164,8 @@ class QoREstimator:
 
     def estimate_function(self, func_op: Operation, module: Optional[ModuleOp] = None,
                           retarget: Optional[Operation] = None,
-                          target_iis: Optional[Sequence[int]] = None):
+                          target_iis: Optional[Sequence[int]] = None,
+                          accesses: Optional[AccessTable] = None):
         """Estimate a single function (recursively resolving its callees).
 
         With ``target_iis`` the call closes one analysis over several target
@@ -170,16 +175,21 @@ class QoREstimator:
         function is pipelined — carries that target II.  The target II
         enters the model only through ``max(target, resource, recurrence)``,
         so everything else is computed once.
+
+        ``accesses`` is a table an analysis of the same, since unchanged IR
+        filled (``array-partition``); what it holds is not derived again.
         """
-        return self._run(func_op, module, retarget, target_iis)
+        return self._run(func_op, module, retarget, target_iis, accesses)
 
     def _run(self, func_op: Operation, module: Optional[ModuleOp],
              retarget: Optional[Operation] = None,
-             target_iis: Optional[Sequence[int]] = None):
+             target_iis: Optional[Sequence[int]] = None,
+             accesses: Optional[AccessTable] = None):
         estimate_span = obs.NULL_SPAN if obs.active() is None else obs.span(
             "estimate", func=func_op.get_attr("sym_name", ""))
         self._module = module
         self._analyses = {}
+        self._accesses = accesses
         try:
             with estimate_span:
                 obs.counter("estimate.calls")
@@ -196,6 +206,7 @@ class QoREstimator:
             self._function_cache = {}
             self._achieved_ii = None
             self._analyses = {}
+            self._accesses = None
             self._retarget = None
             self._retarget_ii = 1
 
@@ -544,14 +555,16 @@ class QoREstimator:
         Index expressions are linearized once here so that the alias, port
         and recurrence analyses below are cheap pairwise comparisons.
         """
-        dim_map = {loop.induction_variable: position
-                   for position, loop in enumerate(enclosing_loops)}
-        num_dims = len(enclosing_loops)
+        loops = tuple(enclosing_loops)
+        dim_map = band_dim_map(loops)
+        num_dims = len(loops)
+        accesses = self._accesses
         records: list[_AccessRecord] = []
         for op in ops:
             if not is_affine_access(op) and op.name not in ("memref.load", "memref.store"):
                 continue
-            exprs = access_expressions(op, dim_map)
+            exprs = access_expressions(op, dim_map) if accesses is None \
+                else accesses.expressions(op, loops, dim_map)
             linear = None
             key: tuple
             if exprs is not None:

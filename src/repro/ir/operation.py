@@ -334,6 +334,26 @@ class Operation:
         """
         if value_map is None:
             value_map = {}
+        new_op = self.clone_without_regions(value_map)
+        for region in self.regions:
+            new_region = new_op.add_region()
+            for block in region.blocks:
+                from repro.ir.block import Block
+
+                new_block = Block()
+                new_region.add_block(new_block)
+                for argument in block.arguments:
+                    new_argument = new_block.add_argument(argument.type)
+                    value_map[argument] = new_argument
+                for op in block.operations:
+                    new_block.append(op.clone(value_map))
+        return new_op
+
+    def clone_without_regions(self, value_map: dict[Value, Value]) -> "Operation":
+        """:meth:`clone` short of the regions: operands remapped, results
+        entered into ``value_map``, ``regions`` left empty for a caller that
+        builds the nested blocks itself (loop unrolling expands the loops
+        inside a region op while it copies it)."""
         new_op = object.__new__(type(self))
         # Slot-by-slot construction instead of Operation.__init__: cloning
         # materializes hundreds of thousands of ops per unrolled evaluation,
@@ -376,18 +396,6 @@ class Operation:
                 new_op._attributes = _clone_attributes(attrs)
         for old_result, new_result in zip(self.results, new_op.results):
             value_map[old_result] = new_result
-        for region in self.regions:
-            new_region = new_op.add_region()
-            for block in region.blocks:
-                from repro.ir.block import Block
-
-                new_block = Block()
-                new_region.add_block(new_block)
-                for argument in block.arguments:
-                    new_argument = new_block.add_argument(argument.type)
-                    value_map[argument] = new_argument
-                for op in block.operations:
-                    new_block.append(op.clone(value_map))
         return new_op
 
     # -- attribute helpers -------------------------------------------------------------------------

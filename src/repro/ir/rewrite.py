@@ -4,14 +4,22 @@ Canonicalization-style passes register :class:`RewritePattern` objects; the
 :class:`GreedyRewriteDriver` applies them until a fixed point is reached.
 Two strategies are available:
 
-* ``"worklist"`` (the default) seeds a worklist with every *matchable* op
-  under the root once and afterwards only revisits operations whose
-  operands, users or position actually changed — the hot-path friendly
-  driver the cleanup passes run once per DSE evaluation.  The worklist is
-  *deduplicating* and *program-ordered*: the seed pass is a plain pre-order
-  list (no per-op cost beyond the walk), while revisits enter a heap keyed
-  by the op's position (block order keys along the ancestor chain, from
-  PR 3's intrusive links) and interleave with the seeds in program order.
+* ``"worklist"`` (the default) seeds a worklist, once, with every op under
+  the root that some pattern of its bucket *may match as it stands*
+  (:meth:`RewritePattern.may_match`, a cheap necessary condition: a few
+  percent of a freshly unrolled body) and afterwards only revisits
+  operations whose operands, users or position actually changed — the
+  hot-path friendly driver the cleanup passes run once per DSE evaluation.
+  An op that was not seeded is visited when, and only when, a rewrite's
+  notification (``enqueue``, ``enqueue_tree``, ``enqueue_users``,
+  ``defer_operand_definers``) names it, at the program position where the
+  unfiltered seed would have come up: the sequence of *successful* rewrites
+  is that of seeding everything, the visits that miss are not made.  The
+  worklist is *deduplicating* and *program-ordered*: the seed pass is a
+  plain pre-order list (no per-op cost beyond the walk), while revisits
+  enter a heap keyed by the op's position (block order keys along the
+  ancestor chain, from PR 3's intrusive links) and interleave with the
+  seeds in program order.
   An op enqueued N times during a constant-folding storm is visited once,
   after every operation that precedes it — by the time it pops, its
   operands have already been folded; erasure-driven revisits of a value's
@@ -26,7 +34,9 @@ Pattern dispatch is *bucketed*: at construction the driver groups its
 patterns into ``dict[op name -> tuple of patterns]`` (patterns with
 ``op_name = None`` are merged into every bucket, benefit order preserved),
 so matching an op is a single dict lookup instead of a scan over the whole
-pattern list.  Per-bucket hit/miss counts feed ``--print-pass-timing``.
+pattern list.  Per-bucket hit/miss counts feed ``--print-pass-timing``; a
+miss is a *visit* that matched nothing, so the worklist's miss column
+counts only the ops it had a reason to look at, the sweep's every op.
 
 Linear per-block analyses (CSE, store forwarding, ...) plug in as
 :class:`BlockScanPattern` objects; the driver runs each scan exactly once
@@ -213,9 +223,15 @@ class PatternRewriter(Builder):
         self.changed = True
 
     def enqueue(self, op: "Operation") -> None:
-        """Ask the driver to (re)visit ``op`` — e.g. after moving it."""
-        if self._driver is not None:
-            self._driver.enqueue(op)
+        """Ask the driver to (re)visit ``op`` — e.g. after moving it.
+
+        Call it once ``op`` is in its new state: like a seed, the request is
+        dropped when no pattern of the op's bucket may match it as it stands
+        (a later change to its operands or uses brings its own notification).
+        """
+        driver = self._driver
+        if driver is not None and driver.may_match(op):
+            driver.enqueue(op)
 
     # -- bookkeeping -----------------------------------------------------------------------
 
@@ -239,6 +255,21 @@ class RewritePattern:
 
     def match_and_rewrite(self, op: "Operation", rewriter: PatternRewriter) -> bool:
         raise NotImplementedError
+
+    def may_match(self, op: "Operation") -> bool:
+        """A cheap *necessary* condition for :meth:`match_and_rewrite` to
+        apply to ``op`` as it stands.
+
+        The worklist seeds only ops for which some pattern of their bucket
+        answers True; an op that starts to qualify later arrives through the
+        rewriter's notifications, so read what they announce — the op's
+        operands and the uses of its results — or what no rewrite can have
+        changed before the op's own turn in program order (its own regions:
+        they come after it).  Answering True for an op that does not match
+        costs one wasted visit; answering False for one that does loses the
+        rewrite — so never make it sufficient, only necessary.
+        """
+        return True
 
 
 class BlockScanPattern:
@@ -324,6 +355,14 @@ class GreedyRewriteDriver:
         self._pending.add(id(op))
         self._seq += 1
         heapq.heappush(self._heap, (self._order_key(op), self._seq, op))
+
+    def may_match(self, op: "Operation") -> bool:
+        """Whether some pattern of ``op``'s bucket may match it as it stands
+        (:meth:`RewritePattern.may_match`)."""
+        for pattern in self._buckets.get(op.name, self._generic):
+            if pattern.may_match(op):
+                return True
+        return False
 
     def enqueue_tree(self, op: "Operation") -> None:
         for nested in op.walk():
@@ -463,16 +502,24 @@ class GreedyRewriteDriver:
         self.visit_counts = {}
         buckets = self._buckets
         generic = self._generic
-        # The seed pass: every matchable op once, in program (pre-)order —
-        # a plain list advanced by index, no keys and no heap involved.
-        # Only *revisits* pay for the priority structure.
-        seeds = [op for op in root.walk()
-                 if op is not root and (op.name in buckets or generic)]
+        # The seed pass: every op some pattern of its bucket may match as it
+        # stands, once, in program (pre-)order — a plain list advanced by
+        # index, no keys and no heap involved.  Only *revisits* pay for the
+        # priority structure; an op no pattern may match yet is not visited
+        # until a rewrite's notification says it changed.
+        seeds = []
+        matchable = 0
+        for op in root.walk():
+            if op is root or not (op.name in buckets or generic):
+                continue
+            matchable += 1
+            if self.may_match(op):
+                seeds.append(op)
         pending = self._pending = {id(op) for op in seeds}
         # Non-convergence guard: a healthy run applies at most a few rewrites
         # per op; max_iterations bounds the rewrites-per-op ratio like the
         # sweep count bounded full walks.
-        budget = max(1, self.max_iterations) * max(1, len(seeds))
+        budget = max(1, self.max_iterations) * max(1, matchable)
         rewrites = 0
         changed = False
         heap = self._heap

@@ -24,6 +24,7 @@ from repro.ir.pass_manager import FunctionPass
 from repro.ir.pass_registry import register_pass
 from repro.ir.rewrite import GreedyRewriteDriver, PatternRewriter, RewritePattern
 from repro.ir.types import index
+from repro.ir.value import OpResult
 
 
 def canonicalize(root: Operation, max_iterations: int = 64,
@@ -98,6 +99,14 @@ class FoldConstantsPattern(RewritePattern):
     def __init__(self, op_name: Optional[str] = None):
         self.op_name = op_name
 
+    def may_match(self, op: Operation) -> bool:
+        # Every foldable op needs a constant first operand; an apply of a
+        # constant map has none at all.
+        if not op._operands:
+            return True
+        first = op._operands[0].value
+        return isinstance(first, OpResult) and first.operation.name == "arith.constant"
+
     def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> bool:
         folded = _try_fold(op)
         if folded is None:
@@ -146,6 +155,14 @@ class EraseDeadOpPattern(RewritePattern):
     """Erase side-effect-free, region-free operations with no used results."""
 
     benefit = 1
+
+    def may_match(self, op: Operation) -> bool:
+        if op.regions or not op.results:
+            return False
+        for result in op.results:
+            if result._uses:
+                return False
+        return True
 
     def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> bool:
         if op.regions or op.has_side_effects():
@@ -204,6 +221,12 @@ class EraseEmptyAffineIfPattern(RewritePattern):
 
     op_name = "affine.if"
     benefit = 2
+
+    def may_match(self, op: Operation) -> bool:
+        # No notification follows a branch emptying, and none is needed:
+        # seeds are taken in pre-order, so nothing inside ``op`` has been
+        # visited, let alone erased, by the time its own turn would come.
+        return isinstance(op, AffineIfOp) and op.then_block.empty()
 
     def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> bool:
         if not isinstance(op, AffineIfOp) or op.results:

@@ -17,9 +17,8 @@ from typing import Optional, Sequence
 from repro.affine.analysis import linearize
 from repro.affine.expr import AffineExpr
 from repro.dialects.affine_ops import (
+    AccessTable,
     AffineForOp,
-    access_expressions,
-    access_memref,
     is_affine_access,
 )
 from repro.dialects.func import FuncOp
@@ -45,7 +44,8 @@ class PartitionPlan:
 
 def partition_arrays(func_op: Operation,
                      part_factors: Optional[dict[str, Sequence[int]]] = None,
-                     max_factor: int = 64) -> list[PartitionPlan]:
+                     max_factor: int = 64,
+                     accesses: Optional[AccessTable] = None) -> list[PartitionPlan]:
     """Partition every array accessed by ``func_op``.
 
     ``part_factors`` optionally pins the factors of specific buffers (keyed by
@@ -53,8 +53,13 @@ def partition_arrays(func_op: Operation,
     allocating op, or — for an unnamed allocation — by ``buffer<k>``, its
     index among the function's allocations in program order).  Returns the
     plan applied to each partitioned buffer.
+
+    ``accesses`` receives the index expressions the analysis derives, for a
+    caller that analyses the same accesses next (the QoR estimator).
     """
     part_factors = part_factors or {}
+    if accesses is None:
+        accesses = AccessTable()
     plans: list[PartitionPlan] = []
     # One function-level pipelining scan shared across all buffers: the walk
     # over a fully unrolled body is large, and the answer is per-function.
@@ -66,8 +71,8 @@ def partition_arrays(func_op: Operation,
                 (PartitionKind.CYCLIC if factor > 1 else PartitionKind.NONE, max(1, factor))
                 for factor in factors)
         else:
-            partition = _derive_partition(memref_value, func_op, max_factor,
-                                          has_pipelined=has_pipelined)
+            partition = _derive_partition(memref_value, max_factor,
+                                          has_pipelined, accesses)
         if partition is None:
             continue
         if all(factor <= 1 for _, factor in partition):
@@ -88,9 +93,13 @@ class ArrayPartitionPass(FunctionPass):
                  max_factor: int = 64):
         self.part_factors = part_factors
         self.max_factor = max_factor
+        #: The index expressions the last :meth:`run` derived (see
+        #: :func:`partition_arrays`).
+        self.accesses: Optional[AccessTable] = None
 
     def run(self, op: Operation) -> None:
-        partition_arrays(op, self.part_factors, self.max_factor)
+        self.accesses = AccessTable()
+        partition_arrays(op, self.part_factors, self.max_factor, self.accesses)
 
 
 # -- analysis -------------------------------------------------------------------------------
@@ -116,77 +125,54 @@ def _collect_memrefs(func_op: Operation) -> list[tuple[str, Value]]:
     return memrefs
 
 
-def _enclosing_loops(op: Operation) -> list[AffineForOp]:
-    loops = [ancestor for ancestor in op.ancestors() if isinstance(ancestor, AffineForOp)]
-    loops.reverse()  # outermost first
-    return loops
-
-
 def _function_has_pipelined_loop(func_op: Operation) -> bool:
     return any(isinstance(op, AffineForOp) and is_pipelined(op) for op in func_op.walk())
 
 
-def _access_groups(memref_value: Value, func_op: Operation,
-                   has_pipelined: Optional[bool] = None):
-    """Group accesses of a buffer by their enclosing loop nest.
+def _access_groups(memref_value: Value, has_pipelined: bool,
+                   accesses: AccessTable) -> dict[tuple, list[list[AffineExpr]]]:
+    """The index expressions of a buffer's accesses, grouped by enclosing
+    loop nest (the key).
 
     Accesses inside pipelined loops are preferred (they determine the needed
     bandwidth); if no loop of the function is pipelined every access counts.
     """
-    accesses = [use.owner for use in memref_value.uses if is_affine_access(use.owner)]
-    if has_pipelined is None:
-        has_pipelined = _function_has_pipelined_loop(func_op)
-
-    groups: dict[tuple, list[tuple[Operation, list[AffineExpr]]]] = {}
-    for access in accesses:
-        loops = _enclosing_loops(access)
+    groups: dict[tuple, list[list[AffineExpr]]] = {}
+    for use in memref_value.uses:
+        access = use.owner
+        if not is_affine_access(access):
+            continue
+        loops, dim_map = accesses.nest(access)
         if has_pipelined and not any(is_pipelined(loop) for loop in loops):
             continue
-        dim_map = {loop.induction_variable: position for position, loop in enumerate(loops)}
-        exprs = access_expressions(access, dim_map)
-        if exprs is None:
-            continue
-        key = tuple(id(loop) for loop in loops)
-        groups.setdefault(key, []).append((access, exprs))
+        exprs = accesses.expressions(access, loops, dim_map)
+        if exprs is not None:
+            groups.setdefault(loops, []).append(exprs)
     return groups
 
 
-def _derive_partition(memref_value: Value, func_op: Operation,
-                      max_factor: int,
-                      has_pipelined: Optional[bool] = None) -> Optional[list[tuple[str, int]]]:
+def _derive_partition(memref_value: Value, max_factor: int, has_pipelined: bool,
+                      accesses: AccessTable) -> Optional[list[tuple[str, int]]]:
     memref_type = memref_value.type
     if not isinstance(memref_type, MemRefType):
         return None
     rank = memref_type.rank
     best = [(PartitionKind.NONE, 1)] * rank
 
-    for _, group in _access_groups(memref_value, func_op, has_pipelined).items():
-        num_dims = max((len(_enclosing_loops(access)) for access, _ in group), default=0)
+    for loops, group in _access_groups(memref_value, has_pipelined, accesses).items():
         for d in range(rank):
-            exprs = [exprs[d] for _, exprs in group]
-            unique = _unique_exprs(exprs)
+            # Distinct expressions in first-seen order.
+            unique = list(dict.fromkeys(exprs[d] for exprs in group))
             accesses_count = len(unique)
             if accesses_count <= 1:
                 continue
-            max_distance = _max_index_distance(unique, num_dims)
+            max_distance = _max_index_distance(unique, len(loops))
             factor = min(accesses_count, memref_type.shape[d], max_factor)
             metric = accesses_count / max(1, max_distance)
             fashion = PartitionKind.CYCLIC if metric >= 1 else PartitionKind.BLOCK
             if factor > best[d][1]:
                 best[d] = (fashion, factor)
     return best
-
-
-def _unique_exprs(exprs: Sequence[AffineExpr]) -> list[AffineExpr]:
-    unique: list[AffineExpr] = []
-    seen = set()
-    for expr in exprs:
-        key = hash(expr)
-        if key in seen and any(expr == other for other in unique):
-            continue
-        seen.add(key)
-        unique.append(expr)
-    return unique
 
 
 def _max_index_distance(exprs: Sequence[AffineExpr], num_dims: int) -> int:

@@ -6,6 +6,15 @@ unrolling replaces the loop with one copy of the body per iteration, with the
 induction variable replaced by a constant.  Full unrolling is the mechanism
 behind both the intra-tile unrolling of the DSE flow and the pipeline
 legalization of ``-loop-pipelining``.
+
+One routine expands a loop, for one level (:func:`fully_unroll`) or for the
+whole nest below it (:func:`fully_unroll_nested`).  The nested form copies
+every operation that is not a loop exactly once, under the constants of all
+the enclosing iterations at a time, and guarantees the IR that unrolling one
+loop at a time, innermost first, leaves: the same operations in the same
+order, the same induction constants, the same ``affine.apply``s folded, the
+same use order on every value defined outside the nest.  It checks every
+loop before it changes anything.
 """
 
 from __future__ import annotations
@@ -43,36 +52,58 @@ def unroll_loop(loop: AffineForOp, factor: int) -> Optional[list[Operation]]:
     while trip % factor != 0:
         factor -= 1
     if factor == trip:
-        return _fully_unroll(loop)
+        return _replace_by_expansion(loop, nested=False)
     _partially_unroll(loop, factor)
     return None
 
 
 def fully_unroll(loop: AffineForOp) -> list[Operation]:
-    """Fully unroll ``loop`` (which must have constant bounds)."""
-    trip = loop.trip_count()
-    if trip is None:
+    """Fully unroll ``loop`` (which must have constant bounds).
+
+    One level only: a loop nested in the body is copied per iteration, as a
+    loop.  Returns the operations that replaced ``loop``.
+    """
+    if loop.trip_count() is None:
         raise PassError("cannot fully unroll a loop with variable bounds")
-    return _fully_unroll(loop)
+    return _replace_by_expansion(loop, nested=False)
 
 
 def fully_unroll_nested(root: Operation) -> int:
-    """Fully unroll every ``affine.for`` nested inside ``root`` (post-order).
+    """Fully unroll every ``affine.for`` nested inside ``root``.
 
-    ``root`` itself is not unrolled.  Returns the number of loops unrolled.
+    ``root`` itself is not unrolled.  Returns the number of loops unrolled
+    (distinct loops of the IR as it was, not copies made on the way).
+
+    All or nothing: every nested loop is checked before the first mutation,
+    so a variable-bound loop raises :class:`PassError` with the IR untouched.
+
+    Each outermost nested loop is expanded over the product of its nest's
+    iterations in one pass — every operation that is not a loop is copied
+    exactly once, under the constants of all the enclosing iterations — and
+    the result is, operation for operation and use for use, what unrolling
+    the loops one at a time from the innermost outwards leaves (the tests
+    keep that as the oracle): the same order, the same induction constants,
+    the same ``affine.apply``s folded.
     """
-    # One post-order snapshot suffices: inner loops are listed (and hence
-    # unrolled) before their enclosing loops, so every loop is innermost by
-    # the time it is reached — no per-loop subtree scan or re-sweep needed.
-    # Loops the unrolling erases (the snapshotted inner loops) drop out via
-    # the parent check; unrolled bodies are cloned loop-free.
-    unrolled = 0
-    for op in list(root.walk_post_order()):
-        if op is root or not isinstance(op, AffineForOp) or op.parent is None:
-            continue
-        fully_unroll(op)
-        unrolled += 1
-    return unrolled
+    loops = [op for op in root.walk()
+             if op is not root and isinstance(op, AffineForOp)]
+    for loop in loops:
+        if loop.trip_count() is None:
+            raise PassError("cannot fully unroll a loop with variable bounds")
+    for loop in loops:
+        # A loop inside an expanded one went with it, ancestors intact.
+        if _is_outermost_under(loop, root):
+            _replace_by_expansion(loop, nested=True)
+    return len(loops)
+
+
+def _is_outermost_under(loop: AffineForOp, root: Operation) -> bool:
+    for ancestor in loop.ancestors():
+        if ancestor is root:
+            break
+        if isinstance(ancestor, AffineForOp):
+            return False
+    return True
 
 
 @register_pass("affine-loop-unroll", aliases=("loop-unroll",))
@@ -97,52 +128,103 @@ class AffineLoopUnrollPass(FunctionPass):
 # -- implementation ------------------------------------------------------------------------
 
 
-def _fully_unroll(loop: AffineForOp) -> list[Operation]:
-    block = loop.parent
-    lower = loop.constant_lower_bound
-    upper = loop.constant_upper_bound
-    step = loop.step
+def _replace_by_expansion(loop: AffineForOp, nested: bool) -> list[Operation]:
     new_ops: list[Operation] = []
-    # Enclosing loops keep their bounds while this one unrolls, so what
-    # _single_iteration_iv_value says of an operand holds for every copy.
-    single_ivs: dict = {}
-    for iteration_value in range(lower, upper, step):
-        constant = arith.ConstantOp(iteration_value, index)
-        new_ops.append(constant)
-        value_map = {loop.induction_variable: constant.result()}
-        for body_op in loop.body.operations:
-            name = body_op.name
-            if name == "affine.yield":
-                continue
-            if name == "affine.apply":
-                # Fold now instead of cloning: the canonicalizer would fold
-                # this apply anyway (its operands are constants after iv
-                # substitution) by inserting a constant exactly here, so
-                # emitting the constant directly produces byte-identical
-                # post-canonicalize IR while skipping the clone, the fold
-                # rewrite and the dead-apply erasure for every iteration.
-                folded = _fold_cloned_apply(body_op, value_map, single_ivs)
-                if folded is not None:
-                    new_ops.append(folded)
-                    continue
-            new_ops.append(body_op.clone(value_map))
-    block.insert_all_after(loop, new_ops)
+    _expand_loop(loop, {}, {}, {}, new_ops, nested)
+    loop.parent.insert_all_after(loop, new_ops)
     loop.erase()
     return new_ops
 
 
-def _fold_cloned_apply(apply_op: Operation, value_map: dict,
-                       single_ivs: dict) -> Optional[Operation]:
-    """The constant an unrolled ``affine.apply`` clone folds to (or None).
+def _expand_loop(loop: AffineForOp, value_map: dict, constants: dict,
+                 single_ivs: dict, new_ops: list[Operation],
+                 nested: bool) -> None:
+    """Append one copy of ``loop``'s body per iteration to ``new_ops``.
 
-    Returns a fresh ``arith.constant`` — and maps the apply's result to it —
-    when every operand is constant under ``value_map``; chains across folds,
-    so applies feeding applies collapse in one unrolling.  ``single_ivs``
-    memoizes :func:`_single_iteration_iv_value` for the unrolling under way.
+    ``value_map`` is what copies are made under: every value the expansion
+    has replaced so far.  ``constants`` is the part of it an ``affine.apply``
+    may fold with — the induction constants and folded applies of the loops
+    between the apply and the nearest region op that is not a loop.  Only
+    direct children of a loop body fold: the canonicalizer would fold them
+    anyway (their operands are constants after iv substitution) by
+    inserting a constant exactly here, so emitting the constant directly
+    produces byte-identical post-canonicalize IR while skipping the clone,
+    the fold rewrite and the dead-apply erasure for every iteration.
+
+    With ``nested`` the loops below are expanded in place of being copied.
+    Enclosing loops keep their bounds throughout, so ``single_ivs`` (the
+    memo of :func:`_single_iteration_iv_value`) holds for every copy.
+    """
+    iv = loop.induction_variable
+    body = [op for op in loop.body.operations if op.name != "affine.yield"]
+    for iteration_value in range(loop.constant_lower_bound,
+                                 loop.constant_upper_bound, loop.step):
+        constant = arith.ConstantOp(iteration_value, index)
+        new_ops.append(constant)
+        value_map[iv] = constants[iv] = constant.result()
+        for body_op in body:
+            if body_op.name == "affine.apply":
+                folded = _fold_cloned_apply(body_op, constants, single_ivs)
+                if folded is not None:
+                    value_map[body_op.result()] = folded.result()
+                    new_ops.append(folded)
+                    continue
+            if not nested or not body_op.regions:
+                new_ops.append(body_op.clone(value_map))
+            elif isinstance(body_op, AffineForOp):
+                _expand_loop(body_op, value_map, constants, single_ivs,
+                             new_ops, nested)
+            else:
+                new_ops.append(_clone_expanding_loops(body_op, value_map,
+                                                      single_ivs))
+
+
+def _clone_expanding_loops(op: Operation, value_map: dict,
+                           single_ivs: dict) -> Operation:
+    """:meth:`Operation.clone` of a region op that is not a loop, with the
+    loops inside it expanded.
+
+    Nothing folds across ``op``: unrolling from the innermost loop outwards
+    copied it whole once the loops inside were gone, so an apply in it saw
+    constants for the loops inside ``op`` only.
+    """
+    from repro.ir.block import Block
+
+    new_op = op.clone_without_regions(value_map)
+    for region in op.regions:
+        new_region = new_op.add_region()
+        for block in region.blocks:
+            new_block = Block()
+            new_region.add_block(new_block)
+            for argument in block.arguments:
+                value_map[argument] = new_block.add_argument(argument.type)
+            new_ops: list[Operation] = []
+            for nested_op in block.operations:
+                if not nested_op.regions:
+                    new_ops.append(nested_op.clone(value_map))
+                elif isinstance(nested_op, AffineForOp):
+                    _expand_loop(nested_op, value_map, {}, single_ivs,
+                                 new_ops, nested=True)
+                else:
+                    new_ops.append(_clone_expanding_loops(
+                        nested_op, value_map, single_ivs))
+            for new_nested in new_ops:
+                new_block.append(new_nested)
+    return new_op
+
+
+def _fold_cloned_apply(apply_op: Operation, constants: dict,
+                       single_ivs: dict) -> Optional[Operation]:
+    """The constant an unrolled ``affine.apply`` copy folds to (or None).
+
+    Returns a fresh ``arith.constant`` — and enters it in ``constants`` as
+    the apply's result — when every operand is constant under ``constants``;
+    chains across folds, so applies feeding applies collapse in one
+    unrolling.
     """
     values = []
     for use in apply_op._operands:
-        operand = value_map.get(use.value, use.value)
+        operand = constants.get(use.value, use.value)
         value = arith.constant_value(operand)
         if value is None:
             if operand not in single_ivs:
@@ -153,7 +235,7 @@ def _fold_cloned_apply(apply_op: Operation, value_map: dict,
         values.append(int(value))
     folded = apply_op.get_attr("map").evaluate(values)[0]
     constant = arith.ConstantOp(folded, apply_op.result().type)
-    value_map[apply_op.result()] = constant.result()
+    constants[apply_op.result()] = constant.result()
     return constant
 
 

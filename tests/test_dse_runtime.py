@@ -2,7 +2,10 @@
 estimate-cache accounting and persistence, checkpoint round-trips, and the
 multi-kernel scheduler."""
 
+import gc
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -17,7 +20,12 @@ from repro.dse.runtime import (
     ParallelExplorer,
     SweepConfig,
 )
+from repro.dse.runtime import worker
+from repro.dse.runtime.faults import FaultPlan, InjectedFault
+from repro.dse.runtime.worker import KernelContext, evaluate_encoded
 from repro.estimation import XC7Z020
+from repro.ir.pass_manager import PassError
+from repro.pipeline import compile_kernel
 
 from conftest import GEMM_SOURCE, SYRK_SOURCE, compile_source
 
@@ -322,6 +330,135 @@ class TestCheckpoint:
         result = small_explorer(checkpoint_path=checkpoint) \
             .explore(gemm_module, resume=True)
         assert result.num_evaluations > 0
+
+
+class TestEvaluationArena:
+    """``evaluate_encoded`` pauses the cyclic collector for its length and
+    collects once, after the transformed module is gone."""
+
+    @staticmethod
+    def context(module, **fields):
+        space = KernelDesignSpace.from_function(module.functions()[0])
+        return KernelContext(module=module, func_name=None, platform=XC7Z020,
+                             space=space, **fields), (0,) * space.num_dimensions
+
+    @pytest.fixture
+    def collections_seen(self):
+        """Generations of the collections run while the test body executes."""
+        seen = []
+
+        def callback(phase, info):
+            if phase == "start":
+                seen.append(info["generation"])
+
+        was_enabled = gc.isenabled()
+        gc.callbacks.append(callback)
+        try:
+            yield seen
+        finally:
+            gc.callbacks.remove(callback)
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_one_young_collection_per_evaluation(self, gemm_module,
+                                                 collections_seen):
+        context, encoded = self.context(gemm_module)
+        gc.enable()
+        evaluate_encoded(context, encoded)  # warm every lazy cache
+        del collections_seen[:]
+        record = evaluate_encoded(context, encoded)
+        assert collections_seen == [0]
+        assert gc.isenabled()
+        assert record.ok
+
+    def test_a_disabled_collector_stays_disabled_and_unused(self, gemm_module,
+                                                            collections_seen):
+        context, encoded = self.context(gemm_module)
+        gc.disable()
+        del collections_seen[:]
+        evaluate_encoded(context, encoded)
+        assert not gc.isenabled()
+        assert collections_seen == []
+
+    def test_collector_restored_on_errors(self, gemm_module, tmp_path,
+                                          collections_seen):
+        gc.enable()
+        context, encoded = self.context(gemm_module, pipeline="another-pipeline")
+        with pytest.raises(PassError, match="pipeline mismatch"):
+            evaluate_encoded(context, encoded)
+        assert gc.isenabled()
+        context, encoded = self.context(
+            gemm_module, faults=FaultPlan.parse(f"poison:select=1,state_dir={tmp_path}"))
+        with pytest.raises(InjectedFault):
+            evaluate_encoded(context, encoded, fault_key="gemm")
+        assert gc.isenabled()
+        assert worker._ARENA._depth == 0
+
+    def test_nested_evaluations_resume_at_the_outermost_exit(
+            self, gemm_module, collections_seen):
+        context, encoded = self.context(gemm_module)
+        gc.enable()
+        del collections_seen[:]
+        with worker._ARENA:
+            evaluate_encoded(context, encoded)
+            assert not gc.isenabled()
+            assert collections_seen == []
+        assert gc.isenabled()
+        assert collections_seen == [0]
+
+    def test_an_evaluation_in_flight_on_another_thread_keeps_the_pause(
+            self, gemm_module, collections_seen):
+        context, encoded = self.context(gemm_module)
+        gc.enable()
+        entered, release = threading.Event(), threading.Event()
+
+        def in_flight():
+            with worker._ARENA:
+                entered.set()
+                release.wait(30)
+
+        thread = threading.Thread(target=in_flight)
+        thread.start()
+        try:
+            assert entered.wait(30)
+            del collections_seen[:]
+            evaluate_encoded(context, encoded)
+            assert not gc.isenabled() and collections_seen == []
+        finally:
+            release.set()
+            thread.join(30)
+        assert not thread.is_alive()
+        assert gc.isenabled() and collections_seen == [0]
+
+    def test_threads_entering_and_leaving_at_once_leave_the_collector_on(
+            self, gemm_module, collections_seen):
+        context, encoded = self.context(compile_kernel("gemm", 4))
+        expected = evaluate_encoded(context, encoded)
+        gc.enable()
+        records, failures = [], []
+
+        def evaluate_some():
+            try:
+                for _ in range(3):
+                    records.append(evaluate_encoded(context, encoded))
+            except Exception as error:  # surfaced by the assert below
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=evaluate_some) for _ in range(8)]
+            del collections_seen[:]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures and records == [expected] * 24
+        assert worker._ARENA._depth == 0 and gc.isenabled()
+        # Only the arena collected, at most once per evaluation.
+        assert set(collections_seen) == {0} and len(collections_seen) <= 24
 
 
 class TestMultiKernelScheduler:

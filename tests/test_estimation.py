@@ -1,10 +1,22 @@
 """Tests for the QoR estimator, scheduler, resource model and platforms."""
 
+import collections
+import random
+
 import pytest
 
-from repro.dialects import arith
-from repro.dialects.affine_ops import outermost_loops, perfect_loop_band
+from repro.dialects import affine_ops, arith
+from repro.dialects.affine_ops import (
+    AccessTable,
+    access_expressions,
+    band_dim_map,
+    is_affine_access,
+    outermost_loops,
+    perfect_loop_band,
+)
 from repro.dialects.hlscpp import get_loop_directive
+from repro.dse.apply import _transform
+from repro.dse.space import KernelDesignPoint, KernelDesignSpace
 from repro.estimation import (
     ALAPScheduler,
     QoREstimator,
@@ -12,12 +24,15 @@ from repro.estimation import (
     XC7Z020,
     op_characteristics,
 )
+from repro.estimation import estimator as estimator_module
 from repro.estimation.resources import ResourceUsage, memory_resource
 from repro.ir import Block, f32
+from repro.pipeline import compile_kernel
 from repro.transforms import (
     canonicalize,
     partition_arrays,
     perfectize_band,
+    permute_loop_band,
     pipeline_loop,
     tile_loop_band,
 )
@@ -208,3 +223,90 @@ class TestEstimator:
 
         with pytest.raises(ValueError):
             QoREstimator(XC7Z020).estimate_module(ModuleOp("empty"))
+
+
+TABLE3_KERNELS = ("bicg", "gemm", "gesummv", "syr2k", "syrk", "trmm")
+
+
+class TestAccessTableHandOff:
+    """``array-partition`` fills an :class:`AccessTable`; the estimator it is
+    handed to must answer exactly as when it derives everything itself."""
+
+    @staticmethod
+    def _count_derivations(monkeypatch):
+        """Calls of ``access_expressions`` per access, whoever makes them."""
+        calls = collections.Counter()
+
+        def counted(op, dim_map):
+            calls[op] += 1
+            return access_expressions(op, dim_map)
+
+        monkeypatch.setattr(affine_ops, "access_expressions", counted)
+        monkeypatch.setattr(estimator_module, "access_expressions", counted)
+        return calls
+
+    def test_estimates_equal_with_and_without_the_table(self, monkeypatch):
+        calls = self._count_derivations(monkeypatch)
+        pipelines, pipelined = set(), collections.Counter()
+        for kernel in TABLE3_KERNELS:
+            module = compile_kernel(kernel, 4)
+            space = KernelDesignSpace.from_function(module.functions()[0])
+            rng = random.Random(19)
+            for _ in range(12):
+                point = space.decode(space.random_point(rng))
+                calls.clear()
+                optimized, func_op, loop, table = _transform(
+                    module, point, None, None, None)
+
+                def estimate(accesses):
+                    return [(qor, qor.achieved_ii) for qor in
+                            QoREstimator(XC7Z020).estimate_function(
+                                func_op, module=optimized, retarget=loop,
+                                target_iis=space.ii_options, accesses=accesses)]
+
+                handed = estimate(table)
+                # One derivation per access across partition + estimate...
+                assert calls and set(calls.values()) == {1}
+                # ...and the same answer as deriving everything again.
+                assert estimate(None) == handed
+                pipelines.add(point.pipeline)
+                pipelined[loop is not None] += 1
+        assert pipelines == {"default", "light", "thorough"}
+        assert pipelined[True] and pipelined[False]
+
+    def test_a_table_of_another_function_is_ignored(self, monkeypatch):
+        module = compile_kernel("gemm", 4)
+        point = KernelDesignPoint(True, True, (0, 1, 2), (2, 2, 1), 1)
+        _, _, _, foreign = _transform(compile_kernel("gemm", 4), point,
+                                      None, None, None)
+        optimized, func_op, loop, own = _transform(module, point, None, None, None)
+        estimator = QoREstimator(XC7Z020)
+        expected = estimator.estimate_function(func_op, module=optimized)
+        calls = self._count_derivations(monkeypatch)
+        assert estimator.estimate_function(
+            func_op, module=optimized, accesses=foreign) == expected
+        derived = sum(calls.values())
+        assert derived == len(own._entries)  # nothing of `foreign` was used
+        calls.clear()
+        assert estimator.estimate_function(
+            func_op, module=optimized, accesses=own) == expected
+        assert not calls
+
+    def test_an_entry_derived_under_other_loops_is_not_trusted(self):
+        module = compile_source(GEMM_SOURCE, "gemm")
+        func_op = module.functions()[0]
+        outer = outermost_loops(func_op)[0]
+        perfectize_band(outer)
+        band = perfect_loop_band(outer)
+        table = AccessTable()
+        accesses = [op for op in func_op.walk() if is_affine_access(op)]
+        stale = {op: table.expressions(op, *table.nest(op)) for op in accesses}
+        # Permuting builds new loops and moves the body under them.
+        band = permute_loop_band(band, (2, 0, 1))
+        loops = tuple(band)
+        dim_map = band_dim_map(loops)
+        for op in accesses:
+            assert table.expressions(op, loops, dim_map) \
+                == access_expressions(op, dim_map)
+        assert any(table.expressions(op, loops, dim_map) != stale[op]
+                   for op in accesses)

@@ -1,18 +1,35 @@
 """Tests for the loop-level transform passes (perfectization, RVB, order, tiling, unroll)."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import ir
+from repro.affine.expr import dim
+from repro.affine.map import AffineMap
+from repro.affine.set import IntegerSet
+from repro.dialects import arith, func
 from repro.dialects.affine_ops import (
+    AffineApplyOp,
     AffineForOp,
+    AffineIfOp,
+    AffineLoadOp,
+    AffineStoreOp,
+    AffineYieldOp,
     loop_band_from,
     outermost_loops,
     perfect_loop_band,
 )
+from repro.dse.space import ir_digest
+from repro.ir.builder import Builder
 from repro.ir.interpreter import interpret_kernel
+from repro.ir.operation import Operation
 from repro.ir.pass_manager import PassError
+from repro.ir.printer import print_op
+from repro.ir.types import MemRefType, f32, index
+from repro.pipeline import compile_kernel
 from repro.transforms import (
     canonicalize,
     fully_unroll,
@@ -23,6 +40,7 @@ from repro.transforms import (
     tile_loop_band,
     unroll_loop,
 )
+from repro.transforms.composite import run_design_point_prefix, stage_design_point
 from repro.transforms.loop.loop_order_opt import compute_permutation
 from repro.transforms.loop.loop_unroll import fully_unroll_nested
 
@@ -325,6 +343,258 @@ class TestLoopUnroll:
         assert not any(isinstance(op, AffineForOp) for op in outer.walk() if op is not outer)
         C, expected = run_gemm(gemm_module, seed=70)
         np.testing.assert_allclose(C, expected, rtol=1e-4)
+
+
+# -- fully_unroll_nested against unrolling one loop at a time ---------------------------
+
+
+def _unroll_one_at_a_time(root):
+    """The oracle: every nested loop unrolled by the one-level public call,
+    innermost first (what ``fully_unroll_nested`` did before it expanded a
+    nest over its iteration product)."""
+    count = 0
+    for op in list(root.walk_post_order()):
+        if op is not root and isinstance(op, AffineForOp):
+            fully_unroll(op)
+            count += 1
+    return count
+
+
+def _ir_signature(func_op):
+    """Printed IR plus, for every value, who uses it in which order."""
+    position = {op: number for number, op in enumerate(func_op.walk())}
+    values = [value for op in func_op.walk()
+              for value in (*op.results,
+                            *(argument for region in op.regions
+                              for block in region.blocks
+                              for argument in block.arguments))]
+    return (print_op(func_op, stable_ids=True),
+            [[(position[use.owner], use.index) for use in value.uses]
+             for value in values])
+
+
+def _assert_matches_oracle(module, root_position):
+    """Unroll below the op at ``root_position`` (walk order of the first
+    function) both ways, on two clones of ``module``."""
+    outcomes = []
+    for unroll in (_unroll_one_at_a_time, fully_unroll_nested):
+        func_op = module.clone().functions()[0]
+        root = list(func_op.walk())[root_position]
+        before = print_op(func_op, stable_ids=True)
+        try:
+            outcomes.append((unroll(root), *_ir_signature(func_op)))
+        except PassError:
+            outcomes.append(None)
+            if unroll is fully_unroll_nested:
+                # All or nothing (the oracle may stop half way).
+                assert print_op(func_op, stable_ids=True) == before
+    assert outcomes[0] == outcomes[1]
+    return outcomes[1]
+
+
+def _function(arg_types):
+    module = ir.ModuleOp("nests")
+    func_op = func.build_function(module, "nest", arg_types)
+    builder = Builder()
+    builder.set_insertion_point_to_end(func_op.body)
+    return module, func_op, builder
+
+
+def _loop(builder, lower, upper):
+    loop = builder.insert(AffineForOp.constant_bounds(lower, upper))
+    builder.set_insertion_point_to_end(loop.body)
+    return loop
+
+
+def _touch(builder, memref, indices, access_map=None):
+    """``memref[indices] = memref[indices] + memref[indices]``."""
+    load = builder.insert(AffineLoadOp(memref, indices, access_map))
+    doubled = builder.insert(arith.AddFOp(load.result(), load.result()))
+    builder.insert(AffineStoreOp(doubled.result(), memref, indices, access_map))
+
+
+def _nest_with_loop_inside_if():
+    """for i { if (i >= 1) { for j { apply(i, j) } } else { for j {} }; B[i] }"""
+    module, func_op, builder = _function([MemRefType((16,), f32)])
+    (buffer,) = func_op.arguments
+    outer = _loop(builder, 0, 3)
+    i = outer.induction_variable
+    branch = builder.insert(AffineIfOp(
+        IntegerSet.non_negative(1, dim(0) - 1), [i], with_else=True))
+    builder.set_insertion_point_to_end(branch.then_block)
+    j = _loop(builder, 0, 2).induction_variable
+    address = builder.insert(AffineApplyOp(
+        AffineMap(2, 0, [dim(0) * 4 + dim(1)]), [i, j]))
+    _touch(builder, buffer, [address.result()])
+    builder.set_insertion_point_to_end(branch.else_block)
+    _touch(builder, buffer, [_loop(builder, 4, 6).induction_variable])
+    builder.set_insertion_point_to_end(outer.body)
+    _touch(builder, buffer, [i])
+    builder.insert(AffineYieldOp())
+    builder.set_insertion_point_to_end(func_op.body)
+    builder.insert(func.ReturnOp())
+    return module
+
+
+def _nest_under_single_iteration_loop():
+    """for t in [2, 3) { for i { for j { apply(i, t); apply(j, t, n) } } }:
+    the first apply folds with the trip-1 loop's only value even when that
+    loop is the root and stays; the second never folds (``n`` is an
+    argument)."""
+    module, func_op, builder = _function([MemRefType((64,), f32), index])
+    buffer, n = func_op.arguments
+    t = _loop(builder, 2, 3).induction_variable
+    i = _loop(builder, 0, 2).induction_variable
+    j = _loop(builder, 0, 2).induction_variable
+    folded = builder.insert(AffineApplyOp(
+        AffineMap(2, 0, [dim(0) * 8 + dim(1)]), [i, t]))
+    kept = builder.insert(AffineApplyOp(
+        AffineMap(3, 0, [dim(0) + dim(1) + dim(2)]), [j, t, n]))
+    _touch(builder, buffer, [folded.result()])
+    _touch(builder, buffer, [kept.result()])
+    builder.set_insertion_point_to_end(func_op.body)
+    builder.insert(func.ReturnOp())
+    return module
+
+
+def _nest_with_apply_chain():
+    """Applies feeding applies, across levels: a(i) in the outer body feeds
+    b(a, j) and c(b) in the inner one and d(a) after it."""
+    module, func_op, builder = _function([MemRefType((64,), f32)])
+    (buffer,) = func_op.arguments
+    outer = _loop(builder, 0, 2)
+    a = builder.insert(AffineApplyOp(
+        AffineMap(1, 0, [dim(0) * 8]), [outer.induction_variable]))
+    j = _loop(builder, 0, 3).induction_variable
+    b = builder.insert(AffineApplyOp(
+        AffineMap(2, 0, [dim(0) + dim(1)]), [a.result(), j]))
+    c = builder.insert(AffineApplyOp(AffineMap(1, 0, [dim(0) + 1]), [b.result()]))
+    _touch(builder, buffer, [c.result()])
+    builder.set_insertion_point_to_end(outer.body)
+    d = builder.insert(AffineApplyOp(AffineMap(1, 0, [dim(0) + 7]), [a.result()]))
+    _touch(builder, buffer, [d.result()])
+    builder.set_insertion_point_to_end(func_op.body)
+    builder.insert(func.ReturnOp())
+    return module
+
+
+def _imperfect_nests():
+    """Two nests in a row; the first has operations before, between and
+    after two inner loops, and a value of the outer body used inside one."""
+    module, func_op, builder = _function(
+        [MemRefType((4, 4), f32), MemRefType((4,), f32)])
+    matrix, vector = func_op.arguments
+    outer = _loop(builder, 0, 2)
+    i = outer.induction_variable
+    scale = builder.insert(AffineLoadOp(vector, [i]))
+    j = _loop(builder, 0, 2).induction_variable
+    element = builder.insert(AffineLoadOp(matrix, [i, j]))
+    scaled = builder.insert(arith.MulFOp(element.result(), scale.result()))
+    builder.insert(AffineStoreOp(scaled.result(), matrix, [i, j]))
+    builder.set_insertion_point_to_end(outer.body)
+    _touch(builder, vector, [i])
+    _touch(builder, matrix, [_loop(builder, 1, 4).induction_variable, i])
+    builder.set_insertion_point_to_end(outer.body)
+    builder.insert(AffineStoreOp(scale.result(), vector, [i]))
+    builder.set_insertion_point_to_end(func_op.body)
+    _touch(builder, vector, [_loop(builder, 0, 4).induction_variable])
+    builder.set_insertion_point_to_end(func_op.body)
+    builder.insert(func.ReturnOp())
+    return module
+
+
+HAND_BUILT_NESTS = {
+    "loop-inside-if": _nest_with_loop_inside_if,
+    "single-iteration-loop": _nest_under_single_iteration_loop,
+    "apply-chain": _nest_with_apply_chain,
+    "imperfect": _imperfect_nests,
+}
+
+
+class TestNestedUnrollMatchesOneLoopAtATime:
+    """``fully_unroll_nested`` copies every operation once, under all the
+    enclosing iterations at a time; what it leaves must be, operation for
+    operation and use for use, what the one-level unrolling leaves."""
+
+    @pytest.mark.parametrize("kernel", ["bicg", "gemm", "gesummv", "syr2k",
+                                        "syrk", "trmm"])
+    def test_table3_kernels_under_every_prefix_and_tiling(self, kernel):
+        base = compile_kernel(kernel, 4)
+        unrolled = rejected = 0
+        for perfectize, rvb in itertools.product((False, True), repeat=2):
+            prefixed = base.clone()
+            func_op = prefixed.functions()[0]
+            canonicalize(func_op)
+            run_design_point_prefix(func_op, perfectize, rvb)
+            depth = len(loop_band_from(outermost_loops(func_op)[0]))
+            for tiles in itertools.product((1, 2, 4), repeat=depth):
+                staged = prefixed.clone()
+                func_op = staged.functions()[0]
+                target = stage_design_point(func_op, tuple(range(depth)), tiles)
+                # What pipeline_loop and pipeline_function unroll below.
+                for root in (target, func_op):
+                    position = next(number for number, op
+                                    in enumerate(func_op.walk()) if op is root)
+                    if _assert_matches_oracle(staged, position) is None:
+                        rejected += 1
+                    else:
+                        unrolled += 1
+        assert unrolled
+        if kernel in ("syr2k", "syrk", "trmm"):
+            assert rejected  # triangular until the bounds are removed
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT_NESTS))
+    def test_hand_built_nests(self, name):
+        module = HAND_BUILT_NESTS[name]()
+        ir.verify(module)
+        func_op = module.functions()[0]
+        roots = [0] + [number for number, op in enumerate(func_op.walk())
+                       if isinstance(op, AffineForOp)]
+        for position in roots:
+            count, printed, _ = _assert_matches_oracle(module, position)
+            if position == 0:
+                assert "affine.for" not in printed
+                assert count == len(roots) - 1  # distinct loops, not copies
+
+    def test_applies_fold_where_unrolling_one_loop_at_a_time_folds_them(self):
+        def applies_left(module, root_position=0):
+            _, printed, _ = _assert_matches_oracle(module, root_position)
+            return printed.count("affine.apply")
+
+        # Direct children of an unrolled loop body fold, the trip-1
+        # enclosing loop's value included; an argument operand never does.
+        assert applies_left(_nest_under_single_iteration_loop()) == 4
+        assert applies_left(_nest_under_single_iteration_loop(), 1) == 4
+        assert applies_left(_nest_with_apply_chain()) == 0
+        # Below an affine.if the fold scope restarts: the copied apply keeps
+        # the outer constant as an operand, for canonicalize to fold.
+        assert applies_left(_nest_with_loop_inside_if()) == 6
+
+    def test_every_operation_is_cloned_at_most_once(self, monkeypatch):
+        module = compile_kernel("gemm", 4)
+        func_op = module.functions()[0]
+        canonicalize(func_op)
+        target = stage_design_point(func_op, (0, 1, 2), (2, 2, 2))
+        clones = []
+        clone = Operation.clone
+        monkeypatch.setattr(Operation, "clone", lambda op, value_map=None:
+                            clones.append(op) or clone(op, value_map))
+        before = {op for op in target.walk()}
+        fully_unroll_nested(target)
+        created = [op for op in target.walk() if op not in before]
+        assert len(clones) <= len(created)
+        assert all(op in before for op in clones)  # no copy is copied again
+
+    def test_variable_bound_leaves_the_ir_untouched(self):
+        # syr2k: a constant-bound k loop inside the triangular j loop, so
+        # unrolling innermost-first mutates before it meets the j loop.
+        module = compile_kernel("syr2k", 4)
+        func_op = module.functions()[0]
+        digest = ir_digest(func_op)
+        with pytest.raises(PassError, match="variable bounds"):
+            fully_unroll_nested(func_op)
+        assert ir_digest(func_op) == digest
+        ir.verify(module)
 
 
 class TestCombinedKernelFlow:

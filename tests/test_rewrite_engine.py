@@ -14,20 +14,26 @@ import pickle
 
 import pytest
 
+from repro.affine.expr import dim
+from repro.affine.map import AffineMap
+from repro.affine.set import IntegerSet
 from repro.dialects import arith
+from repro.dialects.affine_ops import AffineApplyOp, AffineIfOp
 from repro.dse.apply import apply_design_point
 from repro.dse.space import KernelDesignPoint
 from repro.emit.hlscpp_emitter import emit_hlscpp
 from repro.ir.block import Block
+from repro.ir.builder import Builder
 from repro.ir.operation import Operation
 from repro.ir.printer import Printer
 from repro.ir.rewrite import (GreedyRewriteDriver, PatternRewriter,
                               RewritePattern, collect_pattern_stats,
                               set_rewrite_strategy)
-from repro.ir.types import index
+from repro.ir.types import f32, index
 from repro.ir.value import OpResult
 from repro.pipeline import compile_kernel
-from repro.transforms.cleanup.canonicalize import canonicalization_patterns
+from repro.transforms.cleanup.canonicalize import (_FOLDABLE_NAMES,
+                                                   canonicalization_patterns)
 
 
 class _Never(RewritePattern):
@@ -265,6 +271,115 @@ class TestWorklistSweepAB:
             finally:
                 set_rewrite_strategy(previous)
         assert outputs["sweep"] == outputs["worklist"]
+
+
+class _NecessityProbe(RewritePattern):
+    """Stands in for ``inner`` in a driver.  Its own ``may_match`` is the
+    default, so the worklist seeds every op (the unfiltered run); at every
+    hit it checks that ``inner.may_match`` had said yes."""
+
+    def __init__(self, inner: RewritePattern, hits: dict):
+        self.inner = inner
+        self.op_name = inner.op_name
+        self.benefit = inner.benefit
+        self.hits = hits
+
+    def match_and_rewrite(self, op, rewriter) -> bool:
+        could = self.inner.may_match(op)
+        hit = self.inner.match_and_rewrite(op, rewriter)
+        if hit:
+            name = type(self.inner).__name__
+            assert could, f"{name}.may_match said no to {op.name}, which it rewrote"
+            self.hits[name] = self.hits.get(name, 0) + 1
+        return hit
+
+
+def _foldable_module():
+    """One op of every name the fold pattern knows, all foldable, their
+    results kept alive; later ones become foldable only once an earlier one
+    has folded (operand 0 is not a constant yet), plus an empty ``affine.if``."""
+    root = Operation("bench.root", num_regions=1)
+    builder = Builder()
+    builder.set_insertion_point_to_end(root.regions[0].add_block(Block()))
+    insert = builder.insert
+    two, three = (insert(arith.ConstantOp(value, index)).result() for value in (2, 3))
+    half, quarter = (insert(arith.ConstantOp(value, f32)).result()
+                     for value in (0.5, 0.25))
+    results = [insert(cls(two, three)).result()
+               for cls in (arith.AddIOp, arith.SubIOp, arith.MulIOp,
+                           arith.DivSIOp, arith.RemSIOp)]
+    results += [insert(cls(half, quarter)).result()
+                for cls in (arith.AddFOp, arith.SubFOp, arith.MulFOp,
+                            arith.DivFOp, arith.MaxFOp)]
+    less = insert(arith.CmpIOp("slt", two, three)).result()
+    results += [
+        insert(arith.CmpFOp("ogt", half, quarter)).result(),
+        insert(arith.SelectOp(less, two, three)).result(),  # after the cmpi folds
+        insert(arith.IndexCastOp(results[0], index)).result(),  # after the addi
+        insert(AffineApplyOp(AffineMap(2, 0, [dim(0) * 4 + dim(1)]),
+                             [results[2], three])).result(),  # after the muli
+        insert(AffineApplyOp(AffineMap.constant_map(5), [])).result(),
+    ]
+    insert(AffineIfOp(IntegerSet.non_negative(1, dim(0)), [two]))  # empty
+    insert(Operation("bench.keep", operands=results))
+    return root
+
+
+class TestSeededWorklist:
+    """``may_match`` filters the seeds; it must be *necessary* for a match."""
+
+    def test_may_match_held_at_every_hit_of_every_pattern(self, monkeypatch):
+        modules = {key: compile_kernel(kernel, size)
+                   for key, (kernel, size, _) in GOLDEN_CORPUS.items()}
+
+        def evaluate(key):
+            return Printer(stable_ids=True).print(
+                apply_design_point(modules[key], GOLDEN_CORPUS[key][2]).module)
+
+        def fold(root):
+            GreedyRewriteDriver(canonicalization_patterns()).rewrite(root)
+            return Printer(stable_ids=True).print(root)
+
+        seeded = {key: evaluate(key) for key in GOLDEN_CORPUS}
+        seeded_folds = fold(_foldable_module())
+        hits: dict = {}
+        construct = GreedyRewriteDriver.__init__
+
+        def construct_probed(driver, patterns, *args, **kwargs):
+            construct(driver, [_NecessityProbe(pattern, hits)
+                               if isinstance(pattern, RewritePattern) else pattern
+                               for pattern in patterns], *args, **kwargs)
+
+        monkeypatch.setattr(GreedyRewriteDriver, "__init__", construct_probed)
+        assert {key: evaluate(key) for key in GOLDEN_CORPUS} == seeded
+        # Unrolling folds its applies itself, so the kernels never reach the
+        # fold pattern: one op of every foldable name does.
+        assert fold(_foldable_module()) == seeded_folds
+        assert "bench.keep" in seeded_folds and "arith.addi" not in seeded_folds
+        assert hits["FoldConstantsPattern"] == len(_FOLDABLE_NAMES) + 1  # two applies
+        # Every pattern the evaluation pipelines register was exercised.
+        assert set(hits) == {"FoldConstantsPattern", "EraseDeadOpPattern",
+                             "SimplifyAffineForPattern", "EraseEmptyAffineIfPattern",
+                             "SimplifyAffineIfPattern"}
+
+    def test_unmatchable_ops_are_not_visited(self):
+        module = compile_kernel("gemm", 8)
+        design_module = apply_design_point(
+            module, KernelDesignPoint(True, True, (0, 1, 2), (2, 2, 2), 1)).module
+        func_op = design_module.functions()[0]
+        driver = GreedyRewriteDriver(canonicalization_patterns())
+        assert not driver.rewrite(func_op)  # already canonical
+        ops = sum(1 for _ in func_op.walk()) - 1
+        assert ops > 50 and sum(driver.visit_counts.values()) <= 0.15 * ops
+
+    def test_budget_counts_matchable_ops_not_seeds(self):
+        """A chain of N foldable ops has two seeds (the first, whose operand
+        is a constant already, and the last, which is dead) and needs 2N
+        rewrites: ``max_iterations`` bounds rewrites per matchable op."""
+        root, _ = _chain_module(40)
+        driver = GreedyRewriteDriver(canonicalization_patterns(), max_iterations=4)
+        driver.rewrite(root)
+        assert sum(hits for hits, _ in driver.pattern_stats.values()) > 4 * 2
 
 
 class TestEstimateCacheLRU:
