@@ -146,15 +146,17 @@ def measure_pass_timing(kernel: str, problem_size: int,
 
     The same design point (a tiled, pipelined configuration that produces
     large unrolled blocks — the canonicalize/CSE hot path) is applied
-    ``rounds`` times under each rewrite strategy; accumulated per-pass times
-    come from the PassManager instrumentation.  ``tiles`` sets the tile
+    ``rounds`` times under each rewrite strategy; per-pass times are each
+    round's ``pass.*`` spans grouped by ``name{options}``, the table
+    ``--print-pass-timing`` prints.  ``tiles`` sets the tile
     sizes of the point; tiles equal to the problem size yield a *fully*
     unrolled kernel, the block-size extreme of the paper's Fig. 7 space.
     """
     from repro.dse.apply import apply_design_point
     from repro.dse.space import KernelDesignPoint
-    from repro.ir.pass_manager import collect_pass_timings
+    from repro import obs
     from repro.ir.rewrite import set_rewrite_strategy
+    from repro.obs.report import pass_timings_of
 
     module = compile_kernel(kernel, problem_size)
     point = KernelDesignPoint(True, True, (1, 2, 0), tuple(tiles), 1)
@@ -162,11 +164,13 @@ def measure_pass_timing(kernel: str, problem_size: int,
     def run_once(strategy, accumulated):
         previous = set_rewrite_strategy(strategy)
         try:
-            with collect_pass_timings() as collector:
+            with obs.session() as session:
                 design = apply_design_point(module, point)
         finally:
             set_rewrite_strategy(previous)
-        for name, seconds in collector.timings.items():
+        timings = pass_timings_of(session.metrics.counters,
+                                  session.tracer.tracks())
+        for name, seconds in timings.items():
             accumulated[name] = accumulated.get(name, 0.0) + seconds
         return design.qor
 

@@ -14,7 +14,6 @@ dependence of distance one.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Optional, Sequence
 
 from repro.affine.analysis import linearize
@@ -216,11 +215,3 @@ def minimum_carried_distance(accesses: Sequence[MemoryAccess], num_dims: int,
     if best is not None:
         return best
     return None
-
-
-def gcd_distance(distances: Sequence[int]) -> int:
-    """Greatest common divisor of a list of distances (0 if empty)."""
-    result = 0
-    for value in distances:
-        result = math.gcd(result, abs(int(value)))
-    return result

@@ -91,17 +91,6 @@ class AffineForOp(Operation):
 
     # -- bound manipulation ------------------------------------------------------------
 
-    def set_lower_bound(self, lower_map: AffineMap, operands: Sequence[Value] = ()) -> None:
-        ub_operands = list(self.ub_operands)
-        self.set_attr("lower_map", lower_map)
-        self.set_attr("num_lb_operands", len(operands))
-        self.set_operands([*operands, *ub_operands])
-
-    def set_upper_bound(self, upper_map: AffineMap, operands: Sequence[Value] = ()) -> None:
-        lb_operands = list(self.lb_operands)
-        self.set_attr("upper_map", upper_map)
-        self.set_operands([*lb_operands, *operands])
-
     def set_constant_bounds(self, lower: int, upper: int) -> None:
         self.set_attr("lower_map", AffineMap.constant_map(lower))
         self.set_attr("upper_map", AffineMap.constant_map(upper))

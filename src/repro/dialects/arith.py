@@ -220,12 +220,6 @@ def constant_value(value: Value):
     return value.owner.get_attr("value")
 
 
-def constant_index(builder, value: int) -> Value:
-    """Create (and insert) an index constant, returning its result."""
-    op = builder.insert(ConstantOp(int(value), index))
-    return op.result()
-
-
 #: Set of arith operation names that are pure (freely CSE-able / DCE-able).
 PURE_OPS = {
     "arith.constant", "arith.addf", "arith.subf", "arith.mulf", "arith.divf",

@@ -22,7 +22,7 @@ import dataclasses
 import functools
 from typing import Optional, Sequence
 
-from repro.dialects.affine_ops import AccessTable, outermost_loops
+from repro.dialects.affine_ops import AccessTable
 from repro.dse.space import KernelDesignPoint, ir_digest
 from repro.estimation.estimator import QoREstimator, QoRResult
 from repro.estimation.platform import Platform, XC7Z020
@@ -30,6 +30,11 @@ from repro.ir.module import ModuleOp
 from repro.ir.operation import Operation
 from repro.ir.pass_manager import PassManager
 from repro.ir.pass_registry import build_pipeline_cached, pipeline_signature
+from repro.transforms.composite import (
+    DesignPointPrefixPass,
+    DesignPointSuffixPass,
+    _outer_loop,
+)
 from repro.transforms.directive.array_partition import ArrayPartitionPass
 
 
@@ -138,18 +143,14 @@ def cleanup_pipeline_signature(name: str) -> str:
     return pipeline_signature(cleanup_pipeline_spec(name))
 
 
-def design_point_prefix_pass(point: KernelDesignPoint) -> "DesignPointPrefixPass":
+def design_point_prefix_pass(point: KernelDesignPoint) -> DesignPointPrefixPass:
     """The configured ``design-point-prefix`` pass (the snapshot-cached part)."""
-    from repro.transforms import DesignPointPrefixPass
-
     return DesignPointPrefixPass(perfectize=point.loop_perfectization,
                                  rvb=point.remove_variable_bound)
 
 
-def design_point_suffix_pass(point: KernelDesignPoint) -> "DesignPointSuffixPass":
+def design_point_suffix_pass(point: KernelDesignPoint) -> DesignPointSuffixPass:
     """The configured ``design-point-suffix`` pass (the per-point part)."""
-    from repro.transforms import DesignPointSuffixPass
-
     tiles = tuple(point.tile_sizes) \
         if any(size > 1 for size in point.tile_sizes) else ()
     return DesignPointSuffixPass(perm=tuple(point.perm_map), tiles=tiles,
@@ -181,7 +182,7 @@ def kernel_pipeline_spec(point: Optional[KernelDesignPoint] = None) -> str:
     """The textual pipeline one kernel DSE evaluation runs.
 
     With ``point`` None the spec is the point-independent *template* (the
-    ``apply-design-point`` pass with no options); with a concrete point it
+    prefix/suffix pair with no options); with a concrete point it
     is the exact, replayable pipeline of that evaluation.  To replay it
     from C source through the driver, prepend the frontend raise::
 
@@ -373,11 +374,6 @@ def estimate_baseline(module: ModuleOp, platform: Platform = XC7Z020,
 
 
 # -- helpers -----------------------------------------------------------------------------------
-
-
-def _outer_loop(func_op: Operation):
-    loops = outermost_loops(func_op)
-    return loops[0] if loops else None
 
 
 def _pipeline_directive(func_op: Operation):

@@ -31,47 +31,38 @@ Observability: each checkout emits one constant-shape ``dse.prefix`` span
 (cache-warmth only appears in span *args*, never in the trace skeleton) and
 the ``dse.prefix.{hits,misses,clones}`` counters.  Snapshot *builds* run
 with the session suspended — they happen only on a miss, so their spans
-would make the trace depend on execution details — and their pass timings
-are re-injected afterwards under a distinct ``prefix.<key>/`` scope, keeping
-``--print-pass-timing`` free of shared-vs-per-point double counting.
+would make the trace depend on execution details — and the build reports the
+seconds of its two pass runs itself, as ``pass.seconds.prefix.<key>/<name>``
+counters, keeping ``--print-pass-timing`` free of shared-vs-per-point double
+counting.
 """
 
 from __future__ import annotations
 
-import collections
+import time
 from typing import Optional
 
 from repro import obs
 from repro.dse.space import KernelDesignPoint, ir_digest
 from repro.ir.module import ModuleOp
 from repro.ir.operation import Operation
-from repro.ir.pass_manager import (
-    PassManager,
-    collect_pass_timings,
-    pass_timing_scope,
-)
+from repro.ir.pass_manager import PassManager
 from repro.ir.pass_registry import build_pipeline_cached
 
 
 class PrefixSnapshotCache:
     """Per-worker memo of post-prefix kernel IR, keyed by prefix identity.
 
-    ``max_entries`` bounds the snapshot count with LRU eviction; the default
-    is small because a single kernel has at most four prefixes and a worker
-    typically interleaves only a handful of kernels.
+    Unbounded: every owner creates one per kernel key, and a kernel has at
+    most four prefixes (perfectize x rvb).
     """
 
-    def __init__(self, max_entries: int = 16):
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be positive, got {max_entries}")
-        self.max_entries = max_entries
+    def __init__(self):
         self.hits = 0
         self.misses = 0
         self.clones = 0
-        self.evictions = 0
-        #: key -> snapshot module; least recently used first.
-        self._snapshots: "collections.OrderedDict[tuple, ModuleOp]" = \
-            collections.OrderedDict()
+        #: (kernel digest, function name, prefix key) -> snapshot module.
+        self._snapshots: dict[tuple, ModuleOp] = {}
 
     def __len__(self) -> int:
         return len(self._snapshots)
@@ -103,15 +94,11 @@ class PrefixSnapshotCache:
             if cached:
                 self.hits += 1
                 obs.counter("dse.prefix.hits")
-                self._snapshots.move_to_end(key)
             else:
                 self.misses += 1
                 obs.counter("dse.prefix.misses")
                 snapshot = self._build(module, point, func_name, prefix)
                 self._snapshots[key] = snapshot
-                while len(self._snapshots) > self.max_entries:
-                    self._snapshots.popitem(last=False)
-                    self.evictions += 1
             cloned = snapshot.clone()
             self.clones += 1
             obs.counter("dse.prefix.clones")
@@ -125,20 +112,24 @@ class PrefixSnapshotCache:
         """Run the shared prefix once: clone, canonicalize, perfectize/rvb.
 
         Built with the session suspended (a miss is an execution detail, not
-        part of the trajectory); the measured pass seconds are re-injected
-        under the ``prefix.<key>/`` timing scope afterwards so timing tables
-        attribute shared work separately from per-evaluation work.
+        part of the trajectory); the seconds of the two pass runs are
+        reported as ``prefix.<key>/<pass name>`` so timing tables attribute
+        shared work separately from per-evaluation work.
         """
         from repro.dse.apply import design_point_prefix_pass
 
         snapshot = _kernel_module(module, func_name)
         func_op = _lookup(snapshot, func_name)
-        with obs.suspended(), collect_pass_timings() as collector, \
-                pass_timing_scope(f"prefix.{prefix}"):
+        with obs.suspended():
+            started = time.perf_counter()
             build_pipeline_cached("canonicalize").run(func_op)
+            canonicalized = time.perf_counter()
             PassManager([design_point_prefix_pass(point)]).run(func_op)
-        for name, seconds in collector.by_pass.items():
-            obs.add_pass_seconds(name, seconds)
+            finished = time.perf_counter()
+        obs.add_pass_seconds(f"prefix.{prefix}/canonicalize",
+                             canonicalized - started)
+        obs.add_pass_seconds(f"prefix.{prefix}/design-point-prefix",
+                             finished - canonicalized)
         return snapshot
 
 

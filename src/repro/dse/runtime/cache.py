@@ -54,12 +54,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def snapshot(self) -> "CacheStats":
-        return CacheStats(hits=self.hits, misses=self.misses,
-                          stores=self.stores, loaded=self.loaded,
-                          evictions=self.evictions, compacted=self.compacted,
-                          recovered_lines=self.recovered_lines)
-
 
 class EstimateCache:
     """In-process QoR memo with optional JSONL persistence.

@@ -162,9 +162,15 @@ class _ClassResults:
         return record
 
 
-#: Staging is the one place coordinator threads run transforms, and the pass
-#: infrastructure (timing scopes and collectors, a cached pipeline's run
-#: root) is process-wide state: one coordinator stages at a time.
+#: Staging is the one place coordinator threads run transforms: one
+#: coordinator stages at a time.  The pass layer holds no state of its own
+#: across a run (timings go to the per-thread-suspendable obs session, a
+#: cached pipeline's run root is an argument), so what the lock guards is
+#: ``--dump-ir-after`` — the dumper list and its snapshot counter are
+#: process-wide, and prefix builds dump through them — and the fact that
+#: transforms running on two threads at once have never been byte-compared
+#: against the serial order (the chaos/topology tests): dropping it is the
+#: pool item's decision.
 _STAGING_LOCK = threading.Lock()
 
 

@@ -634,19 +634,6 @@ class QoREstimator:
                         edges.append((source.op, target.op))
         return edges
 
-    @staticmethod
-    def _may_alias_same_iteration(a: "_AccessRecord", b: "_AccessRecord") -> bool:
-        if a.linear is None or b.linear is None:
-            return True
-        if len(a.linear) != len(b.linear):
-            return True
-        for (coeffs_a, const_a), (coeffs_b, const_b) in zip(a.linear, b.linear):
-            if coeffs_a != coeffs_b:
-                return True
-            if const_a != const_b:
-                return False
-        return True
-
     def _resource_ii(self, records: Sequence["_AccessRecord"]) -> int:
         """Port-limited II: unique access addresses per cycle per memory port.
 

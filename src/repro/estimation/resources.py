@@ -52,15 +52,6 @@ class ResourceUsage:
             bram18k=int(round(self.bram18k * factor)),
         )
 
-    def max_with(self, other: "ResourceUsage") -> "ResourceUsage":
-        return ResourceUsage(
-            dsp=max(self.dsp, other.dsp),
-            lut=max(self.lut, other.lut),
-            ff=max(self.ff, other.ff),
-            memory_bits=max(self.memory_bits, other.memory_bits),
-            bram18k=max(self.bram18k, other.bram18k),
-        )
-
 
 #: Characteristics of the floating point and integer operators.
 _OP_TABLE: dict[str, OpCharacteristics] = {

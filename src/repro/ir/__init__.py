@@ -46,8 +46,6 @@ from repro.ir.pass_manager import (
     PassError,
     PassManager,
     PassOption,
-    PassTimingCollector,
-    collect_pass_timings,
     dump_ir_after,
 )
 from repro.ir.pass_registry import (
@@ -59,14 +57,10 @@ from repro.ir.pass_registry import (
     registered_passes,
 )
 from repro.ir.rewrite import (
-    BlockScanPattern,
     GreedyRewriteDriver,
     PatternRewriter,
-    PatternStatsCollector,
     RewritePattern,
     apply_patterns_greedily,
-    collect_pattern_stats,
-    get_rewrite_strategy,
     set_rewrite_strategy,
 )
 from repro.ir.dialect import Dialect, DialectRegistry, registry, register_operation
@@ -115,10 +109,8 @@ __all__ = [
     "PassManager",
     "PassError",
     "PassOption",
-    "PassTimingCollector",
     "AnchoredPipeline",
     "IRDumper",
-    "collect_pass_timings",
     "dump_ir_after",
     "build_pipeline",
     "get_pass_class",
@@ -128,12 +120,8 @@ __all__ = [
     "registered_passes",
     "RewritePattern",
     "PatternRewriter",
-    "BlockScanPattern",
     "GreedyRewriteDriver",
-    "PatternStatsCollector",
-    "collect_pattern_stats",
     "apply_patterns_greedily",
-    "get_rewrite_strategy",
     "set_rewrite_strategy",
     "Dialect",
     "DialectRegistry",

@@ -134,15 +134,6 @@ class Operation:
         for value in values:
             self.append_operand(value)
 
-    def erase_operand(self, index: int) -> None:
-        use = self._operands[index]
-        use.value.drop_use(use)
-        del self._operands[index]
-        # Re-index the remaining uses in place (their registration order on
-        # the values is untouched).
-        for i in range(index, len(self._operands)):
-            self._operands[i].index = i
-
     def drop_operand_uses(self) -> None:
         for use in self._operands:
             try:

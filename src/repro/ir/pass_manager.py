@@ -7,13 +7,14 @@ the textual pipeline syntax of :mod:`repro.ir.pass_registry`.
 
 The :class:`PassManager` runs a pipeline — a sequence of passes and nested
 :class:`AnchoredPipeline` groups — over a module, optionally verifying after
-each pass (dumping the offending IR on failure) and collecting per-pass
-timing statistics keyed by ``name{options}`` (the paper reports ScaleHLS
-runtimes via MLIR's ``-pass-timing``; :attr:`PassManager.timings` and
-:func:`collect_pass_timings` play that role here).  The metrics registry
-receives the same seconds keyed by registered pass *name*: option strings
-are unbounded in a sweep (one ``design-point-suffix{...}`` per design
-point), names are not.
+each pass (dumping the offending IR on failure).  It keeps no timing state:
+under an :mod:`repro.obs` session each pass run is one ``pass.<name>`` span
+whose ``pipeline`` argument is the ``name{options}`` string (the record the
+``--print-pass-timing`` table, the paper's ``-pass-timing``, is grouped
+from) and one ``pass.seconds.<name>`` counter increment (the aggregate:
+option strings are unbounded in a sweep — one ``design-point-suffix{...}``
+per design point — names are not).  With no session a pass run reads no
+clock and renders no option string.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
 
 from repro import obs
 from repro.ir.verifier import VerificationError, verify
-from repro.obs.report import format_timing_report
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ir.operation import Operation
@@ -163,11 +163,6 @@ class Pass:
             kwargs[option.attr] = option.parse(segments, cls.name or cls.__name__)
         return cls(**kwargs)
 
-    def option_values(self) -> dict[str, Any]:
-        """Current option values, keyed by option name."""
-        return {option.name: getattr(self, option.attr, option.default)
-                for option in self.OPTIONS}
-
     def option_string(self) -> str:
         """Canonical ``key=value`` text of every non-default option."""
         parts = []
@@ -182,7 +177,7 @@ class Pass:
     def display_name(self) -> str:
         """``name{options}`` — the canonical textual form of this instance.
 
-        Timing buckets are keyed by this string, so two instances of the same
+        Timing rows are keyed by this string, so two instances of the same
         pass with different options are reported separately.
         """
         base = self.name or type(self).__name__
@@ -220,75 +215,6 @@ class LambdaPass(Pass):
 
     def run(self, op: "Operation") -> None:
         self._fn(op)
-
-
-# -- pass timing instrumentation ----------------------------------------------------------
-
-
-class PassTimingCollector:
-    """Accumulates pass timings across every PassManager run in its scope."""
-
-    def __init__(self):
-        #: ``[<scope>/]name{options}`` -> accumulated seconds.
-        self.timings: dict[str, float] = {}
-        #: The same seconds by ``[<scope>/]name``, as the metrics registry
-        #: keys them.
-        self.by_pass: dict[str, float] = {}
-
-    def add(self, display_name: str, pass_key: str, seconds: float) -> None:
-        self.timings[display_name] = self.timings.get(display_name, 0.0) + seconds
-        self.by_pass[pass_key] = self.by_pass.get(pass_key, 0.0) + seconds
-
-    def total_time(self) -> float:
-        return sum(self.timings.values())
-
-    def report(self) -> str:
-        return format_timing_report(self.timings)
-
-
-#: Collectors currently receiving timings from every PassManager run.
-_ACTIVE_COLLECTORS: list[PassTimingCollector] = []
-
-#: Active timing-scope names; timings recorded inside are keyed
-#: ``<scope>/<display name>``.
-_SCOPE_STACK: list[str] = []
-
-
-@contextlib.contextmanager
-def pass_timing_scope(name: str):
-    """Report passes run inside the block under ``<name>/<display name>``.
-
-    Lets a flow that runs the *same* pass in two roles — e.g. the
-    canonicalization inside a prefix-snapshot build versus in a per-point
-    evaluation — keep the two timing buckets apart, so a
-    ``--print-pass-timing`` table never double-counts shared work as
-    per-evaluation work.
-    """
-    _SCOPE_STACK.append(name)
-    try:
-        yield
-    finally:
-        _SCOPE_STACK.pop()
-
-
-@contextlib.contextmanager
-def collect_pass_timings():
-    """Collect timings of every pass executed inside the ``with`` block.
-
-    The driver wraps whole flows (``--print-pass-timing``) in this scope so
-    nested PassManagers — one per DNN stage function, one per DSE
-    evaluation — report into a single ``-pass-timing`` style table.
-    """
-    collector = PassTimingCollector()
-    _ACTIVE_COLLECTORS.append(collector)
-    try:
-        yield collector
-    finally:
-        _ACTIVE_COLLECTORS.remove(collector)
-
-
-# Report rendering lives in the observability layer now;
-# ``format_timing_report`` is re-exported above for compatibility.
 
 
 # -- IR snapshot dumps --------------------------------------------------------------------
@@ -384,10 +310,6 @@ class PassManager:
         #: Where verify-after-failure IR snapshots are written (a temp file
         #: in the system temp dir when None).
         self.failure_dump_dir = failure_dump_dir
-        #: Pass ``name{options}`` -> accumulated wall-clock seconds.
-        self.timings: dict[str, float] = {}
-        #: The root of the in-flight run() (what verify_each checks).
-        self._run_root: Optional["Operation"] = None
 
     def add(self, *passes: PipelineEntry) -> "PassManager":
         self.passes.extend(passes)
@@ -402,67 +324,45 @@ class PassManager:
     # -- execution --------------------------------------------------------------------------
 
     def run(self, module: "Operation") -> "Operation":
-        #: verify_each always checks the whole run root — an anchored pass
-        #: that corrupts IR outside its anchor must not escape verification.
-        self._run_root = module
-        try:
-            for entry in self.passes:
-                self._run_entry(entry, module)
-        finally:
-            self._run_root = None
+        # The run root travels as an argument: a run leaves nothing behind on
+        # the manager, which may be a shared ``build_pipeline_cached`` one.
+        for entry in self.passes:
+            self._run_entry(entry, module, module, anchored=False)
         return module
 
-    def _run_entry(self, entry: PipelineEntry, root: "Operation") -> None:
-        if isinstance(entry, AnchoredPipeline):
-            if root.name == entry.anchor:
-                targets = [root]
-            else:
-                targets = [op for op in root.walk() if op.name == entry.anchor]
-            for target in targets:
-                for sub_entry in entry.entries:
-                    self._run_anchored(sub_entry, target)
+    def _run_entry(self, entry: PipelineEntry, op: "Operation",
+                   root: "Operation", anchored: bool) -> None:
+        if not isinstance(entry, AnchoredPipeline):
+            self._run_pass(entry, op, root, anchored)
             return
-        self._run_pass(entry, root, anchored=False)
+        if op.name == entry.anchor:
+            targets = [op]
+        else:
+            targets = [nested for nested in op.walk()
+                       if nested.name == entry.anchor]
+        for target in targets:
+            for sub_entry in entry.entries:
+                self._run_entry(sub_entry, target, root, anchored=True)
 
-    def _run_anchored(self, entry: PipelineEntry, target: "Operation") -> None:
-        if isinstance(entry, AnchoredPipeline):
-            self._run_entry(entry, target)
-            return
-        self._run_pass(entry, target, anchored=True)
-
-    def _run_pass(self, pass_: Pass, op: "Operation", anchored: bool) -> None:
-        started = time.perf_counter()
-        # Span names/args are only materialized when a session is active —
-        # the disabled path must not even pay for the f-string.
-        pass_span = obs.NULL_SPAN if obs.active() is None else obs.span(
-            f"pass.{pass_.name or type(pass_).__name__}",
-            pipeline=pass_.display_name, anchor=op.name)
-        with pass_span:
-            if anchored and pass_.target_op is not None \
-                    and pass_.target_op == op.name:
-                pass_.run(op)
-            else:
-                pass_.run_on_module(op)
-        elapsed = time.perf_counter() - started
-        self._record(pass_, elapsed)
-        if _ACTIVE_DUMPERS:
-            root = self._run_root if self._run_root is not None else op
-            for dumper in _ACTIVE_DUMPERS:
-                dumper.after_pass(pass_, root)
+    def _run_pass(self, pass_: Pass, op: "Operation", root: "Operation",
+                  anchored: bool) -> None:
+        run = pass_.run if anchored and pass_.target_op == op.name \
+            else pass_.run_on_module
+        if obs.active() is None:
+            run(op)
+        else:
+            name = pass_.name or type(pass_).__name__
+            started = time.perf_counter()
+            with obs.span(f"pass.{name}", pipeline=pass_.display_name,
+                          anchor=op.name):
+                run(op)
+            obs.add_pass_seconds(name, time.perf_counter() - started)
+        for dumper in _ACTIVE_DUMPERS:
+            dumper.after_pass(pass_, root)
         if self.verify_each:
-            self._verify_after(pass_, self._run_root if self._run_root is not None
-                               else op)
-
-    def _record(self, pass_: Pass, seconds: float) -> None:
-        display_name = pass_.display_name
-        pass_key = pass_.name or type(pass_).__name__
-        if _SCOPE_STACK:
-            display_name = f"{_SCOPE_STACK[-1]}/{display_name}"
-            pass_key = f"{_SCOPE_STACK[-1]}/{pass_key}"
-        self.timings[display_name] = self.timings.get(display_name, 0.0) + seconds
-        for collector in _ACTIVE_COLLECTORS:
-            collector.add(display_name, pass_key, seconds)
-        obs.add_pass_seconds(pass_key, seconds)
+            # Always the whole run root: an anchored pass that corrupts IR
+            # outside its anchor must not escape verification.
+            self._verify_after(pass_, root)
 
     def _verify_after(self, pass_: Pass, op: "Operation") -> None:
         try:
@@ -498,10 +398,3 @@ class PassManager:
         long as every pass is registered (LambdaPass is not).
         """
         return ",".join(_entry_spec(entry) for entry in self.passes)
-
-    def total_time(self) -> float:
-        return sum(self.timings.values())
-
-    def timing_report(self) -> str:
-        """A ``-pass-timing`` style report, slowest pass first."""
-        return format_timing_report(self.timings)

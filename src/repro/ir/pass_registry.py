@@ -338,11 +338,11 @@ def _check_anchor_nesting(anchor: str, enclosing_anchor) -> None:
 def build_pipeline_cached(spec: str) -> PassManager:
     """A memoized :func:`build_pipeline` for hot paths (one parse per spec).
 
-    The returned manager is shared: registered passes hold only their option
-    values (no per-run state), so re-running a cached manager is safe; its
-    ``timings`` accumulate across uses — scope a
-    :func:`~repro.ir.pass_manager.collect_pass_timings` block for per-run
-    numbers.
+    The returned manager is shared: a run leaves nothing on it (timings go
+    to the :mod:`repro.obs` session, the run root travels as an argument),
+    so re-running a cached manager is safe.  Its passes are shared too —
+    one that carries something out of its run (``array-partition``'s access
+    table) is constructed directly by the caller that reads it.
     """
     return build_pipeline(spec)
 

@@ -30,15 +30,6 @@ class Region:
         self.blocks.append(block)
         return block
 
-    def insert_block(self, index: int, block: "Block") -> "Block":
-        block.parent = self
-        self.blocks.insert(index, block)
-        return block
-
-    def remove_block(self, block: "Block") -> None:
-        self.blocks.remove(block)
-        block.parent = None
-
     @property
     def front(self) -> "Block":
         """The entry block of the region."""

@@ -34,21 +34,23 @@ Pattern dispatch is *bucketed*: at construction the driver groups its
 patterns into ``dict[op name -> tuple of patterns]`` (patterns with
 ``op_name = None`` are merged into every bucket, benefit order preserved),
 so matching an op is a single dict lookup instead of a scan over the whole
-pattern list.  Per-bucket hit/miss counts feed ``--print-pass-timing``; a
-miss is a *visit* that matched nothing, so the worklist's miss column
-counts only the ops it had a reason to look at, the sweep's every op.
+pattern list.  Per-pattern and per-bucket hit/miss counts accumulate on the
+driver (``pattern_stats`` / ``bucket_stats``) and each ``rewrite()`` reports
+its deltas through :func:`repro.obs.add_pattern_stats` — what
+``--print-pass-timing`` prints, and where a caller that wants the aggregate
+over many drivers reads it (``pattern_stats_of(session.metrics.counters)``
+under ``obs.session()``).  A miss is a *visit* that matched nothing, so the
+worklist's miss column counts only the ops it had a reason to look at, the
+sweep's every op.
 
-Linear per-block analyses (CSE, store forwarding, ...) plug in as
-:class:`BlockScanPattern` objects; the driver runs each scan exactly once
-per block in walk order, matching the single-scan semantics those passes
-always had.  Scans declare the op names they dispatch on (``op_names``) and
-use the same bucket idea internally (per-name/per-buffer dict dispatch, see
-``transforms/cleanup/``).
+Linear per-block analyses (CSE, store forwarding, memref-access folding)
+are not patterns and do not run here: they make one scan per block through
+:func:`repro.ir.traversal.scan_blocks` and report their hits and misses
+under the same ``pattern.<name>.*`` counters.
 """
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -75,68 +77,6 @@ def set_rewrite_strategy(strategy: str) -> str:
     previous = _DEFAULT_STRATEGY
     _DEFAULT_STRATEGY = strategy
     return previous
-
-
-def get_rewrite_strategy() -> str:
-    return _DEFAULT_STRATEGY
-
-
-# -- pattern-level instrumentation ---------------------------------------------------------
-
-
-class PatternStatsCollector:
-    """Accumulates per-pattern hit/miss counts across driver runs in its scope.
-
-    A *hit* is one successful ``match_and_rewrite`` application (or, for
-    :class:`BlockScanPattern`, one applied rewrite); a *miss* is one attempt
-    that matched nothing.  The driver reports into every active collector at
-    the end of each ``rewrite()`` — the CLI's ``--print-pass-timing`` wraps
-    whole flows in one collector to print a pattern table next to the pass
-    timing table.
-
-    ``bucket_stats`` aggregates the same counts per *dispatch bucket* (op
-    name): how often ops of each name were offered to their bucket and how
-    often one of its patterns applied.
-    """
-
-    def __init__(self):
-        #: Pattern class name -> [hits, misses].
-        self.stats: dict[str, list[int]] = {}
-        #: Dispatch bucket (op name) -> [hits, misses].
-        self.bucket_stats: dict[str, list[int]] = {}
-
-    def add(self, pattern_name: str, hits: int, misses: int) -> None:
-        entry = self.stats.setdefault(pattern_name, [0, 0])
-        entry[0] += hits
-        entry[1] += misses
-
-    def add_bucket(self, op_name: str, hits: int, misses: int) -> None:
-        entry = self.bucket_stats.setdefault(op_name, [0, 0])
-        entry[0] += hits
-        entry[1] += misses
-
-    def total_hits(self) -> int:
-        return sum(hits for hits, _ in self.stats.values())
-
-    def report(self) -> str:
-        from repro.obs.report import format_pattern_stats
-
-        return format_pattern_stats(self.stats, self.bucket_stats)
-
-
-#: Collectors currently receiving stats from every GreedyRewriteDriver run.
-_ACTIVE_STATS_COLLECTORS: list[PatternStatsCollector] = []
-
-
-@contextlib.contextmanager
-def collect_pattern_stats():
-    """Collect hit/miss counts of every pattern applied inside the block."""
-    collector = PatternStatsCollector()
-    _ACTIVE_STATS_COLLECTORS.append(collector)
-    try:
-        yield collector
-    finally:
-        _ACTIVE_STATS_COLLECTORS.remove(collector)
 
 
 class PatternRewriter(Builder):
@@ -272,45 +212,21 @@ class RewritePattern:
         return True
 
 
-class BlockScanPattern:
-    """A linear per-block rewrite (CSE-style scoped analyses).
-
-    The driver calls :meth:`scan_block` exactly once per block, in the same
-    ``root.walk()`` order the standalone cleanup passes always used.
-    Implementations return the number of rewrites applied.
-
-    :attr:`op_names` declares the op names the scan dispatches on (None for
-    "any"): subclasses point it at the very frozenset their scan loop tests
-    membership against — the scan-internal analogue of the driver's
-    per-name buckets, and the declarative surface the tests pin.
-    """
-
-    op_names: Optional[frozenset] = None
-
-    def scan_block(self, block: "Block", rewriter: PatternRewriter) -> int:
-        raise NotImplementedError
-
-
 class GreedyRewriteDriver:
-    """Applies op patterns to a fixed point and block scans once each."""
+    """Applies op patterns to a fixed point."""
 
     def __init__(self, patterns: Iterable, max_iterations: int = 32,
                  strategy: Optional[str] = None):
         patterns = list(patterns)
         for pattern in patterns:
-            if not isinstance(pattern, (RewritePattern, BlockScanPattern)):
+            if not isinstance(pattern, RewritePattern):
                 raise TypeError(
-                    f"expected RewritePattern or BlockScanPattern instances, "
-                    f"got {pattern!r} (did you pass the class instead of an "
-                    f"instance?)")
+                    f"expected RewritePattern instances, got {pattern!r} "
+                    f"(did you pass the class instead of an instance?)")
         self.op_patterns: list[RewritePattern] = sorted(
-            (p for p in patterns if isinstance(p, RewritePattern)),
-            key=lambda p: -p.benefit)
-        self.block_patterns: list[BlockScanPattern] = [
-            p for p in patterns if isinstance(p, BlockScanPattern)]
+            patterns, key=lambda p: -p.benefit)
         self.max_iterations = max_iterations
         self.strategy = strategy or _DEFAULT_STRATEGY
-        self.num_block_rewrites = 0
         #: Pattern class name -> [hits, misses] accumulated over rewrite() calls.
         self.pattern_stats: dict[str, list[int]] = {}
         #: Dispatch bucket (op name) -> [hits, misses] accumulated likewise.
@@ -451,27 +367,21 @@ class GreedyRewriteDriver:
         # instead of type().__name__ hashing per attempt).
         self._stats_entries = {
             id(pattern): self._run_stats.setdefault(type(pattern).__name__, [0, 0])
-            for pattern in (*self.op_patterns, *self.block_patterns)}
+            for pattern in self.op_patterns}
         changed = False
-        for pattern in self.block_patterns:
-            changed |= self._run_block_scans(root, pattern)
         if self.op_patterns:
             if self.strategy == "sweep":
-                changed |= self._run_sweeps(root)
+                changed = self._run_sweeps(root)
             else:
-                changed |= self._run_worklist(root)
+                changed = self._run_worklist(root)
         for name, (hits, misses) in self._run_stats.items():
             entry = self.pattern_stats.setdefault(name, [0, 0])
             entry[0] += hits
             entry[1] += misses
-            for collector in _ACTIVE_STATS_COLLECTORS:
-                collector.add(name, hits, misses)
         for name, (hits, misses) in self._run_bucket_stats.items():
             entry = self.bucket_stats.setdefault(name, [0, 0])
             entry[0] += hits
             entry[1] += misses
-            for collector in _ACTIVE_STATS_COLLECTORS:
-                collector.add_bucket(name, hits, misses)
         # One registry merge per rewrite() run (no per-attempt overhead).
         if obs.active() is not None:
             obs.add_pattern_stats(self._run_stats, self._run_bucket_stats)
@@ -634,22 +544,6 @@ class GreedyRewriteDriver:
                     break
             else:
                 bucket_entry[1] += 1
-
-    # -- block scans -------------------------------------------------------------------------
-
-    def _run_block_scans(self, root: "Operation", pattern: BlockScanPattern) -> bool:
-        rewriter = PatternRewriter(driver=None)
-        total = 0
-        # Hits are applied rewrites; misses are scanned blocks yielding none.
-        entry = self._run_stats.setdefault(type(pattern).__name__, [0, 0])
-        for op in list(root.walk()):
-            for region in op.regions:
-                for block in region.blocks:
-                    applied = pattern.scan_block(block, rewriter)
-                    total += applied
-                    entry[0 if applied else 1] += applied or 1
-        self.num_block_rewrites += total
-        return total > 0
 
 
 def apply_patterns_greedily(root: "Operation", patterns: Iterable,

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
+from repro import obs
 from repro.ir.value import BlockArgument, OpResult, Value
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -26,23 +27,34 @@ def ops_with_name(op: "Operation", name: str) -> list["Operation"]:
     return collect(op, lambda candidate: candidate.name == name)
 
 
+def scan_blocks(root: "Operation", scan: Callable[["Block"], int],
+                name: str) -> int:
+    """Run a linear per-block analysis once on every block under ``root``.
+
+    ``scan(block)`` rewrites one block and returns how many rewrites it
+    applied; blocks are visited in ``root.walk()`` order, the walk taken
+    before the first scan (scans erase only the region-free ops they fold).
+    Returns the sum, and reports it to the metrics registry as
+    ``pattern.<name>.hits`` beside ``pattern.<name>.misses``, the number of
+    blocks that yielded nothing.  The one place the cleanup scans (``cse``,
+    ``affine-store-forward``, ``simplify-memref-access``) meet the IR.
+    """
+    hits = misses = 0
+    for op in list(root.walk()):
+        for region in op.regions:
+            for block in region.blocks:
+                applied = scan(block)
+                if applied:
+                    hits += applied
+                else:
+                    misses += 1
+    obs.add_pattern_stats({name: (hits, misses)}, {})
+    return hits
+
+
 def defining_op(value: Value) -> Optional["Operation"]:
     """The operation defining ``value`` (None for block arguments)."""
     return value.owner if isinstance(value, OpResult) else None
-
-
-def is_defined_by(value: Value, op_name: str) -> bool:
-    op = defining_op(value)
-    return op is not None and op.name == op_name
-
-
-def enclosing_block_chain(op: "Operation") -> Iterator["Block"]:
-    """Blocks enclosing ``op``, innermost first."""
-    block = op.parent
-    while block is not None:
-        yield block
-        parent_op = block.parent_op
-        block = parent_op.parent if parent_op is not None else None
 
 
 def values_defined_above(block: "Block") -> set[Value]:
@@ -96,42 +108,3 @@ def is_defined_above(value: Value, block: "Block") -> bool:
         ancestor = parent_op
         current = parent_op.parent
     return False
-
-
-def uses_outside(op: "Operation") -> list[Value]:
-    """Results of ``op`` (or of its nested ops) that are used outside ``op``."""
-    inside = set(op.walk())
-    escaping: list[Value] = []
-    for nested in op.walk():
-        for result in nested.results:
-            if any(use.owner not in inside for use in result.uses):
-                escaping.append(result)
-    return escaping
-
-
-def topological_order(ops: list["Operation"]) -> list["Operation"]:
-    """Order ``ops`` so that defs come before uses (ops must share a block)."""
-    index = {op: i for i, op in enumerate(ops)}
-    produced = {result: op for op in ops for result in op.results}
-    ordered: list["Operation"] = []
-    visiting: set[int] = set()
-    visited: set[int] = set()
-
-    def visit(op: "Operation") -> None:
-        key = index[op]
-        if key in visited:
-            return
-        if key in visiting:
-            raise ValueError("cycle detected in def-use graph")
-        visiting.add(key)
-        for operand in op.operands:
-            producer = produced.get(operand)
-            if producer is not None:
-                visit(producer)
-        visiting.discard(key)
-        visited.add(key)
-        ordered.append(op)
-
-    for op in ops:
-        visit(op)
-    return ordered

@@ -223,10 +223,6 @@ class MemRefType(ShapedType):
         return MemRefType(self.shape, self.element_type, None,
                           self.memory_space, partition)
 
-    def with_memory_space(self, memory_space: int) -> "MemRefType":
-        return MemRefType(self.shape, self.element_type, self.layout_map,
-                          memory_space, self.partition)
-
     def bank_of(self, indices: Sequence[int]) -> tuple[int, ...]:
         """Physical bank (partition index per dim) of a logical element."""
         results = self.layout_map.evaluate(list(indices))

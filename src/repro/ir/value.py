@@ -78,18 +78,6 @@ class Value:
         self._uses[id(use)] = use
         return use
 
-    def remove_use(self, owner: "Operation", index: int) -> None:
-        """Drop the use at operand ``index`` of ``owner`` (O(uses) scan).
-
-        Kept for compatibility; internal callers hold the :class:`Use` and
-        drop it in O(1) via :meth:`drop_use`.
-        """
-        for key, use in self._uses.items():
-            if use.owner is owner and use.index == index:
-                del self._uses[key]
-                return
-        raise ValueError("use not found")
-
     def drop_use(self, use: Use) -> None:
         """Unregister ``use`` (O(1); it must belong to this value)."""
         del self._uses[id(use)]
@@ -111,12 +99,6 @@ class Value:
             return
         for use in list(self._uses.values()):
             use.owner.set_operand(use.index, other)
-
-    def replace_uses_where(self, other: "Value", predicate) -> None:
-        """Replace uses whose owning operation satisfies ``predicate``."""
-        for use in list(self._uses.values()):
-            if predicate(use.owner):
-                use.owner.set_operand(use.index, other)
 
     # -- structural queries -------------------------------------------------------
 

@@ -210,8 +210,10 @@ def merge_counters(counters: dict) -> None:
 def add_pass_seconds(pass_key: str, seconds: float) -> None:
     """Pass-timing hook of :class:`~repro.ir.pass_manager.PassManager`.
 
-    ``pass_key`` is ``[<timing scope>/]<registered pass name>`` — never the
-    option string, which would mint one counter per design point.
+    ``pass_key`` is the registered pass name — never the option string,
+    which would mint one counter per design point — or
+    ``prefix.<key>/<name>`` for the two runs of a prefix-snapshot build
+    (:mod:`repro.dse.incremental`).
     """
     current = active()
     if current is not None:

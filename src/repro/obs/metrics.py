@@ -1,18 +1,20 @@
 """The metrics registry: counters, gauges, histograms and series.
 
-One :class:`MetricsRegistry` per observability session unifies what used to
-be three ad-hoc stat paths — pass timings (``PassManager.timings``),
-rewrite-pattern hit/miss counts (``GreedyRewriteDriver.pattern_stats``) and
-estimate-cache accounting (``CacheStats``) — plus the DSE runtime metrics
-(evaluations per batch, worker busy time, budget consumption,
-frontier-evolution series).  Uniform naming makes the union exportable as
-one JSON document and renderable as one report:
+One :class:`MetricsRegistry` per observability session is the only
+aggregate of pass timings (the pass manager keeps none; the per-run record
+is the ``pass.<name>`` span) and of rewrite-pattern hit/miss counts across
+drivers and block scans (one ``GreedyRewriteDriver`` still counts its own
+``pattern_stats``).  Estimate-cache accounting is mirrored from
+``CacheStats``, an object-level count readable without a session.  Beside
+them sit the DSE runtime metrics (evaluations per batch, worker busy time,
+budget consumption, frontier-evolution series).  Uniform naming makes the
+union exportable as one JSON document and renderable as one report:
 
 ========================  =========  ==============================================
 name                      kind       meaning
 ========================  =========  ==============================================
 ``pass.seconds.<pass>``   counter    accumulated wall-clock of one registered pass
-                                     (``[<timing scope>/]<name>``, never its options)
+                                     (``[prefix.<key>/]<name>``, never its options)
 ``pattern.<name>.hits``   counter    successful pattern applications
 ``pattern.<name>.misses`` counter    match attempts that applied nothing
 ``bucket.<op>.hits``      counter    dispatch-bucket applications per op name
@@ -123,13 +125,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Number:
         with self._lock:
             return self.counters.get(name, 0)
-
-    def counters_with_prefix(self, prefix: str) -> dict[str, Number]:
-        """``{suffix: value}`` of every counter under ``prefix`` (stripped)."""
-        with self._lock:
-            return {name[len(prefix):]: value
-                    for name, value in self.counters.items()
-                    if name.startswith(prefix)}
 
     def to_json_dict(self) -> dict:
         """A plain-data snapshot, stable under key sorting."""

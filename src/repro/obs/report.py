@@ -75,11 +75,29 @@ def _grouped_hit_miss(counters: Mapping[str, float],
     return {name: (hits, misses) for name, (hits, misses) in grouped.items()}
 
 
-def pass_timings_of(counters: Mapping[str, float]) -> dict[str, float]:
-    """The ``pass.seconds.*`` counters as a plain timings dict."""
-    prefix = "pass.seconds."
-    return {name[len(prefix):]: value for name, value in counters.items()
-            if name.startswith(prefix)}
+def pass_timings_of(counters: Mapping[str, float],
+                    tracks: Optional[Mapping[str, Iterable]] = None
+                    ) -> dict[str, float]:
+    """The rows of the pass timing table, in seconds.
+
+    With ``tracks`` (a live session's ``tracer.tracks()``): every track's
+    ``pass.*`` spans — workers' arrive absorbed, arguments included — summed
+    by their ``pipeline`` argument, the ``name{options}`` string, plus the
+    ``pass.seconds.prefix.*`` counters, the only record of prefix-snapshot
+    builds (they run with the session suspended).  The same rows at any
+    ``--jobs``.  Without ``tracks`` (a metrics document holds no spans):
+    every ``pass.seconds.*`` counter, one row per pass name.
+    """
+    stem = "pass.seconds."
+    wanted = stem if tracks is None else stem + "prefix."
+    timings = {name[len(stem):]: value
+               for name, value in counters.items() if name.startswith(wanted)}
+    for spans in (tracks or {}).values():
+        for span in spans:
+            if span.name.startswith("pass."):
+                row = span.args["pipeline"]
+                timings[row] = timings.get(row, 0.0) + span.duration
+    return timings
 
 
 def pattern_stats_of(counters: Mapping[str, float]

@@ -57,12 +57,7 @@ from repro.emit import emit_hlscpp
 from repro.estimation import PLATFORMS, XC7Z020
 from repro.estimation.platform import Platform, PlatformError, load_platform_config
 from repro.ir import print_op, verify
-from repro.ir.pass_manager import (
-    PassError,
-    PassTimingCollector,
-    collect_pass_timings,
-    dump_ir_after,
-)
+from repro.ir.pass_manager import PassError, dump_ir_after
 from repro.kernels import KERNEL_NAMES
 from repro.obs.export import write_chrome_trace, write_metrics_json
 from repro.obs.report import (
@@ -901,25 +896,13 @@ def _resolve_dump_passes(names: Sequence[str]) -> list[str]:
     return resolved
 
 
-def _timing_table(collector: PassTimingCollector, counters) -> dict[str, float]:
-    """Seconds per ``name{options}`` of the passes this process ran, plus,
-    per pass name, what worker processes reported on top of them — the
-    metrics registry they report through keys by pass name alone."""
-    table = dict(collector.timings)
-    for name, seconds in pass_timings_of(counters).items():
-        elsewhere = seconds - collector.by_pass.get(name, 0.0)
-        if elsewhere > 1e-6:
-            table[f"{name} (worker processes)"] = elsewhere
-    return table
-
-
-def _finish_session(session: "obs.ObsSession", args,
-                    timing: Optional[PassTimingCollector],
+def _finish_session(session: "obs.ObsSession", args, timing: bool,
                     is_dse_run: bool) -> None:
     """Render/export one finished observability session (driver epilogue)."""
     counters = dict(session.metrics.counters)
-    if timing is not None:
-        print(format_timing_report(_timing_table(timing, counters)))
+    if timing:
+        print(format_timing_report(
+            pass_timings_of(counters, session.tracer.tracks())))
         patterns, buckets = pattern_stats_of(counters)
         if patterns:
             print(format_pattern_stats(patterns, buckets))
@@ -967,12 +950,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not dump_passes and not want_obs:
             return handler(args)
 
-        session = collector = None
+        session = None
         with contextlib.ExitStack() as stack:
             if want_obs:
                 session = stack.enter_context(obs.session())
-            if timing:
-                collector = stack.enter_context(collect_pass_timings())
             if dump_passes:
                 try:
                     resolved = _resolve_dump_passes(dump_passes)
@@ -983,7 +964,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             with obs.span(f"cli.{args.command}"):
                 status = handler(args)
         if session is not None:
-            _finish_session(session, args, collector, is_dse_run)
+            _finish_session(session, args, timing, is_dse_run)
         if dump_passes:
             print(f"wrote {dumper.counter} IR snapshot(s) to {args.dump_ir_dir}",
                   file=sys.stderr)

@@ -47,7 +47,6 @@ from repro.transforms.graph.legalize_dataflow import LegalizeDataflowPass, legal
 from repro.transforms.graph.split_function import SplitFunctionPass, split_function
 from repro.transforms.graph.lower_graph import LowerGraphPass, lower_graph_to_loops
 from repro.transforms.composite import (
-    ApplyDesignPointPass,
     DesignPointPrefixPass,
     DesignPointSuffixPass,
     DNNLoopOptPass,
@@ -70,6 +69,6 @@ __all__ = [
     "LegalizeDataflowPass", "legalize_dataflow",
     "SplitFunctionPass", "split_function",
     "LowerGraphPass", "lower_graph_to_loops",
-    "ApplyDesignPointPass", "DesignPointPrefixPass", "DesignPointSuffixPass",
+    "DesignPointPrefixPass", "DesignPointSuffixPass",
     "DNNLoopOptPass", "unroll_towards_factor",
 ]

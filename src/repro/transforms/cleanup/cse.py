@@ -13,7 +13,7 @@ from repro.ir.block import Block
 from repro.ir.operation import Operation
 from repro.ir.pass_manager import FunctionPass
 from repro.ir.pass_registry import register_pass
-from repro.ir.rewrite import BlockScanPattern, GreedyRewriteDriver, PatternRewriter
+from repro.ir.traversal import scan_blocks
 
 #: Additional pure operations outside the arith dialect.
 _EXTRA_PURE = {"affine.apply"}
@@ -23,20 +23,9 @@ _EXTRA_PURE = {"affine.apply"}
 _CSE_NAMES = frozenset(PURE_OPS) | frozenset(_EXTRA_PURE)
 
 
-class CSEScanPattern(BlockScanPattern):
-    """Linear per-block common-subexpression elimination."""
-
-    op_names = _CSE_NAMES
-
-    def scan_block(self, block: Block, rewriter: PatternRewriter) -> int:
-        return _cse_block(block)
-
-
 def eliminate_common_subexpressions(root: Operation) -> int:
     """Run CSE on every block nested under ``root``.  Returns #ops removed."""
-    driver = GreedyRewriteDriver([CSEScanPattern()])
-    driver.rewrite(root)
-    return driver.num_block_rewrites
+    return scan_blocks(root, _cse_block, "CSEScanPattern")
 
 
 @register_pass("cse")

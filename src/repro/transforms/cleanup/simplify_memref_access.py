@@ -15,24 +15,15 @@ from repro.ir.block import Block
 from repro.ir.operation import Operation
 from repro.ir.pass_manager import FunctionPass
 from repro.ir.pass_registry import register_pass
-from repro.ir.rewrite import BlockScanPattern, GreedyRewriteDriver, PatternRewriter
+from repro.ir.traversal import scan_blocks
 from repro.transforms.cleanup.store_forward import ACCESS_OPS, access_key
-
-
-class MemrefAccessScanPattern(BlockScanPattern):
-    """Linear per-block load folding + dead-store removal."""
-
-    op_names = ACCESS_OPS
-
-    def scan_block(self, block: Block, rewriter: PatternRewriter) -> int:
-        return _fold_loads(block) + _remove_dead_stores(block)
 
 
 def simplify_memref_accesses(root: Operation) -> int:
     """Fold redundant accesses under ``root``.  Returns the number of ops removed."""
-    driver = GreedyRewriteDriver([MemrefAccessScanPattern()])
-    driver.rewrite(root)
-    return driver.num_block_rewrites
+    return scan_blocks(
+        root, lambda block: _fold_loads(block) + _remove_dead_stores(block),
+        "MemrefAccessScanPattern")
 
 
 @register_pass("simplify-memref-access")

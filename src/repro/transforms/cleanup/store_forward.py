@@ -14,7 +14,7 @@ from repro.ir.block import Block
 from repro.ir.operation import Operation
 from repro.ir.pass_manager import FunctionPass
 from repro.ir.pass_registry import register_pass
-from repro.ir.rewrite import BlockScanPattern, GreedyRewriteDriver, PatternRewriter
+from repro.ir.traversal import scan_blocks
 
 #: The memory-access op names the block scans dispatch on (shared with
 #: ``simplify-memref-access``).
@@ -22,20 +22,10 @@ ACCESS_OPS = frozenset({"affine.load", "affine.store",
                         "memref.load", "memref.store"})
 
 
-class StoreForwardScanPattern(BlockScanPattern):
-    """Linear per-block store-to-load forwarding."""
-
-    op_names = ACCESS_OPS
-
-    def scan_block(self, block: Block, rewriter: PatternRewriter) -> int:
-        return _forward_in_block(block)
-
-
 def forward_stores(root: Operation) -> int:
     """Forward stores to loads under ``root``.  Returns the number of forwards."""
-    driver = GreedyRewriteDriver([StoreForwardScanPattern()])
-    driver.rewrite(root)
-    return driver.num_block_rewrites + _remove_write_only_buffers(root)
+    return scan_blocks(root, _forward_in_block, "StoreForwardScanPattern") \
+        + _remove_write_only_buffers(root)
 
 
 @register_pass("affine-store-forward")

@@ -5,8 +5,10 @@ the DNN flow apply per function, so that *every* flow — hand-written
 pipelines, the DSE runtime's workers and the CLI — can be
 expressed as one textual pipeline built from the registry:
 
-* ``apply-design-point`` reproduces one :class:`KernelDesignPoint` of the
-  paper's kernel DSE (Tab. II parameters) as a single configurable pass.
+* ``design-point-prefix`` + ``design-point-suffix`` reproduce one
+  :class:`KernelDesignPoint` of the paper's kernel DSE (Tab. II parameters):
+  the structural half the incremental evaluator snapshots, and the
+  point-specific half run per evaluation.
 * ``dnn-loop-opt`` is the per-stage loop/directive optimization of the DNN
   flow (loop-order optimization, unrolling towards a factor, pipelining).
 """
@@ -99,46 +101,9 @@ def run_design_point_suffix(func_op: Operation, perm: Sequence[int],
     return target
 
 
-@register_pass("apply-design-point")
-class ApplyDesignPointPass(FunctionPass):
-    """Apply one kernel design point (perfectize, rvb, permute, tile, pipeline).
-
-    Defined as exactly :func:`run_design_point_prefix` followed by
-    :func:`run_design_point_suffix` — the split the incremental evaluator
-    caches around — so the whole-point pass and the prefix/suffix pair can
-    never diverge.
-    """
-
-    OPTIONS = (
-        PassOption("perfectize", type="bool", default=False,
-                   help="run loop perfectization first"),
-        PassOption("rvb", type="bool", default=False,
-                   help="remove variable loop bounds"),
-        PassOption("perm", type="int-list", default=(),
-                   help="loop permutation map (applied when it fits the band)"),
-        PassOption("tiles", type="int-list", default=(),
-                   help="per-loop tile sizes (1 leaves a loop untiled)"),
-        PassOption("ii", type="int", default=1,
-                   help="pipeline target initiation interval"),
-    )
-
-    def __init__(self, perfectize: bool = False, rvb: bool = False,
-                 perm: Sequence[int] = (), tiles: Sequence[int] = (),
-                 ii: int = 1):
-        self.perfectize = perfectize
-        self.rvb = rvb
-        self.perm = tuple(perm)
-        self.tiles = tuple(tiles)
-        self.ii = ii
-
-    def run(self, func_op: Operation) -> None:
-        run_design_point_prefix(func_op, self.perfectize, self.rvb)
-        run_design_point_suffix(func_op, self.perm, self.tiles, self.ii)
-
-
 @register_pass("design-point-prefix")
 class DesignPointPrefixPass(FunctionPass):
-    """The structural (perfectize + rvb) prefix of ``apply-design-point``.
+    """The structural (perfectize + rvb) prefix of a kernel design point.
 
     Points sharing the two boolean knobs share this pass's output exactly,
     which the incremental evaluator exploits by snapshotting the post-prefix
@@ -162,8 +127,8 @@ class DesignPointPrefixPass(FunctionPass):
 
 @register_pass("design-point-suffix")
 class DesignPointSuffixPass(FunctionPass):
-    """The point-specific (permute, tile, pipeline) suffix of
-    ``apply-design-point``, run on prefix-transformed IR."""
+    """The point-specific (permute, tile, pipeline) suffix of a kernel design
+    point, run on prefix-transformed IR."""
 
     OPTIONS = (
         PassOption("perm", type="int-list", default=(),

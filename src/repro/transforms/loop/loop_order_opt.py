@@ -72,7 +72,7 @@ def permute_loop_band(band: Sequence[AffineForOp], perm_map: Sequence[int]) -> l
     for loop in band:
         if not loop.has_constant_bounds():
             raise PassError("loop permutation requires constant bounds")
-    _check_band_is_perfect(band)
+    _check_band_is_perfect(band, "loop permutation")
 
     body_ops = [op for op in band[-1].body.operations if op.name != "affine.yield"]
     outer_block = band[0].parent
@@ -141,8 +141,9 @@ class AffineLoopOrderOptPass(FunctionPass):
                 continue
 
 
-def _check_band_is_perfect(band: Sequence[AffineForOp]) -> None:
+def _check_band_is_perfect(band: Sequence[AffineForOp], transform: str) -> None:
     for outer, inner in zip(band, band[1:]):
         body_ops = [op for op in outer.body.operations if op.name != "affine.yield"]
         if len(body_ops) != 1 or body_ops[0] is not inner:
-            raise PassError("loop permutation requires a perfectly nested band")
+            raise PassError(f"{transform} requires a perfectly nested band "
+                            "(run -affine-loop-perfectization first)")

@@ -17,6 +17,7 @@ from repro.dialects.affine_ops import AffineApplyOp, AffineForOp, perfect_loop_b
 from repro.ir.operation import Operation
 from repro.ir.pass_manager import FunctionPass, PassError, PassOption
 from repro.ir.pass_registry import register_pass
+from repro.transforms.loop.loop_order_opt import _check_band_is_perfect
 
 
 def tile_loop_band(band: Sequence[AffineForOp],
@@ -37,7 +38,7 @@ def tile_loop_band(band: Sequence[AffineForOp],
                             "(run -remove-variable-bound first)")
         if loop.step != 1:
             raise PassError("loop tiling requires unit-step loops")
-    _check_band_is_perfect(band)
+    _check_band_is_perfect(band, "loop tiling")
 
     adjusted_sizes = [
         _adjust_tile_size(loop.trip_count(), size) for loop, size in zip(band, tile_sizes)]
@@ -130,11 +131,3 @@ def _adjust_tile_size(trip_count: int, requested: int) -> int:
     while trip_count % requested != 0:
         requested -= 1
     return requested
-
-
-def _check_band_is_perfect(band: Sequence[AffineForOp]) -> None:
-    for outer, inner in zip(band, band[1:]):
-        body_ops = [op for op in outer.body.operations if op.name != "affine.yield"]
-        if len(body_ops) != 1 or body_ops[0] is not inner:
-            raise PassError("loop tiling requires a perfectly nested band "
-                            "(run -affine-loop-perfectization first)")

@@ -96,18 +96,6 @@ class TestPrefixSnapshotCache:
         cache.checkout(gemm_module, POINT, digest=digest)
         assert (cache.hits, cache.misses) == (1, 1)
 
-    def test_lru_bound(self, gemm_module):
-        cache = PrefixSnapshotCache(max_entries=1)
-        other = KernelDesignPoint(loop_perfectization=False,
-                                  remove_variable_bound=False,
-                                  perm_map=(0, 1, 2), tile_sizes=(1, 1, 1),
-                                  target_ii=1)
-        cache.checkout(gemm_module, POINT)
-        cache.checkout(gemm_module, other)
-        assert len(cache) == 1 and cache.evictions == 1
-        cache.checkout(gemm_module, POINT)  # evicted -> rebuilt
-        assert cache.misses == 3
-
 
 THREE_FUNCTIONS = """
 void helper(float X[4]) {

@@ -51,12 +51,18 @@ class TestPassManager:
         assert counter == ["builtin.module"]
 
     def test_timings_collected(self):
+        from repro import obs
+        from repro.obs.report import format_timing_report, pass_timings_of
+
         module, _ = build_simple_module()
         pm = PassManager([LambdaPass(lambda op: None, name="noop")])
-        pm.run(module)
-        assert "noop" in pm.timings
-        assert pm.total_time() >= 0.0
-        assert "noop" in pm.timing_report()
+        with obs.session() as session:
+            pm.run(module)
+        timings = pass_timings_of(session.metrics.counters,
+                                  session.tracer.tracks())
+        assert timings["noop"] >= 0.0
+        assert session.metrics.counter("pass.seconds.noop") >= 0.0
+        assert "noop" in format_timing_report(timings)
 
     def test_verify_each(self):
         module, _ = build_simple_module()
@@ -152,25 +158,29 @@ class TestPatternStats:
         assert driver.pattern_stats["_NeverMatches"][0] == 0
         assert driver.pattern_stats["_NeverMatches"][1] >= 3  # the constants
 
-    def test_collector_aggregates_and_reports(self):
-        from repro.ir import collect_pattern_stats
+    def test_session_aggregates_and_reports(self):
+        from repro import obs
+        from repro.obs.report import format_pattern_stats, pattern_stats_of
 
         module, f = build_simple_module()
-        with collect_pattern_stats() as collector:
+        with obs.session() as session:
             apply_patterns_greedily(f, [self._FoldAdd()])
-        assert collector.stats["_FoldAdd"][0] == 1
-        assert collector.total_hits() == 1
-        report = collector.report()
+        stats, buckets = pattern_stats_of(session.metrics.counters)
+        assert stats["_FoldAdd"][0] == 1
+        assert sum(hits for hits, _ in stats.values()) == 1
+        report = format_pattern_stats(stats, buckets)
         assert "Rewrite pattern statistics" in report
         assert "_FoldAdd" in report
 
     def test_sweep_strategy_counts_too(self):
-        from repro.ir import collect_pattern_stats
+        from repro import obs
+        from repro.obs.report import pattern_stats_of
 
         module, f = build_simple_module()
-        with collect_pattern_stats() as collector:
+        with obs.session() as session:
             apply_patterns_greedily(f, [self._FoldAdd()], strategy="sweep")
-        assert collector.stats["_FoldAdd"][0] == 1
+        stats, _ = pattern_stats_of(session.metrics.counters)
+        assert stats["_FoldAdd"][0] == 1
 
 
 class TestDialectRegistry:

@@ -424,34 +424,43 @@ class TestPassSecondsCardinality:
             for name in ("canonicalize", "design-point-prefix")}
         assert len(large) <= 16
 
-    def test_option_strings_stay_in_pass_manager_timings_and_span_args(self):
-        from repro.ir.pass_manager import PassManager, collect_pass_timings
+    def test_option_strings_stay_in_span_args(self):
+        from repro.ir.pass_manager import PassManager
         from repro.transforms import AffineLoopUnrollPass
         from conftest import GEMM_SOURCE, compile_source
 
         module = compile_source(GEMM_SOURCE, "gemm")
         manager = PassManager([AffineLoopUnrollPass(unroll_factor=2)])
-        with obs.session() as session, collect_pass_timings() as collector:
+        with obs.session() as session:
             manager.run(module)
-        assert set(manager.timings) == set(collector.timings) \
-            == {"affine-loop-unroll{factor=2}"}
-        assert set(collector.by_pass) == {"affine-loop-unroll"}
-        assert "pass.seconds.affine-loop-unroll" in session.metrics.counters
+        assert set(pass_timings_of(session.metrics.counters)) \
+            == {"affine-loop-unroll"}
         (span,) = [span for spans in session.tracer.tracks().values()
                    for span in spans if span.name == "pass.affine-loop-unroll"]
         assert span.args["pipeline"] == "affine-loop-unroll{factor=2}"
+        assert pass_timings_of(session.metrics.counters,
+                               session.tracer.tracks()) \
+            == {"affine-loop-unroll{factor=2}": span.duration}
 
-    def test_print_pass_timing_keeps_option_strings(self, capsys):
-        assert main(["dse", "--kernel", "gemm", "--size", "4", "--samples", "3",
-                     "--iterations", "2", "--print-pass-timing"]) == 0
-        output = capsys.readouterr().out
-        assert "design-point-suffix{" in output
-        assert "(worker processes)" not in output
-        assert main(["dse", "--kernel", "gemm", "--size", "4", "--samples", "3",
-                     "--iterations", "2", "--jobs", "2",
-                     "--print-pass-timing"]) == 0
-        assert "design-point-suffix (worker processes)" \
-            in capsys.readouterr().out
+    def test_print_pass_timing_rows_do_not_depend_on_jobs(self, capsys):
+        def rows(*jobs):
+            assert main(["dse", "--kernel", "gemm", "--size", "4",
+                         "--samples", "3", "--iterations", "2", *jobs,
+                         "--print-pass-timing"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            table = lines[lines.index(
+                "===-- Pass execution timing report --===") + 1:]
+            names = [line.split(" ms  ", 1)[1] for line in
+                     table[:next(index for index, line in enumerate(table)
+                                 if line.endswith(" ms  Total"))]]
+            assert len(set(names)) == len(names)
+            return set(names)
+
+        serial = rows()
+        assert any(name.startswith("design-point-suffix{") for name in serial)
+        assert any(name.startswith("prefix.lp0-rvb0/") for name in serial)
+        assert not any("(worker processes)" in name for name in serial)
+        assert rows("--jobs", "2") == serial
 
 
 class TestDriverIntegration:

@@ -1,10 +1,12 @@
 """Tests for the pass registry, the textual pipeline syntax and the
 redesigned PassManager instrumentation."""
 
+import copy
 import pickle
 
 import pytest
 
+from repro import obs
 from repro.dialects import arith, func
 from repro.ir import (
     Builder,
@@ -13,13 +15,13 @@ from repro.ir import (
     PassError,
     PassManager,
     build_pipeline,
-    collect_pass_timings,
     f32,
     parse_pipeline,
     pipeline_signature,
     registered_passes,
 )
 from repro.ir.pass_registry import build_pipeline_cached, pass_aliases
+from repro.obs.report import format_timing_report, pass_timings_of
 from repro.transforms import AffineLoopUnrollPass
 
 
@@ -43,8 +45,8 @@ class TestRegistry:
             "remove-variable-bound", "affine-loop-order-opt", "affine-loop-tile",
             "affine-loop-unroll", "loop-pipelining", "func-pipelining",
             "array-partition", "legalize-dataflow", "split-function",
-            "lower-graph-to-loops", "raise-scf-to-affine", "apply-design-point",
-            "dnn-loop-opt",
+            "lower-graph-to-loops", "raise-scf-to-affine", "design-point-prefix",
+            "design-point-suffix", "dnn-loop-opt",
         }
         assert expected <= names
 
@@ -75,7 +77,8 @@ class TestPipelineParsing:
         "affine-loop-tile{sizes=4,4},loop-pipelining{ii=2}",
         "func.func(raise-scf-to-affine,canonicalize)",
         "builtin.module(func.func(canonicalize,cse),lower-graph-to-loops)",
-        "apply-design-point{perfectize=true,rvb=true,perm=1,2,0,tiles=2,1,2}",
+        "design-point-prefix{perfectize=true,rvb=true},"
+        "design-point-suffix{perm=1,2,0,tiles=2,1,2}",
         "legalize-dataflow{insert-copy=true}",
     ]
 
@@ -225,7 +228,7 @@ class TestPipelineSpecFuzz:
             ("affine-loop-unroll{factor=banana}", "expects an integer"),
             ("affine-loop-tile{sizes=4,no}", "list of integers"),
             ("legalize-dataflow{insert-copy=perhaps}", "expects true/false"),
-            ("apply-design-point{unknown-knob=1}", "has no option"),
+            ("design-point-suffix{unknown-knob=1}", "has no option"),
         ]:
             with pytest.raises(PassError, match=fragment):
                 build_pipeline(bad)
@@ -236,18 +239,62 @@ class TestPassManagerInstrumentation:
         module, _ = build_simple_module()
         pm = PassManager([AffineLoopUnrollPass(unroll_factor=2),
                           AffineLoopUnrollPass(unroll_factor=8)])
-        pm.run(module)
-        assert "affine-loop-unroll{factor=2}" in pm.timings
-        assert "affine-loop-unroll{factor=8}" in pm.timings
-        assert len([k for k in pm.timings if k.startswith("affine-loop-unroll")]) == 2
+        with obs.session() as session:
+            pm.run(module)
+        timings = pass_timings_of(session.metrics.counters,
+                                  session.tracer.tracks())
+        assert set(timings) == {"affine-loop-unroll{factor=2}",
+                                "affine-loop-unroll{factor=8}"}
 
-    def test_collect_pass_timings_spans_managers(self):
+    def test_one_session_spans_managers(self):
         module, _ = build_simple_module()
-        with collect_pass_timings() as collector:
+        with obs.session() as session:
             build_pipeline("canonicalize").run(module)
             build_pipeline("cse").run(module)
-        assert set(collector.timings) == {"canonicalize", "cse"}
-        assert "Pass execution timing report" in collector.report()
+        timings = pass_timings_of(session.metrics.counters,
+                                  session.tracer.tracks())
+        assert set(timings) == {"canonicalize", "cse"}
+        assert "Pass execution timing report" in format_timing_report(timings)
+
+    def test_run_leaves_a_cached_manager_as_it_found_it(self):
+        module, _ = build_simple_module()
+        manager = build_pipeline_cached("func.func(canonicalize),cse")
+        before = {name: copy.copy(value)
+                  for name, value in vars(manager).items()}
+        with obs.session():
+            manager.run(module)
+        manager.run(module)
+        assert vars(manager) == before
+
+    def test_no_session_no_clock_no_option_rendering(self, monkeypatch):
+        import time
+
+        from repro.ir import pass_manager
+
+        calls = []
+
+        class CountingClock:
+            @staticmethod
+            def perf_counter():
+                calls.append("perf_counter")
+                return time.perf_counter()
+
+        class Unroll(AffineLoopUnrollPass):
+            def option_string(self):
+                calls.append("display_name")
+                return super().option_string()
+
+        monkeypatch.setattr(pass_manager, "time", CountingClock)
+        module, _ = build_simple_module()
+        manager = PassManager([Unroll(unroll_factor=2)])
+        manager.nest("func.func").entries.append(Unroll(unroll_factor=4))
+        manager.run(module)
+        assert calls == []
+        # The same run under a session reads the clock and renders the names.
+        with obs.session():
+            manager.run(module)
+        assert calls.count("perf_counter") == 4
+        assert calls.count("display_name") == 2
 
     def test_verify_failure_dumps_ir(self, tmp_path):
         from repro.ir import LambdaPass
@@ -278,7 +325,7 @@ class TestPicklablePipelines:
         from repro.ir.printer import Printer
         from repro.pipeline import compile_kernel
 
-        spec = "canonicalize,apply-design-point{tiles=2,1,2},cse"
+        spec = "canonicalize,design-point-suffix{tiles=2,1,2},cse"
         passes = build_pipeline(spec).passes
         restored = pickle.loads(pickle.dumps(passes))
         assert [p.display_name for p in restored] == [p.display_name for p in passes]

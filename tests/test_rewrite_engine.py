@@ -14,6 +14,7 @@ import pickle
 
 import pytest
 
+from repro import obs
 from repro.affine.expr import dim
 from repro.affine.map import AffineMap
 from repro.affine.set import IntegerSet
@@ -27,10 +28,10 @@ from repro.ir.builder import Builder
 from repro.ir.operation import Operation
 from repro.ir.printer import Printer
 from repro.ir.rewrite import (GreedyRewriteDriver, PatternRewriter,
-                              RewritePattern, collect_pattern_stats,
-                              set_rewrite_strategy)
+                              RewritePattern, set_rewrite_strategy)
 from repro.ir.types import f32, index
 from repro.ir.value import OpResult
+from repro.obs.report import format_pattern_stats, pattern_stats_of
 from repro.pipeline import compile_kernel
 from repro.transforms.cleanup.canonicalize import (_FOLDABLE_NAMES,
                                                    canonicalization_patterns)
@@ -78,13 +79,15 @@ class TestBucketedDispatch:
 
     def test_bucket_stats_reported_per_op_name(self):
         root, _ = _chain_module(4)
-        with collect_pattern_stats() as collector:
+        with obs.session() as session:
             driver = GreedyRewriteDriver(canonicalization_patterns())
             driver.rewrite(root)
         assert "arith.addi" in driver.bucket_stats
         assert driver.bucket_stats["arith.addi"][0] >= 4  # the folds
-        assert collector.bucket_stats == driver.bucket_stats
-        report = collector.report()
+        stats, buckets = pattern_stats_of(session.metrics.counters)
+        assert buckets == {name: tuple(counts) for name, counts
+                           in driver.bucket_stats.items()}
+        report = format_pattern_stats(stats, buckets)
         assert "Pattern dispatch buckets" in report
         assert "arith.addi" in report
 
@@ -428,11 +431,29 @@ class TestEstimateCacheLRU:
 
 class TestBlockScanBuckets:
     def test_cleanup_scans_declare_their_dispatch_names(self):
-        from repro.transforms.cleanup.cse import CSEScanPattern
-        from repro.transforms.cleanup.simplify_memref_access import \
-            MemrefAccessScanPattern
-        from repro.transforms.cleanup.store_forward import StoreForwardScanPattern
+        from repro.transforms.cleanup import simplify_memref_access
+        from repro.transforms.cleanup.cse import _CSE_NAMES
+        from repro.transforms.cleanup.store_forward import ACCESS_OPS
 
-        assert "affine.apply" in CSEScanPattern.op_names
-        assert "affine.load" in StoreForwardScanPattern.op_names
-        assert "memref.store" in MemrefAccessScanPattern.op_names
+        assert "affine.apply" in _CSE_NAMES
+        assert "affine.load" in ACCESS_OPS
+        assert "memref.store" in simplify_memref_access.ACCESS_OPS
+
+    def test_scan_blocks_visits_each_block_once_and_reports(self):
+        from repro.ir.traversal import scan_blocks
+
+        module = compile_kernel("gemm", 4)
+        func_op = module.functions()[0]
+        expected = [block for op in func_op.walk()
+                    for region in op.regions for block in region.blocks]
+        seen = []
+
+        def scan(block):
+            seen.append(block)
+            return 2 if block is expected[0] else 0
+
+        with obs.session() as session:
+            assert scan_blocks(func_op, scan, "Probe") == 2
+        assert seen == expected
+        assert pattern_stats_of(session.metrics.counters)[0] \
+            == {"Probe": (2, len(expected) - 1)}
