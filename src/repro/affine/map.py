@@ -170,3 +170,9 @@ class AffineMap:
 
     def __repr__(self) -> str:
         return str(self)
+
+    def __getstate__(self) -> dict:
+        # No print cache: a module pickles the same printed or not.
+        state = self.__dict__.copy()
+        state.pop("_str", None)
+        return state

@@ -23,7 +23,7 @@ import functools
 from typing import Optional, Sequence
 
 from repro.dialects.affine_ops import AccessTable
-from repro.dse.space import KernelDesignPoint, ir_digest
+from repro.dse.space import KernelDesignPoint
 from repro.estimation.estimator import QoREstimator, QoRResult
 from repro.estimation.platform import Platform, XC7Z020
 from repro.ir.module import ModuleOp
@@ -286,35 +286,6 @@ def _transform(module: ModuleOp, point: KernelDesignPoint,
     partition = ArrayPartitionPass()
     PassManager([partition]).run(func_op)
     return cloned, func_op, suffix.pipelined, partition.accesses
-
-
-def staged_program(module: ModuleOp, point: KernelDesignPoint,
-                   func_name: Optional[str] = None,
-                   snapshots: "Optional[PrefixSnapshotCache]" = None,
-                   digest: Optional[str] = None) -> tuple[str, int]:
-    """The *program* ``point`` evaluates, as far as its transform knobs go.
-
-    Runs what :func:`_transform` runs up to the pipelining — the prefix,
-    then the suffix pass's own
-    :meth:`~repro.transforms.composite.DesignPointSuffixPass.stage` — and
-    returns the structural digest of the IR left behind with the position
-    (in walk order, -1 for none) of the loop ``pipeline_loop`` is called on
-    next.  Pipelining, the cleanup
-    tail, array partitioning and the estimator see ``loop_perfectization``,
-    ``remove_variable_bound``, ``perm_map`` and ``tile_sizes`` through that
-    IR alone, so points that agree here, in their cleanup pipeline and in
-    their platform differ in nothing an evaluation reads but the target II:
-    the transform class the DSE runtime evaluates once.  Taken *before*
-    ``pipeline_loop`` unrolls the point loops, where the function is a few
-    dozen operations.  The staged IR is dropped on return.
-    """
-    _, func_op = _after_prefix(module, point, func_name, snapshots, digest)
-    target = design_point_suffix_pass(point).stage(func_op)
-    position = -1
-    if target is not None:
-        position = next(index for index, op in enumerate(func_op.walk())
-                        if op is target)
-    return ir_digest(func_op), position
 
 
 def apply_design_point(module: ModuleOp, point: KernelDesignPoint,

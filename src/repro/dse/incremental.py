@@ -43,11 +43,13 @@ import time
 from typing import Optional
 
 from repro import obs
+from repro.dialects.affine_ops import perfect_loop_band
 from repro.dse.space import KernelDesignPoint, ir_digest
 from repro.ir.module import ModuleOp
 from repro.ir.operation import Operation
 from repro.ir.pass_manager import PassManager
 from repro.ir.pass_registry import build_pipeline_cached
+from repro.transforms.composite import _outer_loop, band_shape
 
 
 class PrefixSnapshotCache:
@@ -97,40 +99,58 @@ class PrefixSnapshotCache:
             else:
                 self.misses += 1
                 obs.counter("dse.prefix.misses")
-                snapshot = self._build(module, point, func_name, prefix)
+                snapshot, _ = build_prefix(module, point, func_name)
                 self._snapshots[key] = snapshot
             cloned = snapshot.clone()
             self.clones += 1
             obs.counter("dse.prefix.clones")
         return cloned, _lookup(cloned, func_name)
 
-    # -- internals --------------------------------------------------------------------------
 
-    @staticmethod
-    def _build(module: ModuleOp, point: KernelDesignPoint,
-               func_name: Optional[str], prefix: str) -> ModuleOp:
-        """Run the shared prefix once: clone, canonicalize, perfectize/rvb.
+def build_prefix(module: ModuleOp, point: KernelDesignPoint,
+                 func_name: Optional[str] = None
+                 ) -> tuple[ModuleOp, Operation]:
+    """Run the shared prefix once: cut the module down to the kernel,
+    canonicalize, perfectize/rvb.  Returns the post-prefix module and the
+    kernel function in it.
 
-        Built with the session suspended (a miss is an execution detail, not
-        part of the trajectory); the seconds of the two pass runs are
-        reported as ``prefix.<key>/<pass name>`` so timing tables attribute
-        shared work separately from per-evaluation work.
-        """
-        from repro.dse.apply import design_point_prefix_pass
+    Built with the session suspended (which builds happen is an execution
+    detail, not part of the trajectory); the seconds of the two pass runs
+    are reported as ``prefix.<key>/<pass name>`` so timing tables attribute
+    shared work separately from per-evaluation work.
+    """
+    from repro.dse.apply import design_point_prefix_pass
 
-        snapshot = _kernel_module(module, func_name)
-        func_op = _lookup(snapshot, func_name)
-        with obs.suspended():
-            started = time.perf_counter()
-            build_pipeline_cached("canonicalize").run(func_op)
-            canonicalized = time.perf_counter()
-            PassManager([design_point_prefix_pass(point)]).run(func_op)
-            finished = time.perf_counter()
-        obs.add_pass_seconds(f"prefix.{prefix}/canonicalize",
-                             canonicalized - started)
-        obs.add_pass_seconds(f"prefix.{prefix}/design-point-prefix",
-                             finished - canonicalized)
-        return snapshot
+    prefix = point.prefix_key()
+    snapshot = _kernel_module(module, func_name)
+    func_op = _lookup(snapshot, func_name)
+    with obs.suspended():
+        started = time.perf_counter()
+        build_pipeline_cached("canonicalize").run(func_op)
+        canonicalized = time.perf_counter()
+        PassManager([design_point_prefix_pass(point)]).run(func_op)
+        finished = time.perf_counter()
+    obs.add_pass_seconds(f"prefix.{prefix}/canonicalize",
+                         canonicalized - started)
+    obs.add_pass_seconds(f"prefix.{prefix}/design-point-prefix",
+                         finished - canonicalized)
+    return snapshot, func_op
+
+
+def post_prefix_band(module: ModuleOp, point: KernelDesignPoint,
+                     func_name: Optional[str] = None) -> tuple[str, tuple]:
+    """The kernel as the suffix of ``point`` finds it: the structural digest
+    of the function after canonicalize + the point's prefix, and the
+    :func:`~repro.transforms.composite.band_shape` of the perfect band the
+    suffix permutes and tiles (empty without a loop nest).  With the point's
+    permutation and tile sizes they decide the program it evaluates
+    (:func:`~repro.transforms.composite.plan_design_point`).  Built from
+    scratch, the IR dropped on return.
+    """
+    _, func_op = build_prefix(module, point, func_name)
+    outer = _outer_loop(func_op)
+    band = perfect_loop_band(outer) if outer is not None else ()
+    return ir_digest(func_op), band_shape(band)
 
 
 def _kernel_module(module: ModuleOp, func_name: Optional[str]) -> ModuleOp:

@@ -30,17 +30,16 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from typing import Callable, Optional
+from typing import Optional
 
 from repro import obs
 from repro.dse.apply import (
     AppliedDesign,
     apply_design_point,
     cleanup_pipeline_spec,
-    staged_program,
 )
 from repro.dse.engine import ExplorationPolicy
-from repro.dse.incremental import PrefixSnapshotCache
+from repro.dse.incremental import post_prefix_band
 from repro.dse.pareto import ParetoPoint
 from repro.dse.runtime.checkpoint import CheckpointStore, ExplorerState
 from repro.dse.runtime.config import SweepConfig
@@ -49,6 +48,7 @@ from repro.dse.runtime.worker import KernelContext, create_backend
 from repro.dse.space import KernelDesignSpace
 from repro.estimation.platform import Platform, XC7Z020
 from repro.ir.module import ModuleOp
+from repro.transforms.composite import knobs_not_applied, plan_design_point
 
 
 def frontier_hypervolume(frontier: list[ParetoPoint]) -> float:
@@ -110,8 +110,8 @@ class _ClassResults:
     """What the evaluations dispatched so far answered, by program.
 
     An evaluation transforms a whole *transform class* — every design point
-    that stages to one program (:func:`repro.dse.apply.staged_program`) and
-    shares its cleanup pipeline and platform — and its record carries the
+    that stages to one program (:class:`_ProgramIdentities`) and shares its
+    cleanup pipeline and platform — and its record carries the
     records of the class's other target IIs.  Entries are keyed by that
     identity plus the target II.  ``answered`` holds the designs the
     trajectory asked for, ``spare`` the II-siblings that rode along unasked.
@@ -162,55 +162,39 @@ class _ClassResults:
         return record
 
 
-#: Staging is the one place coordinator threads run transforms: one
-#: coordinator stages at a time.  The pass layer holds no state of its own
-#: across a run (timings go to the per-thread-suspendable obs session, a
-#: cached pipeline's run root is an argument), so what the lock guards is
-#: ``--dump-ir-after`` — the dumper list and its snapshot counter are
-#: process-wide, and prefix builds dump through them — and the fact that
-#: transforms running on two threads at once have never been byte-compared
-#: against the serial order (the chaos/topology tests): dropping it is the
-#: pool item's decision.
-_STAGING_LOCK = threading.Lock()
-
-
 class _ProgramIdentities:
     """Everything but the target II that an evaluation is a function of, per
-    design point of one kernel: the staged program
-    (:func:`repro.dse.apply.staged_program`), the cleanup pipeline's spec and
-    the platform's name.
+    design point of one kernel: the post-prefix IR's digest, what the suffix
+    does to its band (:func:`~repro.transforms.composite.plan_design_point`),
+    the cleanup pipeline's spec and the platform's name.
 
-    Staged by the coordinator, so which tasks a batch dispatches never
-    depends on the backend, and once per distinct ``(lp, rvb, perm, clamped
-    tiles)``.  ``snapshots`` returns the prefix snapshots to stage against;
-    it is asked at each staging because the backend that may own them is
-    created lazily.
+    Computed by the coordinator, so which tasks a batch dispatches never
+    depends on the backend, from one post-prefix build per prefix key
+    (:func:`~repro.dse.incremental.post_prefix_band`).  The digest, not the
+    prefix key, leads: a prefix knob that finds nothing to do (perfectizing
+    around a variable-bound loop) leaves the program of the other setting.
     """
 
-    def __init__(self, module: ModuleOp, func_name: Optional[str],
-                 digest: Optional[str],
-                 snapshots: Callable[[], PrefixSnapshotCache]):
+    def __init__(self, module: ModuleOp, func_name: Optional[str]):
         self._module = module
         self._func_name = func_name
-        self._digest = digest
-        self._snapshots = snapshots
-        self._staged: dict[tuple, tuple[str, int]] = {}
+        self._bands: dict[str, tuple[str, tuple]] = {}
 
     def __len__(self) -> int:
-        """How many programs were staged so far."""
-        return len(self._staged)
+        """How many prefixes were built so far."""
+        return len(self._bands)
 
     def of(self, point) -> tuple:
-        knobs = (point.loop_perfectization, point.remove_variable_bound,
-                 point.perm_map, point.tile_sizes)
-        program = self._staged.get(knobs)
-        if program is None:
-            with _STAGING_LOCK:
-                program = self._staged[knobs] = staged_program(
-                    self._module, point, self._func_name, self._snapshots(),
-                    self._digest)
-        return program + (cleanup_pipeline_spec(point.pipeline),
-                          point.platform)
+        """``(digest, plan, cleanup spec, platform)`` of ``point``."""
+        prefix = point.prefix_key()
+        band = self._bands.get(prefix)
+        if band is None:
+            band = self._bands[prefix] = post_prefix_band(
+                self._module, point, self._func_name)
+        digest, shape = band
+        return (digest,
+                plan_design_point(shape, point.perm_map, point.tile_sizes),
+                cleanup_pipeline_spec(point.pipeline), point.platform)
 
 
 @dataclasses.dataclass
@@ -417,22 +401,7 @@ class ParallelExplorer:
         obs_on = obs.active() is not None
 
         classes = _ClassResults()
-        own_snapshots: Optional[PrefixSnapshotCache] = None
-
-        def staging_snapshots() -> PrefixSnapshotCache:
-            """A backend that evaluates in this process shares its prefix
-            snapshots instead of building every prefix twice."""
-            nonlocal own_snapshots
-            shared = get_backend().snapshots_for(context_key)
-            if shared is not None:
-                return shared
-            if own_snapshots is None:
-                own_snapshots = PrefixSnapshotCache()
-            return own_snapshots
-
-        programs = _ProgramIdentities(module, func_name,
-                                      space.ir_digest or None,
-                                      staging_snapshots)
+        programs = _ProgramIdentities(module, func_name)
 
         def dispatch(encodings: list[tuple[int, ...]], identities: dict,
                      fresh: dict[tuple[int, ...], EvaluationRecord]) -> None:
@@ -462,7 +431,7 @@ class ParallelExplorer:
                 batch_span.set(cached=len(batch) - len(missing))
 
                 points = {encoded: space.decode(encoded) for encoded in missing}
-                # One span per batch whatever it stages, so the trace
+                # One span per batch whatever it builds, so the trace
                 # skeleton stays the trajectory's.
                 staged_before = len(programs)
                 identity_span = obs.NULL_SPAN if not obs_on else obs.span(
@@ -526,6 +495,13 @@ class ParallelExplorer:
                             classes.siblings - resolved_before[0])
                 obs.counter("dse.resolved.aliases",
                             classes.aliases - resolved_before[1])
+                skipped = [knobs_not_applied(identities[encoded][1],
+                                             point.perm_map, point.tile_sizes)
+                           for encoded, point in points.items()]
+                obs.counter("dse.knob.skipped.perm",
+                            sum(perm for perm, _ in skipped))
+                obs.counter("dse.knob.skipped.tile",
+                            sum(tile for _, tile in skipped))
                 obs.observe("dse.batch.points", len(batch))
 
         def record_frontier(frontier: list[ParetoPoint]) -> None:

@@ -453,12 +453,6 @@ class Supervisor:
         self._threads: list[threading.Thread] = []
         self._closing = False
 
-    def snapshots_for(self, key: str) -> Optional[PrefixSnapshotCache]:
-        """The prefix snapshots kernel ``key`` is evaluated with when they
-        live in this process (the coordinator then stages program identities
-        against the same cache); None out of process."""
-        return None
-
     def warm_up(self) -> None:
         """Bring every worker up now, from the calling thread."""
 
@@ -586,9 +580,6 @@ class SerialBackend(Supervisor):
         super().__init__(contexts, config, stop_event)
         self._snapshots = collections.defaultdict(PrefixSnapshotCache)
         self._inline = self
-
-    def snapshots_for(self, key: str) -> PrefixSnapshotCache:
-        return self._snapshots[key]
 
     def run(self, key: str, encoded: tuple[int, ...], traced: bool):
         return _guarded_evaluation(self._contexts[key], key, encoded,

@@ -20,6 +20,11 @@ on/off switch or a tunable parameter of a transform pass (Tab. II):
 A design point is encoded as a tuple of indices into the per-dimension
 option lists, which makes "closest neighbor" proposals (Step 2 of the DSE
 algorithm) a matter of bumping one index by one.
+
+The permutation and tile dimensions are sized on the band *as written*; an
+evaluation permutes and tiles the *perfect* band left after the prefix, and
+:func:`repro.transforms.composite.plan_design_point` decides which knobs that
+band takes (README "Program identity"; ``dse.knob.skipped.*`` count the rest).
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import os
 import tempfile
+import threading
 import time
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
 
@@ -238,6 +239,8 @@ class IRDumper:
         self.counter = 0
         #: Paths written, in order.
         self.paths: list[str] = []
+        #: Pass runs on any thread dump here: a number and its file go together.
+        self._lock = threading.Lock()
 
     def after_pass(self, pass_: Pass, root: "Operation") -> None:
         name = pass_.name or type(pass_).__name__
@@ -245,14 +248,16 @@ class IRDumper:
             return
         from repro.ir.printer import print_op
 
-        os.makedirs(self.directory, exist_ok=True)
-        self.counter += 1
+        text = print_op(root)
         slug = name.replace("/", "-")
-        path = os.path.join(self.directory, f"{self.counter:04d}-{slug}.mlir")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(print_op(root))
-            handle.write("\n")
-        self.paths.append(path)
+        with self._lock:
+            os.makedirs(self.directory, exist_ok=True)
+            self.counter += 1
+            path = os.path.join(self.directory,
+                                f"{self.counter:04d}-{slug}.mlir")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+            self.paths.append(path)
 
 
 #: Dumpers currently receiving snapshots from every PassManager run.

@@ -25,8 +25,12 @@ name                      kind       meaning
                                      (same transforms, another target II)
 ``dse.resolved.aliases``  counter    points whose knob values stage to a program
                                      already answered
-``dse.identity.seconds``  counter    coordinator time staging points to tell
-                                     programs apart
+``dse.identity.seconds``  counter    coordinator time telling programs apart (one
+                                     post-prefix build per prefix key + the plans)
+``dse.knob.skipped.perm`` counter    uncached points whose permutation the band
+                                     does not take (the plan applies the identity)
+``dse.knob.skipped.tile`` counter    uncached points whose tile sizes the band
+                                     cuts, clamps, lowers or refuses
 ``dse.shared.nodes``      counter    nodes identical to one explored earlier in the run
 ``dse.shared.points``     counter    estimates those nodes took over from it
 ``dse.worker.busy_seconds``  counter    summed per-evaluation worker wall-clock

@@ -179,7 +179,8 @@ def shared_summary_line(points: int, nodes: int) -> str:
 
 
 def resolved_summary_line(resolved: int, points: int, classes: int,
-                          aliases: int, identity_seconds: float) -> str:
+                          aliases: int, identity_seconds: float,
+                          skipped_perm: int = 0, skipped_tile: int = 0) -> str:
     """What evaluating by transform class saved and cost, in one line.
 
     ``points`` are the design points no cache served, ``classes`` the
@@ -187,7 +188,9 @@ def resolved_summary_line(resolved: int, points: int, classes: int,
     ``resolved`` the points answered from a classmate's IR instead of their
     own: II-siblings, plus ``aliases`` whose knob values stage to a program
     already answered.  ``identity_seconds`` is what the coordinator spent
-    staging points to tell the programs apart.  Like every line that counts
+    telling the programs apart; ``skipped_perm`` / ``skipped_tile`` count the
+    points whose permutation the band dropped / whose tile sizes it changed
+    (where the aliases come from).  Like every line that counts
     this run's evaluations it says "evaluated", the marker by which output
     comparisons across ``--resume`` and cache warmth skip such lines.
     """
@@ -196,7 +199,9 @@ def resolved_summary_line(resolved: int, points: int, classes: int,
             f"transformed classes ({siblings} II-sibling"
             f"{'' if siblings == 1 else 's'}, {aliases} alias"
             f"{'' if aliases == 1 else 'es'}; each class evaluated once, "
-            f"identities staged in {identity_seconds:.2f}s)")
+            f"identities planned in {identity_seconds:.2f}s; knobs the band "
+            f"did not take as given: perm of {skipped_perm}, tiles of "
+            f"{skipped_tile} points)")
 
 
 def dse_summary_lines(counters: Mapping[str, float],
@@ -215,7 +220,9 @@ def dse_summary_lines(counters: Mapping[str, float],
         lines.append(resolved_summary_line(
             resolved, evaluations + resolved, evaluations,
             int(counters.get("dse.resolved.aliases", 0)),
-            counters.get("dse.identity.seconds", 0.0)))
+            counters.get("dse.identity.seconds", 0.0),
+            int(counters.get("dse.knob.skipped.perm", 0)),
+            int(counters.get("dse.knob.skipped.tile", 0))))
     wall = gauges.get("dse.wall_seconds")
     if wall:
         lines.append(f"  evaluations/sec={evaluations / wall:.2f} "

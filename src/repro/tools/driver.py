@@ -52,6 +52,7 @@ from typing import Optional, Sequence
 from repro import obs
 from repro.dialects.affine_ops import loop_band_from, outermost_loops
 from repro.dse.apply import apply_design_point, estimate_baseline
+from repro.dse.incremental import post_prefix_band
 from repro.dse.space import KernelDesignPoint
 from repro.emit import emit_hlscpp
 from repro.estimation import PLATFORMS, XC7Z020
@@ -69,6 +70,7 @@ from repro.obs.report import (
     shared_summary_line,
 )
 from repro.pipeline import compile_c, compile_dnn, compile_kernel, dnn_baseline
+from repro.transforms.composite import knobs_not_applied, plan_design_point
 
 
 def _resolve_platforms(args, default_name: str) -> list[Platform]:
@@ -131,7 +133,8 @@ def _design_point(args, module, default: bool = False
     """The design point the point flags spell for ``module``'s kernel: one
     ``--perm`` / ``--tiles`` entry per loop of its band.  Without any point
     flag the result is None or, with ``default``, the untiled point with
-    both structural knobs on."""
+    both structural knobs on.  A vector the evaluation will not apply as
+    given is reported on stderr."""
     flagged = bool(args.tiles or args.perm or args.ii != 1 or args.perfectize
                    or args.rvb)
     if not flagged and not default:
@@ -151,7 +154,7 @@ def _design_point(args, module, default: bool = False
                              f"kernel's band ({depth} deep), got {text!r}")
         return values
 
-    return KernelDesignPoint(
+    point = KernelDesignPoint(
         loop_perfectization=args.perfectize if flagged else True,
         remove_variable_bound=args.rvb if flagged else True,
         perm_map=vector("--perm", args.perm, tuple(range(depth)),
@@ -162,6 +165,24 @@ def _design_point(args, module, default: bool = False
                           lambda values: all(v >= 1 for v in values)),
         target_ii=args.ii,
     )
+    if args.perm or args.tiles:
+        # The flags were checked against the band as written; the evaluation
+        # permutes and tiles the perfect band the prefix leaves, by this plan.
+        _, shape = post_prefix_band(module, point)
+        plan = plan_design_point(shape, point.perm_map, point.tile_sizes)
+        perm_dropped, tiles_changed = knobs_not_applied(
+            plan, point.perm_map, point.tile_sizes)
+        if perm_dropped:
+            reason = f"the band is {len(shape)} deep" + (
+                "" if args.perfectize else " without --perfectize")
+            if len(shape) == depth:
+                reason = "a loop of the band has variable bounds" + (
+                    "" if args.rvb else " without --rvb")
+            print(f"--perm {args.perm} not applied: {reason}", file=sys.stderr)
+        if tiles_changed:
+            print(f"--tiles {args.tiles} applied as "
+                  f"{','.join(map(str, plan[1]))}", file=sys.stderr)
+    return point
 
 
 def _add_kernel_arguments(parser: argparse.ArgumentParser) -> None:

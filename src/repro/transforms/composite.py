@@ -8,7 +8,8 @@ expressed as one textual pipeline built from the registry:
 * ``design-point-prefix`` + ``design-point-suffix`` reproduce one
   :class:`KernelDesignPoint` of the paper's kernel DSE (Tab. II parameters):
   the structural half the incremental evaluator snapshots, and the
-  point-specific half run per evaluation.
+  point-specific half run per evaluation, which executes
+  :func:`plan_design_point` — the plan program identity is keyed on.
 * ``dnn-loop-opt`` is the per-stage loop/directive optimization of the DNN
   flow (loop-order optimization, unrolling towards a factor, pipelining).
 """
@@ -23,7 +24,7 @@ from repro.ir.pass_manager import FunctionPass, PassError, PassOption
 from repro.ir.pass_registry import register_pass
 from repro.transforms.directive.pipelining import pipeline_loop
 from repro.transforms.loop.loop_order_opt import optimize_loop_order, permute_loop_band
-from repro.transforms.loop.loop_tiling import tile_loop_band
+from repro.transforms.loop.loop_tiling import _adjust_tile_size, tile_loop_band
 from repro.transforms.loop.loop_unroll import fully_unroll, unroll_loop
 from repro.transforms.loop.perfectization import perfectize_band
 from repro.transforms.loop.remove_variable_bound import remove_variable_bounds
@@ -46,39 +47,77 @@ def run_design_point_prefix(func_op: Operation, perfectize: bool,
         remove_variable_bounds(func_op)
 
 
+def band_shape(band: Sequence[AffineForOp]
+               ) -> tuple[tuple[Optional[int], int], ...]:
+    """Per loop, outermost first: constant trip count (None with variable
+    bounds) and step — all of a band that :func:`plan_design_point` reads."""
+    return tuple((loop.trip_count(), loop.step) for loop in band)
+
+
+def plan_design_point(shape: Sequence[tuple[Optional[int], int]],
+                      perm: Sequence[int], tiles: Sequence[int]
+                      ) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
+    """What :func:`stage_design_point` does to a perfect band of ``shape``
+    for the knobs ``perm`` and ``tiles``: ``(perm, sizes, tile)``.
+
+    A knob the band cannot take is dropped rather than failing — the
+    estimator sees the weaker design, which is how unprofitable points lose.
+    Each rule is the precondition of the transform it guards.  The
+    permutation applied is the requested one when it is a permutation of the
+    band and every loop has constant bounds (:func:`permute_loop_band`), else
+    the identity.  ``sizes`` are the first ``len(shape)`` tile sizes padded
+    with 1; the band is tiled (``tile``) when one exceeds 1 and every loop of
+    the *permuted* band has constant bounds and unit step
+    (:func:`tile_loop_band`), each size then lowered to a divisor of its trip
+    count, else all are 1.  Sizes that all lower to 1 still rebuild the band,
+    hence ``tile``.  A pure function: one post-prefix IR and one plan are one
+    program.
+    """
+    depth = len(shape)
+    identity = tuple(range(depth))
+    perm = tuple(perm)
+    if sorted(perm) != list(identity) \
+            or any(trip is None for trip, _ in shape):
+        perm = identity
+    permuted = [shape[perm.index(position)] for position in identity]
+    sizes = tuple(tiles[:depth]) + (1,) * (depth - len(tiles))
+    tile = any(size > 1 for size in sizes) and all(
+        trip is not None and step == 1 for trip, step in permuted)
+    sizes = tuple(_adjust_tile_size(trip, size) if tile else 1
+                  for (trip, _), size in zip(permuted, sizes))
+    return perm, sizes, tile
+
+
+def knobs_not_applied(plan: tuple, perm: Sequence[int], tiles: Sequence[int]
+                      ) -> tuple[bool, bool]:
+    """Whether ``plan`` drops the requested permutation, and whether it
+    changes a requested tile size (a size of 1 requests nothing)."""
+    planned_perm, sizes, _ = plan
+    pad = (1,) * max(len(sizes), len(tiles))
+    return (tuple(perm) not in (tuple(range(len(perm))), planned_perm),
+            (sizes + pad)[:len(pad)] != (tuple(tiles) + pad)[:len(pad)])
+
+
 def stage_design_point(func_op: Operation, perm: Sequence[int],
                        tiles: Sequence[int]) -> Optional[AffineForOp]:
     """Permute and tile the band: everything of the suffix but the pipelining.
 
-    Transform steps that are not applicable (e.g. permutation of a
-    non-perfect band) are skipped rather than failing — the estimator will
-    simply see the weaker design, which is how unprofitable points lose in
-    the exploration.  Returns the loop the design point pipelines next, or
-    None when the function has no loop nest.
-
-    What is left of an evaluation reads the knobs staged here through the IR
-    alone, so two points whose staged IR, returned loop included, coincide
-    are one program (:func:`repro.dse.apply.staged_program`).
+    Executes :func:`plan_design_point`, so a transform is called exactly when
+    it applies: a :class:`PassError` out of here is a bug, not a skipped knob.
+    Returns the loop the design point pipelines next, or None when the
+    function has no loop nest.  What is left of an evaluation reads the knobs
+    staged here through the IR alone (README "Program identity").
     """
     outer = _outer_loop(func_op)
     if outer is None:
         return None
     band = perfect_loop_band(outer)
-    if len(perm) == len(band):
-        try:
-            band = permute_loop_band(band, perm)
-        except PassError:
-            pass
-
-    tile_loops = band
-    if any(size > 1 for size in tiles[: len(band)]):
-        sizes = list(tiles[: len(band)])
-        sizes += [1] * (len(band) - len(sizes))
-        try:
-            tile_loops, _ = tile_loop_band(band, sizes)
-        except PassError:
-            tile_loops = band
-    return tile_loops[-1]
+    perm, sizes, tile = plan_design_point(band_shape(band), perm, tiles)
+    if perm != tuple(range(len(band))):
+        band = permute_loop_band(band, perm)
+    if tile:
+        band, _ = tile_loop_band(band, sizes)
+    return band[-1]
 
 
 def run_design_point_suffix(func_op: Operation, perm: Sequence[int],
@@ -151,11 +190,6 @@ class DesignPointSuffixPass(FunctionPass):
     def run(self, func_op: Operation) -> None:
         self.pipelined = run_design_point_suffix(func_op, self.perm,
                                                  self.tiles, self.ii)
-
-    def stage(self, func_op: Operation) -> Optional[AffineForOp]:
-        """:meth:`run` short of the pipelining: returns the loop it would
-        pipeline (see :func:`stage_design_point`)."""
-        return stage_design_point(func_op, self.perm, self.tiles)
 
 
 @register_pass("dnn-loop-opt")

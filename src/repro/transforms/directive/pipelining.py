@@ -32,14 +32,12 @@ def pipeline_loop(loop: AffineForOp, target_ii: int = 1) -> int:
     bounds (the target cannot be legalized, mirroring the diagnostics the
     paper describes).
     """
-    for nested in loop.walk():
-        if nested is loop:
-            continue
-        if isinstance(nested, AffineForOp) and not nested.has_constant_bounds():
-            raise PassError(
-                "cannot pipeline: a nested loop has variable bounds "
-                "(run -remove-variable-bound first)")
-    unrolled = fully_unroll_nested(loop)
+    try:
+        # Checks every nested loop before it touches the IR.
+        unrolled = fully_unroll_nested(loop)
+    except PassError:
+        raise PassError("cannot pipeline: a nested loop has variable bounds "
+                        "(run -remove-variable-bound first)") from None
 
     directive = ensure_loop_directive(loop)
     directive.pipeline = True
@@ -51,10 +49,11 @@ def pipeline_loop(loop: AffineForOp, target_ii: int = 1) -> int:
 
 def pipeline_function(func_op: Operation, target_ii: int = 1) -> int:
     """Legalize and pipeline a whole function (all loops fully unrolled)."""
-    for nested in func_op.walk():
-        if isinstance(nested, AffineForOp) and not nested.has_constant_bounds():
-            raise PassError("cannot pipeline a function containing variable-bound loops")
-    unrolled = fully_unroll_nested(func_op)
+    try:
+        unrolled = fully_unroll_nested(func_op)
+    except PassError:
+        raise PassError("cannot pipeline a function containing "
+                        "variable-bound loops") from None
     directive = ensure_func_directive(func_op)
     directive.pipeline = True
     directive.target_ii = max(1, int(target_ii))

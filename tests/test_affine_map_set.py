@@ -61,6 +61,25 @@ class TestAffineMap:
     def test_str_contains_arrow(self):
         assert "->" in str(AffineMap.identity(1))
 
+    def test_pickle_does_not_carry_the_print_cache(self):
+        import pickle
+
+        from repro.dse.space import ir_digest
+        from repro.ir.printer import print_op
+        from repro.pipeline import compile_kernel
+
+        module = compile_kernel("gemm", 4)
+        unprinted = len(pickle.dumps(module))
+        print_op(module)
+        ir_digest(module.functions()[0])
+        assert len(pickle.dumps(module)) == unprinted
+
+        affine_map = AffineMap(2, 0, [dim(0) + dim(1), dim(0) * 2])
+        text = str(affine_map)
+        restored = pickle.loads(pickle.dumps(affine_map))
+        assert "_str" in vars(affine_map) and "_str" not in vars(restored)
+        assert restored == affine_map and str(restored) == text
+
 
 class TestIntegerSet:
     def test_equality_constraint(self):

@@ -186,6 +186,36 @@ class TestPointFlags:
             main(["estimate", "--kernel", "gemm", "--size", "8", flag, value])
 
 
+    @pytest.mark.parametrize("command", ["estimate", "emit"])
+    def test_a_flag_the_evaluation_applies_differently_is_reported(
+            self, command, capsys):
+        """The flags are checked against the band as written (3 deep); the
+        evaluation permutes and tiles the perfect band after the prefix."""
+        base = [command, "--kernel", "gemm", "--size", "8"]
+
+        def run(*flags):
+            assert main(base + list(flags)) == 0
+            return capsys.readouterr()
+
+        dropped = run("--perm", "2,1,0")
+        assert dropped.err == ("--perm 2,1,0 not applied: the band is 2 deep "
+                               "without --perfectize\n")
+        # The message changes nothing else: the point evaluates as before.
+        assert dropped.out == run("--perm", "0,1,2").out.replace(
+            "perm=[0, 1, 2]", "perm=[2, 1, 0]")
+        adjusted = run("--perfectize", "--tiles", "16,3,2")
+        assert adjusted.err == "--tiles 16,3,2 applied as 8,2,2\n"
+        assert adjusted.out == run("--perfectize", "--tiles", "8,2,2").out \
+            .replace("tiles=[8, 2, 2]", "tiles=[16, 3, 2]")
+        both = run("--perm", "2,1,0", "--tiles", "2,2,2")
+        assert both.err.splitlines() == [
+            "--perm 2,1,0 not applied: the band is 2 deep without "
+            "--perfectize", "--tiles 2,2,2 applied as 2,2"]
+        assert run("--perfectize", "--perm", "2,1,0",
+                   "--tiles", "4,2,2").err == ""
+        assert run("--perfectize", "--rvb", "--ii", "2").err == ""
+
+
 class TestSweepSettings:
     """Every sweep setting is declared once: the ``explore_*`` flows and the
     ``dse`` / ``dnn`` commands all spell the fields of ``SweepConfig``."""

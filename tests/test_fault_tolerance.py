@@ -826,9 +826,6 @@ class _InterruptingBackend:
             raise KeyboardInterrupt
         return self._inner.evaluate(key, batch)
 
-    def snapshots_for(self, key):
-        return self._inner.snapshots_for(key)
-
     def close(self):
         self._inner.close()
 

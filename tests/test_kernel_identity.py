@@ -361,7 +361,7 @@ class TestSharedSweep:
         import repro.dse.runtime.scheduler as scheduler
         import repro.dse.space as space
 
-        import repro.dse.apply as apply
+        import repro.dse.incremental as incremental
 
         calls = {"digest": 0, "fingerprint": 0, "program": 0}
 
@@ -372,19 +372,21 @@ class TestSharedSweep:
             return wrapper
 
         # The kernel-fingerprint digest (the un-transformed function) and
-        # the program digests of staged design points, counted apart.
+        # the post-prefix digests program identity reads, counted apart.
         monkeypatch.setattr(space, "ir_digest",
                             counted("digest", space.ir_digest))
-        monkeypatch.setattr(apply, "ir_digest",
-                            counted("program", apply.ir_digest))
+        monkeypatch.setattr(incremental, "ir_digest",
+                            counted("program", incremental.ir_digest))
         monkeypatch.setattr(scheduler, "_kernel_fingerprint", counted(
             "fingerprint", scheduler._kernel_fingerprint))
         monkeypatch.setattr(parallel, "_kernel_fingerprint", counted(
             "explorer", parallel._kernel_fingerprint))
         result = sweep()
-        # One program digest per knob setting a node stages: never more
-        # than the points it had to evaluate.
-        assert 0 < calls.pop("program") <= result.evaluated_this_run
+        # One post-prefix digest per prefix key a node's uncached points
+        # reach: at most four a node, whatever it had to evaluate.
+        explored = sum(1 for node in result.node_results.values()
+                       if node.evaluated_this_run)
+        assert 0 < calls.pop("program") <= 4 * explored
         assert calls == {"digest": len(result.node_order),
                          "fingerprint": len(result.node_order)}
 

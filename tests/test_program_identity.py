@@ -2,13 +2,16 @@
 once.
 
 A transform class is keyed by what the rest of the evaluation is a function
-of — the digest of the IR after prefix + permute + tile, the loop about to
-be pipelined, the cleanup pipeline and the platform — not by knob values, so
-every knob setting the staging ignores (a permutation that does not fit the
-band, tile sizes beyond it, tilings that raise) lands in the class of the
-program it actually produces.  What licenses that is checked here over whole
-design spaces: a record resolved from a classmate equals, field for field,
-the from-scratch evaluation of the asking point.
+of — the digest of the post-prefix IR, what the staging plans to do with its
+band (``plan_design_point``: permutation applied, tile sizes applied), the
+cleanup pipeline and the platform — not by knob values, so every knob
+setting the plan drops (a permutation that does not fit the band, tile sizes
+beyond it, tilings the band refuses) lands in the class of the program it
+actually produces.  Two things license that and are checked here over whole
+design spaces: the plan key partitions knob settings exactly as the digest
+of the staged IR does (the oracle, kept in this file with the try/except
+staging it replaced), and a record resolved from a classmate equals, field
+for field, the from-scratch evaluation of the asking point.
 
 A knob may be left out of the identity (as the target II is) only together
 with a test like ``TestAliasesEqualDirectEvaluation`` proving that nothing
@@ -21,9 +24,16 @@ import random
 import pytest
 
 from repro import obs
-from repro.dialects.affine_ops import outermost_loops
-from repro.dse.apply import cleanup_pipeline_spec, staged_program
-from repro.dse.incremental import PrefixSnapshotCache
+from repro.dialects.affine_ops import outermost_loops, perfect_loop_band
+from repro.dialects.hlscpp import LoopDirective, set_loop_directive
+from repro.dse import apply as dse_apply
+from repro.dse import incremental
+from repro.dse.apply import cleanup_pipeline_spec
+from repro.dse.incremental import (
+    PrefixSnapshotCache,
+    build_prefix,
+    post_prefix_band,
+)
 from repro.dse.runtime import FaultPlan, worker
 from repro.dse.runtime.parallel import _ClassResults, _ProgramIdentities
 from repro.dse.runtime.transport import TransportConfig
@@ -31,10 +41,17 @@ from repro.dse.runtime.worker import evaluate_encoded
 from repro.dse.space import KernelDesignPoint, ir_digest
 from repro.estimation import VU9P_SLR, XC7Z020
 from repro.estimation.platform import PLATFORMS
-from repro.ir.pass_manager import PassError
+from repro.ir.pass_manager import PassError, PassManager, dump_ir_after
 from repro.kernels import KERNEL_NAMES
 from repro.pipeline import compile_c
-from repro.transforms import composite, permute_loop_band, tile_loop_band
+from repro.transforms import permute_loop_band, tile_loop_band
+from repro.transforms.composite import (
+    band_shape,
+    knobs_not_applied,
+    plan_design_point,
+    run_design_point_suffix,
+    stage_design_point,
+)
 
 import test_kernel_identity as dnn
 from test_kernel_identity import (
@@ -54,6 +71,7 @@ from test_transform_classes import (  # noqa: F401  (fixtures)
     gemm8,
     golden,
     kernel_context,
+    pipelined_loops,
 )
 
 
@@ -61,10 +79,17 @@ from test_transform_classes import (  # noqa: F401  (fixtures)
 
 
 def identities(context) -> _ProgramIdentities:
-    """The runtime's own identity code, staging against private snapshots."""
-    snapshots = PrefixSnapshotCache()
-    return _ProgramIdentities(context.module, context.func_name,
-                              context.space.ir_digest, lambda: snapshots)
+    """The runtime's own identity code."""
+    return _ProgramIdentities(context.module, context.func_name)
+
+
+def vgg16_representatives() -> list:
+    """One node of each fingerprint class of the staged vgg16."""
+    _, nodes = staged_nodes("vgg16")
+    representatives = {}
+    for func_op in nodes:
+        representatives.setdefault(ir_digest(func_op), func_op)
+    return list(representatives.values())
 
 
 def knobs_of(point):
@@ -137,13 +162,10 @@ class TestAliasesEqualDirectEvaluation:
         assert check_groups(context) == 2 * 3 * self.PROGRAMS["gemm"]
 
     def test_one_node_of_each_vgg16_fingerprint_class(self):
-        _, nodes = staged_nodes("vgg16")
-        representatives = {}
-        for func_op in nodes:
-            representatives.setdefault(ir_digest(func_op), func_op)
+        representatives = vgg16_representatives()
         assert len(representatives) == 28
         checked = 0
-        for func_op in representatives.values():
+        for func_op in representatives:
             context = function_context(single_function_module(func_op),
                                        VU9P_SLR)
             pipelines = [cleanup_pipeline_spec(name)
@@ -158,8 +180,102 @@ class TestAliasesEqualDirectEvaluation:
         assert checked > 100
 
 
+# -- the plan key partitions knob settings exactly as the staged IR does ----------------------
+
+
+def parent_stage_design_point(func_op, perm, tiles):
+    """``stage_design_point`` as it was before the plan existed: call each
+    transform and swallow its refusal.  The oracle for what the plan may
+    call and must leave alone."""
+    band = perfect_loop_band(outermost_loops(func_op)[0])
+    if len(perm) == len(band):
+        try:
+            band = permute_loop_band(band, perm)
+        except PassError:
+            pass
+    tile_loops = band
+    if any(size > 1 for size in tiles[: len(band)]):
+        sizes = list(tiles[: len(band)])
+        sizes += [1] * (len(band) - len(sizes))
+        try:
+            tile_loops, _ = tile_loop_band(band, sizes)
+        except PassError:
+            tile_loops = band
+    return tile_loops[-1]
+
+
+def staged_ir(func_op, target) -> tuple:
+    """The program a staging left: the IR's digest and where, in walk order,
+    the loop it hands to ``pipeline_loop`` sits."""
+    return ir_digest(func_op), next(
+        index for index, op in enumerate(func_op.walk()) if op is target)
+
+
+def check_partition(context) -> tuple[int, int]:
+    """Over every knob setting of the space: the new staging leaves the IR
+    the old one left, and grouping by the runtime's plan key equals grouping
+    by that IR.  Returns ``(knob settings, programs)``."""
+    snapshots = PrefixSnapshotCache()
+    programs = identities(context)
+    by_plan = collections.defaultdict(set)
+    by_oracle = collections.defaultdict(set)
+    settings = {knobs_of(point): point for point in
+                map(context.space.decode, context.space.all_points())}
+    for knobs, point in settings.items():
+        suffix = dse_apply.design_point_suffix_pass(point)
+        staged = []
+        for stage in (parent_stage_design_point, stage_design_point):
+            _, func_op = snapshots.checkout(context.module, point,
+                                            context.func_name)
+            staged.append(staged_ir(
+                func_op, stage(func_op, suffix.perm, suffix.tiles)))
+        assert staged[0] == staged[1]
+        by_oracle[staged[0]].add(knobs)
+        by_plan[programs.of(point)[:2]].add(knobs)
+    # Equal partitions: no plan key spans two programs (unsound), no program
+    # is split over two plan keys (missed).
+    assert sorted(map(sorted, by_plan.values())) \
+        == sorted(map(sorted, by_oracle.values()))
+    assert len(programs) <= 4
+    return len(settings), len(by_oracle)
+
+
+class TestPlanKeyPartitionsLikeTheStagedIR:
+    def test_every_knob_setting_of_the_table3_spaces(self):
+        counts = [check_partition(kernel_context(name, 4))
+                  for name in KERNEL_NAMES]
+        assert tuple(map(sum, zip(*counts))) == (1458, 418)
+
+    def test_every_knob_setting_of_each_vgg16_fingerprint_class(self):
+        counts = [check_partition(function_context(
+            single_function_module(func_op), VU9P_SLR))
+            for func_op in vgg16_representatives()]
+        assert len(counts) == 28
+        assert tuple(map(sum, zip(*counts))) == (4434, 362)
+
+    def test_trmm_perfectization_is_a_no_op_the_prefix_key_would_split(self):
+        # trmm's inner loop has a variable bound: lp=yes finds nothing to
+        # sink, so both settings are one program — told by the digest.
+        context = kernel_context("trmm", 4)
+        programs = identities(context)
+        plain, perfectized = (
+            programs.of(point((0, 1, 2), (2, 1, 1), lp=lp))
+            for lp in (False, True))
+        assert plain == perfectized and len(programs) == 2
+
+
 # -- what the identity covers ----------------------------------------------------------------
 
+
+THREES = """
+void threes(float A[3][3], float B[3][3]) {
+  for (int i = 0; i < 3; i++) {
+    for (int j = 0; j < 3; j++) {
+      B[i][j] = A[j][i] + B[i][j];
+    }
+  }
+}
+"""
 
 STRIDED = """
 void strided(float A[8][8], float B[8][8]) {
@@ -211,40 +327,103 @@ class TestWhatTheIdentityCovers:
                                          platform="zcu102"))
         assert len(programs) == 1  # one staged program behind all three
 
-    def test_the_loop_about_to_be_pipelined(self, monkeypatch):
+    def test_the_loop_about_to_be_pipelined(self):
+        # Not a separate part of the identity: the staging returns the
+        # innermost loop of the band it planned, and the suffix pipelines
+        # exactly that loop.
         context = kernel_context("gemm", 4)
         staged = point((0, 1, 2), (1, 1, 2), lp=True)
-        digest, position = staged_program(context.module, staged,
-                                          context.func_name)
-        stage = composite.stage_design_point
+        _, func_op = build_prefix(context.module, staged, context.func_name)
+        target = stage_design_point(func_op, staged.perm_map,
+                                    staged.tile_sizes)
+        # Three tile loops, then the one point loop (k by 2) inside them.
+        band = perfect_loop_band(outermost_loops(func_op)[0])
+        assert [loop.step for loop in band] == [1, 1, 2, 1]
+        assert target is band[2]
+        _, again = build_prefix(context.module, staged, context.func_name)
+        pipelined = run_design_point_suffix(again, staged.perm_map,
+                                            staged.tile_sizes, ii=2)
+        assert staged_ir(again, pipelined)[1] == staged_ir(func_op, target)[1]
+        assert pipelined_loops(again) == [pipelined]
 
-        def outermost(func_op, perm, tiles):
-            stage(func_op, perm, tiles)
-            return outermost_loops(func_op)[0]
 
-        monkeypatch.setattr(composite, "stage_design_point", outermost)
-        assert staged_program(context.module, staged, context.func_name) \
-            == (digest, 1) != (digest, position)
+# -- the plan, rule by rule -------------------------------------------------------------------
 
-    def test_identity_is_that_of_the_ir_left_behind_when_tiling_raises(self):
-        # The outer loop steps by 2: permutation succeeds, then
-        # tile_loop_band refuses the band (it wants unit steps) and the
-        # staging leaves the permuted, untiled loops behind.
+
+CUBE = ((4, 1), (6, 1), (8, 1))
+IDENTITY = (0, 1, 2)
+
+
+class TestPlanRules:
+    def test_a_permutation_that_fits_is_applied(self):
+        assert plan_design_point(CUBE, (2, 0, 1), ()) \
+            == ((2, 0, 1), (1, 1, 1), False)
+
+    @pytest.mark.parametrize("shape,perm", [
+        (CUBE, (1, 0)),                            # not one entry per loop
+        (CUBE, (0, 1, 2, 3)),
+        (CUBE, (0, 0, 1)),                         # not a permutation
+        (((4, 1), (None, 1), (8, 1)), (2, 0, 1)),  # a variable bound
+        (CUBE, IDENTITY)])
+    def test_any_other_is_the_identity(self, shape, perm):
+        assert plan_design_point(shape, perm, ())[0] == IDENTITY
+
+    def test_sizes_are_cut_and_padded_to_the_band(self):
+        assert plan_design_point(CUBE, IDENTITY, (2,)) \
+            == (IDENTITY, (2, 1, 1), True)
+        assert plan_design_point(CUBE, IDENTITY, (1, 1, 1, 4)) \
+            == (IDENTITY, (1, 1, 1), False)
+
+    def test_sizes_are_lowered_to_divisors_of_the_permuted_trip_counts(self):
+        # Loop 0 moves innermost: positions hold trips 6, 8, 4.
+        assert plan_design_point(CUBE, (2, 0, 1), (4, 16, 3)) \
+            == ((2, 0, 1), (3, 8, 2), True)
+        assert plan_design_point(CUBE, IDENTITY, (4, 16, 3)) \
+            == (IDENTITY, (4, 6, 2), True)
+
+    @pytest.mark.parametrize("shape", [
+        ((4, 1), (None, 1), (8, 1)), ((4, 1), (3, 2), (8, 1))])
+    def test_tiling_is_all_or_nothing(self, shape):
+        assert plan_design_point(shape, IDENTITY, (2, 1, 2)) \
+            == (IDENTITY, (1, 1, 1), False)
+
+    def test_which_knobs_the_plan_did_not_apply(self):
+        def skipped(shape, perm, tiles):
+            return knobs_not_applied(plan_design_point(shape, perm, tiles),
+                                     perm, tiles)
+
+        assert skipped(CUBE, (2, 0, 1), (2, 4, 4)) == (False, False)
+        assert skipped(CUBE, IDENTITY, (1, 1, 1)) == (False, False)
+        assert skipped(CUBE[:2], (2, 0, 1), (2, 3, 1)) == (True, False)
+        assert skipped(CUBE[:2], IDENTITY, (2, 3, 4)) == (False, True)
+        assert skipped(CUBE, IDENTITY, (3, 1, 1)) == (False, True)
+        # A DNN node: four knobs a loop, three loops, nothing requested.
+        assert skipped(CUBE, (0, 1, 2, 3), (1, 1, 1, 1)) == (False, False)
+
+    def test_a_stepped_band_is_permuted_and_left_untiled(self):
+        # The outer loop steps by 2: the permutation applies, the tiling
+        # (which wants unit steps) is planned off, and the staging leaves
+        # the permuted, untiled loops behind without asking tile_loop_band.
         module = compile_c(STRIDED, "strided")
         context = function_context(module, XC7Z020)
+        digest, shape = post_prefix_band(module, point((1, 0), (2, 4)))
+        assert shape == ((4, 2), (8, 1))
+        assert plan_design_point(shape, (1, 0), (2, 4)) \
+            == ((1, 0), (1, 1), False)
+
+        func_op = module.clone().functions()[0]
+        target = stage_design_point(func_op, (1, 0), (2, 4))
+        assert band_shape(perfect_loop_band(outermost_loops(func_op)[0])) \
+            == ((8, 1), (4, 2)) and target.step == 2
+        with pytest.raises(PassError):
+            tile_loop_band(perfect_loop_band(outermost_loops(func_op)[0]),
+                           (2, 4))
+
         programs = identities(context)
         swapped = programs.of(point((1, 0), (1, 1)))
         assert programs.of(point((1, 0), (2, 4))) == swapped
         assert programs.of(point((0, 1), (2, 4))) \
             == programs.of(point((0, 1), (1, 1))) != swapped
-
-        func_op = module.clone().functions()[0]
-        band = permute_loop_band(
-            [outermost_loops(func_op)[0],
-             outermost_loops(outermost_loops(func_op)[0])[0]], (1, 0))
-        with pytest.raises(PassError):
-            tile_loop_band(band, (2, 4))
-        assert swapped[:2] == (ir_digest(func_op), 2)
         # ... and the runtime's answer for the refused tiling is the direct one.
         space = context.space
         refused = next(encoded for encoded in space.all_points()
@@ -258,6 +437,132 @@ class TestWhatTheIdentityCovers:
         assert_same_record(
             classes.resolve(swapped, space.decode(refused), refused),
             direct_record(context, refused))
+
+    def test_sizes_that_all_lower_to_one_still_rebuild_the_band(self):
+        # 2 does not divide 3: every size lowers to 1, tile_loop_band runs
+        # anyway (as it always did) and builds new loops, which drops what
+        # the old ones carried.  So "tiled to all ones" is not "untiled",
+        # and the plan says which.
+        module = compile_c(THREES, "threes")
+        context = function_context(module, XC7Z020)
+        _, shape = post_prefix_band(module, point((0, 1), (2, 2)))
+        assert shape == ((3, 1), (3, 1))
+        assert plan_design_point(shape, (0, 1), (2, 2)) \
+            == ((0, 1), (1, 1), True)
+        assert plan_design_point(shape, (0, 1), (1, 1)) \
+            == ((0, 1), (1, 1), False)
+
+        def staged(tiles, mark):
+            func_op = module.clone().functions()[0]
+            if mark:
+                set_loop_directive(outermost_loops(func_op)[0],
+                                   LoopDirective(flatten=True))
+            for stage in (parent_stage_design_point, stage_design_point):
+                copy = func_op.clone()
+                yield staged_ir(copy, stage(copy, (0, 1), tiles))
+
+        for mark in (False, True):
+            tiled, tiled_by_plan = staged((2, 2), mark)
+            untiled, untiled_by_plan = staged((1, 1), mark)
+            assert tiled == tiled_by_plan and untiled == untiled_by_plan
+            assert (tiled != untiled) == mark
+        programs = identities(context)
+        assert programs.of(point((0, 1), (2, 2))) \
+            != programs.of(point((0, 1), (1, 1)))
+
+
+# -- what the coordinator runs ----------------------------------------------------------------
+
+
+@pytest.fixture
+def eager_thread_switches():
+    """Switch threads every few bytecodes, so passes really interleave."""
+    import sys
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+def run_threads(target, arguments) -> None:
+    import threading
+
+    threads = [threading.Thread(target=target, args=(argument,))
+               for argument in arguments]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+@pytest.mark.usefixtures("eager_thread_switches")
+class TestCoordinatorWork:
+    def test_prefix_builds_on_eight_threads_equal_a_serial_build(self):
+        import threading
+
+        module = kernel_context("syrk", 8).module
+        points = [point((0, 1, 2), (1, 1, 1), lp=lp, rvb=rvb)
+                  for lp in (False, True) for rvb in (False, True)]
+        serial = [post_prefix_band(module, each) for each in points]
+        assert len(set(serial)) == 4
+        results: dict = {}
+        barrier = threading.Barrier(8)
+
+        def build(index):
+            barrier.wait(timeout=60)
+            results[index] = [post_prefix_band(module, points[(index + k) % 4])
+                              for k in range(4)]
+
+        run_threads(build, range(8))
+        for index in range(8):
+            assert results[index] == [serial[(index + k) % 4]
+                                      for k in range(4)]
+
+    def test_dumps_from_two_threads_are_numbered_without_gaps(self, tmp_path):
+        import os
+        import threading
+
+        module = kernel_context("syrk", 4).module
+        barrier = threading.Barrier(2)
+
+        def build(lp):
+            barrier.wait(timeout=60)
+            for rvb in (False, True) * 3:
+                build_prefix(module, point((0, 1, 2), (1, 1, 1), lp=lp,
+                                           rvb=rvb))
+
+        with dump_ir_after(str(tmp_path)) as dumper:
+            run_threads(build, (False, True))
+        names = sorted(os.listdir(tmp_path))
+        # Two passes a build, twelve builds.
+        assert [int(name[:4]) for name in names] == list(range(1, 25))
+        assert sorted(dumper.paths) == [str(tmp_path / name) for name in names]
+        assert all((tmp_path / name).read_text().rstrip().endswith("}")
+                   for name in names)
+
+    def test_one_digest_a_prefix_key_and_no_other_pass(self, gemm8, golden,
+                                                       monkeypatch):
+        digests = []
+        monkeypatch.setattr(
+            incremental, "ir_digest",
+            lambda func_op: digests.append(ir_digest(func_op)) or digests[-1])
+        runs = []
+        run = PassManager.run
+        monkeypatch.setattr(
+            PassManager, "run",
+            lambda self, op: runs.append(self.to_spec()) or run(self, op))
+        result = explore(gemm8, jobs=2)
+        assert document(result) == golden["clean"]
+        prefixes = {record.point.prefix_key(): record.point
+                    for record in result.records.values()}
+        assert len(digests) == len(prefixes) <= 4
+        # Evaluations ran in the pool: all this process ran is the builds.
+        assert sorted(runs) == sorted(
+            ["canonicalize"] * len(prefixes)
+            + [dse_apply.design_point_prefix_pass(each).display_name
+               for each in prefixes.values()])
 
 
 # -- the runtime: unchanged goldens, one task per program ------------------------------------
@@ -317,17 +622,20 @@ class TestGemmSweep:
 
     def test_staging_is_counted_and_spanned_alike_at_any_jobs(self, gemm8):
         _, serial, _ = observed(lambda jobs: explore(gemm8, jobs=jobs), 1)
-        _, pooled, session = observed(lambda jobs: explore(gemm8, jobs=jobs), 2)
+        result, pooled, session = observed(
+            lambda jobs: explore(gemm8, jobs=jobs), 2)
         assert serial == pooled
         assert pooled["dse.evaluations"] < pooled["dse.points"]
         assert session.metrics.counters["dse.identity.seconds"] > 0
         spans = [span for spans in session.tracer.tracks().values()
                  for span in spans if span.name in ("dse.batch", "dse.identity")]
-        # Close order: one staging span inside every batch, whatever it staged.
+        # Close order: one identity span inside every batch, whatever it built.
         assert [span.name for span in spans] \
             == ["dse.identity", "dse.batch"] * (len(spans) // 2)
+        # 16 knob settings, 12 programs, one build per prefix key.
         assert sum(span.args.get("staged", 0) for span in spans) \
-            == serial["dse.evaluations"] + 4  # 16 knob settings, 12 programs
+            == len({record.point.prefix_key()
+                    for record in result.records.values()}) == 2
 
     @pytest.mark.parametrize("mode,jobs", [("flaky", 1), ("flaky", 2),
                                            ("crash", 1)])

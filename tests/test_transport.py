@@ -367,9 +367,6 @@ class _KillAgentAfterFirstBatch:
             self.killed = True
         return records
 
-    def snapshots_for(self, key):
-        return self._inner.snapshots_for(key)
-
     def close(self):
         self._inner.close()
 
