@@ -56,8 +56,12 @@ evaluation through ``evaluate_encoded`` and counts, from outside, the work
 an evaluation must do once: ``Operation.clone`` calls of the suffix against
 the ops it leaves, first-``canonicalize`` visits against ops,
 ``access_expressions`` calls against distinct accesses over partitioning
-plus estimation, and cyclic collections.  The counts do not depend on the
-machine; the smoke gate fails on them, not on a clock.
+plus estimation, and cyclic collections.  Two ``thorough`` evaluations (the
+fully unrolled one, and one that leaves three loops around the body) add
+what the block scans read: ``Operation.walk`` items yielded while a scan
+pass runs against the ops at its entry, and address keys computed against
+accesses.  The counts do not depend on the machine; the smoke gate fails on
+them, not on a clock.
 """
 
 from __future__ import annotations
@@ -333,13 +337,66 @@ def measure_prefix_reuse(size: int = 8, repeats: int = 3) -> dict:
             "hits": hits, "misses": misses}
 
 
-#: Smoke-gate bounds on :func:`measure_work_counts` (``count / base``).
+#: Smoke-gate bounds on :func:`measure_work_counts` and
+#: :func:`measure_scan_counts` (``count / base``).
 WORK_COUNT_LIMITS = {
     "suffix_clones_per_op": 1.0,
     "first_canonicalize_visits_per_op": 0.15,
     "access_derivations_per_access": 1.0,
     "collections_per_evaluation": 1.0,
 }
+
+#: Tile size of every loop at the two points :func:`measure_scan_counts`
+#: evaluates (None: the trip count, i.e. no loop left).
+SCAN_POINTS = {"unrolled": None, "three_loops": 1}
+#: ``Operation.walk`` items a block scan may take per op, by point.  A scan
+#: walks a region op only while it holds state to forget: never on the flat
+#: body, and with loops left only the ``affine.if`` that follows a load in
+#: the innermost body (a nested walk taken at every level costs 3 and more).
+#: ``cse`` holds no such state.
+SCAN_WALK_LIMITS = {
+    "unrolled": {"affine-store-forward": 0.0, "simplify-memref-access": 0.0,
+                 "cse": 0.0},
+    "three_loops": {"affine-store-forward": 1.0, "simplify-memref-access": 1.0,
+                    "cse": 0.0},
+}
+#: The scans that compute address keys: at most one per access.
+SCAN_KEY_LIMIT = {"affine-store-forward": 1.0, "simplify-memref-access": 1.0}
+WORK_COUNT_LIMITS.update({
+    f"walk_items_per_op.{name}.{point}": limit
+    for point, limits in SCAN_WALK_LIMITS.items()
+    for name, limit in limits.items()})
+WORK_COUNT_LIMITS.update({
+    f"address_keys_per_access.{name}.{point}": limit
+    for point in SCAN_POINTS for name, limit in SCAN_KEY_LIMIT.items()})
+
+
+def _gemm_evaluation(size: int):
+    """The context ``evaluate_encoded`` takes for gemm ``size``^3, and
+    ``encode(tile, pipeline)``: the perfectized point that tiles every loop
+    by ``tile`` (None: by its trip count) and cleans up with ``pipeline``."""
+    from repro.dse.runtime.worker import KernelContext
+    from repro.dse.space import KernelDesignSpace
+    from repro.estimation import XC7Z020
+    from repro.pipeline import compile_kernel
+
+    module = compile_kernel("gemm", size)
+    space = KernelDesignSpace.from_function(module.functions()[0])
+
+    def encode(tile, pipeline):
+        encoded = [0] * space.num_dimensions
+        encoded[0] = space.lp_options.index(True)
+        encoded[2] = space.perm_options.index((0, 1, 2))
+        encoded[3:space.ii_dimension] = [
+            len(options) - 1 if tile is None else options.index(tile)
+            for options in space.tile_options]
+        encoded[space.ii_dimension + 1] = space.pipeline_options.index(pipeline)
+        assert space.decode(encoded).tile_sizes == (tile or size,) * 3
+        return tuple(encoded)
+
+    context = KernelContext(module=module, func_name=None, platform=XC7Z020,
+                            space=space)
+    return context, encode
 
 
 def measure_work_counts(size: int = 4) -> dict:
@@ -353,25 +410,13 @@ def measure_work_counts(size: int = 4) -> dict:
     for the seeded worklist) when nothing is done twice.
     """
     from repro.dialects import affine_ops
-    from repro.dse.runtime.worker import KernelContext, evaluate_encoded
-    from repro.dse.space import KernelDesignSpace
-    from repro.estimation import XC7Z020
+    from repro.dse.runtime.worker import evaluate_encoded
     from repro.estimation import estimator as estimator_module
     from repro.ir.rewrite import GreedyRewriteDriver
-    from repro.pipeline import compile_kernel
     from repro.transforms.composite import DesignPointSuffixPass
 
-    module = compile_kernel("gemm", size)
-    space = KernelDesignSpace.from_function(module.functions()[0])
-    encoded = [0] * space.num_dimensions
-    encoded[0] = space.lp_options.index(True)
-    encoded[2] = space.perm_options.index((0, 1, 2))
-    encoded[3:space.ii_dimension] = [len(options) - 1
-                                     for options in space.tile_options]
-    encoded[space.ii_dimension + 1] = space.pipeline_options.index("default")
-    context = KernelContext(module=module, func_name=None, platform=XC7Z020,
-                            space=space)
-    assert space.decode(encoded).tile_sizes == (size,) * 3
+    context, encode = _gemm_evaluation(size)
+    encoded = encode(None, "default")
 
     counts = {"suffix_clones": 0, "suffix_ops": 0, "canonicalize_visits": None,
               "canonicalize_ops": 0, "collections": 0}
@@ -406,14 +451,14 @@ def measure_work_counts(size: int = 4) -> dict:
             counts["canonicalize_visits"] = sum(driver.visit_counts.values())
         return changed
 
-    def counted_derive(op, dim_map):
+    def counted_derive(op, dim_map, *derived):
         derivations[id(op)] = derivations.get(id(op), 0) + 1
-        return derive(op, dim_map)
+        return derive(op, dim_map, *derived)
 
     def on_collection(phase, info):
         counts["collections"] += phase == "start"
 
-    evaluate_encoded(context, tuple(encoded))  # warm lazy caches first
+    evaluate_encoded(context, encoded)  # warm lazy caches first
     with contextlib.ExitStack() as stack:
         def patch(owner, name, value):
             stack.callback(setattr, owner, name, getattr(owner, name))
@@ -426,7 +471,7 @@ def measure_work_counts(size: int = 4) -> dict:
         patch(estimator_module, "access_expressions", counted_derive)
         gc.callbacks.append(on_collection)
         stack.callback(gc.callbacks.remove, on_collection)
-        record = evaluate_encoded(context, tuple(encoded))
+        record = evaluate_encoded(context, encoded)
     assert record.ok
 
     counts["access_derivations"] = sum(derivations.values())
@@ -448,6 +493,89 @@ def measure_work_counts(size: int = 4) -> dict:
           f"{counts['accesses']} accesses, {counts['collections']} "
           f"collection(s) inside the evaluation")
     return {"size": size, **counts, **ratios}
+
+
+def measure_scan_counts(size: int = 4) -> dict:
+    """What the three block scans read during one ``thorough`` evaluation of
+    each of :data:`SCAN_POINTS`, taken from outside.
+
+    Wrappers around the scan passes' ``run`` note the ops and accesses of
+    the function at entry; while one runs, a wrapper around
+    ``Operation.walk`` counts the items it yields and wrappers around
+    ``access_key`` count the address keys computed.  ``thorough`` runs every
+    scan twice; a ratio is the sum over both runs.
+    """
+    from repro.dse.runtime.worker import evaluate_encoded
+    from repro.transforms.cleanup import simplify_memref_access, store_forward
+    from repro.transforms.cleanup.cse import CSEPass
+
+    passes = {"affine-store-forward": store_forward.AffineStoreForwardPass,
+              "simplify-memref-access": simplify_memref_access.SimplifyMemrefAccessPass,
+              "cse": CSEPass}
+    context, encode = _gemm_evaluation(size)
+    walk, key = Operation.walk, store_forward.access_key
+    counts: dict = {}
+    running = None
+
+    def counted_walk(op):
+        for item in walk(op):
+            if running is not None:
+                running["walk_items"] += 1
+            yield item
+
+    def counted_key(*args):
+        running["address_keys"] += 1
+        return key(*args)
+
+    def counted_run(pass_name, run):
+        def wrapper(pass_, func_op):
+            nonlocal running
+            entry = counts[point].setdefault(pass_name, {
+                "ops": 0, "accesses": 0, "walk_items": 0, "address_keys": 0})
+            names = [op.name for op in walk(func_op)][1:]
+            entry["ops"] += len(names)
+            entry["accesses"] += sum(name in store_forward.ACCESS_OPS
+                                     for name in names)
+            running = entry
+            try:
+                run(pass_, func_op)
+            finally:
+                running = None
+        return wrapper
+
+    with contextlib.ExitStack() as stack:
+        def patch(owner, name, value):
+            stack.callback(setattr, owner, name, getattr(owner, name))
+            setattr(owner, name, value)
+
+        patch(Operation, "walk", counted_walk)
+        patch(store_forward, "access_key", counted_key)
+        patch(simplify_memref_access, "access_key", counted_key)
+        for pass_name, pass_class in passes.items():
+            patch(pass_class, "run", counted_run(pass_name, pass_class.run))
+        for point, tile in SCAN_POINTS.items():
+            counts[point] = {}
+            assert evaluate_encoded(context, encode(tile, "thorough")).ok
+
+    def ratio(entry, count, base):
+        # A scan the counters never saw fails its gate.
+        return entry[count] / entry[base] if entry.get(base) else float("inf")
+
+    ratios = {}
+    for point, per_pass in counts.items():
+        for name in passes:
+            entry = per_pass.get(name, {})
+            ratios[f"walk_items_per_op.{name}.{point}"] = \
+                ratio(entry, "walk_items", "ops")
+            if name in SCAN_KEY_LIMIT:
+                ratios[f"address_keys_per_access.{name}.{point}"] = \
+                    ratio(entry, "address_keys", "accesses")
+        print(f"scan_counts: gemm {size}^3 {point}, thorough: " + "; ".join(
+            f"{name} walked {entry['walk_items']} items over "
+            f"{entry['ops']} ops, {entry['address_keys']} keys for "
+            f"{entry['accesses']} accesses"
+            for name, entry in per_pass.items()))
+    return {"scan_counts": counts, **ratios}
 
 
 def measure_gemm_dse(sizes) -> dict:
@@ -551,8 +679,9 @@ def main(argv=None) -> int:
     parser.add_argument("--work-counts", action="store_true",
                         help="also count the work of one fully unrolled gemm "
                              "evaluation (clones, canonicalize visits, access "
-                             "derivations, collections); implied by --smoke, "
-                             "where the counts are gated")
+                             "derivations, collections) and what the block "
+                             "scans read (walk items, address keys); implied "
+                             "by --smoke, where the counts are gated")
     args = parser.parse_args(argv)
 
     sizes = tuple(args.sizes) if args.sizes \
@@ -562,7 +691,7 @@ def main(argv=None) -> int:
     gemm_dse = measure_gemm_dse(args.gemm_dse) if args.gemm_dse else None
     prefix_reuse = measure_prefix_reuse() \
         if args.prefix_reuse or args.smoke else None
-    work_counts = measure_work_counts() \
+    work_counts = {**measure_work_counts(), **measure_scan_counts()} \
         if args.work_counts or args.smoke else None
 
     if args.json:

@@ -324,8 +324,15 @@ def value_to_affine_expr(value: Value, dim_map: dict[Value, int]) -> Optional[Af
     return None
 
 
-def access_expressions(op: Operation, dim_map: dict[Value, int]) -> Optional[list[AffineExpr]]:
-    """Per-dimension index expressions of an access in terms of ``dim_map`` dims."""
+def access_expressions(op: Operation, dim_map: dict[Value, int],
+                       derived: Optional[dict[Value, Optional[AffineExpr]]] = None
+                       ) -> Optional[list[AffineExpr]]:
+    """Per-dimension index expressions of an access in terms of ``dim_map`` dims.
+
+    ``derived`` keeps :func:`value_to_affine_expr` of each index operand for
+    the next access under the same ``dim_map`` (after CSE one
+    ``affine.apply`` feeds many accesses).
+    """
     indices = access_indices(op)
     if op.name in ("affine.load", "affine.store"):
         access_map: AffineMap = op.get_attr("map")
@@ -349,7 +356,12 @@ def access_expressions(op: Operation, dim_map: dict[Value, int]) -> Optional[lis
                 return [const_expr(value) for value in access_map.evaluate(values)]
     operand_exprs = []
     for operand in indices:
-        expr = value_to_affine_expr(operand, dim_map)
+        if derived is None:
+            expr = value_to_affine_expr(operand, dim_map)
+        elif operand in derived:
+            expr = derived[operand]
+        else:
+            expr = derived[operand] = value_to_affine_expr(operand, dim_map)
         if expr is None:
             return None
         operand_exprs.append(expr)
@@ -372,7 +384,7 @@ class AccessTable:
     being rewritten: whoever mutates the IR after filling it drops it.
     """
 
-    __slots__ = ("_nests", "_entries")
+    __slots__ = ("_nests", "_entries", "_derived")
 
     def __init__(self):
         #: Block -> (its ``affine.for`` ancestors, their dim map): one
@@ -381,6 +393,10 @@ class AccessTable:
         #: Access -> (loops derived under, index expressions or None).
         self._entries: dict[Operation, tuple[tuple[AffineForOp, ...],
                                              Optional[list[AffineExpr]]]] = {}
+        #: Loop nest -> index value -> its expression over that nest's dims:
+        #: one derivation per value, not per access it feeds.
+        self._derived: dict[tuple[AffineForOp, ...],
+                            dict[Value, Optional[AffineExpr]]] = {}
 
     def nest(self, op: Operation) -> tuple[tuple[AffineForOp, ...], dict[Value, int]]:
         """The ``affine.for`` ancestors of ``op``, outermost first, and the
@@ -399,7 +415,11 @@ class AccessTable:
         under those loops."""
         entry = self._entries.get(op)
         if entry is None or entry[0] != loops:
-            entry = self._entries[op] = (loops, access_expressions(op, dim_map))
+            derived = self._derived.get(loops)
+            if derived is None:
+                derived = self._derived[loops] = {}
+            entry = self._entries[op] = (
+                loops, access_expressions(op, dim_map, derived))
         return entry[1]
 
 

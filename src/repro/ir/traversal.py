@@ -32,22 +32,32 @@ def scan_blocks(root: "Operation", scan: Callable[["Block"], int],
     """Run a linear per-block analysis once on every block under ``root``.
 
     ``scan(block)`` rewrites one block and returns how many rewrites it
-    applied; blocks are visited in ``root.walk()`` order, the walk taken
-    before the first scan (scans erase only the region-free ops they fold).
+    applied; blocks are visited in pre-order of their parent operations (the
+    order ``root.walk()`` meets them), enumerated before the first scan by
+    descending only into operations that hold regions (scans erase only the
+    region-free ops they fold).
     Returns the sum, and reports it to the metrics registry as
     ``pattern.<name>.hits`` beside ``pattern.<name>.misses``, the number of
     blocks that yielded nothing.  The one place the cleanup scans (``cse``,
     ``affine-store-forward``, ``simplify-memref-access``) meet the IR.
     """
-    hits = misses = 0
-    for op in list(root.walk()):
-        for region in op.regions:
+    blocks: list["Block"] = []
+    stack = [root]
+    while stack:
+        holders: list["Operation"] = []
+        for region in stack.pop().regions:
             for block in region.blocks:
-                applied = scan(block)
-                if applied:
-                    hits += applied
-                else:
-                    misses += 1
+                blocks.append(block)
+                holders.extend([op for op in block.operations if op.regions])
+        holders.reverse()
+        stack.extend(holders)
+    hits = misses = 0
+    for block in blocks:
+        applied = scan(block)
+        if applied:
+            hits += applied
+        else:
+            misses += 1
     obs.add_pattern_stats({name: (hits, misses)}, {})
     return hits
 

@@ -39,26 +39,31 @@ class CSEPass(FunctionPass):
 def _cse_block(block: Block) -> int:
     removed = 0
     seen: dict[tuple, Operation] = {}
-    for op in list(block.operations):
-        if op.parent is not block:
+    # The hashable form of each attribute dict met, with the dict itself so
+    # its id stays taken: unrolled clones share one dict, rendered once.
+    rendered: dict[int, tuple[dict, tuple]] = {}
+    for op in block.operations:
+        name = op.name
+        if name not in _CSE_NAMES or op.regions or len(op.results) != 1:
             continue
-        if op.name not in _CSE_NAMES:
-            continue
-        if op.regions or op.num_results != 1:
-            continue
-        key = _op_key(op)
-        if key in seen:
-            op.result().replace_all_uses_with(seen[key].result())
+        attributes = op._attributes
+        if attributes:
+            entry = rendered.get(id(attributes))
+            if entry is None:
+                entry = rendered[id(attributes)] = (attributes, tuple(sorted(
+                    [(k, _hashable(v)) for k, v in attributes.items()])))
+            attrs = entry[1]
+        else:
+            attrs = ()
+        key = (name, tuple([id(use.value) for use in op._operands]), attrs)
+        earlier = seen.get(key)
+        if earlier is None:
+            seen[key] = op
+        else:
+            op.results[0].replace_all_uses_with(earlier.results[0])
             op.erase()
             removed += 1
-        else:
-            seen[key] = op
     return removed
-
-
-def _op_key(op: Operation) -> tuple:
-    attrs = tuple(sorted((k, _hashable(v)) for k, v in op.attributes.items()))
-    return (op.name, tuple(id(operand) for operand in op.operands), attrs)
 
 
 def _hashable(value):

@@ -10,20 +10,23 @@ Folds identical memory accesses when no dependency conflict exists:
 
 from __future__ import annotations
 
-from repro.dialects.affine_ops import access_is_write, access_memref
 from repro.ir.block import Block
 from repro.ir.operation import Operation
 from repro.ir.pass_manager import FunctionPass
 from repro.ir.pass_registry import register_pass
 from repro.ir.traversal import scan_blocks
-from repro.transforms.cleanup.store_forward import ACCESS_OPS, access_key
+from repro.transforms.cleanup.store_forward import (
+    ACCESS_OPS,
+    CLOBBER_OPS,
+    STORE_OPS,
+    access_key,
+    touched_memrefs,
+)
 
 
 def simplify_memref_accesses(root: Operation) -> int:
     """Fold redundant accesses under ``root``.  Returns the number of ops removed."""
-    return scan_blocks(
-        root, lambda block: _fold_loads(block) + _remove_dead_stores(block),
-        "MemrefAccessScanPattern")
+    return scan_blocks(root, _simplify_in_block, "MemrefAccessScanPattern")
 
 
 @register_pass("simplify-memref-access")
@@ -34,69 +37,57 @@ class SimplifyMemrefAccessPass(FunctionPass):
         simplify_memref_accesses(op)
 
 
-def _touched_memrefs(op: Operation) -> set[int]:
-    return {id(access_memref(inner)) for inner in op.walk() if inner.name in ACCESS_OPS}
+def _simplify_in_block(block: Block) -> int:
+    """Fold repeated loads and remove dead stores in one forward scan.
 
-
-def _fold_loads(block: Block) -> int:
+    Both rules look only backwards, and folding a load rewrites only
+    operations after it, so each op is judged on operands that are already
+    final.  A folded load had a surviving load of its buffer before it with
+    no store in between, which already made every pending store observable:
+    skipping it changes nothing for the stores.
+    """
     removed = 0
-    # Available loads per exact address, bucketed by buffer: a store (or a
-    # region op touching the buffer) invalidates its bucket with one O(1)
-    # pop instead of rebuilding the whole map per write — the seed rebuild
-    # was quadratic on exactly the unrolled load/store streams this pass
-    # exists to clean up.
+    # Available loads and pending (not yet observable) stores per exact
+    # address, bucketed by buffer: a may-alias access of the buffer (or a
+    # region op touching it) invalidates the bucket with one O(1) pop.
     available: dict[int, dict[tuple, Operation]] = {}
-    for op in list(block.operations):
-        if op.parent is not block:
-            continue
-        if op.name not in ACCESS_OPS:
-            if op.regions:
-                for memref_id in _touched_memrefs(op):
-                    available.pop(memref_id, None)
-            continue
-        memref_id = id(access_memref(op))
-        if access_is_write(op):
-            available.pop(memref_id, None)
-            continue
-        key = access_key(op)
-        loads = available.get(memref_id)
-        if loads is None:
-            loads = available[memref_id] = {}
-        earlier = loads.get(key)
-        if earlier is not None:
-            op.result().replace_all_uses_with(earlier.result())
-            op.erase()
-            removed += 1
-        else:
-            loads[key] = op
-    return removed
-
-
-def _remove_dead_stores(block: Block) -> int:
-    removed = 0
-    # Pending (not-yet-observable) stores per exact address, bucketed by
-    # buffer — same O(1) invalidation story as _fold_loads.
     pending: dict[int, dict[tuple, Operation]] = {}
-    for op in list(block.operations):
-        if op.parent is not block:
-            continue
-        if op.name not in ACCESS_OPS:
-            if op.regions:
-                for memref_id in _touched_memrefs(op):
+    for op in block.operations:
+        name = op.name
+        if name not in ACCESS_OPS:
+            # Walked only when there is something to forget: the outer
+            # blocks of a loop nest hold no access before the nested loop.
+            if (op.regions or name in CLOBBER_OPS) and (available or pending):
+                for memref_id in touched_memrefs(op):
+                    available.pop(memref_id, None)
                     pending.pop(memref_id, None)
-            continue
-        memref_id = id(access_memref(op))
-        if access_is_write(op):
-            key = access_key(op)
+        elif name in STORE_OPS:
+            memref_id = id(op._operands[1].value)
+            available.pop(memref_id, None)
+            key = access_key(op, 1)
             stores = pending.get(memref_id)
             if stores is None:
-                stores = pending[memref_id] = {}
-            earlier = stores.get(key)
-            if earlier is not None:
-                earlier.erase()
-                removed += 1
-            stores[key] = op
+                pending[memref_id] = {key: op}
+            else:
+                earlier = stores.get(key)
+                if earlier is not None:
+                    earlier.erase()
+                    removed += 1
+                stores[key] = op
         else:
+            memref_id = id(op._operands[0].value)
             # A load of the buffer makes every pending store to it observable.
             pending.pop(memref_id, None)
+            key = access_key(op, 0)
+            loads = available.get(memref_id)
+            if loads is None:
+                available[memref_id] = {key: op}
+            else:
+                earlier = loads.get(key)
+                if earlier is None:
+                    loads[key] = op
+                else:
+                    op.results[0].replace_all_uses_with(earlier.results[0])
+                    op.erase()
+                    removed += 1
     return removed

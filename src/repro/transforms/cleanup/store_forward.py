@@ -9,23 +9,33 @@ removes buffers that end up write-only (every user is a store), which is how
 
 from __future__ import annotations
 
-from repro.dialects.affine_ops import access_indices, access_is_write, access_memref
 from repro.ir.block import Block
 from repro.ir.operation import Operation
 from repro.ir.pass_manager import FunctionPass
 from repro.ir.pass_registry import register_pass
 from repro.ir.traversal import scan_blocks
+from repro.ir.types import MemRefType
 
 #: The memory-access op names the block scans dispatch on (shared with
 #: ``simplify-memref-access``).
 ACCESS_OPS = frozenset({"affine.load", "affine.store",
                         "memref.load", "memref.store"})
 
+#: The accesses that write.  Their operands are (value, memref, *indices);
+#: a load's are (memref, *indices).
+STORE_OPS = frozenset({"affine.store", "memref.store"})
+
+#: Ops that are not accesses yet may read or write any buffer they are
+#: handed: a scan that meets one forgets what it knew about those buffers.
+CLOBBER_OPS = frozenset({"memref.copy", "func.call", "memref.dealloc"})
+
 
 def forward_stores(root: Operation) -> int:
     """Forward stores to loads under ``root``.  Returns the number of forwards."""
-    return scan_blocks(root, _forward_in_block, "StoreForwardScanPattern") \
-        + _remove_write_only_buffers(root)
+    allocs: list[Operation] = []
+    forwarded = scan_blocks(root, lambda block: _forward_in_block(block, allocs),
+                            "StoreForwardScanPattern")
+    return forwarded + _remove_write_only_buffers(allocs)
 
 
 @register_pass("affine-store-forward")
@@ -36,59 +46,66 @@ class AffineStoreForwardPass(FunctionPass):
         forward_stores(op)
 
 
-def access_key(op: Operation) -> tuple:
-    """Hashable address identity of an access (memref, index values, access map)."""
-    memref = access_memref(op)
-    indices = tuple(id(v) for v in access_indices(op))
-    access_map = op.get_attr("map")
-    return (id(memref), indices, str(access_map) if access_map is not None else None)
+def access_key(op: Operation, memref_slot: int) -> tuple:
+    """Hashable address identity of an access: its memref and index values
+    (the operands from ``memref_slot`` on) and its access map."""
+    access_map = op._attributes.get("map")
+    return (tuple([id(use.value) for use in op._operands[memref_slot:]]),
+            str(access_map) if access_map is not None else None)
 
 
-def _forward_in_block(block: Block) -> int:
+def touched_memrefs(op: Operation) -> set[int]:
+    """The ``id`` of every buffer that ``op``, a region holder or one of
+    :data:`CLOBBER_OPS`, may read or write, nested operations included."""
+    touched: set[int] = set()
+    for inner in op.walk():
+        name = inner.name
+        if name in ACCESS_OPS:
+            touched.add(id(inner._operands[1 if name in STORE_OPS else 0].value))
+        elif name in CLOBBER_OPS:
+            touched.update(id(use.value) for use in inner._operands
+                           if isinstance(use.value.type, MemRefType))
+    return touched
+
+
+def _forward_in_block(block: Block, allocs: list[Operation]) -> int:
+    """Forward within ``block``; every ``memref.alloc`` passed on the way is
+    appended to ``allocs``."""
     forwarded = 0
-    # Last store per exact address, bucketed by buffer so a store's
-    # may-alias invalidation is one O(1) bucket replacement instead of a
-    # rebuild of the whole map (quadratic on unrolled store streams).
-    last_store: dict[int, dict[tuple, Operation]] = {}
-    for op in list(block.operations):
-        if op.parent is not block or op.name not in ACCESS_OPS:
-            # Region-holding ops (loops, ifs) may touch memory: be conservative.
-            if op.regions:
-                for inner in op.walk():
-                    if inner.name in ACCESS_OPS:
-                        last_store.pop(id(access_memref(inner)), None)
-            continue
-        if access_is_write(op):
-            key = access_key(op)
-            # A store may alias any other address of the same buffer: only
-            # this exact address survives, now defined by this store.
-            last_store[id(access_memref(op))] = {key: op}
+    # The last store per buffer and its address.  A store may alias any
+    # other address of the same buffer, so only the latest one survives.
+    last_store: dict[int, tuple[tuple, Operation]] = {}
+    for op in block.operations:
+        name = op.name
+        if name not in ACCESS_OPS:
+            if op.regions or name in CLOBBER_OPS:
+                # Walked only when there is something to forget: the outer
+                # blocks of a loop nest hold no store before the nested loop.
+                if last_store:
+                    for memref_id in touched_memrefs(op):
+                        last_store.pop(memref_id, None)
+            elif name == "memref.alloc":
+                allocs.append(op)
+        elif name in STORE_OPS:
+            last_store[id(op._operands[1].value)] = (access_key(op, 1), op)
         else:
-            key = access_key(op)
-            stores = last_store.get(id(access_memref(op)))
-            store = stores.get(key) if stores else None
-            if store is not None:
-                stored_value = store.operand(0)
-                op.result().replace_all_uses_with(stored_value)
+            store = last_store.get(id(op._operands[0].value))
+            if store is not None and store[0] == access_key(op, 0):
+                op.results[0].replace_all_uses_with(store[1]._operands[0].value)
                 op.erase()
                 forwarded += 1
     return forwarded
 
 
-def _remove_write_only_buffers(root: Operation) -> int:
+def _remove_write_only_buffers(allocs: list[Operation]) -> int:
     removed = 0
-    for op in list(root.walk()):
-        if op.name != "memref.alloc" or op.parent is None:
-            continue
-        users = [use.owner for use in op.result().uses]
-        if not users:
-            op.erase()
-            removed += 1
-            continue
-        if all(user.name in ("affine.store", "memref.store", "memref.dealloc")
-               and (user.name == "memref.dealloc" or access_memref(user) is op.result())
+    for op in allocs:
+        buffer = op.results[0]
+        users = [use.owner for use in buffer.uses]
+        if all(user.name == "memref.dealloc"
+               or (user.name in STORE_OPS and user._operands[1].value is buffer)
                for user in users):
-            for user in list(users):
+            for user in users:
                 user.erase()
             op.erase()
             removed += 1

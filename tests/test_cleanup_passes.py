@@ -9,7 +9,7 @@ from repro.affine.set import Constraint, IntegerSet
 from repro.dialects import arith, func, memref
 from repro.dialects.affine_ops import AffineForOp, AffineIfOp, AffineLoadOp, AffineStoreOp
 from repro.ir import Builder, InsertionPoint, MemRefType, ModuleOp, f32, index
-from repro.ir.interpreter import interpret_kernel
+from repro.ir.interpreter import Interpreter, interpret_kernel
 from repro.transforms import (
     canonicalize,
     eliminate_common_subexpressions,
@@ -253,6 +253,102 @@ class TestStoreForwardAndAccessSimplification:
         load = builder.insert(AffineLoadOp(f.arguments[0], [zero.result()]))
         builder.insert(AffineStoreOp(load.result(), f.arguments[0], [zero.result()]))
         assert simplify_memref_accesses(f) == 0
+
+
+def _interpreted(module, shapes):
+    """The arrays ``f`` of ``module`` leaves, run on fixed inputs."""
+    arrays = [random_array(shape, seed=31 + position)
+              for position, shape in enumerate(shapes)]
+    Interpreter(module).run("f", arrays)
+    return arrays
+
+
+class TestScansStopAtOpsThatTouchWholeBuffers:
+    """``memref.copy`` and ``func.call`` are neither loads nor stores, yet
+    read and write the buffers they are handed: what a scan knew about
+    those buffers ends there, at block level and inside a region."""
+
+    SHAPES = [(4,), (4,), (4,)]
+
+    def build(self, body, nested):
+        """``f(A, B, OUT)`` with ``body`` filled in; ``clobber(builder)`` runs
+        at block level, or inside an always-taken ``affine.if``."""
+        module, f, builder = make_function([MemRefType(shape, f32)
+                                            for shape in self.SHAPES])
+        g = func.build_function(module, "g", [MemRefType((4,), f32)])
+        inner = Builder(InsertionPoint.at_end(g.body))
+        zero = inner.insert(arith.ConstantOp(0, index))
+        five = inner.insert(arith.ConstantOp(5.0, f32))
+        inner.insert(AffineStoreOp(five.result(), g.arguments[0], [zero.result()]))
+        inner.insert(func.ReturnOp())
+        zero = builder.insert(arith.ConstantOp(0, index))
+
+        def clobber(op):
+            if not nested:
+                return builder.insert(op)
+            guard = builder.insert(AffineIfOp(
+                IntegerSet(1, 0, [Constraint(dim(0), False)]), [zero.result()]))
+            return Builder(InsertionPoint.at_end(guard.then_block)).insert(op)
+
+        body(builder, zero.result(), clobber, *f.arguments)
+        builder.insert(func.ReturnOp())
+        ir.verify(module)
+        return module, f
+
+    @staticmethod
+    def stale_forward(builder, zero, clobber, A, B, OUT, over_call=False):
+        two = builder.insert(arith.ConstantOp(2.0, f32))
+        builder.insert(AffineStoreOp(two.result(), A, [zero]))
+        clobber(func.CallOp("g", [A]) if over_call else memref.CopyOp(B, A))
+        load = builder.insert(AffineLoadOp(A, [zero]))
+        builder.insert(AffineStoreOp(load.result(), OUT, [zero]))
+
+    @classmethod
+    def stale_forward_over_call(cls, *args):
+        cls.stale_forward(*args, over_call=True)
+
+    @staticmethod
+    def stale_load(builder, zero, clobber, A, B, OUT):
+        first = builder.insert(AffineLoadOp(A, [zero]))
+        clobber(memref.CopyOp(B, A))
+        second = builder.insert(AffineLoadOp(A, [zero]))
+        total = builder.insert(arith.AddFOp(first.result(), second.result()))
+        builder.insert(AffineStoreOp(total.result(), OUT, [zero]))
+
+    @staticmethod
+    def observed_store(builder, zero, clobber, A, B, OUT):
+        two = builder.insert(arith.ConstantOp(2.0, f32))
+        three = builder.insert(arith.ConstantOp(3.0, f32))
+        builder.insert(AffineStoreOp(two.result(), A, [zero]))
+        clobber(memref.CopyOp(A, B))
+        builder.insert(AffineStoreOp(three.result(), A, [zero]))
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["block", "region"])
+    @pytest.mark.parametrize("shape", ["stale_forward", "stale_forward_over_call",
+                                       "stale_load", "observed_store"])
+    def test_nothing_crosses_a_copy_or_a_call(self, shape, nested):
+        module, f = self.build(getattr(self, shape), nested)
+        expected = _interpreted(module, self.SHAPES)
+        assert forward_stores(f) == 0
+        assert simplify_memref_accesses(f) == 0
+        ir.verify(module)
+        for after, before in zip(_interpreted(module, self.SHAPES), expected):
+            np.testing.assert_array_equal(after, before)
+
+    def test_other_buffers_are_still_known(self):
+        """A copy into B leaves what the scan knows about A alone."""
+        def body(builder, zero, clobber, A, B, OUT):
+            two = builder.insert(arith.ConstantOp(2.0, f32))
+            builder.insert(AffineStoreOp(two.result(), A, [zero]))
+            clobber(memref.CopyOp(OUT, B))
+            load = builder.insert(AffineLoadOp(A, [zero]))
+            builder.insert(AffineStoreOp(load.result(), OUT, [zero]))
+
+        module, f = self.build(body, nested=False)
+        expected = _interpreted(module, self.SHAPES)
+        assert forward_stores(f) == 1
+        for after, before in zip(_interpreted(module, self.SHAPES), expected):
+            np.testing.assert_array_equal(after, before)
 
 
 class TestSemanticsPreservation:

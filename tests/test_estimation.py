@@ -237,9 +237,9 @@ class TestAccessTableHandOff:
         """Calls of ``access_expressions`` per access, whoever makes them."""
         calls = collections.Counter()
 
-        def counted(op, dim_map):
+        def counted(op, dim_map, *derived):
             calls[op] += 1
-            return access_expressions(op, dim_map)
+            return access_expressions(op, dim_map, *derived)
 
         monkeypatch.setattr(affine_ops, "access_expressions", counted)
         monkeypatch.setattr(estimator_module, "access_expressions", counted)
@@ -291,6 +291,33 @@ class TestAccessTableHandOff:
         assert estimator.estimate_function(
             func_op, module=optimized, accesses=own) == expected
         assert not calls
+
+    def test_an_index_value_is_derived_once_per_loop_nest(self, monkeypatch):
+        """After CSE one ``affine.apply`` feeds many accesses: its
+        expression is derived for the first and kept for the rest."""
+        module = compile_kernel("gemm", 4)
+        point = KernelDesignPoint(True, True, (0, 1, 2), (2, 2, 2), 1)
+        _, func_op, _, _ = _transform(module, point, None, None, None)
+        accesses = [op for op in func_op.walk() if is_affine_access(op)]
+        fed = collections.Counter(
+            value for op in accesses for value in affine_ops.access_indices(op)
+            if isinstance(value.owner, affine_ops.AffineApplyOp))
+        assert max(fed.values()) > 1
+        bare = AccessTable()
+        expected = {op: access_expressions(op, bare.nest(op)[1])
+                    for op in accesses}
+        derive = affine_ops.value_to_affine_expr
+        calls = collections.Counter()
+
+        def counted(value, dim_map):
+            calls[value] += 1
+            return derive(value, dim_map)
+
+        monkeypatch.setattr(affine_ops, "value_to_affine_expr", counted)
+        table = AccessTable()
+        for op in accesses:
+            assert table.expressions(op, *table.nest(op)) == expected[op]
+        assert {calls[value] for value in fed} == {1}
 
     def test_an_entry_derived_under_other_loops_is_not_trusted(self):
         module = compile_source(GEMM_SOURCE, "gemm")
