@@ -7,8 +7,12 @@ benchmark samples the space, evaluates every point with the QoR estimator,
 prints both series, and checks the clustering property quantitatively (the
 spread of Pareto points in PCA space is smaller than the spread of the whole
 sample).
+
+``python benchmarks/bench_fig6_design_space.py --smoke`` runs the same
+profile and checks on a 16^3 GEMM in seconds (CI's ``dse-runtime-smoke``).
 """
 
+import argparse
 import random
 
 import numpy as np
@@ -23,13 +27,13 @@ PROBLEM_SIZE = 4096
 NUM_SAMPLES = 48
 
 
-def profile_design_space():
-    module = compile_kernel("gemm", PROBLEM_SIZE)
+def profile_design_space(problem_size=PROBLEM_SIZE, num_samples=NUM_SAMPLES):
+    module = compile_kernel("gemm", problem_size)
     space = KernelDesignSpace.from_function(module.functions()[0])
     rng = random.Random(42)
 
     sampled = set()
-    while len(sampled) < NUM_SAMPLES:
+    while len(sampled) < num_samples:
         sampled.add(space.random_point(rng))
 
     evaluations = []
@@ -37,12 +41,12 @@ def profile_design_space():
         design = apply_design_point(module, space.decode(encoded), XC7Z020)
         vector = space.encode_vector(encoded)
         evaluations.append((encoded, design, vector))
-    return space, evaluations
+    return evaluations
 
 
-def test_fig6_design_space_profiling(benchmark, print_header):
-    space, evaluations = benchmark.pedantic(profile_design_space, rounds=1, iterations=1)
-
+def report(evaluations) -> tuple[int, float]:
+    """Print both views of Fig. 6 and check their shape; returns the number
+    of Pareto points and their PCA spread relative to the whole sample's."""
     points = [ParetoPoint(latency=float(design.qor.latency), area=float(design.qor.dsp),
                           encoded=encoded)
               for encoded, design, _ in evaluations]
@@ -54,7 +58,6 @@ def test_fig6_design_space_profiling(benchmark, print_header):
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     projected = centered @ vt[:2].T
 
-    print_header(f"Figure 6 — GEMM design space profiling ({NUM_SAMPLES} sampled points)")
     widths = (16, 10, 9, 11, 11, 8)
     print(format_row(("latency", "DSP", "pareto", "PC0", "PC1", "II"), widths))
     for (encoded, design, _), coords in zip(evaluations, projected):
@@ -76,6 +79,31 @@ def test_fig6_design_space_profiling(benchmark, print_header):
     assert 2 <= len(frontier) < len(evaluations)
     assert pareto_spread <= all_spread * 1.05
 
-    benchmark.extra_info["num_pareto"] = len(frontier)
-    benchmark.extra_info["pca_spread_ratio"] = round(
-        float(pareto_spread / all_spread) if all_spread else 0.0, 3)
+    return len(frontier), float(pareto_spread / all_spread) if all_spread else 0.0
+
+
+def test_fig6_design_space_profiling(benchmark, print_header):
+    evaluations = benchmark.pedantic(profile_design_space, rounds=1, iterations=1)
+    print_header(f"Figure 6 — GEMM design space profiling ({NUM_SAMPLES} sampled points)")
+    num_pareto, spread_ratio = report(evaluations)
+    benchmark.extra_info["num_pareto"] = num_pareto
+    benchmark.extra_info["pca_spread_ratio"] = round(spread_ratio, 3)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--size", type=int, default=PROBLEM_SIZE)
+    parser.add_argument("--samples", type=int, default=NUM_SAMPLES)
+    parser.add_argument("--smoke", action="store_true",
+                        help="a 16^3 GEMM and 24 samples: seconds, for CI")
+    args = parser.parse_args(argv)
+    if args.smoke:
+        args.size, args.samples = 16, 24
+    print(f"Figure 6 — GEMM {args.size}^3 design space profiling "
+          f"({args.samples} sampled points)")
+    report(profile_design_space(args.size, args.samples))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -56,8 +56,8 @@ evaluation through ``evaluate_encoded`` and counts, from outside, the work
 an evaluation must do once: ``Operation.clone`` calls of the suffix against
 the ops it leaves, first-``canonicalize`` visits against ops,
 ``access_expressions`` calls against distinct accesses over partitioning
-plus estimation, and cyclic collections.  Two ``thorough`` evaluations (the
-fully unrolled one, and one that leaves three loops around the body) add
+plus estimation, and cyclic collections.  Two evaluations (the fully
+unrolled one, and one that leaves three loops around the body) add
 what the block scans read: ``Operation.walk`` items yielded while a scan
 pass runs against the ops at its entry, and address keys computed against
 accesses.  The counts do not depend on the machine; the smoke gate fails on
@@ -373,8 +373,8 @@ WORK_COUNT_LIMITS.update({
 
 def _gemm_evaluation(size: int):
     """The context ``evaluate_encoded`` takes for gemm ``size``^3, and
-    ``encode(tile, pipeline)``: the perfectized point that tiles every loop
-    by ``tile`` (None: by its trip count) and cleans up with ``pipeline``."""
+    ``encode(tile)``: the perfectized point that tiles every loop by
+    ``tile`` (None: by its trip count)."""
     from repro.dse.runtime.worker import KernelContext
     from repro.dse.space import KernelDesignSpace
     from repro.estimation import XC7Z020
@@ -383,14 +383,13 @@ def _gemm_evaluation(size: int):
     module = compile_kernel("gemm", size)
     space = KernelDesignSpace.from_function(module.functions()[0])
 
-    def encode(tile, pipeline):
+    def encode(tile):
         encoded = [0] * space.num_dimensions
         encoded[0] = space.lp_options.index(True)
         encoded[2] = space.perm_options.index((0, 1, 2))
         encoded[3:space.ii_dimension] = [
             len(options) - 1 if tile is None else options.index(tile)
             for options in space.tile_options]
-        encoded[space.ii_dimension + 1] = space.pipeline_options.index(pipeline)
         assert space.decode(encoded).tile_sizes == (tile or size,) * 3
         return tuple(encoded)
 
@@ -416,7 +415,7 @@ def measure_work_counts(size: int = 4) -> dict:
     from repro.transforms.composite import DesignPointSuffixPass
 
     context, encode = _gemm_evaluation(size)
-    encoded = encode(None, "default")
+    encoded = encode(None)
 
     counts = {"suffix_clones": 0, "suffix_ops": 0, "canonicalize_visits": None,
               "canonicalize_ops": 0, "collections": 0}
@@ -496,14 +495,14 @@ def measure_work_counts(size: int = 4) -> dict:
 
 
 def measure_scan_counts(size: int = 4) -> dict:
-    """What the three block scans read during one ``thorough`` evaluation of
-    each of :data:`SCAN_POINTS`, taken from outside.
+    """What the three block scans read during one evaluation of each of
+    :data:`SCAN_POINTS`, taken from outside.
 
     Wrappers around the scan passes' ``run`` note the ops and accesses of
     the function at entry; while one runs, a wrapper around
     ``Operation.walk`` counts the items it yields and wrappers around
-    ``access_key`` count the address keys computed.  ``thorough`` runs every
-    scan twice; a ratio is the sum over both runs.
+    ``access_key`` count the address keys computed.  The cleanup pipeline
+    runs every scan twice; a ratio is the sum over both runs.
     """
     from repro.dse.runtime.worker import evaluate_encoded
     from repro.transforms.cleanup import simplify_memref_access, store_forward
@@ -555,7 +554,7 @@ def measure_scan_counts(size: int = 4) -> dict:
             patch(pass_class, "run", counted_run(pass_name, pass_class.run))
         for point, tile in SCAN_POINTS.items():
             counts[point] = {}
-            assert evaluate_encoded(context, encode(tile, "thorough")).ok
+            assert evaluate_encoded(context, encode(tile)).ok
 
     def ratio(entry, count, base):
         # A scan the counters never saw fails its gate.
@@ -570,7 +569,7 @@ def measure_scan_counts(size: int = 4) -> dict:
             if name in SCAN_KEY_LIMIT:
                 ratios[f"address_keys_per_access.{name}.{point}"] = \
                     ratio(entry, "address_keys", "accesses")
-        print(f"scan_counts: gemm {size}^3 {point}, thorough: " + "; ".join(
+        print(f"scan_counts: gemm {size}^3 {point}: " + "; ".join(
             f"{name} walked {entry['walk_items']} items over "
             f"{entry['ops']} ops, {entry['address_keys']} keys for "
             f"{entry['accesses']} accesses"

@@ -6,9 +6,9 @@ Given a kernel module (scf/affine level) and a :class:`KernelDesignPoint`,
 registry pipeline (:func:`kernel_pipeline_spec`), runs it on the kernel
 function and finally invokes the QoR estimator — mirroring how the ScaleHLS
 DSE drives its transform and analysis library through pass pipelines.  The
-cleanup tail of that pipeline is itself a design choice: every point names
-one of the registered :data:`CLEANUP_PIPELINES`, so the DSE explores *how
-to clean up* alongside *how to transform*.
+cleanup tail of that pipeline is decided, not explored: one built-in entry
+of :data:`CLEANUP_PIPELINES`, which every point names unless a sweep
+registers a second one (:func:`register_cleanup_pipeline`).
 
 The pipeline spec is also the *hashable transform description* of the flow:
 :func:`kernel_pipeline_signature` is embedded in the parallel runtime's
@@ -54,29 +54,21 @@ class AppliedDesign:
     siblings: dict = dataclasses.field(default_factory=dict)
 
 
-#: The redundancy-elimination tail of the reference kernel evaluation.
+#: The redundancy-elimination tail of a kernel evaluation and of the
+#: ``compile_dnn`` flow: two store-forwarding rounds, the second for what
+#: the first ``cse`` uncovers.  Over 180 sampled knob settings of the six
+#: Table III kernels no shorter tail was better on latency or DSP (README
+#: "Design space"; ``tests/test_estimation.py`` holds it as a law).
 CLEANUP_PIPELINE = ("canonicalize,simplify-affine-if,affine-store-forward,"
+                    "simplify-memref-access,cse,affine-store-forward,"
                     "simplify-memref-access,cse,canonicalize")
 
-#: Named cleanup/loop pipelines the DSE may choose between.  The *name* is a
-#: categorical design-space dimension (see
-#: :class:`~repro.dse.space.KernelDesignSpace`); the canonical printed spec
+#: Named cleanup pipelines.  One is built in; with a second one registered
+#: the *name* becomes a categorical design-space dimension (see
+#: :class:`~repro.dse.space.KernelDesignSpace`).  The canonical printed spec
 #: of every entry is hashed into cache/checkpoint fingerprints, so renaming
 #: or editing a pipeline here can never silently reuse stale estimates.
-CLEANUP_PIPELINES: dict[str, str] = {
-    "default": CLEANUP_PIPELINE,
-    # A single canonicalize+cse round: cheaper per evaluation, but leaves
-    # redundant memory traffic the estimator will charge for.
-    "light": "canonicalize,cse",
-    # Two store-forwarding rounds: pays extra transform time to expose
-    # forwarding opportunities the first cse round uncovers.
-    "thorough": ("canonicalize,simplify-affine-if,affine-store-forward,"
-                 "simplify-memref-access,cse,affine-store-forward,"
-                 "simplify-memref-access,cse,canonicalize"),
-}
-
-#: The pipeline used when a design point does not choose one explicitly.
-DEFAULT_CLEANUP = "default"
+CLEANUP_PIPELINES: dict[str, str] = {"default": CLEANUP_PIPELINE}
 
 
 def cleanup_pipeline_names() -> tuple[str, ...]:
@@ -174,7 +166,7 @@ def _kernel_tail_spec(point: Optional[KernelDesignPoint]) -> str:
                   f"{_pass_spec(design_point_suffix_pass(point))}")
     else:
         middle = "design-point-prefix,design-point-suffix"
-    cleanup = cleanup_pipeline_spec(point.pipeline if point else DEFAULT_CLEANUP)
+    cleanup = cleanup_pipeline_spec(point.pipeline) if point else CLEANUP_PIPELINE
     return f"{middle},{cleanup},array-partition"
 
 
@@ -205,10 +197,10 @@ def kernel_pipeline_signature() -> str:
     """The runtime's transform fingerprint: the canonical printed template
     spec plus the canonical spec of every named cleanup pipeline.
 
-    Since the cleanup pipeline is a per-point design choice, the fingerprint
-    must cover the whole registry: a coordinator and a worker (or a cached
-    estimate and a new sweep) agree exactly when the template *and* every
-    pipeline a point could select print identically.  The template spells
+    A point names its cleanup pipeline, so the fingerprint covers the whole
+    registry: a coordinator and a worker (or a cached estimate and a new
+    sweep) agree exactly when the template *and* every pipeline a point
+    could name print identically.  The template spells
     the prefix/suffix split of the evaluation explicitly, so the signature
     also covers how incremental evaluation partitions the pipeline.
     """

@@ -534,23 +534,22 @@ class ParallelExplorer:
         # A consistent batch-boundary snapshot for interrupt checkpointing:
         # mid-batch state (an advanced RNG plus a partially merged batch)
         # must never reach disk — resuming it would diverge from the
-        # uninterrupted trajectory.  The snapshot is refreshed after every
-        # fully merged batch and is what a Ctrl-C checkpoint saves.
+        # uninterrupted trajectory.  Taken after every fully merged batch
+        # and what a Ctrl-C checkpoint saves; the records are insertion-
+        # ordered and no key is assigned twice, so their count is enough.
         boundary = None
 
         def mark_boundary(rng) -> None:
             nonlocal boundary
-            boundary = (dict(state.records), state.samples_done,
+            boundary = (len(state.records), state.samples_done,
                         state.iterations_done, rng.getstate())
 
         def checkpoint_boundary() -> None:
             if store is None or boundary is None:
                 return
-            records, samples_done, iterations_done, rng_state = boundary
-            state.records = records
-            state.samples_done = samples_done
-            state.iterations_done = iterations_done
-            state.rng_state = rng_state
+            count, state.samples_done, state.iterations_done, \
+                state.rng_state = boundary
+            state.records = dict(list(state.records.items())[:count])
             store.save(state)
 
         explore_span = obs.NULL_SPAN if not obs_on else obs.span(

@@ -8,14 +8,16 @@ on/off switch or a tunable parameter of a transform pass (Tab. II):
 * the loop permutation of the band,
 * one tile size per band loop (powers of two dividing the trip count),
 * the pipeline target II,
-* the named cleanup pipeline run after the design point (a categorical
-  dimension over :data:`repro.dse.apply.CLEANUP_PIPELINES` — exploring
-  *how to clean up* alongside *how to transform*),
-* optionally, the target platform (a categorical dimension over a sweep's
-  :class:`~repro.estimation.platform.Platform` list — one exploration
-  covering design points × hardware targets).  The dimension exists only
-  when a sweep names multiple platforms: single-platform spaces keep their
-  exact historical shape, encoding and random trajectory.
+* only with more than one registered, the named cleanup pipeline run after
+  the design point (:data:`repro.dse.apply.CLEANUP_PIPELINES`; cleanups are
+  decided, not explored),
+* only when a sweep names platforms, the target platform (a categorical
+  dimension over a sweep's :class:`~repro.estimation.platform.Platform`
+  list — one exploration covering design points × hardware targets).
+
+A dimension nobody asked for is *absent*, not a one-option dimension: that
+one would still consume RNG entropy in :meth:`KernelDesignSpace.random_point`
+and lengthen every encoded tuple.
 
 A design point is encoded as a tuple of indices into the per-dimension
 option lists, which makes "closest neighbor" proposals (Step 2 of the DSE
@@ -148,14 +150,13 @@ class KernelDesignSpace:
         else:
             for name in pipeline_names:
                 cleanup_pipeline_spec(name)  # fail fast on unregistered names
+        #: Cleanup pipelines the sweep may run; a dimension only when there
+        #: is a choice, otherwise :meth:`decode` fills in the one name.
         self.pipeline_options = list(pipeline_names)
 
         #: Platforms the sweep explores (:class:`~repro.estimation.platform.
-        #: Platform` instances); empty for single-platform sweeps.  The
-        #: dimension is appended *only* when platforms are given: an
-        #: always-present one-option dimension would still consume RNG
-        #: entropy in :meth:`random_point` and lengthen every encoded tuple,
-        #: silently changing existing trajectories and checkpoints.
+        #: Platform` instances); empty for single-platform sweeps, which
+        #: have no platform dimension.
         self.platforms = tuple(platforms or ())
         self.platform_options = [platform.name for platform in self.platforms]
 
@@ -163,7 +164,8 @@ class KernelDesignSpace:
         self.dimensions: list[list] = [self.lp_options, self.rvb_options, self.perm_options]
         self.dimensions.extend(self.tile_options)
         self.dimensions.append(self.ii_options)
-        self.dimensions.append(self.pipeline_options)
+        if len(self.pipeline_options) > 1:
+            self.dimensions.append(self.pipeline_options)
         if self.platform_options:
             self.dimensions.append(self.platform_options)
 
@@ -205,14 +207,13 @@ class KernelDesignSpace:
         digest, so its fingerprint only identifies the space *shape* — the
         DSE runtime mixes the kernel IR back in for that case.
 
-        The cleanup-pipeline dimension is hashed by the canonical printed
-        spec of each named pipeline, not by its name: editing a pipeline in
-        :data:`repro.dse.apply.CLEANUP_PIPELINES` changes the fingerprint,
-        so estimates cached under the old meaning can never be reused.  The
-        platform dimension is likewise hashed by each platform's
+        The cleanup pipelines — a dimension or not — are hashed by the
+        canonical printed spec of each, not by its name: editing a pipeline
+        in :data:`repro.dse.apply.CLEANUP_PIPELINES` changes the
+        fingerprint, so estimates cached under the old meaning can never be
+        reused.  The platform dimension is likewise hashed by each platform's
         ``config_hash()``, so two sweeps whose platforms merely share names
         but differ in any budget/bandwidth/clock knob never share estimates.
-        A platform-free space hashes the exact historical payload.
         """
         from repro.dse.apply import cleanup_pipeline_signature
 
@@ -249,11 +250,10 @@ class KernelDesignSpace:
         if len(encoded) != self.num_dimensions:
             raise ValueError("encoded point has the wrong number of dimensions")
         values = [options[index] for options, index in zip(self.dimensions, encoded)]
-        lp, rvb, perm = values[0], values[1], values[2]
-        tiles = list(values[3:self.ii_dimension])
-        target_ii = values[self.ii_dimension]
-        pipeline = values[self.ii_dimension + 1]
-        platform = values[self.ii_dimension + 2] if self.platform_options else ""
+        platform = values.pop() if self.platform_options else ""
+        pipeline = values.pop() if len(self.pipeline_options) > 1 \
+            else self.pipeline_options[0]
+        lp, rvb, perm, *tiles, target_ii = values
         tiles = self._clamp_tile_product(tiles)
         return KernelDesignPoint(
             loop_perfectization=lp,
@@ -297,7 +297,8 @@ class KernelDesignSpace:
         vector.extend(float(p) for p in point.perm_map)
         vector.extend(float(t) for t in point.tile_sizes)
         vector.append(float(point.target_ii))
-        vector.append(float(self.pipeline_options.index(point.pipeline)))
+        if len(self.pipeline_options) > 1:
+            vector.append(float(self.pipeline_options.index(point.pipeline)))
         if self.platform_options:
             vector.append(float(self.platform_options.index(point.platform)))
         return vector

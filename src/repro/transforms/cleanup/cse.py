@@ -1,7 +1,9 @@
 """The ``-cse`` pass: common-subexpression elimination for pure operations.
 
 Two operations are equivalent when they have the same name, the same operand
-values and the same attributes; the later one is replaced by the earlier one.
+values, the same attributes and the same result type (``0 : index`` and
+``0.0 : f32`` compare equal as attributes); the later one is replaced by the
+earlier one.
 Only side-effect-free, region-free operations within the same block are
 considered (memory accesses are handled by ``-simplify-memref-access``).
 """
@@ -55,7 +57,8 @@ def _cse_block(block: Block) -> int:
             attrs = entry[1]
         else:
             attrs = ()
-        key = (name, tuple([id(use.value) for use in op._operands]), attrs)
+        key = (name, tuple([id(use.value) for use in op._operands]), attrs,
+               op.results[0].type)
         earlier = seen.get(key)
         if earlier is None:
             seen[key] = op

@@ -22,6 +22,16 @@ from repro.testing import (  # noqa: F401  (re-exported for test modules)
 
 
 @pytest.fixture
+def three_cleanups():
+    """The built-in cleanup pipeline plus the two retired ones: spaces built
+    under it have the pipeline dimension."""
+    import cleanups
+
+    with cleanups.registered():
+        yield
+
+
+@pytest.fixture
 def syrk_module():
     return compile_source(SYRK_SOURCE, "syrk")
 

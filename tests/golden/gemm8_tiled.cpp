@@ -36,28 +36,24 @@ void gemm(float alpha, float beta, float C[8][8], float A[8][8], float B[8][8]) 
         if ((v4 == 0)) {
           C[v1][v15] = v17;
         }
-        float v18 = A[v1][v4];
-        float v19 = alpha * v18;
-        float v20 = B[v4][v15];
-        float v21 = v19 * v20;
-        float v22 = C[v1][v15];
-        float v23 = v22 + v21;
-        C[v1][v15] = v23;
-        int v24 = (v0 + v14);
-        float v25 = C[v1][v5];
-        float v26 = A[v1][v24];
-        float v27 = alpha * v26;
-        float v28 = B[v24][v5];
-        float v29 = v27 * v28;
-        float v30 = v25 + v29;
-        C[v1][v5] = v30;
-        float v31 = C[v1][v15];
-        float v32 = A[v1][v24];
-        float v33 = alpha * v32;
-        float v34 = B[v24][v15];
-        float v35 = v33 * v34;
-        float v36 = v31 + v35;
-        C[v1][v15] = v36;
+        float v18 = B[v4][v15];
+        float v19 = v9 * v18;
+        float v20 = C[v1][v15];
+        float v21 = v20 + v19;
+        C[v1][v15] = v21;
+        int v22 = (v0 + v14);
+        float v23 = C[v1][v5];
+        float v24 = A[v1][v22];
+        float v25 = alpha * v24;
+        float v26 = B[v22][v5];
+        float v27 = v25 * v26;
+        float v28 = v23 + v27;
+        C[v1][v5] = v28;
+        float v29 = C[v1][v15];
+        float v30 = B[v22][v15];
+        float v31 = v25 * v30;
+        float v32 = v29 + v31;
+        C[v1][v15] = v32;
       }
     }
   }

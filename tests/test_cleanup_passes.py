@@ -135,6 +135,29 @@ class TestCSE:
         removed = eliminate_common_subexpressions(f)
         assert a.parent is not None and b.parent is not None
 
+    def test_equal_attributes_of_different_types_not_merged(self):
+        # ``0 == 0.0``: with (name, operands, attributes) as the whole key
+        # the float's users would read the ``index`` constant.
+        module, f, builder = make_function([MemRefType((4,), f32)])
+        zero = builder.insert(arith.ConstantOp(0, index))
+        zero_f = builder.insert(arith.ConstantOp(0.0, f32))
+        again = builder.insert(arith.ConstantOp(0.0, f32))
+        add = builder.insert(arith.AddFOp(zero_f.result(), again.result()))
+        store = builder.insert(memref.StoreOp(add.result(), f.arguments[0],
+                                              [zero.result()]))
+        builder.insert(func.ReturnOp())
+        ir.verify(module)
+        (before,) = _interpreted(module, [(4,)])
+        assert eliminate_common_subexpressions(f) == 1  # the second float
+        assert zero.parent is not None and zero_f.parent is not None
+        assert (zero.result().type, zero_f.result().type) == (index, f32)
+        assert add.operand(0) is add.operand(1) is zero_f.result()
+        assert store.operands[-1] is zero.result()
+        ir.verify(module)
+        (after,) = _interpreted(module, [(4,)])
+        np.testing.assert_array_equal(after, before)
+        assert after[0] == 0.0
+
     def test_loads_not_cse_by_this_pass(self):
         module, f, builder = make_function([MemRefType((4,), f32)])
         zero = builder.insert(arith.ConstantOp(0, index))

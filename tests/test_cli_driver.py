@@ -345,6 +345,28 @@ class TestPipelineFlags:
             main(["estimate", "--kernel", "gemm", "--size", "8",
                   "--pipeline", "func.func(not-a-pass)"])
 
+    @pytest.mark.parametrize("registered,indices,names", [
+        ([], 7, {"default"}),
+        (["--register-pipeline", "test-lean=canonicalize,cse"], 8,
+         {"default", "test-lean"})], ids=["built-in", "second-registered"])
+    def test_a_registered_pipeline_is_explored(self, tmp_path, capsys,
+                                               registered, indices, names):
+        # Cleanups are decided: only a second registered pipeline makes the
+        # cleanup a dimension of the space (gemm: 3 + 3 tiles + II indices).
+        import json
+
+        import cleanups
+
+        cache = tmp_path / "cache.jsonl"
+        with cleanups.registered({}):  # the flag registers process-wide
+            assert main(["dse", "--kernel", "gemm", "--size", "4",
+                         "--samples", "6", "--iterations", "6", "--jobs", "2",
+                         "--cache", str(cache), *registered]) == 0
+        records = [json.loads(line)["record"]
+                   for line in cache.read_text().splitlines()]
+        assert {len(record["encoded"]) for record in records} == {indices}
+        assert {record["point"]["pipeline"] for record in records} == names
+
 
 class TestInstrumentationFlags:
     def test_print_pass_timing_includes_pattern_stats(self, capsys):

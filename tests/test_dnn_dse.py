@@ -209,7 +209,7 @@ class TestPipelineDimensionCache:
             KernelDesignSpace([8, 8], False, False,
                               pipeline_names=["not-registered"])
 
-    def test_pipeline_choices_are_distinct_cache_keys(self):
+    def test_pipeline_choices_are_distinct_cache_keys(self, three_cleanups):
         from repro.dse.apply import apply_design_point
         from repro.dse.runtime.records import EvaluationRecord
         from repro.estimation import XC7Z020
@@ -217,7 +217,7 @@ class TestPipelineDimensionCache:
         module = self.kernel()
         space = KernelDesignSpace.from_function(module.functions()[0])
         assert len(space.pipeline_options) >= 2
-        pipe_dim = space.num_dimensions - 1
+        pipe_dim = space.dimensions.index(space.pipeline_options)
         base = [0] * space.num_dimensions
         variant = list(base)
         variant[pipe_dim] = 1
@@ -229,7 +229,8 @@ class TestPipelineDimensionCache:
         assert cache.get("fp", tuple(base)) is not None
         assert cache.get("fp", tuple(variant)) is None  # distinct key
 
-    def test_editing_a_named_pipeline_changes_the_fingerprint(self, monkeypatch):
+    def test_editing_a_named_pipeline_changes_the_fingerprint(
+            self, monkeypatch, three_cleanups):
         import repro.dse.apply as apply_mod
 
         def clear_signature_caches():
@@ -240,7 +241,7 @@ class TestPipelineDimensionCache:
         space_a = KernelDesignSpace.from_function(module.functions()[0])
         fingerprint_a = space_a.fingerprint()
 
-        monkeypatch.setitem(apply_mod.CLEANUP_PIPELINES, "light",
+        monkeypatch.setitem(apply_mod.CLEANUP_PIPELINES, "test-light",
                             "canonicalize")
         clear_signature_caches()
         try:
@@ -252,7 +253,27 @@ class TestPipelineDimensionCache:
             monkeypatch.undo()
             clear_signature_caches()
 
-    def test_estimates_under_edited_pipeline_miss_the_cache(self, monkeypatch):
+    def test_editing_the_one_pipeline_changes_the_fingerprint(self, monkeypatch):
+        # No pipeline dimension, and still part of the identity.
+        import repro.dse.apply as apply_mod
+
+        func_op = self.kernel().functions()[0]
+        space = KernelDesignSpace.from_function(func_op)
+        assert space.pipeline_options == ["default"]
+        before = space.fingerprint()
+        monkeypatch.setitem(apply_mod.CLEANUP_PIPELINES, "default",
+                            "canonicalize")
+        apply_mod.cleanup_pipeline_signature.cache_clear()
+        try:
+            edited = KernelDesignSpace.from_function(func_op)
+            assert edited.dimensions == space.dimensions
+            assert edited.fingerprint() != before
+        finally:
+            monkeypatch.undo()
+            apply_mod.cleanup_pipeline_signature.cache_clear()
+
+    def test_estimates_under_edited_pipeline_miss_the_cache(
+            self, monkeypatch, three_cleanups):
         from repro.dse.runtime import ParallelExplorer
         from repro.estimation import XC7Z020
 
@@ -273,7 +294,7 @@ class TestPipelineDimensionCache:
         cold = explorer(cache).explore(self.kernel())
         assert cold.cache_misses == cold.num_evaluations
 
-        monkeypatch.setitem(apply_mod.CLEANUP_PIPELINES, "light",
+        monkeypatch.setitem(apply_mod.CLEANUP_PIPELINES, "test-light",
                             "canonicalize")
         clear_signature_caches()
         try:

@@ -1,5 +1,8 @@
 """Tests for the DSE engine, the C++ emitter and the end-to-end pipelines."""
 
+import dataclasses
+import random
+
 import numpy as np
 import pytest
 
@@ -36,10 +39,54 @@ class TestDesignSpace:
 
     def test_dimensions_cover_all_parameters(self):
         space, _ = self.space()
-        # LP, RVB, permutation, one tile dim per loop, II, cleanup pipeline.
-        assert space.num_dimensions == 3 + 3 + 1 + 1
+        # LP, RVB, permutation, one tile dim per loop, II; the cleanup
+        # pipeline is decided, not a dimension.
+        assert space.num_dimensions == 3 + 3 + 1
         assert space.num_points > 100
-        assert "default" in space.pipeline_options
+        assert space.pipeline_options == ["default"]
+
+    def test_the_pipeline_dimension_exists_only_with_a_choice(self):
+        import cleanups
+
+        func_op = compile_source(GEMM_SOURCE, "gemm").functions()[0]
+        one = KernelDesignSpace.from_function(func_op)
+        with cleanups.registered({"test-lean": "canonicalize,cse"}):
+            self.check_both_shapes(
+                one, KernelDesignSpace.from_function(func_op))
+            # Naming a single registered pipeline is no choice either.
+            named = KernelDesignSpace([8, 8, 8], False, True,
+                                      pipeline_names=["test-lean"])
+            assert named.dimensions == one.dimensions
+            assert named.decode((0,) * named.num_dimensions).pipeline \
+                == "test-lean"
+
+    @staticmethod
+    def check_both_shapes(one, two):
+        assert one.pipeline_options == ["default"]
+        assert two.pipeline_options == ["default", "test-lean"]
+        assert two.dimensions == one.dimensions + [two.pipeline_options]
+        assert two.num_points == 2 * one.num_points
+        assert two.fingerprint() != one.fingerprint()
+        assert two.ii_dimension == one.ii_dimension == one.num_dimensions - 1
+        rng = random.Random(5)
+        for _ in range(20):
+            encoded = one.random_point(rng)
+            point = one.decode(encoded)
+            assert point.pipeline == "default"
+            for index, name in enumerate(two.pipeline_options):
+                wider = encoded + (index,)
+                assert two.decode(wider) == dataclasses.replace(
+                    point, pipeline=name)
+                assert two.encode_vector(wider) \
+                    == one.encode_vector(encoded) + [float(index)]
+                # Siblings differ in the target II alone, in both shapes.
+                assert two.ii_siblings(wider) == [
+                    (other + (index,), ii)
+                    for other, ii in one.ii_siblings(encoded)]
+            for other, ii in one.ii_siblings(encoded):
+                assert one.decode(other) == dataclasses.replace(
+                    point, target_ii=ii)
+                assert encoded in [back for back, _ in one.ii_siblings(other)]
 
     def test_decode_produces_valid_point(self):
         space, _ = self.space()
@@ -82,7 +129,7 @@ class TestDesignSpace:
     def test_encode_vector_matches_dimensionality(self):
         space, _ = self.space()
         vector = space.encode_vector([0] * space.num_dimensions)
-        assert len(vector) == 2 + 3 + 3 + 1 + 1
+        assert len(vector) == 2 + 3 + 3 + 1
 
 
 class TestPareto:

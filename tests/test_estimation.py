@@ -1,6 +1,7 @@
 """Tests for the QoR estimator, scheduler, resource model and platforms."""
 
 import collections
+import dataclasses
 import random
 
 import pytest
@@ -15,7 +16,7 @@ from repro.dialects.affine_ops import (
     perfect_loop_band,
 )
 from repro.dialects.hlscpp import get_loop_directive
-from repro.dse.apply import _transform
+from repro.dse.apply import CLEANUP_PIPELINES, _transform, apply_design_point
 from repro.dse.space import KernelDesignPoint, KernelDesignSpace
 from repro.estimation import (
     ALAPScheduler,
@@ -37,6 +38,7 @@ from repro.transforms import (
     tile_loop_band,
 )
 
+import cleanups
 from conftest import GEMM_SOURCE, compile_source
 
 
@@ -245,7 +247,8 @@ class TestAccessTableHandOff:
         monkeypatch.setattr(estimator_module, "access_expressions", counted)
         return calls
 
-    def test_estimates_equal_with_and_without_the_table(self, monkeypatch):
+    def test_estimates_equal_with_and_without_the_table(self, monkeypatch,
+                                                        three_cleanups):
         calls = self._count_derivations(monkeypatch)
         pipelines, pipelined = set(), collections.Counter()
         for kernel in TABLE3_KERNELS:
@@ -271,7 +274,7 @@ class TestAccessTableHandOff:
                 assert estimate(None) == handed
                 pipelines.add(point.pipeline)
                 pipelined[loop is not None] += 1
-        assert pipelines == {"default", "light", "thorough"}
+        assert pipelines == {"default", *cleanups.RETIRED}
         assert pipelined[True] and pipelined[False]
 
     def test_a_table_of_another_function_is_ignored(self, monkeypatch):
@@ -337,3 +340,40 @@ class TestAccessTableHandOff:
                 == access_expressions(op, dim_map)
         assert any(table.expressions(op, loops, dim_map) != stale[op]
                    for op in accesses)
+
+
+class TestTheCleanupIsDecided:
+    """The law the one built-in cleanup pipeline rests on: on the frontier's
+    two axes no shorter cleanup is ever better, so there is an order to
+    decide and no trade-off to explore."""
+
+    @pytest.mark.parametrize("kernel", TABLE3_KERNELS)
+    def test_no_retired_cleanup_beats_the_kept_one(self, kernel):
+        assert list(CLEANUP_PIPELINES) == ["default"]
+        module = compile_kernel(kernel, 8)
+        space = KernelDesignSpace.from_function(module.functions()[0])
+        rng = random.Random(11)
+        settings: dict = {}
+        while len(settings) < 12:
+            settings.setdefault(space.decode(space.random_point(rng)))
+        worse = 0
+        with cleanups.registered():
+            for point in settings:
+                kept = apply_design_point(module, point).qor
+                for name in cleanups.RETIRED:
+                    other = apply_design_point(module, dataclasses.replace(
+                        point, pipeline=name)).qor
+                    assert kept.latency <= other.latency \
+                        and kept.dsp <= other.dsp, (
+                        f"{kernel}, {point.describe()}: {name} "
+                        f"({CLEANUP_PIPELINES[name]}) reads latency "
+                        f"{other.latency} / dsp {other.dsp} against "
+                        f"{kept.latency} / {kept.dsp} under the built-in "
+                        "cleanup.  Either the estimator rewards leftover "
+                        "redundancy (a bug) or a cheaper cleanup can win, "
+                        "which is the one reason to make the cleanup "
+                        "pipeline a design-space dimension again.")
+                    worse += (other.latency, other.dsp) \
+                        != (kept.latency, kept.dsp)
+        assert worse  # the cleanups differ on this sample: not a vacuous law
+        assert list(CLEANUP_PIPELINES) == ["default"]

@@ -43,6 +43,7 @@ from repro.pipeline import compile_c, prepare_dnn_stages
 from repro.tools.driver import main
 from repro.transforms import lower_graph_to_loops
 
+import cleanups
 from conftest import GEMM_SOURCE, compile_source
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
@@ -75,19 +76,23 @@ def relabelled(func_op) -> ModuleOp:
 
 def sampled_records(module: ModuleOp, platform, seed: int, per_pipeline: int = 1):
     """Records of seeded random points, ``per_pipeline`` for each of the
-    cleanup pipelines (the last dimension of a single-platform space)."""
+    built-in cleanup pipeline and the two retired ones."""
     func_op = module.functions()[0]
-    space = KernelDesignSpace.from_function(func_op)
-    context = KernelContext(module=module, func_name=func_op.get_attr("sym_name"),
-                            platform=platform, space=space)
-    rng = random.Random(seed)
-    records = []
-    for pipeline in range(len(space.pipeline_options)):
-        for _ in range(per_pipeline):
-            encoded = space.random_point(rng)[:-1] + (pipeline,)
-            records.append(evaluate_encoded(context, encoded))
+    with cleanups.registered():
+        space = KernelDesignSpace.from_function(func_op)
+        context = KernelContext(
+            module=module, func_name=func_op.get_attr("sym_name"),
+            platform=platform, space=space)
+        position = space.dimensions.index(space.pipeline_options)
+        rng = random.Random(seed)
+        records = []
+        for pipeline in range(len(space.pipeline_options)):
+            for _ in range(per_pipeline):
+                encoded = list(space.random_point(rng))
+                encoded[position] = pipeline
+                records.append(evaluate_encoded(context, tuple(encoded)))
     assert {record.point.pipeline for record in records} \
-        == set(space.pipeline_options)
+        == {"default", *cleanups.RETIRED}
     return records
 
 

@@ -53,6 +53,7 @@ from repro.transforms.composite import (
     stage_design_point,
 )
 
+import cleanups
 import test_kernel_identity as dnn
 from test_kernel_identity import (
     fast_policy,
@@ -149,19 +150,24 @@ class TestAliasesEqualDirectEvaluation:
                 "trmm": 18}
 
     @pytest.mark.parametrize("name", KERNEL_NAMES)
-    def test_every_group_of_a_table3_kernel(self, name):
+    def test_every_group_of_a_table3_kernel(self, name, three_cleanups):
         context = kernel_context(name, 4)
         assert set(context.space.pipeline_options) \
-            == {"default", "light", "thorough"}
+            == {"default", *cleanups.RETIRED}
         # One group per program and cleanup pipeline.
         assert check_groups(context) == 3 * self.PROGRAMS[name]
 
-    def test_a_two_platform_space(self):
+    def test_a_two_platform_space(self, three_cleanups):
         platforms = [XC7Z020, PLATFORMS["zcu102"]]
         context = kernel_context("gemm", 4, platforms=platforms)
         assert check_groups(context) == 2 * 3 * self.PROGRAMS["gemm"]
 
-    def test_one_node_of_each_vgg16_fingerprint_class(self):
+    def test_a_space_without_the_pipeline_dimension(self):
+        context = kernel_context("gemm", 4)
+        assert context.space.pipeline_options == ["default"]
+        assert check_groups(context) == self.PROGRAMS["gemm"]
+
+    def test_one_node_of_each_vgg16_fingerprint_class(self, three_cleanups):
         representatives = vgg16_representatives()
         assert len(representatives) == 28
         checked = 0
@@ -317,12 +323,13 @@ class TestWhatTheIdentityCovers:
             == programs.of(point((0, 1, 2), (2, 1, 1), ii=8))
         assert len(programs) == 1
 
-    def test_the_cleanup_pipeline_and_the_platform(self):
+    def test_the_cleanup_pipeline_and_the_platform(self, three_cleanups):
         platforms = [XC7Z020, PLATFORMS["zcu102"]]
         programs = identities(kernel_context("gemm", 4, platforms=platforms))
         base = programs.of(point((0, 1, 2), (2, 1, 1), platform="xc7z020"))
         assert base != programs.of(point((0, 1, 2), (2, 1, 1),
-                                         pipeline="light", platform="xc7z020"))
+                                         pipeline="test-light",
+                                         platform="xc7z020"))
         assert base != programs.of(point((0, 1, 2), (2, 1, 1),
                                          platform="zcu102"))
         assert len(programs) == 1  # one staged program behind all three
@@ -569,10 +576,9 @@ class TestCoordinatorWork:
 
 #: Points of the gemm8 golden trajectory that stage to a program an earlier
 #: point of the trajectory was evaluated for, under other knob values; the
-#: first three are victims of ``select=3`` fault plans.
-PROGRAM_ALIASES = [(1, 0, 5, 2, 0, 3, 2, 0), (1, 0, 4, 2, 0, 2, 2, 0),
-                   (1, 0, 4, 1, 2, 2, 1, 0), (1, 0, 3, 2, 0, 2, 2, 0),
-                   (1, 0, 0, 3, 3, 3, 1, 0)]
+#: first is a victim of ``select=2`` fault plans.
+PROGRAM_ALIASES = [(1, 0, 3, 2, 0, 3, 2), (0, 0, 4, 2, 3, 2, 0),
+                   (1, 0, 2, 2, 0, 3, 2)]
 
 
 def record_dispatches(monkeypatch) -> list:
@@ -605,7 +611,7 @@ class TestGemmSweep:
         assert document(result) == golden["clean"]
         assert not set(PROGRAM_ALIASES) & {encoded for _, encoded in dispatched}
         assert set(PROGRAM_ALIASES) <= set(result.records)
-        assert len(dispatched) == 12 and result.resolved_aliases == 5
+        assert len(dispatched) == 14 and result.resolved_aliases == 3
         # An alias carries its own knob values, never its representative's.
         for encoded in PROGRAM_ALIASES:
             assert result.records[encoded].point == result.space.decode(encoded)
@@ -632,7 +638,7 @@ class TestGemmSweep:
         # Close order: one identity span inside every batch, whatever it built.
         assert [span.name for span in spans] \
             == ["dse.identity", "dse.batch"] * (len(spans) // 2)
-        # 16 knob settings, 12 programs, one build per prefix key.
+        # 17 knob settings, 14 programs, one build per prefix key.
         assert sum(span.args.get("staged", 0) for span in spans) \
             == len({record.point.prefix_key()
                     for record in result.records.values()}) == 2
@@ -643,25 +649,25 @@ class TestGemmSweep:
                                                     tmp_path, mode, jobs):
         import os
 
-        plan = FaultPlan(mode=mode, select=3, times=1,
+        plan = FaultPlan(mode=mode, select=2, times=1,
                          state_dir=str(tmp_path / "ledger"))
         result = explore(gemm8, tmp_path, jobs=jobs, faults=plan,
                          supervision=fast_policy())
         assert document(result) == golden["clean"]
         assert_files_match(tmp_path, golden)
-        for encoded in PROGRAM_ALIASES[:3]:
+        for encoded in PROGRAM_ALIASES[:1]:
             assert plan.matches("kernel", encoded)
             assert os.path.getsize(plan._ledger_path("kernel", encoded)) == 2
         assert result.resolved_aliases <= 2
 
     def test_a_poisoned_would_be_alias_is_quarantined(self, gemm8, tmp_path):
-        # No victim of the golden's ``poison:select=4`` plan stages to a
-        # program another knob setting was evaluated for; ``select=3`` has
+        # No victim of the golden's ``poison:select=3`` plan stages to a
+        # program another knob setting was evaluated for; ``select=5`` has
         # one.  The rule holds without a golden: every matched point of the
         # trajectory is quarantined, whatever program it stages to, and the
         # trajectory is the same at any ``jobs``.
         def poisoned(jobs):
-            plan = FaultPlan(mode="poison", select=3,
+            plan = FaultPlan(mode="poison", select=5,
                              state_dir=str(tmp_path / f"ledger{jobs}"))
             return plan, explore(gemm8, jobs=jobs, faults=plan,
                                  supervision=fast_policy(max_retries=1))

@@ -28,13 +28,7 @@ from repro.dialects.hlscpp import (
     is_pipelined,
     set_func_directive,
 )
-from repro.dse.apply import (
-    CLEANUP_PIPELINES,
-    apply_design_point,
-    install_cleanup_pipelines,
-    optimize_kernel_module,
-    register_cleanup_pipeline,
-)
+from repro.dse.apply import apply_design_point, optimize_kernel_module
 from repro.dse.incremental import PrefixSnapshotCache
 from repro.dse.runtime import (
     EstimateCache,
@@ -54,6 +48,7 @@ from repro.obs.report import render_run_summary
 from repro.pipeline import compile_c
 from repro.transforms import pipeline_loop
 
+import cleanups
 from test_kernel_identity import (
     fast_policy,
     single_function_module,
@@ -169,14 +164,23 @@ class TestSiblingsEqualDirectEvaluation:
     @pytest.mark.parametrize("name", [
         pytest.param(name, marks=pytest.mark.exhaustive)
         if name in EXHAUSTIVE_IN_CI else name for name in KERNEL_NAMES])
-    def test_every_point_of_a_table3_kernel(self, name):
+    def test_every_point_of_a_table3_kernel(self, name, three_cleanups):
         context = kernel_context(name, 4)
         assert set(context.space.pipeline_options) \
-            == {"default", "light", "thorough"}
+            == {"default", *cleanups.RETIRED}
+        assert check_classes(context) == context.space.num_points
+
+    @pytest.mark.parametrize("name", ["bicg", "gesummv"])
+    def test_every_point_without_the_pipeline_dimension(self, name):
+        # What a sweep builds by default: the II is the last index.
+        context = kernel_context(name, 4)
+        assert context.space.pipeline_options == ["default"]
+        assert context.space.ii_dimension \
+            == context.space.num_dimensions - 1
         assert check_classes(context) == context.space.num_points
 
     @pytest.mark.parametrize("name", EXHAUSTIVE_IN_CI)
-    def test_a_stratified_sample_of_a_table3_kernel(self, name):
+    def test_a_stratified_sample_of_a_table3_kernel(self, name, three_cleanups):
         # Tier-1's share of the exhaustive test above: the same check on
         # every stratum of the space, the II representative rotating as
         # there.  (Tile-clamp aliases of a sampled class ride along.)
@@ -191,20 +195,16 @@ class TestSiblingsEqualDirectEvaluation:
             < space.num_points // 4
 
     def test_a_registered_pipeline(self):
-        register_cleanup_pipeline(
-            "test-forward-only", "canonicalize,affine-store-forward,cse")
-        try:
+        with cleanups.registered({
+                "test-forward-only": "canonicalize,affine-store-forward,cse"}):
             context = kernel_context("gesummv", 4)
-            assert "test-forward-only" in context.space.pipeline_options
+            assert context.space.pipeline_options \
+                == ["default", "test-forward-only"]
             compared = check_classes(
                 context, keep=lambda point: point.pipeline == "test-forward-only")
-            assert compared == context.space.num_points // 4
-        finally:
-            install_cleanup_pipelines({
-                name: spec for name, spec in CLEANUP_PIPELINES.items()
-                if not name.startswith("test-")})
+            assert compared == context.space.num_points // 2
 
-    def test_a_two_platform_space(self):
+    def test_a_two_platform_space(self, three_cleanups):
         # zcu102 models two ports per bank and an off-chip link, so both
         # the resource II and the bandwidth floor differ between the two.
         platforms = [XC7Z020, PLATFORMS["zcu102"]]
@@ -215,7 +215,7 @@ class TestSiblingsEqualDirectEvaluation:
         assert {sibling.platform_hash for sibling in record.siblings} \
             == {record.platform_hash}
 
-    def test_sampled_points_of_each_vgg16_fingerprint_class(self):
+    def test_sampled_points_of_each_vgg16_fingerprint_class(self, three_cleanups):
         from repro.dse.space import ir_digest
 
         _, nodes = staged_nodes("vgg16")
@@ -415,15 +415,18 @@ class TestEstimatorLaws:
 # -- the runtime: same artifacts as the parent commit, fewer evaluations ----------------------
 
 #: A gemm sweep whose trajectory asks for three II-siblings of points it
-#: evaluated and one tile-clamp alias.  ``tests/golden/gemm8_class_sweep.json``
-#: holds what the parent commit (8d93493, one evaluation per point) produced
-#: for it: records in trajectory order, frontier, the estimate-cache file and
-#: the final checkpoint, plus the records under the ``poison:select=4`` plan.
+#: evaluated and three program aliases (two of them tile-clamp aliases).
+#: ``tests/golden/gemm8_class_sweep.json`` holds its records in trajectory
+#: order, frontier, the estimate-cache file and the final checkpoint, plus
+#: the records under the ``poison:select=3`` plan.  First written by the
+#: commit before transform classes (8d93493, one evaluation per point);
+#: written again, by this sweep, when the cleanup-pipeline dimension left the
+#: default space and the trajectory with it (the files' layout did not move).
 SWEEP = dict(num_samples=8, max_iterations=12, seed=2022, batch_size=8)
 
-#: Points of that trajectory a classmate's evaluation answers, and that
-#: ``select=3`` fault plans pick as victims.
-SIBLING_VICTIMS = [(1, 0, 3, 1, 0, 0, 2, 2), (1, 0, 4, 1, 2, 3, 2, 0)]
+#: Points of that trajectory a classmate's evaluation answers from another
+#: target II, and that ``select=2`` fault plans pick as victims.
+SIBLING_VICTIMS = [(1, 0, 2, 0, 3, 1, 0), (0, 0, 0, 2, 3, 3, 0)]
 
 
 @pytest.fixture(scope="module")
@@ -495,9 +498,9 @@ class TestSweepMatchesTheParentCommit:
         result = explore(gemm8)
         assert document(result) == golden["clean"]
         assert result.fingerprint == golden["fingerprint"]
-        assert (result.resolved_siblings, result.resolved_aliases) == (3, 5)
+        assert (result.resolved_siblings, result.resolved_aliases) == (3, 3)
         assert len(dispatched) == len(set(dispatched)) \
-            == result.num_evaluations - 8
+            == result.num_evaluations - 6
         assert not set(SIBLING_VICTIMS) & set(dispatched)
         assert set(SIBLING_VICTIMS) <= set(result.records)
         # What the explorer keeps is what was asked for, nothing riding on it.
@@ -526,7 +529,7 @@ class TestSweepMatchesTheParentCommit:
                          supervision=fast_policy())
         assert document(result) == golden["clean"]
         assert_files_match(tmp_path, golden)
-        assert (result.resolved_siblings, result.resolved_aliases) == (3, 5)
+        assert (result.resolved_siblings, result.resolved_aliases) == (3, 3)
 
     def test_without_incremental_snapshots(self, gemm8, golden):
         result = explore(gemm8)
@@ -544,7 +547,7 @@ class TestSweepMatchesTheParentCommit:
         resumed = explore(gemm8, tmp_path, resume=True, jobs=jobs)
         assert document(resumed) == golden["clean"]
         assert_files_match(tmp_path, golden)
-        assert resumed.resolved_siblings + resumed.resolved_aliases < 8
+        assert resumed.resolved_siblings + resumed.resolved_aliases < 6
         again = explore(gemm8, tmp_path, resume=True)
         assert again.evaluated_this_run == 0
         assert document(again) == golden["clean"]
@@ -553,7 +556,7 @@ class TestSweepMatchesTheParentCommit:
                                            ("crash", 1)])
     def test_recoverable_faults_on_would_be_siblings(self, gemm8, golden,
                                                      tmp_path, mode, jobs):
-        plan = FaultPlan(mode=mode, select=3, times=1,
+        plan = FaultPlan(mode=mode, select=2, times=1,
                          state_dir=str(tmp_path / "ledger"))
         result = explore(gemm8, tmp_path, jobs=jobs, faults=plan,
                          supervision=fast_policy())
@@ -564,12 +567,12 @@ class TestSweepMatchesTheParentCommit:
         for encoded in SIBLING_VICTIMS:
             assert plan.matches("kernel", encoded)
             assert os.path.getsize(plan._ledger_path("kernel", encoded)) == 2
-        assert result.resolved_siblings + result.resolved_aliases < 8
+        assert result.resolved_siblings + result.resolved_aliases < 6
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_poison_quarantines_what_the_parent_quarantined(
             self, gemm8, golden, tmp_path, jobs):
-        plan = FaultPlan(mode="poison", select=4,
+        plan = FaultPlan(mode="poison", select=3,
                          state_dir=str(tmp_path / "ledger"))
         result = explore(gemm8, jobs=jobs, faults=plan,
                          supervision=fast_policy(max_retries=1))
@@ -577,9 +580,9 @@ class TestSweepMatchesTheParentCommit:
         quarantined = result.quarantined_records()
         assert quarantined and all(
             plan.matches("kernel", record.encoded) for record in quarantined)
-        # Two of them follow a healthy classmate in the trajectory: without
+        # One of them follows a healthy classmate in the trajectory: without
         # the victim rule that classmate's evaluation would have answered
-        # them, as healthy siblings.
+        # it, as a healthy sibling.
         def without_ii(point):
             return dataclasses.replace(point, target_ii=1)
 
@@ -590,7 +593,7 @@ class TestSweepMatchesTheParentCommit:
                 first_healthy.setdefault(without_ii(record.point), index)
         assert sum(first_healthy.get(without_ii(record.point), len(order))
                    < order.index(record.encoded)
-                   for record in quarantined) == 2
+                   for record in quarantined) == 1
 
     def test_mates_of_a_quarantined_representative_are_dispatched(
             self, gemm8, monkeypatch):
@@ -641,10 +644,10 @@ class TestSweepMatchesTheParentCommit:
         serial, _ = counters(1)
         pooled, session = counters(2)
         assert serial == pooled == {
-            "dse.points": 20, "dse.evaluations": 12, "estimate.calls": 12,
-            "dse.resolved.siblings": 3, "dse.resolved.aliases": 5}
+            "dse.points": 20, "dse.evaluations": 14, "estimate.calls": 14,
+            "dse.resolved.siblings": 3, "dse.resolved.aliases": 3}
         summary = render_run_summary(session.metrics.to_json_dict())
-        assert "resolved 8 of 20 points from 12 transformed classes" in summary
+        assert "resolved 6 of 20 points from 14 transformed classes" in summary
         batches = [span for spans in session.tracer.tracks().values()
                    for span in spans if span.name == "dse.batch"]
-        assert sum(span.args["classes"] for span in batches) == 12
+        assert sum(span.args["classes"] for span in batches) == 14
