@@ -92,16 +92,13 @@ def test_fig6_design_space_profiling(benchmark, print_header):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--size", type=int, default=PROBLEM_SIZE)
-    parser.add_argument("--samples", type=int, default=NUM_SAMPLES)
     parser.add_argument("--smoke", action="store_true",
                         help="a 16^3 GEMM and 24 samples: seconds, for CI")
     args = parser.parse_args(argv)
-    if args.smoke:
-        args.size, args.samples = 16, 24
-    print(f"Figure 6 — GEMM {args.size}^3 design space profiling "
-          f"({args.samples} sampled points)")
-    report(profile_design_space(args.size, args.samples))
+    size, samples = (16, 24) if args.smoke else (PROBLEM_SIZE, NUM_SAMPLES)
+    print(f"Figure 6 — GEMM {size}^3 design space profiling "
+          f"({samples} sampled points)")
+    report(profile_design_space(size, samples))
     return 0
 
 

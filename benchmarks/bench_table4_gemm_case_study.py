@@ -95,17 +95,13 @@ def test_table4_gemm_case_study(benchmark, print_header):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--size", type=int, default=PROBLEM_SIZE)
-    parser.add_argument("--samples", type=int, default=14)
-    parser.add_argument("--iterations", type=int, default=24)
     parser.add_argument("--smoke", action="store_true",
                         help="a 16^3 GEMM, 8 samples, 12 iterations: seconds, "
                              "for CI")
     args = parser.parse_args(argv)
-    if args.smoke:
-        args.size, args.samples, args.iterations = 16, 8, 12
-    print(f"Table IV — GEMM case study (problem size {args.size}, XC7Z020)")
-    report(case_study(args.size, args.samples, args.iterations))
+    size = 16 if args.smoke else PROBLEM_SIZE
+    print(f"Table IV — GEMM case study (problem size {size}, XC7Z020)")
+    report(case_study(16, 8, 12) if args.smoke else case_study())
     return 0
 
 

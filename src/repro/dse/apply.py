@@ -166,7 +166,7 @@ def _kernel_tail_spec(point: Optional[KernelDesignPoint]) -> str:
                   f"{_pass_spec(design_point_suffix_pass(point))}")
     else:
         middle = "design-point-prefix,design-point-suffix"
-    cleanup = cleanup_pipeline_spec(point.pipeline) if point else CLEANUP_PIPELINE
+    cleanup = cleanup_pipeline_spec(point.pipeline if point else "default")
     return f"{middle},{cleanup},array-partition"
 
 

@@ -153,6 +153,7 @@ class KernelDesignSpace:
         #: Cleanup pipelines the sweep may run; a dimension only when there
         #: is a choice, otherwise :meth:`decode` fills in the one name.
         self.pipeline_options = list(pipeline_names)
+        self.explores_pipeline = len(self.pipeline_options) > 1
 
         #: Platforms the sweep explores (:class:`~repro.estimation.platform.
         #: Platform` instances); empty for single-platform sweeps, which
@@ -164,7 +165,7 @@ class KernelDesignSpace:
         self.dimensions: list[list] = [self.lp_options, self.rvb_options, self.perm_options]
         self.dimensions.extend(self.tile_options)
         self.dimensions.append(self.ii_options)
-        if len(self.pipeline_options) > 1:
+        if self.explores_pipeline:
             self.dimensions.append(self.pipeline_options)
         if self.platform_options:
             self.dimensions.append(self.platform_options)
@@ -251,7 +252,7 @@ class KernelDesignSpace:
             raise ValueError("encoded point has the wrong number of dimensions")
         values = [options[index] for options, index in zip(self.dimensions, encoded)]
         platform = values.pop() if self.platform_options else ""
-        pipeline = values.pop() if len(self.pipeline_options) > 1 \
+        pipeline = values.pop() if self.explores_pipeline \
             else self.pipeline_options[0]
         lp, rvb, perm, *tiles, target_ii = values
         tiles = self._clamp_tile_product(tiles)
@@ -297,7 +298,7 @@ class KernelDesignSpace:
         vector.extend(float(p) for p in point.perm_map)
         vector.extend(float(t) for t in point.tile_sizes)
         vector.append(float(point.target_ii))
-        if len(self.pipeline_options) > 1:
+        if self.explores_pipeline:
             vector.append(float(self.pipeline_options.index(point.pipeline)))
         if self.platform_options:
             vector.append(float(self.platform_options.index(point.platform)))
