@@ -54,9 +54,13 @@ other point of the sweep.
 ``--work-counts`` (implied by ``--smoke``) runs one fully unrolled gemm
 evaluation through ``evaluate_encoded`` and counts, from outside, the work
 an evaluation must do once: ``Operation.clone`` calls of the suffix against
-the ops it leaves, first-``canonicalize`` visits against ops,
-``access_expressions`` calls against distinct accesses over partitioning
-plus estimation, and cyclic collections.  Two evaluations (the fully
+the ops it leaves, first-``canonicalize`` visits that rewrote nothing
+against ops, ``access_expressions`` calls against distinct accesses over
+partitioning plus estimation, and cyclic collections; then the heaviest
+evaluation of the kernel sweep (trmm, perfectized, variable bounds removed,
+tiles 8 x 8 x 1), where the suffix clones against the ops it leaves and
+``-simplify-affine-if`` must find nothing to rewrite: unrolling decided
+every guard as it copied it.  Two evaluations (the fully
 unrolled one, and one that leaves three loops around the body) add
 what the block scans read: ``Operation.walk`` items yielded while a scan
 pass runs against the ops at its entry, and address keys computed against
@@ -341,9 +345,11 @@ def measure_prefix_reuse(size: int = 8, repeats: int = 3) -> dict:
 #: :func:`measure_scan_counts` (``count / base``).
 WORK_COUNT_LIMITS = {
     "suffix_clones_per_op": 1.0,
-    "first_canonicalize_visits_per_op": 0.15,
+    "first_canonicalize_wasted_visits_per_op": 0.15,
     "access_derivations_per_access": 1.0,
     "collections_per_evaluation": 1.0,
+    "trmm.suffix_clones_per_op": 1.0,
+    "trmm.simplify_affine_if_rewrites": 0,
 }
 
 #: Tile size of every loop at the two points :func:`measure_scan_counts`
@@ -371,26 +377,31 @@ WORK_COUNT_LIMITS.update({
     for point in SCAN_POINTS for name, limit in SCAN_KEY_LIMIT.items()})
 
 
-def _gemm_evaluation(size: int):
-    """The context ``evaluate_encoded`` takes for gemm ``size``^3, and
-    ``encode(tile)``: the perfectized point that tiles every loop by
-    ``tile`` (None: by its trip count)."""
+def _kernel_evaluation(kernel: str, size: int):
+    """The context ``evaluate_encoded`` takes for ``kernel`` at ``size``,
+    and ``encode(tiles, rvb=False)``: the perfectized point in the given
+    loop order with those tile sizes (None: its trip count, per loop or for
+    all of them)."""
     from repro.dse.runtime.worker import KernelContext
     from repro.dse.space import KernelDesignSpace
     from repro.estimation import XC7Z020
     from repro.pipeline import compile_kernel
 
-    module = compile_kernel("gemm", size)
+    module = compile_kernel(kernel, size)
     space = KernelDesignSpace.from_function(module.functions()[0])
+    depth = len(space.tile_options)
 
-    def encode(tile):
+    def encode(tiles, rvb=False):
+        tiles = tuple(tiles) if isinstance(tiles, tuple) else (tiles,) * depth
         encoded = [0] * space.num_dimensions
         encoded[0] = space.lp_options.index(True)
-        encoded[2] = space.perm_options.index((0, 1, 2))
+        encoded[1] = space.rvb_options.index(rvb)
+        encoded[2] = space.perm_options.index(tuple(range(depth)))
         encoded[3:space.ii_dimension] = [
             len(options) - 1 if tile is None else options.index(tile)
-            for options in space.tile_options]
-        assert space.decode(encoded).tile_sizes == (tile or size,) * 3
+            for options, tile in zip(space.tile_options, tiles)]
+        assert space.decode(encoded).tile_sizes \
+            == tuple(tile or size for tile in tiles)
         return tuple(encoded)
 
     context = KernelContext(module=module, func_name=None, platform=XC7Z020,
@@ -398,32 +409,27 @@ def _gemm_evaluation(size: int):
     return context, encode
 
 
-def measure_work_counts(size: int = 4) -> dict:
-    """Work counts of one fully unrolled gemm evaluation, taken from outside.
-
-    The evaluation is the one the DSE backends run (``evaluate_encoded`` of
-    the point that tiles every loop by its trip count); the counters are
-    wrappers this function installs around ``Operation.clone``, the suffix
-    pass, the rewrite driver and ``access_expressions`` and removes again.
-    Each ratio is work done over work needed, exactly 1.0 (or far below it,
-    for the seeded worklist) when nothing is done twice.
-    """
+def _counted_evaluation(context, encoded) -> dict:
+    """Work counts of one ``evaluate_encoded(context, encoded)``, taken from
+    outside: the counters are wrappers this function installs around
+    ``Operation.clone``, the suffix pass, the rewrite driver,
+    ``simplify_affine_ifs`` and ``access_expressions`` and removes again."""
     from repro.dialects import affine_ops
     from repro.dse.runtime.worker import evaluate_encoded
     from repro.estimation import estimator as estimator_module
     from repro.ir.rewrite import GreedyRewriteDriver
+    from repro.transforms.cleanup import simplify_affine_if
     from repro.transforms.composite import DesignPointSuffixPass
 
-    context, encode = _gemm_evaluation(size)
-    encoded = encode(None)
-
     counts = {"suffix_clones": 0, "suffix_ops": 0, "canonicalize_visits": None,
-              "canonicalize_ops": 0, "collections": 0}
+              "canonicalize_rewrites": 0, "canonicalize_ops": 0,
+              "simplify_affine_if_rewrites": 0, "collections": 0}
     derivations: dict = {}
     in_suffix = False
 
     clone, suffix_run = Operation.clone, DesignPointSuffixPass.run
     rewrite, derive = GreedyRewriteDriver.rewrite, affine_ops.access_expressions
+    simplify_ifs = simplify_affine_if.simplify_affine_ifs
 
     def counted_clone(op, value_map=None):
         counts["suffix_clones"] += in_suffix
@@ -448,7 +454,14 @@ def measure_work_counts(size: int = 4) -> dict:
         changed = rewrite(driver, root)
         if first:
             counts["canonicalize_visits"] = sum(driver.visit_counts.values())
+            counts["canonicalize_rewrites"] = sum(
+                hits for hits, _ in driver.bucket_stats.values())
         return changed
+
+    def counted_simplify_ifs(root, *strategy):
+        simplified = simplify_ifs(root, *strategy)
+        counts["simplify_affine_if_rewrites"] += simplified
+        return simplified
 
     def counted_derive(op, dim_map, *derived):
         derivations[id(op)] = derivations.get(id(op), 0) + 1
@@ -466,6 +479,7 @@ def measure_work_counts(size: int = 4) -> dict:
         patch(Operation, "clone", counted_clone)
         patch(DesignPointSuffixPass, "run", counted_suffix)
         patch(GreedyRewriteDriver, "rewrite", counted_rewrite)
+        patch(simplify_affine_if, "simplify_affine_ifs", counted_simplify_ifs)
         patch(affine_ops, "access_expressions", counted_derive)
         patch(estimator_module, "access_expressions", counted_derive)
         gc.callbacks.append(on_collection)
@@ -475,11 +489,33 @@ def measure_work_counts(size: int = 4) -> dict:
 
     counts["access_derivations"] = sum(derivations.values())
     counts["accesses"] = len(derivations)
+    counts["suffix_clones_per_op"] = \
+        counts["suffix_clones"] / max(1, counts["suffix_ops"])
+    return counts
+
+
+def measure_work_counts(size: int = 4, trmm_size: int = 8) -> dict:
+    """Work counts of two evaluations the DSE backends run.
+
+    One fully unrolled gemm (the perfectized point that tiles every loop by
+    its trip count): each ratio is work done over work needed, exactly 1.0
+    (or far below it, for the seeded worklist) when nothing is done twice.
+    A first-``canonicalize`` visit that rewrites is work needed — unrolling
+    builds no branch an ``affine.if`` drops, so what fed only that branch
+    is dead at birth and erased here — one that rewrites nothing is the
+    search the seeded worklist exists to avoid.
+
+    And the heaviest evaluation of the kernel sweep, trmm with both guards
+    (perfectized, variable bounds removed) and tiles ``size`` x ``size`` x 1:
+    the clones of the suffix against the ops it leaves, and the rewrites
+    left for ``-simplify-affine-if``, which must be none.
+    """
+    context, encode = _kernel_evaluation("gemm", size)
+    counts = _counted_evaluation(context, encode(None))
+    wasted = (counts["canonicalize_visits"] or 0) - counts["canonicalize_rewrites"]
     ratios = {
-        "suffix_clones_per_op":
-            counts["suffix_clones"] / max(1, counts["suffix_ops"]),
-        "first_canonicalize_visits_per_op":
-            (counts["canonicalize_visits"] or 0) / max(1, counts["canonicalize_ops"]),
+        "first_canonicalize_wasted_visits_per_op":
+            wasted / max(1, counts["canonicalize_ops"]),
         "access_derivations_per_access":
             counts["access_derivations"] / max(1, counts["accesses"]),
         "collections_per_evaluation": float(counts["collections"]),
@@ -487,11 +523,22 @@ def measure_work_counts(size: int = 4) -> dict:
     print(f"work_counts: gemm {size}^3 fully unrolled: "
           f"{counts['suffix_clones']} clones for {counts['suffix_ops']} ops "
           f"after the suffix, first canonicalize visited "
-          f"{counts['canonicalize_visits']} of {counts['canonicalize_ops']} ops, "
+          f"{counts['canonicalize_visits']} of {counts['canonicalize_ops']} ops "
+          f"({counts['canonicalize_rewrites']} visits rewrote), "
           f"{counts['access_derivations']} access derivations for "
           f"{counts['accesses']} accesses, {counts['collections']} "
           f"collection(s) inside the evaluation")
-    return {"size": size, **counts, **ratios}
+    context, encode = _kernel_evaluation("trmm", trmm_size)
+    trmm = _counted_evaluation(context, encode((None, None, 1), rvb=True))
+    print(f"work_counts: trmm {trmm_size}, perfectized, variable bounds "
+          f"removed, tiles {trmm_size} x {trmm_size} x 1: "
+          f"{trmm['suffix_clones']} clones for {trmm['suffix_ops']} ops after "
+          f"the suffix, simplify-affine-if rewrote "
+          f"{trmm['simplify_affine_if_rewrites']} affine.if(s)")
+    return {"size": size, **counts, **ratios,
+            **{f"trmm.{name}": trmm[name]
+               for name in ("suffix_clones", "suffix_ops", "suffix_clones_per_op",
+                            "simplify_affine_if_rewrites")}}
 
 
 def measure_scan_counts(size: int = 4) -> dict:
@@ -511,7 +558,7 @@ def measure_scan_counts(size: int = 4) -> dict:
     passes = {"affine-store-forward": store_forward.AffineStoreForwardPass,
               "simplify-memref-access": simplify_memref_access.SimplifyMemrefAccessPass,
               "cse": CSEPass}
-    context, encode = _gemm_evaluation(size)
+    context, encode = _kernel_evaluation("gemm", size)
     walk, key = Operation.walk, store_forward.access_key
     counts: dict = {}
     running = None

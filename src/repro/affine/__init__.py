@@ -22,6 +22,7 @@ from repro.affine.expr import (
 from repro.affine.map import AffineMap
 from repro.affine.set import IntegerSet, Constraint
 from repro.affine.analysis import (
+    condition_verdict,
     expr_is_function_of_dim,
     expr_constant_term,
     expr_dim_coefficients,
@@ -46,6 +47,7 @@ __all__ = [
     "AffineMap",
     "IntegerSet",
     "Constraint",
+    "condition_verdict",
     "expr_is_function_of_dim",
     "expr_constant_term",
     "expr_dim_coefficients",

@@ -2,14 +2,16 @@
 
 These utilities answer the questions the loop transforms and the QoR
 estimator need: is an expression linear in the loop induction variables, what
-are its per-dim coefficients, and what are its extreme values over a
-rectangular iteration domain (used by ``-remove-variable-bound``).
+are its per-dim coefficients, what are its extreme values over a
+rectangular iteration domain (used by ``-remove-variable-bound``), and does
+an integer set hold over such a domain (:func:`condition_verdict`, the one
+judge of an ``affine.if`` for ``-simplify-affine-if`` and loop unrolling).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.affine.expr import (
     AffineBinaryExpr,
@@ -19,6 +21,9 @@ from repro.affine.expr import (
     AffineExprKind,
     AffineSymbolExpr,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.affine.set import IntegerSet
 
 #: Enumeration fallback limit for non-linear expressions in :func:`expr_min_max`.
 _ENUMERATION_LIMIT = 1 << 16
@@ -129,3 +134,35 @@ def expr_min_max(expr: AffineExpr, dim_ranges: Sequence[tuple[int, int]]) -> tup
         for point in itertools.product(*[range(low, high) for low, high in dim_ranges])
     ]
     return min(values), max(values)
+
+
+def condition_verdict(condition: "IntegerSet",
+                      dim_ranges: Sequence[tuple[int, int]]) -> Optional[bool]:
+    """Whether ``condition`` holds over a half-open rectangular dim domain.
+
+    True when every point of the domain satisfies every constraint, False
+    when some constraint fails at every point, None when neither is shown
+    (dims are bounded independently of each other, and a non-linear
+    constraint over a domain too large to enumerate is not bounded at all).
+    With every range a single point the verdict is the set's value there;
+    with no range given every dim is read as 0.
+    """
+    if not dim_ranges:
+        dim_ranges = [(0, 1)] * condition.num_dims
+    always = True
+    for constraint in condition.constraints:
+        try:
+            low, high = expr_min_max(constraint.expr, dim_ranges)
+        except ValueError:
+            return None
+        if constraint.is_equality:
+            if low == 0 and high == 0:
+                continue
+            if low > 0 or high < 0:
+                return False
+        elif low >= 0:
+            continue
+        elif high < 0:
+            return False
+        always = False
+    return True if always else None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from repro.affine.analysis import expr_min_max
 from repro.affine.expr import AffineConstantExpr, AffineExpr, constant as const_expr, dim as dim_expr
 from repro.affine.map import AffineMap
 from repro.affine.set import IntegerSet
@@ -322,6 +323,50 @@ def value_to_affine_expr(value: Value, dim_map: dict[Value, int]) -> Optional[Af
                 return lhs * rhs
             return None
     return None
+
+
+def constant_bound_domain(op: Operation
+                          ) -> tuple[dict[Value, int], list[tuple[int, int]]]:
+    """The constant-bound loops around ``op``, outermost first, as the dim
+    position of each one's induction variable and its half-open range."""
+    loops = [ancestor for ancestor in op.ancestors()
+             if isinstance(ancestor, AffineForOp)
+             and ancestor.has_constant_bounds()]
+    loops.reverse()
+    return band_dim_map(loops), band_dim_ranges(loops)
+
+
+def index_value_range(value: Value, domain: Optional[tuple] = None
+                      ) -> Optional[tuple[int, int]]:
+    """Half-open range of an index ``value``, if derivable.
+
+    Handles constants, induction variables of constant-bound loops, and
+    values computed from them through ``affine.apply`` / integer arithmetic
+    (the combined indices produced by loop tiling), bounded over ``domain``:
+    the :func:`constant_bound_domain` of the operation that defines
+    ``value``, looked up when left out.  A caller whose operations are in
+    no block yet (loop unrolling, before it splices its copies in) passes
+    the domain they will sit in.
+    """
+    if isinstance(value, BlockArgument):
+        owner = value.owner.parent_op if value.owner.parent is not None else None
+        if isinstance(owner, AffineForOp) and owner.has_constant_bounds():
+            return (owner.constant_lower_bound, owner.constant_upper_bound)
+        return None
+    if not isinstance(value, OpResult):
+        return None
+    if value.owner.name == "arith.constant":
+        constant = int(value.owner.get_attr("value"))
+        return (constant, constant + 1)
+    dim_map, dim_ranges = domain or constant_bound_domain(value.owner)
+    expr = value_to_affine_expr(value, dim_map)
+    if expr is None:
+        return None
+    try:
+        low, high = expr_min_max(expr, dim_ranges)
+    except ValueError:
+        return None
+    return (low, high + 1)
 
 
 def access_expressions(op: Operation, dim_map: dict[Value, int],

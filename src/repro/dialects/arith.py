@@ -220,6 +220,16 @@ def constant_value(value: Value):
     return value.owner.get_attr("value")
 
 
+def trunc_div(lhs: int, rhs: int) -> int:
+    """``lhs / rhs`` as ``arith.divsi`` and C define it: the exact integer
+    quotient, truncated toward zero (``//`` floors, and a quotient taken
+    through floats is wrong beyond 2**53).  ``arith.remsi`` is
+    ``lhs - rhs * trunc_div(lhs, rhs)``.  Raises :class:`ZeroDivisionError`
+    for ``rhs == 0``."""
+    quotient = abs(lhs) // abs(rhs)
+    return quotient if (lhs < 0) == (rhs < 0) else -quotient
+
+
 #: Set of arith operation names that are pure (freely CSE-able / DCE-able).
 PURE_OPS = {
     "arith.constant", "arith.addf", "arith.subf", "arith.mulf", "arith.divf",

@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.dialects.arith import trunc_div
 from repro.ir.module import ModuleOp
 from repro.ir.operation import Operation
 from repro.ir.types import FloatType, IntegerType, MemRefType
@@ -180,8 +181,8 @@ _BINARY_FUNCTIONS = {
     "arith.addi": lambda a, b: a + b,
     "arith.subi": lambda a, b: a - b,
     "arith.muli": lambda a, b: a * b,
-    "arith.divsi": lambda a, b: int(a / b),
-    "arith.remsi": lambda a, b: a - b * int(a / b),
+    "arith.divsi": trunc_div,
+    "arith.remsi": lambda a, b: a - b * trunc_div(a, b),
 }
 
 _CMP_FUNCTIONS = {

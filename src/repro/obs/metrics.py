@@ -31,6 +31,10 @@ name                      kind       meaning
                                      does not take (the plan applies the identity)
 ``dse.knob.skipped.tile`` counter    uncached points whose tile sizes the band
                                      cuts, clamps, lowers or refuses
+``unroll.if.taken``       counter    ``affine.if``s full unrolling decided true as it
+                                     copied them (the then-branch copied in place)
+``unroll.if.dropped``     counter    decided false (the else-branch, or nothing)
+``unroll.if.undecided``   counter    copied whole, for ``-simplify-affine-if``
 ``dse.shared.nodes``      counter    nodes identical to one explored earlier in the run
 ``dse.shared.points``     counter    estimates those nodes took over from it
 ``dse.worker.busy_seconds``  counter    summed per-evaluation worker wall-clock

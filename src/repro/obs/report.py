@@ -180,7 +180,9 @@ def shared_summary_line(points: int, nodes: int) -> str:
 
 def resolved_summary_line(resolved: int, points: int, classes: int,
                           aliases: int, identity_seconds: float,
-                          skipped_perm: int = 0, skipped_tile: int = 0) -> str:
+                          skipped_perm: int = 0, skipped_tile: int = 0,
+                          unrolled_ifs: tuple[int, int, int] = (0, 0, 0)
+                          ) -> str:
     """What evaluating by transform class saved and cost, in one line.
 
     ``points`` are the design points no cache served, ``classes`` the
@@ -190,18 +192,22 @@ def resolved_summary_line(resolved: int, points: int, classes: int,
     already answered.  ``identity_seconds`` is what the coordinator spent
     telling the programs apart; ``skipped_perm`` / ``skipped_tile`` count the
     points whose permutation the band dropped / whose tile sizes it changed
-    (where the aliases come from).  Like every line that counts
+    (where the aliases come from); ``unrolled_ifs`` the ``affine.if``s the
+    evaluations' unrolling took, dropped and copied undecided.  Like every
+    line that counts
     this run's evaluations it says "evaluated", the marker by which output
     comparisons across ``--resume`` and cache warmth skip such lines.
     """
     siblings = resolved - aliases
+    taken, dropped, undecided = unrolled_ifs
     return (f"  resolved {resolved} of {points} points from {classes} "
             f"transformed classes ({siblings} II-sibling"
             f"{'' if siblings == 1 else 's'}, {aliases} alias"
             f"{'' if aliases == 1 else 'es'}; each class evaluated once, "
             f"identities planned in {identity_seconds:.2f}s; knobs the band "
             f"did not take as given: perm of {skipped_perm}, tiles of "
-            f"{skipped_tile} points)")
+            f"{skipped_tile} points; affine.ifs unrolling took: {taken}, "
+            f"dropped: {dropped}, left to simplify-affine-if: {undecided})")
 
 
 def dse_summary_lines(counters: Mapping[str, float],
@@ -222,7 +228,9 @@ def dse_summary_lines(counters: Mapping[str, float],
             int(counters.get("dse.resolved.aliases", 0)),
             counters.get("dse.identity.seconds", 0.0),
             int(counters.get("dse.knob.skipped.perm", 0)),
-            int(counters.get("dse.knob.skipped.tile", 0))))
+            int(counters.get("dse.knob.skipped.tile", 0)),
+            tuple(int(counters.get(f"unroll.if.{verdict}", 0))
+                  for verdict in ("taken", "dropped", "undecided"))))
     wall = gauges.get("dse.wall_seconds")
     if wall:
         lines.append(f"  evaluations/sec={evaluations / wall:.2f} "

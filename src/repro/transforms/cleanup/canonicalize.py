@@ -64,8 +64,8 @@ _FOLDABLE_INT = {
     "arith.addi": lambda a, b: a + b,
     "arith.subi": lambda a, b: a - b,
     "arith.muli": lambda a, b: a * b,
-    "arith.divsi": lambda a, b: int(a / b) if b != 0 else None,
-    "arith.remsi": lambda a, b: a - b * int(a / b) if b != 0 else None,
+    "arith.divsi": lambda a, b: arith.trunc_div(a, b) if b != 0 else None,
+    "arith.remsi": lambda a, b: a - b * arith.trunc_div(a, b) if b != 0 else None,
 }
 
 _FOLDABLE_FLOAT = {

@@ -6,19 +6,27 @@ constraint over the iteration domain of the surrounding loops: a constraint
 one whose maximum is negative never holds (similarly for equalities).  Always
 true conditionals are inlined; never-true conditionals are replaced by their
 else region (or erased).
+
+The verdict is :func:`repro.affine.analysis.condition_verdict` over
+:func:`repro.dialects.affine_ops.index_value_range` of each operand, and
+full unrolling asks the same two functions about every ``affine.if`` it is
+about to copy (:mod:`repro.transforms.loop.loop_unroll`): a guard whose
+operands the copy makes constant never reaches this pass.  What does is IR
+full unrolling did not produce — partial unrolls of the ``compile_dnn``
+flow, a guard above the pipelined loop, hand-written IR — and the guards
+unrolling copied because neither of them can tell.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.affine.analysis import expr_min_max
-from repro.dialects.affine_ops import AffineForOp, AffineIfOp
+from repro.affine.analysis import condition_verdict
+from repro.dialects.affine_ops import AffineIfOp, index_value_range
 from repro.ir.operation import Operation
 from repro.ir.pass_manager import FunctionPass
 from repro.ir.pass_registry import register_pass
 from repro.ir.rewrite import GreedyRewriteDriver, PatternRewriter, RewritePattern
-from repro.ir.value import BlockArgument, OpResult, Value
 
 
 class SimplifyAffineIfPattern(RewritePattern):
@@ -56,75 +64,15 @@ class SimplifyAffineIfPass(FunctionPass):
         simplify_affine_ifs(op)
 
 
-def _operand_range(value: Value) -> Optional[tuple[int, int]]:
-    """Half-open value range of an ``affine.if`` operand, if derivable.
-
-    Handles constants, induction variables of constant-bound loops, and
-    values computed from them through ``affine.apply`` / integer arithmetic
-    (the combined indices produced by loop tiling).
-    """
-    from repro.dialects import arith
-    from repro.dialects.affine_ops import value_to_affine_expr
-
-    constant = arith.constant_value(value)
-    if constant is not None:
-        return (int(constant), int(constant) + 1)
-    if isinstance(value, BlockArgument):
-        owner = value.owner.parent_op if value.owner.parent is not None else None
-        if isinstance(owner, AffineForOp) and owner.has_constant_bounds():
-            return (owner.constant_lower_bound, owner.constant_upper_bound)
-        return None
-    # Derived index value: express it over the enclosing constant-bound loop IVs.
-    if not isinstance(value, OpResult):
-        return None
-    defining = value.owner
-    enclosing = [ancestor for ancestor in defining.ancestors()
-                 if isinstance(ancestor, AffineForOp) and ancestor.has_constant_bounds()]
-    enclosing.reverse()
-    dim_map = {loop.induction_variable: position for position, loop in enumerate(enclosing)}
-    expr = value_to_affine_expr(value, dim_map)
-    if expr is None:
-        return None
-    ranges = [(loop.constant_lower_bound, loop.constant_upper_bound) for loop in enclosing]
-    if not ranges:
-        return None
-    try:
-        low, high = expr_min_max(expr, ranges)
-    except ValueError:
-        return None
-    return (low, high + 1)
-
-
 def _evaluate_condition(if_op: AffineIfOp) -> Optional[bool]:
     """True / False when the condition is decidable over the domain, else None."""
     ranges = []
     for operand in if_op.operands:
-        value_range = _operand_range(operand)
+        value_range = index_value_range(operand)
         if value_range is None:
             return None
         ranges.append(value_range)
-    condition = if_op.condition
-    if not ranges:
-        ranges = [(0, 1)] * condition.num_dims
-    always = True
-    for constraint in condition.constraints:
-        try:
-            low, high = expr_min_max(constraint.expr, ranges)
-        except ValueError:
-            return None
-        if constraint.is_equality:
-            if low == 0 and high == 0:
-                continue
-            if low > 0 or high < 0:
-                return False
-            always = False
-        else:
-            if low >= 0:
-                continue
-            if high < 0:
-                return False
-            always = False
-    return True if always else None
+    return condition_verdict(if_op.condition, ranges)
 
 
 def _inline_branch(if_op: AffineIfOp, take_then: bool,

@@ -9,12 +9,23 @@ legalization of ``-loop-pipelining``.
 
 One routine expands a loop, for one level (:func:`fully_unroll`) or for the
 whole nest below it (:func:`fully_unroll_nested`).  The nested form copies
-every operation that is not a loop exactly once, under the constants of all
-the enclosing iterations at a time, and guarantees the IR that unrolling one
-loop at a time, innermost first, leaves: the same operations in the same
-order, the same induction constants, the same ``affine.apply``s folded, the
-same use order on every value defined outside the nest.  It checks every
-loop before it changes anything.
+every operation that is not a loop at most once, under the constants of all
+the enclosing iterations at a time, and checks every loop before it changes
+anything.
+
+Either form judges an ``affine.if`` without results before it copies it, on
+the operands the copy would read, with the verdict function and the range
+analysis of ``-simplify-affine-if``: the branch it takes is copied in its
+place, the branch it drops is never built, and one it cannot judge is copied
+whole for the pass.  The guarantee, which the tests keep against unrolling
+one loop at a time, innermost first, with no ``affine.if`` judged: on IR
+where nothing was decided the same operations in the same order, the same
+induction constants, the same ``affine.apply``s folded, the same use order
+on every value defined outside the nest; and whatever was decided, after
+``canonicalize,simplify-affine-if`` the IR that
+``canonicalize,simplify-affine-if,canonicalize`` leaves of the other —
+operations that fed only a dropped branch are dead from the start, so the
+first ``canonicalize`` erases them and not a later one.
 """
 
 from __future__ import annotations
@@ -22,10 +33,17 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+from repro import obs
+from repro.affine.analysis import condition_verdict
 from repro.affine.expr import dim as dim_expr
 from repro.affine.map import AffineMap
 from repro.dialects import arith
-from repro.dialects.affine_ops import AffineApplyOp, AffineForOp
+from repro.dialects.affine_ops import (
+    AffineApplyOp,
+    AffineForOp,
+    constant_bound_domain,
+    index_value_range,
+)
 from repro.ir.operation import Operation
 from repro.ir.pass_manager import FunctionPass, PassError, PassOption
 from repro.ir.pass_registry import register_pass
@@ -79,10 +97,11 @@ def fully_unroll_nested(root: Operation) -> int:
 
     Each outermost nested loop is expanded over the product of its nest's
     iterations in one pass — every operation that is not a loop is copied
-    exactly once, under the constants of all the enclosing iterations — and
-    the result is, operation for operation and use for use, what unrolling
-    the loops one at a time from the innermost outwards leaves (the tests
-    keep that as the oracle): the same order, the same induction constants,
+    at most once, under the constants of all the enclosing iterations, and
+    a branch an ``affine.if`` drops under them not at all — and the result
+    is, once cleaned up, what unrolling the loops one at a time from the
+    innermost outwards leaves (the module docstring has the exact statement,
+    the tests the oracle): the same order, the same induction constants,
     the same ``affine.apply``s folded.
     """
     loops = [op for op in root.walk()
@@ -130,87 +149,167 @@ class AffineLoopUnrollPass(FunctionPass):
 
 def _replace_by_expansion(loop: AffineForOp, nested: bool) -> list[Operation]:
     new_ops: list[Operation] = []
-    _expand_loop(loop, {}, {}, {}, new_ops, nested)
+    expansion = _Expansion(loop, nested)
+    expansion.expand(loop, {}, new_ops)
     loop.parent.insert_all_after(loop, new_ops)
     loop.erase()
+    expansion.report()
     return new_ops
 
 
-def _expand_loop(loop: AffineForOp, value_map: dict, constants: dict,
-                 single_ivs: dict, new_ops: list[Operation],
-                 nested: bool) -> None:
-    """Append one copy of ``loop``'s body per iteration to ``new_ops``.
+class _Expansion:
+    """One loop being replaced by its iterations, and what every copy made
+    on the way shares."""
 
-    ``value_map`` is what copies are made under: every value the expansion
-    has replaced so far.  ``constants`` is the part of it an ``affine.apply``
-    may fold with — the induction constants and folded applies of the loops
-    between the apply and the nearest region op that is not a loop.  Only
-    direct children of a loop body fold: the canonicalizer would fold them
-    anyway (their operands are constants after iv substitution) by
-    inserting a constant exactly here, so emitting the constant directly
-    produces byte-identical post-canonicalize IR while skipping the clone,
-    the fold rewrite and the dead-apply erasure for every iteration.
+    __slots__ = ("nested", "value_map", "single_ivs", "site",
+                 "outside_ranges", "verdicts", "judged")
 
-    With ``nested`` the loops below are expanded in place of being copied.
-    Enclosing loops keep their bounds throughout, so ``single_ivs`` (the
-    memo of :func:`_single_iteration_iv_value`) holds for every copy.
-    """
-    iv = loop.induction_variable
-    body = [op for op in loop.body.operations if op.name != "affine.yield"]
-    for iteration_value in range(loop.constant_lower_bound,
-                                 loop.constant_upper_bound, loop.step):
-        constant = arith.ConstantOp(iteration_value, index)
-        new_ops.append(constant)
-        value_map[iv] = constants[iv] = constant.result()
-        for body_op in body:
-            if body_op.name == "affine.apply":
-                folded = _fold_cloned_apply(body_op, constants, single_ivs)
-                if folded is not None:
-                    value_map[body_op.result()] = folded.result()
-                    new_ops.append(folded)
-                    continue
-            if not nested or not body_op.regions:
-                new_ops.append(body_op.clone(value_map))
-            elif isinstance(body_op, AffineForOp):
-                _expand_loop(body_op, value_map, constants, single_ivs,
-                             new_ops, nested)
-            else:
-                new_ops.append(_clone_expanding_loops(body_op, value_map,
-                                                      single_ivs))
+    def __init__(self, loop: AffineForOp, nested: bool):
+        #: Expand the loops below in place of copying them.
+        self.nested = nested
+        #: What copies are made under: every value replaced so far.
+        self.value_map: dict = {}
+        #: Memo of :func:`_single_iteration_iv_value`.  Enclosing loops keep
+        #: their bounds throughout, so it holds for every copy.
+        self.single_ivs: dict = {}
+        #: The constant-bound loops every copy ends up under.  The copies
+        #: are in no block until the expansion is over, so a range analysis
+        #: is handed this domain instead of looking it up.
+        self.site = constant_bound_domain(loop)
+        #: Range of an ``affine.if`` operand the expansion did not replace.
+        self.outside_ranges: dict = {}
+        #: (source ``affine.if``, operand ranges) -> verdict.  The source op
+        #: hashes by identity: no integer set is hashed per copy.
+        self.verdicts: dict = {}
+        #: ``affine.if``s judged, by verdict.
+        self.judged = {True: 0, False: 0, None: 0}
 
+    def report(self) -> None:
+        if obs.active() is not None:
+            obs.counter("unroll.if.taken", self.judged[True])
+            obs.counter("unroll.if.dropped", self.judged[False])
+            obs.counter("unroll.if.undecided", self.judged[None])
 
-def _clone_expanding_loops(op: Operation, value_map: dict,
-                           single_ivs: dict) -> Operation:
-    """:meth:`Operation.clone` of a region op that is not a loop, with the
-    loops inside it expanded.
+    def expand(self, loop: AffineForOp, constants: dict,
+               new_ops: list[Operation]) -> None:
+        """Append one copy of ``loop``'s body per iteration to ``new_ops``.
 
-    Nothing folds across ``op``: unrolling from the innermost loop outwards
-    copied it whole once the loops inside were gone, so an apply in it saw
-    constants for the loops inside ``op`` only.
-    """
-    from repro.ir.block import Block
-
-    new_op = op.clone_without_regions(value_map)
-    for region in op.regions:
-        new_region = new_op.add_region()
-        for block in region.blocks:
-            new_block = Block()
-            new_region.add_block(new_block)
-            for argument in block.arguments:
-                value_map[argument] = new_block.add_argument(argument.type)
-            new_ops: list[Operation] = []
-            for nested_op in block.operations:
-                if not nested_op.regions:
-                    new_ops.append(nested_op.clone(value_map))
-                elif isinstance(nested_op, AffineForOp):
-                    _expand_loop(nested_op, value_map, {}, single_ivs,
-                                 new_ops, nested=True)
+        ``constants`` is the part of the value map an ``affine.apply`` may
+        fold with — the induction constants and folded applies of the loops
+        between the apply and the nearest region op that is not a loop.
+        Only direct children of a loop body fold: the canonicalizer would
+        fold them anyway (their operands are constants after iv
+        substitution) by inserting a constant exactly here, so emitting the
+        constant directly produces byte-identical post-canonicalize IR while
+        skipping the clone, the fold rewrite and the dead-apply erasure for
+        every iteration.
+        """
+        value_map, single_ivs = self.value_map, self.single_ivs
+        iv = loop.induction_variable
+        body = [op for op in loop.body.operations if op.name != "affine.yield"]
+        for iteration_value in range(loop.constant_lower_bound,
+                                     loop.constant_upper_bound, loop.step):
+            constant = arith.ConstantOp(iteration_value, index)
+            new_ops.append(constant)
+            value_map[iv] = constants[iv] = constant.result()
+            for body_op in body:
+                if body_op.name == "affine.apply":
+                    folded = _fold_cloned_apply(body_op, constants, single_ivs)
+                    if folded is not None:
+                        value_map[body_op.result()] = folded.result()
+                        new_ops.append(folded)
+                        continue
+                if not body_op.regions:
+                    new_ops.append(body_op.clone(value_map))
+                elif not isinstance(body_op, AffineForOp):
+                    self.copy_region_op(body_op, new_ops)
+                elif self.nested:
+                    self.expand(body_op, constants, new_ops)
                 else:
-                    new_ops.append(_clone_expanding_loops(
-                        nested_op, value_map, single_ivs))
-            for new_nested in new_ops:
-                new_block.append(new_nested)
-    return new_op
+                    new_ops.append(body_op.clone(value_map))
+
+    def copy_region_op(self, op: Operation, new_ops: list[Operation]) -> None:
+        """Append the copy of a region op that is not a loop.
+
+        An ``affine.if`` without results is judged first, on its operands as
+        the copy would read them: decided, the operations of the branch it
+        takes are copied in its place (none when that branch is missing) and
+        the other branch is never built; undecided, it is copied whole, for
+        ``-simplify-affine-if``.  Nothing folds across ``op`` either way:
+        unrolling from the innermost loop outwards copied it whole once the
+        loops inside were gone, so an apply in it saw constants for the
+        loops inside ``op`` only.
+        """
+        if op.name == "affine.if" and not op.results:
+            verdict = self.verdict(op)
+            self.judged[verdict] += 1
+            if verdict is not None:
+                branch = op.then_block if verdict else op.else_block
+                if branch is not None:
+                    self.copy_block(branch, new_ops, inlined=True)
+                return
+        from repro.ir.block import Block
+
+        value_map = self.value_map
+        new_op = op.clone_without_regions(value_map)
+        for region in op.regions:
+            new_region = new_op.add_region()
+            for block in region.blocks:
+                new_block = Block()
+                new_region.add_block(new_block)
+                for argument in block.arguments:
+                    value_map[argument] = new_block.add_argument(argument.type)
+                copies: list[Operation] = []
+                self.copy_block(block, copies)
+                for copy in copies:
+                    new_block.append(copy)
+        new_ops.append(new_op)
+
+    def copy_block(self, block, new_ops: list[Operation],
+                   inlined: bool = False) -> None:
+        """Append copies of the operations of ``block``, a block of a region
+        op that is not a loop; ``inlined``, short of the ``affine.yield``
+        that ends a branch."""
+        value_map = self.value_map
+        for op in block.operations:
+            if not op.regions:
+                if not (inlined and op.name == "affine.yield"):
+                    new_ops.append(op.clone(value_map))
+            elif not isinstance(op, AffineForOp):
+                self.copy_region_op(op, new_ops)
+            elif self.nested:
+                self.expand(op, {}, new_ops)
+            else:
+                new_ops.append(op.clone(value_map))
+
+    def verdict(self, if_op: Operation) -> Optional[bool]:
+        """:func:`~repro.affine.analysis.condition_verdict` of ``if_op`` on
+        its operands under the value map: exact on induction constants,
+        folded applies and single-iteration ivs, and bounded by the range
+        analysis of ``-simplify-affine-if`` over :attr:`site` for
+        anything else."""
+        value_map, outside = self.value_map, self.outside_ranges
+        ranges = []
+        for use in if_op._operands:
+            source = use.value
+            value = value_map.get(source, source)
+            if value is not source:
+                value_range = index_value_range(value, self.site)
+            elif value in outside:
+                value_range = outside[value]
+            else:
+                only = _single_iteration_iv_value(value)
+                value_range = outside[value] = (only, only + 1) \
+                    if only is not None \
+                    else index_value_range(value, self.site)
+            if value_range is None:
+                return None
+            ranges.append(value_range)
+        key = (if_op, *ranges)
+        if key not in self.verdicts:
+            self.verdicts[key] = condition_verdict(
+                if_op.get_attr("condition"), ranges)
+        return self.verdicts[key]
 
 
 def _fold_cloned_apply(apply_op: Operation, constants: dict,

@@ -42,17 +42,17 @@ void gemm(float alpha, float beta, float C[8][8], float A[8][8], float B[8][8]) 
         float v21 = v20 + v19;
         C[v1][v15] = v21;
         int v22 = (v0 + v14);
-        float v23 = C[v1][v5];
-        float v24 = A[v1][v22];
-        float v25 = alpha * v24;
-        float v26 = B[v22][v5];
-        float v27 = v25 * v26;
-        float v28 = v23 + v27;
+        float v23 = A[v1][v22];
+        float v24 = alpha * v23;
+        float v25 = B[v22][v5];
+        float v26 = v24 * v25;
+        float v27 = C[v1][v5];
+        float v28 = v27 + v26;
         C[v1][v5] = v28;
-        float v29 = C[v1][v15];
-        float v30 = B[v22][v15];
-        float v31 = v25 * v30;
-        float v32 = v29 + v31;
+        float v29 = B[v22][v15];
+        float v30 = v24 * v29;
+        float v31 = C[v1][v15];
+        float v32 = v31 + v30;
         C[v1][v15] = v32;
       }
     }

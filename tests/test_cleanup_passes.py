@@ -96,6 +96,50 @@ class TestCanonicalize:
         stores = [op for op in f.walk() if op.name == "affine.store"]
         assert arith.constant_value(stores[0].indices[0]) == 7
 
+    @pytest.mark.parametrize("lhs, rhs, quotient, remainder", [
+        (7, 2, 3, 1), (-7, 2, -3, -1), (7, -2, -3, 1), (-7, -2, 3, -1),
+        (6, 3, 2, 0), (-6, 3, -2, 0), (0, -5, 0, 0), (2, 7, 0, 2), (-2, 7, 0, -2),
+        # Beyond 2**53 a quotient taken through floats is wrong.
+        (2**62 + 1, 3, 1537228672809129301, 2),
+        (-(2**62 + 1), 3, -1537228672809129301, -2),
+        (2**62 + 1, -3, -1537228672809129301, 2),
+        (2**63 - 1, 2**31 + 1, 4294967294, 1),
+    ])
+    def test_signed_division_truncates_toward_zero_exactly(
+            self, lhs, rhs, quotient, remainder):
+        """What C's ``/`` and ``%`` (the emitted form) compute, from the
+        fold and from the interpreter alike."""
+        assert arith.trunc_div(lhs, rhs) == quotient
+        module = ModuleOp("m")
+        f = func.build_function(module, "f", [], [index, index])
+        builder = Builder(InsertionPoint.at_end(f.body))
+        a = builder.insert(arith.ConstantOp(lhs, index))
+        b = builder.insert(arith.ConstantOp(rhs, index))
+        div = builder.insert(arith.DivSIOp(a.result(), b.result()))
+        rem = builder.insert(arith.RemSIOp(a.result(), b.result()))
+        builder.insert(func.ReturnOp([div.result(), rem.result()]))
+        assert Interpreter(module).run_function(f, []) == [quotient, remainder]
+        canonicalize(f)
+        assert [op.name for op in f.body.operations] \
+            == ["arith.constant", "arith.constant", "func.return"]
+        assert [arith.constant_value(value) for value in f.return_op().operands] \
+            == [quotient, remainder]
+        assert Interpreter(module).run_function(f, []) == [quotient, remainder]
+
+    def test_division_by_zero_does_not_fold(self):
+        module = ModuleOp("m")
+        f = func.build_function(module, "f", [], [index, index])
+        builder = Builder(InsertionPoint.at_end(f.body))
+        a = builder.insert(arith.ConstantOp(2**62 + 1, index))
+        zero = builder.insert(arith.ConstantOp(0, index))
+        div = builder.insert(arith.DivSIOp(a.result(), zero.result()))
+        rem = builder.insert(arith.RemSIOp(a.result(), zero.result()))
+        builder.insert(func.ReturnOp([div.result(), rem.result()]))
+        assert not canonicalize(f)
+        assert [op.name for op in f.return_op().operands[0].owner.parent.operations] \
+            == ["arith.constant", "arith.constant", "arith.divsi",
+                "arith.remsi", "func.return"]
+
     def test_canonicalize_is_idempotent(self, gemm_module):
         f = gemm_module.functions()[0]
         canonicalize(f)

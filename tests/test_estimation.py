@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import functools
 import random
 
 import pytest
@@ -342,6 +343,39 @@ class TestAccessTableHandOff:
                    for op in accesses)
 
 
+@functools.lru_cache(maxsize=None)
+def _points_a_retired_cleanup_reads_worse_on(kernel):
+    """Over 12 seeded settings of ``kernel`` at n = 8: asserts that no
+    retired cleanup beats the built-in one on latency or DSP, and returns
+    how many (setting, cleanup) pairs read worse than it."""
+    module = compile_kernel(kernel, 8)
+    space = KernelDesignSpace.from_function(module.functions()[0])
+    rng = random.Random(11)
+    settings: dict = {}
+    while len(settings) < 12:
+        settings.setdefault(space.decode(space.random_point(rng)))
+    worse = 0
+    with cleanups.registered():
+        for point in settings:
+            kept = apply_design_point(module, point).qor
+            for name in cleanups.RETIRED:
+                other = apply_design_point(module, dataclasses.replace(
+                    point, pipeline=name)).qor
+                assert kept.latency <= other.latency \
+                    and kept.dsp <= other.dsp, (
+                    f"{kernel}, {point.describe()}: {name} "
+                    f"({CLEANUP_PIPELINES[name]}) reads latency "
+                    f"{other.latency} / dsp {other.dsp} against "
+                    f"{kept.latency} / {kept.dsp} under the built-in "
+                    "cleanup.  Either the estimator rewards leftover "
+                    "redundancy (a bug) or a cheaper cleanup can win, "
+                    "which is the one reason to make the cleanup "
+                    "pipeline a design-space dimension again.")
+                worse += (other.latency, other.dsp) \
+                    != (kept.latency, kept.dsp)
+    return worse
+
+
 class TestTheCleanupIsDecided:
     """The law the one built-in cleanup pipeline rests on: on the frontier's
     two axes no shorter cleanup is ever better, so there is an order to
@@ -350,30 +384,16 @@ class TestTheCleanupIsDecided:
     @pytest.mark.parametrize("kernel", TABLE3_KERNELS)
     def test_no_retired_cleanup_beats_the_kept_one(self, kernel):
         assert list(CLEANUP_PIPELINES) == ["default"]
-        module = compile_kernel(kernel, 8)
-        space = KernelDesignSpace.from_function(module.functions()[0])
-        rng = random.Random(11)
-        settings: dict = {}
-        while len(settings) < 12:
-            settings.setdefault(space.decode(space.random_point(rng)))
-        worse = 0
-        with cleanups.registered():
-            for point in settings:
-                kept = apply_design_point(module, point).qor
-                for name in cleanups.RETIRED:
-                    other = apply_design_point(module, dataclasses.replace(
-                        point, pipeline=name)).qor
-                    assert kept.latency <= other.latency \
-                        and kept.dsp <= other.dsp, (
-                        f"{kernel}, {point.describe()}: {name} "
-                        f"({CLEANUP_PIPELINES[name]}) reads latency "
-                        f"{other.latency} / dsp {other.dsp} against "
-                        f"{kept.latency} / {kept.dsp} under the built-in "
-                        "cleanup.  Either the estimator rewards leftover "
-                        "redundancy (a bug) or a cheaper cleanup can win, "
-                        "which is the one reason to make the cleanup "
-                        "pipeline a design-space dimension again.")
-                    worse += (other.latency, other.dsp) \
-                        != (kept.latency, kept.dsp)
-        assert worse  # the cleanups differ on this sample: not a vacuous law
+        _points_a_retired_cleanup_reads_worse_on(kernel)
         assert list(CLEANUP_PIPELINES) == ["default"]
+
+    def test_the_cleanups_still_differ(self):
+        tied = [kernel for kernel in TABLE3_KERNELS
+                if not _points_a_retired_cleanup_reads_worse_on(kernel)]
+        assert set(tied) <= {"trmm"}, (
+            f"every cleanup reads the same on the samples of {tied}: there "
+            "the law above holds vacuously.  trmm alone is expected to tie "
+            "— all that `canonicalize,cse` left behind on its sample were "
+            "the `affine.if`s of -remove-variable-bound, which unrolling "
+            "decides as it copies, before any cleanup runs — so the law is "
+            "counted non-vacuous over the other five kernels.")

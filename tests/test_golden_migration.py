@@ -11,6 +11,10 @@ Two decisions moved them since, each recorded with its evidence in
 hash; its QoR did not move), and the cleanup tail is the two-round pipeline
 for every flow (``gemm8_tiled``'s C++, DSP and LUT; every trajectory of
 ``serial_engine_n8.json``, whose encoded points also lost the pipeline index).
+A third (PR 24): unrolling never builds the branch an ``affine.if`` drops, so
+what fed only that branch is erased by the first ``canonicalize`` and ``cse``
+keeps the later, live load of ``C`` — the statement order of one load per
+copy in ``gemm8_tiled``'s C++; its QoR and every DNN IR hash did not move.
 """
 
 import hashlib

@@ -1,12 +1,15 @@
 """Tests for the loop-level transform passes (perfectization, RVB, order, tiling, unroll)."""
 
+import collections
+import contextlib
 import itertools
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import ir
+from repro import ir, obs
 from repro.affine.expr import dim
 from repro.affine.map import AffineMap
 from repro.affine.set import IntegerSet
@@ -22,13 +25,16 @@ from repro.dialects.affine_ops import (
     outermost_loops,
     perfect_loop_band,
 )
-from repro.dse.space import ir_digest
+from repro.dse.apply import CLEANUP_PIPELINE, apply_design_point
+from repro.dse.space import KernelDesignSpace, ir_digest
 from repro.ir.builder import Builder
 from repro.ir.interpreter import interpret_kernel
 from repro.ir.operation import Operation
 from repro.ir.pass_manager import PassError
+from repro.ir.pass_registry import build_pipeline_cached
 from repro.ir.printer import print_op
 from repro.ir.types import MemRefType, f32, index
+from repro.kernels import KERNEL_NAMES
 from repro.pipeline import compile_kernel
 from repro.transforms import (
     canonicalize,
@@ -40,9 +46,20 @@ from repro.transforms import (
     tile_loop_band,
     unroll_loop,
 )
-from repro.transforms.composite import run_design_point_prefix, stage_design_point
+from repro.transforms.composite import (
+    run_design_point_prefix,
+    run_design_point_suffix,
+    stage_design_point,
+)
+from repro.transforms.directive import pipelining
 from repro.transforms.loop.loop_order_opt import compute_permutation
-from repro.transforms.loop.loop_unroll import fully_unroll_nested
+from repro.transforms.cleanup.simplify_affine_if import _evaluate_condition
+from repro.transforms.loop.loop_unroll import (
+    _fold_cloned_apply,
+    fully_unroll_nested,
+)
+
+from test_interpreter_and_kernels import kernel_arrays, numpy_reference
 
 from conftest import (
     GEMM_SOURCE,
@@ -346,18 +363,51 @@ class TestLoopUnroll:
 
 
 # -- fully_unroll_nested against unrolling one loop at a time ---------------------------
+#
+# The one-level expansion of 89b6fc6, verbatim: it copied every ``affine.if``
+# whole and left all of them to ``-simplify-affine-if``.  Innermost loop
+# first, it is the oracle for what the expansion leaves now that it judges
+# an ``affine.if`` before copying it.
 
 
-def _unroll_one_at_a_time(root):
-    """The oracle: every nested loop unrolled by the one-level public call,
-    innermost first (what ``fully_unroll_nested`` did before it expanded a
-    nest over its iteration product)."""
+def _frozen_fully_unroll(loop):
+    value_map, constants, single_ivs, new_ops = {}, {}, {}, []
+    iv = loop.induction_variable
+    body = [op for op in loop.body.operations if op.name != "affine.yield"]
+    for iteration_value in range(loop.constant_lower_bound,
+                                 loop.constant_upper_bound, loop.step):
+        constant = arith.ConstantOp(iteration_value, index)
+        new_ops.append(constant)
+        value_map[iv] = constants[iv] = constant.result()
+        for body_op in body:
+            if body_op.name == "affine.apply":
+                folded = _fold_cloned_apply(body_op, constants, single_ivs)
+                if folded is not None:
+                    value_map[body_op.result()] = folded.result()
+                    new_ops.append(folded)
+                    continue
+            new_ops.append(body_op.clone(value_map))
+    loop.parent.insert_all_after(loop, new_ops)
+    loop.erase()
+
+
+def _unroll_one_at_a_time(root, fully_unroll=_frozen_fully_unroll):
+    """The oracle: every nested loop unrolled one level at a time, innermost
+    first (what ``fully_unroll_nested`` did before it expanded a nest over
+    its iteration product), by the expansion that judged no ``affine.if``."""
     count = 0
     for op in list(root.walk_post_order()):
         if op is not root and isinstance(op, AffineForOp):
+            if op.trip_count() is None:
+                raise PassError("cannot fully unroll a loop with variable bounds")
             fully_unroll(op)
             count += 1
     return count
+
+
+def _unroll_one_at_a_time_judging(root):
+    """The same order through the public one-level call, which judges."""
+    return _unroll_one_at_a_time(root, fully_unroll)
 
 
 def _ir_signature(func_op):
@@ -373,23 +423,60 @@ def _ir_signature(func_op):
              for value in values])
 
 
+#: What the oracle is finished with, against what the judging expansion is:
+#: the first canonicalize erases what fed only a dropped branch, so nothing
+#: is left for a third pass.
+_ORACLE_CLEANUP = "canonicalize,simplify-affine-if,canonicalize"
+_JUDGED_CLEANUP = "canonicalize,simplify-affine-if"
+
+
 def _assert_matches_oracle(module, root_position):
     """Unroll below the op at ``root_position`` (walk order of the first
-    function) both ways, on two clones of ``module``."""
-    outcomes = []
-    for unroll in (_unroll_one_at_a_time, fully_unroll_nested):
+    function) on clones of ``module``: by the oracle, by
+    ``fully_unroll_nested`` and one level at a time through ``fully_unroll``.
+
+    An expansion that decided no ``affine.if`` leaves the oracle's IR,
+    operation for operation and use for use.  Whatever it decided, cleaned
+    up it equals the cleaned up oracle, and ``fully_unroll_nested`` copied
+    no ``affine.if`` that ``-simplify-affine-if`` decides on the spot.
+    Returns ``(count, printed, uses, ifs decided)`` of
+    ``fully_unroll_nested``, or None when a variable bound stopped it.
+    """
+    raw, cleaned, decided = {}, {}, {}
+    for unroll, cleanup in ((_unroll_one_at_a_time, _ORACLE_CLEANUP),
+                            (fully_unroll_nested, _JUDGED_CLEANUP),
+                            (_unroll_one_at_a_time_judging, _JUDGED_CLEANUP)):
         func_op = module.clone().functions()[0]
         root = list(func_op.walk())[root_position]
         before = print_op(func_op, stable_ids=True)
-        try:
-            outcomes.append((unroll(root), *_ir_signature(func_op)))
-        except PassError:
-            outcomes.append(None)
-            if unroll is fully_unroll_nested:
-                # All or nothing (the oracle may stop half way).
-                assert print_op(func_op, stable_ids=True) == before
-    assert outcomes[0] == outcomes[1]
-    return outcomes[1]
+        with obs.session() as session:
+            try:
+                count = unroll(root)
+            except PassError:
+                raw[unroll] = cleaned[unroll] = None
+                if unroll is fully_unroll_nested:
+                    # All or nothing (one at a time may stop half way).
+                    assert print_op(func_op, stable_ids=True) == before
+                continue
+        counters = session.metrics.counters
+        decided[unroll] = int(counters.get("unroll.if.taken", 0)
+                              + counters.get("unroll.if.dropped", 0))
+        raw[unroll] = (count, *_ir_signature(func_op))
+        if unroll is fully_unroll_nested:
+            assert [if_op for if_op in func_op.walk()
+                    if if_op.name == "affine.if" and not if_op.results
+                    and _evaluate_condition(if_op) is not None] == []
+        build_pipeline_cached(cleanup).run(func_op)
+        cleaned[unroll] = _ir_signature(func_op)
+    assert cleaned[fully_unroll_nested] == cleaned[_unroll_one_at_a_time]
+    assert cleaned[_unroll_one_at_a_time_judging] == cleaned[_unroll_one_at_a_time]
+    if raw[fully_unroll_nested] is None:
+        return None
+    if not decided[fully_unroll_nested]:
+        assert raw[fully_unroll_nested] == raw[_unroll_one_at_a_time]
+    if not decided[_unroll_one_at_a_time_judging]:
+        assert raw[_unroll_one_at_a_time_judging] == raw[_unroll_one_at_a_time]
+    return (*raw[fully_unroll_nested], decided[fully_unroll_nested])
 
 
 def _function(arg_types):
@@ -551,14 +638,14 @@ class TestNestedUnrollMatchesOneLoopAtATime:
         roots = [0] + [number for number, op in enumerate(func_op.walk())
                        if isinstance(op, AffineForOp)]
         for position in roots:
-            count, printed, _ = _assert_matches_oracle(module, position)
+            count, printed, _, _ = _assert_matches_oracle(module, position)
             if position == 0:
                 assert "affine.for" not in printed
                 assert count == len(roots) - 1  # distinct loops, not copies
 
     def test_applies_fold_where_unrolling_one_loop_at_a_time_folds_them(self):
         def applies_left(module, root_position=0):
-            _, printed, _ = _assert_matches_oracle(module, root_position)
+            _, printed, _, _ = _assert_matches_oracle(module, root_position)
             return printed.count("affine.apply")
 
         # Direct children of an unrolled loop body fold, the trip-1
@@ -566,9 +653,11 @@ class TestNestedUnrollMatchesOneLoopAtATime:
         assert applies_left(_nest_under_single_iteration_loop()) == 4
         assert applies_left(_nest_under_single_iteration_loop(), 1) == 4
         assert applies_left(_nest_with_apply_chain()) == 0
-        # Below an affine.if the fold scope restarts: the copied apply keeps
-        # the outer constant as an operand, for canonicalize to fold.
-        assert applies_left(_nest_with_loop_inside_if()) == 6
+        # Below an affine.if the fold scope restarts, taken or copied whole:
+        # the copied apply keeps the outer constant as an operand, for
+        # canonicalize to fold.  Two per taken branch (i = 1, 2); the branch
+        # i = 0 drops is never built.
+        assert applies_left(_nest_with_loop_inside_if()) == 4
 
     def test_every_operation_is_cloned_at_most_once(self, monkeypatch):
         module = compile_kernel("gemm", 4)
@@ -595,6 +684,161 @@ class TestNestedUnrollMatchesOneLoopAtATime:
             fully_unroll_nested(func_op)
         assert ir_digest(func_op) == digest
         ir.verify(module)
+
+
+# -- what deciding an affine.if while copying it changes, and what it does not ------------
+
+def _seeded_points(kernel, size, count, guarded=False):
+    """``count`` distinct points of ``kernel``'s space, drawn with a fixed
+    seed; ``guarded`` keeps those whose prefix leaves an ``affine.if``
+    (where the space has any: bicg is perfect and rectangular)."""
+    module = compile_kernel(kernel, size)
+    space = KernelDesignSpace.from_function(module.functions()[0])
+    guarded = guarded and len(space.lp_options) + len(space.rvb_options) > 2
+    rng = random.Random(24)
+    points: dict = {}
+    while len(points) < count:
+        point = space.decode(space.random_point(rng))
+        if not guarded or point.loop_perfectization or point.remove_variable_bound:
+            points.setdefault(point)
+    return module, space, list(points)
+
+
+@contextlib.contextmanager
+def _unrolling_as_at_89b6fc6():
+    """Pipelining legalizes through the oracle: no ``affine.if`` judged."""
+    judging = pipelining.fully_unroll_nested
+    pipelining.fully_unroll_nested = _unroll_one_at_a_time
+    try:
+        yield
+    finally:
+        pipelining.fully_unroll_nested = judging
+
+
+def _staged_and_pipelined(module, point, oracle):
+    func_op = module.clone().functions()[0]
+    canonicalize(func_op)
+    run_design_point_prefix(func_op, point.loop_perfectization,
+                            point.remove_variable_bound)
+    with _unrolling_as_at_89b6fc6() if oracle else contextlib.nullcontext():
+        run_design_point_suffix(func_op, point.perm_map, point.tile_sizes,
+                                point.target_ii)
+    return func_op
+
+
+class TestUnrollingDecidesAffineIfs:
+    """An ``affine.if`` whose operands the copy makes constant is decided
+    before it is copied.  Against the expansion of 89b6fc6 that moves one
+    thing in the IR — what fed only a dropped branch is erased by the first
+    ``canonicalize`` instead of the last — and nothing in a record."""
+
+    #: Points per kernel: in tier-1, and with ``-m exhaustive`` for the IR
+    #: (240 over the six kernels) and for the records (342).
+    SAMPLE, FULL_IR_SAMPLE, FULL_RECORD_SAMPLE = 12, 40, 57
+
+    def _assert_ir_equals_the_oracles(self, kernel, count):
+        passes = CLEANUP_PIPELINE.split(",")
+        assert passes[:2] == _JUDGED_CLEANUP.split(",")
+        rest = build_pipeline_cached(",".join(passes[2:]))
+        module, _, points = _seeded_points(kernel, 8, count)
+        decided = moved = 0
+        for point in points:
+            with obs.session() as session:
+                judged = _staged_and_pipelined(module, point, oracle=False)
+            decided += session.metrics.counters.get("unroll.if.taken", 0) \
+                + session.metrics.counters.get("unroll.if.dropped", 0)
+            oracle = _staged_and_pipelined(module, point, oracle=True)
+            parent = _staged_and_pipelined(module, point, oracle=True)
+            build_pipeline_cached(_JUDGED_CLEANUP).run(judged)
+            build_pipeline_cached(_ORACLE_CLEANUP).run(oracle)
+            assert _ir_signature(judged) == _ir_signature(oracle), point.describe()
+            assert not any(op.name == "affine.if" and not op.results
+                           and _evaluate_condition(op) is not None
+                           for op in judged.walk()), point.describe()
+            rest.run(judged)
+            rest.run(oracle)
+            assert _ir_signature(judged) == _ir_signature(oracle), point.describe()
+            # The parent's own pipeline ran no canonicalize between
+            # simplify-affine-if and cse: where it differs it is by which of
+            # two equal loads cse kept, on a perfectized kernel.
+            build_pipeline_cached(CLEANUP_PIPELINE).run(parent)
+            if print_op(parent, stable_ids=True) != print_op(judged, stable_ids=True):
+                moved += 1
+                assert point.loop_perfectization, point.describe()
+                assert collections.Counter(op.name for op in parent.walk()) \
+                    == collections.Counter(op.name for op in judged.walk())
+        return decided, moved
+
+    @pytest.mark.parametrize("kernel", sorted(KERNEL_NAMES))
+    def test_ir_equals_the_oracles_but_for_one_canonicalize(self, kernel):
+        decided, moved = self._assert_ir_equals_the_oracles(kernel, self.SAMPLE)
+        assert decided or kernel == "bicg"  # perfect and rectangular: no guard
+        if kernel in ("gemm", "syr2k", "syrk"):
+            assert moved  # a load that fed only the guarded store
+
+    @pytest.mark.exhaustive
+    @pytest.mark.parametrize("kernel", sorted(KERNEL_NAMES))
+    def test_ir_equals_the_oracles_on_the_full_sample(self, kernel):
+        self._assert_ir_equals_the_oracles(kernel, self.FULL_IR_SAMPLE)
+
+    def _assert_records_equal_the_parents(self, kernel, count):
+        module, space, points = _seeded_points(kernel, 8, count)
+        for point in points:
+            siblings = [ii for ii in space.ii_options if ii != point.target_ii]
+            judged = apply_design_point(module, point, sibling_iis=siblings)
+            with _unrolling_as_at_89b6fc6():
+                parent = apply_design_point(module, point, sibling_iis=siblings)
+            assert (judged.qor, judged.achieved_ii, judged.partition_factors,
+                    judged.siblings) \
+                == (parent.qor, parent.achieved_ii, parent.partition_factors,
+                    parent.siblings), point.describe()
+
+    @pytest.mark.parametrize("kernel", sorted(KERNEL_NAMES))
+    def test_records_equal_the_parents(self, kernel):
+        self._assert_records_equal_the_parents(kernel, self.SAMPLE)
+
+    @pytest.mark.exhaustive
+    @pytest.mark.parametrize("kernel", sorted(KERNEL_NAMES))
+    def test_records_equal_the_parents_on_the_full_sample(self, kernel):
+        self._assert_records_equal_the_parents(kernel, self.FULL_RECORD_SAMPLE)
+
+    @pytest.mark.parametrize("size", [4, 8])
+    @pytest.mark.parametrize("kernel", sorted(KERNEL_NAMES))
+    def test_guarded_points_compute_the_reference(self, kernel, size):
+        module, _, points = _seeded_points(kernel, size, 8, guarded=True)
+        for point in points:
+            design = apply_design_point(module, point)
+            arrays = kernel_arrays(kernel, size, seed=7)
+            expected = numpy_reference(
+                kernel, size, {name: array.copy() for name, array in arrays.items()})
+            interpret_kernel(design.module, kernel, arrays,
+                             {"alpha": 1.5, "beta": 0.5})
+            for name, reference in expected.items():
+                np.testing.assert_allclose(
+                    arrays[name], reference, rtol=1e-4,
+                    err_msg=f"{kernel} n={size}, {point.describe()}: {name}")
+
+    def test_verdicts_are_counted_at_the_source(self):
+        func_op = _nest_with_loop_inside_if().functions()[0]
+        with obs.session() as session:
+            fully_unroll_nested(func_op)
+        counters = session.metrics.counters
+        assert (counters["unroll.if.taken"], counters["unroll.if.dropped"],
+                counters["unroll.if.undecided"]) == (2, 1, 0)
+        # An operand that is an argument: copied whole, once per iteration.
+        module, func_op, builder = _function([MemRefType((4,), f32), index])
+        buffer, n = func_op.arguments
+        i = _loop(builder, 0, 3).induction_variable
+        guard = builder.insert(AffineIfOp(
+            IntegerSet.non_negative(2, dim(1) - dim(0)), [i, n]))
+        builder.set_insertion_point_to_end(guard.then_block)
+        _touch(builder, buffer, [i])
+        builder.set_insertion_point_to_end(func_op.body)
+        builder.insert(func.ReturnOp())
+        with obs.session() as session:
+            fully_unroll_nested(func_op)
+        assert session.metrics.counters["unroll.if.undecided"] == 3
+        assert print_op(func_op).count("affine.if") == 3
 
 
 class TestCombinedKernelFlow:

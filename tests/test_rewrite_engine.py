@@ -19,7 +19,7 @@ from repro.affine.expr import dim
 from repro.affine.map import AffineMap
 from repro.affine.set import IntegerSet
 from repro.dialects import arith
-from repro.dialects.affine_ops import AffineApplyOp, AffineIfOp
+from repro.dialects.affine_ops import AffineApplyOp, AffineForOp, AffineIfOp
 from repro.dse.apply import apply_design_point
 from repro.dse.space import KernelDesignPoint
 from repro.emit.hlscpp_emitter import emit_hlscpp
@@ -35,6 +35,7 @@ from repro.obs.report import format_pattern_stats, pattern_stats_of
 from repro.pipeline import compile_kernel
 from repro.transforms.cleanup.canonicalize import (_FOLDABLE_NAMES,
                                                    canonicalization_patterns)
+from repro.transforms.cleanup.simplify_affine_if import simplify_affine_ifs
 
 
 class _Never(RewritePattern):
@@ -328,6 +329,22 @@ def _foldable_module():
     return root
 
 
+def _guarded_loop_module():
+    """``for i in [0, 4) { if (i >= 0) { keep(i) } }``: an ``affine.if`` that
+    only ``-simplify-affine-if`` can decide — the loop stays, so no unrolling
+    ever reads the guard on a constant."""
+    root = Operation("bench.root", num_regions=1)
+    builder = Builder()
+    builder.set_insertion_point_to_end(root.regions[0].add_block(Block()))
+    loop = builder.insert(AffineForOp.constant_bounds(0, 4))
+    builder.set_insertion_point_to_end(loop.body)
+    guard = builder.insert(AffineIfOp(IntegerSet.non_negative(1, dim(0)),
+                                      [loop.induction_variable]))
+    builder.set_insertion_point_to_end(guard.then_block)
+    builder.insert(Operation("bench.keep", operands=[loop.induction_variable]))
+    return root
+
+
 class TestSeededWorklist:
     """``may_match`` filters the seeds; it must be *necessary* for a match."""
 
@@ -343,8 +360,13 @@ class TestSeededWorklist:
             GreedyRewriteDriver(canonicalization_patterns()).rewrite(root)
             return Printer(stable_ids=True).print(root)
 
+        def simplify(root):
+            simplify_affine_ifs(root)
+            return Printer(stable_ids=True).print(root)
+
         seeded = {key: evaluate(key) for key in GOLDEN_CORPUS}
         seeded_folds = fold(_foldable_module())
+        seeded_guard = simplify(_guarded_loop_module())
         hits: dict = {}
         construct = GreedyRewriteDriver.__init__
 
@@ -360,6 +382,11 @@ class TestSeededWorklist:
         assert fold(_foldable_module()) == seeded_folds
         assert "bench.keep" in seeded_folds and "arith.addi" not in seeded_folds
         assert hits["FoldConstantsPattern"] == len(_FOLDABLE_NAMES) + 1  # two applies
+        # Unrolling decides the guards it copies too, so the kernels never
+        # reach the if pattern either: a guard under a loop that stays does.
+        assert simplify(_guarded_loop_module()) == seeded_guard
+        assert "bench.keep" in seeded_guard and "affine.if" not in seeded_guard
+        assert hits["SimplifyAffineIfPattern"] == 1
         # Every pattern the evaluation pipelines register was exercised.
         assert set(hits) == {"FoldConstantsPattern", "EraseDeadOpPattern",
                              "SimplifyAffineForPattern", "EraseEmptyAffineIfPattern",
