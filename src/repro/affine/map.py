@@ -52,8 +52,17 @@ class AffineMap:
 
     @staticmethod
     def constant_map(value: int) -> "AffineMap":
-        """A zero-input map returning a single constant."""
-        return AffineMap(0, 0, [AffineConstantExpr(value)])
+        """A zero-input map returning a single constant.
+
+        One shared map per value: maps are immutable, and constant loop
+        bounds are most of the maps a lowered model builds.
+        """
+        value = int(value)
+        shared = _CONSTANT_MAPS.get(value)
+        if shared is None:
+            shared = _CONSTANT_MAPS[value] = AffineMap(
+                0, 0, [AffineConstantExpr(value)])
+        return shared
 
     @staticmethod
     def from_exprs(num_dims: int, exprs: Sequence[AffineExpr], num_symbols: int = 0) -> "AffineMap":
@@ -176,3 +185,7 @@ class AffineMap:
         state = self.__dict__.copy()
         state.pop("_str", None)
         return state
+
+
+#: The map :meth:`AffineMap.constant_map` returns, per value.
+_CONSTANT_MAPS: dict[int, AffineMap] = {}

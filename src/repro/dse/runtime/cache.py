@@ -176,6 +176,8 @@ class EstimateCache:
                 continue
             try:
                 data = json.loads(line)
+                if not isinstance(data, dict):
+                    raise ValueError("not a JSON object")
                 if data.get("model") != QOR_MODEL_VERSION:
                     dead += 1  # estimated under a stale QoR model
                     continue

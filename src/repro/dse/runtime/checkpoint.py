@@ -126,7 +126,8 @@ class CheckpointStore:
                         f"ignoring it and starting fresh",
                         RuntimeWarning, stacklevel=2)
                     return None
-            if payload.get("version") != CHECKPOINT_VERSION:
+            if not isinstance(payload, dict) \
+                    or payload.get("version") != CHECKPOINT_VERSION:
                 return None
             if expected_fingerprint is not None \
                     and payload.get("fingerprint") != expected_fingerprint:

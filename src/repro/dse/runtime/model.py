@@ -8,9 +8,10 @@ the parallel runtime:
    of :func:`repro.pipeline.compile_dnn` (``legalize-dataflow`` +
    ``split-function``), producing one function per dataflow node, then
    ``lower-graph-to-loops``.
-2. **Node splitting** — every explorable dataflow node is cloned into its
-   *own* single-function module, so the worker-pool payload holds one
-   small module per node instead of one whole-model copy per node.
+2. **Node splitting** — every explorable dataflow node is moved (not
+   cloned) into its *own* single-function module, so the worker-pool
+   payload holds one small module per node instead of one whole-model copy
+   per node.
 3. **Budgeted sweep** — one :class:`~repro.dse.runtime.scheduler.KernelTask`
    per node runs on one shared process pool; the :class:`NodeBudgetPolicy`
    gives light stages proportionally smaller exploration budgets (a node's
@@ -23,7 +24,7 @@ the parallel runtime:
    bounds throughput), and resources **sum** (each stage is its own
    hardware).  After each node is merged the combined set is pruned back to
    its Pareto frontier, so composition stays polynomial instead of taking
-   the full cartesian product.
+   the full cartesian product; only the survivors are ever built.
 
 Determinism contract: a fixed ``(seed, budgets, batch_size)`` produces a
 byte-identical :meth:`ModelDSEResult.frontier_json` for any ``--jobs`` and
@@ -41,7 +42,6 @@ import time
 from typing import Optional, Union
 
 from repro import obs
-from repro.dse.pareto import ParetoPoint, pareto_frontier
 from repro.dse.runtime.config import SweepConfig
 from repro.dse.runtime.parallel import ParallelDSEResult
 from repro.dse.runtime.scheduler import KernelTask, MultiKernelScheduler
@@ -115,7 +115,11 @@ def compose_model_frontier(node_order: list[str],
     Nodes are merged one at a time in dataflow order; after each merge the
     combined set is pruned to its (latency, DSP) Pareto frontier, with ties
     broken by the flattened choice vector so the result is a pure function
-    of the per-node frontiers.  ``frontier_cap`` bounds the working set by
+    of the per-node frontiers.  A merge groups the (combination, record)
+    pairs by their (latency, DSP) and builds a point only for a group that
+    survives the pruning and the cap, from the group's first pair by choice
+    vector (the vectors are built only when a surviving group holds more
+    than one pair).  ``frontier_cap`` bounds the working set by
     downsampling evenly across the sorted frontier — both extremes (the
     fastest design *and* the cheapest) always survive, so a tight resource
     budget can still find a fitting point after truncation.  The number of
@@ -139,26 +143,43 @@ def compose_model_frontier(node_order: list[str],
             records = node_results[name].frontier_records_for(platform)
         if not records:
             continue  # a platform no surviving record targets: skip the node
-        merged = [
+        options = [(record.qor.latency, record.qor.dsp, record)
+                   for record in records]
+        groups: dict[tuple[int, int], list] = {}
+        for combo in combos:
+            latency, dsp = combo.latency, combo.resources.dsp
+            for record_latency, record_dsp, record in options:
+                key = (latency + record_latency, dsp + record_dsp)
+                tied = groups.get(key)
+                if tied is None:
+                    groups[key] = [(combo, record)]
+                else:
+                    tied.append((combo, record))
+        survivors = []  # one (combo, record) per Pareto point, by latency
+        best_dsp = None
+        for key in sorted(groups):
+            if best_dsp is None or key[1] < best_dsp:
+                best_dsp = key[1]
+                tied = groups[key]
+                survivors.append(tied[0] if len(tied) == 1 else min(
+                    tied, key=lambda pair: _flat_choices(pair[0])
+                    + tuple(pair[1].encoded)))
+        if frontier_cap and len(survivors) > frontier_cap:
+            truncated += len(survivors) - frontier_cap
+            survivors = _downsample(survivors, frontier_cap)
+        combos = [
             ModelFrontierPoint(
                 latency=combo.latency + record.qor.latency,
                 interval=max(combo.interval, record.qor.latency),
                 resources=combo.resources + record.qor.resources,
                 choices=combo.choices + ((name, tuple(record.encoded)),),
             )
-            for combo in combos
-            for record in records
+            for combo, record in survivors
         ]
-        pruned = _pareto_prune(merged)
-        if frontier_cap and len(pruned) > frontier_cap:
-            truncated += len(pruned) - frontier_cap
-            pruned = _downsample(pruned, frontier_cap)
-        combos = pruned
     return combos, truncated
 
 
-def _downsample(points: list[ModelFrontierPoint],
-                cap: int) -> list[ModelFrontierPoint]:
+def _downsample(points: list, cap: int) -> list:
     """Keep ``cap`` evenly spaced points of a latency-sorted frontier.
 
     Index 0 (lowest latency) and the last index (lowest resources) are
@@ -170,16 +191,6 @@ def _downsample(points: list[ModelFrontierPoint],
     last = len(points) - 1
     indices = sorted({round(i * last / (cap - 1)) for i in range(cap)})
     return [points[i] for i in indices]
-
-
-def _pareto_prune(points: list[ModelFrontierPoint]) -> list[ModelFrontierPoint]:
-    """The (latency, DSP) Pareto subset, sorted by ascending latency."""
-    wrapped = [
-        ParetoPoint(latency=float(point.latency), area=float(point.resources.dsp),
-                    encoded=_flat_choices(point), payload=point)
-        for point in points
-    ]
-    return [wrapper.payload for wrapper in pareto_frontier(wrapped)]
 
 
 def _flat_choices(point: ModelFrontierPoint) -> tuple[int, ...]:
@@ -298,8 +309,59 @@ class ModelDSEResult:
         return data
 
     def frontier_json(self) -> str:
-        """Canonical (byte-stable) JSON rendering of the sweep outcome."""
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        """Canonical (byte-stable) JSON rendering of the sweep outcome:
+        ``json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\\n"``."""
+        return _canonical_json(self.to_json_dict())
+
+
+def _canonical_json(data) -> str:
+    """``json.dumps(data, sort_keys=True, indent=2) + "\\n"`` for a tree of
+    string-keyed dicts, lists and scalars.
+
+    ``json.dumps`` with an indent runs the pure-Python encoder token by
+    token; a model frontier repeats the same per-node encodings in every
+    point, so each list of ints is rendered once per (indent, values) and
+    reused.  Scalars and keys are left to ``json.dumps``.
+    """
+    parts: list[str] = []
+    int_lists: dict[tuple, str] = {}
+
+    def write(value, indent: str) -> None:
+        inner = indent + "  "
+        if isinstance(value, dict):
+            if not value:
+                parts.append("{}")
+                return
+            opening = "{\n" + inner
+            for key in sorted(value):
+                parts.append(opening + json.dumps(key) + ": ")
+                write(value[key], inner)
+                opening = ",\n" + inner
+            parts.append("\n" + indent + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                parts.append("[]")
+            elif all(type(item) is int for item in value):
+                key = (indent, tuple(value))
+                rendered = int_lists.get(key)
+                if rendered is None:
+                    rendered = int_lists[key] = (
+                        "[\n" + inner + (",\n" + inner).join(map(str, value))
+                        + "\n" + indent + "]")
+                parts.append(rendered)
+            else:
+                opening = "[\n" + inner
+                for item in value:
+                    parts.append(opening)
+                    write(item, inner)
+                    opening = ",\n" + inner
+                parts.append("\n" + indent + "]")
+        else:
+            parts.append(json.dumps(value))
+
+    write(data, "")
+    parts.append("\n")
+    return "".join(parts)
 
 
 class ModelScheduler:
@@ -336,8 +398,6 @@ class ModelScheduler:
         ``skipped`` rather than applied silently.
         """
         from repro.frontend.models import build_model
-        from repro.pipeline import function_flops, prepare_dnn_stages
-        from repro.transforms import lower_graph_to_loops
 
         started = time.perf_counter()
         if isinstance(model, str):
@@ -352,20 +412,8 @@ class ModelScheduler:
             "dse.model", model=model_name, graph_level=graph_level,
             jobs=config.jobs, seed=config.seed)
         with model_span:
-            with obs.span("dse.stage_graph", graph_level=graph_level):
-                prepare_dnn_stages(module, graph_level)
-                top = module.functions()[0]
-                stage_funcs = [func_op for func_op in module.functions()
-                               if func_op is not top]
-                if not stage_funcs:
-                    # graph_level 0 leaves a single monolithic function.
-                    stage_funcs = [top]
-                flops = {func_op.get_attr("sym_name"): function_flops(func_op)
-                         for func_op in stage_funcs}
-                lower_graph_to_loops(module)
-
-            tasks, node_order, skipped = self._node_tasks(stage_funcs, flops,
-                                                          max_nodes)
+            tasks, node_order, skipped = self._staged_tasks(module, graph_level,
+                                                            max_nodes)
             model_span.set(nodes=len(node_order))
             known_before = cache.known_keys() if cache is not None \
                 else frozenset()
@@ -420,13 +468,41 @@ class ModelScheduler:
                     hits += 1
         return hits
 
+    def _staged_tasks(self, module: ModuleOp, graph_level: int,
+                      max_nodes: Optional[int]
+                      ) -> tuple[list[KernelTask], list[str], list[str]]:
+        """Stage and lower ``module`` at ``graph_level``, then split it into
+        one task per explorable node.  ``module`` is consumed: the nodes are
+        moved out of it."""
+        from repro.pipeline import function_flops, prepare_dnn_stages
+        from repro.transforms import lower_graph_to_loops
+
+        with obs.span("dse.stage_graph", graph_level=graph_level):
+            prepare_dnn_stages(module, graph_level)
+            top = module.functions()[0]
+            stage_funcs = [func_op for func_op in module.functions()
+                           if func_op is not top]
+            if not stage_funcs:
+                # graph_level 0 leaves a single monolithic function.
+                stage_funcs = [top]
+            flops = {func_op.get_attr("sym_name"): function_flops(func_op)
+                     for func_op in stage_funcs}
+            lower_graph_to_loops(module)
+        with obs.span("dse.split_nodes") as split_span:
+            tasks, node_order, skipped = self._node_tasks(stage_funcs, flops,
+                                                          max_nodes)
+            split_span.set(nodes=len(node_order))
+        return tasks, node_order, skipped
+
     def _node_tasks(self, stage_funcs, flops: dict[str, int],
                     max_nodes: Optional[int]
                     ) -> tuple[list[KernelTask], list[str], list[str]]:
         """One single-function module + budgeted task per explorable node.
 
         Explorability and the ``max_nodes`` selection are decided on the
-        original functions; only the kept nodes pay for a deep clone.
+        staged functions; each kept node's function is then moved, not
+        cloned, into its own module (nothing reads the staged module after
+        the split).
         """
         from repro.dialects.affine_ops import outermost_loops
 
@@ -453,10 +529,9 @@ class ModelScheduler:
         tasks = []
         for name, func_op in candidates:
             node_module = ModuleOp(name)
-            node_module.append(func_op.clone())
+            node_module.append(func_op.detach())
             space = KernelDesignSpace.from_function(
-                node_module.functions()[0],
-                platforms=self.config.platforms or None)
+                func_op, platforms=self.config.platforms or None)
             num_samples, max_iterations = self.budget.budget_for(
                 self.config.num_samples, self.config.max_iterations,
                 flops.get(name, 0), heaviest)

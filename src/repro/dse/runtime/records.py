@@ -82,6 +82,9 @@ class EvaluationRecord:
     # -- JSON (de)serialization for the cache / checkpoint files ----------------------------
 
     def to_json_dict(self) -> dict:
+        # Field by field (``dataclasses.asdict`` deep-copies through the
+        # fields generically): every cache put and checkpoint save runs this.
+        resources = None if self.qor is None else self.qor.resources
         data = {
             "encoded": list(self.encoded),
             "point": {
@@ -95,7 +98,10 @@ class EvaluationRecord:
             "qor": None if self.qor is None else {
                 "latency": self.qor.latency,
                 "interval": self.qor.interval,
-                "resources": dataclasses.asdict(self.qor.resources),
+                "resources": {"dsp": resources.dsp, "lut": resources.lut,
+                              "ff": resources.ff,
+                              "memory_bits": resources.memory_bits,
+                              "bram18k": resources.bram18k},
             },
             "achieved_ii": self.achieved_ii,
         }

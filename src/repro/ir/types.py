@@ -188,7 +188,10 @@ class MemRefType(ShapedType):
         if len(self.partition) != len(self.shape):
             raise ValueError("partition info must cover every dimension")
         if layout_map is None:
-            layout_map = build_partition_map(self.shape, self.partition)
+            key = (self.shape, self.partition)
+            layout_map = _DEFAULT_LAYOUTS.get(key)
+            if layout_map is None:
+                layout_map = _DEFAULT_LAYOUTS[key] = build_partition_map(*key)
         self.layout_map = layout_map
 
     def _key(self):
@@ -260,6 +263,11 @@ def build_partition_map(shape: Sequence[int], partition: Sequence[tuple[str, int
         else:
             raise ValueError(f"unknown partition kind {kind!r}")
     return AffineMap(rank, 0, partition_exprs + physical_exprs)
+
+
+#: The default layout map of every memref type, per (shape, partition):
+#: maps are immutable, so all memrefs of one shape and partition share one.
+_DEFAULT_LAYOUTS: dict[tuple, AffineMap] = {}
 
 
 # Convenient singletons.

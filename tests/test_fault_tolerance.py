@@ -37,7 +37,10 @@ from repro.dse.runtime import (
 from repro.dse.runtime.faults import stable_point_hash
 from repro.dse.runtime.records import STATUS_QUARANTINED
 from repro.dse.runtime.worker import evaluate_encoded
+from repro.dse.space import KernelDesignPoint
 from repro.estimation import XC7Z020
+from repro.estimation.estimator import QoRResult
+from repro.estimation.resources import ResourceUsage
 from repro.tools.driver import build_parser, main
 
 from conftest import GEMM_SOURCE, compile_source
@@ -799,6 +802,29 @@ class TestTornLineRecovery:
         assert revived.get("fp", encoded) == record
         revived.close()
 
+    def test_json_that_is_not_an_object_is_dropped(self, tmp_path):
+        # Valid JSON, but not a cache line: dropped and compacted like any
+        # other foreign line, the valid lines around it kept.
+        path = str(tmp_path / "cache.jsonl")
+        records = [EvaluationRecord(
+            encoded=(index,), point=KernelDesignPoint(False, False, (0,), (1,), 1),
+            qor=QoRResult(latency=10 + index, interval=10,
+                          resources=ResourceUsage(dsp=index)))
+            for index in range(2)]
+        lines = [EstimateCache._serialize("fp", record) for record in records]
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write("\n".join([lines[0], "[1, 2]", "5", '"x"', lines[1]])
+                         + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            revived = EstimateCache(path=path)
+        assert revived.stats.compacted == 3
+        assert revived.stats.loaded == 2
+        assert [revived.get("fp", (index,)) for index in range(2)] == records
+        revived.close()
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == "".join(line + "\n" for line in lines)
+
 
 class TestCheckpointRecovery:
     def test_corrupt_checkpoint_warns_and_starts_fresh(self, tmp_path):
@@ -807,6 +833,14 @@ class TestCheckpointRecovery:
             handle.write('{"version": 1, "records"')
         with pytest.warns(RuntimeWarning, match="not valid JSON"):
             assert CheckpointStore(path).load() is None
+
+    @pytest.mark.parametrize("payload", ["[1, 2]", "5", '"x"', "null"])
+    def test_json_that_is_not_an_object_is_no_checkpoint(self, tmp_path,
+                                                         payload):
+        path = str(tmp_path / "dse.ckpt.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(payload)
+        assert CheckpointStore(path).load() is None
 
 
 # -- graceful interruption ------------------------------------------------------------------

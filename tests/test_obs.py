@@ -368,6 +368,21 @@ class TestEndToEndDeterminism:
         assert any(track.startswith("dse:") for track in tracks)
         assert any(track.startswith("worker:") for track in tracks)
 
+        # Every coordinator phase of the model sweep is named: staging and
+        # the node split before the first batch, composition after.
+        spans = [event for event in trace_j2["traceEvents"]
+                 if event.get("ph") == "X"]
+
+        def first(name):
+            return min(event["ts"] for event in spans if event["name"] == name)
+
+        assert first("dse.stage_graph") < first("dse.split_nodes") \
+            < first("dse.batch") < first("dse.compose")
+        (split,) = [event for event in spans
+                    if event["name"] == "dse.split_nodes"]
+        assert split["args"]["nodes"] == sum(
+            1 for event in spans if event["name"] == "dse.explore")
+
         # Metrics: deterministic modulo wall-clock (and the jobs gauge).
         # dse.prefix.{hits,misses} are excluded too: prefix-snapshot caches
         # are per-worker, so their warmth depends on how the pool spread the
