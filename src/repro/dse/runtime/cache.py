@@ -227,6 +227,10 @@ class EstimateCache:
         tmp_path = path + ".tmp"
         with open(tmp_path, "w", encoding="utf-8") as handle:
             handle.write("".join(line + "\n" for line in lines))
+            # Durable before the rename publishes it, as a checkpoint is: a
+            # power loss must not leave an empty cache in the file's place.
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp_path, path)
         self.stats.compacted += dead
         obs.counter("cache.compacted", dead)
@@ -244,6 +248,13 @@ class EstimateCache:
             self._handle = open(self.path, "a", encoding="utf-8")
         self._handle.write(line + "\n")
         self._handle.flush()
+
+    def sync(self) -> None:
+        """Make every line appended so far durable (flush + ``fsync``)."""
+        with self._lock:
+            if self._handle is not None:
+                self._handle.flush()
+                os.fsync(self._handle.fileno())
 
     def close(self) -> None:
         with self._lock:

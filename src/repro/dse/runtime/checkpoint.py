@@ -8,6 +8,11 @@ uninterrupted run would have taken — the final frontier is identical.
 
 Snapshots are written atomically (temp file + ``os.replace``), so a run
 killed mid-write leaves the previous checkpoint intact.
+
+A kernel whose trajectory finished against a persistent, unbounded estimate
+cache keeps no checkpoint: the explorer syncs the cache, which holds every
+record, and removes the file.  ``--resume`` then replays the trajectory,
+every point a cache hit.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import tempfile
 import warnings
 from typing import Optional
 
+from repro import obs
 from repro.dse.runtime.records import EvaluationRecord
 
 #: Bumped whenever the on-disk layout changes incompatibly.
@@ -100,6 +106,14 @@ class CheckpointStore:
             if os.path.exists(temp_path):
                 os.unlink(temp_path)
             raise
+        obs.counter("dse.checkpoint.saves")
+
+    def remove(self) -> None:
+        """Delete the snapshot, if there is one."""
+        try:
+            os.unlink(self.path)
+        except FileNotFoundError:
+            pass
 
     # -- load -------------------------------------------------------------------------------
 

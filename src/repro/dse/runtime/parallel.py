@@ -366,10 +366,20 @@ class ParallelExplorer:
         else:
             config["platform"] = self.platform.config_hash()
         store = CheckpointStore(self.checkpoint_path) if self.checkpoint_path else None
+        # A finished trajectory is kept by a persistent cache that never
+        # evicts instead of a final checkpoint: it holds every record, so
+        # --resume replays the trajectory without evaluating.
+        retires = (store is not None and cache is not None
+                   and bool(cache.path) and cache.max_bytes is None)
         state: Optional[ExplorerState] = None
         if resume and store is not None:
             state = store.load(expected_fingerprint=fingerprint,
                                expected_config=config)
+            if state is not None and retires:
+                # Records a checkpoint brought in must be in the cache too
+                # (no-ops when the cache already holds them).
+                for record in state.records.values():
+                    cache.put(fingerprint, record)
         if state is None:
             state = ExplorerState.fresh(fingerprint, sweep.seed, config=config)
 
@@ -594,7 +604,16 @@ class ParallelExplorer:
                     record_frontier(frontier)
                     maybe_checkpoint(rng)
 
-                maybe_checkpoint(rng, force=True)
+                if retires and budget_left():
+                    # Finished, neither capped nor interrupted: make the
+                    # cache lines durable, then drop the checkpoint (a crash
+                    # in between leaves a loadable one).
+                    cache.sync()
+                    store.remove()
+                    if obs_on:
+                        obs.counter("dse.checkpoint.retired")
+                else:
+                    maybe_checkpoint(rng, force=True)
 
                 # Step 5: finalization.
                 best = ExplorationPolicy.finalize(frontier, state.records,

@@ -600,6 +600,10 @@ def _kill_worker(process) -> None:
             f"{_describe_error(error)}", RuntimeWarning)
 
 
+#: Held by a link from creating its worker's pipe to closing the worker's end.
+_SPAWN_LOCK = threading.Lock()
+
+
 class _ProcessLink:
     """One worker process on a pipe.  The link knows which task its worker
     holds, so losing the worker is that task's fault and nobody else's: EOF
@@ -615,11 +619,15 @@ class _ProcessLink:
 
     def _spawn(self) -> None:
         context = multiprocessing.get_context()
-        conn, child = context.Pipe()
-        process = context.Process(
-            target=_worker_main, args=(child, self._payload), daemon=True)
-        process.start()
-        child.close()  # our copy would hide the worker's death from recv()
+        # Links respawn from their own slot threads.  A worker another link
+        # forks while this one's end of the pipe is still open here inherits
+        # that end, and this worker's death would then never read as EOF.
+        with _SPAWN_LOCK:
+            conn, child = context.Pipe()
+            process = context.Process(
+                target=_worker_main, args=(child, self._payload), daemon=True)
+            process.start()
+            child.close()  # our copy would hide the worker's death from recv()
         self._conn, self._process = conn, process
         try:
             self._conn.recv()  # the worker's hello: contexts installed

@@ -12,9 +12,11 @@ Two strategies are available:
   hot-path friendly driver the cleanup passes run once per DSE evaluation.
   An op that was not seeded is visited when, and only when, a rewrite's
   notification (``enqueue``, ``enqueue_tree``, ``enqueue_users``,
-  ``defer_operand_definers``) names it, at the program position where the
-  unfiltered seed would have come up: the sequence of *successful* rewrites
-  is that of seeding everything, the visits that miss are not made.  The
+  ``defer_operand_definers``; an erasure that leaves a block holding only
+  its terminator names the block's parent op) names it, at the program
+  position where the unfiltered seed would have come up: the sequence of
+  *successful* rewrites is that of seeding everything, the visits that miss
+  are not made.  The
   worklist is *deduplicating* and *program-ordered*: the seed pass is a
   plain pre-order list (no per-op cost beyond the walk), while revisits
   enter a heap keyed by the op's position (block order keys along the
@@ -119,18 +121,22 @@ class PatternRewriter(Builder):
         self.erase_op(op)
 
     def erase_op(self, op: "Operation") -> None:
+        block = op.parent
         self._notify_erasure(op)
         self._mark_erased(op)
         op.erase()
         self.changed = True
+        self._notify_emptied(block)
 
     def remove_op(self, op: "Operation") -> None:
         """Remove ``op`` from its block without the no-uses check of ``erase``."""
+        block = op.parent
         self._notify_erasure(op)
         self._mark_erased(op)
         op.drop_all_references()
-        op.parent.remove(op)
+        block.remove(op)
         self.changed = True
+        self._notify_emptied(block)
 
     def _notify_erasure(self, op: "Operation") -> None:
         # Re-enqueue the defining ops of every operand referenced anywhere in
@@ -144,6 +150,19 @@ class PatternRewriter(Builder):
                 self._driver.defer_operand_definers(nested)
         else:
             self._driver.defer_operand_definers(op)
+
+    def _notify_emptied(self, block: "Optional[Block]") -> None:
+        # A block left holding only its terminator (a loop body, an
+        # ``affine.if`` branch) may let its region op match now.  That op was
+        # visited before its body, in pre-order, so nothing else brings it
+        # back.
+        driver = self._driver
+        if driver is None or block is None or len(block) > 1 \
+                or (len(block) == 1 and block.terminator is None):
+            return
+        parent = block.parent_op
+        if parent is not None and parent is not driver._root:
+            self.enqueue(parent)
 
     def _mark_erased(self, op: "Operation") -> None:
         # Mark the whole subtree: descendants of an erased region op keep

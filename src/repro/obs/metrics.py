@@ -37,6 +37,9 @@ name                      kind       meaning
 ``unroll.if.undecided``   counter    copied whole, for ``-simplify-affine-if``
 ``dse.shared.nodes``      counter    nodes identical to one explored earlier in the run
 ``dse.shared.points``     counter    estimates those nodes took over from it
+``dse.checkpoint.saves``  counter    checkpoint files written (periodic, final, Ctrl-C)
+``dse.checkpoint.retired`` counter   finished kernels handed to a persistent cache
+                                     instead of a final checkpoint
 ``dse.worker.busy_seconds``  counter    summed per-evaluation worker wall-clock
 ``dse.batch.points``      histogram  batch-size distribution
 ``dse.frontier.size.<k>`` series     (iteration, frontier size) per kernel

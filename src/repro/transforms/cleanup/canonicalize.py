@@ -223,9 +223,8 @@ class EraseEmptyAffineIfPattern(RewritePattern):
     benefit = 2
 
     def may_match(self, op: Operation) -> bool:
-        # No notification follows a branch emptying, and none is needed:
-        # seeds are taken in pre-order, so nothing inside ``op`` has been
-        # visited, let alone erased, by the time its own turn would come.
+        # An erasure that empties a branch re-enqueues ``op`` (the rewriter's
+        # ``_notify_emptied``).
         return isinstance(op, AffineIfOp) and op.then_block.empty()
 
     def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> bool:

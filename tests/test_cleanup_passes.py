@@ -1,5 +1,7 @@
 """Tests for the redundancy-elimination passes."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,9 @@ from repro.dialects import arith, func, memref
 from repro.dialects.affine_ops import AffineForOp, AffineIfOp, AffineLoadOp, AffineStoreOp
 from repro.ir import Builder, InsertionPoint, MemRefType, ModuleOp, f32, index
 from repro.ir.interpreter import Interpreter, interpret_kernel
+from repro.ir.printer import print_op
+from repro.kernels import KERNEL_NAMES, kernel_source
+from repro.pipeline import compile_c
 from repro.transforms import (
     canonicalize,
     eliminate_common_subexpressions,
@@ -144,6 +149,37 @@ class TestCanonicalize:
         f = gemm_module.functions()[0]
         canonicalize(f)
         assert not canonicalize(f)
+
+    def test_a_region_op_its_erasures_empty_goes_in_the_same_run(self):
+        # for i in [0, 8) { if (i - 4 >= 0) { %c = 1.0; %d = %c + %c } }:
+        # erasing the dead add and constant empties the guard, erasing the
+        # guard empties the loop.
+        module, f, builder = make_function([MemRefType((16,), f32)])
+        loop = builder.insert(AffineForOp.constant_bounds(0, 8))
+        guard = Builder(InsertionPoint.at_end(loop.body)).insert(AffineIfOp(
+            IntegerSet(1, 0, [Constraint(dim(0) - 4, False)]),
+            [loop.induction_variable]))
+        inner = Builder(InsertionPoint.at_end(guard.then_block))
+        one = inner.insert(arith.ConstantOp(1.0, f32))
+        inner.insert(arith.AddFOp(one.result(), one.result()))
+        assert canonicalize(f)
+        assert list(f.walk()) == [f]
+        assert not canonicalize(f)
+
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    def test_a_second_run_after_the_cleanup_pipeline_changes_nothing(
+            self, kernel):
+        from repro.dse.apply import optimize_kernel_module
+        from repro.dse.space import KernelDesignSpace
+
+        module = compile_c(kernel_source(kernel, 8), kernel)
+        space = KernelDesignSpace.from_function(module.functions()[0])
+        point = space.decode(space.random_point(random.Random(kernel)))
+        _, func_op = optimize_kernel_module(module, point)
+        canonicalize(func_op)
+        once = print_op(func_op)
+        assert not canonicalize(func_op)
+        assert print_op(func_op) == once
 
 
 class TestCSE:

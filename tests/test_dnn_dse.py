@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.dse.runtime import (
     EstimateCache,
     ModelScheduler,
@@ -107,10 +108,60 @@ class TestModelDeterminism:
             .explore(tiny_model(), graph_level=3, resume=True)
         assert rerun.evaluated_this_run == 0
         # The composed frontier is revalidated against the estimates the
-        # persistent cache held *before* the run, so the warm cache is
-        # visible even though checkpoints restored the whole trajectory.
+        # persistent cache held *before* the run.
         assert rerun.frontier_cache_hits >= 1
         assert rerun.frontier_json() == first.frontier_json()
+
+
+class TestFinishedNodesAreKeptByTheCache:
+    """With a persistent cache a finished node leaves no checkpoint, and
+    ``--resume`` replays its trajectory from the cache."""
+
+    def sweep(self, tmp_path, jobs=1, resume=False, cached=True,
+              checkpoints="ckpt", **overrides):
+        cache = EstimateCache(str(tmp_path / "cache.jsonl")) if cached else None
+        try:
+            with obs.session() as session:
+                result = scheduler(
+                    jobs=jobs, checkpoint_dir=str(tmp_path / checkpoints),
+                    checkpoint_every=1, cache=cache, **overrides,
+                ).explore(tiny_model(), graph_level=3, resume=resume)
+        finally:
+            if cache is not None:
+                cache.close()
+        counters = session.metrics.counters
+        return result, {name: counters.get(f"dse.checkpoint.{name}", 0)
+                        for name in ("saves", "retired")}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_finished_sweep_resumes_from_the_cache(self, tmp_path, jobs):
+        first, counts = self.sweep(tmp_path, jobs=jobs)
+        nodes = len(first.node_order)
+        assert counts["retired"] == nodes and counts["saves"] > 0
+        assert not list((tmp_path / "ckpt").glob("*.ckpt.json"))
+        cache_bytes = (tmp_path / "cache.jsonl").read_bytes()
+        resumed, _ = self.sweep(tmp_path, jobs=jobs, resume=True)
+        assert resumed.evaluated_this_run == resumed.cache_misses == 0
+        assert resumed.frontier_json() == first.frontier_json() \
+            == scheduler().explore(tiny_model(), graph_level=3).frontier_json()
+        assert (tmp_path / "cache.jsonl").read_bytes() == cache_bytes
+        assert not list((tmp_path / "ckpt").glob("*.ckpt.json"))
+
+    def test_a_capped_sweep_checkpoints_as_without_a_cache(self, tmp_path):
+        def checkpoints(directory):
+            return {path.name: path.read_bytes()
+                    for path in (tmp_path / directory).glob("*.ckpt.json")}
+
+        _, bare = self.sweep(tmp_path, cached=False, checkpoints="bare",
+                             max_evaluations_per_node=2)
+        partial, counts = self.sweep(tmp_path, max_evaluations_per_node=2)
+        assert counts == bare and counts["retired"] == 0
+        assert len(checkpoints("ckpt")) == len(partial.node_order)
+        assert checkpoints("ckpt") == checkpoints("bare")
+        resumed, _ = self.sweep(tmp_path, jobs=2, resume=True)
+        assert resumed.frontier_json() \
+            == scheduler().explore(tiny_model(), graph_level=3).frontier_json()
+        assert not checkpoints("ckpt")
 
 
 class TestNodeBudgetPolicy:

@@ -332,6 +332,162 @@ class TestCheckpoint:
         assert result.num_evaluations > 0
 
 
+class TestFinishedKernelsAreKeptByTheCache:
+    """A trajectory that finished against a persistent estimate cache that
+    never evicts leaves no checkpoint: the cache holds every record, and
+    ``--resume`` replays the trajectory from it without evaluating."""
+
+    SWEEP = dict(num_samples=6, max_iterations=8, seed=11, batch_size=4,
+                 checkpoint_every=2)
+
+    def sweep(self, module, tmp_path, resume=False, max_bytes=None,
+              max_evaluations=None):
+        cache = EstimateCache(str(tmp_path / "cache.jsonl"), max_bytes=max_bytes)
+        try:
+            return small_explorer(
+                checkpoint_path=str(tmp_path / "dse.ckpt.json"),
+                max_evaluations=max_evaluations, cache=cache, **self.SWEEP,
+            ).explore(module, resume=resume)
+        finally:
+            cache.close()
+
+    def test_resume_replays_the_trajectory_from_the_cache(self, gemm_module,
+                                                         tmp_path):
+        from repro.pipeline import explore_kernel
+
+        clean = small_explorer(**self.SWEEP).explore(gemm_module)
+        first = explore_kernel(gemm_module, XC7Z020, jobs=1,
+                               cache_path=str(tmp_path / "cache.jsonl"),
+                               checkpoint_path=str(tmp_path / "dse.ckpt.json"),
+                               **self.SWEEP)
+        assert not (tmp_path / "dse.ckpt.json").exists()
+        cache_bytes = (tmp_path / "cache.jsonl").read_bytes()
+        again = self.sweep(gemm_module, tmp_path, resume=True)
+        assert again.evaluated_this_run == again.cache_misses == 0
+        assert again.cache_hits == again.num_evaluations
+        assert list(again.records.items()) == list(first.records.items())
+        assert frontier_signature(again) == frontier_signature(first) \
+            == frontier_signature(clean)
+        assert (tmp_path / "cache.jsonl").read_bytes() == cache_bytes
+        assert not (tmp_path / "dse.ckpt.json").exists()
+
+    def test_the_cache_is_synced_before_each_checkpoint_goes(self, tmp_path,
+                                                            monkeypatch):
+        import os
+
+        events = []
+        sync = EstimateCache.sync
+        unlink = os.unlink
+
+        def recording_sync(cache):
+            events.append("sync")
+            sync(cache)
+
+        def recording_unlink(path, *args, **kwargs):
+            if str(path).endswith(".ckpt.json"):
+                events.append(os.path.basename(path))
+            return unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(EstimateCache, "sync", recording_sync)
+        monkeypatch.setattr(os, "unlink", recording_unlink)
+        cache = EstimateCache(str(tmp_path / "cache.jsonl"))
+        MultiKernelScheduler(
+            XC7Z020, SweepConfig(cache=cache, **self.SWEEP),
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        ).explore_module(compile_source(GEMM_SOURCE + SYRK_SOURCE, "pair"))
+        cache.close()
+        assert events == ["sync", "gemm.ckpt.json", "sync", "syrk.ckpt.json"]
+        assert not list((tmp_path / "ckpt").iterdir())
+
+    def test_sync_makes_the_appended_lines_durable(self, gemm_module,
+                                                   tmp_path, monkeypatch):
+        import os
+
+        cache = EstimateCache(str(tmp_path / "cache.jsonl"))
+        cache.sync()  # nothing appended yet: nothing to sync
+        small_explorer(cache=cache).explore(gemm_module)
+        synced = []
+        monkeypatch.setattr(os, "fsync", synced.append)
+        cache.sync()
+        assert synced == [cache._handle.fileno()]
+        cache.close()
+
+    def test_a_capped_sweep_checkpoints_as_without_a_cache(self, gemm_module,
+                                                          tmp_path):
+        bare = tmp_path / "bare.ckpt.json"
+        small_explorer(checkpoint_path=str(bare), max_evaluations=5,
+                       **self.SWEEP).explore(gemm_module)
+        partial = self.sweep(gemm_module, tmp_path, max_evaluations=5)
+        assert partial.num_evaluations < 14
+        assert (tmp_path / "dse.ckpt.json").read_bytes() == bare.read_bytes()
+        resumed = self.sweep(gemm_module, tmp_path, resume=True)
+        assert frontier_signature(resumed) == frontier_signature(
+            small_explorer(**self.SWEEP).explore(gemm_module))
+        assert not (tmp_path / "dse.ckpt.json").exists()
+
+    def test_a_bounded_cache_keeps_the_final_checkpoint(self, gemm_module,
+                                                        tmp_path):
+        # It may evict a finished kernel's records later: the checkpoint a
+        # cacheless sweep writes.
+        bare = tmp_path / "bare.ckpt.json"
+        small_explorer(checkpoint_path=str(bare), **self.SWEEP) \
+            .explore(gemm_module)
+        self.sweep(gemm_module, tmp_path, max_bytes=10**9)
+        assert (tmp_path / "dse.ckpt.json").read_bytes() == bare.read_bytes()
+
+    def test_a_run_local_cache_keeps_the_final_checkpoints(self, gemm_module,
+                                                          tmp_path):
+        # Two identical kernels: the scheduler shares them through a cache
+        # of its own, which has no file.
+        from repro.dse.runtime import KernelTask
+
+        space = KernelDesignSpace.from_function(gemm_module.functions()[0])
+        tasks = [KernelTask(key=key, module=gemm_module, func_name=None,
+                            space=space) for key in ("first", "second")]
+        results = MultiKernelScheduler(
+            XC7Z020, SweepConfig(**self.SWEEP),
+            checkpoint_dir=str(tmp_path / "ckpt")).explore_kernels(tasks)
+        assert results["second"].shared_hits > 0
+        assert sorted(path.name for path in (tmp_path / "ckpt").iterdir()) \
+            == ["first.ckpt.json", "second.ckpt.json"]
+
+    def test_a_stale_checkpoint_goes_when_the_kernel_finishes(self, gemm_module,
+                                                             tmp_path):
+        self.sweep(gemm_module, tmp_path, max_evaluations=5)
+        assert (tmp_path / "dse.ckpt.json").exists()
+        self.sweep(gemm_module, tmp_path)  # not resumed: starts over
+        assert not (tmp_path / "dse.ckpt.json").exists()
+
+    def test_records_a_checkpoint_brought_in_reach_the_cache(self, gemm_module,
+                                                            tmp_path):
+        # Capped without a cache, finished with one: the cache must hold the
+        # checkpoint's records too before the checkpoint goes.
+        small_explorer(checkpoint_path=str(tmp_path / "dse.ckpt.json"),
+                       max_evaluations=5, **self.SWEEP).explore(gemm_module)
+        finished = self.sweep(gemm_module, tmp_path, resume=True)
+        assert not (tmp_path / "dse.ckpt.json").exists()
+        again = self.sweep(gemm_module, tmp_path, resume=True)
+        assert again.evaluated_this_run == 0
+        assert list(again.records.items()) == list(finished.records.items())
+
+    def test_counters_say_which_path_each_kernel_took(self, gemm_module,
+                                                      tmp_path):
+        from repro import obs
+
+        with obs.session() as session:
+            self.sweep(gemm_module, tmp_path, max_evaluations=5)
+            capped = dict(session.metrics.counters)
+        with obs.session() as session:
+            self.sweep(gemm_module, tmp_path, resume=True)
+            finished = dict(session.metrics.counters)
+        # Capped after the 6 samples: a periodic save and the final one.
+        assert (capped.get("dse.checkpoint.saves"),
+                capped.get("dse.checkpoint.retired")) == (2, None)
+        # Two batches of 4 more: a periodic save each, then retired.
+        assert (finished.get("dse.checkpoint.saves"),
+                finished.get("dse.checkpoint.retired")) == (2, 1)
+
+
 class TestEvaluationArena:
     """``evaluate_encoded`` pauses the cyclic collector for its length and
     collects once, after the transformed module is gone."""

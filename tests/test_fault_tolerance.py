@@ -624,6 +624,60 @@ class TestCrashRecovery:
         assert counters["dse.faults.retries"] == len(batches["a"])
         assert counters["dse.pool.respawns"] == len(batches["a"])
 
+    def test_a_worker_forked_meanwhile_does_not_hide_a_crash(
+            self, gemm_module, monkeypatch):
+        # Two links respawning at once, each held just after its fork until
+        # the other has forked too (or a second passes): had both pipes been
+        # open when either forked, each worker would hold the other's end,
+        # and killing one would never read as EOF.
+        import multiprocessing
+
+        from repro.dse.runtime import worker
+
+        context = multiprocessing.get_context()
+        barrier = threading.Barrier(2)
+
+        class Overlapping:
+            Pipe = staticmethod(context.Pipe)
+
+            @staticmethod
+            def Process(**kwargs):
+                process = context.Process(**kwargs)
+                start = process.start
+
+                def start_together():
+                    start()
+                    try:
+                        barrier.wait(1.0)
+                    except threading.BrokenBarrierError:
+                        pass
+
+                process.start = start_together
+                return process
+
+        monkeypatch.setattr(worker.multiprocessing, "get_context",
+                            lambda: Overlapping)
+        payload = worker._worker_payload({"kernel": _context(gemm_module)})
+        links = []
+        threads = [threading.Thread(target=lambda: links.append(
+            worker._ProcessLink(payload, None))) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+        monkeypatch.undo()
+        try:
+            assert len(links) == 2
+            victim = links[0]
+            victim._process.kill()
+            victim._process.join(5.0)
+            assert victim._conn.poll(5.0)
+            with pytest.raises(EOFError):
+                victim._conn.recv()
+        finally:
+            for link in links:
+                link.close()
+
     @pytest.mark.parametrize("task_timeout", [None, 30.0])
     @pytest.mark.parametrize("times", [2, 3])
     def test_crash_charging_is_topology_independent(self, gemm_module,
@@ -825,6 +879,32 @@ class TestTornLineRecovery:
         with open(path, encoding="utf-8") as handle:
             assert handle.read() == "".join(line + "\n" for line in lines)
 
+    def test_compaction_is_durable_before_it_is_published(
+            self, gemm_module, tmp_path, monkeypatch):
+        path = str(tmp_path / "cache.jsonl")
+        self._seed_cache(gemm_module, path)
+        with open(path, "r", encoding="utf-8") as handle:
+            good = handle.read()
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write('{"garbage\n' + good)
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            events.append("fsync")
+            fsync(fd)
+
+        def recording_replace(source, target):
+            events.append(("replace", source, target))
+            replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        revived = EstimateCache(path=path)
+        assert revived.stats.compacted == 1
+        revived.close()
+        assert events == ["fsync", ("replace", path + ".tmp", path)]
+
 
 class TestCheckpointRecovery:
     def test_corrupt_checkpoint_warns_and_starts_fresh(self, tmp_path):
@@ -884,6 +964,40 @@ class TestInterruptCheckpoint:
             .explore(gemm_module, resume=True)
         assert frontier_signature(resumed) == frontier_signature(clean)
         assert set(resumed.records) == set(clean.records)
+
+    def test_with_a_persistent_cache(self, gemm_module, tmp_path):
+        # The boundary save is the same file with or without a cache; the
+        # resumed run finishes, so the cache keeps it from then on.
+        def interrupted(checkpoint, cache=None):
+            backend = _InterruptingBackend({"kernel": _context(gemm_module)},
+                                           allowed_calls=2)
+            with pytest.raises(KeyboardInterrupt):
+                small_explorer(checkpoint_path=str(checkpoint),
+                               checkpoint_every=1000, cache=cache) \
+                    .explore(gemm_module, backend=backend)
+
+        def resumed():
+            cache = EstimateCache(str(tmp_path / "cache.jsonl"))
+            try:
+                return small_explorer(checkpoint_path=str(checkpoint),
+                                      cache=cache) \
+                    .explore(gemm_module, resume=True)
+            finally:
+                cache.close()
+
+        interrupted(tmp_path / "bare.ckpt.json")
+        checkpoint = tmp_path / "dse.ckpt.json"
+        cache = EstimateCache(str(tmp_path / "cache.jsonl"))
+        interrupted(checkpoint, cache)
+        cache.close()
+        assert checkpoint.read_bytes() \
+            == (tmp_path / "bare.ckpt.json").read_bytes()
+        clean = small_explorer().explore(gemm_module)
+        assert frontier_signature(resumed()) == frontier_signature(clean)
+        assert not checkpoint.exists()
+        again = resumed()
+        assert again.evaluated_this_run == 0
+        assert frontier_signature(again) == frontier_signature(clean)
 
 
 # -- driver surface -------------------------------------------------------------------------

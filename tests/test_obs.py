@@ -326,7 +326,9 @@ class TestEndToEndDeterminism:
         argv = base + ["--jobs", str(jobs), "--frontier-out", str(frontier)]
         if traced:
             argv += ["--trace-out", str(tmp_path / f"trace-{tag}.json"),
-                     "--metrics-out", str(tmp_path / f"metrics-{tag}.json")]
+                     "--metrics-out", str(tmp_path / f"metrics-{tag}.json"),
+                     "--cache", str(tmp_path / f"cache-{tag}.jsonl"),
+                     "--checkpoint", str(tmp_path / f"ckpt-{tag}")]
         assert main(argv) == 0
         return frontier
 
@@ -404,6 +406,12 @@ class TestEndToEndDeterminism:
 
         assert deterministic_part(tmp_path / "metrics-j1.json") \
             == deterministic_part(tmp_path / "metrics-j2.json")
+        # Every node finished against a persistent cache: each was handed
+        # to it (the counts are among those compared above).
+        counters = json.loads(
+            (tmp_path / "metrics-j2.json").read_text())["counters"]
+        assert counters["dse.checkpoint.retired"] == split["args"]["nodes"]
+        assert not list((tmp_path / "ckpt-j2").glob("*.ckpt.json"))
 
 
 class TestPassSecondsCardinality:

@@ -417,8 +417,8 @@ class TestEstimatorLaws:
 #: A gemm sweep whose trajectory asks for three II-siblings of points it
 #: evaluated and three program aliases (two of them tile-clamp aliases).
 #: ``tests/golden/gemm8_class_sweep.json`` holds its records in trajectory
-#: order, frontier, the estimate-cache file and the final checkpoint, plus
-#: the records under the ``poison:select=3`` plan.  First written by the
+#: order, frontier, the estimate-cache file, the checkpoint of the run capped
+#: at 9 points, plus the records under the ``poison:select=3`` plan.  First written by the
 #: commit before transform classes (8d93493, one evaluation per point);
 #: written again, by this sweep, when the cleanup-pipeline dimension left the
 #: default space and the trajectory with it (the files' layout did not move).
@@ -480,8 +480,10 @@ def assert_snapshots_invisible(result) -> None:
 
 
 def assert_files_match(tmp_path, golden):
+    """A finished sweep leaves the golden cache file and no checkpoint: the
+    cache holds every record."""
     assert (tmp_path / "cache.jsonl").read_text() == golden["cache"]
-    assert (tmp_path / "dse.ckpt.json").read_text() == golden["checkpoint"]
+    assert not (tmp_path / "dse.ckpt.json").exists()
 
 
 class TestSweepMatchesTheParentCommit:
@@ -541,6 +543,8 @@ class TestSweepMatchesTheParentCommit:
                                                 jobs):
         partial = explore(gemm8, tmp_path, max_evaluations=9)
         assert partial.num_evaluations < len(golden["clean"]["records"])
+        # A capped run checkpoints as it always did.
+        assert (tmp_path / "dse.ckpt.json").read_text() == golden["checkpoint"]
         # The resumed process starts with no run-local class results: a
         # sibling of a point evaluated before the interruption is evaluated
         # again, to the same record.
@@ -548,9 +552,11 @@ class TestSweepMatchesTheParentCommit:
         assert document(resumed) == golden["clean"]
         assert_files_match(tmp_path, golden)
         assert resumed.resolved_siblings + resumed.resolved_aliases < 6
+        # No checkpoint is left: the trajectory replays from the cache.
         again = explore(gemm8, tmp_path, resume=True)
         assert again.evaluated_this_run == 0
         assert document(again) == golden["clean"]
+        assert_files_match(tmp_path, golden)
 
     @pytest.mark.parametrize("mode,jobs", [("flaky", 1), ("flaky", 2),
                                            ("crash", 1)])
