@@ -22,10 +22,9 @@ on:
 * :class:`~repro.dse.runtime.model.ModelScheduler` — the whole-model flow:
   graph staging, per-node kernel splitting, budgeted multi-kernel sweep and
   model-level frontier composition.
-* :class:`~repro.dse.runtime.transport.RemotePoolBackend` — the distributed
-  flavor: evaluation dispatched over a supervised socket transport to
-  worker agents (``repro-hls worker-agent``), local or off-machine, with
-  the same determinism guarantee under disconnects and reconnects.
+* :func:`~repro.dse.runtime.worker.create_backend` — where evaluations run:
+  inline in the coordinator or on a supervised pool of local worker
+  processes.  Nothing leaves the machine; there is no network backend.
 """
 
 from repro.dse.runtime.cache import CacheStats, EstimateCache
@@ -36,7 +35,6 @@ from repro.dse.runtime.faults import (
     FaultPlan,
     InjectedFault,
     SupervisionPolicy,
-    backoff_delay,
 )
 from repro.dse.runtime.model import (
     ModelDSEResult,
@@ -48,11 +46,6 @@ from repro.dse.runtime.model import (
 from repro.dse.runtime.parallel import ParallelDSEResult, ParallelExplorer
 from repro.dse.runtime.records import EvaluationRecord
 from repro.dse.runtime.scheduler import KernelTask, MultiKernelScheduler
-from repro.dse.runtime.transport import (
-    RemotePoolBackend,
-    TransportConfig,
-    run_worker_agent,
-)
 from repro.dse.runtime.worker import (
     KernelContext,
     ProcessPoolBackend,
@@ -70,7 +63,6 @@ __all__ = [
     "InjectedFault",
     "SupervisionPolicy",
     "SweepConfig",
-    "backoff_delay",
     "ModelDSEResult",
     "ModelFrontierPoint",
     "ModelScheduler",
@@ -81,9 +73,6 @@ __all__ = [
     "EvaluationRecord",
     "KernelTask",
     "MultiKernelScheduler",
-    "RemotePoolBackend",
-    "TransportConfig",
-    "run_worker_agent",
     "KernelContext",
     "ProcessPoolBackend",
     "SerialBackend",

@@ -4,14 +4,11 @@ a :class:`SweepConfig` and reads the fields it acts on."""
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.dse.runtime.cache import EstimateCache
 from repro.dse.runtime.faults import FaultPlan, SupervisionPolicy
 from repro.estimation.platform import Platform
-
-if TYPE_CHECKING:  # transport imports the worker module, which imports this one
-    from repro.dse.runtime.transport import TransportConfig
 
 
 @dataclasses.dataclass(frozen=True)
@@ -22,10 +19,11 @@ class SweepConfig:
     visits, so it is recorded in checkpoint configs and fingerprints;
     ``batch_size`` is deliberately independent of ``jobs``, and empty
     ``platforms`` keeps the single-platform space shape.  **Execution**
-    (``jobs`` … ``transport``) decides where and how evaluations run: fault
-    *outcomes* attach to design points, never to workers or wall-clock, so
-    none of it alters a record, a frontier, a fingerprint or a checkpoint
-    (``faults`` is an injected-fault schedule for tests and chaos runs).
+    (``jobs`` … ``faults``) decides how many local worker processes evaluate
+    and how faults are handled: fault *outcomes* attach to design points,
+    never to workers or wall-clock, so none of it alters a record, a
+    frontier, a fingerprint or a checkpoint (``faults`` is an injected-fault
+    schedule for tests and chaos runs).
     **Storage**: the estimate ``cache``, and how many processed points pass
     between checkpoints (where they go is the owning tier's argument).
     """
@@ -39,7 +37,6 @@ class SweepConfig:
     jobs: int = 1
     supervision: SupervisionPolicy = SupervisionPolicy()
     faults: Optional[FaultPlan] = None
-    transport: Optional["TransportConfig"] = None
 
     cache: Optional[EstimateCache] = None
     checkpoint_every: int = 32

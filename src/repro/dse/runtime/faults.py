@@ -35,29 +35,14 @@ from typing import Optional
 #: Exit code of an injected worker crash (recognizable in CI logs).
 CRASH_EXIT_CODE = 86
 
-#: Transport-level failure modes: they fire in the *worker agent* around a
-#: task (see :mod:`repro.dse.runtime.transport`), never inside the
-#: evaluation itself, so local backends simply never trigger them.
-TRANSPORT_FAULT_MODES = ("disconnect", "stall", "garbage-frame")
-
 #: The injectable failure modes.
-FAULT_MODES = ("crash", "hang", "flaky", "poison") + TRANSPORT_FAULT_MODES
+FAULT_MODES = ("crash", "hang", "flaky", "poison")
 
 #: Per-process evaluation ordinal (used by the ``nth`` chaos selector).
 _LOCAL_EVALUATIONS = 0
 
-
-def backoff_delay(attempt: int, base: float) -> float:
-    """Deterministic exponential backoff: ``base * 2**(attempt - 1)`` seconds.
-
-    ``attempt`` is 1-based (the first retry waits ``base`` seconds).  This is
-    *the* retry schedule of the runtime — the evaluation retry path
-    (:meth:`SupervisionPolicy.backoff_seconds`) and the transport reconnect
-    path (:func:`repro.dse.runtime.transport.run_worker_agent`) both call it,
-    so every backoff in the system is provably the same pure function of the
-    attempt number (wall-clock only, never part of a trajectory).
-    """
-    return base * (2 ** max(0, attempt - 1))
+#: :attr:`FaultPlan.hang_seconds` unless a spec says otherwise.
+_DEFAULT_HANG_SECONDS = 3600.0
 
 
 class InjectedFault(RuntimeError):
@@ -82,7 +67,7 @@ class SupervisionPolicy:
     charged one fault.  Every charged fault (timeout, worker crash, or an
     exception raised by the evaluation itself) consumes one of
     ``max_retries`` bounded retries with deterministic exponential backoff
-    (``backoff * 2**attempt`` seconds — wall-clock only, never part of the
+    (:meth:`backoff_seconds` — wall-clock only, never part of the
     trajectory).  A point that exhausts its retries is *quarantined* — it
     becomes a first-class failed
     :class:`~repro.dse.runtime.records.EvaluationRecord` that is cached,
@@ -107,8 +92,9 @@ class SupervisionPolicy:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
 
     def backoff_seconds(self, attempt: int) -> float:
-        """Deterministic backoff before retry number ``attempt`` (1-based)."""
-        return backoff_delay(attempt, self.backoff)
+        """Deterministic backoff before retry number ``attempt`` (1-based):
+        ``backoff * 2**(attempt - 1)`` seconds, ``backoff`` for attempt 0."""
+        return self.backoff * (2 ** max(0, attempt - 1))
 
 
 def stable_point_hash(key: str, encoded: tuple) -> int:
@@ -130,12 +116,6 @@ class FaultPlan:
       succeeds once its attempt budget is spent.
     * ``poison`` — the evaluation *always* raises: the point can never
       succeed, exercising the quarantine path.
-    * ``disconnect`` / ``stall`` / ``garbage-frame`` — transport faults:
-      a worker agent drops its connection before sending the result,
-      stops heartbeating for ``hang_seconds``, or sends a corrupted frame.
-      They fire in the agent's serving loop via :meth:`transport_action`
-      (never inside the evaluation), so local backends ignore them and the
-      coordinator sees them as *uncharged* connection failures.
 
     ``select`` picks the victims: every point whose
     :func:`stable_point_hash` is ``0 mod select`` matches (so roughly one
@@ -159,7 +139,7 @@ class FaultPlan:
     select: int = 4
     times: int = 1
     nth: int = 0
-    hang_seconds: float = 3600.0
+    hang_seconds: float = _DEFAULT_HANG_SECONDS
     state_dir: str = ""
 
     def __post_init__(self):
@@ -207,6 +187,8 @@ class FaultPlan:
         options = [f"select={self.select}", f"times={self.times}"]
         if self.nth:
             options.append(f"nth={self.nth}")
+        if self.hang_seconds != _DEFAULT_HANG_SECONDS:
+            options.append(f"hang_seconds={self.hang_seconds!r}")
         if self.state_dir:
             options.append(f"state_dir={self.state_dir}")
         return f"{self.mode}:{','.join(options)}"
@@ -244,8 +226,6 @@ class FaultPlan:
         serial backend) — crashes, hangs or raises according to the plan,
         or returns normally when this evaluation is not a victim.
         """
-        if self.transport_fault:
-            return  # transport faults fire in the agent's serving loop
         global _LOCAL_EVALUATIONS
         _LOCAL_EVALUATIONS += 1
         chaos_hit = self.nth > 0 and _LOCAL_EVALUATIONS % self.nth == 0
@@ -264,29 +244,6 @@ class FaultPlan:
             return
         raise InjectedFault(f"injected flake: kernel {key!r} "
                             f"point {tuple(encoded)} attempt {attempt}")
-
-    @property
-    def transport_fault(self) -> bool:
-        """Whether this plan targets the socket transport layer."""
-        return self.mode in TRANSPORT_FAULT_MODES
-
-    def transport_action(self, key: str, encoded: tuple) -> Optional[str]:
-        """The transport fault to fire before serving this task, or None.
-
-        Called by the worker agent when it receives a task.  Victim
-        selection is the same pure :meth:`matches` predicate, and attempts
-        ride the same on-disk ledger as the recoverable local modes — so a
-        matching point disconnects/stalls/garbles exactly ``times`` times
-        across agent restarts and then recovers, deterministically.  (The
-        ledger is a coordinator-local directory: injected transport chaos
-        assumes loopback agents, which is what the tests and CI spawn.)
-        """
-        if not self.transport_fault or not self.matches(key, encoded):
-            return None
-        attempt = self._record_attempt(key, encoded)
-        if attempt > self.times:
-            return None  # budget spent: the point is served normally
-        return self.mode
 
     @property
     def requires_process_isolation(self) -> bool:

@@ -3,8 +3,8 @@
 :class:`ParallelExplorer` drives the :class:`ExplorationPolicy` of the
 paper's 5-step algorithm in *batches*: every iteration proposes
 ``batch_size`` distinct unexplored neighbors against the current frontier,
-evaluates the batch through an evaluation backend (inline, a process pool or
-worker agents), then merges the results and recomputes the frontier.
+evaluates the batch through an evaluation backend (inline or a local process
+pool), then merges the results and recomputes the frontier.
 ``batch_size=1`` is the paper's one-neighbour-at-a-time traversal.
 
 Determinism contract

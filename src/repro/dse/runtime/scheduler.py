@@ -156,10 +156,7 @@ class MultiKernelScheduler:
             "dse.schedule", kernels=len(tasks), jobs=config.jobs)
         try:
             with schedule_span:
-                # Agent slots are the parallelism of a transport sweep, not
-                # ``jobs``: its coordinators always run as threads.
-                if (config.jobs <= 1 and config.transport is None) \
-                        or len(tasks) == 1:
+                if config.jobs <= 1 or len(tasks) == 1:
                     # Task order already puts every representative first.
                     return {task.key: self._explore_one(
                                 task, config, known_before, backend, resume,

@@ -4,14 +4,12 @@ The coordinator (``ParallelExplorer`` / ``MultiKernelScheduler``) decides
 *which* points to evaluate; a backend decides *where*:
 
 * :class:`SerialBackend` evaluates inline in the coordinator process.
-* :class:`ProcessPoolBackend` fans evaluations out over worker processes,
-  one ``multiprocessing.Process`` and one pipe each.
-* :class:`~repro.dse.runtime.transport.RemotePoolBackend` dispatches the
-  same tasks to socket-connected worker agents.
+* :class:`ProcessPoolBackend` fans evaluations out over local worker
+  processes, one ``multiprocessing.Process`` and one pipe each.
 
-All backends compute identical records for identical inputs — evaluation
+Both backends compute identical records for identical inputs — evaluation
 is a pure function of ``(module, design point, platform)`` — which is the
-bedrock of the runtime's determinism guarantee.  Every one of them reaches
+bedrock of the runtime's determinism guarantee.  Both reach
 :func:`evaluate_encoded`, which is an arena: the transformed IR is built,
 estimated and dropped inside the call, so the call pauses CPython's cyclic
 collector and runs one young collection when it is over
@@ -20,7 +18,7 @@ collector and runs one young collection when it is over
 Supervision
 -----------
 
-All backends are *supervised* (see
+Both backends are *supervised* (see
 :class:`~repro.dse.runtime.faults.SupervisionPolicy`): an evaluation that
 raises, crashes its worker process, or exceeds the per-task wall-clock
 timeout is charged one fault and retried with deterministic backoff; a
@@ -36,10 +34,10 @@ reaches one worker, and what losing that worker means.  Inline, there is no
 worker to lose.  A :class:`_ProcessLink` knows which task its worker holds,
 so a dead worker is a *charged* ``crash`` of exactly that task and a blown
 deadline kills exactly that worker; other workers, and other kernels
-sharing the pool, never notice.  A lost agent connection is transport
-trouble, never the point's fault: an *uncharged* requeue.  Whether a fault
-is charged is thus a function of the point alone, not of how many tasks
-were in flight or how many workers ran them.
+sharing the pool, never notice.  Whether a fault is charged is thus a
+function of the point alone, not of how many tasks were in flight or how
+many workers ran them.  A link that cannot even attempt (its worker would
+not respawn) reports ``fatal`` and the run aborts.
 """
 
 from __future__ import annotations
@@ -230,8 +228,8 @@ _WORKER_SNAPSHOTS: dict[str, PrefixSnapshotCache] = \
 _OK, _ERROR, _FATAL = "ok", "error", "fatal"
 
 #: Outcomes only a link can report — it lost the worker that held the task.
-#: ``crash`` and ``timeout`` are charged to the point, ``lost`` is not.
-_CRASH, _TIMEOUT, _LOST = "crash", "timeout", "lost"
+#: Both are charged to the point.
+_CRASH, _TIMEOUT = "crash", "timeout"
 
 #: Bound on waiting for a worker or slot that should already be finished.
 _REAP_SECONDS = 5.0
@@ -288,21 +286,18 @@ def _guarded_evaluation(context: KernelContext, key: str,
         return (_classify(error), _describe_error(error), None)
 
 
-def _evaluate_task(key: str, encoded: tuple[int, ...], traced: bool):
-    """The task a worker process or agent runs: a guarded evaluation against
-    the contexts and snapshots :func:`_init_worker` installed."""
-    return _guarded_evaluation(_WORKER_CONTEXTS[key], key, encoded,
-                               _WORKER_SNAPSHOTS[key], traced)
-
-
 def _worker_main(conn, payload: bytes) -> None:
     """A pool worker process: install the contexts, say hello, then answer
-    one task at a time until told to stop (``None``) or orphaned."""
+    one task at a time — a guarded evaluation against the contexts and
+    snapshots :func:`_init_worker` installed — until told to stop (``None``)
+    or orphaned."""
     try:
         _init_worker(payload)
         conn.send(None)
         while (task := conn.recv()) is not None:
-            conn.send(_evaluate_task(*task))
+            key, encoded, traced = task
+            conn.send(_guarded_evaluation(_WORKER_CONTEXTS[key], key, encoded,
+                                          _WORKER_SNAPSHOTS[key], traced))
     except (EOFError, BrokenPipeError, KeyboardInterrupt):
         pass  # the coordinator is gone or interrupted: exit quietly
 
@@ -351,27 +346,23 @@ class _Settlement:
     """
 
     def __init__(self, key: str, context: KernelContext, total: int,
-                 policy: SupervisionPolicy, max_requeues: int = 0):
+                 policy: SupervisionPolicy):
         self.key = key
         #: Whether attempts should capture telemetry.
         self.traced = obs.active() is not None
         self._context = context
         self._policy = policy
-        self._max_requeues = max_requeues
         #: Where slots report ``(index, encoded, kind, payload, telemetry)``.
         self.done: queue.SimpleQueue = queue.SimpleQueue()
         self._results: list[Optional[EvaluationRecord]] = [None] * total
         self._telemetry: list = [None] * total
         self._attempts = [0] * total
-        self._requeues = [0] * total
 
     def settle(self, index: int, encoded: tuple[int, ...], kind: str,
                payload, telemetry) -> bool:
         """Take in one attempt's outcome; True means "resubmit the point".
 
-        ``ok`` stores the record; ``fatal`` aborts the run; ``lost`` (the
-        worker went away and that is not the point's fault) is an
-        *uncharged* resubmit, bounded by ``max_requeues``; anything else
+        ``ok`` stores the record; ``fatal`` aborts the run; anything else
         (``error``, ``crash``, ``timeout``) is a *charged* fault that
         consumes one retry, and a point with none left is quarantined.
         """
@@ -379,16 +370,6 @@ class _Settlement:
             self._results[index] = payload
             self._telemetry[index] = telemetry
             return False
-        if kind == _LOST:
-            obs.counter("dse.transport.requeues")
-            self._requeues[index] += 1
-            if self._requeues[index] <= self._max_requeues:
-                return True
-            kind, payload = _FATAL, (
-                f"task requeued {self._requeues[index]} times over broken "
-                f"connections (last: {payload}) — worker agents are not "
-                f"staying up long enough to evaluate it; check the agents' "
-                f"stderr")
         if kind == _FATAL:
             raise EvaluationFailure(
                 f"kernel {self.key!r} point {encoded}: {payload}")
@@ -418,14 +399,14 @@ class _Settlement:
 
 
 class Supervisor:
-    """The one dispatch loop of the runtime; the three backends extend it.
+    """The one dispatch loop of the runtime; both backends extend it.
 
     A *link* is how one task reaches one worker and what losing that worker
     means: ``run(key, encoded, traced) -> (kind, payload, telemetry)`` is
     one attempt (the worker's own ``ok`` / ``error`` / ``fatal``, or the
-    link's charged ``crash`` / ``timeout`` or uncharged ``lost``), ``alive``
-    turns False once the link can take no more tasks, ``abort()`` fails the
-    attempt in flight from any thread and ``close()`` is its slot's goodbye.
+    link's charged ``crash`` / ``timeout``), ``alive`` turns False once the
+    link can take no more tasks, ``abort()`` fails the attempt in flight
+    from any thread and ``close()`` is its slot's goodbye.
     One *slot* thread per link pulls from a FIFO task queue every
     ``evaluate()`` call shares; it blocks there and is woken at shutdown by
     a sentinel of its own, never by a poll.  ``evaluate()`` alone calls
@@ -435,10 +416,6 @@ class Supervisor:
 
     #: A link run in the caller's thread, in place of slots.
     _inline = None
-    #: Bound on *uncharged* resubmits of one point (a livelock fail-safe).
-    _max_requeues = 0
-    #: How long ``evaluate()`` tolerates having no live slot at all.
-    _starve_seconds = 10.0
 
     def __init__(self, contexts: dict[str, KernelContext],
                  config: SweepConfig,
@@ -463,14 +440,13 @@ class Supervisor:
                  batch: Sequence[tuple[int, ...]]) -> list[EvaluationRecord]:
         self._ready()
         settlement = _Settlement(key, self._contexts[key], len(batch),
-                                 self._config.supervision, self._max_requeues)
+                                 self._config.supervision)
         inline = self._inline
         pending: collections.deque = collections.deque()
         submit = self._tasks.put if inline is None else pending.append
         for index, encoded in enumerate(batch):
             submit((settlement, index, tuple(encoded)))
         outstanding = len(batch)
-        starved_since: Optional[float] = None
         while outstanding:
             _check_stop(self._stop_event)
             if inline is not None:
@@ -478,22 +454,10 @@ class Supervisor:
                 outcome = inline.run(key, encoded, settlement.traced)
             else:
                 try:
+                    # Timed only so that a stop request is noticed.
                     index, encoded, *outcome = settlement.done.get(timeout=0.2)
                 except queue.Empty:
-                    # Fail-safe: with no live slot nothing can ever complete
-                    # — surface that instead of waiting forever.
-                    if self._links:
-                        starved_since = None
-                    elif starved_since is None:
-                        starved_since = time.monotonic()
-                    elif time.monotonic() - starved_since \
-                            > self._starve_seconds:
-                        raise EvaluationFailure(
-                            f"kernel {key!r}: every worker disconnected and "
-                            f"none re-joined within {self._starve_seconds:g}s "
-                            f"— check the workers' stderr")
                     continue
-                starved_since = None
             if settlement.settle(index, encoded, *outcome):
                 submit((settlement, index, encoded))
             else:
@@ -715,16 +679,10 @@ def create_backend(contexts: dict[str, KernelContext], config: SweepConfig,
     The sweep's fault plan is stamped onto every context here.  A task timeout
     or a crash/hang fault plan forces a process pool even at ``--jobs 1``:
     inline evaluation cannot be killed, and an injected crash would take the
-    coordinator down with it.  A ``config.transport`` overrides both local
-    backends: evaluation then runs on socket-connected worker agents
-    (spawned locally and/or connected remotely).
+    coordinator down with it.
     """
     contexts = {key: dataclasses.replace(context, faults=config.faults)
                 for key, context in contexts.items()}
-    if config.transport is not None:
-        from repro.dse.runtime.transport import RemotePoolBackend
-
-        return RemotePoolBackend(contexts, config, stop_event)
     needs_isolation = config.supervision.task_timeout is not None or (
         config.faults is not None
         and config.faults.requires_process_isolation)

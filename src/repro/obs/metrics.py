@@ -41,6 +41,14 @@ name                      kind       meaning
 ``dse.checkpoint.retired`` counter   finished kernels handed to a persistent cache
                                      instead of a final checkpoint
 ``dse.worker.busy_seconds``  counter    summed per-evaluation worker wall-clock
+``dse.faults.timeouts``   counter    attempts that blew ``--task-timeout`` (charged)
+``dse.faults.crashes``    counter    attempts whose worker process died (charged)
+``dse.faults.retries``    counter    charged faults resubmitted after their backoff
+``dse.faults.quarantined`` counter   points that exhausted their retries
+``dse.pool.respawns``     counter    pool workers replaced (crashed, timed out, or
+                                     found dead between tasks)
+``dse.pool.kill_errors``  counter    worker kills that raised (the worker is dropped
+                                     anyway; the error is also warned)
 ``dse.batch.points``      histogram  batch-size distribution
 ``dse.frontier.size.<k>`` series     (iteration, frontier size) per kernel
 ``dse.frontier.hv.<k>``   series     (iteration, frontier hypervolume) per kernel

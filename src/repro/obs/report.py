@@ -250,14 +250,6 @@ def dse_summary_lines(counters: Mapping[str, float],
                      f"retries={faults['retries']} "
                      f"quarantined={faults['quarantined']} "
                      f"(pool respawns={respawns})")
-    transport = {name: int(counters.get(f"dse.transport.{name}", 0))
-                 for name in ("connects", "disconnects", "requeues",
-                              "heartbeat_misses")}
-    if any(transport.values()):
-        lines.append(f"  transport: connects={transport['connects']} "
-                     f"disconnects={transport['disconnects']} "
-                     f"requeues={transport['requeues']} "
-                     f"heartbeat misses={transport['heartbeat_misses']}")
     shared_nodes = int(counters.get("dse.shared.nodes", 0))
     if shared_nodes:
         lines.append(shared_summary_line(

@@ -92,17 +92,16 @@ def _sweep_config(*, cache: "Optional[EstimateCache]" = None,
 
     ``fields`` are :class:`repro.dse.runtime.SweepConfig` fields by name
     (``seed``, ``jobs``, ``num_samples``, ``max_iterations``, ``batch_size``,
-    ``checkpoint_every``, ``faults``, ``transport``).  The rest are flat
-    spellings of its object-valued fields: ``cache_path`` creates (or warms
-    from) a persistent JSONL estimate cache (``cache_max_bytes`` bounds it
-    with LRU eviction) unless a ``cache`` object is passed; ``task_timeout``
-    / ``max_retries`` / ``on_fault`` configure the supervision layer (see
-    :class:`repro.dse.runtime.SupervisionPolicy`).  ``faults`` injects a
-    :class:`repro.dse.runtime.FaultPlan` for chaos testing, ``transport``
-    (a :class:`repro.dse.runtime.TransportConfig`) evaluates on
-    socket-connected worker agents instead of local processes, and
-    ``platforms`` turns the run into one sweep over design points × hardware
-    targets (the platform becomes a design-space dimension; see
+    ``checkpoint_every``, ``faults``).  The rest are flat spellings of its
+    object-valued fields: ``cache_path`` creates (or warms from) a
+    persistent JSONL estimate cache (``cache_max_bytes`` bounds it with LRU
+    eviction) unless a ``cache`` object is passed; ``task_timeout`` /
+    ``max_retries`` / ``on_fault`` configure the supervision layer (see
+    :class:`repro.dse.runtime.SupervisionPolicy`).  ``jobs`` is how many
+    local worker processes evaluate, ``faults`` injects a
+    :class:`repro.dse.runtime.FaultPlan` for chaos testing, and
+    ``platforms`` turns the run into one sweep over design points ×
+    hardware targets (the platform becomes a design-space dimension; see
     :class:`repro.dse.space.KernelDesignSpace`).
     """
     from repro.dse.runtime import EstimateCache, SupervisionPolicy, SweepConfig

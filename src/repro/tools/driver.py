@@ -290,16 +290,6 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser,
     # Chaos-testing hook for CI and tests; deliberately undocumented.
     parser.add_argument("--inject-faults", metavar="SPEC",
                         help=argparse.SUPPRESS)
-    parser.add_argument("--listen", metavar="HOST:PORT",
-                        help="accept remote worker agents on HOST:PORT and "
-                             "evaluate over the socket transport (start "
-                             "agents with 'repro-hls worker-agent --connect "
-                             "HOST:PORT'; combine with --workers to mix in "
-                             "local slots)")
-    parser.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="spawn N local worker-agent subprocesses "
-                             "connected over loopback (implies the socket "
-                             "transport even without --listen)")
 
 
 def _sweep_settings(args) -> dict:
@@ -311,6 +301,14 @@ def _sweep_settings(args) -> dict:
     if args.resume and not args.checkpoint:
         raise SystemExit("--resume requires --checkpoint PATH (otherwise the "
                          "sweep would silently restart from scratch)")
+    if args.cache_max_bytes is not None:
+        if not args.cache:
+            raise SystemExit("--cache-max-bytes requires --cache PATH (there "
+                             "is no persistent cache to bound)")
+        if args.cache_max_bytes <= 0:
+            raise SystemExit(f"--cache-max-bytes must be a positive number "
+                             f"of bytes, got {args.cache_max_bytes} (drop "
+                             f"the flag for an unbounded cache)")
     _validate_supervision(args)
     _register_pipelines(args.register_pipeline)
     return dict(
@@ -321,8 +319,7 @@ def _sweep_settings(args) -> dict:
         cache_max_bytes=args.cache_max_bytes,
         checkpoint_every=args.checkpoint_every, resume=args.resume,
         task_timeout=args.task_timeout, max_retries=args.max_retries,
-        on_fault=args.on_fault, faults=_fault_plan(args),
-        transport=_transport_config(args))
+        on_fault=args.on_fault, faults=_fault_plan(args))
 
 
 def _estimate_cache_path(path: str) -> str:
@@ -359,34 +356,6 @@ def _validate_supervision(args) -> None:
     if retries < 0:
         raise SystemExit(f"--max-retries must be >= 0, got {retries} "
                          f"(0 quarantines a point on its first fault)")
-
-
-def _parse_address(value: str, flag: str) -> "tuple[str, int]":
-    """Parse a HOST:PORT flag value with an actionable error."""
-    host, separator, port_text = value.rpartition(":")
-    try:
-        port = int(port_text)
-    except ValueError:
-        port = -1
-    if not separator or not host or not 0 <= port <= 65535:
-        raise SystemExit(f"{flag} expects HOST:PORT (e.g. 127.0.0.1:7870), "
-                         f"got {value!r}")
-    return host, port
-
-
-def _transport_config(args):
-    """The :class:`TransportConfig` implied by --listen/--workers, or None."""
-    listen, workers = args.listen, args.workers
-    if workers < 0:
-        raise SystemExit(f"--workers must be >= 0, got {workers}")
-    if not listen and not workers:
-        return None
-    from repro.dse.runtime import TransportConfig
-
-    host, port = ("127.0.0.1", 0)
-    if listen:
-        host, port = _parse_address(listen, "--listen")
-    return TransportConfig(host=host, port=port, spawn_workers=workers)
 
 
 def _add_pipeline_argument(parser: argparse.ArgumentParser) -> None:
@@ -479,24 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument("--trace", metavar="PATH",
                                help="also validate a Chrome trace written by "
                                     "--trace-out (exit 1 when invalid)")
-
-    agent_parser = commands.add_parser(
-        "worker-agent",
-        help="serve DSE evaluations to a coordinator over the socket "
-             "transport (see dse/dnn --listen)")
-    agent_parser.add_argument("--connect", required=True, metavar="HOST:PORT",
-                              help="coordinator address (its --listen value)")
-    agent_parser.add_argument("--agent-id", default="", metavar="NAME",
-                              help="name reported to the coordinator "
-                                   "(default: agent-<pid>)")
-    agent_parser.add_argument("--reconnect-base", type=float, default=0.25,
-                              metavar="SECONDS",
-                              help="base of the deterministic exponential "
-                                   "reconnect backoff (default: 0.25)")
-    agent_parser.add_argument("--max-reconnects", type=int, default=30,
-                              metavar="N",
-                              help="failed connection attempts before the "
-                                   "agent gives up (default: 30)")
     return parser
 
 
@@ -574,7 +525,7 @@ def run_dse(args) -> int:
         if not results:
             raise SystemExit("no explorable functions: the module contains "
                              "no affine loop nests")
-        _note_dse_wall(started, max(args.jobs, args.workers))
+        _note_dse_wall(started, args.jobs)
         for name in sorted(results):
             baselines = None
             if len(platforms) > 1:
@@ -597,7 +548,7 @@ def run_dse(args) -> int:
                      for target in platforms}
     result = explore_kernel(module, platform, checkpoint_path=args.checkpoint,
                             **common)
-    _note_dse_wall(started, max(args.jobs, args.workers))
+    _note_dse_wall(started, args.jobs)
     _print_dse_result("", result, baseline, baselines=baselines)
     if args.frontier_out:
         with open(args.frontier_out, "w", encoding="utf-8") as handle:
@@ -871,21 +822,6 @@ def run_report(args) -> int:
     return 0
 
 
-def run_worker_agent_cmd(args) -> int:
-    from repro.dse.runtime import run_worker_agent
-
-    host, port = _parse_address(args.connect, "--connect")
-    if args.reconnect_base <= 0:
-        raise SystemExit(f"--reconnect-base must be positive, "
-                         f"got {args.reconnect_base:g}")
-    if args.max_reconnects < 0:
-        raise SystemExit(f"--max-reconnects must be >= 0, "
-                         f"got {args.max_reconnects}")
-    return run_worker_agent(host, port, agent_id=args.agent_id,
-                            reconnect_base=args.reconnect_base,
-                            max_reconnects=args.max_reconnects)
-
-
 _COMMANDS = {
     "compile": run_compile,
     "estimate": run_estimate,
@@ -894,7 +830,6 @@ _COMMANDS = {
     "dnn": run_dnn,
     "list-passes": run_list_passes,
     "report": run_report,
-    "worker-agent": run_worker_agent_cmd,
 }
 
 

@@ -273,13 +273,51 @@ class TestSweepSettings:
                   "--batch-size", "--cache", "--cache-max-bytes",
                   "--register-pipeline", "--checkpoint",
                   "--checkpoint-every", "--resume", "--task-timeout",
-                  "--max-retries", "--on-fault", "--listen", "--workers",
+                  "--max-retries", "--on-fault",
                   "--platform", "--platform-config", "--frontier-out"}
         dse_flags, dnn_flags = flags("dse"), flags("dnn")
         assert shared <= dse_flags and shared <= dnn_flags
         own = {"--all-functions", "--kernel", "--size", "--dse", "--smoke",
                "--budget", "--graph-level", "--loop-level"}
         assert dse_flags - shared - own == dnn_flags - shared - own
+
+
+SWEEPS = {"dse": ["dse", "--kernel", "gemm", "--size", "8", "--samples", "2",
+                  "--iterations", "1"],
+          "dnn": ["dnn", "mobilenet", "--dse", "--smoke"]}
+
+
+class TestSweepFlagValidation:
+    """Nonsensical sweep flags are rejected up front, naming the flag."""
+
+    def test_zero_task_timeout_rejected(self):
+        with pytest.raises(SystemExit, match="--task-timeout must be a "
+                                             "positive number"):
+            main(SWEEPS["dse"] + ["--task-timeout", "0"])
+
+    def test_negative_max_retries_rejected(self):
+        with pytest.raises(SystemExit, match="--max-retries must be >= 0"):
+            main(SWEEPS["dse"] + ["--max-retries", "-1"])
+
+    def test_dnn_validates_supervision_flags_too(self):
+        with pytest.raises(SystemExit, match="--task-timeout"):
+            main(SWEEPS["dnn"] + ["--task-timeout", "-3"])
+
+    @pytest.mark.parametrize("command", sorted(SWEEPS))
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_non_positive_cache_max_bytes_rejected(self, command, value,
+                                                   tmp_path):
+        with pytest.raises(SystemExit, match="--cache-max-bytes must be a "
+                                             "positive number of bytes"):
+            main(SWEEPS[command] + ["--cache", str(tmp_path / "c.jsonl"),
+                                    "--cache-max-bytes", value])
+        assert not (tmp_path / "c.jsonl").exists()
+
+    @pytest.mark.parametrize("command", sorted(SWEEPS))
+    def test_cache_max_bytes_without_cache_rejected(self, command):
+        with pytest.raises(SystemExit, match="--cache-max-bytes requires "
+                                             "--cache"):
+            main(SWEEPS[command] + ["--cache-max-bytes", "4096"])
 
 
 class TestPlatformFlags:

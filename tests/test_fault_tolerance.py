@@ -103,6 +103,9 @@ class TestFaultPlan:
     def test_spec_round_trip(self, tmp_path):
         plan = FaultPlan.parse(f"hang:select=6,state_dir={tmp_path}")
         assert FaultPlan.parse(plan.to_spec()) == plan
+        plan = FaultPlan(mode="hang", select=6, hang_seconds=2.0,
+                         state_dir=str(tmp_path))
+        assert FaultPlan.parse(plan.to_spec()) == plan
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown fault mode"):
@@ -169,6 +172,11 @@ class TestSupervisionPolicy:
     def test_backoff_doubles(self):
         policy = SupervisionPolicy(backoff=0.5)
         assert [policy.backoff_seconds(n) for n in (1, 2, 3)] == [0.5, 1.0, 2.0]
+
+    def test_schedule_doubles_from_base(self):
+        policy = SupervisionPolicy(backoff=0.25)
+        assert [policy.backoff_seconds(n) for n in range(5)] \
+            == [0.25, 0.25, 0.5, 1.0, 2.0]
 
     def test_backend_promotion(self, gemm_module, tmp_path):
         contexts = {"k": _context(gemm_module)}
@@ -296,8 +304,7 @@ class TestSettlement:
 
 class _ScriptedLink:
     """A fake link: every attempt at a point plays the next outcome of that
-    point's script.  ``crash`` is a charged loss of the worker, ``lost`` an
-    uncharged one."""
+    point's script.  ``crash`` is a charged loss of the worker."""
 
     alive = True
     closed = False
@@ -325,13 +332,12 @@ class TestSupervisor:
     """The one dispatch loop, over a fake link: this is what the link seam
     is for.  ``slots=0`` runs the link inline, in the caller's thread."""
 
-    #: script -> how the point settles (max_retries=2, max_requeues=3).
+    #: script -> how the point settles (max_retries=2).
     TABLE = [
         (["ok"], "ok"),
         (["error", "ok"], "ok"),
         (["timeout", "ok"], "ok"),
         (["crash", "crash", "ok"], "ok"),
-        (["lost", "lost", "lost", "ok"], "ok"),  # never charged
         (["error", "crash", "timeout"], "quarantined"),
     ]
 
@@ -341,7 +347,6 @@ class TestSupervisor:
 
         supervisor = Supervisor({"k": _context(module)},
                                 SweepConfig(supervision=fast_policy()))
-        supervisor._max_requeues = 3
         if slots:
             for _ in range(slots):
                 supervisor._start_slot(link)
@@ -373,32 +378,25 @@ class TestSupervisor:
         assert [encoded for encoded, _ in link.attempts[:len(batch)]] == batch
         assert all(not script for script in link.scripts.values())
         assert {name: value for name, value in session.metrics.counters.items()
-                if name.startswith(("dse.faults.", "dse.transport."))} == {
+                if name.startswith("dse.faults.")} == {
             "dse.faults.retries": 6, "dse.faults.crashes": 3,
-            "dse.faults.timeouts": 2, "dse.faults.quarantined": 1,
-            "dse.transport.requeues": 3}
+            "dse.faults.timeouts": 2, "dse.faults.quarantined": 1}
         # Shutdown woke the slot with its sentinel and said goodbye.
         assert not any(thread.is_alive() for thread in supervisor._threads)
         assert link.closed == bool(slots)
 
     @pytest.mark.parametrize("slots", [0, 1])
-    @pytest.mark.parametrize("script,message", [
-        (["fatal"], "fatal of"),
-        (["lost"] * 4, "requeued 4 times over broken connections "
-                       "(last: lost of"),
-    ])
-    def test_fatal_and_unbounded_loss_abort(self, gemm_module, script,
-                                            message, slots):
+    def test_fatal_aborts(self, gemm_module, slots):
         (encoded,) = _sample_batch(_context(gemm_module), 1)
         supervisor = self.supervisor(gemm_module,
-                                     _ScriptedLink({encoded: script}), slots)
+                                     _ScriptedLink({encoded: ["fatal"]}), slots)
         try:
             with pytest.raises(EvaluationFailure) as error:
                 supervisor.evaluate("k", [encoded])
         finally:
             supervisor.close()
-        assert f"kernel 'k' point {encoded}: " in str(error.value)
-        assert message in str(error.value)
+        assert str(error.value) == f"kernel 'k' point {encoded}: fatal of " \
+                                   f"{encoded}"
 
     def test_a_link_that_cannot_attempt_aborts_the_run(self, gemm_module):
         # A slot never swallows the task it took: the failure reaches the
@@ -704,6 +702,24 @@ class TestCrashRecovery:
             assert set(runs[1].records) == set(clean.records)
         else:
             assert runs[1].num_quarantined > 0
+
+
+class _UnkillableProcess:
+    pid = 4242
+
+    def kill(self):
+        raise OSError("process handle already closed")
+
+
+class TestKillErrorsSurfaced:
+    def test_kill_warns_and_counts(self):
+        from repro.dse.runtime.worker import _kill_worker
+
+        with obs.session() as session:
+            with pytest.warns(RuntimeWarning,
+                              match="failed to kill worker process 4242"):
+                _kill_worker(_UnkillableProcess())
+        assert session.metrics.counters.get("dse.pool.kill_errors") == 1
 
 
 class TestHangTimeout:

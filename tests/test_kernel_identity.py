@@ -25,7 +25,6 @@ from repro.dse.runtime import (
     SupervisionPolicy,
     SweepConfig,
 )
-from repro.dse.runtime.transport import TransportConfig
 from repro.dse.runtime.worker import KernelContext, evaluate_encoded
 from repro.dse.space import (
     LABEL_ATTRS,
@@ -307,16 +306,6 @@ class TestSharedSweep:
             cache.close()
             assert cached.frontier_json() == expected
             assert counts(cached) == counts(serial_sweep)
-
-    def test_socket_agents_share_like_local_workers(self, serial_sweep):
-        transport = TransportConfig(
-            spawn_workers=2, heartbeat_interval=0.2, heartbeat_timeout=5.0,
-            connect_timeout=60.0, reconnect_base=0.05)
-        remote = sweep(transport=transport, supervision=fast_policy())
-        assert remote.frontier_json() == serial_sweep.frontier_json()
-        assert (remote.cache_hits, remote.cache_misses, remote.shared_points) \
-            == (serial_sweep.cache_hits, serial_sweep.cache_misses,
-                serial_sweep.shared_points)
 
     def test_warm_persistent_cache_is_not_reported_as_sharing(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")

@@ -36,7 +36,6 @@ from repro.dse.incremental import (
 )
 from repro.dse.runtime import FaultPlan, worker
 from repro.dse.runtime.parallel import _ClassResults, _ProgramIdentities
-from repro.dse.runtime.transport import TransportConfig
 from repro.dse.runtime.worker import evaluate_encoded
 from repro.dse.space import KernelDesignPoint, ir_digest
 from repro.estimation import VU9P_SLR, XC7Z020
@@ -715,13 +714,7 @@ class TestVgg16SliceSweep:
                      != node.records[encoded].point.perm_map]
             assert not {(key, mate) for mate in mates} & set(dispatched)
 
-    @pytest.mark.parametrize("overrides", [
-        dict(jobs=2),
-        dict(transport=TransportConfig(
-            spawn_workers=2, heartbeat_interval=0.2, heartbeat_timeout=5.0,
-            connect_timeout=60.0, reconnect_base=0.05),
-            supervision=fast_policy())],
-        ids=["jobs2", "workers2"])
+    @pytest.mark.parametrize("overrides", [dict(jobs=2)], ids=["jobs2"])
     def test_every_execution_setting(self, expected, overrides):
         assert masked_document(dnn.sweep(**overrides)) == expected
 

@@ -38,7 +38,6 @@ from repro.dse.runtime import (
 )
 from repro.dse.runtime import worker
 from repro.dse.runtime.records import EvaluationRecord
-from repro.dse.runtime.transport import TransportConfig
 from repro.dse.runtime.worker import KernelContext, evaluate_encoded
 from repro.dse.space import KernelDesignSpace
 from repro.estimation import QoREstimator, VU9P_SLR, XC7Z020
@@ -522,16 +521,6 @@ class TestSweepMatchesTheParentCommit:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_without_a_cache(self, gemm8, golden, jobs):
         assert document(explore(gemm8, jobs=jobs)) == golden["clean"]
-
-    def test_socket_agents(self, gemm8, golden, tmp_path):
-        transport = TransportConfig(
-            spawn_workers=2, heartbeat_interval=0.2, heartbeat_timeout=5.0,
-            connect_timeout=60.0, reconnect_base=0.05)
-        result = explore(gemm8, tmp_path, transport=transport,
-                         supervision=fast_policy())
-        assert document(result) == golden["clean"]
-        assert_files_match(tmp_path, golden)
-        assert (result.resolved_siblings, result.resolved_aliases) == (3, 3)
 
     def test_without_incremental_snapshots(self, gemm8, golden):
         result = explore(gemm8)
