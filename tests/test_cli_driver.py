@@ -319,6 +319,18 @@ class TestSweepFlagValidation:
                                              "--cache"):
             main(SWEEPS[command] + ["--cache-max-bytes", "4096"])
 
+    @pytest.mark.parametrize("command", sorted(SWEEPS))
+    @pytest.mark.parametrize("flag", ["--listen", "--workers"])
+    def test_socket_transport_flags_are_gone(self, command, flag, capsys):
+        with pytest.raises(SystemExit):
+            main(SWEEPS[command] + [flag, "2"])
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_worker_agent_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["worker-agent", "--connect", "127.0.0.1:1"])
+        assert "invalid choice: 'worker-agent'" in capsys.readouterr().err
+
 
 class TestPlatformFlags:
     def test_multi_platform_dse_reports_per_platform(self, capsys):

@@ -34,7 +34,7 @@ from repro.dse.runtime import (
     SweepConfig,
     create_backend,
 )
-from repro.dse.runtime.faults import stable_point_hash
+from repro.dse.runtime.faults import FAULT_MODES, stable_point_hash
 from repro.dse.runtime.records import STATUS_QUARANTINED
 from repro.dse.runtime.worker import evaluate_encoded
 from repro.dse.space import KernelDesignPoint
@@ -107,9 +107,20 @@ class TestFaultPlan:
                          state_dir=str(tmp_path))
         assert FaultPlan.parse(plan.to_spec()) == plan
 
+    @pytest.mark.parametrize("mode", FAULT_MODES)
+    def test_every_field_round_trips(self, mode, tmp_path):
+        plan = FaultPlan(mode=mode, select=3, times=2, nth=5,
+                         hang_seconds=0.5, state_dir=str(tmp_path))
+        assert FaultPlan.parse(plan.to_spec()) == plan
+
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown fault mode"):
             FaultPlan.parse("segfault")
+
+    @pytest.mark.parametrize("mode", ["disconnect", "stall", "garbage-frame"])
+    def test_socket_transport_modes_are_gone(self, mode):
+        with pytest.raises(ValueError, match=f"unknown fault mode '{mode}'"):
+            FaultPlan.parse(f"{mode}:select=1")
 
     def test_rejects_unknown_option(self):
         with pytest.raises(ValueError, match="bad fault option"):
