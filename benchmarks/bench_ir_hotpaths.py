@@ -67,8 +67,12 @@ pass runs against the ops at its entry, and address keys computed against
 accesses.  First of all, before any other IR is built, it stages, lowers and
 splits vgg16 at graph level 7 the way a whole-model sweep does, counting
 the ``AffineMap`` constructions, the default layout maps built and the
-``Operation.clone`` calls of the split (none: nodes are moved).  The counts
-do not depend on the machine; the smoke gate fails on them, not on a clock.
+``Operation.clone`` calls of the split (none: nodes are moved).  Last, it
+sweeps vgg16 twice against one persistent estimate cache and counts what
+the warm sweep, which evaluates nothing, still does: RNG state reads and
+seedings, checkpoint saves, model frontier points built and neighbour
+lists, plus the platform-hash payloads of both sweeps.  The counts do not
+depend on the machine; the smoke gate fails on them, not on a clock.
 """
 
 from __future__ import annotations
@@ -359,6 +363,18 @@ WORK_COUNT_LIMITS = {
     "model.affine_maps": 244,
     "model.default_layouts": 31,
     "model.split_clones": 0,
+    # A warm vgg16 sweep against the cache its cold run filled
+    # (measure_warm_sweep_counts), 50 nodes, while every node replayed its
+    # checkpoint rhythm: 224 RNG state reads (168 of them a Ctrl-C boundary
+    # after a cache-served batch), 100 seedings (half from os.urandom for
+    # setstate to overwrite), 6 checkpoint saves, 1 032 model frontier points
+    # built for a 49-point frontier (and 191 neighbour lists, not gated);
+    # 200 platform-hash payloads over the cold and the warm sweep.
+    "warm.rng_state_reads_per_node": 1.0,
+    "warm.rng_seeds_per_node": 1.0,
+    "warm.platform_hash_payloads_per_platform": 1.0,
+    "warm.checkpoint_saves": 0,
+    "warm.frontier_points_per_point_kept": 1.0,
 }
 
 #: Tile size of every loop at the two points :func:`measure_scan_counts`
@@ -613,6 +629,87 @@ def measure_model_counts(model: str = "vgg16", graph_level: int = 7) -> dict:
             **{f"model.{name}": value for name, value in counts.items()}}
 
 
+def measure_warm_sweep_counts(model: str = "vgg16", graph_level: int = 7,
+                              checkpoint_every: int = 16) -> dict:
+    """What a whole-model sweep the estimate cache answers in full still
+    does, taken from outside: a cold sweep of ``model`` at ``graph_level``
+    fills a persistent cache (checkpoint directory, ``checkpoint_every``
+    points between periodic saves), then the same sweep runs again with
+    wrappers counting ``Random.getstate`` and ``Random.seed`` calls,
+    ``CheckpointStore.save`` calls, ``ModelFrontierPoint`` constructions and
+    ``KernelDesignSpace.neighbors`` calls.  ``Platform.to_dict`` calls (the
+    payload ``config_hash`` encodes) are counted over both sweeps."""
+    import tempfile
+
+    from repro.dse.runtime import EstimateCache
+    from repro.dse.runtime.checkpoint import CheckpointStore
+    from repro.dse.runtime.model import ModelFrontierPoint
+    from repro.dse.space import KernelDesignSpace
+    from repro.estimation.platform import Platform, VU9P_SLR
+    from repro.pipeline import explore_dnn
+
+    counts = {"rng_state_reads": 0, "rng_seeds": 0, "checkpoint_saves": 0,
+              "frontier_points": 0, "neighbor_lists": 0,
+              "platform_hash_payloads": 0}
+    counting = False
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            if counting or name == "platform_hash_payloads":
+                counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    with tempfile.TemporaryDirectory() as directory, \
+            contextlib.ExitStack() as stack:
+        def patch(owner, attribute, name):
+            original = getattr(owner, attribute)
+            stack.callback(setattr, owner, attribute, original)
+            setattr(owner, attribute, counted(name, original))
+
+        patch(random.Random, "getstate", "rng_state_reads")
+        patch(random.Random, "seed", "rng_seeds")
+        patch(CheckpointStore, "save", "checkpoint_saves")
+        patch(ModelFrontierPoint, "__init__", "frontier_points")
+        patch(KernelDesignSpace, "neighbors", "neighbor_lists")
+        patch(Platform, "to_dict", "platform_hash_payloads")
+
+        def sweep():
+            cache = EstimateCache(f"{directory}/estimates.jsonl")
+            try:
+                return explore_dnn(
+                    model, VU9P_SLR, graph_level=graph_level, jobs=1,
+                    seed=2022, cache=cache,
+                    checkpoint_dir=f"{directory}/checkpoints",
+                    checkpoint_every=checkpoint_every)
+            finally:
+                cache.close()
+
+        sweep()
+        counting = True
+        warm = sweep()
+    assert warm.cache_misses == 0
+    nodes, kept = len(warm.node_order), len(warm.frontier)
+    print(f"warm_sweep_counts: {model} at graph level {graph_level}, "
+          f"{nodes} nodes served from the cache: "
+          f"{counts['rng_state_reads']} RNG state reads, "
+          f"{counts['rng_seeds']} seedings, {counts['checkpoint_saves']} "
+          f"checkpoint saves, {counts['frontier_points']} model frontier "
+          f"points built for {kept} kept, {counts['neighbor_lists']} "
+          f"neighbour lists; {counts['platform_hash_payloads']} platform-hash "
+          f"payload(s) over both sweeps")
+    return {"warm.nodes": nodes, "warm.frontier": kept,
+            **{f"warm.{name}": value for name, value in counts.items()},
+            "warm.rng_state_reads_per_node":
+                counts["rng_state_reads"] / max(1, nodes),
+            "warm.rng_seeds_per_node": counts["rng_seeds"] / max(1, nodes),
+            # One platform, VU9P_SLR.
+            "warm.platform_hash_payloads_per_platform":
+                float(counts["platform_hash_payloads"]),
+            "warm.frontier_points_per_point_kept":
+                counts["frontier_points"] / max(1, kept)}
+
+
 def measure_scan_counts(size: int = 4) -> dict:
     """What the three block scans read during one evaluation of each of
     :data:`SCAN_POINTS`, taken from outside.
@@ -798,10 +895,11 @@ def main(argv=None) -> int:
                         help="also count the work of one fully unrolled gemm "
                              "evaluation (clones, canonicalize visits, access "
                              "derivations, collections), what the block "
-                             "scans read (walk items, address keys) and what "
+                             "scans read (walk items, address keys), what "
                              "a vgg16 staging and split builds (maps, layouts, "
-                             "clones); implied by --smoke, where the counts "
-                             "are gated")
+                             "clones) and what a warm vgg16 sweep still does "
+                             "(RNG reads, checkpoint saves, frontier points); "
+                             "implied by --smoke, where the counts are gated")
     args = parser.parse_args(argv)
 
     sizes = tuple(args.sizes) if args.sizes \
@@ -815,7 +913,7 @@ def main(argv=None) -> int:
     prefix_reuse = measure_prefix_reuse() \
         if args.prefix_reuse or args.smoke else None
     work_counts = {**model_counts, **measure_work_counts(),
-                   **measure_scan_counts()} \
+                   **measure_scan_counts(), **measure_warm_sweep_counts()} \
         if args.work_counts or args.smoke else None
 
     if args.json:
@@ -878,8 +976,9 @@ def main(argv=None) -> int:
             return 1
         print(f"smoke gate passed: all gated scenarios scale near-linearly "
               f"(growth <= {limit:.1f}x), the snapshot cache builds each "
-              f"prefix once, an evaluation does each op's work once and a "
-              f"model split shares its maps and clones no node")
+              f"prefix once, an evaluation does each op's work once, a "
+              f"model split shares its maps and clones no node, and a warm "
+              f"model sweep pays for its lookups")
     return 0
 
 

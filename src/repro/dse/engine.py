@@ -69,16 +69,22 @@ class ExplorationPolicy:
         All proposals are made against the *same* frontier (the one computed
         at the last update), so the batch is a pure function of explorer
         state — evaluating its members in any order or degree of parallelism
-        cannot change the trajectory.
+        cannot change the trajectory.  Each frontier point's neighbours are
+        listed once per call and filtered per proposal.
         """
         proposals: list[tuple[int, ...]] = []
         blocked: set[tuple[int, ...]] = set()
+        around: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for _ in range(max(1, batch_size)):
             candidates = list(frontier)
             rng.shuffle(candidates)
             pick: Optional[tuple[int, ...]] = None
             for pareto_point in candidates:
-                neighbors = [n for n in space.neighbors(pareto_point.encoded)
+                listed = around.get(pareto_point.encoded)
+                if listed is None:
+                    listed = around[pareto_point.encoded] = space.neighbors(
+                        pareto_point.encoded)
+                neighbors = [n for n in listed
                              if n not in visited and n not in blocked]
                 if neighbors:
                     pick = rng.choice(neighbors)

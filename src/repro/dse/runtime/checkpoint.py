@@ -12,7 +12,10 @@ killed mid-write leaves the previous checkpoint intact.
 A kernel whose trajectory finished against a persistent, unbounded estimate
 cache keeps no checkpoint: the explorer syncs the cache, which holds every
 record, and removes the file.  ``--resume`` then replays the trajectory,
-every point a cache hit.
+every point a cache hit.  For the same reason a batch such a cache answered
+in full neither moves the boundary an interrupt saves nor counts toward a
+periodic save: the cache already holds all that a checkpoint of it would
+add.
 """
 
 from __future__ import annotations
@@ -39,11 +42,14 @@ class ExplorerState:
     ``config`` echoes the exploration parameters that define the trajectory
     (seed, batch size, budgets); a resume is only valid when they match, so
     an interrupted seed-1 run can never silently masquerade as a seed-2 one.
+
+    ``rng`` is the explorer's generator itself, advanced in place; its state
+    (``rng_state``) is read only when a checkpoint is written.
     """
 
     fingerprint: str
     records: dict[tuple[int, ...], EvaluationRecord]
-    rng_state: tuple
+    rng: random.Random
     samples_done: bool
     iterations_done: int
     seed: int
@@ -53,17 +59,13 @@ class ExplorerState:
     def fresh(cls, fingerprint: str, seed: int,
               config: Optional[dict] = None) -> "ExplorerState":
         return cls(fingerprint=fingerprint, records={},
-                   rng_state=random.Random(seed).getstate(),
+                   rng=random.Random(seed),
                    samples_done=False, iterations_done=0, seed=seed,
                    config=dict(config or {}))
 
-    def make_rng(self) -> random.Random:
-        rng = random.Random()
-        rng.setstate(self.rng_state)
-        return rng
-
-    def capture_rng(self, rng: random.Random) -> None:
-        self.rng_state = rng.getstate()
+    @property
+    def rng_state(self) -> tuple:
+        return self.rng.getstate()
 
 
 class CheckpointStore:
@@ -156,7 +158,7 @@ class CheckpointStore:
             return ExplorerState(
                 fingerprint=payload["fingerprint"],
                 records=records,
-                rng_state=_rng_state_from_json(payload["rng_state"]),
+                rng=_rng_in(_rng_state_from_json(payload["rng_state"])),
                 samples_done=bool(payload["samples_done"]),
                 iterations_done=int(payload["iterations_done"]),
                 seed=int(payload["seed"]),
@@ -177,3 +179,12 @@ def _rng_state_to_json(state: tuple) -> list:
 def _rng_state_from_json(data: list) -> tuple:
     version, internal, gauss_next = data
     return (int(version), tuple(int(v) for v in internal), gauss_next)
+
+
+def _rng_in(state: tuple) -> random.Random:
+    """A generator in ``state``.  Allocated, not constructed: ``Random()``
+    would first seed itself from ``os.urandom`` for ``setstate`` to
+    overwrite."""
+    rng = random.Random.__new__(random.Random)
+    rng.setstate(state)
+    return rng

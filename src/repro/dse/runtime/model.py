@@ -24,7 +24,7 @@ the parallel runtime:
    bounds throughput), and resources **sum** (each stage is its own
    hardware).  After each node is merged the combined set is pruned back to
    its Pareto frontier, so composition stays polynomial instead of taking
-   the full cartesian product; only the survivors are ever built.
+   the full cartesian product; only the final frontier's points are built.
 
 Determinism contract: a fixed ``(seed, budgets, batch_size)`` produces a
 byte-identical :meth:`ModelDSEResult.frontier_json` for any ``--jobs`` and
@@ -36,6 +36,7 @@ the per-node frontiers.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import time
@@ -115,14 +116,17 @@ def compose_model_frontier(node_order: list[str],
     Nodes are merged one at a time in dataflow order; after each merge the
     combined set is pruned to its (latency, DSP) Pareto frontier, with ties
     broken by the flattened choice vector so the result is a pure function
-    of the per-node frontiers.  A merge groups the (combination, record)
-    pairs by their (latency, DSP) and builds a point only for a group that
-    survives the pruning and the cap, from the group's first pair by choice
-    vector (the vectors are built only when a surviving group holds more
-    than one pair).  ``frontier_cap`` bounds the working set by
-    downsampling evenly across the sorted frontier — both extremes (the
-    fastest design *and* the cheapest) always survive, so a tight resource
-    budget can still find a fitting point after truncation.  The number of
+    of the per-node frontiers.  A combination is carried as its sums and a
+    link to the choices it shares with the combinations it was built from;
+    a merge groups the (combination, option) pairs by their (latency, DSP)
+    and keeps, per group that survives the pruning and the cap, its first
+    pair by choice vector (flattened only when a surviving group holds more
+    than one pair).  A node with one option only shifts the frontier.
+    Points are built for the final frontier alone.  ``frontier_cap``
+    bounds the working set by downsampling evenly across the sorted
+    frontier — both extremes (the fastest design *and* the cheapest) always
+    survive, so a tight resource budget can still find a fitting point
+    after truncation.  The number of
     dropped points is returned so callers can report the truncation instead
     of silently under-covering.
 
@@ -132,9 +136,10 @@ def compose_model_frontier(node_order: list[str],
     """
     if not node_order:
         return [], 0  # nothing explored -> no frontier, not a zero point
-    combos: list[ModelFrontierPoint] = [
-        ModelFrontierPoint(latency=0, interval=0, resources=ResourceUsage(),
-                           choices=())]
+    # A combination is (latency, dsp, lut, ff, memory_bits, bram18k,
+    # interval, choice): its sums, its slowest stage and the last node's
+    # _Choice, which links to the choices before it.
+    combos: list[tuple] = [(0, 0, 0, 0, 0, 0, 0, _Choice(None, None, ()))]
     truncated = 0
     for name in node_order:
         if platform is None:
@@ -143,40 +148,110 @@ def compose_model_frontier(node_order: list[str],
             records = node_results[name].frontier_records_for(platform)
         if not records:
             continue  # a platform no surviving record targets: skip the node
-        options = [(record.qor.latency, record.qor.dsp, record)
-                   for record in records]
-        groups: dict[tuple[int, int], list] = {}
-        for combo in combos:
-            latency, dsp = combo.latency, combo.resources.dsp
-            for record_latency, record_dsp, record in options:
-                key = (latency + record_latency, dsp + record_dsp)
-                tied = groups.get(key)
-                if tied is None:
-                    groups[key] = [(combo, record)]
-                else:
-                    tied.append((combo, record))
-        survivors = []  # one (combo, record) per Pareto point, by latency
-        best_dsp = None
-        for key in sorted(groups):
-            if best_dsp is None or key[1] < best_dsp:
-                best_dsp = key[1]
-                tied = groups[key]
-                survivors.append(tied[0] if len(tied) == 1 else min(
-                    tied, key=lambda pair: _flat_choices(pair[0])
-                    + tuple(pair[1].encoded)))
+        # An option is a record's (latency, dsp, lut, ff, memory_bits,
+        # bram18k, (name, encoded)).
+        options = []
+        for record in records:
+            qor, resources = record.qor, record.qor.resources
+            options.append((qor.latency, resources.dsp, resources.lut,
+                            resources.ff, resources.memory_bits,
+                            resources.bram18k, (name, tuple(record.encoded))))
+        if len(options) == 1:
+            # The combinations are a Pareto frontier, strictly ascending in
+            # latency and descending in DSP; one option shifts them all.
+            survivors = [(combo, options[0], None) for combo in combos]
+        else:
+            survivors = _pareto_merge(combos, options)
         if frontier_cap and len(survivors) > frontier_cap:
             truncated += len(survivors) - frontier_cap
             survivors = _downsample(survivors, frontier_cap)
         combos = [
-            ModelFrontierPoint(
-                latency=combo.latency + record.qor.latency,
-                interval=max(combo.interval, record.qor.latency),
-                resources=combo.resources + record.qor.resources,
-                choices=combo.choices + ((name, tuple(record.encoded)),),
-            )
-            for combo, record in survivors
+            (latency + option[0], dsp + option[1], lut + option[2],
+             ff + option[3], memory_bits + option[4], bram18k + option[5],
+             max(interval, option[0]),
+             _Choice(choice, option[6], flat))
+            for (latency, dsp, lut, ff, memory_bits, bram18k, interval,
+                 choice), option, flat in survivors
         ]
-    return combos, truncated
+    return [
+        ModelFrontierPoint(
+            latency=latency, interval=interval,
+            resources=ResourceUsage(dsp=dsp, lut=lut, ff=ff,
+                                    memory_bits=memory_bits, bram18k=bram18k),
+            choices=choice.chain())
+        for latency, dsp, lut, ff, memory_bits, bram18k, interval, choice
+        in combos], truncated
+
+
+def _pareto_merge(combos: list[tuple], options: list[tuple]) -> list[tuple]:
+    """``(combo, option, flat)`` per Pareto point of every combination
+    extended by every option, by ascending latency: the first pair by flat
+    choice vector of each surviving (latency, DSP) group, with its vector
+    (None when the group holds one pair)."""
+    groups: dict[tuple[int, int], list] = {}
+    for combo in combos:
+        latency, dsp = combo[0], combo[1]
+        for option in options:
+            key = (latency + option[0], dsp + option[1])
+            tied = groups.get(key)
+            if tied is None:
+                groups[key] = [(combo, option)]
+            else:
+                tied.append((combo, option))
+    survivors = []
+    best_dsp = None
+    for key in sorted(groups):
+        if best_dsp is None or key[1] < best_dsp:
+            best_dsp = key[1]
+            tied = groups[key]
+            if len(tied) == 1:
+                survivors.append((*tied[0], None))
+            else:
+                survivors.append(min(
+                    ((combo, option, combo[7].flat() + option[6][1])
+                     for combo, option in tied),
+                    key=lambda survivor: survivor[2]))
+    return survivors
+
+
+class _Choice:
+    """One node's ``(name, encoded)`` choice on top of the choices made
+    before it.
+
+    Every combination built on a choice shares it, so a merge adds one link
+    per surviving combination instead of copying its choices.  ``flat()``,
+    the tie-break key (every chosen index, in dataflow order), is built on
+    first use from the nearest earlier link that has one, and kept.
+    """
+
+    __slots__ = ("before", "choice", "_flat")
+
+    def __init__(self, before: Optional["_Choice"],
+                 choice: Optional[tuple[str, tuple[int, ...]]],
+                 flat: Optional[tuple[int, ...]] = None):
+        self.before = before
+        self.choice = choice
+        self._flat = flat
+
+    def flat(self) -> tuple[int, ...]:
+        if self._flat is None:
+            parts = []
+            link = self
+            while link._flat is None:
+                parts.append(link.choice[1])
+                link = link.before
+            parts.append(link._flat)
+            self._flat = tuple(itertools.chain.from_iterable(reversed(parts)))
+        return self._flat
+
+    def chain(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """Every choice, in dataflow order."""
+        choices = []
+        link = self
+        while link.before is not None:
+            choices.append(link.choice)
+            link = link.before
+        return tuple(reversed(choices))
 
 
 def _downsample(points: list, cap: int) -> list:
@@ -314,17 +389,31 @@ class ModelDSEResult:
         return _canonical_json(self.to_json_dict())
 
 
+#: The element types of a list the writer renders as a list of ints (bool,
+#: an int subclass, renders differently).
+_INT = frozenset((int,))
+
+
 def _canonical_json(data) -> str:
     """``json.dumps(data, sort_keys=True, indent=2) + "\\n"`` for a tree of
     string-keyed dicts, lists and scalars.
 
     ``json.dumps`` with an indent runs the pure-Python encoder token by
-    token; a model frontier repeats the same per-node encodings in every
-    point, so each list of ints is rendered once per (indent, values) and
-    reused.  Scalars and keys are left to ``json.dumps``.
+    token.  A model frontier repeats the same node names and per-node
+    encodings in every point, so each key is quoted once, and each
+    (key, list of ints) entry of a dict is rendered once per indent and
+    reused.  Ints are written with ``str``, other scalars by ``json.dumps``.
     """
     parts: list[str] = []
-    int_lists: dict[tuple, str] = {}
+    quoted: dict[str, str] = {}
+    #: Per indent: ``(key, *ints)`` -> the rendered entry.
+    entries: dict[str, dict[tuple, str]] = {}
+
+    def quote(key: str) -> str:
+        text = quoted.get(key)
+        if text is None:
+            text = quoted[key] = json.dumps(key) + ": "
+        return text
 
     def write(value, indent: str) -> None:
         inner = indent + "  "
@@ -332,32 +421,39 @@ def _canonical_json(data) -> str:
             if not value:
                 parts.append("{}")
                 return
+            rendered = entries.setdefault(inner, {})
             opening = "{\n" + inner
             for key in sorted(value):
-                parts.append(opening + json.dumps(key) + ": ")
-                write(value[key], inner)
+                item = value[key]
+                if type(item) is int:
+                    parts.append(opening + quote(key) + str(item))
+                elif isinstance(item, (list, tuple)) and item \
+                        and _INT.issuperset(map(type, item)):
+                    memo = (key, *item)
+                    text = rendered.get(memo)
+                    if text is None:
+                        deeper = inner + "  "
+                        text = rendered[memo] = (
+                            quote(key) + "[\n" + deeper
+                            + (",\n" + deeper).join(map(str, item))
+                            + "\n" + inner + "]")
+                    parts.append(opening + text)
+                else:
+                    parts.append(opening + quote(key))
+                    write(item, inner)
                 opening = ",\n" + inner
             parts.append("\n" + indent + "}")
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                parts.append("[]")
-            elif all(type(item) is int for item in value):
-                key = (indent, tuple(value))
-                rendered = int_lists.get(key)
-                if rendered is None:
-                    rendered = int_lists[key] = (
-                        "[\n" + inner + (",\n" + inner).join(map(str, value))
-                        + "\n" + indent + "]")
-                parts.append(rendered)
-            else:
-                opening = "[\n" + inner
-                for item in value:
-                    parts.append(opening)
-                    write(item, inner)
-                    opening = ",\n" + inner
-                parts.append("\n" + indent + "]")
+        elif not isinstance(value, (list, tuple)):
+            parts.append(str(value) if type(value) is int else json.dumps(value))
+        elif not value:
+            parts.append("[]")
         else:
-            parts.append(json.dumps(value))
+            opening = "[\n" + inner
+            for item in value:
+                parts.append(opening)
+                write(item, inner)
+                opening = ",\n" + inner
+            parts.append("\n" + indent + "]")
 
     write(data, "")
     parts.append("\n")

@@ -368,7 +368,9 @@ class ParallelExplorer:
         store = CheckpointStore(self.checkpoint_path) if self.checkpoint_path else None
         # A finished trajectory is kept by a persistent cache that never
         # evicts instead of a final checkpoint: it holds every record, so
-        # --resume replays the trajectory without evaluating.
+        # --resume replays the trajectory without evaluating.  So is a batch
+        # that cache answered in full: it moves neither the interrupt
+        # boundary nor the periodic checkpoint.
         retires = (store is not None and cache is not None
                    and bool(cache.path) and cache.max_bytes is None)
         state: Optional[ExplorerState] = None
@@ -420,7 +422,10 @@ class ParallelExplorer:
                     fresh[record.encoded] = classes.add(
                         record, identities[record.encoded])
 
-        def evaluate_batch(batch: list[tuple[int, ...]]) -> None:
+        def evaluate_batch(batch: list[tuple[int, ...]]) -> bool:
+            """Resolve ``batch`` into ``state.records``; returns whether a
+            checkpoint has to keep it (not when ``retires`` and the cache
+            answered all of it)."""
             nonlocal evaluated_this_run, processed_this_run, since_checkpoint
             nonlocal run_hits, run_misses, shared_hits
             resolved_before = (classes.siblings, classes.aliases)
@@ -497,7 +502,9 @@ class ParallelExplorer:
                 run_misses += len(missing)
             evaluated_this_run += len(missing)
             processed_this_run += len(batch)
-            since_checkpoint += len(batch)
+            kept = bool(missing) or not retires
+            if kept:
+                since_checkpoint += len(batch)
             if obs_on:
                 obs.counter("dse.points", len(batch))
                 obs.counter("dse.evaluations", len(fresh))
@@ -513,6 +520,7 @@ class ParallelExplorer:
                 obs.counter("dse.knob.skipped.tile",
                             sum(tile for _, tile in skipped))
                 obs.observe("dse.batch.points", len(batch))
+            return kept
 
         def record_frontier(frontier: list[ParetoPoint]) -> None:
             """Per-iteration convergence series: frontier size + hypervolume.
@@ -527,13 +535,12 @@ class ParallelExplorer:
                            state.iterations_done,
                            frontier_hypervolume(frontier))
 
-        def maybe_checkpoint(rng, force: bool = False) -> None:
+        def maybe_checkpoint(force: bool = False) -> None:
             nonlocal since_checkpoint
             if store is None:
                 return
             if not force and since_checkpoint < sweep.checkpoint_every:
                 return
-            state.capture_rng(rng)
             store.save(state)
             since_checkpoint = 0
 
@@ -544,21 +551,23 @@ class ParallelExplorer:
         # A consistent batch-boundary snapshot for interrupt checkpointing:
         # mid-batch state (an advanced RNG plus a partially merged batch)
         # must never reach disk — resuming it would diverge from the
-        # uninterrupted trajectory.  Taken after every fully merged batch
-        # and what a Ctrl-C checkpoint saves; the records are insertion-
-        # ordered and no key is assigned twice, so their count is enough.
+        # uninterrupted trajectory.  Taken at the start and after every
+        # fully merged batch a checkpoint has to keep, and what a Ctrl-C
+        # checkpoint saves; the records are insertion-ordered and no key is
+        # assigned twice, so their count is enough.
         boundary = None
 
-        def mark_boundary(rng) -> None:
+        def mark_boundary() -> None:
             nonlocal boundary
             boundary = (len(state.records), state.samples_done,
-                        state.iterations_done, rng.getstate())
+                        state.iterations_done, state.rng_state)
 
         def checkpoint_boundary() -> None:
             if store is None or boundary is None:
                 return
-            count, state.samples_done, state.iterations_done, \
-                state.rng_state = boundary
+            count, state.samples_done, state.iterations_done, rng_state \
+                = boundary
+            state.rng.setstate(rng_state)
             state.records = dict(list(state.records.items())[:count])
             store.save(state)
 
@@ -571,19 +580,20 @@ class ParallelExplorer:
             explore_span.set(shared_with=shared_with)
         try:
             with obs.track(f"dse:{context_key}"), explore_span:
-                rng = state.make_rng()
-                mark_boundary(rng)
+                rng = state.rng
+                mark_boundary()
 
                 # Step 1: initial sampling (skipped entirely when resuming
                 # past it).
                 if not state.samples_done:
                     batch = ExplorationPolicy.initial_batch(
                         space, rng, sweep.num_samples)
-                    evaluate_batch([e for e in batch
-                                    if e not in state.records])
+                    kept = evaluate_batch([e for e in batch
+                                           if e not in state.records])
                     state.samples_done = True
-                    mark_boundary(rng)
-                    maybe_checkpoint(rng)
+                    if kept:
+                        mark_boundary()
+                        maybe_checkpoint()
 
                 frontier = ExplorationPolicy.frontier_of(state.records)
                 record_frontier(frontier)
@@ -597,12 +607,13 @@ class ParallelExplorer:
                         batch_size=min(sweep.batch_size, remaining))
                     if not batch:
                         break
-                    evaluate_batch(batch)
+                    kept = evaluate_batch(batch)
                     state.iterations_done += len(batch)
-                    mark_boundary(rng)
+                    if kept:
+                        mark_boundary()
+                        maybe_checkpoint()
                     frontier = ExplorationPolicy.frontier_of(state.records)
                     record_frontier(frontier)
-                    maybe_checkpoint(rng)
 
                 if retires and budget_left():
                     # Finished, neither capped nor interrupted: make the
@@ -613,7 +624,7 @@ class ParallelExplorer:
                     if obs_on:
                         obs.counter("dse.checkpoint.retired")
                 else:
-                    maybe_checkpoint(rng, force=True)
+                    maybe_checkpoint(force=True)
 
                 # Step 5: finalization.
                 best = ExplorationPolicy.finalize(frontier, state.records,

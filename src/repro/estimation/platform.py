@@ -137,10 +137,16 @@ class Platform:
         Any field change — a budget, the port count, the bandwidth, the
         clock — produces a different hash, so cache entries, checkpoints and
         design-space fingerprints keyed on it can never conflate two
-        hardware models that merely share a name.
+        hardware models that merely share a name.  Computed once per
+        platform: the instance is frozen, and ``dataclasses.replace`` builds
+        a new one.
         """
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        cached = self.__dict__.get("_config_hash")
+        if cached is None:
+            payload = json.dumps(self.to_dict(), sort_keys=True)
+            cached = hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+            object.__setattr__(self, "_config_hash", cached)
+        return cached
 
     # -- feasibility -------------------------------------------------------------------------
 

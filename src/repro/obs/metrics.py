@@ -37,7 +37,11 @@ name                      kind       meaning
 ``unroll.if.undecided``   counter    copied whole, for ``-simplify-affine-if``
 ``dse.shared.nodes``      counter    nodes identical to one explored earlier in the run
 ``dse.shared.points``     counter    estimates those nodes took over from it
-``dse.checkpoint.saves``  counter    checkpoint files written (periodic, final, Ctrl-C)
+``dse.checkpoint.saves``  counter    checkpoint files written (periodic, final, Ctrl-C);
+                                     against a persistent cache without a byte
+                                     bound, a batch it answered in full neither
+                                     moves the Ctrl-C boundary nor counts toward
+                                     a periodic save
 ``dse.checkpoint.retired`` counter   finished kernels handed to a persistent cache
                                      instead of a final checkpoint
 ``dse.worker.busy_seconds``  counter    summed per-evaluation worker wall-clock

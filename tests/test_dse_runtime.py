@@ -228,9 +228,7 @@ class TestCheckpoint:
     def test_state_json_roundtrip(self, tmp_path):
         store = CheckpointStore(str(tmp_path / "state.json"))
         state = ExplorerState.fresh("fp", seed=5)
-        rng = state.make_rng()
-        rng.random()
-        state.capture_rng(rng)
+        state.rng.random()
         state.samples_done = True
         state.iterations_done = 3
         store.save(state)
@@ -238,7 +236,8 @@ class TestCheckpoint:
         loaded = store.load(expected_fingerprint="fp")
         assert loaded is not None
         assert loaded.samples_done and loaded.iterations_done == 3
-        assert loaded.make_rng().random() == state.make_rng().random()
+        assert loaded.rng_state == state.rng_state
+        assert loaded.rng.random() == state.rng.random()
 
     def test_file_bytes_equal_the_streaming_writer(self, tmp_path):
         # save() encodes with json.dumps (the C encoder); json.dump, which it

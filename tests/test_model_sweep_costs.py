@@ -192,15 +192,75 @@ def _random_nodes(seed):
     return node_order, results
 
 
-@pytest.mark.parametrize("cap", [0, 1, 2, 64])
-@pytest.mark.parametrize("platform", [None, "a"])
-def test_composition_equals_the_materialising_one(cap, platform):
+def _tying_nodes(seed):
+    """Seeded per-node frontiers that tie at every merge: two options per
+    node whose (latency, DSP) sums equal those of other combinations (the
+    same pair of trade-offs, swapped, or one trade-off twice), single-option
+    nodes in between, and choice vectors of different lengths."""
+    rng = random.Random(seed)
+    node_order, results = [], {}
+    trade_offs = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(2)]
+    for index in range(rng.randint(3, 9)):
+        name = f"node{index}"
+        node_order.append(name)
+        if index % 2:
+            pair = [(rng.randint(1, 3), rng.randint(0, 2))]
+        elif rng.random() < 0.25:
+            pair = [trade_offs[0]] * 2
+        else:
+            pair = rng.sample(trade_offs, 2)
+        # Options of one node differ in length, so that a tie between two
+        # combinations compares flattened vectors cut at different places.
+        encodings = [tuple(rng.randrange(2) for _ in range(length))
+                     for length in rng.sample([1, 2, 3], len(pair))]
+        results[name] = _Frontiers([
+            _record(latency, dsp, encoded, platform=rng.choice(("a", "b")))
+            for (latency, dsp), encoded in zip(pair, encodings)])
+    return node_order, results
+
+
+def _assert_composition_equals_the_materialising_one(nodes, cap, platform):
     for seed in range(40):
-        node_order, results = _random_nodes(seed)
+        node_order, results = nodes(seed)
         expected = _frozen_compose(node_order, results, frontier_cap=cap,
                                    platform=platform)
         assert compose_model_frontier(node_order, results, frontier_cap=cap,
                                       platform=platform) == expected, seed
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 64])
+@pytest.mark.parametrize("platform", [None, "a"])
+def test_composition_equals_the_materialising_one(cap, platform):
+    _assert_composition_equals_the_materialising_one(_random_nodes, cap,
+                                                     platform)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 64])
+@pytest.mark.parametrize("platform", [None, "a"])
+def test_composition_of_nodes_that_tie_at_every_merge(cap, platform):
+    _assert_composition_equals_the_materialising_one(_tying_nodes, cap,
+                                                     platform)
+
+
+def test_the_tying_nodes_tie():
+    # Guards the generator above: every two-option merge after a node's
+    # first must meet a (latency, DSP) sum some other combination reached.
+    merges = tied = 0
+    for seed in range(40):
+        node_order, results = _tying_nodes(seed)
+        sums = {(0, 0): 1}
+        for name in node_order:
+            records = results[name].frontier_records()
+            merged: dict = {}
+            for (latency, dsp), count in sums.items():
+                for record in records:
+                    key = (latency + record.qor.latency, dsp + record.qor.dsp)
+                    merged[key] = merged.get(key, 0) + count
+            if len(records) == 2 and name != node_order[0]:
+                merges += 1
+                tied += any(count > 1 for count in merged.values())
+            sums = merged
+    assert tied == merges > 40
 
 
 def test_a_tie_in_latency_and_dsp_breaks_on_the_choice_vector():
@@ -240,10 +300,60 @@ def test_the_writer_equals_json_dumps(tree):
     assert _canonical_json(tree) == _json_oracle(tree)
 
 
+#: One key and one list of ints, repeated at several depths, next to the
+#: values that compare equal to that list but render differently.
+repeating_trees = st.recursive(
+    st.sampled_from([[1, 2], [True, 2], [1.0, 2], (1, 2), [1], 1, "k"]),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.sampled_from(["k", "j"]), children,
+                                        max_size=2)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeating_trees)
+@example({"k": [1, 2], "j": {"k": [1, 2], "j": [{"k": [1, 2]}, [1, 2]]}})
+@example({"k": [1, 2], "j": {"k": [True, 2], "j": {"k": [1.0, 2]}}})
+@example([[1, 2], {"k": [1, 2]}, [[1, 2], {"k": (1, 2)}]])
+def test_the_writer_equals_json_dumps_where_keys_and_lists_repeat(tree):
+    assert _canonical_json(tree) == _json_oracle(tree)
+
+
 def test_the_writer_equals_json_dumps_on_the_vgg16_slice_golden():
     with open(GOLDEN, encoding="utf-8") as handle:
         data = json.load(handle)
     assert _canonical_json(data) == _json_oracle(data)
+
+
+def test_the_vgg16_warm_artifact(tmp_path):
+    """The whole-model sweep of the end-to-end benchmark, run cold and then
+    against the cache it filled: the warm artifact is the cold one, what
+    ``json.dumps`` writes, composed as the materialising composition
+    composes, and the bytes every change so far produced."""
+    import hashlib
+
+    from repro.dse.runtime import EstimateCache
+    from repro.pipeline import explore_dnn
+
+    def sweep():
+        cache = EstimateCache(str(tmp_path / "estimates.jsonl"))
+        try:
+            return explore_dnn("vgg16", VU9P_SLR, graph_level=7, jobs=1,
+                               seed=2022, cache=cache,
+                               checkpoint_dir=str(tmp_path / "checkpoints"),
+                               checkpoint_every=16)
+        finally:
+            cache.close()
+
+    cold_text = sweep().frontier_json()
+    warm = sweep()
+    assert warm.cache_misses == 0
+    text = warm.frontier_json()
+    assert text == cold_text == _json_oracle(warm.to_json_dict())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] \
+        == "4d438eaee770cea8"
+    assert (warm.frontier, warm.truncated) \
+        == _frozen_compose(warm.node_order, warm.node_results)
 
 
 def test_a_dnn_smoke_artifact_is_what_json_dumps_writes(tmp_path, capsys):

@@ -8,7 +8,9 @@ cache rejection across differing platform hashes).
 """
 
 import dataclasses
+import hashlib
 import json
+import pickle
 
 import pytest
 
@@ -104,6 +106,41 @@ class TestPlatformSchema:
         assert changed.config_hash() != first.config_hash()
         renamed = Platform.from_dict({**SMALL, "name": "other"})
         assert renamed.config_hash() != first.config_hash()
+
+    @staticmethod
+    def computed_hash(platform):
+        payload = json.dumps(platform.to_dict(), sort_keys=True)
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+    @pytest.mark.parametrize("config", [SMALL, BIG] + list(
+        BUILTIN_PLATFORM_CONFIGS))
+    def test_a_memoised_hash_is_the_computed_one(self, config, monkeypatch):
+        platform = Platform.from_dict(config)
+        assert platform.config_hash() == self.computed_hash(platform)
+        encodes = []
+        to_dict = Platform.to_dict
+        monkeypatch.setattr(Platform, "to_dict",
+                            lambda self: encodes.append(self) or to_dict(self))
+        assert platform.config_hash() == self.computed_hash(platform)
+        assert len(encodes) == 1  # the computation above, not the memo
+        assert platform == Platform.from_dict(config)
+
+    def test_a_replaced_platform_hashes_its_own_fields(self):
+        platform = Platform.from_dict(SMALL)
+        platform.config_hash()
+        faster = dataclasses.replace(platform, clock_mhz=150.0)
+        assert faster.config_hash() == self.computed_hash(faster) \
+            != platform.config_hash()
+
+    @pytest.mark.parametrize("hashed_first", [True, False])
+    def test_the_hash_survives_pickling(self, hashed_first):
+        platform = Platform.from_dict(BIG)
+        if hashed_first:
+            platform.config_hash()
+        revived = pickle.loads(pickle.dumps(platform))
+        assert revived == platform
+        assert revived.config_hash() == self.computed_hash(platform) \
+            == platform.config_hash()
 
 
 class TestPlatformConfigFiles:
