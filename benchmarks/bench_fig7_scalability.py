@@ -21,10 +21,8 @@ A third mode::
 
     python benchmarks/bench_fig7_scalability.py --pass-timing
 
-reports per-pass wall-clock for one DSE evaluation under the legacy
-full-module fixpoint sweep driver versus the worklist rewrite driver, the
-A/B behind the worklist driver's hot-path claim (both drivers produce
-identical IR; only the revisit strategy differs).
+reports per-pass wall-clock of one DSE evaluation, summed over ``--rounds``
+evaluations of the same design point.
 """
 
 import argparse
@@ -137,93 +135,57 @@ def print_runtime_report(measurement: dict) -> None:
           f"{measurement['identical_frontier']}")
 
 
-# -- rewrite-driver pass timing ---------------------------------------------------------------
+# -- pass timing ---------------------------------------------------------------------------
 
 
 def measure_pass_timing(kernel: str, problem_size: int,
                         rounds: int = 3, tiles: tuple = (4, 4, 8)) -> dict:
-    """Per-pass wall-clock of one DSE evaluation, sweep vs. worklist driver.
+    """Per-pass wall-clock of one DSE evaluation, summed over ``rounds``.
 
     The same design point (a tiled, pipelined configuration that produces
     large unrolled blocks — the canonicalize/CSE hot path) is applied
-    ``rounds`` times under each rewrite strategy; per-pass times are each
+    ``rounds`` times after one untimed warm-up; per-pass times are each
     round's ``pass.*`` spans grouped by ``name{options}``, the table
-    ``--print-pass-timing`` prints.  ``tiles`` sets the tile
-    sizes of the point; tiles equal to the problem size yield a *fully*
-    unrolled kernel, the block-size extreme of the paper's Fig. 7 space.
+    ``--print-pass-timing`` prints.  ``tiles`` sets the tile sizes of the
+    point; tiles equal to the problem size yield a *fully* unrolled kernel,
+    the block-size extreme of the paper's Fig. 7 space.
     """
     from repro.dse.apply import apply_design_point
     from repro.dse.space import KernelDesignPoint
     from repro import obs
-    from repro.ir.rewrite import set_rewrite_strategy
     from repro.obs.report import pass_timings_of
 
     module = compile_kernel(kernel, problem_size)
     point = KernelDesignPoint(True, True, (1, 2, 0), tuple(tiles), 1)
-
-    def run_once(strategy, accumulated):
-        previous = set_rewrite_strategy(strategy)
-        try:
-            with obs.session() as session:
-                design = apply_design_point(module, point)
-        finally:
-            set_rewrite_strategy(previous)
-        timings = pass_timings_of(session.metrics.counters,
-                                  session.tracer.tracks())
-        for name, seconds in timings.items():
-            accumulated[name] = accumulated.get(name, 0.0) + seconds
-        return design.qor
-
-    # One untimed warmup, then strictly alternating rounds so cache/alloc
-    # drift cancels out instead of biasing whichever strategy runs first.
-    rounds = max(1, int(rounds))
     apply_design_point(module, point)
-    sweep_timings: dict = {}
-    worklist_timings: dict = {}
-    sweep_qor = worklist_qor = None
+    rounds = max(1, int(rounds))
+    timings: dict = {}
     for _ in range(rounds):
-        sweep_qor = run_once("sweep", sweep_timings)
-        worklist_qor = run_once("worklist", worklist_timings)
-    if (sweep_qor.latency, sweep_qor.dsp) != (worklist_qor.latency, worklist_qor.dsp):
-        raise SystemExit("sweep and worklist drivers diverged: "
-                         f"{sweep_qor} vs {worklist_qor}")
-    return {
-        "kernel": kernel,
-        "problem_size": problem_size,
-        "rounds": rounds,
-        "sweep": sweep_timings,
-        "worklist": worklist_timings,
-    }
-
-
-#: The timing buckets the worklist driver actually changes.
-_DRIVER_PASSES = ("canonicalize", "simplify-affine-if")
+        with obs.session() as session:
+            apply_design_point(module, point)
+        for name, seconds in pass_timings_of(session.metrics.counters,
+                                             session.tracer.tracks()).items():
+            timings[name] = timings.get(name, 0.0) + seconds
+    return {"kernel": kernel, "problem_size": problem_size, "rounds": rounds,
+            "timings": timings}
 
 
 def print_pass_timing_report(measurement: dict) -> None:
-    sweep, worklist = measurement["sweep"], measurement["worklist"]
+    timings, rounds = measurement["timings"], measurement["rounds"]
+    total = sum(timings.values())
     print("=" * 78)
-    print(f"Rewrite driver pass timing — {measurement['kernel']} "
-          f"(size {measurement['problem_size']}, "
-          f"{measurement['rounds']} evaluations per strategy)")
+    print(f"Pass timing — {measurement['kernel']} "
+          f"(size {measurement['problem_size']}, {rounds} evaluations)")
     print("=" * 78)
-    widths = (34, 14, 14, 10)
-    print(format_row(("pass", "sweep", "worklist", "speedup"), widths))
-    for name in sorted(set(sweep) | set(worklist),
-                       key=lambda n: -sweep.get(n, 0.0)):
-        s, w = sweep.get(name, 0.0), worklist.get(name, 0.0)
-        speedup = f"{s / w:.2f}x" if w > 0 else "-"
-        print(format_row((name, f"{s * 1000:.1f} ms", f"{w * 1000:.1f} ms",
-                          speedup), widths))
-    s_total, w_total = sum(sweep.values()), sum(worklist.values())
-    print(format_row(("Total", f"{s_total * 1000:.1f} ms",
-                      f"{w_total * 1000:.1f} ms",
-                      f"{s_total / max(w_total, 1e-9):.2f}x"), widths))
-    s_driver = sum(sweep.get(n, 0.0) for n in _DRIVER_PASSES)
-    w_driver = sum(worklist.get(n, 0.0) for n in _DRIVER_PASSES)
-    print(f"driver-rewritten passes ({' + '.join(_DRIVER_PASSES)}): "
-          f"{s_driver * 1000:.1f} ms -> {w_driver * 1000:.1f} ms "
-          f"({s_driver / max(w_driver, 1e-9):.2f}x)")
+    widths = (34, 14, 16, 8)
+    print(format_row(("pass", "total", "per evaluation", "share"), widths))
+    for name in sorted(timings, key=lambda n: -timings[n]):
+        seconds = timings[name]
+        print(format_row((name, f"{seconds * 1000:.1f} ms",
+                          f"{seconds * 1000 / rounds:.2f} ms",
+                          f"{seconds / max(total, 1e-9):.0%}"), widths))
+    print(format_row(("Total", f"{total * 1000:.1f} ms",
+                      f"{total * 1000 / rounds:.2f} ms", ""), widths))
 
 
 def main(argv=None) -> int:
@@ -237,10 +199,9 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="small budgets suitable for a ~30 second CI check")
     parser.add_argument("--pass-timing", action="store_true",
-                        help="report per-pass time of one DSE evaluation under "
-                             "the sweep vs. worklist rewrite driver")
+                        help="report per-pass time of one DSE evaluation")
     parser.add_argument("--rounds", type=int, default=3,
-                        help="evaluations per strategy in --pass-timing mode")
+                        help="evaluations timed in --pass-timing mode")
     parser.add_argument("--tiles", default="4,4,8",
                         help="tile sizes of the --pass-timing design point; "
                              "tiles equal to --size fully unroll the kernel "
@@ -252,21 +213,6 @@ def main(argv=None) -> int:
         measurement = measure_pass_timing(args.kernel, args.size,
                                           rounds=args.rounds, tiles=tiles)
         print_pass_timing_report(measurement)
-        sweep = sum(measurement["sweep"].get(n, 0.0) for n in _DRIVER_PASSES)
-        worklist = sum(measurement["worklist"].get(n, 0.0)
-                       for n in _DRIVER_PASSES)
-        # Explicit checks (not assert): they must gate even under -O.  A
-        # 10% tolerance absorbs scheduler noise on loaded machines — the
-        # gate catches regressions, not jitter around parity.
-        if worklist > sweep * 1.10:
-            raise SystemExit(
-                f"worklist driver ({worklist * 1000:.1f} ms) clearly slower "
-                f"than the fixpoint sweeps ({sweep * 1000:.1f} ms) on the "
-                f"cleanup passes")
-        if worklist >= sweep:
-            print(f"warning: worklist ({worklist * 1000:.1f} ms) did not beat "
-                  f"the sweeps ({sweep * 1000:.1f} ms) this run — within the "
-                  f"10% noise tolerance; rerun with more --rounds")
         return 0
 
     if args.smoke:

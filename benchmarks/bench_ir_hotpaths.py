@@ -71,8 +71,15 @@ the ``AffineMap`` constructions, the default layout maps built and the
 sweeps vgg16 twice against one persistent estimate cache and counts what
 the warm sweep, which evaluates nothing, still does: RNG state reads and
 seedings, checkpoint saves, model frontier points built and neighbour
-lists, plus the platform-hash payloads of both sweeps.  The counts do not
-depend on the machine; the smoke gate fails on them, not on a clock.
+lists, plus the platform-hash payloads of both sweeps.  And it sweeps, cold
+and inline, vgg16 at graph level 7 and the six Table III kernels at n = 4,
+counting what an evaluation's fixed cost is made of: post-prefix builds per
+(kernel, prefix key), rewrite dispatch tables built per pattern set the
+drivers ran, and estimator block visits per walk of the estimated function
+(a multi-II call walks once); it also reports, ungated, the least-squares
+fit of evaluation time on the final op count (ms + us/op) of an untimed-
+wrapper run of the same sweeps.  The counts do not depend on the machine;
+the smoke gate fails on them, not on a clock.
 """
 
 from __future__ import annotations
@@ -241,8 +248,7 @@ def scenario_rewrite_storm(size: int) -> float:
         op = arith.AddIOp(previous, one.result())
         block.append(op)
         previous = op.result()
-    driver = GreedyRewriteDriver(canonicalization_patterns(),
-                                 max_iterations=64, strategy="worklist")
+    driver = GreedyRewriteDriver(canonicalization_patterns(), max_iterations=64)
     started = time.perf_counter()
     driver.rewrite(root)
     return time.perf_counter() - started
@@ -271,7 +277,7 @@ def scenario_pattern_dispatch(size: int) -> float:
     block = root.regions[0].add_block(Block())
     for i in range(size):
         block.append(Operation(f"bench.op{i % num_names}"))
-    driver = GreedyRewriteDriver(patterns, strategy="worklist")
+    driver = GreedyRewriteDriver(patterns)
     started = time.perf_counter()
     driver.rewrite(root)
     return time.perf_counter() - started
@@ -375,6 +381,18 @@ WORK_COUNT_LIMITS = {
     "warm.platform_hash_payloads_per_platform": 1.0,
     "warm.checkpoint_saves": 0,
     "warm.frontier_points_per_point_kept": 1.0,
+    # The cold vgg16 sweep plus the n = 4 Table III sweep, inline
+    # (measure_cold_sweep_counts), while program identity and the inline
+    # backend each built the post-prefix IR, every canonicalize and
+    # simplify-affine-if run grouped its patterns anew and a multi-II
+    # estimate walked the function once per target II: 2.0 builds per
+    # (kernel, prefix key) (vgg16: 56 for 28, kernels: 26 for 13), one
+    # dispatch build per driver (281 on vgg16, 221 on the kernels), 4.0
+    # block visits per walk on vgg16 (764 for 191) and 3.7 on the kernels
+    # (549 for 147).
+    "cold.prefix_builds_per_key": 1.0,
+    "cold.dispatch_builds_per_pattern_set": 1.0,
+    "cold.block_visits_per_walk": 1.0,
 }
 
 #: Tile size of every loop at the two points :func:`measure_scan_counts`
@@ -483,8 +501,8 @@ def _counted_evaluation(context, encoded) -> dict:
                 hits for hits, _ in driver.bucket_stats.values())
         return changed
 
-    def counted_simplify_ifs(root, *strategy):
-        simplified = simplify_ifs(root, *strategy)
+    def counted_simplify_ifs(root):
+        simplified = simplify_ifs(root)
         counts["simplify_affine_if_rewrites"] += simplified
         return simplified
 
@@ -710,6 +728,167 @@ def measure_warm_sweep_counts(model: str = "vgg16", graph_level: int = 7,
                 counts["frontier_points"] / max(1, kept)}
 
 
+def _cold_model_sweep(model: str, graph_level: int) -> None:
+    """The whole-model sweep of ``model`` at ``graph_level``, inline and
+    without a cache."""
+    from repro.estimation.platform import VU9P_SLR
+    from repro.pipeline import explore_dnn
+
+    explore_dnn(model, VU9P_SLR, graph_level=graph_level, jobs=1, seed=2022)
+
+
+def _cold_kernel_sweep(size: int) -> None:
+    """The six Table III kernels at ``size`` in one C module, inline and
+    without a cache, with the end-to-end benchmark's budget."""
+    from repro.estimation.platform import XC7Z020
+    from repro.kernels import KERNEL_NAMES, kernel_source
+    from repro.pipeline import compile_c, explore_module_kernels
+
+    source = "\n".join(kernel_source(name, size) for name in KERNEL_NAMES)
+    explore_module_kernels(compile_c(source, "table3"), XC7Z020, jobs=1,
+                           seed=2022, num_samples=8, max_iterations=12,
+                           batch_size=8)
+
+
+def evaluation_cost_fit(model: str = "vgg16", graph_level: int = 7,
+                        kernel_size: int = 4) -> dict:
+    """Least-squares fit ``ms = fixed + per_op * ops`` of every evaluation of
+    the cold model sweep and, apart, of the cold kernel sweep.  ``ops`` is
+    the op count of the function the estimator is handed; the wrappers time
+    ``evaluate_encoded`` and hold the function until the clock stopped, so
+    counting its ops is outside the timed call."""
+    from repro.dse.runtime import worker
+    from repro.estimation.estimator import QoREstimator
+
+    samples: list = []
+    estimated: list = []
+    evaluate, estimate = worker.evaluate_encoded, QoREstimator.estimate_function
+
+    def held(estimator, func_op, *args, **kwargs):
+        estimated.append(func_op)
+        return estimate(estimator, func_op, *args, **kwargs)
+
+    def timed(*args, **kwargs):
+        started = time.perf_counter()
+        record = evaluate(*args, **kwargs)
+        seconds = time.perf_counter() - started
+        samples.append((sum(1 for _ in estimated[-1].walk()) - 1, seconds))
+        estimated.clear()
+        return record
+
+    sweeps = {model: lambda: _cold_model_sweep(model, graph_level),
+              f"table3_n{kernel_size}": lambda: _cold_kernel_sweep(kernel_size)}
+    fits = {}
+    with contextlib.ExitStack() as stack:
+        stack.callback(setattr, worker, "evaluate_encoded", evaluate)
+        stack.callback(setattr, QoREstimator, "estimate_function", estimate)
+        worker.evaluate_encoded = timed
+        QoREstimator.estimate_function = held
+        for name, sweep in sweeps.items():
+            samples.clear()
+            sweep()
+            fits[name] = _fit(samples)
+    for name, (count, fixed_ms, per_op_us) in fits.items():
+        print(f"evaluation_fit: {name}: {count} evaluations, "
+              f"{fixed_ms:.2f} ms + {per_op_us:.1f} us/op (ungated)")
+    return {f"fit.{name}": {"evaluations": count, "fixed_ms": fixed_ms,
+                            "per_op_us": per_op_us}
+            for name, (count, fixed_ms, per_op_us) in fits.items()}
+
+
+def _fit(samples) -> tuple[int, float, float]:
+    """(count, fixed ms, us per op) of a least-squares line through
+    ``(ops, seconds)`` samples."""
+    count = len(samples)
+    mean_ops = sum(ops for ops, _ in samples) / count
+    mean_s = sum(seconds for _, seconds in samples) / count
+    spread = sum((ops - mean_ops) ** 2 for ops, _ in samples)
+    slope = sum((ops - mean_ops) * (seconds - mean_s)
+                for ops, seconds in samples) / spread if spread else 0.0
+    return count, (mean_s - slope * mean_ops) * 1e3, slope * 1e6
+
+
+def measure_cold_sweep_counts(model: str = "vgg16", graph_level: int = 7,
+                              kernel_size: int = 4) -> dict:
+    """What an evaluation's fixed cost is made of over the cold sweeps
+    (:func:`_cold_model_sweep`, :func:`_cold_kernel_sweep`), taken from
+    outside: wrappers count
+    ``build_prefix`` calls per (module, function, prefix key),
+    ``PatternSet`` constructions against the sets the rewrite drivers ran,
+    and, per ``estimate_function`` call, ``_estimate_block`` entries against
+    those of one walk (the same function estimated at its own target II,
+    counted apart)."""
+    from repro.dse import incremental
+    from repro.estimation.estimator import QoREstimator
+    from repro.ir import rewrite
+
+    builds: dict = {}
+    dispatch = {"builds": 0, "sets": set()}
+    visits = {"calls": 0, "walks": 0, "visits": 0, "counting": True}
+    build_prefix = incremental.build_prefix
+    pattern_set, driver_init = rewrite.PatternSet.__init__, \
+        rewrite.GreedyRewriteDriver.__init__
+    estimate, block = QoREstimator.estimate_function, QoREstimator._estimate_block
+
+    def counted_build(module, point, func_name=None):
+        key = (id(module), func_name, point.prefix_key())
+        builds[key] = builds.get(key, 0) + 1
+        return build_prefix(module, point, func_name)
+
+    def counted_set(patterns, *args, **kwargs):
+        dispatch["builds"] += 1
+        pattern_set(patterns, *args, **kwargs)
+
+    def noted_driver(driver, patterns, *args, **kwargs):
+        driver_init(driver, patterns, *args, **kwargs)
+        dispatch["sets"].add(id(driver._buckets))
+
+    def counted_block(estimator, block_op):
+        visits["visits" if visits["counting"] else "walks"] += 1
+        return block(estimator, block_op)
+
+    def counted_estimate(estimator, func_op, module=None, *args, **kwargs):
+        visits["calls"] += 1
+        result = estimate(estimator, func_op, module, *args, **kwargs)
+        visits["counting"] = False
+        try:
+            estimate(estimator, func_op, module)
+        finally:
+            visits["counting"] = True
+        return result
+
+    with contextlib.ExitStack() as stack:
+        def patch(owner, name, value):
+            stack.callback(setattr, owner, name, getattr(owner, name))
+            setattr(owner, name, value)
+
+        patch(incremental, "build_prefix", counted_build)
+        patch(rewrite.PatternSet, "__init__", counted_set)
+        patch(rewrite.GreedyRewriteDriver, "__init__", noted_driver)
+        patch(QoREstimator, "estimate_function", counted_estimate)
+        patch(QoREstimator, "_estimate_block", counted_block)
+        _cold_model_sweep(model, graph_level)
+        _cold_kernel_sweep(kernel_size)
+    total_builds = sum(builds.values())
+    print(f"cold_sweep_counts: {model} at graph level {graph_level} and the "
+          f"Table III kernels at n = {kernel_size}, inline: {total_builds} "
+          f"post-prefix builds for {len(builds)} (kernel, prefix key) pairs, "
+          f"{dispatch['builds']} dispatch table(s) built for "
+          f"{len(dispatch['sets'])} pattern set(s) run, {visits['visits']} "
+          f"estimator block visits in {visits['calls']} calls for "
+          f"{visits['walks']} in one walk each")
+    return {"cold.prefix_builds": total_builds,
+            "cold.prefix_keys": len(builds),
+            "cold.prefix_builds_per_key": total_builds / max(1, len(builds)),
+            "cold.dispatch_builds": dispatch["builds"],
+            "cold.dispatch_builds_per_pattern_set":
+                dispatch["builds"] / max(1, len(dispatch["sets"])),
+            "cold.estimate_calls": visits["calls"],
+            "cold.block_visits": visits["visits"],
+            "cold.block_visits_per_walk":
+                visits["visits"] / max(1, visits["walks"])}
+
+
 def measure_scan_counts(size: int = 4) -> dict:
     """What the three block scans read during one evaluation of each of
     :data:`SCAN_POINTS`, taken from outside.
@@ -897,8 +1076,10 @@ def main(argv=None) -> int:
                              "derivations, collections), what the block "
                              "scans read (walk items, address keys), what "
                              "a vgg16 staging and split builds (maps, layouts, "
-                             "clones) and what a warm vgg16 sweep still does "
-                             "(RNG reads, checkpoint saves, frontier points); "
+                             "clones), what a warm vgg16 sweep still does "
+                             "(RNG reads, checkpoint saves, frontier points) "
+                             "and what cold sweeps build per evaluation "
+                             "(prefixes, dispatch tables, estimator walks); "
                              "implied by --smoke, where the counts are gated")
     args = parser.parse_args(argv)
 
@@ -913,7 +1094,8 @@ def main(argv=None) -> int:
     prefix_reuse = measure_prefix_reuse() \
         if args.prefix_reuse or args.smoke else None
     work_counts = {**model_counts, **measure_work_counts(),
-                   **measure_scan_counts(), **measure_warm_sweep_counts()} \
+                   **measure_scan_counts(), **measure_warm_sweep_counts(),
+                   **measure_cold_sweep_counts(), **evaluation_cost_fit()} \
         if args.work_counts or args.smoke else None
 
     if args.json:
@@ -977,8 +1159,9 @@ def main(argv=None) -> int:
         print(f"smoke gate passed: all gated scenarios scale near-linearly "
               f"(growth <= {limit:.1f}x), the snapshot cache builds each "
               f"prefix once, an evaluation does each op's work once, a "
-              f"model split shares its maps and clones no node, and a warm "
-              f"model sweep pays for its lookups")
+              f"model split shares its maps and clones no node, a warm "
+              f"model sweep pays for its lookups, and a cold sweep builds "
+              f"each prefix, dispatch table and estimator walk once")
     return 0
 
 

@@ -14,7 +14,7 @@ list of result expressions.  ScaleHLS uses affine maps in three places:
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 from repro.affine.expr import (
     AffineConstantExpr,
@@ -42,6 +42,9 @@ class AffineMap:
                     f"map result {expr} references out-of-range dims {bad_dims} "
                     f"or symbols {bad_syms}"
                 )
+        #: The result of a map with one constant result, else None: what a
+        #: constant loop bound is, read on every trip count.
+        self.single_constant: Optional[int] = _single_constant(self.results)
 
     # -- constructors ----------------------------------------------------------
 
@@ -91,12 +94,12 @@ class AffineMap:
         return tuple(expr.value for expr in self.results)  # type: ignore[attr-defined]
 
     def is_single_constant(self) -> bool:
-        return self.num_results == 1 and self.results[0].is_constant()
+        return self.single_constant is not None
 
     def single_constant_result(self) -> int:
-        if not self.is_single_constant():
+        if self.single_constant is None:
             raise ValueError("map does not have a single constant result")
-        return self.results[0].value  # type: ignore[attr-defined]
+        return self.single_constant
 
     def used_dims(self) -> set[int]:
         used: set[int] = set()
@@ -181,10 +184,22 @@ class AffineMap:
         return str(self)
 
     def __getstate__(self) -> dict:
-        # No print cache: a module pickles the same printed or not.
+        # No print cache, and nothing derived from the results: a module
+        # pickles the same printed or not.
         state = self.__dict__.copy()
         state.pop("_str", None)
+        state.pop("single_constant", None)
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.single_constant = _single_constant(self.results)
+
+
+def _single_constant(results: tuple[AffineExpr, ...]) -> Optional[int]:
+    if len(results) == 1 and isinstance(results[0], AffineConstantExpr):
+        return results[0].value
+    return None
 
 
 #: The map :meth:`AffineMap.constant_map` returns, per value.

@@ -119,9 +119,11 @@ class AffineForOp(Operation):
 
     def trip_count(self) -> Optional[int]:
         """Number of iterations if the bounds are constant, else None."""
-        if not self.has_constant_bounds():
+        lower = self.lower_map.single_constant
+        upper = self.upper_map.single_constant
+        if lower is None or upper is None:
             return None
-        span = self.constant_upper_bound - self.constant_lower_bound
+        span = upper - lower
         if span <= 0:
             return 0
         step = max(1, self.step)

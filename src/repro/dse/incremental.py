@@ -84,10 +84,8 @@ class PrefixSnapshotCache:
         prefix on a clone of ``module`` would produce, the module holds it
         and the functions it transitively calls, unchanged.
         """
-        if not digest:
-            digest = ir_digest(_lookup(module, func_name))
-        prefix = point.prefix_key()
-        key = (digest, func_name, prefix)
+        key = self._key(module, point, func_name, digest)
+        prefix = key[2]
         snapshot = self._snapshots.get(key)
         cached = snapshot is not None
         span = obs.NULL_SPAN if obs.active() is None else obs.span(
@@ -105,6 +103,27 @@ class PrefixSnapshotCache:
             self.clones += 1
             obs.counter("dse.prefix.clones")
         return cloned, _lookup(cloned, func_name)
+
+    def snapshot(self, module: ModuleOp, point: KernelDesignPoint,
+                 func_name: Optional[str] = None,
+                 digest: Optional[str] = None) -> Operation:
+        """The kernel function of ``point``'s snapshot, built now when the
+        cache has none: what the suffix of ``point`` finds, to read and
+        never to change.  Not a checkout — no hit, miss or clone is counted
+        and no span opened — so a coordinator that asks first leaves the
+        evaluation's checkout a hit."""
+        key = self._key(module, point, func_name, digest)
+        snapshot = self._snapshots.get(key)
+        if snapshot is None:
+            snapshot = self._snapshots[key] = build_prefix(module, point, func_name)[0]
+        return _lookup(snapshot, func_name)
+
+    @staticmethod
+    def _key(module: ModuleOp, point: KernelDesignPoint,
+             func_name: Optional[str], digest: Optional[str]) -> tuple:
+        if not digest:
+            digest = ir_digest(_lookup(module, func_name))
+        return digest, func_name, point.prefix_key()
 
 
 def build_prefix(module: ModuleOp, point: KernelDesignPoint,
@@ -138,16 +157,25 @@ def build_prefix(module: ModuleOp, point: KernelDesignPoint,
 
 
 def post_prefix_band(module: ModuleOp, point: KernelDesignPoint,
-                     func_name: Optional[str] = None) -> tuple[str, tuple]:
+                     func_name: Optional[str] = None,
+                     snapshots: Optional[PrefixSnapshotCache] = None,
+                     digest: Optional[str] = None) -> tuple[str, tuple]:
     """The kernel as the suffix of ``point`` finds it: the structural digest
     of the function after canonicalize + the point's prefix, and the
     :func:`~repro.transforms.composite.band_shape` of the perfect band the
     suffix permutes and tiles (empty without a loop nest).  With the point's
     permutation and tile sizes they decide the program it evaluates
-    (:func:`~repro.transforms.composite.plan_design_point`).  Built from
-    scratch, the IR dropped on return.
+    (:func:`~repro.transforms.composite.plan_design_point`).
+
+    Read off the snapshot of ``snapshots`` (built into it when missing, so
+    the evaluation that checks it out next finds it; ``digest`` as for
+    :meth:`PrefixSnapshotCache.checkout`), or without a cache built from
+    scratch and dropped on return.
     """
-    _, func_op = build_prefix(module, point, func_name)
+    if snapshots is not None:
+        func_op = snapshots.snapshot(module, point, func_name, digest)
+    else:
+        _, func_op = build_prefix(module, point, func_name)
     outer = _outer_loop(func_op)
     band = perfect_loop_band(outer) if outer is not None else ()
     return ir_digest(func_op), band_shape(band)

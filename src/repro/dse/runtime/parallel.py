@@ -173,11 +173,19 @@ class _ProgramIdentities:
     (:func:`~repro.dse.incremental.post_prefix_band`).  The digest, not the
     prefix key, leads: a prefix knob that finds nothing to do (perfectizing
     around a variable-bound loop) leaves the program of the other setting.
+
+    ``snapshots()`` returns the prefix-snapshot cache of a backend that
+    evaluates in this process (None for worker processes, which keep their
+    own): the build then goes into it as the snapshot the evaluations check
+    out, instead of being made twice.
     """
 
-    def __init__(self, module: ModuleOp, func_name: Optional[str]):
+    def __init__(self, module: ModuleOp, func_name: Optional[str],
+                 snapshots=lambda: None, digest: Optional[str] = None):
         self._module = module
         self._func_name = func_name
+        self._snapshots = snapshots
+        self._digest = digest
         self._bands: dict[str, tuple[str, tuple]] = {}
 
     def __len__(self) -> int:
@@ -190,7 +198,8 @@ class _ProgramIdentities:
         band = self._bands.get(prefix)
         if band is None:
             band = self._bands[prefix] = post_prefix_band(
-                self._module, point, self._func_name)
+                self._module, point, self._func_name, self._snapshots(),
+                self._digest)
         digest, shape = band
         return (digest,
                 plan_design_point(shape, point.perm_map, point.tile_sizes),
@@ -413,7 +422,14 @@ class ParallelExplorer:
         obs_on = obs.active() is not None
 
         classes = _ClassResults()
-        programs = _ProgramIdentities(module, func_name)
+
+        def inline_snapshots():
+            # Only an inline backend offers its cache (SerialBackend).
+            offer = getattr(get_backend(), "prefix_snapshots", None)
+            return offer(context_key) if offer is not None else None
+
+        programs = _ProgramIdentities(module, func_name, inline_snapshots,
+                                      space.ir_digest or None)
 
         def dispatch(encodings: list[tuple[int, ...]], identities: dict,
                      fresh: dict[tuple[int, ...], EvaluationRecord]) -> None:

@@ -545,6 +545,12 @@ class SerialBackend(Supervisor):
         self._snapshots = collections.defaultdict(PrefixSnapshotCache)
         self._inline = self
 
+    def prefix_snapshots(self, key: str) -> PrefixSnapshotCache:
+        """The prefix-snapshot cache evaluations of ``key`` check out of.
+        Only a backend that evaluates in this process offers one: a pool's
+        workers keep their own."""
+        return self._snapshots[key]
+
     def run(self, key: str, encoded: tuple[int, ...], traced: bool):
         return _guarded_evaluation(self._contexts[key], key, encoded,
                                    self._snapshots[key], traced)

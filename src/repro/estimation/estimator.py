@@ -124,32 +124,60 @@ class _AccessRecord:
     address_key: tuple
 
 
+class _PerII:
+    """A part of an estimate that depends on the target II of the retargeted
+    directive owner: ``close(target_ii)`` is the value the part takes once
+    the owner carries that II.  Only the owner and its ancestors are such
+    parts; the walk computes every other part once, as a plain value."""
+
+    __slots__ = ("close",)
+
+    def __init__(self, close):
+        self.close = close
+
+
+def _then(combine, *parts):
+    """``combine(*parts)``: now when every part is a plain value, else a
+    :class:`_PerII` that closes the per-II parts and then combines."""
+    if not any(isinstance(part, _PerII) for part in parts):
+        return combine(*parts)
+    return _PerII(lambda target_ii: combine(*(
+        part.close(target_ii) if isinstance(part, _PerII) else part
+        for part in parts)))
+
+
+def _total(latency: int, resources: ResourceUsage, parts) -> tuple[int, ResourceUsage]:
+    """Latency and resources of ``parts`` run one after the other."""
+    for part in parts:
+        latency += part[0]
+        resources = resources + part[1]
+    return latency, resources
+
+
 class QoREstimator:
     """Estimates latency, interval and resources of functions and modules.
 
     The estimator is a pure function of its inputs: the public entry points
     set up per-call state (the module used for callee resolution, a per-call
-    function cache and the per-call analyses of pipelined bodies and scalar
-    blocks) and tear it down before returning, so instances carry no state
-    between calls, can be shared across kernels, and remain picklable for
-    shipment to DSE worker processes.
+    function cache, the retargeted directive owner) and tear it down before
+    returning, so instances carry no state between calls, can be shared
+    across kernels, and remain picklable for shipment to DSE worker
+    processes.
     """
 
     def __init__(self, platform: Platform = XC7Z020):
         self.platform = platform
         self._module: Optional[ModuleOp] = None
-        self._function_cache: dict[str, QoRResult] = {}
-        self._achieved_ii: Optional[int] = None
-        #: Target-II-independent analyses of the call in flight, keyed by
-        #: (kind, id of the analysed block or loop): the IR outlives the
-        #: call, so ids are stable for as long as the entries exist.
-        self._analyses: dict[tuple[str, int], object] = {}
+        #: (latency, interval, resources) of each function the call in
+        #: flight estimated, or a :class:`_PerII` of them.
+        self._function_cache: dict[str, object] = {}
+        #: The II of the first pipelined loop or function the walk finished
+        #: (a :class:`_PerII` when that is the retargeted owner).
+        self._achieved_ii = None
         #: Index expressions the caller of the call in flight already holds.
         self._accesses: Optional[AccessTable] = None
-        #: The directive owner whose target II the closing in flight
-        #: overrides, and the II it is given.
+        #: The directive owner whose target II the call closes over.
         self._retarget: Optional[Operation] = None
-        self._retarget_ii = 1
 
     # -- public API --------------------------------------------------------------------------
 
@@ -168,13 +196,16 @@ class QoREstimator:
                           accesses: Optional[AccessTable] = None):
         """Estimate a single function (recursively resolving its callees).
 
-        With ``target_iis`` the call closes one analysis over several target
+        With ``target_iis`` the call closes one walk over several target
         IIs and returns a list, one :class:`QoRResult` per II: each equals
         what a separate call returns once the directive of ``retarget`` — a
-        pipelined loop of ``func_op``, or ``func_op`` itself when the
-        function is pipelined — carries that target II.  The target II
-        enters the model only through ``max(target, resource, recurrence)``,
-        so everything else is computed once.
+        pipelined loop of ``func_op`` or of a function it calls, or
+        ``func_op`` itself when the function is pipelined — carries that
+        target II.  The target II
+        enters the model only through ``max(target, resource, recurrence)``
+        of ``retarget``, so the walk computes everything else once and
+        leaves ``retarget`` and its ancestors as arithmetic to close per II
+        (:class:`_PerII`).
 
         ``accesses`` is a table an analysis of the same, since unchanged IR
         filled (``array-partition``); what it holds is not derived again.
@@ -188,42 +219,46 @@ class QoREstimator:
         estimate_span = obs.NULL_SPAN if obs.active() is None else obs.span(
             "estimate", func=func_op.get_attr("sym_name", ""))
         self._module = module
-        self._analyses = {}
+        self._function_cache = {}
         self._accesses = accesses
+        if target_iis is not None:
+            self._retarget = retarget
         try:
             with estimate_span:
                 obs.counter("estimate.calls")
+                estimate = self._estimate_function(func_op)
+                bound = self._bandwidth_bound(func_op)
                 if target_iis is None:
-                    return self._close(func_op)
-                results = []
-                self._retarget = retarget
-                for target_ii in target_iis:
-                    self._retarget_ii = target_ii
-                    results.append(self._close(func_op))
-                return results
+                    return self._result(estimate, None, bound)
+                return [self._result(estimate, target_ii, bound)
+                        for target_ii in target_iis]
         finally:
             self._module = None
             self._function_cache = {}
             self._achieved_ii = None
-            self._analyses = {}
             self._accesses = None
             self._retarget = None
-            self._retarget_ii = 1
 
-    def _close(self, func_op: Operation) -> QoRResult:
-        """One pass over the function under the target IIs now in force."""
-        self._function_cache = {}
-        self._achieved_ii = None
-        result = self._estimate_function(func_op)
-        result.achieved_ii = self._achieved_ii
-        self._apply_bandwidth_bound(func_op, result)
-        return result
+    def _result(self, estimate, target_ii, bound: int) -> QoRResult:
+        """The walk's ``estimate`` of the top function closed at
+        ``target_ii``; results share no :class:`ResourceUsage`."""
+        if isinstance(estimate, _PerII):
+            latency, interval, resources = estimate.close(target_ii)
+        else:
+            latency, interval, resources = estimate
+            resources = dataclasses.replace(resources)
+        achieved_ii = self._achieved_ii
+        if isinstance(achieved_ii, _PerII):
+            achieved_ii = achieved_ii.close(target_ii)
+        if bound:
+            interval = max(interval, bound)
+            latency = max(latency, bound)
+        return QoRResult(latency=latency, interval=interval, resources=resources,
+                         achieved_ii=achieved_ii)
 
-    def _target_ii(self, owner: Operation, directive) -> int:
-        return self._retarget_ii if owner is self._retarget else directive.target_ii
-
-    def _apply_bandwidth_bound(self, func_op: Operation, result: QoRResult) -> None:
-        """Bound the top function's throughput by the off-chip link.
+    def _bandwidth_bound(self, func_op: Operation) -> int:
+        """The floor the off-chip link puts under the top function's
+        interval and latency (0: none).
 
         Every array argument of the top function crosses the off-chip
         boundary once per invocation; with a modeled link of B bytes/cycle,
@@ -233,7 +268,7 @@ class QoREstimator:
         """
         bandwidth = self.platform.offchip_bandwidth_bytes_per_cycle
         if bandwidth <= 0:
-            return
+            return 0
         total_bytes = 0
         for argument in func_op.region(0).front.arguments:
             arg_type = argument.type
@@ -241,14 +276,16 @@ class QoREstimator:
                 total_bytes += (arg_type.num_elements
                                 * element_bits(arg_type.element_type) + 7) // 8
         if total_bytes <= 0:
-            return
-        bound = math.ceil(total_bytes / bandwidth)
-        result.interval = max(result.interval, bound)
-        result.latency = max(result.latency, bound)
+            return 0
+        return math.ceil(total_bytes / bandwidth)
 
     # -- per-call estimation -----------------------------------------------------------------
+    #
+    # Each walk function returns its plain value, or a _PerII of it when
+    # what it walked encloses the retargeted owner.
 
-    def _estimate_function(self, func_op: Operation) -> QoRResult:
+    def _estimate_function(self, func_op: Operation):
+        """``(latency, interval, resources)`` of ``func_op``."""
         name = func_op.get_attr("sym_name", "")
         if name and name in self._function_cache:
             return self._function_cache[name]
@@ -259,15 +296,14 @@ class QoREstimator:
         if directive is not None and directive.dataflow:
             result = self._estimate_dataflow_function(func_op)
         elif directive is not None and directive.pipeline:
-            latency, resources, info = self._estimate_pipelined_body(
-                body, self._target_ii(func_op, directive), trip=1,
-                enclosing_loops=[])
-            if self._achieved_ii is None:
-                self._achieved_ii = info.ii
-            result = QoRResult(latency=latency, interval=info.ii, resources=resources)
+            result = _then(lambda pipelined: (pipelined[0], pipelined[2].ii,
+                                              pipelined[1]),
+                           self._estimate_pipelined_body(
+                               func_op, directive, body, trip=1,
+                               enclosing_loops=[]))
         else:
-            latency, resources = self._estimate_block(body)
-            result = QoRResult(latency=latency, interval=latency, resources=resources)
+            result = _then(lambda block: (block[0], block[0], block[1]),
+                           self._estimate_block(body))
 
         if name:
             self._function_cache[name] = result
@@ -275,32 +311,37 @@ class QoREstimator:
 
     # -- dataflow functions --------------------------------------------------------------------
 
-    def _estimate_dataflow_function(self, func_op: Operation) -> QoRResult:
+    def _estimate_dataflow_function(self, func_op: Operation):
         body = func_op.region(0).front
-        stage_latencies: list[int] = []
-        total_latency = 0
+        #: Per stage: (stage latency, latency, resources).
+        stages = []
         resources = ResourceUsage()
         for op in body.operations:
             if op.name == "func.call":
-                callee_result = self._estimate_callee(op)
-                if callee_result is None:
+                callee = self._estimate_callee(op)
+                if callee is None:
                     continue
-                stage_latencies.append(max(callee_result.latency, callee_result.interval))
-                total_latency += callee_result.latency
-                resources = resources + callee_result.resources
+                stages.append(_then(lambda result: (max(result[0], result[1]),
+                                                    result[0], result[2]),
+                                    callee))
                 resources = resources + self._double_buffer_memory(op)
             elif isinstance(op, AffineForOp):
-                latency, loop_resources, _ = self._estimate_loop(op)
-                stage_latencies.append(latency)
-                total_latency += latency
-                resources = resources + loop_resources
+                stages.append(_then(lambda loop: (loop[0], loop[0], loop[1]),
+                                    self._estimate_loop(op)))
             elif op.name == "memref.alloc":
                 resources = resources + self._buffer_memory(op)
-        interval = max(stage_latencies) if stage_latencies else total_latency
-        return QoRResult(latency=max(total_latency, 1), interval=max(interval, 1),
-                         resources=resources)
+        return _then(lambda *closed: self._overlapped(closed, resources), *stages)
 
-    def _estimate_callee(self, call_op: Operation) -> Optional[QoRResult]:
+    @staticmethod
+    def _overlapped(stages, resources: ResourceUsage) -> tuple[int, int, ResourceUsage]:
+        total_latency = 0
+        for _, latency, stage_resources in stages:
+            total_latency += latency
+            resources = resources + stage_resources
+        interval = max((stage[0] for stage in stages), default=total_latency)
+        return max(total_latency, 1), max(interval, 1), resources
+
+    def _estimate_callee(self, call_op: Operation):
         if self._module is None:
             return None
         callee = self._module.lookup(call_op.get_attr("callee"))
@@ -331,58 +372,56 @@ class QoREstimator:
 
     # -- blocks -----------------------------------------------------------------------------------
 
-    def _estimate_block(self, block) -> tuple[int, ResourceUsage]:
+    def _estimate_block(self, block):
+        """``(latency, resources)`` of ``block``."""
         latency = 0
         resources = ResourceUsage()
         scalar_ops: list[Operation] = []
+        deferred: list[_PerII] = []
         for op in block.operations:
             if isinstance(op, AffineForOp):
-                loop_latency, loop_resources, _ = self._estimate_loop(op)
-                latency += loop_latency
-                resources = resources + loop_resources
-            elif isinstance(op, AffineIfOp):
-                then_latency, then_resources = self._estimate_block(op.then_block)
-                else_latency, else_resources = (0, ResourceUsage())
-                if op.else_block is not None:
-                    else_latency, else_resources = self._estimate_block(op.else_block)
-                latency += max(then_latency, else_latency) + 1
-                resources = resources + then_resources + else_resources
+                part = self._estimate_loop(op)
+            elif isinstance(op, AffineIfOp) or op.name == "scf.if":
+                part = self._estimate_branches(op)
             elif op.name == "scf.for":
-                body_latency, body_resources = self._estimate_block(op.body)
-                trip = self._scf_trip_count(op)
-                latency += trip * (body_latency + 1) + 2
-                resources = resources + body_resources
-            elif op.name == "scf.if":
-                then_latency, then_resources = self._estimate_block(op.then_block)
-                else_latency, else_resources = (0, ResourceUsage())
-                if op.else_block is not None:
-                    else_latency, else_resources = self._estimate_block(op.else_block)
-                latency += max(then_latency, else_latency) + 1
-                resources = resources + then_resources + else_resources
+                part = _then(lambda body, trip=self._scf_trip_count(op):
+                             (trip * (body[0] + 1) + 2, body[1]),
+                             self._estimate_block(op.body))
             elif op.name == "func.call":
-                callee_result = self._estimate_callee(op)
-                if callee_result is not None:
-                    latency += callee_result.latency
-                    resources = resources + callee_result.resources
+                callee = self._estimate_callee(op)
+                if callee is None:
+                    continue
+                part = _then(lambda result: (result[0], result[2]), callee)
             elif op.name == "memref.alloc":
                 resources = resources + self._buffer_memory(op)
+                continue
             elif op.name in ("func.return", "affine.yield", "scf.yield"):
                 continue
             else:
                 scalar_ops.append(op)
+                continue
+            if isinstance(part, _PerII):
+                deferred.append(part)
+            else:
+                latency, resources = _total(latency, resources, (part,))
 
         if scalar_ops:
-            scalar = self._analyses.get(("scalar", id(block)))
-            if scalar is None:
-                scalar_records = self._access_records(
-                    scalar_ops, self._enclosing_loops(scalar_ops[0]))
-                schedule = ALAPScheduler(
-                    self._memory_edges(scalar_records, 0)).schedule(scalar_ops)
-                scalar = self._analyses[("scalar", id(block))] = (
-                    schedule.depth, self._shared_scalar_resources(scalar_ops))
-            latency += scalar[0]
-            resources = resources + scalar[1]
-        return latency, resources
+            scalar_records = self._access_records(
+                scalar_ops, self._enclosing_loops(scalar_ops[0]))
+            schedule = ALAPScheduler(
+                self._memory_edges(scalar_records, 0)).schedule(scalar_ops)
+            latency += schedule.depth
+            resources = resources + self._shared_scalar_resources(scalar_ops)
+        return _then(lambda *closed: _total(latency, resources, closed), *deferred)
+
+    def _estimate_branches(self, op: Operation):
+        """An ``affine.if`` / ``scf.if``: one branch runs, both are built."""
+        then_part = self._estimate_block(op.then_block)
+        else_part = (0, ResourceUsage()) if op.else_block is None \
+            else self._estimate_block(op.else_block)
+        return _then(lambda then, other: (max(then[0], other[0]) + 1,
+                                          then[1] + other[1]),
+                     then_part, else_part)
 
     @staticmethod
     def _scf_trip_count(op: Operation) -> int:
@@ -422,33 +461,34 @@ class QoREstimator:
 
     # -- loops -------------------------------------------------------------------------------------
 
-    def _estimate_loop(self, loop: AffineForOp) -> tuple[int, ResourceUsage, Optional[_PipelineInfo]]:
+    def _estimate_loop(self, loop: AffineForOp):
+        """``(latency, resources, pipeline info or None)`` of ``loop``."""
         directive = get_loop_directive(loop)
         trip = self._loop_trip(loop)
 
         if directive is not None and directive.pipeline:
-            latency, resources, info = self._estimate_pipelined_body(
-                loop.body, self._target_ii(loop, directive), trip,
+            return self._estimate_pipelined_body(
+                loop, directive, loop.body, trip,
                 self._enclosing_loops(loop) + [loop])
-            if self._achieved_ii is None:
-                self._achieved_ii = info.ii
-            return latency, resources, info
 
         body_ops = [op for op in loop.body.operations if op.name != "affine.yield"]
-        single_child = len(body_ops) == 1 and isinstance(body_ops[0], AffineForOp)
-        if single_child:
-            child_latency, child_resources, child_info = self._estimate_loop(body_ops[0])
-            if child_info is not None and directive is not None and directive.flatten:
-                total_trip = child_info.total_trip * trip
-                latency = child_info.ii * max(0, total_trip - 1) + child_info.depth + 1
-                info = _PipelineInfo(child_info.ii, child_info.depth, total_trip)
-                return latency, child_resources, info
-            latency = trip * (child_latency + 1) + 2
-            return latency, child_resources, None
+        if len(body_ops) == 1 and isinstance(body_ops[0], AffineForOp):
+            flatten = directive is not None and directive.flatten
+            return _then(lambda child: self._nest(child, trip, flatten),
+                         self._estimate_loop(body_ops[0]))
+        return _then(lambda body: (trip * (body[0] + 1) + 2, body[1], None),
+                     self._estimate_block(loop.body))
 
-        body_latency, body_resources = self._estimate_block(loop.body)
-        latency = trip * (body_latency + 1) + 2
-        return latency, body_resources, None
+    @staticmethod
+    def _nest(child, trip: int, flatten: bool):
+        """A loop around the single loop ``child`` estimates."""
+        child_latency, child_resources, child_info = child
+        if child_info is not None and flatten:
+            total_trip = child_info.total_trip * trip
+            latency = child_info.ii * max(0, total_trip - 1) + child_info.depth + 1
+            info = _PipelineInfo(child_info.ii, child_info.depth, total_trip)
+            return latency, child_resources, info
+        return trip * (child_latency + 1) + 2, child_resources, None
 
     def _loop_trip(self, loop: AffineForOp) -> int:
         trip = loop.trip_count()
@@ -456,11 +496,7 @@ class QoREstimator:
             return max(trip, 0)
         # Variable bounds: use the average extent over the outer iteration domain
         # (triangular loops like SYRK's j-loop average to roughly half the range).
-        bounds = self._analyses.get(("trip", id(loop)))
-        if bounds is None:
-            bounds = self._analyses[("trip", id(loop))] = \
-                self._variable_bound_extent(loop)
-        return max(1, bounds)
+        return max(1, self._variable_bound_extent(loop))
 
     def _variable_bound_extent(self, loop: AffineForOp) -> int:
         from repro.affine.analysis import expr_min_max
@@ -512,14 +548,21 @@ class QoREstimator:
             ops.append(op)
         return ops
 
-    def _estimate_pipelined_body(self, body, target_ii: int, trip: int,
-                                 enclosing_loops: list[AffineForOp]
-                                 ) -> tuple[int, ResourceUsage, _PipelineInfo]:
-        analysis = self._analyses.get(("pipeline", id(body)))
-        if analysis is None:
-            analysis = self._analyses[("pipeline", id(body))] = \
-                self._analyse_pipelined_body(body, enclosing_loops)
-        ii = max(1, int(target_ii), analysis.min_ii)
+    def _estimate_pipelined_body(self, owner: Operation, directive, body,
+                                 trip: int, enclosing_loops: list[AffineForOp]):
+        """``(latency, resources, pipeline info)`` of the body ``owner``'s
+        directive pipelines: analysed once, closed at the II it achieves."""
+        analysis = self._analyse_pipelined_body(body, enclosing_loops)
+        if owner is self._retarget:
+            achieved = _PerII(lambda target_ii: max(1, int(target_ii), analysis.min_ii))
+        else:
+            achieved = max(1, int(directive.target_ii), analysis.min_ii)
+        if self._achieved_ii is None:
+            self._achieved_ii = achieved
+        return _then(lambda ii: self._close_pipeline(analysis, ii, trip), achieved)
+
+    def _close_pipeline(self, analysis: _PipelineAnalysis, ii: int, trip: int
+                        ) -> tuple[int, ResourceUsage, _PipelineInfo]:
         latency = ii * max(0, trip - 1) + analysis.depth + 1
         resources = self._pipelined_resources(analysis.op_counts, ii)
         return latency, resources, _PipelineInfo(ii=ii, depth=analysis.depth,

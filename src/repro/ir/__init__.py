@@ -59,9 +59,9 @@ from repro.ir.pass_registry import (
 from repro.ir.rewrite import (
     GreedyRewriteDriver,
     PatternRewriter,
+    PatternSet,
     RewritePattern,
     apply_patterns_greedily,
-    set_rewrite_strategy,
 )
 from repro.ir.dialect import Dialect, DialectRegistry, registry, register_operation
 
@@ -121,8 +121,8 @@ __all__ = [
     "RewritePattern",
     "PatternRewriter",
     "GreedyRewriteDriver",
+    "PatternSet",
     "apply_patterns_greedily",
-    "set_rewrite_strategy",
     "Dialect",
     "DialectRegistry",
     "registry",

@@ -2,48 +2,42 @@
 
 Canonicalization-style passes register :class:`RewritePattern` objects; the
 :class:`GreedyRewriteDriver` applies them until a fixed point is reached.
-Two strategies are available:
+It seeds a worklist, once, with every op under the root that some pattern
+of its bucket *may match as it stands* (:meth:`RewritePattern.may_match`, a
+cheap necessary condition: a few percent of a freshly unrolled body) and
+afterwards only revisits operations whose operands, users or position
+actually changed — the hot-path friendly driver the cleanup passes run once
+per DSE evaluation.  An op that was not seeded is visited when, and only
+when, a rewrite's notification (``enqueue``, ``enqueue_tree``,
+``enqueue_users``, ``defer_operand_definers``; an erasure that leaves a
+block holding only its terminator names the block's parent op) names it, at
+the program position where the unfiltered seed would have come up: the
+sequence of *successful* rewrites is that of seeding everything, the visits
+that miss are not made.  The worklist is *deduplicating* and
+*program-ordered*: the seed pass is a plain pre-order list (no per-op cost
+beyond the walk), while revisits enter a heap keyed by the op's position
+(block order keys along the ancestor chain, kept by the blocks' intrusive op
+lists) and interleave with the seeds in program order.  An op enqueued N
+times during a constant-folding storm is visited once, after every operation
+that precedes it — by the time it pops, its operands have already been
+folded; erasure-driven revisits of a value's definer are deferred to the
+next drain generation, so a many-user constant is visited once per
+generation, not once per erased user.
 
-* ``"worklist"`` (the default) seeds a worklist, once, with every op under
-  the root that some pattern of its bucket *may match as it stands*
-  (:meth:`RewritePattern.may_match`, a cheap necessary condition: a few
-  percent of a freshly unrolled body) and afterwards only revisits
-  operations whose operands, users or position actually changed — the
-  hot-path friendly driver the cleanup passes run once per DSE evaluation.
-  An op that was not seeded is visited when, and only when, a rewrite's
-  notification (``enqueue``, ``enqueue_tree``, ``enqueue_users``,
-  ``defer_operand_definers``; an erasure that leaves a block holding only
-  its terminator names the block's parent op) names it, at the program
-  position where the unfiltered seed would have come up: the sequence of
-  *successful* rewrites is that of seeding everything, the visits that miss
-  are not made.  The
-  worklist is *deduplicating* and *program-ordered*: the seed pass is a
-  plain pre-order list (no per-op cost beyond the walk), while revisits
-  enter a heap keyed by the op's position (block order keys along the
-  ancestor chain, from PR 3's intrusive links) and interleave with the
-  seeds in program order.
-  An op enqueued N times during a constant-folding storm is visited once,
-  after every operation that precedes it — by the time it pops, its
-  operands have already been folded; erasure-driven revisits of a value's
-  definer are deferred to the next drain generation, so a many-user
-  constant is visited once per generation, not once per erased user.
-* ``"sweep"`` is the legacy full-module fixpoint: repeatedly walk *all* ops
-  until one sweep makes no change.  It is kept for A/B benchmarking
-  (``bench_fig7_scalability.py --pass-timing``) and as an oracle in the
-  equivalence tests — both strategies converge to the same IR.
-
-Pattern dispatch is *bucketed*: at construction the driver groups its
-patterns into ``dict[op name -> tuple of patterns]`` (patterns with
-``op_name = None`` are merged into every bucket, benefit order preserved),
-so matching an op is a single dict lookup instead of a scan over the whole
-pattern list.  Per-pattern and per-bucket hit/miss counts accumulate on the
-driver (``pattern_stats`` / ``bucket_stats``) and each ``rewrite()`` reports
-its deltas through :func:`repro.obs.add_pattern_stats` — what
-``--print-pass-timing`` prints, and where a caller that wants the aggregate
-over many drivers reads it (``pattern_stats_of(session.metrics.counters)``
-under ``obs.session()``).  A miss is a *visit* that matched nothing, so the
-worklist's miss column counts only the ops it had a reason to look at, the
-sweep's every op.
+Pattern dispatch is *bucketed*: a :class:`PatternSet` groups its patterns
+into ``dict[op name -> tuple of patterns]`` (patterns with ``op_name =
+None`` are merged into every bucket, benefit order preserved), so matching
+an op is a single dict lookup instead of a scan over the whole pattern list.
+A set is immutable once built: a pass builds its set once per process and
+every driver — one per run, holding only the run's worklist and counts —
+shares it, from any thread.  Per-pattern and per-bucket hit/miss counts
+accumulate on the driver (``pattern_stats`` / ``bucket_stats``) and each
+``rewrite()`` reports its deltas through :func:`repro.obs.add_pattern_stats`
+— what ``--print-pass-timing`` prints, and where a caller that wants the
+aggregate over many drivers reads it
+(``pattern_stats_of(session.metrics.counters)`` under ``obs.session()``).  A
+miss is a *visit* that matched nothing, so the miss column counts only the
+ops the worklist had a reason to look at.
 
 Linear per-block analyses (CSE, store forwarding, memref-access folding)
 are not patterns and do not run here: they make one scan per block through
@@ -63,23 +57,6 @@ from repro.ir.value import OpResult, Value
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ir.block import Block
     from repro.ir.operation import Operation
-
-#: The process-wide default rewrite strategy ("worklist" or "sweep").
-_DEFAULT_STRATEGY = "worklist"
-
-_STRATEGIES = ("worklist", "sweep")
-
-
-def set_rewrite_strategy(strategy: str) -> str:
-    """Set the default driver strategy; returns the previous one."""
-    global _DEFAULT_STRATEGY
-    if strategy not in _STRATEGIES:
-        raise ValueError(f"unknown rewrite strategy {strategy!r}; "
-                         f"choose from {_STRATEGIES}")
-    previous = _DEFAULT_STRATEGY
-    _DEFAULT_STRATEGY = strategy
-    return previous
-
 
 class PatternRewriter(Builder):
     """Builder handed to patterns; records changes and feeds the worklist.
@@ -231,21 +208,56 @@ class RewritePattern:
         return True
 
 
-class GreedyRewriteDriver:
-    """Applies op patterns to a fixed point."""
+class PatternSet:
+    """Benefit-ordered patterns and their per-op-name dispatch buckets.
 
-    def __init__(self, patterns: Iterable, max_iterations: int = 32,
-                 strategy: Optional[str] = None):
+    Immutable once built, so one set serves every driver that runs it, on
+    any thread: its patterns must keep no state of their own between
+    ``match_and_rewrite`` calls.  Iterating a set yields its patterns in
+    benefit order.
+    """
+
+    __slots__ = ("patterns", "generic", "buckets")
+
+    def __init__(self, patterns: Iterable):
         patterns = list(patterns)
         for pattern in patterns:
             if not isinstance(pattern, RewritePattern):
                 raise TypeError(
                     f"expected RewritePattern instances, got {pattern!r} "
                     f"(did you pass the class instead of an instance?)")
-        self.op_patterns: list[RewritePattern] = sorted(
-            patterns, key=lambda p: -p.benefit)
+        self.patterns: tuple[RewritePattern, ...] = tuple(
+            sorted(patterns, key=lambda p: -p.benefit))
+        #: Patterns with op_name None, benefit-ordered (the bucket of any op
+        #: name no pattern singled out).
+        self.generic: tuple[RewritePattern, ...] = tuple(
+            p for p in self.patterns if p.op_name is None)
+        #: op name -> benefit-ordered patterns (generic patterns merged in).
+        named = {p.op_name for p in self.patterns if p.op_name is not None}
+        self.buckets: dict[str, tuple[RewritePattern, ...]] = {
+            name: tuple(p for p in self.patterns
+                        if p.op_name is None or p.op_name == name)
+            for name in named}
+
+    def __iter__(self):
+        return iter(self.patterns)
+
+
+class GreedyRewriteDriver:
+    """Applies op patterns to a fixed point.
+
+    ``patterns`` is a :class:`PatternSet`, shared as it is, or an iterable
+    of patterns, grouped into a set of the driver's own.
+    """
+
+    def __init__(self, patterns: "PatternSet | Iterable",
+                 max_iterations: int = 32):
+        if not isinstance(patterns, PatternSet):
+            patterns = PatternSet(patterns)
+        self.op_patterns = patterns.patterns
+        self._generic = patterns.generic
+        self._buckets = patterns.buckets
         self.max_iterations = max_iterations
-        self.strategy = strategy or _DEFAULT_STRATEGY
         #: Pattern class name -> [hits, misses] accumulated over rewrite() calls.
         self.pattern_stats: dict[str, list[int]] = {}
         #: Dispatch bucket (op name) -> [hits, misses] accumulated likewise.
@@ -268,17 +280,6 @@ class GreedyRewriteDriver:
         #: Per-run cache of block-level order-key prefixes.
         self._block_prefix: dict = {}
         self._root: Optional[Operation] = None
-        # -- bucketed dispatch, built once at construction ---------------------------------
-        #: Patterns with op_name None, benefit-ordered (the bucket of any op
-        #: name no pattern singled out).
-        self._generic: tuple[RewritePattern, ...] = tuple(
-            p for p in self.op_patterns if p.op_name is None)
-        #: op name -> benefit-ordered patterns (generic patterns merged in).
-        named = {p.op_name for p in self.op_patterns if p.op_name is not None}
-        self._buckets: dict[str, tuple[RewritePattern, ...]] = {
-            name: tuple(p for p in self.op_patterns
-                        if p.op_name is None or p.op_name == name)
-            for name in named}
 
     # -- worklist management ---------------------------------------------------------------
 
@@ -389,10 +390,7 @@ class GreedyRewriteDriver:
             for pattern in self.op_patterns}
         changed = False
         if self.op_patterns:
-            if self.strategy == "sweep":
-                changed = self._run_sweeps(root)
-            else:
-                changed = self._run_worklist(root)
+            changed = self._run_worklist(root)
         for name, (hits, misses) in self._run_stats.items():
             entry = self.pattern_stats.setdefault(name, [0, 0])
             entry[0] += hits
@@ -415,11 +413,7 @@ class GreedyRewriteDriver:
             entry = self._run_bucket_stats[op_name] = [0, 0]
         return entry
 
-    def _matching_patterns(self, op: "Operation") -> tuple[RewritePattern, ...]:
-        """The op's dispatch bucket: one dict lookup, built at construction."""
-        return self._buckets.get(op.name, self._generic)
-
-    # -- worklist strategy -----------------------------------------------------------------
+    # -- the worklist ----------------------------------------------------------------------
 
     def _run_worklist(self, root: "Operation") -> bool:
         rewriter = PatternRewriter(driver=self)
@@ -446,8 +440,7 @@ class GreedyRewriteDriver:
                 seeds.append(op)
         pending = self._pending = {id(op) for op in seeds}
         # Non-convergence guard: a healthy run applies at most a few rewrites
-        # per op; max_iterations bounds the rewrites-per-op ratio like the
-        # sweep count bounded full walks.
+        # per op; max_iterations bounds the rewrites-per-op ratio.
         budget = max(1, self.max_iterations) * max(1, matchable)
         rewrites = 0
         changed = False
@@ -525,55 +518,12 @@ class GreedyRewriteDriver:
         """The most times any single op was visited in the last worklist run."""
         return max(self.visit_counts.values(), default=0)
 
-    # -- legacy sweep strategy ---------------------------------------------------------------
-
-    def _run_sweeps(self, root: "Operation") -> bool:
-        changed_any = False
-        for _ in range(self.max_iterations):
-            rewriter = PatternRewriter(driver=None)
-            self._sweep_once(root, rewriter)
-            if not rewriter.changed:
-                return changed_any
-            changed_any = True
-        raise RuntimeError(
-            f"pattern application did not converge after "
-            f"{self.max_iterations} iterations")
-
-    def _sweep_once(self, root: "Operation", rewriter: PatternRewriter) -> None:
-        # Walk a snapshot so erasures during iteration are safe; skip ops that
-        # were erased by an earlier pattern in this sweep.
-        for op in list(root.walk()):
-            if op is root or rewriter.was_erased(op):
-                continue
-            if op.parent is None:
-                continue
-            patterns = self._matching_patterns(op)
-            if not patterns:
-                continue
-            bucket_entry = self._bucket_entry(op.name)
-            for pattern in patterns:
-                rewriter.insertion_point = InsertionPoint.before(op)
-                if pattern.match_and_rewrite(op, rewriter):
-                    self._count(pattern, True)
-                    bucket_entry[0] += 1
-                    rewriter.notify_changed()
-                    break
-                self._count(pattern, False)
-                if rewriter.was_erased(op):
-                    break
-            else:
-                bucket_entry[1] += 1
-
 
 def apply_patterns_greedily(root: "Operation", patterns: Iterable,
-                            max_iterations: int = 32,
-                            strategy: Optional[str] = None) -> bool:
-    """Apply ``patterns`` to every op nested under ``root`` until fixpoint.
+                            max_iterations: int = 32) -> bool:
+    """Apply ``patterns`` (a :class:`PatternSet` or an iterable of patterns)
+    to every op nested under ``root`` until fixpoint.
 
     Returns True if anything changed.  ``root`` itself is not rewritten.
-    ``strategy`` overrides the process default ("worklist" unless changed
-    via :func:`set_rewrite_strategy`).
     """
-    driver = GreedyRewriteDriver(patterns, max_iterations=max_iterations,
-                                 strategy=strategy)
-    return driver.rewrite(root)
+    return GreedyRewriteDriver(patterns, max_iterations=max_iterations).rewrite(root)

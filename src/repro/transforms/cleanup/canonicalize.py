@@ -22,17 +22,16 @@ from repro.dialects.affine_ops import AffineForOp, AffineIfOp
 from repro.ir.operation import Operation
 from repro.ir.pass_manager import FunctionPass
 from repro.ir.pass_registry import register_pass
-from repro.ir.rewrite import GreedyRewriteDriver, PatternRewriter, RewritePattern
+from repro.ir.rewrite import (GreedyRewriteDriver, PatternRewriter, PatternSet,
+                              RewritePattern)
 from repro.ir.types import index
 from repro.ir.value import OpResult
 
 
-def canonicalize(root: Operation, max_iterations: int = 64,
-                 strategy: Optional[str] = None) -> bool:
+def canonicalize(root: Operation, max_iterations: int = 64) -> bool:
     """Canonicalize everything nested under ``root``.  Returns True if changed."""
-    driver = GreedyRewriteDriver(canonicalization_patterns(),
-                                 max_iterations=max_iterations, strategy=strategy)
-    return driver.rewrite(root)
+    return GreedyRewriteDriver(_CANONICALIZATION,
+                               max_iterations=max_iterations).rewrite(root)
 
 
 def canonicalization_patterns() -> list[RewritePattern]:
@@ -236,3 +235,8 @@ class EraseEmptyAffineIfPattern(RewritePattern):
             rewriter.erase_op(op)
             return True
         return False
+
+
+#: What every :func:`canonicalize` runs: its patterns keep no state, so the
+#: process builds their dispatch once.
+_CANONICALIZATION = PatternSet(canonicalization_patterns())

@@ -26,7 +26,8 @@ from repro.dialects.affine_ops import AffineIfOp, index_value_range
 from repro.ir.operation import Operation
 from repro.ir.pass_manager import FunctionPass
 from repro.ir.pass_registry import register_pass
-from repro.ir.rewrite import GreedyRewriteDriver, PatternRewriter, RewritePattern
+from repro.ir.rewrite import (GreedyRewriteDriver, PatternRewriter, PatternSet,
+                              RewritePattern)
 
 
 class SimplifyAffineIfPattern(RewritePattern):
@@ -35,9 +36,6 @@ class SimplifyAffineIfPattern(RewritePattern):
     op_name = "affine.if"
     benefit = 1
 
-    def __init__(self):
-        self.simplified = 0
-
     def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> bool:
         if not isinstance(op, AffineIfOp) or op.results:
             return False
@@ -45,15 +43,19 @@ class SimplifyAffineIfPattern(RewritePattern):
         if verdict is None:
             return False
         _inline_branch(op, take_then=verdict, rewriter=rewriter)
-        self.simplified += 1
         return True
 
 
-def simplify_affine_ifs(root: Operation, strategy: Optional[str] = None) -> int:
+#: The pattern set every :func:`simplify_affine_ifs` runs, built once.
+_SIMPLIFY_AFFINE_IF = PatternSet([SimplifyAffineIfPattern()])
+
+
+def simplify_affine_ifs(root: Operation) -> int:
     """Simplify every ``affine.if`` nested under ``root``.  Returns #simplified."""
-    pattern = SimplifyAffineIfPattern()
-    GreedyRewriteDriver([pattern], strategy=strategy).rewrite(root)
-    return pattern.simplified
+    driver = GreedyRewriteDriver(_SIMPLIFY_AFFINE_IF)
+    driver.rewrite(root)
+    # Each hit of the pattern is one simplified affine.if.
+    return driver.pattern_stats.get(SimplifyAffineIfPattern.__name__, (0, 0))[0]
 
 
 @register_pass("simplify-affine-if")

@@ -228,6 +228,33 @@ class TestEstimator:
             QoREstimator(XC7Z020).estimate_module(ModuleOp("empty"))
 
 
+class TestStraightLineLaws:
+    @pytest.mark.xfail(strict=True, reason=(
+        "a straight-line block is scheduled with unlimited operators (ALAP "
+        "depth) but costed with one shared unit per kind; the trmm best "
+        "design of the end-to-end benchmark (no loops left, 288 mulf, 224 "
+        "addf) is estimated at latency 37 with DSP 5"))
+    def test_shared_units_bound_the_latency(self):
+        """N ops of a shareable kind on U units take at least ceil(N / U)
+        cycles."""
+        from repro.dialects import func
+        from repro.ir import Builder, InsertionPoint, ModuleOp
+
+        count = 16
+        for kind, build in (("arith.mulf", arith.MulFOp), ("arith.addf", arith.AddFOp)):
+            module = ModuleOp("m")
+            function = func.build_function(module, "f", [f32])
+            builder = Builder(InsertionPoint.at_end(function.body))
+            argument = function.body.arguments[0]
+            for _ in range(count):
+                builder.insert(build(argument, argument))
+            builder.insert(func.ReturnOp())
+            qor = QoREstimator(XC7Z020).estimate_function(function, module=module)
+            units = qor.dsp // op_characteristics(kind).dsp
+            assert units >= 1
+            assert qor.latency >= -(-count // units), kind
+
+
 TABLE3_KERNELS = ("bicg", "gemm", "gesummv", "syr2k", "syrk", "trmm")
 
 

@@ -125,19 +125,16 @@ class TestDNNFlowGolden:
 
 
 class TestDriverStrategies:
-    def test_sweep_and_worklist_converge_to_identical_ir(self):
-        from repro.ir.rewrite import set_rewrite_strategy
+    """The worklist driver against what the deleted sweep strategy produced
+    (``tests/golden/sweep_oracle.json``)."""
 
-        results = {}
-        for strategy in ("sweep", "worklist"):
-            previous = set_rewrite_strategy(strategy)
-            try:
-                module = compile_kernel("gemm", 8)
-                design = apply_design_point(module, KERNEL_POINTS["gemm8_tiled"])
-                results[strategy] = emit_hlscpp(design.module)
-            finally:
-                set_rewrite_strategy(previous)
-        assert results["sweep"] == results["worklist"]
+    def test_sweep_and_worklist_converge_to_identical_ir(self):
+        from test_rewrite_engine import SWEEP_ORACLE, sha256
+
+        design = apply_design_point(compile_kernel("gemm", 8),
+                                    KERNEL_POINTS["gemm8_tiled"])
+        assert sha256(emit_hlscpp(design.module)) \
+            == SWEEP_ORACLE["gemm8_tiled_cpp_sha256"]
 
     def test_nested_use_dce_matches_sweep(self):
         """A value whose only user sits inside an erased region op must be
@@ -145,35 +142,25 @@ class TestDriverStrategies:
         from repro.dialects import arith, func, memref
         from repro.dialects.affine_ops import AffineForOp, AffineStoreOp
         from repro.ir import Builder, InsertionPoint, MemRefType, ModuleOp, f32, index
-        from repro.ir.rewrite import set_rewrite_strategy
         from repro.transforms import canonicalize
+        from test_rewrite_engine import SWEEP_ORACLE
 
-        def build():
-            module = ModuleOp("m")
-            f = func.build_function(module, "f", [f32])
-            builder = Builder(InsertionPoint.at_end(f.body))
-            arg = f.body.arguments[0]
-            add = builder.insert(arith.AddFOp(arg, arg))
-            buffer = builder.insert(memref.AllocOp(MemRefType([4], f32)))
-            zero_trip = builder.insert(AffineForOp.constant_bounds(0, 0))
-            with builder.at_end(zero_trip.body):
-                index_op = builder.insert(arith.ConstantOp(0, index))
-                builder.insert(AffineStoreOp(add.result(), buffer.result(),
-                                             [index_op.result()]))
-            builder.insert(func.ReturnOp())
-            return module, f
-
-        outputs = {}
-        for strategy in ("sweep", "worklist"):
-            previous = set_rewrite_strategy(strategy)
-            try:
-                module, f = build()
-                canonicalize(f)
-                outputs[strategy] = sorted(op.name for op in f.walk())
-            finally:
-                set_rewrite_strategy(previous)
-        assert outputs["sweep"] == outputs["worklist"]
-        assert "arith.addf" not in outputs["worklist"]
+        module = ModuleOp("m")
+        f = func.build_function(module, "f", [f32])
+        builder = Builder(InsertionPoint.at_end(f.body))
+        arg = f.body.arguments[0]
+        add = builder.insert(arith.AddFOp(arg, arg))
+        buffer = builder.insert(memref.AllocOp(MemRefType([4], f32)))
+        zero_trip = builder.insert(AffineForOp.constant_bounds(0, 0))
+        with builder.at_end(zero_trip.body):
+            index_op = builder.insert(arith.ConstantOp(0, index))
+            builder.insert(AffineStoreOp(add.result(), buffer.result(),
+                                         [index_op.result()]))
+        builder.insert(func.ReturnOp())
+        canonicalize(f)
+        names = sorted(op.name for op in f.walk())
+        assert names == SWEEP_ORACLE["nested_use_dce_ops"]
+        assert "arith.addf" not in names
 
     def test_explicit_pipeline_reproduces_default_kernel_flow(self):
         default = compile_kernel("gemm", 8)

@@ -251,3 +251,92 @@ class TestEstimateCacheByteBound:
         revived = EstimateCache(path)
         assert revived.stats.compacted == 0
         assert os.stat(path).st_mtime_ns == stamp
+
+
+# -- one post-prefix build per (kernel, prefix key) ---------------------------------------
+
+
+PROGRAM_IDENTITY = os.path.join(os.path.dirname(__file__), "golden",
+                                "program_identity.json")
+
+
+def prefix_points(space):
+    """One decoded point per prefix key of ``space``."""
+    for lp in range(len(space.lp_options)):
+        for rvb in range(len(space.rvb_options)):
+            encoded = [0] * space.num_dimensions
+            encoded[0], encoded[1] = lp, rvb
+            yield space.decode(tuple(encoded))
+
+
+class TestOnePostPrefixBuild:
+    """Program identity and inline evaluation share one post-prefix snapshot
+    per (kernel, prefix key): the coordinator builds it into the inline
+    backend's cache, and every checkout is a hit."""
+
+    def test_a_serial_model_sweep_builds_each_prefix_once(self, monkeypatch):
+        from repro import obs
+        from repro.dse import incremental
+        from repro.estimation import VU9P_SLR
+        from repro.pipeline import explore_dnn
+
+        builds = {}
+        build_prefix = incremental.build_prefix
+
+        def counted(module, point, func_name=None):
+            key = (id(module), func_name, point.prefix_key())
+            builds[key] = builds.get(key, 0) + 1
+            return build_prefix(module, point, func_name)
+
+        monkeypatch.setattr(incremental, "build_prefix", counted)
+        with obs.session() as session:
+            explore_dnn("vgg16", VU9P_SLR, graph_level=7, jobs=1, seed=2022)
+        counters = session.metrics.counters
+        assert len(builds) == 28 and set(builds.values()) == {1}
+        assert counters.get("dse.prefix.misses", 0) == 0
+        assert counters["dse.prefix.hits"] == counters["dse.evaluations"]
+
+    def test_a_pool_sweep_equals_the_serial_sweep(self):
+        from repro.estimation import VU9P_SLR
+        from repro.pipeline import explore_dnn
+
+        serial, pooled = (explore_dnn("vgg16", VU9P_SLR, graph_level=7,
+                                      jobs=jobs, seed=2022, max_nodes=8)
+                          for jobs in (1, 2))
+        assert pooled.frontier_json() == serial.frontier_json()
+        assert {key: node.records for key, node in pooled.node_results.items()} \
+            == {key: node.records for key, node in serial.node_results.items()}
+
+    def test_program_identities_equal_the_frozen_post_prefix_bands(self):
+        """Digest and band shape, built from scratch and into a cache, as
+        the commit before the shared snapshot computed them."""
+        import json
+
+        from repro.dse.incremental import post_prefix_band
+        from repro.dse.runtime.model import ModelScheduler
+        from repro.dse.space import KernelDesignSpace
+        from repro.frontend.models import build_model
+        from repro.kernels import KERNEL_NAMES
+        from repro.pipeline import compile_kernel
+
+        with open(PROGRAM_IDENTITY, encoding="utf-8") as handle:
+            frozen = json.load(handle)
+        kernels = []
+        for size in (4, 8):
+            for name in KERNEL_NAMES:
+                module = compile_kernel(name, size)
+                kernels.append(("table3", f"{name}{size}", module, None,
+                                KernelDesignSpace.from_function(module.functions()[0])))
+        tasks, _, _ = ModelScheduler()._staged_tasks(build_model("vgg16"), 7, None)
+        kernels += [("vgg16", task.key, task.module, task.func_name, task.space)
+                    for task in tasks if task.key in frozen["vgg16"]]
+        assert len(kernels) == 12 + len(frozen["vgg16"]) == 40
+        for group, key, module, func_name, space in kernels:
+            snapshots = PrefixSnapshotCache()
+            for point in prefix_points(space):
+                expected = frozen[group][key][point.prefix_key()]
+                for cache in (None, snapshots):
+                    digest, shape = post_prefix_band(module, point, func_name, cache)
+                    assert [digest, [list(loop) for loop in shape]] == expected
+                snapshots.checkout(module, point, func_name)
+            assert snapshots.misses == 0

@@ -173,14 +173,20 @@ class TestPatternStats:
         assert "_FoldAdd" in report
 
     def test_sweep_strategy_counts_too(self):
+        """The hits, and the IR, of the deleted sweep strategy."""
         from repro import obs
+        from repro.ir.printer import Printer
         from repro.obs.report import pattern_stats_of
+        from test_rewrite_engine import SWEEP_ORACLE, sha256
 
         module, f = build_simple_module()
         with obs.session() as session:
-            apply_patterns_greedily(f, [self._FoldAdd()], strategy="sweep")
+            apply_patterns_greedily(f, [self._FoldAdd()])
         stats, _ = pattern_stats_of(session.metrics.counters)
-        assert stats["_FoldAdd"][0] == 1
+        assert {name: hits for name, (hits, _) in stats.items()} \
+            == SWEEP_ORACLE["fold_add"]["hits"]
+        assert sha256(Printer(stable_ids=True).print(f)) \
+            == SWEEP_ORACLE["fold_add"]["ir_sha256"]
 
 
 class TestDialectRegistry:

@@ -2,14 +2,18 @@
 deduplicating worklist, slotted/interned IR objects, and the LRU-bounded
 estimate cache.
 
-The A/B harness at the bottom pins the contract the worklist driver lives
-under: byte-identical IR with the legacy sweep oracle across the golden
-kernel corpus, with a bounded number of visits per op even through a
-constant-folding storm.
+The oracle harness at the bottom pins the contract the worklist driver
+lives under: byte-identical IR with what the former full-module fixpoint
+sweep produced across the golden kernel corpus (frozen in
+``tests/golden/sweep_oracle.json``), with a bounded number of visits per op
+even through a constant-folding storm.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import pathlib
 import pickle
 
 import pytest
@@ -28,7 +32,7 @@ from repro.ir.builder import Builder
 from repro.ir.operation import Operation
 from repro.ir.printer import Printer
 from repro.ir.rewrite import (GreedyRewriteDriver, PatternRewriter,
-                              RewritePattern, set_rewrite_strategy)
+                              RewritePattern)
 from repro.ir.types import f32, index
 from repro.ir.value import OpResult
 from repro.obs.report import format_pattern_stats, pattern_stats_of
@@ -76,7 +80,7 @@ class TestBucketedDispatch:
         wildcard = _Never(None)
         driver = GreedyRewriteDriver([_Never("a.x"), wildcard])
         op = Operation("b.unknown")
-        assert driver._matching_patterns(op) == (wildcard,)
+        assert driver._buckets.get(op.name, driver._generic) == (wildcard,)
 
     def test_bucket_stats_reported_per_op_name(self):
         root, _ = _chain_module(4)
@@ -108,7 +112,7 @@ class TestDeduplicatingWorklist:
         block = root.regions[0].add_block(Block())
         target = Operation("bench.target")
         block.append(target)
-        driver = GreedyRewriteDriver([Count()], strategy="worklist")
+        driver = GreedyRewriteDriver([Count()])
         driver._root = root
         for _ in range(50):
             driver.enqueue(target)
@@ -129,7 +133,7 @@ class TestDeduplicatingWorklist:
         block = root.regions[0].add_block(Block())
         for i in range(8):
             block.append(Operation(f"bench.op{i}"))
-        driver = GreedyRewriteDriver([Record()], strategy="worklist")
+        driver = GreedyRewriteDriver([Record()])
         driver.rewrite(root)
         assert order == [f"bench.op{i}" for i in range(8)]
 
@@ -141,7 +145,7 @@ class TestDeduplicatingWorklist:
         length = 300
         root, _ = _chain_module(length)
         driver = GreedyRewriteDriver(canonicalization_patterns(),
-                                     max_iterations=64, strategy="worklist")
+                                     max_iterations=64)
         driver.rewrite(root)
         # Every op folds and everything is DCE'd...
         assert sum(len(b) for b in
@@ -256,25 +260,138 @@ GOLDEN_CORPUS = {
 }
 
 
+#: What the sweep strategy — a full-module fixpoint, the driver's oracle
+#: until it was deleted — produced on the corpus and three smaller cases.
+SWEEP_ORACLE = json.loads(
+    (pathlib.Path(__file__).parent / "golden" / "sweep_oracle.json").read_text())
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 class TestWorklistSweepAB:
-    """The A/B harness: both strategies must produce byte-identical IR."""
+    """The worklist driver produces byte-identical IR to the sweep oracle."""
 
     @pytest.mark.parametrize("key", sorted(GOLDEN_CORPUS))
     def test_worklist_and_sweep_byte_identical(self, key):
         kernel, size, point = GOLDEN_CORPUS[key]
-        outputs = {}
-        for strategy in ("sweep", "worklist"):
-            previous = set_rewrite_strategy(strategy)
-            try:
-                module = compile_kernel(kernel, size)
-                design = apply_design_point(module, point)
-                outputs[strategy] = (
-                    Printer(stable_ids=True).print(design.module),
-                    emit_hlscpp(design.module),
-                    design.qor.latency, design.qor.dsp, design.qor.lut)
-            finally:
-                set_rewrite_strategy(previous)
-        assert outputs["sweep"] == outputs["worklist"]
+        design = apply_design_point(compile_kernel(kernel, size), point)
+        assert {"ir_sha256": sha256(Printer(stable_ids=True).print(design.module)),
+                "cpp_sha256": sha256(emit_hlscpp(design.module)),
+                "latency": design.qor.latency, "dsp": design.qor.dsp,
+                "lut": design.qor.lut} == SWEEP_ORACLE["corpus"][key]
+
+
+class TestSharedDispatch:
+    """A pass's pattern set is built once per process and shared, read-only,
+    by every driver; only a run's own state is created per run."""
+
+    def test_pattern_counts_equal_the_frozen_ones_on_the_golden_pipelines(self):
+        for key, (kernel, size, point) in sorted(GOLDEN_CORPUS.items()):
+            module = compile_kernel(kernel, size)
+            with obs.session() as session:
+                apply_design_point(module, point)
+            patterns, buckets = pattern_stats_of(session.metrics.counters)
+            frozen = SWEEP_ORACLE["worklist_pattern_stats"][key]
+            assert {name: list(counts) for name, counts in patterns.items()} \
+                == frozen["patterns"], key
+            assert {name: list(counts) for name, counts in buckets.items()} \
+                == frozen["buckets"], key
+
+    def test_no_dispatch_is_built_per_run(self, monkeypatch):
+        from repro.ir.rewrite import PatternSet
+        from repro.transforms.cleanup.canonicalize import canonicalize
+
+        built = []
+        construct = PatternSet.__init__
+
+        def counted(pattern_set, patterns):
+            built.append(pattern_set)
+            construct(pattern_set, patterns)
+
+        monkeypatch.setattr(PatternSet, "__init__", counted)
+        tables = set()
+        construct_driver = GreedyRewriteDriver.__init__
+
+        def noted(driver, *args, **kwargs):
+            construct_driver(driver, *args, **kwargs)
+            tables.add(id(driver._buckets))
+
+        monkeypatch.setattr(GreedyRewriteDriver, "__init__", noted)
+        apply_design_point(compile_kernel("gemm", 8), GOLDEN_CORPUS["gemm8_tiled"][2])
+        canonicalize(_chain_module(4)[0])
+        simplify_affine_ifs(_guarded_loop_module())
+        assert not built
+        assert len(tables) == 2  # canonicalize, simplify-affine-if
+
+    def test_simplified_count_is_per_run(self):
+        assert simplify_affine_ifs(_guarded_loop_module()) == 1
+        assert simplify_affine_ifs(_guarded_loop_module()) == 1
+        assert simplify_affine_ifs(_chain_module(3)[0]) == 0
+
+    def test_two_threads_canonicalizing_produce_the_serial_ir(self):
+        """Threads share the pattern sets: more threads than cores, switching
+        as often as the interpreter allows, each on modules of its own."""
+        import sys
+        import threading
+
+        keys = sorted(GOLDEN_CORPUS)
+
+        def evaluate(key):
+            kernel, size, point = GOLDEN_CORPUS[key]
+            return Printer(stable_ids=True).print(
+                apply_design_point(compile_kernel(kernel, size), point).module)
+
+        serial = {key: evaluate(key) for key in keys}
+        start = threading.Barrier(4)
+        outputs = {index: [] for index in range(4)}
+
+        def run(index):
+            start.wait()
+            for key in keys[index % 2::2]:
+                outputs[index].append((key, evaluate(key)))
+
+        threads = [threading.Thread(target=run, args=(index,), daemon=True)
+                   for index in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for index, results in outputs.items():
+            assert [key for key, _ in results] == keys[index % 2::2]
+            assert all(text == serial[key] for key, text in results)
+
+    def test_trip_count_reads_the_bound_constants_on_every_golden_loop(self):
+        from repro.affine.expr import AffineConstantExpr
+
+        def constant(affine_map):
+            results = affine_map.results
+            if len(results) == 1 and isinstance(results[0], AffineConstantExpr):
+                return results[0].value
+            return None
+
+        def derived(loop):
+            lower, upper = constant(loop.lower_map), constant(loop.upper_map)
+            if lower is None or upper is None:
+                return None
+            return max(0, -(-(upper - lower) // max(1, loop.step)))
+
+        loops = 0
+        for key, (kernel, size, point) in sorted(GOLDEN_CORPUS.items()):
+            source = compile_kernel(kernel, size)
+            for module in (source, apply_design_point(source, point).module):
+                for op in module.walk():
+                    if isinstance(op, AffineForOp):
+                        assert op.trip_count() == derived(op)
+                        loops += 1
+        assert loops
 
 
 class _NecessityProbe(RewritePattern):

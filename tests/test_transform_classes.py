@@ -339,6 +339,53 @@ def applied_designs(size: int = 8, per_kernel: int = 4):
                 yield module, func_op, loops[0]
 
 
+def model_class_designs(model: str, tries: int = 8):
+    """One applied design with a pipelined loop per structural class of the
+    explorable nodes of ``model`` at graph level 7 (classes none of whose
+    ``tries`` sampled points keeps a pipelined loop are left out)."""
+    from repro.dse.space import ir_digest
+
+    _, nodes = staged_nodes(model)
+    classes = {}
+    for func_op in nodes:
+        classes.setdefault(ir_digest(func_op), func_op)
+    rng = random.Random(29)
+    for func_op in classes.values():
+        context = function_context(single_function_module(func_op), VU9P_SLR)
+        for _ in range(tries):
+            point = context.space.decode(context.space.random_point(rng))
+            module, applied = optimize_kernel_module(context.module, point,
+                                                     context.func_name)
+            loops = pipelined_loops(applied)
+            if len(loops) == 1:
+                yield module, applied, loops[0]
+                break
+
+
+def assert_multi_ii_equals_single_calls(module, func_op, retarget, platform,
+                                        iis=(1, 2, 3, 4, 8, 16)):
+    """One multi-II call against, per II, a call on a clone whose copy of
+    ``retarget`` (a loop or a function; gone from the IR is fine) carries
+    that II: results and achieved IIs equal, no resources shared."""
+    from repro.dialects.hlscpp import get_func_directive
+
+    together = QoREstimator(platform).estimate_function(
+        func_op, module=module, retarget=retarget, target_iis=iis)
+    assert len({id(result.resources) for result in together}) == len(iis)
+    position = next((index for index, op in enumerate(module.walk())
+                     if op is retarget), None)
+    for target_ii, result in zip(iis, together):
+        clone = module.clone()
+        if position is not None:
+            owner = list(clone.walk())[position]
+            directive = get_loop_directive(owner) or get_func_directive(owner)
+            directive.target_ii = target_ii
+        alone = QoREstimator(platform).estimate_function(
+            clone.lookup(func_op.get_attr("sym_name")), module=clone)
+        assert result == alone
+        assert result.achieved_ii == alone.achieved_ii
+
+
 class TestEstimatorLaws:
     IIS = (1, 2, 3, 4, 8, 16)
 
@@ -370,6 +417,83 @@ class TestEstimatorLaws:
                     clone_func, module=clone)
                 assert result == alone
                 assert result.achieved_ii == alone.achieved_ii
+
+    # The one walk leaves only the retargeted owner and its ancestors to
+    # close per II; these inputs put that owner at the other places it can
+    # sit, with each result checked against a single-II call on a clone.
+
+    def test_multi_ii_on_every_loop_level_class_of_three_models(self):
+        """Shallow nests: every block of a node encloses the pipelined loop."""
+        checked = 0
+        for model in ("vgg16", "resnet18", "mobilenet"):
+            for module, func_op, loop in model_class_designs(model):
+                assert_multi_ii_equals_single_calls(module, func_op, loop,
+                                                    VU9P_SLR)
+                checked += 1
+        assert checked >= 40
+
+    def test_multi_ii_on_a_flattened_pipelined_nest(self):
+        found = 0
+        for module, func_op, loop in applied_designs(per_kernel=6):
+            parent = get_loop_directive(loop.parent_op)
+            if parent is not None and parent.flatten:
+                assert_multi_ii_equals_single_calls(module, func_op, loop, XC7Z020)
+                found += 1
+        assert found
+
+    def test_multi_ii_on_a_dataflow_function_with_callees(self):
+        from repro.frontend.pytorch_like import GraphBuilder
+        from repro.transforms import (legalize_dataflow, lower_graph_to_loops,
+                                      split_function)
+
+        builder = GraphBuilder("chain", (1, 4, 8, 8))
+        x = builder.relu(builder.input)
+        x = builder.conv2d(x, 4, 3, padding=1)
+        x = builder.relu(x)
+        module = builder.finish(x)
+        top = module.functions()[0]
+        legalize_dataflow(top)
+        split_function(module, top)
+        lower_graph_to_loops(module)
+        for callee in module.functions()[1:]:
+            innermost = [op for op in callee.walk()
+                         if op.name == "affine.for"
+                         and not any(inner.name == "affine.for"
+                                     for inner in op.body.operations)]
+            pipeline_loop(innermost[0], 1)
+        assert any(op.name == "func.call" for op in top.walk())
+        loops = [loop for callee in module.functions()[1:]
+                 for loop in pipelined_loops(callee)]
+        assert len(loops) >= 2
+        for loop in loops:
+            assert_multi_ii_equals_single_calls(module, top, loop, VU9P_SLR)
+
+    def test_multi_ii_on_a_pipelined_function(self):
+        from repro.transforms import pipeline_function
+
+        module = compile_c(kernel_source("bicg", 4), "bicg")
+        func_op = module.functions()[0]
+        pipeline_function(func_op, 2)
+        assert_multi_ii_equals_single_calls(module, func_op, func_op, XC7Z020)
+
+    def test_multi_ii_when_canonicalize_dissolved_the_pipelined_loop(self):
+        """A trip-1 pipelined loop the cleanup promotes: the retarget is no
+        longer in the IR, and every II gets the one estimate."""
+        from repro.dse.apply import _transform
+
+        found = 0
+        for name in KERNEL_NAMES:
+            context = kernel_context(name, 4)
+            rng = random.Random(23)
+            for _ in range(12):
+                point = context.space.decode(context.space.random_point(rng))
+                module, func_op, loop, _ = _transform(
+                    context.module, point, context.func_name, None, None)
+                if loop is not None and loop.parent is None:
+                    assert_multi_ii_equals_single_calls(module, func_op, loop,
+                                                        XC7Z020)
+                    found += 1
+        assert found
 
     def test_retargeting_a_pipelined_function(self):
         from repro.transforms import pipeline_function
