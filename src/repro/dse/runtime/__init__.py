@@ -5,10 +5,15 @@ service.  :class:`~repro.dse.runtime.config.SweepConfig` declares every
 setting of a sweep once; each piece below takes it and reads what it acts
 on:
 
-* :class:`~repro.dse.runtime.parallel.ParallelExplorer` — a batch-synchronous
-  coordinator that drives the engine's pure
-  :class:`~repro.dse.engine.ExplorationPolicy` across a pool of worker
-  processes, with a hard determinism guarantee: a fixed seed produces an
+* :class:`~repro.dse.runtime.scheduler.MultiKernelScheduler` — the route
+  of every sweep: DSE over many
+  :class:`~repro.dse.runtime.scheduler.KernelTask`s on one shared worker
+  pool and cache; it owns the backend, the fingerprints and the checkpoint
+  names.  :class:`~repro.dse.runtime.scheduler.ParallelExplorer` is a
+  one-task sweep under the key ``"kernel"``.
+* :mod:`~repro.dse.runtime.parallel` — one kernel's trajectory, handed all
+  of that: the engine's pure :class:`~repro.dse.engine.ExplorationPolicy`
+  in batches, with a hard determinism guarantee: a fixed seed produces an
   identical Pareto frontier for any worker count.
 * :class:`~repro.dse.runtime.cache.EstimateCache` — a QoR memo keyed by
   ``(kernel fingerprint, encoded design point)`` with optional JSONL
@@ -16,9 +21,6 @@ on:
 * :class:`~repro.dse.runtime.checkpoint.CheckpointStore` — atomic snapshots
   of explorer state (records, RNG, progress) every N evaluations, enabling
   ``--resume`` after interruption with a bit-identical final frontier.
-* :class:`~repro.dse.runtime.scheduler.MultiKernelScheduler` — concurrent
-  DSE over many :class:`~repro.dse.runtime.scheduler.KernelTask`s (e.g.
-  every function of a module) on one shared worker pool and cache.
 * :class:`~repro.dse.runtime.model.ModelScheduler` — the whole-model flow:
   graph staging, per-node kernel splitting, budgeted multi-kernel sweep and
   model-level frontier composition.
@@ -43,9 +45,13 @@ from repro.dse.runtime.model import (
     NodeBudgetPolicy,
     compose_model_frontier,
 )
-from repro.dse.runtime.parallel import ParallelDSEResult, ParallelExplorer
+from repro.dse.runtime.parallel import ParallelDSEResult
 from repro.dse.runtime.records import EvaluationRecord
-from repro.dse.runtime.scheduler import KernelTask, MultiKernelScheduler
+from repro.dse.runtime.scheduler import (
+    KernelTask,
+    MultiKernelScheduler,
+    ParallelExplorer,
+)
 from repro.dse.runtime.worker import (
     KernelContext,
     ProcessPoolBackend,

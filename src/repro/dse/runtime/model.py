@@ -502,7 +502,7 @@ class ModelScheduler:
             model_name = model.get_attr("sym_name") or "model"
             module = model.clone()
 
-        config, cache = self.config, self.config.cache
+        config = self.config
         obs_on = obs.active() is not None
         model_span = obs.NULL_SPAN if not obs_on else obs.span(
             "dse.model", model=model_name, graph_level=graph_level,
@@ -511,8 +511,6 @@ class ModelScheduler:
             tasks, node_order, skipped = self._staged_tasks(module, graph_level,
                                                             max_nodes)
             model_span.set(nodes=len(node_order))
-            known_before = cache.known_keys() if cache is not None \
-                else frozenset()
             scheduler = MultiKernelScheduler(
                 self.platform, config, checkpoint_dir=self.checkpoint_dir)
             node_results = scheduler.explore_kernels(tasks, resume=resume)
@@ -533,8 +531,8 @@ class ModelScheduler:
                 seed=config.seed, node_order=node_order, skipped=skipped,
                 node_results=node_results, frontier=frontier,
                 truncated=truncated,
-                frontier_cache_hits=self._revalidate_frontier(node_results,
-                                                              known_before),
+                frontier_cache_hits=self._revalidate_frontier(
+                    node_results, scheduler.known_before),
                 wall_seconds=time.perf_counter() - started,
                 platform_frontiers=platform_frontiers)
         if obs_on:
@@ -553,7 +551,8 @@ class ModelScheduler:
         durable estimate store could already vouch for when the run started
         — making cache warmth visible on resumed runs that never dispatch an
         evaluation, while a cold run (which only just stored its records)
-        reports 0.
+        reports 0.  ``known_before`` is the key snapshot the sweep's
+        :class:`MultiKernelScheduler` took before it evaluated anything.
         """
         if not known_before:
             return 0

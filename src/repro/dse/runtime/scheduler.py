@@ -1,4 +1,4 @@
-"""Concurrent DSE over many kernels sharing one worker pool.
+"""Every DSE sweep, from one kernel to every node of a model.
 
 A DNN compiled through the graph flow (:func:`repro.pipeline.compile_dnn`)
 contains one lowered function per dataflow stage; sweeping a whole model
@@ -6,7 +6,13 @@ means running DSE for each of them.  :class:`MultiKernelScheduler` does so
 under a *shared resource budget*: one worker pool of ``jobs`` processes
 serves all kernels, coordinator threads interleave their batches onto it,
 and a shared :class:`EstimateCache` deduplicates work across kernels and
-runs.
+runs.  A single kernel (:class:`ParallelExplorer`) is a one-task sweep.
+
+The scheduler is the one owner of what a sweep shares: it creates and
+closes the backend, fingerprints every kernel, decides where each
+checkpoints, and snapshots the cache keys that pre-date the sweep.  A
+kernel's trajectory (:func:`~repro.dse.runtime.parallel._explore_trajectory`)
+is handed all of it.
 
 Kernels are grouped by fingerprint (:func:`repro.dse.space.ir_digest` hashes
 structure, not names), and each class is explored *representative-first*:
@@ -31,23 +37,55 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import hashlib
 import os
 import threading
 from typing import Optional, Sequence
 
 from repro import obs
+from repro.dse.apply import kernel_pipeline_signature
 from repro.dse.runtime.cache import EstimateCache
 from repro.dse.runtime.config import SweepConfig
 from repro.dse.runtime.faults import EvaluationFailure
-from repro.dse.runtime.parallel import (
-    ParallelDSEResult,
-    ParallelExplorer,
-    _kernel_fingerprint,
-)
+from repro.dse.runtime.parallel import ParallelDSEResult, _explore_trajectory
 from repro.dse.runtime.worker import KernelContext, create_backend
 from repro.dse.space import KernelDesignSpace
 from repro.estimation.platform import Platform, XC7Z020
 from repro.ir.module import ModuleOp
+
+
+def _kernel_fingerprint(space: KernelDesignSpace, func_op,
+                        platform: Platform) -> str:
+    """Cache/checkpoint identity of (kernel, design space, pipeline, platform).
+
+    ``space.fingerprint()`` covers the kernel IR only when the space was
+    built via :meth:`KernelDesignSpace.from_function`; a directly
+    constructed space (``ir_digest == ""``) would collide across different
+    kernels with the same shape.  The runtime always has the function at
+    hand, so it mixes the actual IR digest in for that case.
+
+    The canonical pipeline signature of the evaluation flow is always mixed
+    in: cached estimates produced under a different transform pipeline must
+    never be reused.  The same goes for the hardware model: the
+    ``config_hash()`` of ``platform`` (the sweep's single target) is mixed
+    in unless the space carries its own platform dimension, whose
+    fingerprint already hashes every platform of the sweep — so estimates
+    cached under one platform are never served to a sweep over another.
+    """
+    parts = [space.fingerprint(), kernel_pipeline_signature()]
+    if not space.platforms:
+        parts.append(platform.config_hash())
+    if not space.ir_digest:
+        from repro.dse.space import ir_digest
+
+        parts.append(ir_digest(func_op))
+    combined = ":".join(parts)
+    return hashlib.sha256(combined.encode("utf-8")).hexdigest()[:20]
+
+
+def _function(module: ModuleOp, func_name: Optional[str]):
+    """``func_name`` of ``module``, or its first function when None."""
+    return module.lookup(func_name) if func_name else module.functions()[0]
 
 
 @dataclasses.dataclass
@@ -55,10 +93,11 @@ class KernelTask:
     """One kernel to explore: where it lives and how much budget it gets.
 
     ``key`` names the task everywhere: the worker context, the checkpoint
-    file (``<key>.ckpt.json``) and the result dictionary.  ``num_samples``
-    and ``max_iterations`` override the sweep's budgets when set — the
-    per-node budget policy of the whole-model sweep uses them to give light
-    dataflow stages proportionally smaller explorations.
+    file (``<key>.ckpt.json`` under the scheduler's ``checkpoint_dir``) and
+    the result dictionary.  ``num_samples`` and ``max_iterations`` override
+    the sweep's budgets when set — the per-node budget policy of the
+    whole-model sweep uses them to give light dataflow stages
+    proportionally smaller explorations.
     """
 
     key: str
@@ -71,6 +110,10 @@ class KernelTask:
     #: sweeps; unlike the budgets above it is not part of the trajectory, so
     #: a capped run checkpoints a resumable prefix of the uncapped one).
     max_evaluations: Optional[int] = None
+    #: Where the kernel checkpoints.  When None the scheduler fills in
+    #: ``<key>.ckpt.json`` under its ``checkpoint_dir`` (and without one the
+    #: kernel does not checkpoint).
+    checkpoint_path: Optional[str] = None
     #: Filled in by the scheduler, once per sweep, on its own copy of the
     #: task: the kernel's cache/checkpoint identity, and the key of the
     #: earlier task with the same identity (its class's *representative*),
@@ -88,6 +131,9 @@ class MultiKernelScheduler:
         self.platform = platform
         self.config = config
         self.checkpoint_dir = checkpoint_dir
+        #: The estimate-cache keys that pre-dated the last sweep (empty
+        #: without a cache), taken once before it evaluates anything.
+        self.known_before: frozenset = frozenset()
 
     # -- public API -------------------------------------------------------------------------
 
@@ -116,8 +162,6 @@ class MultiKernelScheduler:
         if len(set(keys)) != len(keys):
             raise ValueError(f"kernel task keys must be unique, got {keys}")
 
-        from repro.dse.apply import kernel_pipeline_signature
-
         signature = kernel_pipeline_signature()
         contexts = {
             task.key: KernelContext(module=task.module, func_name=task.func_name,
@@ -129,26 +173,32 @@ class MultiKernelScheduler:
         # estimate-cache keys.  The first task of each class (its
         # representative) pays for the evaluations; every later member runs
         # after it and resolves the trajectory they share from the cache —
-        # through the same explorer path, so checkpoints, resume and
-        # quarantine need no second code path, and who hits and who misses
-        # never depends on a thread race.
+        # through the same trajectory, so checkpoints, resume and quarantine
+        # need no second code path, and who hits and who misses never
+        # depends on a thread race.
         classes: dict[str, list[KernelTask]] = {}
         for index, task in enumerate(tasks):
-            fingerprint = self._fingerprint(task)
+            fingerprint = _kernel_fingerprint(
+                task.space, _function(task.module, task.func_name),
+                self.platform)
+            checkpoint_path = task.checkpoint_path
+            if checkpoint_path is None and self.checkpoint_dir:
+                checkpoint_path = os.path.join(self.checkpoint_dir,
+                                               f"{task.key}.ckpt.json")
             members = classes.setdefault(fingerprint, [])
             tasks[index] = task = dataclasses.replace(
                 task, fingerprint=fingerprint,
-                shared_with=members[0].key if members else None)
+                shared_with=members[0].key if members else None,
+                checkpoint_path=checkpoint_path)
             members.append(task)
-        config, known_before = self.config, frozenset()
-        if len(classes) < len(tasks):
-            if config.cache is None:
-                # Sharing must not hinge on --cache: the sweep owns a
-                # run-local cache, but only when a class repeats (a sweep of
-                # distinct kernels runs exactly as it always did).
-                config = dataclasses.replace(config, cache=EstimateCache())
-            else:
-                known_before = config.cache.known_keys()
+        config = self.config
+        self.known_before = frozenset() if config.cache is None \
+            else config.cache.known_keys()
+        if len(classes) < len(tasks) and config.cache is None:
+            # Sharing must not hinge on --cache: the sweep owns a run-local
+            # cache, but only when a class repeats (a sweep of distinct
+            # kernels runs exactly as it always did).
+            config = dataclasses.replace(config, cache=EstimateCache())
 
         stop_event = threading.Event()
         backend = create_backend(contexts, config, stop_event)
@@ -158,9 +208,8 @@ class MultiKernelScheduler:
             with schedule_span:
                 if config.jobs <= 1 or len(tasks) == 1:
                     # Task order already puts every representative first.
-                    return {task.key: self._explore_one(
-                                task, config, known_before, backend, resume,
-                                stop_event)
+                    return {task.key: self._explore_one(task, config,
+                                                        backend, resume)
                             for task in tasks}
                 # Spawn the pool's workers from the main thread, before any
                 # coordinator threads exist: forking from a multi-threaded
@@ -175,8 +224,7 @@ class MultiKernelScheduler:
                         max_workers=len(classes)) as coordinators:
                     futures = [
                         coordinators.submit(self._explore_class, members,
-                                            config, known_before, backend,
-                                            resume, stop_event)
+                                            config, backend, resume)
                         for members in classes.values()
                     ]
                     try:
@@ -218,17 +266,8 @@ class MultiKernelScheduler:
                                     space=space))
         return tasks
 
-    def _fingerprint(self, task: KernelTask) -> str:
-        """The task's cache/checkpoint identity, computed once per sweep."""
-        module = task.module
-        func_op = module.lookup(task.func_name) if task.func_name \
-            else module.functions()[0]
-        return _kernel_fingerprint(task.space, func_op, self.platform)
-
     def _explore_class(self, members: Sequence[KernelTask],
-                       config: SweepConfig,
-                       known_before: frozenset, backend, resume: bool,
-                       stop_event: threading.Event
+                       config: SweepConfig, backend, resume: bool
                        ) -> dict[str, ParallelDSEResult]:
         """Explore one fingerprint class, representative first.
 
@@ -237,8 +276,8 @@ class MultiKernelScheduler:
         results = {}
         for task in members:
             try:
-                results[task.key] = self._explore_one(
-                    task, config, known_before, backend, resume, stop_event)
+                results[task.key] = self._explore_one(task, config, backend,
+                                                      resume)
             except EvaluationFailure:
                 raise
             except Exception as error:
@@ -247,22 +286,45 @@ class MultiKernelScheduler:
                     f"{type(error).__name__}: {error}") from error
         return results
 
-    def _explore_one(self, task: KernelTask, config: SweepConfig,
-                     known_before: frozenset, backend, resume: bool,
-                     stop_event: Optional[threading.Event] = None
-                     ) -> ParallelDSEResult:
-        checkpoint_path = None
-        if self.checkpoint_dir:
-            checkpoint_path = os.path.join(self.checkpoint_dir,
-                                           f"{task.key}.ckpt.json")
+    def _explore_one(self, task: KernelTask, config: SweepConfig, backend,
+                     resume: bool) -> ParallelDSEResult:
         budget = {name: value for name in ("num_samples", "max_iterations")
                   if (value := getattr(task, name)) is not None}
-        explorer = ParallelExplorer(
-            self.platform, dataclasses.replace(config, **budget),
-            checkpoint_path=checkpoint_path,
-            max_evaluations=task.max_evaluations, stop_event=stop_event)
-        return explorer.explore(
-            task.module, space=task.space, func_name=task.func_name,
-            resume=resume, backend=backend, context_key=task.key,
-            fingerprint=task.fingerprint, shared_with=task.shared_with,
-            known_before=known_before)
+        return _explore_trajectory(task, self.platform,
+                                   dataclasses.replace(config, **budget),
+                                   backend, resume, self.known_before)
+
+
+class ParallelExplorer:
+    """DSE of one kernel: a one-task :class:`MultiKernelScheduler` sweep
+    under the key ``"kernel"`` (its fault-plan victims, ``dse:kernel``
+    track and ``dse.node.kernel.*`` metrics)."""
+
+    def __init__(self, platform: Platform = XC7Z020,
+                 config: SweepConfig = SweepConfig(), *,
+                 checkpoint_path: Optional[str] = None,
+                 max_evaluations: Optional[int] = None):
+        self.platform = platform
+        self.config = config
+        self.checkpoint_path = checkpoint_path
+        #: Hard cap on points processed this run; not part of the
+        #: trajectory, so a capped run checkpoints a resumable prefix of the
+        #: uncapped one.
+        self.max_evaluations = max_evaluations
+
+    def explore(self, module: ModuleOp,
+                space: Optional[KernelDesignSpace] = None,
+                func_name: Optional[str] = None,
+                resume: bool = False) -> ParallelDSEResult:
+        """Explore ``module``'s kernel (``func_name``, or its first
+        function) over ``space`` (by default the function's own);
+        optionally resume from the checkpoint."""
+        if space is None:
+            space = KernelDesignSpace.from_function(
+                _function(module, func_name),
+                platforms=self.config.platforms or None)
+        task = KernelTask(key="kernel", module=module, func_name=func_name,
+                          space=space, max_evaluations=self.max_evaluations,
+                          checkpoint_path=self.checkpoint_path)
+        scheduler = MultiKernelScheduler(self.platform, self.config)
+        return scheduler.explore_kernels([task], resume=resume)["kernel"]

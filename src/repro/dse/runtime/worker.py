@@ -1,7 +1,10 @@
 """Evaluation backends: where design points actually get estimated.
 
-The coordinator (``ParallelExplorer`` / ``MultiKernelScheduler``) decides
-*which* points to evaluate; a backend decides *where*:
+Each kernel's trajectory (:mod:`repro.dse.runtime.parallel`) decides
+*which* points to evaluate; a backend decides *where*.  A sweep has one
+backend: :class:`~repro.dse.runtime.scheduler.MultiKernelScheduler` is the
+only caller of :func:`create_backend`, with one :class:`KernelContext` per
+kernel of the sweep, and closes it when the sweep ends.
 
 * :class:`SerialBackend` evaluates inline in the coordinator process.
 * :class:`ProcessPoolBackend` fans evaluations out over local worker

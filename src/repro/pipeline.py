@@ -80,8 +80,17 @@ def kernel_baseline(module: ModuleOp, platform: Platform = XC7Z020) -> QoRResult
 
 # -- DSE runtime flows ----------------------------------------------------------------
 
+#: The budgets of a kernel sweep (:func:`explore_kernel`,
+#: :func:`explore_module_kernels`, ``dse``) unless the caller sets them.
+KERNEL_BUDGET = {"num_samples": 16, "max_iterations": 24, "batch_size": 8,
+                 "checkpoint_every": 32}
+#: The budgets of a whole-model sweep (:func:`explore_dnn`, ``dnn --dse``):
+#: the heaviest node's, of which the budget policy gives the others a share.
+DNN_BUDGET = {"num_samples": 8, "max_iterations": 12, "batch_size": 4,
+              "checkpoint_every": 16}
 
-def _sweep_config(*, cache: "Optional[EstimateCache]" = None,
+
+def _sweep_config(budget: dict, *, cache: "Optional[EstimateCache]" = None,
                   cache_path: Optional[str] = None,
                   cache_max_bytes: Optional[int] = None,
                   task_timeout: Optional[float] = None, max_retries: int = 2,
@@ -92,11 +101,13 @@ def _sweep_config(*, cache: "Optional[EstimateCache]" = None,
 
     ``fields`` are :class:`repro.dse.runtime.SweepConfig` fields by name
     (``seed``, ``jobs``, ``num_samples``, ``max_iterations``, ``batch_size``,
-    ``checkpoint_every``, ``faults``).  The rest are flat spellings of its
-    object-valued fields: ``cache_path`` creates (or warms from) a
-    persistent JSONL estimate cache (``cache_max_bytes`` bounds it with LRU
-    eviction) unless a ``cache`` object is passed; ``task_timeout`` /
-    ``max_retries`` / ``on_fault`` configure the supervision layer (see
+    ``checkpoint_every``, ``faults``); the four budgets default to the
+    flow's ``budget`` (:data:`KERNEL_BUDGET` or :data:`DNN_BUDGET`).  The
+    rest are flat spellings of its object-valued fields: ``cache_path``
+    creates (or warms from) a persistent JSONL estimate cache
+    (``cache_max_bytes`` bounds it with LRU eviction) unless a ``cache``
+    object is passed; ``task_timeout`` / ``max_retries`` / ``on_fault``
+    configure the supervision layer (see
     :class:`repro.dse.runtime.SupervisionPolicy`).  ``jobs`` is how many
     local worker processes evaluate, ``faults`` injects a
     :class:`repro.dse.runtime.FaultPlan` for chaos testing, and
@@ -113,48 +124,40 @@ def _sweep_config(*, cache: "Optional[EstimateCache]" = None,
         supervision=SupervisionPolicy(task_timeout=task_timeout,
                                       max_retries=max_retries,
                                       on_fault=on_fault),
-        **fields)
+        **{**budget, **fields})
 
 
 def explore_kernel(module: ModuleOp, platform: Platform = XC7Z020, *,
-                   num_samples: int = 16, max_iterations: int = 24,
-                   batch_size: int = 8, checkpoint_every: int = 32,
                    checkpoint_path: Optional[str] = None,
                    resume: bool = False, func_name: Optional[str] = None,
                    **sweep) -> "ParallelDSEResult":
     """Run the DSE runtime on one kernel.
 
-    ``sweep`` takes the other keywords of :func:`_sweep_config` (``jobs``,
-    ``seed``, ``cache_path``, ``task_timeout`` ...); ``checkpoint_path`` +
+    ``sweep`` takes the keywords of :func:`_sweep_config` (``jobs``,
+    ``seed``, ``num_samples``, ``cache_path``, ``task_timeout`` ...; the
+    budgets default to :data:`KERNEL_BUDGET`); ``checkpoint_path`` +
     ``resume`` continue an interrupted exploration.  ``batch_size=1`` is the
     paper's one-neighbour-at-a-time traversal.
     """
     from repro.dse.runtime import ParallelExplorer
 
-    config = _sweep_config(num_samples=num_samples,
-                           max_iterations=max_iterations,
-                           batch_size=batch_size,
-                           checkpoint_every=checkpoint_every, **sweep)
-    explorer = ParallelExplorer(platform, config,
+    explorer = ParallelExplorer(platform,
+                                _sweep_config(KERNEL_BUDGET, **sweep),
                                 checkpoint_path=checkpoint_path)
     return explorer.explore(module, func_name=func_name, resume=resume)
 
 
 def explore_module_kernels(module: ModuleOp, platform: Platform = XC7Z020, *,
-                           num_samples: int = 16, max_iterations: int = 24,
-                           batch_size: int = 8, checkpoint_every: int = 32,
                            checkpoint_dir: Optional[str] = None,
                            resume: bool = False,
                            func_names: Optional[list[str]] = None,
                            **sweep) -> "dict[str, ParallelDSEResult]":
-    """Run DSE for every explorable function of ``module`` concurrently."""
+    """Run DSE for every explorable function of ``module`` concurrently
+    (``sweep`` as in :func:`explore_kernel`)."""
     from repro.dse.runtime import MultiKernelScheduler
 
-    config = _sweep_config(num_samples=num_samples,
-                           max_iterations=max_iterations,
-                           batch_size=batch_size,
-                           checkpoint_every=checkpoint_every, **sweep)
-    scheduler = MultiKernelScheduler(platform, config,
+    scheduler = MultiKernelScheduler(platform,
+                                     _sweep_config(KERNEL_BUDGET, **sweep),
                                      checkpoint_dir=checkpoint_dir)
     return scheduler.explore_module(module, func_names=func_names, resume=resume)
 
@@ -182,8 +185,6 @@ def prepare_dnn_stages(module: ModuleOp, graph_level: int) -> int:
 
 def explore_dnn(model_name: str, platform: Platform = VU9P_SLR, *,
                 graph_level: int = 4,
-                num_samples: int = 8, max_iterations: int = 12,
-                batch_size: int = 4, checkpoint_every: int = 16,
                 checkpoint_dir: Optional[str] = None, resume: bool = False,
                 budget_mode: str = "flops", frontier_cap: int = 64,
                 max_nodes: Optional[int] = None,
@@ -193,17 +194,15 @@ def explore_dnn(model_name: str, platform: Platform = VU9P_SLR, *,
     Mirrors :func:`explore_kernel` / :func:`explore_module_kernels` for the
     model flow: one shared worker pool sweeps every dataflow node of the
     staged model, and the per-node frontiers compose into the model-level
-    latency/resource frontier.  ``num_samples`` / ``max_iterations`` are the
-    budget of the heaviest node (``budget_mode`` scales the others).
+    latency/resource frontier.  The budgets of ``sweep`` default to
+    :data:`DNN_BUDGET`; ``num_samples`` / ``max_iterations`` are the budget
+    of the heaviest node (``budget_mode`` scales the others).
     """
     from repro.dse.runtime import ModelScheduler, NodeBudgetPolicy
 
-    config = _sweep_config(num_samples=num_samples,
-                           max_iterations=max_iterations,
-                           batch_size=batch_size,
-                           checkpoint_every=checkpoint_every, **sweep)
     scheduler = ModelScheduler(
-        platform, config, budget=NodeBudgetPolicy(mode=budget_mode),
+        platform, _sweep_config(DNN_BUDGET, **sweep),
+        budget=NodeBudgetPolicy(mode=budget_mode),
         checkpoint_dir=checkpoint_dir, frontier_cap=frontier_cap)
     return scheduler.explore(model_name, graph_level=graph_level,
                              resume=resume, max_nodes=max_nodes)

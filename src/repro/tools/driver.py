@@ -69,7 +69,8 @@ from repro.obs.report import (
     render_run_summary,
     shared_summary_line,
 )
-from repro.pipeline import compile_c, compile_dnn, compile_kernel, dnn_baseline
+from repro.pipeline import (DNN_BUDGET, KERNEL_BUDGET, compile_c, compile_dnn,
+                            compile_kernel, dnn_baseline)
 from repro.transforms.composite import knobs_not_applied, plan_design_point
 
 
@@ -236,12 +237,14 @@ def _add_instrumentation_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_sweep_arguments(parser: argparse.ArgumentParser,
                          defaults: dict) -> None:
     """The flags every sweep (``dse``, ``dnn --dse``) takes, declared once;
-    ``defaults`` holds the four budgets whose defaults differ per command."""
-    parser.add_argument("--samples", type=int, default=defaults["samples"],
+    ``defaults`` holds the four budgets whose defaults differ per flow
+    (``KERNEL_BUDGET`` or ``DNN_BUDGET`` of :mod:`repro.pipeline`)."""
+    parser.add_argument("--samples", type=int,
+                        default=defaults["num_samples"],
                         help="initial samples (dnn: per node, scaled down "
                              "for light stages unless --budget uniform)")
     parser.add_argument("--iterations", type=int,
-                        default=defaults["iterations"],
+                        default=defaults["max_iterations"],
                         help="frontier-evolution budget (dnn: per node)")
     parser.add_argument("--seed", type=int, default=2022)
     parser.add_argument("--jobs", type=int, default=1,
@@ -301,6 +304,13 @@ def _sweep_settings(args) -> dict:
     if args.resume and not args.checkpoint:
         raise SystemExit("--resume requires --checkpoint PATH (otherwise the "
                          "sweep would silently restart from scratch)")
+    for flag, value, least in (("--jobs", args.jobs, 1),
+                               ("--batch-size", args.batch_size, 1),
+                               ("--checkpoint-every", args.checkpoint_every, 1),
+                               ("--samples", args.samples, 1),
+                               ("--iterations", args.iterations, 0)):
+        if value < least:
+            raise SystemExit(f"{flag} must be >= {least}, got {value}")
     if args.cache_max_bytes is not None:
         if not args.cache:
             raise SystemExit("--cache-max-bytes requires --cache PATH (there "
@@ -390,8 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dse_parser = commands.add_parser("dse", help="run the automated DSE engine")
     _add_kernel_arguments(dse_parser)
-    _add_sweep_arguments(dse_parser, dict(samples=16, iterations=24,
-                                          batch_size=8, checkpoint_every=32))
+    _add_sweep_arguments(dse_parser, KERNEL_BUDGET)
     dse_parser.add_argument("--all-functions", action="store_true",
                             help="explore every function of the module concurrently")
     dse_parser.add_argument("--frontier-out", metavar="PATH",
@@ -418,8 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="sweep every dataflow node's design space "
                                  "through the multi-kernel scheduler and "
                                  "compose the model-level Pareto frontier")
-    _add_sweep_arguments(dnn_parser, dict(samples=8, iterations=12,
-                                          batch_size=4, checkpoint_every=16))
+    _add_sweep_arguments(dnn_parser, DNN_BUDGET)
     dnn_parser.add_argument("--budget", choices=("flops", "uniform"),
                             default="flops",
                             help="per-node budget policy: scale budgets by "

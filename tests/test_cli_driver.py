@@ -221,7 +221,8 @@ class TestSweepSettings:
     ``dse`` / ``dnn`` commands all spell the fields of ``SweepConfig``."""
 
     FIELDS = {field.name for field in dataclasses.fields(SweepConfig)}
-    #: The budgets whose defaults differ per flow, hence declared by each.
+    #: The budgets whose defaults differ per flow, declared once per flow
+    #: (``KERNEL_BUDGET`` / ``DNN_BUDGET``) and read by the driver.
     BUDGETS = {"num_samples", "max_iterations", "batch_size",
                "checkpoint_every"}
     OWN = {"explore_kernel": {"checkpoint_path", "resume", "func_name"},
@@ -229,6 +230,9 @@ class TestSweepSettings:
                                       "func_names"},
            "explore_dnn": {"checkpoint_dir", "resume", "graph_level",
                            "budget_mode", "frontier_cap", "max_nodes"}}
+    FLOW_BUDGETS = {"explore_kernel": ("dse", pipeline.KERNEL_BUDGET),
+                    "explore_module_kernels": ("dse", pipeline.KERNEL_BUDGET),
+                    "explore_dnn": ("dnn", pipeline.DNN_BUDGET)}
 
     @staticmethod
     def keywords(function):
@@ -241,9 +245,16 @@ class TestSweepSettings:
     @pytest.mark.parametrize("name", sorted(OWN))
     def test_explore_keywords_are_sweep_fields_or_the_flows_own(self, name):
         declared, forwarded = self.keywords(getattr(pipeline, name))
-        assert declared == self.BUDGETS | self.OWN[name]
-        assert self.BUDGETS <= self.FIELDS
+        assert declared == self.OWN[name]
         assert forwarded == ["sweep"]  # everything else: _sweep_config
+        command, budget = self.FLOW_BUDGETS[name]
+        assert set(budget) == self.BUDGETS <= self.FIELDS
+        # The command's defaults are the flow's.
+        args = build_parser().parse_args([command])
+        assert (args.samples, args.iterations, args.batch_size,
+                args.checkpoint_every) == tuple(
+            budget[field] for field in ("num_samples", "max_iterations",
+                                        "batch_size", "checkpoint_every"))
 
     def test_the_shared_helper_spells_every_other_field(self):
         declared, forwarded = self.keywords(pipeline._sweep_config)
@@ -258,6 +269,7 @@ class TestSweepSettings:
         with pytest.raises(TypeError, match="jobz"):
             pipeline.explore_kernel(None, jobz=2)
         config = pipeline._sweep_config(
+            pipeline.KERNEL_BUDGET,
             **{name: getattr(SweepConfig(), name)
                for name in self.FIELDS - {"supervision", "cache",
                                           "platforms"}})
@@ -312,6 +324,25 @@ class TestSweepFlagValidation:
             main(SWEEPS[command] + ["--cache", str(tmp_path / "c.jsonl"),
                                     "--cache-max-bytes", value])
         assert not (tmp_path / "c.jsonl").exists()
+
+    @pytest.mark.parametrize("command", sorted(SWEEPS))
+    @pytest.mark.parametrize("flag,value,least", [
+        ("--jobs", "-2", 1), ("--jobs", "0", 1),
+        ("--batch-size", "0", 1), ("--checkpoint-every", "-4", 1),
+        ("--samples", "-3", 1), ("--samples", "0", 1),
+        ("--iterations", "-1", 0)])
+    def test_nonsense_budget_rejected(self, command, flag, value, least,
+                                      monkeypatch):
+        import repro.tools.driver as driver
+
+        def load(*args, **kwargs):
+            raise AssertionError("loaded before the flags were checked")
+
+        monkeypatch.setattr(driver, "_load_module", load)
+        monkeypatch.setattr(driver, "_resolve_platforms", load)
+        with pytest.raises(SystemExit, match=f"{flag} must be >= {least}, "
+                                             f"got {value}"):
+            main(SWEEPS[command] + [flag, value])
 
     @pytest.mark.parametrize("command", sorted(SWEEPS))
     def test_cache_max_bytes_without_cache_rejected(self, command):

@@ -169,23 +169,16 @@ class TestEstimateCache:
         revived = EstimateCache(path)
         assert revived.stats.loaded == 0  # stale entries discarded, not reused
 
-    def test_warm_run_spawns_no_workers(self, gemm_module):
+    def test_warm_run_spawns_no_workers(self, gemm_module, monkeypatch):
         cache = EstimateCache()
         small_explorer(cache=cache).explore(gemm_module)
-        # A fully warm run must never create a process pool (jobs=4 would
-        # fork workers eagerly if the backend were not lazy).
-        import repro.dse.runtime.worker as worker
-
+        # A fully warm run must never fork a worker: the pool's workers
+        # start on its first evaluation, and there is none.
         def boom(*args, **kwargs):
-            raise AssertionError("backend created during a fully warm run")
+            raise AssertionError("worker forked during a fully warm run")
 
-        original = worker.create_backend
-        import repro.dse.runtime.parallel as parallel
-        parallel.create_backend, worker.create_backend = boom, boom
-        try:
-            warm = small_explorer(cache=cache, jobs=4).explore(gemm_module)
-        finally:
-            parallel.create_backend, worker.create_backend = original, original
+        monkeypatch.setattr(worker, "_ProcessLink", boom)
+        warm = small_explorer(cache=cache, jobs=4).explore(gemm_module)
         assert warm.evaluated_this_run == 0
 
     def test_keys_are_per_kernel(self, gemm_module):

@@ -3,6 +3,7 @@ retries, deterministic quarantine, crash/hang/flaky/poison recovery at
 several worker counts, crash-consistent persistence, and graceful
 interruption with ``--resume``."""
 
+import contextlib
 import os
 import random
 import signal
@@ -953,36 +954,40 @@ class TestCheckpointRecovery:
 # -- graceful interruption ------------------------------------------------------------------
 
 
-class _InterruptingBackend:
-    """Evaluates through a serial backend, then raises KeyboardInterrupt."""
+@pytest.fixture
+def interrupt_after(monkeypatch):
+    """``interrupt_after(n)`` makes the sweep's own inline backend raise
+    KeyboardInterrupt on its (n+1)-th batch; it evaluates normally again
+    after the ``with`` block."""
+    evaluate = SerialBackend.evaluate
 
-    def __init__(self, contexts, allowed_calls):
-        self._inner = SerialBackend(contexts, SweepConfig())
-        self._allowed = allowed_calls
-        self.calls = 0
+    @contextlib.contextmanager
+    def interrupting(allowed_calls):
+        calls = []
 
-    def evaluate(self, key, batch):
-        self.calls += 1
-        if self.calls > self._allowed:
-            raise KeyboardInterrupt
-        return self._inner.evaluate(key, batch)
+        def interrupted(backend, key, batch):
+            calls.append(key)
+            if len(calls) > allowed_calls:
+                raise KeyboardInterrupt
+            return evaluate(backend, key, batch)
 
-    def close(self):
-        self._inner.close()
+        with monkeypatch.context() as patch:
+            patch.setattr(SerialBackend, "evaluate", interrupted)
+            yield
+
+    return interrupting
 
 
 class TestInterruptCheckpoint:
-    def test_interrupt_saves_boundary_and_resume_completes(self, gemm_module,
-                                                           tmp_path):
+    def test_interrupt_saves_boundary_and_resume_completes(
+            self, gemm_module, tmp_path, interrupt_after):
         checkpoint = str(tmp_path / "dse.ckpt.json")
         clean = small_explorer().explore(gemm_module)
 
-        contexts = {"kernel": _context(gemm_module)}
-        backend = _InterruptingBackend(contexts, allowed_calls=2)
         explorer = small_explorer(checkpoint_path=checkpoint,
                                   checkpoint_every=1000)
-        with pytest.raises(KeyboardInterrupt):
-            explorer.explore(gemm_module, backend=backend)
+        with interrupt_after(2), pytest.raises(KeyboardInterrupt):
+            explorer.explore(gemm_module)
         # Even though the periodic checkpoint interval was never reached,
         # the interrupt must have persisted the last batch boundary.
         assert os.path.exists(checkpoint)
@@ -992,16 +997,15 @@ class TestInterruptCheckpoint:
         assert frontier_signature(resumed) == frontier_signature(clean)
         assert set(resumed.records) == set(clean.records)
 
-    def test_with_a_persistent_cache(self, gemm_module, tmp_path):
+    def test_with_a_persistent_cache(self, gemm_module, tmp_path,
+                                     interrupt_after):
         # The boundary save is the same file with or without a cache; the
         # resumed run finishes, so the cache keeps it from then on.
         def interrupted(checkpoint, cache=None):
-            backend = _InterruptingBackend({"kernel": _context(gemm_module)},
-                                           allowed_calls=2)
-            with pytest.raises(KeyboardInterrupt):
+            with interrupt_after(2), pytest.raises(KeyboardInterrupt):
                 small_explorer(checkpoint_path=str(checkpoint),
                                checkpoint_every=1000, cache=cache) \
-                    .explore(gemm_module, backend=backend)
+                    .explore(gemm_module)
 
         def resumed():
             cache = EstimateCache(str(tmp_path / "cache.jsonl"))

@@ -373,8 +373,8 @@ class TestSharedSweep:
                             counted("program", incremental.ir_digest))
         monkeypatch.setattr(scheduler, "_kernel_fingerprint", counted(
             "fingerprint", scheduler._kernel_fingerprint))
-        monkeypatch.setattr(parallel, "_kernel_fingerprint", counted(
-            "explorer", parallel._kernel_fingerprint))
+        # The trajectory is handed its fingerprint; it has no way to make one.
+        assert not hasattr(parallel, "_kernel_fingerprint")
         result = sweep()
         # One post-prefix digest per prefix key a node's uncached points
         # reach: at most four a node, whatever it had to evaluate.
