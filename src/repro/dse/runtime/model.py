@@ -323,14 +323,14 @@ class ModelDSEResult:
 
     @property
     def shared_nodes(self) -> int:
-        """Nodes structurally identical to one explored earlier in the sweep."""
+        """Nodes whose result copies a structurally identical node's."""
         return sum(1 for result in self.node_results.values()
                    if result.shared_with is not None)
 
     @property
     def shared_points(self) -> int:
-        """Evaluations those nodes took over from their representatives
-        (counted inside ``cache_hits``, which is every lookup served)."""
+        """Evaluations their representatives made this run (counted
+        inside ``cache_hits``, which is every point served)."""
         return sum(result.shared_hits for result in self.node_results.values())
 
     def best_point(self) -> Optional[ModelFrontierPoint]:
@@ -511,6 +511,8 @@ class ModelScheduler:
             tasks, node_order, skipped = self._staged_tasks(module, graph_level,
                                                             max_nodes)
             model_span.set(nodes=len(node_order))
+            known_before = frozenset() if config.cache is None \
+                else config.cache.known_keys()
             scheduler = MultiKernelScheduler(
                 self.platform, config, checkpoint_dir=self.checkpoint_dir)
             node_results = scheduler.explore_kernels(tasks, resume=resume)
@@ -532,7 +534,7 @@ class ModelScheduler:
                 node_results=node_results, frontier=frontier,
                 truncated=truncated,
                 frontier_cache_hits=self._revalidate_frontier(
-                    node_results, scheduler.known_before),
+                    node_results, known_before),
                 wall_seconds=time.perf_counter() - started,
                 platform_frontiers=platform_frontiers)
         if obs_on:
@@ -551,8 +553,8 @@ class ModelScheduler:
         durable estimate store could already vouch for when the run started
         — making cache warmth visible on resumed runs that never dispatch an
         evaluation, while a cold run (which only just stored its records)
-        reports 0.  ``known_before`` is the key snapshot the sweep's
-        :class:`MultiKernelScheduler` took before it evaluated anything.
+        reports 0.  ``known_before`` is the cache's key snapshot taken
+        before the sweep evaluated anything.
         """
         if not known_before:
             return 0

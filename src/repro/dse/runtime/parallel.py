@@ -208,10 +208,9 @@ class ParallelDSEResult:
     #: (across resumes).  Reporting-only: deliberately absent from any
     #: exported JSON so artifacts stay byte-identical run to run.
     iterations_done: int = 0
-    #: Key of the structurally identical kernel explored before this one in
-    #: the same sweep (None for a representative or a lone kernel), and how
-    #: many of ``cache_hits`` were estimates that kernel class stored during
-    #: this run rather than ones a persistent cache already held.
+    #: Key of the structurally identical kernel whose trajectory this
+    #: result copies (None for a kernel that ran its own), and how many of
+    #: ``cache_hits`` were evaluations that kernel made this run.
     shared_with: Optional[str] = None
     shared_hits: int = 0
     #: How many of ``evaluated_this_run`` no evaluation of their own
@@ -277,24 +276,20 @@ class ParallelDSEResult:
 
 
 def _explore_trajectory(task: KernelTask, platform: Platform,
-                        config: SweepConfig, backend, resume: bool,
-                        known_before: frozenset) -> ParallelDSEResult:
+                        config: SweepConfig, backend,
+                        resume: bool) -> ParallelDSEResult:
     """Explore ``task``'s kernel; optionally resume from its checkpoint.
 
-    The scheduler hands over everything: the ``task`` with its fingerprint,
-    its class representative (``shared_with``) and its checkpoint path
-    filled in, the sweep ``config`` with the task's budgets applied, and the
-    ``backend`` that evaluates every kernel of the sweep under ``task.key``.
-    For a kernel whose representative ran earlier in the sweep, a cache hit
-    outside ``known_before`` (the keys that pre-dated the sweep) is an
-    estimate the representative stored, and is reported as shared rather
-    than as a persistent-cache hit.
+    The scheduler hands over everything: the ``task`` with its fingerprint
+    and its checkpoint path filled in, the sweep ``config`` with the task's
+    budgets applied, and the ``backend`` that evaluates every kernel of the
+    sweep under ``task.key``.
     """
     started = time.perf_counter()
     cache = config.cache
     key, module, func_name, space = (task.key, task.module, task.func_name,
                                      task.space)
-    fingerprint, shared_with = task.fingerprint, task.shared_with
+    fingerprint = task.fingerprint
 
     # The parameters that define the exploration trajectory: a checkpoint
     # taken under different ones must not be resumed (it would continue the
@@ -341,7 +336,6 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
     since_checkpoint = 0
     run_hits = 0
     run_misses = 0
-    shared_hits = 0
 
     obs_on = obs.active() is not None
 
@@ -364,7 +358,7 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
         checkpoint has to keep it (not when ``retires`` and the cache
         answered all of it)."""
         nonlocal evaluated_this_run, processed_this_run, since_checkpoint
-        nonlocal run_hits, run_misses, shared_hits
+        nonlocal run_hits, run_misses
         resolved_before = (classes.siblings, classes.aliases)
         batch_span = obs.NULL_SPAN if not obs_on else obs.span(
             "dse.batch", kernel=key, points=len(batch))
@@ -375,9 +369,6 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
                           if cache is not None else None)
                 if record is not None:
                     state.records[encoded] = record
-                    if shared_with is not None \
-                            and (fingerprint, encoded) not in known_before:
-                        shared_hits += 1
                 else:
                     missing.append(encoded)
             batch_span.set(cached=len(batch) - len(missing))
@@ -511,10 +502,6 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
     explore_span = obs.NULL_SPAN if not obs_on else obs.span(
         "dse.explore", kernel=key, jobs=config.jobs,
         batch_size=config.batch_size, seed=config.seed)
-    if shared_with is not None:
-        # Args only: the span itself exists for every kernel, so the
-        # trace skeleton does not depend on which kernels repeat.
-        explore_span.set(shared_with=shared_with)
     try:
         with obs.track(f"dse:{key}"), explore_span:
             rng = state.rng
@@ -566,16 +553,6 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
             # Step 5: finalization.
             best = ExplorationPolicy.finalize(frontier, state.records,
                                               platform)
-            if obs_on:
-                obs.gauge(f"dse.node.{key}.iterations_done",
-                          state.iterations_done)
-                obs.gauge(f"dse.node.{key}.iterations_budget",
-                          config.max_iterations)
-                obs.gauge(f"dse.node.{key}.samples_budget",
-                          config.num_samples)
-                if shared_with is not None:
-                    obs.counter("dse.shared.nodes")
-                    obs.counter("dse.shared.points", shared_hits)
     except KeyboardInterrupt:
         # Graceful interruption: persist the last completed batch
         # boundary so --resume continues the exact trajectory, then let
@@ -599,8 +576,6 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
         func_name=func_name,
         platform=platform,
         iterations_done=state.iterations_done,
-        shared_with=shared_with,
-        shared_hits=shared_hits,
         resolved_siblings=classes.siblings,
         resolved_aliases=classes.aliases,
     )

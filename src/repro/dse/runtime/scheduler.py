@@ -9,16 +9,16 @@ and a shared :class:`EstimateCache` deduplicates work across kernels and
 runs.  A single kernel (:class:`ParallelExplorer`) is a one-task sweep.
 
 The scheduler is the one owner of what a sweep shares: it creates and
-closes the backend, fingerprints every kernel, decides where each
-checkpoints, and snapshots the cache keys that pre-date the sweep.  A
-kernel's trajectory (:func:`~repro.dse.runtime.parallel._explore_trajectory`)
-is handed all of it.
+closes the backend, fingerprints every kernel and decides where each
+checkpoints.  A kernel's trajectory
+(:func:`~repro.dse.runtime.parallel._explore_trajectory`) is handed all of
+it.
 
 Kernels are grouped by fingerprint (:func:`repro.dse.space.ir_digest` hashes
-structure, not names), and each class is explored *representative-first*:
-its first task is swept as any kernel is, every later one after it, finding
-in the cache the estimates of the trajectory they share.  The repeated
-layers of a DNN are thus evaluated once — with or without a persistent
+structure, not names), and each class is explored *representative-first* on
+one coordinator: its first task is swept as any kernel is, and a later task
+with the same budget takes a copy of that result (:func:`_copy_of`).  The
+repeated layers of a DNN are thus swept once — with or without a persistent
 cache — and which of them pays never depends on thread scheduling.
 
 The unit of scheduling is a :class:`KernelTask` — a (module, function,
@@ -44,7 +44,6 @@ from typing import Optional, Sequence
 
 from repro import obs
 from repro.dse.apply import kernel_pipeline_signature
-from repro.dse.runtime.cache import EstimateCache
 from repro.dse.runtime.config import SweepConfig
 from repro.dse.runtime.faults import EvaluationFailure
 from repro.dse.runtime.parallel import ParallelDSEResult, _explore_trajectory
@@ -85,7 +84,26 @@ def _kernel_fingerprint(space: KernelDesignSpace, func_op,
 
 def _function(module: ModuleOp, func_name: Optional[str]):
     """``func_name`` of ``module``, or its first function when None."""
-    return module.lookup(func_name) if func_name else module.functions()[0]
+    if not func_name:
+        return module.functions()[0]
+    func_op = module.lookup(func_name)
+    if func_op is None:
+        raise ValueError(f"function {func_name!r} not found in the module")
+    return func_op
+
+
+def _copy_of(result: ParallelDSEResult, task: KernelTask,
+             representative: str) -> ParallelDSEResult:
+    """``task``'s result when ``representative`` swept the trajectory they
+    share: its records on the task's own module, each one a hit, and each
+    evaluation it made this run a shared hit."""
+    return dataclasses.replace(
+        result, records=dict(result.records), frontier=list(result.frontier),
+        module=task.module, func_name=task.func_name, space=task.space,
+        shared_with=representative, evaluated_this_run=0, cache_misses=0,
+        resolved_siblings=0, resolved_aliases=0,
+        shared_hits=result.evaluated_this_run,
+        cache_hits=result.cache_hits + result.evaluated_this_run)
 
 
 @dataclasses.dataclass
@@ -114,12 +132,9 @@ class KernelTask:
     #: ``<key>.ckpt.json`` under its ``checkpoint_dir`` (and without one the
     #: kernel does not checkpoint).
     checkpoint_path: Optional[str] = None
-    #: Filled in by the scheduler, once per sweep, on its own copy of the
-    #: task: the kernel's cache/checkpoint identity, and the key of the
-    #: earlier task with the same identity (its class's *representative*),
-    #: or None when this task is the first of its class.
+    #: The kernel's cache/checkpoint identity, filled in by the scheduler,
+    #: once per sweep, on its own copy of the task.
     fingerprint: str = ""
-    shared_with: Optional[str] = None
 
 
 class MultiKernelScheduler:
@@ -131,9 +146,6 @@ class MultiKernelScheduler:
         self.platform = platform
         self.config = config
         self.checkpoint_dir = checkpoint_dir
-        #: The estimate-cache keys that pre-dated the last sweep (empty
-        #: without a cache), taken once before it evaluates anything.
-        self.known_before: frozenset = frozenset()
 
     # -- public API -------------------------------------------------------------------------
 
@@ -170,12 +182,8 @@ class MultiKernelScheduler:
             for task in tasks
         }
         # Structurally identical kernels share a fingerprint, hence their
-        # estimate-cache keys.  The first task of each class (its
-        # representative) pays for the evaluations; every later member runs
-        # after it and resolves the trajectory they share from the cache —
-        # through the same trajectory, so checkpoints, resume and quarantine
-        # need no second code path, and who hits and who misses never
-        # depends on a thread race.
+        # trajectory: one coordinator per class runs its members in task
+        # order (_explore_class).
         classes: dict[str, list[KernelTask]] = {}
         for index, task in enumerate(tasks):
             fingerprint = _kernel_fingerprint(
@@ -185,20 +193,11 @@ class MultiKernelScheduler:
             if checkpoint_path is None and self.checkpoint_dir:
                 checkpoint_path = os.path.join(self.checkpoint_dir,
                                                f"{task.key}.ckpt.json")
-            members = classes.setdefault(fingerprint, [])
             tasks[index] = task = dataclasses.replace(
                 task, fingerprint=fingerprint,
-                shared_with=members[0].key if members else None,
                 checkpoint_path=checkpoint_path)
-            members.append(task)
+            classes.setdefault(fingerprint, []).append(task)
         config = self.config
-        self.known_before = frozenset() if config.cache is None \
-            else config.cache.known_keys()
-        if len(classes) < len(tasks) and config.cache is None:
-            # Sharing must not hinge on --cache: the sweep owns a run-local
-            # cache, but only when a class repeats (a sweep of distinct
-            # kernels runs exactly as it always did).
-            config = dataclasses.replace(config, cache=EstimateCache())
 
         stop_event = threading.Event()
         backend = create_backend(contexts, config, stop_event)
@@ -208,9 +207,8 @@ class MultiKernelScheduler:
             with schedule_span:
                 if config.jobs <= 1 or len(tasks) == 1:
                     # Task order already puts every representative first.
-                    return {task.key: self._explore_one(task, config,
-                                                        backend, resume)
-                            for task in tasks}
+                    return self._explore_class(tasks, config, backend,
+                                               resume, attribute=False)
                 # Spawn the pool's workers from the main thread, before any
                 # coordinator threads exist: forking from a multi-threaded
                 # process risks inheriting locks held by other threads.
@@ -254,9 +252,7 @@ class MultiKernelScheduler:
                           for func_op in module.functions()]
         tasks: list[KernelTask] = []
         for name in func_names:
-            func_op = module.lookup(name)
-            if func_op is None:
-                raise ValueError(f"function {name!r} not found in the module")
+            func_op = _function(module, name)
             try:
                 space = KernelDesignSpace.from_function(
                     func_op, platforms=self.config.platforms or None)
@@ -267,32 +263,51 @@ class MultiKernelScheduler:
         return tasks
 
     def _explore_class(self, members: Sequence[KernelTask],
-                       config: SweepConfig, backend, resume: bool
+                       config: SweepConfig, backend, resume: bool,
+                       attribute: bool = True
                        ) -> dict[str, ParallelDSEResult]:
-        """Explore one fingerprint class, representative first.
+        """Explore ``members`` in order: a task whose fingerprint and
+        budget an earlier one swept takes a copy of that one's result.
 
-        Errors are attributed to the kernel that raised them.
+        With ``attribute``, errors are attributed to the kernel that raised
+        them.
         """
-        results = {}
+        results: dict[str, ParallelDSEResult] = {}
+        swept: dict[tuple, str] = {}
         for task in members:
-            try:
-                results[task.key] = self._explore_one(task, config, backend,
-                                                      resume)
-            except EvaluationFailure:
-                raise
-            except Exception as error:
-                raise EvaluationFailure(
-                    f"DSE for kernel {task.key!r} failed: "
-                    f"{type(error).__name__}: {error}") from error
+            task_config = dataclasses.replace(config, **{
+                name: value for name in ("num_samples", "max_iterations")
+                if (value := getattr(task, name)) is not None})
+            representative = swept.setdefault(
+                (task.fingerprint, task_config.num_samples,
+                 task_config.max_iterations, task.max_evaluations), task.key)
+            if representative != task.key:
+                result = _copy_of(results[representative], task,
+                                  representative)
+            else:
+                try:
+                    result = _explore_trajectory(task, self.platform,
+                                                 task_config, backend, resume)
+                except EvaluationFailure:
+                    raise
+                except Exception as error:
+                    if not attribute:
+                        raise
+                    raise EvaluationFailure(
+                        f"DSE for kernel {task.key!r} failed: "
+                        f"{type(error).__name__}: {error}") from error
+            results[task.key] = result
+            if obs.active() is not None:
+                obs.gauge(f"dse.node.{task.key}.iterations_done",
+                          result.iterations_done)
+                obs.gauge(f"dse.node.{task.key}.iterations_budget",
+                          task_config.max_iterations)
+                obs.gauge(f"dse.node.{task.key}.samples_budget",
+                          task_config.num_samples)
+                if result.shared_with is not None:
+                    obs.counter("dse.shared.nodes")
+                    obs.counter("dse.shared.points", result.shared_hits)
         return results
-
-    def _explore_one(self, task: KernelTask, config: SweepConfig, backend,
-                     resume: bool) -> ParallelDSEResult:
-        budget = {name: value for name in ("num_samples", "max_iterations")
-                  if (value := getattr(task, name)) is not None}
-        return _explore_trajectory(task, self.platform,
-                                   dataclasses.replace(config, **budget),
-                                   backend, resume, self.known_before)
 
 
 class ParallelExplorer:

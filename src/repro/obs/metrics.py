@@ -36,7 +36,7 @@ name                      kind       meaning
 ``unroll.if.dropped``     counter    decided false (the else-branch, or nothing)
 ``unroll.if.undecided``   counter    copied whole, for ``-simplify-affine-if``
 ``dse.shared.nodes``      counter    nodes identical to one explored earlier in the run
-``dse.shared.points``     counter    estimates those nodes took over from it
+``dse.shared.points``     counter    evaluations their representatives made this run
 ``dse.checkpoint.saves``  counter    checkpoint files written (periodic, final, Ctrl-C);
                                      against a persistent cache without a byte
                                      bound, a batch it answered in full neither

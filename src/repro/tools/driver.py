@@ -683,10 +683,9 @@ def run_dnn_dse(args) -> int:
         max_nodes=max_nodes,
         platforms=platforms if len(platforms) > 1 else None, **settings)
 
-    # The cache note speaks of the persistent cache only: estimates a node
-    # took over from its representative within this run are reported on
-    # their own line, and without --cache the sweep's run-local cache is an
-    # implementation detail.
+    # The cache note speaks of the persistent cache only: the evaluations a
+    # node's representative made within this run are reported on their own
+    # line.
     cache_parts = []
     if args.cache:
         persistent_hits = result.cache_hits - result.shared_points

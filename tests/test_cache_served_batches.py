@@ -139,19 +139,19 @@ class TestOtherSweepsKeepTheirCheckpoints:
             cache.close()
         assert saves == INTERRUPTED
 
-    def test_with_the_run_local_class_sharing_cache(self, gemm_module,
-                                                    tmp_path, saves,
-                                                    proposals):
+    def test_with_a_repeated_kernel(self, gemm_module, tmp_path, saves,
+                                    proposals):
+        # The second kernel is a copy of the first's result: it proposes
+        # nothing and saves nothing.
         space = KernelDesignSpace.from_function(gemm_module.functions()[0])
         tasks = [KernelTask(key=key, module=gemm_module, func_name=None,
                             space=space) for key in ("first", "second")]
-        proposals.stop = 6 + 4  # the first kernel proposes 6 batches
-        with pytest.raises(KeyboardInterrupt):
-            MultiKernelScheduler(
-                XC7Z020, SweepConfig(**SWEEP),
-                checkpoint_dir=str(tmp_path / "ckpt")).explore_kernels(tasks)
-        assert saves == renamed(PERIODIC + [FINAL], "first.ckpt.json") \
-            + renamed(INTERRUPTED, "second.ckpt.json")
+        results = MultiKernelScheduler(
+            XC7Z020, SweepConfig(**SWEEP),
+            checkpoint_dir=str(tmp_path / "ckpt")).explore_kernels(tasks)
+        assert results["second"].shared_with == "first"
+        assert proposals.calls == 6  # the first kernel's batches
+        assert saves == renamed(PERIODIC + [FINAL], "first.ckpt.json")
 
 
 # -- a persistent cache without a byte bound ------------------------------------------------

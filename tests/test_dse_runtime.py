@@ -427,10 +427,11 @@ class TestFinishedKernelsAreKeptByTheCache:
         self.sweep(gemm_module, tmp_path, max_bytes=10**9)
         assert (tmp_path / "dse.ckpt.json").read_bytes() == bare.read_bytes()
 
-    def test_a_run_local_cache_keeps_the_final_checkpoints(self, gemm_module,
-                                                          tmp_path):
-        # Two identical kernels: the scheduler shares them through a cache
-        # of its own, which has no file.
+    def test_a_repeated_kernel_keeps_no_checkpoint_of_its_own(self,
+                                                              gemm_module,
+                                                              tmp_path):
+        # Two identical kernels without a cache: the second is a copy of the
+        # first's result, which keeps its final checkpoint.
         from repro.dse.runtime import KernelTask
 
         space = KernelDesignSpace.from_function(gemm_module.functions()[0])
@@ -441,7 +442,7 @@ class TestFinishedKernelsAreKeptByTheCache:
             checkpoint_dir=str(tmp_path / "ckpt")).explore_kernels(tasks)
         assert results["second"].shared_hits > 0
         assert sorted(path.name for path in (tmp_path / "ckpt").iterdir()) \
-            == ["first.ckpt.json", "second.ckpt.json"]
+            == ["first.ckpt.json"]
 
     def test_a_stale_checkpoint_goes_when_the_kernel_finishes(self, gemm_module,
                                                              tmp_path):
@@ -647,6 +648,15 @@ class TestMultiKernelScheduler:
         assert set(results) == {"gemm"}
         with pytest.raises(ValueError):
             self.scheduler(jobs=1).explore_module(module, func_names=["nope"])
+
+    def test_one_kernel_of_an_unknown_name(self, gemm_module):
+        from repro.pipeline import explore_kernel
+
+        message = "function 'nope' not found in the module"
+        with pytest.raises(ValueError, match=message):
+            explore_kernel(gemm_module, func_name="nope")
+        with pytest.raises(ValueError, match=message):
+            small_explorer().explore(gemm_module, func_name="nope")
 
 
 class TestResultMaterialization:

@@ -1,6 +1,7 @@
 """Kernel identity: what ``ir_digest`` hashes, which labels it elides and
 why that is sound, and what the scheduler does with structurally identical
-kernels (representative-first sweeps that share their estimates).
+kernels (representative-first sweeps: a member with the representative's
+budget takes a copy of its result).
 
 A new label attribute is declared in ``repro.dse.space.LABEL_ATTRS`` *and*
 added to ``relabelled`` below — the perturbation tests are what prove that
@@ -275,7 +276,7 @@ class TestSharedSweep:
 
     def test_sharing_needs_no_cache_and_materializes_on_the_own_module(
             self, serial_sweep):
-        # No cache was configured above; the sweep owned a run-local one.
+        # No cache was configured above.
         assert serial_sweep.evaluated_this_run \
             == serial_sweep.num_evaluations - serial_sweep.shared_points
         member = serial_sweep.node_results["forward_dataflow20"]
@@ -300,12 +301,19 @@ class TestSharedSweep:
         counts = lambda r: (r.cache_hits, r.cache_misses, r.shared_points,
                             r.evaluated_this_run)
         assert counts(pooled) == counts(serial_sweep)
+        # Without a cache a representative looks nothing up; with a cold one
+        # each of its evaluations is a miss, and nothing else changes.
+        assert serial_sweep.cache_misses == 0
+        expected_counts = (serial_sweep.cache_hits,
+                           serial_sweep.evaluated_this_run,
+                           serial_sweep.shared_points,
+                           serial_sweep.evaluated_this_run)
         for jobs in (1, 2):
             cache = EstimateCache(str(tmp_path / f"cache-{jobs}.jsonl"))
             cached = sweep(jobs=jobs, cache=cache)
             cache.close()
             assert cached.frontier_json() == expected
-            assert counts(cached) == counts(serial_sweep)
+            assert counts(cached) == expected_counts
 
     def test_warm_persistent_cache_is_not_reported_as_sharing(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
@@ -324,7 +332,11 @@ class TestSharedSweep:
         assert partial.num_evaluations < serial_sweep.num_evaluations
         resumed = sweep(jobs=2, resume=True, checkpoint_dir=ckpt)
         assert resumed.frontier_json() == serial_sweep.frontier_json()
-        # A checkpoint written under the member's own key restores it.
+        # Only representatives checkpoint; their final checkpoints restore
+        # every node.
+        assert sorted(os.listdir(ckpt)) == sorted(
+            f"{key}.ckpt.json" for key in resumed.node_order
+            if key not in PAIRS)
         again = sweep(resume=True, checkpoint_dir=ckpt)
         assert again.evaluated_this_run == 0
         assert again.frontier_json() == serial_sweep.frontier_json()
@@ -393,18 +405,21 @@ class TestSharedObservability:
                  for span in spans if span.name == "dse.explore"]
         return result, session.metrics.to_json_dict()["counters"], spans
 
-    def test_counters_and_span_args(self):
+    def test_counters_and_spans(self):
         result, counters, spans = self._observed(jobs=1)
         _, pooled_counters, _ = self._observed(jobs=2)
-        for name in ("cache.hits", "cache.misses", "dse.evaluations",
-                     "dse.shared.nodes", "dse.shared.points"):
+        for name in ("dse.evaluations", "dse.points", "dse.shared.nodes",
+                     "dse.shared.points"):
             assert counters[name] == pooled_counters[name], name
         assert counters["dse.shared.nodes"] == result.shared_nodes == 2
         assert counters["dse.shared.points"] == result.shared_points
-        assert counters["cache.hits"] == result.shared_points
-        assert {span.args["kernel"]: span.args["shared_with"]
-                for span in spans if "shared_with" in span.args} == PAIRS
-        assert len(spans) == len(result.node_order)
+        # No cache: nothing is looked up, a member is a copy.
+        assert not [name for name in counters if name.startswith("cache.")]
+        assert not [name for name in pooled_counters
+                    if name.startswith("cache.")]
+        # One trajectory per class: members have no span of their own.
+        assert sorted(span.args["kernel"] for span in spans) == sorted(
+            key for key in result.node_order if key not in PAIRS)
 
     def test_report_line(self):
         summary = render_run_summary({"counters": {
@@ -473,17 +488,22 @@ class TestRepresentativeFirst:
         assert list(results) == ["bicg", "gemm_1", "gemm_0"]
         assert results["gemm_0"].shared_with == "gemm_1"
         assert results["gemm_1"].shared_with is None
-        assert all(task.fingerprint == "" and task.shared_with is None
-                   for task in tasks)
+        assert all(task.fingerprint == "" for task in tasks)
 
     def test_unequal_budgets_share_what_overlaps_deterministically(self):
+        # A member with a budget of its own runs its trajectory after the
+        # representative: against a cache, what overlaps is a hit.
         budgets = {0: (2, 2), 1: (3, 6), 2: (3, 4)}
         counts = lambda results: {
             key: (result.cache_hits, result.cache_misses, result.shared_hits)
             for key, result in results.items()}
-        serial = _scheduler(jobs=1).explore_kernels(_tasks(3, budgets))
-        pooled = _scheduler(jobs=2).explore_kernels(_tasks(3, budgets))
+        serial = _scheduler(jobs=1, cache=EstimateCache()) \
+            .explore_kernels(_tasks(3, budgets))
+        pooled = _scheduler(jobs=2, cache=EstimateCache()) \
+            .explore_kernels(_tasks(3, budgets))
         assert counts(serial) == counts(pooled)
+        assert all(result.shared_with is None for result in serial.values())
+        assert serial["gemm_1"].cache_hits > 0
         assert serial["gemm_1"].cache_misses > 0  # went beyond gemm_0's sweep
         assert serial["gemm_2"].cache_misses == 0
         assert {key: result.records for key, result in serial.items()} \
@@ -520,11 +540,37 @@ class TestRepresentativeFirst:
         finally:
             sys.setswitchinterval(previous)
         first = results["gemm_0"]
-        assert first.cache_hits == 0
-        assert first.cache_misses == first.num_evaluations
+        assert first.evaluated_this_run == first.num_evaluations
         for index in range(1, 8):
             member = results[f"gemm_{index}"]
             assert member.records == first.records
             assert member.evaluated_this_run == 0
             assert member.shared_hits == first.num_evaluations
         assert results["bicg"].shared_with is None
+
+
+class TestModelClassesShareOneBudget:
+    """A model sweep's repeated nodes always take the copy path: the budget
+    policy gives every node of a fingerprint class the same budget."""
+
+    @pytest.mark.parametrize("model", ["vgg16", "resnet18", "mobilenet"])
+    def test_every_class_has_one_budget(self, model):
+        from repro.dse.runtime.scheduler import _function, _kernel_fingerprint
+
+        scheduler = ModelScheduler(VU9P_SLR, SweepConfig(
+            num_samples=8, max_iterations=12))
+        members = 0
+        for graph_level in range(8):
+            tasks, _, _ = scheduler._staged_tasks(build_model(model),
+                                                  graph_level, None)
+            budgets: dict[str, set] = {}
+            for task in tasks:
+                fingerprint = _kernel_fingerprint(
+                    task.space, _function(task.module, task.func_name),
+                    VU9P_SLR)
+                budgets.setdefault(fingerprint, set()).add(
+                    (task.num_samples, task.max_iterations))
+            assert all(len(pairs) == 1 for pairs in budgets.values()), \
+                (graph_level, budgets)
+            members += len(tasks) - len(budgets)
+        assert members > 0  # the model has repeated nodes to share

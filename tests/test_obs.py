@@ -341,13 +341,13 @@ class TestEndToEndDeterminism:
             (tmp_path / "metrics-j2.json").read_text())["counters"]
         assert counters["dse.shared.nodes"] == 1
         assert counters["dse.shared.points"] > 0
-        # Sharing shows in span args only, never in the skeleton.
+        # The member is a copy of its representative's result: it has no
+        # trajectory, hence no span, of its own.
         trace = json.loads((tmp_path / "trace-j2.json").read_text())
-        shared = [event["args"] for event in trace["traceEvents"]
-                  if event.get("name") == "dse.explore"
-                  and "shared_with" in event.get("args", {})]
-        assert [(args["kernel"], args["shared_with"]) for args in shared] \
-            == [("forward_dataflow20", "forward_dataflow17")]
+        explored = [event["args"]["kernel"] for event in trace["traceEvents"]
+                    if event.get("name") == "dse.explore"]
+        assert "forward_dataflow17" in explored
+        assert "forward_dataflow20" not in explored
 
     def _check_deterministic(self, base, tmp_path, capsys):
         frontier_j1 = self._run(base, tmp_path, "j1", jobs=1, traced=True)
@@ -382,8 +382,12 @@ class TestEndToEndDeterminism:
             < first("dse.batch") < first("dse.compose")
         (split,) = [event for event in spans
                     if event["name"] == "dse.split_nodes"]
-        assert split["args"]["nodes"] == sum(
-            1 for event in spans if event["name"] == "dse.explore")
+        counters = json.loads(
+            (tmp_path / "metrics-j2.json").read_text())["counters"]
+        # One trajectory per node but those that copy a representative's.
+        explored = sum(1 for event in spans if event["name"] == "dse.explore")
+        assert split["args"]["nodes"] \
+            == explored + counters.get("dse.shared.nodes", 0)
 
         # Metrics: deterministic modulo wall-clock (and the jobs gauge).
         # dse.prefix.{hits,misses} are excluded too: prefix-snapshot caches
@@ -406,11 +410,9 @@ class TestEndToEndDeterminism:
 
         assert deterministic_part(tmp_path / "metrics-j1.json") \
             == deterministic_part(tmp_path / "metrics-j2.json")
-        # Every node finished against a persistent cache: each was handed
-        # to it (the counts are among those compared above).
-        counters = json.loads(
-            (tmp_path / "metrics-j2.json").read_text())["counters"]
-        assert counters["dse.checkpoint.retired"] == split["args"]["nodes"]
+        # Every trajectory finished against a persistent cache: each was
+        # handed to it (the counts are among those compared above).
+        assert counters["dse.checkpoint.retired"] == explored
         assert not list((tmp_path / "ckpt-j2").glob("*.ckpt.json"))
 
 
