@@ -8,6 +8,12 @@ mostly the same points.  :class:`EstimateCache` memoizes
 ``(kernel fingerprint, encoded design point)`` and can persist every entry
 as one JSON line, so a warm cache survives the process.
 
+The cache never drops a live record.  Because a sweep's trajectory is a
+pure function of its seed and of the records it has seen, a persistent
+cache is all a rerun needs to replay it: a sweep with a cache file keeps no
+checkpoint (:mod:`repro.dse.runtime.checkpoint`), and where a checkpoint
+would have been written it makes the appended lines durable (:meth:`sync`).
+
 The coordinator consults the cache *before* dispatching work to the pool,
 so hit/miss accounting is exact and worker processes never touch the file.
 """
@@ -37,9 +43,8 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
     loaded: int = 0
-    evictions: int = 0
     #: Dead JSONL lines dropped by load-time compaction (superseded
-    #: duplicates, stale-model entries, corrupt lines, byte-bound evictees).
+    #: duplicates, stale-model entries, corrupt lines).
     compacted: int = 0
     #: Torn trailing lines recovered at load time — the signature of a crash
     #: mid-append.  The truncated line is dropped with a warning (its entry
@@ -58,30 +63,17 @@ class CacheStats:
 class EstimateCache:
     """In-process QoR memo with optional JSONL persistence.
 
-    ``max_bytes`` bounds the cache by *serialized size* with LRU eviction
-    (each entry is charged its JSONL line length; lookup hits refresh
-    recency); None keeps the cache unbounded.  Evicted entries count into
-    ``stats.evictions``.  It is a storage budget, so it governs the file
-    too: loading compacts the JSONL — dead lines (superseded duplicates,
-    stale-model entries, corrupt lines, byte-bound evictees) are dropped and
-    the file is atomically replaced by its live suffix, keeping it near the
-    configured budget instead of growing forever.  Compaction also runs
-    without ``max_bytes`` whenever a load finds dead lines; dropped lines
-    count into ``stats.compacted``.
+    Unbounded: an entry, once stored, is served for the cache's lifetime.
+    Loading compacts the JSONL — dead lines (superseded duplicates,
+    stale-model entries, corrupt lines) are dropped and the file is
+    atomically replaced by its live lines; dropped lines count into
+    ``stats.compacted``.
     """
 
-    def __init__(self, path: Optional[str] = None,
-                 max_bytes: Optional[int] = None):
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError(f"max_bytes must be positive, got {max_bytes}")
+    def __init__(self, path: Optional[str] = None):
         self.path = path
-        self.max_bytes = max_bytes
         self.stats = CacheStats()
-        #: Insertion-ordered; least recently used first (hits re-insert).
         self._entries: dict[CacheKey, EvaluationRecord] = {}
-        #: Serialized line bytes per entry (maintained iff max_bytes is set).
-        self._sizes: dict[CacheKey, int] = {}
-        self._total_bytes = 0
         self._handle = None
         #: Guards entries, stats and file appends: one cache instance may be
         #: shared by the per-kernel coordinator threads of a scheduler.
@@ -108,18 +100,13 @@ class EstimateCache:
     def get(self, fingerprint: str,
             encoded: Sequence[int]) -> Optional[EvaluationRecord]:
         with self._lock:
-            key = (fingerprint, tuple(encoded))
-            record = self._entries.get(key)
+            record = self._entries.get((fingerprint, tuple(encoded)))
             if record is None:
                 self.stats.misses += 1
                 obs.counter("cache.misses")
             else:
                 self.stats.hits += 1
                 obs.counter("cache.hits")
-                if self.max_bytes is not None:
-                    # Refresh recency: re-insert at the most-recent end.
-                    del self._entries[key]
-                    self._entries[key] = record
             return record
 
     def put(self, fingerprint: str, record: EvaluationRecord) -> None:
@@ -127,43 +114,16 @@ class EstimateCache:
             key = (fingerprint, tuple(record.encoded))
             if key in self._entries:
                 return
-            line = self._serialize(fingerprint, record) \
-                if self.path or self.max_bytes is not None else None
             self._entries[key] = record
-            if self.max_bytes is not None:
-                self._charge(key, len(line) + 1)
             self.stats.stores += 1
             obs.counter("cache.stores")
-            self._evict_over_bound()
             if self.path:
-                self._append(line)
-
-    def _charge(self, key: CacheKey, size: int) -> None:
-        self._total_bytes += size - self._sizes.get(key, 0)
-        self._sizes[key] = size
-
-    def _evict_entry(self, key: CacheKey) -> None:
-        del self._entries[key]
-        if self.max_bytes is not None:
-            self._total_bytes -= self._sizes.pop(key, 0)
-        self.stats.evictions += 1
-        obs.counter("cache.evictions")
-
-    def _evict_over_bound(self) -> None:
-        # Caller holds the lock.  Entries iterate least-recent first.  The
-        # byte bound always keeps the newest entry, even one that alone
-        # exceeds the budget — a cache that rejects what it just stored
-        # would silently re-evaluate that point forever.
-        if self.max_bytes is not None:
-            while self._total_bytes > self.max_bytes and len(self._entries) > 1:
-                self._evict_entry(next(iter(self._entries)))
+                self._append(self._serialize(fingerprint, record))
 
     # -- persistence ------------------------------------------------------------------------
 
     def _load(self, path: str) -> None:
-        # ``live`` holds the latest valid line per key, in first-seen order;
-        # re-inserting on supersede would change which entries the LRU
-        # bound keeps, so only the *content* is refreshed.
+        # ``live`` holds the latest valid line per key, in first-seen order.
         live: dict[CacheKey, tuple[EvaluationRecord, str]] = {}
         dead = 0
         with open(path, "r", encoding="utf-8") as handle:
@@ -202,20 +162,8 @@ class EstimateCache:
                 dead += 1  # superseded by this fresher line
             live[key] = (record, line)
 
-        # The byte bound governs the file too: drop the least recently
-        # stored lines until the live suffix fits the budget.
-        if self.max_bytes is not None:
-            keys = list(live)
-            total = sum(len(line) + 1 for _, line in live.values())
-            while total > self.max_bytes and len(live) > 1:
-                _, line = live.pop(keys.pop(0))
-                total -= len(line) + 1
-                dead += 1
-
-        for key, (record, line) in live.items():
+        for key, (record, _) in live.items():
             self._entries[key] = record
-            if self.max_bytes is not None:
-                self._charge(key, len(line) + 1)
             self.stats.loaded += 1
             obs.counter("cache.loaded")
 

@@ -9,13 +9,14 @@ uninterrupted run would have taken — the final frontier is identical.
 Snapshots are written atomically (temp file + ``os.replace``), so a run
 killed mid-write leaves the previous checkpoint intact.
 
-A kernel whose trajectory finished against a persistent, unbounded estimate
-cache keeps no checkpoint: the explorer syncs the cache, which holds every
-record, and removes the file.  ``--resume`` then replays the trajectory,
-every point a cache hit.  For the same reason a batch such a cache answered
-in full neither moves the boundary an interrupt saves nor counts toward a
-periodic save: the cache already holds all that a checkpoint of it would
-add.
+A snapshot names the QoR model its records were estimated under
+(``QOR_MODEL_VERSION``, as an estimate-cache line does): records of another
+model are not resumed.
+
+A sweep with a persistent estimate cache keeps no checkpoint at all: the
+cache never drops a record, so rerunning the sweep replays its trajectory
+from the cache, every stored point a hit.  Where such a sweep would save a
+checkpoint it syncs the cache instead.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import Optional
 
 from repro import obs
 from repro.dse.runtime.records import EvaluationRecord
+from repro.estimation.estimator import QOR_MODEL_VERSION
 
 #: Bumped whenever the on-disk layout changes incompatibly.
 CHECKPOINT_VERSION = 1
@@ -82,6 +84,7 @@ class CheckpointStore:
     def save(self, state: ExplorerState) -> None:
         payload = {
             "version": CHECKPOINT_VERSION,
+            "model": QOR_MODEL_VERSION,
             "fingerprint": state.fingerprint,
             "seed": state.seed,
             "config": state.config,
@@ -110,22 +113,16 @@ class CheckpointStore:
             raise
         obs.counter("dse.checkpoint.saves")
 
-    def remove(self) -> None:
-        """Delete the snapshot, if there is one."""
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
-
     # -- load -------------------------------------------------------------------------------
 
     def load(self, expected_fingerprint: Optional[str] = None,
              expected_config: Optional[dict] = None) -> Optional[ExplorerState]:
         """Load the snapshot, or ``None`` if absent / incompatible.
 
-        A snapshot is incompatible when the kernel fingerprint or the
-        trajectory-defining exploration config differs from what the caller
-        is about to run — resuming it would mislabel the results.
+        A snapshot is incompatible when the QoR model, the kernel
+        fingerprint or the trajectory-defining exploration config differs
+        from what the caller is about to run — resuming it would mislabel
+        the results.
         """
         if not self.exists():
             return None
@@ -143,7 +140,8 @@ class CheckpointStore:
                         RuntimeWarning, stacklevel=2)
                     return None
             if not isinstance(payload, dict) \
-                    or payload.get("version") != CHECKPOINT_VERSION:
+                    or payload.get("version") != CHECKPOINT_VERSION \
+                    or payload.get("model") != QOR_MODEL_VERSION:
                 return None
             if expected_fingerprint is not None \
                     and payload.get("fingerprint") != expected_fingerprint:

@@ -28,7 +28,8 @@ the parallel runtime:
 
 Determinism contract: a fixed ``(seed, budgets, batch_size)`` produces a
 byte-identical :meth:`ModelDSEResult.frontier_json` for any ``--jobs`` and
-across ``--resume`` from any checkpoint, because every per-node trajectory
+across ``--resume`` from any checkpoint (or a rerun against its persistent
+estimate cache), because every per-node trajectory
 is deterministic (PR 1's contract) and composition is a pure function of
 the per-node frontiers.
 """

@@ -25,7 +25,9 @@ visits the same points and returns the same frontier regardless of
 * cache warmth — cached records equal freshly evaluated ones because
   evaluation is deterministic;
 * interruption — checkpoints snapshot state at batch boundaries, and a
-  resumed run replays the exact continuation of the trajectory.
+  resumed run replays the exact continuation of the trajectory; a sweep
+  with a persistent estimate cache keeps no checkpoint, and its rerun
+  replays the trajectory from the cache.
 
 ``batch_size`` is deliberately independent of ``jobs``: it is part of the
 exploration trajectory, while ``jobs`` is purely an execution detail.
@@ -309,24 +311,17 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
                                    for target in space.platforms]
     else:
         trajectory["platform"] = platform.config_hash()
-    store = CheckpointStore(task.checkpoint_path) if task.checkpoint_path \
-        else None
-    # A finished trajectory is kept by a persistent cache that never evicts
-    # instead of a final checkpoint: it holds every record, so --resume
-    # replays the trajectory without evaluating.  So is a batch that cache
-    # answered in full: it moves neither the interrupt boundary nor the
-    # periodic checkpoint.
-    retires = (store is not None and cache is not None
-               and bool(cache.path) and cache.max_bytes is None)
-    state: Optional[ExplorerState] = None
-    if resume and store is not None:
-        state = store.load(expected_fingerprint=fingerprint,
-                           expected_config=trajectory)
-        if state is not None and retires:
-            # Records a checkpoint brought in must be in the cache too
-            # (no-ops when the cache already holds them).
-            for record in state.records.values():
-                cache.put(fingerprint, record)
+    # A persistent cache is the sweep's durable store: it never drops a
+    # record and the trajectory is a function of the seed and the records,
+    # so rerunning the sweep replays it from the cache and evaluates only
+    # what no run stored.  Such a sweep keeps no checkpoint; where one
+    # would be written, the cache's appended lines are made durable.
+    persistent = cache is not None and bool(cache.path)
+    store = CheckpointStore(task.checkpoint_path) \
+        if task.checkpoint_path and not persistent else None
+    state = store.load(expected_fingerprint=fingerprint,
+                       expected_config=trajectory) \
+        if resume and store is not None else None
     if state is None:
         state = ExplorerState.fresh(fingerprint, config.seed,
                                     config=trajectory)
@@ -353,10 +348,8 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
                 fresh[record.encoded] = classes.add(
                     record, identities[record.encoded])
 
-    def evaluate_batch(batch: list[tuple[int, ...]]) -> bool:
-        """Resolve ``batch`` into ``state.records``; returns whether a
-        checkpoint has to keep it (not when ``retires`` and the cache
-        answered all of it)."""
+    def evaluate_batch(batch: list[tuple[int, ...]]) -> None:
+        """Resolve ``batch`` into ``state.records``."""
         nonlocal evaluated_this_run, processed_this_run, since_checkpoint
         nonlocal run_hits, run_misses
         resolved_before = (classes.siblings, classes.aliases)
@@ -430,9 +423,7 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
             run_misses += len(missing)
         evaluated_this_run += len(missing)
         processed_this_run += len(batch)
-        kept = bool(missing) or not retires
-        if kept:
-            since_checkpoint += len(batch)
+        since_checkpoint += len(batch)
         if obs_on:
             obs.counter("dse.points", len(batch))
             obs.counter("dse.evaluations", len(fresh))
@@ -448,7 +439,6 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
             obs.counter("dse.knob.skipped.tile",
                         sum(tile for _, tile in skipped))
             obs.observe("dse.batch.points", len(batch))
-        return kept
 
     def record_frontier(frontier: list[ParetoPoint]) -> None:
         """Per-iteration convergence series: frontier size + hypervolume.
@@ -465,11 +455,12 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
 
     def maybe_checkpoint(force: bool = False) -> None:
         nonlocal since_checkpoint
-        if store is None:
-            return
         if not force and since_checkpoint < config.checkpoint_every:
             return
-        store.save(state)
+        if persistent:
+            cache.sync()
+        elif store is not None:
+            store.save(state)
         since_checkpoint = 0
 
     def budget_left() -> bool:
@@ -480,24 +471,26 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
     # mid-batch state (an advanced RNG plus a partially merged batch)
     # must never reach disk — resuming it would diverge from the
     # uninterrupted trajectory.  Taken at the start and after every
-    # fully merged batch a checkpoint has to keep, and what a Ctrl-C
-    # checkpoint saves; the records are insertion-ordered and no key is
-    # assigned twice, so their count is enough.
+    # fully merged batch, and what a Ctrl-C checkpoint saves; the records
+    # are insertion-ordered and no key is assigned twice, so their count
+    # is enough.
     boundary = None
 
     def mark_boundary() -> None:
         nonlocal boundary
-        boundary = (len(state.records), state.samples_done,
-                    state.iterations_done, state.rng_state)
+        if store is not None:
+            boundary = (len(state.records), state.samples_done,
+                        state.iterations_done, state.rng_state)
 
     def checkpoint_boundary() -> None:
-        if store is None or boundary is None:
-            return
-        count, state.samples_done, state.iterations_done, rng_state \
-            = boundary
-        state.rng.setstate(rng_state)
-        state.records = dict(list(state.records.items())[:count])
-        store.save(state)
+        if persistent:
+            cache.sync()
+        elif boundary is not None:
+            count, state.samples_done, state.iterations_done, rng_state \
+                = boundary
+            state.rng.setstate(rng_state)
+            state.records = dict(list(state.records.items())[:count])
+            store.save(state)
 
     explore_span = obs.NULL_SPAN if not obs_on else obs.span(
         "dse.explore", kernel=key, jobs=config.jobs,
@@ -512,12 +505,10 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
             if not state.samples_done:
                 batch = ExplorationPolicy.initial_batch(
                     space, rng, config.num_samples)
-                kept = evaluate_batch([e for e in batch
-                                       if e not in state.records])
+                evaluate_batch([e for e in batch if e not in state.records])
                 state.samples_done = True
-                if kept:
-                    mark_boundary()
-                    maybe_checkpoint()
+                mark_boundary()
+                maybe_checkpoint()
 
             frontier = ExplorationPolicy.frontier_of(state.records)
             record_frontier(frontier)
@@ -531,33 +522,23 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
                     batch_size=min(config.batch_size, remaining))
                 if not batch:
                     break
-                kept = evaluate_batch(batch)
+                evaluate_batch(batch)
                 state.iterations_done += len(batch)
-                if kept:
-                    mark_boundary()
-                    maybe_checkpoint()
+                mark_boundary()
+                maybe_checkpoint()
                 frontier = ExplorationPolicy.frontier_of(state.records)
                 record_frontier(frontier)
 
-            if retires and budget_left():
-                # Finished, neither capped nor interrupted: make the
-                # cache lines durable, then drop the checkpoint (a crash
-                # in between leaves a loadable one).
-                cache.sync()
-                store.remove()
-                if obs_on:
-                    obs.counter("dse.checkpoint.retired")
-            else:
-                maybe_checkpoint(force=True)
+            maybe_checkpoint(force=True)
 
             # Step 5: finalization.
             best = ExplorationPolicy.finalize(frontier, state.records,
                                               platform)
     except KeyboardInterrupt:
         # Graceful interruption: persist the last completed batch
-        # boundary so --resume continues the exact trajectory, then let
-        # the interrupt propagate to the caller (the driver turns it
-        # into a one-line resume hint).
+        # boundary (or the cache) so a rerun continues the exact
+        # trajectory, then let the interrupt propagate to the caller (the
+        # driver turns it into a one-line resume hint).
         checkpoint_boundary()
         raise
 

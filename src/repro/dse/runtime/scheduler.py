@@ -24,9 +24,9 @@ cache — and which of them pays never depends on thread scheduling.
 The unit of scheduling is a :class:`KernelTask` — a (module, function,
 design space) triple with an optional per-task exploration budget.  The
 whole-model scheduler (:mod:`repro.dse.runtime.model`) builds one task per
-DNN node, each against its own single-function module: workers still
-receive every task's context up front (one initializer payload), but it
-holds N single-function modules instead of N copies of the whole model.
+DNN node, each against its own single-function module: workers receive
+the context of every task that sweeps (not of those that take a copy) up
+front, in one initializer payload of single-function modules.
 
 Each kernel's trajectory stays fully deterministic — it only depends on the
 kernel's own ``(seed, budget)`` stream, never on how the pool interleaved
@@ -106,6 +106,13 @@ def _copy_of(result: ParallelDSEResult, task: KernelTask,
         cache_hits=result.cache_hits + result.evaluated_this_run)
 
 
+def _task_config(config: SweepConfig, task: KernelTask) -> SweepConfig:
+    """``config`` with the budgets ``task`` overrides."""
+    return dataclasses.replace(config, **{
+        name: value for name in ("num_samples", "max_iterations")
+        if (value := getattr(task, name)) is not None})
+
+
 @dataclasses.dataclass
 class KernelTask:
     """One kernel to explore: where it lives and how much budget it gets.
@@ -130,7 +137,8 @@ class KernelTask:
     max_evaluations: Optional[int] = None
     #: Where the kernel checkpoints.  When None the scheduler fills in
     #: ``<key>.ckpt.json`` under its ``checkpoint_dir`` (and without one the
-    #: kernel does not checkpoint).
+    #: kernel does not checkpoint, nor does it in a sweep whose estimate
+    #: cache has a file: that cache is its durable store).
     checkpoint_path: Optional[str] = None
     #: The kernel's cache/checkpoint identity, filled in by the scheduler,
     #: once per sweep, on its own copy of the task.
@@ -174,17 +182,15 @@ class MultiKernelScheduler:
         if len(set(keys)) != len(keys):
             raise ValueError(f"kernel task keys must be unique, got {keys}")
 
-        signature = kernel_pipeline_signature()
-        contexts = {
-            task.key: KernelContext(module=task.module, func_name=task.func_name,
-                                    platform=self.platform, space=task.space,
-                                    pipeline=signature)
-            for task in tasks
-        }
         # Structurally identical kernels share a fingerprint, hence their
         # trajectory: one coordinator per class runs its members in task
-        # order (_explore_class).
+        # order (_explore_class), and a member with its representative's
+        # budgets takes a copy of that one's result.  Only representatives
+        # evaluate, so only their contexts reach the backend.
+        config = self.config
         classes: dict[str, list[KernelTask]] = {}
+        swept: dict[tuple, str] = {}
+        representative_of: dict[str, str] = {}
         for index, task in enumerate(tasks):
             fingerprint = _kernel_fingerprint(
                 task.space, _function(task.module, task.func_name),
@@ -197,7 +203,17 @@ class MultiKernelScheduler:
                 task, fingerprint=fingerprint,
                 checkpoint_path=checkpoint_path)
             classes.setdefault(fingerprint, []).append(task)
-        config = self.config
+            task_config = _task_config(config, task)
+            representative_of[task.key] = swept.setdefault(
+                (fingerprint, task_config.num_samples,
+                 task_config.max_iterations, task.max_evaluations), task.key)
+        signature = kernel_pipeline_signature()
+        contexts = {
+            task.key: KernelContext(module=task.module, func_name=task.func_name,
+                                    platform=self.platform, space=task.space,
+                                    pipeline=signature)
+            for task in tasks if representative_of[task.key] == task.key
+        }
 
         stop_event = threading.Event()
         backend = create_backend(contexts, config, stop_event)
@@ -207,8 +223,9 @@ class MultiKernelScheduler:
             with schedule_span:
                 if config.jobs <= 1 or len(tasks) == 1:
                     # Task order already puts every representative first.
-                    return self._explore_class(tasks, config, backend,
-                                               resume, attribute=False)
+                    return self._explore_class(tasks, representative_of,
+                                               backend, resume,
+                                               attribute=False)
                 # Spawn the pool's workers from the main thread, before any
                 # coordinator threads exist: forking from a multi-threaded
                 # process risks inheriting locks held by other threads.
@@ -222,7 +239,8 @@ class MultiKernelScheduler:
                         max_workers=len(classes)) as coordinators:
                     futures = [
                         coordinators.submit(self._explore_class, members,
-                                            config, backend, resume)
+                                            representative_of, backend,
+                                            resume)
                         for members in classes.values()
                     ]
                     try:
@@ -263,24 +281,20 @@ class MultiKernelScheduler:
         return tasks
 
     def _explore_class(self, members: Sequence[KernelTask],
-                       config: SweepConfig, backend, resume: bool,
-                       attribute: bool = True
+                       representative_of: dict[str, str], backend,
+                       resume: bool, attribute: bool = True
                        ) -> dict[str, ParallelDSEResult]:
-        """Explore ``members`` in order: a task whose fingerprint and
-        budget an earlier one swept takes a copy of that one's result.
+        """Explore ``members`` in order: a task whose representative (the
+        first task with its fingerprint and budgets) is another one takes
+        a copy of that one's result.
 
         With ``attribute``, errors are attributed to the kernel that raised
         them.
         """
         results: dict[str, ParallelDSEResult] = {}
-        swept: dict[tuple, str] = {}
         for task in members:
-            task_config = dataclasses.replace(config, **{
-                name: value for name in ("num_samples", "max_iterations")
-                if (value := getattr(task, name)) is not None})
-            representative = swept.setdefault(
-                (task.fingerprint, task_config.num_samples,
-                 task_config.max_iterations, task.max_evaluations), task.key)
+            task_config = _task_config(self.config, task)
+            representative = representative_of[task.key]
             if representative != task.key:
                 result = _copy_of(results[representative], task,
                                   representative)

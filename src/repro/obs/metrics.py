@@ -18,7 +18,7 @@ name                      kind       meaning
 ``pattern.<name>.hits``   counter    successful pattern applications
 ``pattern.<name>.misses`` counter    match attempts that applied nothing
 ``bucket.<op>.hits``      counter    dispatch-bucket applications per op name
-``cache.hits`` etc.       counter    estimate-cache hits/misses/stores/evictions
+``cache.hits`` etc.       counter    estimate-cache hits/misses/stores
 ``dse.evaluations``       counter    evaluations dispatched (one per transform class)
 ``dse.points``            counter    design points processed (incl. cache hits)
 ``dse.resolved.siblings`` counter    points answered by a classmate's evaluation
@@ -38,12 +38,8 @@ name                      kind       meaning
 ``dse.shared.nodes``      counter    nodes identical to one explored earlier in the run
 ``dse.shared.points``     counter    evaluations their representatives made this run
 ``dse.checkpoint.saves``  counter    checkpoint files written (periodic, final, Ctrl-C);
-                                     against a persistent cache without a byte
-                                     bound, a batch it answered in full neither
-                                     moves the Ctrl-C boundary nor counts toward
-                                     a periodic save
-``dse.checkpoint.retired`` counter   finished kernels handed to a persistent cache
-                                     instead of a final checkpoint
+                                     none in a sweep with a persistent cache,
+                                     which syncs the cache at those points
 ``dse.worker.busy_seconds``  counter    summed per-evaluation worker wall-clock
 ``dse.faults.timeouts``   counter    attempts that blew ``--task-timeout`` (charged)
 ``dse.faults.crashes``    counter    attempts whose worker process died (charged)

@@ -142,7 +142,7 @@ def render_metrics_report(metrics: Mapping) -> str:
 
 
 def cache_summary_lines(counters: Mapping[str, float]) -> list[str]:
-    """Hit-rate / eviction lines of the estimate cache (empty if unused)."""
+    """Hit-rate / store lines of the estimate cache (empty if unused)."""
     hits = int(counters.get("cache.hits", 0))
     misses = int(counters.get("cache.misses", 0))
     lookups = hits + misses
@@ -154,9 +154,8 @@ def cache_summary_lines(counters: Mapping[str, float]) -> list[str]:
                  f"hit rate={rate * 100.0:.1f}%")
     stores = int(counters.get("cache.stores", 0))
     loaded = int(counters.get("cache.loaded", 0))
-    evictions = int(counters.get("cache.evictions", 0))
     compacted = int(counters.get("cache.compacted", 0))
-    line = f"  stores={stores} warm-loaded={loaded} evictions={evictions}"
+    line = f"  stores={stores} warm-loaded={loaded}"
     if compacted:
         line += f" compacted={compacted}"
     recovered = int(counters.get("cache.recovered_lines", 0))

@@ -92,7 +92,6 @@ DNN_BUDGET = {"num_samples": 8, "max_iterations": 12, "batch_size": 4,
 
 def _sweep_config(budget: dict, *, cache: "Optional[EstimateCache]" = None,
                   cache_path: Optional[str] = None,
-                  cache_max_bytes: Optional[int] = None,
                   task_timeout: Optional[float] = None, max_retries: int = 2,
                   on_fault: str = "quarantine",
                   platforms: "Optional[list[Platform]]" = None,
@@ -104,10 +103,9 @@ def _sweep_config(budget: dict, *, cache: "Optional[EstimateCache]" = None,
     ``checkpoint_every``, ``faults``); the four budgets default to the
     flow's ``budget`` (:data:`KERNEL_BUDGET` or :data:`DNN_BUDGET`).  The
     rest are flat spellings of its object-valued fields: ``cache_path``
-    creates (or warms from) a persistent JSONL estimate cache
-    (``cache_max_bytes`` bounds it with LRU eviction) unless a ``cache``
-    object is passed; ``task_timeout`` / ``max_retries`` / ``on_fault``
-    configure the supervision layer (see
+    creates (or warms from) a persistent JSONL estimate cache unless a
+    ``cache`` object is passed; ``task_timeout`` / ``max_retries`` /
+    ``on_fault`` configure the supervision layer (see
     :class:`repro.dse.runtime.SupervisionPolicy`).  ``jobs`` is how many
     local worker processes evaluate, ``faults`` injects a
     :class:`repro.dse.runtime.FaultPlan` for chaos testing, and
@@ -118,7 +116,7 @@ def _sweep_config(budget: dict, *, cache: "Optional[EstimateCache]" = None,
     from repro.dse.runtime import EstimateCache, SupervisionPolicy, SweepConfig
 
     if cache is None and cache_path:
-        cache = EstimateCache(cache_path, max_bytes=cache_max_bytes)
+        cache = EstimateCache(cache_path)
     return SweepConfig(
         cache=cache, platforms=platforms or (),
         supervision=SupervisionPolicy(task_timeout=task_timeout,

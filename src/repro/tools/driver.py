@@ -255,12 +255,9 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser,
                              "(part of the trajectory, independent of --jobs)")
     parser.add_argument("--cache", metavar="PATH",
                         help="persistent QoR estimate cache (a JSONL file, "
-                             "or a directory receiving estimates.jsonl)")
-    parser.add_argument("--cache-max-bytes", type=int, metavar="BYTES",
-                        help="bound the estimate cache (and its JSONL "
-                             "file, via load-time compaction) to roughly "
-                             "BYTES of serialized entries with LRU "
-                             "eviction (default: unbounded)")
+                             "or a directory receiving estimates.jsonl); a "
+                             "sweep with one writes no checkpoint, and "
+                             "re-running it continues from the cache")
     parser.add_argument("--register-pipeline", metavar="NAME=SPEC",
                         action="append", default=[],
                         help="register a named cleanup pipeline before "
@@ -311,14 +308,6 @@ def _sweep_settings(args) -> dict:
                                ("--iterations", args.iterations, 0)):
         if value < least:
             raise SystemExit(f"{flag} must be >= {least}, got {value}")
-    if args.cache_max_bytes is not None:
-        if not args.cache:
-            raise SystemExit("--cache-max-bytes requires --cache PATH (there "
-                             "is no persistent cache to bound)")
-        if args.cache_max_bytes <= 0:
-            raise SystemExit(f"--cache-max-bytes must be a positive number "
-                             f"of bytes, got {args.cache_max_bytes} (drop "
-                             f"the flag for an unbounded cache)")
     _validate_supervision(args)
     _register_pipelines(args.register_pipeline)
     return dict(
@@ -326,7 +315,6 @@ def _sweep_settings(args) -> dict:
         max_iterations=args.iterations, seed=args.seed,
         batch_size=args.batch_size,
         cache_path=_estimate_cache_path(args.cache) if args.cache else None,
-        cache_max_bytes=args.cache_max_bytes,
         checkpoint_every=args.checkpoint_every, resume=args.resume,
         task_timeout=args.task_timeout, max_retries=args.max_retries,
         on_fault=args.on_fault, faults=_fault_plan(args))
@@ -887,7 +875,10 @@ def _finish_session(session: "obs.ObsSession", args, timing: bool,
 def _interrupt_hint(args) -> int:
     """One actionable line instead of a KeyboardInterrupt traceback."""
     hint = ""
-    if getattr(args, "checkpoint", None):
+    if getattr(args, "cache", None):
+        hint = (" — every estimate so far is in the estimate cache; re-run "
+                "the same command to continue from it")
+    elif getattr(args, "checkpoint", None):
         hint = (" — progress up to the last batch boundary is checkpointed; "
                 "re-run the same command with --resume to continue")
     elif args.command == "dse" or (args.command == "dnn"

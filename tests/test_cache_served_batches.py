@@ -1,13 +1,10 @@
-"""What a sweep that its estimate cache answers does not redo.
+"""The checkpoints a sweep without a cache file writes.
 
-Against a persistent estimate cache without a byte bound (the condition
-under which a finished kernel keeps no checkpoint), a batch the cache
-answered in full neither moves the boundary a Ctrl-C saves nor counts
-toward a periodic save: the cache already holds what such a checkpoint
-would add, and ``--resume`` replays it with every point a hit.  Every other
-sweep keeps its boundaries and periodic saves, byte for byte.  An explorer
-draws from one generator, seeded once, and reads its state only for a
-checkpoint.
+A cacheless sweep, and one with an in-memory estimate cache, saves its
+periodic, final and Ctrl-C checkpoints byte for byte as it always did (each
+snapshot names its QoR model); a sweep whose cache has a file saves none
+(``tests/test_cache_is_the_checkpoint.py``).  An explorer draws from one
+generator, seeded once, and reads its state only for a checkpoint.
 """
 
 from __future__ import annotations
@@ -18,23 +15,20 @@ import random
 
 import pytest
 
-from repro import obs
 from repro.dse.engine import ExplorationPolicy
 from repro.dse.runtime import (
     CheckpointStore,
     EstimateCache,
     ExplorerState,
     KernelTask,
-    ModelScheduler,
     MultiKernelScheduler,
     ParallelExplorer,
     SweepConfig,
 )
 from repro.dse.space import KernelDesignSpace
-from repro.estimation import VU9P_SLR, XC7Z020
+from repro.estimation import XC7Z020
 
 from conftest import GEMM_SOURCE, compile_source
-from test_dnn_dse import tiny_model
 
 SWEEP = dict(num_samples=6, max_iterations=12, seed=11, jobs=1, batch_size=2,
              checkpoint_every=3)
@@ -90,16 +84,16 @@ def explorer(tmp_path, cache=None):
                             checkpoint_path=str(tmp_path / "dse.ckpt.json"))
 
 
-#: The saves of SWEEP on gemm as every sweep wrote them before: after the
-#: samples and after every second batch of two, then the final one.
-PERIODIC = [("dse.ckpt.json", "ffa00176acb681e7"),
-            ("dse.ckpt.json", "9d23123561417f4c"),
-            ("dse.ckpt.json", "82a9df6650061270"),
-            ("dse.ckpt.json", "fdefd16ac838950c")]
-FINAL = ("dse.ckpt.json", "fdefd16ac838950c")
+#: The saves of SWEEP on gemm: after the samples and after every second
+#: batch of two, then the final one.
+PERIODIC = [("dse.ckpt.json", "5d15779605fcabb9"),
+            ("dse.ckpt.json", "059e100fb0fd6588"),
+            ("dse.ckpt.json", "aec4a9475edb0b36"),
+            ("dse.ckpt.json", "6f3f9b4e3d6f7174")]
+FINAL = ("dse.ckpt.json", "6f3f9b4e3d6f7174")
 #: ... and interrupted as its fourth proposal starts: the boundary after the
 #: third batch.
-INTERRUPTED = [*PERIODIC[:2], ("dse.ckpt.json", "91b158b0103f9556")]
+INTERRUPTED = [*PERIODIC[:2], ("dse.ckpt.json", "af8a62c3b048eda3")]
 
 
 def renamed(saves, name):
@@ -110,8 +104,7 @@ def renamed(saves, name):
 
 
 class TestOtherSweepsKeepTheirCheckpoints:
-    """Each save's bytes, in order, are the ones written before cache-served
-    batches stopped moving checkpoints."""
+    """Each save's bytes, in order, are pinned."""
 
     def test_without_a_cache(self, gemm_module, tmp_path, saves, proposals):
         explorer(tmp_path).explore(gemm_module)
@@ -122,21 +115,19 @@ class TestOtherSweepsKeepTheirCheckpoints:
             explorer(tmp_path).explore(gemm_module)
         assert saves == INTERRUPTED
 
-    def test_with_a_bounded_cache(self, gemm_module, tmp_path, saves,
-                                  proposals):
-        cache = EstimateCache(str(tmp_path / "cache.jsonl"), max_bytes=10**9)
-        try:
-            explorer(tmp_path / "cold", cache).explore(gemm_module)
-            del saves[:]
-            warm = explorer(tmp_path, cache).explore(gemm_module)
-            assert warm.cache_misses == 0
-            assert saves == PERIODIC + [FINAL]
-            del saves[:]
-            proposals.stop = proposals.calls + 4
-            with pytest.raises(KeyboardInterrupt):
-                explorer(tmp_path, cache).explore(gemm_module)
-        finally:
-            cache.close()
+    def test_with_an_in_memory_cache(self, gemm_module, tmp_path, saves,
+                                     proposals):
+        # Even when it answers every point: the cache dies with the process.
+        cache = EstimateCache()
+        explorer(tmp_path / "cold", cache).explore(gemm_module)
+        del saves[:]
+        warm = explorer(tmp_path, cache).explore(gemm_module)
+        assert warm.cache_misses == 0
+        assert saves == PERIODIC + [FINAL]
+        del saves[:]
+        proposals.stop = proposals.calls + 4
+        with pytest.raises(KeyboardInterrupt):
+            explorer(tmp_path, cache).explore(gemm_module)
         assert saves == INTERRUPTED
 
     def test_with_a_repeated_kernel(self, gemm_module, tmp_path, saves,
@@ -152,91 +143,6 @@ class TestOtherSweepsKeepTheirCheckpoints:
         assert results["second"].shared_with == "first"
         assert proposals.calls == 6  # the first kernel's batches
         assert saves == renamed(PERIODIC + [FINAL], "first.ckpt.json")
-
-
-# -- a persistent cache without a byte bound ------------------------------------------------
-
-
-class TestCacheServedBatchesAreNotCheckpointed:
-    def sweep(self, module, tmp_path, resume=False):
-        """``module`` swept against the cache file in ``tmp_path``, and the
-        counters of the sweep."""
-        cache = EstimateCache(str(tmp_path / "cache.jsonl"))
-        try:
-            with obs.session() as session:
-                result = explorer(tmp_path, cache).explore(module,
-                                                           resume=resume)
-        finally:
-            cache.close()
-        return result, session.metrics.counters
-
-    def test_a_batch_with_a_miss_moves_them_as_before(self, gemm_module,
-                                                      tmp_path, saves):
-        cold, counters = self.sweep(gemm_module, tmp_path)
-        assert cold.cache_misses == cold.num_evaluations
-        assert saves == PERIODIC  # then retired, not saved
-        assert counters["dse.checkpoint.retired"] == 1
-
-    def test_a_warm_sweep_writes_no_checkpoint(self, gemm_module, tmp_path,
-                                               saves):
-        self.sweep(gemm_module, tmp_path)
-        del saves[:]
-        warm, counters = self.sweep(gemm_module, tmp_path)
-        assert warm.cache_hits == warm.num_evaluations
-        assert saves == []
-        assert "dse.checkpoint.saves" not in counters
-        assert counters["dse.checkpoint.retired"] == 1
-
-    def test_a_ctrl_c_saves_the_boundary_the_sweep_started_from(
-            self, gemm_module, tmp_path, saves, proposals):
-        first, _ = self.sweep(gemm_module, tmp_path)
-        cache_bytes = (tmp_path / "cache.jsonl").read_bytes()
-        del saves[:]
-        proposals.stop = proposals.calls + 4
-        with pytest.raises(KeyboardInterrupt):
-            self.sweep(gemm_module, tmp_path)
-        (name, _), = saves
-        state = CheckpointStore(str(tmp_path / name)).load()
-        assert (state.records, state.samples_done, state.iterations_done) \
-            == ({}, False, 0)
-        assert state.rng_state == random.Random(SWEEP["seed"]).getstate()
-
-        resumed, counters = self.sweep(gemm_module, tmp_path, resume=True)
-        assert resumed.cache_misses == 0
-        assert counters["dse.checkpoint.retired"] == 1
-        assert list(resumed.records.items()) == list(first.records.items())
-        assert resumed.frontier == first.frontier
-        assert (tmp_path / "cache.jsonl").read_bytes() == cache_bytes
-        assert not (tmp_path / "dse.ckpt.json").exists()
-
-    def test_a_ctrl_c_in_a_warm_model_sweep_resumes_from_the_cache(
-            self, tmp_path, proposals):
-        def sweep(resume=False):
-            cache = EstimateCache(str(tmp_path / "cache.jsonl"))
-            try:
-                return ModelScheduler(
-                    VU9P_SLR, SweepConfig(cache=cache, **SWEEP),
-                    checkpoint_dir=str(tmp_path / "ckpt"),
-                ).explore(tiny_model(), graph_level=3, resume=resume)
-            finally:
-                cache.close()
-
-        first = sweep()
-        cold_proposals = proposals.calls
-        cache_bytes = (tmp_path / "cache.jsonl").read_bytes()
-        proposals.stop = proposals.calls + cold_proposals // 2
-        with pytest.raises(KeyboardInterrupt):
-            sweep()
-        assert list((tmp_path / "ckpt").glob("*.ckpt.json"))
-        resumed = sweep(resume=True)
-        assert resumed.cache_misses == resumed.evaluated_this_run == 0
-        assert resumed.frontier_json() == first.frontier_json()
-        assert {name: list(result.records.items())
-                for name, result in resumed.node_results.items()} \
-            == {name: list(result.records.items())
-                for name, result in first.node_results.items()}
-        assert (tmp_path / "cache.jsonl").read_bytes() == cache_bytes
-        assert not list((tmp_path / "ckpt").glob("*.ckpt.json"))
 
 
 # -- one generator per explorer -------------------------------------------------------------
@@ -274,8 +180,8 @@ class TestOneGenerator:
         assert [fresh.rng.random() for _ in range(4)] == expected
         assert [loaded.rng.random() for _ in range(4)] == expected
 
-    def test_an_explorer_seeds_once_and_reads_its_state_once(
-            self, gemm_module, tmp_path, seedings, monkeypatch):
+    def test_an_explorer_seeds_once_and_reads_its_state_for_checkpoints(
+            self, gemm_module, tmp_path, seedings, monkeypatch, saves):
         reads = []
         getstate = random.Random.getstate
         monkeypatch.setattr(random.Random, "getstate",
@@ -289,4 +195,9 @@ class TestOneGenerator:
             cache.close()
         assert warm.cache_misses == 0
         assert seedings == [SWEEP["seed"]]
-        assert len(reads) == 1  # the boundary a Ctrl-C would save
+        assert reads == [] and saves == []  # no checkpoint to take
+        explorer(tmp_path / "bare").explore(gemm_module)
+        # A checkpointing sweep reads it at each of its 8 boundaries (the
+        # start and after each of 7 batches) and for each save.
+        assert saves == PERIODIC + [FINAL]
+        assert len(reads) == 8 + len(saves)

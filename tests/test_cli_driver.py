@@ -264,7 +264,7 @@ class TestSweepSettings:
         assert supervision <= {
             field.name for field in dataclasses.fields(SupervisionPolicy)}
         assert declared == supervision | {"cache", "cache_path",
-                                          "cache_max_bytes", "platforms"}
+                                          "platforms"}
         assert forwarded == ["fields"]
         with pytest.raises(TypeError, match="jobz"):
             pipeline.explore_kernel(None, jobz=2)
@@ -282,7 +282,7 @@ class TestSweepSettings:
             return set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
 
         shared = {"--samples", "--iterations", "--seed", "--jobs",
-                  "--batch-size", "--cache", "--cache-max-bytes",
+                  "--batch-size", "--cache",
                   "--register-pipeline", "--checkpoint",
                   "--checkpoint-every", "--resume", "--task-timeout",
                   "--max-retries", "--on-fault",
@@ -316,16 +316,6 @@ class TestSweepFlagValidation:
             main(SWEEPS["dnn"] + ["--task-timeout", "-3"])
 
     @pytest.mark.parametrize("command", sorted(SWEEPS))
-    @pytest.mark.parametrize("value", ["0", "-5"])
-    def test_non_positive_cache_max_bytes_rejected(self, command, value,
-                                                   tmp_path):
-        with pytest.raises(SystemExit, match="--cache-max-bytes must be a "
-                                             "positive number of bytes"):
-            main(SWEEPS[command] + ["--cache", str(tmp_path / "c.jsonl"),
-                                    "--cache-max-bytes", value])
-        assert not (tmp_path / "c.jsonl").exists()
-
-    @pytest.mark.parametrize("command", sorted(SWEEPS))
     @pytest.mark.parametrize("flag,value,least", [
         ("--jobs", "-2", 1), ("--jobs", "0", 1),
         ("--batch-size", "0", 1), ("--checkpoint-every", "-4", 1),
@@ -345,10 +335,11 @@ class TestSweepFlagValidation:
             main(SWEEPS[command] + [flag, value])
 
     @pytest.mark.parametrize("command", sorted(SWEEPS))
-    def test_cache_max_bytes_without_cache_rejected(self, command):
-        with pytest.raises(SystemExit, match="--cache-max-bytes requires "
-                                             "--cache"):
+    def test_the_cache_bound_flag_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit):
             main(SWEEPS[command] + ["--cache-max-bytes", "4096"])
+        assert "unrecognized arguments: --cache-max-bytes" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", sorted(SWEEPS))
     @pytest.mark.parametrize("flag", ["--listen", "--workers"])
@@ -361,6 +352,37 @@ class TestSweepFlagValidation:
         with pytest.raises(SystemExit):
             main(["worker-agent", "--connect", "127.0.0.1:1"])
         assert "invalid choice: 'worker-agent'" in capsys.readouterr().err
+
+
+class TestInterruptHint:
+    """A Ctrl-C ends in one line that says how to continue the sweep."""
+
+    @staticmethod
+    def interrupted(monkeypatch, capsys, argv) -> str:
+        from repro.dse.runtime import MultiKernelScheduler
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(MultiKernelScheduler, "explore_kernels", interrupt)
+        assert main(argv) == 130
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(SWEEPS))
+    def test_with_a_cache_the_same_command_continues(self, command, tmp_path,
+                                                     monkeypatch, capsys):
+        err = self.interrupted(monkeypatch, capsys, SWEEPS[command] + [
+            "--cache", str(tmp_path / "c.jsonl"),
+            "--checkpoint", str(tmp_path / "ckpt")])
+        assert "in the estimate cache; re-run the same command to " \
+               "continue from it" in err
+        assert "--resume" not in err
+
+    def test_with_a_checkpoint_alone_resume_continues(self, tmp_path,
+                                                      monkeypatch, capsys):
+        err = self.interrupted(monkeypatch, capsys, SWEEPS["dse"] + [
+            "--checkpoint", str(tmp_path / "dse.ckpt.json")])
+        assert "re-run the same command with --resume" in err
 
 
 class TestPlatformFlags:

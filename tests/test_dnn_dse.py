@@ -31,6 +31,19 @@ def tiny_model():
     return builder.finish(x)
 
 
+def repeated_model():
+    """Three identical convolution stages and a tail: the last two stages
+    take copies of the first one's sweep."""
+    builder = GraphBuilder("twins", (1, 4, 8, 8))
+    x = builder.input
+    for _ in range(3):
+        x = builder.conv_bn_relu(x, 4, 3, stride=1, padding=1)
+    x = builder.global_avgpool2d(x)
+    x = builder.flatten(x)
+    x = builder.dense(x, 10)
+    return builder.finish(x)
+
+
 def scheduler(jobs=1, checkpoint_dir=None, max_evaluations_per_node=None,
               **overrides):
     own = dict(checkpoint_dir=checkpoint_dir,
@@ -113,55 +126,64 @@ class TestModelDeterminism:
         assert rerun.frontier_json() == first.frontier_json()
 
 
-class TestFinishedNodesAreKeptByTheCache:
-    """With a persistent cache a finished node leaves no checkpoint, and
-    ``--resume`` replays its trajectory from the cache."""
+class TestACachedModelSweepKeepsNoCheckpoint:
+    """With a persistent cache no node keeps a checkpoint, and rerunning the
+    sweep replays every node's trajectory from the cache."""
 
-    def sweep(self, tmp_path, jobs=1, resume=False, cached=True,
-              checkpoints="ckpt", **overrides):
-        cache = EstimateCache(str(tmp_path / "cache.jsonl")) if cached else None
+    def sweep(self, tmp_path, jobs=1, resume=False, **overrides):
+        cache = EstimateCache(str(tmp_path / "cache.jsonl"))
         try:
             with obs.session() as session:
                 result = scheduler(
-                    jobs=jobs, checkpoint_dir=str(tmp_path / checkpoints),
+                    jobs=jobs, checkpoint_dir=str(tmp_path / "ckpt"),
                     checkpoint_every=1, cache=cache, **overrides,
                 ).explore(tiny_model(), graph_level=3, resume=resume)
         finally:
-            if cache is not None:
-                cache.close()
-        counters = session.metrics.counters
-        return result, {name: counters.get(f"dse.checkpoint.{name}", 0)
-                        for name in ("saves", "retired")}
+            cache.close()
+        assert "dse.checkpoint.saves" not in session.metrics.counters
+        assert not (tmp_path / "ckpt").exists()
+        return result
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_a_finished_sweep_resumes_from_the_cache(self, tmp_path, jobs):
-        first, counts = self.sweep(tmp_path, jobs=jobs)
-        nodes = len(first.node_order)
-        assert counts["retired"] == nodes and counts["saves"] > 0
-        assert not list((tmp_path / "ckpt").glob("*.ckpt.json"))
+    def test_a_finished_sweep_reruns_from_the_cache(self, tmp_path, jobs):
+        first = self.sweep(tmp_path, jobs=jobs)
         cache_bytes = (tmp_path / "cache.jsonl").read_bytes()
-        resumed, _ = self.sweep(tmp_path, jobs=jobs, resume=True)
-        assert resumed.evaluated_this_run == resumed.cache_misses == 0
-        assert resumed.frontier_json() == first.frontier_json() \
+        rerun = self.sweep(tmp_path, jobs=jobs, resume=True)
+        assert rerun.evaluated_this_run == rerun.cache_misses == 0
+        assert rerun.frontier_json() == first.frontier_json() \
             == scheduler().explore(tiny_model(), graph_level=3).frontier_json()
         assert (tmp_path / "cache.jsonl").read_bytes() == cache_bytes
-        assert not list((tmp_path / "ckpt").glob("*.ckpt.json"))
 
-    def test_a_capped_sweep_checkpoints_as_without_a_cache(self, tmp_path):
-        def checkpoints(directory):
-            return {path.name: path.read_bytes()
-                    for path in (tmp_path / directory).glob("*.ckpt.json")}
-
-        _, bare = self.sweep(tmp_path, cached=False, checkpoints="bare",
-                             max_evaluations_per_node=2)
-        partial, counts = self.sweep(tmp_path, max_evaluations_per_node=2)
-        assert counts == bare and counts["retired"] == 0
-        assert len(checkpoints("ckpt")) == len(partial.node_order)
-        assert checkpoints("ckpt") == checkpoints("bare")
-        resumed, _ = self.sweep(tmp_path, jobs=2, resume=True)
-        assert resumed.frontier_json() \
+    def test_a_capped_sweep_reruns_to_the_uncapped_one(self, tmp_path):
+        partial = self.sweep(tmp_path, max_evaluations_per_node=2)
+        rerun = self.sweep(tmp_path, jobs=2)
+        assert rerun.cache_hits - rerun.shared_points \
+            == partial.num_evaluations
+        assert rerun.frontier_json() \
             == scheduler().explore(tiny_model(), graph_level=3).frontier_json()
-        assert not checkpoints("ckpt")
+
+
+class TestThePoolShipsWhatEvaluates:
+    def test_the_payload_holds_the_representatives_contexts(self,
+                                                           monkeypatch):
+        from repro.dse.runtime import worker
+
+        shipped = []
+        payload = worker._worker_payload
+
+        def recording(contexts):
+            shipped.append(sorted(contexts))
+            return payload(contexts)
+
+        monkeypatch.setattr(worker, "_worker_payload", recording)
+        pooled = scheduler(jobs=2).explore(repeated_model(), graph_level=3)
+        representatives = sorted(
+            name for name, result in pooled.node_results.items()
+            if result.shared_with is None)
+        assert shipped == [representatives]
+        assert len(representatives) == len(pooled.node_order) - 2
+        assert pooled.frontier_json() == scheduler().explore(
+            repeated_model(), graph_level=3).frontier_json()
 
 
 class TestNodeBudgetPolicy:

@@ -239,6 +239,7 @@ class TestCheckpoint:
         import json
 
         from repro.dse.runtime.checkpoint import _rng_state_to_json
+        from repro.estimation.estimator import QOR_MODEL_VERSION
         from repro.estimation.platform import PLATFORMS
 
         module = compile_source(GEMM_SOURCE, "gemm")
@@ -264,7 +265,8 @@ class TestCheckpoint:
 
         streamed = io.StringIO()
         json.dump({
-            "version": 1, "fingerprint": state.fingerprint, "seed": state.seed,
+            "version": 1, "model": QOR_MODEL_VERSION,
+            "fingerprint": state.fingerprint, "seed": state.seed,
             "config": state.config, "samples_done": state.samples_done,
             "iterations_done": state.iterations_done,
             "rng_state": _rng_state_to_json(state.rng_state),
@@ -279,6 +281,44 @@ class TestCheckpoint:
         store = CheckpointStore(str(tmp_path / "state.json"))
         store.save(ExplorerState.fresh("fp", seed=5))
         assert store.load(expected_fingerprint="other") is None
+
+    def test_a_snapshot_of_another_qor_model_is_not_resumed(self, tmp_path,
+                                                            monkeypatch):
+        import json
+
+        from repro.dse.runtime import checkpoint
+
+        store = CheckpointStore(str(tmp_path / "state.json"))
+        store.save(ExplorerState.fresh("fp", seed=5))
+        assert store.load(expected_fingerprint="fp") is not None
+        payload = json.loads((tmp_path / "state.json").read_text())
+        del payload["model"]
+        (tmp_path / "state.json").write_text(json.dumps(payload))
+        assert store.load(expected_fingerprint="fp") is None
+        store.save(ExplorerState.fresh("fp", seed=5))
+        monkeypatch.setattr(checkpoint, "QOR_MODEL_VERSION",
+                            getattr(checkpoint, "QOR_MODEL_VERSION", 0) + 1,
+                            raising=False)
+        assert store.load(expected_fingerprint="fp") is None
+
+    def test_records_of_another_qor_model_are_evaluated_again(
+            self, gemm_module, tmp_path, monkeypatch):
+        from repro.dse.runtime import checkpoint
+        from repro.estimation import estimator
+
+        path = str(tmp_path / "explore.ckpt.json")
+        partial = small_explorer(checkpoint_path=path, max_evaluations=5) \
+            .explore(gemm_module)
+        assert partial.num_evaluations > 0
+        version = estimator.QOR_MODEL_VERSION + 1
+        monkeypatch.setattr(estimator, "QOR_MODEL_VERSION", version)
+        monkeypatch.setattr(checkpoint, "QOR_MODEL_VERSION", version,
+                            raising=False)
+        resumed = small_explorer(checkpoint_path=path) \
+            .explore(gemm_module, resume=True)
+        assert resumed.evaluated_this_run == resumed.num_evaluations
+        assert frontier_signature(resumed) \
+            == frontier_signature(small_explorer().explore(gemm_module))
 
     def test_interrupted_resume_matches_uninterrupted(self, gemm_module, tmp_path):
         checkpoint = str(tmp_path / "explore.ckpt.json")
@@ -324,17 +364,16 @@ class TestCheckpoint:
         assert result.num_evaluations > 0
 
 
-class TestFinishedKernelsAreKeptByTheCache:
-    """A trajectory that finished against a persistent estimate cache that
-    never evicts leaves no checkpoint: the cache holds every record, and
-    ``--resume`` replays the trajectory from it without evaluating."""
+class TestACachedSweepKeepsNoCheckpoint:
+    """A sweep whose estimate cache has a file keeps no checkpoint: the
+    cache never drops a record, so rerunning the sweep, with or without
+    ``resume``, replays its trajectory from the cache."""
 
     SWEEP = dict(num_samples=6, max_iterations=8, seed=11, batch_size=4,
                  checkpoint_every=2)
 
-    def sweep(self, module, tmp_path, resume=False, max_bytes=None,
-              max_evaluations=None):
-        cache = EstimateCache(str(tmp_path / "cache.jsonl"), max_bytes=max_bytes)
+    def sweep(self, module, tmp_path, resume=False, max_evaluations=None):
+        cache = EstimateCache(str(tmp_path / "cache.jsonl"))
         try:
             return small_explorer(
                 checkpoint_path=str(tmp_path / "dse.ckpt.json"),
@@ -343,8 +382,9 @@ class TestFinishedKernelsAreKeptByTheCache:
         finally:
             cache.close()
 
-    def test_resume_replays_the_trajectory_from_the_cache(self, gemm_module,
-                                                         tmp_path):
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_a_rerun_replays_the_trajectory_from_the_cache(
+            self, gemm_module, tmp_path, resume):
         from repro.pipeline import explore_kernel
 
         clean = small_explorer(**self.SWEEP).explore(gemm_module)
@@ -354,7 +394,7 @@ class TestFinishedKernelsAreKeptByTheCache:
                                **self.SWEEP)
         assert not (tmp_path / "dse.ckpt.json").exists()
         cache_bytes = (tmp_path / "cache.jsonl").read_bytes()
-        again = self.sweep(gemm_module, tmp_path, resume=True)
+        again = self.sweep(gemm_module, tmp_path, resume=resume)
         assert again.evaluated_this_run == again.cache_misses == 0
         assert again.cache_hits == again.num_evaluations
         assert list(again.records.items()) == list(first.records.items())
@@ -363,33 +403,38 @@ class TestFinishedKernelsAreKeptByTheCache:
         assert (tmp_path / "cache.jsonl").read_bytes() == cache_bytes
         assert not (tmp_path / "dse.ckpt.json").exists()
 
-    def test_the_cache_is_synced_before_each_checkpoint_goes(self, tmp_path,
-                                                            monkeypatch):
-        import os
-
+    def test_the_cache_is_synced_where_a_checkpoint_would_be_saved(
+            self, tmp_path, monkeypatch):
         events = []
-        sync = EstimateCache.sync
-        unlink = os.unlink
+        sync, save = EstimateCache.sync, CheckpointStore.save
 
         def recording_sync(cache):
             events.append("sync")
             sync(cache)
 
-        def recording_unlink(path, *args, **kwargs):
-            if str(path).endswith(".ckpt.json"):
-                events.append(os.path.basename(path))
-            return unlink(path, *args, **kwargs)
+        def recording_save(store, state):
+            events.append("save")
+            save(store, state)
 
         monkeypatch.setattr(EstimateCache, "sync", recording_sync)
-        monkeypatch.setattr(os, "unlink", recording_unlink)
+        monkeypatch.setattr(CheckpointStore, "save", recording_save)
+
+        def sweep(name, cache=None):
+            MultiKernelScheduler(
+                XC7Z020, SweepConfig(cache=cache, **self.SWEEP),
+                checkpoint_dir=str(tmp_path / name),
+            ).explore_module(compile_source(GEMM_SOURCE + SYRK_SOURCE, "pair"))
+            saved = list(events)
+            del events[:]
+            return saved
+
+        saves = sweep("bare")
         cache = EstimateCache(str(tmp_path / "cache.jsonl"))
-        MultiKernelScheduler(
-            XC7Z020, SweepConfig(cache=cache, **self.SWEEP),
-            checkpoint_dir=str(tmp_path / "ckpt"),
-        ).explore_module(compile_source(GEMM_SOURCE + SYRK_SOURCE, "pair"))
+        syncs = sweep("ckpt", cache)
         cache.close()
-        assert events == ["sync", "gemm.ckpt.json", "sync", "syrk.ckpt.json"]
-        assert not list((tmp_path / "ckpt").iterdir())
+        assert saves == ["save"] * len(saves) and len(saves) > 2
+        assert syncs == ["sync"] * len(saves)
+        assert not (tmp_path / "ckpt").exists()
 
     def test_sync_makes_the_appended_lines_durable(self, gemm_module,
                                                    tmp_path, monkeypatch):
@@ -404,28 +449,34 @@ class TestFinishedKernelsAreKeptByTheCache:
         assert synced == [cache._handle.fileno()]
         cache.close()
 
-    def test_a_capped_sweep_checkpoints_as_without_a_cache(self, gemm_module,
-                                                          tmp_path):
-        bare = tmp_path / "bare.ckpt.json"
-        small_explorer(checkpoint_path=str(bare), max_evaluations=5,
-                       **self.SWEEP).explore(gemm_module)
-        partial = self.sweep(gemm_module, tmp_path, max_evaluations=5)
-        assert partial.num_evaluations < 14
-        assert (tmp_path / "dse.ckpt.json").read_bytes() == bare.read_bytes()
-        resumed = self.sweep(gemm_module, tmp_path, resume=True)
-        assert frontier_signature(resumed) == frontier_signature(
-            small_explorer(**self.SWEEP).explore(gemm_module))
-        assert not (tmp_path / "dse.ckpt.json").exists()
+    def test_a_capped_sweep_leaves_no_checkpoint(self, gemm_module, tmp_path):
+        from repro import obs
 
-    def test_a_bounded_cache_keeps_the_final_checkpoint(self, gemm_module,
-                                                        tmp_path):
-        # It may evict a finished kernel's records later: the checkpoint a
-        # cacheless sweep writes.
-        bare = tmp_path / "bare.ckpt.json"
-        small_explorer(checkpoint_path=str(bare), **self.SWEEP) \
-            .explore(gemm_module)
-        self.sweep(gemm_module, tmp_path, max_bytes=10**9)
-        assert (tmp_path / "dse.ckpt.json").read_bytes() == bare.read_bytes()
+        with obs.session() as session:
+            partial = self.sweep(gemm_module, tmp_path, max_evaluations=5)
+            rerun = self.sweep(gemm_module, tmp_path)
+        assert "dse.checkpoint.saves" not in session.metrics.counters
+        assert not (tmp_path / "dse.ckpt.json").exists()
+        full = small_explorer(**self.SWEEP).explore(gemm_module)
+        assert partial.num_evaluations < full.num_evaluations
+        assert list(rerun.records.items()) == list(full.records.items())
+        assert frontier_signature(rerun) == frontier_signature(full)
+        # Only what the capped run did not store is evaluated.
+        assert rerun.cache_hits == partial.num_evaluations
+        assert rerun.evaluated_this_run \
+            == full.num_evaluations - partial.num_evaluations
+
+    def test_a_checkpoint_is_neither_read_nor_written(self, gemm_module,
+                                                      tmp_path):
+        # One left by a capped cacheless run: a cached sweep starts over
+        # and leaves the file as it found it.
+        path = tmp_path / "dse.ckpt.json"
+        small_explorer(checkpoint_path=str(path), max_evaluations=5,
+                       **self.SWEEP).explore(gemm_module)
+        left = path.read_bytes()
+        cached = self.sweep(gemm_module, tmp_path, resume=True)
+        assert cached.evaluated_this_run == cached.num_evaluations
+        assert path.read_bytes() == left
 
     def test_a_repeated_kernel_keeps_no_checkpoint_of_its_own(self,
                                                               gemm_module,
@@ -443,42 +494,6 @@ class TestFinishedKernelsAreKeptByTheCache:
         assert results["second"].shared_hits > 0
         assert sorted(path.name for path in (tmp_path / "ckpt").iterdir()) \
             == ["first.ckpt.json"]
-
-    def test_a_stale_checkpoint_goes_when_the_kernel_finishes(self, gemm_module,
-                                                             tmp_path):
-        self.sweep(gemm_module, tmp_path, max_evaluations=5)
-        assert (tmp_path / "dse.ckpt.json").exists()
-        self.sweep(gemm_module, tmp_path)  # not resumed: starts over
-        assert not (tmp_path / "dse.ckpt.json").exists()
-
-    def test_records_a_checkpoint_brought_in_reach_the_cache(self, gemm_module,
-                                                            tmp_path):
-        # Capped without a cache, finished with one: the cache must hold the
-        # checkpoint's records too before the checkpoint goes.
-        small_explorer(checkpoint_path=str(tmp_path / "dse.ckpt.json"),
-                       max_evaluations=5, **self.SWEEP).explore(gemm_module)
-        finished = self.sweep(gemm_module, tmp_path, resume=True)
-        assert not (tmp_path / "dse.ckpt.json").exists()
-        again = self.sweep(gemm_module, tmp_path, resume=True)
-        assert again.evaluated_this_run == 0
-        assert list(again.records.items()) == list(finished.records.items())
-
-    def test_counters_say_which_path_each_kernel_took(self, gemm_module,
-                                                      tmp_path):
-        from repro import obs
-
-        with obs.session() as session:
-            self.sweep(gemm_module, tmp_path, max_evaluations=5)
-            capped = dict(session.metrics.counters)
-        with obs.session() as session:
-            self.sweep(gemm_module, tmp_path, resume=True)
-            finished = dict(session.metrics.counters)
-        # Capped after the 6 samples: a periodic save and the final one.
-        assert (capped.get("dse.checkpoint.saves"),
-                capped.get("dse.checkpoint.retired")) == (2, None)
-        # Two batches of 4 more: a periodic save each, then retired.
-        assert (finished.get("dse.checkpoint.saves"),
-                finished.get("dse.checkpoint.retired")) == (2, 1)
 
 
 class TestEvaluationArena:

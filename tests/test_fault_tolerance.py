@@ -999,34 +999,30 @@ class TestInterruptCheckpoint:
 
     def test_with_a_persistent_cache(self, gemm_module, tmp_path,
                                      interrupt_after):
-        # The boundary save is the same file with or without a cache; the
-        # resumed run finishes, so the cache keeps it from then on.
-        def interrupted(checkpoint, cache=None):
-            with interrupt_after(2), pytest.raises(KeyboardInterrupt):
-                small_explorer(checkpoint_path=str(checkpoint),
-                               checkpoint_every=1000, cache=cache) \
-                    .explore(gemm_module)
+        # No boundary is saved: the cache holds every record the interrupted
+        # run stored, and rerunning the sweep replays the trajectory from it.
+        checkpoint = tmp_path / "dse.ckpt.json"
 
-        def resumed():
+        def sweep():
             cache = EstimateCache(str(tmp_path / "cache.jsonl"))
             try:
                 return small_explorer(checkpoint_path=str(checkpoint),
-                                      cache=cache) \
-                    .explore(gemm_module, resume=True)
+                                      checkpoint_every=1000, cache=cache) \
+                    .explore(gemm_module)
             finally:
                 cache.close()
 
-        interrupted(tmp_path / "bare.ckpt.json")
-        checkpoint = tmp_path / "dse.ckpt.json"
-        cache = EstimateCache(str(tmp_path / "cache.jsonl"))
-        interrupted(checkpoint, cache)
-        cache.close()
-        assert checkpoint.read_bytes() \
-            == (tmp_path / "bare.ckpt.json").read_bytes()
-        clean = small_explorer().explore(gemm_module)
-        assert frontier_signature(resumed()) == frontier_signature(clean)
+        with interrupt_after(2), pytest.raises(KeyboardInterrupt):
+            sweep()
         assert not checkpoint.exists()
-        again = resumed()
+        stored = len((tmp_path / "cache.jsonl").read_text().splitlines())
+        assert stored > 0
+        clean = small_explorer().explore(gemm_module)
+        rerun = sweep()
+        assert rerun.cache_hits == stored
+        assert frontier_signature(rerun) == frontier_signature(clean)
+        assert not checkpoint.exists()
+        again = sweep()
         assert again.evaluated_this_run == 0
         assert frontier_signature(again) == frontier_signature(clean)
 

@@ -206,29 +206,12 @@ class TestRuntimePipelineRegistration:
         assert design.qor.latency > 0
 
 
-class TestEstimateCacheByteBound:
-    def _fill(self, path, **bounds):
+class TestEstimateCacheCompaction:
+    def _fill(self, path):
         explorer = ParallelExplorer(XC7Z020, SweepConfig(
             num_samples=6, max_iterations=8, seed=11, jobs=1, batch_size=4,
-            cache=EstimateCache(path, **bounds)))
+            cache=EstimateCache(path)))
         return explorer.explore(compile_source(GEMM_SOURCE, "gemm"))
-
-    def test_max_bytes_bounds_entries_and_file(self, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
-        cold = self._fill(path)
-        full_size = os.path.getsize(path)
-        assert full_size > 512
-
-        bounded = EstimateCache(path, max_bytes=512)
-        assert 0 < len(bounded) < cold.num_evaluations
-        assert bounded.stats.compacted > 0  # byte-evicted lines dropped
-        assert os.path.getsize(path) <= 512
-
-    def test_byte_bound_keeps_newest_entry(self, tmp_path):
-        path = str(tmp_path / "cache.jsonl")
-        self._fill(path, max_bytes=64)  # smaller than any single line
-        cache = EstimateCache(path, max_bytes=64)
-        assert len(cache) == 1  # the newest entry always survives
 
     def test_compaction_drops_superseded_and_corrupt_lines(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")

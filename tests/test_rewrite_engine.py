@@ -529,7 +529,7 @@ class TestSeededWorklist:
         assert sum(hits for hits, _ in driver.pattern_stats.values()) > 4 * 2
 
 
-class TestEstimateCacheLRU:
+class TestEstimateCacheKeepsEveryRecord:
     def _record(self, encoded):
         from repro.dse.runtime.records import EvaluationRecord
         from repro.estimation.estimator import QoRResult, ResourceUsage
@@ -541,36 +541,14 @@ class TestEstimateCacheLRU:
                           resources=ResourceUsage()),
             achieved_ii=1)
 
-    def test_eviction_is_lru_and_counted(self):
-        from repro.dse.runtime import EstimateCache
-
-        # Room for two records: all three serialize to the same length.
-        line = EstimateCache._serialize("fp", self._record((1,)))
-        cache = EstimateCache(max_bytes=2 * (len(line) + 1))
-        cache.put("fp", self._record((1,)))
-        cache.put("fp", self._record((2,)))
-        assert cache.get("fp", (1,)) is not None  # refreshes (1,)
-        cache.put("fp", self._record((3,)))       # evicts (2,), the LRU
-        assert cache.get("fp", (2,)) is None
-        assert cache.get("fp", (1,)) is not None
-        assert cache.get("fp", (3,)) is not None
-        assert cache.stats.evictions == 1
-        assert len(cache) == 2
-
-    def test_unbounded_by_default(self):
+    def test_every_stored_record_is_served(self):
         from repro.dse.runtime import EstimateCache
 
         cache = EstimateCache()
         for i in range(100):
             cache.put("fp", self._record((i,)))
         assert len(cache) == 100
-        assert cache.stats.evictions == 0
-
-    def test_invalid_bound_rejected(self):
-        from repro.dse.runtime import EstimateCache
-
-        with pytest.raises(ValueError):
-            EstimateCache(max_bytes=0)
+        assert all(cache.get("fp", (i,)) is not None for i in range(100))
 
 
 class TestBlockScanBuckets:

@@ -571,12 +571,14 @@ def document(result) -> dict:
 
 
 def explore(module, tmp_path=None, resume=False, max_evaluations=None,
-            **overrides):
-    """One sweep; with ``tmp_path`` it writes a cache file and a checkpoint."""
+            cached=True, **overrides):
+    """One sweep; with ``tmp_path`` it writes a cache file (unless not
+    ``cached``, then a checkpoint)."""
     config = dict(SWEEP, **overrides)
     cache = checkpoint_path = None
     if tmp_path is not None:
-        cache = EstimateCache(str(tmp_path / "cache.jsonl"))
+        if cached:
+            cache = EstimateCache(str(tmp_path / "cache.jsonl"))
         config.update(cache=cache, checkpoint_every=4)
         checkpoint_path = str(tmp_path / "dse.ckpt.json")
     try:
@@ -603,7 +605,7 @@ def assert_snapshots_invisible(result) -> None:
 
 
 def assert_files_match(tmp_path, golden):
-    """A finished sweep leaves the golden cache file and no checkpoint: the
+    """A cached sweep leaves the golden cache file and no checkpoint: the
     cache holds every record."""
     assert (tmp_path / "cache.jsonl").read_text() == golden["cache"]
     assert not (tmp_path / "dse.ckpt.json").exists()
@@ -654,18 +656,28 @@ class TestSweepMatchesTheParentCommit:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_resume_from_a_mid_sweep_checkpoint(self, gemm8, golden, tmp_path,
                                                 jobs):
-        partial = explore(gemm8, tmp_path, max_evaluations=9)
+        bare = tmp_path / "bare"
+        partial = explore(gemm8, bare, max_evaluations=9, cached=False)
         assert partial.num_evaluations < len(golden["clean"]["records"])
-        # A capped run checkpoints as it always did.
-        assert (tmp_path / "dse.ckpt.json").read_text() == golden["checkpoint"]
+        # A capped cacheless run checkpoints as it always did.
+        assert (bare / "dse.ckpt.json").read_text() == golden["checkpoint"]
         # The resumed process starts with no run-local class results: a
         # sibling of a point evaluated before the interruption is evaluated
         # again, to the same record.
-        resumed = explore(gemm8, tmp_path, resume=True, jobs=jobs)
+        resumed = explore(gemm8, bare, resume=True, jobs=jobs, cached=False)
         assert document(resumed) == golden["clean"]
-        assert_files_match(tmp_path, golden)
         assert resumed.resolved_siblings + resumed.resolved_aliases < 6
-        # No checkpoint is left: the trajectory replays from the cache.
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rerun_of_a_capped_cached_sweep(self, gemm8, golden, tmp_path,
+                                            jobs):
+        partial = explore(gemm8, tmp_path, max_evaluations=9)
+        assert partial.num_evaluations < len(golden["clean"]["records"])
+        assert not (tmp_path / "dse.ckpt.json").exists()
+        rerun = explore(gemm8, tmp_path, jobs=jobs)
+        assert document(rerun) == golden["clean"]
+        assert_files_match(tmp_path, golden)
+        assert rerun.cache_hits == partial.num_evaluations
         again = explore(gemm8, tmp_path, resume=True)
         assert again.evaluated_this_run == 0
         assert document(again) == golden["clean"]
