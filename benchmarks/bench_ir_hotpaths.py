@@ -365,10 +365,13 @@ WORK_COUNT_LIMITS = {
     "trmm.simplify_affine_if_rewrites": 0,
     # One fresh vgg16 staging, lowering and split (measure_model_counts):
     # 1 138 maps and 298 layouts while every constant bound and default
-    # layout was built anew, 842 clones while the 50 nodes were copied out.
-    "model.affine_maps": 244,
+    # layout was built anew, 842 clones while the 50 nodes were copied out,
+    # 244 maps while the 22 repeated nodes were lowered too.  A repeated
+    # node's module is a relabelled clone of its class's lowered function:
+    # one clone per op of it, none of a representative (they are moved).
+    "model.affine_maps": 164,
     "model.default_layouts": 31,
-    "model.split_clones": 0,
+    "model.split_clones_per_member_op": 1.0,
     # A warm vgg16 sweep against the cache its cold run filled
     # (measure_warm_sweep_counts), 50 nodes, while every node replayed its
     # checkpoint rhythm: 224 RNG state reads (168 of them a Ctrl-C boundary
@@ -589,7 +592,8 @@ def measure_model_counts(model: str = "vgg16", graph_level: int = 7) -> dict:
     from outside: ``AffineMap`` constructions and default layout builds
     (``build_partition_map`` calls of ``MemRefType``) while ``model`` is
     staged, lowered and split at ``graph_level``, and ``Operation.clone``
-    calls while the nodes are split.
+    calls while the nodes are split, against the ops of the members' node
+    functions (a member's task shares its representative's space).
 
     The maps are counted in a process that has built no IR yet (``main``
     runs this first): a constant map or a layout built once is shared from
@@ -638,12 +642,21 @@ def measure_model_counts(model: str = "vgg16", graph_level: int = 7) -> dict:
         patch(Operation, "clone", counted_clone)
         patch(ModelScheduler, "_node_tasks", counted_split)
         tasks, _, _ = ModelScheduler()._staged_tasks(module, graph_level, None)
+    spaces: set[int] = set()
+    members = member_ops = 0
+    for task in tasks:
+        if id(task.space) in spaces:
+            members += 1
+            member_ops += sum(1 for _ in task.module.functions()[0].walk())
+        spaces.add(id(task.space))
     print(f"model_counts: {model} at graph level {graph_level}, staged, "
           f"lowered and split into {len(tasks)} nodes: "
           f"{counts['affine_maps']} affine maps and {counts['default_layouts']} "
           f"default layouts built, {counts['split_clones']} clones while "
-          f"splitting")
-    return {"model.nodes": len(tasks),
+          f"splitting for {member_ops} ops of {members} repeated nodes")
+    return {"model.nodes": len(tasks), "model.member_ops": member_ops,
+            "model.split_clones_per_member_op":
+                counts["split_clones"] / max(1, member_ops),
             **{f"model.{name}": value for name, value in counts.items()}}
 
 
@@ -1159,8 +1172,8 @@ def main(argv=None) -> int:
         print(f"smoke gate passed: all gated scenarios scale near-linearly "
               f"(growth <= {limit:.1f}x), the snapshot cache builds each "
               f"prefix once, an evaluation does each op's work once, a "
-              f"model split shares its maps and clones no node, a warm "
-              f"model sweep pays for its lookups, and a cold sweep builds "
+              f"model split shares its maps and clones no representative, "
+              f"a warm model sweep pays for its lookups, and a cold sweep builds "
               f"each prefix, dispatch table and estimator walk once")
     return 0
 

@@ -4,14 +4,14 @@ The headline claim of ScaleHLS is that HLS DSE scales from single kernels to
 whole DNN models.  :class:`ModelScheduler` reproduces that flow on top of
 the parallel runtime:
 
-1. **Graph staging** — the model module goes through the graph-level stages
-   of :func:`repro.pipeline.compile_dnn` (``legalize-dataflow`` +
-   ``split-function``), producing one function per dataflow node, then
-   ``lower-graph-to-loops``.
-2. **Node splitting** — every explorable dataflow node is moved (not
-   cloned) into its *own* single-function module, so the worker-pool
-   payload holds one small module per node instead of one whole-model copy
-   per node.
+1. **Graph staging** — the graph-level stages of :func:`compile_dnn`
+   (``legalize-dataflow`` + ``split-function``) make one function per
+   dataflow node.  Nodes whose graph-level functions share an ``ir_digest``
+   form a class, and ``lower-graph-to-loops`` lowers one node per class.
+2. **Node splitting** — every explorable node gets its *own* one-function
+   module: a class's first node is moved into it, a repeated node gets a
+   clone of that node's lowered function under its own names (and shares
+   its design space).
 3. **Budgeted sweep** — one :class:`~repro.dse.runtime.scheduler.KernelTask`
    per node runs on one shared process pool; the :class:`NodeBudgetPolicy`
    gives light stages proportionally smaller exploration budgets (a node's
@@ -37,6 +37,7 @@ the per-node frontiers.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -47,10 +48,12 @@ from repro import obs
 from repro.dse.runtime.config import SweepConfig
 from repro.dse.runtime.parallel import ParallelDSEResult
 from repro.dse.runtime.scheduler import KernelTask, MultiKernelScheduler
-from repro.dse.space import KernelDesignSpace
+from repro.dse.space import KernelDesignSpace, ir_digest
 from repro.estimation.platform import Platform, VU9P_SLR
 from repro.estimation.resources import ResourceUsage
 from repro.ir.module import ModuleOp
+from repro.transforms.graph.lower_graph import (buffer_stems, lower_graph_to_loops,
+                                                rename_buffers)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -492,10 +495,12 @@ class ModelScheduler:
         ``model`` is a bundled model name or an un-staged graph-level module
         (it is cloned, never mutated).  ``max_nodes`` truncates the sweep to
         the N heaviest nodes — a smoke-test escape hatch, reported via
-        ``skipped`` rather than applied silently.
+        ``skipped`` rather than applied silently (``ValueError`` below 1).
         """
         from repro.frontend.models import build_model
 
+        if max_nodes is not None and max_nodes < 1:
+            raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
         started = time.perf_counter()
         if isinstance(model, str):
             model_name, module = model, build_model(model)
@@ -569,11 +574,10 @@ class ModelScheduler:
     def _staged_tasks(self, module: ModuleOp, graph_level: int,
                       max_nodes: Optional[int]
                       ) -> tuple[list[KernelTask], list[str], list[str]]:
-        """Stage and lower ``module`` at ``graph_level``, then split it into
-        one task per explorable node.  ``module`` is consumed: the nodes are
-        moved out of it."""
+        """Stage ``module`` at ``graph_level``, lower one node per class (of
+        graph-level ``ir_digest``) and split it into one task per explorable
+        node.  ``module`` is consumed: the nodes are moved out of it."""
         from repro.pipeline import function_flops, prepare_dnn_stages
-        from repro.transforms import lower_graph_to_loops
 
         with obs.span("dse.stage_graph", graph_level=graph_level):
             prepare_dnn_stages(module, graph_level)
@@ -585,22 +589,26 @@ class ModelScheduler:
                 stage_funcs = [top]
             flops = {func_op.get_attr("sym_name"): function_flops(func_op)
                      for func_op in stage_funcs}
+            firsts, members = {}, {}  # member -> (representative, their stems)
+            for func_op in stage_funcs:
+                first = firsts.setdefault(ir_digest(func_op), func_op)
+                if first is not func_op:
+                    members[func_op.detach()] = (first, buffer_stems(first), buffer_stems(func_op))
             lower_graph_to_loops(module)
         with obs.span("dse.split_nodes") as split_span:
-            tasks, node_order, skipped = self._node_tasks(stage_funcs, flops,
-                                                          max_nodes)
+            tasks, node_order, skipped = self._node_tasks(
+                stage_funcs, members, flops, max_nodes)
             split_span.set(nodes=len(node_order))
         return tasks, node_order, skipped
 
-    def _node_tasks(self, stage_funcs, flops: dict[str, int],
+    def _node_tasks(self, stage_funcs, members: dict, flops: dict[str, int],
                     max_nodes: Optional[int]
                     ) -> tuple[list[KernelTask], list[str], list[str]]:
         """One single-function module + budgeted task per explorable node.
 
-        Explorability and the ``max_nodes`` selection are decided on the
-        staged functions; each kept node's function is then moved, not
-        cloned, into its own module (nothing reads the staged module after
-        the split).
+        Explorability is decided on a class's lowered function, ``max_nodes``
+        on each node's flops.  A representative is moved into its module; a
+        member's holds a relabelled clone of it and shares its space.
         """
         from repro.dialects.affine_ops import outermost_loops
 
@@ -608,7 +616,7 @@ class ModelScheduler:
         skipped: list[str] = []
         for func_op in stage_funcs:
             name = func_op.get_attr("sym_name")
-            if not outermost_loops(func_op):  # no loop nest to explore
+            if not outermost_loops(members.get(func_op, (func_op,))[0]):
                 skipped.append(name)
                 continue
             candidates.append((name, func_op))
@@ -624,17 +632,25 @@ class ModelScheduler:
 
         heaviest = max((flops.get(name, 0) for name, _ in candidates),
                        default=0)
+        space_of = functools.cache(functools.partial(
+            KernelDesignSpace.from_function, platforms=self.config.platforms or None))
         tasks = []
         for name, func_op in candidates:
             node_module = ModuleOp(name)
-            node_module.append(func_op.detach())
-            space = KernelDesignSpace.from_function(
-                func_op, platforms=self.config.platforms or None)
+            if func_op in members:
+                lowered, *stems = members[func_op]
+                node_func = lowered.clone()
+                node_func.set_attr("sym_name", name)
+                node_func.set_attr("dataflow_stage", func_op.get_attr("dataflow_stage"))
+                rename_buffers(node_func, *stems)
+            else:
+                lowered = node_func = func_op.detach()
+            node_module.append(node_func)
             num_samples, max_iterations = self.budget.budget_for(
                 self.config.num_samples, self.config.max_iterations,
                 flops.get(name, 0), heaviest)
             tasks.append(KernelTask(
-                key=name, module=node_module, func_name=name, space=space,
+                key=name, module=node_module, func_name=name, space=space_of(lowered),
                 num_samples=num_samples, max_iterations=max_iterations,
                 max_evaluations=self.max_evaluations_per_node))
         return tasks, [task.key for task in tasks], skipped

@@ -42,16 +42,16 @@ from repro.ir.operation import Operation
 
 
 #: Attributes that only *label* an operation and are left out of a kernel's
-#: identity wherever they occur.  ``dataflow_stage`` is read by the
-#: graph-level passes alone (``legalize-dataflow``, ``split-function``),
-#: which run before a node becomes a kernel; ``buffer_name`` names an
-#: allocation for the C++ emitter and for caller-pinned partition factors,
-#: neither of which a design-point evaluation uses.  No transform of the
-#: evaluation pipeline and no part of the estimator reads either, so two
-#: kernels that differ only in them evaluate to equal records at every
-#: design point.  Adding a label means extending this set *and* the
+#: identity wherever they occur.  ``dataflow_stage`` is read by the graph-level
+#: passes alone (``legalize-dataflow``, ``split-function``), which run before a
+#: node becomes a kernel; ``buffer_name`` names an allocation for the C++
+#: emitter and for caller-pinned partition factors, neither of which a
+#: design-point evaluation uses; ``layer_name`` is its graph-level twin.  No
+#: transform of the evaluation pipeline and no part of the estimator reads any
+#: of them, so two kernels that differ only in them evaluate to equal records
+#: at every design point.  Adding a label means extending this set *and* the
 #: perturbation test in ``tests/test_kernel_identity.py`` that proves it.
-LABEL_ATTRS = frozenset({"dataflow_stage", "buffer_name"})
+LABEL_ATTRS = frozenset({"dataflow_stage", "buffer_name", "layer_name"})
 
 #: Labels elided on the digested function itself only: its own symbol name.
 #: A callee name inside the body (``func.call``'s ``callee``) selects which

@@ -726,6 +726,9 @@ def run_dnn_dse(args) -> int:
 
 
 def run_dnn(args) -> int:
+    for flag, level in (("--graph-level", args.graph_level), ("--loop-level", args.loop_level)):
+        if not 0 <= level <= 7:  # the paper's G0-G7 / L0-L7, checked before anything loads
+            raise SystemExit(f"{flag} must be in 0..7, got {level}")
     if args.dse:
         return run_dnn_dse(args)
     platform = _single_platform(args, "vu9p-slr")

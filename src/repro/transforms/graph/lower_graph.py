@@ -102,10 +102,31 @@ def _lower_function(func_op: Operation) -> int:
     return lowered
 
 
+def _buffer_stem(op: GraphOp) -> str:
+    """The name of ``op``'s output buffer; its parameter buffers add ``_*``."""
+    return op.get_attr("layer_name", "") or op.name.split(".")[-1]
+
+
+def buffer_stems(func_op: Operation) -> list[str]:
+    """Every graph op's buffer stem, in the order lowering visits them."""
+    return [_buffer_stem(op) for op in func_op.region(0).front.operations
+            if isinstance(op, GraphOp)]
+
+
+def rename_buffers(func_op: Operation, olds: Sequence[str], news: Sequence[str]) -> None:
+    """Rename a lowered function's buffers named ``old`` or ``old_*`` after
+    ``new``, zipping the stems in op order, the longest old stem first."""
+    for op in func_op.region(0).front.operations:
+        name = op.get_attr("buffer_name", "")
+        for old, new in sorted(zip(olds, news), key=lambda pair: -len(pair[0])):
+            if name == old or name.startswith(old + "_"):
+                op.set_attr("buffer_name", new + name[len(old):])
+                break
+
+
 def _lower_graph_op(builder: Builder, op: GraphOp) -> Value:
-    layer_name = op.get_attr("layer_name", "") or op.name.split(".")[-1]
     output_type = _tensor_to_memref(op.output_type())
-    output = builder.insert(memref_dialect.AllocOp(output_type, name=layer_name)).result()
+    output = builder.insert(memref_dialect.AllocOp(output_type, name=_buffer_stem(op))).result()
 
     handlers = {
         "graph.conv2d": _lower_conv2d,
@@ -174,7 +195,7 @@ def _store(builder: Builder, value: Value, buffer: Value, ivs: Sequence[Value],
 
 def _weight_buffer(builder: Builder, op: GraphOp, element_type, suffix: str = "weight") -> Value:
     shape = op.get_attr("weight_shape")
-    name = (op.get_attr("layer_name", "") or op.name.split(".")[-1]) + f"_{suffix}"
+    name = f"{_buffer_stem(op)}_{suffix}"
     buffer_type = MemRefType(shape, element_type)
     return builder.insert(memref_dialect.AllocOp(buffer_type, name=name)).result()
 
@@ -183,7 +204,7 @@ def _bias_buffer(builder: Builder, op: GraphOp) -> Optional[Value]:
     bias_shape = op.get_attr("bias_shape")
     if not bias_shape:
         return None
-    name = (op.get_attr("layer_name", "") or op.name.split(".")[-1]) + "_bias"
+    name = _buffer_stem(op) + "_bias"
     return builder.insert(memref_dialect.AllocOp(MemRefType(bias_shape, f32), name=name)).result()
 
 

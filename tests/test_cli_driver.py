@@ -334,6 +334,26 @@ class TestSweepFlagValidation:
                                              f"got {value}"):
             main(SWEEPS[command] + [flag, value])
 
+    @pytest.mark.parametrize("dse", [False, True], ids=["dnn", "dnn-dse"])
+    @pytest.mark.parametrize("flag", ["--graph-level", "--loop-level"])
+    @pytest.mark.parametrize("value", ["-3", "-1", "8", "20"])
+    def test_dnn_levels_outside_the_papers_are_rejected(self, dse, flag, value,
+                                                        monkeypatch):
+        import repro.pipeline as pipeline
+        import repro.tools.driver as driver
+
+        def load(*args, **kwargs):
+            raise AssertionError("loaded before the levels were checked")
+
+        for owner, name in ((driver, "_resolve_platforms"),
+                            (driver, "dnn_baseline"), (driver, "compile_dnn"),
+                            (pipeline, "explore_dnn")):
+            monkeypatch.setattr(owner, name, load)
+        argv = ["dnn", "vgg16"] + (["--dse", "--smoke"] if dse else [])
+        with pytest.raises(SystemExit, match=f"{flag} must be in 0..7, "
+                                             f"got {value}"):
+            main(argv + [flag, value])
+
     @pytest.mark.parametrize("command", sorted(SWEEPS))
     def test_the_cache_bound_flag_is_gone(self, command, capsys):
         with pytest.raises(SystemExit):

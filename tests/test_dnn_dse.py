@@ -64,6 +64,21 @@ class TestModelSweep:
         for point in result.frontier:
             assert [name for name, _ in point.choices] == result.node_order
 
+    @pytest.mark.parametrize("max_nodes", [-1, 0])
+    def test_max_nodes_below_one_is_rejected(self, max_nodes, monkeypatch):
+        from repro.pipeline import explore_dnn
+
+        def stage(*args, **kwargs):
+            raise AssertionError("staged before max_nodes was checked")
+
+        monkeypatch.setattr(ModelScheduler, "_staged_tasks", stage)
+        with pytest.raises(ValueError, match=f"max_nodes must be >= 1, "
+                                             f"got {max_nodes}"):
+            scheduler().explore(tiny_model(), graph_level=3,
+                                max_nodes=max_nodes)
+        with pytest.raises(ValueError, match="max_nodes"):
+            explore_dnn("vgg16", graph_level=7, max_nodes=max_nodes)
+
     def test_composition_rule_sums_latency_and_resources(self):
         result = scheduler().explore(tiny_model(), graph_level=3)
         for point in result.frontier:

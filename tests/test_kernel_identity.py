@@ -61,8 +61,9 @@ def single_function_module(func_op) -> ModuleOp:
 
 def relabelled(func_op) -> ModuleOp:
     """A copy of ``func_op`` in its own module with every declared label
-    perturbed: another symbol name, another stage, other buffer names."""
-    assert LABEL_ATTRS == {"dataflow_stage", "buffer_name"}
+    perturbed: another symbol name, another stage, other buffer names and
+    other layer names (on the function and on every op that has one)."""
+    assert LABEL_ATTRS == {"dataflow_stage", "buffer_name", "layer_name"}
     assert ROOT_LABEL_ATTRS == {"sym_name"}
     module = single_function_module(func_op)
     copy = module.functions()[0]
@@ -71,6 +72,8 @@ def relabelled(func_op) -> ModuleOp:
     for index, op in enumerate(copy.walk()):
         if op.name == "memref.alloc":
             op.set_attr("buffer_name", f"renamed_{index}")
+        if op is copy or op.has_attr("layer_name"):
+            op.set_attr("layer_name", f"layer_{index}")
     return module
 
 
@@ -200,7 +203,7 @@ class TestDigestKeepsStructure:
         alloc.set_attr("debug_name", "looks harmless")
         assert ir_digest(on_alloc) != before
         before = ir_digest(on_function)
-        on_function.set_attr("layer_name", "conv_1")
+        on_function.set_attr("debug_name", "conv_1")
         assert ir_digest(on_function) != before
 
     def test_declared_labels_do_not(self):
@@ -208,6 +211,13 @@ class TestDigestKeepsStructure:
         func_op = nodes[0]
         assert ir_digest(relabelled(func_op).functions()[0]) \
             == ir_digest(func_op)
+        # A graph-level node, the model scheduler's class key, as well.
+        module = build_model("vgg16")
+        prepare_dnn_stages(module, 7)
+        graph_level = module.functions()[1]
+        assert any(op.has_attr("layer_name") for op in graph_level.walk())
+        assert ir_digest(relabelled(graph_level).functions()[0]) \
+            == ir_digest(graph_level)
 
 
 # -- representative-first sweeps ------------------------------------------------------------
@@ -363,13 +373,17 @@ class TestSharedSweep:
         assert serial.shared_points == pooled.shared_points > 0
 
     def test_identity_is_computed_once_per_node(self, monkeypatch):
+        """Once per node is a graph-level key; the lowered function's digest
+        and its design space are built once per class."""
+        import repro.dse.runtime.model as model
         import repro.dse.runtime.parallel as parallel
         import repro.dse.runtime.scheduler as scheduler
         import repro.dse.space as space
 
         import repro.dse.incremental as incremental
 
-        calls = {"digest": 0, "fingerprint": 0, "program": 0}
+        calls = {"key": 0, "digest": 0, "build": 0, "fingerprint": 0,
+                 "program": 0}
 
         def counted(name, function):
             def wrapper(*args, **kwargs):
@@ -377,10 +391,15 @@ class TestSharedSweep:
                 return function(*args, **kwargs)
             return wrapper
 
-        # The kernel-fingerprint digest (the un-transformed function) and
-        # the post-prefix digests program identity reads, counted apart.
+        # The graph-level class keys, the kernel-fingerprint digest (the
+        # un-transformed lowered function) and the post-prefix digests
+        # program identity reads, counted apart.
+        monkeypatch.setattr(model, "ir_digest", counted("key", model.ir_digest))
         monkeypatch.setattr(space, "ir_digest",
                             counted("digest", space.ir_digest))
+        from_function = vars(KernelDesignSpace)["from_function"].__func__
+        monkeypatch.setattr(KernelDesignSpace, "from_function",
+                            classmethod(counted("build", from_function)))
         monkeypatch.setattr(incremental, "ir_digest",
                             counted("program", incremental.ir_digest))
         monkeypatch.setattr(scheduler, "_kernel_fingerprint", counted(
@@ -393,8 +412,18 @@ class TestSharedSweep:
         explored = sum(1 for node in result.node_results.values()
                        if node.evaluated_this_run)
         assert 0 < calls.pop("program") <= 4 * explored
-        assert calls == {"digest": len(result.node_order),
+        classes = len(result.node_order) - len(PAIRS)
+        # Every one of vgg16's 50 nodes is keyed, the 6 kept are swept.
+        assert calls == {"key": 50, "digest": classes, "build": classes,
                          "fingerprint": len(result.node_order)}
+
+        calls.update(key=0, digest=0, build=0, fingerprint=0)
+        tasks, _, _ = ModelScheduler()._staged_tasks(build_model("vgg16"), 7,
+                                                     None)
+        assert len(tasks) == 50
+        assert calls == {"key": 50, "digest": 28, "build": 28,
+                         "fingerprint": 0}
+        assert len({id(task.space) for task in tasks}) == 28
 
 
 class TestSharedObservability:

@@ -443,18 +443,40 @@ def test_each_node_function_is_moved_into_its_own_module():
         assert task.space.ir_digest == ir_digest(func_op)
 
 
-def test_moved_nodes_equal_cloned_ones():
+def _classes(digests: dict[str, str]) -> set[frozenset]:
+    """The partition of node names ``digests`` induces."""
+    groups: dict[str, set] = {}
+    for name, digest in digests.items():
+        groups.setdefault(digest, set()).add(name)
+    return {frozenset(names) for names in groups.values()}
+
+
+@pytest.mark.parametrize("model,graph_level", [("tinynet", 3)] + [
+    (model, graph_level) for model in ("vgg16", "resnet18", "mobilenet")
+    for graph_level in range(8)])
+def test_moved_nodes_equal_cloned_ones(model, graph_level):
+    """Every task module, a moved representative or a relabelled clone,
+    prints as the direct lowering of the whole model; and two nodes share a
+    graph-level class key exactly when their lowered digests are equal (a
+    false merge would be a wrong answer)."""
+    from repro.frontend.models import build_model
     from repro.pipeline import prepare_dnn_stages
     from repro.transforms import lower_graph_to_loops
 
-    reference = tiny_model()
-    prepare_dnn_stages(reference, 3)
+    build = tiny_model if model == "tinynet" else lambda: build_model(model)
+    reference = build()
+    prepare_dnn_stages(reference, graph_level)
     top = reference.functions()[0]
     stage_funcs = [func_op for func_op in reference.functions()
-                   if func_op is not top]
+                   if func_op is not top] or [top]
+    keys = {func_op.get_attr("sym_name"): ir_digest(func_op)
+            for func_op in stage_funcs}
     lower_graph_to_loops(reference)
+    assert _classes(keys) == _classes({
+        func_op.get_attr("sym_name"): ir_digest(func_op)
+        for func_op in stage_funcs})
     cloned = _frozen_split(stage_funcs)
-    tasks, _, skipped = _scheduler()._staged_tasks(tiny_model(), 3, None)
+    tasks, _, skipped = _scheduler()._staged_tasks(build(), graph_level, None)
     printed = {module.functions()[0].get_attr("sym_name"): _printed(module)
                for module in cloned}
     assert {task.key: _printed(task.module) for task in tasks} \
