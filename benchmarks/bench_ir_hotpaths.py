@@ -378,8 +378,10 @@ WORK_COUNT_LIMITS = {
     # after a cache-served batch), 100 seedings (half from os.urandom for
     # setstate to overwrite), 6 checkpoint saves, 1 032 model frontier points
     # built for a 49-point frontier (and 191 neighbour lists, not gated);
-    # 200 platform-hash payloads over the cold and the warm sweep.
-    "warm.rng_state_reads_per_node": 1.0,
+    # 200 platform-hash payloads over the cold and the warm sweep.  A
+    # checkpoint holds records only, so no sweep reads its generator's
+    # state at all, cached or not.
+    "warm.rng_state_reads_per_node": 0.0,
     "warm.rng_seeds_per_node": 1.0,
     "warm.platform_hash_payloads_per_platform": 1.0,
     "warm.checkpoint_saves": 0,

@@ -8,8 +8,10 @@ kernel:
    Pareto frontier with 1 or N workers (determinism contract).
 2. **QoR estimate cache** — a second sweep against the warm cache skips
    every re-estimation.
-3. **Resumable checkpoints** — an interrupted run continues from its last
-   snapshot and lands on the same frontier as an uninterrupted one.
+3. **Resumable checkpoints** — a checkpoint holds the records evaluated so
+   far; a resumed run replays the trajectory from step 1, serves each point
+   the checkpoint holds, evaluates only the rest and lands on the same
+   frontier as an uninterrupted one.
 
 It closes with the :class:`MultiKernelScheduler` exploring two kernels
 concurrently on one shared worker pool.
@@ -84,7 +86,9 @@ def main() -> None:
                                    ).explore(module, resume=True)
         assert frontier_summary(resumed) == frontier_summary(serial)
         print(f"\n[3] interrupted at 10 evaluations, resumed to "
-              f"{resumed.num_evaluations}; frontier matches uninterrupted run ✓")
+              f"{resumed.num_evaluations} ({resumed.evaluated_this_run} "
+              f"evaluated, the rest replayed from the checkpoint); frontier "
+              f"matches uninterrupted run ✓")
 
     # Finalized design of the parallel run.
     best = parallel.best_record

@@ -12,7 +12,7 @@ registers a second one (:func:`register_cleanup_pipeline`).
 
 The pipeline spec is also the *hashable transform description* of the flow:
 :func:`kernel_pipeline_signature` is embedded in the parallel runtime's
-QoR-cache fingerprints and checkpoint configs, so changing the transform
+QoR-cache and checkpoint fingerprints, so changing the transform
 pipeline can never silently reuse stale estimates.
 """
 

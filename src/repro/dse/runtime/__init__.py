@@ -19,8 +19,8 @@ on:
   ``(kernel fingerprint, encoded design point)`` with optional JSONL
   persistence, so repeated sweeps skip re-estimation entirely.
 * :class:`~repro.dse.runtime.checkpoint.CheckpointStore` — atomic snapshots
-  of explorer state (records, RNG, progress) every N evaluations, enabling
-  ``--resume`` after interruption with a bit-identical final frontier.
+  of a kernel's records every N evaluations; ``--resume`` replays the
+  trajectory from step 1 against them, with a bit-identical final frontier.
 * :class:`~repro.dse.runtime.model.ModelScheduler` — the whole-model flow:
   graph staging, per-node kernel splitting, budgeted multi-kernel sweep and
   model-level frontier composition.
@@ -30,7 +30,7 @@ on:
 """
 
 from repro.dse.runtime.cache import CacheStats, EstimateCache
-from repro.dse.runtime.checkpoint import CheckpointStore, ExplorerState
+from repro.dse.runtime.checkpoint import CheckpointStore
 from repro.dse.runtime.config import SweepConfig
 from repro.dse.runtime.faults import (
     EvaluationFailure,
@@ -63,7 +63,6 @@ __all__ = [
     "CacheStats",
     "EstimateCache",
     "CheckpointStore",
-    "ExplorerState",
     "EvaluationFailure",
     "FaultPlan",
     "InjectedFault",

@@ -88,15 +88,6 @@ class EstimateCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def known_keys(self) -> frozenset:
-        """Snapshot of every (fingerprint, encoded point) key currently held.
-
-        Lets callers distinguish estimates that pre-dated a run from ones
-        the run itself stored (no stats are touched).
-        """
-        with self._lock:
-            return frozenset(self._entries)
-
     def get(self, fingerprint: str,
             encoded: Sequence[int]) -> Optional[EvaluationRecord]:
         with self._lock:

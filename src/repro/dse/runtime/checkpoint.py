@@ -1,17 +1,20 @@
 """Resumable exploration checkpoints.
 
-A checkpoint is a full snapshot of explorer state at a batch boundary: the
-evaluated records, the RNG state, and the progress counters.  Because the
-exploration policy is deterministic and proposals only happen at batch
-boundaries, resuming from a checkpoint continues the *exact* trajectory the
-uninterrupted run would have taken — the final frontier is identical.
+A checkpoint holds what the estimate cache holds: the evaluated records of
+one kernel fingerprint, under the QoR model that estimated them.  It holds
+no RNG state, no progress counters and no copy of the exploration config.
+An exploration step is a pure function of the seed and of the records seen
+so far, so a resumed sweep starts over at step 1 with its own seed and
+replays: each point the checkpoint holds is served from it, and only the
+rest is evaluated.  Any subset of true records replays the exact
+trajectory, so a checkpoint may be saved at any moment (Ctrl-C included),
+and one taken under another seed or budget still serves the points the
+trajectories share.
 
 Snapshots are written atomically (temp file + ``os.replace``), so a run
-killed mid-write leaves the previous checkpoint intact.
-
-A snapshot names the QoR model its records were estimated under
-(``QOR_MODEL_VERSION``, as an estimate-cache line does): records of another
-model are not resumed.
+killed mid-write leaves the previous checkpoint intact.  Records of another
+QoR model (``QOR_MODEL_VERSION``, as an estimate-cache line names it) or of
+another fingerprint are not resumed.
 
 A sweep with a persistent estimate cache keeps no checkpoint at all: the
 cache never drops a record, so rerunning the sweep replays its trajectory
@@ -21,10 +24,8 @@ checkpoint it syncs the cache instead.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
-import random
 import tempfile
 import warnings
 from typing import Optional
@@ -34,44 +35,14 @@ from repro.dse.runtime.records import EvaluationRecord
 from repro.estimation.estimator import QOR_MODEL_VERSION
 
 #: Bumped whenever the on-disk layout changes incompatibly.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
-
-@dataclasses.dataclass
-class ExplorerState:
-    """The resumable state of one exploration run.
-
-    ``config`` echoes the exploration parameters that define the trajectory
-    (seed, batch size, budgets); a resume is only valid when they match, so
-    an interrupted seed-1 run can never silently masquerade as a seed-2 one.
-
-    ``rng`` is the explorer's generator itself, advanced in place; its state
-    (``rng_state``) is read only when a checkpoint is written.
-    """
-
-    fingerprint: str
-    records: dict[tuple[int, ...], EvaluationRecord]
-    rng: random.Random
-    samples_done: bool
-    iterations_done: int
-    seed: int
-    config: dict = dataclasses.field(default_factory=dict)
-
-    @classmethod
-    def fresh(cls, fingerprint: str, seed: int,
-              config: Optional[dict] = None) -> "ExplorerState":
-        return cls(fingerprint=fingerprint, records={},
-                   rng=random.Random(seed),
-                   samples_done=False, iterations_done=0, seed=seed,
-                   config=dict(config or {}))
-
-    @property
-    def rng_state(self) -> tuple:
-        return self.rng.getstate()
+#: Records by encoded design point.
+Records = dict[tuple[int, ...], EvaluationRecord]
 
 
 class CheckpointStore:
-    """Loads and saves :class:`ExplorerState` snapshots at ``path``."""
+    """Loads and saves the records of one kernel fingerprint at ``path``."""
 
     def __init__(self, path: str):
         self.path = path
@@ -81,17 +52,12 @@ class CheckpointStore:
 
     # -- save -------------------------------------------------------------------------------
 
-    def save(self, state: ExplorerState) -> None:
+    def save(self, fingerprint: str, records: Records) -> None:
         payload = {
             "version": CHECKPOINT_VERSION,
             "model": QOR_MODEL_VERSION,
-            "fingerprint": state.fingerprint,
-            "seed": state.seed,
-            "config": state.config,
-            "samples_done": state.samples_done,
-            "iterations_done": state.iterations_done,
-            "rng_state": _rng_state_to_json(state.rng_state),
-            "records": [record.to_json_dict() for record in state.records.values()],
+            "fingerprint": fingerprint,
+            "records": [record.to_json_dict() for record in records.values()],
         }
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
@@ -115,15 +81,12 @@ class CheckpointStore:
 
     # -- load -------------------------------------------------------------------------------
 
-    def load(self, expected_fingerprint: Optional[str] = None,
-             expected_config: Optional[dict] = None) -> Optional[ExplorerState]:
-        """Load the snapshot, or ``None`` if absent / incompatible.
-
-        A snapshot is incompatible when the QoR model, the kernel
-        fingerprint or the trajectory-defining exploration config differs
-        from what the caller is about to run — resuming it would mislabel
-        the results.
-        """
+    def load(self, expected_fingerprint: Optional[str] = None
+             ) -> Optional[Records]:
+        """The stored records by encoded point, or ``None`` if the file is
+        absent or unusable: corrupt, of another layout version, of another
+        QoR model or (when ``expected_fingerprint`` is given) of another
+        kernel fingerprint — serving its records would mislabel them."""
         if not self.exists():
             return None
         try:
@@ -146,43 +109,12 @@ class CheckpointStore:
             if expected_fingerprint is not None \
                     and payload.get("fingerprint") != expected_fingerprint:
                 return None
-            if expected_config is not None \
-                    and payload.get("config") != expected_config:
-                return None
             records = {}
             for data in payload["records"]:
                 record = EvaluationRecord.from_json_dict(data)
                 records[record.encoded] = record
-            return ExplorerState(
-                fingerprint=payload["fingerprint"],
-                records=records,
-                rng=_rng_in(_rng_state_from_json(payload["rng_state"])),
-                samples_done=bool(payload["samples_done"]),
-                iterations_done=int(payload["iterations_done"]),
-                seed=int(payload["seed"]),
-                config=dict(payload.get("config", {})),
-            )
+            return records
         except (OSError, KeyError, TypeError, ValueError):
             # A corrupt or foreign file is "no usable checkpoint", not a
             # crash: exploration starts fresh and overwrites it atomically.
             return None
-
-
-def _rng_state_to_json(state: tuple) -> list:
-    """``random.Random.getstate()`` → JSON-safe nested lists."""
-    version, internal, gauss_next = state
-    return [version, list(internal), gauss_next]
-
-
-def _rng_state_from_json(data: list) -> tuple:
-    version, internal, gauss_next = data
-    return (int(version), tuple(int(v) for v in internal), gauss_next)
-
-
-def _rng_in(state: tuple) -> random.Random:
-    """A generator in ``state``.  Allocated, not constructed: ``Random()``
-    would first seed itself from ``os.urandom`` for ``setstate`` to
-    overwrite."""
-    rng = random.Random.__new__(random.Random)
-    rng.setstate(state)
-    return rng

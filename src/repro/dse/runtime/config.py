@@ -16,9 +16,10 @@ class SweepConfig:
     """What a sweep explores, how it executes and where it stores results.
 
     **Trajectory** (``seed`` … ``platforms``) decides which points a sweep
-    visits, so it is recorded in checkpoint configs and fingerprints;
-    ``batch_size`` is deliberately independent of ``jobs``, and empty
-    ``platforms`` keeps the single-platform space shape.  **Execution**
+    visits (``platforms`` is part of the fingerprints; a checkpoint holds
+    records only); ``batch_size`` is deliberately independent of ``jobs``,
+    and empty ``platforms`` keeps the single-platform space shape.
+    **Execution**
     (``jobs`` … ``faults``) decides how many local worker processes evaluate
     and how faults are handled: fault *outcomes* attach to design points,
     never to workers or wall-clock, so none of it alters a record, a

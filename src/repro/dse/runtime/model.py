@@ -296,13 +296,6 @@ class ModelDSEResult:
     frontier: list[ModelFrontierPoint]
     #: Composition points dropped by the frontier cap (0 = exact frontier).
     truncated: int
-    #: Frontier-building records that the persistent cache already held
-    #: *before* this run (0 when no cache is configured or the cache was
-    #: cold).  Distinct from the sweep's own ``cache_hits``: it makes a warm
-    #: cache visible even when checkpoints restored the whole trajectory
-    #: without dispatching a single evaluation, while a cold run — whose
-    #: records were only just stored — correctly reports 0.
-    frontier_cache_hits: int
     wall_seconds: float
     #: Per-platform composed frontiers of a multi-platform sweep, keyed by
     #: platform name; empty for single-platform runs (whose artifact layout
@@ -480,9 +473,10 @@ class ModelScheduler:
         self.budget = budget
         self.checkpoint_dir = checkpoint_dir
         self.frontier_cap = frontier_cap
-        #: Bounds every node's sweep to N evaluations this run (simulating
-        #: an interruption or spreading a sweep over sessions); the capped
-        #: prefix checkpoints exactly like an interrupted run.
+        #: Bounds every node's sweep to N points this run has to evaluate
+        #: (simulating an interruption or spreading a sweep over sessions);
+        #: what the cache or the checkpoint serves is free, so each capped
+        #: re-run goes N evaluations further along the trajectory.
         self.max_evaluations_per_node = max_evaluations_per_node
 
     # -- public API -------------------------------------------------------------------------
@@ -517,8 +511,6 @@ class ModelScheduler:
             tasks, node_order, skipped = self._staged_tasks(module, graph_level,
                                                             max_nodes)
             model_span.set(nodes=len(node_order))
-            known_before = frozenset() if config.cache is None \
-                else config.cache.known_keys()
             scheduler = MultiKernelScheduler(
                 self.platform, config, checkpoint_dir=self.checkpoint_dir)
             node_results = scheduler.explore_kernels(tasks, resume=resume)
@@ -539,8 +531,6 @@ class ModelScheduler:
                 seed=config.seed, node_order=node_order, skipped=skipped,
                 node_results=node_results, frontier=frontier,
                 truncated=truncated,
-                frontier_cache_hits=self._revalidate_frontier(
-                    node_results, known_before),
                 wall_seconds=time.perf_counter() - started,
                 platform_frontiers=platform_frontiers)
         if obs_on:
@@ -549,27 +539,6 @@ class ModelScheduler:
         return result
 
     # -- internals --------------------------------------------------------------------------
-
-    def _revalidate_frontier(self, node_results: dict[str, ParallelDSEResult],
-                             known_before: frozenset) -> int:
-        """Count frontier-building records the cache held before this run.
-
-        The composed model frontier mixes records restored from checkpoints
-        with fresh evaluations; this pass reports how many of them the
-        durable estimate store could already vouch for when the run started
-        — making cache warmth visible on resumed runs that never dispatch an
-        evaluation, while a cold run (which only just stored its records)
-        reports 0.  ``known_before`` is the cache's key snapshot taken
-        before the sweep evaluated anything.
-        """
-        if not known_before:
-            return 0
-        hits = 0
-        for result in node_results.values():
-            for record in result.frontier_records():
-                if (result.fingerprint, tuple(record.encoded)) in known_before:
-                    hits += 1
-        return hits
 
     def _staged_tasks(self, module: ModuleOp, graph_level: int,
                       max_nodes: Optional[int]

@@ -24,10 +24,12 @@ visits the same points and returns the same frontier regardless of
   evaluated *set*;
 * cache warmth — cached records equal freshly evaluated ones because
   evaluation is deterministic;
-* interruption — checkpoints snapshot state at batch boundaries, and a
-  resumed run replays the exact continuation of the trajectory; a sweep
-  with a persistent estimate cache keeps no checkpoint, and its rerun
-  replays the trajectory from the cache.
+* interruption — every run starts at step 1 and replays the trajectory:
+  each point the estimate cache or the loaded checkpoint holds is served
+  from it, and only the rest is evaluated.  A checkpoint holds records
+  only, and any subset of true records replays exactly, so it does not
+  matter where a finished run, a cap, Ctrl-C or ``kill -9`` stopped.  A
+  sweep with a persistent estimate cache keeps no checkpoint.
 
 ``batch_size`` is deliberately independent of ``jobs``: it is part of the
 exploration trajectory, while ``jobs`` is purely an execution detail.
@@ -36,6 +38,7 @@ exploration trajectory, while ``jobs`` is purely an execution detail.
 from __future__ import annotations
 
 import dataclasses
+import random
 import time
 from typing import TYPE_CHECKING, Optional
 
@@ -44,12 +47,11 @@ from repro.dse.apply import (
     AppliedDesign,
     apply_design_point,
     cleanup_pipeline_spec,
-    kernel_pipeline_signature,
 )
 from repro.dse.engine import ExplorationPolicy
 from repro.dse.incremental import PrefixSnapshotCache, post_prefix_band
 from repro.dse.pareto import ParetoPoint
-from repro.dse.runtime.checkpoint import CheckpointStore, ExplorerState
+from repro.dse.runtime.checkpoint import CheckpointStore
 from repro.dse.runtime.config import SweepConfig
 from repro.dse.runtime.records import EvaluationRecord
 from repro.dse.space import KernelDesignSpace
@@ -293,41 +295,22 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
                                      task.space)
     fingerprint = task.fingerprint
 
-    # The parameters that define the exploration trajectory: a checkpoint
-    # taken under different ones must not be resumed (it would continue the
-    # *old* trajectory mislabeled as the new configuration).  The pipeline
-    # signature guards the *meaning* of every recorded QoR the same way.
-    trajectory = {"seed": config.seed, "batch_size": config.batch_size,
-                  "num_samples": config.num_samples,
-                  "max_iterations": config.max_iterations,
-                  "pipeline": kernel_pipeline_signature()}
-    # The hardware model(s) the recorded QoRs are valid under: a checkpoint
-    # taken against a different platform config (even one merely renamed or
-    # re-clocked) must not be resumed.
-    if space.platforms:
-        # Lists, not tuples: the config must survive the checkpoint's JSON
-        # round-trip and still compare equal on load.
-        trajectory["platforms"] = [[target.name, target.config_hash()]
-                                   for target in space.platforms]
-    else:
-        trajectory["platform"] = platform.config_hash()
-    # A persistent cache is the sweep's durable store: it never drops a
-    # record and the trajectory is a function of the seed and the records,
-    # so rerunning the sweep replays it from the cache and evaluates only
-    # what no run stored.  Such a sweep keeps no checkpoint; where one
-    # would be written, the cache's appended lines are made durable.
+    # Every run starts at step 1 and replays: a step is a pure function of
+    # the seed and the records seen so far, so each point the estimate
+    # cache or the loaded checkpoint holds is served from it and only the
+    # rest is evaluated.  A persistent cache is the sweep's durable store
+    # (it never drops a record), so such a sweep keeps no checkpoint; where
+    # one would be written, the cache's appended lines are made durable.
     persistent = cache is not None and bool(cache.path)
     store = CheckpointStore(task.checkpoint_path) \
         if task.checkpoint_path and not persistent else None
-    state = store.load(expected_fingerprint=fingerprint,
-                       expected_config=trajectory) \
-        if resume and store is not None else None
-    if state is None:
-        state = ExplorerState.fresh(fingerprint, config.seed,
-                                    config=trajectory)
+    restored = {}
+    if resume and store is not None:
+        restored = store.load(expected_fingerprint=fingerprint) or {}
+    records: dict[tuple[int, ...], EvaluationRecord] = {}
+    iterations_done = 0
 
     evaluated_this_run = 0
-    processed_this_run = 0
     since_checkpoint = 0
     run_hits = 0
     run_misses = 0
@@ -349,22 +332,28 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
                     record, identities[record.encoded])
 
     def evaluate_batch(batch: list[tuple[int, ...]]) -> None:
-        """Resolve ``batch`` into ``state.records``."""
-        nonlocal evaluated_this_run, processed_this_run, since_checkpoint
-        nonlocal run_hits, run_misses
+        """Resolve ``batch`` into ``records``: the cache first, then the
+        loaded checkpoint, then the backend."""
+        nonlocal evaluated_this_run, since_checkpoint, run_hits, run_misses
         resolved_before = (classes.siblings, classes.aliases)
         batch_span = obs.NULL_SPAN if not obs_on else obs.span(
             "dse.batch", kernel=key, points=len(batch))
         with batch_span:
             missing: list[tuple[int, ...]] = []
+            hits = stored = 0
             for encoded in batch:
+                stored += encoded in restored
                 record = (cache.get(fingerprint, encoded)
                           if cache is not None else None)
                 if record is not None:
-                    state.records[encoded] = record
+                    hits += 1
+                else:
+                    record = restored.get(encoded)
+                if record is not None:
+                    records[encoded] = record
                 else:
                     missing.append(encoded)
-            batch_span.set(cached=len(batch) - len(missing))
+            batch_span.set(cached=hits)
 
             points = {encoded: space.decode(encoded) for encoded in missing}
             # One span per batch whatever it builds, so the trace
@@ -415,15 +404,15 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
                 if record is None:
                     record = classes.resolve(identities[encoded],
                                              points[encoded], encoded)
-                state.records[encoded] = record
+                records[encoded] = record
                 if cache is not None:
                     cache.put(fingerprint, record)
         if cache is not None:
-            run_hits += len(batch) - len(missing)
+            run_hits += hits
             run_misses += len(missing)
         evaluated_this_run += len(missing)
-        processed_this_run += len(batch)
-        since_checkpoint += len(batch)
+        # What the loaded checkpoint holds is on disk already.
+        since_checkpoint += len(batch) - stored
         if obs_on:
             obs.counter("dse.points", len(batch))
             obs.counter("dse.evaluations", len(fresh))
@@ -448,10 +437,9 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
         """
         if obs_on:
             obs.series(f"dse.frontier.size.{key}",
-                       state.iterations_done, len(frontier))
+                       iterations_done, len(frontier))
             obs.series(f"dse.frontier.hv.{key}",
-                       state.iterations_done,
-                       frontier_hypervolume(frontier))
+                       iterations_done, frontier_hypervolume(frontier))
 
     def maybe_checkpoint(force: bool = False) -> None:
         nonlocal since_checkpoint
@@ -460,93 +448,60 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
         if persistent:
             cache.sync()
         elif store is not None:
-            store.save(state)
+            store.save(fingerprint, records)
         since_checkpoint = 0
 
     def budget_left() -> bool:
         return (task.max_evaluations is None
-                or processed_this_run < task.max_evaluations)
-
-    # A consistent batch-boundary snapshot for interrupt checkpointing:
-    # mid-batch state (an advanced RNG plus a partially merged batch)
-    # must never reach disk — resuming it would diverge from the
-    # uninterrupted trajectory.  Taken at the start and after every
-    # fully merged batch, and what a Ctrl-C checkpoint saves; the records
-    # are insertion-ordered and no key is assigned twice, so their count
-    # is enough.
-    boundary = None
-
-    def mark_boundary() -> None:
-        nonlocal boundary
-        if store is not None:
-            boundary = (len(state.records), state.samples_done,
-                        state.iterations_done, state.rng_state)
-
-    def checkpoint_boundary() -> None:
-        if persistent:
-            cache.sync()
-        elif boundary is not None:
-            count, state.samples_done, state.iterations_done, rng_state \
-                = boundary
-            state.rng.setstate(rng_state)
-            state.records = dict(list(state.records.items())[:count])
-            store.save(state)
+                or evaluated_this_run < task.max_evaluations)
 
     explore_span = obs.NULL_SPAN if not obs_on else obs.span(
         "dse.explore", kernel=key, jobs=config.jobs,
         batch_size=config.batch_size, seed=config.seed)
     try:
         with obs.track(f"dse:{key}"), explore_span:
-            rng = state.rng
-            mark_boundary()
+            rng = random.Random(config.seed)
 
-            # Step 1: initial sampling (skipped entirely when resuming
-            # past it).
-            if not state.samples_done:
-                batch = ExplorationPolicy.initial_batch(
-                    space, rng, config.num_samples)
-                evaluate_batch([e for e in batch if e not in state.records])
-                state.samples_done = True
-                mark_boundary()
-                maybe_checkpoint()
+            # Step 1: initial sampling.
+            evaluate_batch(ExplorationPolicy.initial_batch(
+                space, rng, config.num_samples))
+            maybe_checkpoint()
 
-            frontier = ExplorationPolicy.frontier_of(state.records)
+            frontier = ExplorationPolicy.frontier_of(records)
             record_frontier(frontier)
 
             # Steps 2-4: batched frontier evolution.
-            while (state.iterations_done < config.max_iterations and frontier
+            while (iterations_done < config.max_iterations and frontier
                    and budget_left()):
-                remaining = config.max_iterations - state.iterations_done
+                remaining = config.max_iterations - iterations_done
                 batch = ExplorationPolicy.propose_batch(
-                    frontier, space, state.records, rng,
+                    frontier, space, records, rng,
                     batch_size=min(config.batch_size, remaining))
                 if not batch:
                     break
                 evaluate_batch(batch)
-                state.iterations_done += len(batch)
-                mark_boundary()
+                iterations_done += len(batch)
                 maybe_checkpoint()
-                frontier = ExplorationPolicy.frontier_of(state.records)
+                frontier = ExplorationPolicy.frontier_of(records)
                 record_frontier(frontier)
 
             maybe_checkpoint(force=True)
 
             # Step 5: finalization.
-            best = ExplorationPolicy.finalize(frontier, state.records,
-                                              platform)
+            best = ExplorationPolicy.finalize(frontier, records, platform)
     except KeyboardInterrupt:
-        # Graceful interruption: persist the last completed batch
-        # boundary (or the cache) so a rerun continues the exact
-        # trajectory, then let the interrupt propagate to the caller (the
-        # driver turns it into a one-line resume hint).
-        checkpoint_boundary()
+        # Graceful interruption: every record so far is true, and any
+        # subset of true records replays the exact trajectory, so save
+        # them all (or sync the cache), then let the interrupt propagate
+        # to the caller (the driver turns it into a one-line resume hint).
+        maybe_checkpoint(force=True)
         raise
 
     return ParallelDSEResult(
         frontier=frontier,
-        records=dict(state.records),
+        records=records,
         best_record=best,
-        num_evaluations=len(state.records),
+        num_evaluations=len(records),
         evaluated_this_run=evaluated_this_run,
         cache_hits=run_hits,
         cache_misses=run_misses,
@@ -556,7 +511,7 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
         module=module,
         func_name=func_name,
         platform=platform,
-        iterations_done=state.iterations_done,
+        iterations_done=iterations_done,
         resolved_siblings=classes.siblings,
         resolved_aliases=classes.aliases,
     )

@@ -131,9 +131,10 @@ class KernelTask:
     space: KernelDesignSpace
     num_samples: Optional[int] = None
     max_iterations: Optional[int] = None
-    #: Hard cap on evaluations processed this run (used to bound partial
-    #: sweeps; unlike the budgets above it is not part of the trajectory, so
-    #: a capped run checkpoints a resumable prefix of the uncapped one).
+    #: Hard cap on the points this run has to evaluate (used to bound
+    #: partial sweeps; unlike the budgets above it is not part of the
+    #: trajectory, so a capped run stores a prefix of the uncapped one, and
+    #: what the cache or the checkpoint serves on a re-run is free).
     max_evaluations: Optional[int] = None
     #: Where the kernel checkpoints.  When None the scheduler fills in
     #: ``<key>.ckpt.json`` under its ``checkpoint_dir`` (and without one the
@@ -250,8 +251,8 @@ class MultiKernelScheduler:
                         return {task.key: results[task.key] for task in tasks}
                     except KeyboardInterrupt:
                         # Ctrl-C: stop submissions, fail in-flight attempts
-                        # so every coordinator unblocks, writes its boundary
-                        # checkpoint and exits; then let the interrupt
+                        # so every coordinator unblocks, checkpoints its
+                        # records and exits; then let the interrupt
                         # propagate (the ThreadPoolExecutor context joins
                         # the unblocked coordinators on the way out).
                         backend.request_stop()
@@ -336,9 +337,9 @@ class ParallelExplorer:
         self.platform = platform
         self.config = config
         self.checkpoint_path = checkpoint_path
-        #: Hard cap on points processed this run; not part of the
-        #: trajectory, so a capped run checkpoints a resumable prefix of the
-        #: uncapped one.
+        #: Hard cap on the points this run has to evaluate; not part of
+        #: the trajectory, so a capped run stores a prefix of the uncapped
+        #: one, and a capped re-run replays it for free and goes further.
         self.max_evaluations = max_evaluations
 
     def explore(self, module: ModuleOp,

@@ -352,8 +352,7 @@ def pipeline_signature(spec: Union[str, PipelineSpec]) -> str:
 
     Parsing, building and re-printing normalizes aliases, option order and
     default values, so two equivalent spellings share one signature.  The
-    DSE runtime embeds this in QoR-cache fingerprints and checkpoint
-    configs: a changed transform pipeline can never silently reuse stale
-    estimates.
+    DSE runtime embeds this in QoR-cache and checkpoint fingerprints: a
+    changed transform pipeline can never silently reuse stale estimates.
     """
     return build_pipeline(spec).to_spec()

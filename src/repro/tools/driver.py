@@ -270,7 +270,9 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser,
                              "snapshot file per kernel)")
     parser.add_argument("--checkpoint-every", type=int,
                         default=defaults["checkpoint_every"],
-                        help="snapshot state every N evaluations")
+                        help="save the records so far every N points "
+                             "(a resumed run replays the sweep, serving "
+                             "each point the checkpoint holds)")
     parser.add_argument("--resume", action="store_true",
                         help="resume from the checkpoint if present")
     parser.add_argument("--task-timeout", type=float, metavar="SECONDS",
@@ -681,9 +683,6 @@ def run_dnn_dse(args) -> int:
             cache_parts.append(f"{persistent_hits} sweep hits")
         if result.cache_misses:
             cache_parts.append(f"{result.cache_misses} misses")
-        if result.frontier_cache_hits:
-            cache_parts.append(f"{result.frontier_cache_hits} frontier "
-                               f"revalidation hits")
     cache_note = f" (cache: {', '.join(cache_parts)})" if cache_parts else ""
     print(f"{result.model}: explored {len(result.node_order)} dataflow nodes, "
           f"{result.num_evaluations} evaluations in "
@@ -882,8 +881,8 @@ def _interrupt_hint(args) -> int:
         hint = (" — every estimate so far is in the estimate cache; re-run "
                 "the same command to continue from it")
     elif getattr(args, "checkpoint", None):
-        hint = (" — progress up to the last batch boundary is checkpointed; "
-                "re-run the same command with --resume to continue")
+        hint = (" — every record so far is checkpointed; re-run the same "
+                "command with --resume to continue")
     elif args.command == "dse" or (args.command == "dnn"
                                    and getattr(args, "dse", False)):
         hint = (" — add --checkpoint (and --resume on the next run) to make "

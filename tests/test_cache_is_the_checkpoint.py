@@ -101,7 +101,7 @@ class Backend:
 
 @pytest.fixture
 def backend(monkeypatch):
-    def no_checkpoint(store, state):
+    def no_checkpoint(store, *args):
         raise AssertionError(f"checkpoint saved to {store.path}")
 
     monkeypatch.setattr(CheckpointStore, "save", no_checkpoint)
@@ -166,3 +166,58 @@ def test_a_capped_sweep_reruns_to_the_uncapped_one(name, tmp_path, backend):
     assert rerun == clean
     assert sum(result.cache_hits for result in results.values()
                if result.shared_with is None) == len(stored)
+
+
+class TestACappedRerunGoesFurther:
+    """The cap counts the points a run has to evaluate: what the cache
+    serves is free, so each capped re-run against the same cache file goes
+    one cap further along the trajectory, until the sweep is done."""
+
+    def test_a_kernel_sweep(self, tmp_path):
+        from repro.pipeline import compile_kernel
+
+        def sweep(cap=None):
+            cache = EstimateCache(str(tmp_path / "cache.jsonl")) \
+                if cap is not None else None
+            try:
+                return ParallelExplorer(XC7Z020, SweepConfig(
+                    num_samples=8, max_iterations=16, batch_size=4,
+                    cache=cache), max_evaluations=cap,
+                ).explore(compile_kernel("gemm", 8))
+            finally:
+                if cache is not None:
+                    cache.close()
+
+        runs = [sweep(cap=8) for _ in range(4)]
+        assert [run.num_evaluations for run in runs] == [8, 16, 24, 24]
+        assert [run.evaluated_this_run for run in runs] == [8, 8, 8, 0]
+        clean = sweep()
+        assert list(runs[-1].records.items()) == list(clean.records.items())
+        assert runs[-1].frontier == clean.frontier
+
+    def test_a_model_sweep(self, tmp_path):
+        from repro.pipeline import DNN_BUDGET
+
+        budget = {name: DNN_BUDGET[name]
+                  for name in ("num_samples", "max_iterations", "batch_size")}
+
+        def sweep(cap=None):
+            cache = EstimateCache(str(tmp_path / "cache.jsonl")) \
+                if cap is not None else None
+            try:
+                return ModelScheduler(
+                    VU9P_SLR, SweepConfig(cache=cache, **budget),
+                    max_evaluations_per_node=cap,
+                ).explore("vgg16", graph_level=3)
+            finally:
+                if cache is not None:
+                    cache.close()
+
+        runs = [sweep(cap=4)]
+        while runs[-1].evaluated_this_run:
+            runs.append(sweep(cap=4))
+        assert [run.num_evaluations for run in runs] == [28, 40, 52, 62, 62]
+        assert all(run.evaluated_this_run == run.cache_misses
+                   == run.num_evaluations - before.num_evaluations
+                   for before, run in zip(runs, runs[1:]))
+        assert runs[-1].frontier_json() == sweep().frontier_json()

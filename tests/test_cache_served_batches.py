@@ -1,15 +1,18 @@
 """The checkpoints a sweep without a cache file writes.
 
 A cacheless sweep, and one with an in-memory estimate cache, saves its
-periodic, final and Ctrl-C checkpoints byte for byte as it always did (each
-snapshot names its QoR model); a sweep whose cache has a file saves none
-(``tests/test_cache_is_the_checkpoint.py``).  An explorer draws from one
-generator, seeded once, and reads its state only for a checkpoint.
+periodic, final and Ctrl-C checkpoints where it always did, each holding
+the records it always held (and naming its QoR model); resumed, it replays
+the trajectory and saves where the uninterrupted sweep does.  A sweep whose
+cache has a file saves none (``tests/test_cache_is_the_checkpoint.py``).
+An explorer draws from one generator, seeded once, and never reads its
+state: a checkpoint holds records only.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import random
 
@@ -19,7 +22,6 @@ from repro.dse.engine import ExplorationPolicy
 from repro.dse.runtime import (
     CheckpointStore,
     EstimateCache,
-    ExplorerState,
     KernelTask,
     MultiKernelScheduler,
     ParallelExplorer,
@@ -39,17 +41,24 @@ def gemm_module():
     return compile_source(GEMM_SOURCE, "gemm")
 
 
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
 @pytest.fixture
 def saves(monkeypatch):
-    """``(file name, sha256[:16] of its bytes)`` per checkpoint save."""
+    """Per checkpoint save: ``(file name, number of records it holds,
+    sha256[:16] of their JSON, sha256[:16] of the file's bytes)``."""
     written = []
     save = CheckpointStore.save
 
-    def recording_save(store, state):
-        save(store, state)
+    def recording_save(store, fingerprint, records):
+        save(store, fingerprint, records)
         with open(store.path, "rb") as handle:
-            digest = hashlib.sha256(handle.read()).hexdigest()[:16]
-        written.append((os.path.basename(store.path), digest))
+            data = handle.read()
+        held = json.dumps(json.loads(data)["records"]).encode()
+        written.append((os.path.basename(store.path), len(records),
+                        sha(held), sha(data)))
 
     monkeypatch.setattr(CheckpointStore, "save", recording_save)
     return written
@@ -57,7 +66,7 @@ def saves(monkeypatch):
 
 class Proposals:
     """Counts ``propose_batch`` calls; a Ctrl-C as the ``stop``-th starts
-    (after a fully merged batch, so the boundary to save is the last one)."""
+    (after a fully merged batch)."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
@@ -84,36 +93,46 @@ def explorer(tmp_path, cache=None):
                             checkpoint_path=str(tmp_path / "dse.ckpt.json"))
 
 
-#: The saves of SWEEP on gemm: after the samples and after every second
-#: batch of two, then the final one.
-PERIODIC = [("dse.ckpt.json", "5d15779605fcabb9"),
-            ("dse.ckpt.json", "059e100fb0fd6588"),
-            ("dse.ckpt.json", "aec4a9475edb0b36"),
-            ("dse.ckpt.json", "6f3f9b4e3d6f7174")]
-FINAL = ("dse.ckpt.json", "6f3f9b4e3d6f7174")
-#: ... and interrupted as its fourth proposal starts: the boundary after the
-#: third batch.
-INTERRUPTED = [*PERIODIC[:2], ("dse.ckpt.json", "af8a62c3b048eda3")]
+#: The records a save of SWEEP on gemm holds, by their number: a prefix of
+#: the trajectory, pinned (as sha256[:16] of their JSON) from the commit
+#: before checkpoints held records only, whose saves held the same lists.
+HELD = {6: "565f72c6287a9427", 10: "6c0dde67aaaad23c", 12: "8a05a65ee41bbdc5",
+        14: "d1888573098d581f", 16: "d13579629bf7884a", 18: "0c3504abae9353f8"}
+#: ... and the bytes of the file that holds them.
+BYTES = {6: "04170f5e8cdff745", 10: "4da9a3a60e35cd7b", 12: "874b56627d304c70",
+         14: "b94385bab5e22bf8", 16: "12939f6d04e004a5", 18: "c2693abdb085e88c"}
+#: A full sweep saves after the samples and after every second batch of two,
+#: then once more at the end; interrupted as its fourth proposal starts, it
+#: saves the 12 records of three batches; resumed, it replays them and saves
+#: where the uninterrupted sweep does.
+PERIODIC = [6, 10, 14, 18]
+FINAL = [18]
+INTERRUPTED = [6, 10, 12]
+RESUMED = [16, 18]
 
 
-def renamed(saves, name):
-    return [(name, digest) for _, digest in saves]
+def held(counts, name="dse.ckpt.json"):
+    return [(name, count, HELD[count], BYTES[count]) for count in counts]
 
 
-# -- sweeps that keep every boundary and periodic save --------------------------------------
+# -- sweeps that keep their checkpoints ----------------------------------------------------
 
 
 class TestOtherSweepsKeepTheirCheckpoints:
-    """Each save's bytes, in order, are pinned."""
+    """Each save's records and bytes, in order, are pinned."""
 
     def test_without_a_cache(self, gemm_module, tmp_path, saves, proposals):
         explorer(tmp_path).explore(gemm_module)
-        assert saves == PERIODIC + [FINAL]
+        assert saves == held(PERIODIC + FINAL)
         del saves[:]
         proposals.stop = proposals.calls + 4
         with pytest.raises(KeyboardInterrupt):
             explorer(tmp_path).explore(gemm_module)
-        assert saves == INTERRUPTED
+        assert saves == held(INTERRUPTED)
+        del saves[:]
+        resumed = explorer(tmp_path).explore(gemm_module, resume=True)
+        assert saves == held(RESUMED)
+        assert resumed.evaluated_this_run == 18 - 12
 
     def test_with_an_in_memory_cache(self, gemm_module, tmp_path, saves,
                                      proposals):
@@ -123,12 +142,18 @@ class TestOtherSweepsKeepTheirCheckpoints:
         del saves[:]
         warm = explorer(tmp_path, cache).explore(gemm_module)
         assert warm.cache_misses == 0
-        assert saves == PERIODIC + [FINAL]
+        assert saves == held(PERIODIC + FINAL)
         del saves[:]
         proposals.stop = proposals.calls + 4
         with pytest.raises(KeyboardInterrupt):
             explorer(tmp_path, cache).explore(gemm_module)
-        assert saves == INTERRUPTED
+        assert saves == held(INTERRUPTED)
+        del saves[:]
+        resumed = explorer(tmp_path, cache).explore(gemm_module, resume=True)
+        assert saves == held(RESUMED)
+        # The cache is asked first; what the checkpoint serves counts in
+        # neither of its figures.
+        assert (resumed.cache_hits, resumed.cache_misses) == (18, 0)
 
     def test_with_a_repeated_kernel(self, gemm_module, tmp_path, saves,
                                     proposals):
@@ -142,7 +167,7 @@ class TestOtherSweepsKeepTheirCheckpoints:
             checkpoint_dir=str(tmp_path / "ckpt")).explore_kernels(tasks)
         assert results["second"].shared_with == "first"
         assert proposals.calls == 6  # the first kernel's batches
-        assert saves == renamed(PERIODIC + [FINAL], "first.ckpt.json")
+        assert saves == held(PERIODIC + FINAL, "first.ckpt.json")
 
 
 # -- one generator per explorer -------------------------------------------------------------
@@ -163,24 +188,26 @@ def seedings(monkeypatch):
 
 
 class TestOneGenerator:
-    def test_a_fresh_state_reads_as_the_seeded_generator(self):
-        state = ExplorerState.fresh("fp", seed=5)
-        assert state.rng_state == random.Random(5).getstate()
+    def test_every_run_draws_what_the_seed_draws(self, gemm_module, tmp_path,
+                                                  monkeypatch, proposals):
+        # A resumed run restores no generator: it starts at step 1 with a
+        # freshly seeded one, as a fresh run does.
+        states = []
+        initial_batch = ExplorationPolicy.initial_batch
 
-    def test_fresh_and_loaded_states_draw_what_the_seed_draws(self, tmp_path,
-                                                             seedings):
-        store = CheckpointStore(str(tmp_path / "state.json"))
-        store.save(ExplorerState.fresh("fp", seed=5))
-        fresh = ExplorerState.fresh("fp", seed=5)
-        del seedings[:]
-        loaded = store.load(expected_fingerprint="fp")
-        assert seedings == []  # restored, not seeded and overwritten
-        reference = random.Random(5)
-        expected = [reference.random() for _ in range(4)]
-        assert [fresh.rng.random() for _ in range(4)] == expected
-        assert [loaded.rng.random() for _ in range(4)] == expected
+        def recording(space, rng, num_samples):
+            states.append(rng.getstate())
+            return initial_batch(space, rng, num_samples)
 
-    def test_an_explorer_seeds_once_and_reads_its_state_for_checkpoints(
+        monkeypatch.setattr(ExplorationPolicy, "initial_batch",
+                            staticmethod(recording))
+        proposals.stop = 4
+        with pytest.raises(KeyboardInterrupt):
+            explorer(tmp_path).explore(gemm_module)
+        explorer(tmp_path).explore(gemm_module, resume=True)
+        assert states == [random.Random(SWEEP["seed"]).getstate()] * 2
+
+    def test_an_explorer_seeds_once_and_never_reads_its_state(
             self, gemm_module, tmp_path, seedings, monkeypatch, saves):
         reads = []
         getstate = random.Random.getstate
@@ -197,7 +224,11 @@ class TestOneGenerator:
         assert seedings == [SWEEP["seed"]]
         assert reads == [] and saves == []  # no checkpoint to take
         explorer(tmp_path / "bare").explore(gemm_module)
-        # A checkpointing sweep reads it at each of its 8 boundaries (the
-        # start and after each of 7 batches) and for each save.
-        assert saves == PERIODIC + [FINAL]
-        assert len(reads) == 8 + len(saves)
+        resumed = explorer(tmp_path / "bare").explore(gemm_module,
+                                                      resume=True)
+        assert resumed.evaluated_this_run == 0
+        # A checkpoint holds records only: neither saving one nor resuming
+        # from one reads the generator, and each run seeds its own once.
+        assert saves == held(PERIODIC + FINAL + FINAL)
+        assert seedings == [SWEEP["seed"]] * 3
+        assert reads == []

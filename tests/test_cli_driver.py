@@ -111,6 +111,34 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["dse", "--kernel", "gemm", "--size", "8", "--resume"])
 
+    def test_a_finished_checkpoint_resumes_into_a_longer_sweep(
+            self, tmp_path, capsys, monkeypatch):
+        # A checkpoint holds records only, and a resumed sweep replays its
+        # trajectory from step 1: a longer budget continues where the
+        # shorter sweep stopped instead of starting over.
+        from repro.dse.runtime import scheduler
+
+        results = []
+        explore = scheduler._explore_trajectory
+
+        def recording(*args):
+            results.append(explore(*args))
+            return results[-1]
+
+        monkeypatch.setattr(scheduler, "_explore_trajectory", recording)
+        base = ["dse", "--kernel", "gemm", "--size", "16", "--samples", "6",
+                "--batch-size", "2", "--seed", "9"]
+        checkpoint = ["--checkpoint", str(tmp_path / "dse.ckpt.json")]
+        assert main(base + ["--iterations", "4"] + checkpoint) == 0
+        assert main(base + ["--iterations", "8", "--resume", "--frontier-out",
+                            str(tmp_path / "resumed.json")] + checkpoint) == 0
+        assert main(base + ["--iterations", "8", "--frontier-out",
+                            str(tmp_path / "fresh.json")]) == 0
+        capsys.readouterr()
+        assert [result.evaluated_this_run for result in results] == [10, 4, 14]
+        assert (tmp_path / "resumed.json").read_bytes() \
+            == (tmp_path / "fresh.json").read_bytes()
+
     def test_dse_all_functions(self, tmp_path, capsys):
         source = tmp_path / "pair.c"
         source.write_text("""

@@ -15,7 +15,6 @@ from repro.dse.runtime import (
     CheckpointStore,
     EstimateCache,
     EvaluationRecord,
-    ExplorerState,
     MultiKernelScheduler,
     ParallelExplorer,
     SweepConfig,
@@ -218,27 +217,12 @@ class TestEstimateCache:
 
 
 class TestCheckpoint:
-    def test_state_json_roundtrip(self, tmp_path):
-        store = CheckpointStore(str(tmp_path / "state.json"))
-        state = ExplorerState.fresh("fp", seed=5)
-        state.rng.random()
-        state.samples_done = True
-        state.iterations_done = 3
-        store.save(state)
-
-        loaded = store.load(expected_fingerprint="fp")
-        assert loaded is not None
-        assert loaded.samples_done and loaded.iterations_done == 3
-        assert loaded.rng_state == state.rng_state
-        assert loaded.rng.random() == state.rng.random()
-
     def test_file_bytes_equal_the_streaming_writer(self, tmp_path):
         # save() encodes with json.dumps (the C encoder); json.dump, which it
         # replaced, must have written the very same file.
         import io
         import json
 
-        from repro.dse.runtime.checkpoint import _rng_state_to_json
         from repro.estimation.estimator import QOR_MODEL_VERSION
         from repro.estimation.platform import PLATFORMS
 
@@ -246,40 +230,34 @@ class TestCheckpoint:
         platforms = [XC7Z020, PLATFORMS["zcu102"]]
         space = KernelDesignSpace.from_function(module.functions()[0],
                                                 platforms=platforms)
-        state = ExplorerState.fresh("fp", seed=5, config={
-            "seed": 5, "platforms": [[platform.name, platform.config_hash()]
-                                     for platform in platforms]})
+        records = {}
         for index, name in enumerate(space.platform_options):
             encoded = (0,) * (space.num_dimensions - 1) + (index,)
             platform = space.platform_named(name)
             design = apply_design_point(module, space.decode(encoded), platform)
-            state.records[encoded] = EvaluationRecord.from_design(
+            records[encoded] = EvaluationRecord.from_design(
                 encoded, design, platform_hash=platform.config_hash())
         poisoned = (0,) * (space.num_dimensions - 2) + (1, 0)
-        state.records[poisoned] = EvaluationRecord.quarantined(
+        records[poisoned] = EvaluationRecord.quarantined(
             poisoned, space.decode(poisoned), "InjectedFault: poison")
-        assert [record.ok for record in state.records.values()] \
+        assert [record.ok for record in records.values()] \
             == [True, True, False]
         store = CheckpointStore(str(tmp_path / "state.json"))
-        store.save(state)
+        store.save("fp", records)
 
         streamed = io.StringIO()
         json.dump({
-            "version": 1, "model": QOR_MODEL_VERSION,
-            "fingerprint": state.fingerprint, "seed": state.seed,
-            "config": state.config, "samples_done": state.samples_done,
-            "iterations_done": state.iterations_done,
-            "rng_state": _rng_state_to_json(state.rng_state),
-            "records": [record.to_json_dict()
-                        for record in state.records.values()],
+            "version": 2, "model": QOR_MODEL_VERSION, "fingerprint": "fp",
+            "records": [record.to_json_dict() for record in records.values()],
         }, streamed)
         assert (tmp_path / "state.json").read_text(encoding="utf-8") \
             == streamed.getvalue()
-        assert store.load(expected_fingerprint="fp").records == state.records
+        assert store.load(expected_fingerprint="fp") == records
 
     def test_fingerprint_mismatch_rejected(self, tmp_path):
         store = CheckpointStore(str(tmp_path / "state.json"))
-        store.save(ExplorerState.fresh("fp", seed=5))
+        store.save("fp", {})
+        assert store.load(expected_fingerprint="fp") == {}
         assert store.load(expected_fingerprint="other") is None
 
     def test_a_snapshot_of_another_qor_model_is_not_resumed(self, tmp_path,
@@ -289,13 +267,13 @@ class TestCheckpoint:
         from repro.dse.runtime import checkpoint
 
         store = CheckpointStore(str(tmp_path / "state.json"))
-        store.save(ExplorerState.fresh("fp", seed=5))
+        store.save("fp", {})
         assert store.load(expected_fingerprint="fp") is not None
         payload = json.loads((tmp_path / "state.json").read_text())
         del payload["model"]
         (tmp_path / "state.json").write_text(json.dumps(payload))
         assert store.load(expected_fingerprint="fp") is None
-        store.save(ExplorerState.fresh("fp", seed=5))
+        store.save("fp", {})
         monkeypatch.setattr(checkpoint, "QOR_MODEL_VERSION",
                             getattr(checkpoint, "QOR_MODEL_VERSION", 0) + 1,
                             raising=False)
@@ -412,9 +390,9 @@ class TestACachedSweepKeepsNoCheckpoint:
             events.append("sync")
             sync(cache)
 
-        def recording_save(store, state):
+        def recording_save(store, *args):
             events.append("save")
-            save(store, state)
+            save(store, *args)
 
         monkeypatch.setattr(EstimateCache, "sync", recording_sync)
         monkeypatch.setattr(CheckpointStore, "save", recording_save)

@@ -16,6 +16,7 @@ sibling point itself, knob included.
 import dataclasses
 import json
 import os
+import pathlib
 import pickle
 import random
 
@@ -56,6 +57,11 @@ from test_kernel_identity import (
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                       "gemm8_class_sweep.json")
+#: The checkpoint of the run capped at 9 points (``GOLDEN["checkpoint"]``) in
+#: the version-1 layout, as the commit before checkpoints held records only
+#: wrote it.
+GOLDEN_V1_CHECKPOINT = pathlib.Path(GOLDEN).with_name(
+    "gemm8_class_sweep_v1.ckpt.json")
 
 
 # -- helpers --------------------------------------------------------------------------------
@@ -545,6 +551,8 @@ class TestEstimatorLaws:
 #: commit before transform classes (8d93493, one evaluation per point);
 #: written again, by this sweep, when the cleanup-pipeline dimension left the
 #: default space and the trajectory with it (the files' layout did not move).
+#: Its checkpoint was written again when checkpoints came to hold records
+#: only (same records, ``GOLDEN_V1_CHECKPOINT``).
 SWEEP = dict(num_samples=8, max_iterations=12, seed=2022, batch_size=8)
 
 #: Points of that trajectory a classmate's evaluation answers from another
@@ -659,14 +667,27 @@ class TestSweepMatchesTheParentCommit:
         bare = tmp_path / "bare"
         partial = explore(gemm8, bare, max_evaluations=9, cached=False)
         assert partial.num_evaluations < len(golden["clean"]["records"])
-        # A capped cacheless run checkpoints as it always did.
+        # A capped cacheless run checkpoints the records it always did.
         assert (bare / "dse.ckpt.json").read_text() == golden["checkpoint"]
+        assert json.loads(golden["checkpoint"])["records"] \
+            == json.loads(GOLDEN_V1_CHECKPOINT.read_text())["records"]
         # The resumed process starts with no run-local class results: a
         # sibling of a point evaluated before the interruption is evaluated
         # again, to the same record.
         resumed = explore(gemm8, bare, resume=True, jobs=jobs, cached=False)
         assert document(resumed) == golden["clean"]
         assert resumed.resolved_siblings + resumed.resolved_aliases < 6
+
+    def test_a_version_1_checkpoint_is_ignored(self, gemm8, golden, tmp_path):
+        # The same capped run's checkpoint in the layout that also stored
+        # the generator's state and the trajectory config: not resumed.
+        (tmp_path / "dse.ckpt.json").write_bytes(
+            GOLDEN_V1_CHECKPOINT.read_bytes())
+        resumed = explore(gemm8, tmp_path, resume=True, cached=False)
+        assert resumed.evaluated_this_run == resumed.num_evaluations
+        assert document(resumed) == golden["clean"]
+        assert json.loads((tmp_path / "dse.ckpt.json").read_text())[
+            "version"] == 2
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_rerun_of_a_capped_cached_sweep(self, gemm8, golden, tmp_path,
