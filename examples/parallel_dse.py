@@ -8,10 +8,10 @@ kernel:
    Pareto frontier with 1 or N workers (determinism contract).
 2. **QoR estimate cache** — a second sweep against the warm cache skips
    every re-estimation.
-3. **Resumable checkpoints** — a checkpoint holds the records evaluated so
-   far; a resumed run replays the trajectory from step 1, serves each point
-   the checkpoint holds, evaluates only the rest and lands on the same
-   frontier as an uninterrupted one.
+3. **Checkpoints** — a checkpoint directory holds the records evaluated so
+   far; a re-run against it replays the trajectory from step 1, serves each
+   point the checkpoint holds, evaluates only the rest and lands on the
+   same frontier as an uninterrupted one.
 
 It closes with the :class:`MultiKernelScheduler` exploring two kernels
 concurrently on one shared worker pool.
@@ -76,16 +76,16 @@ def main() -> None:
               f"{warm.cache_hits} hits, {warm.cache_misses} misses "
               f"({warm.wall_seconds:.3f}s)")
 
-        # 3. Checkpoints: kill after 10 evaluations, resume, same frontier.
-        checkpoint = os.path.join(workdir, "explore.ckpt.json")
+        # 3. Checkpoints: stop after 10 evaluations, re-run, same frontier.
+        checkpoint = os.path.join(workdir, "checkpoints")
         ParallelExplorer(XC7Z020,
                          dataclasses.replace(config, checkpoint_every=4),
-                         checkpoint_path=checkpoint,
+                         checkpoint_dir=checkpoint,
                          max_evaluations=10).explore(module)
-        resumed = ParallelExplorer(XC7Z020, config, checkpoint_path=checkpoint
-                                   ).explore(module, resume=True)
+        resumed = ParallelExplorer(XC7Z020, config, checkpoint_dir=checkpoint
+                                   ).explore(module)
         assert frontier_summary(resumed) == frontier_summary(serial)
-        print(f"\n[3] interrupted at 10 evaluations, resumed to "
+        print(f"\n[3] interrupted at 10 evaluations, re-run to "
               f"{resumed.num_evaluations} ({resumed.evaluated_this_run} "
               f"evaluated, the rest replayed from the checkpoint); frontier "
               f"matches uninterrupted run ✓")

@@ -19,8 +19,9 @@ on:
   ``(kernel fingerprint, encoded design point)`` with optional JSONL
   persistence, so repeated sweeps skip re-estimation entirely.
 * :class:`~repro.dse.runtime.checkpoint.CheckpointStore` — atomic snapshots
-  of a kernel's records every N evaluations; ``--resume`` replays the
-  trajectory from step 1 against them, with a bit-identical final frontier.
+  of a kernel's records every N evaluations, one ``<key>.ckpt.json`` per
+  kernel in the checkpoint directory; every run that finds one replays the
+  trajectory from step 1 against it, with a bit-identical final frontier.
 * :class:`~repro.dse.runtime.model.ModelScheduler` — the whole-model flow:
   graph staging, per-node kernel splitting, budgeted multi-kernel sweep and
   model-level frontier composition.

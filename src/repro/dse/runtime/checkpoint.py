@@ -1,12 +1,15 @@
-"""Resumable exploration checkpoints.
+"""Exploration checkpoints.
 
 A checkpoint holds what the estimate cache holds: the evaluated records of
 one kernel fingerprint, under the QoR model that estimated them.  It holds
 no RNG state, no progress counters and no copy of the exploration config.
-An exploration step is a pure function of the seed and of the records seen
-so far, so a resumed sweep starts over at step 1 with its own seed and
-replays: each point the checkpoint holds is served from it, and only the
-rest is evaluated.  Any subset of true records replays the exact
+Each kernel of a sweep checkpoints to ``<key>.ckpt.json`` in the sweep's
+checkpoint directory (``kernel.ckpt.json`` for a single kernel), and every
+run reads it back when it exists, as it reads the estimate cache.  An
+exploration step is a pure function of the seed and of the records seen so
+far, so a re-run starts over at step 1 with its own seed and replays: each
+point the checkpoint holds is served from it, and only the rest is
+evaluated.  Any subset of true records replays the exact
 trajectory, so a checkpoint may be saved at any moment (Ctrl-C included),
 and one taken under another seed or budget still serves the points the
 trajectories share.
@@ -14,7 +17,7 @@ trajectories share.
 Snapshots are written atomically (temp file + ``os.replace``), so a run
 killed mid-write leaves the previous checkpoint intact.  Records of another
 QoR model (``QOR_MODEL_VERSION``, as an estimate-cache line names it) or of
-another fingerprint are not resumed.
+another fingerprint are not served; the next save overwrites them.
 
 A sweep with a persistent estimate cache keeps no checkpoint at all: the
 cache never drops a record, so rerunning the sweep replays its trajectory

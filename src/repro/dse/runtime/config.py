@@ -43,6 +43,10 @@ class SweepConfig:
     checkpoint_every: int = 32
 
     def __post_init__(self):
-        for name in ("jobs", "batch_size", "checkpoint_every"):
-            object.__setattr__(self, name, max(1, int(getattr(self, name))))
+        for name, least in (("jobs", 1), ("batch_size", 1),
+                            ("checkpoint_every", 1), ("num_samples", 1),
+                            ("max_iterations", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         object.__setattr__(self, "platforms", tuple(self.platforms or ()))

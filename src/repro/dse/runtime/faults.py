@@ -38,9 +38,6 @@ CRASH_EXIT_CODE = 86
 #: The injectable failure modes.
 FAULT_MODES = ("crash", "hang", "flaky", "poison")
 
-#: Per-process evaluation ordinal (used by the ``nth`` chaos selector).
-_LOCAL_EVALUATIONS = 0
-
 #: :attr:`FaultPlan.hang_seconds` unless a spec says otherwise.
 _DEFAULT_HANG_SECONDS = 3600.0
 
@@ -124,10 +121,7 @@ class FaultPlan:
     ignores it).  The rule: a plan with ``times <= max_retries`` converges
     to the clean records, and a charged mode with more quarantines the same
     victims, at any topology — every fault is charged to the point that
-    fired it, never to a neighbour.  ``nth > 0`` adds a *chaos* selector on
-    top: every Nth evaluation of a worker process faults regardless of the
-    point — not deterministic across worker counts, but every fault is still
-    retryable, so the final frontier stays byte-identical.
+    fired it, never to a neighbour.
 
     ``state_dir`` is the cross-process attempt ledger for the recoverable
     modes; :meth:`parse` creates a temporary one automatically.  The same
@@ -138,7 +132,6 @@ class FaultPlan:
     mode: str
     select: int = 4
     times: int = 1
-    nth: int = 0
     hang_seconds: float = _DEFAULT_HANG_SECONDS
     state_dir: str = ""
 
@@ -150,6 +143,9 @@ class FaultPlan:
             raise ValueError(f"select must be >= 1, got {self.select}")
         if self.times < 1:
             raise ValueError(f"times must be >= 1, got {self.times}")
+        if self.hang_seconds < 0:
+            raise ValueError(f"hang_seconds must be >= 0, "
+                             f"got {self.hang_seconds}")
 
     # -- spec parsing ----------------------------------------------------------------------
 
@@ -167,10 +163,10 @@ class FaultPlan:
             for item in options.split(","):
                 name, separator, raw = item.partition("=")
                 name = name.strip()
-                if not separator or name not in ("select", "times", "nth",
+                if not separator or name not in ("select", "times",
                                                  "hang_seconds", "state_dir"):
                     raise ValueError(f"bad fault option {item!r} in {spec!r}; "
-                                     f"expected select=/times=/nth="
+                                     f"expected select=/times="
                                      f"/hang_seconds=/state_dir=")
                 if name == "state_dir":
                     values[name] = raw.strip()
@@ -185,8 +181,6 @@ class FaultPlan:
     def to_spec(self) -> str:
         """The canonical spec string (round-trips through :meth:`parse`)."""
         options = [f"select={self.select}", f"times={self.times}"]
-        if self.nth:
-            options.append(f"nth={self.nth}")
         if self.hang_seconds != _DEFAULT_HANG_SECONDS:
             options.append(f"hang_seconds={self.hang_seconds!r}")
         if self.state_dir:
@@ -226,10 +220,7 @@ class FaultPlan:
         serial backend) — crashes, hangs or raises according to the plan,
         or returns normally when this evaluation is not a victim.
         """
-        global _LOCAL_EVALUATIONS
-        _LOCAL_EVALUATIONS += 1
-        chaos_hit = self.nth > 0 and _LOCAL_EVALUATIONS % self.nth == 0
-        if not chaos_hit and not self.matches(key, encoded):
+        if not self.matches(key, encoded):
             return
         if self.mode == "poison":
             raise InjectedFault(f"injected poison: kernel {key!r} "

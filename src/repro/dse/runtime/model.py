@@ -28,8 +28,8 @@ the parallel runtime:
 
 Determinism contract: a fixed ``(seed, budgets, batch_size)`` produces a
 byte-identical :meth:`ModelDSEResult.frontier_json` for any ``--jobs`` and
-across ``--resume`` from any checkpoint (or a rerun against its persistent
-estimate cache), because every per-node trajectory
+across re-runs against any checkpoint (or against its persistent estimate
+cache), because every per-node trajectory
 is deterministic (PR 1's contract) and composition is a pure function of
 the per-node frontiers.
 """
@@ -365,7 +365,7 @@ class ModelDSEResult:
                     ],
                     # Quarantine outcomes are part of the deterministic
                     # artifact: a faulty run must report the same exclusions
-                    # at any --jobs and across --resume.
+                    # at any --jobs and across re-runs.
                     "quarantined": [list(record.encoded)
                                     for record in result.quarantined_records()],
                 }
@@ -482,14 +482,15 @@ class ModelScheduler:
     # -- public API -------------------------------------------------------------------------
 
     def explore(self, model: Union[str, ModuleOp], graph_level: int = 4,
-                resume: bool = False,
                 max_nodes: Optional[int] = None) -> ModelDSEResult:
         """Sweep a whole model and compose its latency/resource frontier.
 
         ``model`` is a bundled model name or an un-staged graph-level module
-        (it is cloned, never mutated).  ``max_nodes`` truncates the sweep to
-        the N heaviest nodes — a smoke-test escape hatch, reported via
-        ``skipped`` rather than applied silently (``ValueError`` below 1).
+        (it is cloned, never mutated); each node continues from its
+        checkpoint under ``checkpoint_dir``.  ``max_nodes`` truncates the
+        sweep to the N heaviest nodes — a smoke-test escape hatch, reported
+        via ``skipped`` rather than applied silently (``ValueError`` below
+        1).
         """
         from repro.frontend.models import build_model
 
@@ -513,7 +514,7 @@ class ModelScheduler:
             model_span.set(nodes=len(node_order))
             scheduler = MultiKernelScheduler(
                 self.platform, config, checkpoint_dir=self.checkpoint_dir)
-            node_results = scheduler.explore_kernels(tasks, resume=resume)
+            node_results = scheduler.explore_kernels(tasks)
 
             with obs.span("dse.compose", nodes=len(node_order)):
                 frontier, truncated = compose_model_frontier(

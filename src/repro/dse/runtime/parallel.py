@@ -7,7 +7,7 @@ evaluates the batch through an evaluation backend (inline or a local process
 pool), then merges the results and recomputes the frontier.
 ``batch_size=1`` is the paper's one-neighbour-at-a-time traversal.
 
-The trajectory owns no backend, fingerprint or checkpoint name: the
+The trajectory owns no backend, fingerprint or checkpoint directory: the
 :class:`~repro.dse.runtime.scheduler.MultiKernelScheduler` hands it all
 three, for a single kernel
 (:class:`~repro.dse.runtime.scheduler.ParallelExplorer`) as for every node
@@ -25,11 +25,12 @@ visits the same points and returns the same frontier regardless of
 * cache warmth — cached records equal freshly evaluated ones because
   evaluation is deterministic;
 * interruption — every run starts at step 1 and replays the trajectory:
-  each point the estimate cache or the loaded checkpoint holds is served
-  from it, and only the rest is evaluated.  A checkpoint holds records
-  only, and any subset of true records replays exactly, so it does not
-  matter where a finished run, a cap, Ctrl-C or ``kill -9`` stopped.  A
-  sweep with a persistent estimate cache keeps no checkpoint.
+  each point the estimate cache or the kernel's checkpoint holds is served
+  from it, and only the rest is evaluated.  A checkpoint is read back
+  whenever it exists; it holds records only, and any subset of true
+  records replays exactly, so it does not matter where a finished run, a
+  cap, Ctrl-C or ``kill -9`` stopped.  A sweep with a persistent estimate
+  cache keeps no checkpoint.
 
 ``batch_size`` is deliberately independent of ``jobs``: it is part of the
 exploration trajectory, while ``jobs`` is purely an execution detail.
@@ -38,6 +39,7 @@ exploration trajectory, while ``jobs`` is purely an execution detail.
 from __future__ import annotations
 
 import dataclasses
+import os
 import random
 import time
 from typing import TYPE_CHECKING, Optional
@@ -96,8 +98,8 @@ class _ClassResults:
     trajectory asked for, ``spare`` the II-siblings that rode along unasked.
     The key is a function of the decoded point, so it also catches encodings
     whose tile product ``decode`` clamps to a design already answered.
-    Run-local and never checkpointed: a resumed run evaluates a lost
-    classmate again, to the same record.
+    Run-local and never checkpointed: a re-run evaluates a lost classmate
+    again, to the same record.
     """
 
     def __init__(self):
@@ -209,7 +211,7 @@ class ParallelDSEResult:
     func_name: Optional[str]
     platform: Platform
     #: Refinement iterations completed over the kernel's whole trajectory
-    #: (across resumes).  Reporting-only: deliberately absent from any
+    #: (across re-runs).  Reporting-only: deliberately absent from any
     #: exported JSON so artifacts stay byte-identical run to run.
     iterations_done: int = 0
     #: Key of the structurally identical kernel whose trajectory this
@@ -281,13 +283,14 @@ class ParallelDSEResult:
 
 def _explore_trajectory(task: KernelTask, platform: Platform,
                         config: SweepConfig, backend,
-                        resume: bool) -> ParallelDSEResult:
-    """Explore ``task``'s kernel; optionally resume from its checkpoint.
+                        checkpoint_dir: Optional[str]) -> ParallelDSEResult:
+    """Explore ``task``'s kernel, continuing from its checkpoint
+    (``<key>.ckpt.json`` under ``checkpoint_dir``) if one exists.
 
     The scheduler hands over everything: the ``task`` with its fingerprint
-    and its checkpoint path filled in, the sweep ``config`` with the task's
-    budgets applied, and the ``backend`` that evaluates every kernel of the
-    sweep under ``task.key``.
+    filled in, the sweep ``config`` with the task's budgets applied, the
+    ``backend`` that evaluates every kernel of the sweep under ``task.key``
+    and the ``checkpoint_dir`` (None: the kernel keeps no checkpoint).
     """
     started = time.perf_counter()
     cache = config.cache
@@ -297,15 +300,16 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
 
     # Every run starts at step 1 and replays: a step is a pure function of
     # the seed and the records seen so far, so each point the estimate
-    # cache or the loaded checkpoint holds is served from it and only the
-    # rest is evaluated.  A persistent cache is the sweep's durable store
-    # (it never drops a record), so such a sweep keeps no checkpoint; where
-    # one would be written, the cache's appended lines are made durable.
+    # cache or the checkpoint holds is served from it and only the rest is
+    # evaluated.  A persistent cache is the sweep's durable store (it never
+    # drops a record), so such a sweep keeps no checkpoint; where one would
+    # be written, the cache's appended lines are made durable.
     persistent = cache is not None and bool(cache.path)
-    store = CheckpointStore(task.checkpoint_path) \
-        if task.checkpoint_path and not persistent else None
+    store = None
     restored = {}
-    if resume and store is not None:
+    if checkpoint_dir and not persistent:
+        store = CheckpointStore(os.path.join(checkpoint_dir,
+                                             f"{key}.ckpt.json"))
         restored = store.load(expected_fingerprint=fingerprint) or {}
     records: dict[tuple[int, ...], EvaluationRecord] = {}
     iterations_done = 0
@@ -333,7 +337,7 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
 
     def evaluate_batch(batch: list[tuple[int, ...]]) -> None:
         """Resolve ``batch`` into ``records``: the cache first, then the
-        loaded checkpoint, then the backend."""
+        checkpoint, then the backend."""
         nonlocal evaluated_this_run, since_checkpoint, run_hits, run_misses
         resolved_before = (classes.siblings, classes.aliases)
         batch_span = obs.NULL_SPAN if not obs_on else obs.span(
@@ -411,7 +415,7 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
             run_hits += hits
             run_misses += len(missing)
         evaluated_this_run += len(missing)
-        # What the loaded checkpoint holds is on disk already.
+        # What the checkpoint held is on disk already.
         since_checkpoint += len(batch) - stored
         if obs_on:
             obs.counter("dse.points", len(batch))
@@ -493,7 +497,7 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
         # Graceful interruption: every record so far is true, and any
         # subset of true records replays the exact trajectory, so save
         # them all (or sync the cache), then let the interrupt propagate
-        # to the caller (the driver turns it into a one-line resume hint).
+        # to the caller (the driver turns it into a one-line re-run hint).
         maybe_checkpoint(force=True)
         raise
 

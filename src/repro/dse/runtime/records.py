@@ -26,7 +26,7 @@ STATUS_OK = "ok"
 
 #: A record whose point exhausted its fault retries and was quarantined:
 #: it is cached and checkpointed like any other record (so the decision
-#: survives ``--resume`` and warm caches), but it is excluded from every
+#: survives re-runs and warm caches), but it is excluded from every
 #: frontier and can never be finalized.
 STATUS_QUARANTINED = "quarantined"
 

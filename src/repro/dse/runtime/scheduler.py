@@ -9,8 +9,8 @@ and a shared :class:`EstimateCache` deduplicates work across kernels and
 runs.  A single kernel (:class:`ParallelExplorer`) is a one-task sweep.
 
 The scheduler is the one owner of what a sweep shares: it creates and
-closes the backend, fingerprints every kernel and decides where each
-checkpoints.  A kernel's trajectory
+closes the backend, fingerprints every kernel and decides where they
+checkpoint (``checkpoint_dir``).  A kernel's trajectory
 (:func:`~repro.dse.runtime.parallel._explore_trajectory`) is handed all of
 it.
 
@@ -38,7 +38,6 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import hashlib
-import os
 import threading
 from typing import Optional, Sequence
 
@@ -136,11 +135,6 @@ class KernelTask:
     #: trajectory, so a capped run stores a prefix of the uncapped one, and
     #: what the cache or the checkpoint serves on a re-run is free).
     max_evaluations: Optional[int] = None
-    #: Where the kernel checkpoints.  When None the scheduler fills in
-    #: ``<key>.ckpt.json`` under its ``checkpoint_dir`` (and without one the
-    #: kernel does not checkpoint, nor does it in a sweep whose estimate
-    #: cache has a file: that cache is its durable store).
-    checkpoint_path: Optional[str] = None
     #: The kernel's cache/checkpoint identity, filled in by the scheduler,
     #: once per sweep, on its own copy of the task.
     fingerprint: str = ""
@@ -159,8 +153,8 @@ class MultiKernelScheduler:
     # -- public API -------------------------------------------------------------------------
 
     def explore_module(self, module: ModuleOp,
-                       func_names: Optional[Sequence[str]] = None,
-                       resume: bool = False) -> dict[str, ParallelDSEResult]:
+                       func_names: Optional[Sequence[str]] = None
+                       ) -> dict[str, ParallelDSEResult]:
         """Run DSE for every explorable function of ``module``.
 
         Functions without an affine loop nest (e.g. a dataflow top that only
@@ -168,11 +162,12 @@ class MultiKernelScheduler:
         the function's symbol name.
         """
         tasks = self._module_tasks(module, func_names)
-        return self.explore_kernels(tasks, resume=resume)
+        return self.explore_kernels(tasks)
 
-    def explore_kernels(self, tasks: Sequence[KernelTask],
-                        resume: bool = False) -> dict[str, ParallelDSEResult]:
-        """Run DSE for every :class:`KernelTask` on one shared pool.
+    def explore_kernels(self, tasks: Sequence[KernelTask]
+                        ) -> dict[str, ParallelDSEResult]:
+        """Run DSE for every :class:`KernelTask` on one shared pool, each
+        continuing from its checkpoint if one exists.
 
         Returns results keyed by ``task.key`` (insertion order preserved).
         """
@@ -196,13 +191,8 @@ class MultiKernelScheduler:
             fingerprint = _kernel_fingerprint(
                 task.space, _function(task.module, task.func_name),
                 self.platform)
-            checkpoint_path = task.checkpoint_path
-            if checkpoint_path is None and self.checkpoint_dir:
-                checkpoint_path = os.path.join(self.checkpoint_dir,
-                                               f"{task.key}.ckpt.json")
             tasks[index] = task = dataclasses.replace(
-                task, fingerprint=fingerprint,
-                checkpoint_path=checkpoint_path)
+                task, fingerprint=fingerprint)
             classes.setdefault(fingerprint, []).append(task)
             task_config = _task_config(config, task)
             representative_of[task.key] = swept.setdefault(
@@ -225,8 +215,7 @@ class MultiKernelScheduler:
                 if config.jobs <= 1 or len(tasks) == 1:
                     # Task order already puts every representative first.
                     return self._explore_class(tasks, representative_of,
-                                               backend, resume,
-                                               attribute=False)
+                                               backend, attribute=False)
                 # Spawn the pool's workers from the main thread, before any
                 # coordinator threads exist: forking from a multi-threaded
                 # process risks inheriting locks held by other threads.
@@ -240,8 +229,7 @@ class MultiKernelScheduler:
                         max_workers=len(classes)) as coordinators:
                     futures = [
                         coordinators.submit(self._explore_class, members,
-                                            representative_of, backend,
-                                            resume)
+                                            representative_of, backend)
                         for members in classes.values()
                     ]
                     try:
@@ -283,7 +271,7 @@ class MultiKernelScheduler:
 
     def _explore_class(self, members: Sequence[KernelTask],
                        representative_of: dict[str, str], backend,
-                       resume: bool, attribute: bool = True
+                       attribute: bool = True
                        ) -> dict[str, ParallelDSEResult]:
         """Explore ``members`` in order: a task whose representative (the
         first task with its fingerprint and budgets) is another one takes
@@ -301,8 +289,9 @@ class MultiKernelScheduler:
                                   representative)
             else:
                 try:
-                    result = _explore_trajectory(task, self.platform,
-                                                 task_config, backend, resume)
+                    result = _explore_trajectory(
+                        task, self.platform, task_config, backend,
+                        self.checkpoint_dir)
                 except EvaluationFailure:
                     raise
                 except Exception as error:
@@ -328,15 +317,16 @@ class MultiKernelScheduler:
 class ParallelExplorer:
     """DSE of one kernel: a one-task :class:`MultiKernelScheduler` sweep
     under the key ``"kernel"`` (its fault-plan victims, ``dse:kernel``
-    track and ``dse.node.kernel.*`` metrics)."""
+    track, ``dse.node.kernel.*`` metrics and ``kernel.ckpt.json``
+    checkpoint under ``checkpoint_dir``)."""
 
     def __init__(self, platform: Platform = XC7Z020,
                  config: SweepConfig = SweepConfig(), *,
-                 checkpoint_path: Optional[str] = None,
+                 checkpoint_dir: Optional[str] = None,
                  max_evaluations: Optional[int] = None):
         self.platform = platform
         self.config = config
-        self.checkpoint_path = checkpoint_path
+        self.checkpoint_dir = checkpoint_dir
         #: Hard cap on the points this run has to evaluate; not part of
         #: the trajectory, so a capped run stores a prefix of the uncapped
         #: one, and a capped re-run replays it for free and goes further.
@@ -344,17 +334,16 @@ class ParallelExplorer:
 
     def explore(self, module: ModuleOp,
                 space: Optional[KernelDesignSpace] = None,
-                func_name: Optional[str] = None,
-                resume: bool = False) -> ParallelDSEResult:
+                func_name: Optional[str] = None) -> ParallelDSEResult:
         """Explore ``module``'s kernel (``func_name``, or its first
-        function) over ``space`` (by default the function's own);
-        optionally resume from the checkpoint."""
+        function) over ``space`` (by default the function's own),
+        continuing from its checkpoint if one exists."""
         if space is None:
             space = KernelDesignSpace.from_function(
                 _function(module, func_name),
                 platforms=self.config.platforms or None)
         task = KernelTask(key="kernel", module=module, func_name=func_name,
-                          space=space, max_evaluations=self.max_evaluations,
-                          checkpoint_path=self.checkpoint_path)
-        scheduler = MultiKernelScheduler(self.platform, self.config)
-        return scheduler.explore_kernels([task], resume=resume)["kernel"]
+                          space=space, max_evaluations=self.max_evaluations)
+        scheduler = MultiKernelScheduler(self.platform, self.config,
+                                         checkpoint_dir=self.checkpoint_dir)
+        return scheduler.explore_kernels([task])["kernel"]

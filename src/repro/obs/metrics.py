@@ -20,8 +20,8 @@ name                      kind       meaning
 ``bucket.<op>.hits``      counter    dispatch-bucket applications per op name
 ``cache.hits`` etc.       counter    estimate-cache hits/misses/stores
 ``dse.evaluations``       counter    evaluations dispatched (one per transform class)
-``dse.points``            counter    design points processed (incl. cache hits and,
-                                     on ``--resume``, checkpoint-served points)
+``dse.points``            counter    design points processed (incl. cache hits and
+                                     checkpoint-served points)
 ``dse.resolved.siblings`` counter    points answered by a classmate's evaluation
                                      (same transforms, another target II)
 ``dse.resolved.aliases``  counter    points whose knob values stage to a program

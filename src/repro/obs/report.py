@@ -195,7 +195,7 @@ def resolved_summary_line(resolved: int, points: int, classes: int,
     evaluations' unrolling took, dropped and copied undecided.  Like every
     line that counts
     this run's evaluations it says "evaluated", the marker by which output
-    comparisons across ``--resume`` and cache warmth skip such lines.
+    comparisons across re-runs and cache warmth skip such lines.
     """
     siblings = resolved - aliases
     taken, dropped, undecided = unrolled_ifs

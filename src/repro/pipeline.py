@@ -126,28 +126,28 @@ def _sweep_config(budget: dict, *, cache: "Optional[EstimateCache]" = None,
 
 
 def explore_kernel(module: ModuleOp, platform: Platform = XC7Z020, *,
-                   checkpoint_path: Optional[str] = None,
-                   resume: bool = False, func_name: Optional[str] = None,
+                   checkpoint_dir: Optional[str] = None,
+                   func_name: Optional[str] = None,
                    **sweep) -> "ParallelDSEResult":
     """Run the DSE runtime on one kernel.
 
     ``sweep`` takes the keywords of :func:`_sweep_config` (``jobs``,
     ``seed``, ``num_samples``, ``cache_path``, ``task_timeout`` ...; the
-    budgets default to :data:`KERNEL_BUDGET`); ``checkpoint_path`` +
-    ``resume`` continue an interrupted exploration.  ``batch_size=1`` is the
-    paper's one-neighbour-at-a-time traversal.
+    budgets default to :data:`KERNEL_BUDGET`).  With ``checkpoint_dir`` the
+    kernel checkpoints to ``kernel.ckpt.json`` in it, and a re-run
+    continues from there.  ``batch_size=1`` is the paper's
+    one-neighbour-at-a-time traversal.
     """
     from repro.dse.runtime import ParallelExplorer
 
     explorer = ParallelExplorer(platform,
                                 _sweep_config(KERNEL_BUDGET, **sweep),
-                                checkpoint_path=checkpoint_path)
-    return explorer.explore(module, func_name=func_name, resume=resume)
+                                checkpoint_dir=checkpoint_dir)
+    return explorer.explore(module, func_name=func_name)
 
 
 def explore_module_kernels(module: ModuleOp, platform: Platform = XC7Z020, *,
                            checkpoint_dir: Optional[str] = None,
-                           resume: bool = False,
                            func_names: Optional[list[str]] = None,
                            **sweep) -> "dict[str, ParallelDSEResult]":
     """Run DSE for every explorable function of ``module`` concurrently
@@ -157,7 +157,7 @@ def explore_module_kernels(module: ModuleOp, platform: Platform = XC7Z020, *,
     scheduler = MultiKernelScheduler(platform,
                                      _sweep_config(KERNEL_BUDGET, **sweep),
                                      checkpoint_dir=checkpoint_dir)
-    return scheduler.explore_module(module, func_names=func_names, resume=resume)
+    return scheduler.explore_module(module, func_names=func_names)
 
 
 # -- DNN models --------------------------------------------------------------------------------------
@@ -183,7 +183,7 @@ def prepare_dnn_stages(module: ModuleOp, graph_level: int) -> int:
 
 def explore_dnn(model_name: str, platform: Platform = VU9P_SLR, *,
                 graph_level: int = 4,
-                checkpoint_dir: Optional[str] = None, resume: bool = False,
+                checkpoint_dir: Optional[str] = None,
                 budget_mode: str = "flops", frontier_cap: int = 64,
                 max_nodes: Optional[int] = None,
                 **sweep) -> "ModelDSEResult":
@@ -203,7 +203,7 @@ def explore_dnn(model_name: str, platform: Platform = VU9P_SLR, *,
         budget=NodeBudgetPolicy(mode=budget_mode),
         checkpoint_dir=checkpoint_dir, frontier_cap=frontier_cap)
     return scheduler.explore(model_name, graph_level=graph_level,
-                             resume=resume, max_nodes=max_nodes)
+                             max_nodes=max_nodes)
 
 
 @dataclasses.dataclass

@@ -24,8 +24,8 @@ functionality behind one entry point with sub-commands:
     Compile one of the bundled DNN models with the multi-level optimization
     and report its QoR — or, with ``--dse``, sweep every dataflow node's
     design space through the multi-kernel scheduler and compose the
-    model-level Pareto frontier (``--jobs/--cache/--checkpoint/--resume``
-    parity with ``dse``, plus ``--smoke`` for a CI-sized sweep).
+    model-level Pareto frontier (``--jobs/--cache/--checkpoint`` parity
+    with ``dse``, plus ``--smoke`` for a CI-sized sweep).
 
 ``list-passes``
     Print every registered pass with its anchor and options, and self-check
@@ -264,17 +264,15 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser,
                              "the sweep (repeatable); design points can "
                              "then select NAME and the kernel pipeline "
                              "signature covers SPEC")
-    parser.add_argument("--checkpoint", metavar="PATH",
-                        help="checkpoint file (dse of a single kernel) or "
-                             "directory (dse --all-functions, dnn: one "
-                             "snapshot file per kernel)")
+    parser.add_argument("--checkpoint", metavar="DIR",
+                        help="checkpoint directory: one <key>.ckpt.json per "
+                             "kernel (kernel.ckpt.json for a single kernel); "
+                             "re-running the same command continues from it")
     parser.add_argument("--checkpoint-every", type=int,
                         default=defaults["checkpoint_every"],
                         help="save the records so far every N points "
-                             "(a resumed run replays the sweep, serving "
-                             "each point the checkpoint holds)")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume from the checkpoint if present")
+                             "(a re-run replays the sweep, serving each "
+                             "point the checkpoint holds)")
     parser.add_argument("--task-timeout", type=float, metavar="SECONDS",
                         help="wall-clock budget per evaluation; a task over "
                              "budget has its worker killed and is retried "
@@ -300,9 +298,10 @@ def _sweep_settings(args) -> dict:
     ``--register-pipeline`` specs on the way: that must precede any
     pipeline-signature computation (worker contexts, cache fingerprints), so
     the sweep commands call this before they load anything."""
-    if args.resume and not args.checkpoint:
-        raise SystemExit("--resume requires --checkpoint PATH (otherwise the "
-                         "sweep would silently restart from scratch)")
+    if args.checkpoint and os.path.exists(args.checkpoint) \
+            and not os.path.isdir(args.checkpoint):
+        raise SystemExit("--checkpoint must name a directory: "
+                         f"{args.checkpoint!r} is a file")
     for flag, value, least in (("--jobs", args.jobs, 1),
                                ("--batch-size", args.batch_size, 1),
                                ("--checkpoint-every", args.checkpoint_every, 1),
@@ -317,7 +316,8 @@ def _sweep_settings(args) -> dict:
         max_iterations=args.iterations, seed=args.seed,
         batch_size=args.batch_size,
         cache_path=_estimate_cache_path(args.cache) if args.cache else None,
-        checkpoint_every=args.checkpoint_every, resume=args.resume,
+        checkpoint_dir=args.checkpoint,
+        checkpoint_every=args.checkpoint_every,
         task_timeout=args.task_timeout, max_retries=args.max_retries,
         on_fault=args.on_fault, faults=_fault_plan(args))
 
@@ -396,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     dse_parser.add_argument("--frontier-out", metavar="PATH",
                             help="write the frontier (per-platform frontiers "
                                  "for a multi-platform sweep) as byte-stable "
-                                 "JSON — identical across --jobs and --resume")
+                                 "JSON — identical across --jobs and re-runs")
 
     emit_parser = commands.add_parser("emit", help="emit synthesizable HLS C++")
     _add_kernel_arguments(emit_parser)
@@ -514,12 +514,7 @@ def run_dse(args) -> int:
         if args.frontier_out:
             raise SystemExit("--frontier-out requires a single-kernel run "
                              "(drop --all-functions)")
-        if args.checkpoint and os.path.exists(args.checkpoint) \
-                and not os.path.isdir(args.checkpoint):
-            raise SystemExit("--checkpoint must name a directory when used "
-                             f"with --all-functions: {args.checkpoint!r} is a file")
-        results = explore_module_kernels(module, platform,
-                                         checkpoint_dir=args.checkpoint, **common)
+        results = explore_module_kernels(module, platform, **common)
         if not results:
             raise SystemExit("no explorable functions: the module contains "
                              "no affine loop nests")
@@ -535,17 +530,12 @@ def run_dse(args) -> int:
                               baselines=baselines)
         return 0
 
-    if args.checkpoint and os.path.isdir(args.checkpoint):
-        raise SystemExit("--checkpoint must name a file for a single-kernel "
-                         f"run: {args.checkpoint!r} is a directory "
-                         "(did you mean --all-functions?)")
     baseline = estimate_baseline(module, platform)
     baselines = None
     if len(platforms) > 1:
         baselines = {target.name: estimate_baseline(module, target)
                      for target in platforms}
-    result = explore_kernel(module, platform, checkpoint_path=args.checkpoint,
-                            **common)
+    result = explore_kernel(module, platform, **common)
     _note_dse_wall(started, args.jobs)
     _print_dse_result("", result, baseline, baselines=baselines)
     if args.frontier_out:
@@ -559,7 +549,7 @@ def _dse_frontier_json(result) -> str:
     """Byte-stable JSON of a kernel sweep's frontier(s).
 
     Deliberately excludes wall-clock and cache statistics so the artifact is
-    identical across ``--jobs`` counts and ``--resume`` — CI byte-compares it.
+    identical across ``--jobs`` counts and re-runs — CI byte-compares it.
     """
     def entry(record):
         return {
@@ -656,10 +646,6 @@ def run_emit(args) -> int:
 def run_dnn_dse(args) -> int:
     from repro.pipeline import explore_dnn
 
-    if args.checkpoint and os.path.exists(args.checkpoint) \
-            and not os.path.isdir(args.checkpoint):
-        raise SystemExit("--checkpoint must name a directory for a model "
-                         f"sweep: {args.checkpoint!r} is a file")
     settings = _sweep_settings(args)
     platforms = _resolve_platforms(args, "vu9p-slr")
     platform = platforms[0]
@@ -669,8 +655,7 @@ def run_dnn_dse(args) -> int:
         max_nodes = 3
     result = explore_dnn(
         args.model, platform, graph_level=args.graph_level,
-        checkpoint_dir=args.checkpoint, budget_mode=args.budget,
-        max_nodes=max_nodes,
+        budget_mode=args.budget, max_nodes=max_nodes,
         platforms=platforms if len(platforms) > 1 else None, **settings)
 
     # The cache note speaks of the persistent cache only: the evaluations a
@@ -877,16 +862,12 @@ def _finish_session(session: "obs.ObsSession", args, timing: bool,
 def _interrupt_hint(args) -> int:
     """One actionable line instead of a KeyboardInterrupt traceback."""
     hint = ""
-    if getattr(args, "cache", None):
-        hint = (" — every estimate so far is in the estimate cache; re-run "
-                "the same command to continue from it")
-    elif getattr(args, "checkpoint", None):
-        hint = (" — every record so far is checkpointed; re-run the same "
-                "command with --resume to continue")
+    if getattr(args, "cache", None) or getattr(args, "checkpoint", None):
+        hint = " — re-run the same command to continue"
     elif args.command == "dse" or (args.command == "dnn"
                                    and getattr(args, "dse", False)):
-        hint = (" — add --checkpoint (and --resume on the next run) to make "
-                "interrupted sweeps resumable")
+        hint = (" — add --checkpoint DIR to make interrupted sweeps "
+                "resumable")
     print(f"interrupted{hint}", file=sys.stderr)
     return 130
 

@@ -2,9 +2,9 @@
 
 The cache never drops a record, and a trajectory is a function of its seed
 and of the records it has seen: rerunning an interrupted or capped sweep
-against its cache file, with or without ``resume``, replays the trajectory,
-evaluates only the points no earlier run stored, and ends where the
-uninterrupted sweep ends — same frontier, same records, same cache file.
+against its cache file replays the trajectory, evaluates only the points
+no earlier run stored, and ends where the uninterrupted sweep ends — same
+frontier, same records, same cache file.
 """
 
 from __future__ import annotations
@@ -33,28 +33,27 @@ MODEL = dict(num_samples=3, max_iterations=4, seed=7, batch_size=2,
              checkpoint_every=1)
 
 
-def gemm_sweep(directory, jobs, resume=False, cap=None):
+def gemm_sweep(directory, jobs, cap=None):
     cache = EstimateCache(str(directory / "cache.jsonl"))
     try:
         result = ParallelExplorer(
             XC7Z020, SweepConfig(cache=cache, jobs=jobs, **GEMM),
-            checkpoint_path=str(directory / "dse.ckpt.json"),
-            max_evaluations=cap,
-        ).explore(compile_source(GEMM_SOURCE, "gemm"), resume=resume)
+            checkpoint_dir=str(directory / "ckpt"), max_evaluations=cap,
+        ).explore(compile_source(GEMM_SOURCE, "gemm"))
     finally:
         cache.close()
     return {"kernel": result}, [point.encoded for point in result.frontier]
 
 
 def model_sweep(model):
-    def sweep(directory, jobs, resume=False, cap=None):
+    def sweep(directory, jobs, cap=None):
         cache = EstimateCache(str(directory / "cache.jsonl"))
         try:
             result = ModelScheduler(
                 VU9P_SLR, SweepConfig(cache=cache, jobs=jobs, **MODEL),
                 checkpoint_dir=str(directory / "ckpt"),
                 max_evaluations_per_node=cap,
-            ).explore(model(), graph_level=3, resume=resume)
+            ).explore(model(), graph_level=3)
         finally:
             cache.close()
         return result.node_results, result.frontier_json()
@@ -139,9 +138,7 @@ def test_a_ctrl_c_at_any_batch_reruns_to_the_uninterrupted_sweep(
         assert not list(directory.rglob("*.ckpt.json"))
         stored = stored_keys(directory)
         del backend.dispatched[:]
-        # Half of the reruns ask to resume: there is nothing else to read.
-        rerun, results = outcome(sweep, directory, jobs, ordered,
-                                 resume=stop % 2 == 0)
+        rerun, results = outcome(sweep, directory, jobs, ordered)
         assert rerun == clean
         # It evaluates only what the interrupted run did not store, and
         # every stored record is a hit of the trajectory's owner.
@@ -169,20 +166,26 @@ def test_a_capped_sweep_reruns_to_the_uncapped_one(name, tmp_path, backend):
 
 
 class TestACappedRerunGoesFurther:
-    """The cap counts the points a run has to evaluate: what the cache
-    serves is free, so each capped re-run against the same cache file goes
-    one cap further along the trajectory, until the sweep is done."""
+    """The cap counts the points a run has to evaluate: what the cache or
+    the checkpoint serves is free, so each capped re-run against the same
+    cache file or checkpoint directory goes one cap further along the
+    trajectory, until the sweep is done."""
 
-    def test_a_kernel_sweep(self, tmp_path):
+    @pytest.mark.parametrize("store", ["cache", "checkpoint"])
+    def test_a_kernel_sweep(self, tmp_path, store):
         from repro.pipeline import compile_kernel
 
         def sweep(cap=None):
+            capped = cap is not None
             cache = EstimateCache(str(tmp_path / "cache.jsonl")) \
-                if cap is not None else None
+                if capped and store == "cache" else None
+            checkpoint_dir = str(tmp_path / "ckpt") \
+                if capped and store == "checkpoint" else None
             try:
                 return ParallelExplorer(XC7Z020, SweepConfig(
                     num_samples=8, max_iterations=16, batch_size=4,
-                    cache=cache), max_evaluations=cap,
+                    cache=cache), checkpoint_dir=checkpoint_dir,
+                    max_evaluations=cap,
                 ).explore(compile_kernel("gemm", 8))
             finally:
                 if cache is not None:

@@ -2,8 +2,9 @@
 
 A cacheless sweep, and one with an in-memory estimate cache, saves its
 periodic, final and Ctrl-C checkpoints where it always did, each holding
-the records it always held (and naming its QoR model); resumed, it replays
-the trajectory and saves where the uninterrupted sweep does.  A sweep whose
+the records it always held (and naming its QoR model); re-run against its
+checkpoint, it replays the trajectory and saves where the uninterrupted
+sweep does.  A sweep whose
 cache has a file saves none (``tests/test_cache_is_the_checkpoint.py``).
 An explorer draws from one generator, seeded once, and never reads its
 state: a checkpoint holds records only.
@@ -88,9 +89,9 @@ def proposals(monkeypatch):
     return Proposals(monkeypatch)
 
 
-def explorer(tmp_path, cache=None):
+def explorer(directory, cache=None):
     return ParallelExplorer(XC7Z020, SweepConfig(cache=cache, **SWEEP),
-                            checkpoint_path=str(tmp_path / "dse.ckpt.json"))
+                            checkpoint_dir=str(directory))
 
 
 #: The records a save of SWEEP on gemm holds, by their number: a prefix of
@@ -103,7 +104,7 @@ BYTES = {6: "04170f5e8cdff745", 10: "4da9a3a60e35cd7b", 12: "874b56627d304c70",
          14: "b94385bab5e22bf8", 16: "12939f6d04e004a5", 18: "c2693abdb085e88c"}
 #: A full sweep saves after the samples and after every second batch of two,
 #: then once more at the end; interrupted as its fourth proposal starts, it
-#: saves the 12 records of three batches; resumed, it replays them and saves
+#: saves the 12 records of three batches; re-run, it replays them and saves
 #: where the uninterrupted sweep does.
 PERIODIC = [6, 10, 14, 18]
 FINAL = [18]
@@ -111,7 +112,7 @@ INTERRUPTED = [6, 10, 12]
 RESUMED = [16, 18]
 
 
-def held(counts, name="dse.ckpt.json"):
+def held(counts, name="kernel.ckpt.json"):
     return [(name, count, HELD[count], BYTES[count]) for count in counts]
 
 
@@ -122,7 +123,7 @@ class TestOtherSweepsKeepTheirCheckpoints:
     """Each save's records and bytes, in order, are pinned."""
 
     def test_without_a_cache(self, gemm_module, tmp_path, saves, proposals):
-        explorer(tmp_path).explore(gemm_module)
+        explorer(tmp_path / "full").explore(gemm_module)
         assert saves == held(PERIODIC + FINAL)
         del saves[:]
         proposals.stop = proposals.calls + 4
@@ -130,7 +131,7 @@ class TestOtherSweepsKeepTheirCheckpoints:
             explorer(tmp_path).explore(gemm_module)
         assert saves == held(INTERRUPTED)
         del saves[:]
-        resumed = explorer(tmp_path).explore(gemm_module, resume=True)
+        resumed = explorer(tmp_path).explore(gemm_module)
         assert saves == held(RESUMED)
         assert resumed.evaluated_this_run == 18 - 12
 
@@ -140,7 +141,7 @@ class TestOtherSweepsKeepTheirCheckpoints:
         cache = EstimateCache()
         explorer(tmp_path / "cold", cache).explore(gemm_module)
         del saves[:]
-        warm = explorer(tmp_path, cache).explore(gemm_module)
+        warm = explorer(tmp_path / "warm", cache).explore(gemm_module)
         assert warm.cache_misses == 0
         assert saves == held(PERIODIC + FINAL)
         del saves[:]
@@ -149,7 +150,7 @@ class TestOtherSweepsKeepTheirCheckpoints:
             explorer(tmp_path, cache).explore(gemm_module)
         assert saves == held(INTERRUPTED)
         del saves[:]
-        resumed = explorer(tmp_path, cache).explore(gemm_module, resume=True)
+        resumed = explorer(tmp_path, cache).explore(gemm_module)
         assert saves == held(RESUMED)
         # The cache is asked first; what the checkpoint serves counts in
         # neither of its figures.
@@ -190,7 +191,7 @@ def seedings(monkeypatch):
 class TestOneGenerator:
     def test_every_run_draws_what_the_seed_draws(self, gemm_module, tmp_path,
                                                   monkeypatch, proposals):
-        # A resumed run restores no generator: it starts at step 1 with a
+        # A re-run restores no generator: it starts at step 1 with a
         # freshly seeded one, as a fresh run does.
         states = []
         initial_batch = ExplorationPolicy.initial_batch
@@ -204,7 +205,7 @@ class TestOneGenerator:
         proposals.stop = 4
         with pytest.raises(KeyboardInterrupt):
             explorer(tmp_path).explore(gemm_module)
-        explorer(tmp_path).explore(gemm_module, resume=True)
+        explorer(tmp_path).explore(gemm_module)
         assert states == [random.Random(SWEEP["seed"]).getstate()] * 2
 
     def test_an_explorer_seeds_once_and_never_reads_its_state(
@@ -224,11 +225,10 @@ class TestOneGenerator:
         assert seedings == [SWEEP["seed"]]
         assert reads == [] and saves == []  # no checkpoint to take
         explorer(tmp_path / "bare").explore(gemm_module)
-        resumed = explorer(tmp_path / "bare").explore(gemm_module,
-                                                      resume=True)
+        resumed = explorer(tmp_path / "bare").explore(gemm_module)
         assert resumed.evaluated_this_run == 0
-        # A checkpoint holds records only: neither saving one nor resuming
-        # from one reads the generator, and each run seeds its own once.
+        # A checkpoint holds records only: neither saving one nor
+        # continuing from one reads the generator, and each run seeds its own once.
         assert saves == held(PERIODIC + FINAL + FINAL)
         assert seedings == [SWEEP["seed"]] * 3
         assert reads == []

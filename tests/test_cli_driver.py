@@ -80,16 +80,16 @@ class TestCommands:
                               if not any(m in line for m in timing_markers)]
         assert strip(serial_output) == strip(parallel_output)
 
-    def test_dse_cache_and_resume_flags(self, tmp_path, capsys):
+    def test_dse_cache_and_checkpoint_flags(self, tmp_path, capsys):
         cache = str(tmp_path / "cache.jsonl")
-        checkpoint = str(tmp_path / "dse.ckpt.json")
+        checkpoint = str(tmp_path / "ckpt")
         base = ["dse", "--kernel", "gemm", "--size", "8", "--samples", "4",
                 "--iterations", "4", "--cache", cache,
                 "--checkpoint", checkpoint, "--checkpoint-every", "2"]
         assert main(base) == 0
         cold = capsys.readouterr().out
         assert "misses" in cold
-        assert main(base + ["--resume"]) == 0
+        assert main(base) == 0
         warm = capsys.readouterr().out
         assert "finalized" in warm
 
@@ -107,15 +107,25 @@ class TestCommands:
         assert (cache_dir / "estimates.jsonl").stat().st_size > 0
         assert "misses" in capsys.readouterr().out
 
-    def test_dse_resume_requires_checkpoint(self):
-        with pytest.raises(SystemExit):
-            main(["dse", "--kernel", "gemm", "--size", "8", "--resume"])
+    @pytest.mark.parametrize("command", [["dse", "--kernel", "gemm"],
+                                         ["dnn", "--dse"]],
+                             ids=["dse", "dnn"])
+    def test_there_is_no_resume_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--resume"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --resume" in capsys.readouterr().err
 
-    def test_a_finished_checkpoint_resumes_into_a_longer_sweep(
-            self, tmp_path, capsys, monkeypatch):
-        # A checkpoint holds records only, and a resumed sweep replays its
-        # trajectory from step 1: a longer budget continues where the
-        # shorter sweep stopped instead of starting over.
+    def test_dse_checkpoint_file_rejected(self, tmp_path):
+        target = tmp_path / "dse.ckpt.json"
+        target.write_text("{}")
+        with pytest.raises(SystemExit, match="must name a directory"):
+            main(["dse", "--kernel", "gemm", "--size", "8",
+                  "--checkpoint", str(target)])
+
+    @pytest.fixture
+    def trajectories(self, monkeypatch):
+        """The result of every kernel trajectory a sweep runs."""
         from repro.dse.runtime import scheduler
 
         results = []
@@ -126,17 +136,41 @@ class TestCommands:
             return results[-1]
 
         monkeypatch.setattr(scheduler, "_explore_trajectory", recording)
-        base = ["dse", "--kernel", "gemm", "--size", "16", "--samples", "6",
-                "--batch-size", "2", "--seed", "9"]
-        checkpoint = ["--checkpoint", str(tmp_path / "dse.ckpt.json")]
-        assert main(base + ["--iterations", "4"] + checkpoint) == 0
-        assert main(base + ["--iterations", "8", "--resume", "--frontier-out",
-                            str(tmp_path / "resumed.json")] + checkpoint) == 0
-        assert main(base + ["--iterations", "8", "--frontier-out",
-                            str(tmp_path / "fresh.json")]) == 0
+        return results
+
+    DSE_16 = ["dse", "--kernel", "gemm", "--size", "16", "--samples", "6",
+              "--batch-size", "2", "--seed", "9"]
+
+    def test_a_rerun_continues_from_the_checkpoint(self, tmp_path, capsys,
+                                                   trajectories):
+        # No flag: a re-run with the same checkpoint directory reads the
+        # kernel's checkpoint back and evaluates nothing it holds.
+        base = self.DSE_16 + ["--iterations", "8",
+                              "--checkpoint", str(tmp_path / "ckpt")]
+        assert main(base + ["--frontier-out", str(tmp_path / "first.json")]) == 0
+        assert (tmp_path / "ckpt" / "kernel.ckpt.json").exists()
+        assert main(base + ["--frontier-out", str(tmp_path / "again.json")]) == 0
         capsys.readouterr()
-        assert [result.evaluated_this_run for result in results] == [10, 4, 14]
-        assert (tmp_path / "resumed.json").read_bytes() \
+        assert [result.evaluated_this_run for result in trajectories] == [14, 0]
+        assert (tmp_path / "again.json").read_bytes() \
+            == (tmp_path / "first.json").read_bytes()
+
+    def test_a_finished_checkpoint_continues_into_a_longer_sweep(
+            self, tmp_path, capsys, trajectories):
+        # A checkpoint holds records only, and a re-run replays its
+        # trajectory from step 1: a longer budget continues where the
+        # shorter sweep stopped instead of starting over.
+        checkpoint = ["--checkpoint", str(tmp_path / "ckpt")]
+        assert main(self.DSE_16 + ["--iterations", "4"] + checkpoint) == 0
+        assert main(self.DSE_16 + ["--iterations", "8", "--frontier-out",
+                                   str(tmp_path / "longer.json")]
+                    + checkpoint) == 0
+        assert main(self.DSE_16 + ["--iterations", "8", "--frontier-out",
+                                   str(tmp_path / "fresh.json")]) == 0
+        capsys.readouterr()
+        assert [result.evaluated_this_run for result in trajectories] \
+            == [10, 4, 14]
+        assert (tmp_path / "longer.json").read_bytes() \
             == (tmp_path / "fresh.json").read_bytes()
 
     def test_dse_all_functions(self, tmp_path, capsys):
@@ -253,10 +287,9 @@ class TestSweepSettings:
     #: (``KERNEL_BUDGET`` / ``DNN_BUDGET``) and read by the driver.
     BUDGETS = {"num_samples", "max_iterations", "batch_size",
                "checkpoint_every"}
-    OWN = {"explore_kernel": {"checkpoint_path", "resume", "func_name"},
-           "explore_module_kernels": {"checkpoint_dir", "resume",
-                                      "func_names"},
-           "explore_dnn": {"checkpoint_dir", "resume", "graph_level",
+    OWN = {"explore_kernel": {"checkpoint_dir", "func_name"},
+           "explore_module_kernels": {"checkpoint_dir", "func_names"},
+           "explore_dnn": {"checkpoint_dir", "graph_level",
                            "budget_mode", "frontier_cap", "max_nodes"}}
     FLOW_BUDGETS = {"explore_kernel": ("dse", pipeline.KERNEL_BUDGET),
                     "explore_module_kernels": ("dse", pipeline.KERNEL_BUDGET),
@@ -312,7 +345,7 @@ class TestSweepSettings:
         shared = {"--samples", "--iterations", "--seed", "--jobs",
                   "--batch-size", "--cache",
                   "--register-pipeline", "--checkpoint",
-                  "--checkpoint-every", "--resume", "--task-timeout",
+                  "--checkpoint-every", "--task-timeout",
                   "--max-retries", "--on-fault",
                   "--platform", "--platform-config", "--frontier-out"}
         dse_flags, dnn_flags = flags("dse"), flags("dnn")
@@ -416,21 +449,22 @@ class TestInterruptHint:
         assert main(argv) == 130
         return capsys.readouterr().err
 
+    @pytest.mark.parametrize("stores", [["--cache", "c.jsonl"],
+                                        ["--checkpoint", "ckpt"],
+                                        ["--cache", "c.jsonl",
+                                         "--checkpoint", "ckpt"]],
+                             ids=["cache", "checkpoint", "both"])
     @pytest.mark.parametrize("command", sorted(SWEEPS))
-    def test_with_a_cache_the_same_command_continues(self, command, tmp_path,
-                                                     monkeypatch, capsys):
-        err = self.interrupted(monkeypatch, capsys, SWEEPS[command] + [
-            "--cache", str(tmp_path / "c.jsonl"),
-            "--checkpoint", str(tmp_path / "ckpt")])
-        assert "in the estimate cache; re-run the same command to " \
-               "continue from it" in err
-        assert "--resume" not in err
+    def test_the_same_command_continues(self, command, stores, tmp_path,
+                                        monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        err = self.interrupted(monkeypatch, capsys, SWEEPS[command] + stores)
+        assert err == "interrupted — re-run the same command to continue\n"
 
-    def test_with_a_checkpoint_alone_resume_continues(self, tmp_path,
-                                                      monkeypatch, capsys):
-        err = self.interrupted(monkeypatch, capsys, SWEEPS["dse"] + [
-            "--checkpoint", str(tmp_path / "dse.ckpt.json")])
-        assert "re-run the same command with --resume" in err
+    def test_without_a_store_the_hint_names_the_flag(self, monkeypatch,
+                                                     capsys):
+        err = self.interrupted(monkeypatch, capsys, SWEEPS["dse"])
+        assert "add --checkpoint DIR" in err
 
 
 class TestPlatformFlags:

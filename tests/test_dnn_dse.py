@@ -1,5 +1,5 @@
 """Tests for the whole-model DSE: determinism across worker counts and
-resumes, per-node budget policy, frontier composition, pipeline-dimension
+re-runs, per-node budget policy, frontier composition, pipeline-dimension
 cache correctness, and the ``dnn --dse`` driver mode."""
 
 import json
@@ -113,7 +113,7 @@ class TestModelDeterminism:
         full = scheduler().explore(tiny_model(), graph_level=3)
 
         # Interrupt every node after 2 evaluations (at a batch boundary),
-        # then resume with the full budget on a different worker count.
+        # then re-run with the full budget on a different worker count.
         ckpt = str(tmp_path / "ckpt")
         partial = scheduler(checkpoint_dir=ckpt, checkpoint_every=1,
                             max_evaluations_per_node=2) \
@@ -121,10 +121,10 @@ class TestModelDeterminism:
         assert partial.num_evaluations < full.num_evaluations
 
         resumed = scheduler(jobs=2, checkpoint_dir=ckpt) \
-            .explore(tiny_model(), graph_level=3, resume=True)
+            .explore(tiny_model(), graph_level=3)
         assert resumed.frontier_json() == full.frontier_json()
 
-    def test_rerun_with_resume_hits_cache_and_matches(self, tmp_path):
+    def test_rerun_hits_cache_and_matches(self, tmp_path):
         ckpt, cache_path = str(tmp_path / "ckpt"), str(tmp_path / "cache.jsonl")
         first = scheduler(checkpoint_dir=ckpt,
                           cache=EstimateCache(cache_path)) \
@@ -133,9 +133,9 @@ class TestModelDeterminism:
         assert first.cache_hits == 0
         rerun = scheduler(checkpoint_dir=ckpt,
                           cache=EstimateCache(cache_path)) \
-            .explore(tiny_model(), graph_level=3, resume=True)
+            .explore(tiny_model(), graph_level=3)
         assert rerun.evaluated_this_run == 0
-        # Every resume replays its lookups: each point, the frontier's
+        # Every re-run replays its lookups: each point, the frontier's
         # included, is a hit on the estimates the cache held before the run.
         assert rerun.cache_hits == rerun.num_evaluations
         assert rerun.frontier_json() == first.frontier_json()
@@ -145,14 +145,14 @@ class TestACachedModelSweepKeepsNoCheckpoint:
     """With a persistent cache no node keeps a checkpoint, and rerunning the
     sweep replays every node's trajectory from the cache."""
 
-    def sweep(self, tmp_path, jobs=1, resume=False, **overrides):
+    def sweep(self, tmp_path, jobs=1, **overrides):
         cache = EstimateCache(str(tmp_path / "cache.jsonl"))
         try:
             with obs.session() as session:
                 result = scheduler(
                     jobs=jobs, checkpoint_dir=str(tmp_path / "ckpt"),
                     checkpoint_every=1, cache=cache, **overrides,
-                ).explore(tiny_model(), graph_level=3, resume=resume)
+                ).explore(tiny_model(), graph_level=3)
         finally:
             cache.close()
         assert "dse.checkpoint.saves" not in session.metrics.counters
@@ -163,7 +163,7 @@ class TestACachedModelSweepKeepsNoCheckpoint:
     def test_a_finished_sweep_reruns_from_the_cache(self, tmp_path, jobs):
         first = self.sweep(tmp_path, jobs=jobs)
         cache_bytes = (tmp_path / "cache.jsonl").read_bytes()
-        rerun = self.sweep(tmp_path, jobs=jobs, resume=True)
+        rerun = self.sweep(tmp_path, jobs=jobs)
         assert rerun.evaluated_this_run == rerun.cache_misses == 0
         assert rerun.frontier_json() == first.frontier_json() \
             == scheduler().explore(tiny_model(), graph_level=3).frontier_json()
@@ -436,8 +436,7 @@ class TestDnnDseDriver:
                 "--cache", str(tmp_path / "cache"), "--checkpoint",
                 str(tmp_path / "ckpt")]
         assert main(base + ["--jobs", "2", "--frontier-out", out_1]) == 0
-        assert main(base + ["--jobs", "1", "--resume",
-                            "--frontier-out", out_2]) == 0
+        assert main(base + ["--jobs", "1", "--frontier-out", out_2]) == 0
         with open(out_1, encoding="utf-8") as handle:
             first = handle.read()
         with open(out_2, encoding="utf-8") as handle:
@@ -447,12 +446,6 @@ class TestDnnDseDriver:
         assert payload["model"] == "mobilenet"
         assert payload["frontier"]
         assert payload["node_order"]
-
-    def test_resume_without_checkpoint_rejected(self):
-        from repro.tools.driver import main
-
-        with pytest.raises(SystemExit, match="--resume requires"):
-            main(["dnn", "--dse", "--resume"])
 
     def test_checkpoint_file_rejected(self, tmp_path):
         from repro.tools.driver import main

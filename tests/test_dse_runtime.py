@@ -34,18 +34,28 @@ def frontier_signature(result):
     return repr([(p.encoded, p.latency, p.area) for p in result.frontier])
 
 
-def small_explorer(checkpoint_path=None, max_evaluations=None, **overrides):
+def small_explorer(checkpoint_dir=None, max_evaluations=None, **overrides):
     config = dict(num_samples=6, max_iterations=8, seed=11, jobs=1,
                   batch_size=4)
     config.update(overrides)
     return ParallelExplorer(XC7Z020, SweepConfig(**config),
-                            checkpoint_path=checkpoint_path,
+                            checkpoint_dir=checkpoint_dir,
                             max_evaluations=max_evaluations)
 
 
 @pytest.fixture
 def gemm_module():
     return compile_source(GEMM_SOURCE, "gemm")
+
+
+@pytest.mark.parametrize("field,value,least", [
+    ("jobs", 0, 1), ("batch_size", 0, 1), ("checkpoint_every", 0, 1),
+    ("num_samples", 0, 1), ("max_iterations", -1, 0)])
+def test_a_budget_below_its_least_is_rejected(field, value, least):
+    with pytest.raises(ValueError,
+                       match=f"{field} must be >= {least}, got {value}"):
+        SweepConfig(**{field: value})
+    assert getattr(SweepConfig(**{field: least}), field) == least
 
 
 class TestPicklability:
@@ -284,102 +294,98 @@ class TestCheckpoint:
         from repro.dse.runtime import checkpoint
         from repro.estimation import estimator
 
-        path = str(tmp_path / "explore.ckpt.json")
-        partial = small_explorer(checkpoint_path=path, max_evaluations=5) \
+        path = str(tmp_path / "ckpt")
+        partial = small_explorer(checkpoint_dir=path, max_evaluations=5) \
             .explore(gemm_module)
         assert partial.num_evaluations > 0
         version = estimator.QOR_MODEL_VERSION + 1
         monkeypatch.setattr(estimator, "QOR_MODEL_VERSION", version)
         monkeypatch.setattr(checkpoint, "QOR_MODEL_VERSION", version,
                             raising=False)
-        resumed = small_explorer(checkpoint_path=path) \
-            .explore(gemm_module, resume=True)
+        resumed = small_explorer(checkpoint_dir=path).explore(gemm_module)
         assert resumed.evaluated_this_run == resumed.num_evaluations
         assert frontier_signature(resumed) \
             == frontier_signature(small_explorer().explore(gemm_module))
 
     def test_interrupted_resume_matches_uninterrupted(self, gemm_module, tmp_path):
-        checkpoint = str(tmp_path / "explore.ckpt.json")
+        checkpoint = str(tmp_path / "ckpt")
         config = dict(num_samples=6, max_iterations=12, seed=11, batch_size=4)
 
         full = small_explorer(**config).explore(gemm_module)
 
         # Simulate a kill after ~10 evaluations (enforced at batch boundaries),
-        # then resume from the checkpoint with the full budget.
-        partial = small_explorer(**config, checkpoint_path=checkpoint,
+        # then re-run from the checkpoint with the full budget.
+        partial = small_explorer(**config, checkpoint_dir=checkpoint,
                                  checkpoint_every=2,
                                  max_evaluations=10).explore(gemm_module)
         assert partial.num_evaluations < full.num_evaluations
 
-        resumed = small_explorer(**config, checkpoint_path=checkpoint) \
-            .explore(gemm_module, resume=True)
+        resumed = small_explorer(**config, checkpoint_dir=checkpoint) \
+            .explore(gemm_module)
         assert frontier_signature(resumed) == frontier_signature(full)
         assert set(resumed.records) == set(full.records)
 
     def test_resume_skips_completed_work(self, gemm_module, tmp_path):
-        checkpoint = str(tmp_path / "explore.ckpt.json")
-        explorer = small_explorer(checkpoint_path=checkpoint, checkpoint_every=2)
+        checkpoint = str(tmp_path / "ckpt")
+        explorer = small_explorer(checkpoint_dir=checkpoint, checkpoint_every=2)
         explorer.explore(gemm_module)
-        rerun = small_explorer(checkpoint_path=checkpoint) \
-            .explore(gemm_module, resume=True)
+        rerun = small_explorer(checkpoint_dir=checkpoint).explore(gemm_module)
         assert rerun.evaluated_this_run == 0  # everything restored from disk
 
     def test_resume_with_different_config_starts_fresh(self, gemm_module, tmp_path):
-        checkpoint = str(tmp_path / "explore.ckpt.json")
-        small_explorer(seed=11, checkpoint_path=checkpoint,
+        checkpoint = str(tmp_path / "ckpt")
+        small_explorer(seed=11, checkpoint_dir=checkpoint,
                        checkpoint_every=2, max_evaluations=8).explore(gemm_module)
-        # Resuming under a different seed must NOT continue the seed-11
+        # Re-running under a different seed must NOT continue the seed-11
         # trajectory — it starts a fresh seed-12 run.
-        resumed = small_explorer(seed=12, checkpoint_path=checkpoint) \
-            .explore(gemm_module, resume=True)
+        resumed = small_explorer(seed=12, checkpoint_dir=checkpoint) \
+            .explore(gemm_module)
         fresh = small_explorer(seed=12).explore(gemm_module)
         assert frontier_signature(resumed) == frontier_signature(fresh)
 
     def test_resume_without_checkpoint_starts_fresh(self, gemm_module, tmp_path):
-        checkpoint = str(tmp_path / "missing.ckpt.json")
-        result = small_explorer(checkpoint_path=checkpoint) \
-            .explore(gemm_module, resume=True)
+        checkpoint = str(tmp_path / "missing")
+        result = small_explorer(checkpoint_dir=checkpoint).explore(gemm_module)
         assert result.num_evaluations > 0
 
 
 class TestACachedSweepKeepsNoCheckpoint:
     """A sweep whose estimate cache has a file keeps no checkpoint: the
-    cache never drops a record, so rerunning the sweep, with or without
-    ``resume``, replays its trajectory from the cache."""
+    cache never drops a record, so rerunning the sweep replays its
+    trajectory from the cache."""
 
     SWEEP = dict(num_samples=6, max_iterations=8, seed=11, batch_size=4,
                  checkpoint_every=2)
 
-    def sweep(self, module, tmp_path, resume=False, max_evaluations=None):
+    def sweep(self, module, tmp_path, max_evaluations=None):
         cache = EstimateCache(str(tmp_path / "cache.jsonl"))
         try:
             return small_explorer(
-                checkpoint_path=str(tmp_path / "dse.ckpt.json"),
+                checkpoint_dir=str(tmp_path / "ckpt"),
                 max_evaluations=max_evaluations, cache=cache, **self.SWEEP,
-            ).explore(module, resume=resume)
+            ).explore(module)
         finally:
             cache.close()
 
-    @pytest.mark.parametrize("resume", [False, True])
     def test_a_rerun_replays_the_trajectory_from_the_cache(
-            self, gemm_module, tmp_path, resume):
+            self, gemm_module, tmp_path):
         from repro.pipeline import explore_kernel
 
         clean = small_explorer(**self.SWEEP).explore(gemm_module)
         first = explore_kernel(gemm_module, XC7Z020, jobs=1,
                                cache_path=str(tmp_path / "cache.jsonl"),
-                               checkpoint_path=str(tmp_path / "dse.ckpt.json"),
+                               checkpoint_dir=str(tmp_path / "ckpt"),
                                **self.SWEEP)
-        assert not (tmp_path / "dse.ckpt.json").exists()
+        assert not (tmp_path / "ckpt").exists()
         cache_bytes = (tmp_path / "cache.jsonl").read_bytes()
-        again = self.sweep(gemm_module, tmp_path, resume=resume)
+        again = self.sweep(gemm_module, tmp_path)
         assert again.evaluated_this_run == again.cache_misses == 0
         assert again.cache_hits == again.num_evaluations
         assert list(again.records.items()) == list(first.records.items())
         assert frontier_signature(again) == frontier_signature(first) \
             == frontier_signature(clean)
         assert (tmp_path / "cache.jsonl").read_bytes() == cache_bytes
-        assert not (tmp_path / "dse.ckpt.json").exists()
+        assert not (tmp_path / "ckpt").exists()
 
     def test_the_cache_is_synced_where_a_checkpoint_would_be_saved(
             self, tmp_path, monkeypatch):
@@ -434,7 +440,7 @@ class TestACachedSweepKeepsNoCheckpoint:
             partial = self.sweep(gemm_module, tmp_path, max_evaluations=5)
             rerun = self.sweep(gemm_module, tmp_path)
         assert "dse.checkpoint.saves" not in session.metrics.counters
-        assert not (tmp_path / "dse.ckpt.json").exists()
+        assert not (tmp_path / "ckpt").exists()
         full = small_explorer(**self.SWEEP).explore(gemm_module)
         assert partial.num_evaluations < full.num_evaluations
         assert list(rerun.records.items()) == list(full.records.items())
@@ -448,11 +454,11 @@ class TestACachedSweepKeepsNoCheckpoint:
                                                       tmp_path):
         # One left by a capped cacheless run: a cached sweep starts over
         # and leaves the file as it found it.
-        path = tmp_path / "dse.ckpt.json"
-        small_explorer(checkpoint_path=str(path), max_evaluations=5,
+        path = tmp_path / "ckpt" / "kernel.ckpt.json"
+        small_explorer(checkpoint_dir=str(path.parent), max_evaluations=5,
                        **self.SWEEP).explore(gemm_module)
         left = path.read_bytes()
-        cached = self.sweep(gemm_module, tmp_path, resume=True)
+        cached = self.sweep(gemm_module, tmp_path)
         assert cached.evaluated_this_run == cached.num_evaluations
         assert path.read_bytes() == left
 

@@ -1,7 +1,7 @@
 """Tests for the fault-tolerant DSE runtime: fault-plan parsing, supervised
 retries, deterministic quarantine, crash/hang/flaky/poison recovery at
 several worker counts, crash-consistent persistence, and graceful
-interruption with ``--resume``."""
+interruption and re-runs from the checkpoint."""
 
 import contextlib
 import os
@@ -52,12 +52,12 @@ def frontier_signature(result):
     return repr([(p.encoded, p.latency, p.area) for p in result.frontier])
 
 
-def small_explorer(checkpoint_path=None, max_evaluations=None, **overrides):
+def small_explorer(checkpoint_dir=None, max_evaluations=None, **overrides):
     config = dict(num_samples=6, max_iterations=8, seed=11, jobs=1,
                   batch_size=4)
     config.update(overrides)
     return ParallelExplorer(XC7Z020, SweepConfig(**config),
-                            checkpoint_path=checkpoint_path,
+                            checkpoint_dir=checkpoint_dir,
                             max_evaluations=max_evaluations)
 
 
@@ -97,8 +97,8 @@ class TestFaultPlan:
 
     def test_parse_with_options(self, tmp_path):
         plan = FaultPlan.parse(
-            f"crash:select=8,times=2,nth=3,state_dir={tmp_path}")
-        assert plan == FaultPlan(mode="crash", select=8, times=2, nth=3,
+            f"crash:select=8,times=2,state_dir={tmp_path}")
+        assert plan == FaultPlan(mode="crash", select=8, times=2,
                                  state_dir=str(tmp_path))
 
     def test_spec_round_trip(self, tmp_path):
@@ -110,9 +110,15 @@ class TestFaultPlan:
 
     @pytest.mark.parametrize("mode", FAULT_MODES)
     def test_every_field_round_trips(self, mode, tmp_path):
-        plan = FaultPlan(mode=mode, select=3, times=2, nth=5,
+        plan = FaultPlan(mode=mode, select=3, times=2,
                          hang_seconds=0.5, state_dir=str(tmp_path))
         assert FaultPlan.parse(plan.to_spec()) == plan
+
+    def test_rejects_a_negative_hang(self, tmp_path):
+        with pytest.raises(ValueError, match="hang_seconds must be >= 0"):
+            FaultPlan(mode="hang", hang_seconds=-1)
+        with pytest.raises(ValueError, match="hang_seconds must be >= 0"):
+            FaultPlan.parse(f"hang:hang_seconds=-0.5,state_dir={tmp_path}")
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown fault mode"):
@@ -809,15 +815,15 @@ class TestPoisonQuarantine:
         assert full.num_quarantined > 0
 
         # Interrupt the same trajectory early via the evaluation budget
-        # (which is not part of the checkpointed config), then resume.
-        checkpoint = str(tmp_path / "dse.ckpt.json")
+        # (which is not part of the checkpointed config), then re-run.
+        checkpoint = str(tmp_path / "ckpt")
         partial = self._poison_run(gemm_module, 1, plan,
-                                   checkpoint_path=checkpoint,
+                                   checkpoint_dir=checkpoint,
                                    checkpoint_every=1, max_evaluations=6)
         assert partial.iterations_done < full.iterations_done
         resumed = small_explorer(
             jobs=1, faults=plan, supervision=fast_policy(max_retries=1),
-            checkpoint_path=checkpoint).explore(gemm_module, resume=True)
+            checkpoint_dir=checkpoint).explore(gemm_module)
         assert frontier_signature(resumed) == frontier_signature(full)
         assert [rec.encoded for rec in resumed.quarantined_records()] \
             == [rec.encoded for rec in full.quarantined_records()]
@@ -981,19 +987,19 @@ def interrupt_after(monkeypatch):
 class TestInterruptCheckpoint:
     def test_interrupt_saves_boundary_and_resume_completes(
             self, gemm_module, tmp_path, interrupt_after):
-        checkpoint = str(tmp_path / "dse.ckpt.json")
+        checkpoint = str(tmp_path / "ckpt")
         clean = small_explorer().explore(gemm_module)
 
-        explorer = small_explorer(checkpoint_path=checkpoint,
+        explorer = small_explorer(checkpoint_dir=checkpoint,
                                   checkpoint_every=1000)
         with interrupt_after(2), pytest.raises(KeyboardInterrupt):
             explorer.explore(gemm_module)
         # Even though the periodic checkpoint interval was never reached,
         # the interrupt must have persisted the last batch boundary.
-        assert os.path.exists(checkpoint)
+        assert os.path.exists(os.path.join(checkpoint, "kernel.ckpt.json"))
 
-        resumed = small_explorer(checkpoint_path=checkpoint) \
-            .explore(gemm_module, resume=True)
+        resumed = small_explorer(checkpoint_dir=checkpoint) \
+            .explore(gemm_module)
         assert frontier_signature(resumed) == frontier_signature(clean)
         assert set(resumed.records) == set(clean.records)
 
@@ -1001,12 +1007,12 @@ class TestInterruptCheckpoint:
                                      interrupt_after):
         # No boundary is saved: the cache holds every record the interrupted
         # run stored, and rerunning the sweep replays the trajectory from it.
-        checkpoint = tmp_path / "dse.ckpt.json"
+        checkpoint = tmp_path / "kernel.ckpt.json"
 
         def sweep():
             cache = EstimateCache(str(tmp_path / "cache.jsonl"))
             try:
-                return small_explorer(checkpoint_path=str(checkpoint),
+                return small_explorer(checkpoint_dir=str(tmp_path),
                                       checkpoint_every=1000, cache=cache) \
                     .explore(gemm_module)
             finally:
@@ -1087,7 +1093,7 @@ class TestDriverFlags:
 
 class TestKillAndResume:
     def test_sigkill_then_resume_matches_clean(self, tmp_path, capsys):
-        checkpoint = tmp_path / "dse.ckpt.json"
+        checkpoint = tmp_path / "ckpt"
         base = ["dse", "--kernel", "gemm", "--size", "16", "--samples", "6",
                 "--iterations", "8", "--batch-size", "2", "--seed", "9"]
         src_root = os.path.dirname(os.path.abspath(
@@ -1103,16 +1109,17 @@ class TestKillAndResume:
             # accept a fast run that finished: its final checkpoint resumes
             # to the same result).
             deadline = time.monotonic() + 120.0
-            while (time.monotonic() < deadline and not checkpoint.exists()
+            kernel = checkpoint / "kernel.ckpt.json"
+            while (time.monotonic() < deadline and not kernel.exists()
                    and proc.poll() is None):
                 time.sleep(0.02)
-            assert checkpoint.exists(), \
+            assert kernel.exists(), \
                 "driver exited without writing a checkpoint"
         finally:
             proc.kill()
             proc.wait()
 
-        assert main(base + ["--checkpoint", str(checkpoint), "--resume"]) == 0
+        assert main(base + ["--checkpoint", str(checkpoint)]) == 0
         resumed = capsys.readouterr().out
         assert main(base) == 0
         clean = capsys.readouterr().out
@@ -1165,7 +1172,7 @@ class TestDnnInterruptCheckpoint:
         assert status in (0, 130)
 
         resumed_out = tmp_path / "resumed.json"
-        assert main(base + ["--checkpoint", str(checkpoint), "--resume",
+        assert main(base + ["--checkpoint", str(checkpoint),
                             "--frontier-out", str(resumed_out)]) == 0
         clean_out = tmp_path / "clean.json"
         assert main(base + ["--frontier-out", str(clean_out)]) == 0

@@ -239,10 +239,10 @@ def slice_scheduler(jobs=1, checkpoint_dir=None,
     return ModelScheduler(VU9P_SLR, SweepConfig(**config), **own)
 
 
-def sweep(jobs=1, resume=False, **overrides):
+def sweep(jobs=1, **overrides):
     return slice_scheduler(jobs, **overrides).explore(
         SLICE["model"], graph_level=SLICE["graph_level"],
-        max_nodes=SLICE["max_nodes"], resume=resume)
+        max_nodes=SLICE["max_nodes"])
 
 
 @pytest.fixture(scope="module")
@@ -340,14 +340,14 @@ class TestSharedSweep:
         partial = sweep(checkpoint_dir=ckpt, checkpoint_every=1,
                         max_evaluations_per_node=2)
         assert partial.num_evaluations < serial_sweep.num_evaluations
-        resumed = sweep(jobs=2, resume=True, checkpoint_dir=ckpt)
+        resumed = sweep(jobs=2, checkpoint_dir=ckpt)
         assert resumed.frontier_json() == serial_sweep.frontier_json()
         # Only representatives checkpoint; their final checkpoints restore
         # every node.
         assert sorted(os.listdir(ckpt)) == sorted(
             f"{key}.ckpt.json" for key in resumed.node_order
             if key not in PAIRS)
-        again = sweep(resume=True, checkpoint_dir=ckpt)
+        again = sweep(checkpoint_dir=ckpt)
         assert again.evaluated_this_run == 0
         assert again.frontier_json() == serial_sweep.frontier_json()
 

@@ -41,9 +41,9 @@ class TestOneKernelIsAOneTaskSweep:
 
     def test_explore_takes_only_what_a_caller_chooses(self):
         assert list(inspect.signature(ParallelExplorer.explore).parameters) \
-            == ["self", "module", "space", "func_name", "resume"]
+            == ["self", "module", "space", "func_name"]
         assert list(inspect.signature(ParallelExplorer).parameters) \
-            == ["platform", "config", "checkpoint_path", "max_evaluations"]
+            == ["platform", "config", "checkpoint_dir", "max_evaluations"]
 
 
 @pytest.fixture

@@ -304,12 +304,12 @@ class TestEstimatorPlatformAwareness:
             not in session.metrics.counters
 
 
-def sweep_explorer(platforms, checkpoint_path=None, **overrides):
+def sweep_explorer(platforms, checkpoint_dir=None, **overrides):
     config = dict(platforms=platforms, num_samples=6, max_iterations=8,
                   seed=11, jobs=1, batch_size=4)
     config.update(overrides)
     return ParallelExplorer(platforms[0], SweepConfig(**config),
-                            checkpoint_path=checkpoint_path)
+                            checkpoint_dir=checkpoint_dir)
 
 
 class TestMultiPlatformSweeps:
@@ -355,11 +355,11 @@ class TestMultiPlatformSweeps:
     def test_resume_reproduces_per_platform_frontiers(self, gemm_module,
                                                       tmp_path):
         platforms = [XC7Z020, VU9P_SLR]
-        checkpoint = str(tmp_path / "sweep.ckpt.json")
+        checkpoint = str(tmp_path / "ckpt")
         full = sweep_explorer(platforms,
-                              checkpoint_path=checkpoint).explore(gemm_module)
-        resumed = sweep_explorer(platforms, checkpoint_path=checkpoint) \
-            .explore(compile_source(GEMM_SOURCE, "gemm"), resume=True)
+                              checkpoint_dir=checkpoint).explore(gemm_module)
+        resumed = sweep_explorer(platforms, checkpoint_dir=checkpoint) \
+            .explore(compile_source(GEMM_SOURCE, "gemm"))
         assert resumed.evaluated_this_run == 0
         for name in full.platform_names():
             assert frontier_signature(full.frontier_records_for(name)) \

@@ -735,7 +735,7 @@ class TestVgg16SliceSweep:
         partial = dnn.sweep(checkpoint_dir=ckpt, checkpoint_every=1,
                             max_evaluations_per_node=3)
         assert partial.num_evaluations < 42
-        resumed = dnn.sweep(jobs=2, resume=True, checkpoint_dir=ckpt)
+        resumed = dnn.sweep(jobs=2, checkpoint_dir=ckpt)
         assert masked_document(resumed) == expected
 
     @pytest.mark.parametrize("jobs", [1, 2])

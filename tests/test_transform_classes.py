@@ -578,21 +578,21 @@ def document(result) -> dict:
             "best": list(result.best_record.encoded)}
 
 
-def explore(module, tmp_path=None, resume=False, max_evaluations=None,
-            cached=True, **overrides):
+def explore(module, tmp_path=None, max_evaluations=None, cached=True,
+            **overrides):
     """One sweep; with ``tmp_path`` it writes a cache file (unless not
     ``cached``, then a checkpoint)."""
     config = dict(SWEEP, **overrides)
-    cache = checkpoint_path = None
+    cache = checkpoint_dir = None
     if tmp_path is not None:
         if cached:
             cache = EstimateCache(str(tmp_path / "cache.jsonl"))
         config.update(cache=cache, checkpoint_every=4)
-        checkpoint_path = str(tmp_path / "dse.ckpt.json")
+        checkpoint_dir = str(tmp_path)
     try:
         return ParallelExplorer(
-            XC7Z020, SweepConfig(**config), checkpoint_path=checkpoint_path,
-            max_evaluations=max_evaluations).explore(module, resume=resume)
+            XC7Z020, SweepConfig(**config), checkpoint_dir=checkpoint_dir,
+            max_evaluations=max_evaluations).explore(module)
     finally:
         if cache is not None:
             cache.close()
@@ -616,7 +616,7 @@ def assert_files_match(tmp_path, golden):
     """A cached sweep leaves the golden cache file and no checkpoint: the
     cache holds every record."""
     assert (tmp_path / "cache.jsonl").read_text() == golden["cache"]
-    assert not (tmp_path / "dse.ckpt.json").exists()
+    assert not (tmp_path / "kernel.ckpt.json").exists()
 
 
 class TestSweepMatchesTheParentCommit:
@@ -668,25 +668,25 @@ class TestSweepMatchesTheParentCommit:
         partial = explore(gemm8, bare, max_evaluations=9, cached=False)
         assert partial.num_evaluations < len(golden["clean"]["records"])
         # A capped cacheless run checkpoints the records it always did.
-        assert (bare / "dse.ckpt.json").read_text() == golden["checkpoint"]
+        assert (bare / "kernel.ckpt.json").read_text() == golden["checkpoint"]
         assert json.loads(golden["checkpoint"])["records"] \
             == json.loads(GOLDEN_V1_CHECKPOINT.read_text())["records"]
-        # The resumed process starts with no run-local class results: a
+        # The re-run process starts with no run-local class results: a
         # sibling of a point evaluated before the interruption is evaluated
         # again, to the same record.
-        resumed = explore(gemm8, bare, resume=True, jobs=jobs, cached=False)
+        resumed = explore(gemm8, bare, jobs=jobs, cached=False)
         assert document(resumed) == golden["clean"]
         assert resumed.resolved_siblings + resumed.resolved_aliases < 6
 
     def test_a_version_1_checkpoint_is_ignored(self, gemm8, golden, tmp_path):
         # The same capped run's checkpoint in the layout that also stored
-        # the generator's state and the trajectory config: not resumed.
-        (tmp_path / "dse.ckpt.json").write_bytes(
+        # the generator's state and the trajectory config: not served.
+        (tmp_path / "kernel.ckpt.json").write_bytes(
             GOLDEN_V1_CHECKPOINT.read_bytes())
-        resumed = explore(gemm8, tmp_path, resume=True, cached=False)
+        resumed = explore(gemm8, tmp_path, cached=False)
         assert resumed.evaluated_this_run == resumed.num_evaluations
         assert document(resumed) == golden["clean"]
-        assert json.loads((tmp_path / "dse.ckpt.json").read_text())[
+        assert json.loads((tmp_path / "kernel.ckpt.json").read_text())[
             "version"] == 2
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -694,12 +694,12 @@ class TestSweepMatchesTheParentCommit:
                                             jobs):
         partial = explore(gemm8, tmp_path, max_evaluations=9)
         assert partial.num_evaluations < len(golden["clean"]["records"])
-        assert not (tmp_path / "dse.ckpt.json").exists()
+        assert not (tmp_path / "kernel.ckpt.json").exists()
         rerun = explore(gemm8, tmp_path, jobs=jobs)
         assert document(rerun) == golden["clean"]
         assert_files_match(tmp_path, golden)
         assert rerun.cache_hits == partial.num_evaluations
-        again = explore(gemm8, tmp_path, resume=True)
+        again = explore(gemm8, tmp_path)
         assert again.evaluated_this_run == 0
         assert document(again) == golden["clean"]
         assert_files_match(tmp_path, golden)
