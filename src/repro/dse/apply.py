@@ -243,9 +243,7 @@ def _after_prefix(module: ModuleOp, point: KernelDesignPoint,
         return snapshots.checkout(module, point, func_name=func_name,
                                   digest=digest)
     cloned = module.clone()
-    func_op = cloned.lookup(func_name) if func_name else cloned.functions()[0]
-    if func_op is None:
-        raise ValueError(f"function {func_name!r} not found in the module")
+    func_op = cloned.function(func_name)
     build_pipeline_cached("canonicalize").run(func_op)
     if _outer_loop(func_op) is not None:
         PassManager([design_point_prefix_pass(point)]).run(func_op)
@@ -330,7 +328,7 @@ def estimate_baseline(module: ModuleOp, platform: Platform = XC7Z020,
                       func_name: Optional[str] = None) -> QoRResult:
     """Estimate the unoptimized kernel (no directives, no code rewriting)."""
     cloned = module.clone()
-    func_op = cloned.lookup(func_name) if func_name else cloned.functions()[0]
+    func_op = cloned.function(func_name)
     build_pipeline_cached("canonicalize").run(func_op)
     estimator = QoREstimator(platform)
     return estimator.estimate_function(func_op, module=cloned)

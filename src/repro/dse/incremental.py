@@ -102,7 +102,7 @@ class PrefixSnapshotCache:
             cloned = snapshot.clone()
             self.clones += 1
             obs.counter("dse.prefix.clones")
-        return cloned, _lookup(cloned, func_name)
+        return cloned, cloned.function(func_name)
 
     def snapshot(self, module: ModuleOp, point: KernelDesignPoint,
                  func_name: Optional[str] = None,
@@ -116,13 +116,13 @@ class PrefixSnapshotCache:
         snapshot = self._snapshots.get(key)
         if snapshot is None:
             snapshot = self._snapshots[key] = build_prefix(module, point, func_name)[0]
-        return _lookup(snapshot, func_name)
+        return snapshot.function(func_name)
 
     @staticmethod
     def _key(module: ModuleOp, point: KernelDesignPoint,
              func_name: Optional[str], digest: Optional[str]) -> tuple:
         if not digest:
-            digest = ir_digest(_lookup(module, func_name))
+            digest = ir_digest(module.function(func_name))
         return digest, func_name, point.prefix_key()
 
 
@@ -142,7 +142,7 @@ def build_prefix(module: ModuleOp, point: KernelDesignPoint,
 
     prefix = point.prefix_key()
     snapshot = _kernel_module(module, func_name)
-    func_op = _lookup(snapshot, func_name)
+    func_op = snapshot.function(func_name)
     with obs.suspended():
         started = time.perf_counter()
         build_pipeline_cached("canonicalize").run(func_op)
@@ -188,7 +188,7 @@ def _kernel_module(module: ModuleOp, func_name: Optional[str]) -> ModuleOp:
     order.  Every checkout clones the snapshot, so the kernel's neighbours
     in a multi-kernel module would be copied at each evaluation otherwise.
     """
-    kernel = _lookup(module, func_name)
+    kernel = module.function(func_name)
     needed = {id(kernel)}
     pending = [kernel]
     while pending:
@@ -206,10 +206,3 @@ def _kernel_module(module: ModuleOp, func_name: Optional[str]) -> ModuleOp:
         if id(op) in needed:
             snapshot.append(op.clone())
     return snapshot
-
-
-def _lookup(module: ModuleOp, func_name: Optional[str]) -> Operation:
-    func_op = module.lookup(func_name) if func_name else module.functions()[0]
-    if func_op is None:
-        raise ValueError(f"function {func_name!r} not found in the module")
-    return func_op

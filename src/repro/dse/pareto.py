@@ -51,8 +51,8 @@ def is_pareto_optimal(point: ParetoPoint, others: Sequence[ParetoPoint]) -> bool
 def hypervolume(frontier: Sequence[ParetoPoint], reference: tuple[float, float]) -> float:
     """2-D hypervolume (area dominated by the frontier up to a reference point).
 
-    A simple quality indicator used by the DSE tests: a better frontier
-    dominates a larger area below the reference point.
+    A better frontier dominates a larger area below the reference point:
+    the DSE runtime's ``dse.frontier.hv.<kernel>`` convergence series.
     """
     ref_latency, ref_area = reference
     points = [p for p in pareto_frontier(frontier)

@@ -30,7 +30,7 @@ on:
   processes.  Nothing leaves the machine; there is no network backend.
 """
 
-from repro.dse.runtime.cache import CacheStats, EstimateCache
+from repro.dse.runtime.cache import EstimateCache
 from repro.dse.runtime.checkpoint import CheckpointStore
 from repro.dse.runtime.config import SweepConfig
 from repro.dse.runtime.faults import (
@@ -43,7 +43,6 @@ from repro.dse.runtime.model import (
     ModelDSEResult,
     ModelFrontierPoint,
     ModelScheduler,
-    NodeBudgetPolicy,
     compose_model_frontier,
 )
 from repro.dse.runtime.parallel import ParallelDSEResult
@@ -61,7 +60,6 @@ from repro.dse.runtime.worker import (
 )
 
 __all__ = [
-    "CacheStats",
     "EstimateCache",
     "CheckpointStore",
     "EvaluationFailure",
@@ -72,7 +70,6 @@ __all__ = [
     "ModelDSEResult",
     "ModelFrontierPoint",
     "ModelScheduler",
-    "NodeBudgetPolicy",
     "compose_model_frontier",
     "ParallelDSEResult",
     "ParallelExplorer",

@@ -16,11 +16,13 @@ would have been written it makes the appended lines durable (:meth:`sync`).
 
 The coordinator consults the cache *before* dispatching work to the pool,
 so hit/miss accounting is exact and worker processes never touch the file.
+That accounting is the ``cache.*`` counters of the active observability
+session (hits, misses, stores, loaded, compacted, recovered_lines); the
+cache keeps no count of its own.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import threading
@@ -35,31 +37,6 @@ from repro.estimation.estimator import QOR_MODEL_VERSION
 CacheKey = tuple[str, tuple[int, ...]]
 
 
-@dataclasses.dataclass
-class CacheStats:
-    """Lifetime accounting of one :class:`EstimateCache` instance."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    loaded: int = 0
-    #: Dead JSONL lines dropped by load-time compaction (superseded
-    #: duplicates, stale-model entries, corrupt lines).
-    compacted: int = 0
-    #: Torn trailing lines recovered at load time — the signature of a crash
-    #: mid-append.  The truncated line is dropped with a warning (its entry
-    #: simply re-evaluates) instead of failing the load.
-    recovered_lines: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-
 class EstimateCache:
     """In-process QoR memo with optional JSONL persistence.
 
@@ -67,15 +44,14 @@ class EstimateCache:
     Loading compacts the JSONL — dead lines (superseded duplicates,
     stale-model entries, corrupt lines) are dropped and the file is
     atomically replaced by its live lines; dropped lines count into
-    ``stats.compacted``.
+    ``cache.compacted``.
     """
 
     def __init__(self, path: Optional[str] = None):
         self.path = path
-        self.stats = CacheStats()
         self._entries: dict[CacheKey, EvaluationRecord] = {}
         self._handle = None
-        #: Guards entries, stats and file appends: one cache instance may be
+        #: Guards entries and file appends: one cache instance may be
         #: shared by the per-kernel coordinator threads of a scheduler.
         self._lock = threading.Lock()
         if path:
@@ -92,12 +68,7 @@ class EstimateCache:
             encoded: Sequence[int]) -> Optional[EvaluationRecord]:
         with self._lock:
             record = self._entries.get((fingerprint, tuple(encoded)))
-            if record is None:
-                self.stats.misses += 1
-                obs.counter("cache.misses")
-            else:
-                self.stats.hits += 1
-                obs.counter("cache.hits")
+            obs.counter("cache.misses" if record is None else "cache.hits")
             return record
 
     def put(self, fingerprint: str, record: EvaluationRecord) -> None:
@@ -106,7 +77,6 @@ class EstimateCache:
             if key in self._entries:
                 return
             self._entries[key] = record
-            self.stats.stores += 1
             obs.counter("cache.stores")
             if self.path:
                 self._append(self._serialize(fingerprint, record))
@@ -141,7 +111,6 @@ class EstimateCache:
                     # crash mid-append (appends are flushed per line, so
                     # only the final one can be cut short).  Recover by
                     # dropping it: the entry just re-evaluates.
-                    self.stats.recovered_lines += 1
                     obs.counter("cache.recovered_lines")
                     warnings.warn(
                         f"estimate cache {path!r}: dropped a truncated "
@@ -155,8 +124,8 @@ class EstimateCache:
 
         for key, (record, _) in live.items():
             self._entries[key] = record
-            self.stats.loaded += 1
-            obs.counter("cache.loaded")
+        if live:
+            obs.counter("cache.loaded", len(live))
 
         if dead:
             self._compact(path, [line for _, line in live.values()], dead)
@@ -171,7 +140,6 @@ class EstimateCache:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)
-        self.stats.compacted += dead
         obs.counter("cache.compacted", dead)
 
     @staticmethod

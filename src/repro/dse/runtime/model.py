@@ -13,8 +13,8 @@ the parallel runtime:
    clone of that node's lowered function under its own names (and shares
    its design space).
 3. **Budgeted sweep** — one :class:`~repro.dse.runtime.scheduler.KernelTask`
-   per node runs on one shared process pool; the :class:`NodeBudgetPolicy`
-   gives light stages proportionally smaller exploration budgets (a node's
+   per node runs on one shared process pool; :func:`node_budget` gives
+   light stages proportionally smaller exploration budgets (a node's
    budget depends only on its own FLOPs, so the trajectory stays
    deterministic for any worker count).
 4. **Frontier composition** — per-node Pareto frontiers compose into a
@@ -56,33 +56,26 @@ from repro.transforms.graph.lower_graph import (buffer_stems, lower_graph_to_loo
                                                 rename_buffers)
 
 
-@dataclasses.dataclass(frozen=True)
-class NodeBudgetPolicy:
-    """How much of the sweep's budget each dataflow node is allotted.
+#: The least budgets a node gets, however light it is.
+MIN_NODE_SAMPLES = 2
+MIN_NODE_ITERATIONS = 2
 
-    ``mode="flops"`` scales the budgets by ``sqrt(node_flops / heaviest)``
-    — light stages need proportionally less parallelism to keep up with the
+
+def node_budget(num_samples: int, max_iterations: int, node_flops: int,
+                heaviest_flops: int) -> tuple[int, int]:
+    """The share of ``(num_samples, max_iterations)`` — the heaviest node's
+    budget — that a node of ``node_flops`` work gets:
+    ``sqrt(node_flops / heaviest)`` of it, at least the minimums above.
+
+    Light stages need proportionally less parallelism to keep up with the
     heaviest stage, so spending the same budget on them buys nothing (the
     same balancing argument the DNN flow uses for unroll factors).
-    ``mode="uniform"`` gives every node the full budget.
     """
-
-    mode: str = "flops"
-    min_samples: int = 2
-    min_iterations: int = 2
-
-    def budget_for(self, num_samples: int, max_iterations: int,
-                   node_flops: int, heaviest_flops: int) -> tuple[int, int]:
-        """The share of ``(num_samples, max_iterations)`` — the heaviest
-        node's budget — that a node of ``node_flops`` work gets."""
-        if self.mode not in ("flops", "uniform"):
-            raise ValueError(f"unknown budget mode {self.mode!r}; "
-                             f"expected 'flops' or 'uniform'")
-        if self.mode == "uniform" or heaviest_flops <= 0:
-            return num_samples, max_iterations
-        share = math.sqrt(max(1, node_flops) / heaviest_flops)
-        return (max(self.min_samples, int(round(num_samples * share))),
-                max(self.min_iterations, int(round(max_iterations * share))))
+    if heaviest_flops <= 0:
+        return num_samples, max_iterations
+    share = math.sqrt(max(1, node_flops) / heaviest_flops)
+    return (max(MIN_NODE_SAMPLES, int(round(num_samples * share))),
+            max(MIN_NODE_ITERATIONS, int(round(max_iterations * share))))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -462,15 +455,14 @@ class ModelScheduler:
 
     def __init__(self, platform: Platform = VU9P_SLR,
                  config: SweepConfig = SweepConfig(), *,
-                 budget: NodeBudgetPolicy = NodeBudgetPolicy(),
                  checkpoint_dir: Optional[str] = None,
                  frontier_cap: int = 64,
                  max_evaluations_per_node: Optional[int] = None):
         self.platform = platform
         #: The sweep's settings; ``num_samples`` and ``max_iterations`` are
-        #: the heaviest node's, of which ``budget`` gives the others a share.
+        #: the heaviest node's, of which :func:`node_budget` gives the
+        #: others a share.
         self.config = config
-        self.budget = budget
         self.checkpoint_dir = checkpoint_dir
         self.frontier_cap = frontier_cap
         #: Bounds every node's sweep to N points this run has to evaluate
@@ -504,8 +496,7 @@ class ModelScheduler:
             module = model.clone()
 
         config = self.config
-        obs_on = obs.active() is not None
-        model_span = obs.NULL_SPAN if not obs_on else obs.span(
+        model_span = obs.NULL_SPAN if obs.active() is None else obs.span(
             "dse.model", model=model_name, graph_level=graph_level,
             jobs=config.jobs, seed=config.seed)
         with model_span:
@@ -534,9 +525,6 @@ class ModelScheduler:
                 truncated=truncated,
                 wall_seconds=time.perf_counter() - started,
                 platform_frontiers=platform_frontiers)
-        if obs_on:
-            obs.gauge("dse.jobs", config.jobs)
-            obs.gauge("dse.wall_seconds", result.wall_seconds)
         return result
 
     # -- internals --------------------------------------------------------------------------
@@ -616,7 +604,7 @@ class ModelScheduler:
             else:
                 lowered = node_func = func_op.detach()
             node_module.append(node_func)
-            num_samples, max_iterations = self.budget.budget_for(
+            num_samples, max_iterations = node_budget(
                 self.config.num_samples, self.config.max_iterations,
                 flops.get(name, 0), heaviest)
             tasks.append(KernelTask(

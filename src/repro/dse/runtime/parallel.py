@@ -52,7 +52,7 @@ from repro.dse.apply import (
 )
 from repro.dse.engine import ExplorationPolicy
 from repro.dse.incremental import PrefixSnapshotCache, post_prefix_band
-from repro.dse.pareto import ParetoPoint
+from repro.dse.pareto import ParetoPoint, hypervolume
 from repro.dse.runtime.checkpoint import CheckpointStore
 from repro.dse.runtime.config import SweepConfig
 from repro.dse.runtime.records import EvaluationRecord
@@ -63,28 +63,6 @@ from repro.transforms.composite import knobs_not_applied, plan_design_point
 
 if TYPE_CHECKING:  # pragma: no cover - the scheduler imports this module
     from repro.dse.runtime.scheduler import KernelTask
-
-
-def frontier_hypervolume(frontier: list[ParetoPoint]) -> float:
-    """Deterministic 2D hypervolume of a (latency, area) Pareto frontier.
-
-    The reference point is the frontier's own worst corner (max latency, max
-    area), so the value is a pure function of the frontier — no external
-    bounds to configure, deterministic across runs and worker counts.  A
-    frontier of fewer than two points has zero dominated area by this
-    definition; growth of the value over iterations tracks how much of the
-    trade-off curve the exploration has uncovered.
-    """
-    if len(frontier) < 2:
-        return 0.0
-    ref_latency = max(point.latency for point in frontier)
-    ref_area = max(point.area for point in frontier)
-    # Standard 2D staircase sweep: ascending latency, descending area.
-    ordered = sorted(frontier, key=lambda p: (p.latency, p.area))
-    volume = 0.0
-    for point, nxt in zip(ordered, ordered[1:]):
-        volume += (nxt.latency - point.latency) * (ref_area - point.area)
-    return volume
 
 
 class _ClassResults:
@@ -219,13 +197,6 @@ class ParallelDSEResult:
     #: ``cache_hits`` were evaluations that kernel made this run.
     shared_with: Optional[str] = None
     shared_hits: int = 0
-    #: How many of ``evaluated_this_run`` no evaluation of their own
-    #: answered: resolved from the transformed IR of a classmate (an
-    #: *II-sibling*: same transforms, another target II) or of the very same
-    #: program under other knob values (an *alias*: a clamped tile product,
-    #: a permutation or tile size the staging never applied).
-    resolved_siblings: int = 0
-    resolved_aliases: int = 0
 
     @property
     def best_point(self):
@@ -437,13 +408,17 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
         """Per-iteration convergence series: frontier size + hypervolume.
 
         Keyed by the trajectory step (``iterations_done``), not by time,
-        so the series is identical across ``--jobs``.
+        so the series is identical across ``--jobs``.  The hypervolume's
+        reference is the frontier's own worst corner (max latency, max
+        area), so it needs no bounds and an empty frontier's is 0.
         """
         if obs_on:
             obs.series(f"dse.frontier.size.{key}",
                        iterations_done, len(frontier))
-            obs.series(f"dse.frontier.hv.{key}",
-                       iterations_done, frontier_hypervolume(frontier))
+            corner = (max((point.latency for point in frontier), default=0),
+                      max((point.area for point in frontier), default=0))
+            obs.series(f"dse.frontier.hv.{key}", iterations_done,
+                       hypervolume(frontier, corner))
 
     def maybe_checkpoint(force: bool = False) -> None:
         nonlocal since_checkpoint
@@ -516,6 +491,4 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
         func_name=func_name,
         platform=platform,
         iterations_done=iterations_done,
-        resolved_siblings=classes.siblings,
-        resolved_aliases=classes.aliases,
     )

@@ -39,6 +39,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import threading
+import time
 from typing import Optional, Sequence
 
 from repro import obs
@@ -81,16 +82,6 @@ def _kernel_fingerprint(space: KernelDesignSpace, func_op,
     return hashlib.sha256(combined.encode("utf-8")).hexdigest()[:20]
 
 
-def _function(module: ModuleOp, func_name: Optional[str]):
-    """``func_name`` of ``module``, or its first function when None."""
-    if not func_name:
-        return module.functions()[0]
-    func_op = module.lookup(func_name)
-    if func_op is None:
-        raise ValueError(f"function {func_name!r} not found in the module")
-    return func_op
-
-
 def _copy_of(result: ParallelDSEResult, task: KernelTask,
              representative: str) -> ParallelDSEResult:
     """``task``'s result when ``representative`` swept the trajectory they
@@ -100,7 +91,6 @@ def _copy_of(result: ParallelDSEResult, task: KernelTask,
         result, records=dict(result.records), frontier=list(result.frontier),
         module=task.module, func_name=task.func_name, space=task.space,
         shared_with=representative, evaluated_this_run=0, cache_misses=0,
-        resolved_siblings=0, resolved_aliases=0,
         shared_hits=result.evaluated_this_run,
         cache_hits=result.cache_hits + result.evaluated_this_run)
 
@@ -119,9 +109,9 @@ class KernelTask:
     ``key`` names the task everywhere: the worker context, the checkpoint
     file (``<key>.ckpt.json`` under the scheduler's ``checkpoint_dir``) and
     the result dictionary.  ``num_samples`` and ``max_iterations`` override
-    the sweep's budgets when set — the per-node budget policy of the
-    whole-model sweep uses them to give light dataflow stages
-    proportionally smaller explorations.
+    the sweep's budgets when set — the whole-model sweep's ``node_budget``
+    uses them to give light dataflow stages proportionally smaller
+    explorations.
     """
 
     key: str
@@ -170,7 +160,12 @@ class MultiKernelScheduler:
         continuing from its checkpoint if one exists.
 
         Returns results keyed by ``task.key`` (insertion order preserved).
+        With more than one task, at any ``jobs``, an error is raised as an
+        :class:`EvaluationFailure` naming the kernel it came from.  The
+        sweep's wall-clock and ``jobs`` are the run gauges
+        ``dse.wall_seconds`` / ``dse.jobs`` the run summary reads.
         """
+        started = time.perf_counter()
         tasks = list(tasks)
         if not tasks:
             return {}
@@ -189,7 +184,7 @@ class MultiKernelScheduler:
         representative_of: dict[str, str] = {}
         for index, task in enumerate(tasks):
             fingerprint = _kernel_fingerprint(
-                task.space, _function(task.module, task.func_name),
+                task.space, task.module.function(task.func_name),
                 self.platform)
             tasks[index] = task = dataclasses.replace(
                 task, fingerprint=fingerprint)
@@ -206,6 +201,7 @@ class MultiKernelScheduler:
             for task in tasks if representative_of[task.key] == task.key
         }
 
+        attribute = len(tasks) > 1
         stop_event = threading.Event()
         backend = create_backend(contexts, config, stop_event)
         schedule_span = obs.NULL_SPAN if obs.active() is None else obs.span(
@@ -215,7 +211,7 @@ class MultiKernelScheduler:
                 if config.jobs <= 1 or len(tasks) == 1:
                     # Task order already puts every representative first.
                     return self._explore_class(tasks, representative_of,
-                                               backend, attribute=False)
+                                               backend, attribute)
                 # Spawn the pool's workers from the main thread, before any
                 # coordinator threads exist: forking from a multi-threaded
                 # process risks inheriting locks held by other threads.
@@ -229,7 +225,8 @@ class MultiKernelScheduler:
                         max_workers=len(classes)) as coordinators:
                     futures = [
                         coordinators.submit(self._explore_class, members,
-                                            representative_of, backend)
+                                            representative_of, backend,
+                                            attribute)
                         for members in classes.values()
                     ]
                     try:
@@ -249,6 +246,9 @@ class MultiKernelScheduler:
                         raise
         finally:
             backend.close()
+            if obs.active() is not None:
+                obs.gauge("dse.jobs", config.jobs)
+                obs.gauge("dse.wall_seconds", time.perf_counter() - started)
 
     # -- internals --------------------------------------------------------------------------
 
@@ -259,7 +259,7 @@ class MultiKernelScheduler:
                           for func_op in module.functions()]
         tasks: list[KernelTask] = []
         for name in func_names:
-            func_op = _function(module, name)
+            func_op = module.function(name)
             try:
                 space = KernelDesignSpace.from_function(
                     func_op, platforms=self.config.platforms or None)
@@ -271,8 +271,7 @@ class MultiKernelScheduler:
 
     def _explore_class(self, members: Sequence[KernelTask],
                        representative_of: dict[str, str], backend,
-                       attribute: bool = True
-                       ) -> dict[str, ParallelDSEResult]:
+                       attribute: bool) -> dict[str, ParallelDSEResult]:
         """Explore ``members`` in order: a task whose representative (the
         first task with its fingerprint and budgets) is another one takes
         a copy of that one's result.
@@ -340,7 +339,7 @@ class ParallelExplorer:
         continuing from its checkpoint if one exists."""
         if space is None:
             space = KernelDesignSpace.from_function(
-                _function(module, func_name),
+                module.function(func_name),
                 platforms=self.config.platforms or None)
         task = KernelTask(key="kernel", module=module, func_name=func_name,
                           space=space, max_evaluations=self.max_evaluations)

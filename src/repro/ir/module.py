@@ -35,6 +35,16 @@ class ModuleOp(Operation):
                 return op
         return None
 
+    def function(self, func_name: Optional[str] = None) -> Operation:
+        """The function named ``func_name``, or the first one when it is
+        None; ``ValueError`` naming a function the module lacks."""
+        if not func_name:
+            return self.functions()[0]
+        func_op = self.lookup(func_name)
+        if func_op is None:
+            raise ValueError(f"function {func_name!r} not found in the module")
+        return func_op
+
     def append(self, op: Operation) -> Operation:
         return self.body.append(op)
 

@@ -2,13 +2,14 @@
 
 One :class:`MetricsRegistry` per observability session is the only
 aggregate of pass timings (the pass manager keeps none; the per-run record
-is the ``pass.<name>`` span) and of rewrite-pattern hit/miss counts across
+is the ``pass.<name>`` span), of rewrite-pattern hit/miss counts across
 drivers and block scans (one ``GreedyRewriteDriver`` still counts its own
-``pattern_stats``).  Estimate-cache accounting is mirrored from
-``CacheStats``, an object-level count readable without a session.  Beside
-them sit the DSE runtime metrics (evaluations per batch, worker busy time,
-budget consumption, frontier-evolution series).  Uniform naming makes the
-union exportable as one JSON document and renderable as one report:
+``pattern_stats``) and of estimate-cache accounting (the ``cache.*``
+counters; the cache keeps no count of its own).  Beside them sit the DSE
+runtime metrics (evaluations per batch, worker busy time, budget
+consumption, frontier-evolution series) and the run gauges the scheduler
+writes once per sweep.  Uniform naming makes the union exportable as one
+JSON document and renderable as one report:
 
 ========================  =========  ==============================================
 name                      kind       meaning
@@ -18,7 +19,8 @@ name                      kind       meaning
 ``pattern.<name>.hits``   counter    successful pattern applications
 ``pattern.<name>.misses`` counter    match attempts that applied nothing
 ``bucket.<op>.hits``      counter    dispatch-bucket applications per op name
-``cache.hits`` etc.       counter    estimate-cache hits/misses/stores
+``cache.hits`` etc.       counter    estimate-cache hits/misses/stores/loaded/
+                                     compacted/recovered_lines
 ``dse.evaluations``       counter    evaluations dispatched (one per transform class)
 ``dse.points``            counter    design points processed (incl. cache hits and
                                      checkpoint-served points)
@@ -54,6 +56,8 @@ name                      kind       meaning
 ``dse.frontier.size.<k>`` series     (iteration, frontier size) per kernel
 ``dse.frontier.hv.<k>``   series     (iteration, frontier hypervolume) per kernel
 ``dse.node.<k>.*``        gauge      per-node budget grants and consumption
+``dse.wall_seconds``      gauge      wall-clock of the sweep (``explore_kernels``)
+``dse.jobs``              gauge      the sweep's worker count
 ========================  =========  ==============================================
 
 Counters hold floats (pass timings are fractional seconds); every structure

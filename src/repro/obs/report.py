@@ -3,10 +3,10 @@
 This module owns every textual report the instrumentation produces: the
 MLIR ``-pass-timing`` style table, the rewrite-pattern hit/miss table (both
 previously assembled ad-hoc inside ``pass_manager.py`` / ``rewrite.py``)
-and the end-of-run summary the driver prints after ``dse`` / ``dnn --dse``.
-:func:`render_metrics_report` renders the same sections from a metrics JSON
-document, so ``tools/driver.py report <metrics.json>`` reproduces the
-end-of-run summary offline.
+and the end-of-run summary the driver prints after ``dse`` / ``dnn --dse``
+(:func:`render_run_summary`).  :func:`render_metrics_report` adds the
+timing and pattern tables to that summary of a metrics JSON document, so
+``tools/driver.py report <metrics.json>`` reproduces it offline.
 """
 
 from __future__ import annotations
@@ -116,8 +116,6 @@ def render_metrics_report(metrics: Mapping) -> str:
     ``dnn --dse`` sweep.
     """
     counters = metrics.get("counters", {})
-    gauges = metrics.get("gauges", {})
-    series = metrics.get("series", {})
     sections: list[str] = []
 
     timings = pass_timings_of(counters)
@@ -128,13 +126,9 @@ def render_metrics_report(metrics: Mapping) -> str:
     if patterns:
         sections.append(format_pattern_stats(patterns, buckets))
 
-    cache = cache_summary_lines(counters)
-    if cache:
-        sections.append("\n".join(["===-- Estimate cache --==="] + cache))
-
-    dse = dse_summary_lines(counters, gauges, series)
-    if dse:
-        sections.append("\n".join(["===-- DSE run summary --==="] + dse))
+    summary = render_run_summary(metrics)
+    if summary:
+        sections.append(summary)
 
     if not sections:
         return "(no metrics recorded)"

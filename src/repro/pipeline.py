@@ -85,7 +85,7 @@ def kernel_baseline(module: ModuleOp, platform: Platform = XC7Z020) -> QoRResult
 KERNEL_BUDGET = {"num_samples": 16, "max_iterations": 24, "batch_size": 8,
                  "checkpoint_every": 32}
 #: The budgets of a whole-model sweep (:func:`explore_dnn`, ``dnn --dse``):
-#: the heaviest node's, of which the budget policy gives the others a share.
+#: the heaviest node's, of which ``node_budget`` gives the others a share.
 DNN_BUDGET = {"num_samples": 8, "max_iterations": 12, "batch_size": 4,
               "checkpoint_every": 16}
 
@@ -184,7 +184,7 @@ def prepare_dnn_stages(module: ModuleOp, graph_level: int) -> int:
 def explore_dnn(model_name: str, platform: Platform = VU9P_SLR, *,
                 graph_level: int = 4,
                 checkpoint_dir: Optional[str] = None,
-                budget_mode: str = "flops", frontier_cap: int = 64,
+                frontier_cap: int = 64,
                 max_nodes: Optional[int] = None,
                 **sweep) -> "ModelDSEResult":
     """Run the whole-model DSE on a bundled DNN model.
@@ -194,13 +194,13 @@ def explore_dnn(model_name: str, platform: Platform = VU9P_SLR, *,
     staged model, and the per-node frontiers compose into the model-level
     latency/resource frontier.  The budgets of ``sweep`` default to
     :data:`DNN_BUDGET`; ``num_samples`` / ``max_iterations`` are the budget
-    of the heaviest node (``budget_mode`` scales the others).
+    of the heaviest node (:func:`~repro.dse.runtime.model.node_budget`
+    scales the others).
     """
-    from repro.dse.runtime import ModelScheduler, NodeBudgetPolicy
+    from repro.dse.runtime import ModelScheduler
 
     scheduler = ModelScheduler(
         platform, _sweep_config(DNN_BUDGET, **sweep),
-        budget=NodeBudgetPolicy(mode=budget_mode),
         checkpoint_dir=checkpoint_dir, frontier_cap=frontier_cap)
     return scheduler.explore(model_name, graph_level=graph_level,
                              max_nodes=max_nodes)

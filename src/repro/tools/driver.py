@@ -46,7 +46,6 @@ import contextlib
 import json
 import os
 import sys
-import time
 from typing import Optional, Sequence
 
 from repro import obs
@@ -67,7 +66,6 @@ from repro.obs.report import (
     pass_timings_of,
     pattern_stats_of,
     render_run_summary,
-    shared_summary_line,
 )
 from repro.pipeline import (DNN_BUDGET, KERNEL_BUDGET, compile_c, compile_dnn,
                             compile_kernel, dnn_baseline)
@@ -241,8 +239,8 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser,
     (``KERNEL_BUDGET`` or ``DNN_BUDGET`` of :mod:`repro.pipeline`)."""
     parser.add_argument("--samples", type=int,
                         default=defaults["num_samples"],
-                        help="initial samples (dnn: per node, scaled down "
-                             "for light stages unless --budget uniform)")
+                        help="initial samples (dnn: the heaviest node's, "
+                             "scaled down for light stages)")
     parser.add_argument("--iterations", type=int,
                         default=defaults["max_iterations"],
                         help="frontier-evolution budget (dnn: per node)")
@@ -418,11 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "through the multi-kernel scheduler and "
                                  "compose the model-level Pareto frontier")
     _add_sweep_arguments(dnn_parser, DNN_BUDGET)
-    dnn_parser.add_argument("--budget", choices=("flops", "uniform"),
-                            default="flops",
-                            help="per-node budget policy: scale budgets by "
-                                 "node work share, or give every node the "
-                                 "full budget")
     dnn_parser.add_argument("--smoke", action="store_true",
                             help="tiny sweep for CI: 3 samples, 4 iterations, "
                                  "3 heaviest nodes")
@@ -492,18 +485,10 @@ def _register_pipelines(specs: Sequence[str]) -> None:
                 from error
 
 
-def _note_dse_wall(started: float, jobs: int) -> None:
-    """Record the run-level gauges the end-of-run summary reads."""
-    if obs.active() is not None:
-        obs.gauge("dse.wall_seconds", time.perf_counter() - started)
-        obs.gauge("dse.jobs", max(1, int(jobs)))
-
-
 def run_dse(args) -> int:
     from repro.pipeline import explore_kernel, explore_module_kernels
 
     settings = _sweep_settings(args)
-    started = time.perf_counter()
     module = _load_module(args)
     platforms = _resolve_platforms(args, "xc7z020")
     platform = platforms[0]
@@ -518,7 +503,6 @@ def run_dse(args) -> int:
         if not results:
             raise SystemExit("no explorable functions: the module contains "
                              "no affine loop nests")
-        _note_dse_wall(started, args.jobs)
         for name in sorted(results):
             baselines = None
             if len(platforms) > 1:
@@ -536,7 +520,6 @@ def run_dse(args) -> int:
         baselines = {target.name: estimate_baseline(module, target)
                      for target in platforms}
     result = explore_kernel(module, platform, **common)
-    _note_dse_wall(started, args.jobs)
     _print_dse_result("", result, baseline, baselines=baselines)
     if args.frontier_out:
         with open(args.frontier_out, "w", encoding="utf-8") as handle:
@@ -655,12 +638,12 @@ def run_dnn_dse(args) -> int:
         max_nodes = 3
     result = explore_dnn(
         args.model, platform, graph_level=args.graph_level,
-        budget_mode=args.budget, max_nodes=max_nodes,
+        max_nodes=max_nodes,
         platforms=platforms if len(platforms) > 1 else None, **settings)
 
     # The cache note speaks of the persistent cache only: the evaluations a
-    # node's representative made within this run are reported on their own
-    # line.
+    # node's representative made within this run are the run summary's
+    # sharing line.
     cache_parts = []
     if args.cache:
         persistent_hits = result.cache_hits - result.shared_points
@@ -672,8 +655,6 @@ def run_dnn_dse(args) -> int:
     print(f"{result.model}: explored {len(result.node_order)} dataflow nodes, "
           f"{result.num_evaluations} evaluations in "
           f"{result.wall_seconds:.2f}s{cache_note}")
-    if result.shared_nodes:
-        print(shared_summary_line(result.shared_points, result.shared_nodes))
     if result.skipped:
         print(f"  skipped nodes: {', '.join(result.skipped)}")
     quarantined = sum(node.num_quarantined

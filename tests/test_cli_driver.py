@@ -116,6 +116,12 @@ class TestCommands:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --resume" in capsys.readouterr().err
 
+    def test_there_is_no_budget_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["dnn", "vgg16", "--dse", "--budget", "uniform"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --budget" in capsys.readouterr().err
+
     def test_dse_checkpoint_file_rejected(self, tmp_path):
         target = tmp_path / "dse.ckpt.json"
         target.write_text("{}")
@@ -290,7 +296,7 @@ class TestSweepSettings:
     OWN = {"explore_kernel": {"checkpoint_dir", "func_name"},
            "explore_module_kernels": {"checkpoint_dir", "func_names"},
            "explore_dnn": {"checkpoint_dir", "graph_level",
-                           "budget_mode", "frontier_cap", "max_nodes"}}
+                           "frontier_cap", "max_nodes"}}
     FLOW_BUDGETS = {"explore_kernel": ("dse", pipeline.KERNEL_BUDGET),
                     "explore_module_kernels": ("dse", pipeline.KERNEL_BUDGET),
                     "explore_dnn": ("dnn", pipeline.DNN_BUDGET)}
@@ -351,7 +357,7 @@ class TestSweepSettings:
         dse_flags, dnn_flags = flags("dse"), flags("dnn")
         assert shared <= dse_flags and shared <= dnn_flags
         own = {"--all-functions", "--kernel", "--size", "--dse", "--smoke",
-               "--budget", "--graph-level", "--loop-level"}
+               "--graph-level", "--loop-level"}
         assert dse_flags - shared - own == dnn_flags - shared - own
 
 

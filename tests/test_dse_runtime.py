@@ -2,6 +2,7 @@
 estimate-cache accounting and persistence, checkpoint round-trips, and the
 multi-kernel scheduler."""
 
+import collections
 import gc
 import pickle
 import sys
@@ -9,8 +10,9 @@ import threading
 
 import pytest
 
+from repro import obs
 from repro.dse import KernelDesignSpace
-from repro.dse.apply import apply_design_point
+from repro.dse.apply import apply_design_point, estimate_baseline
 from repro.dse.runtime import (
     CheckpointStore,
     EstimateCache,
@@ -19,14 +21,25 @@ from repro.dse.runtime import (
     ParallelExplorer,
     SweepConfig,
 )
-from repro.dse.runtime import worker
-from repro.dse.runtime.faults import FaultPlan, InjectedFault
+from repro.dse.runtime import scheduler, worker
+from repro.dse.runtime.faults import EvaluationFailure, FaultPlan, InjectedFault
 from repro.dse.runtime.worker import KernelContext, evaluate_encoded
 from repro.estimation import XC7Z020
 from repro.ir.pass_manager import PassError
 from repro.pipeline import compile_kernel
 
 from conftest import GEMM_SOURCE, SYRK_SOURCE, compile_source
+
+
+def cache_counters(run) -> tuple:
+    """``run()``'s value and the ``cache.*`` counters it recorded, keyed
+    without the prefix (0 for one it did not record)."""
+    with obs.session() as session:
+        value = run()
+    return value, collections.Counter({
+        name[len("cache."):]: count
+        for name, count in session.metrics.counters.items()
+        if name.startswith("cache.")})
 
 
 def frontier_signature(result):
@@ -131,23 +144,26 @@ class TestEstimateCache:
     def test_hit_miss_accounting(self, gemm_module):
         cache = EstimateCache()
         explorer = small_explorer(cache=cache)
-        cold = explorer.explore(gemm_module)
+        (cold, warm), counts = cache_counters(lambda: (
+            explorer.explore(gemm_module), explorer.explore(gemm_module)))
         assert cold.cache_hits == 0
         assert cold.cache_misses == cold.num_evaluations
         assert cold.evaluated_this_run == cold.num_evaluations
 
-        warm = explorer.explore(gemm_module)
         assert warm.cache_misses == 0
         assert warm.cache_hits == warm.num_evaluations
         assert warm.evaluated_this_run == 0
-        assert cache.stats.hit_rate >= 0.5  # half of all lookups were warm
+        # Half of all lookups were warm.
+        assert counts["hits"] >= counts["misses"] > 0
+        assert counts["hits"] == warm.cache_hits
+        assert counts["misses"] == counts["stores"] == len(cache)
 
     def test_persistence_roundtrip(self, gemm_module, tmp_path):
         path = str(tmp_path / "cache.jsonl")
         cold = small_explorer(cache=EstimateCache(path)).explore(gemm_module)
 
-        revived = EstimateCache(path)
-        assert revived.stats.loaded == cold.num_evaluations
+        revived, counts = cache_counters(lambda: EstimateCache(path))
+        assert counts["loaded"] == len(revived) == cold.num_evaluations
         warm = small_explorer(cache=revived).explore(gemm_module)
         assert warm.cache_hits == warm.num_evaluations
         assert warm.cache_misses == 0
@@ -158,8 +174,8 @@ class TestEstimateCache:
         small_explorer(cache=EstimateCache(path)).explore(gemm_module)
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"fingerprint": "truncated...\n')
-        revived = EstimateCache(path)
-        assert revived.stats.loaded > 0
+        revived, counts = cache_counters(lambda: EstimateCache(path))
+        assert counts["loaded"] == len(revived) > 0
 
     def test_stale_model_version_entries_ignored(self, gemm_module, tmp_path):
         import json
@@ -175,8 +191,9 @@ class TestEstimateCache:
                 lines.append(json.dumps(data))
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
-        revived = EstimateCache(path)
-        assert revived.stats.loaded == 0  # stale entries discarded, not reused
+        revived, counts = cache_counters(lambda: EstimateCache(path))
+        # Stale entries discarded, not reused.
+        assert counts["loaded"] == len(revived) == 0
 
     def test_warm_run_spawns_no_workers(self, gemm_module, monkeypatch):
         cache = EstimateCache()
@@ -222,8 +239,9 @@ class TestEstimateCache:
         del first["fingerprint"]
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(first) + "\n")
-        revived = EstimateCache(path)  # must not raise
-        assert revived.stats.loaded == cold.num_evaluations
+        # Must not raise.
+        revived, counts = cache_counters(lambda: EstimateCache(path))
+        assert counts["loaded"] == len(revived) == cold.num_evaluations
 
 
 class TestCheckpoint:
@@ -648,14 +666,43 @@ class TestMultiKernelScheduler:
         with pytest.raises(ValueError):
             self.scheduler(jobs=1).explore_module(module, func_names=["nope"])
 
-    def test_one_kernel_of_an_unknown_name(self, gemm_module):
+    @pytest.mark.parametrize("entry", [
+        "estimate_baseline", "apply_design_point", "explore_kernel",
+        "ParallelExplorer.explore"])
+    def test_every_entry_reports_an_unknown_function(self, gemm_module, entry):
         from repro.pipeline import explore_kernel
 
-        message = "function 'nope' not found in the module"
-        with pytest.raises(ValueError, match=message):
-            explore_kernel(gemm_module, func_name="nope")
-        with pytest.raises(ValueError, match=message):
-            small_explorer().explore(gemm_module, func_name="nope")
+        space = KernelDesignSpace.from_function(gemm_module.functions()[0])
+        point = space.decode((0,) * space.num_dimensions)
+        calls = {
+            "estimate_baseline": lambda: estimate_baseline(
+                gemm_module, XC7Z020, func_name="missing"),
+            "apply_design_point": lambda: apply_design_point(
+                gemm_module, point, XC7Z020, func_name="missing"),
+            "explore_kernel": lambda: explore_kernel(
+                gemm_module, XC7Z020, func_name="missing"),
+            "ParallelExplorer.explore": lambda: small_explorer().explore(
+                gemm_module, func_name="missing"),
+        }
+        with pytest.raises(ValueError,
+                           match="function 'missing' not found in the module"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_failing_trajectory_is_attributed_at_any_jobs(self, jobs,
+                                                             monkeypatch):
+        trajectory = scheduler._explore_trajectory
+
+        def failing(task, *args):
+            if task.key == "syrk":
+                raise RuntimeError("no estimate")
+            return trajectory(task, *args)
+
+        monkeypatch.setattr(scheduler, "_explore_trajectory", failing)
+        with pytest.raises(EvaluationFailure) as raised:
+            self.scheduler(jobs=jobs).explore_module(self.two_kernel_module())
+        assert str(raised.value) \
+            == "DSE for kernel 'syrk' failed: RuntimeError: no estimate"
 
 
 class TestResultMaterialization:

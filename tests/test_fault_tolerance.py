@@ -45,6 +45,7 @@ from repro.estimation.resources import ResourceUsage
 from repro.tools.driver import build_parser, main
 
 from conftest import GEMM_SOURCE, compile_source
+from test_dse_runtime import cache_counters
 
 
 def frontier_signature(result):
@@ -859,17 +860,17 @@ class TestTornLineRecovery:
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"fingerprint": "fp", "model')  # cut mid-append
         with pytest.warns(RuntimeWarning, match="truncated trailing line"):
-            revived = EstimateCache(path=path)
-        assert revived.stats.recovered_lines == 1
-        assert revived.stats.loaded == 1
+            revived, counts = cache_counters(lambda: EstimateCache(path=path))
+        assert counts["recovered_lines"] == 1
+        assert counts["loaded"] == 1
         assert revived.get("fp", encoded) == record
         revived.close()
         # Load-time compaction rewrote the file: the next load is clean.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            clean = EstimateCache(path=path)
-        assert clean.stats.recovered_lines == 0
-        assert clean.stats.loaded == 1
+            clean, counts = cache_counters(lambda: EstimateCache(path=path))
+        assert counts["recovered_lines"] == 0
+        assert counts["loaded"] == 1
         clean.close()
 
     def test_corrupt_middle_line_is_not_a_torn_write(self, gemm_module,
@@ -884,9 +885,9 @@ class TestTornLineRecovery:
             handle.write('{"garbage\n' + good)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            revived = EstimateCache(path=path)
-        assert revived.stats.recovered_lines == 0
-        assert revived.stats.compacted == 1
+            revived, counts = cache_counters(lambda: EstimateCache(path=path))
+        assert counts["recovered_lines"] == 0
+        assert counts["compacted"] == 1
         assert revived.get("fp", encoded) == record
         revived.close()
 
@@ -905,9 +906,9 @@ class TestTornLineRecovery:
                          + "\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            revived = EstimateCache(path=path)
-        assert revived.stats.compacted == 3
-        assert revived.stats.loaded == 2
+            revived, counts = cache_counters(lambda: EstimateCache(path=path))
+        assert counts["compacted"] == 3
+        assert counts["loaded"] == 2
         assert [revived.get("fp", (index,)) for index in range(2)] == records
         revived.close()
         with open(path, encoding="utf-8") as handle:
@@ -934,8 +935,8 @@ class TestTornLineRecovery:
 
         monkeypatch.setattr(os, "fsync", recording_fsync)
         monkeypatch.setattr(os, "replace", recording_replace)
-        revived = EstimateCache(path=path)
-        assert revived.stats.compacted == 1
+        revived, counts = cache_counters(lambda: EstimateCache(path=path))
+        assert counts["compacted"] == 1
         revived.close()
         assert events == ["fsync", ("replace", path + ".tmp", path)]
 

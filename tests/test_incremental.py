@@ -23,6 +23,7 @@ from repro.ir.pass_manager import PassError
 
 from conftest import GEMM_SOURCE, compile_source
 
+from test_dse_runtime import cache_counters
 from test_transform_classes import assert_snapshots_invisible
 
 
@@ -222,8 +223,8 @@ class TestEstimateCacheCompaction:
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(lines[0] + "\n")
             handle.write("not json at all\n")
-        revived = EstimateCache(path)
-        assert revived.stats.compacted == 2
+        _, counts = cache_counters(lambda: EstimateCache(path))
+        assert counts["compacted"] == 2
         with open(path, "r", encoding="utf-8") as handle:
             assert handle.read().splitlines() == lines
 
@@ -231,8 +232,8 @@ class TestEstimateCacheCompaction:
         path = str(tmp_path / "cache.jsonl")
         self._fill(path)
         stamp = os.stat(path).st_mtime_ns
-        revived = EstimateCache(path)
-        assert revived.stats.compacted == 0
+        _, counts = cache_counters(lambda: EstimateCache(path))
+        assert counts["compacted"] == 0
         assert os.stat(path).st_mtime_ns == stamp
 
 

@@ -462,20 +462,21 @@ class TestSharedObservability:
     def test_dnn_summary_reports_sharing_not_cache_hits(self, tmp_path, capsys):
         argv = ["dnn", "vgg16", "--graph-level", "7", "--dse", "--smoke",
                 "--frontier-out", str(tmp_path / "frontier.json")]
+        # The sharing line is the run summary's, printed once per run.
         assert main(argv) == 0
         output = capsys.readouterr().out
-        assert "shared 7 evaluations across 1 structurally identical node" \
-            in output
+        assert output.count("shared 7 evaluations across 1 structurally "
+                            "identical node") == 1
         assert "cache:" not in output
         assert main(argv + ["--cache", str(tmp_path / "cache.jsonl")]) == 0
         output = capsys.readouterr().out
         assert "(cache: 14 misses)" in output  # the 7 shared are not "hits"
-        assert "shared 7 evaluations" in output
+        assert output.count("shared 7 evaluations") == 1
         assert main(argv + ["--cache", str(tmp_path / "cache.jsonl")]) == 0
         output = capsys.readouterr().out
         assert "21 sweep hits" in output
-        assert "shared 0 evaluations across 1 structurally identical node" \
-            in output
+        assert output.count("shared 0 evaluations across 1 structurally "
+                            "identical node") == 1
 
 
 # -- scheduling ----------------------------------------------------------------------------
@@ -579,12 +580,13 @@ class TestRepresentativeFirst:
 
 
 class TestModelClassesShareOneBudget:
-    """A model sweep's repeated nodes always take the copy path: the budget
-    policy gives every node of a fingerprint class the same budget."""
+    """A model sweep's repeated nodes always take the copy path:
+    ``node_budget`` gives every node of a fingerprint class the same
+    budget."""
 
     @pytest.mark.parametrize("model", ["vgg16", "resnet18", "mobilenet"])
     def test_every_class_has_one_budget(self, model):
-        from repro.dse.runtime.scheduler import _function, _kernel_fingerprint
+        from repro.dse.runtime.scheduler import _kernel_fingerprint
 
         scheduler = ModelScheduler(VU9P_SLR, SweepConfig(
             num_samples=8, max_iterations=12))
@@ -595,7 +597,7 @@ class TestModelClassesShareOneBudget:
             budgets: dict[str, set] = {}
             for task in tasks:
                 fingerprint = _kernel_fingerprint(
-                    task.space, _function(task.module, task.func_name),
+                    task.space, task.module.function(task.func_name),
                     VU9P_SLR)
                 budgets.setdefault(fingerprint, set()).add(
                     (task.num_samples, task.max_iterations))

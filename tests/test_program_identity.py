@@ -72,6 +72,7 @@ from test_transform_classes import (  # noqa: F401  (fixtures)
     golden,
     kernel_context,
     pipelined_loops,
+    resolved,
 )
 
 
@@ -606,11 +607,11 @@ class TestGemmSweep:
     def test_aliases_are_resolved_not_dispatched(self, gemm8, golden,
                                                  monkeypatch):
         dispatched = record_dispatches(monkeypatch)
-        result = explore(gemm8)
+        result, (_, aliases) = resolved(lambda: explore(gemm8))
         assert document(result) == golden["clean"]
         assert not set(PROGRAM_ALIASES) & {encoded for _, encoded in dispatched}
         assert set(PROGRAM_ALIASES) <= set(result.records)
-        assert len(dispatched) == 14 and result.resolved_aliases == 3
+        assert len(dispatched) == 14 and aliases == 3
         # An alias carries its own knob values, never its representative's.
         for encoded in PROGRAM_ALIASES:
             assert result.records[encoded].point == result.space.decode(encoded)
@@ -650,14 +651,15 @@ class TestGemmSweep:
 
         plan = FaultPlan(mode=mode, select=2, times=1,
                          state_dir=str(tmp_path / "ledger"))
-        result = explore(gemm8, tmp_path, jobs=jobs, faults=plan,
-                         supervision=fast_policy())
+        result, (_, aliases) = resolved(
+            lambda: explore(gemm8, tmp_path, jobs=jobs, faults=plan,
+                            supervision=fast_policy()))
         assert document(result) == golden["clean"]
         assert_files_match(tmp_path, golden)
         for encoded in PROGRAM_ALIASES[:1]:
             assert plan.matches("kernel", encoded)
             assert os.path.getsize(plan._ledger_path("kernel", encoded)) == 2
-        assert result.resolved_aliases <= 2
+        assert aliases <= 2
 
     def test_a_poisoned_would_be_alias_is_quarantined(self, gemm8, tmp_path):
         # No victim of the golden's ``poison:select=3`` plan stages to a
