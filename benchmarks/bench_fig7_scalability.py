@@ -31,10 +31,10 @@ import time
 import pytest
 
 from conftest import format_row, run_kernel_dse
-from repro.dse.runtime import EstimateCache, ParallelExplorer, SweepConfig
+from repro.dse.runtime import EstimateCache
 from repro.estimation import XC7Z020
 from repro.kernels import KERNEL_NAMES
-from repro.pipeline import compile_kernel
+from repro.pipeline import compile_kernel, explore_kernel
 
 PROBLEM_SIZES = (32, 256, 4096)
 
@@ -82,11 +82,11 @@ def measure_runtime_scalability(kernel: str, problem_size: int, jobs: int,
     module = compile_kernel(kernel, problem_size)
 
     def run(jobs_now, cache):
-        explorer = ParallelExplorer(XC7Z020, SweepConfig(
-            num_samples=num_samples, max_iterations=max_iterations, seed=seed,
-            jobs=jobs_now, batch_size=batch_size, cache=cache))
         started = time.perf_counter()
-        result = explorer.explore(module)
+        result = explore_kernel(
+            module, XC7Z020, num_samples=num_samples,
+            max_iterations=max_iterations, seed=seed, jobs=jobs_now,
+            batch_size=batch_size, cache=cache)
         return result, time.perf_counter() - started
 
     serial_result, serial_seconds = run(1, None)

@@ -602,7 +602,8 @@ def measure_model_counts(model: str = "vgg16", graph_level: int = 7) -> dict:
     then on, so later counts would only be lower.
     """
     from repro.affine.map import AffineMap
-    from repro.dse.runtime.model import ModelScheduler
+    from repro.dse.runtime import SweepConfig
+    from repro.dse.runtime import model as runtime_model
     from repro.frontend.models import build_model
     from repro.ir import types
     import repro.pipeline  # noqa: F401  (imported before the counters run)
@@ -612,7 +613,7 @@ def measure_model_counts(model: str = "vgg16", graph_level: int = 7) -> dict:
     counts = {"affine_maps": 0, "default_layouts": 0, "split_clones": 0}
     in_split = False
     init, build_layout = AffineMap.__init__, types.build_partition_map
-    clone, node_tasks = Operation.clone, ModelScheduler._node_tasks
+    clone, node_tasks = Operation.clone, runtime_model._node_tasks
 
     def counted_init(map_, *args, **kwargs):
         counts["affine_maps"] += 1
@@ -626,11 +627,11 @@ def measure_model_counts(model: str = "vgg16", graph_level: int = 7) -> dict:
         counts["split_clones"] += in_split
         return clone(op, value_map)
 
-    def counted_split(scheduler, *args):
+    def counted_split(*args):
         nonlocal in_split
         in_split = True
         try:
-            return node_tasks(scheduler, *args)
+            return node_tasks(*args)
         finally:
             in_split = False
 
@@ -642,8 +643,9 @@ def measure_model_counts(model: str = "vgg16", graph_level: int = 7) -> dict:
         patch(AffineMap, "__init__", counted_init)
         patch(types, "build_partition_map", counted_layout)
         patch(Operation, "clone", counted_clone)
-        patch(ModelScheduler, "_node_tasks", counted_split)
-        tasks, _, _ = ModelScheduler()._staged_tasks(module, graph_level, None)
+        patch(runtime_model, "_node_tasks", counted_split)
+        tasks, _, _ = runtime_model._staged_tasks(module, graph_level,
+                                                  SweepConfig())
     spaces: set[int] = set()
     members = member_ops = 0
     for task in tasks:

@@ -2,7 +2,8 @@
 """Walkthrough of the DSE runtime.
 
 Demonstrates the three pillars of ``repro.dse.runtime`` on a PolyBench
-kernel:
+kernel, through ``repro.pipeline.explore_kernel`` (whose keywords are the
+``SweepConfig`` fields):
 
 1. **Multi-worker exploration** — the same seed produces the identical
    Pareto frontier with 1 or N workers (determinism contract).
@@ -13,7 +14,7 @@ kernel:
    point the checkpoint holds, evaluates only the rest and lands on the
    same frontier as an uninterrupted one.
 
-It closes with the :class:`MultiKernelScheduler` exploring two kernels
+It closes with ``explore_module_kernels`` exploring two kernels
 concurrently on one shared worker pool.
 
 Usage::
@@ -21,21 +22,15 @@ Usage::
     python examples/parallel_dse.py [kernel] [problem_size] [jobs]
 """
 
-import dataclasses
 import os
 import sys
 import tempfile
 
-from repro.dse.runtime import (
-    EstimateCache,
-    MultiKernelScheduler,
-    ParallelExplorer,
-    SweepConfig,
-)
+from repro.dse.runtime import EstimateCache
 from repro.dse.apply import estimate_baseline
 from repro.estimation import XC7Z020
 from repro.kernels import KERNEL_NAMES
-from repro.pipeline import compile_kernel
+from repro.pipeline import compile_kernel, explore_kernel, explore_module_kernels
 
 
 def frontier_summary(result):
@@ -54,11 +49,9 @@ def main() -> None:
     baseline = estimate_baseline(module, XC7Z020)
 
     # 1. Determinism: 1 worker vs. `jobs` workers, same seed, same frontier.
-    serial_config = SweepConfig(num_samples=8, max_iterations=16, seed=2022,
-                                batch_size=4)
-    config = dataclasses.replace(serial_config, jobs=jobs)
-    serial = ParallelExplorer(XC7Z020, serial_config).explore(module)
-    parallel = ParallelExplorer(XC7Z020, config).explore(module)
+    sweep = dict(num_samples=8, max_iterations=16, seed=2022, batch_size=4)
+    serial = explore_kernel(module, XC7Z020, **sweep)
+    parallel = explore_kernel(module, XC7Z020, jobs=jobs, **sweep)
     print(f"\n[1] serial: {serial.num_evaluations} evaluations "
           f"in {serial.wall_seconds:.2f}s; "
           f"parallel ({jobs} workers): {parallel.wall_seconds:.2f}s")
@@ -68,22 +61,19 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
         # 2. Estimate cache: the repeat run never re-estimates.
         cache = EstimateCache(os.path.join(workdir, "qor_cache.jsonl"))
-        explorer = ParallelExplorer(
-            XC7Z020, dataclasses.replace(config, cache=cache))
-        cold = explorer.explore(module)
-        warm = explorer.explore(module)
+        cold = explore_kernel(module, XC7Z020, jobs=jobs, cache=cache, **sweep)
+        warm = explore_kernel(module, XC7Z020, jobs=jobs, cache=cache, **sweep)
+        cache.close()
         print(f"\n[2] cold run: {cold.cache_misses} misses; warm rerun: "
               f"{warm.cache_hits} hits, {warm.cache_misses} misses "
               f"({warm.wall_seconds:.3f}s)")
 
         # 3. Checkpoints: stop after 10 evaluations, re-run, same frontier.
         checkpoint = os.path.join(workdir, "checkpoints")
-        ParallelExplorer(XC7Z020,
-                         dataclasses.replace(config, checkpoint_every=4),
-                         checkpoint_dir=checkpoint,
-                         max_evaluations=10).explore(module)
-        resumed = ParallelExplorer(XC7Z020, config, checkpoint_dir=checkpoint
-                                   ).explore(module)
+        explore_kernel(module, XC7Z020, jobs=jobs, checkpoint_every=4,
+                       checkpoint_dir=checkpoint, max_evaluations=10, **sweep)
+        resumed = explore_kernel(module, XC7Z020, jobs=jobs,
+                                 checkpoint_dir=checkpoint, **sweep)
         assert frontier_summary(resumed) == frontier_summary(serial)
         print(f"\n[3] interrupted at 10 evaluations, re-run to "
               f"{resumed.num_evaluations} ({resumed.evaluated_this_run} "
@@ -99,10 +89,9 @@ def main() -> None:
     from repro.testing import GEMM_SOURCE, SYRK_SOURCE, compile_source
 
     pair = compile_source(GEMM_SOURCE + SYRK_SOURCE, "pair")
-    scheduler = MultiKernelScheduler(XC7Z020, SweepConfig(
-        jobs=jobs, num_samples=6, max_iterations=8, batch_size=4))
-    results = scheduler.explore_module(pair)
-    print("\n[4] multi-kernel scheduler:")
+    results = explore_module_kernels(pair, XC7Z020, jobs=jobs, num_samples=6,
+                                     max_iterations=8, batch_size=4)
+    print("\n[4] both kernels on one pool:")
     for name in sorted(results):
         record = results[name].best_record
         print(f"    {name}: best latency={record.qor.latency:,} "

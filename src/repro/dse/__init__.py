@@ -7,9 +7,7 @@ from repro.dse.engine import ExplorationPolicy
 from repro.dse.runtime import (
     EstimateCache,
     EvaluationRecord,
-    MultiKernelScheduler,
     ParallelDSEResult,
-    ParallelExplorer,
     SweepConfig,
 )
 
@@ -24,8 +22,6 @@ __all__ = [
     "ExplorationPolicy",
     "EstimateCache",
     "EvaluationRecord",
-    "MultiKernelScheduler",
     "ParallelDSEResult",
-    "ParallelExplorer",
     "SweepConfig",
 ]

@@ -16,8 +16,9 @@ The engine implements the paper's 5-step neighbor-traversing algorithm:
 The algorithm's *policy* (how points are sampled, proposed and merged into
 the frontier) lives in :class:`ExplorationPolicy` as pure functions of
 ``(space, frontier, visited, rng)``.  The one driver,
-:class:`repro.dse.runtime.ParallelExplorer`, runs it in deterministic
-batches — inline or across worker processes.  Because every proposal depends
+:func:`repro.dse.runtime.scheduler.explore_kernels` (behind
+:func:`repro.pipeline.explore_kernel` and the other flows), runs it in
+deterministic batches — inline or across worker processes.  Because every proposal depends
 only on explorer state (never on evaluation *order*), it visits the same
 points and produces the same frontier for a given seed and batch size,
 regardless of worker count.  Note the batch size itself is part of the

@@ -3,14 +3,15 @@
 This package drives the 5-step DSE algorithm as a scalable exploration
 service.  :class:`~repro.dse.runtime.config.SweepConfig` declares every
 setting of a sweep once; each piece below takes it and reads what it acts
-on:
+on.  A sweep starts in :mod:`repro.pipeline` (``explore_kernel``,
+``explore_module_kernels`` or ``explore_dnn``, whose keywords are
+``SweepConfig`` fields) or, for callers that build their own
+:class:`~repro.dse.runtime.scheduler.KernelTask`s, in
+:func:`~repro.dse.runtime.scheduler.explore_kernels`:
 
-* :class:`~repro.dse.runtime.scheduler.MultiKernelScheduler` — the route
-  of every sweep: DSE over many
-  :class:`~repro.dse.runtime.scheduler.KernelTask`s on one shared worker
-  pool and cache; it owns the backend, the fingerprints and the checkpoint
-  names.  :class:`~repro.dse.runtime.scheduler.ParallelExplorer` is a
-  one-task sweep under the key ``"kernel"``.
+* :func:`~repro.dse.runtime.scheduler.explore_kernels` — the route of every
+  sweep: DSE over many ``KernelTask``s on one shared worker pool and
+  cache; it owns the backend, the fingerprints and the checkpoint names.
 * :mod:`~repro.dse.runtime.parallel` — one kernel's trajectory, handed all
   of that: the engine's pure :class:`~repro.dse.engine.ExplorationPolicy`
   in batches, with a hard determinism guarantee: a fixed seed produces an
@@ -22,9 +23,9 @@ on:
   of a kernel's records every N evaluations, one ``<key>.ckpt.json`` per
   kernel in the checkpoint directory; every run that finds one replays the
   trajectory from step 1 against it, with a bit-identical final frontier.
-* :class:`~repro.dse.runtime.model.ModelScheduler` — the whole-model flow:
-  graph staging, per-node kernel splitting, budgeted multi-kernel sweep and
-  model-level frontier composition.
+* :mod:`~repro.dse.runtime.model` — the whole-model flow: graph staging,
+  per-node kernel splitting, budgeted multi-kernel sweep and model-level
+  frontier composition.
 * :func:`~repro.dse.runtime.worker.create_backend` — where evaluations run:
   inline in the coordinator or on a supervised pool of local worker
   processes.  Nothing leaves the machine; there is no network backend.
@@ -42,16 +43,11 @@ from repro.dse.runtime.faults import (
 from repro.dse.runtime.model import (
     ModelDSEResult,
     ModelFrontierPoint,
-    ModelScheduler,
     compose_model_frontier,
 )
 from repro.dse.runtime.parallel import ParallelDSEResult
 from repro.dse.runtime.records import EvaluationRecord
-from repro.dse.runtime.scheduler import (
-    KernelTask,
-    MultiKernelScheduler,
-    ParallelExplorer,
-)
+from repro.dse.runtime.scheduler import KernelTask
 from repro.dse.runtime.worker import (
     KernelContext,
     ProcessPoolBackend,
@@ -69,13 +65,10 @@ __all__ = [
     "SweepConfig",
     "ModelDSEResult",
     "ModelFrontierPoint",
-    "ModelScheduler",
     "compose_model_frontier",
     "ParallelDSEResult",
-    "ParallelExplorer",
     "EvaluationRecord",
     "KernelTask",
-    "MultiKernelScheduler",
     "KernelContext",
     "ProcessPoolBackend",
     "SerialBackend",

@@ -44,7 +44,9 @@ class EstimateCache:
     Loading compacts the JSONL — dead lines (superseded duplicates,
     stale-model entries, corrupt lines) are dropped and the file is
     atomically replaced by its live lines; dropped lines count into
-    ``cache.compacted``.
+    ``cache.compacted``.  A file with a complete line but no JSON object
+    with a ``model`` key is not a cache: loading it raises ``ValueError``
+    and leaves its bytes alone.
     """
 
     def __init__(self, path: Optional[str] = None):
@@ -88,10 +90,13 @@ class EstimateCache:
         live: dict[CacheKey, tuple[EvaluationRecord, str]] = {}
         dead = 0
         with open(path, "r", encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle]
+            lines = handle.readlines()
+        complete = any(line.endswith("\n") and line.strip() for line in lines)
+        lines = [line.strip() for line in lines]
         while lines and not lines[-1]:
             lines.pop()
         last_index = len(lines) - 1
+        cache_lines = torn = False
         for index, line in enumerate(lines):
             if not line:
                 continue
@@ -99,6 +104,7 @@ class EstimateCache:
                 data = json.loads(line)
                 if not isinstance(data, dict):
                     raise ValueError("not a JSON object")
+                cache_lines = cache_lines or "model" in data
                 if data.get("model") != QOR_MODEL_VERSION:
                     dead += 1  # estimated under a stale QoR model
                     continue
@@ -106,22 +112,28 @@ class EstimateCache:
                 key = (data["fingerprint"], record.encoded)
             except (KeyError, TypeError, ValueError):
                 dead += 1  # truncated/corrupt/foreign line
-                if index == last_index:
-                    # A torn *trailing* line is the expected artifact of a
-                    # crash mid-append (appends are flushed per line, so
-                    # only the final one can be cut short).  Recover by
-                    # dropping it: the entry just re-evaluates.
-                    obs.counter("cache.recovered_lines")
-                    warnings.warn(
-                        f"estimate cache {path!r}: dropped a truncated "
-                        f"trailing line (torn write from an interrupted "
-                        f"run); the affected point will be re-evaluated",
-                        RuntimeWarning, stacklevel=2)
+                torn = index == last_index  # only the last can be torn
                 continue
             if key in live:
                 dead += 1  # superseded by this fresher line
             live[key] = (record, line)
 
+        if complete and not cache_lines:
+            # Not a torn cache but some other file: compacting would
+            # replace it with nothing.
+            raise ValueError(
+                f"{path!r} is not an estimate cache (no line is a JSON "
+                f"object with a 'model' key); it was left as it is")
+        if torn:
+            # A torn *trailing* line is the expected artifact of a crash
+            # mid-append (appends are flushed per line, so only the final
+            # one can be cut short).  Recover by dropping it: the entry
+            # just re-evaluates.
+            obs.counter("cache.recovered_lines")
+            warnings.warn(
+                f"estimate cache {path!r}: dropped a truncated trailing "
+                f"line (torn write from an interrupted run); the affected "
+                f"point will be re-evaluated", RuntimeWarning, stacklevel=2)
         for key, (record, _) in live.items():
             self._entries[key] = record
         if live:

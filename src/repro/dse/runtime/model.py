@@ -1,8 +1,9 @@
 """Whole-model design-space exploration: the paper's end-to-end DNN flow.
 
 The headline claim of ScaleHLS is that HLS DSE scales from single kernels to
-whole DNN models.  :class:`ModelScheduler` reproduces that flow on top of
-the parallel runtime:
+whole DNN models.  :func:`explore_model` (the body of
+:func:`repro.pipeline.explore_dnn`) reproduces that flow on top of the
+parallel runtime:
 
 1. **Graph staging** — the graph-level stages of :func:`compile_dnn`
    (``legalize-dataflow`` + ``split-function``) make one function per
@@ -47,15 +48,19 @@ from typing import Optional, Union
 from repro import obs
 from repro.dse.runtime.config import SweepConfig
 from repro.dse.runtime.parallel import ParallelDSEResult
-from repro.dse.runtime.scheduler import KernelTask, MultiKernelScheduler
+from repro.dse.runtime.scheduler import KernelTask, explore_kernels
 from repro.dse.space import KernelDesignSpace, ir_digest
-from repro.estimation.platform import Platform, VU9P_SLR
+from repro.estimation.platform import Platform
 from repro.estimation.resources import ResourceUsage
+from repro.frontend.pytorch_like import model_flops
 from repro.ir.module import ModuleOp
 from repro.transforms.graph.lower_graph import (buffer_stems, lower_graph_to_loops,
                                                 rename_buffers)
 
 
+#: The composition points a model frontier keeps after each node is merged
+#: (:func:`compose_model_frontier`).
+FRONTIER_CAP = 64
 #: The least budgets a node gets, however light it is.
 MIN_NODE_SAMPLES = 2
 MIN_NODE_ITERATIONS = 2
@@ -105,7 +110,7 @@ class ModelFrontierPoint:
 
 def compose_model_frontier(node_order: list[str],
                            node_results: dict[str, ParallelDSEResult],
-                           frontier_cap: int = 64,
+                           frontier_cap: int = FRONTIER_CAP,
                            platform: Optional[str] = None
                            ) -> tuple[list[ModelFrontierPoint], int]:
     """Compose per-node frontiers into the model frontier.
@@ -450,165 +455,147 @@ def _canonical_json(data) -> str:
     return "".join(parts)
 
 
-class ModelScheduler:
-    """Drives the ``compile_dnn`` stages through the multi-kernel DSE."""
+def explore_model(model: Union[str, ModuleOp], platform: Platform,
+                  config: SweepConfig, *, graph_level: int = 4,
+                  checkpoint_dir: Optional[str] = None,
+                  max_nodes: Optional[int] = None,
+                  max_evaluations: Optional[int] = None) -> ModelDSEResult:
+    """Sweep a whole model and compose its latency/resource frontier.
 
-    def __init__(self, platform: Platform = VU9P_SLR,
-                 config: SweepConfig = SweepConfig(), *,
-                 checkpoint_dir: Optional[str] = None,
-                 frontier_cap: int = 64,
-                 max_evaluations_per_node: Optional[int] = None):
-        self.platform = platform
-        #: The sweep's settings; ``num_samples`` and ``max_iterations`` are
-        #: the heaviest node's, of which :func:`node_budget` gives the
-        #: others a share.
-        self.config = config
-        self.checkpoint_dir = checkpoint_dir
-        self.frontier_cap = frontier_cap
-        #: Bounds every node's sweep to N points this run has to evaluate
-        #: (simulating an interruption or spreading a sweep over sessions);
-        #: what the cache or the checkpoint serves is free, so each capped
-        #: re-run goes N evaluations further along the trajectory.
-        self.max_evaluations_per_node = max_evaluations_per_node
+    ``model`` is a bundled model name or an un-staged graph-level module
+    (it is cloned, never mutated); each node continues from its checkpoint
+    under ``checkpoint_dir``.  ``config.num_samples`` and
+    ``config.max_iterations`` are the heaviest node's budgets, of which
+    :func:`node_budget` gives the others a share.  ``max_nodes`` truncates
+    the sweep to the N heaviest nodes — a smoke-test escape hatch, reported
+    via ``skipped`` rather than applied silently (``ValueError`` below 1).
+    ``max_evaluations`` bounds each node's evaluations this run, as
+    :attr:`KernelTask.max_evaluations` does.
+    """
+    from repro.frontend.models import build_model
 
-    # -- public API -------------------------------------------------------------------------
+    if max_nodes is not None and max_nodes < 1:
+        raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
+    started = time.perf_counter()
+    if isinstance(model, str):
+        model_name, module = model, build_model(model)
+    else:
+        model_name = model.get_attr("sym_name") or "model"
+        module = model.clone()
 
-    def explore(self, model: Union[str, ModuleOp], graph_level: int = 4,
-                max_nodes: Optional[int] = None) -> ModelDSEResult:
-        """Sweep a whole model and compose its latency/resource frontier.
+    model_span = obs.NULL_SPAN if obs.active() is None else obs.span(
+        "dse.model", model=model_name, graph_level=graph_level,
+        jobs=config.jobs, seed=config.seed)
+    with model_span:
+        tasks, node_order, skipped = _staged_tasks(
+            module, graph_level, config, max_nodes=max_nodes,
+            max_evaluations=max_evaluations)
+        model_span.set(nodes=len(node_order))
+        node_results = explore_kernels(tasks, platform, config,
+                                       checkpoint_dir=checkpoint_dir)
 
-        ``model`` is a bundled model name or an un-staged graph-level module
-        (it is cloned, never mutated); each node continues from its
-        checkpoint under ``checkpoint_dir``.  ``max_nodes`` truncates the
-        sweep to the N heaviest nodes — a smoke-test escape hatch, reported
-        via ``skipped`` rather than applied silently (``ValueError`` below
-        1).
-        """
-        from repro.frontend.models import build_model
+        with obs.span("dse.compose", nodes=len(node_order)):
+            frontier, truncated = compose_model_frontier(node_order,
+                                                         node_results)
+            platform_frontiers = {}
+            for target in config.platforms:
+                per_platform, per_truncated = compose_model_frontier(
+                    node_order, node_results, platform=target.name)
+                platform_frontiers[target.name] = per_platform
+                truncated += per_truncated
+        result = ModelDSEResult(
+            model=model_name, platform=platform, graph_level=graph_level,
+            seed=config.seed, node_order=node_order, skipped=skipped,
+            node_results=node_results, frontier=frontier,
+            truncated=truncated,
+            wall_seconds=time.perf_counter() - started,
+            platform_frontiers=platform_frontiers)
+    return result
 
-        if max_nodes is not None and max_nodes < 1:
-            raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
-        started = time.perf_counter()
-        if isinstance(model, str):
-            model_name, module = model, build_model(model)
-        else:
-            model_name = model.get_attr("sym_name") or "model"
-            module = model.clone()
 
-        config = self.config
-        model_span = obs.NULL_SPAN if obs.active() is None else obs.span(
-            "dse.model", model=model_name, graph_level=graph_level,
-            jobs=config.jobs, seed=config.seed)
-        with model_span:
-            tasks, node_order, skipped = self._staged_tasks(module, graph_level,
-                                                            max_nodes)
-            model_span.set(nodes=len(node_order))
-            scheduler = MultiKernelScheduler(
-                self.platform, config, checkpoint_dir=self.checkpoint_dir)
-            node_results = scheduler.explore_kernels(tasks)
+def _staged_tasks(module: ModuleOp, graph_level: int, config: SweepConfig, *,
+                  max_nodes: Optional[int] = None,
+                  max_evaluations: Optional[int] = None
+                  ) -> tuple[list[KernelTask], list[str], list[str]]:
+    """Stage ``module`` at ``graph_level``, lower one node per class (of
+    graph-level ``ir_digest``) and split it into one task per explorable
+    node.  ``module`` is consumed: the nodes are moved out of it."""
+    from repro.pipeline import prepare_dnn_stages
 
-            with obs.span("dse.compose", nodes=len(node_order)):
-                frontier, truncated = compose_model_frontier(
-                    node_order, node_results, frontier_cap=self.frontier_cap)
-                platform_frontiers = {}
-                for target in config.platforms:
-                    per_platform, per_truncated = compose_model_frontier(
-                        node_order, node_results,
-                        frontier_cap=self.frontier_cap, platform=target.name)
-                    platform_frontiers[target.name] = per_platform
-                    truncated += per_truncated
-            result = ModelDSEResult(
-                model=model_name, platform=self.platform,
-                graph_level=graph_level,
-                seed=config.seed, node_order=node_order, skipped=skipped,
-                node_results=node_results, frontier=frontier,
-                truncated=truncated,
-                wall_seconds=time.perf_counter() - started,
-                platform_frontiers=platform_frontiers)
-        return result
-
-    # -- internals --------------------------------------------------------------------------
-
-    def _staged_tasks(self, module: ModuleOp, graph_level: int,
-                      max_nodes: Optional[int]
-                      ) -> tuple[list[KernelTask], list[str], list[str]]:
-        """Stage ``module`` at ``graph_level``, lower one node per class (of
-        graph-level ``ir_digest``) and split it into one task per explorable
-        node.  ``module`` is consumed: the nodes are moved out of it."""
-        from repro.pipeline import function_flops, prepare_dnn_stages
-
-        with obs.span("dse.stage_graph", graph_level=graph_level):
-            prepare_dnn_stages(module, graph_level)
-            top = module.functions()[0]
-            stage_funcs = [func_op for func_op in module.functions()
-                           if func_op is not top]
-            if not stage_funcs:
-                # graph_level 0 leaves a single monolithic function.
-                stage_funcs = [top]
-            flops = {func_op.get_attr("sym_name"): function_flops(func_op)
-                     for func_op in stage_funcs}
-            firsts, members = {}, {}  # member -> (representative, their stems)
-            for func_op in stage_funcs:
-                first = firsts.setdefault(ir_digest(func_op), func_op)
-                if first is not func_op:
-                    members[func_op.detach()] = (first, buffer_stems(first), buffer_stems(func_op))
-            lower_graph_to_loops(module)
-        with obs.span("dse.split_nodes") as split_span:
-            tasks, node_order, skipped = self._node_tasks(
-                stage_funcs, members, flops, max_nodes)
-            split_span.set(nodes=len(node_order))
-        return tasks, node_order, skipped
-
-    def _node_tasks(self, stage_funcs, members: dict, flops: dict[str, int],
-                    max_nodes: Optional[int]
-                    ) -> tuple[list[KernelTask], list[str], list[str]]:
-        """One single-function module + budgeted task per explorable node.
-
-        Explorability is decided on a class's lowered function, ``max_nodes``
-        on each node's flops.  A representative is moved into its module; a
-        member's holds a relabelled clone of it and shares its space.
-        """
-        from repro.dialects.affine_ops import outermost_loops
-
-        candidates = []
-        skipped: list[str] = []
+    with obs.span("dse.stage_graph", graph_level=graph_level):
+        prepare_dnn_stages(module, graph_level)
+        top = module.functions()[0]
+        stage_funcs = [func_op for func_op in module.functions()
+                       if func_op is not top]
+        if not stage_funcs:
+            # graph_level 0 leaves a single monolithic function.
+            stage_funcs = [top]
+        flops = {func_op.get_attr("sym_name"): model_flops(func_op)
+                 for func_op in stage_funcs}
+        firsts, members = {}, {}  # member -> (representative, their stems)
         for func_op in stage_funcs:
-            name = func_op.get_attr("sym_name")
-            if not outermost_loops(members.get(func_op, (func_op,))[0]):
-                skipped.append(name)
-                continue
-            candidates.append((name, func_op))
-        if max_nodes is not None and len(candidates) > max_nodes:
-            # Keep the heaviest nodes (they dominate the model frontier);
-            # ties break by name so the selection is deterministic.
-            keep = sorted(candidates,
-                          key=lambda item: (-flops.get(item[0], 0), item[0]))
-            keep_names = {name for name, _ in keep[:max_nodes]}
-            skipped.extend(name for name, _ in candidates
-                           if name not in keep_names)
-            candidates = [item for item in candidates if item[0] in keep_names]
+            first = firsts.setdefault(ir_digest(func_op), func_op)
+            if first is not func_op:
+                members[func_op.detach()] = (first, buffer_stems(first), buffer_stems(func_op))
+        lower_graph_to_loops(module)
+    with obs.span("dse.split_nodes") as split_span:
+        tasks, node_order, skipped = _node_tasks(
+            stage_funcs, members, flops, config, max_nodes, max_evaluations)
+        split_span.set(nodes=len(node_order))
+    return tasks, node_order, skipped
 
-        heaviest = max((flops.get(name, 0) for name, _ in candidates),
-                       default=0)
-        space_of = functools.cache(functools.partial(
-            KernelDesignSpace.from_function, platforms=self.config.platforms or None))
-        tasks = []
-        for name, func_op in candidates:
-            node_module = ModuleOp(name)
-            if func_op in members:
-                lowered, *stems = members[func_op]
-                node_func = lowered.clone()
-                node_func.set_attr("sym_name", name)
-                node_func.set_attr("dataflow_stage", func_op.get_attr("dataflow_stage"))
-                rename_buffers(node_func, *stems)
-            else:
-                lowered = node_func = func_op.detach()
-            node_module.append(node_func)
-            num_samples, max_iterations = node_budget(
-                self.config.num_samples, self.config.max_iterations,
-                flops.get(name, 0), heaviest)
-            tasks.append(KernelTask(
-                key=name, module=node_module, func_name=name, space=space_of(lowered),
-                num_samples=num_samples, max_iterations=max_iterations,
-                max_evaluations=self.max_evaluations_per_node))
-        return tasks, [task.key for task in tasks], skipped
+
+def _node_tasks(stage_funcs, members: dict, flops: dict[str, int],
+                config: SweepConfig, max_nodes: Optional[int],
+                max_evaluations: Optional[int]
+                ) -> tuple[list[KernelTask], list[str], list[str]]:
+    """One single-function module + budgeted task per explorable node.
+
+    Explorability is decided on a class's lowered function, ``max_nodes``
+    on each node's flops.  A representative is moved into its module; a
+    member's holds a relabelled clone of it and shares its space.
+    """
+    from repro.dialects.affine_ops import outermost_loops
+
+    candidates = []
+    skipped: list[str] = []
+    for func_op in stage_funcs:
+        name = func_op.get_attr("sym_name")
+        if not outermost_loops(members.get(func_op, (func_op,))[0]):
+            skipped.append(name)
+            continue
+        candidates.append((name, func_op))
+    if max_nodes is not None and len(candidates) > max_nodes:
+        # Keep the heaviest nodes (they dominate the model frontier);
+        # ties break by name so the selection is deterministic.
+        keep = sorted(candidates,
+                      key=lambda item: (-flops.get(item[0], 0), item[0]))
+        keep_names = {name for name, _ in keep[:max_nodes]}
+        skipped.extend(name for name, _ in candidates
+                       if name not in keep_names)
+        candidates = [item for item in candidates if item[0] in keep_names]
+
+    heaviest = max((flops.get(name, 0) for name, _ in candidates),
+                   default=0)
+    space_of = functools.cache(functools.partial(
+        KernelDesignSpace.from_function, platforms=config.platforms or None))
+    tasks = []
+    for name, func_op in candidates:
+        node_module = ModuleOp(name)
+        if func_op in members:
+            lowered, *stems = members[func_op]
+            node_func = lowered.clone()
+            node_func.set_attr("sym_name", name)
+            node_func.set_attr("dataflow_stage", func_op.get_attr("dataflow_stage"))
+            rename_buffers(node_func, *stems)
+        else:
+            lowered = node_func = func_op.detach()
+        node_module.append(node_func)
+        num_samples, max_iterations = node_budget(
+            config.num_samples, config.max_iterations,
+            flops.get(name, 0), heaviest)
+        tasks.append(KernelTask(
+            key=name, module=node_module, func_name=name, space=space_of(lowered),
+            num_samples=num_samples, max_iterations=max_iterations,
+            max_evaluations=max_evaluations))
+    return tasks, [task.key for task in tasks], skipped

@@ -7,11 +7,10 @@ evaluates the batch through an evaluation backend (inline or a local process
 pool), then merges the results and recomputes the frontier.
 ``batch_size=1`` is the paper's one-neighbour-at-a-time traversal.
 
-The trajectory owns no backend, fingerprint or checkpoint directory: the
-:class:`~repro.dse.runtime.scheduler.MultiKernelScheduler` hands it all
-three, for a single kernel
-(:class:`~repro.dse.runtime.scheduler.ParallelExplorer`) as for every node
-of a model.
+The trajectory owns no backend, fingerprint or checkpoint directory:
+:func:`~repro.dse.runtime.scheduler.explore_kernels` hands it all three,
+for a single kernel (:func:`repro.pipeline.explore_kernel`) as for every
+node of a model.
 
 Determinism contract
 --------------------

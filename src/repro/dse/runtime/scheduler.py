@@ -2,15 +2,16 @@
 
 A DNN compiled through the graph flow (:func:`repro.pipeline.compile_dnn`)
 contains one lowered function per dataflow stage; sweeping a whole model
-means running DSE for each of them.  :class:`MultiKernelScheduler` does so
+means running DSE for each of them.  :func:`explore_kernels` does so
 under a *shared resource budget*: one worker pool of ``jobs`` processes
 serves all kernels, coordinator threads interleave their batches onto it,
 and a shared :class:`EstimateCache` deduplicates work across kernels and
-runs.  A single kernel (:class:`ParallelExplorer`) is a one-task sweep.
+runs.  A single kernel (:func:`repro.pipeline.explore_kernel`) is a
+one-task sweep under the key ``"kernel"``.
 
-The scheduler is the one owner of what a sweep shares: it creates and
-closes the backend, fingerprints every kernel and decides where they
-checkpoint (``checkpoint_dir``).  A kernel's trajectory
+:func:`explore_kernels` is the one owner of what a sweep shares: it
+creates and closes the backend, fingerprints every kernel and decides where
+they checkpoint (``checkpoint_dir``).  A kernel's trajectory
 (:func:`~repro.dse.runtime.parallel._explore_trajectory`) is handed all of
 it.
 
@@ -23,7 +24,7 @@ cache — and which of them pays never depends on thread scheduling.
 
 The unit of scheduling is a :class:`KernelTask` — a (module, function,
 design space) triple with an optional per-task exploration budget.  The
-whole-model scheduler (:mod:`repro.dse.runtime.model`) builds one task per
+whole-model sweep (:mod:`repro.dse.runtime.model`) builds one task per
 DNN node, each against its own single-function module: workers receive
 the context of every task that sweeps (not of those that take a copy) up
 front, in one initializer payload of single-function modules.
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import threading
 import time
@@ -49,7 +51,7 @@ from repro.dse.runtime.faults import EvaluationFailure
 from repro.dse.runtime.parallel import ParallelDSEResult, _explore_trajectory
 from repro.dse.runtime.worker import KernelContext, create_backend
 from repro.dse.space import KernelDesignSpace
-from repro.estimation.platform import Platform, XC7Z020
+from repro.estimation.platform import Platform
 from repro.ir.module import ModuleOp
 
 
@@ -107,7 +109,7 @@ class KernelTask:
     """One kernel to explore: where it lives and how much budget it gets.
 
     ``key`` names the task everywhere: the worker context, the checkpoint
-    file (``<key>.ckpt.json`` under the scheduler's ``checkpoint_dir``) and
+    file (``<key>.ckpt.json`` under the sweep's ``checkpoint_dir``) and
     the result dictionary.  ``num_samples`` and ``max_iterations`` override
     the sweep's budgets when set — the whole-model sweep's ``node_budget``
     uses them to give light dataflow stages proportionally smaller
@@ -120,229 +122,151 @@ class KernelTask:
     space: KernelDesignSpace
     num_samples: Optional[int] = None
     max_iterations: Optional[int] = None
-    #: Hard cap on the points this run has to evaluate (used to bound
-    #: partial sweeps; unlike the budgets above it is not part of the
-    #: trajectory, so a capped run stores a prefix of the uncapped one, and
-    #: what the cache or the checkpoint serves on a re-run is free).
+    #: Bounds the points this run has to evaluate (used to bound partial
+    #: sweeps), checked at batch boundaries, step 1 included: step 1's whole
+    #: sample is evaluated and the batch that reaches the bound is not cut.
+    #: Unlike the budgets above it is not part of the trajectory, so a
+    #: capped run stores a prefix of the uncapped one, and what the cache or
+    #: the checkpoint serves on a re-run is free.
     max_evaluations: Optional[int] = None
-    #: The kernel's cache/checkpoint identity, filled in by the scheduler,
-    #: once per sweep, on its own copy of the task.
+    #: The kernel's cache/checkpoint identity, filled in by
+    #: :func:`explore_kernels`, once per sweep, on its own copy of the task.
     fingerprint: str = ""
 
 
-class MultiKernelScheduler:
-    """Runs DSE for many kernels concurrently on one shared worker pool."""
+def explore_kernels(tasks: Sequence[KernelTask], platform: Platform,
+                    config: SweepConfig, *,
+                    checkpoint_dir: Optional[str] = None
+                    ) -> dict[str, ParallelDSEResult]:
+    """Run DSE for every :class:`KernelTask` on one shared pool, each
+    continuing from its checkpoint under ``checkpoint_dir`` if one exists.
 
-    def __init__(self, platform: Platform = XC7Z020,
-                 config: SweepConfig = SweepConfig(), *,
-                 checkpoint_dir: Optional[str] = None):
-        self.platform = platform
-        self.config = config
-        self.checkpoint_dir = checkpoint_dir
+    Returns results keyed by ``task.key`` (insertion order preserved).
+    With more than one task, at any ``jobs``, an error is raised as an
+    :class:`EvaluationFailure` naming the kernel it came from.  The
+    sweep's wall-clock and ``jobs`` are the run gauges
+    ``dse.wall_seconds`` / ``dse.jobs`` the run summary reads.
+    """
+    started = time.perf_counter()
+    tasks = list(tasks)
+    if not tasks:
+        return {}
+    keys = [task.key for task in tasks]
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"kernel task keys must be unique, got {keys}")
 
-    # -- public API -------------------------------------------------------------------------
+    # Structurally identical kernels share a fingerprint, hence their
+    # trajectory: one coordinator per class runs its members in task
+    # order (_explore_class), and a member with its representative's
+    # budgets takes a copy of that one's result.  Only representatives
+    # evaluate, so only their contexts reach the backend.
+    classes: dict[str, list[KernelTask]] = {}
+    swept: dict[tuple, str] = {}
+    representative_of: dict[str, str] = {}
+    for index, task in enumerate(tasks):
+        fingerprint = _kernel_fingerprint(
+            task.space, task.module.function(task.func_name), platform)
+        tasks[index] = task = dataclasses.replace(task, fingerprint=fingerprint)
+        classes.setdefault(fingerprint, []).append(task)
+        task_config = _task_config(config, task)
+        representative_of[task.key] = swept.setdefault(
+            (fingerprint, task_config.num_samples,
+             task_config.max_iterations, task.max_evaluations), task.key)
+    signature = kernel_pipeline_signature()
+    contexts = {
+        task.key: KernelContext(module=task.module, func_name=task.func_name,
+                                platform=platform, space=task.space,
+                                pipeline=signature)
+        for task in tasks if representative_of[task.key] == task.key
+    }
 
-    def explore_module(self, module: ModuleOp,
-                       func_names: Optional[Sequence[str]] = None
-                       ) -> dict[str, ParallelDSEResult]:
-        """Run DSE for every explorable function of ``module``.
-
-        Functions without an affine loop nest (e.g. a dataflow top that only
-        contains calls) are skipped.  Returns per-function results keyed by
-        the function's symbol name.
-        """
-        tasks = self._module_tasks(module, func_names)
-        return self.explore_kernels(tasks)
-
-    def explore_kernels(self, tasks: Sequence[KernelTask]
-                        ) -> dict[str, ParallelDSEResult]:
-        """Run DSE for every :class:`KernelTask` on one shared pool, each
-        continuing from its checkpoint if one exists.
-
-        Returns results keyed by ``task.key`` (insertion order preserved).
-        With more than one task, at any ``jobs``, an error is raised as an
-        :class:`EvaluationFailure` naming the kernel it came from.  The
-        sweep's wall-clock and ``jobs`` are the run gauges
-        ``dse.wall_seconds`` / ``dse.jobs`` the run summary reads.
-        """
-        started = time.perf_counter()
-        tasks = list(tasks)
-        if not tasks:
-            return {}
-        keys = [task.key for task in tasks]
-        if len(set(keys)) != len(keys):
-            raise ValueError(f"kernel task keys must be unique, got {keys}")
-
-        # Structurally identical kernels share a fingerprint, hence their
-        # trajectory: one coordinator per class runs its members in task
-        # order (_explore_class), and a member with its representative's
-        # budgets takes a copy of that one's result.  Only representatives
-        # evaluate, so only their contexts reach the backend.
-        config = self.config
-        classes: dict[str, list[KernelTask]] = {}
-        swept: dict[tuple, str] = {}
-        representative_of: dict[str, str] = {}
-        for index, task in enumerate(tasks):
-            fingerprint = _kernel_fingerprint(
-                task.space, task.module.function(task.func_name),
-                self.platform)
-            tasks[index] = task = dataclasses.replace(
-                task, fingerprint=fingerprint)
-            classes.setdefault(fingerprint, []).append(task)
-            task_config = _task_config(config, task)
-            representative_of[task.key] = swept.setdefault(
-                (fingerprint, task_config.num_samples,
-                 task_config.max_iterations, task.max_evaluations), task.key)
-        signature = kernel_pipeline_signature()
-        contexts = {
-            task.key: KernelContext(module=task.module, func_name=task.func_name,
-                                    platform=self.platform, space=task.space,
-                                    pipeline=signature)
-            for task in tasks if representative_of[task.key] == task.key
-        }
-
-        attribute = len(tasks) > 1
-        stop_event = threading.Event()
-        backend = create_backend(contexts, config, stop_event)
-        schedule_span = obs.NULL_SPAN if obs.active() is None else obs.span(
-            "dse.schedule", kernels=len(tasks), jobs=config.jobs)
-        try:
-            with schedule_span:
-                if config.jobs <= 1 or len(tasks) == 1:
-                    # Task order already puts every representative first.
-                    return self._explore_class(tasks, representative_of,
-                                               backend, attribute)
-                # Spawn the pool's workers from the main thread, before any
-                # coordinator threads exist: forking from a multi-threaded
-                # process risks inheriting locks held by other threads.
-                # Deliberately unspanned: the warm-up only exists for jobs>1,
-                # and the trace skeleton must be identical across --jobs.
-                backend.warm_up()
-                # One coordinator thread per kernel class; they are
-                # I/O-bound (waiting on pool results), so threads are enough
-                # to keep the pool busy.
-                with concurrent.futures.ThreadPoolExecutor(
-                        max_workers=len(classes)) as coordinators:
-                    futures = [
-                        coordinators.submit(self._explore_class, members,
-                                            representative_of, backend,
-                                            attribute)
-                        for members in classes.values()
-                    ]
-                    try:
-                        results = {}
-                        for future in futures:
-                            results.update(future.result())
-                        return {task.key: results[task.key] for task in tasks}
-                    except KeyboardInterrupt:
-                        # Ctrl-C: stop submissions, fail in-flight attempts
-                        # so every coordinator unblocks, checkpoints its
-                        # records and exits; then let the interrupt
-                        # propagate (the ThreadPoolExecutor context joins
-                        # the unblocked coordinators on the way out).
-                        backend.request_stop()
-                        for future in futures:
-                            future.cancel()
-                        raise
-        finally:
-            backend.close()
-            if obs.active() is not None:
-                obs.gauge("dse.jobs", config.jobs)
-                obs.gauge("dse.wall_seconds", time.perf_counter() - started)
-
-    # -- internals --------------------------------------------------------------------------
-
-    def _module_tasks(self, module: ModuleOp,
-                      func_names: Optional[Sequence[str]]) -> list[KernelTask]:
-        if func_names is None:
-            func_names = [func_op.get_attr("sym_name")
-                          for func_op in module.functions()]
-        tasks: list[KernelTask] = []
-        for name in func_names:
-            func_op = module.function(name)
-            try:
-                space = KernelDesignSpace.from_function(
-                    func_op, platforms=self.config.platforms or None)
-            except ValueError:
-                continue  # no loop nest to explore
-            tasks.append(KernelTask(key=name, module=module, func_name=name,
-                                    space=space))
-        return tasks
-
-    def _explore_class(self, members: Sequence[KernelTask],
-                       representative_of: dict[str, str], backend,
-                       attribute: bool) -> dict[str, ParallelDSEResult]:
-        """Explore ``members`` in order: a task whose representative (the
-        first task with its fingerprint and budgets) is another one takes
-        a copy of that one's result.
-
-        With ``attribute``, errors are attributed to the kernel that raised
-        them.
-        """
-        results: dict[str, ParallelDSEResult] = {}
-        for task in members:
-            task_config = _task_config(self.config, task)
-            representative = representative_of[task.key]
-            if representative != task.key:
-                result = _copy_of(results[representative], task,
-                                  representative)
-            else:
+    stop_event = threading.Event()
+    backend = create_backend(contexts, config, stop_event)
+    explore_class = functools.partial(
+        _explore_class, representative_of=representative_of, backend=backend,
+        platform=platform, config=config, checkpoint_dir=checkpoint_dir,
+        attribute=len(tasks) > 1)
+    schedule_span = obs.NULL_SPAN if obs.active() is None else obs.span(
+        "dse.schedule", kernels=len(tasks), jobs=config.jobs)
+    try:
+        with schedule_span:
+            if config.jobs <= 1 or len(tasks) == 1:
+                # Task order already puts every representative first.
+                return explore_class(tasks)
+            # Spawn the pool's workers from the main thread, before any
+            # coordinator threads exist: forking from a multi-threaded
+            # process risks inheriting locks held by other threads.
+            # Deliberately unspanned: the warm-up only exists for jobs>1,
+            # and the trace skeleton must be identical across --jobs.
+            backend.warm_up()
+            # One coordinator thread per kernel class; they are I/O-bound
+            # (waiting on pool results), so threads are enough to keep the
+            # pool busy.
+            with concurrent.futures.ThreadPoolExecutor(
+                    max_workers=len(classes)) as coordinators:
+                futures = [coordinators.submit(explore_class, members)
+                           for members in classes.values()]
                 try:
-                    result = _explore_trajectory(
-                        task, self.platform, task_config, backend,
-                        self.checkpoint_dir)
-                except EvaluationFailure:
+                    results = {}
+                    for future in futures:
+                        results.update(future.result())
+                    return {task.key: results[task.key] for task in tasks}
+                except KeyboardInterrupt:
+                    # Ctrl-C: stop submissions, fail in-flight attempts so
+                    # every coordinator unblocks, checkpoints its records
+                    # and exits; then let the interrupt propagate (the
+                    # ThreadPoolExecutor context joins the unblocked
+                    # coordinators on the way out).
+                    backend.request_stop()
+                    for future in futures:
+                        future.cancel()
                     raise
-                except Exception as error:
-                    if not attribute:
-                        raise
-                    raise EvaluationFailure(
-                        f"DSE for kernel {task.key!r} failed: "
-                        f"{type(error).__name__}: {error}") from error
-            results[task.key] = result
-            if obs.active() is not None:
-                obs.gauge(f"dse.node.{task.key}.iterations_done",
-                          result.iterations_done)
-                obs.gauge(f"dse.node.{task.key}.iterations_budget",
-                          task_config.max_iterations)
-                obs.gauge(f"dse.node.{task.key}.samples_budget",
-                          task_config.num_samples)
-                if result.shared_with is not None:
-                    obs.counter("dse.shared.nodes")
-                    obs.counter("dse.shared.points", result.shared_hits)
-        return results
+    finally:
+        backend.close()
+        if obs.active() is not None:
+            obs.gauge("dse.jobs", config.jobs)
+            obs.gauge("dse.wall_seconds", time.perf_counter() - started)
 
 
-class ParallelExplorer:
-    """DSE of one kernel: a one-task :class:`MultiKernelScheduler` sweep
-    under the key ``"kernel"`` (its fault-plan victims, ``dse:kernel``
-    track, ``dse.node.kernel.*`` metrics and ``kernel.ckpt.json``
-    checkpoint under ``checkpoint_dir``)."""
+def _explore_class(members: Sequence[KernelTask], *,
+                   representative_of: dict[str, str], backend,
+                   platform: Platform, config: SweepConfig,
+                   checkpoint_dir: Optional[str],
+                   attribute: bool) -> dict[str, ParallelDSEResult]:
+    """Explore ``members`` in order: a task whose representative (the first
+    task with its fingerprint and budgets) is another one takes a copy of
+    that one's result.
 
-    def __init__(self, platform: Platform = XC7Z020,
-                 config: SweepConfig = SweepConfig(), *,
-                 checkpoint_dir: Optional[str] = None,
-                 max_evaluations: Optional[int] = None):
-        self.platform = platform
-        self.config = config
-        self.checkpoint_dir = checkpoint_dir
-        #: Hard cap on the points this run has to evaluate; not part of
-        #: the trajectory, so a capped run stores a prefix of the uncapped
-        #: one, and a capped re-run replays it for free and goes further.
-        self.max_evaluations = max_evaluations
-
-    def explore(self, module: ModuleOp,
-                space: Optional[KernelDesignSpace] = None,
-                func_name: Optional[str] = None) -> ParallelDSEResult:
-        """Explore ``module``'s kernel (``func_name``, or its first
-        function) over ``space`` (by default the function's own),
-        continuing from its checkpoint if one exists."""
-        if space is None:
-            space = KernelDesignSpace.from_function(
-                module.function(func_name),
-                platforms=self.config.platforms or None)
-        task = KernelTask(key="kernel", module=module, func_name=func_name,
-                          space=space, max_evaluations=self.max_evaluations)
-        scheduler = MultiKernelScheduler(self.platform, self.config,
-                                         checkpoint_dir=self.checkpoint_dir)
-        return scheduler.explore_kernels([task])["kernel"]
+    With ``attribute``, errors are attributed to the kernel that raised
+    them.
+    """
+    results: dict[str, ParallelDSEResult] = {}
+    for task in members:
+        task_config = _task_config(config, task)
+        representative = representative_of[task.key]
+        if representative != task.key:
+            result = _copy_of(results[representative], task, representative)
+        else:
+            try:
+                result = _explore_trajectory(task, platform, task_config,
+                                             backend, checkpoint_dir)
+            except EvaluationFailure:
+                raise
+            except Exception as error:
+                if not attribute:
+                    raise
+                raise EvaluationFailure(
+                    f"DSE for kernel {task.key!r} failed: "
+                    f"{type(error).__name__}: {error}") from error
+        results[task.key] = result
+        if obs.active() is not None:
+            obs.gauge(f"dse.node.{task.key}.iterations_done",
+                      result.iterations_done)
+            obs.gauge(f"dse.node.{task.key}.iterations_budget",
+                      task_config.max_iterations)
+            obs.gauge(f"dse.node.{task.key}.samples_budget",
+                      task_config.num_samples)
+            if result.shared_with is not None:
+                obs.counter("dse.shared.nodes")
+                obs.counter("dse.shared.points", result.shared_hits)
+    return results

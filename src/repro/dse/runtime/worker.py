@@ -2,7 +2,7 @@
 
 Each kernel's trajectory (:mod:`repro.dse.runtime.parallel`) decides
 *which* points to evaluate; a backend decides *where*.  A sweep has one
-backend: :class:`~repro.dse.runtime.scheduler.MultiKernelScheduler` is the
+backend: :func:`~repro.dse.runtime.scheduler.explore_kernels` is the
 only caller of :func:`create_backend`, with one :class:`KernelContext` per
 kernel of the sweep, and closes it when the sweep ends.
 

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 from repro.dialects import func, graph, hlscpp
 from repro.ir.builder import Builder
 from repro.ir.module import ModuleOp
+from repro.ir.operation import Operation
 from repro.ir.types import FunctionType, TensorType, f32
 from repro.ir.value import Value
 
@@ -118,10 +119,11 @@ class GraphBuilder:
         return f"{prefix}_{self._layer_counter}"
 
 
-def model_flops(module: ModuleOp) -> int:
-    """Total multiply-accumulate style operations of every graph op in the module."""
+def model_flops(root: Operation) -> int:
+    """Total multiply-accumulate style operations of every graph op inside
+    ``root`` (a model module, or one of its functions)."""
     total = 0
-    for op in module.walk():
+    for op in root.walk():
         if isinstance(op, graph.GraphOp):
             total += op.flops()
     return total

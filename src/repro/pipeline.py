@@ -25,11 +25,11 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from typing import Optional
+from typing import Optional, Union
 
 from repro import obs
 from repro.dse.apply import AppliedDesign, apply_design_point, estimate_baseline
-from repro.dse.space import KernelDesignPoint
+from repro.dse.space import KernelDesignPoint, KernelDesignSpace
 from repro.estimation.estimator import QoREstimator, QoRResult
 from repro.estimation.platform import Platform, VU9P_SLR, XC7Z020
 from repro.frontend.c_to_mlir import parse_c_to_module
@@ -90,74 +90,69 @@ DNN_BUDGET = {"num_samples": 8, "max_iterations": 12, "batch_size": 4,
               "checkpoint_every": 16}
 
 
-def _sweep_config(budget: dict, *, cache: "Optional[EstimateCache]" = None,
-                  cache_path: Optional[str] = None,
-                  task_timeout: Optional[float] = None, max_retries: int = 2,
-                  on_fault: str = "quarantine",
-                  platforms: "Optional[list[Platform]]" = None,
-                  **fields) -> "SweepConfig":
-    """The sweep keywords of the three ``explore_*`` flows, declared once.
-
-    ``fields`` are :class:`repro.dse.runtime.SweepConfig` fields by name
-    (``seed``, ``jobs``, ``num_samples``, ``max_iterations``, ``batch_size``,
-    ``checkpoint_every``, ``faults``); the four budgets default to the
-    flow's ``budget`` (:data:`KERNEL_BUDGET` or :data:`DNN_BUDGET`).  The
-    rest are flat spellings of its object-valued fields: ``cache_path``
-    creates (or warms from) a persistent JSONL estimate cache unless a
-    ``cache`` object is passed; ``task_timeout`` / ``max_retries`` /
-    ``on_fault`` configure the supervision layer (see
-    :class:`repro.dse.runtime.SupervisionPolicy`).  ``jobs`` is how many
-    local worker processes evaluate, ``faults`` injects a
-    :class:`repro.dse.runtime.FaultPlan` for chaos testing, and
-    ``platforms`` turns the run into one sweep over design points ×
-    hardware targets (the platform becomes a design-space dimension; see
-    :class:`repro.dse.space.KernelDesignSpace`).
-    """
-    from repro.dse.runtime import EstimateCache, SupervisionPolicy, SweepConfig
-
-    if cache is None and cache_path:
-        cache = EstimateCache(cache_path)
-    return SweepConfig(
-        cache=cache, platforms=platforms or (),
-        supervision=SupervisionPolicy(task_timeout=task_timeout,
-                                      max_retries=max_retries,
-                                      on_fault=on_fault),
-        **{**budget, **fields})
-
-
 def explore_kernel(module: ModuleOp, platform: Platform = XC7Z020, *,
                    checkpoint_dir: Optional[str] = None,
                    func_name: Optional[str] = None,
+                   max_evaluations: Optional[int] = None,
                    **sweep) -> "ParallelDSEResult":
-    """Run the DSE runtime on one kernel.
+    """Run the DSE runtime on one kernel (``func_name``, or the module's
+    first function) over its own design space.
 
-    ``sweep`` takes the keywords of :func:`_sweep_config` (``jobs``,
-    ``seed``, ``num_samples``, ``cache_path``, ``task_timeout`` ...; the
-    budgets default to :data:`KERNEL_BUDGET`).  With ``checkpoint_dir`` the
-    kernel checkpoints to ``kernel.ckpt.json`` in it, and a re-run
-    continues from there.  ``batch_size=1`` is the paper's
-    one-neighbour-at-a-time traversal.
+    ``sweep`` takes :class:`repro.dse.runtime.SweepConfig` fields by name
+    (``jobs``, ``seed``, ``cache``, ``supervision`` ...) and nothing else;
+    the four budgets default to :data:`KERNEL_BUDGET`.  With
+    ``checkpoint_dir`` the kernel checkpoints to ``kernel.ckpt.json`` in
+    it, and a re-run continues from there.  ``max_evaluations`` bounds the
+    points this run evaluates, checked at batch boundaries, step 1
+    included: step 1's whole sample is evaluated and the batch that reaches
+    the bound is not cut.  ``batch_size=1`` is the paper's
+    one-neighbour-at-a-time traversal.  A sweep over a space of one's own,
+    or over several kernels, builds :class:`repro.dse.runtime.KernelTask`
+    objects for :func:`repro.dse.runtime.scheduler.explore_kernels`.
     """
-    from repro.dse.runtime import ParallelExplorer
+    from repro.dse.runtime import KernelTask, SweepConfig
+    from repro.dse.runtime.scheduler import explore_kernels
 
-    explorer = ParallelExplorer(platform,
-                                _sweep_config(KERNEL_BUDGET, **sweep),
-                                checkpoint_dir=checkpoint_dir)
-    return explorer.explore(module, func_name=func_name)
+    config = SweepConfig(**{**KERNEL_BUDGET, **sweep})
+    space = KernelDesignSpace.from_function(
+        module.function(func_name), platforms=config.platforms or None)
+    task = KernelTask(key="kernel", module=module, func_name=func_name,
+                      space=space, max_evaluations=max_evaluations)
+    return explore_kernels([task], platform, config,
+                           checkpoint_dir=checkpoint_dir)["kernel"]
 
 
 def explore_module_kernels(module: ModuleOp, platform: Platform = XC7Z020, *,
                            checkpoint_dir: Optional[str] = None,
                            func_names: Optional[list[str]] = None,
                            **sweep) -> "dict[str, ParallelDSEResult]":
-    """Run DSE for every explorable function of ``module`` concurrently
-    (``sweep`` as in :func:`explore_kernel`)."""
-    from repro.dse.runtime import MultiKernelScheduler
+    """Run DSE for every explorable function of ``module`` (or of
+    ``func_names``) concurrently, ``sweep`` as in :func:`explore_kernel`.
 
-    scheduler = MultiKernelScheduler(platform,
-                                     _sweep_config(KERNEL_BUDGET, **sweep),
-                                     checkpoint_dir=checkpoint_dir)
-    return scheduler.explore_module(module, func_names=func_names)
+    Functions without an affine loop nest (e.g. a dataflow top that only
+    contains calls) are skipped.  Returns per-function results keyed by
+    the function's symbol name; each checkpoints to ``<name>.ckpt.json``
+    under ``checkpoint_dir``.
+    """
+    from repro.dse.runtime import KernelTask, SweepConfig
+    from repro.dse.runtime.scheduler import explore_kernels
+
+    config = SweepConfig(**{**KERNEL_BUDGET, **sweep})
+    if func_names is None:
+        func_names = [func_op.get_attr("sym_name")
+                      for func_op in module.functions()]
+    tasks = []
+    for name in func_names:
+        func_op = module.function(name)
+        try:
+            space = KernelDesignSpace.from_function(
+                func_op, platforms=config.platforms or None)
+        except ValueError:
+            continue  # no loop nest to explore
+        tasks.append(KernelTask(key=name, module=module, func_name=name,
+                                space=space))
+    return explore_kernels(tasks, platform, config,
+                           checkpoint_dir=checkpoint_dir)
 
 
 # -- DNN models --------------------------------------------------------------------------------------
@@ -169,8 +164,8 @@ def prepare_dnn_stages(module: ModuleOp, graph_level: int) -> int:
     Runs dataflow legalization and function splitting on the module's top
     function in place (``graph_level`` 0 leaves the module monolithic) and
     returns the number of dataflow stages.  Both :func:`compile_dnn` and the
-    whole-model DSE (:class:`repro.dse.runtime.ModelScheduler`) stage models
-    through this function, so their per-node kernels are identical.
+    whole-model DSE (:func:`explore_dnn`) stage models through this
+    function, so their per-node kernels are identical.
     """
     if graph_level <= 0:
         return 1
@@ -181,29 +176,31 @@ def prepare_dnn_stages(module: ModuleOp, graph_level: int) -> int:
     return math.ceil(num_stages / min_granularity)
 
 
-def explore_dnn(model_name: str, platform: Platform = VU9P_SLR, *,
-                graph_level: int = 4,
+def explore_dnn(model: Union[str, ModuleOp], platform: Platform = VU9P_SLR,
+                *, graph_level: int = 4,
                 checkpoint_dir: Optional[str] = None,
-                frontier_cap: int = 64,
                 max_nodes: Optional[int] = None,
+                max_evaluations: Optional[int] = None,
                 **sweep) -> "ModelDSEResult":
-    """Run the whole-model DSE on a bundled DNN model.
+    """Run the whole-model DSE on a bundled DNN model (by name) or an
+    un-staged graph-level module (cloned, never mutated).
 
     Mirrors :func:`explore_kernel` / :func:`explore_module_kernels` for the
     model flow: one shared worker pool sweeps every dataflow node of the
     staged model, and the per-node frontiers compose into the model-level
-    latency/resource frontier.  The budgets of ``sweep`` default to
-    :data:`DNN_BUDGET`; ``num_samples`` / ``max_iterations`` are the budget
-    of the heaviest node (:func:`~repro.dse.runtime.model.node_budget`
-    scales the others).
+    latency/resource frontier.  ``sweep`` takes ``SweepConfig`` fields by
+    name, the budgets defaulting to :data:`DNN_BUDGET`; ``num_samples`` /
+    ``max_iterations`` are the budget of the heaviest node
+    (:func:`~repro.dse.runtime.model.node_budget` scales the others).
+    ``max_nodes`` keeps the N heaviest nodes; ``max_evaluations`` bounds
+    each node's evaluations this run as in :func:`explore_kernel`.
     """
-    from repro.dse.runtime import ModelScheduler
+    from repro.dse.runtime import SweepConfig
+    from repro.dse.runtime.model import explore_model
 
-    scheduler = ModelScheduler(
-        platform, _sweep_config(DNN_BUDGET, **sweep),
-        checkpoint_dir=checkpoint_dir, frontier_cap=frontier_cap)
-    return scheduler.explore(model_name, graph_level=graph_level,
-                             max_nodes=max_nodes)
+    return explore_model(model, platform, SweepConfig(**{**DNN_BUDGET, **sweep}),
+                         graph_level=graph_level, checkpoint_dir=checkpoint_dir,
+                         max_nodes=max_nodes, max_evaluations=max_evaluations)
 
 
 @dataclasses.dataclass
@@ -251,7 +248,7 @@ def compile_dnn(model_name: str, graph_level: int = 0, loop_level: int = 0,
             # Per-stage work estimate (used to balance unroll factors across
             # stages).
             stage_flops = {
-                func_op.get_attr("sym_name"): function_flops(func_op)
+                func_op.get_attr("sym_name"): model_flops(func_op)
                 for func_op in module.functions()
             }
             lower_graph_to_loops(module)
@@ -307,17 +304,6 @@ def _optimize_lowered_function(func_op: Operation, unroll_factor: int) -> None:
     partitioning.
     """
     build_pipeline_cached(dnn_function_pipeline_spec(unroll_factor)).run(func_op)
-
-
-def function_flops(func_op: Operation) -> int:
-    """Multiply-accumulate style work of the graph ops contained in a function."""
-    from repro.dialects.graph import GraphOp
-
-    total = 0
-    for op in func_op.walk():
-        if isinstance(op, GraphOp):
-            total += op.flops()
-    return total
 
 
 def _round_power_of_two(value: float) -> int:

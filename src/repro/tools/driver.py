@@ -290,12 +290,17 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser,
                         help=argparse.SUPPRESS)
 
 
-def _sweep_settings(args) -> dict:
-    """The sweep keywords of the ``repro.pipeline.explore_*`` flows that the
-    flags of :func:`_add_sweep_arguments` spell.  Registers the
-    ``--register-pipeline`` specs on the way: that must precede any
-    pipeline-signature computation (worker contexts, cache fingerprints), so
-    the sweep commands call this before they load anything."""
+@contextlib.contextmanager
+def _sweep_settings(args):
+    """The ``SweepConfig`` fields the flags of :func:`_add_sweep_arguments`
+    spell, for the ``repro.pipeline.explore_*`` flows, plus
+    ``checkpoint_dir``.  Registers the ``--register-pipeline`` specs on the
+    way: that must precede any pipeline-signature computation (worker
+    contexts, cache fingerprints), so the sweep commands enter this before
+    they load anything.  The ``--cache`` file is open for the block and
+    closed when it ends, however it ends."""
+    from repro.dse.runtime import EstimateCache, SupervisionPolicy
+
     if args.checkpoint and os.path.exists(args.checkpoint) \
             and not os.path.isdir(args.checkpoint):
         raise SystemExit("--checkpoint must name a directory: "
@@ -309,15 +314,26 @@ def _sweep_settings(args) -> dict:
             raise SystemExit(f"{flag} must be >= {least}, got {value}")
     _validate_supervision(args)
     _register_pipelines(args.register_pipeline)
-    return dict(
-        jobs=args.jobs, num_samples=args.samples,
-        max_iterations=args.iterations, seed=args.seed,
-        batch_size=args.batch_size,
-        cache_path=_estimate_cache_path(args.cache) if args.cache else None,
-        checkpoint_dir=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        task_timeout=args.task_timeout, max_retries=args.max_retries,
-        on_fault=args.on_fault, faults=_fault_plan(args))
+    faults = _fault_plan(args)
+    try:
+        cache = EstimateCache(_estimate_cache_path(args.cache)) \
+            if args.cache else None
+    except ValueError as error:
+        raise SystemExit(f"--cache: {error}") from error
+    try:
+        yield dict(
+            jobs=args.jobs, num_samples=args.samples,
+            max_iterations=args.iterations, seed=args.seed,
+            batch_size=args.batch_size, cache=cache,
+            checkpoint_dir=args.checkpoint,
+            checkpoint_every=args.checkpoint_every,
+            supervision=SupervisionPolicy(task_timeout=args.task_timeout,
+                                          max_retries=args.max_retries,
+                                          on_fault=args.on_fault),
+            faults=faults)
+    finally:
+        if cache is not None:
+            cache.close()
 
 
 def _estimate_cache_path(path: str) -> str:
@@ -488,38 +504,38 @@ def _register_pipelines(specs: Sequence[str]) -> None:
 def run_dse(args) -> int:
     from repro.pipeline import explore_kernel, explore_module_kernels
 
-    settings = _sweep_settings(args)
-    module = _load_module(args)
-    platforms = _resolve_platforms(args, "xc7z020")
-    platform = platforms[0]
-    common = dict(settings,
-                  platforms=platforms if len(platforms) > 1 else None)
+    with _sweep_settings(args) as settings:
+        module = _load_module(args)
+        platforms = _resolve_platforms(args, "xc7z020")
+        platform = platforms[0]
+        common = dict(settings,
+                      platforms=platforms if len(platforms) > 1 else None)
 
-    if args.all_functions:
-        if args.frontier_out:
-            raise SystemExit("--frontier-out requires a single-kernel run "
-                             "(drop --all-functions)")
-        results = explore_module_kernels(module, platform, **common)
-        if not results:
-            raise SystemExit("no explorable functions: the module contains "
-                             "no affine loop nests")
-        for name in sorted(results):
-            baselines = None
-            if len(platforms) > 1:
-                baselines = {target.name: estimate_baseline(module, target,
-                                                            func_name=name)
-                             for target in platforms}
-            _print_dse_result(f"{name}: ", results[name],
-                              estimate_baseline(module, platform, func_name=name),
-                              baselines=baselines)
-        return 0
+        if args.all_functions:
+            if args.frontier_out:
+                raise SystemExit("--frontier-out requires a single-kernel run "
+                                 "(drop --all-functions)")
+            results = explore_module_kernels(module, platform, **common)
+            if not results:
+                raise SystemExit("no explorable functions: the module contains "
+                                 "no affine loop nests")
+            for name in sorted(results):
+                baselines = None
+                if len(platforms) > 1:
+                    baselines = {target.name: estimate_baseline(module, target,
+                                                                func_name=name)
+                                 for target in platforms}
+                _print_dse_result(f"{name}: ", results[name],
+                                  estimate_baseline(module, platform, func_name=name),
+                                  baselines=baselines)
+            return 0
 
-    baseline = estimate_baseline(module, platform)
-    baselines = None
-    if len(platforms) > 1:
-        baselines = {target.name: estimate_baseline(module, target)
-                     for target in platforms}
-    result = explore_kernel(module, platform, **common)
+        baseline = estimate_baseline(module, platform)
+        baselines = None
+        if len(platforms) > 1:
+            baselines = {target.name: estimate_baseline(module, target)
+                         for target in platforms}
+        result = explore_kernel(module, platform, **common)
     _print_dse_result("", result, baseline, baselines=baselines)
     if args.frontier_out:
         with open(args.frontier_out, "w", encoding="utf-8") as handle:
@@ -629,17 +645,17 @@ def run_emit(args) -> int:
 def run_dnn_dse(args) -> int:
     from repro.pipeline import explore_dnn
 
-    settings = _sweep_settings(args)
-    platforms = _resolve_platforms(args, "vu9p-slr")
-    platform = platforms[0]
-    max_nodes = None
-    if args.smoke:
-        settings.update(num_samples=3, max_iterations=4)
-        max_nodes = 3
-    result = explore_dnn(
-        args.model, platform, graph_level=args.graph_level,
-        max_nodes=max_nodes,
-        platforms=platforms if len(platforms) > 1 else None, **settings)
+    with _sweep_settings(args) as settings:
+        platforms = _resolve_platforms(args, "vu9p-slr")
+        platform = platforms[0]
+        max_nodes = None
+        if args.smoke:
+            settings.update(num_samples=3, max_iterations=4)
+            max_nodes = 3
+        result = explore_dnn(
+            args.model, platform, graph_level=args.graph_level,
+            max_nodes=max_nodes,
+            platforms=platforms if len(platforms) > 1 else None, **settings)
 
     # The cache note speaks of the persistent cache only: the evaluations a
     # node's representative made within this run are the run summary's

@@ -14,15 +14,10 @@ import threading
 
 import pytest
 
-from repro.dse.runtime import (
-    CheckpointStore,
-    EstimateCache,
-    ModelScheduler,
-    ParallelExplorer,
-    SweepConfig,
-)
+from repro.dse.runtime import CheckpointStore, EstimateCache
 from repro.dse.runtime.worker import Supervisor
 from repro.estimation import VU9P_SLR, XC7Z020
+from repro.pipeline import explore_dnn, explore_kernel
 
 from conftest import GEMM_SOURCE, compile_source
 from test_dnn_dse import repeated_model, tiny_model
@@ -36,10 +31,10 @@ MODEL = dict(num_samples=3, max_iterations=4, seed=7, batch_size=2,
 def gemm_sweep(directory, jobs, cap=None):
     cache = EstimateCache(str(directory / "cache.jsonl"))
     try:
-        result = ParallelExplorer(
-            XC7Z020, SweepConfig(cache=cache, jobs=jobs, **GEMM),
-            checkpoint_dir=str(directory / "ckpt"), max_evaluations=cap,
-        ).explore(compile_source(GEMM_SOURCE, "gemm"))
+        result = explore_kernel(
+            compile_source(GEMM_SOURCE, "gemm"), XC7Z020, cache=cache,
+            jobs=jobs, checkpoint_dir=str(directory / "ckpt"),
+            max_evaluations=cap, **GEMM)
     finally:
         cache.close()
     return {"kernel": result}, [point.encoded for point in result.frontier]
@@ -49,11 +44,10 @@ def model_sweep(model):
     def sweep(directory, jobs, cap=None):
         cache = EstimateCache(str(directory / "cache.jsonl"))
         try:
-            result = ModelScheduler(
-                VU9P_SLR, SweepConfig(cache=cache, jobs=jobs, **MODEL),
-                checkpoint_dir=str(directory / "ckpt"),
-                max_evaluations_per_node=cap,
-            ).explore(model(), graph_level=3)
+            result = explore_dnn(
+                model(), VU9P_SLR, graph_level=3, cache=cache, jobs=jobs,
+                checkpoint_dir=str(directory / "ckpt"), max_evaluations=cap,
+                **MODEL)
         finally:
             cache.close()
         return result.node_results, result.frontier_json()
@@ -182,11 +176,10 @@ class TestACappedRerunGoesFurther:
             checkpoint_dir = str(tmp_path / "ckpt") \
                 if capped and store == "checkpoint" else None
             try:
-                return ParallelExplorer(XC7Z020, SweepConfig(
-                    num_samples=8, max_iterations=16, batch_size=4,
-                    cache=cache), checkpoint_dir=checkpoint_dir,
-                    max_evaluations=cap,
-                ).explore(compile_kernel("gemm", 8))
+                return explore_kernel(
+                    compile_kernel("gemm", 8), XC7Z020, num_samples=8,
+                    max_iterations=16, batch_size=4, cache=cache,
+                    checkpoint_dir=checkpoint_dir, max_evaluations=cap)
             finally:
                 if cache is not None:
                     cache.close()
@@ -199,19 +192,12 @@ class TestACappedRerunGoesFurther:
         assert runs[-1].frontier == clean.frontier
 
     def test_a_model_sweep(self, tmp_path):
-        from repro.pipeline import DNN_BUDGET
-
-        budget = {name: DNN_BUDGET[name]
-                  for name in ("num_samples", "max_iterations", "batch_size")}
-
         def sweep(cap=None):
             cache = EstimateCache(str(tmp_path / "cache.jsonl")) \
                 if cap is not None else None
             try:
-                return ModelScheduler(
-                    VU9P_SLR, SweepConfig(cache=cache, **budget),
-                    max_evaluations_per_node=cap,
-                ).explore("vgg16", graph_level=3)
+                return explore_dnn("vgg16", VU9P_SLR, graph_level=3,
+                                   cache=cache, max_evaluations=cap)
             finally:
                 if cache is not None:
                     cache.close()

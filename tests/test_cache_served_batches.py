@@ -24,12 +24,12 @@ from repro.dse.runtime import (
     CheckpointStore,
     EstimateCache,
     KernelTask,
-    MultiKernelScheduler,
-    ParallelExplorer,
     SweepConfig,
 )
+from repro.dse.runtime.scheduler import explore_kernels
 from repro.dse.space import KernelDesignSpace
 from repro.estimation import XC7Z020
+from repro.pipeline import explore_kernel
 
 from conftest import GEMM_SOURCE, compile_source
 
@@ -89,9 +89,9 @@ def proposals(monkeypatch):
     return Proposals(monkeypatch)
 
 
-def explorer(directory, cache=None):
-    return ParallelExplorer(XC7Z020, SweepConfig(cache=cache, **SWEEP),
-                            checkpoint_dir=str(directory))
+def sweep(module, directory, cache=None):
+    return explore_kernel(module, XC7Z020, cache=cache,
+                          checkpoint_dir=str(directory), **SWEEP)
 
 
 #: The records a save of SWEEP on gemm holds, by their number: a prefix of
@@ -123,15 +123,15 @@ class TestOtherSweepsKeepTheirCheckpoints:
     """Each save's records and bytes, in order, are pinned."""
 
     def test_without_a_cache(self, gemm_module, tmp_path, saves, proposals):
-        explorer(tmp_path / "full").explore(gemm_module)
+        sweep(gemm_module, tmp_path / "full")
         assert saves == held(PERIODIC + FINAL)
         del saves[:]
         proposals.stop = proposals.calls + 4
         with pytest.raises(KeyboardInterrupt):
-            explorer(tmp_path).explore(gemm_module)
+            sweep(gemm_module, tmp_path)
         assert saves == held(INTERRUPTED)
         del saves[:]
-        resumed = explorer(tmp_path).explore(gemm_module)
+        resumed = sweep(gemm_module, tmp_path)
         assert saves == held(RESUMED)
         assert resumed.evaluated_this_run == 18 - 12
 
@@ -139,18 +139,18 @@ class TestOtherSweepsKeepTheirCheckpoints:
                                      proposals):
         # Even when it answers every point: the cache dies with the process.
         cache = EstimateCache()
-        explorer(tmp_path / "cold", cache).explore(gemm_module)
+        sweep(gemm_module, tmp_path / "cold", cache)
         del saves[:]
-        warm = explorer(tmp_path / "warm", cache).explore(gemm_module)
+        warm = sweep(gemm_module, tmp_path / "warm", cache)
         assert warm.cache_misses == 0
         assert saves == held(PERIODIC + FINAL)
         del saves[:]
         proposals.stop = proposals.calls + 4
         with pytest.raises(KeyboardInterrupt):
-            explorer(tmp_path, cache).explore(gemm_module)
+            sweep(gemm_module, tmp_path, cache)
         assert saves == held(INTERRUPTED)
         del saves[:]
-        resumed = explorer(tmp_path, cache).explore(gemm_module)
+        resumed = sweep(gemm_module, tmp_path, cache)
         assert saves == held(RESUMED)
         # The cache is asked first; what the checkpoint serves counts in
         # neither of its figures.
@@ -163,9 +163,8 @@ class TestOtherSweepsKeepTheirCheckpoints:
         space = KernelDesignSpace.from_function(gemm_module.functions()[0])
         tasks = [KernelTask(key=key, module=gemm_module, func_name=None,
                             space=space) for key in ("first", "second")]
-        results = MultiKernelScheduler(
-            XC7Z020, SweepConfig(**SWEEP),
-            checkpoint_dir=str(tmp_path / "ckpt")).explore_kernels(tasks)
+        results = explore_kernels(tasks, XC7Z020, SweepConfig(**SWEEP),
+                                  checkpoint_dir=str(tmp_path / "ckpt"))
         assert results["second"].shared_with == "first"
         assert proposals.calls == 6  # the first kernel's batches
         assert saves == held(PERIODIC + FINAL, "first.ckpt.json")
@@ -204,8 +203,8 @@ class TestOneGenerator:
                             staticmethod(recording))
         proposals.stop = 4
         with pytest.raises(KeyboardInterrupt):
-            explorer(tmp_path).explore(gemm_module)
-        explorer(tmp_path).explore(gemm_module)
+            sweep(gemm_module, tmp_path)
+        sweep(gemm_module, tmp_path)
         assert states == [random.Random(SWEEP["seed"]).getstate()] * 2
 
     def test_an_explorer_seeds_once_and_never_reads_its_state(
@@ -216,16 +215,16 @@ class TestOneGenerator:
                             lambda rng: reads.append(rng) or getstate(rng))
         cache = EstimateCache(str(tmp_path / "cache.jsonl"))
         try:
-            explorer(tmp_path, cache).explore(gemm_module)
+            sweep(gemm_module, tmp_path, cache)
             del seedings[:], reads[:]
-            warm = explorer(tmp_path, cache).explore(gemm_module)
+            warm = sweep(gemm_module, tmp_path, cache)
         finally:
             cache.close()
         assert warm.cache_misses == 0
         assert seedings == [SWEEP["seed"]]
         assert reads == [] and saves == []  # no checkpoint to take
-        explorer(tmp_path / "bare").explore(gemm_module)
-        resumed = explorer(tmp_path / "bare").explore(gemm_module)
+        sweep(gemm_module, tmp_path / "bare")
+        resumed = sweep(gemm_module, tmp_path / "bare")
         assert resumed.evaluated_this_run == 0
         # A checkpoint holds records only: neither saving one nor
         # continuing from one reads the generator, and each run seeds its own once.

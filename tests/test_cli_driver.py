@@ -7,7 +7,7 @@ import re
 import pytest
 
 from repro import pipeline
-from repro.dse.runtime import SupervisionPolicy, SweepConfig
+from repro.dse.runtime import EstimateCache, SweepConfig
 from repro.tools.driver import build_parser, main
 
 
@@ -293,10 +293,11 @@ class TestSweepSettings:
     #: (``KERNEL_BUDGET`` / ``DNN_BUDGET``) and read by the driver.
     BUDGETS = {"num_samples", "max_iterations", "batch_size",
                "checkpoint_every"}
-    OWN = {"explore_kernel": {"checkpoint_dir", "func_name"},
+    OWN = {"explore_kernel": {"checkpoint_dir", "func_name",
+                              "max_evaluations"},
            "explore_module_kernels": {"checkpoint_dir", "func_names"},
-           "explore_dnn": {"checkpoint_dir", "graph_level",
-                           "frontier_cap", "max_nodes"}}
+           "explore_dnn": {"checkpoint_dir", "graph_level", "max_nodes",
+                           "max_evaluations"}}
     FLOW_BUDGETS = {"explore_kernel": ("dse", pipeline.KERNEL_BUDGET),
                     "explore_module_kernels": ("dse", pipeline.KERNEL_BUDGET),
                     "explore_dnn": ("dnn", pipeline.DNN_BUDGET)}
@@ -313,7 +314,7 @@ class TestSweepSettings:
     def test_explore_keywords_are_sweep_fields_or_the_flows_own(self, name):
         declared, forwarded = self.keywords(getattr(pipeline, name))
         assert declared == self.OWN[name]
-        assert forwarded == ["sweep"]  # everything else: _sweep_config
+        assert forwarded == ["sweep"]  # everything else: SweepConfig fields
         command, budget = self.FLOW_BUDGETS[name]
         assert set(budget) == self.BUDGETS <= self.FIELDS
         # The command's defaults are the flow's.
@@ -323,24 +324,34 @@ class TestSweepSettings:
             budget[field] for field in ("num_samples", "max_iterations",
                                         "batch_size", "checkpoint_every"))
 
-    def test_the_shared_helper_spells_every_other_field(self):
-        declared, forwarded = self.keywords(pipeline._sweep_config)
-        # Flat spellings of the two object-valued fields, and the fields
-        # passed through by name.
-        supervision = {"task_timeout", "max_retries", "on_fault"}
-        assert supervision <= {
-            field.name for field in dataclasses.fields(SupervisionPolicy)}
-        assert declared == supervision | {"cache", "cache_path",
-                                          "platforms"}
-        assert forwarded == ["fields"]
-        with pytest.raises(TypeError, match="jobz"):
-            pipeline.explore_kernel(None, jobz=2)
-        config = pipeline._sweep_config(
-            pipeline.KERNEL_BUDGET,
-            **{name: getattr(SweepConfig(), name)
-               for name in self.FIELDS - {"supervision", "cache",
-                                          "platforms"}})
-        assert config == SweepConfig()
+    @pytest.mark.parametrize("call", [
+        lambda: pipeline.explore_kernel(None, jobz=2),
+        lambda: pipeline.explore_kernel(None, cache_path="x"),
+        lambda: pipeline.explore_module_kernels(None, task_timeout=1.0),
+        lambda: pipeline.explore_kernel(None, max_retries=1),
+        lambda: pipeline.explore_kernel(None, on_fault="fail"),
+        lambda: pipeline.explore_dnn("vgg16", frontier_cap=8),
+        lambda: pipeline.explore_dnn("vgg16", max_evaluations_per_node=2)],
+        ids=["jobz", "cache_path", "task_timeout", "max_retries", "on_fault",
+             "frontier_cap", "max_evaluations_per_node"])
+    def test_a_sweep_keyword_is_a_field_name_or_nothing(self, call):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            call()
+
+    def test_every_field_reaches_the_sweep_by_name(self, monkeypatch):
+        from repro.dse.runtime import scheduler
+
+        configs = []
+
+        def recording(tasks, platform, config, **kwargs):
+            configs.append(config)
+            return {task.key: None for task in tasks}
+
+        monkeypatch.setattr(scheduler, "explore_kernels", recording)
+        pipeline.explore_kernel(
+            pipeline.compile_kernel("gemm", 4),
+            **{name: getattr(SweepConfig(), name) for name in self.FIELDS})
+        assert configs == [SweepConfig()]
 
     def test_dse_and_dnn_list_the_same_sweep_flags(self, capsys):
         def flags(command):
@@ -446,12 +457,12 @@ class TestInterruptHint:
 
     @staticmethod
     def interrupted(monkeypatch, capsys, argv) -> str:
-        from repro.dse.runtime import MultiKernelScheduler
+        from repro.dse.runtime import scheduler
 
         def interrupt(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(MultiKernelScheduler, "explore_kernels", interrupt)
+        monkeypatch.setattr(scheduler, "_explore_trajectory", interrupt)
         assert main(argv) == 130
         return capsys.readouterr().err
 
@@ -471,6 +482,60 @@ class TestInterruptHint:
                                                      capsys):
         err = self.interrupted(monkeypatch, capsys, SWEEPS["dse"])
         assert "add --checkpoint DIR" in err
+
+
+class TestTheCacheFlag:
+    """The driver opens the ``--cache`` file, closes it however the command
+    ends, and leaves a file that is not a cache as it found it."""
+
+    @pytest.fixture
+    def caches(self, monkeypatch):
+        """Every ``EstimateCache`` created, and every one closed."""
+        created, closed = [], []
+        init, close = EstimateCache.__init__, EstimateCache.close
+
+        def recording_init(cache, *args, **kwargs):
+            created.append(cache)
+            init(cache, *args, **kwargs)
+
+        def recording_close(cache):
+            closed.append(cache)
+            close(cache)
+
+        monkeypatch.setattr(EstimateCache, "__init__", recording_init)
+        monkeypatch.setattr(EstimateCache, "close", recording_close)
+        return created, closed
+
+    @pytest.mark.parametrize("interrupt", [False, True],
+                             ids=["finished", "interrupted"])
+    @pytest.mark.parametrize("command", sorted(SWEEPS))
+    def test_every_cache_the_driver_opens_is_closed(
+            self, command, interrupt, caches, tmp_path, monkeypatch, capsys):
+        from repro.dse.runtime import scheduler
+
+        monkeypatch.chdir(tmp_path)  # dnn --dse writes its frontier file here
+        if interrupt:
+            trajectory = scheduler._explore_trajectory
+
+            def interrupting(*args):
+                trajectory(*args)
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(scheduler, "_explore_trajectory", interrupting)
+        status = main(SWEEPS[command] + ["--cache", "c.jsonl"])
+        assert status == (130 if interrupt else 0)
+        created, closed = caches
+        assert len(created) == 1
+        assert [id(cache) for cache in closed] == [id(created[0])]
+
+    def test_a_file_that_is_not_a_cache_is_refused_and_kept(self, tmp_path):
+        notes = tmp_path / "notes.txt"
+        notes.write_bytes(b"line one\nline two\n")
+        with pytest.raises(SystemExit) as raised:
+            main(SWEEPS["dse"] + ["--cache", str(notes)])
+        assert str(raised.value).startswith(f"--cache: {str(notes)!r} is not "
+                                            f"an estimate cache")
+        assert notes.read_bytes() == b"line one\nline two\n"
 
 
 class TestPlatformFlags:

@@ -7,17 +7,14 @@ import json
 import pytest
 
 from repro import obs
-from repro.dse.runtime import (
-    EstimateCache,
-    ModelScheduler,
-    SweepConfig,
-    compose_model_frontier,
-)
+from repro.dse.runtime import EstimateCache, compose_model_frontier
+from repro.dse.runtime import model as runtime_model
 from repro.dse.runtime.model import (MIN_NODE_ITERATIONS, MIN_NODE_SAMPLES,
                                      node_budget)
 from repro.dse.space import KernelDesignSpace
 from repro.estimation import VU9P_SLR
 from repro.frontend.pytorch_like import GraphBuilder
+from repro.pipeline import explore_dnn
 
 
 def tiny_model():
@@ -45,19 +42,15 @@ def repeated_model():
     return builder.finish(x)
 
 
-def scheduler(jobs=1, checkpoint_dir=None, max_evaluations_per_node=None,
-              **overrides):
-    own = dict(checkpoint_dir=checkpoint_dir,
-               max_evaluations_per_node=max_evaluations_per_node)
-    config = dict(jobs=jobs, seed=7, batch_size=2, checkpoint_every=16,
+def model_sweep(model, **overrides):
+    config = dict(jobs=1, seed=7, batch_size=2, checkpoint_every=16,
                   num_samples=3, max_iterations=4)
-    config.update(overrides)
-    return ModelScheduler(VU9P_SLR, SweepConfig(**config), **own)
+    return explore_dnn(model, VU9P_SLR, **{**config, **overrides})
 
 
 class TestModelSweep:
     def test_sweep_produces_a_nonempty_composed_frontier(self):
-        result = scheduler().explore(tiny_model(), graph_level=3)
+        result = model_sweep(tiny_model(), graph_level=3)
         assert result.node_order
         assert result.frontier
         assert result.num_evaluations > 0
@@ -67,21 +60,18 @@ class TestModelSweep:
 
     @pytest.mark.parametrize("max_nodes", [-1, 0])
     def test_max_nodes_below_one_is_rejected(self, max_nodes, monkeypatch):
-        from repro.pipeline import explore_dnn
-
         def stage(*args, **kwargs):
             raise AssertionError("staged before max_nodes was checked")
 
-        monkeypatch.setattr(ModelScheduler, "_staged_tasks", stage)
+        monkeypatch.setattr(runtime_model, "_staged_tasks", stage)
         with pytest.raises(ValueError, match=f"max_nodes must be >= 1, "
                                              f"got {max_nodes}"):
-            scheduler().explore(tiny_model(), graph_level=3,
-                                max_nodes=max_nodes)
+            model_sweep(tiny_model(), graph_level=3, max_nodes=max_nodes)
         with pytest.raises(ValueError, match="max_nodes"):
             explore_dnn("vgg16", graph_level=7, max_nodes=max_nodes)
 
     def test_composition_rule_sums_latency_and_resources(self):
-        result = scheduler().explore(tiny_model(), graph_level=3)
+        result = model_sweep(tiny_model(), graph_level=3)
         for point in result.frontier:
             latency = dsp = 0
             for name, encoded in point.choices:
@@ -95,7 +85,7 @@ class TestModelSweep:
                 for name, encoded in point.choices)
 
     def test_frontier_is_pareto_sorted(self):
-        result = scheduler().explore(tiny_model(), graph_level=3)
+        result = model_sweep(tiny_model(), graph_level=3)
         latencies = [point.latency for point in result.frontier]
         dsps = [point.resources.dsp for point in result.frontier]
         assert latencies == sorted(latencies)
@@ -106,35 +96,32 @@ class TestModelSweep:
 class TestModelDeterminism:
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_frontier_json_is_byte_identical_across_jobs(self, jobs):
-        serial = scheduler(jobs=1).explore(tiny_model(), graph_level=3)
-        parallel = scheduler(jobs=jobs).explore(tiny_model(), graph_level=3)
+        serial = model_sweep(tiny_model(), graph_level=3, jobs=1)
+        parallel = model_sweep(tiny_model(), graph_level=3, jobs=jobs)
         assert serial.frontier_json() == parallel.frontier_json()
 
     def test_resume_from_mid_sweep_checkpoint_is_identical(self, tmp_path):
-        full = scheduler().explore(tiny_model(), graph_level=3)
+        full = model_sweep(tiny_model(), graph_level=3)
 
         # Interrupt every node after 2 evaluations (at a batch boundary),
         # then re-run with the full budget on a different worker count.
         ckpt = str(tmp_path / "ckpt")
-        partial = scheduler(checkpoint_dir=ckpt, checkpoint_every=1,
-                            max_evaluations_per_node=2) \
-            .explore(tiny_model(), graph_level=3)
+        partial = model_sweep(tiny_model(), graph_level=3, checkpoint_dir=ckpt,
+                              checkpoint_every=1, max_evaluations=2)
         assert partial.num_evaluations < full.num_evaluations
 
-        resumed = scheduler(jobs=2, checkpoint_dir=ckpt) \
-            .explore(tiny_model(), graph_level=3)
+        resumed = model_sweep(tiny_model(), graph_level=3, jobs=2,
+                              checkpoint_dir=ckpt)
         assert resumed.frontier_json() == full.frontier_json()
 
     def test_rerun_hits_cache_and_matches(self, tmp_path):
         ckpt, cache_path = str(tmp_path / "ckpt"), str(tmp_path / "cache.jsonl")
-        first = scheduler(checkpoint_dir=ckpt,
-                          cache=EstimateCache(cache_path)) \
-            .explore(tiny_model(), graph_level=3)
+        first = model_sweep(tiny_model(), graph_level=3, checkpoint_dir=ckpt,
+                            cache=EstimateCache(cache_path))
         # A cold run stores its records but must not claim warm reuse.
         assert first.cache_hits == 0
-        rerun = scheduler(checkpoint_dir=ckpt,
-                          cache=EstimateCache(cache_path)) \
-            .explore(tiny_model(), graph_level=3)
+        rerun = model_sweep(tiny_model(), graph_level=3, checkpoint_dir=ckpt,
+                            cache=EstimateCache(cache_path))
         assert rerun.evaluated_this_run == 0
         # Every re-run replays its lookups: each point, the frontier's
         # included, is a hit on the estimates the cache held before the run.
@@ -150,10 +137,10 @@ class TestACachedModelSweepKeepsNoCheckpoint:
         cache = EstimateCache(str(tmp_path / "cache.jsonl"))
         try:
             with obs.session() as session:
-                result = scheduler(
-                    jobs=jobs, checkpoint_dir=str(tmp_path / "ckpt"),
-                    checkpoint_every=1, cache=cache, **overrides,
-                ).explore(tiny_model(), graph_level=3)
+                result = model_sweep(
+                    tiny_model(), graph_level=3, jobs=jobs,
+                    checkpoint_dir=str(tmp_path / "ckpt"), checkpoint_every=1,
+                    cache=cache, **overrides)
         finally:
             cache.close()
         assert "dse.checkpoint.saves" not in session.metrics.counters
@@ -167,16 +154,16 @@ class TestACachedModelSweepKeepsNoCheckpoint:
         rerun = self.sweep(tmp_path, jobs=jobs)
         assert rerun.evaluated_this_run == rerun.cache_misses == 0
         assert rerun.frontier_json() == first.frontier_json() \
-            == scheduler().explore(tiny_model(), graph_level=3).frontier_json()
+            == model_sweep(tiny_model(), graph_level=3).frontier_json()
         assert (tmp_path / "cache.jsonl").read_bytes() == cache_bytes
 
     def test_a_capped_sweep_reruns_to_the_uncapped_one(self, tmp_path):
-        partial = self.sweep(tmp_path, max_evaluations_per_node=2)
+        partial = self.sweep(tmp_path, max_evaluations=2)
         rerun = self.sweep(tmp_path, jobs=2)
         assert rerun.cache_hits - rerun.shared_points \
             == partial.num_evaluations
         assert rerun.frontier_json() \
-            == scheduler().explore(tiny_model(), graph_level=3).frontier_json()
+            == model_sweep(tiny_model(), graph_level=3).frontier_json()
 
 
 class TestThePoolShipsWhatEvaluates:
@@ -192,13 +179,13 @@ class TestThePoolShipsWhatEvaluates:
             return payload(contexts)
 
         monkeypatch.setattr(worker, "_worker_payload", recording)
-        pooled = scheduler(jobs=2).explore(repeated_model(), graph_level=3)
+        pooled = model_sweep(repeated_model(), graph_level=3, jobs=2)
         representatives = sorted(
             name for name, result in pooled.node_results.items()
             if result.shared_with is None)
         assert shipped == [representatives]
         assert len(representatives) == len(pooled.node_order) - 2
-        assert pooled.frontier_json() == scheduler().explore(
+        assert pooled.frontier_json() == model_sweep(
             repeated_model(), graph_level=3).frontier_json()
 
 
@@ -354,8 +341,8 @@ class TestPipelineDimensionCache:
 
     def test_estimates_under_edited_pipeline_miss_the_cache(
             self, monkeypatch, three_cleanups):
-        from repro.dse.runtime import ParallelExplorer
         from repro.estimation import XC7Z020
+        from repro.pipeline import explore_kernel
 
         import repro.dse.apply as apply_mod
 
@@ -367,18 +354,18 @@ class TestPipelineDimensionCache:
         explorer_config = dict(num_samples=4, max_iterations=4, seed=3,
                                batch_size=2)
 
-        def explorer(cache):
-            return ParallelExplorer(
-                XC7Z020, SweepConfig(cache=cache, **explorer_config))
+        def kernel_sweep(module, cache):
+            return explore_kernel(module, XC7Z020, cache=cache,
+                                  **explorer_config)
 
-        cold = explorer(cache).explore(self.kernel())
+        cold = kernel_sweep(self.kernel(), cache)
         assert cold.cache_misses == cold.num_evaluations
 
         monkeypatch.setitem(apply_mod.CLEANUP_PIPELINES, "test-light",
                             "canonicalize")
         clear_signature_caches()
         try:
-            edited = explorer(cache).explore(self.kernel())
+            edited = kernel_sweep(self.kernel(), cache)
             # A registry whose pipelines mean something else gets no reuse.
             assert edited.cache_hits == 0
         finally:
@@ -386,18 +373,18 @@ class TestPipelineDimensionCache:
             clear_signature_caches()
 
     def test_stale_fingerprint_cache_file_is_rejected(self, tmp_path):
-        from repro.dse.runtime import ParallelExplorer
         from repro.estimation import XC7Z020
+        from repro.pipeline import explore_kernel
 
         path = str(tmp_path / "cache.jsonl")
         explorer_config = dict(num_samples=4, max_iterations=4, seed=3,
                                batch_size=2)
 
-        def explorer(cache):
-            return ParallelExplorer(
-                XC7Z020, SweepConfig(cache=cache, **explorer_config))
+        def kernel_sweep(module, cache):
+            return explore_kernel(module, XC7Z020, cache=cache,
+                                  **explorer_config)
 
-        explorer(EstimateCache(path)).explore(self.kernel())
+        kernel_sweep(self.kernel(), EstimateCache(path))
 
         # Rewrite every line as if estimated under a different fingerprint
         # (e.g. an edited pipeline registry).  The entries load, but no
@@ -413,7 +400,7 @@ class TestPipelineDimensionCache:
 
         revived = EstimateCache(path)
         assert len(revived) > 0
-        warm = explorer(revived).explore(self.kernel())
+        warm = kernel_sweep(self.kernel(), revived)
         assert warm.cache_hits == 0
         assert warm.evaluated_this_run == warm.num_evaluations
 

@@ -17,8 +17,7 @@ from repro.dse.runtime import (
     CheckpointStore,
     EstimateCache,
     EvaluationRecord,
-    MultiKernelScheduler,
-    ParallelExplorer,
+    KernelTask,
     SweepConfig,
 )
 from repro.dse.runtime import scheduler, worker
@@ -26,7 +25,7 @@ from repro.dse.runtime.faults import EvaluationFailure, FaultPlan, InjectedFault
 from repro.dse.runtime.worker import KernelContext, evaluate_encoded
 from repro.estimation import XC7Z020
 from repro.ir.pass_manager import PassError
-from repro.pipeline import compile_kernel
+from repro.pipeline import compile_kernel, explore_kernel, explore_module_kernels
 
 from conftest import GEMM_SOURCE, SYRK_SOURCE, compile_source
 
@@ -47,13 +46,11 @@ def frontier_signature(result):
     return repr([(p.encoded, p.latency, p.area) for p in result.frontier])
 
 
-def small_explorer(checkpoint_dir=None, max_evaluations=None, **overrides):
-    config = dict(num_samples=6, max_iterations=8, seed=11, jobs=1,
-                  batch_size=4)
-    config.update(overrides)
-    return ParallelExplorer(XC7Z020, SweepConfig(**config),
-                            checkpoint_dir=checkpoint_dir,
-                            max_evaluations=max_evaluations)
+SMALL = dict(num_samples=6, max_iterations=8, seed=11, jobs=1, batch_size=4)
+
+
+def small_sweep(module, **overrides):
+    return explore_kernel(module, XC7Z020, **{**SMALL, **overrides})
 
 
 @pytest.fixture
@@ -114,28 +111,27 @@ class TestFingerprint:
 
 class TestDeterminism:
     def test_one_vs_four_workers_identical_frontier(self, gemm_module):
-        serial = small_explorer(jobs=1).explore(gemm_module)
-        parallel = small_explorer(jobs=4).explore(gemm_module)
+        serial = small_sweep(gemm_module, jobs=1)
+        parallel = small_sweep(gemm_module, jobs=4)
         assert frontier_signature(serial) == frontier_signature(parallel)
         assert serial.best_record == parallel.best_record
         assert set(serial.records) == set(parallel.records)
 
     def test_repeated_runs_identical(self, gemm_module):
-        first = small_explorer().explore(gemm_module)
-        second = small_explorer().explore(gemm_module)
+        first = small_sweep(gemm_module)
+        second = small_sweep(gemm_module)
         assert frontier_signature(first) == frontier_signature(second)
 
     def test_warm_cache_does_not_change_frontier(self, gemm_module):
         cache = EstimateCache()
-        explorer = small_explorer(cache=cache)
-        cold = explorer.explore(gemm_module)
-        warm = explorer.explore(gemm_module)
+        cold = small_sweep(gemm_module, cache=cache)
+        warm = small_sweep(gemm_module, cache=cache)
         assert frontier_signature(cold) == frontier_signature(warm)
 
     def test_frontier_is_non_dominated(self, gemm_module):
         from repro.dse.pareto import is_pareto_optimal
 
-        result = small_explorer(jobs=2).explore(gemm_module)
+        result = small_sweep(gemm_module, jobs=2)
         for point in result.frontier:
             assert is_pareto_optimal(point, result.frontier)
 
@@ -143,9 +139,9 @@ class TestDeterminism:
 class TestEstimateCache:
     def test_hit_miss_accounting(self, gemm_module):
         cache = EstimateCache()
-        explorer = small_explorer(cache=cache)
         (cold, warm), counts = cache_counters(lambda: (
-            explorer.explore(gemm_module), explorer.explore(gemm_module)))
+            small_sweep(gemm_module, cache=cache),
+            small_sweep(gemm_module, cache=cache)))
         assert cold.cache_hits == 0
         assert cold.cache_misses == cold.num_evaluations
         assert cold.evaluated_this_run == cold.num_evaluations
@@ -160,18 +156,18 @@ class TestEstimateCache:
 
     def test_persistence_roundtrip(self, gemm_module, tmp_path):
         path = str(tmp_path / "cache.jsonl")
-        cold = small_explorer(cache=EstimateCache(path)).explore(gemm_module)
+        cold = small_sweep(gemm_module, cache=EstimateCache(path))
 
         revived, counts = cache_counters(lambda: EstimateCache(path))
         assert counts["loaded"] == len(revived) == cold.num_evaluations
-        warm = small_explorer(cache=revived).explore(gemm_module)
+        warm = small_sweep(gemm_module, cache=revived)
         assert warm.cache_hits == warm.num_evaluations
         assert warm.cache_misses == 0
         assert frontier_signature(warm) == frontier_signature(cold)
 
     def test_corrupt_tail_line_tolerated(self, gemm_module, tmp_path):
         path = str(tmp_path / "cache.jsonl")
-        small_explorer(cache=EstimateCache(path)).explore(gemm_module)
+        small_sweep(gemm_module, cache=EstimateCache(path))
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"fingerprint": "truncated...\n')
         revived, counts = cache_counters(lambda: EstimateCache(path))
@@ -181,7 +177,7 @@ class TestEstimateCache:
         import json
 
         path = str(tmp_path / "cache.jsonl")
-        small_explorer(cache=EstimateCache(path)).explore(gemm_module)
+        small_sweep(gemm_module, cache=EstimateCache(path))
         # Rewrite every line as if estimated under an older QoR model.
         lines = []
         with open(path, "r", encoding="utf-8") as handle:
@@ -197,21 +193,21 @@ class TestEstimateCache:
 
     def test_warm_run_spawns_no_workers(self, gemm_module, monkeypatch):
         cache = EstimateCache()
-        small_explorer(cache=cache).explore(gemm_module)
+        small_sweep(gemm_module, cache=cache)
         # A fully warm run must never fork a worker: the pool's workers
         # start on its first evaluation, and there is none.
         def boom(*args, **kwargs):
             raise AssertionError("worker forked during a fully warm run")
 
         monkeypatch.setattr(worker, "_ProcessLink", boom)
-        warm = small_explorer(cache=cache, jobs=4).explore(gemm_module)
+        warm = small_sweep(gemm_module, cache=cache, jobs=4)
         assert warm.evaluated_this_run == 0
 
     def test_keys_are_per_kernel(self, gemm_module):
         cache = EstimateCache()
-        small_explorer(cache=cache).explore(gemm_module)
+        small_sweep(gemm_module, cache=cache)
         syrk = compile_source(SYRK_SOURCE, "syrk")
-        result = small_explorer(cache=cache).explore(syrk)
+        result = small_sweep(syrk, cache=cache)
         assert result.cache_hits == 0  # different fingerprint, no collisions
 
     def test_direct_space_does_not_collide_across_kernels(self, gemm_module):
@@ -224,16 +220,19 @@ class TestEstimateCache:
         space_b = KernelDesignSpace([8, 8, 8], False, False)
         assert space_a.fingerprint() == space_b.fingerprint()  # shape only
         cache = EstimateCache()
-        small_explorer(cache=cache).explore(gemm_module, space=space_a)
-        result = small_explorer(cache=cache).explore(transposed, space=space_b)
+        config = SweepConfig(cache=cache, **SMALL)
+        for module, space in ((gemm_module, space_a), (transposed, space_b)):
+            task = KernelTask(key="kernel", module=module, func_name=None,
+                              space=space)
+            result = scheduler.explore_kernels([task], XC7Z020,
+                                               config)["kernel"]
         assert result.cache_hits == 0  # runtime mixed the IR digest back in
 
     def test_line_missing_fingerprint_tolerated(self, gemm_module, tmp_path):
         import json
 
         path = str(tmp_path / "cache.jsonl")
-        explorer = small_explorer(cache=EstimateCache(path))
-        cold = explorer.explore(gemm_module)
+        cold = small_sweep(gemm_module, cache=EstimateCache(path))
         with open(path, "r", encoding="utf-8") as handle:
             first = json.loads(handle.readline())
         del first["fingerprint"]
@@ -313,58 +312,64 @@ class TestCheckpoint:
         from repro.estimation import estimator
 
         path = str(tmp_path / "ckpt")
-        partial = small_explorer(checkpoint_dir=path, max_evaluations=5) \
-            .explore(gemm_module)
+        partial = small_sweep(gemm_module, checkpoint_dir=path, max_evaluations=5)
         assert partial.num_evaluations > 0
         version = estimator.QOR_MODEL_VERSION + 1
         monkeypatch.setattr(estimator, "QOR_MODEL_VERSION", version)
         monkeypatch.setattr(checkpoint, "QOR_MODEL_VERSION", version,
                             raising=False)
-        resumed = small_explorer(checkpoint_dir=path).explore(gemm_module)
+        resumed = small_sweep(gemm_module, checkpoint_dir=path)
         assert resumed.evaluated_this_run == resumed.num_evaluations
         assert frontier_signature(resumed) \
-            == frontier_signature(small_explorer().explore(gemm_module))
+            == frontier_signature(small_sweep(gemm_module))
 
     def test_interrupted_resume_matches_uninterrupted(self, gemm_module, tmp_path):
         checkpoint = str(tmp_path / "ckpt")
         config = dict(num_samples=6, max_iterations=12, seed=11, batch_size=4)
 
-        full = small_explorer(**config).explore(gemm_module)
+        full = small_sweep(gemm_module, **config)
 
         # Simulate a kill after ~10 evaluations (enforced at batch boundaries),
         # then re-run from the checkpoint with the full budget.
-        partial = small_explorer(**config, checkpoint_dir=checkpoint,
-                                 checkpoint_every=2,
-                                 max_evaluations=10).explore(gemm_module)
+        partial = small_sweep(gemm_module, **config, checkpoint_dir=checkpoint,
+                              checkpoint_every=2, max_evaluations=10)
         assert partial.num_evaluations < full.num_evaluations
 
-        resumed = small_explorer(**config, checkpoint_dir=checkpoint) \
-            .explore(gemm_module)
+        resumed = small_sweep(gemm_module, **config, checkpoint_dir=checkpoint)
         assert frontier_signature(resumed) == frontier_signature(full)
         assert set(resumed.records) == set(full.records)
 
     def test_resume_skips_completed_work(self, gemm_module, tmp_path):
         checkpoint = str(tmp_path / "ckpt")
-        explorer = small_explorer(checkpoint_dir=checkpoint, checkpoint_every=2)
-        explorer.explore(gemm_module)
-        rerun = small_explorer(checkpoint_dir=checkpoint).explore(gemm_module)
+        small_sweep(gemm_module, checkpoint_dir=checkpoint, checkpoint_every=2)
+        rerun = small_sweep(gemm_module, checkpoint_dir=checkpoint)
         assert rerun.evaluated_this_run == 0  # everything restored from disk
 
     def test_resume_with_different_config_starts_fresh(self, gemm_module, tmp_path):
         checkpoint = str(tmp_path / "ckpt")
-        small_explorer(seed=11, checkpoint_dir=checkpoint,
-                       checkpoint_every=2, max_evaluations=8).explore(gemm_module)
+        small_sweep(gemm_module, seed=11, checkpoint_dir=checkpoint,
+                    checkpoint_every=2, max_evaluations=8)
         # Re-running under a different seed must NOT continue the seed-11
         # trajectory — it starts a fresh seed-12 run.
-        resumed = small_explorer(seed=12, checkpoint_dir=checkpoint) \
-            .explore(gemm_module)
-        fresh = small_explorer(seed=12).explore(gemm_module)
+        resumed = small_sweep(gemm_module, seed=12, checkpoint_dir=checkpoint)
+        fresh = small_sweep(gemm_module, seed=12)
         assert frontier_signature(resumed) == frontier_signature(fresh)
 
     def test_resume_without_checkpoint_starts_fresh(self, gemm_module, tmp_path):
         checkpoint = str(tmp_path / "missing")
-        result = small_explorer(checkpoint_dir=checkpoint).explore(gemm_module)
+        result = small_sweep(gemm_module, checkpoint_dir=checkpoint)
         assert result.num_evaluations > 0
+
+
+@pytest.mark.parametrize("num_samples,cap", [(8, 1), (4, 5)])
+def test_max_evaluations_is_checked_at_batch_boundaries(num_samples, cap):
+    # Step 1's whole sample is evaluated, and the batch that reaches the
+    # bound is not cut: 8 samples under a cap of 1, and 4 samples plus a
+    # whole batch of 4 under a cap of 5, are 8 evaluations each.
+    result = explore_kernel(compile_kernel("gemm", 8), XC7Z020,
+                            num_samples=num_samples, max_iterations=12,
+                            batch_size=4, max_evaluations=cap)
+    assert result.evaluated_this_run == 8
 
 
 class TestACachedSweepKeepsNoCheckpoint:
@@ -378,22 +383,20 @@ class TestACachedSweepKeepsNoCheckpoint:
     def sweep(self, module, tmp_path, max_evaluations=None):
         cache = EstimateCache(str(tmp_path / "cache.jsonl"))
         try:
-            return small_explorer(
-                checkpoint_dir=str(tmp_path / "ckpt"),
-                max_evaluations=max_evaluations, cache=cache, **self.SWEEP,
-            ).explore(module)
+            return small_sweep(module, checkpoint_dir=str(tmp_path / "ckpt"),
+                               max_evaluations=max_evaluations, cache=cache,
+                               **self.SWEEP)
         finally:
             cache.close()
 
     def test_a_rerun_replays_the_trajectory_from_the_cache(
             self, gemm_module, tmp_path):
-        from repro.pipeline import explore_kernel
-
-        clean = small_explorer(**self.SWEEP).explore(gemm_module)
-        first = explore_kernel(gemm_module, XC7Z020, jobs=1,
-                               cache_path=str(tmp_path / "cache.jsonl"),
+        clean = small_sweep(gemm_module, **self.SWEEP)
+        cache = EstimateCache(str(tmp_path / "cache.jsonl"))
+        first = explore_kernel(gemm_module, XC7Z020, jobs=1, cache=cache,
                                checkpoint_dir=str(tmp_path / "ckpt"),
                                **self.SWEEP)
+        cache.close()
         assert not (tmp_path / "ckpt").exists()
         cache_bytes = (tmp_path / "cache.jsonl").read_bytes()
         again = self.sweep(gemm_module, tmp_path)
@@ -422,10 +425,9 @@ class TestACachedSweepKeepsNoCheckpoint:
         monkeypatch.setattr(CheckpointStore, "save", recording_save)
 
         def sweep(name, cache=None):
-            MultiKernelScheduler(
-                XC7Z020, SweepConfig(cache=cache, **self.SWEEP),
-                checkpoint_dir=str(tmp_path / name),
-            ).explore_module(compile_source(GEMM_SOURCE + SYRK_SOURCE, "pair"))
+            explore_module_kernels(
+                compile_source(GEMM_SOURCE + SYRK_SOURCE, "pair"), XC7Z020,
+                cache=cache, checkpoint_dir=str(tmp_path / name), **self.SWEEP)
             saved = list(events)
             del events[:]
             return saved
@@ -444,7 +446,7 @@ class TestACachedSweepKeepsNoCheckpoint:
 
         cache = EstimateCache(str(tmp_path / "cache.jsonl"))
         cache.sync()  # nothing appended yet: nothing to sync
-        small_explorer(cache=cache).explore(gemm_module)
+        small_sweep(gemm_module, cache=cache)
         synced = []
         monkeypatch.setattr(os, "fsync", synced.append)
         cache.sync()
@@ -459,7 +461,7 @@ class TestACachedSweepKeepsNoCheckpoint:
             rerun = self.sweep(gemm_module, tmp_path)
         assert "dse.checkpoint.saves" not in session.metrics.counters
         assert not (tmp_path / "ckpt").exists()
-        full = small_explorer(**self.SWEEP).explore(gemm_module)
+        full = small_sweep(gemm_module, **self.SWEEP)
         assert partial.num_evaluations < full.num_evaluations
         assert list(rerun.records.items()) == list(full.records.items())
         assert frontier_signature(rerun) == frontier_signature(full)
@@ -473,8 +475,8 @@ class TestACachedSweepKeepsNoCheckpoint:
         # One left by a capped cacheless run: a cached sweep starts over
         # and leaves the file as it found it.
         path = tmp_path / "ckpt" / "kernel.ckpt.json"
-        small_explorer(checkpoint_dir=str(path.parent), max_evaluations=5,
-                       **self.SWEEP).explore(gemm_module)
+        small_sweep(gemm_module, checkpoint_dir=str(path.parent),
+                    max_evaluations=5, **self.SWEEP)
         left = path.read_bytes()
         cached = self.sweep(gemm_module, tmp_path)
         assert cached.evaluated_this_run == cached.num_evaluations
@@ -485,14 +487,12 @@ class TestACachedSweepKeepsNoCheckpoint:
                                                               tmp_path):
         # Two identical kernels without a cache: the second is a copy of the
         # first's result, which keeps its final checkpoint.
-        from repro.dse.runtime import KernelTask
-
         space = KernelDesignSpace.from_function(gemm_module.functions()[0])
         tasks = [KernelTask(key=key, module=gemm_module, func_name=None,
                             space=space) for key in ("first", "second")]
-        results = MultiKernelScheduler(
-            XC7Z020, SweepConfig(**self.SWEEP),
-            checkpoint_dir=str(tmp_path / "ckpt")).explore_kernels(tasks)
+        results = scheduler.explore_kernels(
+            tasks, XC7Z020, SweepConfig(**self.SWEEP),
+            checkpoint_dir=str(tmp_path / "ckpt"))
         assert results["second"].shared_hits > 0
         assert sorted(path.name for path in (tmp_path / "ckpt").iterdir()) \
             == ["first.ckpt.json"]
@@ -627,25 +627,25 @@ class TestEvaluationArena:
         assert set(collections_seen) == {0} and len(collections_seen) <= 24
 
 
-class TestMultiKernelScheduler:
+class TestExploreModuleKernels:
     def two_kernel_module(self):
         return compile_source(GEMM_SOURCE + SYRK_SOURCE, "pair")
 
-    def scheduler(self, jobs, **overrides):
+    def sweep(self, module, jobs, **overrides):
         config = dict(num_samples=4, max_iterations=6, seed=3, batch_size=4)
         config.update(overrides)
-        return MultiKernelScheduler(XC7Z020, SweepConfig(jobs=jobs, **config))
+        return explore_module_kernels(module, XC7Z020, jobs=jobs, **config)
 
     def test_explores_every_function(self):
-        results = self.scheduler(jobs=1).explore_module(self.two_kernel_module())
+        results = self.sweep(self.two_kernel_module(), jobs=1)
         assert set(results) == {"gemm", "syrk"}
         for result in results.values():
             assert result.best_record is not None
             assert result.frontier
 
     def test_concurrent_matches_serial(self):
-        serial = self.scheduler(jobs=1).explore_module(self.two_kernel_module())
-        concurrent = self.scheduler(jobs=2).explore_module(self.two_kernel_module())
+        serial = self.sweep(self.two_kernel_module(), jobs=1)
+        concurrent = self.sweep(self.two_kernel_module(), jobs=2)
         for name in serial:
             assert frontier_signature(serial[name]) \
                 == frontier_signature(concurrent[name])
@@ -653,25 +653,23 @@ class TestMultiKernelScheduler:
     def test_shared_cache_across_runs(self):
         cache = EstimateCache()
         module = self.two_kernel_module()
-        self.scheduler(jobs=1, cache=cache).explore_module(module)
-        warm = self.scheduler(jobs=1, cache=cache).explore_module(module)
+        self.sweep(module, jobs=1, cache=cache)
+        warm = self.sweep(module, jobs=1, cache=cache)
         for result in warm.values():
             assert result.cache_misses == 0
             assert result.cache_hits == result.num_evaluations
 
     def test_function_subset_and_unknown_name(self):
         module = self.two_kernel_module()
-        results = self.scheduler(jobs=1).explore_module(module, func_names=["gemm"])
+        results = self.sweep(module, jobs=1, func_names=["gemm"])
         assert set(results) == {"gemm"}
         with pytest.raises(ValueError):
-            self.scheduler(jobs=1).explore_module(module, func_names=["nope"])
+            self.sweep(module, jobs=1, func_names=["nope"])
 
     @pytest.mark.parametrize("entry", [
         "estimate_baseline", "apply_design_point", "explore_kernel",
-        "ParallelExplorer.explore"])
+        "explore_kernels"])
     def test_every_entry_reports_an_unknown_function(self, gemm_module, entry):
-        from repro.pipeline import explore_kernel
-
         space = KernelDesignSpace.from_function(gemm_module.functions()[0])
         point = space.decode((0,) * space.num_dimensions)
         calls = {
@@ -681,8 +679,10 @@ class TestMultiKernelScheduler:
                 gemm_module, point, XC7Z020, func_name="missing"),
             "explore_kernel": lambda: explore_kernel(
                 gemm_module, XC7Z020, func_name="missing"),
-            "ParallelExplorer.explore": lambda: small_explorer().explore(
-                gemm_module, func_name="missing"),
+            "explore_kernels": lambda: scheduler.explore_kernels(
+                [KernelTask(key="kernel", module=gemm_module,
+                            func_name="missing", space=space)],
+                XC7Z020, SweepConfig()),
         }
         with pytest.raises(ValueError,
                            match="function 'missing' not found in the module"):
@@ -700,14 +700,14 @@ class TestMultiKernelScheduler:
 
         monkeypatch.setattr(scheduler, "_explore_trajectory", failing)
         with pytest.raises(EvaluationFailure) as raised:
-            self.scheduler(jobs=jobs).explore_module(self.two_kernel_module())
+            self.sweep(self.two_kernel_module(), jobs=jobs)
         assert str(raised.value) \
             == "DSE for kernel 'syrk' failed: RuntimeError: no estimate"
 
 
 class TestResultMaterialization:
     def test_best_design_matches_record(self, gemm_module):
-        result = small_explorer().explore(gemm_module)
+        result = small_sweep(gemm_module)
         design = result.best_design()
         assert design.qor.latency == result.best_record.qor.latency
         assert design.point == result.best_record.point
@@ -715,6 +715,6 @@ class TestResultMaterialization:
     def test_emission_of_materialized_design(self, gemm_module):
         from repro.emit import emit_hlscpp
 
-        result = small_explorer().explore(gemm_module)
+        result = small_sweep(gemm_module)
         code = emit_hlscpp(result.best_design().module)
         assert "void gemm(" in code

@@ -6,6 +6,7 @@ interruption and re-runs from the checkpoint."""
 import contextlib
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -28,7 +29,6 @@ from repro.dse.runtime import (
     FaultPlan,
     InjectedFault,
     KernelContext,
-    ParallelExplorer,
     ProcessPoolBackend,
     SerialBackend,
     SupervisionPolicy,
@@ -45,21 +45,12 @@ from repro.estimation.resources import ResourceUsage
 from repro.tools.driver import build_parser, main
 
 from conftest import GEMM_SOURCE, compile_source
-from test_dse_runtime import cache_counters
+from test_dse_runtime import cache_counters, small_sweep
 
 
 def frontier_signature(result):
     """Byte-comparable rendering of a frontier (encoded point + objectives)."""
     return repr([(p.encoded, p.latency, p.area) for p in result.frontier])
-
-
-def small_explorer(checkpoint_dir=None, max_evaluations=None, **overrides):
-    config = dict(num_samples=6, max_iterations=8, seed=11, jobs=1,
-                  batch_size=4)
-    config.update(overrides)
-    return ParallelExplorer(XC7Z020, SweepConfig(**config),
-                            checkpoint_dir=checkpoint_dir,
-                            max_evaluations=max_evaluations)
 
 
 def fast_policy(**overrides):
@@ -519,15 +510,14 @@ class TestFlakyRecovery:
     def _faulty(self, module, jobs, tmp_path, tag):
         plan = FaultPlan(mode="flaky", select=2, times=1,
                          state_dir=str(tmp_path / f"ledger-{tag}"))
-        explorer = small_explorer(jobs=jobs, supervision=fast_policy(),
-                                  faults=plan)
-        result = explorer.explore(module)
+        result = small_sweep(module, jobs=jobs, supervision=fast_policy(),
+                             faults=plan)
         # The ledger proves faults actually fired (attempt files written).
         assert os.listdir(plan.state_dir)
         return result
 
     def test_flaky_frontier_matches_clean(self, gemm_module, tmp_path):
-        clean = small_explorer().explore(gemm_module)
+        clean = small_sweep(gemm_module)
         serial = self._faulty(gemm_module, 1, tmp_path, "j1")
         pooled = self._faulty(gemm_module, 2, tmp_path, "j2")
         assert frontier_signature(serial) == frontier_signature(clean)
@@ -563,11 +553,11 @@ class TestCrashRecovery:
 
     def test_crash_frontier_matches_clean(self, gemm_module, tmp_path):
         config = dict(num_samples=4, max_iterations=4, batch_size=2, seed=11)
-        clean = small_explorer(**config).explore(gemm_module)
+        clean = small_sweep(gemm_module, **config)
         plan = FaultPlan(mode="crash", select=3, times=1,
                          state_dir=str(tmp_path / "ledger"))
-        faulty = small_explorer(jobs=2, supervision=fast_policy(),
-                                faults=plan, **config).explore(gemm_module)
+        faulty = small_sweep(gemm_module, jobs=2, supervision=fast_policy(),
+                             faults=plan, **config)
         assert frontier_signature(faulty) == frontier_signature(clean)
         assert set(faulty.records) == set(clean.records)
 
@@ -708,14 +698,13 @@ class TestCrashRecovery:
         for jobs in (1, 2):
             plan = FaultPlan(mode="crash", select=3, times=times,
                              state_dir=str(tmp_path / f"ledger-j{jobs}"))
-            runs[jobs] = small_explorer(jobs=jobs, supervision=policy,
-                                        faults=plan,
-                                        **config).explore(gemm_module)
+            runs[jobs] = small_sweep(gemm_module, jobs=jobs,
+                                     supervision=policy, faults=plan, **config)
         assert runs[1].num_quarantined == runs[2].num_quarantined
         assert frontier_signature(runs[1]) == frontier_signature(runs[2])
         if times <= policy.max_retries:
             # The plan's budget fits the retry budget: every victim recovers.
-            clean = small_explorer(**config).explore(gemm_module)
+            clean = small_sweep(gemm_module, **config)
             assert runs[1].num_quarantined == 0
             assert frontier_signature(runs[1]) == frontier_signature(clean)
             assert set(runs[1].records) == set(clean.records)
@@ -788,10 +777,8 @@ class TestHangTimeout:
 
 class TestPoisonQuarantine:
     def _poison_run(self, module, jobs, plan, **overrides):
-        explorer = small_explorer(jobs=jobs, faults=plan,
-                                  supervision=fast_policy(max_retries=1),
-                                  **overrides)
-        return explorer.explore(module)
+        return small_sweep(module, jobs=jobs, faults=plan,
+                           supervision=fast_policy(max_retries=1), **overrides)
 
     def test_quarantine_deterministic_across_jobs(self, gemm_module, tmp_path):
         plan = FaultPlan(mode="poison", select=2,
@@ -822,9 +809,9 @@ class TestPoisonQuarantine:
                                    checkpoint_dir=checkpoint,
                                    checkpoint_every=1, max_evaluations=6)
         assert partial.iterations_done < full.iterations_done
-        resumed = small_explorer(
-            jobs=1, faults=plan, supervision=fast_policy(max_retries=1),
-            checkpoint_dir=checkpoint).explore(gemm_module)
+        resumed = small_sweep(gemm_module, jobs=1, faults=plan,
+                              supervision=fast_policy(max_retries=1),
+                              checkpoint_dir=checkpoint)
         assert frontier_signature(resumed) == frontier_signature(full)
         assert [rec.encoded for rec in resumed.quarantined_records()] \
             == [rec.encoded for rec in full.quarantined_records()]
@@ -832,11 +819,9 @@ class TestPoisonQuarantine:
     def test_on_fault_fail_aborts(self, gemm_module, tmp_path):
         plan = FaultPlan(mode="poison", select=1,
                          state_dir=str(tmp_path / "ledger"))
-        explorer = small_explorer(
-            faults=plan, supervision=fast_policy(max_retries=0,
-                                                 on_fault="fail"))
         with pytest.raises(EvaluationFailure, match=r"kernel .* point .*"):
-            explorer.explore(gemm_module)
+            small_sweep(gemm_module, faults=plan,
+                        supervision=fast_policy(max_retries=0, on_fault="fail"))
 
 
 # -- crash-consistent persistence -----------------------------------------------------------
@@ -872,6 +857,25 @@ class TestTornLineRecovery:
         assert counts["recovered_lines"] == 0
         assert counts["loaded"] == 1
         clean.close()
+
+    def test_a_lone_torn_line_is_recovered(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text('{"fingerprint": "fp", "model')
+        with pytest.warns(RuntimeWarning, match="truncated trailing line"):
+            revived, counts = cache_counters(
+                lambda: EstimateCache(path=str(path)))
+        assert counts["recovered_lines"] == 1 and len(revived) == 0
+        assert path.read_text() == ""
+
+    def test_a_file_without_a_cache_line_is_left_alone(self, tmp_path):
+        # Complete lines, none of them a JSON object with a "model" key:
+        # some other file, not a torn cache; compacting would empty it.
+        path = tmp_path / "notes.txt"
+        path.write_bytes(b'line one\n{"record": 1}\n')
+        with pytest.raises(ValueError, match=re.escape(
+                f"{str(path)!r} is not an estimate cache")):
+            EstimateCache(path=str(path))
+        assert path.read_bytes() == b'line one\n{"record": 1}\n'
 
     def test_corrupt_middle_line_is_not_a_torn_write(self, gemm_module,
                                                      tmp_path):
@@ -989,18 +993,16 @@ class TestInterruptCheckpoint:
     def test_interrupt_saves_boundary_and_resume_completes(
             self, gemm_module, tmp_path, interrupt_after):
         checkpoint = str(tmp_path / "ckpt")
-        clean = small_explorer().explore(gemm_module)
+        clean = small_sweep(gemm_module)
 
-        explorer = small_explorer(checkpoint_dir=checkpoint,
-                                  checkpoint_every=1000)
         with interrupt_after(2), pytest.raises(KeyboardInterrupt):
-            explorer.explore(gemm_module)
+            small_sweep(gemm_module, checkpoint_dir=checkpoint,
+                        checkpoint_every=1000)
         # Even though the periodic checkpoint interval was never reached,
         # the interrupt must have persisted the last batch boundary.
         assert os.path.exists(os.path.join(checkpoint, "kernel.ckpt.json"))
 
-        resumed = small_explorer(checkpoint_dir=checkpoint) \
-            .explore(gemm_module)
+        resumed = small_sweep(gemm_module, checkpoint_dir=checkpoint)
         assert frontier_signature(resumed) == frontier_signature(clean)
         assert set(resumed.records) == set(clean.records)
 
@@ -1013,9 +1015,8 @@ class TestInterruptCheckpoint:
         def sweep():
             cache = EstimateCache(str(tmp_path / "cache.jsonl"))
             try:
-                return small_explorer(checkpoint_dir=str(tmp_path),
-                                      checkpoint_every=1000, cache=cache) \
-                    .explore(gemm_module)
+                return small_sweep(gemm_module, checkpoint_dir=str(tmp_path),
+                                   checkpoint_every=1000, cache=cache)
             finally:
                 cache.close()
 
@@ -1024,7 +1025,7 @@ class TestInterruptCheckpoint:
         assert not checkpoint.exists()
         stored = len((tmp_path / "cache.jsonl").read_text().splitlines())
         assert stored > 0
-        clean = small_explorer().explore(gemm_module)
+        clean = small_sweep(gemm_module)
         rerun = sweep()
         assert rerun.cache_hits == stored
         assert frontier_signature(rerun) == frontier_signature(clean)

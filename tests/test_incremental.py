@@ -15,11 +15,12 @@ from repro.dse.apply import (
     register_cleanup_pipeline,
 )
 from repro.dse.incremental import PrefixSnapshotCache
-from repro.dse.runtime import EstimateCache, ParallelExplorer, SweepConfig
+from repro.dse.runtime import EstimateCache, SweepConfig
 from repro.dse.space import KernelDesignPoint, ir_digest
 from repro.estimation import XC7Z020
 from repro.ir import print_op
 from repro.ir.pass_manager import PassError
+from repro.pipeline import explore_kernel, explore_module_kernels
 
 from conftest import GEMM_SOURCE, compile_source
 
@@ -51,9 +52,9 @@ class TestIncrementalEquivalence:
 
     def test_every_visited_point_is_the_same_without_snapshots(self,
                                                                gemm_module):
-        explorer = ParallelExplorer(XC7Z020, SweepConfig(
-            num_samples=6, max_iterations=8, seed=11, batch_size=4))
-        assert_snapshots_invisible(explorer.explore(gemm_module))
+        assert_snapshots_invisible(explore_kernel(
+            gemm_module, XC7Z020, num_samples=6, max_iterations=8, seed=11,
+            batch_size=4))
 
 
 class TestPrefixSnapshotCache:
@@ -165,11 +166,9 @@ class TestSnapshotHoldsTheKernelAndItsCallees:
                                   func_name="caller").qor != plain.qor
 
     def test_every_visited_point_is_the_same_without_snapshots(self, module):
-        from repro.dse.runtime import MultiKernelScheduler
-
-        results = MultiKernelScheduler(XC7Z020, SweepConfig(
+        results = explore_module_kernels(
+            module, XC7Z020, func_names=["caller", "bystander"],
             num_samples=4, max_iterations=4, seed=3, batch_size=4)
-        ).explore_module(module, func_names=["caller", "bystander"])
         for name in ("caller", "bystander"):
             assert_snapshots_invisible(results[name])
 
@@ -209,10 +208,10 @@ class TestRuntimePipelineRegistration:
 
 class TestEstimateCacheCompaction:
     def _fill(self, path):
-        explorer = ParallelExplorer(XC7Z020, SweepConfig(
-            num_samples=6, max_iterations=8, seed=11, jobs=1, batch_size=4,
-            cache=EstimateCache(path)))
-        return explorer.explore(compile_source(GEMM_SOURCE, "gemm"))
+        return explore_kernel(
+            compile_source(GEMM_SOURCE, "gemm"), XC7Z020, num_samples=6,
+            max_iterations=8, seed=11, jobs=1, batch_size=4,
+            cache=EstimateCache(path))
 
     def test_compaction_drops_superseded_and_corrupt_lines(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
@@ -297,7 +296,7 @@ class TestOnePostPrefixBuild:
         import json
 
         from repro.dse.incremental import post_prefix_band
-        from repro.dse.runtime.model import ModelScheduler
+        from repro.dse.runtime.model import _staged_tasks
         from repro.dse.space import KernelDesignSpace
         from repro.frontend.models import build_model
         from repro.kernels import KERNEL_NAMES
@@ -311,7 +310,7 @@ class TestOnePostPrefixBuild:
                 module = compile_kernel(name, size)
                 kernels.append(("table3", f"{name}{size}", module, None,
                                 KernelDesignSpace.from_function(module.functions()[0])))
-        tasks, _, _ = ModelScheduler()._staged_tasks(build_model("vgg16"), 7, None)
+        tasks, _, _ = _staged_tasks(build_model("vgg16"), 7, SweepConfig())
         kernels += [("vgg16", task.key, task.module, task.func_name, task.space)
                     for task in tasks if task.key in frozen["vgg16"]]
         assert len(kernels) == 12 + len(frozen["vgg16"]) == 40

@@ -21,11 +21,11 @@ from repro.dse.runtime import (
     EstimateCache,
     FaultPlan,
     KernelTask,
-    ModelScheduler,
-    MultiKernelScheduler,
     SupervisionPolicy,
     SweepConfig,
 )
+from repro.dse.runtime.model import _staged_tasks
+from repro.dse.runtime.scheduler import explore_kernels
 from repro.dse.runtime.worker import KernelContext, evaluate_encoded
 from repro.dse.space import (
     LABEL_ATTRS,
@@ -39,7 +39,7 @@ from repro.ir.module import ModuleOp
 from repro.ir.types import MemRefType, f64
 from repro.kernels import KERNEL_NAMES, kernel_source
 from repro.obs.report import render_run_summary
-from repro.pipeline import compile_c, prepare_dnn_stages
+from repro.pipeline import compile_c, explore_dnn, prepare_dnn_stages
 from repro.tools.driver import main
 from repro.transforms import lower_graph_to_loops
 
@@ -229,20 +229,13 @@ PAIRS = {"forward_dataflow20": "forward_dataflow17",
          "forward_dataflow30": "forward_dataflow27"}
 
 
-def slice_scheduler(jobs=1, checkpoint_dir=None,
-                    max_evaluations_per_node=None, **overrides):
-    own = dict(checkpoint_dir=checkpoint_dir,
-               max_evaluations_per_node=max_evaluations_per_node)
-    config = dict(jobs=jobs, seed=7, batch_size=2, checkpoint_every=16,
-                  num_samples=3, max_iterations=4)
-    config.update(overrides)
-    return ModelScheduler(VU9P_SLR, SweepConfig(**config), **own)
-
-
-def sweep(jobs=1, **overrides):
-    return slice_scheduler(jobs, **overrides).explore(
-        SLICE["model"], graph_level=SLICE["graph_level"],
-        max_nodes=SLICE["max_nodes"])
+def sweep(**overrides):
+    """The sweep of SLICE, with ``overrides`` of its settings."""
+    settings = dict(graph_level=SLICE["graph_level"],
+                    max_nodes=SLICE["max_nodes"], jobs=1, seed=7,
+                    batch_size=2, checkpoint_every=16, num_samples=3,
+                    max_iterations=4)
+    return explore_dnn(SLICE["model"], VU9P_SLR, **{**settings, **overrides})
 
 
 @pytest.fixture(scope="module")
@@ -295,7 +288,7 @@ class TestSharedSweep:
         assert design.qor == member.best_record.qor
 
     def test_distinct_kernels_run_without_any_cache(self):
-        result = slice_scheduler().explore("vgg16", graph_level=7, max_nodes=2)
+        result = sweep(max_nodes=2)
         assert len(result.node_order) == 2 and result.shared_nodes == 0
         assert result.cache_hits == result.cache_misses == 0
 
@@ -338,7 +331,7 @@ class TestSharedSweep:
     def test_resume_from_a_mid_sweep_checkpoint(self, serial_sweep, tmp_path):
         ckpt = str(tmp_path / "ckpt")
         partial = sweep(checkpoint_dir=ckpt, checkpoint_every=1,
-                        max_evaluations_per_node=2)
+                        max_evaluations=2)
         assert partial.num_evaluations < serial_sweep.num_evaluations
         resumed = sweep(jobs=2, checkpoint_dir=ckpt)
         assert resumed.frontier_json() == serial_sweep.frontier_json()
@@ -418,8 +411,7 @@ class TestSharedSweep:
                          "fingerprint": len(result.node_order)}
 
         calls.update(key=0, digest=0, build=0, fingerprint=0)
-        tasks, _, _ = ModelScheduler()._staged_tasks(build_model("vgg16"), 7,
-                                                     None)
+        tasks, _, _ = _staged_tasks(build_model("vgg16"), 7, SweepConfig())
         assert len(tasks) == 50
         assert calls == {"key": 50, "digest": 28, "build": 28,
                          "fingerprint": 0}
@@ -504,8 +496,8 @@ def _tasks(copies: int, budgets=None, lone: bool = True) -> list[KernelTask]:
     return tasks
 
 
-def _scheduler(jobs, **overrides):
-    return MultiKernelScheduler(XC7Z020, SweepConfig(
+def _sweep(tasks, jobs, **overrides):
+    return explore_kernels(tasks, XC7Z020, SweepConfig(
         jobs=jobs, num_samples=3, max_iterations=4, seed=5, batch_size=2,
         **overrides))
 
@@ -514,7 +506,7 @@ class TestRepresentativeFirst:
     def test_results_keep_task_order_and_caller_tasks_untouched(self):
         tasks = _tasks(copies=2)
         tasks.reverse()  # the lone kernel first
-        results = _scheduler(jobs=2).explore_kernels(tasks)
+        results = _sweep(tasks, jobs=2)
         assert list(results) == ["bicg", "gemm_1", "gemm_0"]
         assert results["gemm_0"].shared_with == "gemm_1"
         assert results["gemm_1"].shared_with is None
@@ -527,10 +519,8 @@ class TestRepresentativeFirst:
         counts = lambda results: {
             key: (result.cache_hits, result.cache_misses, result.shared_hits)
             for key, result in results.items()}
-        serial = _scheduler(jobs=1, cache=EstimateCache()) \
-            .explore_kernels(_tasks(3, budgets))
-        pooled = _scheduler(jobs=2, cache=EstimateCache()) \
-            .explore_kernels(_tasks(3, budgets))
+        serial = _sweep(_tasks(3, budgets), jobs=1, cache=EstimateCache())
+        pooled = _sweep(_tasks(3, budgets), jobs=2, cache=EstimateCache())
         assert counts(serial) == counts(pooled)
         assert all(result.shared_with is None for result in serial.values())
         assert serial["gemm_1"].cache_hits > 0
@@ -539,7 +529,7 @@ class TestRepresentativeFirst:
         assert {key: result.records for key, result in serial.items()} \
             == {key: result.records for key, result in pooled.items()}
         # Each member equals what it finds when swept alone.
-        alone = _scheduler(jobs=1).explore_kernels(_tasks(3, budgets)[1:2])
+        alone = _sweep(_tasks(3, budgets)[1:2], jobs=1)
         assert alone["gemm_1"].records == serial["gemm_1"].records
 
     @pytest.mark.parametrize("mode", ["crash", "hang"])
@@ -547,12 +537,12 @@ class TestRepresentativeFirst:
             self, tmp_path, mode):
         # One class, hence one coordinator: a pool break is never charged to
         # a bystander kernel, and the retried sweep must equal the clean one.
-        clean = _scheduler(jobs=1).explore_kernels(_tasks(3, lone=False))
+        clean = _sweep(_tasks(3, lone=False), jobs=1)
         plan = FaultPlan(mode=mode, select=3, times=1, hang_seconds=60.0,
                          state_dir=str(tmp_path / "ledger"))
         policy = fast_policy(task_timeout=1.0 if mode == "hang" else None)
-        faulty = _scheduler(jobs=2, faults=plan, supervision=policy) \
-            .explore_kernels(_tasks(3, lone=False))
+        faulty = _sweep(_tasks(3, lone=False), jobs=2, faults=plan,
+                        supervision=policy)
         assert os.listdir(plan.state_dir)  # faults fired
         for key, result in faulty.items():
             assert result.records == clean[key].records
@@ -566,7 +556,7 @@ class TestRepresentativeFirst:
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            results = _scheduler(jobs=4).explore_kernels(_tasks(copies=8))
+            results = _sweep(_tasks(copies=8), jobs=4)
         finally:
             sys.setswitchinterval(previous)
         first = results["gemm_0"]
@@ -588,12 +578,11 @@ class TestModelClassesShareOneBudget:
     def test_every_class_has_one_budget(self, model):
         from repro.dse.runtime.scheduler import _kernel_fingerprint
 
-        scheduler = ModelScheduler(VU9P_SLR, SweepConfig(
-            num_samples=8, max_iterations=12))
+        config = SweepConfig(num_samples=8, max_iterations=12)
         members = 0
         for graph_level in range(8):
-            tasks, _, _ = scheduler._staged_tasks(build_model(model),
-                                                  graph_level, None)
+            tasks, _, _ = _staged_tasks(build_model(model), graph_level,
+                                        config)
             budgets: dict[str, set] = {}
             for task in tasks:
                 fingerprint = _kernel_fingerprint(

@@ -24,8 +24,10 @@ from hypothesis import example, given, settings, strategies as st
 from repro.affine.expr import AffineConstantExpr
 from repro.affine.map import AffineMap
 from repro.dse.pareto import ParetoPoint, pareto_frontier
-from repro.dse.runtime import ModelScheduler, SweepConfig, compose_model_frontier
-from repro.dse.runtime.model import ModelFrontierPoint, _canonical_json
+from repro.dse.runtime import SweepConfig, compose_model_frontier
+from repro.dse.runtime import model as runtime_model
+from repro.dse.runtime.model import (ModelFrontierPoint, _canonical_json,
+                                     _staged_tasks)
 from repro.dse.runtime.records import EvaluationRecord
 from repro.dse.runtime.worker import KernelContext
 from repro.dse.space import KernelDesignPoint, KernelDesignSpace, ir_digest
@@ -36,6 +38,7 @@ from repro.ir.module import ModuleOp
 from repro.ir.operation import Operation
 from repro.ir.printer import print_op
 from repro.ir.types import MemRefType, PartitionKind, build_partition_map, f32
+from repro.pipeline import explore_dnn
 from repro.tools.driver import main
 
 from test_dnn_dse import tiny_model
@@ -333,7 +336,6 @@ def test_the_vgg16_warm_artifact(tmp_path):
     import hashlib
 
     from repro.dse.runtime import EstimateCache
-    from repro.pipeline import explore_dnn
 
     def sweep():
         cache = EstimateCache(str(tmp_path / "estimates.jsonl"))
@@ -395,13 +397,11 @@ def test_record_encoding_equals_the_asdict_one(record):
 # -- moved, not cloned ------------------------------------------------------------------------
 
 
-def _scheduler():
-    return ModelScheduler(VU9P_SLR, SweepConfig(seed=7, batch_size=2,
-                                                num_samples=3, max_iterations=4))
+SMALL = dict(seed=7, batch_size=2, num_samples=3, max_iterations=4)
 
 
 def test_splitting_the_nodes_clones_no_operation(monkeypatch):
-    clone, node_tasks = Operation.clone, ModelScheduler._node_tasks
+    clone, node_tasks = Operation.clone, runtime_model._node_tasks
     counts = {"splits": 0, "clones": 0}
     splitting = False
 
@@ -409,18 +409,18 @@ def test_splitting_the_nodes_clones_no_operation(monkeypatch):
         counts["clones"] += splitting
         return clone(op, value_map)
 
-    def counted_split(scheduler, *args):
+    def counted_split(*args):
         nonlocal splitting
         counts["splits"] += 1
         splitting = True
         try:
-            return node_tasks(scheduler, *args)
+            return node_tasks(*args)
         finally:
             splitting = False
 
     monkeypatch.setattr(Operation, "clone", counted_clone)
-    monkeypatch.setattr(ModelScheduler, "_node_tasks", counted_split)
-    result = _scheduler().explore(tiny_model(), graph_level=3)
+    monkeypatch.setattr(runtime_model, "_node_tasks", counted_split)
+    result = explore_dnn(tiny_model(), VU9P_SLR, graph_level=3, **SMALL)
     assert result.frontier
     assert counts == {"splits": 1, "clones": 0}
 
@@ -428,12 +428,12 @@ def test_splitting_the_nodes_clones_no_operation(monkeypatch):
 def test_a_callers_module_is_left_as_it_was():
     model = tiny_model()
     before = _printed(model)
-    _scheduler().explore(model, graph_level=3)
+    explore_dnn(model, VU9P_SLR, graph_level=3, **SMALL)
     assert _printed(model) == before
 
 
 def test_each_node_function_is_moved_into_its_own_module():
-    tasks, node_order, _ = _scheduler()._staged_tasks(tiny_model(), 3, None)
+    tasks, node_order, _ = _staged_tasks(tiny_model(), 3, SweepConfig(**SMALL))
     assert node_order == [task.key for task in tasks]
     for task in tasks:
         (func_op,) = task.module.functions()
@@ -476,7 +476,8 @@ def test_moved_nodes_equal_cloned_ones(model, graph_level):
         func_op.get_attr("sym_name"): ir_digest(func_op)
         for func_op in stage_funcs})
     cloned = _frozen_split(stage_funcs)
-    tasks, _, skipped = _scheduler()._staged_tasks(build(), graph_level, None)
+    tasks, _, skipped = _staged_tasks(build(), graph_level,
+                                      SweepConfig(**SMALL))
     printed = {module.functions()[0].get_attr("sym_name"): _printed(module)
                for module in cloned}
     assert {task.key: _printed(task.module) for task in tasks} \
@@ -484,7 +485,7 @@ def test_moved_nodes_equal_cloned_ones(model, graph_level):
 
 
 def test_a_moved_node_pickles_through_a_pool_context():
-    tasks, _, _ = _scheduler()._staged_tasks(tiny_model(), 3, None)
+    tasks, _, _ = _staged_tasks(tiny_model(), 3, SweepConfig(**SMALL))
     for task in tasks:
         context = KernelContext(module=task.module, func_name=task.func_name,
                                 platform=VU9P_SLR, space=task.space)

@@ -421,16 +421,15 @@ class TestPassSecondsCardinality:
 
     @staticmethod
     def _sweep_counters(points: int):
-        from repro.dse.runtime import ParallelExplorer, SweepConfig
         from repro.estimation import XC7Z020
         from repro.kernels import kernel_source
-        from repro.pipeline import compile_c
+        from repro.pipeline import compile_c, explore_kernel
 
         module = compile_c(kernel_source("gemm", 4), "gemm")
         with obs.session() as session:
-            result = ParallelExplorer(XC7Z020, SweepConfig(
-                num_samples=points // 2, max_iterations=points // 2,
-                seed=5, batch_size=5)).explore(module)
+            result = explore_kernel(
+                module, XC7Z020, num_samples=points // 2,
+                max_iterations=points // 2, seed=5, batch_size=5)
         assert result.num_evaluations == points
         return {name for name in session.metrics.counters
                 if name.startswith("pass.seconds.")}

@@ -1,13 +1,14 @@
-"""Every sweep takes one route: the :class:`MultiKernelScheduler` owns the
+"""Every sweep takes one route: ``scheduler.explore_kernels`` owns the
 backend, the fingerprint and the checkpoint name, and a single kernel
-(:class:`ParallelExplorer`) is a one-task sweep of it."""
+(``explore_kernel``) is a one-task sweep of it."""
 
 import inspect
 
 import pytest
 
-from repro.dse.runtime import ParallelExplorer, SweepConfig
+from repro.dse.runtime import KernelTask, SweepConfig
 from repro.dse.runtime import scheduler, worker
+from repro.dse.space import KernelDesignSpace
 from repro.estimation import XC7Z020
 from repro.kernels import kernel_source
 from repro.pipeline import (
@@ -29,8 +30,7 @@ class TestOneKernelIsAOneTaskSweep:
                                                               jobs):
         module = compile_kernel("gemm", size)
         name = module.functions()[0].get_attr("sym_name")
-        alone = ParallelExplorer(XC7Z020, SweepConfig(jobs=jobs, **BUDGET)) \
-            .explore(module)
+        alone = explore_kernel(module, XC7Z020, jobs=jobs, **BUDGET)
         swept = explore_module_kernels(module, XC7Z020, jobs=jobs,
                                        func_names=[name], **BUDGET)[name]
         assert alone.records == swept.records
@@ -40,10 +40,11 @@ class TestOneKernelIsAOneTaskSweep:
         assert alone.fingerprint == swept.fingerprint
 
     def test_explore_takes_only_what_a_caller_chooses(self):
-        assert list(inspect.signature(ParallelExplorer.explore).parameters) \
-            == ["self", "module", "space", "func_name"]
-        assert list(inspect.signature(ParallelExplorer).parameters) \
-            == ["platform", "config", "checkpoint_dir", "max_evaluations"]
+        assert list(inspect.signature(explore_kernel).parameters) \
+            == ["module", "platform", "checkpoint_dir", "func_name",
+                "max_evaluations", "sweep"]
+        assert list(inspect.signature(scheduler.explore_kernels).parameters) \
+            == ["tasks", "platform", "config", "checkpoint_dir"]
 
 
 @pytest.fixture
@@ -74,10 +75,17 @@ def _two_kernels():
                                for name in ("gemm", "syrk")), "two")
 
 
+def _one_task():
+    module = compile_kernel("gemm", 4)
+    space = KernelDesignSpace.from_function(module.functions()[0])
+    return [KernelTask(key="kernel", module=module, func_name=None,
+                       space=space)]
+
+
 SMALL = dict(num_samples=2, max_iterations=2)
 ENTRY_POINTS = {
-    "ParallelExplorer": lambda: ParallelExplorer(
-        XC7Z020, SweepConfig(**SMALL)).explore(compile_kernel("gemm", 4)),
+    "explore_kernels": lambda: scheduler.explore_kernels(
+        _one_task(), XC7Z020, SweepConfig(**SMALL)),
     "explore_kernel": lambda: explore_kernel(compile_kernel("gemm", 4),
                                              **SMALL),
     "explore_module_kernels": lambda: explore_module_kernels(

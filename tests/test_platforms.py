@@ -16,7 +16,7 @@ import pytest
 
 from repro import obs
 from repro.dse import KernelDesignSpace
-from repro.dse.runtime import ParallelExplorer, SweepConfig
+from repro.dse.runtime import EstimateCache
 from repro.estimation import (
     BUILTIN_PLATFORM_CONFIGS,
     PLATFORMS,
@@ -28,6 +28,7 @@ from repro.estimation import (
 )
 from repro.estimation.platform import Platform
 from repro.estimation.resources import ResourceUsage
+from repro.pipeline import explore_kernel
 
 from conftest import GEMM_SOURCE, SYRK_SOURCE, compile_source
 
@@ -304,12 +305,11 @@ class TestEstimatorPlatformAwareness:
             not in session.metrics.counters
 
 
-def sweep_explorer(platforms, checkpoint_dir=None, **overrides):
+def platform_sweep(module, platforms, **overrides):
     config = dict(platforms=platforms, num_samples=6, max_iterations=8,
                   seed=11, jobs=1, batch_size=4)
     config.update(overrides)
-    return ParallelExplorer(platforms[0], SweepConfig(**config),
-                            checkpoint_dir=checkpoint_dir)
+    return explore_kernel(module, platforms[0], **config)
 
 
 class TestMultiPlatformSweeps:
@@ -334,7 +334,7 @@ class TestMultiPlatformSweeps:
         assert first.fingerprint() != second.fingerprint()
 
     def test_sweep_covers_every_platform(self, gemm_module):
-        result = sweep_explorer([XC7Z020, VU9P_SLR]).explore(gemm_module)
+        result = platform_sweep(gemm_module, [XC7Z020, VU9P_SLR])
         assert result.platform_names() == ["xc7z020", "vu9p-slr"]
         for name in result.platform_names():
             assert result.frontier_records_for(name), name
@@ -345,9 +345,9 @@ class TestMultiPlatformSweeps:
 
     def test_jobs_do_not_change_per_platform_frontiers(self, gemm_module):
         platforms = [XC7Z020, VU9P_SLR]
-        serial = sweep_explorer(platforms).explore(gemm_module)
-        threaded = sweep_explorer(platforms, jobs=2).explore(
-            compile_source(GEMM_SOURCE, "gemm"))
+        serial = platform_sweep(gemm_module, platforms)
+        threaded = platform_sweep(compile_source(GEMM_SOURCE, "gemm"),
+                                  platforms, jobs=2)
         for name in serial.platform_names():
             assert frontier_signature(serial.frontier_records_for(name)) \
                 == frontier_signature(threaded.frontier_records_for(name))
@@ -356,17 +356,17 @@ class TestMultiPlatformSweeps:
                                                       tmp_path):
         platforms = [XC7Z020, VU9P_SLR]
         checkpoint = str(tmp_path / "ckpt")
-        full = sweep_explorer(platforms,
-                              checkpoint_dir=checkpoint).explore(gemm_module)
-        resumed = sweep_explorer(platforms, checkpoint_dir=checkpoint) \
-            .explore(compile_source(GEMM_SOURCE, "gemm"))
+        full = platform_sweep(gemm_module, platforms,
+                              checkpoint_dir=checkpoint)
+        resumed = platform_sweep(compile_source(GEMM_SOURCE, "gemm"),
+                                 platforms, checkpoint_dir=checkpoint)
         assert resumed.evaluated_this_run == 0
         for name in full.platform_names():
             assert frontier_signature(full.frontier_records_for(name)) \
                 == frontier_signature(resumed.frontier_records_for(name))
 
     def test_records_carry_platform_hash(self, gemm_module):
-        result = sweep_explorer([XC7Z020, VU9P_SLR]).explore(gemm_module)
+        result = platform_sweep(gemm_module, [XC7Z020, VU9P_SLR])
         hashes = {XC7Z020.name: XC7Z020.config_hash(),
                   VU9P_SLR.name: VU9P_SLR.config_hash()}
         for record in result.records.values():
@@ -374,19 +374,21 @@ class TestMultiPlatformSweeps:
 
     def test_cache_rejected_across_platform_hashes(self, gemm_module,
                                                    tmp_path):
-        cache_path = str(tmp_path / "estimates.jsonl")
-        from repro.pipeline import explore_kernel
+        def sweep(module, platform):
+            cache = EstimateCache(str(tmp_path / "estimates.jsonl"))
+            try:
+                return explore_kernel(module, platform, num_samples=6,
+                                      max_iterations=8, seed=11, batch_size=4,
+                                      cache=cache)
+            finally:
+                cache.close()
 
-        common = dict(num_samples=6, max_iterations=8, seed=11, batch_size=4,
-                      cache_path=cache_path)
-        warm = explore_kernel(gemm_module, XC7Z020, **common)
+        warm = sweep(gemm_module, XC7Z020)
         assert warm.cache_misses > 0
-        replay = explore_kernel(compile_source(GEMM_SOURCE, "gemm"),
-                                XC7Z020, **common)
+        replay = sweep(compile_source(GEMM_SOURCE, "gemm"), XC7Z020)
         assert replay.cache_hits == replay.num_evaluations
         # The same sweep against a tweaked platform fingerprints differently:
         # every stale entry is rejected, nothing is served across hashes.
         tweaked = dataclasses.replace(XC7Z020, memory_ports_per_bank=2)
-        cross = explore_kernel(compile_source(GEMM_SOURCE, "gemm"),
-                               tweaked, **common)
+        cross = sweep(compile_source(GEMM_SOURCE, "gemm"), tweaked)
         assert cross.cache_hits == 0

@@ -735,7 +735,7 @@ class TestVgg16SliceSweep:
     def test_resume_from_a_mid_sweep_checkpoint(self, expected, tmp_path):
         ckpt = str(tmp_path / "ckpt")
         partial = dnn.sweep(checkpoint_dir=ckpt, checkpoint_every=1,
-                            max_evaluations_per_node=3)
+                            max_evaluations=3)
         assert partial.num_evaluations < 42
         resumed = dnn.sweep(jobs=2, checkpoint_dir=ckpt)
         assert masked_document(resumed) == expected

@@ -34,10 +34,10 @@ from repro.dse.incremental import PrefixSnapshotCache
 from repro.dse.runtime import (
     EstimateCache,
     FaultPlan,
-    ParallelExplorer,
+    KernelTask,
     SweepConfig,
 )
-from repro.dse.runtime import worker
+from repro.dse.runtime import scheduler, worker
 from repro.dse.runtime.records import EvaluationRecord
 from repro.dse.runtime.worker import KernelContext, evaluate_encoded
 from repro.dse.space import KernelDesignSpace
@@ -45,7 +45,7 @@ from repro.estimation import QoREstimator, VU9P_SLR, XC7Z020
 from repro.estimation.platform import PLATFORMS
 from repro.kernels import KERNEL_NAMES, kernel_source
 from repro.obs.report import render_run_summary
-from repro.pipeline import compile_c
+from repro.pipeline import compile_c, explore_kernel
 from repro.transforms import pipeline_loop
 
 import cleanups
@@ -590,9 +590,8 @@ def explore(module, tmp_path=None, max_evaluations=None, cached=True,
         config.update(cache=cache, checkpoint_every=4)
         checkpoint_dir = str(tmp_path)
     try:
-        return ParallelExplorer(
-            XC7Z020, SweepConfig(**config), checkpoint_dir=checkpoint_dir,
-            max_evaluations=max_evaluations).explore(module)
+        return explore_kernel(module, XC7Z020, checkpoint_dir=checkpoint_dir,
+                              max_evaluations=max_evaluations, **config)
     finally:
         if cache is not None:
             cache.close()
@@ -785,10 +784,11 @@ class TestSweepMatchesTheParentCommit:
         monkeypatch.setattr(
             "repro.dse.engine.ExplorationPolicy.initial_batch",
             staticmethod(lambda space, rng, num_samples: list(batch)))
-        result = ParallelExplorer(XC7Z020, SweepConfig(
+        task = KernelTask(key="kernel", module=context.module,
+                          func_name=None, space=space)
+        result = scheduler.explore_kernels([task], XC7Z020, SweepConfig(
             num_samples=4, max_iterations=0, seed=1,
-            supervision=fast_policy(max_retries=0))).explore(
-                context.module, space=space)
+            supervision=fast_policy(max_retries=0)))["kernel"]
         assert [record.ok for record in result.records.values()] \
             == [False, True, True, True]
         assert dispatched == batch
