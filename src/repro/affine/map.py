@@ -67,10 +67,6 @@ class AffineMap:
                 0, 0, [AffineConstantExpr(value)])
         return shared
 
-    @staticmethod
-    def from_exprs(num_dims: int, exprs: Sequence[AffineExpr], num_symbols: int = 0) -> "AffineMap":
-        return AffineMap(num_dims, num_symbols, exprs)
-
     # -- queries ---------------------------------------------------------------
 
     @property
@@ -145,9 +141,6 @@ class AffineMap:
             for expr in self.results
         ]
         return AffineMap(other.num_dims, self.num_symbols + other.num_symbols, results)
-
-    def replace_results(self, results: Sequence[AffineExpr]) -> "AffineMap":
-        return AffineMap(self.num_dims, self.num_symbols, results)
 
     def get_sub_map(self, positions: Sequence[int]) -> "AffineMap":
         return AffineMap(self.num_dims, self.num_symbols,

@@ -162,9 +162,6 @@ class AffineIfOp(Operation):
     def condition(self) -> IntegerSet:
         return self.get_attr("condition")
 
-    def set_condition(self, condition: IntegerSet) -> None:
-        self.set_attr("condition", condition)
-
     @property
     def then_block(self) -> Block:
         return self.region(0).front

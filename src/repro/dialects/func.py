@@ -44,10 +44,6 @@ class FuncOp(Operation):
         return self.region(0).front
 
     @property
-    def entry_block(self) -> Block:
-        return self.body
-
-    @property
     def arguments(self) -> list[BlockArgument]:
         return list(self.body.arguments)
 

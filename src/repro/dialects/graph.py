@@ -13,11 +13,11 @@ means the dataflow edges are exactly the activation tensors.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.ir.dialect import register_operation
 from repro.ir.operation import Operation
-from repro.ir.types import TensorType, f32
+from repro.ir.types import TensorType
 from repro.ir.value import Value
 
 
@@ -278,8 +278,3 @@ GRAPH_NODE_OPS = {
 def graph_nodes(func_op: Operation) -> list[Operation]:
     """Graph-dialect operations directly inside a function body, in order."""
     return [op for op in func_op.region(0).front.operations if op.name in GRAPH_NODE_OPS]
-
-
-def input_tensor(shape: Sequence[int], element_type=f32) -> TensorType:
-    """Convenience constructor for model input tensor types."""
-    return TensorType(tuple(shape), element_type)

@@ -33,7 +33,7 @@ from repro.ir.pass_registry import build_pipeline_cached, pipeline_signature
 from repro.transforms.composite import (
     DesignPointPrefixPass,
     DesignPointSuffixPass,
-    _outer_loop,
+    design_nest,
 )
 from repro.transforms.directive.array_partition import ArrayPartitionPass
 
@@ -225,9 +225,9 @@ def optimize_kernel_module(module: ModuleOp, point: KernelDesignPoint,
     With ``snapshots`` (a :class:`repro.dse.incremental.PrefixSnapshotCache`)
     the shared evaluation prefix — canonicalize + the design point's boolean
     structural knobs — is served from a cached snapshot clone instead of
-    being re-run; the output is byte-identical either way.  ``digest``
-    optionally passes a precomputed :func:`~repro.dse.space.ir_digest` of
-    the kernel to the snapshot cache.
+    being re-run; the output is byte-identical either way.  ``digest``, the
+    :func:`~repro.dse.space.ir_digest` of the kernel (its space's
+    ``ir_digest``), is required with ``snapshots``: it keys the snapshot.
     """
     cloned, func_op, _, _ = _transform(module, point, func_name, snapshots, digest)
     return cloned, func_op
@@ -245,7 +245,7 @@ def _after_prefix(module: ModuleOp, point: KernelDesignPoint,
     cloned = module.clone()
     func_op = cloned.function(func_name)
     build_pipeline_cached("canonicalize").run(func_op)
-    if _outer_loop(func_op) is not None:
+    if design_nest(func_op) is not None:
         PassManager([design_point_prefix_pass(point)]).run(func_op)
     return cloned, func_op
 
@@ -259,7 +259,7 @@ def _transform(module: ModuleOp, point: KernelDesignPoint,
     could not be legalized): the one place the target II went — and the
     index expressions array partitioning, the last pass, derived."""
     cloned, func_op = _after_prefix(module, point, func_name, snapshots, digest)
-    if _outer_loop(func_op) is None:
+    if design_nest(func_op) is None:
         # Nothing to transform or partition: mirror the bare
         # canonicalization the estimator sees for loop-less functions.
         return cloned, func_op, None, None

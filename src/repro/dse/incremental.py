@@ -24,8 +24,13 @@ Correctness:
   stays for one-off callers such as ``materialize``; the tests require
   both to produce equal records for every point a sweep visits.
 * The cache key embeds :func:`repro.dse.space.ir_digest` of the source
-  kernel: structurally different IR can never share a snapshot, even within
-  one process.
+  kernel, which every caller holds (a design space always carries its
+  kernel's digest): structurally different IR can never share a snapshot,
+  even within one process.  A caller that changes a kernel in place passes
+  its new digest.
+* The prefix and the band read off a snapshot act on the kernel's
+  :func:`~repro.transforms.composite.design_nest`, the nest its design
+  space was sized on.
 
 Observability: each checkout emits one constant-shape ``dse.prefix`` span
 (cache-warmth only appears in span *args*, never in the trace skeleton) and
@@ -49,7 +54,7 @@ from repro.ir.module import ModuleOp
 from repro.ir.operation import Operation
 from repro.ir.pass_manager import PassManager
 from repro.ir.pass_registry import build_pipeline_cached
-from repro.transforms.composite import _outer_loop, band_shape
+from repro.transforms.composite import band_shape, design_nest
 
 
 class PrefixSnapshotCache:
@@ -70,21 +75,19 @@ class PrefixSnapshotCache:
         return len(self._snapshots)
 
     def checkout(self, module: ModuleOp, point: KernelDesignPoint,
-                 func_name: Optional[str] = None,
-                 digest: Optional[str] = None) -> tuple[ModuleOp, Operation]:
+                 func_name: Optional[str] = None, *,
+                 digest: str) -> tuple[ModuleOp, Operation]:
         """A fresh post-prefix clone of ``module`` for evaluating ``point``.
 
-        ``digest`` is the caller's :func:`~repro.dse.space.ir_digest` of the
-        kernel function when it already has one (the DSE runtime ships it in
-        the kernel context); without a hint the digest is recomputed per
-        checkout, so in-place mutation of ``module`` safely invalidates.
+        ``digest`` is the :func:`~repro.dse.space.ir_digest` of the kernel
+        function (the DSE runtime ships it in the kernel context's space).
 
         Returns ``(cloned module, kernel function inside the clone)``; the
         function is exactly what running canonicalize + the design-point
         prefix on a clone of ``module`` would produce, the module holds it
         and the functions it transitively calls, unchanged.
         """
-        key = self._key(module, point, func_name, digest)
+        key = self._key(point, func_name, digest)
         prefix = key[2]
         snapshot = self._snapshots.get(key)
         cached = snapshot is not None
@@ -105,24 +108,24 @@ class PrefixSnapshotCache:
         return cloned, cloned.function(func_name)
 
     def snapshot(self, module: ModuleOp, point: KernelDesignPoint,
-                 func_name: Optional[str] = None,
-                 digest: Optional[str] = None) -> Operation:
+                 func_name: Optional[str], digest: str) -> Operation:
         """The kernel function of ``point``'s snapshot, built now when the
         cache has none: what the suffix of ``point`` finds, to read and
         never to change.  Not a checkout — no hit, miss or clone is counted
         and no span opened — so a coordinator that asks first leaves the
         evaluation's checkout a hit."""
-        key = self._key(module, point, func_name, digest)
+        key = self._key(point, func_name, digest)
         snapshot = self._snapshots.get(key)
         if snapshot is None:
             snapshot = self._snapshots[key] = build_prefix(module, point, func_name)[0]
         return snapshot.function(func_name)
 
     @staticmethod
-    def _key(module: ModuleOp, point: KernelDesignPoint,
-             func_name: Optional[str], digest: Optional[str]) -> tuple:
+    def _key(point: KernelDesignPoint, func_name: Optional[str],
+             digest: str) -> tuple:
         if not digest:
-            digest = ir_digest(module.function(func_name))
+            raise ValueError("a prefix snapshot is keyed on the kernel's "
+                             "ir_digest, and none was given")
         return digest, func_name, point.prefix_key()
 
 
@@ -168,16 +171,16 @@ def post_prefix_band(module: ModuleOp, point: KernelDesignPoint,
     (:func:`~repro.transforms.composite.plan_design_point`).
 
     Read off the snapshot of ``snapshots`` (built into it when missing, so
-    the evaluation that checks it out next finds it; ``digest`` as for
-    :meth:`PrefixSnapshotCache.checkout`), or without a cache built from
-    scratch and dropped on return.
+    the evaluation that checks it out next finds it; ``digest``, required
+    with ``snapshots``, as for :meth:`PrefixSnapshotCache.checkout`), or
+    without a cache built from scratch and dropped on return.
     """
     if snapshots is not None:
         func_op = snapshots.snapshot(module, point, func_name, digest)
     else:
         _, func_op = build_prefix(module, point, func_name)
-    outer = _outer_loop(func_op)
-    band = perfect_loop_band(outer) if outer is not None else ()
+    nest = design_nest(func_op)
+    band = perfect_loop_band(nest) if nest is not None else ()
     return ir_digest(func_op), band_shape(band)
 
 

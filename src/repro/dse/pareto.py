@@ -15,9 +15,6 @@ class ParetoPoint:
     encoded: tuple[int, ...]
     payload: object = None
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.latency, self.area)
-
 
 def dominates(a: ParetoPoint, b: ParetoPoint) -> bool:
     """True if ``a`` is at least as good as ``b`` on both axes and better on one."""

@@ -54,6 +54,7 @@ from repro.estimation.platform import Platform
 from repro.estimation.resources import ResourceUsage
 from repro.frontend.pytorch_like import model_flops
 from repro.ir.module import ModuleOp
+from repro.transforms.composite import design_nest
 from repro.transforms.graph.lower_graph import (buffer_stems, lower_graph_to_loops,
                                                 rename_buffers)
 
@@ -551,17 +552,16 @@ def _node_tasks(stage_funcs, members: dict, flops: dict[str, int],
                 ) -> tuple[list[KernelTask], list[str], list[str]]:
     """One single-function module + budgeted task per explorable node.
 
-    Explorability is decided on a class's lowered function, ``max_nodes``
-    on each node's flops.  A representative is moved into its module; a
-    member's holds a relabelled clone of it and shares its space.
+    Explorability (a :func:`design_nest`) is decided on a class's lowered
+    function, ``max_nodes`` on each node's flops.  A representative is moved
+    into its module; a member's holds a relabelled clone of it and shares
+    its space.
     """
-    from repro.dialects.affine_ops import outermost_loops
-
     candidates = []
     skipped: list[str] = []
     for func_op in stage_funcs:
         name = func_op.get_attr("sym_name")
-        if not outermost_loops(members.get(func_op, (func_op,))[0]):
+        if design_nest(members.get(func_op, (func_op,))[0]) is None:
             skipped.append(name)
             continue
         candidates.append((name, func_op))

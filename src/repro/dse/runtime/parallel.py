@@ -296,7 +296,7 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
     offer = getattr(backend, "prefix_snapshots", None)
     programs = _ProgramIdentities(module, func_name,
                                   offer(key) if offer is not None else None,
-                                  space.ir_digest or None)
+                                  space.ir_digest)
 
     def dispatch(encodings: list[tuple[int, ...]], identities: dict,
                  fresh: dict[tuple[int, ...], EvaluationRecord]) -> None:

@@ -55,15 +55,12 @@ from repro.estimation.platform import Platform
 from repro.ir.module import ModuleOp
 
 
-def _kernel_fingerprint(space: KernelDesignSpace, func_op,
-                        platform: Platform) -> str:
+def _kernel_fingerprint(space: KernelDesignSpace, platform: Platform) -> str:
     """Cache/checkpoint identity of (kernel, design space, pipeline, platform).
 
-    ``space.fingerprint()`` covers the kernel IR only when the space was
-    built via :meth:`KernelDesignSpace.from_function`; a directly
-    constructed space (``ir_digest == ""``) would collide across different
-    kernels with the same shape.  The runtime always has the function at
-    hand, so it mixes the actual IR digest in for that case.
+    ``space.fingerprint()`` is the kernel's identity as well as the space's:
+    a space always carries its kernel's ``ir_digest``, and its band is that
+    of the kernel's :func:`~repro.transforms.composite.design_nest`.
 
     The canonical pipeline signature of the evaluation flow is always mixed
     in: cached estimates produced under a different transform pipeline must
@@ -76,10 +73,6 @@ def _kernel_fingerprint(space: KernelDesignSpace, func_op,
     parts = [space.fingerprint(), kernel_pipeline_signature()]
     if not space.platforms:
         parts.append(platform.config_hash())
-    if not space.ir_digest:
-        from repro.dse.space import ir_digest
-
-        parts.append(ir_digest(func_op))
     combined = ":".join(parts)
     return hashlib.sha256(combined.encode("utf-8")).hexdigest()[:20]
 
@@ -164,8 +157,8 @@ def explore_kernels(tasks: Sequence[KernelTask], platform: Platform,
     swept: dict[tuple, str] = {}
     representative_of: dict[str, str] = {}
     for index, task in enumerate(tasks):
-        fingerprint = _kernel_fingerprint(
-            task.space, task.module.function(task.func_name), platform)
+        task.module.function(task.func_name)  # ValueError naming a missing one
+        fingerprint = _kernel_fingerprint(task.space, platform)
         tasks[index] = task = dataclasses.replace(task, fingerprint=fingerprint)
         classes.setdefault(fingerprint, []).append(task)
         task_config = _task_config(config, task)

@@ -197,7 +197,7 @@ def _evaluate(context: KernelContext, encoded: tuple[int, ...],
     design = apply_design_point(context.module, point, platform,
                                 func_name=context.func_name,
                                 snapshots=snapshots,
-                                digest=context.space.ir_digest or None,
+                                digest=context.space.ir_digest,
                                 sibling_iis=context.space.ii_options)
     siblings = tuple(
         EvaluationRecord(encoded=other,

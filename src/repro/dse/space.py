@@ -23,10 +23,14 @@ A design point is encoded as a tuple of indices into the per-dimension
 option lists, which makes "closest neighbor" proposals (Step 2 of the DSE
 algorithm) a matter of bumping one index by one.
 
-The permutation and tile dimensions are sized on the band *as written*; an
-evaluation permutes and tiles the *perfect* band left after the prefix, and
+A space describes one loop nest of its kernel, the one every tier acts on:
+:func:`repro.transforms.composite.design_nest`.  The permutation and tile
+dimensions are sized on that nest's band *as written*; an evaluation permutes
+and tiles the *perfect* band left after the prefix, and
 :func:`repro.transforms.composite.plan_design_point` decides which knobs that
 band takes (README "Program identity"; ``dse.knob.skipped.*`` count the rest).
+A space always carries its kernel's :func:`ir_digest`, so its
+:meth:`~KernelDesignSpace.fingerprint` names the kernel as well as the space.
 """
 
 from __future__ import annotations
@@ -37,8 +41,9 @@ import itertools
 import random
 from typing import Optional, Sequence
 
-from repro.dialects.affine_ops import AffineForOp, loop_band_from, outermost_loops
+from repro.dialects.affine_ops import AffineForOp, loop_band_from
 from repro.ir.operation import Operation
+from repro.transforms.composite import design_nest
 
 
 #: Attributes that only *label* an operation and are left out of a kernel's
@@ -122,13 +127,19 @@ class KernelDesignSpace:
     #: the pipelined body, so it directly bounds how large the IR (and the
     #: resource usage) can grow.
     MAX_UNROLL_PRODUCT = 128
+    #: Largest tile size offered for one loop.
+    MAX_TILE = 16
+    #: Target IIs offered for the pipelined loop.
+    TARGET_IIS = (1, 2, 4, 8)
 
     def __init__(self, band_trip_counts: Sequence[int], has_variable_bounds: bool,
-                 is_imperfect: bool, max_tile: int = 16, max_target_ii: int = 8,
-                 ir_digest: str = "", pipeline_names: Optional[Sequence[str]] = None,
+                 is_imperfect: bool, ir_digest: str,
                  platforms: Optional[Sequence] = None):
-        #: Stable digest of the kernel IR the space was built from ("" when the
-        #: space was constructed directly from trip counts).
+        #: :func:`ir_digest` of the kernel the band was read from: a space
+        #: always names its kernel, so :meth:`fingerprint` is the kernel's
+        #: identity as well as the space's.
+        if not ir_digest:
+            raise ValueError("a design space needs its kernel's ir_digest")
         self.ir_digest = ir_digest
         self.band_trip_counts = tuple(int(t) for t in band_trip_counts)
         self.has_variable_bounds = has_variable_bounds
@@ -138,21 +149,17 @@ class KernelDesignSpace:
         self.lp_options = [True, False] if is_imperfect else [False]
         self.rvb_options = [True, False] if has_variable_bounds else [False]
         self.perm_options = self._permutation_options(num_loops)
-        self.tile_options = [self._tile_sizes(trip, max_tile)
+        self.tile_options = [self._tile_sizes(trip)
                              for trip in self.band_trip_counts]
-        self.ii_options = [1, 2, 4, max_target_ii]
+        self.ii_options = list(self.TARGET_IIS)
         #: Position of the target-II index in an encoded point.
         self.ii_dimension = 3 + num_loops
-        from repro.dse.apply import cleanup_pipeline_names, cleanup_pipeline_spec
+        from repro.dse.apply import cleanup_pipeline_names
 
-        if pipeline_names is None:
-            pipeline_names = cleanup_pipeline_names()
-        else:
-            for name in pipeline_names:
-                cleanup_pipeline_spec(name)  # fail fast on unregistered names
-        #: Cleanup pipelines the sweep may run; a dimension only when there
-        #: is a choice, otherwise :meth:`decode` fills in the one name.
-        self.pipeline_options = list(pipeline_names)
+        #: Cleanup pipelines the sweep may run (every registered one); a
+        #: dimension only when there is a choice, otherwise :meth:`decode`
+        #: fills in the one name.
+        self.pipeline_options = list(cleanup_pipeline_names())
         self.explores_pipeline = len(self.pipeline_options) > 1
 
         #: Platforms the sweep explores (:class:`~repro.estimation.platform.
@@ -173,13 +180,16 @@ class KernelDesignSpace:
     # -- construction ----------------------------------------------------------------------
 
     @classmethod
-    def from_function(cls, func_op: Operation, max_tile: int = 16,
+    def from_function(cls, func_op: Operation,
                       platforms: Optional[Sequence] = None) -> "KernelDesignSpace":
-        """Build the space by analysing the kernel's (possibly imperfect) loop band."""
-        outer_loops = outermost_loops(func_op)
-        if not outer_loops:
-            raise ValueError("the kernel has no affine loop nest to explore")
-        band = loop_band_from(outer_loops[0])
+        """Build the space by analysing the (possibly imperfect) loop band of
+        the kernel's :func:`~repro.transforms.composite.design_nest`; a
+        ``ValueError`` naming the kernel when it has none."""
+        nest = design_nest(func_op)
+        if nest is None:
+            raise ValueError(f"{func_op.get_attr('sym_name')}: no affine loop "
+                             f"nest to explore")
+        band = loop_band_from(nest)
         trip_counts = []
         has_variable = False
         for loop in band:
@@ -192,21 +202,19 @@ class KernelDesignSpace:
             len([op for op in loop.body.operations
                  if op.name != "affine.yield" and not isinstance(op, AffineForOp)]) > 0
             for loop in band[:-1])
-        return cls(trip_counts, has_variable, is_imperfect, max_tile=max_tile,
-                   ir_digest=ir_digest(func_op), platforms=platforms)
+        return cls(trip_counts, has_variable, is_imperfect, ir_digest(func_op),
+                   platforms=platforms)
 
     # -- identity ---------------------------------------------------------------------------
 
     def fingerprint(self) -> str:
         """Stable identity of (kernel IR, design space shape).
 
-        Two spaces built via :meth:`from_function` share a fingerprint
-        exactly when their kernels' IR is structurally identical and their
-        dimension options match, making the fingerprint a safe key for the
-        QoR estimate cache and for checkpoint compatibility checks across
-        processes and sessions.  A directly constructed space carries no IR
-        digest, so its fingerprint only identifies the space *shape* — the
-        DSE runtime mixes the kernel IR back in for that case.
+        Two spaces share a fingerprint exactly when their kernels' IR is
+        structurally identical (:attr:`ir_digest`) and their dimension
+        options match, making the fingerprint a safe key for the QoR
+        estimate cache and for checkpoint compatibility checks across
+        processes and sessions.
 
         The cleanup pipelines — a dimension or not — are hashed by the
         canonical printed spec of each, not by its name: editing a pipeline
@@ -339,11 +347,11 @@ class KernelDesignSpace:
         options.add(rotated)
         return sorted(options)
 
-    @staticmethod
-    def _tile_sizes(trip: int, max_tile: int) -> list[int]:
+    @classmethod
+    def _tile_sizes(cls, trip: int) -> list[int]:
         sizes = [1]
         size = 2
-        while size <= min(trip, max_tile):
+        while size <= min(trip, cls.MAX_TILE):
             if trip % size == 0:
                 sizes.append(size)
             size *= 2

@@ -26,12 +26,6 @@ class ScheduleResult:
     alap: dict[Operation, int]
     depth: int
 
-    def start_time(self, op: Operation) -> int:
-        return self.alap.get(op, 0)
-
-    def finish_time(self, op: Operation) -> int:
-        return self.alap.get(op, 0) + op_latency(op.name)
-
     def slack(self, op: Operation) -> int:
         return self.alap.get(op, 0) - self.asap.get(op, 0)
 

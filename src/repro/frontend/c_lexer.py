@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Iterator
 
 KEYWORDS = {
     "void", "float", "double", "int", "for", "if", "else", "return", "const",
@@ -99,7 +98,3 @@ def tokenize(source: str) -> list[Token]:
         raise LexError(f"unexpected character {ch!r} at line {line}")
     tokens.append(Token("eof", "", line))
     return tokens
-
-
-def iter_tokens(source: str) -> Iterator[Token]:
-    return iter(tokenize(source))

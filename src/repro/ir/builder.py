@@ -104,9 +104,6 @@ class Builder:
     def set_insertion_point_before(self, op: "Operation") -> None:
         self.insertion_point = InsertionPoint.before(op)
 
-    def set_insertion_point_after(self, op: "Operation") -> None:
-        self.insertion_point = InsertionPoint.after(op)
-
     @contextlib.contextmanager
     def at_end(self, block: "Block"):
         """Temporarily move the insertion point to the end of ``block``."""

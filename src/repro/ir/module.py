@@ -47,7 +47,3 @@ class ModuleOp(Operation):
 
     def append(self, op: Operation) -> Operation:
         return self.body.append(op)
-
-    def clone_module(self) -> "ModuleOp":
-        """Deep-copy the whole module."""
-        return self.clone()

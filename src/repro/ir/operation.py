@@ -185,10 +185,6 @@ class Operation:
         return bool(self.regions)
 
     @property
-    def parent_block(self) -> Optional["Block"]:
-        return self.parent
-
-    @property
     def parent_region(self) -> Optional[Region]:
         return self.parent.parent if self.parent is not None else None
 
@@ -309,9 +305,6 @@ class Operation:
                 for block in region.blocks:
                     stack.extend(block.operations)
         return reversed(ordered)
-
-    def ops_of_name(self, name: str) -> list["Operation"]:
-        return [op for op in self.walk() if op.name == name]
 
     # -- cloning ------------------------------------------------------------------------------
 

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 from repro import obs
-from repro.ir.value import BlockArgument, OpResult, Value
+from repro.ir.value import BlockArgument, Value
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ir.block import Block
@@ -21,10 +21,6 @@ def walk(op: "Operation", callback: Callable[["Operation"], None]) -> None:
 def collect(op: "Operation", predicate: Callable[["Operation"], bool]) -> list["Operation"]:
     """All nested operations (including ``op``) satisfying ``predicate``."""
     return [nested for nested in op.walk() if predicate(nested)]
-
-
-def ops_with_name(op: "Operation", name: str) -> list["Operation"]:
-    return collect(op, lambda candidate: candidate.name == name)
 
 
 def scan_blocks(root: "Operation", scan: Callable[["Block"], int],
@@ -60,11 +56,6 @@ def scan_blocks(root: "Operation", scan: Callable[["Block"], int],
             misses += 1
     obs.add_pattern_stats({name: (hits, misses)}, {})
     return hits
-
-
-def defining_op(value: Value) -> Optional["Operation"]:
-    """The operation defining ``value`` (None for block arguments)."""
-    return value.owner if isinstance(value, OpResult) else None
 
 
 def values_defined_above(block: "Block") -> set[Value]:

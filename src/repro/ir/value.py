@@ -24,7 +24,7 @@ of thousands of values and uses.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.ir.block import Block
@@ -105,9 +105,6 @@ class Value:
     @property
     def owner(self):
         raise NotImplementedError
-
-    def iter_uses(self) -> Iterator[Use]:
-        return iter(list(self._uses.values()))
 
     # -- pickling -----------------------------------------------------------------
     #

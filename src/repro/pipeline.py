@@ -40,6 +40,7 @@ from repro.ir.operation import Operation
 from repro.ir.pass_registry import build_pipeline_cached
 from repro.kernels import kernel_source
 from repro.transforms import legalize_dataflow, lower_graph_to_loops, split_function
+from repro.transforms.composite import design_nest
 
 
 # -- computation kernels -----------------------------------------------------------------------------
@@ -129,10 +130,10 @@ def explore_module_kernels(module: ModuleOp, platform: Platform = XC7Z020, *,
     """Run DSE for every explorable function of ``module`` (or of
     ``func_names``) concurrently, ``sweep`` as in :func:`explore_kernel`.
 
-    Functions without an affine loop nest (e.g. a dataflow top that only
-    contains calls) are skipped.  Returns per-function results keyed by
-    the function's symbol name; each checkpoints to ``<name>.ckpt.json``
-    under ``checkpoint_dir``.
+    Functions without a :func:`~repro.transforms.composite.design_nest`
+    (e.g. a dataflow top that only contains calls) are skipped.  Returns
+    per-function results keyed by the function's symbol name; each
+    checkpoints to ``<name>.ckpt.json`` under ``checkpoint_dir``.
     """
     from repro.dse.runtime import KernelTask, SweepConfig
     from repro.dse.runtime.scheduler import explore_kernels
@@ -144,11 +145,10 @@ def explore_module_kernels(module: ModuleOp, platform: Platform = XC7Z020, *,
     tasks = []
     for name in func_names:
         func_op = module.function(name)
-        try:
-            space = KernelDesignSpace.from_function(
-                func_op, platforms=config.platforms or None)
-        except ValueError:
-            continue  # no loop nest to explore
+        if design_nest(func_op) is None:
+            continue
+        space = KernelDesignSpace.from_function(
+            func_op, platforms=config.platforms or None)
         tasks.append(KernelTask(key=name, module=module, func_name=name,
                                 space=space))
     return explore_kernels(tasks, platform, config,

@@ -1,5 +1,1 @@
 """Command-line tools (the reproduction's ``scalehls-opt`` / ``scalehls-translate``)."""
-
-from repro.tools.driver import main
-
-__all__ = ["main"]

@@ -49,7 +49,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro import obs
-from repro.dialects.affine_ops import loop_band_from, outermost_loops
+from repro.dialects.affine_ops import loop_band_from
 from repro.dse.apply import apply_design_point, estimate_baseline
 from repro.dse.incremental import post_prefix_band
 from repro.dse.space import KernelDesignPoint
@@ -69,7 +69,8 @@ from repro.obs.report import (
 )
 from repro.pipeline import (DNN_BUDGET, KERNEL_BUDGET, compile_c, compile_dnn,
                             compile_kernel, dnn_baseline)
-from repro.transforms.composite import knobs_not_applied, plan_design_point
+from repro.transforms.composite import (design_nest, knobs_not_applied,
+                                       plan_design_point)
 
 
 def _resolve_platforms(args, default_name: str) -> list[Platform]:
@@ -127,6 +128,18 @@ def _load_module(args) -> "ModuleOp":
     raise SystemExit("either --kernel or an input C file is required")
 
 
+def _explore_kernel(module, platform, **sweep):
+    """:func:`repro.pipeline.explore_kernel`, ending the command with the
+    sweep's one-line ``ValueError`` (a kernel without a loop nest to
+    explore names itself) instead of a traceback."""
+    from repro.pipeline import explore_kernel
+
+    try:
+        return explore_kernel(module, platform, **sweep)
+    except ValueError as error:
+        raise SystemExit(str(error)) from error
+
+
 def _design_point(args, module, default: bool = False
                   ) -> Optional[KernelDesignPoint]:
     """The design point the point flags spell for ``module``'s kernel: one
@@ -138,8 +151,8 @@ def _design_point(args, module, default: bool = False
                    or args.rvb)
     if not flagged and not default:
         return None
-    outer_loops = outermost_loops(module.functions()[0])
-    depth = len(loop_band_from(outer_loops[0])) if outer_loops else 0
+    nest = design_nest(module.function())
+    depth = len(loop_band_from(nest)) if nest is not None else 0
 
     def vector(flag, text, fallback, expected, valid):
         if not text:
@@ -502,7 +515,7 @@ def _register_pipelines(specs: Sequence[str]) -> None:
 
 
 def run_dse(args) -> int:
-    from repro.pipeline import explore_kernel, explore_module_kernels
+    from repro.pipeline import explore_module_kernels
 
     with _sweep_settings(args) as settings:
         module = _load_module(args)
@@ -535,7 +548,7 @@ def run_dse(args) -> int:
         if len(platforms) > 1:
             baselines = {target.name: estimate_baseline(module, target)
                          for target in platforms}
-        result = explore_kernel(module, platform, **common)
+        result = _explore_kernel(module, platform, **common)
     _print_dse_result("", result, baseline, baselines=baselines)
     if args.frontier_out:
         with open(args.frontier_out, "w", encoding="utf-8") as handle:
@@ -625,10 +638,8 @@ def run_emit(args) -> int:
     module = _load_module(args)
     platform = _single_platform(args, "xc7z020")
     if args.dse:
-        from repro.pipeline import explore_kernel
-
-        design = explore_kernel(module, platform, num_samples=24,
-                                max_iterations=48, batch_size=1).best_design()
+        design = _explore_kernel(module, platform, num_samples=24,
+                                 max_iterations=48, batch_size=1).best_design()
     else:
         design = apply_design_point(
             module, _design_point(args, module, default=True), platform)

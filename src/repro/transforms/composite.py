@@ -38,13 +38,27 @@ def run_design_point_prefix(func_op: Operation, perfectize: bool,
     distinct prefixes — which is what makes the post-prefix IR worth caching
     (see :mod:`repro.dse.incremental`).
     """
-    outer = _outer_loop(func_op)
+    outer = design_nest(func_op)
     if outer is None:
         return
     if perfectize:
         perfectize_band(outer)
     if rvb:
         remove_variable_bounds(func_op)
+
+
+def design_nest(func_op: Operation) -> Optional[AffineForOp]:
+    """The loop nest a kernel design point acts on: the first outermost
+    ``affine.for`` of ``func_op``, or None when it has no loop nest.
+
+    The one answer every tier reads — the design space sizes its band, the
+    prefix and suffix transform it, program identity plans on it, and a
+    sweep skips a function whose answer is None.  Other nests of the
+    function are left as they are (``dnn-loop-opt`` is the flow that treats
+    every nest).
+    """
+    loops = outermost_loops(func_op)
+    return loops[0] if loops else None
 
 
 def band_shape(band: Sequence[AffineForOp]
@@ -108,7 +122,7 @@ def stage_design_point(func_op: Operation, perm: Sequence[int],
     function has no loop nest.  What is left of an evaluation reads the knobs
     staged here through the IR alone (README "Program identity").
     """
-    outer = _outer_loop(func_op)
+    outer = design_nest(func_op)
     if outer is None:
         return None
     band = perfect_loop_band(outer)
@@ -249,8 +263,3 @@ def unroll_towards_factor(innermost: AffineForOp, factor: int) -> Optional[Affin
             unroll_loop(loop, remaining)
             remaining = 1
     return loop
-
-
-def _outer_loop(func_op: Operation) -> Optional[AffineForOp]:
-    loops = outermost_loops(func_op)
-    return loops[0] if loops else None

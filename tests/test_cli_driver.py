@@ -2,10 +2,14 @@
 
 import dataclasses
 import inspect
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro import pipeline
 from repro.dse.runtime import EstimateCache, SweepConfig
 from repro.tools.driver import build_parser, main
@@ -205,6 +209,29 @@ class TestCommands:
     def test_emit_dse_picks_the_finalized_design(self, capsys):
         assert main(["emit", "--kernel", "bicg", "--size", "8", "--dse"]) == 0
         assert "#pragma HLS pipeline" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [["dse"], ["emit", "--dse"]])
+    def test_a_kernel_without_a_loop_nest_is_one_line(self, tmp_path,
+                                                      command):
+        source = tmp_path / "flat.c"
+        source.write_text("""
+        void flat(float A[4]) {
+          A[0] = A[0] + A[1];
+        }""")
+        with pytest.raises(SystemExit) as exit_info:
+            main([command[0], str(source), *command[1:]])
+        assert exit_info.value.code == "flat: no affine loop nest to explore"
+
+    def test_the_documented_invocation_does_not_warn(self):
+        src_root = os.path.dirname(os.path.abspath(
+            next(iter(repro.__path__))))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.tools.driver", "list-passes"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0
+        assert "found in sys.modules" not in done.stderr
 
     def test_dnn_command(self, capsys):
         assert main(["dnn", "mobilenet", "--graph-level", "2", "--loop-level", "1"]) == 0

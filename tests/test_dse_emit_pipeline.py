@@ -53,12 +53,6 @@ class TestDesignSpace:
         with cleanups.registered({"test-lean": "canonicalize,cse"}):
             self.check_both_shapes(
                 one, KernelDesignSpace.from_function(func_op))
-            # Naming a single registered pipeline is no choice either.
-            named = KernelDesignSpace([8, 8, 8], False, True,
-                                      pipeline_names=["test-lean"])
-            assert named.dimensions == one.dimensions
-            assert named.decode((0,) * named.num_dimensions).pipeline \
-                == "test-lean"
 
     @staticmethod
     def check_both_shapes(one, two):

@@ -23,6 +23,7 @@ from repro.dse.runtime import (
 from repro.dse.runtime import scheduler, worker
 from repro.dse.runtime.faults import EvaluationFailure, FaultPlan, InjectedFault
 from repro.dse.runtime.worker import KernelContext, evaluate_encoded
+from repro.dse.space import ir_digest
 from repro.estimation import XC7Z020
 from repro.ir.pass_manager import PassError
 from repro.pipeline import compile_kernel, explore_kernel, explore_module_kernels
@@ -103,10 +104,18 @@ class TestFingerprint:
             compile_source(SYRK_SOURCE, "syrk").functions()[0])
         assert gemm_space.fingerprint() != syrk_space.fingerprint()
 
-    def test_covers_dimension_options(self):
-        direct = KernelDesignSpace([8, 8, 8], False, False)
-        wider = KernelDesignSpace([8, 8, 8], False, False, max_target_ii=16)
+    def test_covers_dimension_options(self, monkeypatch):
+        # Same trip counts and digest: only the offered target IIs differ,
+        # so the fingerprint must hash the dimension options themselves.
+        direct = KernelDesignSpace([8, 8, 8], False, False, "kernel")
+        monkeypatch.setattr(KernelDesignSpace, "TARGET_IIS", (1, 2, 4, 16))
+        wider = KernelDesignSpace([8, 8, 8], False, False, "kernel")
+        assert direct.ii_options != wider.ii_options
         assert direct.fingerprint() != wider.fingerprint()
+
+    def test_a_space_needs_its_kernels_digest(self):
+        with pytest.raises(ValueError, match="ir_digest"):
+            KernelDesignSpace([8, 8, 8], False, False, "")
 
 
 class TestDeterminism:
@@ -213,20 +222,23 @@ class TestEstimateCache:
     def test_direct_space_does_not_collide_across_kernels(self, gemm_module):
         # Two kernels with identically *shaped* spaces (same trip counts and
         # options) but different IR must not share cache entries when the
-        # caller passes a directly constructed KernelDesignSpace.
+        # caller passes a directly constructed KernelDesignSpace: each space
+        # carries its own kernel's digest.
         transposed = compile_source(GEMM_SOURCE.replace("B[k][j]", "B[j][k]"),
                                     "gemm")
-        space_a = KernelDesignSpace([8, 8, 8], False, False)
-        space_b = KernelDesignSpace([8, 8, 8], False, False)
-        assert space_a.fingerprint() == space_b.fingerprint()  # shape only
+        spaces = [KernelDesignSpace([8, 8, 8], False, False,
+                                    ir_digest(module.functions()[0]))
+                  for module in (gemm_module, transposed)]
+        assert spaces[0].dimensions == spaces[1].dimensions
+        assert spaces[0].fingerprint() != spaces[1].fingerprint()
         cache = EstimateCache()
         config = SweepConfig(cache=cache, **SMALL)
-        for module, space in ((gemm_module, space_a), (transposed, space_b)):
+        for module, space in zip((gemm_module, transposed), spaces):
             task = KernelTask(key="kernel", module=module, func_name=None,
                               space=space)
             result = scheduler.explore_kernels([task], XC7Z020,
                                                config)["kernel"]
-        assert result.cache_hits == 0  # runtime mixed the IR digest back in
+        assert result.cache_hits == 0
 
     def test_line_missing_fingerprint_tolerated(self, gemm_module, tmp_path):
         import json

@@ -43,7 +43,8 @@ class TestIncrementalEquivalence:
         plain = apply_design_point(gemm_module, POINT, XC7Z020)
         for _ in range(2):  # second round hits the snapshot
             cached = apply_design_point(gemm_module, POINT, XC7Z020,
-                                        snapshots=snapshots)
+                                        snapshots=snapshots,
+                                        digest=digest_of(gemm_module))
             assert print_op(cached.module, stable_ids=True) \
                 == print_op(plain.module, stable_ids=True)
             assert cached.qor == plain.qor
@@ -57,6 +58,10 @@ class TestIncrementalEquivalence:
             batch_size=4))
 
 
+def digest_of(module, func_name=None):
+    return ir_digest(module.function(func_name))
+
+
 class TestPrefixSnapshotCache:
     def test_checkout_hits_per_prefix_key(self, gemm_module):
         cache = PrefixSnapshotCache()
@@ -64,39 +69,42 @@ class TestPrefixSnapshotCache:
                                   remove_variable_bound=True,
                                   perm_map=(0, 1, 2), tile_sizes=(1, 1, 1),
                                   target_ii=1)
-        cache.checkout(gemm_module, POINT)
-        cache.checkout(gemm_module, POINT)  # same prefix key -> hit
-        cache.checkout(gemm_module, other)  # lp0-rvb1 -> separate snapshot
+        digest = digest_of(gemm_module)
+        cache.checkout(gemm_module, POINT, digest=digest)
+        # same prefix key -> hit
+        cache.checkout(gemm_module, POINT, digest=digest)
+        # lp0-rvb1 -> separate snapshot
+        cache.checkout(gemm_module, other, digest=digest)
         assert (cache.hits, cache.misses, cache.clones) == (1, 2, 3)
         assert len(cache) == 2
 
     def test_clone_isolation(self, gemm_module):
         cache = PrefixSnapshotCache()
-        first, func_op = cache.checkout(gemm_module, POINT)
+        digest = digest_of(gemm_module)
+        first, func_op = cache.checkout(gemm_module, POINT, digest=digest)
         reference = print_op(first, stable_ids=True)
         # Vandalize the checked-out clone; the cached snapshot must not see it.
         func_op.set_attr("vandalized", True)
         func_op.regions[0].blocks[0].operations[0].erase()
-        second, _ = cache.checkout(gemm_module, POINT)
+        second, _ = cache.checkout(gemm_module, POINT, digest=digest)
         assert cache.hits == 1
         assert print_op(second, stable_ids=True) == reference
 
     def test_in_place_mutation_invalidates(self, gemm_module):
+        # The caller that changes a kernel in place hands its new digest.
         cache = PrefixSnapshotCache()
-        cache.checkout(gemm_module, POINT)
-        func_op = gemm_module.functions()[0]
-        before = ir_digest(func_op)
-        func_op.set_attr("revision", 2)
-        assert ir_digest(func_op) != before
-        cache.checkout(gemm_module, POINT)  # recomputed digest -> miss
+        before = digest_of(gemm_module)
+        cache.checkout(gemm_module, POINT, digest=before)
+        gemm_module.functions()[0].set_attr("revision", 2)
+        after = digest_of(gemm_module)
+        assert after != before
+        cache.checkout(gemm_module, POINT, digest=after)
         assert (cache.hits, cache.misses) == (0, 2)
 
-    def test_digest_hint_skips_recompute(self, gemm_module):
-        cache = PrefixSnapshotCache()
-        digest = ir_digest(gemm_module.functions()[0])
-        cache.checkout(gemm_module, POINT, digest=digest)
-        cache.checkout(gemm_module, POINT, digest=digest)
-        assert (cache.hits, cache.misses) == (1, 1)
+    def test_a_snapshot_needs_the_kernel_digest(self, gemm_module):
+        with pytest.raises(ValueError, match="ir_digest"):
+            apply_design_point(gemm_module, POINT, XC7Z020,
+                               snapshots=PrefixSnapshotCache())
 
 
 THREE_FUNCTIONS = """
@@ -145,11 +153,14 @@ class TestSnapshotHoldsTheKernelAndItsCallees:
     def test_checkout_keeps_callees_and_drops_neighbours(self, module):
         cache = PrefixSnapshotCache()
         point = KernelDesignPoint(False, False, (1, 0), (2, 2), 1)
-        cloned, func_op = cache.checkout(module, point, func_name="caller")
+        cloned, func_op = cache.checkout(
+            module, point, func_name="caller",
+            digest=digest_of(module, "caller"))
         assert self.names(cloned) == ["helper", "caller"]
         assert cloned.get_attr("sym_name") == "three"
         assert func_op is cloned.lookup("caller")
-        cloned, _ = cache.checkout(module, point, func_name="bystander")
+        cloned, _ = cache.checkout(module, point, func_name="bystander",
+                                   digest=digest_of(module, "bystander"))
         assert self.names(cloned) == ["bystander"]
         assert self.names(module) == ["helper", "caller", "bystander"]
 
@@ -157,7 +168,8 @@ class TestSnapshotHoldsTheKernelAndItsCallees:
         point = KernelDesignPoint(False, False, (1, 0), (2, 2), 2)
         plain = apply_design_point(module, point, XC7Z020, func_name="caller")
         cached = apply_design_point(module, point, XC7Z020, func_name="caller",
-                                    snapshots=PrefixSnapshotCache())
+                                    snapshots=PrefixSnapshotCache(),
+                                    digest=digest_of(module, "caller"))
         assert cached.qor == plain.qor
         assert print_op(cached.func_op, stable_ids=True) \
             == print_op(plain.func_op, stable_ids=True)
@@ -319,7 +331,9 @@ class TestOnePostPrefixBuild:
             for point in prefix_points(space):
                 expected = frozen[group][key][point.prefix_key()]
                 for cache in (None, snapshots):
-                    digest, shape = post_prefix_band(module, point, func_name, cache)
+                    digest, shape = post_prefix_band(module, point, func_name,
+                                                     cache, space.ir_digest)
                     assert [digest, [list(loop) for loop in shape]] == expected
-                snapshots.checkout(module, point, func_name)
+                snapshots.checkout(module, point, func_name,
+                                   digest=space.ir_digest)
             assert snapshots.misses == 0

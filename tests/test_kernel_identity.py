@@ -585,9 +585,7 @@ class TestModelClassesShareOneBudget:
                                         config)
             budgets: dict[str, set] = {}
             for task in tasks:
-                fingerprint = _kernel_fingerprint(
-                    task.space, task.module.function(task.func_name),
-                    VU9P_SLR)
+                fingerprint = _kernel_fingerprint(task.space, VU9P_SLR)
                 budgets.setdefault(fingerprint, set()).add(
                     (task.num_samples, task.max_iterations))
             assert all(len(pairs) == 1 for pairs in budgets.values()), \

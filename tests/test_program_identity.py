@@ -232,7 +232,8 @@ def check_partition(context) -> tuple[int, int]:
         staged = []
         for stage in (parent_stage_design_point, stage_design_point):
             _, func_op = snapshots.checkout(context.module, point,
-                                            context.func_name)
+                                            context.func_name,
+                                            digest=context.space.ir_digest)
             staged.append(staged_ir(
                 func_op, stage(func_op, suffix.perm, suffix.tiles)))
         assert staged[0] == staged[1]
