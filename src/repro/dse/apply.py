@@ -52,6 +52,10 @@ class AppliedDesign:
     #: differ from ``point`` in the target II only and therefore share
     #: ``module`` but for that one directive value — keyed by target II.
     siblings: dict = dataclasses.field(default_factory=dict)
+    #: The loop whose directive holds that value (None when nothing was
+    #: pipelined and every sibling shares ``module`` as it is).
+    pipelined: Optional[Operation] = dataclasses.field(
+        default=None, repr=False, compare=False)
 
 
 #: The redundancy-elimination tail of a kernel evaluation and of the
@@ -321,7 +325,40 @@ def apply_design_point(module: ModuleOp, point: KernelDesignPoint,
         achieved_ii=achieved_ii,
         partition_factors=_collect_partitions(func_op),
         siblings={ii: outcomes.get(ii, (qor, achieved_ii))
-                  for ii in sibling_iis})
+                  for ii in sibling_iis},
+        pipelined=pipelined)
+
+
+def adopt_design(design: AppliedDesign, point: KernelDesignPoint,
+                 module: ModuleOp) -> AppliedDesign:
+    """What ``apply_design_point(module, point, ...)`` returns, made of
+    ``design`` instead of a second transform run.
+
+    ``design`` must be an evaluation of ``point``'s transform class (the
+    program ``point`` stages to, at any target II it estimated as a
+    sibling) on ``module`` or on the cut-down copy a prefix snapshot holds.
+    It is consumed: the pipelined loop's directive takes ``point``'s target
+    II, and ``design``'s functions move into a copy of ``module`` in place
+    of their namesakes.
+    """
+    from repro.dialects.hlscpp import get_loop_directive, set_loop_directive
+
+    qor, achieved_ii = design.siblings[point.target_ii]
+    if design.pipelined is not None:
+        directive = get_loop_directive(design.pipelined)
+        set_loop_directive(design.pipelined, dataclasses.replace(
+            directive, target_ii=max(1, point.target_ii)))
+    own = {op.get_attr("sym_name"): op for op in design.module.functions()}
+    whole = ModuleOp()
+    for name, value in module.attributes.items():
+        whole.set_attr(name, value)
+    for op in module.body.operations:
+        mine = own.get(op.get_attr("sym_name"))
+        whole.append(mine.detach() if mine is not None else op.clone())
+    return AppliedDesign(module=whole, func_op=design.func_op, point=point,
+                         qor=qor, achieved_ii=achieved_ii,
+                         partition_factors=design.partition_factors,
+                         pipelined=design.pipelined)
 
 
 def estimate_baseline(module: ModuleOp, platform: Platform = XC7Z020,

@@ -116,17 +116,24 @@ class ExplorationPolicy:
         return pareto_frontier(points)
 
     @staticmethod
+    def finalize_rank(qor, encoded: tuple[int, ...],
+                      platform: Platform) -> tuple:
+        """Where a design of ``qor`` stands in :meth:`finalize`'s choice,
+        lowest first: designs fitting ``platform`` by (latency, DSP), then
+        the rest by DSP; ties go to the lower encoding."""
+        if platform.fits(qor.resources, memory_margin=float("inf")):
+            return 0, qor.latency, qor.dsp, encoded
+        return 1, qor.dsp, encoded
+
+    @staticmethod
     def finalize(frontier: list[ParetoPoint],
                  evaluations: Mapping[tuple[int, ...], object],
                  platform: Platform):
-        """Step 5: first frontier design (by latency) fitting the platform."""
+        """Step 5: the frontier design of lowest latency fitting the
+        platform or, with none fitting, the smallest
+        (:meth:`finalize_rank`)."""
         if not frontier:
             return None
-        ordered = sorted(frontier, key=lambda p: (p.latency, p.area, p.encoded))
-        for point in ordered:
-            design = evaluations[point.encoded]
-            if platform.fits(design.qor.resources, memory_margin=float("inf")):
-                return design
-        # Nothing satisfies the constraints: fall back to the smallest design.
-        smallest = min(ordered, key=lambda p: (p.area, p.encoded))
-        return evaluations[smallest.encoded]
+        best = min(frontier, key=lambda point: ExplorationPolicy.finalize_rank(
+            evaluations[point.encoded].qor, point.encoded, platform))
+        return evaluations[best.encoded]

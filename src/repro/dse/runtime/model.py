@@ -597,5 +597,5 @@ def _node_tasks(stage_funcs, members: dict, flops: dict[str, int],
         tasks.append(KernelTask(
             key=name, module=node_module, func_name=name, space=space_of(lowered),
             num_samples=num_samples, max_iterations=max_iterations,
-            max_evaluations=max_evaluations))
+            max_evaluations=max_evaluations, keep_design=False))
     return tasks, [task.key for task in tasks], skipped

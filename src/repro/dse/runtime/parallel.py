@@ -46,6 +46,7 @@ from typing import TYPE_CHECKING, Optional
 from repro import obs
 from repro.dse.apply import (
     AppliedDesign,
+    adopt_design,
     apply_design_point,
     cleanup_pipeline_spec,
 )
@@ -165,13 +166,66 @@ class _ProgramIdentities:
                 cleanup_pipeline_spec(point.pipeline), point.platform)
 
 
+class _KeptDesign:
+    """The keeper a trajectory hands to
+    :meth:`~repro.dse.runtime.worker.SerialBackend.keep_designs`: holds
+    the best design one kernel's in-process evaluations built, by
+    :meth:`~repro.dse.engine.ExplorationPolicy.finalize_rank` of the
+    design's own point.  A design it replaces, or does not hand over, is
+    dismantled on the spot (:meth:`~repro.ir.operation.Operation.dismantle`):
+    reference counting frees it there, and at most one design per kernel
+    outlives its evaluation.
+    """
+
+    def __init__(self, platform: Platform):
+        self._platform = platform
+        self._rank: Optional[tuple] = None
+        self._encoded: Optional[tuple[int, ...]] = None
+        self._design: Optional[AppliedDesign] = None
+        #: The kept design's program identity, once its batch settled, and
+        #: the points resolved this run that share it.
+        self._identity: Optional[tuple] = None
+        self._mates: set[tuple[int, ...]] = set()
+
+    def __call__(self, encoded: tuple[int, ...], design: AppliedDesign) -> None:
+        rank = ExplorationPolicy.finalize_rank(design.qor, encoded,
+                                               self._platform)
+        if self._rank is None or rank < self._rank:
+            if self._design is not None:
+                self._design.module.dismantle()
+            self._rank, self._encoded, self._design = rank, encoded, design
+            self._identity = None
+
+    def settle(self, identities: dict) -> None:
+        """After a batch: the program identities of the points it resolved."""
+        if self._design is None:
+            return
+        if self._identity is None:
+            self._identity = identities[self._encoded]
+            self._mates = set()
+        self._mates.update(encoded for encoded, identity in identities.items()
+                           if identity == self._identity)
+
+    def hand_over(self, best: Optional[EvaluationRecord]
+                  ) -> Optional[AppliedDesign]:
+        """The kept design if it answers ``best`` — a record resolved this
+        run, of the design's program (the design estimated every target II)
+        — else None; the keeper holds nothing afterwards either way."""
+        design, self._design = self._design, None
+        if design is None or (best is not None and best.encoded in self._mates):
+            return design
+        design.module.dismantle()
+        return None
+
+
 @dataclasses.dataclass
 class ParallelDSEResult:
     """Outcome of one exploration run.
 
     Evaluations are slim :class:`EvaluationRecord` objects; the optimized IR
     of interesting designs is re-materialized on demand via
-    :meth:`materialize`.
+    :meth:`materialize`, except the best one's when an in-process sweep
+    kept it (``kept_design``): the first call for it hands that over.
     """
 
     frontier: list[ParetoPoint]
@@ -196,6 +250,10 @@ class ParallelDSEResult:
     #: ``cache_hits`` were evaluations that kernel made this run.
     shared_with: Optional[str] = None
     shared_hits: int = 0
+    #: An evaluation of ``best_record``'s transform class that this run
+    #: built in-process, for :meth:`materialize` to hand over once.
+    kept_design: Optional[AppliedDesign] = dataclasses.field(
+        default=None, repr=False, compare=False)
 
     @property
     def best_point(self):
@@ -238,7 +296,16 @@ class ParallelDSEResult:
         return sum(1 for record in self.records.values() if not record.ok)
 
     def materialize(self, encoded: tuple[int, ...]) -> AppliedDesign:
-        """Re-apply a design point to get its optimized module (for emission)."""
+        """Re-apply a design point to get its optimized module (for emission).
+
+        The best point's design is handed over instead, the first time it
+        is asked for, when the sweep kept one (``kept_design``); it equals
+        the re-applied one in every field and printed byte.
+        """
+        if self.kept_design is not None \
+                and tuple(encoded) == self.best_record.encoded:
+            design, self.kept_design = self.kept_design, None
+            return adopt_design(design, self.best_record.point, self.module)
         point = self.space.decode(encoded)
         platform = (self.space.platform_named(point.platform)
                     if point.platform else self.platform)
@@ -292,11 +359,17 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
     obs_on = obs.active() is not None
 
     classes = _ClassResults()
-    # Only a backend that evaluates in this process offers its cache.
+    # Only a backend that evaluates in this process offers its cache, and
+    # to show its designs to a keeper.
     offer = getattr(backend, "prefix_snapshots", None)
     programs = _ProgramIdentities(module, func_name,
                                   offer(key) if offer is not None else None,
                                   space.ir_digest)
+    keeper = None
+    keep_designs = getattr(backend, "keep_designs", None)
+    if task.keep_design and keep_designs is not None:
+        keeper = _KeptDesign(platform)
+        keep_designs(key, keeper)
 
     def dispatch(encodings: list[tuple[int, ...]], identities: dict,
                  fresh: dict[tuple[int, ...], EvaluationRecord]) -> None:
@@ -371,6 +444,8 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
             dispatch([encoded for representative, mates in waiting.items()
                       if not fresh[representative].ok
                       for encoded in mates], identities, fresh)
+            if keeper is not None:
+                keeper.settle(identities)
             batch_span.set(classes=len(fresh))
 
             for encoded in missing:
@@ -467,6 +542,7 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
 
             # Step 5: finalization.
             best = ExplorationPolicy.finalize(frontier, records, platform)
+            kept = keeper.hand_over(best) if keeper is not None else None
     except KeyboardInterrupt:
         # Graceful interruption: every record so far is true, and any
         # subset of true records replays the exact trajectory, so save
@@ -490,4 +566,5 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
         func_name=func_name,
         platform=platform,
         iterations_done=iterations_done,
+        kept_design=kept,
     )

@@ -85,6 +85,7 @@ def _copy_of(result: ParallelDSEResult, task: KernelTask,
     return dataclasses.replace(
         result, records=dict(result.records), frontier=list(result.frontier),
         module=task.module, func_name=task.func_name, space=task.space,
+        kept_design=None,
         shared_with=representative, evaluated_this_run=0, cache_misses=0,
         shared_hits=result.evaluated_this_run,
         cache_hits=result.cache_hits + result.evaluated_this_run)
@@ -122,6 +123,11 @@ class KernelTask:
     #: capped run stores a prefix of the uncapped one, and what the cache or
     #: the checkpoint serves on a re-run is free.
     max_evaluations: Optional[int] = None
+    #: Whether a sweep that evaluates in-process keeps the kernel's best
+    #: design for :meth:`ParallelDSEResult.materialize` to hand over
+    #: instead of rebuilding it.  The whole-model sweep, which reads
+    #: records only, keeps none.
+    keep_design: bool = True
     #: The kernel's cache/checkpoint identity, filled in by
     #: :func:`explore_kernels`, once per sweep, on its own copy of the task.
     fingerprint: str = ""

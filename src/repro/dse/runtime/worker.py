@@ -16,7 +16,9 @@ bedrock of the runtime's determinism guarantee.  Both reach
 :func:`evaluate_encoded`, which is an arena: the transformed IR is built,
 estimated and dropped inside the call, so the call pauses CPython's cyclic
 collector and runs one young collection when it is over
-(:class:`_EvaluationArena`); only the record leaves.
+(:class:`_EvaluationArena`); only the record leaves — and, inline, the one
+design per kernel a trajectory's keeper holds for ``materialize``
+(:meth:`SerialBackend.keep_designs`).
 
 Supervision
 -----------
@@ -54,7 +56,7 @@ import queue
 import threading
 import time
 import warnings
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro import obs
 from repro.dse.apply import apply_design_point
@@ -90,6 +92,11 @@ class KernelContext:
     runs; None (the default, and the only production setting) evaluates
     normally.  :func:`create_backend` fills it in from the sweep's
     :class:`~repro.dse.runtime.config.SweepConfig`.
+
+    ``keep`` is the keeper of the kernel's trajectory (see
+    :func:`evaluate_encoded`).  Only :meth:`SerialBackend.keep_designs`
+    installs one: a pool's contexts never carry one, and its designs die
+    in its workers.
     """
 
     module: ModuleOp
@@ -98,6 +105,8 @@ class KernelContext:
     space: KernelDesignSpace
     pipeline: str = ""
     faults: Optional[FaultPlan] = None
+    keep: Optional[Callable] = dataclasses.field(
+        default=None, repr=False, compare=False)
 
 
 class _EvaluationArena:
@@ -112,6 +121,14 @@ class _EvaluationArena:
     its results, a block and its operations) and promotes only what the
     caller kept.  Reference counting is untouched, so nothing but cycles
     waits, and only until the evaluation ends.
+
+    The one module that may leave is the design a keeper takes (see
+    :func:`evaluate_encoded`): at most one per kernel, the running best
+    its trajectory hands to ``materialize``; the design it replaces is
+    dismantled in the arena that replaces it, so reference counting frees
+    it there and no older-generation collection meets it.  Every other
+    module dies here; holding a batch's designs past the arena would make
+    every later older-generation collection traverse them.
 
     Re-entrant and shared by threads: a depth counter under a lock, the
     outermost entry pauses and the last exit collects and resumes — cycles
@@ -155,7 +172,9 @@ def evaluate_encoded(context: KernelContext, encoded: tuple[int, ...],
     :mod:`repro.dse.incremental`); None evaluates from scratch.
     ``fault_key`` is the kernel key the backends thread through for
     fault-injection victim selection (irrelevant when ``context.faults``
-    is None).
+    is None).  ``context.keep``, a trajectory's keeper, is called with
+    ``(encoded, design)`` as soon as the design is built and may hold on
+    to it.
 
     One transform run answers every target II (see
     :meth:`~repro.dse.space.KernelDesignSpace.ii_siblings`): the returned
@@ -163,8 +182,9 @@ def evaluate_encoded(context: KernelContext, encoded: tuple[int, ...],
     the space, each equal to what evaluating that encoding itself returns.
 
     The call is an arena (:class:`_EvaluationArena`): the transformed module
-    never leaves it, so the cyclic collector is paused for its length and
-    runs at most once, when it returns or raises.
+    leaves it only if ``context.keep`` holds on to it, so the cyclic
+    collector is paused for its length and runs at most once, when it
+    returns or raises.
     """
     with _ARENA:
         # A frame of its own: the module is unreachable by the time the
@@ -199,6 +219,8 @@ def _evaluate(context: KernelContext, encoded: tuple[int, ...],
                                 snapshots=snapshots,
                                 digest=context.space.ir_digest,
                                 sibling_iis=context.space.ii_options)
+    if context.keep is not None:
+        context.keep(encoded, design)
     siblings = tuple(
         EvaluationRecord(encoded=other,
                          point=dataclasses.replace(point, target_ii=ii),
@@ -553,6 +575,13 @@ class SerialBackend(Supervisor):
         Only a backend that evaluates in this process offers one: a pool's
         workers keep their own."""
         return self._snapshots[key]
+
+    def keep_designs(self, key: str, keeper: Callable) -> None:
+        """Show every design evaluated for ``key`` to ``keeper`` (see
+        :func:`evaluate_encoded`).  Only a backend that evaluates in this
+        process offers it: a pool's designs die in its workers."""
+        self._contexts[key] = dataclasses.replace(self._contexts[key],
+                                                  keep=keeper)
 
     def run(self, key: str, encoded: tuple[int, ...], traced: bool):
         return _guarded_evaluation(self._contexts[key], key, encoded,

@@ -269,6 +269,27 @@ class Operation:
                 for op in list(block.operations):
                     op.drop_all_references()
 
+    def dismantle(self) -> None:
+        """Break every reference cycle of this operation and everything
+        nested inside it (links, parents, results, uses, block views), so
+        reference counting frees the IR once the last outside reference
+        goes and the cyclic collector never sees it.  For IR thrown away
+        whole: it is unusable afterwards."""
+        self.detach()
+        ops = list(self.walk())
+        for op in ops:
+            op.drop_operand_uses()
+        for op in ops:
+            for region in op.regions:
+                for block in region.blocks:
+                    block.parent = block._first = block._last = None
+                    block._view = None
+                    block.arguments = []
+                region.parent = None
+                region.blocks = []
+            op.parent = op._prev = op._next = None
+            op._operands, op.results, op.regions = [], [], []
+
     # -- traversal ---------------------------------------------------------------------------
 
     def walk(self) -> Iterator["Operation"]:

@@ -121,6 +121,8 @@ def _single_platform(args, default_name: str) -> Platform:
 def _load_module(args) -> "ModuleOp":
     pipeline = getattr(args, "pipeline", None)
     if args.kernel:
+        if args.size < 2:
+            raise SystemExit(f"--size must be >= 2, got {args.size}")
         return compile_kernel(args.kernel, args.size, pipeline=pipeline)
     if args.input:
         with open(args.input, "r", encoding="utf-8") as handle:
@@ -147,6 +149,8 @@ def _design_point(args, module, default: bool = False
     flag the result is None or, with ``default``, the untiled point with
     both structural knobs on.  A vector the evaluation will not apply as
     given is reported on stderr."""
+    if args.ii < 1:
+        raise SystemExit(f"--ii must be >= 1, got {args.ii}")
     flagged = bool(args.tiles or args.perm or args.ii != 1 or args.perfectize
                    or args.rvb)
     if not flagged and not default:
@@ -481,10 +485,10 @@ def run_compile(args) -> int:
 def run_estimate(args) -> int:
     module = _load_module(args)
     platform = _single_platform(args, "xc7z020")
+    point = _design_point(args, module)
     baseline = estimate_baseline(module, platform)
     print(f"baseline: latency={baseline.latency:,} cycles dsp={baseline.dsp} "
           f"lut={baseline.lut}")
-    point = _design_point(args, module)
     if point is not None:
         design = apply_design_point(module, point, platform)
         print(f"design point {point.describe()}")

@@ -280,6 +280,19 @@ class TestPointFlags:
         with pytest.raises(SystemExit, match=f"{flag} .*3"):
             main(["estimate", "--kernel", "gemm", "--size", "8", flag, value])
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_a_target_ii_below_one_is_rejected(self, value):
+        with pytest.raises(SystemExit) as raised:
+            main(["estimate", "--kernel", "gemm", "--size", "4", "--ii", value])
+        assert str(raised.value) == f"--ii must be >= 1, got {value}"
+
+    @pytest.mark.parametrize("command", ["compile", "estimate", "dse", "emit"])
+    @pytest.mark.parametrize("size", ["1", "0", "-3"])
+    def test_a_kernel_size_below_two_is_one_line(self, command, size):
+        with pytest.raises(SystemExit) as raised:
+            main([command, "--kernel", "gemm", "--size", size])
+        assert str(raised.value) == f"--size must be >= 2, got {size}"
+
 
     @pytest.mark.parametrize("command", ["estimate", "emit"])
     def test_a_flag_the_evaluation_applies_differently_is_reported(

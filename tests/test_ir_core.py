@@ -1,5 +1,7 @@
 """Tests for the IR core: types, values, operations, blocks, regions, cloning."""
 
+import gc
+
 import pytest
 
 from repro import ir
@@ -212,6 +214,36 @@ class TestCloning:
         replacement_block = Block([f32])
         clone = add.clone({block.arguments[0]: replacement_block.arguments[0]})
         assert clone.operand(0) is replacement_block.arguments[0]
+
+
+class TestDismantle:
+    def test_nothing_is_left_for_the_cyclic_collector(self):
+        from repro.pipeline import compile_kernel
+
+        module = compile_kernel("gemm", 4)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            module.dismantle()
+            del module
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_a_dismantled_nest_leaves_its_function_valid(self):
+        from repro.pipeline import compile_kernel
+        from repro.transforms.composite import design_nest
+
+        module = compile_kernel("gemm", 4)
+        func_op = module.function("gemm")
+        nest = design_nest(func_op)
+        nest.dismantle()
+        assert nest.parent is None and design_nest(func_op) is None
+        assert not any(argument.has_uses()
+                       for argument in func_op.region(0).front.arguments)
+        verify(module)
 
 
 class TestBlocksAndRegions:
