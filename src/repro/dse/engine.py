@@ -118,22 +118,21 @@ class ExplorationPolicy:
     @staticmethod
     def finalize_rank(qor, encoded: tuple[int, ...],
                       platform: Platform) -> tuple:
-        """Where a design of ``qor`` stands in :meth:`finalize`'s choice,
-        lowest first: designs fitting ``platform`` by (latency, DSP), then
-        the rest by DSP; ties go to the lower encoding."""
+        """Where a design of ``qor`` (a QoR estimate or a model frontier
+        point) stands in the finalized choice, lowest first: designs fitting
+        ``platform`` by (latency, DSP), then the rest by DSP; ties go to the
+        lower encoding."""
         if platform.fits(qor.resources, memory_margin=float("inf")):
-            return 0, qor.latency, qor.dsp, encoded
-        return 1, qor.dsp, encoded
+            return 0, qor.latency, qor.resources.dsp, encoded
+        return 1, qor.resources.dsp, encoded
 
     @staticmethod
-    def finalize(frontier: list[ParetoPoint],
-                 evaluations: Mapping[tuple[int, ...], object],
+    def finalize(evaluations: Mapping[tuple[int, ...], object],
                  platform: Platform):
-        """Step 5: the frontier design of lowest latency fitting the
-        platform or, with none fitting, the smallest
-        (:meth:`finalize_rank`)."""
-        if not frontier:
-            return None
-        best = min(frontier, key=lambda point: ExplorationPolicy.finalize_rank(
-            evaluations[point.encoded].qor, point.encoded, platform))
-        return evaluations[best.encoded]
+        """Step 5: the design of :meth:`frontier_of` ``evaluations`` of
+        lowest latency fitting the platform or, with none fitting, the
+        smallest (:meth:`finalize_rank`); None with none evaluated."""
+        best = min(ExplorationPolicy.frontier_of(evaluations), default=None,
+                   key=lambda point: ExplorationPolicy.finalize_rank(
+                       point.payload.qor, point.encoded, platform))
+        return best.payload if best is not None else None

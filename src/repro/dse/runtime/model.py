@@ -46,6 +46,7 @@ import time
 from typing import Optional, Union
 
 from repro import obs
+from repro.dse.engine import ExplorationPolicy
 from repro.dse.runtime.config import SweepConfig
 from repro.dse.runtime.parallel import ParallelDSEResult
 from repro.dse.runtime.scheduler import KernelTask, explore_kernels
@@ -271,14 +272,6 @@ def _downsample(points: list, cap: int) -> list:
     return [points[i] for i in indices]
 
 
-def _flat_choices(point: ModelFrontierPoint) -> tuple[int, ...]:
-    """Deterministic tie-break key: every chosen index, in dataflow order."""
-    flat: list[int] = []
-    for _, encoded in point.choices:
-        flat.extend(encoded)
-    return tuple(flat)
-
-
 @dataclasses.dataclass
 class ModelDSEResult:
     """Outcome of one whole-model sweep."""
@@ -292,8 +285,11 @@ class ModelDSEResult:
     #: Nodes without an affine loop nest (nothing to explore).
     skipped: list[str]
     node_results: dict[str, ParallelDSEResult]
+    #: The model frontier for ``platform``: ``platform_frontiers[platform.
+    #: name]`` in a multi-platform sweep.
     frontier: list[ModelFrontierPoint]
-    #: Composition points dropped by the frontier cap (0 = exact frontier).
+    #: Composition points dropped by the frontier cap, summed over every
+    #: composition (0 = exact frontiers).
     truncated: int
     wall_seconds: float
     #: Per-platform composed frontiers of a multi-platform sweep, keyed by
@@ -330,14 +326,13 @@ class ModelDSEResult:
         return sum(result.shared_hits for result in self.node_results.values())
 
     def best_point(self) -> Optional[ModelFrontierPoint]:
-        """Fastest frontier point fitting the platform (smallest otherwise)."""
-        if not self.frontier:
-            return None
-        for point in self.frontier:
-            if self.platform.fits(point.resources, memory_margin=float("inf")):
-                return point
-        return min(self.frontier,
-                   key=lambda p: (p.resources.dsp, _flat_choices(p)))
+        """The frontier point ``ExplorationPolicy.finalize_rank`` puts
+        first, its choices flattened in dataflow order as the encoding."""
+        return min(self.frontier, default=None,
+                   key=lambda point: ExplorationPolicy.finalize_rank(
+                       point, tuple(itertools.chain.from_iterable(
+                           encoded for _, encoded in point.choices)),
+                       self.platform))
 
     # -- reporting --------------------------------------------------------------------------
 
@@ -495,15 +490,17 @@ def explore_model(model: Union[str, ModuleOp], platform: Platform,
         node_results = explore_kernels(tasks, platform, config,
                                        checkpoint_dir=checkpoint_dir)
 
+        # A multi-platform sweep composes once per platform, and its
+        # frontier is the sweep platform's.
+        targets = [target.name for target in config.platforms] or [None]
         with obs.span("dse.compose", nodes=len(node_order)):
-            frontier, truncated = compose_model_frontier(node_order,
-                                                         node_results)
-            platform_frontiers = {}
-            for target in config.platforms:
-                per_platform, per_truncated = compose_model_frontier(
-                    node_order, node_results, platform=target.name)
-                platform_frontiers[target.name] = per_platform
-                truncated += per_truncated
+            composed = {name: compose_model_frontier(node_order, node_results,
+                                                     platform=name)
+                        for name in targets}
+        frontier = composed[platform.name if config.platforms else None][0]
+        truncated = sum(dropped for _, dropped in composed.values())
+        platform_frontiers = {name: points for name, (points, _)
+                              in composed.items() if name is not None}
         result = ModelDSEResult(
             model=model_name, platform=platform, graph_level=graph_level,
             seed=config.seed, node_order=node_order, skipped=skipped,

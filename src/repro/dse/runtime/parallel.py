@@ -169,7 +169,8 @@ class _ProgramIdentities:
 class _KeptDesign:
     """The keeper a trajectory hands to
     :meth:`~repro.dse.runtime.worker.SerialBackend.keep_designs`: holds
-    the best design one kernel's in-process evaluations built, by
+    the best design one kernel's in-process evaluations built for the
+    sweep's platform (points naming ``target``), by
     :meth:`~repro.dse.engine.ExplorationPolicy.finalize_rank` of the
     design's own point.  A design it replaces, or does not hand over, is
     dismantled on the spot (:meth:`~repro.ir.operation.Operation.dismantle`):
@@ -177,45 +178,39 @@ class _KeptDesign:
     outlives its evaluation.
     """
 
-    def __init__(self, platform: Platform):
+    def __init__(self, platform: Platform, target: str):
         self._platform = platform
+        self._target = target
         self._rank: Optional[tuple] = None
-        self._encoded: Optional[tuple[int, ...]] = None
         self._design: Optional[AppliedDesign] = None
-        #: The kept design's program identity, once its batch settled, and
-        #: the points resolved this run that share it.
-        self._identity: Optional[tuple] = None
-        self._mates: set[tuple[int, ...]] = set()
 
     def __call__(self, encoded: tuple[int, ...], design: AppliedDesign) -> None:
+        if design.point.platform != self._target:
+            return
         rank = ExplorationPolicy.finalize_rank(design.qor, encoded,
                                                self._platform)
         if self._rank is None or rank < self._rank:
             if self._design is not None:
                 self._design.module.dismantle()
-            self._rank, self._encoded, self._design = rank, encoded, design
-            self._identity = None
+            self._rank, self._design = rank, design
 
-    def settle(self, identities: dict) -> None:
-        """After a batch: the program identities of the points it resolved."""
-        if self._design is None:
-            return
-        if self._identity is None:
-            self._identity = identities[self._encoded]
-            self._mates = set()
-        self._mates.update(encoded for encoded, identity in identities.items()
-                           if identity == self._identity)
-
-    def hand_over(self, best: Optional[EvaluationRecord]
-                  ) -> Optional[AppliedDesign]:
-        """The kept design if it answers ``best`` — a record resolved this
-        run, of the design's program (the design estimated every target II)
-        — else None; the keeper holds nothing afterwards either way."""
+    def hand_over(self, best: Optional[EvaluationRecord],
+                  programs: _ProgramIdentities) -> Optional[AppliedDesign]:
+        """The kept design if it answers ``best`` — a record of the
+        design's program, whose every target II the design estimated —
+        else None; the keeper holds nothing afterwards either way."""
         design, self._design = self._design, None
-        if design is None or (best is not None and best.encoded in self._mates):
+        if design is None or (best is not None and programs.of(best.point)
+                              == programs.of(design.point)):
             return design
         design.module.dismantle()
         return None
+
+
+def _on_platform(records: dict, name: str) -> dict:
+    """The records of ``records`` evaluated against platform ``name``."""
+    return {encoded: record for encoded, record in records.items()
+            if record.point.platform == name}
 
 
 @dataclasses.dataclass
@@ -230,6 +225,8 @@ class ParallelDSEResult:
 
     frontier: list[ParetoPoint]
     records: dict[tuple[int, ...], EvaluationRecord]
+    #: The finalized design among those built for the sweep's platform
+    #: (:meth:`best_record_for` of it in a multi-platform sweep).
     best_record: Optional[EvaluationRecord]
     num_evaluations: int
     evaluated_this_run: int
@@ -255,10 +252,6 @@ class ParallelDSEResult:
     kept_design: Optional[AppliedDesign] = dataclasses.field(
         default=None, repr=False, compare=False)
 
-    @property
-    def best_point(self):
-        return self.best_record.point if self.best_record is not None else None
-
     def frontier_records(self) -> list[EvaluationRecord]:
         return [self.records[point.encoded] for point in self.frontier]
 
@@ -268,22 +261,14 @@ class ParallelDSEResult:
         """The sweep's platform names (empty for single-platform runs)."""
         return list(self.space.platform_options)
 
-    def _records_for(self, name: str) -> dict[tuple[int, ...], EvaluationRecord]:
-        return {encoded: record for encoded, record in self.records.items()
-                if record.point.platform == name}
-
-    def frontier_for(self, name: str):
-        """Pareto frontier over the points evaluated against one platform."""
-        return ExplorationPolicy.frontier_of(self._records_for(name))
-
     def frontier_records_for(self, name: str) -> list[EvaluationRecord]:
-        records = self._records_for(name)
-        return [records[point.encoded] for point in self.frontier_for(name)]
+        """Pareto frontier over the points evaluated against one platform."""
+        return [point.payload for point in
+                ExplorationPolicy.frontier_of(_on_platform(self.records, name))]
 
     def best_record_for(self, name: str) -> Optional[EvaluationRecord]:
         """Finalized design of one platform of the sweep (step 5 per target)."""
-        records = self._records_for(name)
-        return ExplorationPolicy.finalize(self.frontier_for(name), records,
+        return ExplorationPolicy.finalize(_on_platform(self.records, name),
                                           self.space.platform_named(name))
 
     def quarantined_records(self) -> list[EvaluationRecord]:
@@ -365,10 +350,12 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
     programs = _ProgramIdentities(module, func_name,
                                   offer(key) if offer is not None else None,
                                   space.ir_digest)
+    # The platform name the points of the sweep's platform carry.
+    target = platform.name if config.platforms else ""
     keeper = None
     keep_designs = getattr(backend, "keep_designs", None)
     if task.keep_design and keep_designs is not None:
-        keeper = _KeptDesign(platform)
+        keeper = _KeptDesign(platform, target)
         keep_designs(key, keeper)
 
     def dispatch(encodings: list[tuple[int, ...]], identities: dict,
@@ -444,8 +431,6 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
             dispatch([encoded for representative, mates in waiting.items()
                       if not fresh[representative].ok
                       for encoded in mates], identities, fresh)
-            if keeper is not None:
-                keeper.settle(identities)
             batch_span.set(classes=len(fresh))
 
             for encoded in missing:
@@ -540,9 +525,11 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
 
             maybe_checkpoint(force=True)
 
-            # Step 5: finalization.
-            best = ExplorationPolicy.finalize(frontier, records, platform)
-            kept = keeper.hand_over(best) if keeper is not None else None
+            # Step 5: finalization, over the sweep platform's designs.
+            best = ExplorationPolicy.finalize(_on_platform(records, target),
+                                              platform)
+            kept = (keeper.hand_over(best, programs) if keeper is not None
+                    else None)
     except KeyboardInterrupt:
         # Graceful interruption: every record so far is true, and any
         # subset of true records replays the exact trajectory, so save

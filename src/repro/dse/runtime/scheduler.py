@@ -141,12 +141,16 @@ def explore_kernels(tasks: Sequence[KernelTask], platform: Platform,
     continuing from its checkpoint under ``checkpoint_dir`` if one exists.
 
     Returns results keyed by ``task.key`` (insertion order preserved).
+    A multi-platform sweep finalizes for ``platform``, one of ``config.platforms``.
     With more than one task, at any ``jobs``, an error is raised as an
     :class:`EvaluationFailure` naming the kernel it came from.  The
     sweep's wall-clock and ``jobs`` are the run gauges
     ``dse.wall_seconds`` / ``dse.jobs`` the run summary reads.
     """
     started = time.perf_counter()
+    if config.platforms and platform not in config.platforms:
+        raise ValueError(f"the sweep platform {platform.name!r} is not "
+                         f"one of the swept platforms")
     tasks = list(tasks)
     if not tasks:
         return {}

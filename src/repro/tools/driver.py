@@ -207,7 +207,6 @@ def _add_kernel_arguments(parser: argparse.ArgumentParser) -> None:
                         help="use a bundled PolyBench kernel instead of a C file")
     parser.add_argument("--size", type=int, default=256,
                         help="problem size of the bundled kernel (default 256)")
-    _add_platform_arguments(parser, default_name="xc7z020")
     _add_instrumentation_arguments(parser)
 
 
@@ -416,11 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     estimate_parser = commands.add_parser("estimate", help="estimate latency and resources")
     _add_kernel_arguments(estimate_parser)
+    _add_platform_arguments(estimate_parser, default_name="xc7z020")
     _add_pipeline_argument(estimate_parser)
     _add_point_arguments(estimate_parser)
 
     dse_parser = commands.add_parser("dse", help="run the automated DSE engine")
     _add_kernel_arguments(dse_parser)
+    _add_platform_arguments(dse_parser, default_name="xc7z020")
     _add_sweep_arguments(dse_parser, KERNEL_BUDGET)
     dse_parser.add_argument("--all-functions", action="store_true",
                             help="explore every function of the module concurrently")
@@ -431,6 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     emit_parser = commands.add_parser("emit", help="emit synthesizable HLS C++")
     _add_kernel_arguments(emit_parser)
+    _add_platform_arguments(emit_parser, default_name="xc7z020")
     _add_pipeline_argument(emit_parser)
     _add_point_arguments(emit_parser)
     emit_parser.add_argument("--dse", action="store_true",
@@ -537,23 +539,16 @@ def run_dse(args) -> int:
                 raise SystemExit("no explorable functions: the module contains "
                                  "no affine loop nests")
             for name in sorted(results):
-                baselines = None
-                if len(platforms) > 1:
-                    baselines = {target.name: estimate_baseline(module, target,
-                                                                func_name=name)
-                                 for target in platforms}
-                _print_dse_result(f"{name}: ", results[name],
-                                  estimate_baseline(module, platform, func_name=name),
-                                  baselines=baselines)
+                _print_dse_result(f"{name}: ", results[name], {
+                    target.name: estimate_baseline(module, target,
+                                                   func_name=name)
+                    for target in platforms})
             return 0
 
-        baseline = estimate_baseline(module, platform)
-        baselines = None
-        if len(platforms) > 1:
-            baselines = {target.name: estimate_baseline(module, target)
-                         for target in platforms}
+        baselines = {target.name: estimate_baseline(module, target)
+                     for target in platforms}
         result = _explore_kernel(module, platform, **common)
-    _print_dse_result("", result, baseline, baselines=baselines)
+    _print_dse_result("", result, baselines)
     if args.frontier_out:
         with open(args.frontier_out, "w", encoding="utf-8") as handle:
             handle.write(_dse_frontier_json(result))
@@ -593,7 +588,9 @@ def _dse_frontier_json(result) -> str:
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
-def _print_dse_result(prefix: str, result, baseline, baselines=None) -> None:
+def _print_dse_result(prefix: str, result, baselines: dict) -> None:
+    """A kernel sweep's report: one frontier and finalized design per
+    platform (tagged ``[name]`` in a multi-platform sweep)."""
     cache_note = ""
     if result.cache_hits or result.cache_misses:
         cache_note = (f" (cache: {result.cache_hits - result.shared_hits} hits, "
@@ -610,35 +607,41 @@ def _print_dse_result(prefix: str, result, baseline, baselines=None) -> None:
     if result.num_quarantined:
         print(f"{prefix}quarantined {result.num_quarantined} point(s) after "
               f"exhausted retries (excluded from the frontier)")
-    if platform_names:
-        for name in platform_names:
-            records = result.frontier_records_for(name)
-            print(f"{prefix}[{name}] frontier ({len(records)} points):")
-            for record in records:
-                print(f"  latency={record.qor.latency:<14,} "
-                      f"dsp={record.qor.dsp:<5} {record.point.describe()}")
-            best = result.best_record_for(name)
-            if best is None:
-                print(f"{prefix}[{name}] no design evaluated")
-                continue
-            base = (baselines or {}).get(name, baseline)
-            print(f"{prefix}[{name}] finalized: latency={best.qor.latency:,} "
-                  f"dsp={best.qor.dsp} "
-                  f"speedup={base.latency / best.qor.latency:.1f}x")
-        return
-    for point in result.frontier:
-        record = result.records[point.encoded]
-        print(f"  latency={record.qor.latency:<14,} dsp={record.qor.dsp:<5} "
-              f"{record.point.describe()}")
-    best = result.best_record
-    if best is None:
-        print(f"{prefix}no design evaluated (empty design space or zero budget)")
-        return
-    print(f"{prefix}finalized: latency={best.qor.latency:,} dsp={best.qor.dsp} "
-          f"speedup={baseline.latency / best.qor.latency:.1f}x")
+    # (tag, frontier records, finalized record, baseline) per platform.
+    views = [(f"[{name}] ", result.frontier_records_for(name),
+              result.best_record_for(name), baselines[name])
+             for name in platform_names] or [
+        ("", result.frontier_records(), result.best_record,
+         baselines[result.platform.name])]
+    for tag, records, best, baseline in views:
+        if tag:
+            print(f"{prefix}{tag}frontier ({len(records)} points):")
+        for record in records:
+            print(f"  latency={record.qor.latency:<14,} "
+                  f"dsp={record.qor.dsp:<5} {record.point.describe()}")
+        if best is None:
+            print(f"{prefix}{tag}no design evaluated" + (
+                "" if tag else " (empty design space or zero budget)"))
+            continue
+        print(f"{prefix}{tag}finalized: latency={best.qor.latency:,} "
+              f"dsp={best.qor.dsp} "
+              f"speedup={baseline.latency / best.qor.latency:.1f}x")
+
+
+def _reject_unread(args, dests: Sequence[str], rule: str) -> None:
+    """End the command with one line naming the first flag of ``dests``
+    (argparse destinations) that ``args`` sets to other than its default,
+    ``rule`` saying why the command does not read it."""
+    defaults = build_parser().parse_args([args.command])
+    for dest in dests:
+        if getattr(args, dest) != getattr(defaults, dest):
+            raise SystemExit(f"--{dest.replace('_', '-')} {rule}")
 
 
 def run_emit(args) -> int:
+    if args.dse:
+        _reject_unread(args, ("ii", "perm", "tiles", "perfectize", "rvb"),
+                       "and --dse exclude each other")
     module = _load_module(args)
     platform = _single_platform(args, "xc7z020")
     if args.dse:
@@ -698,17 +701,11 @@ def run_dnn_dse(args) -> int:
               "no frontier to report")
     if result.truncated:
         print(f"  frontier cap dropped {result.truncated} composition points")
-    print(f"  model frontier ({len(result.frontier)} points, latency = sum of "
-          f"stage latencies, resources = sum over stages):")
-    for point in result.frontier:
-        print(f"    latency={point.latency:<14,} interval={point.interval:<12,} "
-              f"dsp={point.resources.dsp:<6} lut={point.resources.lut}")
+    _print_model_frontier("model frontier", result.frontier,
+                          ", latency = sum of stage latencies, resources = "
+                          "sum over stages")
     for name, frontier in result.platform_frontiers.items():
-        print(f"  [{name}] model frontier ({len(frontier)} points):")
-        for point in frontier:
-            print(f"    latency={point.latency:<14,} "
-                  f"interval={point.interval:<12,} "
-                  f"dsp={point.resources.dsp:<6} lut={point.resources.lut}")
+        _print_model_frontier(f"[{name}] model frontier", frontier)
     best = result.best_point()
     if best is not None:
         utilization = platform.utilization(best.resources)
@@ -721,12 +718,24 @@ def run_dnn_dse(args) -> int:
     return 0
 
 
+def _print_model_frontier(title: str, frontier, note: str = "") -> None:
+    print(f"  {title} ({len(frontier)} points{note}):")
+    for point in frontier:
+        print(f"    latency={point.latency:<14,} interval={point.interval:<12,} "
+              f"dsp={point.resources.dsp:<6} lut={point.resources.lut}")
+
+
 def run_dnn(args) -> int:
     for flag, level in (("--graph-level", args.graph_level), ("--loop-level", args.loop_level)):
         if not 0 <= level <= 7:  # the paper's G0-G7 / L0-L7, checked before anything loads
             raise SystemExit(f"{flag} must be in 0..7, got {level}")
     if args.dse:
+        _reject_unread(args, ("loop_level",), "does not apply with --dse")
         return run_dnn_dse(args)
+    sweep_flags = argparse.ArgumentParser()
+    _add_sweep_arguments(sweep_flags, DNN_BUDGET)
+    _reject_unread(args, [*vars(sweep_flags.parse_args([])), "smoke",
+                          "frontier_out"], "applies only with --dse")
     platform = _single_platform(args, "vu9p-slr")
     baseline = dnn_baseline(args.model, platform=platform)
     result = compile_dnn(args.model, graph_level=args.graph_level,

@@ -324,6 +324,76 @@ class TestPointFlags:
         assert run("--perfectize", "--rvb", "--ii", "2").err == ""
 
 
+class TestFlagsACommandDoesNotRead:
+    """A flag the chosen mode never reads ends the command in one line
+    naming it, before anything loads, instead of being ignored."""
+
+    @staticmethod
+    def nothing_loads(monkeypatch):
+        import repro.pipeline as pipeline
+        import repro.tools.driver as driver
+
+        def load(*args, **kwargs):
+            raise AssertionError("loaded before the flags were checked")
+
+        for owner, name in ((driver, "_load_module"),
+                            (driver, "_resolve_platforms"),
+                            (driver, "dnn_baseline"), (driver, "compile_dnn"),
+                            (pipeline, "explore_dnn")):
+            monkeypatch.setattr(owner, name, load)
+
+    @pytest.mark.parametrize("flags", [
+        ["--ii", "-2", "--tiles", "9,9"], ["--ii", "2"], ["--perm", "1,0,2"],
+        ["--tiles", "9,9"], ["--perfectize"], ["--rvb"]],
+        ids=["ii-and-tiles", "ii", "perm", "tiles", "perfectize", "rvb"])
+    def test_point_flags_and_emit_dse_exclude_each_other(self, flags,
+                                                         monkeypatch):
+        self.nothing_loads(monkeypatch)
+        with pytest.raises(SystemExit) as raised:
+            main(["emit", "--kernel", "gemm", "--size", "4", "--dse"] + flags)
+        assert str(raised.value) == f"{flags[0]} and --dse exclude each other"
+
+    @pytest.mark.parametrize("flags", [
+        ["--jobs", "0"], ["--samples", "5"], ["--seed", "3"],
+        ["--cache", "c.jsonl"], ["--register-pipeline", "lean=cse"],
+        ["--checkpoint-every", "4"], ["--on-fault", "fail"],
+        ["--inject-faults", "crash:select=1"], ["--smoke"],
+        ["--frontier-out", "f.json"]],
+        ids=lambda flags: flags[0])
+    def test_dnn_without_dse_reads_no_sweep_flag(self, flags, monkeypatch):
+        self.nothing_loads(monkeypatch)
+        with pytest.raises(SystemExit) as raised:
+            main(["dnn", "vgg16"] + flags)
+        assert str(raised.value) == f"{flags[0]} applies only with --dse"
+
+    def test_dnn_dse_reads_no_loop_level(self, monkeypatch):
+        self.nothing_loads(monkeypatch)
+        with pytest.raises(SystemExit) as raised:
+            main(["dnn", "vgg16", "--dse", "--loop-level", "2"])
+        assert str(raised.value) == "--loop-level does not apply with --dse"
+
+    def test_a_flag_at_its_default_is_no_error(self, monkeypatch):
+        import repro.tools.driver as driver
+
+        modes = []
+        monkeypatch.setattr(driver, "run_dnn_dse",
+                            lambda args: modes.append("dse") or 0)
+        monkeypatch.setattr(driver, "dnn_baseline",
+                            lambda *args, **kwargs: modes.append("compile")
+                            or 1 / 0)
+        assert main(["dnn", "vgg16", "--dse", "--loop-level", "3"]) == 0
+        with pytest.raises(ZeroDivisionError):
+            main(["dnn", "vgg16", "--jobs", "1", "--seed", "2022"])
+        assert modes == ["dse", "compile"]
+
+    @pytest.mark.parametrize("flag", ["--platform", "--platform-config"])
+    def test_compile_takes_no_platform(self, flag, capsys):
+        with pytest.raises(SystemExit):
+            main(["compile", "--kernel", "gemm", "--size", "4", flag, "x"])
+        assert capsys.readouterr().err.endswith(
+            f"unrecognized arguments: {flag}\n")
+
+
 class TestSweepSettings:
     """Every sweep setting is declared once: the ``explore_*`` flows and the
     ``dse`` / ``dnn`` commands all spell the fields of ``SweepConfig``."""

@@ -116,6 +116,24 @@ class TestHandOverOnce:
         assert warm.best_record == cold.best_record
         assert printed(warm.best_design()) == printed(cold.best_design())
 
+    def test_a_cache_served_best_gets_a_design_of_its_program(self):
+        # Only the best's record is cached: the re-run evaluates a
+        # classmate of it (same program and target II), and that design
+        # answers the cache-served best.
+        module = compile_source(GEMM_SOURCE, "gemm")
+        cold = explore_module_kernels(module, XC7Z020, seed=2015, jobs=1,
+                                      **BUDGET)["gemm"]
+        cache = EstimateCache()
+        cache.put(cold.fingerprint, cold.best_record)
+        warm = explore_module_kernels(compile_source(GEMM_SOURCE, "gemm"),
+                                      XC7Z020, seed=2015, jobs=1, cache=cache,
+                                      **BUDGET)["gemm"]
+        assert warm.evaluated_this_run == warm.num_evaluations - 1
+        assert warm.best_record == cold.best_record
+        kept = warm.kept_design
+        assert kept is not None and kept.point != warm.best_record.point
+        assert printed(warm.best_design()) == printed(rebuilt(warm, module))
+
     def test_a_replaced_design_is_dismantled_at_once(self, monkeypatch):
         dismantled = []
         dismantle = Operation.dismantle

@@ -5,9 +5,10 @@ The model coordinator moves each node's function into its own module
 instead of cloning it, shares constant maps and default layouts, composes
 the model frontier without building the points Pareto pruning drops,
 renders ``frontier_json`` without the pure-Python ``json`` encoder and
-writes records without ``dataclasses.asdict``.  The replaced code is frozen
-below as the oracle: the same frontiers, truncation counts, JSON bytes and
-record encodings.
+writes records without ``dataclasses.asdict``; ``best_point`` ranks by
+``ExplorationPolicy.finalize_rank`` instead of a loop of its own.  The
+replaced code is frozen below as the oracle: the same frontiers, truncation
+counts, selected points, JSON bytes and record encodings.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from repro.affine.map import AffineMap
 from repro.dse.pareto import ParetoPoint, pareto_frontier
 from repro.dse.runtime import SweepConfig, compose_model_frontier
 from repro.dse.runtime import model as runtime_model
-from repro.dse.runtime.model import (ModelFrontierPoint, _canonical_json,
-                                     _staged_tasks)
+from repro.dse.runtime.model import (ModelDSEResult, ModelFrontierPoint,
+                                     _canonical_json, _staged_tasks)
 from repro.dse.runtime.records import EvaluationRecord
 from repro.dse.runtime.worker import KernelContext
 from repro.dse.space import KernelDesignPoint, KernelDesignSpace, ir_digest
@@ -276,6 +277,64 @@ def test_a_tie_in_latency_and_dsp_breaks_on_the_choice_vector():
     assert [point.choices for point in frontier] \
         == [(("a", (0,)), ("b", (0, 9)))]
     assert frontier == _frozen_compose(["a", "b"], results)[0]
+
+
+# -- best_point -------------------------------------------------------------------------------
+
+
+def _frozen_best_point(frontier, platform):
+    """``ModelDSEResult.best_point`` as it stood before: the first frontier
+    point fitting the platform, else the smallest by (DSP, choices)."""
+    if not frontier:
+        return None
+    for point in frontier:
+        if platform.fits(point.resources, memory_margin=float("inf")):
+            return point
+    return min(frontier,
+               key=lambda p: (p.resources.dsp, _frozen_flat_choices(p)))
+
+
+def _model_result(frontier, platform):
+    return ModelDSEResult(model="m", platform=platform, graph_level=0, seed=0,
+                          node_order=[], skipped=[], node_results={},
+                          frontier=frontier, truncated=0, wall_seconds=0.0)
+
+
+@pytest.mark.parametrize("nodes", [_random_nodes, _tying_nodes])
+@pytest.mark.parametrize("cap", [0, 2, 64])
+def test_best_point_is_the_first_fitting_one_else_the_smallest(nodes, cap):
+    fitted = fallbacks = 0
+    for seed in range(40):
+        node_order, results = nodes(seed)
+        frontier, _ = compose_model_frontier(node_order, results,
+                                             frontier_cap=cap)
+        dsps = [point.resources.dsp for point in frontier]
+        for budget in range(min(dsps) - 1, max(dsps) + 2):
+            platform = dataclasses.replace(VU9P_SLR, dsp=budget)
+            best = _model_result(frontier, platform).best_point()
+            assert best == _frozen_best_point(frontier, platform), \
+                (seed, budget)
+            if platform.fits(best.resources, memory_margin=float("inf")):
+                fitted += 1
+            else:
+                fallbacks += 1
+    assert fitted and fallbacks
+
+
+def test_best_point_breaks_a_dsp_tie_on_the_choices_and_has_none_to_pick():
+    def point(latency, dsp, *choices):
+        return ModelFrontierPoint(latency=latency, interval=latency,
+                                  resources=ResourceUsage(dsp=dsp),
+                                  choices=choices)
+
+    frontier = [point(3, 9, ("a", (1, 0)), ("b", (2,))),
+                point(4, 9, ("a", (1,)), ("b", (0, 0))),
+                point(5, 9, ("a", (1, 0)), ("b", (1,)))]
+    nothing_fits = dataclasses.replace(VU9P_SLR, dsp=8)
+    best = _model_result(frontier, nothing_fits).best_point()
+    assert best is frontier[1]
+    assert best == _frozen_best_point(frontier, nothing_fits)
+    assert _model_result([], VU9P_SLR).best_point() is None
 
 
 # -- frontier_json ----------------------------------------------------------------------------

@@ -392,3 +392,43 @@ class TestMultiPlatformSweeps:
         tweaked = dataclasses.replace(XC7Z020, memory_ports_per_bank=2)
         cross = sweep(compile_source(GEMM_SOURCE, "gemm"), tweaked)
         assert cross.cache_hits == 0
+
+
+class TestTheSweepPlatformAnswers:
+    """A multi-platform sweep returns designs built for its own platform —
+    the first of ``platforms`` on the command line — at every tier: the
+    kernel's best record and the design kept for it, and the model
+    frontier with its selected point.  Every platform still gets its own
+    frontier and finalized design."""
+
+    @pytest.mark.parametrize("seed", [2022, 7, 11])
+    def test_the_kernel_best_is_the_sweep_platforms(self, seed):
+        result = explore_kernel(compile_source(GEMM_SOURCE, "gemm"), XC7Z020,
+                                platforms=[XC7Z020, VU9P_SLR], seed=seed,
+                                jobs=1)
+        assert result.best_record == result.best_record_for("xc7z020")
+        kept = result.kept_design
+        assert kept is not None and kept.point.platform == "xc7z020"
+        assert result.best_design().point.platform == "xc7z020"
+
+    @pytest.mark.parametrize("budget", [
+        dict(max_nodes=3, num_samples=3, max_iterations=4, seed=2022),
+        dict(max_nodes=6, num_samples=3, max_iterations=4, seed=1)],
+        ids=["smoke", "six-nodes"])
+    def test_the_model_frontier_is_the_sweep_platforms(self, budget):
+        from repro.pipeline import explore_dnn
+
+        result = explore_dnn("vgg16", XC7Z020, graph_level=7, jobs=1,
+                             platforms=[XC7Z020, VU9P_SLR], **budget)
+        assert result.frontier == result.platform_frontiers["xc7z020"]
+        best = result.best_point()
+        for point in [*result.frontier, best]:
+            assert [result.node_results[name].space.decode(encoded).platform
+                    for name, encoded in point.choices] \
+                == ["xc7z020"] * len(result.node_order)
+
+    def test_the_sweep_platform_must_be_swept(self, gemm_module):
+        with pytest.raises(ValueError, match="'vu9p-slr' is not one of the "
+                                             "swept platforms"):
+            explore_kernel(gemm_module, VU9P_SLR, platforms=[XC7Z020],
+                           num_samples=2, max_iterations=0)
