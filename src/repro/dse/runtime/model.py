@@ -50,6 +50,7 @@ from repro.dse.engine import ExplorationPolicy
 from repro.dse.runtime.config import SweepConfig
 from repro.dse.runtime.parallel import ParallelDSEResult
 from repro.dse.runtime.scheduler import KernelTask, explore_kernels
+from repro.dse.runtime.worker import COLLECTOR_ARENA
 from repro.dse.space import KernelDesignSpace, ir_digest
 from repro.estimation.platform import Platform
 from repro.estimation.resources import ResourceUsage
@@ -467,6 +468,13 @@ def explore_model(model: Union[str, ModuleOp], platform: Platform,
     via ``skipped`` rather than applied silently (``ValueError`` below 1).
     ``max_evaluations`` bounds each node's evaluations this run, as
     :attr:`KernelTask.max_evaluations` does.
+
+    Staging and composition are arenas
+    (:class:`~repro.dse.runtime.worker.CollectorArena`): the staged IR
+    lives as long as the sweep and the composition's partial combinations
+    die together, so the cyclic collector is paused for each and runs one
+    young collection when it ends.  The sweep between them is not: its
+    evaluations are arenas of their own.
     """
     from repro.frontend.models import build_model
 
@@ -483,9 +491,10 @@ def explore_model(model: Union[str, ModuleOp], platform: Platform,
         "dse.model", model=model_name, graph_level=graph_level,
         jobs=config.jobs, seed=config.seed)
     with model_span:
-        tasks, node_order, skipped = _staged_tasks(
-            module, graph_level, config, max_nodes=max_nodes,
-            max_evaluations=max_evaluations)
+        with COLLECTOR_ARENA:
+            tasks, node_order, skipped = _staged_tasks(
+                module, graph_level, config, max_nodes=max_nodes,
+                max_evaluations=max_evaluations)
         model_span.set(nodes=len(node_order))
         node_results = explore_kernels(tasks, platform, config,
                                        checkpoint_dir=checkpoint_dir)
@@ -493,7 +502,7 @@ def explore_model(model: Union[str, ModuleOp], platform: Platform,
         # A multi-platform sweep composes once per platform, and its
         # frontier is the sweep platform's.
         targets = [target.name for target in config.platforms] or [None]
-        with obs.span("dse.compose", nodes=len(node_order)):
+        with obs.span("dse.compose", nodes=len(node_order)), COLLECTOR_ARENA:
             composed = {name: compose_model_frontier(node_order, node_results,
                                                      platform=name)
                         for name in targets}

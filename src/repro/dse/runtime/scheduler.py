@@ -125,8 +125,8 @@ class KernelTask:
     max_evaluations: Optional[int] = None
     #: Whether a sweep that evaluates in-process keeps the kernel's best
     #: design for :meth:`ParallelDSEResult.materialize` to hand over
-    #: instead of rebuilding it.  The whole-model sweep, which reads
-    #: records only, keeps none.
+    #: instead of rebuilding it.  The whole-model sweep and ``dse``, which
+    #: read records only, keep none.
     keep_design: bool = True
     #: The kernel's cache/checkpoint identity, filled in by
     #: :func:`explore_kernels`, once per sweep, on its own copy of the task.

@@ -16,7 +16,7 @@ bedrock of the runtime's determinism guarantee.  Both reach
 :func:`evaluate_encoded`, which is an arena: the transformed IR is built,
 estimated and dropped inside the call, so the call pauses CPython's cyclic
 collector and runs one young collection when it is over
-(:class:`_EvaluationArena`); only the record leaves — and, inline, the one
+(:class:`CollectorArena`); only the record leaves — and, inline, the one
 design per kernel a trajectory's keeper holds for ``materialize``
 (:meth:`SerialBackend.keep_designs`).
 
@@ -109,30 +109,38 @@ class KernelContext:
         default=None, repr=False, compare=False)
 
 
-class _EvaluationArena:
-    """Pauses CPython's cyclic collector while evaluations are in flight.
+class CollectorArena:
+    """Pauses CPython's cyclic collector for a phase that builds IR it
+    keeps, or drops whole.
 
-    An evaluation builds tens of thousands of IR objects and drops them all
-    when it returns its record.  Left on, the collector traverses them about
-    three times on their way through the generations, to find nothing: the
-    IR is live until the end, then dies together.  Entering turns the
-    collector off; leaving, with the transformed module gone, runs *one*
-    young collection, which frees the evaluation's cycles (an operation and
-    its results, a block and its operations) and promotes only what the
-    caller kept.  Reference counting is untouched, so nothing but cycles
-    waits, and only until the evaluation ends.
+    Such a phase allocates tens of thousands of IR objects (an operation
+    and its results, a block and its operations: cycles), and every one of
+    them is live until the phase ends.  Left on, the collector traverses
+    them on their way through the generations, to find nothing.  Entering
+    turns the collector off; leaving runs *one* young collection, which
+    frees the phase's dead cycles and promotes what survives, and turns it
+    back on.  Reference counting is untouched, so nothing but cycles
+    waits, and only until the phase ends.  There are two such phases:
 
-    The one module that may leave is the design a keeper takes (see
-    :func:`evaluate_encoded`): at most one per kernel, the running best
-    its trajectory hands to ``materialize``; the design it replaces is
-    dismantled in the arena that replaces it, so reference counting frees
-    it there and no older-generation collection meets it.  Every other
-    module dies here; holding a batch's designs past the arena would make
-    every later older-generation collection traverse them.
+    * **An evaluation** (:func:`evaluate_encoded`) builds a transformed
+      module, estimates it and drops it: only the record leaves, and the
+      design a keeper takes, at most one per kernel — the running best its
+      trajectory hands to ``materialize``.  The design it replaces is
+      dismantled in the arena that replaces it, so reference counting
+      frees it there and no older-generation collection meets it.  Holding
+      a batch's designs past the arena would make every later
+      older-generation collection traverse them.
+    * **Staging and composing a model**
+      (:func:`~repro.dse.runtime.model.explore_model`): the graph-level
+      stages, the lowered node functions and their design spaces are kept
+      for the whole sweep, and the composed frontier is kept in the result
+      while the composition's partial combinations die together.  The
+      sweep between them (``explore_kernels``) is no arena: its
+      evaluations are, one at a time.
 
     Re-entrant and shared by threads: a depth counter under a lock, the
     outermost entry pauses and the last exit collects and resumes — cycles
-    of evaluations that overlap on threads wait for the last one.  A caller
+    of phases that overlap on threads wait for the last one.  A caller
     that already runs with the collector off is left alone (no collection,
     no ``gc.enable()``).  The collector's state is restored on any
     exception; thresholds and ``gc.freeze`` are never touched.
@@ -160,7 +168,7 @@ class _EvaluationArena:
 
 
 #: The collector is the process's, so its pause is too.
-_ARENA = _EvaluationArena()
+COLLECTOR_ARENA = CollectorArena()
 
 
 def evaluate_encoded(context: KernelContext, encoded: tuple[int, ...],
@@ -181,12 +189,12 @@ def evaluate_encoded(context: KernelContext, encoded: tuple[int, ...],
     record carries, as ``siblings``, the record of every other target II of
     the space, each equal to what evaluating that encoding itself returns.
 
-    The call is an arena (:class:`_EvaluationArena`): the transformed module
+    The call is an arena (:class:`CollectorArena`): the transformed module
     leaves it only if ``context.keep`` holds on to it, so the cyclic
     collector is paused for its length and runs at most once, when it
     returns or raises.
     """
-    with _ARENA:
+    with COLLECTOR_ARENA:
         # A frame of its own: the module is unreachable by the time the
         # arena collects.
         return _evaluate(context, encoded, snapshots, fault_key)

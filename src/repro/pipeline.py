@@ -95,6 +95,7 @@ def explore_kernel(module: ModuleOp, platform: Platform = XC7Z020, *,
                    checkpoint_dir: Optional[str] = None,
                    func_name: Optional[str] = None,
                    max_evaluations: Optional[int] = None,
+                   keep_design: bool = True,
                    **sweep) -> "ParallelDSEResult":
     """Run the DSE runtime on one kernel (``func_name``, or the module's
     first function) over its own design space.
@@ -107,7 +108,11 @@ def explore_kernel(module: ModuleOp, platform: Platform = XC7Z020, *,
     points this run evaluates, checked at batch boundaries, step 1
     included: step 1's whole sample is evaluated and the batch that reaches
     the bound is not cut.  ``batch_size=1`` is the paper's
-    one-neighbour-at-a-time traversal.  A sweep over a space of one's own,
+    one-neighbour-at-a-time traversal.  ``keep_design=False`` keeps no
+    best design for :meth:`~repro.dse.runtime.ParallelDSEResult.materialize`
+    to hand over (:attr:`~repro.dse.runtime.KernelTask.keep_design`): a
+    caller that never materializes frees each design inside the evaluation
+    that built it.  A sweep over a space of one's own,
     or over several kernels, builds :class:`repro.dse.runtime.KernelTask`
     objects for :func:`repro.dse.runtime.scheduler.explore_kernels`.
     """
@@ -118,7 +123,8 @@ def explore_kernel(module: ModuleOp, platform: Platform = XC7Z020, *,
     space = KernelDesignSpace.from_function(
         module.function(func_name), platforms=config.platforms or None)
     task = KernelTask(key="kernel", module=module, func_name=func_name,
-                      space=space, max_evaluations=max_evaluations)
+                      space=space, max_evaluations=max_evaluations,
+                      keep_design=keep_design)
     return explore_kernels([task], platform, config,
                            checkpoint_dir=checkpoint_dir)["kernel"]
 
@@ -126,9 +132,11 @@ def explore_kernel(module: ModuleOp, platform: Platform = XC7Z020, *,
 def explore_module_kernels(module: ModuleOp, platform: Platform = XC7Z020, *,
                            checkpoint_dir: Optional[str] = None,
                            func_names: Optional[list[str]] = None,
+                           keep_design: bool = True,
                            **sweep) -> "dict[str, ParallelDSEResult]":
     """Run DSE for every explorable function of ``module`` (or of
-    ``func_names``) concurrently, ``sweep`` as in :func:`explore_kernel`.
+    ``func_names``) concurrently, ``sweep`` and ``keep_design`` as in
+    :func:`explore_kernel`.
 
     Functions without a :func:`~repro.transforms.composite.design_nest`
     (e.g. a dataflow top that only contains calls) are skipped.  Returns
@@ -150,7 +158,7 @@ def explore_module_kernels(module: ModuleOp, platform: Platform = XC7Z020, *,
         space = KernelDesignSpace.from_function(
             func_op, platforms=config.platforms or None)
         tasks.append(KernelTask(key=name, module=module, func_name=name,
-                                space=space))
+                                space=space, keep_design=keep_design))
     return explore_kernels(tasks, platform, config,
                            checkpoint_dir=checkpoint_dir)
 

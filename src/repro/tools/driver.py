@@ -527,7 +527,8 @@ def run_dse(args) -> int:
         module = _load_module(args)
         platforms = _resolve_platforms(args, "xc7z020")
         platform = platforms[0]
-        common = dict(settings,
+        # dse reads records only: no kept design to hand over.
+        common = dict(settings, keep_design=False,
                       platforms=platforms if len(platforms) > 1 else None)
 
         if args.all_functions:

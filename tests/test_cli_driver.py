@@ -404,8 +404,9 @@ class TestSweepSettings:
     BUDGETS = {"num_samples", "max_iterations", "batch_size",
                "checkpoint_every"}
     OWN = {"explore_kernel": {"checkpoint_dir", "func_name",
-                              "max_evaluations"},
-           "explore_module_kernels": {"checkpoint_dir", "func_names"},
+                              "max_evaluations", "keep_design"},
+           "explore_module_kernels": {"checkpoint_dir", "func_names",
+                                      "keep_design"},
            "explore_dnn": {"checkpoint_dir", "graph_level", "max_nodes",
                            "max_evaluations"}}
     FLOW_BUDGETS = {"explore_kernel": ("dse", pipeline.KERNEL_BUDGET),

@@ -20,13 +20,14 @@ from repro.dse.runtime import (
     KernelTask,
     SweepConfig,
 )
-from repro.dse.runtime import scheduler, worker
+from repro.dse.runtime import model, scheduler, worker
 from repro.dse.runtime.faults import EvaluationFailure, FaultPlan, InjectedFault
 from repro.dse.runtime.worker import KernelContext, evaluate_encoded
 from repro.dse.space import ir_digest
-from repro.estimation import XC7Z020
+from repro.estimation import VU9P_SLR, XC7Z020
 from repro.ir.pass_manager import PassError
-from repro.pipeline import compile_kernel, explore_kernel, explore_module_kernels
+from repro.pipeline import (compile_kernel, explore_dnn, explore_kernel,
+                            explore_module_kernels)
 
 from conftest import GEMM_SOURCE, SYRK_SOURCE, compile_source
 
@@ -510,6 +511,24 @@ class TestACachedSweepKeepsNoCheckpoint:
             == ["first.ckpt.json"]
 
 
+@pytest.fixture
+def collections_seen():
+    """Generations of the collections run while the test body executes."""
+    seen = []
+
+    def callback(phase, info):
+        if phase == "start":
+            seen.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.callbacks.append(callback)
+    try:
+        yield seen
+    finally:
+        gc.callbacks.remove(callback)
+        (gc.enable if was_enabled else gc.disable)()
+
+
 class TestEvaluationArena:
     """``evaluate_encoded`` pauses the cyclic collector for its length and
     collects once, after the transformed module is gone."""
@@ -519,23 +538,6 @@ class TestEvaluationArena:
         space = KernelDesignSpace.from_function(module.functions()[0])
         return KernelContext(module=module, func_name=None, platform=XC7Z020,
                              space=space, **fields), (0,) * space.num_dimensions
-
-    @pytest.fixture
-    def collections_seen(self):
-        """Generations of the collections run while the test body executes."""
-        seen = []
-
-        def callback(phase, info):
-            if phase == "start":
-                seen.append(info["generation"])
-
-        was_enabled = gc.isenabled()
-        gc.callbacks.append(callback)
-        try:
-            yield seen
-        finally:
-            gc.callbacks.remove(callback)
-            (gc.enable if was_enabled else gc.disable)()
 
     def test_one_young_collection_per_evaluation(self, gemm_module,
                                                  collections_seen):
@@ -569,14 +571,14 @@ class TestEvaluationArena:
         with pytest.raises(InjectedFault):
             evaluate_encoded(context, encoded, fault_key="gemm")
         assert gc.isenabled()
-        assert worker._ARENA._depth == 0
+        assert worker.COLLECTOR_ARENA._depth == 0
 
     def test_nested_evaluations_resume_at_the_outermost_exit(
             self, gemm_module, collections_seen):
         context, encoded = self.context(gemm_module)
         gc.enable()
         del collections_seen[:]
-        with worker._ARENA:
+        with worker.COLLECTOR_ARENA:
             evaluate_encoded(context, encoded)
             assert not gc.isenabled()
             assert collections_seen == []
@@ -590,7 +592,7 @@ class TestEvaluationArena:
         entered, release = threading.Event(), threading.Event()
 
         def in_flight():
-            with worker._ARENA:
+            with worker.COLLECTOR_ARENA:
                 entered.set()
                 release.wait(30)
 
@@ -634,9 +636,73 @@ class TestEvaluationArena:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not failures and records == [expected] * 24
-        assert worker._ARENA._depth == 0 and gc.isenabled()
+        assert worker.COLLECTOR_ARENA._depth == 0 and gc.isenabled()
         # Only the arena collected, at most once per evaluation.
         assert set(collections_seen) == {0} and len(collections_seen) <= 24
+
+
+class TestModelSweepArena:
+    """``explore_model`` stages and composes inside the collector arena;
+    the sweep between them collects as it always did."""
+
+    @staticmethod
+    def sweep():
+        return explore_dnn("vgg16", VU9P_SLR, graph_level=7, max_nodes=3,
+                           jobs=1, seed=7, batch_size=2, num_samples=2,
+                           max_iterations=2)
+
+    def test_staging_and_composing_run_with_the_collector_paused(
+            self, monkeypatch, collections_seen):
+        observed = []
+
+        def watching(function):
+            def watched(*args, **kwargs):
+                before = len(collections_seen)
+                enabled = gc.isenabled()
+                result = function(*args, **kwargs)
+                observed.append((function.__name__, enabled, gc.isenabled(),
+                                 collections_seen[before:]))
+                return result
+            return watched
+
+        for name in ("_staged_tasks", "compose_model_frontier"):
+            monkeypatch.setattr(model, name, watching(getattr(model, name)))
+        gc.enable()
+        result = self.sweep()
+        assert result.frontier
+        assert observed == [("_staged_tasks", False, False, []),
+                            ("compose_model_frontier", False, False, [])]
+        assert gc.isenabled()
+
+    def test_each_arena_exit_collects_once_and_resumes(self, monkeypatch,
+                                                        collections_seen):
+        arena, exits = worker.COLLECTOR_ARENA, []
+
+        class Watched:
+            def __enter__(self):
+                arena.__enter__()
+
+            def __exit__(self, *exc_info):
+                before = len(collections_seen)
+                arena.__exit__(*exc_info)
+                exits.append((collections_seen[before:], gc.isenabled()))
+
+        monkeypatch.setattr(model, "COLLECTOR_ARENA", Watched())
+        gc.enable()
+        self.sweep()
+        assert exits == [([0], True), ([0], True)]
+
+    def test_a_staging_error_resumes_the_collector(self, monkeypatch,
+                                                   collections_seen):
+        def failing(module):
+            raise RuntimeError("lowering failed")
+
+        monkeypatch.setattr(model, "lower_graph_to_loops", failing)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="lowering failed"):
+            self.sweep()
+        assert gc.isenabled()
+        assert worker.COLLECTOR_ARENA._depth == 0
 
 
 class TestExploreModuleKernels:

@@ -6,7 +6,8 @@ running the transform pipeline again.  The handed-over design must be the
 one a from-scratch ``apply_design_point`` builds, byte for byte, whether it
 was evaluated for the best point itself, for an alias of it (same program,
 other knob values) or for an II-sibling (same program, other target II).
-Pool sweeps, model sweeps and shared-trajectory copies keep nothing.
+Pool sweeps, model sweeps, ``dse`` (``keep_design=False``) and
+shared-trajectory copies keep nothing.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 
 from repro.dse.apply import apply_design_point
 from repro.dse.runtime import EstimateCache, KernelTask, SweepConfig
+from repro.dse.runtime import scheduler
 from repro.dse.runtime.scheduler import explore_kernels
 from repro.dse.space import KernelDesignSpace
 from repro.emit.hlscpp_emitter import emit_hlscpp
@@ -22,7 +24,9 @@ from repro.estimation import VU9P_SLR, XC7Z020
 from repro.ir.operation import Operation
 from repro.ir.printer import print_op
 from repro.kernels import KERNEL_NAMES, kernel_source
-from repro.pipeline import compile_c, explore_dnn, explore_module_kernels
+from repro.pipeline import (compile_c, explore_dnn, explore_kernel,
+                            explore_module_kernels)
+from repro.tools.driver import main
 
 from conftest import GEMM_SOURCE, compile_source
 
@@ -169,6 +173,40 @@ class TestWhatKeepsNothing:
         assert results["gemm_1"].kept_design is None
         design = results["gemm_1"].best_design()
         assert design.func_op.get_attr("sym_name") == "gemm_1"
+
+    def test_a_sweep_asked_to_keep_nothing_rebuilds_the_same_bytes(self):
+        module, result = gemm_sweep(keep_design=False)
+        assert result.kept_design is None
+        _, kept = gemm_sweep()
+        assert result.best_record == kept.best_record
+        assert printed(result.best_design()) == printed(kept.best_design())
+        assert printed(result.best_design()) == printed(rebuilt(result, module))
+        single = explore_kernel(compile_source(GEMM_SOURCE, "gemm"), XC7Z020,
+                                seed=2022, jobs=1, keep_design=False, **BUDGET)
+        assert single.kept_design is None
+        assert single.best_record == kept.best_record
+
+    @pytest.mark.parametrize("flags", [["--kernel", "gemm", "--size", "4"],
+                                       ["--all-functions"]])
+    def test_the_dse_command_keeps_nothing(self, monkeypatch, tmp_path, flags):
+        if "--all-functions" in flags:
+            source = tmp_path / "pair.c"
+            source.write_text(TWO_FUNCTIONS)
+            flags = [str(source)] + flags
+        sweeps = []
+
+        def recording(tasks, *args, **kwargs):
+            results = explore_kernels(tasks, *args, **kwargs)
+            sweeps.append(([task.keep_design for task in tasks],
+                           [result.kept_design for result in results.values()]))
+            return results
+
+        monkeypatch.setattr(scheduler, "explore_kernels", recording)
+        assert main(["dse", *flags, "--samples", "2", "--iterations", "1"]) == 0
+        assert len(sweeps) == 1
+        keep, kept = sweeps[0]
+        assert keep and not any(keep)
+        assert kept == [None] * len(keep)
 
     def test_a_model_sweep_keeps_nothing(self):
         result = explore_dnn("vgg16", VU9P_SLR, graph_level=7, max_nodes=6,

@@ -358,6 +358,10 @@ json_trees = st.recursive(
 @given(json_trees)
 @example({"a": [1, 2], "b": {"c": [1, 2], "d": [[1, 2]]}, "e": [True, 1]})
 @example({"é\n\"": [-(2 ** 64), 0, 2 ** 64], "": [], "x": {}, "y": [[], {}]})
+# Three lists the memo key (key, *item) hashes alike: a writer that checked
+# only the first element's type would take the last two for int lists and
+# render True as ``True``.
+@example({"k": [1, 2], "j": {"k": [1, 2.0], "i": {"k": [1, True]}}})
 def test_the_writer_equals_json_dumps(tree):
     assert _canonical_json(tree) == _json_oracle(tree)
 

@@ -42,7 +42,7 @@ class TestOneKernelIsAOneTaskSweep:
     def test_explore_takes_only_what_a_caller_chooses(self):
         assert list(inspect.signature(explore_kernel).parameters) \
             == ["module", "platform", "checkpoint_dir", "func_name",
-                "max_evaluations", "sweep"]
+                "max_evaluations", "keep_design", "sweep"]
         assert list(inspect.signature(scheduler.explore_kernels).parameters) \
             == ["tasks", "platform", "config", "checkpoint_dir"]
 
