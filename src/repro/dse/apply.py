@@ -26,6 +26,7 @@ from repro.dialects.affine_ops import AccessTable
 from repro.dse.space import KernelDesignPoint
 from repro.estimation.estimator import QoREstimator, QoRResult
 from repro.estimation.platform import Platform, XC7Z020
+from repro.ir.encoding import decode, encode
 from repro.ir.module import ModuleOp
 from repro.ir.operation import Operation
 from repro.ir.pass_manager import PassManager
@@ -53,9 +54,37 @@ class AppliedDesign:
     #: ``module`` but for that one directive value — keyed by target II.
     siblings: dict = dataclasses.field(default_factory=dict)
     #: The loop whose directive holds that value (None when nothing was
-    #: pipelined and every sibling shares ``module`` as it is).
+    #: pipelined and every sibling shares ``module`` as it is).  It may be a
+    #: loop the cleanup pipeline removed from ``module`` afterwards; then
+    #: no sibling reads the directive, retargeting it changes nothing
+    #: (:func:`adopt_design`), and a pickled design revives it as None.
     pipelined: Optional[Operation] = dataclasses.field(
         default=None, repr=False, compare=False)
+
+    def __reduce__(self):
+        # One flat encoding of the module, with func_op and pipelined named
+        # by their place in it: pickled on their own they would be second
+        # copies of the IR.
+        encoding, (func_index, loop_index) = encode(
+            self.module, self.func_op, self.pipelined)
+        if func_index is None:
+            raise ValueError("the design's function is not in its module")
+        return _revive_design, (encoding, func_index, loop_index, self.point,
+                                self.qor, self.achieved_ii,
+                                self.partition_factors, self.siblings)
+
+
+def _revive_design(encoding, func_index: int, loop_index: Optional[int],
+                   point, qor, achieved_ii, partition_factors,
+                   siblings) -> AppliedDesign:
+    """An unpickled :class:`AppliedDesign`: its module decoded once, its
+    function and pipelined loop taken from it."""
+    ops = decode(encoding)
+    return AppliedDesign(
+        module=ops[0], func_op=ops[func_index], point=point, qor=qor,
+        achieved_ii=achieved_ii, partition_factors=partition_factors,
+        siblings=siblings,
+        pipelined=None if loop_index is None else ops[loop_index])
 
 
 #: The redundancy-elimination tail of a kernel evaluation and of the

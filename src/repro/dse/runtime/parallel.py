@@ -56,6 +56,7 @@ from repro.dse.pareto import ParetoPoint, hypervolume
 from repro.dse.runtime.checkpoint import CheckpointStore
 from repro.dse.runtime.config import SweepConfig
 from repro.dse.runtime.records import EvaluationRecord
+from repro.dse.runtime.worker import _KeptDesign
 from repro.dse.space import KernelDesignSpace
 from repro.estimation.platform import Platform
 from repro.ir.module import ModuleOp
@@ -166,45 +167,10 @@ class _ProgramIdentities:
                 cleanup_pipeline_spec(point.pipeline), point.platform)
 
 
-class _KeptDesign:
-    """The keeper a trajectory hands to
-    :meth:`~repro.dse.runtime.worker.SerialBackend.keep_designs`: holds
-    the best design one kernel's in-process evaluations built for the
-    sweep's platform (points naming ``target``), by
-    :meth:`~repro.dse.engine.ExplorationPolicy.finalize_rank` of the
-    design's own point.  A design it replaces, or does not hand over, is
-    dismantled on the spot (:meth:`~repro.ir.operation.Operation.dismantle`):
-    reference counting frees it there, and at most one design per kernel
-    outlives its evaluation.
-    """
-
-    def __init__(self, platform: Platform, target: str):
-        self._platform = platform
-        self._target = target
-        self._rank: Optional[tuple] = None
-        self._design: Optional[AppliedDesign] = None
-
-    def __call__(self, encoded: tuple[int, ...], design: AppliedDesign) -> None:
-        if design.point.platform != self._target:
-            return
-        rank = ExplorationPolicy.finalize_rank(design.qor, encoded,
-                                               self._platform)
-        if self._rank is None or rank < self._rank:
-            if self._design is not None:
-                self._design.module.dismantle()
-            self._rank, self._design = rank, design
-
-    def hand_over(self, best: Optional[EvaluationRecord],
-                  programs: _ProgramIdentities) -> Optional[AppliedDesign]:
-        """The kept design if it answers ``best`` — a record of the
-        design's program, whose every target II the design estimated —
-        else None; the keeper holds nothing afterwards either way."""
-        design, self._design = self._design, None
-        if design is None or (best is not None and programs.of(best.point)
-                              == programs.of(design.point)):
-            return design
-        design.module.dismantle()
-        return None
+def sweep_target(platform: Platform, config: SweepConfig) -> str:
+    """The platform name the points of the sweep's platform carry (``""``
+    in a single-platform sweep)."""
+    return platform.name if config.platforms else ""
 
 
 def _on_platform(records: dict, name: str) -> dict:
@@ -219,8 +185,9 @@ class ParallelDSEResult:
 
     Evaluations are slim :class:`EvaluationRecord` objects; the optimized IR
     of interesting designs is re-materialized on demand via
-    :meth:`materialize`, except the best one's when an in-process sweep
-    kept it (``kept_design``): the first call for it hands that over.
+    :meth:`materialize`, except the best one's when the sweep kept it
+    (``kept_design``, built inline or shipped back by a pool worker): the
+    first call for it hands that over.
     """
 
     frontier: list[ParetoPoint]
@@ -248,7 +215,8 @@ class ParallelDSEResult:
     shared_with: Optional[str] = None
     shared_hits: int = 0
     #: An evaluation of ``best_record``'s transform class that this run
-    #: built in-process, for :meth:`materialize` to hand over once.
+    #: built, inline or in a pool worker, for :meth:`materialize` to hand
+    #: over once.
     kept_design: Optional[AppliedDesign] = dataclasses.field(
         default=None, repr=False, compare=False)
 
@@ -344,19 +312,16 @@ def _explore_trajectory(task: KernelTask, platform: Platform,
     obs_on = obs.active() is not None
 
     classes = _ClassResults()
-    # Only a backend that evaluates in this process offers its cache, and
-    # to show its designs to a keeper.
+    # Only a backend that evaluates in this process offers its cache.
     offer = getattr(backend, "prefix_snapshots", None)
     programs = _ProgramIdentities(module, func_name,
                                   offer(key) if offer is not None else None,
                                   space.ir_digest)
-    # The platform name the points of the sweep's platform carry.
-    target = platform.name if config.platforms else ""
+    target = sweep_target(platform, config)
     keeper = None
-    keep_designs = getattr(backend, "keep_designs", None)
-    if task.keep_design and keep_designs is not None:
+    if task.keep_design:
         keeper = _KeptDesign(platform, target)
-        keep_designs(key, keeper)
+        backend.keep_designs(key, keeper)
 
     def dispatch(encodings: list[tuple[int, ...]], identities: dict,
                  fresh: dict[tuple[int, ...], EvaluationRecord]) -> None:

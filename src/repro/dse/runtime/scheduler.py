@@ -48,7 +48,11 @@ from repro import obs
 from repro.dse.apply import kernel_pipeline_signature
 from repro.dse.runtime.config import SweepConfig
 from repro.dse.runtime.faults import EvaluationFailure
-from repro.dse.runtime.parallel import ParallelDSEResult, _explore_trajectory
+from repro.dse.runtime.parallel import (
+    ParallelDSEResult,
+    _explore_trajectory,
+    sweep_target,
+)
 from repro.dse.runtime.worker import KernelContext, create_backend
 from repro.dse.space import KernelDesignSpace
 from repro.estimation.platform import Platform
@@ -123,10 +127,11 @@ class KernelTask:
     #: capped run stores a prefix of the uncapped one, and what the cache or
     #: the checkpoint serves on a re-run is free.
     max_evaluations: Optional[int] = None
-    #: Whether a sweep that evaluates in-process keeps the kernel's best
-    #: design for :meth:`ParallelDSEResult.materialize` to hand over
-    #: instead of rebuilding it.  The whole-model sweep and ``dse``, which
-    #: read records only, keep none.
+    #: Whether the sweep keeps the kernel's best design (built inline or
+    #: shipped back by a pool worker) for
+    #: :meth:`ParallelDSEResult.materialize` to hand over instead of
+    #: rebuilding it.  The whole-model sweep and ``dse``, which read
+    #: records only, keep none, and their pool workers encode nothing.
     keep_design: bool = True
     #: The kernel's cache/checkpoint identity, filled in by
     #: :func:`explore_kernels`, once per sweep, on its own copy of the task.
@@ -176,10 +181,13 @@ def explore_kernels(tasks: Sequence[KernelTask], platform: Platform,
             (fingerprint, task_config.num_samples,
              task_config.max_iterations, task.max_evaluations), task.key)
     signature = kernel_pipeline_signature()
+    # A pool worker ships a task's designs only if its trajectory keeps one.
+    target = sweep_target(platform, config)
     contexts = {
         task.key: KernelContext(module=task.module, func_name=task.func_name,
                                 platform=platform, space=task.space,
-                                pipeline=signature)
+                                pipeline=signature,
+                                keep_for=target if task.keep_design else None)
         for task in tasks if representative_of[task.key] == task.key
     }
 

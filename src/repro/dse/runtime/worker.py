@@ -16,9 +16,14 @@ bedrock of the runtime's determinism guarantee.  Both reach
 :func:`evaluate_encoded`, which is an arena: the transformed IR is built,
 estimated and dropped inside the call, so the call pauses CPython's cyclic
 collector and runs one young collection when it is over
-(:class:`CollectorArena`); only the record leaves — and, inline, the one
-design per kernel a trajectory's keeper holds for ``materialize``
-(:meth:`SerialBackend.keep_designs`).
+(:class:`CollectorArena`); only the record leaves — and the one design
+per kernel a trajectory's keeper holds for ``materialize``
+(:meth:`Supervisor.keep_designs`).  Inline, the keeper sees every design
+as it is built.  A pool worker keeps only the rank of the best design it
+has built for a kernel and ships a design that beats it back with the
+evaluation's reply, pickled through the flat IR encoding
+(:mod:`repro.ir.encoding`); the keeper takes it as it takes an inline one
+and decodes only the one it hands over.
 
 Supervision
 -----------
@@ -59,7 +64,8 @@ import warnings
 from typing import Callable, Optional, Sequence
 
 from repro import obs
-from repro.dse.apply import apply_design_point
+from repro.dse.apply import AppliedDesign, apply_design_point
+from repro.dse.engine import ExplorationPolicy
 from repro.dse.incremental import PrefixSnapshotCache
 from repro.dse.runtime.config import SweepConfig
 from repro.dse.runtime.faults import (
@@ -94,9 +100,11 @@ class KernelContext:
     :class:`~repro.dse.runtime.config.SweepConfig`.
 
     ``keep`` is the keeper of the kernel's trajectory (see
-    :func:`evaluate_encoded`).  Only :meth:`SerialBackend.keep_designs`
-    installs one: a pool's contexts never carry one, and its designs die
-    in its workers.
+    :func:`evaluate_encoded`), installed by :meth:`Supervisor.keep_designs`
+    on the coordinator's copy of the context; a pool worker installs its
+    own, which keeps only a rank (:class:`_KeptDesign`).  ``keep_for``
+    names the platform (``""`` in a single-platform sweep) whose designs a
+    pool worker ranks and ships back; None, the default, ships nothing.
     """
 
     module: ModuleOp
@@ -107,6 +115,7 @@ class KernelContext:
     faults: Optional[FaultPlan] = None
     keep: Optional[Callable] = dataclasses.field(
         default=None, repr=False, compare=False)
+    keep_for: Optional[str] = None
 
 
 class CollectorArena:
@@ -129,7 +138,11 @@ class CollectorArena:
       dismantled in the arena that replaces it, so reference counting
       frees it there and no older-generation collection meets it.  Holding
       a batch's designs past the arena would make every later
-      older-generation collection traverse them.
+      older-generation collection traverse them.  In a pool worker the
+      arena also covers encoding the design the evaluation ships
+      (:meth:`_KeptDesign.ship`), which dismantles it; the coordinator
+      decodes the one it hands over in an arena of its own
+      (:meth:`_KeptDesign.hand_over`).
     * **Staging and composing a model**
       (:func:`~repro.dse.runtime.model.explore_model`): the graph-level
       stages, the lowered node functions and their design spaces are kept
@@ -285,8 +298,103 @@ def _init_worker(payload: bytes) -> None:
     from repro.dse.apply import install_cleanup_pipelines
 
     install_cleanup_pipelines(pipelines)
-    _WORKER_CONTEXTS = contexts
+    _WORKER_CONTEXTS = {
+        key: context if context.keep_for is None else dataclasses.replace(
+            context, keep=_KeptDesign(context.platform, context.keep_for))
+        for key, context in contexts.items()}
     _WORKER_SNAPSHOTS = collections.defaultdict(PrefixSnapshotCache)
+
+
+class _KeptDesign:
+    """A kernel's keeper: the best design its evaluations built for the
+    sweep's platform (points naming ``target``), by
+    :meth:`~repro.dse.engine.ExplorationPolicy.finalize_rank` of the
+    design's own point.
+
+    The coordinator's (:meth:`Supervisor.keep_designs`) holds that design
+    until :meth:`hand_over`: shown each design as an inline evaluation
+    builds it, or given it pickled by a pool worker (:meth:`take_shipped`)
+    and decoding only the one it hands over.  A design it replaces, or
+    does not hand over, is dismantled on the spot
+    (:meth:`~repro.ir.operation.Operation.dismantle`): reference counting
+    frees it there, and at most one design per kernel outlives its
+    evaluation.  A pool worker's (:func:`_init_worker`) keeps only a rank,
+    the better of its own best and the coordinator's (:meth:`note_rank`,
+    sent with each task): :meth:`ship` encodes a design that beats it for
+    the evaluation's reply, so a worker ships only designs the
+    coordinator's keeper will take, unless another worker's beat it
+    meanwhile.
+    """
+
+    def __init__(self, platform: Platform, target: str):
+        self._platform = platform
+        self._target = target
+        self._rank: Optional[tuple] = None
+        self._point = None
+        #: An AppliedDesign, or the bytes of a pickled one.
+        self._design = None
+
+    def __call__(self, encoded: tuple[int, ...], design: AppliedDesign) -> None:
+        self._offer(encoded, design.point, design.qor, design)
+
+    def take_shipped(self, record: EvaluationRecord, shipped: bytes) -> None:
+        """Take the pickled design a pool worker built for ``record``."""
+        self._offer(record.encoded, record.point, record.qor, shipped)
+
+    def _offer(self, encoded: tuple[int, ...], point, qor, design) -> None:
+        if point.platform != self._target:
+            return
+        rank = ExplorationPolicy.finalize_rank(qor, encoded, self._platform)
+        if self._rank is None or rank < self._rank:
+            self._drop()
+            self._rank, self._point, self._design = rank, point, design
+
+    def _drop(self) -> None:
+        if isinstance(self._design, AppliedDesign):
+            self._design.module.dismantle()
+        self._point = self._design = None
+
+    @property
+    def rank(self) -> Optional[tuple]:
+        """The rank of the best design taken so far (None before any)."""
+        return self._rank
+
+    def note_rank(self, rank: Optional[tuple]) -> None:
+        """Take no design that does not beat ``rank``, one the coordinator's
+        keeper already reached."""
+        if rank is not None and (self._rank is None or rank < self._rank):
+            self._rank = rank
+
+    def ship(self, ok: bool) -> Optional[bytes]:
+        """The design taken since the last call, pickled, or None (always
+        None after an evaluation that did not return ``ok``); the keeper
+        holds nothing afterwards, and the evaluation's arena frees the
+        design.  Outside the evaluation's verdict: a design that does not
+        encode ships nothing, and ``materialize`` rebuilds it."""
+        design, self._point, self._design = self._design, None, None
+        if design is None or not ok:
+            return None
+        try:
+            return pickle.dumps(design, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            return None
+
+    def hand_over(self, best: Optional[EvaluationRecord],
+                  programs) -> Optional[AppliedDesign]:
+        """The kept design if it answers ``best`` — a record of the
+        design's program (``programs.of``, the trajectory's
+        ``_ProgramIdentities``), whose every target II the design estimated
+        — else None; the keeper holds nothing afterwards either way."""
+        if self._design is None or (best is not None and programs.of(
+                best.point) != programs.of(self._point)):
+            self._drop()
+            return None
+        design = self._design
+        self._point = self._design = None
+        if isinstance(design, bytes):
+            with COLLECTOR_ARENA:
+                design = pickle.loads(design)
+        return design
 
 
 def _classify(error: BaseException) -> str:
@@ -322,15 +430,23 @@ def _guarded_evaluation(context: KernelContext, key: str,
 def _worker_main(conn, payload: bytes) -> None:
     """A pool worker process: install the contexts, say hello, then answer
     one task at a time — a guarded evaluation against the contexts and
-    snapshots :func:`_init_worker` installed — until told to stop (``None``)
-    or orphaned."""
+    snapshots :func:`_init_worker` installed, and the design it shipped
+    (:meth:`_KeptDesign.ship`, beating the task's rank) — until told to
+    stop (``None``) or orphaned."""
     try:
         _init_worker(payload)
         conn.send(None)
         while (task := conn.recv()) is not None:
-            key, encoded, traced = task
-            conn.send(_guarded_evaluation(_WORKER_CONTEXTS[key], key, encoded,
-                                          _WORKER_SNAPSHOTS[key], traced))
+            key, encoded, traced, rank = task
+            context = _WORKER_CONTEXTS[key]
+            if context.keep is not None:
+                context.keep.note_rank(rank)
+            with COLLECTOR_ARENA:
+                outcome = _guarded_evaluation(context, key, encoded,
+                                              _WORKER_SNAPSHOTS[key], traced)
+                shipped = context.keep.ship(outcome[0] == _OK) \
+                    if context.keep is not None else None
+            conn.send((*outcome, shipped))
     except (EOFError, BrokenPipeError, KeyboardInterrupt):
         pass  # the coordinator is gone or interrupted: exit quietly
 
@@ -385,23 +501,31 @@ class _Settlement:
         self.traced = obs.active() is not None
         self._context = context
         self._policy = policy
-        #: Where slots report ``(index, encoded, kind, payload, telemetry)``.
+        #: Where slots report ``(index, encoded, kind, payload, telemetry,
+        #: shipped)``.
         self.done: queue.SimpleQueue = queue.SimpleQueue()
         self._results: list[Optional[EvaluationRecord]] = [None] * total
         self._telemetry: list = [None] * total
         self._attempts = [0] * total
 
     def settle(self, index: int, encoded: tuple[int, ...], kind: str,
-               payload, telemetry) -> bool:
+               payload, telemetry, shipped: Optional[bytes] = None) -> bool:
         """Take in one attempt's outcome; True means "resubmit the point".
 
-        ``ok`` stores the record; ``fatal`` aborts the run; anything else
-        (``error``, ``crash``, ``timeout``) is a *charged* fault that
-        consumes one retry, and a point with none left is quarantined.
+        ``ok`` stores the record and hands the design a pool worker
+        shipped with it to the kernel's keeper; ``fatal`` aborts the run;
+        anything else (``error``, ``crash``, ``timeout``) is a *charged*
+        fault that consumes one retry, and a point with none left is
+        quarantined.
         """
         if kind == _OK:
             self._results[index] = payload
             self._telemetry[index] = telemetry
+            if shipped is not None:
+                obs.counter("dse.pool.designs_shipped")
+                obs.counter("dse.pool.shipped_bytes", len(shipped))
+                if self._context.keep is not None:
+                    self._context.keep.take_shipped(payload, shipped)
             return False
         if kind == _FATAL:
             raise EvaluationFailure(
@@ -435,9 +559,10 @@ class Supervisor:
     """The one dispatch loop of the runtime; both backends extend it.
 
     A *link* is how one task reaches one worker and what losing that worker
-    means: ``run(key, encoded, traced) -> (kind, payload, telemetry)`` is
-    one attempt (the worker's own ``ok`` / ``error`` / ``fatal``, or the
-    link's charged ``crash`` / ``timeout``), ``alive`` turns False once the
+    means: ``run(key, encoded, traced) -> (kind, payload, telemetry,
+    shipped)`` is one attempt (the worker's own ``ok`` / ``error`` /
+    ``fatal``, or the link's charged ``crash`` / ``timeout``, and the
+    design a pool worker shipped with it), ``alive`` turns False once the
     link can take no more tasks, ``abort()`` fails the attempt in flight
     from any thread and ``close()`` is its slot's goodbye.
     One *slot* thread per link pulls from a FIFO task queue every
@@ -465,6 +590,15 @@ class Supervisor:
 
     def warm_up(self) -> None:
         """Bring every worker up now, from the calling thread."""
+
+    def keep_designs(self, key: str, keeper: Callable) -> None:
+        """Show ``keeper`` the designs evaluated for ``key``: inline, every
+        design as it is built (see :func:`evaluate_encoded`); from a pool,
+        through ``keeper.take_shipped(record, shipped)``, each design a
+        worker shipped with ``record`` (the context must name the platform
+        to ship for, ``keep_for``, before the workers start)."""
+        self._contexts[key] = dataclasses.replace(self._contexts[key],
+                                                  keep=keeper)
 
     def _ready(self) -> None:
         """Block until a slot can take a task (``evaluate()`` calls it)."""
@@ -523,7 +657,7 @@ class Supervisor:
                     # A link that cannot even attempt (say, its worker would
                     # not respawn): abort the run rather than lose the task.
                     settlement.done.put((index, encoded, _FATAL,
-                                         _describe_error(error), None))
+                                         _describe_error(error), None, None))
                     break
                 settlement.done.put((index, encoded, *outcome))
         finally:
@@ -584,16 +718,9 @@ class SerialBackend(Supervisor):
         workers keep their own."""
         return self._snapshots[key]
 
-    def keep_designs(self, key: str, keeper: Callable) -> None:
-        """Show every design evaluated for ``key`` to ``keeper`` (see
-        :func:`evaluate_encoded`).  Only a backend that evaluates in this
-        process offers it: a pool's designs die in its workers."""
-        self._contexts[key] = dataclasses.replace(self._contexts[key],
-                                                  keep=keeper)
-
     def run(self, key: str, encoded: tuple[int, ...], traced: bool):
-        return _guarded_evaluation(self._contexts[key], key, encoded,
-                                   self._snapshots[key], traced)
+        return (*_guarded_evaluation(self._contexts[key], key, encoded,
+                                     self._snapshots[key], traced), None)
 
 
 def _kill_worker(process) -> None:
@@ -619,11 +746,14 @@ class _ProcessLink:
     holds, so losing the worker is that task's fault and nobody else's: EOF
     mid-task is a charged ``crash``, a blown deadline kills this worker
     (only) and is a charged ``timeout``.  Either way the link forks its own
-    replacement (``dse.pool.respawns``)."""
+    replacement (``dse.pool.respawns``).  Each task carries ``rank_of(key)``,
+    the rank a design the worker ships for ``key`` must beat."""
 
-    def __init__(self, payload: bytes, task_timeout: Optional[float]):
+    def __init__(self, payload: bytes, task_timeout: Optional[float],
+                 rank_of: Callable[[str], Optional[tuple]] = lambda key: None):
         self._payload = payload
         self._task_timeout = task_timeout
+        self._rank_of = rank_of
         self.alive = True
         self._spawn()
 
@@ -663,16 +793,17 @@ class _ProcessLink:
             # so nothing is charged.
             self._recycle()
         try:
-            self._conn.send((key, encoded, traced))
+            self._conn.send((key, encoded, traced, self._rank_of(key)))
             if self._conn.poll(self._task_timeout):
                 return self._conn.recv()
             outcome = (_TIMEOUT, f"evaluation exceeded the task timeout of "
-                                 f"{self._task_timeout:g}s", None)
+                                 f"{self._task_timeout:g}s", None, None)
         except (EOFError, OSError):
             # Reap first: the kill in _recycle must not change the status.
             self._process.join(_REAP_SECONDS)
             outcome = (_CRASH, f"worker process died evaluating this point "
-                               f"(exit code {self._process.exitcode})", None)
+                               f"(exit code {self._process.exitcode})", None,
+                       None)
         self._recycle()
         return outcome
 
@@ -710,12 +841,19 @@ class ProcessPoolBackend(Supervisor):
             if self._threads:
                 return
             links = [_ProcessLink(self._payload,
-                                  self._config.supervision.task_timeout)
+                                  self._config.supervision.task_timeout,
+                                  self._rank_of)
                      for _ in range(self._config.jobs)]
             for link in links:
                 self._start_slot(link)
 
     _ready = warm_up
+
+    def _rank_of(self, key: str) -> Optional[tuple]:
+        """That of the best design ``key``'s keeper holds now (None without
+        a keeper): a worker ships only a design that beats it."""
+        keep = self._contexts[key].keep
+        return None if keep is None else keep.rank
 
 
 def create_backend(contexts: dict[str, KernelContext], config: SweepConfig,

@@ -335,39 +335,6 @@ class Block:
             current = current._next
         self._order_valid = True
 
-    # -- pickling --------------------------------------------------------------------
-    #
-    # Operations strip their links when pickled (see Operation.__getstate__)
-    # so serializing a block never recurses one stack frame per op; the block
-    # persists its operations as a flat list and relinks them on load.
-
-    def __getstate__(self) -> dict:
-        return {"parent": self.parent, "arguments": self.arguments,
-                "_op_list": list(self.operations)}
-
-    def __setstate__(self, state: dict) -> None:
-        ops = state.pop("_op_list")
-        for key, value in state.items():
-            setattr(self, key, value)
-        self._first = self._last = None
-        self._num_ops = 0
-        self._order_valid = True
-        self._view = OperationListView(self)
-        order = 0
-        previous = None
-        for op in ops:  # parents were restored with the ops; only relink
-            op._prev = previous
-            op._next = None
-            op._order = order
-            if previous is None:
-                self._first = op
-            else:
-                previous._next = op
-            order += _ORDER_STRIDE
-            previous = op
-            self._num_ops += 1
-        self._last = previous
-
     # -- queries ------------------------------------------------------------------
 
     @property

@@ -59,11 +59,6 @@ SIDE_EFFECT_OPS = {
 
 _intern = sys.intern
 
-#: Slots persisted by pickling; the intrusive block links are stripped (see
-#: :meth:`Operation.__getstate__`).
-_PICKLE_SLOTS = ("name", "_attributes", "_attrs_shared", "parent",
-                 "_operands", "results", "regions")
-
 
 class Operation:
     """A generic operation."""
@@ -436,25 +431,15 @@ class Operation:
 
     # -- pickling ----------------------------------------------------------------------------------
 
-    def __getstate__(self) -> dict:
-        # Strip the intrusive links: pickling would otherwise recurse one
-        # stack frame per _next hop (O(block length) deep).  The parent Block
-        # persists its op order and relinks on load (Block.__setstate__).
-        return {slot: getattr(self, slot) for slot in _PICKLE_SLOTS}
+    def __reduce__(self):
+        # The tree this op roots, as one flat encoding (repro.ir.encoding):
+        # pickle's own traversal would recurse through blocks and use lists.
+        if self.parent is not None:
+            raise TypeError(f"cannot pickle {self.name} inside a block: "
+                            f"pickle the operation that roots its tree")
+        from repro.ir.encoding import decode_root, encode
 
-    def __setstate__(self, state: dict) -> None:
-        state.pop("_order", None)  # legacy states carried link fields
-        state.pop("_prev", None)
-        state.pop("_next", None)
-        for key, value in state.items():
-            setattr(self, key, value)
-        # In cyclic graphs pickle may apply the parent Block's state (which
-        # relinks this op) before this op's own state — only default the
-        # links when the block has not installed them yet.
-        if not hasattr(self, "_prev"):
-            self._prev = None
-            self._next = None
-            self._order = 0
+        return decode_root, (encode(self)[0],)
 
     # -- misc ---------------------------------------------------------------------------------------
 

@@ -45,15 +45,6 @@ class Use:
     def __repr__(self) -> str:
         return f"Use({self.owner.name}, operand {self.index})"
 
-    # Uses are plain (value, owner, index) triples under pickle; the owning
-    # value's dict is rebuilt (fresh ids) by Value.__setstate__.
-
-    def __getstate__(self):
-        return (self.value, self.owner, self.index)
-
-    def __setstate__(self, state) -> None:
-        self.value, self.owner, self.index = state
-
 
 class Value:
     """Base class of SSA values."""
@@ -105,38 +96,6 @@ class Value:
     @property
     def owner(self):
         raise NotImplementedError
-
-    # -- pickling -----------------------------------------------------------------
-    #
-    # The use dict is keyed by object ids, which do not survive pickling; it
-    # is persisted as the ordered use list and re-keyed on load, preserving
-    # registration order exactly (worker processes must observe the same use
-    # order as the coordinator for bit-identical evaluation).
-
-    def __getstate__(self) -> dict:
-        state = {slot: getattr(self, slot) for slot in _state_slots(type(self))
-                 if slot != "_uses" and hasattr(self, slot)}
-        state["_use_list"] = list(self._uses.values())
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        uses = state.pop("_use_list", ())
-        for key, value in state.items():
-            setattr(self, key, value)
-        self._uses = {id(use): use for use in uses}
-
-
-def _state_slots(cls) -> tuple[str, ...]:
-    """Every ``__slots__`` entry of ``cls`` and its bases (cached per class)."""
-    cached = _SLOT_CACHE.get(cls)
-    if cached is None:
-        cached = tuple(slot for klass in reversed(cls.__mro__)
-                       for slot in getattr(klass, "__slots__", ()))
-        _SLOT_CACHE[cls] = cached
-    return cached
-
-
-_SLOT_CACHE: dict[type, tuple[str, ...]] = {}
 
 
 class BlockArgument(Value):

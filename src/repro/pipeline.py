@@ -112,7 +112,7 @@ def explore_kernel(module: ModuleOp, platform: Platform = XC7Z020, *,
     best design for :meth:`~repro.dse.runtime.ParallelDSEResult.materialize`
     to hand over (:attr:`~repro.dse.runtime.KernelTask.keep_design`): a
     caller that never materializes frees each design inside the evaluation
-    that built it.  A sweep over a space of one's own,
+    that built it, and a pool's workers ship none back.  A sweep over a space of one's own,
     or over several kernels, builds :class:`repro.dse.runtime.KernelTask`
     objects for :func:`repro.dse.runtime.scheduler.explore_kernels`.
     """

@@ -293,14 +293,18 @@ class TestInsertionPoints:
 
 
 class TestPickling:
+    """A block pickles with the module that holds it (one flat encoding,
+    :mod:`repro.ir.encoding`); a bare block or an op inside one does not."""
+
     def test_round_trip_preserves_order_and_links(self):
-        block = Block()
+        module = ModuleOp()
+        block = module.body
         ops = [block.append(_op(i)) for i in range(10)]
         anchor = ops[5]
         for i in range(5):
             block.insert_before(anchor, _op(100 + i))
         expected = [op.get_attr("tag") for op in block.operations]
-        restored = pickle.loads(pickle.dumps(block))
+        restored = pickle.loads(pickle.dumps(module)).body
         assert [op.get_attr("tag") for op in restored.operations] == expected
         assert all(op.parent is restored for op in restored.operations)
         restored_ops = list(restored.operations)
@@ -308,12 +312,19 @@ class TestPickling:
 
     def test_deep_block_does_not_exhaust_recursion(self):
         """Pickling must not recurse once per linked op (5k >> stack limit)."""
-        block = Block()
+        module = ModuleOp()
         for i in range(5000):
-            block.append(_op(i))
-        restored = pickle.loads(pickle.dumps(block))
+            module.append(_op(i))
+        restored = pickle.loads(pickle.dumps(module)).body
         assert len(restored) == 5000
         assert [op.get_attr("tag") for op in restored.operations] == list(range(5000))
+
+    def test_an_op_inside_a_block_is_pickled_with_its_root(self):
+        module = ModuleOp()
+        inner = module.append(_op(1))
+        with pytest.raises(TypeError, match="inside a block"):
+            pickle.dumps(inner)
+        assert pickle.loads(pickle.dumps(inner.detach())).get_attr("tag") == 1
 
     def test_module_round_trip_verifies(self, gemm_module):
         restored = pickle.loads(pickle.dumps(gemm_module))

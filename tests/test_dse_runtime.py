@@ -26,6 +26,7 @@ from repro.dse.runtime.worker import KernelContext, evaluate_encoded
 from repro.dse.space import ir_digest
 from repro.estimation import VU9P_SLR, XC7Z020
 from repro.ir.pass_manager import PassError
+from repro.ir.printer import print_op
 from repro.pipeline import (compile_kernel, explore_dnn, explore_kernel,
                             explore_module_kernels)
 
@@ -78,6 +79,14 @@ class TestPicklability:
         revived = pickle.loads(pickle.dumps(design))
         assert revived.qor.latency == design.qor.latency
         assert revived.point == design.point
+        # One module: its function and pipelined loop are ops of it, not
+        # second copies.
+        ops = list(revived.module.walk())
+        assert design.pipelined is not None
+        assert any(op is revived.func_op for op in ops)
+        assert any(op is revived.pipelined for op in ops)
+        assert print_op(revived.module, stable_ids=True) == \
+            print_op(design.module, stable_ids=True)
 
         record = EvaluationRecord.from_design(encoded, design)
         assert pickle.loads(pickle.dumps(record)) == record

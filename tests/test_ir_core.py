@@ -246,6 +246,64 @@ class TestDismantle:
         verify(module)
 
 
+class TestFlatEncoding:
+    """An op pickles the tree it roots through ``repro.ir.encoding``."""
+
+    def test_a_round_trip_keeps_the_tree_and_its_use_order(self):
+        import pickle
+
+        from repro.ir.printer import print_op
+        from repro.pipeline import compile_kernel
+
+        module = compile_kernel("gemm", 4)
+        revived = pickle.loads(pickle.dumps(module))
+        assert type(revived) is type(module)
+        assert print_op(revived, stable_ids=True) == \
+            print_op(module, stable_ids=True)
+        mine, theirs = list(module.walk()), list(revived.walk())
+        assert [type(op) for op in theirs] == [type(op) for op in mine]
+        index = {id(op): position for position, op in enumerate(theirs)}
+        for old, new in zip(mine, theirs):
+            assert [result.type for result in new.results] == \
+                [result.type for result in old.results]
+            for result in new.results:
+                assert all(use.owner.operand(use.index) is result
+                           for use in result.uses)
+            assert new.parent is None or index[id(new.parent_op)] == \
+                mine.index(old.parent_op)
+        verify(revived)
+
+    def test_shared_attribute_dicts_stay_shared_and_copy_on_write(self):
+        import pickle
+
+        module = ModuleOp()
+        first = module.append(Operation("t.op", attributes={"n": 1}))
+        module.append(first.clone())
+        one, two = pickle.loads(pickle.dumps(module)).body.operations
+        assert one._attributes is two._attributes
+        one.set_attr("n", 2)
+        assert (one.get_attr("n"), two.get_attr("n")) == (2, 1)
+
+    def test_a_use_from_outside_the_tree_is_not_encoded(self):
+        import pickle
+
+        module = ModuleOp()
+        constant = module.append(arith.ConstantOp(1, index))
+        module.append(arith.AddIOp(constant.result(), constant.result()))
+        arith.AddIOp(constant.result(), constant.result())  # never inserted
+        assert constant.result().num_uses() == 4
+        revived = pickle.loads(pickle.dumps(module))
+        assert revived.body.operations[0].result().num_uses() == 2
+
+    def test_an_operand_from_outside_the_tree_cannot_be_encoded(self):
+        import pickle
+
+        constant = arith.ConstantOp(1, index)
+        orphan = arith.AddIOp(constant.result(), constant.result())
+        with pytest.raises(ValueError, match="defined outside"):
+            pickle.dumps(orphan)
+
+
 class TestBlocksAndRegions:
     def test_insert_all_splices_in_order(self):
         block = Block()

@@ -1,22 +1,32 @@
-"""A serial sweep hands over the finalized design it already built.
+"""A sweep hands over the finalized design it already built.
 
-An in-process sweep keeps, per kernel, the best design its evaluations
-built; ``materialize`` of the best point hands it over once instead of
-running the transform pipeline again.  The handed-over design must be the
-one a from-scratch ``apply_design_point`` builds, byte for byte, whether it
-was evaluated for the best point itself, for an alias of it (same program,
-other knob values) or for an II-sibling (same program, other target II).
-Pool sweeps, model sweeps, ``dse`` (``keep_design=False``) and
-shared-trajectory copies keep nothing.
+A sweep keeps, per kernel, the best design its evaluations built: inline,
+as the evaluation builds it; on a pool, as the worker that built it ships
+it back, pickled through the flat IR encoding.  ``materialize`` of the best
+point hands it over once instead of running the transform pipeline again.
+The handed-over design must be the one a from-scratch
+``apply_design_point`` builds, byte for byte, whether it was evaluated for
+the best point itself, for an alias of it (same program, other knob
+values) or for an II-sibling (same program, other target II), and a pool
+must hand over the bests a serial sweep hands over.  Model sweeps, ``dse``
+(``keep_design=False``) and shared-trajectory copies keep nothing, and
+their workers encode nothing.
 """
 
 from __future__ import annotations
 
+import pickle
+import sys
+from unittest import mock
+
 import pytest
 
+from repro import obs
+from repro.dse import apply as apply_module
 from repro.dse.apply import apply_design_point
 from repro.dse.runtime import EstimateCache, KernelTask, SweepConfig
-from repro.dse.runtime import scheduler
+from repro.dse.runtime import parallel, scheduler
+from repro.dse.runtime.faults import FaultPlan, SupervisionPolicy
 from repro.dse.runtime.scheduler import explore_kernels
 from repro.dse.space import KernelDesignSpace
 from repro.emit.hlscpp_emitter import emit_hlscpp
@@ -32,6 +42,9 @@ from conftest import GEMM_SOURCE, compile_source
 
 #: The kernel sweep of the end-to-end benchmark's ``kernel_cold``.
 BUDGET = dict(num_samples=8, max_iterations=12, batch_size=8)
+
+#: DSE seeds whose bests include aliases, II-siblings and rebuilt bests.
+SEEDS = (2022, 7, 11)
 
 
 def table3_module():
@@ -53,38 +66,142 @@ def rebuilt(result, module):
                               func_name=result.func_name)
 
 
-class TestHandedOverEqualsRebuilt:
-    @pytest.fixture(scope="class")
-    def sweeps(self):
-        module = table3_module()
-        return module, {
-            seed: explore_module_kernels(module, XC7Z020, jobs=1, seed=seed,
-                                         **BUDGET)
-            for seed in (2022, 7, 11)}
+def use_orders(module) -> list:
+    return [[(use.owner.name, use.index) for use in value.uses]
+            for op in module.walk() for value in op.results]
 
-    def test_every_kept_best_equals_a_from_scratch_application(self, sweeps):
-        module, by_seed = sweeps
+
+class Sweep:
+    """The six Table III kernels swept at one seed, and what each
+    kernel's ``best_design()`` handed over: the kept design's point (None
+    when the best was rebuilt) and the design as :func:`printed`.
+    ``rebuilds`` counts the transform runs those calls made."""
+
+    def __init__(self, seed: int, **config):
+        self.module = table3_module()
+        self.results = explore_module_kernels(
+            self.module, XC7Z020, seed=seed, **{**BUDGET, **config})
+        self.records = {name: result.records
+                        for name, result in self.results.items()}
+        self.kept = {name: None if result.kept_design is None
+                     else result.kept_design.point
+                     for name, result in self.results.items()}
+        with mock.patch.object(parallel, "apply_design_point",
+                               wraps=apply_design_point) as runs:
+            self.bests = {name: printed(result.best_design())
+                          for name, result in self.results.items()}
+        self.rebuilds = runs.call_count
+
+
+@pytest.fixture(scope="module")
+def serial():
+    return {seed: Sweep(seed, jobs=1) for seed in SEEDS}
+
+
+class TestHandedOverEqualsRebuilt:
+    def test_every_kept_best_equals_a_from_scratch_application(self, serial):
         kinds = set()
         served = 0
-        for seed, results in by_seed.items():
-            for name, result in results.items():
-                kept = result.kept_design
+        for seed, sweep in serial.items():
+            for name, kept in sweep.kept.items():
                 if kept is None:
                     continue
                 served += 1
+                result = sweep.results[name]
                 best = result.best_record.point
-                if kept.point.target_ii != best.target_ii:
+                if kept.target_ii != best.target_ii:
                     kinds.add("sibling")
-                elif kept.point != best:
+                elif kept != best:
                     kinds.add("alias")
-                design = result.best_design()
-                assert printed(design) == printed(rebuilt(result, module)), \
-                    (seed, name)
+                assert sweep.bests[name] == printed(
+                    rebuilt(result, sweep.module)), (seed, name)
         assert {"alias", "sibling"} <= kinds
         # A best is rebuilt when it is a classmate at another target II
         # that outranks every evaluated point (the keeper ranks a design by
         # its own point): 2 of these 18.
         assert served >= 15
+
+    def test_a_handed_over_best_runs_no_pipeline(self, serial):
+        for sweep in serial.values():
+            assert sweep.rebuilds == list(sweep.kept.values()).count(None)
+
+
+class TestAPoolHandsOverWhatItsWorkersBuilt:
+    @pytest.fixture(scope="class")
+    def pool(self):
+        with obs.session() as session:
+            sweeps = {seed: Sweep(seed, jobs=2) for seed in SEEDS}
+        return sweeps, session.metrics.counters
+
+    def test_the_pool_hands_over_the_serial_bests(self, serial, pool):
+        sweeps, _ = pool
+        for seed in SEEDS:
+            assert sweeps[seed].records == serial[seed].records, seed
+            assert sweeps[seed].kept == serial[seed].kept, seed
+            assert sweeps[seed].bests == serial[seed].bests, seed
+
+    def test_a_handed_over_best_runs_no_pipeline(self, pool):
+        sweeps, _ = pool
+        for sweep in sweeps.values():
+            assert any(point is not None for point in sweep.kept.values())
+            assert sweep.rebuilds == list(sweep.kept.values()).count(None)
+
+    def test_shipping_is_counted(self, pool):
+        _, counters = pool
+        kept = sum(point is not None for sweep in pool[0].values()
+                   for point in sweep.kept.values())
+        assert counters["dse.pool.designs_shipped"] >= kept
+        assert counters["dse.pool.shipped_bytes"] \
+            > counters["dse.pool.designs_shipped"]
+
+    def test_a_design_that_does_not_encode_is_rebuilt(self, serial,
+                                                       monkeypatch):
+        def failing(*ops):
+            raise RecursionError("forced encode failure")
+
+        monkeypatch.setattr(apply_module, "encode", failing)
+        with obs.session() as session:
+            sweep = Sweep(2022, jobs=2)
+        assert "dse.pool.designs_shipped" not in session.metrics.counters
+        assert sweep.records == serial[2022].records
+        assert set(sweep.kept.values()) == {None}
+        assert sweep.rebuilds == len(sweep.bests)
+        assert sweep.bests == serial[2022].bests
+
+    def test_a_crashing_pool_hands_over_the_same_bests(self, serial,
+                                                       tmp_path):
+        plan = FaultPlan(mode="crash", select=3, times=1,
+                         state_dir=str(tmp_path / "ledger"))
+        with obs.session() as session:
+            sweep = Sweep(2022, jobs=2, faults=plan,
+                          supervision=SupervisionPolicy(max_retries=2,
+                                                        backoff=0.001))
+        counters = session.metrics.counters
+        assert counters["dse.pool.respawns"] == counters["dse.faults.crashes"] > 0
+        assert sweep.records == serial[2022].records
+        assert any(point is not None for point in sweep.kept.values())
+        assert sweep.bests == serial[2022].bests
+
+
+def test_the_found_design_pickles_at_the_default_recursion_limit(serial):
+    # gesummv's best at seed 11 (tiles [8, 8]) raised RecursionError under
+    # pickle's own traversal of the linked IR.
+    sweep = serial[11]
+    design = rebuilt(sweep.results["gesummv"], sweep.module)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        revived = pickle.loads(pickle.dumps(design))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert printed(revived) == printed(design)
+    assert use_orders(revived.module) == use_orders(design.module)
+    assert any(op is revived.func_op for op in revived.module.walk())
+    # Its pipelined loop is one the cleanup pipeline removed afterwards: it
+    # is not in the module, so it revives as None.
+    assert design.pipelined is not None
+    assert not any(op is design.pipelined for op in design.module.walk())
+    assert revived.pipelined is None
 
 
 def gemm_sweep(**overrides):
@@ -152,10 +269,6 @@ class TestHandOverOnce:
         assert all(op is not result.kept_design.module for op in dismantled)
         assert all(op.parent is None and not op.regions for op in dismantled)
 
-    def test_a_pool_sweep_keeps_nothing(self):
-        _, result = gemm_sweep(jobs=2)
-        assert result.kept_design is None
-
 
 class TestWhatKeepsNothing:
     def test_copies_of_a_shared_trajectory_hold_no_design(self):
@@ -207,6 +320,31 @@ class TestWhatKeepsNothing:
         keep, kept = sweeps[0]
         assert keep and not any(keep)
         assert kept == [None] * len(keep)
+
+    def test_sweeps_that_keep_nothing_encode_nothing(self, monkeypatch,
+                                                     tmp_path):
+        # The workers fork after the patch, so they log what they encode.
+        log = tmp_path / "encoded"
+        encode = apply_module.encode
+
+        def logging(*ops):
+            with open(log, "a") as handle:
+                handle.write(".")
+            return encode(*ops)
+
+        monkeypatch.setattr(apply_module, "encode", logging)
+        with obs.session() as session:
+            _, result = gemm_sweep(jobs=2, keep_design=False)
+            model = explore_dnn("vgg16", VU9P_SLR, graph_level=7,
+                                max_nodes=4, jobs=2, seed=7, batch_size=2,
+                                num_samples=3, max_iterations=4)
+        assert result.kept_design is None
+        assert all(node.kept_design is None
+                   for node in model.node_results.values())
+        assert not log.exists()
+        assert "dse.pool.designs_shipped" not in session.metrics.counters
+        _, kept = gemm_sweep(jobs=2)
+        assert kept.kept_design is not None and log.exists()
 
     def test_a_model_sweep_keeps_nothing(self):
         result = explore_dnn("vgg16", VU9P_SLR, graph_level=7, max_nodes=6,
