@@ -359,6 +359,11 @@ def measure_prefix_reuse(size: int = 8, repeats: int = 3) -> dict:
 WORK_COUNT_LIMITS = {
     "suffix_clones_per_op": 1.0,
     "first_canonicalize_wasted_visits_per_op": 0.15,
+    # The unrolled copies the cleanup's first round deleted untouched: on
+    # the fully unrolled gemm 4^3, 180 dead ones the first canonicalize
+    # erased (84 constants, and 48 loads and 48 products that fed only the
+    # k == 0 branch), and 188 constants the first cse merged.
+    "first_round_deleted_copies": 0,
     "access_derivations_per_access": 1.0,
     "collections_per_evaluation": 1.0,
     "trmm.suffix_clones_per_op": 1.0,
@@ -467,10 +472,12 @@ def _counted_evaluation(context, encoded) -> dict:
     from repro.estimation import estimator as estimator_module
     from repro.ir.rewrite import GreedyRewriteDriver
     from repro.transforms.cleanup import simplify_affine_if
+    from repro.transforms.cleanup.cse import CSEPass
     from repro.transforms.composite import DesignPointSuffixPass
 
     counts = {"suffix_clones": 0, "suffix_ops": 0, "canonicalize_visits": None,
               "canonicalize_rewrites": 0, "canonicalize_ops": 0,
+              "canonicalize_dead_at_start": 0, "cse_merged_constants": None,
               "simplify_affine_if_rewrites": 0, "collections": 0}
     derivations: dict = {}
     in_suffix = False
@@ -478,6 +485,7 @@ def _counted_evaluation(context, encoded) -> dict:
     clone, suffix_run = Operation.clone, DesignPointSuffixPass.run
     rewrite, derive = GreedyRewriteDriver.rewrite, affine_ops.access_expressions
     simplify_ifs = simplify_affine_if.simplify_affine_ifs
+    cse_run = CSEPass.run
 
     def counted_clone(op, value_map=None):
         counts["suffix_clones"] += in_suffix
@@ -499,12 +507,24 @@ def _counted_evaluation(context, encoded) -> dict:
             and driver.op_patterns
         if first:
             counts["canonicalize_ops"] = sum(1 for _ in root.walk()) - 1
+            counts["canonicalize_dead_at_start"] = _dead_ops(root)
         changed = rewrite(driver, root)
         if first:
             counts["canonicalize_visits"] = sum(driver.visit_counts.values())
             counts["canonicalize_rewrites"] = sum(
                 hits for hits, _ in driver.bucket_stats.values())
         return changed
+
+    def counted_cse(pass_, func_op):
+        # The first cse after the suffix: what it merges of the constants
+        # and applies is what unrolling copied once too often.
+        first = counts["suffix_ops"] and counts["cse_merged_constants"] is None
+        if first:
+            before = _constants_and_applies(func_op)
+        cse_run(pass_, func_op)
+        if first:
+            counts["cse_merged_constants"] = \
+                before - _constants_and_applies(func_op)
 
     def counted_simplify_ifs(root):
         simplified = simplify_ifs(root)
@@ -528,6 +548,7 @@ def _counted_evaluation(context, encoded) -> dict:
         patch(DesignPointSuffixPass, "run", counted_suffix)
         patch(GreedyRewriteDriver, "rewrite", counted_rewrite)
         patch(simplify_affine_if, "simplify_affine_ifs", counted_simplify_ifs)
+        patch(CSEPass, "run", counted_cse)
         patch(affine_ops, "access_expressions", counted_derive)
         patch(estimator_module, "access_expressions", counted_derive)
         gc.callbacks.append(on_collection)
@@ -542,16 +563,38 @@ def _counted_evaluation(context, encoded) -> dict:
     return counts
 
 
+def _dead_ops(root) -> int:
+    """The ops under ``root`` that ``canonicalize`` erases as dead: no side
+    effect, no region, and no use but by such ops."""
+    from repro.ir.operation import SIDE_EFFECT_OPS
+
+    dead: set = set()
+    for op in reversed(list(root.walk())):
+        if not op.regions and op.results and op.name not in SIDE_EFFECT_OPS \
+                and all(use.owner in dead for result in op.results
+                        for use in result.uses):
+            dead.add(op)
+    return len(dead)
+
+
+def _constants_and_applies(func_op) -> int:
+    return sum(1 for op in func_op.walk()
+               if op.name in ("arith.constant", "affine.apply"))
+
+
 def measure_work_counts(size: int = 4, trmm_size: int = 8) -> dict:
     """Work counts of two evaluations the DSE backends run.
 
     One fully unrolled gemm (the perfectized point that tiles every loop by
     its trip count): each ratio is work done over work needed, exactly 1.0
     (or far below it, for the seeded worklist) when nothing is done twice.
-    A first-``canonicalize`` visit that rewrites is work needed — unrolling
-    builds no branch an ``affine.if`` drops, so what fed only that branch
-    is dead at birth and erased here — one that rewrites nothing is the
-    search the seeded worklist exists to avoid.
+    A first-``canonicalize`` visit that rewrites is work needed, one that
+    rewrites nothing is the search the seeded worklist exists to avoid.
+    Unrolling builds no branch an ``affine.if`` drops, copies nothing that
+    fed only such a branch and hands over no dead or duplicate copy, so the
+    copies the first ``canonicalize`` finds dead plus the constants and
+    applies the first ``cse`` merges (``first_round_deleted_copies``) are
+    none.
 
     And the heaviest evaluation of the kernel sweep, trmm with both guards
     (perfectized, variable bounds removed) and tiles ``size`` x ``size`` x 1:
@@ -564,6 +607,8 @@ def measure_work_counts(size: int = 4, trmm_size: int = 8) -> dict:
     ratios = {
         "first_canonicalize_wasted_visits_per_op":
             wasted / max(1, counts["canonicalize_ops"]),
+        "first_round_deleted_copies": counts["canonicalize_dead_at_start"]
+            + (counts["cse_merged_constants"] or 0),
         "access_derivations_per_access":
             counts["access_derivations"] / max(1, counts["accesses"]),
         "collections_per_evaluation": float(counts["collections"]),
@@ -572,7 +617,10 @@ def measure_work_counts(size: int = 4, trmm_size: int = 8) -> dict:
           f"{counts['suffix_clones']} clones for {counts['suffix_ops']} ops "
           f"after the suffix, first canonicalize visited "
           f"{counts['canonicalize_visits']} of {counts['canonicalize_ops']} ops "
-          f"({counts['canonicalize_rewrites']} visits rewrote), "
+          f"({counts['canonicalize_rewrites']} visits rewrote, "
+          f"{counts['canonicalize_dead_at_start']} ops dead at its start), "
+          f"first cse merged {counts['cse_merged_constants']} constants "
+          f"and applies, "
           f"{counts['access_derivations']} access derivations for "
           f"{counts['accesses']} accesses, {counts['collections']} "
           f"collection(s) inside the evaluation")

@@ -85,11 +85,19 @@ class Value:
         return len(self._uses)
 
     def replace_all_uses_with(self, other: "Value") -> None:
-        """Rewrite every use of this value to use ``other`` instead."""
+        """Rewrite every use of this value to use ``other`` instead.
+
+        The :class:`Use` objects themselves move, in registration order, to
+        the end of ``other``'s use list (their owners hold them as operands,
+        so nothing is re-created).
+        """
         if other is self:
             return
-        for use in list(self._uses.values()):
-            use.owner.set_operand(use.index, other)
+        uses, moved = self._uses, other._uses
+        for key, use in uses.items():
+            use.value = other
+            moved[key] = use
+        uses.clear()
 
     # -- structural queries -------------------------------------------------------
 

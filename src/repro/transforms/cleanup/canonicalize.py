@@ -19,7 +19,7 @@ from typing import Optional
 
 from repro.dialects import arith
 from repro.dialects.affine_ops import AffineForOp, AffineIfOp
-from repro.ir.operation import Operation
+from repro.ir.operation import SIDE_EFFECT_OPS, Operation
 from repro.ir.pass_manager import FunctionPass
 from repro.ir.pass_registry import register_pass
 from repro.ir.rewrite import (GreedyRewriteDriver, PatternRewriter, PatternSet,
@@ -164,14 +164,21 @@ class EraseDeadOpPattern(RewritePattern):
         return True
 
     def match_and_rewrite(self, op: Operation, rewriter: PatternRewriter) -> bool:
-        if op.regions or op.has_side_effects():
-            return False
-        if op.num_results == 0:
-            return False
-        if any(result.has_uses() for result in op.results):
+        if not is_dead(op):
             return False
         rewriter.erase_op(op)
         return True
+
+
+def is_dead(op: Operation) -> bool:
+    """What :class:`EraseDeadOpPattern` erases: a side-effect-free,
+    region-free operation with results, none of them used."""
+    if op.regions or not op.results or op.name in SIDE_EFFECT_OPS:
+        return False
+    for result in op.results:
+        if result._uses:
+            return False
+    return True
 
 
 # -- loop simplifications --------------------------------------------------------------------

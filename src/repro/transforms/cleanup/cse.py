@@ -10,6 +10,8 @@ considered (memory accesses are handled by ``-simplify-memref-access``).
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 from repro.dialects.arith import PURE_OPS
 from repro.ir.block import Block
 from repro.ir.operation import Operation
@@ -40,11 +42,23 @@ class CSEPass(FunctionPass):
 
 def _cse_block(block: Block) -> int:
     removed = 0
+    for op in merge_duplicates(block.operations):
+        op.erase()
+        removed += 1
+    return removed
+
+
+def merge_duplicates(ops: Iterable[Operation]) -> Iterator[Operation]:
+    """Merge every op of ``ops`` (one block's, in order) that an earlier one
+    is equivalent to into that earlier one, the first survivor: the uses of
+    its result move onto the survivor's, in registration order.  Yields each
+    op merged, with its own operand uses still registered; the caller drops
+    them (erases it) before the next one is judged."""
     seen: dict[tuple, Operation] = {}
     # The hashable form of each attribute dict met, with the dict itself so
     # its id stays taken: unrolled clones share one dict, rendered once.
     rendered: dict[int, tuple[dict, tuple]] = {}
-    for op in block.operations:
+    for op in ops:
         name = op.name
         if name not in _CSE_NAMES or op.regions or len(op.results) != 1:
             continue
@@ -64,9 +78,7 @@ def _cse_block(block: Block) -> int:
             seen[key] = op
         else:
             op.results[0].replace_all_uses_with(earlier.results[0])
-            op.erase()
-            removed += 1
-    return removed
+            yield op
 
 
 def _hashable(value):

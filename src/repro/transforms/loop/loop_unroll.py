@@ -17,15 +17,24 @@ Either form judges an ``affine.if`` without results before it copies it, on
 the operands the copy would read, with the verdict function and the range
 analysis of ``-simplify-affine-if``: the branch it takes is copied in its
 place, the branch it drops is never built, and one it cannot judge is copied
-whole for the pass.  The guarantee, which the tests keep against unrolling
-one loop at a time, innermost first, with no ``affine.if`` judged: on IR
-where nothing was decided the same operations in the same order, the same
-induction constants, the same ``affine.apply``s folded, the same use order
-on every value defined outside the nest; and whatever was decided, after
-``canonicalize,simplify-affine-if`` the IR that
-``canonicalize,simplify-affine-if,canonicalize`` leaves of the other —
-operations that fed only a dropped branch are dead from the start, so the
-first ``canonicalize`` erases them and not a later one.
+whole for the pass.  What fed only the branch an iteration drops is not
+copied either: the iteration judges the ``affine.if`` before the first such
+operation, when its operands are defined by then.  And before the copies go
+into the block, the expansion drops every one that is dead and, in the
+nested form, merges every one into the first copy equal to it — what the
+cleanup's first ``canonicalize`` and ``cse`` deleted untouched.
+
+The guarantee, which the tests keep against this expansion with no copy
+pruned (frozen there): raw, the unpruned IR once a plain reference prune
+has dropped its dead copies and merged its equal ones, operation for
+operation and use for use; after the cleanup tail (``CLEANUP_PIPELINE``),
+the IR and the use order of every value the unpruned expansion leaves.
+Merging early can let the tail's first round merge loads its second round
+merged before; where that changes the order in which their uses were
+merged, a use list holds the same users in another order.  No evaluation of
+the benchmark's kernel sweeps meets it
+(``tests/golden/kernel_sweep_evaluations.json``); two whole syr2k functions
+at n = 4 do.
 """
 
 from __future__ import annotations
@@ -44,10 +53,13 @@ from repro.dialects.affine_ops import (
     constant_bound_domain,
     index_value_range,
 )
-from repro.ir.operation import Operation
+from repro.ir.operation import SIDE_EFFECT_OPS, Operation
 from repro.ir.pass_manager import FunctionPass, PassError, PassOption
 from repro.ir.pass_registry import register_pass
 from repro.ir.types import index
+from repro.ir.value import OpResult
+from repro.transforms.cleanup.canonicalize import is_dead
+from repro.transforms.cleanup.cse import merge_duplicates
 
 
 def unroll_loop(loop: AffineForOp, factor: int) -> Optional[list[Operation]]:
@@ -98,11 +110,11 @@ def fully_unroll_nested(root: Operation) -> int:
     Each outermost nested loop is expanded over the product of its nest's
     iterations in one pass — every operation that is not a loop is copied
     at most once, under the constants of all the enclosing iterations, and
-    a branch an ``affine.if`` drops under them not at all — and the result
-    is, once cleaned up, what unrolling the loops one at a time from the
-    innermost outwards leaves (the module docstring has the exact statement,
-    the tests the oracle): the same order, the same induction constants,
-    the same ``affine.apply``s folded.
+    a branch an ``affine.if`` drops under them, or what fed only that
+    branch, not at all — and the result is, once cleaned up, what unrolling
+    the loops one at a time from the innermost outwards leaves (the module
+    docstring has the exact statement, the tests the oracle): the same
+    order, the same induction constants, the same ``affine.apply``s folded.
     """
     loops = [op for op in root.walk()
              if op is not root and isinstance(op, AffineForOp)]
@@ -147,10 +159,15 @@ class AffineLoopUnrollPass(FunctionPass):
 # -- implementation ------------------------------------------------------------------------
 
 
+#: ``copy_region_op``'s verdict when the iteration asked for none.
+_UNJUDGED = object()
+
+
 def _replace_by_expansion(loop: AffineForOp, nested: bool) -> list[Operation]:
     new_ops: list[Operation] = []
     expansion = _Expansion(loop, nested)
     expansion.expand(loop, {}, new_ops)
+    new_ops = expansion.prune(new_ops)
     loop.parent.insert_all_after(loop, new_ops)
     loop.erase()
     expansion.report()
@@ -162,7 +179,8 @@ class _Expansion:
     on the way shares."""
 
     __slots__ = ("nested", "value_map", "single_ivs", "site",
-                 "outside_ranges", "verdicts", "judged")
+                 "outside_ranges", "verdicts", "judged", "feeders", "skipped",
+                 "dead", "merged")
 
     def __init__(self, loop: AffineForOp, nested: bool):
         #: Expand the loops below in place of copying them.
@@ -183,12 +201,54 @@ class _Expansion:
         self.verdicts: dict = {}
         #: ``affine.if``s judged, by verdict.
         self.judged = {True: 0, False: 0, None: 0}
+        #: Memo of :func:`_branch_feeders`, by loop.
+        self.feeders: dict = {}
+        #: Copies not made, dead copies dropped and copies merged.
+        self.skipped = self.dead = self.merged = 0
 
     def report(self) -> None:
         if obs.active() is not None:
             obs.counter("unroll.if.taken", self.judged[True])
             obs.counter("unroll.if.dropped", self.judged[False])
             obs.counter("unroll.if.undecided", self.judged[None])
+            obs.counter("unroll.skipped.feeders", self.skipped)
+            obs.counter("unroll.pruned.dead", self.dead)
+            obs.counter("unroll.pruned.merged", self.merged)
+
+    def prune(self, ops: list[Operation]) -> list[Operation]:
+        """``ops`` short of what the cleanup's first round would delete.
+
+        Backwards, every copy :func:`~repro.transforms.cleanup.canonicalize.is_dead`
+        drops its operand uses and goes, so what fed only it goes too; then,
+        in the nested form, forwards,
+        :func:`~repro.transforms.cleanup.cse.merge_duplicates` merges every
+        copy into its first equal, moving its uses.  Neither looks inside a
+        region op, and ops in the block already are left to the cleanup.
+
+        The one-level form merges nothing: its copies are most often copied
+        again (the enclosing loop unrolled next, or partially), and a copy
+        registers the uses it makes in body order, where ``cse`` would have
+        left a merged value's uses survivor first — the same IR, in another
+        use order.
+        """
+        kept = []
+        for op in reversed(ops):
+            if is_dead(op):
+                op.drop_operand_uses()
+            else:
+                kept.append(op)
+        self.dead += len(ops) - len(kept)
+        kept.reverse()
+        if not self.nested:
+            return kept
+        merged = set()
+        for op in merge_duplicates(kept):
+            op.drop_operand_uses()
+            merged.add(op)
+        if not merged:
+            return kept
+        self.merged += len(merged)
+        return [op for op in kept if op not in merged]
 
     def expand(self, loop: AffineForOp, constants: dict,
                new_ops: list[Operation]) -> None:
@@ -207,12 +267,24 @@ class _Expansion:
         value_map, single_ivs = self.value_map, self.single_ivs
         iv = loop.induction_variable
         body = [op for op in loop.body.operations if op.name != "affine.yield"]
+        if loop not in self.feeders:
+            self.feeders[loop] = _branch_feeders(loop.body, body)
+        feeders = self.feeders[loop]
+        verdicts: dict = {}
         for iteration_value in range(loop.constant_lower_bound,
                                      loop.constant_upper_bound, loop.step):
             constant = arith.ConstantOp(iteration_value, index)
             new_ops.append(constant)
             value_map[iv] = constants[iv] = constant.result()
             for body_op in body:
+                feeder = feeders.get(body_op) if feeders is not None else None
+                if feeder is not None:
+                    guard, needed, first = feeder
+                    if first:
+                        verdicts[guard] = self.verdict(guard)
+                    if verdicts[guard] is (not needed):
+                        self.skipped += 1
+                        continue
                 if body_op.name == "affine.apply":
                     folded = _fold_cloned_apply(body_op, constants, single_ivs)
                     if folded is not None:
@@ -222,26 +294,30 @@ class _Expansion:
                 if not body_op.regions:
                     new_ops.append(body_op.clone(value_map))
                 elif not isinstance(body_op, AffineForOp):
-                    self.copy_region_op(body_op, new_ops)
+                    self.copy_region_op(body_op, new_ops,
+                                        verdicts.pop(body_op, _UNJUDGED))
                 elif self.nested:
                     self.expand(body_op, constants, new_ops)
                 else:
                     new_ops.append(body_op.clone(value_map))
 
-    def copy_region_op(self, op: Operation, new_ops: list[Operation]) -> None:
+    def copy_region_op(self, op: Operation, new_ops: list[Operation],
+                       verdict=_UNJUDGED) -> None:
         """Append the copy of a region op that is not a loop.
 
         An ``affine.if`` without results is judged first, on its operands as
-        the copy would read them: decided, the operations of the branch it
-        takes are copied in its place (none when that branch is missing) and
-        the other branch is never built; undecided, it is copied whole, for
+        the copy would read them (``verdict``, when the iteration judged it
+        before its feeders): decided, the operations of the branch it takes
+        are copied in its place (none when that branch is missing) and the
+        other branch is never built; undecided, it is copied whole, for
         ``-simplify-affine-if``.  Nothing folds across ``op`` either way:
         unrolling from the innermost loop outwards copied it whole once the
         loops inside were gone, so an apply in it saw constants for the
         loops inside ``op`` only.
         """
         if op.name == "affine.if" and not op.results:
-            verdict = self.verdict(op)
+            if verdict is _UNJUDGED:
+                verdict = self.verdict(op)
             self.judged[verdict] += 1
             if verdict is not None:
                 branch = op.then_block if verdict else op.else_block
@@ -310,6 +386,73 @@ class _Expansion:
             self.verdicts[key] = condition_verdict(
                 if_op.get_attr("condition"), ranges)
         return self.verdicts[key]
+
+
+def _branch_feeders(block, body: list[Operation]) -> Optional[dict]:
+    """The operations of ``body`` (``block``'s, short of its terminator)
+    that an iteration may not need, or None when there are none.
+
+    By operation, ``(guard, needed, first)``: every use of it lies in one
+    branch of ``guard``, a result-less ``affine.if`` of ``body`` — the then
+    branch when ``needed`` is True, the else branch when it is False — or in
+    other such operations of that branch.  A copy the iteration makes of it
+    would be dead once ``guard`` is judged ``not needed``.  ``first`` marks
+    the first of them, where the iteration judges ``guard``: only guards
+    whose operands are all defined before it have any.  Only operations
+    :func:`~repro.transforms.cleanup.canonicalize.is_dead` erases once
+    unused count.
+    """
+    guards = [op for op in body if op.name == "affine.if" and not op.results]
+    if not guards:
+        return None
+    position = {op: number for number, op in enumerate(body)}
+    feeders = {}
+    for guard in guards:
+        fed: dict = {}
+        for op in reversed(body[:position[guard]]):
+            if not op.regions and op.results and op.name not in SIDE_EFFECT_OPS:
+                branch = _only_branch(op, guard, fed, block)
+                if branch is not None:
+                    fed[op] = branch
+        if not fed:
+            continue
+        first = min(position[op] for op in fed)
+        if any(isinstance(use.value, OpResult)
+               and position.get(use.value.operation, -1) >= first
+               for use in guard._operands):
+            continue
+        for op, branch in fed.items():
+            feeders[op] = (guard, branch, position[op] == first)
+    return feeders or None
+
+
+def _only_branch(op: Operation, guard: Operation, fed: dict,
+                 block) -> Optional[bool]:
+    """True (then) or False (else) when every use of ``op`` lies in that
+    branch of ``guard`` or in an operation of ``fed`` feeding it; None
+    otherwise (or when ``op`` has no use)."""
+    branch = None
+    for result in op.results:
+        for use in result._uses.values():
+            where = fed.get(use.owner)
+            if where is None:
+                where = _branch_of(use.owner, guard, block)
+            if where is None or (branch is not None and where is not branch):
+                return None
+            branch = where
+    return branch
+
+
+def _branch_of(op: Operation, guard: Operation, block) -> Optional[bool]:
+    """True when ``op`` lies in the then branch of ``guard``, False in its
+    else branch, None elsewhere; ``guard`` lies in ``block``."""
+    current = op.parent
+    while current is not None and current is not block:
+        holder = current.parent.parent
+        if holder is guard:
+            return current is guard.then_block
+        current = holder.parent
+    return None
 
 
 def _fold_cloned_apply(apply_op: Operation, constants: dict,

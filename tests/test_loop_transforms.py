@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import functools
 import itertools
 import random
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import ir, obs
+from repro.affine.analysis import condition_verdict
 from repro.affine.expr import dim
 from repro.affine.map import AffineMap
 from repro.affine.set import IntegerSet
@@ -21,12 +23,15 @@ from repro.dialects.affine_ops import (
     AffineLoadOp,
     AffineStoreOp,
     AffineYieldOp,
+    constant_bound_domain,
+    index_value_range,
     loop_band_from,
     outermost_loops,
     perfect_loop_band,
 )
 from repro.dse.apply import CLEANUP_PIPELINE, apply_design_point
 from repro.dse.space import KernelDesignSpace, ir_digest
+from repro.ir.block import Block
 from repro.ir.builder import Builder
 from repro.ir.interpreter import interpret_kernel
 from repro.ir.operation import Operation
@@ -54,8 +59,10 @@ from repro.transforms.composite import (
 from repro.transforms.directive import pipelining
 from repro.transforms.loop.loop_order_opt import compute_permutation
 from repro.transforms.cleanup.simplify_affine_if import _evaluate_condition
+from repro.transforms.loop import loop_unroll
 from repro.transforms.loop.loop_unroll import (
     _fold_cloned_apply,
+    _single_iteration_iv_value,
     fully_unroll_nested,
 )
 
@@ -366,8 +373,8 @@ class TestLoopUnroll:
 #
 # The one-level expansion of 89b6fc6, verbatim: it copied every ``affine.if``
 # whole and left all of them to ``-simplify-affine-if``.  Innermost loop
-# first, it is the oracle for what the expansion leaves now that it judges
-# an ``affine.if`` before copying it.
+# first, it was the oracle of the expansion that judges an ``affine.if``
+# before copying it (2f7637c's, frozen below), and its records still are.
 
 
 def _frozen_fully_unroll(loop):
@@ -423,60 +430,265 @@ def _ir_signature(func_op):
              for value in values])
 
 
-#: What the oracle is finished with, against what the judging expansion is:
-#: the first canonicalize erases what fed only a dropped branch, so nothing
-#: is left for a third pass.
-_ORACLE_CLEANUP = "canonicalize,simplify-affine-if,canonicalize"
+# -- the expansion of 2f7637c, its code verbatim (docstrings left out) --------------------
+#
+# It judged every result-less ``affine.if`` before copying it and handed the
+# cleanup every copy it made.  The expansion now leaves out what the first
+# cleanup round deleted of that: raw, it is this one after
+# ``_reference_prune``; after ``CLEANUP_PIPELINE``, this one as it is.
+
+
+def _replace_by_expansion_at_2f7637c(loop, nested, prune=None):
+    new_ops = []
+    expansion = _ExpansionAt2f7637c(loop, nested)
+    expansion.expand(loop, {}, new_ops)
+    if prune is not None:
+        new_ops = prune(new_ops, merge=nested)
+    loop.parent.insert_all_after(loop, new_ops)
+    loop.erase()
+    expansion.report()
+    return new_ops
+
+
+class _ExpansionAt2f7637c:
+    __slots__ = ("nested", "value_map", "single_ivs", "site",
+                 "outside_ranges", "verdicts", "judged")
+
+    def __init__(self, loop, nested):
+        self.nested = nested
+        self.value_map = {}
+        self.single_ivs = {}
+        self.site = constant_bound_domain(loop)
+        self.outside_ranges = {}
+        self.verdicts = {}
+        self.judged = {True: 0, False: 0, None: 0}
+
+    def report(self):
+        if obs.active() is not None:
+            obs.counter("unroll.if.taken", self.judged[True])
+            obs.counter("unroll.if.dropped", self.judged[False])
+            obs.counter("unroll.if.undecided", self.judged[None])
+
+    def expand(self, loop, constants, new_ops):
+        value_map, single_ivs = self.value_map, self.single_ivs
+        iv = loop.induction_variable
+        body = [op for op in loop.body.operations if op.name != "affine.yield"]
+        for iteration_value in range(loop.constant_lower_bound,
+                                     loop.constant_upper_bound, loop.step):
+            constant = arith.ConstantOp(iteration_value, index)
+            new_ops.append(constant)
+            value_map[iv] = constants[iv] = constant.result()
+            for body_op in body:
+                if body_op.name == "affine.apply":
+                    folded = _fold_cloned_apply(body_op, constants, single_ivs)
+                    if folded is not None:
+                        value_map[body_op.result()] = folded.result()
+                        new_ops.append(folded)
+                        continue
+                if not body_op.regions:
+                    new_ops.append(body_op.clone(value_map))
+                elif not isinstance(body_op, AffineForOp):
+                    self.copy_region_op(body_op, new_ops)
+                elif self.nested:
+                    self.expand(body_op, constants, new_ops)
+                else:
+                    new_ops.append(body_op.clone(value_map))
+
+    def copy_region_op(self, op, new_ops):
+        if op.name == "affine.if" and not op.results:
+            verdict = self.verdict(op)
+            self.judged[verdict] += 1
+            if verdict is not None:
+                branch = op.then_block if verdict else op.else_block
+                if branch is not None:
+                    self.copy_block(branch, new_ops, inlined=True)
+                return
+        value_map = self.value_map
+        new_op = op.clone_without_regions(value_map)
+        for region in op.regions:
+            new_region = new_op.add_region()
+            for block in region.blocks:
+                new_block = Block()
+                new_region.add_block(new_block)
+                for argument in block.arguments:
+                    value_map[argument] = new_block.add_argument(argument.type)
+                copies = []
+                self.copy_block(block, copies)
+                for copy in copies:
+                    new_block.append(copy)
+        new_ops.append(new_op)
+
+    def copy_block(self, block, new_ops, inlined=False):
+        value_map = self.value_map
+        for op in block.operations:
+            if not op.regions:
+                if not (inlined and op.name == "affine.yield"):
+                    new_ops.append(op.clone(value_map))
+            elif not isinstance(op, AffineForOp):
+                self.copy_region_op(op, new_ops)
+            elif self.nested:
+                self.expand(op, {}, new_ops)
+            else:
+                new_ops.append(op.clone(value_map))
+
+    def verdict(self, if_op):
+        value_map, outside = self.value_map, self.outside_ranges
+        ranges = []
+        for use in if_op._operands:
+            source = use.value
+            value = value_map.get(source, source)
+            if value is not source:
+                value_range = index_value_range(value, self.site)
+            elif value in outside:
+                value_range = outside[value]
+            else:
+                only = _single_iteration_iv_value(value)
+                value_range = outside[value] = (only, only + 1) \
+                    if only is not None \
+                    else index_value_range(value, self.site)
+            if value_range is None:
+                return None
+            ranges.append(value_range)
+        key = (if_op, *ranges)
+        if key not in self.verdicts:
+            self.verdicts[key] = condition_verdict(
+                if_op.get_attr("condition"), ranges)
+        return self.verdicts[key]
+
+
+@contextlib.contextmanager
+def _unrolling_as_at_2f7637c(prune=None):
+    """Every full expansion through 2f7637c's, its copies handed to
+    ``prune`` (when given) before they go into the block."""
+    live = loop_unroll._replace_by_expansion
+    loop_unroll._replace_by_expansion = functools.partial(
+        _replace_by_expansion_at_2f7637c, prune=prune)
+    try:
+        yield
+    finally:
+        loop_unroll._replace_by_expansion = live
+
+
+def _reference_prune(ops, merge=True, counts=None):
+    """What the first cleanup round deletes of an expansion's copies, taken
+    out plainly: dead copies (side-effect-free, region-free, results
+    unused) until none is left, then, with ``merge`` (the nested form),
+    each copy that computes what an earlier one does, its uses handed to
+    the earlier one."""
+    counts = {} if counts is None else counts
+    ops = list(ops)
+    while True:
+        dead = [op for op in ops if not op.regions and op.results
+                and not op.has_side_effects()
+                and not any(result.uses for result in op.results)]
+        if not dead:
+            break
+        for op in dead:
+            op.drop_all_references()
+            ops.remove(op)
+        counts["dead"] = counts.get("dead", 0) + len(dead)
+    if not merge:
+        return ops
+    survivors, first = [], {}
+    for op in ops:
+        if (op.name in arith.PURE_OPS or op.name == "affine.apply") \
+                and not op.regions and len(op.results) == 1:
+            key = (op.name, tuple(id(value) for value in op.operands),
+                   tuple(sorted(op.attributes.items())), op.results[0].type)
+            if key in first:
+                for use in op.results[0].uses:
+                    use.owner.set_operand(use.index, first[key].results[0])
+                op.drop_all_references()
+                counts["merged"] = counts.get("merged", 0) + 1
+                continue
+            first[key] = op
+        survivors.append(op)
+    return survivors
+
+
+#: The head of ``CLEANUP_PIPELINE``: after it, no ``affine.if`` is left
+#: that ``-simplify-affine-if`` decides.
 _JUDGED_CLEANUP = "canonicalize,simplify-affine-if"
 
 
-def _assert_matches_oracle(module, root_position):
+def _assert_matches_oracle(module, root_position, reordered=None):
     """Unroll below the op at ``root_position`` (walk order of the first
-    function) on clones of ``module``: by the oracle, by
-    ``fully_unroll_nested`` and one level at a time through ``fully_unroll``.
+    function) on clones of ``module``, by ``fully_unroll_nested`` and one
+    level at a time through ``fully_unroll``: live, by 2f7637c's expansion
+    and by 2f7637c's expansion with its copies handed to the reference
+    prune.
 
-    An expansion that decided no ``affine.if`` leaves the oracle's IR,
-    operation for operation and use for use.  Whatever it decided, cleaned
-    up it equals the cleaned up oracle, and ``fully_unroll_nested`` copied
-    no ``affine.if`` that ``-simplify-affine-if`` decides on the spot.
-    Returns ``(count, printed, uses, ifs decided)`` of
+    Live, either form leaves 2f7637c's pruned IR, operation for operation
+    and use for use; after ``CLEANUP_PIPELINE`` it leaves 2f7637c's unpruned
+    IR, and the two forms leave the same.  ``fully_unroll_nested`` copied no
+    ``affine.if`` that ``-simplify-affine-if`` decides on the spot.
+
+    After the cleanup, and only with ``reordered`` (a list, which then
+    records that it happened), the nested form may list some value's users
+    in another order than 2f7637c's, the IR and every value's users being
+    the same: a load the first ``-simplify-memref-access`` could merge only
+    once ``cse`` had merged its indices was merged by the second, after
+    loads merged by the first, where the prune lets the first merge both in
+    block order.
+
+    Returns ``(count, printed, uses, ifs decided)`` of the live
     ``fully_unroll_nested``, or None when a variable bound stopped it.
     """
-    raw, cleaned, decided = {}, {}, {}
-    for unroll, cleanup in ((_unroll_one_at_a_time, _ORACLE_CLEANUP),
-                            (fully_unroll_nested, _JUDGED_CLEANUP),
-                            (_unroll_one_at_a_time_judging, _JUDGED_CLEANUP)):
-        func_op = module.clone().functions()[0]
-        root = list(func_op.walk())[root_position]
-        before = print_op(func_op, stable_ids=True)
-        with obs.session() as session:
-            try:
-                count = unroll(root)
-            except PassError:
-                raw[unroll] = cleaned[unroll] = None
-                if unroll is fully_unroll_nested:
-                    # All or nothing (one at a time may stop half way).
-                    assert print_op(func_op, stable_ids=True) == before
-                continue
-        counters = session.metrics.counters
-        decided[unroll] = int(counters.get("unroll.if.taken", 0)
-                              + counters.get("unroll.if.dropped", 0))
-        raw[unroll] = (count, *_ir_signature(func_op))
-        if unroll is fully_unroll_nested:
-            assert [if_op for if_op in func_op.walk()
-                    if if_op.name == "affine.if" and not if_op.results
-                    and _evaluate_condition(if_op) is not None] == []
-        build_pipeline_cached(cleanup).run(func_op)
-        cleaned[unroll] = _ir_signature(func_op)
-    assert cleaned[fully_unroll_nested] == cleaned[_unroll_one_at_a_time]
-    assert cleaned[_unroll_one_at_a_time_judging] == cleaned[_unroll_one_at_a_time]
-    if raw[fully_unroll_nested] is None:
+    sides = {}
+    for unroll in (fully_unroll_nested, _unroll_one_at_a_time_judging):
+        for unrolling in ("live", "pruned", "2f7637c"):
+            func_op = module.clone().functions()[0]
+            root = list(func_op.walk())[root_position]
+            before = print_op(func_op, stable_ids=True)
+            with obs.session() as session, \
+                    contextlib.nullcontext() if unrolling == "live" else \
+                    _unrolling_as_at_2f7637c(
+                        _reference_prune if unrolling == "pruned" else None):
+                try:
+                    count = unroll(root)
+                except PassError:
+                    sides[unroll, unrolling] = None
+                    if unroll is fully_unroll_nested:
+                        # All or nothing (one at a time may stop half way).
+                        assert print_op(func_op, stable_ids=True) == before
+                    continue
+            counters = session.metrics.counters
+            decided = int(counters.get("unroll.if.taken", 0)
+                          + counters.get("unroll.if.dropped", 0))
+            raw = (count, *_ir_signature(func_op), decided)
+            if unroll is fully_unroll_nested and unrolling == "live":
+                assert [if_op for if_op in func_op.walk()
+                        if if_op.name == "affine.if" and not if_op.results
+                        and _evaluate_condition(if_op) is not None] == []
+            if unrolling != "pruned":
+                build_pipeline_cached(CLEANUP_PIPELINE).run(func_op)
+            sides[unroll, unrolling] = (raw, _ir_signature(func_op))
+    for unroll in (fully_unroll_nested, _unroll_one_at_a_time_judging):
+        live, pruned, unpruned = (sides[unroll, unrolling] for unrolling
+                                  in ("live", "pruned", "2f7637c"))
+        if live is None:
+            assert pruned is None and unpruned is None
+            continue
+        assert live[0] == pruned[0]
+        if live[1] != unpruned[1]:
+            assert reordered is not None and unroll is fully_unroll_nested
+            assert _same_but_for_use_order(live[1], unpruned[1])
+            reordered.append(root_position)
+    nested, levels = (sides[unroll, "live"] for unroll
+                      in (fully_unroll_nested, _unroll_one_at_a_time_judging))
+    if nested is None:
         return None
-    if not decided[fully_unroll_nested]:
-        assert raw[fully_unroll_nested] == raw[_unroll_one_at_a_time]
-    if not decided[_unroll_one_at_a_time_judging]:
-        assert raw[_unroll_one_at_a_time_judging] == raw[_unroll_one_at_a_time]
-    return (*raw[fully_unroll_nested], decided[fully_unroll_nested])
+    if levels is not None:
+        assert nested[1] == levels[1] \
+            or reordered and _same_but_for_use_order(nested[1], levels[1])
+    return nested[0]
+
+
+def _same_but_for_use_order(ours, theirs):
+    """The same printed IR, and every value the same users, in any order."""
+    return ours[0] == theirs[0] \
+        and [sorted(uses) for uses in ours[1]] \
+        == [sorted(uses) for uses in theirs[1]]
 
 
 def _function(arg_types):
@@ -601,13 +813,16 @@ HAND_BUILT_NESTS = {
 class TestNestedUnrollMatchesOneLoopAtATime:
     """``fully_unroll_nested`` copies every operation once, under all the
     enclosing iterations at a time; what it leaves must be, operation for
-    operation and use for use, what the one-level unrolling leaves."""
+    operation and use for use, what 2f7637c's expansion left once the
+    reference prune has taken out what the first cleanup round deleted, and
+    once cleaned up what the one-level unrolling leaves."""
 
     @pytest.mark.parametrize("kernel", ["bicg", "gemm", "gesummv", "syr2k",
                                         "syrk", "trmm"])
     def test_table3_kernels_under_every_prefix_and_tiling(self, kernel):
         base = compile_kernel(kernel, 4)
         unrolled = rejected = 0
+        reordered = []
         for perfectize, rvb in itertools.product((False, True), repeat=2):
             prefixed = base.clone()
             func_op = prefixed.functions()[0]
@@ -622,13 +837,24 @@ class TestNestedUnrollMatchesOneLoopAtATime:
                 for root in (target, func_op):
                     position = next(number for number, op
                                     in enumerate(func_op.walk()) if op is root)
-                    if _assert_matches_oracle(staged, position) is None:
+                    moved = []
+                    if _assert_matches_oracle(staged, position, moved) is None:
                         rejected += 1
                     else:
                         unrolled += 1
+                    if moved:
+                        reordered.append((perfectize, rvb, tiles, root.name))
         assert unrolled
         if kernel in ("syr2k", "syrk", "trmm"):
             assert rejected  # triangular until the bounds are removed
+        # Each a whole function pipelined: there 2f7637c's tail merged one
+        # load of A or B into an earlier equal one only in its second round,
+        # once cse had merged its indices, after a later load the first
+        # round had merged; the pruned tail merges both in the first round,
+        # in block order, so the earlier load lists their users in it.
+        assert reordered == ([(True, True, (1, 2, 1), "func.func"),
+                              (True, True, (1, 4, 1), "func.func")]
+                             if kernel == "syr2k" else [])
 
     @pytest.mark.parametrize("name", sorted(HAND_BUILT_NESTS))
     def test_hand_built_nests(self, name):
@@ -650,8 +876,10 @@ class TestNestedUnrollMatchesOneLoopAtATime:
 
         # Direct children of an unrolled loop body fold, the trip-1
         # enclosing loop's value included; an argument operand never does.
-        assert applies_left(_nest_under_single_iteration_loop()) == 4
-        assert applies_left(_nest_under_single_iteration_loop(), 1) == 4
+        # The one that does not is copied per (i, j), four times, and the
+        # copies for i = 1 compute what those for i = 0 do: merged, two.
+        assert applies_left(_nest_under_single_iteration_loop()) == 2
+        assert applies_left(_nest_under_single_iteration_loop(), 1) == 2
         assert applies_left(_nest_with_apply_chain()) == 0
         # Below an affine.if the fold scope restarts, taken or copied whole:
         # the copied apply keeps the outer constant as an operand, for
@@ -715,12 +943,14 @@ def _unrolling_as_at_89b6fc6():
         pipelining.fully_unroll_nested = judging
 
 
-def _staged_and_pipelined(module, point, oracle):
+def _staged_and_pipelined(module, point, unrolling=contextlib.nullcontext):
+    """``point``'s prefix and suffix on a copy of ``module``, every full
+    expansion made under ``unrolling()`` (live by default)."""
     func_op = module.clone().functions()[0]
     canonicalize(func_op)
     run_design_point_prefix(func_op, point.loop_perfectization,
                             point.remove_variable_bound)
-    with _unrolling_as_at_89b6fc6() if oracle else contextlib.nullcontext():
+    with unrolling():
         run_design_point_suffix(func_op, point.perm_map, point.tile_sizes,
                                 point.target_ii)
     return func_op
@@ -728,9 +958,11 @@ def _staged_and_pipelined(module, point, oracle):
 
 class TestUnrollingDecidesAffineIfs:
     """An ``affine.if`` whose operands the copy makes constant is decided
-    before it is copied.  Against the expansion of 89b6fc6 that moves one
-    thing in the IR — what fed only a dropped branch is erased by the first
-    ``canonicalize`` instead of the last — and nothing in a record."""
+    before it is copied, and what fed only the branch it drops is never
+    copied.  Against the expansion of 2f7637c, which copied that and left
+    the cleanup what it deletes first, nothing moves in the cleaned IR; and
+    against the expansion of 89b6fc6, which judged no ``affine.if``, nothing
+    in a record."""
 
     #: Points per kernel: in tier-1, and with ``-m exhaustive`` for the IR
     #: (240 over the six kernels) and for the records (342).
@@ -744,23 +976,21 @@ class TestUnrollingDecidesAffineIfs:
         decided = moved = 0
         for point in points:
             with obs.session() as session:
-                judged = _staged_and_pipelined(module, point, oracle=False)
+                judged = _staged_and_pipelined(module, point)
             decided += session.metrics.counters.get("unroll.if.taken", 0) \
                 + session.metrics.counters.get("unroll.if.dropped", 0)
-            oracle = _staged_and_pipelined(module, point, oracle=True)
-            parent = _staged_and_pipelined(module, point, oracle=True)
+            unpruned = _staged_and_pipelined(module, point, _unrolling_as_at_2f7637c)
             build_pipeline_cached(_JUDGED_CLEANUP).run(judged)
-            build_pipeline_cached(_ORACLE_CLEANUP).run(oracle)
-            assert _ir_signature(judged) == _ir_signature(oracle), point.describe()
             assert not any(op.name == "affine.if" and not op.results
                            and _evaluate_condition(op) is not None
                            for op in judged.walk()), point.describe()
             rest.run(judged)
-            rest.run(oracle)
-            assert _ir_signature(judged) == _ir_signature(oracle), point.describe()
-            # The parent's own pipeline ran no canonicalize between
-            # simplify-affine-if and cse: where it differs it is by which of
-            # two equal loads cse kept, on a perfectized kernel.
+            build_pipeline_cached(CLEANUP_PIPELINE).run(unpruned)
+            assert _ir_signature(judged) == _ir_signature(unpruned), point.describe()
+            # 89b6fc6's pipeline ran no canonicalize between simplify-affine-if
+            # and cse: where it differs it is by which of two equal loads cse
+            # kept, on a perfectized kernel.
+            parent = _staged_and_pipelined(module, point, _unrolling_as_at_89b6fc6)
             build_pipeline_cached(CLEANUP_PIPELINE).run(parent)
             if print_op(parent, stable_ids=True) != print_op(judged, stable_ids=True):
                 moved += 1
@@ -770,7 +1000,7 @@ class TestUnrollingDecidesAffineIfs:
         return decided, moved
 
     @pytest.mark.parametrize("kernel", sorted(KERNEL_NAMES))
-    def test_ir_equals_the_oracles_but_for_one_canonicalize(self, kernel):
+    def test_ir_equals_the_unpruned_expansions_after_cleanup(self, kernel):
         decided, moved = self._assert_ir_equals_the_oracles(kernel, self.SAMPLE)
         assert decided or kernel == "bicg"  # perfect and rectangular: no guard
         if kernel in ("gemm", "syr2k", "syrk"):
@@ -817,6 +1047,35 @@ class TestUnrollingDecidesAffineIfs:
                 np.testing.assert_allclose(
                     arrays[name], reference, rtol=1e-4,
                     err_msg=f"{kernel} n={size}, {point.describe()}: {name}")
+
+    def test_copies_left_out_are_counted_at_the_source(self):
+        """``unroll.skipped.feeders`` + ``unroll.pruned.dead`` are the dead
+        copies the reference prune drops from 2f7637c's expansion, and
+        ``unroll.pruned.merged`` the copies it merges."""
+        module = compile_kernel("gemm", 4)
+        func_op = module.functions()[0]
+        canonicalize(func_op)
+        run_design_point_prefix(func_op, True, False)
+        target = stage_design_point(func_op, (0, 1, 2), (4, 4, 4))
+        gemm = (module, next(number for number, op in enumerate(func_op.walk())
+                             if op is target))
+        cases = [gemm] + [(build(), 0) for build in HAND_BUILT_NESTS.values()]
+        for case, (nest, position) in enumerate(cases):
+            with obs.session() as session:
+                fully_unroll_nested(list(nest.clone().functions()[0].walk())[position])
+            counters = session.metrics.counters
+            reference: dict = {}
+            with _unrolling_as_at_2f7637c(
+                    functools.partial(_reference_prune, counts=reference)):
+                fully_unroll_nested(list(nest.clone().functions()[0].walk())[position])
+            assert (counters["unroll.skipped.feeders"]
+                    + counters["unroll.pruned.dead"],
+                    counters["unroll.pruned.merged"]) \
+                == (reference.get("dead", 0), reference.get("merged", 0))
+            if case == 0:
+                # The loads of C and their products with beta, copied under
+                # every k but used only by the store k == 0 keeps: 48 + 48.
+                assert counters["unroll.skipped.feeders"] == 96
 
     def test_verdicts_are_counted_at_the_source(self):
         func_op = _nest_with_loop_inside_if().functions()[0]
