@@ -367,7 +367,13 @@ WORK_COUNT_LIMITS = {
     "access_derivations_per_access": 1.0,
     "collections_per_evaluation": 1.0,
     "trmm.suffix_clones_per_op": 1.0,
+    # What -simplify-affine-if decides on trmm after the cleanup tail, which
+    # no longer runs it: unrolling judges every guard it copies.
     "trmm.simplify_affine_if_rewrites": 0,
+    # What the five passes the nine-pass tail ran after its first round
+    # (-simplify-affine-if, a second store-forwarding round, a closing
+    # canonicalize) rewrite after the four-pass tail, on both evaluations.
+    "tail_fixpoint_rewrites": 0,
     # One fresh vgg16 staging, lowering and split (measure_model_counts):
     # 1 138 maps and 298 layouts while every constant bound and default
     # layout was built anew, 842 clones while the 50 nodes were copied out,
@@ -465,27 +471,31 @@ def _kernel_evaluation(kernel: str, size: int):
 def _counted_evaluation(context, encoded) -> dict:
     """Work counts of one ``evaluate_encoded(context, encoded)``, taken from
     outside: the counters are wrappers this function installs around
-    ``Operation.clone``, the suffix pass, the rewrite driver,
-    ``simplify_affine_ifs`` and ``access_expressions`` and removes again."""
+    ``Operation.clone``, the suffix pass, the rewrite driver and
+    ``access_expressions`` and removes again.  A wrapper around
+    ``array-partition``, the pass after the cleanup tail, keeps a copy of
+    the function the tail left, for :func:`_dropped_pass_rewrites` once the
+    evaluation is over."""
     from repro.dialects import affine_ops
     from repro.dse.runtime.worker import evaluate_encoded
     from repro.estimation import estimator as estimator_module
     from repro.ir.rewrite import GreedyRewriteDriver
-    from repro.transforms.cleanup import simplify_affine_if
     from repro.transforms.cleanup.cse import CSEPass
     from repro.transforms.composite import DesignPointSuffixPass
+    from repro.transforms.directive.array_partition import ArrayPartitionPass
 
     counts = {"suffix_clones": 0, "suffix_ops": 0, "canonicalize_visits": None,
               "canonicalize_rewrites": 0, "canonicalize_ops": 0,
               "canonicalize_dead_at_start": 0, "cse_merged_constants": None,
-              "simplify_affine_if_rewrites": 0, "collections": 0}
+              "collections": 0}
     derivations: dict = {}
     in_suffix = False
 
     clone, suffix_run = Operation.clone, DesignPointSuffixPass.run
     rewrite, derive = GreedyRewriteDriver.rewrite, affine_ops.access_expressions
-    simplify_ifs = simplify_affine_if.simplify_affine_ifs
     cse_run = CSEPass.run
+    partition_run = ArrayPartitionPass.run
+    after_tail = []
 
     def counted_clone(op, value_map=None):
         counts["suffix_clones"] += in_suffix
@@ -526,10 +536,9 @@ def _counted_evaluation(context, encoded) -> dict:
             counts["cse_merged_constants"] = \
                 before - _constants_and_applies(func_op)
 
-    def counted_simplify_ifs(root):
-        simplified = simplify_ifs(root)
-        counts["simplify_affine_if_rewrites"] += simplified
-        return simplified
+    def noted_partition(pass_, func_op):
+        after_tail.append(func_op.clone())
+        partition_run(pass_, func_op)
 
     def counted_derive(op, dim_map, *derived):
         derivations[id(op)] = derivations.get(id(op), 0) + 1
@@ -547,20 +556,44 @@ def _counted_evaluation(context, encoded) -> dict:
         patch(Operation, "clone", counted_clone)
         patch(DesignPointSuffixPass, "run", counted_suffix)
         patch(GreedyRewriteDriver, "rewrite", counted_rewrite)
-        patch(simplify_affine_if, "simplify_affine_ifs", counted_simplify_ifs)
         patch(CSEPass, "run", counted_cse)
+        patch(ArrayPartitionPass, "run", noted_partition)
         patch(affine_ops, "access_expressions", counted_derive)
         patch(estimator_module, "access_expressions", counted_derive)
         gc.callbacks.append(on_collection)
         stack.callback(gc.callbacks.remove, on_collection)
         record = evaluate_encoded(context, encoded)
     assert record.ok
+    (left,) = after_tail
+    ifs, rest = _dropped_pass_rewrites(left)
+    counts["simplify_affine_if_rewrites"] = ifs
+    counts["tail_fixpoint_rewrites"] = ifs + rest
 
     counts["access_derivations"] = sum(derivations.values())
     counts["accesses"] = len(derivations)
     counts["suffix_clones_per_op"] = \
         counts["suffix_clones"] / max(1, counts["suffix_ops"])
     return counts
+
+
+def _dropped_pass_rewrites(func_op) -> tuple:
+    """What the passes the nine-pass cleanup tail ran after today's four
+    rewrite on ``func_op``, in its order: the ``affine.if``s
+    ``-simplify-affine-if`` decides, and the rewrites of a second
+    ``affine-store-forward,simplify-memref-access,cse`` round plus a
+    closing ``canonicalize`` (1 if it changed anything)."""
+    from repro.transforms.cleanup import (
+        canonicalize,
+        eliminate_common_subexpressions,
+        forward_stores,
+        simplify_affine_ifs,
+        simplify_memref_accesses,
+    )
+
+    ifs = simplify_affine_ifs(func_op)
+    rest = forward_stores(func_op) + simplify_memref_accesses(func_op) \
+        + eliminate_common_subexpressions(func_op) + int(canonicalize(func_op))
+    return ifs, rest
 
 
 def _dead_ops(root) -> int:
@@ -598,8 +631,11 @@ def measure_work_counts(size: int = 4, trmm_size: int = 8) -> dict:
 
     And the heaviest evaluation of the kernel sweep, trmm with both guards
     (perfectized, variable bounds removed) and tiles ``size`` x ``size`` x 1:
-    the clones of the suffix against the ops it leaves, and the rewrites
-    left for ``-simplify-affine-if``, which must be none.
+    the clones of the suffix against the ops it leaves, and the ``affine.if``s
+    ``-simplify-affine-if`` decides in what the cleanup tail leaves, which
+    must be none.  On both evaluations, the passes the tail dropped
+    (:func:`_dropped_pass_rewrites`) must rewrite nothing
+    (``tail_fixpoint_rewrites``).
     """
     context, encode = _kernel_evaluation("gemm", size)
     counts = _counted_evaluation(context, encode(None))
@@ -630,7 +666,12 @@ def measure_work_counts(size: int = 4, trmm_size: int = 8) -> dict:
           f"removed, tiles {trmm_size} x {trmm_size} x 1: "
           f"{trmm['suffix_clones']} clones for {trmm['suffix_ops']} ops after "
           f"the suffix, simplify-affine-if rewrote "
-          f"{trmm['simplify_affine_if_rewrites']} affine.if(s)")
+          f"{trmm['simplify_affine_if_rewrites']} affine.if(s) after the "
+          f"tail; the passes the tail dropped rewrote "
+          f"{counts['tail_fixpoint_rewrites']} (gemm) and "
+          f"{trmm['tail_fixpoint_rewrites']} (trmm)")
+    ratios["tail_fixpoint_rewrites"] = counts["tail_fixpoint_rewrites"] \
+        + trmm["tail_fixpoint_rewrites"]
     return {"size": size, **counts, **ratios,
             **{f"trmm.{name}": trmm[name]
                for name in ("suffix_clones", "suffix_ops", "suffix_clones_per_op",
@@ -962,7 +1003,7 @@ def measure_scan_counts(size: int = 4) -> dict:
     the function at entry; while one runs, a wrapper around
     ``Operation.walk`` counts the items it yields and wrappers around
     ``access_key`` count the address keys computed.  The cleanup pipeline
-    runs every scan twice; a ratio is the sum over both runs.
+    runs every scan once, so a ratio is that one run's.
     """
     from repro.dse.runtime.worker import evaluate_encoded
     from repro.transforms.cleanup import simplify_memref_access, store_forward

@@ -37,7 +37,7 @@ name                      kind       meaning
 ``unroll.if.taken``       counter    ``affine.if``s full unrolling decided true as it
                                      copied them (the then-branch copied in place)
 ``unroll.if.dropped``     counter    decided false (the else-branch, or nothing)
-``unroll.if.undecided``   counter    copied whole, for ``-simplify-affine-if``
+``unroll.if.undecided``   counter    copied whole: neither copy nor range decides them
 ``dse.shared.nodes``      counter    nodes identical to one explored earlier in the run
 ``dse.shared.points``     counter    evaluations their representatives made this run
 ``dse.checkpoint.saves``  counter    checkpoint files written (periodic, final, Ctrl-C);

@@ -200,7 +200,7 @@ def resolved_summary_line(resolved: int, points: int, classes: int,
             f"identities planned in {identity_seconds:.2f}s; knobs the band "
             f"did not take as given: perm of {skipped_perm}, tiles of "
             f"{skipped_tile} points; affine.ifs unrolling took: {taken}, "
-            f"dropped: {dropped}, left to simplify-affine-if: {undecided})")
+            f"dropped: {dropped}, copied undecided: {undecided})")
 
 
 def dse_summary_lines(counters: Mapping[str, float],

@@ -11,10 +11,11 @@ The verdict is :func:`repro.affine.analysis.condition_verdict` over
 :func:`repro.dialects.affine_ops.index_value_range` of each operand, and
 full unrolling asks the same two functions about every ``affine.if`` it is
 about to copy (:mod:`repro.transforms.loop.loop_unroll`): a guard whose
-operands the copy makes constant never reaches this pass.  What does is IR
-full unrolling did not produce — partial unrolls of the ``compile_dnn``
-flow, a guard above the pipelined loop, hand-written IR — and the guards
-unrolling copied because neither of them can tell.
+operands the copy makes constant is decided there.  On the IR the kernel
+and DNN flows build, nothing is left for this pass, so it is no longer part
+of their cleanup tail (:data:`repro.dse.apply.CLEANUP_PIPELINE`); it stays
+a registry pass for pipelines that need it — hand-written IR, a guard full
+unrolling did not copy, ``--pipeline`` and ``--register-pipeline`` specs.
 """
 
 from __future__ import annotations

@@ -17,9 +17,10 @@ Either form judges an ``affine.if`` without results before it copies it, on
 the operands the copy would read, with the verdict function and the range
 analysis of ``-simplify-affine-if``: the branch it takes is copied in its
 place, the branch it drops is never built, and one it cannot judge is copied
-whole for the pass.  What fed only the branch an iteration drops is not
-copied either: the iteration judges the ``affine.if`` before the first such
-operation, when its operands are defined by then.  And before the copies go
+whole (on what the flows build, the pass cannot judge it either).  What fed
+only the branch an iteration drops is not copied either: the iteration
+judges the ``affine.if`` before the first such operation, when its operands
+are defined by then.  And before the copies go
 into the block, the expansion drops every one that is dead and, in the
 nested form, merges every one into the first copy equal to it — what the
 cleanup's first ``canonicalize`` and ``cse`` deleted untouched.
@@ -27,14 +28,17 @@ cleanup's first ``canonicalize`` and ``cse`` deleted untouched.
 The guarantee, which the tests keep against this expansion with no copy
 pruned (frozen there): raw, the unpruned IR once a plain reference prune
 has dropped its dead copies and merged its equal ones, operation for
-operation and use for use; after the cleanup tail (``CLEANUP_PIPELINE``),
-the IR and the use order of every value the unpruned expansion leaves.
-Merging early can let the tail's first round merge loads its second round
-merged before; where that changes the order in which their uses were
-merged, a use list holds the same users in another order.  No evaluation of
-the benchmark's kernel sweeps meets it
+operation and use for use; after the four-pass cleanup tail
+(``CLEANUP_PIPELINE``), the IR and the use order of every value the
+unpruned expansion leaves after the nine-pass tail that preceded it, whose
+second store-forwarding round its unmerged copies need.  Merging early lets
+the first round merge loads that round merged; where that changes the order
+in which their uses were merged, a use list holds the same users in another
+order.  No evaluation of the benchmark's kernel sweeps meets it
 (``tests/golden/kernel_sweep_evaluations.json``); two whole syr2k functions
-at n = 4 do.
+at n = 4 do.  The one-level form merges nothing, so a whole nest unrolled
+through it one level at a time, which no flow does, leaves that round
+loads to merge.
 """
 
 from __future__ import annotations
@@ -309,11 +313,10 @@ class _Expansion:
         the copy would read them (``verdict``, when the iteration judged it
         before its feeders): decided, the operations of the branch it takes
         are copied in its place (none when that branch is missing) and the
-        other branch is never built; undecided, it is copied whole, for
-        ``-simplify-affine-if``.  Nothing folds across ``op`` either way:
-        unrolling from the innermost loop outwards copied it whole once the
-        loops inside were gone, so an apply in it saw constants for the
-        loops inside ``op`` only.
+        other branch is never built; undecided, it is copied whole.
+        Nothing folds across ``op`` either way: unrolling from the innermost
+        loop outwards copied it whole once the loops inside were gone, so an
+        apply in it saw constants for the loops inside ``op`` only.
         """
         if op.name == "affine.if" and not op.results:
             if verdict is _UNJUDGED:

@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import dataclasses
 import functools
 import itertools
 import random
@@ -66,6 +67,7 @@ from repro.transforms.loop.loop_unroll import (
     fully_unroll_nested,
 )
 
+from cleanups import PARENT_TAIL, registered
 from test_interpreter_and_kernels import kernel_arrays, numpy_reference
 
 from conftest import (
@@ -435,7 +437,8 @@ def _ir_signature(func_op):
 # It judged every result-less ``affine.if`` before copying it and handed the
 # cleanup every copy it made.  The expansion now leaves out what the first
 # cleanup round deleted of that: raw, it is this one after
-# ``_reference_prune``; after ``CLEANUP_PIPELINE``, this one as it is.
+# ``_reference_prune``; after ``CLEANUP_PIPELINE``, this one as it is after
+# ``PARENT_TAIL``, whose second round its copies need.
 
 
 def _replace_by_expansion_at_2f7637c(loop, nested, prune=None):
@@ -606,12 +609,8 @@ def _reference_prune(ops, merge=True, counts=None):
     return survivors
 
 
-#: The head of ``CLEANUP_PIPELINE``: after it, no ``affine.if`` is left
-#: that ``-simplify-affine-if`` decides.
-_JUDGED_CLEANUP = "canonicalize,simplify-affine-if"
-
-
-def _assert_matches_oracle(module, root_position, reordered=None):
+def _assert_matches_oracle(module, root_position, reordered=None,
+                           tail=CLEANUP_PIPELINE):
     """Unroll below the op at ``root_position`` (walk order of the first
     function) on clones of ``module``, by ``fully_unroll_nested`` and one
     level at a time through ``fully_unroll``: live, by 2f7637c's expansion
@@ -619,8 +618,13 @@ def _assert_matches_oracle(module, root_position, reordered=None):
     prune.
 
     Live, either form leaves 2f7637c's pruned IR, operation for operation
-    and use for use; after ``CLEANUP_PIPELINE`` it leaves 2f7637c's unpruned
-    IR, and the two forms leave the same.  ``fully_unroll_nested`` copied no
+    and use for use; after the cleanup the two forms leave what 2f7637c's
+    unpruned IR is after ``PARENT_TAIL``.  The live nested form is cleaned
+    by ``CLEANUP_PIPELINE``; the one-level form, which merges no copy, by
+    ``PARENT_TAIL``: unrolled one level at a time down a whole nest (which
+    no flow does: ``dnn-loop-opt`` unrolls a few inner levels and pipelines
+    the rest through the nested form) its copies leave the second round
+    loads to merge, as 2f7637c's did.  ``fully_unroll_nested`` copied no
     ``affine.if`` that ``-simplify-affine-if`` decides on the spot.
 
     After the cleanup, and only with ``reordered`` (a list, which then
@@ -661,7 +665,9 @@ def _assert_matches_oracle(module, root_position, reordered=None):
                         if if_op.name == "affine.if" and not if_op.results
                         and _evaluate_condition(if_op) is not None] == []
             if unrolling != "pruned":
-                build_pipeline_cached(CLEANUP_PIPELINE).run(func_op)
+                build_pipeline_cached(
+                    tail if unrolling == "live" and unroll is fully_unroll_nested
+                    else PARENT_TAIL).run(func_op)
             sides[unroll, unrolling] = (raw, _ir_signature(func_op))
     for unroll in (fully_unroll_nested, _unroll_one_at_a_time_judging):
         live, pruned, unpruned = (sides[unroll, unrolling] for unrolling
@@ -856,15 +862,32 @@ class TestNestedUnrollMatchesOneLoopAtATime:
                               (True, True, (1, 4, 1), "func.func")]
                              if kernel == "syr2k" else [])
 
+    #: Hand-built nests ``CLEANUP_PIPELINE`` does not clean to a fixpoint:
+    #: in the imperfect one, unrolled or not, ``-simplify-memref-access``
+    #: erases a store that a later one overwrites, and only the closing
+    #: ``canonicalize`` of ``PARENT_TAIL`` erased the add that fed it.  There
+    #: the live side is cleaned by ``PARENT_TAIL``, as it was before the tail
+    #: was cut to four passes.
+    LEFT_TO_A_CLOSING_CANONICALIZE = {"imperfect"}
+
     @pytest.mark.parametrize("name", sorted(HAND_BUILT_NESTS))
     def test_hand_built_nests(self, name):
         module = HAND_BUILT_NESTS[name]()
         ir.verify(module)
         func_op = module.functions()[0]
+        cleaned = module.clone().functions()[0]
+        build_pipeline_cached(CLEANUP_PIPELINE).run(cleaned)
+        left = _ir_signature(cleaned)
+        canonicalize(cleaned)
+        assert (_ir_signature(cleaned) != left) \
+            == (name in self.LEFT_TO_A_CLOSING_CANONICALIZE)
+        tail = PARENT_TAIL if name in self.LEFT_TO_A_CLOSING_CANONICALIZE \
+            else CLEANUP_PIPELINE
         roots = [0] + [number for number, op in enumerate(func_op.walk())
                        if isinstance(op, AffineForOp)]
         for position in roots:
-            count, printed, _, _ = _assert_matches_oracle(module, position)
+            count, printed, _, _ = _assert_matches_oracle(module, position,
+                                                          tail=tail)
             if position == 0:
                 assert "affine.for" not in printed
                 assert count == len(roots) - 1  # distinct loops, not copies
@@ -969,9 +992,11 @@ class TestUnrollingDecidesAffineIfs:
     SAMPLE, FULL_IR_SAMPLE, FULL_RECORD_SAMPLE = 12, 40, 57
 
     def _assert_ir_equals_the_oracles(self, kernel, count):
-        passes = CLEANUP_PIPELINE.split(",")
-        assert passes[:2] == _JUDGED_CLEANUP.split(",")
-        rest = build_pipeline_cached(",".join(passes[2:]))
+        # The tail runs no -simplify-affine-if: after its head, no
+        # affine.if may be left that the pass decides.
+        head, *rest = CLEANUP_PIPELINE.split(",")
+        assert head == "canonicalize" and "simplify-affine-if" not in rest
+        rest = build_pipeline_cached(",".join(rest))
         module, _, points = _seeded_points(kernel, 8, count)
         decided = moved = 0
         for point in points:
@@ -980,18 +1005,18 @@ class TestUnrollingDecidesAffineIfs:
             decided += session.metrics.counters.get("unroll.if.taken", 0) \
                 + session.metrics.counters.get("unroll.if.dropped", 0)
             unpruned = _staged_and_pipelined(module, point, _unrolling_as_at_2f7637c)
-            build_pipeline_cached(_JUDGED_CLEANUP).run(judged)
+            canonicalize(judged)
             assert not any(op.name == "affine.if" and not op.results
                            and _evaluate_condition(op) is not None
                            for op in judged.walk()), point.describe()
             rest.run(judged)
-            build_pipeline_cached(CLEANUP_PIPELINE).run(unpruned)
+            build_pipeline_cached(PARENT_TAIL).run(unpruned)
             assert _ir_signature(judged) == _ir_signature(unpruned), point.describe()
             # 89b6fc6's pipeline ran no canonicalize between simplify-affine-if
             # and cse: where it differs it is by which of two equal loads cse
             # kept, on a perfectized kernel.
             parent = _staged_and_pipelined(module, point, _unrolling_as_at_89b6fc6)
-            build_pipeline_cached(CLEANUP_PIPELINE).run(parent)
+            build_pipeline_cached(PARENT_TAIL).run(parent)
             if print_op(parent, stable_ids=True) != print_op(judged, stable_ids=True):
                 moved += 1
                 assert point.loop_perfectization, point.describe()
@@ -1012,12 +1037,17 @@ class TestUnrollingDecidesAffineIfs:
         self._assert_ir_equals_the_oracles(kernel, self.FULL_IR_SAMPLE)
 
     def _assert_records_equal_the_parents(self, kernel, count):
+        # 89b6fc6's expansion leaves every guard it copied to the
+        # -simplify-affine-if of the tail it ran, PARENT_TAIL.
         module, space, points = _seeded_points(kernel, 8, count)
         for point in points:
             siblings = [ii for ii in space.ii_options if ii != point.target_ii]
             judged = apply_design_point(module, point, sibling_iis=siblings)
-            with _unrolling_as_at_89b6fc6():
-                parent = apply_design_point(module, point, sibling_iis=siblings)
+            with _unrolling_as_at_89b6fc6(), \
+                    registered({"parent-tail": PARENT_TAIL}):
+                parent = apply_design_point(
+                    module, dataclasses.replace(point, pipeline="parent-tail"),
+                    sibling_iis=siblings)
             assert (judged.qor, judged.achieved_ii, judged.partition_factors,
                     judged.siblings) \
                 == (parent.qor, parent.achieved_ii, parent.partition_factors,

@@ -395,7 +395,7 @@ def test_the_vgg16_warm_artifact(tmp_path):
     """The whole-model sweep of the end-to-end benchmark, run cold and then
     against the cache it filled: the warm artifact is the cold one, what
     ``json.dumps`` writes, composed as the materialising composition
-    composes, and the bytes every change so far produced."""
+    composes, and the bytes pinned below."""
     import hashlib
 
     from repro.dse.runtime import EstimateCache
@@ -415,8 +415,10 @@ def test_the_vgg16_warm_artifact(tmp_path):
     assert warm.cache_misses == 0
     text = warm.frontier_json()
     assert text == cold_text == _json_oracle(warm.to_json_dict())
+    # Taken again when the cleanup tail was cut to four passes: the text
+    # differs from the one before in its nodes' fingerprints alone.
     assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] \
-        == "4d438eaee770cea8"
+        == "13ec3a4652b4253e"
     assert (warm.frontier, warm.truncated) \
         == _frozen_compose(warm.node_order, warm.node_results)
 
