@@ -480,6 +480,7 @@ def _counted_evaluation(context, encoded) -> dict:
     from repro.dse.runtime.worker import evaluate_encoded
     from repro.estimation import estimator as estimator_module
     from repro.ir.rewrite import GreedyRewriteDriver
+    from repro.transforms.cleanup import simplify_affine_ifs
     from repro.transforms.cleanup.cse import CSEPass
     from repro.transforms.composite import DesignPointSuffixPass
     from repro.transforms.directive.array_partition import ArrayPartitionPass
@@ -565,9 +566,8 @@ def _counted_evaluation(context, encoded) -> dict:
         record = evaluate_encoded(context, encoded)
     assert record.ok
     (left,) = after_tail
-    ifs, rest = _dropped_pass_rewrites(left)
-    counts["simplify_affine_if_rewrites"] = ifs
-    counts["tail_fixpoint_rewrites"] = ifs + rest
+    counts["simplify_affine_if_rewrites"] = simplify_affine_ifs(left.clone())
+    counts["tail_fixpoint_rewrites"] = _dropped_pass_rewrites(left)
 
     counts["access_derivations"] = sum(derivations.values())
     counts["accesses"] = len(derivations)
@@ -576,24 +576,21 @@ def _counted_evaluation(context, encoded) -> dict:
     return counts
 
 
-def _dropped_pass_rewrites(func_op) -> tuple:
-    """What the passes the nine-pass cleanup tail ran after today's four
-    rewrite on ``func_op``, in its order: the ``affine.if``s
-    ``-simplify-affine-if`` decides, and the rewrites of a second
-    ``affine-store-forward,simplify-memref-access,cse`` round plus a
-    closing ``canonicalize`` (1 if it changed anything)."""
-    from repro.transforms.cleanup import (
-        canonicalize,
-        eliminate_common_subexpressions,
-        forward_stores,
-        simplify_affine_ifs,
-        simplify_memref_accesses,
-    )
+def _dropped_pass_rewrites(func_op) -> int:
+    """How many of the passes the nine-pass cleanup tail ran after today's
+    four (``repro.testing.PARENT_TAIL`` less ``CLEANUP_PIPELINE``), run on
+    ``func_op`` in its order, change the printed IR."""
+    from repro.dse.apply import CLEANUP_PIPELINE
+    from repro.ir.pass_registry import build_pipeline_cached
+    from repro.ir.printer import print_op
+    from repro.testing import PARENT_TAIL, passes_dropped
 
-    ifs = simplify_affine_ifs(func_op)
-    rest = forward_stores(func_op) + simplify_memref_accesses(func_op) \
-        + eliminate_common_subexpressions(func_op) + int(canonicalize(func_op))
-    return ifs, rest
+    changed = 0
+    for name in passes_dropped(PARENT_TAIL, CLEANUP_PIPELINE):
+        before = print_op(func_op, stable_ids=True)
+        build_pipeline_cached(name).run(func_op)
+        changed += print_op(func_op, stable_ids=True) != before
+    return changed
 
 
 def _dead_ops(root) -> int:
@@ -667,7 +664,7 @@ def measure_work_counts(size: int = 4, trmm_size: int = 8) -> dict:
           f"{trmm['suffix_clones']} clones for {trmm['suffix_ops']} ops after "
           f"the suffix, simplify-affine-if rewrote "
           f"{trmm['simplify_affine_if_rewrites']} affine.if(s) after the "
-          f"tail; the passes the tail dropped rewrote "
+          f"tail; passes the tail dropped that changed the IR: "
           f"{counts['tail_fixpoint_rewrites']} (gemm) and "
           f"{trmm['tail_fixpoint_rewrites']} (trmm)")
     ratios["tail_fixpoint_rewrites"] = counts["tail_fixpoint_rewrites"] \

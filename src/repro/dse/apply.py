@@ -91,12 +91,12 @@ def _revive_design(encoding, func_index: int, loop_index: Optional[int],
 #: ``compile_dnn`` flow: one store-forwarding round between ``canonicalize``
 #: and ``cse``.  Over 180 sampled knob settings of the six Table III kernels
 #: no shorter tail was better on latency or DSP (README "Design space";
-#: ``tests/test_estimation.py`` holds it as a law), and since full unrolling
-#: decides its guards and prunes its copies, no longer tail rewrites anything
-#: after this one on the flows this system runs: ``simplify-affine-if``, a
-#: second ``affine-store-forward,simplify-memref-access,cse`` round and a
-#: closing ``canonicalize`` were measured to leave the IR and every use
-#: order as they were (``tests/test_cleanup_tail.py`` keeps it).
+#: ``tests/test_estimation.py`` holds it as a law).  No longer tail rewrites
+#: anything after it: full unrolling decides its guards and prunes its
+#: copies, the scans address an access by the indices ``cse`` will merge and
+#: erase what fed only a store they erase, so ``simplify-affine-if``, a
+#: second store-forwarding round and a closing ``canonicalize`` leave the IR
+#: and every use order as they were (``tests/test_cleanup_tail.py``).
 CLEANUP_PIPELINE = "canonicalize,affine-store-forward,simplify-memref-access,cse"
 
 #: Named cleanup pipelines.  One is built in; with a second one registered

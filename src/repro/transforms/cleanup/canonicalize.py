@@ -181,6 +181,22 @@ def is_dead(op: Operation) -> bool:
     return True
 
 
+def erase_dead_feeders(values) -> None:
+    """Erase the op defining each of ``values`` when :func:`is_dead` holds
+    it dead, and so on up its operands: what a pass that erased the users of
+    ``values`` left for ``canonicalize``."""
+    stack = list(values)
+    while stack:
+        value = stack.pop()
+        if type(value) is not OpResult:
+            continue
+        op = value.operation
+        if op.parent is None or not is_dead(op):
+            continue
+        stack.extend([use.value for use in op._operands])
+        op.erase()
+
+
 # -- loop simplifications --------------------------------------------------------------------
 
 

@@ -18,6 +18,7 @@ from repro.ir.operation import Operation
 from repro.ir.pass_manager import FunctionPass
 from repro.ir.pass_registry import register_pass
 from repro.ir.traversal import scan_blocks
+from repro.ir.value import OpResult, Value
 
 #: Additional pure operations outside the arith dialect.
 _EXTRA_PURE = {"affine.apply"}
@@ -55,30 +56,90 @@ def merge_duplicates(ops: Iterable[Operation]) -> Iterator[Operation]:
     op merged, with its own operand uses still registered; the caller drops
     them (erases it) before the next one is judged."""
     seen: dict[tuple, Operation] = {}
-    # The hashable form of each attribute dict met, with the dict itself so
-    # its id stays taken: unrolled clones share one dict, rendered once.
     rendered: dict[int, tuple[dict, tuple]] = {}
     for op in ops:
         name = op.name
         if name not in _CSE_NAMES or op.regions or len(op.results) != 1:
             continue
-        attributes = op._attributes
-        if attributes:
-            entry = rendered.get(id(attributes))
-            if entry is None:
-                entry = rendered[id(attributes)] = (attributes, tuple(sorted(
-                    [(k, _hashable(v)) for k, v in attributes.items()])))
-            attrs = entry[1]
-        else:
-            attrs = ()
-        key = (name, tuple([id(use.value) for use in op._operands]), attrs,
-               op.results[0].type)
+        key = (name, tuple([id(use.value) for use in op._operands]),
+               _attributes_key(op._attributes, rendered), op.results[0].type)
         earlier = seen.get(key)
         if earlier is None:
             seen[key] = op
         else:
             op.results[0].replace_all_uses_with(earlier.results[0])
             yield op
+
+
+def _attributes_key(attributes: dict, rendered: dict) -> tuple:
+    """The hashable form of an attribute dict.  ``rendered`` keeps each
+    dict met with its form, so its id stays taken: unrolled clones share
+    one dict, rendered once."""
+    if not attributes:
+        return ()
+    entry = rendered.get(id(attributes))
+    if entry is None:
+        entry = rendered[id(attributes)] = (attributes, tuple(sorted(
+            [(k, _hashable(v)) for k, v in attributes.items()])))
+    return entry[1]
+
+
+#: The ops whose result a block scan may replace (forward or merge).
+_LOADS = frozenset({"affine.load", "memref.load"})
+
+
+class ValueNumbers:
+    """Which values the next ``-cse`` leaves one value.
+
+    :meth:`number` of a value is equal for two values
+    exactly when they are one value or the results of two ops ``-cse``
+    merges: ops it considers, in one block, with the same name, attributes,
+    result type and operand numbers.  The block scans key an address by the
+    numbers of its operands (:func:`repro.transforms.cleanup.store_forward.
+    access_key`), so an access whose indices only ``-cse`` makes the same
+    values meets its equal in the same round, not in a second one.
+
+    A number is kept for the rest of the scan (in :attr:`known`, which
+    callers read first) unless a load's result went into it: a scan may
+    replace that result, and what uses it is numbered again each time it is
+    asked for.
+    """
+
+    __slots__ = ("known", "_first", "_rendered")
+
+    def __init__(self) -> None:
+        #: ``id(value)`` -> number, for the numbers that are kept.
+        self.known: dict[int, int] = {}
+        self._first: dict[tuple, int] = {}
+        self._rendered: dict[int, tuple[dict, tuple]] = {}
+
+    def number(self, value: Value) -> int:
+        """The number of ``value``."""
+        return self._number(value)[0]
+
+    def _number(self, value: Value) -> tuple[int, bool]:
+        """``(number, kept)`` of ``value``."""
+        number = self.known.get(id(value))
+        if number is not None:
+            return number, True
+        op = value.operation if type(value) is OpResult else None
+        if op is None or op.name not in _CSE_NAMES or op.regions \
+                or len(op.results) != 1:
+            number, kept = id(value), op is None or op.name not in _LOADS
+        else:
+            operands, kept = [], True
+            for use in op._operands:
+                operand, operand_kept = self._number(use.value)
+                operands.append(operand)
+                kept = kept and operand_kept
+            number = self._first.setdefault(
+                (op.name, tuple(operands),
+                 _attributes_key(op._attributes, self._rendered), value.type,
+                 id(op.parent)),
+                id(value))
+        if kept:
+            self.known[id(value)] = number
+        return number, kept
 
 
 def _hashable(value):

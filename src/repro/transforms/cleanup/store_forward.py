@@ -2,9 +2,12 @@
 
 Performs store-to-load forwarding inside straight-line blocks: a load whose
 address matches a dominating store in the same block (with no potentially
-conflicting store in between) is replaced by the stored value.  The pass also
+conflicting store in between) is replaced by the stored value.  Two
+addresses match when their index values are ones ``-cse`` leaves one value
+(:class:`~repro.transforms.cleanup.cse.ValueNumbers`).  The pass also
 removes buffers that end up write-only (every user is a store), which is how
-"unused memory instances" disappear after forwarding.
+"unused memory instances" disappear after forwarding, and with their stores
+the side-effect-free operations that computed only what was stored.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ from repro.ir.pass_manager import FunctionPass
 from repro.ir.pass_registry import register_pass
 from repro.ir.traversal import scan_blocks
 from repro.ir.types import MemRefType
+from repro.transforms.cleanup.canonicalize import erase_dead_feeders
+from repro.transforms.cleanup.cse import ValueNumbers
 
 #: The memory-access op names the block scans dispatch on (shared with
 #: ``simplify-memref-access``).
@@ -33,8 +38,10 @@ CLOBBER_OPS = frozenset({"memref.copy", "func.call", "memref.dealloc"})
 def forward_stores(root: Operation) -> int:
     """Forward stores to loads under ``root``.  Returns the number of forwards."""
     allocs: list[Operation] = []
-    forwarded = scan_blocks(root, lambda block: _forward_in_block(block, allocs),
-                            "StoreForwardScanPattern")
+    numbers = ValueNumbers()
+    forwarded = scan_blocks(
+        root, lambda block: _forward_in_block(block, allocs, numbers),
+        "StoreForwardScanPattern")
     return forwarded + _remove_write_only_buffers(allocs)
 
 
@@ -46,11 +53,13 @@ class AffineStoreForwardPass(FunctionPass):
         forward_stores(op)
 
 
-def access_key(op: Operation, memref_slot: int) -> tuple:
-    """Hashable address identity of an access: its memref and index values
-    (the operands from ``memref_slot`` on) and its access map."""
-    access_map = op._attributes.get("map")
-    return (tuple([id(use.value) for use in op._operands[memref_slot:]]),
+def access_key(op: Operation, memref_slot: int, numbers: ValueNumbers) -> tuple:
+    """Hashable address identity of an access within its buffer (the scans
+    keep one table per buffer): the ``numbers`` of its index values (the
+    operands after ``memref_slot``) and its access map."""
+    known, access_map = numbers.known.get, op._attributes.get("map")
+    return (tuple([known(id(use.value)) or numbers.number(use.value)
+                   for use in op._operands[memref_slot + 1:]]),
             str(access_map) if access_map is not None else None)
 
 
@@ -68,7 +77,8 @@ def touched_memrefs(op: Operation) -> set[int]:
     return touched
 
 
-def _forward_in_block(block: Block, allocs: list[Operation]) -> int:
+def _forward_in_block(block: Block, allocs: list[Operation],
+                      numbers: ValueNumbers) -> int:
     """Forward within ``block``; every ``memref.alloc`` passed on the way is
     appended to ``allocs``."""
     forwarded = 0
@@ -87,10 +97,10 @@ def _forward_in_block(block: Block, allocs: list[Operation]) -> int:
             elif name == "memref.alloc":
                 allocs.append(op)
         elif name in STORE_OPS:
-            last_store[id(op._operands[1].value)] = (access_key(op, 1), op)
+            last_store[id(op._operands[1].value)] = (access_key(op, 1, numbers), op)
         else:
             store = last_store.get(id(op._operands[0].value))
-            if store is not None and store[0] == access_key(op, 0):
+            if store is not None and store[0] == access_key(op, 0, numbers):
                 op.results[0].replace_all_uses_with(store[1]._operands[0].value)
                 op.erase()
                 forwarded += 1
@@ -105,8 +115,11 @@ def _remove_write_only_buffers(allocs: list[Operation]) -> int:
         if all(user.name == "memref.dealloc"
                or (user.name in STORE_OPS and user._operands[1].value is buffer)
                for user in users):
+            stored = [user._operands[0].value for user in users
+                      if user.name in STORE_OPS]
             for user in users:
                 user.erase()
             op.erase()
+            erase_dead_feeders(stored)
             removed += 1
     return removed

@@ -28,17 +28,12 @@ cleanup's first ``canonicalize`` and ``cse`` deleted untouched.
 The guarantee, which the tests keep against this expansion with no copy
 pruned (frozen there): raw, the unpruned IR once a plain reference prune
 has dropped its dead copies and merged its equal ones, operation for
-operation and use for use; after the four-pass cleanup tail
-(``CLEANUP_PIPELINE``), the IR and the use order of every value the
-unpruned expansion leaves after the nine-pass tail that preceded it, whose
-second store-forwarding round its unmerged copies need.  Merging early lets
-the first round merge loads that round merged; where that changes the order
-in which their uses were merged, a use list holds the same users in another
-order.  No evaluation of the benchmark's kernel sweeps meets it
-(``tests/golden/kernel_sweep_evaluations.json``); two whole syr2k functions
-at n = 4 do.  The one-level form merges nothing, so a whole nest unrolled
-through it one level at a time, which no flow does, leaves that round
-loads to merge.
+operation and use for use; after the cleanup tail (``CLEANUP_PIPELINE``),
+the IR and the use order of every value the unpruned expansion leaves
+after the nine-pass tail that preceded it.  The one-level form merges
+nothing; a load of its copies whose indices only ``cse`` merges still folds
+in the tail's one store-forwarding round, whose scans address an access by
+what ``cse`` will merge.
 """
 
 from __future__ import annotations

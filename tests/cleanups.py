@@ -8,10 +8,12 @@ space that has the pipeline dimension, register these themselves.
 import contextlib
 
 from repro.dse.apply import (
+    CLEANUP_PIPELINE,
     CLEANUP_PIPELINES,
     install_cleanup_pipelines,
     register_cleanup_pipeline,
 )
+from repro.testing import PARENT_TAIL, passes_dropped
 
 #: The former ``light``: one canonicalize + cse round.
 LIGHT = "canonicalize,cse"
@@ -21,15 +23,12 @@ LIGHT = "canonicalize,cse"
 SIX_PASS = ("canonicalize,simplify-affine-if,affine-store-forward,"
             "simplify-memref-access,cse,canonicalize")
 
-#: The former built-in tail (``thorough`` before that): ``SIX_PASS`` with a
-#: second store-forwarding round.  Today's is its ``canonicalize`` and its
-#: first store-forwarding round; the other five passes rewrite nothing
-#: behind them on the IR the flows build (``tests/test_cleanup_tail.py``),
-#: but the expansions the unrolling tests froze, which leave every copy to
-#: the cleanup, need them.
-PARENT_TAIL = ("canonicalize,simplify-affine-if,affine-store-forward,"
-               "simplify-memref-access,cse,affine-store-forward,"
-               "simplify-memref-access,cse,canonicalize")
+#: The passes of ``PARENT_TAIL`` — the former built-in tail (``thorough``
+#: before that), ``SIX_PASS`` with a second store-forwarding round, with
+#: which the unrolling tests clean their frozen expansions — that today's
+#: tail does not run, in its order: they rewrite nothing behind it
+#: (``tests/test_cleanup_tail.py``).
+DROPPED = passes_dropped(PARENT_TAIL, CLEANUP_PIPELINE)
 
 #: The two tails the ``three_cleanups`` fixture registers.
 RETIRED = {"test-light": LIGHT, "test-six-pass": SIX_PASS}

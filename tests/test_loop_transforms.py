@@ -609,8 +609,7 @@ def _reference_prune(ops, merge=True, counts=None):
     return survivors
 
 
-def _assert_matches_oracle(module, root_position, reordered=None,
-                           tail=CLEANUP_PIPELINE):
+def _assert_matches_oracle(module, root_position):
     """Unroll below the op at ``root_position`` (walk order of the first
     function) on clones of ``module``, by ``fully_unroll_nested`` and one
     level at a time through ``fully_unroll``: live, by 2f7637c's expansion
@@ -618,22 +617,10 @@ def _assert_matches_oracle(module, root_position, reordered=None,
     prune.
 
     Live, either form leaves 2f7637c's pruned IR, operation for operation
-    and use for use; after the cleanup the two forms leave what 2f7637c's
-    unpruned IR is after ``PARENT_TAIL``.  The live nested form is cleaned
-    by ``CLEANUP_PIPELINE``; the one-level form, which merges no copy, by
-    ``PARENT_TAIL``: unrolled one level at a time down a whole nest (which
-    no flow does: ``dnn-loop-opt`` unrolls a few inner levels and pipelines
-    the rest through the nested form) its copies leave the second round
-    loads to merge, as 2f7637c's did.  ``fully_unroll_nested`` copied no
-    ``affine.if`` that ``-simplify-affine-if`` decides on the spot.
-
-    After the cleanup, and only with ``reordered`` (a list, which then
-    records that it happened), the nested form may list some value's users
-    in another order than 2f7637c's, the IR and every value's users being
-    the same: a load the first ``-simplify-memref-access`` could merge only
-    once ``cse`` had merged its indices was merged by the second, after
-    loads merged by the first, where the prune lets the first merge both in
-    block order.
+    and use for use; after ``CLEANUP_PIPELINE`` it leaves 2f7637c's unpruned
+    IR after ``PARENT_TAIL``, and the two forms leave the same.
+    ``fully_unroll_nested`` copied no ``affine.if`` that
+    ``-simplify-affine-if`` decides on the spot.
 
     Returns ``(count, printed, uses, ifs decided)`` of the live
     ``fully_unroll_nested``, or None when a variable bound stopped it.
@@ -665,9 +652,8 @@ def _assert_matches_oracle(module, root_position, reordered=None,
                         if if_op.name == "affine.if" and not if_op.results
                         and _evaluate_condition(if_op) is not None] == []
             if unrolling != "pruned":
-                build_pipeline_cached(
-                    tail if unrolling == "live" and unroll is fully_unroll_nested
-                    else PARENT_TAIL).run(func_op)
+                build_pipeline_cached(CLEANUP_PIPELINE if unrolling == "live"
+                                      else PARENT_TAIL).run(func_op)
             sides[unroll, unrolling] = (raw, _ir_signature(func_op))
     for unroll in (fully_unroll_nested, _unroll_one_at_a_time_judging):
         live, pruned, unpruned = (sides[unroll, unrolling] for unrolling
@@ -676,25 +662,14 @@ def _assert_matches_oracle(module, root_position, reordered=None,
             assert pruned is None and unpruned is None
             continue
         assert live[0] == pruned[0]
-        if live[1] != unpruned[1]:
-            assert reordered is not None and unroll is fully_unroll_nested
-            assert _same_but_for_use_order(live[1], unpruned[1])
-            reordered.append(root_position)
+        assert live[1] == unpruned[1]
     nested, levels = (sides[unroll, "live"] for unroll
                       in (fully_unroll_nested, _unroll_one_at_a_time_judging))
     if nested is None:
         return None
     if levels is not None:
-        assert nested[1] == levels[1] \
-            or reordered and _same_but_for_use_order(nested[1], levels[1])
+        assert nested[1] == levels[1]
     return nested[0]
-
-
-def _same_but_for_use_order(ours, theirs):
-    """The same printed IR, and every value the same users, in any order."""
-    return ours[0] == theirs[0] \
-        and [sorted(uses) for uses in ours[1]] \
-        == [sorted(uses) for uses in theirs[1]]
 
 
 def _function(arg_types):
@@ -828,7 +803,6 @@ class TestNestedUnrollMatchesOneLoopAtATime:
     def test_table3_kernels_under_every_prefix_and_tiling(self, kernel):
         base = compile_kernel(kernel, 4)
         unrolled = rejected = 0
-        reordered = []
         for perfectize, rvb in itertools.product((False, True), repeat=2):
             prefixed = base.clone()
             func_op = prefixed.functions()[0]
@@ -843,51 +817,23 @@ class TestNestedUnrollMatchesOneLoopAtATime:
                 for root in (target, func_op):
                     position = next(number for number, op
                                     in enumerate(func_op.walk()) if op is root)
-                    moved = []
-                    if _assert_matches_oracle(staged, position, moved) is None:
+                    if _assert_matches_oracle(staged, position) is None:
                         rejected += 1
                     else:
                         unrolled += 1
-                    if moved:
-                        reordered.append((perfectize, rvb, tiles, root.name))
         assert unrolled
         if kernel in ("syr2k", "syrk", "trmm"):
             assert rejected  # triangular until the bounds are removed
-        # Each a whole function pipelined: there 2f7637c's tail merged one
-        # load of A or B into an earlier equal one only in its second round,
-        # once cse had merged its indices, after a later load the first
-        # round had merged; the pruned tail merges both in the first round,
-        # in block order, so the earlier load lists their users in it.
-        assert reordered == ([(True, True, (1, 2, 1), "func.func"),
-                              (True, True, (1, 4, 1), "func.func")]
-                             if kernel == "syr2k" else [])
-
-    #: Hand-built nests ``CLEANUP_PIPELINE`` does not clean to a fixpoint:
-    #: in the imperfect one, unrolled or not, ``-simplify-memref-access``
-    #: erases a store that a later one overwrites, and only the closing
-    #: ``canonicalize`` of ``PARENT_TAIL`` erased the add that fed it.  There
-    #: the live side is cleaned by ``PARENT_TAIL``, as it was before the tail
-    #: was cut to four passes.
-    LEFT_TO_A_CLOSING_CANONICALIZE = {"imperfect"}
 
     @pytest.mark.parametrize("name", sorted(HAND_BUILT_NESTS))
     def test_hand_built_nests(self, name):
         module = HAND_BUILT_NESTS[name]()
         ir.verify(module)
         func_op = module.functions()[0]
-        cleaned = module.clone().functions()[0]
-        build_pipeline_cached(CLEANUP_PIPELINE).run(cleaned)
-        left = _ir_signature(cleaned)
-        canonicalize(cleaned)
-        assert (_ir_signature(cleaned) != left) \
-            == (name in self.LEFT_TO_A_CLOSING_CANONICALIZE)
-        tail = PARENT_TAIL if name in self.LEFT_TO_A_CLOSING_CANONICALIZE \
-            else CLEANUP_PIPELINE
         roots = [0] + [number for number, op in enumerate(func_op.walk())
                        if isinstance(op, AffineForOp)]
         for position in roots:
-            count, printed, _, _ = _assert_matches_oracle(module, position,
-                                                          tail=tail)
+            count, printed, _, _ = _assert_matches_oracle(module, position)
             if position == 0:
                 assert "affine.for" not in printed
                 assert count == len(roots) - 1  # distinct loops, not copies
