@@ -1,26 +1,26 @@
 """Fault injection and supervision policy for the DSE runtime.
 
 The evaluation backends in :mod:`repro.dse.runtime.worker` are supervised:
-per-task wall-clock timeouts, worker-crash detection with respawn, and
-bounded retries with deterministic quarantine.  This module holds the two
-configuration objects of that layer plus the fault-injection harness the
-tests and CI chaos runs use to exercise it:
+per-task wall-clock timeouts, worker-crash detection with respawn, bounded
+retries of a lost worker's task and deterministic quarantine.  This module
+holds the two configuration objects of that layer plus the fault-injection
+harness the tests and CI chaos runs use to exercise it:
 
 * :class:`SupervisionPolicy` — how the coordinator reacts to evaluation
   faults (timeout budget, retry budget, quarantine vs. abort).
 * :class:`FaultPlan` — *injected* faults: a picklable description threaded
   into :class:`~repro.dse.runtime.worker.KernelContext` that makes selected
-  evaluations crash, hang, flake or fail deterministically, so the
-  supervision layer can be tested end-to-end without real hardware faults
-  (driver flag: ``--inject-faults SPEC``).
+  evaluations crash, hang or fail deterministically, so the supervision
+  layer can be tested end-to-end without real hardware faults (driver
+  flag: ``--inject-faults SPEC``).
 
 Determinism: fault *selection* is a pure function of the encoded design
-point (a stable hash, never ``id()`` or wall-clock), and flaky/crash/hang
-attempt counting lives in an on-disk ledger shared by every worker process
-— so an injected fault fires on the same points, the same number of times,
-at any ``--jobs`` and across pool respawns.  A retried point therefore
-converges to the same record the fault-free run computes, which is what the
-frontier byte-compare tests assert.
+point (a stable hash, never ``id()`` or wall-clock), and crash/hang attempt
+counting lives in an on-disk ledger shared by every worker process — so an
+injected fault fires on the same points, the same number of times, at any
+``--jobs`` and across pool respawns.  A retried point therefore converges
+to the same record the fault-free run computes, which is what the frontier
+byte-compare tests assert.
 """
 
 from __future__ import annotations
@@ -36,14 +36,11 @@ from typing import Optional
 CRASH_EXIT_CODE = 86
 
 #: The injectable failure modes.
-FAULT_MODES = ("crash", "hang", "flaky", "poison")
-
-#: :attr:`FaultPlan.hang_seconds` unless a spec says otherwise.
-_DEFAULT_HANG_SECONDS = 3600.0
+FAULT_MODES = ("crash", "hang", "poison")
 
 
 class InjectedFault(RuntimeError):
-    """Raised by :meth:`FaultPlan.apply` for the flaky/poison modes."""
+    """Raised by :meth:`FaultPlan.apply` for the poison mode."""
 
 
 class EvaluationFailure(RuntimeError):
@@ -61,14 +58,14 @@ class SupervisionPolicy:
 
     ``task_timeout`` is a wall-clock budget per dispatched evaluation (None
     disables timeouts); a task that exceeds it has its worker killed and is
-    charged one fault.  Every charged fault (timeout, worker crash, or an
-    exception raised by the evaluation itself) consumes one of
-    ``max_retries`` bounded retries with deterministic exponential backoff
-    (:meth:`backoff_seconds` — wall-clock only, never part of the
-    trajectory).  A point that exhausts its retries is *quarantined* — it
-    becomes a first-class failed
-    :class:`~repro.dse.runtime.records.EvaluationRecord` that is cached,
-    checkpointed and excluded from the frontier identically at any
+    charged one fault.  A charged fault — a timeout or a worker crash: the
+    worker was lost, which can be environmental, and has been replaced —
+    consumes one of ``max_retries`` retries.  An exception raised by the
+    evaluation itself is a verdict, not a fault: evaluation is a pure
+    function of the point, so it is never retried.  A point that raised, or
+    exhausted its retries, is *quarantined* — it becomes a first-class
+    failed :class:`~repro.dse.runtime.records.EvaluationRecord` that is
+    cached, checkpointed and excluded from the frontier identically at any
     ``--jobs`` — or, with ``on_fault="fail"``, aborts the run with an
     :class:`EvaluationFailure`.
     """
@@ -76,7 +73,6 @@ class SupervisionPolicy:
     task_timeout: Optional[float] = None
     max_retries: int = 2
     on_fault: str = "quarantine"
-    backoff: float = 0.05
 
     def __post_init__(self):
         if self.on_fault not in ("quarantine", "fail"):
@@ -87,11 +83,6 @@ class SupervisionPolicy:
                              f"got {self.task_timeout}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-
-    def backoff_seconds(self, attempt: int) -> float:
-        """Deterministic backoff before retry number ``attempt`` (1-based):
-        ``backoff * 2**(attempt - 1)`` seconds, ``backoff`` for attempt 0."""
-        return self.backoff * (2 ** max(0, attempt - 1))
 
 
 def stable_point_hash(key: str, encoded: tuple) -> int:
@@ -109,21 +100,19 @@ class FaultPlan:
       segfault or an OOM kill.
     * ``hang`` — the evaluation sleeps ``hang_seconds`` (the supervisor's
       ``--task-timeout`` must kill it).
-    * ``flaky`` — the evaluation raises :class:`InjectedFault`, then
-      succeeds once its attempt budget is spent.
-    * ``poison`` — the evaluation *always* raises: the point can never
-      succeed, exercising the quarantine path.
+    * ``poison`` — the evaluation raises :class:`InjectedFault`, as it
+      would on every attempt: the point is quarantined on its first one.
 
     ``select`` picks the victims: every point whose
     :func:`stable_point_hash` is ``0 mod select`` matches (so roughly one
     in ``select`` evaluations faults, deterministically).  ``times`` bounds
-    how many attempts of a matching point fail before it recovers (poison
-    ignores it).  The rule: a plan with ``times <= max_retries`` converges
-    to the clean records, and a charged mode with more quarantines the same
+    how many attempts of a matching point crash or hang before it recovers
+    (poison ignores it).  The rule: a plan with ``times <= max_retries``
+    converges to the clean records, and one with more quarantines the same
     victims, at any topology — every fault is charged to the point that
     fired it, never to a neighbour.
 
-    ``state_dir`` is the cross-process attempt ledger for the recoverable
+    ``state_dir`` is the cross-process attempt ledger of the crash and hang
     modes; :meth:`parse` creates a temporary one automatically.  The same
     point is never attempted concurrently (retries are serialized by the
     owning coordinator), so the ledger needs no locking.
@@ -132,7 +121,7 @@ class FaultPlan:
     mode: str
     select: int = 4
     times: int = 1
-    hang_seconds: float = _DEFAULT_HANG_SECONDS
+    hang_seconds: float = 3600.0
     state_dir: str = ""
 
     def __post_init__(self):
@@ -154,8 +143,7 @@ class FaultPlan:
         """Build a plan from a ``--inject-faults`` spec string.
 
         ``SPEC`` is ``MODE`` or ``MODE:key=value,key=value`` — e.g.
-        ``flaky``, ``crash:select=8,times=2``, ``hang:select=6``,
-        ``poison:select=10``.
+        ``poison``, ``crash:select=8,times=2``, ``hang:select=6``.
         """
         mode, _, options = spec.strip().partition(":")
         values: dict = {}
@@ -177,15 +165,6 @@ class FaultPlan:
         if not values.get("state_dir"):
             values["state_dir"] = tempfile.mkdtemp(prefix="repro-faults-")
         return cls(mode=mode, **values)
-
-    def to_spec(self) -> str:
-        """The canonical spec string (round-trips through :meth:`parse`)."""
-        options = [f"select={self.select}", f"times={self.times}"]
-        if self.hang_seconds != _DEFAULT_HANG_SECONDS:
-            options.append(f"hang_seconds={self.hang_seconds!r}")
-        if self.state_dir:
-            options.append(f"state_dir={self.state_dir}")
-        return f"{self.mode}:{','.join(options)}"
 
     # -- selection and firing --------------------------------------------------------------
 
@@ -225,16 +204,11 @@ class FaultPlan:
         if self.mode == "poison":
             raise InjectedFault(f"injected poison: kernel {key!r} "
                                 f"point {tuple(encoded)} can never succeed")
-        attempt = self._record_attempt(key, encoded)
-        if attempt > self.times:
+        if self._record_attempt(key, encoded) > self.times:
             return  # budget spent: the point recovers
         if self.mode == "crash":
             os._exit(CRASH_EXIT_CODE)
-        if self.mode == "hang":
-            time.sleep(self.hang_seconds)
-            return
-        raise InjectedFault(f"injected flake: kernel {key!r} "
-                            f"point {tuple(encoded)} attempt {attempt}")
+        time.sleep(self.hang_seconds)
 
     @property
     def requires_process_isolation(self) -> bool:

@@ -240,7 +240,8 @@ class ParallelDSEResult:
                                           self.space.platform_named(name))
 
     def quarantined_records(self) -> list[EvaluationRecord]:
-        """Points that exhausted their fault retries, in encoded order."""
+        """Points whose evaluation failed for good (it raised, or its
+        worker was lost more often than retried), in encoded order."""
         return [record for _, record in sorted(self.records.items())
                 if not record.ok]
 

@@ -24,7 +24,7 @@ from repro.estimation.resources import ResourceUsage
 #: A record that evaluated successfully carries this status.
 STATUS_OK = "ok"
 
-#: A record whose point exhausted its fault retries and was quarantined:
+#: A record whose evaluation failed for good and was quarantined:
 #: it is cached and checkpointed like any other record (so the decision
 #: survives re-runs and warm caches), but it is excluded from every
 #: frontier and can never be finalized.

@@ -30,13 +30,14 @@ Supervision
 
 Both backends are *supervised* (see
 :class:`~repro.dse.runtime.faults.SupervisionPolicy`): an evaluation that
-raises, crashes its worker process, or exceeds the per-task wall-clock
-timeout is charged one fault and retried with deterministic backoff; a
-point that exhausts its retries is **quarantined** — it becomes a failed
-:class:`EvaluationRecord` that counts as visited but never enters a
-frontier.  Because fault *outcomes* attach to design points (never to
-workers, wall-clock or completion order), a faulty run converges to the
-same records as a fault-free one at any ``--jobs``.
+crashes its worker process or exceeds the per-task wall-clock timeout is
+charged one fault and retried on the replaced worker; a point that
+exhausts its retries, or whose evaluation raised (evaluation is a pure
+function of the point: it would raise again), is **quarantined** — it
+becomes a failed :class:`EvaluationRecord` that counts as visited but
+never enters a frontier.  Because fault *outcomes* attach to design points
+(never to workers, wall-clock or completion order), a faulty run converges
+to the same records as a fault-free one at any ``--jobs``.
 
 There is one dispatch loop, :class:`Supervisor`, and one fault model,
 :class:`_Settlement`.  The backends differ only in the *link*: how one task
@@ -59,7 +60,6 @@ import multiprocessing
 import pickle
 import queue
 import threading
-import time
 import warnings
 from typing import Callable, Optional, Sequence
 
@@ -268,13 +268,14 @@ _WORKER_CONTEXTS: dict[str, KernelContext] = {}
 _WORKER_SNAPSHOTS: dict[str, PrefixSnapshotCache] = \
     collections.defaultdict(PrefixSnapshotCache)
 
-#: Outcome tags of the guarded worker tasks.  ``fatal`` marks failures that
-#: no retry can fix (e.g. a coordinator/worker pipeline mismatch): the
-#: supervisor aborts the run instead of burning its retry budget.
+#: Outcome tags of the guarded worker tasks.  ``error`` is the evaluation's
+#: own exception, the point's verdict; ``fatal`` marks failures no point
+#: can get past (e.g. a coordinator/worker pipeline mismatch): the
+#: supervisor aborts the run.
 _OK, _ERROR, _FATAL = "ok", "error", "fatal"
 
 #: Outcomes only a link can report — it lost the worker that held the task.
-#: Both are charged to the point.
+#: Both are charged to the point, which is retried on the replacement.
 _CRASH, _TIMEOUT = "crash", "timeout"
 
 #: Bound on waiting for a worker or slot that should already be finished.
@@ -454,33 +455,6 @@ def _worker_main(conn, payload: bytes) -> None:
 # -- the fault model ------------------------------------------------------------------------
 
 
-def _quarantine_record(context: KernelContext, key: str,
-                       encoded: tuple[int, ...], error: str,
-                       policy: SupervisionPolicy) -> EvaluationRecord:
-    """The terminal outcome of an exhausted retry budget.
-
-    Either a first-class quarantined record (cached and checkpointed like a
-    healthy one, excluded from every frontier) or — under
-    ``--on-fault=fail`` — an :class:`EvaluationFailure` abort carrying the
-    kernel and point.
-    """
-    if policy.on_fault == "fail":
-        raise EvaluationFailure(
-            f"kernel {key!r} point {tuple(encoded)} failed after "
-            f"{policy.max_retries} retries: {error}")
-    obs.counter("dse.faults.quarantined")
-    return EvaluationRecord.quarantined(tuple(encoded),
-                                        context.space.decode(encoded), error)
-
-
-def _retry_pause(key: str, attempt: int, cause: str,
-                 policy: SupervisionPolicy) -> None:
-    """Charged-fault bookkeeping: count the retry, back off deterministically."""
-    obs.counter("dse.faults.retries")
-    with obs.span("dse.retry", kernel=key, attempt=attempt, cause=cause):
-        time.sleep(policy.backoff_seconds(attempt))
-
-
 def _check_stop(stop_event: Optional[threading.Event]) -> None:
     if stop_event is not None and stop_event.is_set():
         raise KeyboardInterrupt
@@ -506,6 +480,7 @@ class _Settlement:
         self.done: queue.SimpleQueue = queue.SimpleQueue()
         self._results: list[Optional[EvaluationRecord]] = [None] * total
         self._telemetry: list = [None] * total
+        #: Charged faults (crashes and timeouts) per point.
         self._attempts = [0] * total
 
     def settle(self, index: int, encoded: tuple[int, ...], kind: str,
@@ -514,9 +489,9 @@ class _Settlement:
 
         ``ok`` stores the record and hands the design a pool worker
         shipped with it to the kernel's keeper; ``fatal`` aborts the run;
-        anything else (``error``, ``crash``, ``timeout``) is a *charged*
-        fault that consumes one retry, and a point with none left is
-        quarantined.
+        ``error`` quarantines the point at once.  ``crash`` and ``timeout``
+        are *charged* faults: each consumes one retry, and a point with
+        none left is quarantined.
         """
         if kind == _OK:
             self._results[index] = payload
@@ -530,17 +505,31 @@ class _Settlement:
         if kind == _FATAL:
             raise EvaluationFailure(
                 f"kernel {self.key!r} point {encoded}: {payload}")
-        self._attempts[index] += 1
-        if kind == _CRASH:
-            obs.counter("dse.faults.crashes")
-        elif kind == _TIMEOUT:
-            obs.counter("dse.faults.timeouts")
-        if self._attempts[index] > self._policy.max_retries:
-            self._results[index] = _quarantine_record(
-                self._context, self.key, encoded, payload, self._policy)
-            return False
-        _retry_pause(self.key, self._attempts[index], kind, self._policy)
-        return True
+        if kind != _ERROR:
+            obs.counter("dse.faults.crashes" if kind == _CRASH
+                        else "dse.faults.timeouts")
+            self._attempts[index] += 1
+            if self._attempts[index] <= self._policy.max_retries:
+                obs.counter("dse.faults.retries")
+                return True
+        self._results[index] = self._quarantine(encoded, kind, payload)
+        return False
+
+    def _quarantine(self, encoded: tuple[int, ...], kind: str,
+                    error: str) -> EvaluationRecord:
+        """The point's terminal failure: a first-class quarantined record
+        (cached and checkpointed like a healthy one, excluded from every
+        frontier) or — under ``--on-fault=fail`` — an
+        :class:`EvaluationFailure` abort carrying the kernel and point."""
+        if self._policy.on_fault == "fail":
+            retried = "" if kind == _ERROR \
+                else f" after {self._policy.max_retries} retries"
+            raise EvaluationFailure(f"kernel {self.key!r} point "
+                                    f"{tuple(encoded)} failed{retried}: "
+                                    f"{error}")
+        obs.counter("dse.faults.quarantined")
+        return EvaluationRecord.quarantined(
+            tuple(encoded), self._context.space.decode(encoded), error)
 
     def finish(self) -> list[EvaluationRecord]:
         """Absorb telemetry in submission (batch) order, after everything
@@ -698,11 +687,11 @@ class SerialBackend(Supervisor):
     """Inline evaluation (``--jobs 1``): no processes, no pickling; the
     backend is its own link, run in the caller's thread.
 
-    Supervision covers Python-level faults only (e.g. injected flaky/poison
-    faults): there is no worker process to crash and no way to interrupt a
-    hung inline call, which is why :func:`create_backend` promotes to a
-    process pool whenever a task timeout or a crash/hang fault plan is
-    configured.
+    Its only faults are the evaluation's own exceptions (e.g. injected
+    poison), which quarantine the point: there is no worker process to
+    crash and no way to interrupt a hung inline call, which is why
+    :func:`create_backend` promotes to a process pool whenever a task
+    timeout or a crash/hang fault plan is configured.
     """
 
     def __init__(self, contexts: dict[str, KernelContext],

@@ -46,8 +46,9 @@ name                      kind       meaning
 ``dse.worker.busy_seconds``  counter    summed per-evaluation worker wall-clock
 ``dse.faults.timeouts``   counter    attempts that blew ``--task-timeout`` (charged)
 ``dse.faults.crashes``    counter    attempts whose worker process died (charged)
-``dse.faults.retries``    counter    charged faults resubmitted after their backoff
-``dse.faults.quarantined`` counter   points that exhausted their retries
+``dse.faults.retries``    counter    charged faults (crashes, timeouts) retried
+``dse.faults.quarantined`` counter   points whose evaluation raised or that
+                                     exhausted their retries
 ``dse.pool.respawns``     counter    pool workers replaced (crashed, timed out, or
                                      found dead between tasks)
 ``dse.pool.kill_errors``  counter    worker kills that raised (the worker is dropped

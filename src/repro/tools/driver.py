@@ -292,13 +292,14 @@ def _add_sweep_arguments(parser: argparse.ArgumentParser,
                              "budget has its worker killed and is retried "
                              "(default: no timeout)")
     parser.add_argument("--max-retries", type=int, default=2, metavar="N",
-                        help="retries per design point after a fault (worker "
-                             "crash, timeout, evaluation error) before the "
-                             "point is quarantined (default: 2)")
+                        help="retries per design point after its worker "
+                             "crashed or timed out, before the point is "
+                             "quarantined; a point whose evaluation raises "
+                             "is quarantined at once (default: 2)")
     parser.add_argument("--on-fault", choices=("quarantine", "fail"),
                         default="quarantine",
-                        help="after retries are exhausted: 'quarantine' "
-                             "records the point as failed and continues "
+                        help="when a point fails for good: 'quarantine' "
+                             "records it as failed and continues "
                              "(deterministic at any --jobs), 'fail' aborts "
                              "the run (default: quarantine)")
     # Chaos-testing hook for CI and tests; deliberately undocumented.
@@ -385,7 +386,8 @@ def _validate_supervision(args) -> None:
     retries = args.max_retries
     if retries < 0:
         raise SystemExit(f"--max-retries must be >= 0, got {retries} "
-                         f"(0 quarantines a point on its first fault)")
+                         f"(0 quarantines a point on its first crash or "
+                         f"timeout)")
 
 
 def _add_pipeline_argument(parser: argparse.ArgumentParser) -> None:
@@ -606,8 +608,8 @@ def _print_dse_result(prefix: str, result, baselines: dict) -> None:
     print(f"{prefix}evaluated {result.num_evaluations} points in "
           f"{result.wall_seconds:.2f}s{cache_note}; {frontier_note}:")
     if result.num_quarantined:
-        print(f"{prefix}quarantined {result.num_quarantined} point(s) after "
-              f"exhausted retries (excluded from the frontier)")
+        print(f"{prefix}quarantined {result.num_quarantined} failed point(s) "
+              f"(excluded from the frontier)")
     # (tag, frontier records, finalized record, baseline) per platform.
     views = [(f"[{name}] ", result.frontier_records_for(name),
               result.best_record_for(name), baselines[name])
@@ -695,7 +697,7 @@ def run_dnn_dse(args) -> int:
     quarantined = sum(node.num_quarantined
                       for node in result.node_results.values())
     if quarantined:
-        print(f"  quarantined {quarantined} point(s) after exhausted retries "
+        print(f"  quarantined {quarantined} failed point(s) "
               f"(excluded from every frontier)")
     if not result.node_order:
         print("  no explorable dataflow nodes (no affine loop nests); "

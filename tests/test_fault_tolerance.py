@@ -1,10 +1,12 @@
 """Tests for the fault-tolerant DSE runtime: fault-plan parsing, supervised
-retries, deterministic quarantine, crash/hang/flaky/poison recovery at
-several worker counts, crash-consistent persistence, and graceful
-interruption and re-runs from the checkpoint."""
+retries of lost workers, deterministic quarantine, crash/hang recovery and
+poison quarantine at several worker counts, crash-consistent persistence,
+and graceful interruption and re-runs from the checkpoint."""
 
+import collections
 import contextlib
 import os
+import pickle
 import random
 import re
 import signal
@@ -35,6 +37,7 @@ from repro.dse.runtime import (
     SweepConfig,
     create_backend,
 )
+from repro.dse.runtime import faults, worker
 from repro.dse.runtime.faults import FAULT_MODES, stable_point_hash
 from repro.dse.runtime.records import STATUS_QUARANTINED
 from repro.dse.runtime.worker import evaluate_encoded
@@ -51,13 +54,6 @@ from test_dse_runtime import cache_counters, small_sweep
 def frontier_signature(result):
     """Byte-comparable rendering of a frontier (encoded point + objectives)."""
     return repr([(p.encoded, p.latency, p.area) for p in result.frontier])
-
-
-def fast_policy(**overrides):
-    """A supervision policy with near-zero backoff so retries don't stall tests."""
-    config = dict(max_retries=2, backoff=0.001)
-    config.update(overrides)
-    return SupervisionPolicy(**config)
 
 
 @pytest.fixture
@@ -81,8 +77,8 @@ def _sample_batch(context, count=2, seed=5):
 
 class TestFaultPlan:
     def test_parse_bare_mode(self, tmp_path):
-        plan = FaultPlan.parse("flaky")
-        assert plan.mode == "flaky"
+        plan = FaultPlan.parse("poison")
+        assert plan.mode == "poison"
         assert plan.select == 4
         assert plan.times == 1
         assert os.path.isdir(plan.state_dir)  # auto-created ledger dir
@@ -93,18 +89,12 @@ class TestFaultPlan:
         assert plan == FaultPlan(mode="crash", select=8, times=2,
                                  state_dir=str(tmp_path))
 
-    def test_spec_round_trip(self, tmp_path):
-        plan = FaultPlan.parse(f"hang:select=6,state_dir={tmp_path}")
-        assert FaultPlan.parse(plan.to_spec()) == plan
-        plan = FaultPlan(mode="hang", select=6, hang_seconds=2.0,
-                         state_dir=str(tmp_path))
-        assert FaultPlan.parse(plan.to_spec()) == plan
-
     @pytest.mark.parametrize("mode", FAULT_MODES)
-    def test_every_field_round_trips(self, mode, tmp_path):
-        plan = FaultPlan(mode=mode, select=3, times=2,
-                         hang_seconds=0.5, state_dir=str(tmp_path))
-        assert FaultPlan.parse(plan.to_spec()) == plan
+    def test_parse_every_field(self, mode, tmp_path):
+        plan = FaultPlan.parse(f"{mode}:select=3,times=2,hang_seconds=0.5,"
+                               f"state_dir={tmp_path}")
+        assert plan == FaultPlan(mode=mode, select=3, times=2,
+                                 hang_seconds=0.5, state_dir=str(tmp_path))
 
     def test_rejects_a_negative_hang(self, tmp_path):
         with pytest.raises(ValueError, match="hang_seconds must be >= 0"):
@@ -116,17 +106,18 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="unknown fault mode"):
             FaultPlan.parse("segfault")
 
-    @pytest.mark.parametrize("mode", ["disconnect", "stall", "garbage-frame"])
-    def test_socket_transport_modes_are_gone(self, mode):
+    @pytest.mark.parametrize("mode", ["disconnect", "stall", "garbage-frame",
+                                      "flaky"])
+    def test_deleted_modes_are_gone(self, mode):
         with pytest.raises(ValueError, match=f"unknown fault mode '{mode}'"):
             FaultPlan.parse(f"{mode}:select=1")
 
     def test_rejects_unknown_option(self):
         with pytest.raises(ValueError, match="bad fault option"):
-            FaultPlan.parse("flaky:rate=3")
+            FaultPlan.parse("crash:rate=3")
 
     def test_selection_is_stable(self, tmp_path):
-        plan = FaultPlan(mode="flaky", select=1, state_dir=str(tmp_path))
+        plan = FaultPlan(mode="poison", select=1, state_dir=str(tmp_path))
         assert plan.matches("k", (0, 1, 2))
         assert stable_point_hash("k", (0, 1, 2)) \
             == stable_point_hash("k", (0, 1, 2))
@@ -134,23 +125,31 @@ class TestFaultPlan:
         assert stable_point_hash("k", (0, 1, 2)) \
             != stable_point_hash("other", (0, 1, 2))
 
-    def test_flaky_recovers_after_attempt_budget(self, tmp_path):
-        plan = FaultPlan(mode="flaky", select=1, times=2,
-                         state_dir=str(tmp_path))
-        for _ in range(2):
-            with pytest.raises(InjectedFault):
-                plan.apply("k", (1, 2))
-        plan.apply("k", (1, 2))  # budget spent: recovered
+    @staticmethod
+    def hangs(monkeypatch):
+        """The sleeps of every injected hang from now on (not slept)."""
+        slept = []
+        monkeypatch.setattr(faults.time, "sleep", slept.append)
+        return slept
 
-    def test_attempt_ledger_is_cross_process(self, tmp_path):
-        # A fresh plan object (as a respawned worker would build from the
-        # pickled spec) sees the attempts recorded by the previous one.
-        first = FaultPlan(mode="flaky", select=1, times=1,
+    def test_hang_recovers_after_attempt_budget(self, tmp_path, monkeypatch):
+        slept = self.hangs(monkeypatch)
+        plan = FaultPlan(mode="hang", select=1, times=2, hang_seconds=9.0,
+                         state_dir=str(tmp_path))
+        for _ in range(3):
+            plan.apply("k", (1, 2))
+        assert slept == [9.0, 9.0]  # budget spent: the third recovered
+
+    def test_attempt_ledger_is_cross_process(self, tmp_path, monkeypatch):
+        # A fresh plan object (as a respawned worker unpickles it) sees the
+        # attempts recorded by the previous one.
+        slept = self.hangs(monkeypatch)
+        first = FaultPlan(mode="hang", select=1, times=1,
                           state_dir=str(tmp_path))
-        with pytest.raises(InjectedFault):
-            first.apply("k", (3,))
-        second = FaultPlan.parse(first.to_spec())
+        first.apply("k", (3,))
+        second = pickle.loads(pickle.dumps(first))
         second.apply("k", (3,))  # already over budget: no fault
+        assert len(slept) == 1
 
     def test_poison_never_recovers(self, tmp_path):
         plan = FaultPlan(mode="poison", select=1, times=1,
@@ -163,8 +162,6 @@ class TestFaultPlan:
         assert FaultPlan(mode="crash", state_dir=str(tmp_path)) \
             .requires_process_isolation
         assert FaultPlan(mode="hang", state_dir=str(tmp_path)) \
-            .requires_process_isolation
-        assert not FaultPlan(mode="flaky", state_dir=str(tmp_path)) \
             .requires_process_isolation
         assert not FaultPlan(mode="poison", state_dir=str(tmp_path)) \
             .requires_process_isolation
@@ -179,15 +176,6 @@ class TestSupervisionPolicy:
         with pytest.raises(ValueError, match="max_retries"):
             SupervisionPolicy(max_retries=-1)
 
-    def test_backoff_doubles(self):
-        policy = SupervisionPolicy(backoff=0.5)
-        assert [policy.backoff_seconds(n) for n in (1, 2, 3)] == [0.5, 1.0, 2.0]
-
-    def test_schedule_doubles_from_base(self):
-        policy = SupervisionPolicy(backoff=0.25)
-        assert [policy.backoff_seconds(n) for n in range(5)] \
-            == [0.25, 0.25, 0.5, 1.0, 2.0]
-
     def test_backend_promotion(self, gemm_module, tmp_path):
         contexts = {"k": _context(gemm_module)}
         assert isinstance(create_backend(contexts, SweepConfig()),
@@ -195,7 +183,7 @@ class TestSupervisionPolicy:
         # A task timeout forces a process pool even at one job: inline
         # evaluation cannot be killed.
         timed = create_backend(contexts, SweepConfig(
-            supervision=fast_policy(task_timeout=30.0)))
+            supervision=SupervisionPolicy(task_timeout=30.0)))
         assert isinstance(timed, ProcessPoolBackend)
         timed.close()
         # So does a fault plan whose mode would take the coordinator down.
@@ -217,7 +205,8 @@ class TestSettlement:
 
         context = _context(module)
         batch = _sample_batch(context, total)
-        return _Settlement("k", context, total, fast_policy(**policy)), batch
+        return (_Settlement("k", context, total, SupervisionPolicy(**policy)),
+                batch)
 
     @staticmethod
     def counters(session):
@@ -238,8 +227,7 @@ class TestSettlement:
             == str(error.value)
 
     @pytest.mark.parametrize("kind,counter", [
-        ("error", None), ("crash", "dse.faults.crashes"),
-        ("timeout", "dse.faults.timeouts")])
+        ("crash", "dse.faults.crashes"), ("timeout", "dse.faults.timeouts")])
     @pytest.mark.parametrize("max_retries", [0, 2])
     def test_charged_faults_retry_then_quarantine(self, gemm_module, kind,
                                                   counter, max_retries):
@@ -254,35 +242,50 @@ class TestSettlement:
             (record,) = settlement.finish()
         assert not record.ok and record.error == "boom"
         assert record.encoded == encoded
-        expected = {"dse.faults.quarantined": 1}
+        expected = {"dse.faults.quarantined": 1, counter: max_retries + 1}
         if max_retries:
             expected["dse.faults.retries"] = max_retries
-        if counter:
-            expected[counter] = max_retries + 1
         assert self.counters(session) == expected
+
+    @pytest.mark.parametrize("max_retries", [0, 2])
+    def test_an_error_quarantines_on_its_first_attempt(self, gemm_module,
+                                                       max_retries):
+        # Evaluation is a pure function of the point: it would raise again.
+        with obs.session() as session:
+            settlement, (encoded,) = self.settlement(
+                gemm_module, max_retries=max_retries)
+            assert settlement.settle(0, encoded, "error", "boom", None) is False
+            (record,) = settlement.finish()
+        assert not record.ok and record.error == "boom"
+        assert record.encoded == encoded
+        assert self.counters(session) == {"dse.faults.quarantined": 1}
 
     def test_a_retried_point_settles_with_its_healthy_record(self, gemm_module):
         settlement, (encoded,) = self.settlement(gemm_module)
         record = evaluate_encoded(_context(gemm_module), encoded)
-        assert settlement.settle(0, encoded, "error", "flaky", None) is True
+        assert settlement.settle(0, encoded, "crash", "died", None) is True
         assert settlement.settle(0, encoded, "ok", record, None) is False
         assert settlement.finish() == [record]
 
     def test_on_fault_fail_aborts_instead_of_quarantining(self, gemm_module):
         settlement, (encoded,) = self.settlement(
             gemm_module, max_retries=1, on_fault="fail")
-        assert settlement.settle(0, encoded, "error", "boom", None) is True
-        with pytest.raises(EvaluationFailure, match="failed after 1 retries: "
-                                                    "boom"):
+        with pytest.raises(EvaluationFailure) as error:
             settlement.settle(0, encoded, "error", "boom", None)
+        assert str(error.value) == f"kernel 'k' point {encoded} failed: boom"
+        assert settlement.settle(0, encoded, "crash", "died", None) is True
+        with pytest.raises(EvaluationFailure) as error:
+            settlement.settle(0, encoded, "timeout", "slow", None)
+        assert str(error.value) \
+            == f"kernel 'k' point {encoded} failed after 1 retries: slow"
 
     def test_attempts_are_counted_per_point(self, gemm_module):
         settlement, batch = self.settlement(gemm_module, total=2,
                                             max_retries=1)
-        assert settlement.settle(0, batch[0], "error", "boom", None) is True
-        assert settlement.settle(1, batch[1], "error", "boom", None) is True
-        assert settlement.settle(1, batch[1], "error", "boom", None) is False
-        assert settlement.settle(0, batch[0], "error", "boom", None) is False
+        assert settlement.settle(0, batch[0], "crash", "died", None) is True
+        assert settlement.settle(1, batch[1], "crash", "died", None) is True
+        assert settlement.settle(1, batch[1], "crash", "died", None) is False
+        assert settlement.settle(0, batch[0], "crash", "died", None) is False
 
     def test_telemetry_is_absorbed_in_submission_order(self, gemm_module):
         context = _context(gemm_module)
@@ -294,7 +297,7 @@ class TestSettlement:
                                         span_args={"point": index})
                 for index, encoded in enumerate(batch)}
             # Completion order 2, 0, 1 — and 1 only after a charged fault.
-            assert settlement.settle(1, batch[1], "error", "boom", None)
+            assert settlement.settle(1, batch[1], "crash", "died", None)
             for index in (2, 0, 1):
                 record, telemetry = outcomes[index]
                 assert not settlement.settle(index, batch[index], "ok",
@@ -345,10 +348,10 @@ class TestSupervisor:
     #: script -> how the point settles (max_retries=2).
     TABLE = [
         (["ok"], "ok"),
-        (["error", "ok"], "ok"),
+        (["error"], "quarantined"),
         (["timeout", "ok"], "ok"),
         (["crash", "crash", "ok"], "ok"),
-        (["error", "crash", "timeout"], "quarantined"),
+        (["crash", "timeout", "timeout"], "quarantined"),
     ]
 
     @staticmethod
@@ -356,7 +359,7 @@ class TestSupervisor:
         from repro.dse.runtime.worker import Supervisor
 
         supervisor = Supervisor({"k": _context(module)},
-                                SweepConfig(supervision=fast_policy()))
+                                SweepConfig())
         if slots:
             for _ in range(slots):
                 supervisor._start_slot(link)
@@ -389,8 +392,8 @@ class TestSupervisor:
         assert all(not script for script in link.scripts.values())
         assert {name: value for name, value in session.metrics.counters.items()
                 if name.startswith("dse.faults.")} == {
-            "dse.faults.retries": 6, "dse.faults.crashes": 3,
-            "dse.faults.timeouts": 2, "dse.faults.quarantined": 1}
+            "dse.faults.retries": 5, "dse.faults.crashes": 3,
+            "dse.faults.timeouts": 3, "dse.faults.quarantined": 2}
         # Shutdown woke the slot with its sentinel and said goodbye.
         assert not any(thread.is_alive() for thread in supervisor._threads)
         assert link.closed == bool(slots)
@@ -504,37 +507,12 @@ class TestQuarantinedRecords:
 # -- end-to-end fault recovery --------------------------------------------------------------
 
 
-class TestFlakyRecovery:
-    """Retryable faults must not change the final frontier at any --jobs."""
-
-    def _faulty(self, module, jobs, tmp_path, tag):
-        plan = FaultPlan(mode="flaky", select=2, times=1,
-                         state_dir=str(tmp_path / f"ledger-{tag}"))
-        result = small_sweep(module, jobs=jobs, supervision=fast_policy(),
-                             faults=plan)
-        # The ledger proves faults actually fired (attempt files written).
-        assert os.listdir(plan.state_dir)
-        return result
-
-    def test_flaky_frontier_matches_clean(self, gemm_module, tmp_path):
-        clean = small_sweep(gemm_module)
-        serial = self._faulty(gemm_module, 1, tmp_path, "j1")
-        pooled = self._faulty(gemm_module, 2, tmp_path, "j2")
-        assert frontier_signature(serial) == frontier_signature(clean)
-        assert frontier_signature(pooled) == frontier_signature(clean)
-        assert set(serial.records) == set(clean.records)
-        assert set(pooled.records) == set(clean.records)
-        assert serial.num_quarantined == 0
-        assert pooled.num_quarantined == 0
-
-
 class TestCrashRecovery:
     def test_backend_respawns_and_retries(self, gemm_module, tmp_path):
         plan = FaultPlan(mode="crash", select=1, times=1,
                          state_dir=str(tmp_path / "ledger"))
         context = _context(gemm_module)
-        backend = create_backend({"k": context}, SweepConfig(
-            supervision=fast_policy(), faults=plan))
+        backend = create_backend({"k": context}, SweepConfig(faults=plan))
         assert isinstance(backend, ProcessPoolBackend)
         batch = _sample_batch(context, 2)
         with obs.session() as session:
@@ -556,8 +534,7 @@ class TestCrashRecovery:
         clean = small_sweep(gemm_module, **config)
         plan = FaultPlan(mode="crash", select=3, times=1,
                          state_dir=str(tmp_path / "ledger"))
-        faulty = small_sweep(gemm_module, jobs=2, supervision=fast_policy(),
-                             faults=plan, **config)
+        faulty = small_sweep(gemm_module, jobs=2, faults=plan, **config)
         assert frontier_signature(faulty) == frontier_signature(clean)
         assert set(faulty.records) == set(clean.records)
 
@@ -578,7 +555,7 @@ class TestCrashRecovery:
         # max_retries=0: a single charged crash would quarantine the point.
         context = _context(gemm_module)
         backend = ProcessPoolBackend({"k": context}, SweepConfig(
-            supervision=fast_policy(max_retries=0)))
+            supervision=SupervisionPolicy(max_retries=0)))
         first, second = _sample_batch(context, 2)
         with obs.session() as session:
             try:
@@ -606,8 +583,7 @@ class TestCrashRecovery:
                     "b": _context(gemm_module)}
         batches = {"a": _sample_batch(contexts["a"], 3, seed=5),
                    "b": _sample_batch(contexts["b"], 6, seed=6)}
-        backend = ProcessPoolBackend(contexts, SweepConfig(
-            jobs=2, supervision=fast_policy()))
+        backend = ProcessPoolBackend(contexts, SweepConfig(jobs=2))
         records = {}
         with obs.session() as session:
             try:
@@ -693,7 +669,7 @@ class TestCrashRecovery:
         # Whether a crash is charged is a function of the point: the worker
         # that died held exactly one task, however many were in flight.
         config = dict(num_samples=4, max_iterations=4, batch_size=2, seed=11)
-        policy = fast_policy(max_retries=2, task_timeout=task_timeout)
+        policy = SupervisionPolicy(max_retries=2, task_timeout=task_timeout)
         runs = {}
         for jobs in (1, 2):
             plan = FaultPlan(mode="crash", select=3, times=times,
@@ -736,7 +712,8 @@ class TestHangTimeout:
                          state_dir=str(tmp_path / "ledger"))
         context = _context(gemm_module)
         backend = create_backend({"k": context}, SweepConfig(
-            jobs=2, supervision=fast_policy(task_timeout=1.0), faults=plan))
+            jobs=2, supervision=SupervisionPolicy(task_timeout=1.0),
+            faults=plan))
         assert isinstance(backend, ProcessPoolBackend)
         batch = _sample_batch(context, 2)
         started = time.monotonic()
@@ -764,7 +741,8 @@ class TestHangTimeout:
                          state_dir=str(tmp_path / "ledger"))
         context = _context(gemm_module)
         backend = create_backend({"k": context}, SweepConfig(
-            jobs=2, supervision=fast_policy(task_timeout=0.75, max_retries=1),
+            jobs=2,
+            supervision=SupervisionPolicy(task_timeout=0.75, max_retries=1),
             faults=plan))
         batch = _sample_batch(context, 2)
         try:
@@ -778,7 +756,8 @@ class TestHangTimeout:
 class TestPoisonQuarantine:
     def _poison_run(self, module, jobs, plan, **overrides):
         return small_sweep(module, jobs=jobs, faults=plan,
-                           supervision=fast_policy(max_retries=1), **overrides)
+                           supervision=SupervisionPolicy(max_retries=1),
+                           **overrides)
 
     def test_quarantine_deterministic_across_jobs(self, gemm_module, tmp_path):
         plan = FaultPlan(mode="poison", select=2,
@@ -796,6 +775,32 @@ class TestPoisonQuarantine:
         assert frontier_keys.isdisjoint(
             rec.encoded for rec in serial.quarantined_records())
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_victim_is_evaluated_once(self, gemm_module, tmp_path,
+                                        monkeypatch, jobs):
+        # An exception is the point's verdict: the retry budget is for lost
+        # workers, and no attempt of a poisoned point is ever repeated.
+        attempts = collections.Counter()
+
+        def counted(run):
+            def counting(link, key, encoded, traced):
+                attempts[encoded] += 1
+                return run(link, key, encoded, traced)
+            return counting
+
+        for link in (SerialBackend, worker._ProcessLink):
+            monkeypatch.setattr(link, "run", counted(link.run))
+        plan = FaultPlan(mode="poison", select=2,
+                         state_dir=str(tmp_path / "ledger"))
+        with obs.session() as session:
+            result = small_sweep(gemm_module, jobs=jobs, faults=plan,
+                                 supervision=SupervisionPolicy(max_retries=2))
+        victims = [record.encoded for record in result.quarantined_records()]
+        assert victims and all(plan.matches("kernel", encoded)
+                               for encoded in victims)
+        assert [attempts[encoded] for encoded in victims] == [1] * len(victims)
+        assert session.metrics.counters.get("dse.faults.retries", 0) == 0
+
     def test_quarantine_survives_resume(self, gemm_module, tmp_path):
         plan = FaultPlan(mode="poison", select=2,
                          state_dir=str(tmp_path / "ledger"))
@@ -810,7 +815,7 @@ class TestPoisonQuarantine:
                                    checkpoint_every=1, max_evaluations=6)
         assert partial.iterations_done < full.iterations_done
         resumed = small_sweep(gemm_module, jobs=1, faults=plan,
-                              supervision=fast_policy(max_retries=1),
+                              supervision=SupervisionPolicy(max_retries=1),
                               checkpoint_dir=checkpoint)
         assert frontier_signature(resumed) == frontier_signature(full)
         assert [rec.encoded for rec in resumed.quarantined_records()] \
@@ -821,7 +826,8 @@ class TestPoisonQuarantine:
                          state_dir=str(tmp_path / "ledger"))
         with pytest.raises(EvaluationFailure, match=r"kernel .* point .*"):
             small_sweep(gemm_module, faults=plan,
-                        supervision=fast_policy(max_retries=0, on_fault="fail"))
+                        supervision=SupervisionPolicy(max_retries=0,
+                                                      on_fault="fail"))
 
 
 # -- crash-consistent persistence -----------------------------------------------------------
@@ -1051,9 +1057,9 @@ class TestDriverFlags:
     def test_dnn_accepts_supervision_flags(self):
         args = build_parser().parse_args(
             ["dnn", "mobilenet", "--dse", "--on-fault", "quarantine",
-             "--inject-faults", "flaky"])
+             "--inject-faults", "poison"])
         assert args.on_fault == "quarantine"
-        assert args.inject_faults == "flaky"
+        assert args.inject_faults == "poison"
 
     def test_on_fault_choices_enforced(self):
         with pytest.raises(SystemExit):
@@ -1072,8 +1078,7 @@ class TestDriverFlags:
         clean = capsys.readouterr().out
         assert main(base + [
             "--inject-faults",
-            f"flaky:select=2,times=1,state_dir={tmp_path / 'ledger'}",
-            "--max-retries", "3"]) == 0
+            f"crash:select=3,times=1,state_dir={tmp_path / 'ledger'}"]) == 0
         chaos = capsys.readouterr().out
         # Identical frontier and finalization; only wall-clock-dependent
         # lines and the fault accounting itself may differ.

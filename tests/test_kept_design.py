@@ -174,8 +174,7 @@ class TestAPoolHandsOverWhatItsWorkersBuilt:
                          state_dir=str(tmp_path / "ledger"))
         with obs.session() as session:
             sweep = Sweep(2022, jobs=2, faults=plan,
-                          supervision=SupervisionPolicy(max_retries=2,
-                                                        backoff=0.001))
+                          supervision=SupervisionPolicy(max_retries=2))
         counters = session.metrics.counters
         assert counters["dse.pool.respawns"] == counters["dse.faults.crashes"] > 0
         assert sweep.records == serial[2022].records

@@ -34,7 +34,7 @@ from repro.dse.incremental import (
     build_prefix,
     post_prefix_band,
 )
-from repro.dse.runtime import FaultPlan, worker
+from repro.dse.runtime import FaultPlan, SupervisionPolicy, worker
 from repro.dse.runtime.parallel import _ClassResults, _ProgramIdentities
 from repro.dse.runtime.worker import evaluate_encoded
 from repro.dse.space import KernelDesignPoint, ir_digest
@@ -55,7 +55,6 @@ from repro.transforms.composite import (
 import cleanups
 import test_kernel_identity as dnn
 from test_kernel_identity import (
-    fast_policy,
     masked_document,
     single_function_module,
     staged_nodes,
@@ -644,17 +643,15 @@ class TestGemmSweep:
             == len({record.point.prefix_key()
                     for record in result.records.values()}) == 2
 
-    @pytest.mark.parametrize("mode,jobs", [("flaky", 1), ("flaky", 2),
-                                           ("crash", 1)])
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_recoverable_faults_on_would_be_aliases(self, gemm8, golden,
-                                                    tmp_path, mode, jobs):
+                                                    tmp_path, jobs):
         import os
 
-        plan = FaultPlan(mode=mode, select=2, times=1,
+        plan = FaultPlan(mode="crash", select=2, times=1,
                          state_dir=str(tmp_path / "ledger"))
         result, (_, aliases) = resolved(
-            lambda: explore(gemm8, tmp_path, jobs=jobs, faults=plan,
-                            supervision=fast_policy()))
+            lambda: explore(gemm8, tmp_path, jobs=jobs, faults=plan))
         assert document(result) == golden["clean"]
         assert_files_match(tmp_path, golden)
         for encoded in PROGRAM_ALIASES[:1]:
@@ -672,7 +669,7 @@ class TestGemmSweep:
             plan = FaultPlan(mode="poison", select=5,
                              state_dir=str(tmp_path / f"ledger{jobs}"))
             return plan, explore(gemm8, jobs=jobs, faults=plan,
-                                 supervision=fast_policy(max_retries=1))
+                                 supervision=SupervisionPolicy(max_retries=1))
 
         plan, result = poisoned(1)
         assert document(poisoned(2)[1]) == document(result)
@@ -741,9 +738,8 @@ class TestVgg16SliceSweep:
         resumed = dnn.sweep(jobs=2, checkpoint_dir=ckpt)
         assert masked_document(resumed) == expected
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_flaky_would_be_aliases(self, expected, tmp_path, jobs,
-                                    monkeypatch):
+    def test_crashing_would_be_aliases(self, expected, tmp_path,
+                                       monkeypatch):
         import os
 
         dispatched = record_dispatches(monkeypatch)
@@ -753,11 +749,11 @@ class TestVgg16SliceSweep:
                     if node.shared_with is None for encoded in node.records
                     if (key, encoded) not in set(dispatched)]
         monkeypatch.undo()
-        plan = FaultPlan(mode="flaky", select=2, times=1,
+        plan = FaultPlan(mode="crash", select=2, times=1,
                          state_dir=str(tmp_path / "ledger"))
         victims = [item for item in resolved if plan.matches(*item)]
         assert victims
-        faulty = dnn.sweep(jobs=jobs, faults=plan, supervision=fast_policy())
+        faulty = dnn.sweep(jobs=2, faults=plan)
         assert masked_document(faulty) == expected
         for key, encoded in victims:
             assert os.path.getsize(plan._ledger_path(key, encoded)) == 2

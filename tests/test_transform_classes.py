@@ -35,6 +35,7 @@ from repro.dse.runtime import (
     EstimateCache,
     FaultPlan,
     KernelTask,
+    SupervisionPolicy,
     SweepConfig,
 )
 from repro.dse.runtime import scheduler, worker
@@ -50,7 +51,6 @@ from repro.transforms import pipeline_loop
 
 import cleanups
 from test_kernel_identity import (
-    fast_policy,
     single_function_module,
     staged_nodes,
 )
@@ -718,15 +718,13 @@ class TestSweepMatchesTheParentCommit:
         assert document(again) == golden["clean"]
         assert_files_match(tmp_path, golden)
 
-    @pytest.mark.parametrize("mode,jobs", [("flaky", 1), ("flaky", 2),
-                                           ("crash", 1)])
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_recoverable_faults_on_would_be_siblings(self, gemm8, golden,
-                                                     tmp_path, mode, jobs):
-        plan = FaultPlan(mode=mode, select=2, times=1,
+                                                     tmp_path, jobs):
+        plan = FaultPlan(mode="crash", select=2, times=1,
                          state_dir=str(tmp_path / "ledger"))
         result, counts = resolved(
-            lambda: explore(gemm8, tmp_path, jobs=jobs, faults=plan,
-                            supervision=fast_policy()))
+            lambda: explore(gemm8, tmp_path, jobs=jobs, faults=plan))
         assert document(result) == golden["clean"]
         assert_files_match(tmp_path, golden)
         # Victims are dispatched themselves, so the plan fired on the very
@@ -742,7 +740,7 @@ class TestSweepMatchesTheParentCommit:
         plan = FaultPlan(mode="poison", select=3,
                          state_dir=str(tmp_path / "ledger"))
         result = explore(gemm8, jobs=jobs, faults=plan,
-                         supervision=fast_policy(max_retries=1))
+                         supervision=SupervisionPolicy(max_retries=1))
         assert document(result) == golden["poison"]
         quarantined = result.quarantined_records()
         assert quarantined and all(
@@ -792,7 +790,7 @@ class TestSweepMatchesTheParentCommit:
                           func_name=None, space=space)
         result = scheduler.explore_kernels([task], XC7Z020, SweepConfig(
             num_samples=4, max_iterations=0, seed=1,
-            supervision=fast_policy(max_retries=0)))["kernel"]
+            supervision=SupervisionPolicy(max_retries=0)))["kernel"]
         assert [record.ok for record in result.records.values()] \
             == [False, True, True, True]
         assert dispatched == batch
