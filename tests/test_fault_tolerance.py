@@ -260,6 +260,21 @@ class TestSettlement:
         assert record.encoded == encoded
         assert self.counters(session) == {"dse.faults.quarantined": 1}
 
+    def test_an_error_after_a_crash_leaves_the_budget_unspent(self,
+                                                               gemm_module):
+        # The retry that followed the lost worker raised: that is the
+        # verdict, however many retries the policy still has.
+        with obs.session() as session:
+            settlement, (encoded,) = self.settlement(gemm_module,
+                                                     max_retries=2)
+            assert settlement.settle(0, encoded, "crash", "died", None) is True
+            assert settlement.settle(0, encoded, "error", "boom", None) is False
+            (record,) = settlement.finish()
+        assert not record.ok and record.error == "boom"
+        assert self.counters(session) == {
+            "dse.faults.crashes": 1, "dse.faults.retries": 1,
+            "dse.faults.quarantined": 1}
+
     def test_a_retried_point_settles_with_its_healthy_record(self, gemm_module):
         settlement, (encoded,) = self.settlement(gemm_module)
         record = evaluate_encoded(_context(gemm_module), encoded)
@@ -829,6 +844,22 @@ class TestPoisonQuarantine:
                         supervision=SupervisionPolicy(max_retries=0,
                                                       on_fault="fail"))
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_on_fault_fail_aborts_on_the_first_error(self, gemm_module,
+                                                     tmp_path, jobs):
+        # A retry budget does not delay the abort: the message names the
+        # error alone, with no retries spent on it.
+        plan = FaultPlan(mode="poison", select=1,
+                         state_dir=str(tmp_path / "ledger"))
+        with obs.session() as session, \
+                pytest.raises(EvaluationFailure) as error:
+            small_sweep(gemm_module, jobs=jobs, faults=plan,
+                        supervision=SupervisionPolicy(max_retries=2,
+                                                      on_fault="fail"))
+        assert re.fullmatch(r"kernel .* point \(.*\) failed: .*poison.*",
+                            str(error.value))
+        assert "dse.faults.retries" not in session.metrics.counters
+
 
 # -- crash-consistent persistence -----------------------------------------------------------
 
@@ -1096,6 +1127,16 @@ class TestDriverFlags:
         output = capsys.readouterr().out
         assert "quarantined" in output
         assert "excluded from the frontier" in output
+
+    def test_on_fault_fail_reports_the_error_unretried(self, tmp_path):
+        # --max-retries budgets lost workers only: a raising point aborts
+        # on its first attempt, and the message counts no retries.
+        with pytest.raises(EvaluationFailure, match=r" failed: "):
+            main(["dse", "--kernel", "gemm", "--size", "8",
+                  "--samples", "4", "--iterations", "2", "--seed", "3",
+                  "--max-retries", "3", "--on-fault", "fail",
+                  "--inject-faults",
+                  f"poison:select=2,state_dir={tmp_path / 'ledger'}"])
 
 
 class TestKillAndResume:

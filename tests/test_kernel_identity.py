@@ -340,11 +340,12 @@ class TestSharedSweep:
         assert again.evaluated_this_run == 0
         assert again.frontier_json() == serial_sweep.frontier_json()
 
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_crashing_evaluations_leave_the_frontier_alone(
-            self, serial_sweep, tmp_path):
+            self, serial_sweep, tmp_path, jobs):
         plan = FaultPlan(mode="crash", select=3, times=1,
                          state_dir=str(tmp_path / "ledger"))
-        faulty = sweep(jobs=2, faults=plan)
+        faulty = sweep(jobs=jobs, faults=plan)
         assert os.listdir(plan.state_dir)  # faults fired
         assert faulty.frontier_json() == serial_sweep.frontier_json()
 

@@ -738,7 +738,8 @@ class TestVgg16SliceSweep:
         resumed = dnn.sweep(jobs=2, checkpoint_dir=ckpt)
         assert masked_document(resumed) == expected
 
-    def test_crashing_would_be_aliases(self, expected, tmp_path,
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_crashing_would_be_aliases(self, expected, tmp_path, jobs,
                                        monkeypatch):
         import os
 
@@ -753,7 +754,7 @@ class TestVgg16SliceSweep:
                          state_dir=str(tmp_path / "ledger"))
         victims = [item for item in resolved if plan.matches(*item)]
         assert victims
-        faulty = dnn.sweep(jobs=2, faults=plan)
+        faulty = dnn.sweep(jobs=jobs, faults=plan)
         assert masked_document(faulty) == expected
         for key, encoded in victims:
             assert os.path.getsize(plan._ledger_path(key, encoded)) == 2
