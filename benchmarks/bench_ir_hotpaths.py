@@ -370,10 +370,6 @@ WORK_COUNT_LIMITS = {
     # What -simplify-affine-if decides on trmm after the cleanup tail, which
     # no longer runs it: unrolling judges every guard it copies.
     "trmm.simplify_affine_if_rewrites": 0,
-    # What the five passes the nine-pass tail ran after its first round
-    # (-simplify-affine-if, a second store-forwarding round, a closing
-    # canonicalize) rewrite after the four-pass tail, on both evaluations.
-    "tail_fixpoint_rewrites": 0,
     # One fresh vgg16 staging, lowering and split (measure_model_counts):
     # 1 138 maps and 298 layouts while every constant bound and default
     # layout was built anew, 842 clones while the 50 nodes were copied out,
@@ -474,7 +470,7 @@ def _counted_evaluation(context, encoded) -> dict:
     ``Operation.clone``, the suffix pass, the rewrite driver and
     ``access_expressions`` and removes again.  A wrapper around
     ``array-partition``, the pass after the cleanup tail, keeps a copy of
-    the function the tail left, for :func:`_dropped_pass_rewrites` once the
+    the function the tail left, for ``-simplify-affine-if`` once the
     evaluation is over."""
     from repro.dialects import affine_ops
     from repro.dse.runtime.worker import evaluate_encoded
@@ -566,31 +562,13 @@ def _counted_evaluation(context, encoded) -> dict:
         record = evaluate_encoded(context, encoded)
     assert record.ok
     (left,) = after_tail
-    counts["simplify_affine_if_rewrites"] = simplify_affine_ifs(left.clone())
-    counts["tail_fixpoint_rewrites"] = _dropped_pass_rewrites(left)
+    counts["simplify_affine_if_rewrites"] = simplify_affine_ifs(left)
 
     counts["access_derivations"] = sum(derivations.values())
     counts["accesses"] = len(derivations)
     counts["suffix_clones_per_op"] = \
         counts["suffix_clones"] / max(1, counts["suffix_ops"])
     return counts
-
-
-def _dropped_pass_rewrites(func_op) -> int:
-    """How many of the passes the nine-pass cleanup tail ran after today's
-    four (``repro.testing.PARENT_TAIL`` less ``CLEANUP_PIPELINE``), run on
-    ``func_op`` in its order, change the printed IR."""
-    from repro.dse.apply import CLEANUP_PIPELINE
-    from repro.ir.pass_registry import build_pipeline_cached
-    from repro.ir.printer import print_op
-    from repro.testing import PARENT_TAIL, passes_dropped
-
-    changed = 0
-    for name in passes_dropped(PARENT_TAIL, CLEANUP_PIPELINE):
-        before = print_op(func_op, stable_ids=True)
-        build_pipeline_cached(name).run(func_op)
-        changed += print_op(func_op, stable_ids=True) != before
-    return changed
 
 
 def _dead_ops(root) -> int:
@@ -630,9 +608,8 @@ def measure_work_counts(size: int = 4, trmm_size: int = 8) -> dict:
     (perfectized, variable bounds removed) and tiles ``size`` x ``size`` x 1:
     the clones of the suffix against the ops it leaves, and the ``affine.if``s
     ``-simplify-affine-if`` decides in what the cleanup tail leaves, which
-    must be none.  On both evaluations, the passes the tail dropped
-    (:func:`_dropped_pass_rewrites`) must rewrite nothing
-    (``tail_fixpoint_rewrites``).
+    must be none.  That the tail leaves nothing for the other passes it
+    dropped is ``tests/test_cleanup_tail.py``'s.
     """
     context, encode = _kernel_evaluation("gemm", size)
     counts = _counted_evaluation(context, encode(None))
@@ -664,11 +641,7 @@ def measure_work_counts(size: int = 4, trmm_size: int = 8) -> dict:
           f"{trmm['suffix_clones']} clones for {trmm['suffix_ops']} ops after "
           f"the suffix, simplify-affine-if rewrote "
           f"{trmm['simplify_affine_if_rewrites']} affine.if(s) after the "
-          f"tail; passes the tail dropped that changed the IR: "
-          f"{counts['tail_fixpoint_rewrites']} (gemm) and "
-          f"{trmm['tail_fixpoint_rewrites']} (trmm)")
-    ratios["tail_fixpoint_rewrites"] = counts["tail_fixpoint_rewrites"] \
-        + trmm["tail_fixpoint_rewrites"]
+          f"tail")
     return {"size": size, **counts, **ratios,
             **{f"trmm.{name}": trmm[name]
                for name in ("suffix_clones", "suffix_ops", "suffix_clones_per_op",

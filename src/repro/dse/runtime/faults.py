@@ -25,12 +25,13 @@ byte-compare tests assert.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import tempfile
 import time
 import zlib
-from typing import Optional
+from typing import Iterator, Optional
 
 #: Exit code of an injected worker crash (recognizable in CI logs).
 CRASH_EXIT_CODE = 86
@@ -113,9 +114,10 @@ class FaultPlan:
     fired it, never to a neighbour.
 
     ``state_dir`` is the cross-process attempt ledger of the crash and hang
-    modes; :meth:`parse` creates a temporary one automatically.  The same
-    point is never attempted concurrently (retries are serialized by the
-    owning coordinator), so the ledger needs no locking.
+    modes; a sweep handed such a plan without one runs it under a temporary
+    ledger of its own (:meth:`ledger`).  The same point is never attempted
+    concurrently (retries are serialized by the owning coordinator), so the
+    ledger needs no locking.
     """
 
     mode: str
@@ -162,9 +164,18 @@ class FaultPlan:
                     values[name] = float(raw)
                 else:
                     values[name] = int(raw)
-        if not values.get("state_dir"):
-            values["state_dir"] = tempfile.mkdtemp(prefix="repro-faults-")
         return cls(mode=mode, **values)
+
+    @contextlib.contextmanager
+    def ledger(self) -> Iterator["FaultPlan"]:
+        """This plan for one run: as it is when it names its ledger or keeps
+        none (``poison``), else with a temporary ledger that the run's end
+        removes."""
+        if self.state_dir or not self.requires_process_isolation:
+            yield self
+            return
+        with tempfile.TemporaryDirectory(prefix="repro-faults-") as state_dir:
+            yield dataclasses.replace(self, state_dir=state_dir)
 
     # -- selection and firing --------------------------------------------------------------
 

@@ -37,6 +37,7 @@ the evaluations of its neighbors.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -192,14 +193,19 @@ def explore_kernels(tasks: Sequence[KernelTask], platform: Platform,
     }
 
     stop_event = threading.Event()
-    backend = create_backend(contexts, config, stop_event)
-    explore_class = functools.partial(
-        _explore_class, representative_of=representative_of, backend=backend,
-        platform=platform, config=config, checkpoint_dir=checkpoint_dir,
-        attribute=len(tasks) > 1)
-    schedule_span = obs.NULL_SPAN if obs.active() is None else obs.span(
-        "dse.schedule", kernels=len(tasks), jobs=config.jobs)
+    run = contextlib.ExitStack()  # closes the backend, then the fault ledger
     try:
+        if config.faults is not None:
+            config = dataclasses.replace(
+                config, faults=run.enter_context(config.faults.ledger()))
+        backend = run.enter_context(contextlib.closing(
+            create_backend(contexts, config, stop_event)))
+        explore_class = functools.partial(
+            _explore_class, representative_of=representative_of,
+            backend=backend, platform=platform, config=config,
+            checkpoint_dir=checkpoint_dir, attribute=len(tasks) > 1)
+        schedule_span = obs.NULL_SPAN if obs.active() is None else obs.span(
+            "dse.schedule", kernels=len(tasks), jobs=config.jobs)
         with schedule_span:
             if config.jobs <= 1 or len(tasks) == 1:
                 # Task order already puts every representative first.
@@ -233,7 +239,7 @@ def explore_kernels(tasks: Sequence[KernelTask], platform: Platform,
                         future.cancel()
                     raise
     finally:
-        backend.close()
+        run.close()
         if obs.active() is not None:
             obs.gauge("dse.jobs", config.jobs)
             obs.gauge("dse.wall_seconds", time.perf_counter() - started)

@@ -72,27 +72,3 @@ def reference_gemm(alpha, beta, C, A, B):
 def random_array(shape, seed=0):
     rng = np.random.default_rng(seed)
     return rng.uniform(-1.0, 1.0, size=shape).astype(np.float32)
-
-
-#: The cleanup tail built in before ``repro.dse.apply.CLEANUP_PIPELINE``
-#: was cut to four of its passes: two store-forwarding rounds between
-#: ``simplify-affine-if`` and a closing ``canonicalize``.
-PARENT_TAIL = ("canonicalize,simplify-affine-if,affine-store-forward,"
-               "simplify-memref-access,cse,affine-store-forward,"
-               "simplify-memref-access,cse,canonicalize")
-
-
-def passes_dropped(longer: str, shorter: str) -> tuple[str, ...]:
-    """The passes of pipeline spec ``longer`` left over once those of
-    ``shorter`` are matched, in order, against the first of them that
-    fits, in ``longer``'s order."""
-    rest = shorter.split(",")
-    dropped = []
-    for name in longer.split(","):
-        if rest and name == rest[0]:
-            rest.pop(0)
-        else:
-            dropped.append(name)
-    if rest:
-        raise ValueError(f"{shorter!r} does not run in order inside {longer!r}")
-    return tuple(dropped)

@@ -52,6 +52,7 @@ from repro import obs
 from repro.dialects.affine_ops import loop_band_from
 from repro.dse.apply import apply_design_point, estimate_baseline
 from repro.dse.incremental import post_prefix_band
+from repro.dse.runtime.faults import EvaluationFailure
 from repro.dse.space import KernelDesignPoint
 from repro.emit import emit_hlscpp
 from repro.estimation import PLATFORMS, XC7Z020
@@ -932,6 +933,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return status
     except KeyboardInterrupt:
         return _interrupt_hint(args)
+    except EvaluationFailure as error:
+        # --on-fault fail: the kernel, the point and the error, in one line.
+        raise SystemExit(str(error)) from error
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import warnings
@@ -76,12 +77,27 @@ def _sample_batch(context, count=2, seed=5):
 
 
 class TestFaultPlan:
-    def test_parse_bare_mode(self, tmp_path):
+    def test_parse_bare_mode(self):
         plan = FaultPlan.parse("poison")
         assert plan.mode == "poison"
         assert plan.select == 4
         assert plan.times == 1
-        assert os.path.isdir(plan.state_dir)  # auto-created ledger dir
+        assert plan.state_dir == ""  # parsing makes no ledger
+
+    def test_a_run_ledger_lasts_as_long_as_the_run(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        poison = FaultPlan.parse("poison")
+        with poison.ledger() as plan:
+            assert plan is poison  # it never counts an attempt
+        named = FaultPlan.parse(f"crash:state_dir={tmp_path / 'named'}")
+        with named.ledger() as plan:
+            assert plan is named
+        with FaultPlan.parse("hang:select=1").ledger() as plan:
+            assert os.path.dirname(plan.state_dir) == str(tmp_path)
+            assert plan._record_attempt("k", (1,)) == 1
+            assert plan._record_attempt("k", (1,)) == 2
+        assert os.listdir(tmp_path) == []
 
     def test_parse_with_options(self, tmp_path):
         plan = FaultPlan.parse(
@@ -1102,15 +1118,19 @@ class TestDriverFlags:
             main(["dse", "--kernel", "gemm", "--size", "8", "--samples", "2",
                   "--iterations", "1", "--inject-faults", "segfault"])
 
-    def test_chaos_run_matches_fault_free(self, tmp_path, capsys):
+    def test_chaos_run_matches_fault_free(self, tmp_path, capsys,
+                                          monkeypatch):
         base = ["dse", "--kernel", "gemm", "--size", "8", "--samples", "4",
                 "--iterations", "4", "--seed", "3"]
         assert main(base) == 0
         clean = capsys.readouterr().out
-        assert main(base + [
-            "--inject-faults",
-            f"crash:select=3,times=1,state_dir={tmp_path / 'ledger'}"]) == 0
+        # Without state_dir= the run keeps its ledger in the temp directory
+        # and removes it when it ends.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(base + ["--inject-faults", "crash:select=3,times=1"]) == 0
+        assert os.listdir(tmp_path) == []
         chaos = capsys.readouterr().out
+        assert "faults:" in chaos
         # Identical frontier and finalization; only wall-clock-dependent
         # lines and the fault accounting itself may differ.
         volatile = ("evaluated", "evaluations/sec", "utilization",
@@ -1128,15 +1148,32 @@ class TestDriverFlags:
         assert "quarantined" in output
         assert "excluded from the frontier" in output
 
-    def test_on_fault_fail_reports_the_error_unretried(self, tmp_path):
+    ON_FAULT_FAIL = ["dse", "--kernel", "gemm", "--size", "8",
+                     "--samples", "4", "--iterations", "2", "--seed", "3",
+                     "--max-retries", "3", "--on-fault", "fail",
+                     "--inject-faults", "poison:select=2"]
+
+    def test_on_fault_fail_reports_the_error_unretried(self):
         # --max-retries budgets lost workers only: a raising point aborts
         # on its first attempt, and the message counts no retries.
-        with pytest.raises(EvaluationFailure, match=r" failed: "):
-            main(["dse", "--kernel", "gemm", "--size", "8",
-                  "--samples", "4", "--iterations", "2", "--seed", "3",
-                  "--max-retries", "3", "--on-fault", "fail",
-                  "--inject-faults",
-                  f"poison:select=2,state_dir={tmp_path / 'ledger'}"])
+        with pytest.raises(SystemExit, match=r"^kernel 'kernel' point \(.*\) "
+                           r"failed: InjectedFault: injected poison") as raised:
+            main(self.ON_FAULT_FAIL)
+        assert isinstance(raised.value.__cause__, EvaluationFailure)
+
+    def test_on_fault_fail_ends_in_one_line(self):
+        src_root = os.path.dirname(os.path.abspath(
+            next(iter(repro.__path__))))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.tools.driver", *self.ON_FAULT_FAIL,
+             "--jobs", "1"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert re.search(r"^kernel 'kernel' point \(.*\) failed: ",
+                         proc.stderr, re.MULTILINE), proc.stderr
 
 
 class TestKillAndResume:

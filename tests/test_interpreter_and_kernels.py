@@ -1,6 +1,9 @@
 """Tests for the reference interpreter, the PolyBench kernel generators and
 the end-to-end semantic equivalence of optimized kernels."""
 
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +19,28 @@ from repro.ir.interpreter import Interpreter, InterpreterError, interpret_kernel
 from repro.kernels import KERNEL_NAMES, kernel_source
 from repro.pipeline import compile_kernel
 
-from conftest import compile_source, random_array
+from conftest import compile_source
+
+#: The NumPy references of the Table III kernels the end-to-end benchmark
+#: checks its outputs against (``benchmarks/e2e/references.py``: inputs,
+#: ``SCALARS`` and the expected arrays), loaded by path: the benchmark's
+#: modules are not importable by name from the test session.
+_SPEC = importlib.util.spec_from_file_location(
+    "references",
+    pathlib.Path(__file__).parents[1] / "benchmarks" / "e2e" / "references.py")
+references = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(references)
+
+
+def assert_computes_the_reference(module, name, size, seed, context=""):
+    """Interpreting ``name`` in ``module`` on seeded inputs leaves every
+    array it writes as ``references.reference`` computes it."""
+    arrays = references.kernel_arrays(name, size, np.random.default_rng(seed))
+    expected = references.reference(name, arrays)
+    interpret_kernel(module, name, arrays, references.SCALARS)
+    for key, reference_value in expected.items():
+        np.testing.assert_allclose(arrays[key], reference_value, rtol=1e-4,
+                                   err_msg=f"{context}{name}: {key}")
 
 
 class TestInterpreterBasics:
@@ -122,68 +146,6 @@ class TestKernelGenerators:
             assert len(loops) == depth, name
 
 
-def numpy_reference(name, size, arrays, alpha=1.5, beta=0.5):
-    """NumPy references for the PolyBench kernels (used for equivalence tests)."""
-    if name == "gemm":
-        return {"C": beta * arrays["C"] + alpha * arrays["A"] @ arrays["B"]}
-    if name == "bicg":
-        return {"s": arrays["s"] + arrays["r"] @ arrays["A"],
-                "q": arrays["q"] + arrays["A"] @ arrays["p"]}
-    if name == "gesummv":
-        tmp = arrays["tmp"] + arrays["A"] @ arrays["x"]
-        y = arrays["y"] + arrays["B"] @ arrays["x"]
-        return {"y": alpha * tmp + beta * y, "tmp": tmp}
-    if name == "syrk":
-        C = arrays["C"].copy()
-        A = arrays["A"]
-        for i in range(size):
-            for j in range(i + 1):
-                C[i, j] = beta * C[i, j] + alpha * (A[i] * A[j]).sum()
-        return {"C": C}
-    if name == "syr2k":
-        C = arrays["C"].copy()
-        A, B = arrays["A"], arrays["B"]
-        for i in range(size):
-            for j in range(i + 1):
-                C[i, j] = beta * C[i, j] + alpha * (A[j] * B[i]).sum() \
-                    + alpha * (B[j] * A[i]).sum()
-        return {"C": C}
-    if name == "trmm":
-        B = arrays["B"].copy()
-        A = arrays["A"]
-        result = B.copy()
-        for i in range(size):
-            for j in range(size):
-                value = B[i, j] + (A[i + 1:, i] * B[i + 1:, j]).sum()
-                result[i, j] = alpha * value
-        return {"B": result}
-    raise ValueError(name)
-
-
-def kernel_arrays(name, size, seed=0):
-    if name == "gemm":
-        return {"C": random_array((size, size), seed), "A": random_array((size, size), seed + 1),
-                "B": random_array((size, size), seed + 2)}
-    if name == "bicg":
-        return {"A": random_array((size, size), seed), "s": random_array((size,), seed + 1),
-                "q": random_array((size,), seed + 2), "p": random_array((size,), seed + 3),
-                "r": random_array((size,), seed + 4)}
-    if name == "gesummv":
-        return {"A": random_array((size, size), seed), "B": random_array((size, size), seed + 1),
-                "tmp": random_array((size,), seed + 2), "x": random_array((size,), seed + 3),
-                "y": random_array((size,), seed + 4)}
-    if name == "syrk":
-        return {"C": random_array((size, size), seed),
-                "A": random_array((size, max(2, size // 2)), seed + 1)}
-    if name == "syr2k":
-        return {"C": random_array((size, size), seed),
-                "A": random_array((size, max(2, size // 2)), seed + 1),
-                "B": random_array((size, max(2, size // 2)), seed + 2)}
-    if name == "trmm":
-        return {"A": random_array((size, size), seed), "B": random_array((size, size), seed + 1)}
-    raise ValueError(name)
-
-
 class TestKernelSemantics:
     """The compiled kernels compute exactly what the NumPy references compute."""
 
@@ -191,13 +153,8 @@ class TestKernelSemantics:
 
     @pytest.mark.parametrize("name", KERNEL_NAMES)
     def test_front_end_matches_reference(self, name):
-        module = compile_kernel(name, self.SIZE)
-        arrays = kernel_arrays(name, self.SIZE, seed=3)
-        expected = numpy_reference(name, self.SIZE, {k: v.copy() for k, v in arrays.items()})
-        interpret_kernel(module, name, arrays, {"alpha": 1.5, "beta": 0.5})
-        for key, reference_value in expected.items():
-            np.testing.assert_allclose(arrays[key], reference_value, rtol=1e-4,
-                                       err_msg=f"{name}: array {key}")
+        assert_computes_the_reference(compile_kernel(name, self.SIZE), name,
+                                      self.SIZE, seed=3)
 
     @pytest.mark.parametrize("name", ["gemm", "syrk", "bicg"])
     def test_optimized_design_matches_reference(self, name):
@@ -208,18 +165,13 @@ class TestKernelSemantics:
             perm_map=tuple(range(band_size)),
             tile_sizes=tuple([2] + [1] * (band_size - 1)), target_ii=1)
         design = apply_design_point(module, point, XC7Z020)
-        arrays = kernel_arrays(name, self.SIZE, seed=5)
-        expected = numpy_reference(name, self.SIZE, {k: v.copy() for k, v in arrays.items()})
-        interpret_kernel(design.module, name, arrays, {"alpha": 1.5, "beta": 0.5})
-        for key, reference_value in expected.items():
-            np.testing.assert_allclose(arrays[key], reference_value, rtol=1e-4,
-                                       err_msg=f"{name}: array {key}")
+        assert_computes_the_reference(design.module, name, self.SIZE, seed=5)
 
     @settings(max_examples=6, deadline=None)
     @given(alpha=st.floats(-2, 2, allow_nan=False), beta=st.floats(-2, 2, allow_nan=False))
     def test_gemm_equivalence_for_random_scalars(self, alpha, beta):
         module = compile_kernel("gemm", 4)
-        arrays = kernel_arrays("gemm", 4, seed=9)
+        arrays = references.kernel_arrays("gemm", 4, np.random.default_rng(9))
         expected = beta * arrays["C"] + alpha * arrays["A"] @ arrays["B"]
         interpret_kernel(module, "gemm", arrays, {"alpha": alpha, "beta": beta})
         np.testing.assert_allclose(arrays["C"], expected, rtol=1e-3, atol=1e-5)

@@ -68,7 +68,7 @@ from repro.transforms.loop.loop_unroll import (
 )
 
 from cleanups import PARENT_TAIL, registered
-from test_interpreter_and_kernels import kernel_arrays, numpy_reference
+from test_interpreter_and_kernels import assert_computes_the_reference
 
 from conftest import (
     GEMM_SOURCE,
@@ -798,6 +798,7 @@ class TestNestedUnrollMatchesOneLoopAtATime:
     reference prune has taken out what the first cleanup round deleted, and
     once cleaned up what the one-level unrolling leaves."""
 
+    @pytest.mark.exhaustive
     @pytest.mark.parametrize("kernel", ["bicg", "gemm", "gesummv", "syr2k",
                                         "syrk", "trmm"])
     def test_table3_kernels_under_every_prefix_and_tiling(self, kernel):
@@ -933,17 +934,19 @@ class TestUnrollingDecidesAffineIfs:
     against the expansion of 89b6fc6, which judged no ``affine.if``, nothing
     in a record."""
 
-    #: Points per kernel: in tier-1, and with ``-m exhaustive`` for the IR
-    #: (240 over the six kernels) and for the records (342).
-    SAMPLE, FULL_IR_SAMPLE, FULL_RECORD_SAMPLE = 12, 40, 57
+    #: Points per kernel, for the IR (240 over the six kernels) and for the
+    #: records (342).
+    IR_SAMPLE, RECORD_SAMPLE = 40, 57
 
-    def _assert_ir_equals_the_oracles(self, kernel, count):
+    @pytest.mark.exhaustive
+    @pytest.mark.parametrize("kernel", sorted(KERNEL_NAMES))
+    def test_ir_equals_the_oracles_on_the_full_sample(self, kernel):
         # The tail runs no -simplify-affine-if: after its head, no
         # affine.if may be left that the pass decides.
         head, *rest = CLEANUP_PIPELINE.split(",")
         assert head == "canonicalize" and "simplify-affine-if" not in rest
         rest = build_pipeline_cached(",".join(rest))
-        module, _, points = _seeded_points(kernel, 8, count)
+        module, _, points = _seeded_points(kernel, 8, self.IR_SAMPLE)
         decided = moved = 0
         for point in points:
             with obs.session() as session:
@@ -968,24 +971,16 @@ class TestUnrollingDecidesAffineIfs:
                 assert point.loop_perfectization, point.describe()
                 assert collections.Counter(op.name for op in parent.walk()) \
                     == collections.Counter(op.name for op in judged.walk())
-        return decided, moved
-
-    @pytest.mark.parametrize("kernel", sorted(KERNEL_NAMES))
-    def test_ir_equals_the_unpruned_expansions_after_cleanup(self, kernel):
-        decided, moved = self._assert_ir_equals_the_oracles(kernel, self.SAMPLE)
         assert decided or kernel == "bicg"  # perfect and rectangular: no guard
         if kernel in ("gemm", "syr2k", "syrk"):
             assert moved  # a load that fed only the guarded store
 
     @pytest.mark.exhaustive
     @pytest.mark.parametrize("kernel", sorted(KERNEL_NAMES))
-    def test_ir_equals_the_oracles_on_the_full_sample(self, kernel):
-        self._assert_ir_equals_the_oracles(kernel, self.FULL_IR_SAMPLE)
-
-    def _assert_records_equal_the_parents(self, kernel, count):
+    def test_records_equal_the_parents_on_the_full_sample(self, kernel):
         # 89b6fc6's expansion leaves every guard it copied to the
         # -simplify-affine-if of the tail it ran, PARENT_TAIL.
-        module, space, points = _seeded_points(kernel, 8, count)
+        module, space, points = _seeded_points(kernel, 8, self.RECORD_SAMPLE)
         for point in points:
             siblings = [ii for ii in space.ii_options if ii != point.target_ii]
             judged = apply_design_point(module, point, sibling_iis=siblings)
@@ -999,30 +994,14 @@ class TestUnrollingDecidesAffineIfs:
                 == (parent.qor, parent.achieved_ii, parent.partition_factors,
                     parent.siblings), point.describe()
 
-    @pytest.mark.parametrize("kernel", sorted(KERNEL_NAMES))
-    def test_records_equal_the_parents(self, kernel):
-        self._assert_records_equal_the_parents(kernel, self.SAMPLE)
-
-    @pytest.mark.exhaustive
-    @pytest.mark.parametrize("kernel", sorted(KERNEL_NAMES))
-    def test_records_equal_the_parents_on_the_full_sample(self, kernel):
-        self._assert_records_equal_the_parents(kernel, self.FULL_RECORD_SAMPLE)
-
     @pytest.mark.parametrize("size", [4, 8])
     @pytest.mark.parametrize("kernel", sorted(KERNEL_NAMES))
     def test_guarded_points_compute_the_reference(self, kernel, size):
         module, _, points = _seeded_points(kernel, size, 8, guarded=True)
         for point in points:
-            design = apply_design_point(module, point)
-            arrays = kernel_arrays(kernel, size, seed=7)
-            expected = numpy_reference(
-                kernel, size, {name: array.copy() for name, array in arrays.items()})
-            interpret_kernel(design.module, kernel, arrays,
-                             {"alpha": 1.5, "beta": 0.5})
-            for name, reference in expected.items():
-                np.testing.assert_allclose(
-                    arrays[name], reference, rtol=1e-4,
-                    err_msg=f"{kernel} n={size}, {point.describe()}: {name}")
+            assert_computes_the_reference(
+                apply_design_point(module, point).module, kernel, size, seed=7,
+                context=f"n={size}, {point.describe()}: ")
 
     def test_copies_left_out_are_counted_at_the_source(self):
         """``unroll.skipped.feeders`` + ``unroll.pruned.dead`` are the dead
