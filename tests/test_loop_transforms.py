@@ -934,19 +934,17 @@ class TestUnrollingDecidesAffineIfs:
     against the expansion of 89b6fc6, which judged no ``affine.if``, nothing
     in a record."""
 
-    #: Points per kernel, for the IR (240 over the six kernels) and for the
-    #: records (342).
-    IR_SAMPLE, RECORD_SAMPLE = 40, 57
+    #: Points per kernel: in tier-1, and with ``-m exhaustive`` for the IR
+    #: (240 over the six kernels) and for the records (342).
+    SAMPLE, FULL_IR_SAMPLE, FULL_RECORD_SAMPLE = 12, 40, 57
 
-    @pytest.mark.exhaustive
-    @pytest.mark.parametrize("kernel", sorted(KERNEL_NAMES))
-    def test_ir_equals_the_oracles_on_the_full_sample(self, kernel):
+    def _assert_ir_equals_the_oracles(self, kernel, count):
         # The tail runs no -simplify-affine-if: after its head, no
         # affine.if may be left that the pass decides.
         head, *rest = CLEANUP_PIPELINE.split(",")
         assert head == "canonicalize" and "simplify-affine-if" not in rest
         rest = build_pipeline_cached(",".join(rest))
-        module, _, points = _seeded_points(kernel, 8, self.IR_SAMPLE)
+        module, _, points = _seeded_points(kernel, 8, count)
         decided = moved = 0
         for point in points:
             with obs.session() as session:
@@ -975,12 +973,19 @@ class TestUnrollingDecidesAffineIfs:
         if kernel in ("gemm", "syr2k", "syrk"):
             assert moved  # a load that fed only the guarded store
 
+    @pytest.mark.parametrize("kernel", sorted(KERNEL_NAMES))
+    def test_ir_equals_the_unpruned_expansions_after_cleanup(self, kernel):
+        self._assert_ir_equals_the_oracles(kernel, self.SAMPLE)
+
     @pytest.mark.exhaustive
     @pytest.mark.parametrize("kernel", sorted(KERNEL_NAMES))
-    def test_records_equal_the_parents_on_the_full_sample(self, kernel):
+    def test_ir_equals_the_oracles_on_the_full_sample(self, kernel):
+        self._assert_ir_equals_the_oracles(kernel, self.FULL_IR_SAMPLE)
+
+    def _assert_records_equal_the_parents(self, kernel, count):
         # 89b6fc6's expansion leaves every guard it copied to the
         # -simplify-affine-if of the tail it ran, PARENT_TAIL.
-        module, space, points = _seeded_points(kernel, 8, self.RECORD_SAMPLE)
+        module, space, points = _seeded_points(kernel, 8, count)
         for point in points:
             siblings = [ii for ii in space.ii_options if ii != point.target_ii]
             judged = apply_design_point(module, point, sibling_iis=siblings)
@@ -993,6 +998,15 @@ class TestUnrollingDecidesAffineIfs:
                     judged.siblings) \
                 == (parent.qor, parent.achieved_ii, parent.partition_factors,
                     parent.siblings), point.describe()
+
+    @pytest.mark.parametrize("kernel", sorted(KERNEL_NAMES))
+    def test_records_equal_the_parents(self, kernel):
+        self._assert_records_equal_the_parents(kernel, self.SAMPLE)
+
+    @pytest.mark.exhaustive
+    @pytest.mark.parametrize("kernel", sorted(KERNEL_NAMES))
+    def test_records_equal_the_parents_on_the_full_sample(self, kernel):
+        self._assert_records_equal_the_parents(kernel, self.FULL_RECORD_SAMPLE)
 
     @pytest.mark.parametrize("size", [4, 8])
     @pytest.mark.parametrize("kernel", sorted(KERNEL_NAMES))
