@@ -10,11 +10,14 @@ has not (``DROPPED``).  Nothing outside ``tests/`` runs any of them.
 
 import contextlib
 
+import pytest
+
 from repro.dse.apply import (
     CLEANUP_PIPELINES,
     install_cleanup_pipelines,
     register_cleanup_pipeline,
 )
+from repro.kernels import KERNEL_NAMES
 
 #: The former ``light``: one canonicalize + cse round.
 LIGHT = "canonicalize,cse"
@@ -39,6 +42,12 @@ DROPPED = ("simplify-affine-if", "affine-store-forward",
 
 #: The two tails the ``three_cleanups`` fixture registers.
 RETIRED = {"test-light": LIGHT, "test-six-pass": SIX_PASS}
+
+#: The Table III kernels as rows of the tail's oracles over every prefix,
+#: tiling and pipelined root: gemm's rows take as long as three to five other
+#: kernels' rows together, and run under ``-m exhaustive`` only.
+TABLE3_ROWS = [pytest.param(kernel, marks=pytest.mark.exhaustive)
+               if kernel == "gemm" else kernel for kernel in sorted(KERNEL_NAMES)]
 
 #: Every retired tail, the law of ``TestTheCleanupIsDecided`` compares.
 #: ``SHORTER`` are those shorter than the built-in one: they may tie it or

@@ -55,7 +55,7 @@ from repro.transforms.composite import (
     run_design_point_suffix,
 )
 
-from cleanups import LIGHT, PARENT_TAIL, SIX_PASS
+from cleanups import LIGHT, PARENT_TAIL, SIX_PASS, TABLE3_ROWS
 from test_loop_transforms import (
     _function,
     _ir_signature,
@@ -356,9 +356,7 @@ class TestScansMatchTheScansTheyReplaced:
         if key == "gemm8_unrolled":
             assert all(counts[:3])  # every scan had work to agree on
 
-    @pytest.mark.parametrize("kernel", [
-        "bicg", pytest.param("gemm", marks=pytest.mark.exhaustive), "gesummv",
-        "syr2k", "syrk", "trmm"])
+    @pytest.mark.parametrize("kernel", TABLE3_ROWS)
     def test_table3_kernels_under_every_prefix_tiling_and_pipeline(self, kernel):
         base = compile_kernel(kernel, 4)
         rewrites = 0

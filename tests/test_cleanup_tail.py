@@ -55,7 +55,7 @@ from repro.transforms.directive.array_partition import ArrayPartitionPass
 from repro.transforms.directive.pipelining import pipeline_function, pipeline_loop
 from repro.transforms.loop.loop_unroll import fully_unroll_nested
 
-from cleanups import DROPPED, LIGHT
+from cleanups import DROPPED, LIGHT, TABLE3_ROWS
 from test_evaluation_golden import BUDGET, table3_module
 from test_loop_transforms import (
     HAND_BUILT_NESTS,
@@ -64,10 +64,6 @@ from test_loop_transforms import (
 )
 
 MODELS = ("vgg16", "resnet18", "mobilenet")
-#: The Table III kernels; gemm's rows take as long as three to five other
-#: kernels' rows together, and run under ``-m exhaustive`` only.
-TABLE3_ROWS = ["bicg", pytest.param("gemm", marks=pytest.mark.exhaustive),
-               "gesummv", "syr2k", "syrk", "trmm"]
 #: ``(graph_level, loop_level)`` of Table V's configurations, graph level 7,
 #: Fig. 8's loop level 5 configurations, and the shallowest and deepest
 #: loop levels (at 6 and 7 ``dnn-loop-opt`` unrolls several inner loops one

@@ -1,38 +1,18 @@
-"""The seeded defects of ``benchmarks/oracle_scores.py`` still apply: each
-names a line that is once in its file under ``src/``, and the file with the
-defect in it compiles, so a test that fails under a defect fails on it and
-not on a broken module.  Nothing here runs the suite under a defect."""
-
-from __future__ import annotations
+"""Every seeded defect of ``benchmarks/oracle_scores.py`` still applies to
+``src/``: ``oracle_scores.defective`` stops unless the defect's line is once
+in its file and the file with the defect in it compiles."""
 
 import importlib.util
 import os
-import xml.etree.ElementTree as ElementTree
 
 import pytest
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_SPEC = importlib.util.spec_from_file_location(
-    "_oracle_scores", os.path.join(ROOT, "benchmarks", "oracle_scores.py"))
+_SPEC = importlib.util.spec_from_file_location("_oracle_scores", os.path.join(
+    os.path.dirname(__file__), os.pardir, "benchmarks", "oracle_scores.py"))
 oracle_scores = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(oracle_scores)
 
 
 @pytest.mark.parametrize("defect", sorted(oracle_scores.DEFECTS))
 def test_the_defect_changes_one_line_that_still_compiles(defect):
-    path, line, changed = oracle_scores.DEFECTS[defect]
-    with open(os.path.join(ROOT, path)) as handle:
-        source = handle.read()
-    assert source.count(line) == 1 and line != changed, path
-    compile(source.replace(line, changed), path, "exec")
-
-
-def test_a_junit_case_is_named_by_file_class_and_function():
-    def test_id(classname, name):
-        return oracle_scores.test_id(ElementTree.fromstring(
-            f'<testcase classname="{classname}" name="{name}"/>'))
-
-    assert test_id("tests.test_loop_transforms.TestNested", "test_nests[a-b]") \
-        == "test_loop_transforms.py::TestNested::test_nests[*]"
-    assert test_id("tests.test_oracle_scores", "test_a") \
-        == "test_oracle_scores.py::test_a"
+    oracle_scores.defective(oracle_scores.ROOT, defect)
